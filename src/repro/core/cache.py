@@ -92,6 +92,19 @@ class PredicateCache:
         # methods (entries, generation_of, total_nbytes) under the lock.
         self._lock = lockwitness.named_rlock("PredicateCache._lock")
 
+    # -- the router protocol ------------------------------------------------------
+    # Everything that asks "which cache serves this slice" or "which
+    # caches are there" asks through these two methods; a single cache
+    # is the one-node case of :class:`~repro.cluster.ClusterCaches`.
+
+    def cache_for_slice(self, slice_id: int) -> "PredicateCache":
+        """The cache owning ``slice_id``: this one, for every slice."""
+        return self
+
+    def nodes(self) -> List["PredicateCache"]:
+        """The live per-node caches: just this one."""
+        return [self]
+
     # -- wiring ------------------------------------------------------------------
 
     def ping(self) -> bool:

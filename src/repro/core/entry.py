@@ -227,6 +227,14 @@ class CacheEntry:
         self.source_digests: Tuple[int, ...] = tuple(source_digests)
 
     @property
+    def source_keys(self) -> tuple:
+        """Keys of the installed entries whose state this entry serves
+        from: itself.  (An ephemeral reuse serving names the entries it
+        was assembled from instead — the scan drops *those* when a
+        served state turns out stale.)"""
+        return (self.key,)
+
+    @property
     def complete(self) -> bool:
         """True once every slice has recorded state."""
         return all(state is not None for state in self.slice_states)

@@ -96,7 +96,7 @@ class QueryEngine:
             pre-observability code path.
         scan_workers: slice-scan worker threads for this engine; ``0``
             forces serial, ``None`` (default) defers to the session
-            configuration (``REPRO_PARALLEL`` / ``REPRO_SCAN_WORKERS``).
+            configuration (``REPRO_PARALLEL``).
             Worker counts never change results or surfaced counters.
         """
         self.database = database
@@ -166,9 +166,7 @@ class QueryEngine:
             )
         }
         self.database.register_metrics(registry)
-        if self.predicate_cache is not None and hasattr(
-            self.predicate_cache, "register_metrics"
-        ):
+        if self.predicate_cache is not None:
             self.predicate_cache.register_metrics(registry)
 
     def _record_query_metrics(self, counters: QueryCounters) -> None:

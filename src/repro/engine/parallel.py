@@ -17,13 +17,12 @@ spans, and installs cache entries deterministically at the barrier.
 
 Selection:
 
-* default — serial, bit-identical to the single-threaded executor;
+* default — zero workers: the slice tasks run inline on the
+  coordinating thread, in slice order;
 * ``REPRO_PARALLEL=1`` — parallel with :data:`DEFAULT_WORKERS` workers;
 * ``REPRO_PARALLEL=N`` (N >= 2) — parallel with N workers;
-* ``REPRO_SCAN_WORKERS=N`` — overrides the worker count when parallel
-  mode is enabled;
 * ``QueryEngine(scan_workers=N)`` / ``execute_scan(workers=N)`` —
-  programmatic override; ``0`` forces serial, ``None`` defers to the
+  programmatic override; ``0`` forces inline, ``None`` defers to the
   environment.
 """
 
@@ -59,12 +58,6 @@ def _workers_from_env() -> int:
         return 0
     if requested <= 0:
         return 0
-    override = os.environ.get("REPRO_SCAN_WORKERS", "").strip()
-    if override:
-        try:
-            return max(1, int(override))
-        except ValueError:
-            pass
     return DEFAULT_WORKERS if requested == 1 else requested
 
 
@@ -119,11 +112,11 @@ class ParallelScanExecutor:
         """Execute ``tasks``, returning results in task (slice) order.
 
         With one worker — or one task — runs inline on the caller's
-        thread; the phased coordinator path is exercised either way.
-        On failure, every in-flight task is drained first (so callers
-        can safely close the storage scan phase) and the error of the
-        lowest-numbered failing slice propagates, matching the serial
-        executor's first-failure semantics.
+        thread, stopping at the first failing task.  On a pool, every
+        in-flight task is drained first (so callers can safely close
+        the storage scan phase) and the error of the lowest-numbered
+        failing slice propagates — the same error the inline run
+        surfaces.
         """
         if self.workers == 1 or len(tasks) <= 1:
             return [task() for task in tasks]

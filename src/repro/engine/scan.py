@@ -31,14 +31,26 @@ Served or not, the scan derives per-conjunct qualifying sets on the way
 supersets under *any* serving basis) and installs them at the same
 coordinator barrier as every other entry.
 
-Execution is coordinator/worker structured (see ``parallel.py``): the
-coordinating thread resolves cache contexts, dispatches one
-:func:`_scan_slice` task per slice (serially, or over a worker pool),
-and at the barrier merges per-task counters, emits tracer spans, and
-installs cache entries — all in slice order.  Worker code touches only
-per-task state plus the internally-synchronized storage read path;
-linter rule RP006 rejects shared-state mutation inside the worker
-functions.
+:func:`execute_scan` is three coordinator steps around the four above:
+
+* **plan** (:func:`_plan_scan`) — step 1, once per cache node.  The
+  cache is always asked through the router protocol
+  ``cache.cache_for_slice(slice_id)``: a :class:`ClusterCaches` answers
+  the slice's owning node (§4.6), a bare ``PredicateCache`` answers
+  itself — it *is* the one-node router.  A node that is down (the
+  router answers ``None``, or its tombstone raises ``NodeDownError``)
+  gets a null context, and so does every slice when caching is off.
+* **run** (:func:`_run_slices`) — steps 2–3, one :func:`_scan_slice`
+  task per slice handed to ``parallel.ParallelScanExecutor``; with zero
+  workers the same tasks run inline on the coordinator.  Each task
+  counts into its own ``QueryCounters`` and times its own span window.
+* **install** (:func:`_install`) — step 4 at the barrier, in slice
+  order whatever order the tasks finished in: entry installs, reuse
+  re-check accounting, and one admission-policy observation per node.
+
+Worker code touches only per-task state plus the internally-synchronized
+storage read path; linter rule RP006 rejects shared-state mutation
+inside the worker functions.
 """
 
 from __future__ import annotations
@@ -50,6 +62,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.cache import PredicateCache
+from ..core.entry import CacheEntry
 from ..core.keys import ScanKey, SemiJoinDescriptor
 from ..core.rowrange import RangeList
 from ..faults.errors import NodeDownError
@@ -154,18 +167,19 @@ def execute_scan(
         predicate: the pushed-down filter (``TruePredicate`` for none).
         txid: MVCC visibility snapshot.
         counters: query counters to accumulate into.
-        cache: the predicate cache, or None to disable caching entirely.
+        cache: the predicate cache — a ``PredicateCache`` or a
+            ``ClusterCaches`` router — or None to disable caching
+            entirely.
         semijoins: Bloom filters pushed down from hash joins (§4.4).
         current_versions: data versions of semi-join build tables, for
             stale-entry rejection.
         tracer: optional :class:`~repro.obs.Tracer`; when set, the scan
             records ``cache-lookup`` and per-slice ``scan[slice]`` spans
-            with counter and block-fetch deltas.  ``None`` keeps the
-            pre-instrumentation hot path byte-for-byte.
-        workers: slice-scan worker threads; ``0`` forces serial, ``None``
-            defers to the session configuration (``REPRO_PARALLEL`` /
-            ``REPRO_SCAN_WORKERS``).  Results and surfaced counters are
-            bit-identical across worker counts.
+            with counter and block-fetch deltas.
+        workers: slice-scan worker threads; ``0`` runs the slice tasks
+            inline on the calling thread, ``None`` defers to the session
+            configuration (``REPRO_PARALLEL``).  Results and surfaced
+            counters are bit-identical across worker counts.
         gather_columns: output columns the caller will gather from the
             result.  The slice tasks materialize them for their
             qualifying rows — the same reads ``ScanResult.gather``
@@ -176,6 +190,60 @@ def execute_scan(
         Per-slice qualifying row ranges (post predicate, semi-join
         filters, and visibility).
     """
+    plan = _plan_scan(
+        table, predicate, cache, semijoins, current_versions, counters, tracer
+    )
+    # Degradation ladder, rung 2: one count per table scan however many
+    # slices lost their node, plus one per stale entry dropped.
+    counters.degraded_scans += min(1, plan.degraded_slices) + plan.stale_drops
+    num_workers = (
+        parallel.configured_workers() if workers is None else max(0, int(workers))
+    )
+    results = _run_slices(
+        table, predicate, semijoins, txid, counters,
+        plan, list(gather_columns), tracer, num_workers,
+    )
+    _install(table, predicate, plan, results, counters)
+    return ScanResult(
+        table,
+        [qualifying for qualifying, _, _, _ in results],
+        txid,
+        [materialized for _, _, materialized, _ in results],
+    )
+
+
+@dataclass
+class ScanPlan:
+    """What the coordinator decided before any slice runs: built once by
+    :func:`_plan_scan`, read by the slice runner and the install barrier."""
+
+    plain_key: ScanKey
+    #: The join-extended key, when every semi-join filter is describable.
+    join_key: Optional[ScanKey]
+    #: Columns the vectorized scan reads (predicate + probe columns).
+    scan_columns: List[str]
+    #: Per-slice cache context; ``None`` scans that slice cache-off
+    #: (caching disabled, or the slice's node is down).
+    contexts: List[Optional["_SliceCacheContext"]] = field(default_factory=list)
+    #: The distinct contexts, one per live cache node.  Each carries the
+    #: node's serving basis and receives one policy observation.
+    node_contexts: List["_SliceCacheContext"] = field(default_factory=list)
+    #: Slices routed cache-off because their node is down.
+    degraded_slices: int = 0
+    #: Entries dropped because their state outran the slice they describe.
+    stale_drops: int = 0
+
+
+def _plan_scan(
+    table: Table,
+    predicate: Predicate,
+    cache: Optional[PredicateCache],
+    semijoins: Sequence[SemiJoinFilter],
+    current_versions: Optional[Mapping[str, int]],
+    counters: QueryCounters,
+    tracer,
+) -> ScanPlan:
+    """Derive the scan's keys and resolve one cache context per slice."""
     predicate_key = predicate.cache_key()
     if cache is not None and cache.config.normalize_keys:
         from ..predicates.normalize import normalize
@@ -194,51 +262,30 @@ def execute_scan(
         )
         for sj in semijoins:
             build_versions.update(sj.build_versions)
-
-    # A multi-node cluster routes each slice to its owning node's
-    # cache (``cache_for_slice``); a plain PredicateCache serves every
-    # slice — the single-node special case.
-    per_node = cache is not None and hasattr(cache, "cache_for_slice")
-
-    # Columns the vectorized scan needs.
-    scan_columns = sorted(predicate.columns() | {sj.probe_column for sj in semijoins})
-
-    num_workers = (
-        parallel.configured_workers() if workers is None else max(0, int(workers))
+    plan = ScanPlan(
+        plain_key,
+        join_key,
+        sorted(predicate.columns() | {sj.probe_column for sj in semijoins}),
     )
+    if cache is None:
+        plan.contexts = [None] * len(table.slices)
+        return plan
 
-    # -- coordinator pre-pass: resolve cache contexts per slice -------------
     # One context per *cache node*, held by direct reference (never
     # keyed by ``id()``: a collected cache's id can be reused mid-scan,
-    # which would alias two distinct nodes into one context).  A plain
-    # single-node cache shares one context across every slice.
-    contexts: List[Optional[_SliceCacheContext]]
-    node_contexts: List[_SliceCacheContext] = []
-    if cache is not None and per_node:
-        contexts = []
-        down_caches: List[object] = []
-        degraded_nodes = 0
-        for slice_id in range(len(table.slices)):
-            node_cache = cache.cache_for_slice(slice_id)
-            if node_cache is None:
-                # The cluster already marked this slice's node DOWN:
-                # route around it with a cache-off scan (degradation
-                # ladder, rung 2 — correctness never depends on the
-                # cache).  Count the degradation once per table scan.
-                if degraded_nodes == 0:
-                    counters.degraded_scans += 1
-                degraded_nodes += 1
-                contexts.append(None)
-                continue
-            if any(down is node_cache for down in down_caches):
-                contexts.append(None)
-                continue
-            context = None
-            for known in node_contexts:
-                if known.cache is node_cache:
-                    context = known
+    # which would alias two distinct nodes into one context).  A down
+    # node — the router answers None once it is marked DOWN — resolves
+    # to a None context for all of its slices.
+    resolved: List[Tuple[object, Optional[_SliceCacheContext]]] = []
+    for slice_id in range(len(table.slices)):
+        node_cache = cache.cache_for_slice(slice_id)
+        context = None
+        if node_cache is not None:
+            for known_cache, known_context in resolved:
+                if known_cache is node_cache:
+                    context = known_context
                     break
-            if context is None:
+            else:
                 try:
                     context = _prepare_cache_context(
                         node_cache, table, predicate, plain_key, join_key,
@@ -246,90 +293,137 @@ def execute_scan(
                     )
                 except NodeDownError:
                     # Undetected failure window: the node died but the
-                    # health monitor has not routed around it yet.  Same
-                    # fallback — cache-off for this node's slices.
-                    if degraded_nodes == 0:
-                        counters.degraded_scans += 1
-                    degraded_nodes += 1
-                    down_caches.append(node_cache)
-                    contexts.append(None)
-                    continue
-                node_contexts.append(context)
-            contexts.append(context)
-    elif cache is not None:
-        shared_context = _prepare_cache_context(
-            cache, table, predicate, plain_key, join_key,
-            build_versions, current_versions, counters, tracer,
-        )
-        contexts = [shared_context] * len(table.slices)
-        node_contexts.append(shared_context)
-    else:
-        contexts = [None] * len(table.slices)
+                    # health monitor has not routed around it yet.
+                    pass
+                resolved.append((node_cache, context))
+        if context is None:
+            # Cache-off for this slice: correctness never depends on the cache.
+            plan.degraded_slices += 1
+        plan.contexts.append(context)
+    plan.node_contexts = [known for _, known in resolved if known is not None]
 
     for slice_id, data_slice in enumerate(table.slices):
-        context = contexts[slice_id]
+        context = plan.contexts[slice_id]
         if context is not None and context.entry is not None:
             state = context.entry.slice_states[slice_id]
             if state is not None and state.last_cached_row > data_slice.num_rows:
-                # Degradation ladder, rung 2: the cached state claims a
-                # row numbering this slice no longer has (an invalidation
-                # was missed).  Drop the entry — through _drop, so
-                # metrics fire — and fall back to full scans for the
-                # rest of this table scan.  An ephemeral reuse serving
-                # names the *source* entries it was composed from; those
-                # are what hold the stale state.
-                stale_keys = getattr(context.entry, "source_keys", None) or (
-                    context.entry.key,
-                )
-                for stale_key in stale_keys:
+                # The cached state claims a row numbering this slice no
+                # longer has (an invalidation was missed).  Drop the
+                # entry — through drop_stale, so metrics fire — and fall
+                # back to full scans for the rest of this table scan.
+                # An ephemeral reuse serving names the *source* entries
+                # it was composed from; those hold the stale state.
+                for stale_key in context.entry.source_keys:
                     context.cache.drop_stale(stale_key)
-                counters.degraded_scans += 1
+                plan.stale_drops += 1
                 context.entry = None
+    return plan
 
-    # -- dispatch ------------------------------------------------------------
-    if num_workers <= 0:
-        results = _run_slices_serial(
-            table, predicate, semijoins, txid, counters,
-            contexts, scan_columns, list(gather_columns), tracer,
-        )
-    else:
-        results = _run_slices_parallel(
-            table, predicate, semijoins, txid, counters,
-            contexts, scan_columns, list(gather_columns), tracer, num_workers,
-        )
-    per_slice: List[RangeList] = [qualifying for qualifying, _, _, _ in results]
-    prefetched = [materialized for _, _, materialized, _ in results]
 
-    # -- barrier: install cache entries, coordinator-side, in slice order ----
-    # Workers never write the cache (RP006); batching the installs here
-    # keeps the cache mutation sequence identical whatever order the
-    # slice tasks actually completed in.  Derived conjunct entries ride
-    # the same barrier (RP009: the reuse package itself never writes).
+def _run_slices(
+    table: Table,
+    predicate: Predicate,
+    semijoins: Sequence[SemiJoinFilter],
+    txid: int,
+    counters: QueryCounters,
+    plan: ScanPlan,
+    gather_columns: List[str],
+    tracer,
+    num_workers: int,
+) -> List["_SliceResult"]:
+    """Run one :func:`_scan_slice` task per slice; merge at the barrier.
+
+    ``num_workers <= 0`` runs the tasks inline on the calling thread,
+    in slice order; otherwise they fan over the shared worker pool.
+    Either way each task gets a fresh ``QueryCounters`` and records its
+    own span window via the tracer's shared clock; the coordinator
+    merges the counters and emits the spans in slice order, so traces
+    and totals do not depend on the worker count.
+    """
+    rms = table.rms
+    executor = parallel.ParallelScanExecutor(num_workers)
+    # The phase is started *before* the tasks are built so each task can
+    # capture it: pool threads adopt the coordinator's (phase, query)
+    # storage bindings for the duration of their slice, then restore —
+    # pool threads are shared across concurrent scans, and the inline
+    # path runs tasks on the coordinator thread itself.
+    phase = rms.begin_scan_phase()
+    query_context = rms.current_query_context()
+
+    def make_task(slice_id: int, data_slice: DataSlice):
+        context = plan.contexts[slice_id]
+        entry = context.entry if context is not None else None
+        conjunct_predicates = context.conjunct_predicates if context is not None else ()
+
+        def task() -> Tuple["_SliceResult", QueryCounters, float, float]:
+            local = QueryCounters()
+            adopted = rms.adopt_scan_context(phase, query_context)
+            try:
+                start = tracer.now() if tracer is not None else 0.0
+                pair = _scan_slice(
+                    table, data_slice, slice_id, predicate, semijoins,
+                    txid, local, entry, plan.scan_columns, gather_columns,
+                    conjunct_predicates,
+                )
+                end = tracer.now() if tracer is not None else 0.0
+            finally:
+                rms.release_scan_context(adopted)
+            return pair, local, start, end
+
+        return task
+
+    try:
+        outcomes = executor.run(
+            [
+                make_task(slice_id, data_slice)
+                for slice_id, data_slice in enumerate(table.slices)
+            ]
+        )
+    finally:
+        access_counts = rms.end_scan_phase()
+
+    results: List["_SliceResult"] = []
+    for slice_id, (pair, local, start, end) in enumerate(outcomes):
+        counters.merge(local)
+        if tracer is not None:
+            context = plan.contexts[slice_id]
+            attrs: Dict[str, object] = {"table": table.name, "slice": slice_id}
+            attrs.update(local.delta(ZERO_SNAPSHOT))
+            attrs["blocks_fetched"] = access_counts.get(slice_id, 0)
+            attrs["cache_basis"] = context.basis if context is not None else "off"
+            tracer.emit(f"scan[slice {slice_id}]", start, end, attrs)
+        results.append(pair)
+    return results
+
+
+def _install(
+    table: Table,
+    predicate: Predicate,
+    plan: ScanPlan,
+    results: List["_SliceResult"],
+    counters: QueryCounters,
+) -> None:
+    """The barrier: every cache write of the scan, in slice order.
+
+    Workers never write the cache (RP006); batching the installs here
+    keeps the cache mutation sequence identical whatever order the
+    slice tasks actually completed in.  Derived conjunct entries ride
+    the same barrier (RP009: the reuse package itself never writes).
+    """
     for slice_id, (qualifying, q_plain, _, extras) in enumerate(results):
-        context = contexts[slice_id]
+        context = plan.contexts[slice_id]
         if context is None:
             continue
         num_rows = table.slices[slice_id].num_rows
-        if context.join_entry is not None:
-            context.cache.record_slice_scan(
-                context.join_entry, slice_id, qualifying, num_rows
-            )
-            context.cache.record_entry_stats(
-                context.join_entry, qualifying.num_rows, num_rows
-            )
-        if context.plain_entry is not None:
-            context.cache.record_slice_scan(
-                context.plain_entry, slice_id, q_plain, num_rows
-            )
-            context.cache.record_entry_stats(
-                context.plain_entry, q_plain.num_rows, num_rows
-            )
-        if context.conjunct_entries and extras.conjunct_lists is not None:
-            for (c_entry, _), c_list in zip(
-                context.conjunct_entries, extras.conjunct_lists
-            ):
-                context.cache.record_slice_scan(c_entry, slice_id, c_list, num_rows)
-                context.cache.record_entry_stats(c_entry, c_list.num_rows, num_rows)
+        context.qualifying_rows += qualifying.num_rows
+        context.total_rows += num_rows
+        installs = [(context.join_entry, qualifying), (context.plain_entry, q_plain)]
+        if extras.conjunct_lists is not None:
+            installs += zip(context.conjunct_entries, extras.conjunct_lists)
+        for entry, ranges in installs:
+            if entry is not None:
+                context.cache.record_slice_scan(entry, slice_id, ranges, num_rows)
+                context.cache.record_entry_stats(entry, ranges.num_rows, num_rows)
         if (
             context.basis in ("composed", "subsumed")
             and context.entry is not None
@@ -341,161 +435,22 @@ def execute_scan(
             counters.reuse_skipped_rows += num_rows - rechecked
             context.cache.record_reuse_rows(rechecked, num_rows - rechecked)
 
-    # One policy observation per (node, scan) — not per slice — so a
-    # "sighting" means one execution of the scan, like the paper's
-    # repetitiveness notion.
-    if cache is not None and per_node:
-        for slice_id, (qualifying, _, _, _) in enumerate(results):
-            context = contexts[slice_id]
-            if context is not None:
-                context.qualifying_rows += qualifying.num_rows
-                context.total_rows += table.slices[slice_id].num_rows
-        for context in node_contexts:
-            _observe_policy(
-                context.cache, predicate, plain_key, join_key,
-                context.qualifying_rows, max(1, context.total_rows),
-            )
-    elif cache is not None:
-        total_q = sum(q.num_rows for q in per_slice)
-        _observe_policy(
-            node_contexts[0].cache, predicate, plain_key, join_key,
-            total_q, max(1, table.num_rows),
-        )
-
-    return ScanResult(table, per_slice, txid, prefetched)
-
-
-def _run_slices_serial(
-    table: Table,
-    predicate: Predicate,
-    semijoins: Sequence[SemiJoinFilter],
-    txid: int,
-    counters: QueryCounters,
-    contexts: List[Optional["_SliceCacheContext"]],
-    scan_columns: List[str],
-    gather_columns: List[str],
-    tracer,
-) -> List["_SliceResult"]:
-    """Scan every slice on the calling thread, in slice order."""
-    rms = table.rms
-    results: List["_SliceResult"] = []
-    rms.begin_scan_phase(concurrent=False)
-    try:
-        for slice_id, data_slice in enumerate(table.slices):
-            context = contexts[slice_id]
-            slice_span = None
-            if tracer is not None:
-                slice_span = tracer.begin(
-                    f"scan[slice {slice_id}]", table=table.name, slice=slice_id
-                )
-                counters_before = counters.snapshot()
-                storage_before = rms.stats.snapshot()
-            pair = _scan_slice(
-                table, data_slice, slice_id, predicate, semijoins,
-                txid, counters,
-                context.entry if context is not None else None,
-                scan_columns, gather_columns,
-                context.conjunct_predicates() if context is not None else (),
-            )
-            if slice_span is not None:
-                slice_span.update(counters.delta(counters_before))
-                storage_delta = rms.stats.delta(storage_before)
-                slice_span.set("blocks_fetched", storage_delta.blocks_accessed)
-                slice_span.set(
-                    "cache_basis", context.basis if context is not None else "off"
-                )
-                tracer.end(slice_span)
-            results.append(pair)
-    finally:
-        rms.end_scan_phase()
-    return results
-
-
-def _run_slices_parallel(
-    table: Table,
-    predicate: Predicate,
-    semijoins: Sequence[SemiJoinFilter],
-    txid: int,
-    counters: QueryCounters,
-    contexts: List[Optional["_SliceCacheContext"]],
-    scan_columns: List[str],
-    gather_columns: List[str],
-    tracer,
-    num_workers: int,
-) -> List["_SliceResult"]:
-    """Fan the slice scans over a worker pool; merge at the barrier.
-
-    Each task gets a fresh ``QueryCounters`` and records its own span
-    window via the tracer's shared clock; the coordinator merges the
-    counters and emits the spans in slice order, so traces and totals
-    match the serial executor exactly.
-    """
-    rms = table.rms
-    executor = parallel.ParallelScanExecutor(num_workers)
-    # The phase is started *before* the tasks are built so each task can
-    # capture it: pool threads adopt the coordinator's (phase, query)
-    # storage bindings for the duration of their slice, then restore —
-    # pool threads are shared across concurrent scans, and the inline
-    # path runs tasks on the coordinator thread itself.
-    phase = rms.begin_scan_phase(concurrent=True)
-    query_context = rms.current_query_context()
-
-    def make_task(
-        slice_id: int,
-        data_slice: DataSlice,
-        entry,
-        conjunct_predicates: Tuple[Predicate, ...],
-    ):
-        def task() -> Tuple["_SliceResult", QueryCounters, float, float]:
-            local = QueryCounters()
-            adopted = rms.adopt_scan_context(phase, query_context)
-            try:
-                start = tracer.now() if tracer is not None else 0.0
-                pair = _scan_slice(
-                    table, data_slice, slice_id, predicate, semijoins,
-                    txid, local, entry, scan_columns, gather_columns,
-                    conjunct_predicates,
-                )
-                end = tracer.now() if tracer is not None else 0.0
-            finally:
-                rms.release_scan_context(adopted)
-            return pair, local, start, end
-
-        return task
-
-    try:
-        tasks = [
-            make_task(
-                slice_id,
-                data_slice,
-                contexts[slice_id].entry if contexts[slice_id] is not None else None,
-                contexts[slice_id].conjunct_predicates()
-                if contexts[slice_id] is not None
-                else (),
-            )
-            for slice_id, data_slice in enumerate(table.slices)
-        ]
-        outcomes = executor.run(tasks)
-    finally:
-        access_counts = rms.end_scan_phase()
-
-    results: List["_SliceResult"] = []
-    for slice_id, (pair, local, start, end) in enumerate(outcomes):
-        counters.merge(local)
-        if tracer is not None:
-            context = contexts[slice_id]
-            attrs: Dict[str, object] = {"table": table.name, "slice": slice_id}
-            attrs.update(local.delta(ZERO_SNAPSHOT))
-            attrs["blocks_fetched"] = access_counts.get(slice_id, 0)
-            attrs["cache_basis"] = context.basis if context is not None else "off"
-            tracer.emit(f"scan[slice {slice_id}]", start, end, attrs)
-        results.append(pair)
-    return results
+    if isinstance(predicate, TruePredicate):
+        return
+    # Feed the admission policy (repetitiveness + selectivity, §4.1.2):
+    # one observation per (node, scan) — not per slice — so a "sighting"
+    # means one execution of the scan, like the paper's repetitiveness
+    # notion.  Selectivity is over the rows of the node's own slices.
+    for context in plan.node_contexts:
+        selectivity = context.qualifying_rows / max(1, context.total_rows)
+        context.cache.policy.observe(plan.plain_key, selectivity)
+        if plan.join_key is not None and context.cache.config.cache_join_keys:
+            context.cache.policy.observe(plan.join_key, selectivity)
 
 
 @dataclass
 class _SliceCacheContext:
-    """Resolved cache interaction for a scan (or one cache node of it).
+    """Resolved cache interaction of a scan with one cache node.
 
     Built by the coordinator before dispatch and mutated only by the
     coordinator afterwards; workers read ``entry`` (immutable slice
@@ -506,17 +461,16 @@ class _SliceCacheContext:
 
     cache: PredicateCache
     entry: Optional[object]
-    join_entry: Optional[object]
-    plain_entry: Optional[object]
     basis: str = "full"
+    join_entry: Optional[CacheEntry] = None
+    plain_entry: Optional[CacheEntry] = None
     #: Derived per-conjunct entries this scan installs at the barrier,
-    #: paired with the normalized conjunct predicate each one records.
-    conjunct_entries: List[Tuple[object, Predicate]] = field(default_factory=list)
+    #: and (in the same order) the normalized conjunct predicate each
+    #: one records.
+    conjunct_entries: List[CacheEntry] = field(default_factory=list)
+    conjunct_predicates: Tuple[Predicate, ...] = ()
     qualifying_rows: int = 0
     total_rows: int = 0
-
-    def conjunct_predicates(self) -> Tuple[Predicate, ...]:
-        return tuple(predicate for _, predicate in self.conjunct_entries)
 
 
 def _prepare_cache_context(
@@ -608,12 +562,10 @@ def _prepare_cache_context(
             lookup_span.set("entry_nbytes", entry.nbytes)
         tracer.end(lookup_span)
 
-    join_entry = None
-    plain_entry = None
-    conjunct_entries: List[Tuple[object, Predicate]] = []
-    if _should_cache(cache, table):
+    context = _SliceCacheContext(cache, entry, basis)
+    if table.num_rows >= cache.config.min_rows_to_cache:
         if join_key is not None and cache_join and cache.admits(join_key):
-            join_entry = cache.get_or_create(
+            context.join_entry = cache.get_or_create(
                 join_key, table.num_slices, build_versions
             )
         # Unfiltered scans are not worth a plain entry: the paper
@@ -624,19 +576,16 @@ def _prepare_cache_context(
             and not isinstance(predicate, TruePredicate)
             and cache.admits(plain_key)
         ):
-            if serving is not None:
-                # A reuse-served scan evaluates the real predicate over
-                # a candidate superset, so its q_plain is exact — the
-                # full-key entry it fills records how it was derived.
-                plain_entry = cache.get_or_create(
-                    plain_key,
-                    table.num_slices,
-                    {},
-                    provenance=serving.basis,
-                    source_digests=serving.source_digests,
-                )
-            else:
-                plain_entry = cache.get_or_create(plain_key, table.num_slices, {})
+            # A reuse-served scan evaluates the real predicate over a
+            # candidate superset, so its q_plain is exact — the full-key
+            # entry it fills records how it was derived.
+            context.plain_entry = cache.get_or_create(
+                plain_key,
+                table.num_slices,
+                {},
+                provenance=serving.basis if serving is not None else "scan",
+                source_digests=serving.source_digests if serving is not None else (),
+            )
         # Derived conjunct entries: sound under any serving basis except
         # "join" (where the complement-padded sets would be uselessly
         # wide — the join candidates are already heavily filtered).
@@ -644,42 +593,13 @@ def _prepare_cache_context(
             for conjunct in decomposition.conjuncts:
                 if conjunct.key == plain_key or not cache.admits(conjunct.key):
                     continue
-                conjunct_entries.append(
-                    (
-                        cache.get_or_create(
-                            conjunct.key,
-                            table.num_slices,
-                            {},
-                            provenance="conjunct",
-                        ),
-                        conjunct.predicate,
+                context.conjunct_entries.append(
+                    cache.get_or_create(
+                        conjunct.key, table.num_slices, {}, provenance="conjunct"
                     )
                 )
-    return _SliceCacheContext(
-        cache, entry, join_entry, plain_entry, basis,
-        conjunct_entries=conjunct_entries,
-    )
-
-
-def _observe_policy(
-    cache: PredicateCache,
-    predicate: Predicate,
-    plain_key: ScanKey,
-    join_key: Optional[ScanKey],
-    qualifying_rows: int,
-    total_rows: int,
-) -> None:
-    """Feed the admission policy (repetitiveness + selectivity, §4.1.2)."""
-    if isinstance(predicate, TruePredicate):
-        return
-    selectivity = qualifying_rows / total_rows
-    cache.policy.observe(plain_key, selectivity)
-    if join_key is not None and cache.config.cache_join_keys:
-        cache.policy.observe(join_key, selectivity)
-
-
-def _should_cache(cache: PredicateCache, table: Table) -> bool:
-    return table.num_rows >= cache.config.min_rows_to_cache
+                context.conjunct_predicates += (conjunct.predicate,)
+    return context
 
 
 @dataclass
@@ -724,19 +644,14 @@ def _scan_slice(
 
     if state is not None:
         # Cache hit: the cached ranges replace the range-restricted scan.
-        # Zone-map pruning is still applied on top — it is metadata-only
-        # and guarantees a hit never scans more than a miss would
-        # ("rigorously avoiding slowdowns", §1).
         candidates = state.candidates(num_rows)
         counters.rows_skipped_cache += num_rows - candidates.num_rows
-        candidates = _prune_with_zonemaps(
-            data_slice, predicate, candidates, counters
-        )
     else:
         candidates = RangeList.full(num_rows)
-        candidates = _prune_with_zonemaps(
-            data_slice, predicate, candidates, counters
-        )
+    # Zone-map pruning is applied on top of a hit too — it is
+    # metadata-only and guarantees a hit never scans more than a miss
+    # would ("rigorously avoiding slowdowns", §1).
+    candidates = _prune_with_zonemaps(data_slice, predicate, candidates, counters)
 
     counters.rows_scanned += candidates.num_rows
     extras = _SliceScanExtras(candidate_rows=candidates.num_rows)

@@ -37,7 +37,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Optional
 
 from .. import invariants as _inv
 from ..obs import lockwitness
@@ -67,15 +67,6 @@ class LoadResult:
     truncated: bool = False
     unsupported_version: bool = False
     seconds: float = 0.0
-
-
-def _caches_of(source) -> Iterable:
-    """Normalize a PredicateCache / ClusterCaches / iterable of caches."""
-    if hasattr(source, "nodes"):
-        return source.nodes()
-    if hasattr(source, "entries"):
-        return (source,)
-    return source
 
 
 class CacheStore:
@@ -187,10 +178,14 @@ class CacheStore:
     # -- snapshot --------------------------------------------------------------
 
     def snapshot(self, caches) -> bool:
-        """Serialize the live cache(s) into a fresh snapshot and reset
-        the journal.  Returns False if an injected crash tore the write
-        (the previous snapshot and journal survive untouched)."""
-        return self.snapshot_records(collect_records(_caches_of(caches)))
+        """Serialize the live cache(s) — a ``PredicateCache``, a
+        ``ClusterCaches`` router, or a plain list of caches — into a
+        fresh snapshot and reset the journal.  Returns False if an
+        injected crash tore the write (the previous snapshot and journal
+        survive untouched)."""
+        if not isinstance(caches, (list, tuple)):
+            caches = caches.nodes()
+        return self.snapshot_records(collect_records(caches))
 
     def snapshot_records(self, records: Dict[int, EntryRecord]) -> bool:
         span = None

@@ -16,10 +16,11 @@ The scan re-evaluates the real predicate plus visibility over the
 candidates, so the result is bit-identical to a cache-off scan.
 
 Nothing built here is ever installed: :class:`ReuseServing` and
-:class:`ComposedSliceState` duck-type the read APIs the scan path uses
-and carry ``ephemeral = True`` so ``invariants.check_cache`` rejects any
-attempt to put one in the entry table (which would double-count the
-source entries' bytes against the budget).  This module is read-only
+:class:`ComposedSliceState` implement the entry and slice-state read
+protocols the scan path uses and carry ``ephemeral = True`` so
+``invariants.check_cache`` rejects any attempt to put one in the entry
+table (which would double-count the source entries' bytes against the
+budget).  This module is read-only
 over the cache — linter rule RP009.
 """
 
@@ -75,35 +76,29 @@ class ComposedSliceState:
         return 0
 
 
+@dataclass(slots=True)
 class ReuseServing:
     """An ephemeral "entry" assembled from cached parts for one scan.
 
-    Duck-types the :class:`~repro.core.entry.CacheEntry` read API the
-    scan path uses (``key``, ``slice_states``, ``selectivity``,
-    ``nbytes``).  ``source_keys`` drive stale-watermark drops (a vacuum
-    mid-flight must drop the *source* entries, not the full key) and
+    Implements the part of the :class:`~repro.core.entry.CacheEntry`
+    read protocol the scan path uses: ``key``, ``slice_states``,
+    ``selectivity``, ``nbytes``, ``provenance``, ``source_digests`` and
+    ``source_keys``.  The last drives stale-watermark drops (a vacuum
+    mid-flight must drop the *source* entries, not the full key);
     ``source_digests`` become the provenance recorded on the full-key
     entry the served scan installs.
     """
 
     ephemeral = True
 
-    __slots__ = ("key", "slice_states", "basis", "source_keys", "source_digests")
+    key: "ScanKey"
+    slice_states: List[Optional[object]]
+    basis: str
+    source_keys: Tuple["ScanKey", ...]
 
-    def __init__(
-        self,
-        key: "ScanKey",
-        slice_states: List[Optional[object]],
-        basis: str,
-        source_keys: Tuple["ScanKey", ...],
-    ) -> None:
-        self.key = key
-        self.slice_states = slice_states
-        self.basis = basis
-        self.source_keys = source_keys
-        self.source_digests: Tuple[int, ...] = tuple(
-            key_digest(source) for source in source_keys
-        )
+    @property
+    def source_digests(self) -> Tuple[int, ...]:
+        return tuple(key_digest(source) for source in self.source_keys)
 
     @property
     def provenance(self) -> str:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from ..predicates.ast import Bounds, Predicate
+from ..predicates.ast import And, Between, Bounds, Comparison, Predicate
 from ..predicates.parser import PredicateParseError, parse_predicate
 
 if TYPE_CHECKING:
@@ -31,10 +31,25 @@ if TYPE_CHECKING:
 __all__ = ["bounds_contain", "find_subsuming"]
 
 
+def _is_exact_interval(predicate: Predicate) -> bool:
+    """True when a one-column predicate holds for *every* value inside
+    its ``bounds()`` — a comparison (not ``<>``), ``BETWEEN``, or a
+    conjunction of those.  Anything else (``IN``, ``<>``, ``LIKE``,
+    ``OR``) only reports a zone-map hull with holes in it.
+    """
+    if isinstance(predicate, And):
+        return all(_is_exact_interval(op) for op in predicate.operands)
+    if isinstance(predicate, Comparison):
+        return predicate.op != "<>"
+    return isinstance(predicate, Between)
+
+
 @lru_cache(maxsize=4096)
-def _single_column_range(predicate_key: str) -> Optional[Tuple[str, Bounds]]:
-    """Parse a cache key back into ``(column, bounds)`` if it is a
-    one-column range predicate; ``None`` for anything else.
+def _single_column_range(predicate_key: str) -> Optional[Tuple[str, Bounds, bool]]:
+    """Parse a cache key back into ``(column, bounds, exact)`` if it is
+    a one-column predicate with value bounds; ``None`` for anything
+    else.  ``exact`` says whether the bounds are the predicate's truth
+    (:func:`_is_exact_interval`) or merely a hull around it.
     """
     try:
         predicate: Predicate = parse_predicate(predicate_key)
@@ -47,7 +62,7 @@ def _single_column_range(predicate_key: str) -> Optional[Tuple[str, Bounds]]:
     bounds = predicate.bounds(column)
     if bounds is None or bounds.unbounded:
         return None
-    return column, bounds
+    return column, bounds, _is_exact_interval(predicate)
 
 
 def bounds_contain(outer: Bounds, inner: Bounds) -> bool:
@@ -92,14 +107,17 @@ def find_subsuming(
 
     Only plain (non-join) single-column range entries on the same table
     qualify, and only ones that have recorded at least one slice state —
-    an empty shell cannot serve anything.  Ties are broken toward the
-    most selective entry (fewest false positives to re-check), then the
-    narrowest interval.
+    an empty shell cannot serve anything.  The cached side must be an
+    *exact* interval: a hull (``k IN (7, 80)``) contains values its
+    predicate rejects, so its rows are no superset of ``k = 26``'s.  The
+    requested side may be a hull — containing the hull contains the
+    truth inside it.  Ties are broken toward the most selective entry
+    (fewest false positives to re-check), then the narrowest interval.
     """
     requested = _single_column_range(conjunct.key.predicate_key)
     if requested is None:
         return None
-    column, wanted = requested
+    column, wanted, _ = requested
     prefix = f"{column} "
     best: Optional["CacheEntry"] = None
     best_rank: Tuple[float, float] = (float("inf"), float("inf"))
@@ -113,7 +131,7 @@ def find_subsuming(
         ):
             continue
         cached = _single_column_range(key.predicate_key)
-        if cached is None or cached[0] != column:
+        if cached is None or cached[0] != column or not cached[2]:
             continue
         if not bounds_contain(cached[1], wanted):
             continue

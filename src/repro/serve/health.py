@@ -263,12 +263,11 @@ class ClusterHealthMonitor:
             "Payload bytes released by memory-pressure trims",
             fn=lambda: self.bytes_trimmed,
         )
-        if hasattr(self.cluster, "down_route_fallbacks"):
-            registry.counter(
-                "repro_resilience_down_route_fallbacks_total",
-                "Slices routed cache-off because their node was down",
-                fn=lambda: self.cluster.down_route_fallbacks,
-            )
+        registry.counter(
+            "repro_resilience_down_route_fallbacks_total",
+            "Slices routed cache-off because their node was down",
+            fn=lambda: self.cluster.down_route_fallbacks,
+        )
 
     def _safe_state(self, node_id: int) -> NodeState:
         if node_id >= self.cluster.num_nodes:

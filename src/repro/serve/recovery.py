@@ -164,7 +164,7 @@ class RecoveryOrchestrator:
         """
         old_cache = self.engine.predicate_cache
         before = self._keys_of(old_cache)
-        for cache in self._caches_of(old_cache):
+        for cache in old_cache.nodes():
             cache.detach_store()
         fresh = CacheStore(self.store.directory, catalog=self.engine.database)
         replacement = self.cache_factory(fresh)
@@ -216,7 +216,7 @@ class RecoveryOrchestrator:
         from ..core.cache import PredicateCache
 
         current = self.engine.predicate_cache
-        if hasattr(current, "cache_for_slice"):
+        if isinstance(current, ClusterCaches):
             return ClusterCaches(
                 current.num_nodes,
                 config=current.config,
@@ -228,12 +228,9 @@ class RecoveryOrchestrator:
         return replacement
 
     @staticmethod
-    def _caches_of(cache) -> list:
-        return list(cache.nodes()) if hasattr(cache, "nodes") else [cache]
-
-    def _keys_of(self, cache) -> Set[ScanKey]:
+    def _keys_of(cache) -> Set[ScanKey]:
         keys: Set[ScanKey] = set()
-        for node in self._caches_of(cache):
+        for node in cache.nodes():
             keys.update(node.keys())
         return keys
 

@@ -226,17 +226,14 @@ class ManagedStorage:
 
     # -- scan phases (deferred LRU settlement) ---------------------------------
 
-    def begin_scan_phase(self, concurrent: bool = False) -> _ScanPhase:
+    def begin_scan_phase(self) -> _ScanPhase:
         """Start access logging for one table scan (see module doc).
 
         The phase is bound to the calling (coordinator) thread; worker
         threads adopt it per task via :meth:`adopt_scan_context`.
         Phases do not nest on one thread — a scan owns its thread's
         storage view until its barrier calls :meth:`end_scan_phase`.
-        ``concurrent`` is accepted for compatibility; the storage lock
-        now serializes phase bookkeeping in both modes.
         """
-        del concurrent
         if getattr(self._local, "phase", None) is not None:
             raise RuntimeError("a scan phase is already active")
         phase = _ScanPhase()
@@ -247,9 +244,9 @@ class ManagedStorage:
         """Settle the phase's LRU effects; return per-slice access counts.
 
         Replays the access log in slice-major order — recency updates
-        first, then capacity eviction — which is exactly the order the
-        serial loop would have produced, whatever order worker threads
-        actually ran in.  The returned ``{slice_id: blocks_accessed}``
+        first, then capacity eviction — which is exactly the order an
+        inline run of the slice tasks produces, whatever order worker
+        threads actually ran in.  The returned ``{slice_id: blocks_accessed}``
         feeds the per-slice tracer spans.
         """
         phase = getattr(self._local, "phase", None)

@@ -64,6 +64,68 @@ class TestRouting:
                 single.execute(sql).scalar()
             )
 
+        # Third twin: a one-node router *is* the bare cache.  The scan
+        # path addresses both through cache_for_slice()/nodes(), so every
+        # observable must agree exactly — results, query counters, cache
+        # stats, footprint, and what the admission policy saw.
+        from repro import PredicateCache
+
+        config = PredicateCacheConfig(variant="bitmap", bitmap_block_rows=100)
+        bare_cache = PredicateCache(config, policy=CostBasedPolicy())
+        router = ClusterCaches(1, config=config, policy_factory=CostBasedPolicy)
+        twins = []
+        for cache in (bare_cache, router):
+            db = Database(num_slices=8, rows_per_block=100)
+            db.create_table(
+                TableSchema("t", (ColumnSpec("x", DataType.INT64), ColumnSpec("v", DataType.FLOAT64)))
+            )
+            twin = QueryEngine(db, predicate_cache=cache)
+            rng = np.random.default_rng(3)
+            twin.insert(
+                "t", {"x": np.sort(rng.integers(0, 1000, 40_000)), "v": rng.random(40_000)}
+            )
+            twins.append(twin)
+        bare, routed = twins
+        statements = [
+            "select count(*) as c from t where x < 50",
+            "select count(*) as c from t where x < 50",
+            "select sum(v) as s from t where x between 200 and 220",
+            "select count(*) as c from t where x < 50",
+            None,  # an insert: the next repeat extends the entry's tail
+            "select count(*) as c from t where x < 50",
+            "select x, v from t where x between 200 and 220",
+        ]
+        for sql in statements:
+            if sql is None:
+                for twin in twins:
+                    twin.insert("t", {"x": np.arange(40), "v": np.zeros(40)})
+                continue
+            a, b = bare.execute(sql), routed.execute(sql)
+            assert a.rows() == b.rows(), sql
+            for name in (
+                "blocks_accessed", "rows_scanned", "cache_hits",
+                "cache_misses", "degraded_scans",
+            ):
+                assert getattr(a.counters, name) == getattr(b.counters, name), (sql, name)
+        node = router.node(0)
+        assert router.nodes() == [node] and bare_cache.nodes() == [bare_cache]
+        assert bare_cache.cache_for_slice(5) is bare_cache
+        assert vars(node.stats) == vars(bare_cache.stats)
+        assert vars(router.aggregate_stats()) == vars(bare_cache.stats)
+        assert bare_cache.stats.hits > 0 and bare_cache.stats.extensions > 0
+        assert len(router) == len(bare_cache) > 0
+        assert router.total_nbytes == bare_cache.total_nbytes > 0
+
+        def sightings(policy):
+            return {
+                key: (seen.sightings, seen.selectivity)
+                for key, seen in policy._observations.items()
+            }
+
+        assert sightings(node.policy) == sightings(bare_cache.policy) != {}
+        assert node.policy.admissions == bare_cache.policy.admissions > 0
+        assert node.policy.rejections == bare_cache.policy.rejections > 0
+
 
 class TestPerNodeState:
     def test_each_node_holds_only_its_slices(self):

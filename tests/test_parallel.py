@@ -55,26 +55,19 @@ def scan_workers(workers):
 class TestConfiguration:
     def test_env_resolution(self, monkeypatch):
         cases = [
-            (None, None, 0),  # unset: serial
-            ("", None, 0),
-            ("0", None, 0),
-            ("1", None, parallel.DEFAULT_WORKERS),
-            ("6", None, 6),
-            ("1", "3", 3),  # REPRO_SCAN_WORKERS overrides the count
-            ("8", "2", 2),
-            ("nonsense", None, 0),
-            ("1", "nonsense", parallel.DEFAULT_WORKERS),
+            (None, 0),  # unset: serial
+            ("", 0),
+            ("0", 0),
+            ("1", parallel.DEFAULT_WORKERS),
+            ("6", 6),
+            ("nonsense", 0),
         ]
-        for enabled, override, expected in cases:
-            for name, value in (
-                ("REPRO_PARALLEL", enabled),
-                ("REPRO_SCAN_WORKERS", override),
-            ):
-                if value is None:
-                    monkeypatch.delenv(name, raising=False)
-                else:
-                    monkeypatch.setenv(name, value)
-            assert _workers_from_env() == expected, (enabled, override)
+        for enabled, expected in cases:
+            if enabled is None:
+                monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_PARALLEL", enabled)
+            assert _workers_from_env() == expected, enabled
 
     def test_set_workers_round_trip(self):
         original = parallel.configured_workers()
@@ -110,7 +103,7 @@ class TestScanPhase:
             i: choose_codec(np.arange(4, dtype=np.int64) + i) for i in range(3)
         }
         keys = {i: ("t", i % 2, "c", i) for i in range(3)}
-        rms.begin_scan_phase(concurrent=True)
+        rms.begin_scan_phase()
         # Arrival order 2, 0, 1 — deliberately not slice order.
         for i in (2, 0, 1):
             rms.read_block(keys[i], blocks[i])

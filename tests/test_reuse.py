@@ -97,6 +97,22 @@ def drilldown_steps(rounds=4, seed=5):
     return out
 
 
+#: Cached/requested pairs where the cached predicate's zone-map *hull*
+#: contains the request but its truth does not (AND <> -> =, IN -> =,
+#: IN -> BETWEEN).  Serving the request from such an entry returns no
+#: rows.  The values sit above every range ``drilldown_steps`` caches,
+#: and the least selective bad entry goes first, so no sound tighter
+#: entry outranks the bad one and masks it.
+HULL_SUBSUMPTION_STEPS = [
+    "k >= 5 and k <> 93",
+    "k = 93",
+    "k in (7, 97)",
+    "k = 95",
+    "k in (3, 99)",
+    "k between 90 and 98",
+]
+
+
 def run_drilldown(cached, plain, predicates):
     """Execute the session on both twins, asserting the oracle per query."""
     for i, where in enumerate(predicates):
@@ -263,6 +279,7 @@ def test_derived_entries_do_not_double_count_budget():
 def test_drilldown_bit_identical_and_reuse_exercised(variant, workers):
     cached, plain = build_twins(reuse_config(variant), workers=workers)
     run_drilldown(cached, plain, drilldown_steps(rounds=4))
+    run_drilldown(cached, plain, HULL_SUBSUMPTION_STEPS)
     reuse = cached.predicate_cache.reuse_stats
     assert reuse.composed_serves > 0, "workload never composed — vacuous"
     assert reuse.subsumed_serves > 0, "workload never subsumed — vacuous"
