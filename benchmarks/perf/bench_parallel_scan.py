@@ -1,6 +1,6 @@
 """Benchmark: parallel slice scans + memory-mapped out-of-core tables.
 
-Three claims from the parallel-execution PR, each measured on this
+Two claims from the parallel-execution PR, each measured on this
 machine rather than read off a recorded number:
 
 1. **Cold-scan speedup.**  Remote block fetches dominate a cold scan in
@@ -9,14 +9,12 @@ machine rather than read off a recorded number:
    remote fetch, default off); with it armed, fanning slices over the
    worker pool must deliver >= 2.5x at 4 workers over serial.
 
-2. **Serial mode is free.**  With parallelism off (the default), the
-   refactored scan path — phased LRU settlement, coordinator-side cache
-   installs — must stay within 2% of the PR 5 hot path, compared
-   against the committed full-mode ``BENCH_scan_repeat.json`` numbers.
-
-3. **Determinism.**  ``blocks_accessed`` (and the query result) must be
+2. **Determinism.**  ``blocks_accessed`` (and the query result) must be
    identical at every worker count: parallelism changes wall-clock,
    never what was fetched.
+
+Whether the *serial* path got slower is not asked here: that is the e2e
+benchmark's question (``warm_repeat``, parent commit vs change).
 
 Plus the out-of-core acceptance run: a 10x-scale table whose sealed
 payloads live in a :class:`~repro.storage.MemmapBlockStore` completes
@@ -45,12 +43,7 @@ import time
 import numpy as np
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_scan_repeat import (  # noqa: E402
-    QUERY,
-    build_database,
-    legacy_hot_path,
-    measure_mode,
-)
+from bench_overhead import QUERY, build_database  # noqa: E402
 
 from repro import (  # noqa: E402
     Database,
@@ -59,13 +52,10 @@ from repro import (  # noqa: E402
     PredicateCacheConfig,
     QueryEngine,
 )
-from repro.storage import ColumnSpec, DataType, TableSchema  # noqa: E402
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
-BASELINE_PATH = os.path.join(RESULTS_DIR, "BENCH_scan_repeat_baseline_pr5.json")
 
 PARALLEL_GATE = 2.5  # required cold-scan speedup at 4 workers
-SERIAL_BUDGET = 1.02  # serial repeat may cost at most 2% over PR 5
 WORKER_SWEEP = (0, 1, 2, 4, 8)
 
 # Modeled remote-fetch round trip.  240k rows / 500 rows-per-block x 2
@@ -103,41 +93,6 @@ def measure_cold_sweep(db: Database, trials: int) -> dict:
     return sweep
 
 
-def load_serial_baseline() -> dict | None:
-    """PR 5 full-mode numbers, if the committed baseline file has them."""
-    try:
-        with open(BASELINE_PATH) as f:
-            baseline = json.load(f)
-    except (OSError, ValueError):
-        return None
-    if baseline.get("mode") != "full":
-        return None  # smoke numbers gate nothing
-    new, legacy = baseline.get("new"), baseline.get("legacy")
-    if not new or not legacy:
-        return None
-    return {"new": new, "legacy": legacy}
-
-
-def build_memmap_database(num_rows: int, store: MemmapBlockStore) -> Database:
-    """The bench table at out-of-core scale, sealed through ``store``."""
-    db = Database(
-        num_slices=8, rows_per_block=500, cache_capacity=256, block_store=store
-    )
-    db.create_table(TableSchema("lineitem", (
-        ColumnSpec("orderkey", DataType.INT64),
-        ColumnSpec("quantity", DataType.INT64),
-        ColumnSpec("discount", DataType.INT64),
-    )))
-    rng = np.random.default_rng(7)
-    engine = QueryEngine(db)
-    engine.insert("lineitem", {
-        "orderkey": np.arange(num_rows, dtype=np.int64),
-        "quantity": rng.integers(1, 50, size=num_rows),
-        "discount": rng.integers(0, 1000, size=num_rows),
-    })
-    return db
-
-
 def expected_result(num_rows: int) -> int:
     """Recompute the bench query's count from the generator stream."""
     rng = np.random.default_rng(7)
@@ -151,7 +106,9 @@ def measure_memmap_scale(num_rows: int) -> dict:
     with tempfile.TemporaryDirectory(prefix="bench_memmap_") as spill_dir:
         store = MemmapBlockStore(spill_dir)
         t0 = time.perf_counter()
-        db = build_memmap_database(num_rows, store)
+        db = build_database(
+            num_rows, num_slices=8, cache_capacity=256, block_store=store
+        )
         build_s = time.perf_counter() - t0
         total_blocks = sum(
             len(column.blocks)
@@ -186,42 +143,12 @@ def measure_memmap_scale(num_rows: int) -> dict:
 def main() -> int:
     smoke = "--smoke" in sys.argv
     num_rows = 40_000 if smoke else 240_000
-    repeats = 3 if smoke else 9
     trials = 1 if smoke else 3
     memmap_rows = 200_000 if smoke else 2_400_000
     print(f"BENCH_parallel_scan: {num_rows} rows, workers {WORKER_SWEEP} "
           f"({'smoke' if smoke else 'full'} mode)")
 
-    # -- 2 first: serial mode must not regress vs the PR 5 numbers -------------
-    # Measured before the worker sweep so thread-pool warm-up and
-    # scheduler churn from the latency sweep can't contaminate it.
-    # Wall clock on a shared box drifts with load, so the comparison is
-    # calibrated: both this run and the committed PR 5 baseline measure
-    # the frozen seed hot path (``legacy_hot_path``) in-run, and the
-    # gate compares the *legacy-normalized* cached-repeat time.  Machine
-    # slowdowns cancel; only genuine hot-path regressions remain.
-    serial_db = build_database(num_rows)
-    serial_stats = measure_mode(serial_db, repeats)
-    with legacy_hot_path():
-        legacy_stats = measure_mode(serial_db, repeats)
-    baseline = load_serial_baseline() if not smoke else None
-    if baseline is not None:
-        now_ratio = serial_stats["repeat_s_best"] / legacy_stats["repeat_s_best"]
-        base_ratio = (
-            baseline["new"]["repeat_s_best"] / baseline["legacy"]["repeat_s_best"]
-        )
-        serial_ratio = now_ratio / base_ratio
-        serial_pass = serial_ratio <= SERIAL_BUDGET
-        print(f"  serial cached repeat: {serial_stats['repeat_s_best'] * 1e3:.2f} ms "
-              f"({now_ratio:.4f} of legacy) vs PR 5 {base_ratio:.4f} of legacy "
-              f"(normalized ratio {serial_ratio:.3f}, budget {SERIAL_BUDGET} -> "
-              f"{'PASS' if serial_pass else 'FAIL'})")
-    else:
-        serial_ratio = None
-        serial_pass = True
-        print("  serial baseline unavailable — regression gate skipped")
-
-    # -- 1+3: cold-scan sweep under modeled fetch latency ----------------------
+    # -- 1+2: cold-scan sweep under modeled fetch latency ----------------------
     sweep_db = build_database(num_rows, num_slices=8)
     sweep = measure_cold_sweep(sweep_db, trials)
     serial_row = sweep[0]
@@ -257,7 +184,7 @@ def main() -> int:
           f"{scale['resident_decoded_blocks']}/{scale['decoded_cache_capacity']} "
           f"-> {'PASS' if scale_pass else 'FAIL'}")
 
-    gate_pass = speedup_pass and identical and serial_pass and scale_pass
+    gate_pass = speedup_pass and identical and scale_pass
     print(f"gate -> {'PASS' if gate_pass else 'FAIL'}")
 
     report = {
@@ -268,17 +195,11 @@ def main() -> int:
         "fetch_delay_s": FETCH_DELAY_S,
         "worker_sweep": {str(w): row for w, row in sweep.items()},
         "speedup_cold_4_workers": speedup_4,
-        "serial": serial_stats,
-        "serial_legacy": legacy_stats,
-        "serial_baseline": baseline,
-        "serial_normalized_ratio": serial_ratio,
         "memmap_scale": scale,
         "gate": {
             "required_speedup": PARALLEL_GATE,
-            "serial_budget": SERIAL_BUDGET,
             "speedup_pass": speedup_pass,
             "identical_blocks_pass": identical,
-            "serial_pass": serial_pass,
             "scale_pass": scale_pass,
             "pass": gate_pass,
             "gating": not smoke,

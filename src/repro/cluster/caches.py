@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional
+from typing import Callable, FrozenSet, List, Optional
 
 from ..core.cache import PredicateCache
 from ..core.config import PredicateCacheConfig
@@ -150,10 +150,12 @@ class ClusterCaches:
         """Warm-start one node from the store: restore only the slice
         states this node owns under the *current* shard layout, then
         enable write-through."""
+        return self._store.attach(cache, owned=self._owned_by(node_id))
+
+    def _owned_by(self, node_id: int) -> Callable[[int], bool]:
+        """Slice-ownership test of ``node_id`` under the current layout."""
         num_nodes = self.num_nodes
-        return self._store.attach(
-            cache, owned=lambda slice_id: slice_id % num_nodes == node_id
-        )
+        return lambda slice_id: slice_id % num_nodes == node_id
 
     # -- routing (the scan-path interface) -------------------------------------
 
@@ -289,7 +291,9 @@ class ClusterCaches:
             if self._store is not None:
                 self._hydrate_node(node_id, cache)
             else:
-                self._install_shard(cache, node_id, records)
+                owned = self._owned_by(node_id)
+                for record in records.values():
+                    record.install_into(cache, owned)
             for table in watched.values():
                 cache.watch_table(table)
         self._nodes = new_nodes
@@ -299,27 +303,6 @@ class ClusterCaches:
         for registry, prefix in self._registrations:
             self._register(registry, prefix)
         return self
-
-    def _install_shard(self, cache: PredicateCache, node_id: int, records) -> None:
-        """In-memory re-shard: install this node's slice share."""
-        for record in records.values():
-            states = {
-                slice_id: state_record.to_state()
-                for slice_id, state_record in record.states.items()
-                if slice_id % self.num_nodes == node_id
-            }
-            if not states:
-                continue
-            cache.install_restored(
-                record.key,
-                record.num_slices,
-                record.build_versions,
-                states,
-                stats=(record.hits, record.rows_qualifying, record.rows_considered),
-                table_layout=record.table_layout,
-                provenance=record.provenance,
-                source_digests=record.source_digests,
-            )
 
     def clear(self) -> None:
         for cache in self.nodes():

@@ -34,8 +34,6 @@ class PredicateCacheConfig:
             composition and subsumption matching on a full-key miss.
             Off by default, like ``normalize_keys`` — the paper's cache
             is exact-match only.
-        reuse_max_conjuncts: predicates that normalize to more conjuncts
-            than this are not decomposed (CNF blow-up guard).
         reuse_composition: serve ``A AND B`` misses from the vectorized
             intersection of cached per-conjunct entries.
         reuse_subsumption: serve a range predicate from a cached wider
@@ -51,7 +49,6 @@ class PredicateCacheConfig:
     normalize_keys: bool = False
     min_rows_to_cache: int = 0
     enable_reuse: bool = False
-    reuse_max_conjuncts: int = 8
     reuse_composition: bool = True
     reuse_subsumption: bool = True
 
@@ -62,5 +59,3 @@ class PredicateCacheConfig:
             raise ValueError("max_ranges_per_slice must be >= 1")
         if self.bitmap_block_rows < 1:
             raise ValueError("bitmap_block_rows must be >= 1")
-        if self.reuse_max_conjuncts < 1:
-            raise ValueError("reuse_max_conjuncts must be >= 1")

@@ -86,40 +86,6 @@ class QueryCounters:
         self.wall_seconds += other.wall_seconds
         self.model_seconds += other.model_seconds
 
-    def reset(self) -> None:
-        """Zero every field in place (reusing one counter set per query).
-
-        Kept as an explicit field list (like :meth:`merge`) so the
-        project linter's RP004 rule can prove no field was forgotten
-        when the counter set grows.
-        """
-        self.rows_scanned = 0
-        self.rows_qualifying = 0
-        self.rows_joined = 0
-        self.rows_output = 0
-        self.blocks_accessed = 0
-        self.remote_fetches = 0
-        self.bytes_fetched = 0
-        self.blocks_pruned_zonemap = 0
-        self.rows_skipped_cache = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.bloom_probes = 0
-        self.bloom_positives = 0
-        self.reuse_composed_serves = 0
-        self.reuse_subsumed_serves = 0
-        self.reuse_recheck_rows = 0
-        self.reuse_skipped_rows = 0
-        self.storage_faults = 0
-        self.corrupt_blocks = 0
-        self.storage_retries = 0
-        self.retry_giveups = 0
-        self.degraded_scans = 0
-        self.backoff_seconds = 0.0
-        self.result_cache_hit = False
-        self.wall_seconds = 0.0
-        self.model_seconds = 0.0
-
     def snapshot(self) -> Tuple[float, ...]:
         """Current values as a flat tuple (for before/after deltas).
 

@@ -307,16 +307,17 @@ class QueryEngine:
         try:
             txid = self.database.begin()
             execute_span = None
-            if tracer is not None:
-                execute_span = tracer.begin("execute")
-            batch = self._executor.execute(plan, txid, counters, tracer)
-            if execute_span is not None:
-                tracer.end(execute_span)
+            if tracer is None:
+                batch = self._executor.execute(plan, txid, counters, tracer)
+                order = self._output_order(plan, batch)
+            else:
+                # The context manager closes the span when the executor
+                # raises, so a failed query never parents the next one.
+                with tracer.span("execute") as execute_span:
+                    batch = self._executor.execute(plan, txid, counters, tracer)
                 with tracer.span("output") as span:
                     order = self._output_order(plan, batch)
                     span.set("rows_output", _batch_len(batch))
-            else:
-                order = self._output_order(plan, batch)
         finally:
             rms.end_query(storage_context)
         counters.rows_output = _batch_len(batch)

@@ -497,9 +497,7 @@ def _prepare_cache_context(
         # the import graph (it reads persist/ for key digests).
         from ..reuse import decompose
 
-        decomposition = decompose(
-            table.name, predicate, cache.config.reuse_max_conjuncts
-        )
+        decomposition = decompose(table.name, predicate)
     lookup_span = None
     if tracer is not None:
         lookup_span = tracer.begin(

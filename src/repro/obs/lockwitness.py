@@ -13,8 +13,7 @@ lock ``B`` was acquired".  At teardown a suite can then
 
 When the variable is unset the factories return plain stdlib locks —
 the wrapper class is never constructed, so production overhead is one
-``os.environ`` check per lock *construction*, not per acquisition
-(gated ≤0.5% by ``bench_lockwitness_overhead``).
+``os.environ`` check per lock *construction*, not per acquisition.
 
 Lock names are the analyzer's canonical names (``ClassName._attr``),
 passed as string literals at the construction site; the static side

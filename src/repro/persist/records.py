@@ -23,7 +23,7 @@ the shape a snapshot stores and a re-shard redistributes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -200,6 +200,35 @@ class EntryRecord:
             source_digests=tuple(entry.source_digests),
             states=states,
         )
+
+    def install_into(
+        self, cache, owned: Optional[Callable[[int], bool]] = None
+    ) -> bool:
+        """Install this record's states into ``cache`` (the inverse of
+        :meth:`from_entry`), keeping only slices ``owned`` accepts.
+
+        Returns False when no owned slice has state.  A state that does
+        not reconstruct (``to_state`` raises) propagates to the caller
+        before the cache is touched.
+        """
+        states = {
+            slice_id: state_record.to_state()
+            for slice_id, state_record in self.states.items()
+            if owned is None or owned(slice_id)
+        }
+        if not states:
+            return False
+        cache.install_restored(
+            self.key,
+            self.num_slices,
+            self.build_versions,
+            states,
+            stats=(self.hits, self.rows_qualifying, self.rows_considered),
+            table_layout=self.table_layout,
+            provenance=self.provenance,
+            source_digests=self.source_digests,
+        )
+        return True
 
     def merge_meta(self, other: "EntryRecord") -> None:
         """Take ``other``'s metadata (journal replay: last writer wins)."""

@@ -455,27 +455,13 @@ class CacheStore:
         tables = set()
         for record in result.records.values():
             try:
-                states = {
-                    slice_id: state_record.to_state()
-                    for slice_id, state_record in record.states.items()
-                    if owned is None or owned(slice_id)
-                }
+                installed = record.install_into(cache, owned)
             except Exception:
                 with self._io_lock:
                     self.corrupt_sections += 1
                 continue
-            if not states:
+            if not installed:
                 continue
-            cache.install_restored(
-                record.key,
-                record.num_slices,
-                record.build_versions,
-                states,
-                stats=(record.hits, record.rows_qualifying, record.rows_considered),
-                table_layout=record.table_layout,
-                provenance=record.provenance,
-                source_digests=record.source_digests,
-            )
             tables.add(record.key.table)
             restored += 1
             with self._io_lock:

@@ -24,6 +24,10 @@ from ..predicates.normalize import normalize
 
 __all__ = ["Conjunct", "Decomposition", "decompose"]
 
+# CNF blow-up guard: predicates that normalize to more conjuncts than
+# this are left to the exact-match path.
+MAX_CONJUNCTS = 8
+
 
 @dataclass(frozen=True)
 class Conjunct:
@@ -42,7 +46,7 @@ class Decomposition:
 
 
 def decompose(
-    table: str, predicate: Predicate, max_conjuncts: int
+    table: str, predicate: Predicate, max_conjuncts: int = MAX_CONJUNCTS
 ) -> Optional[Decomposition]:
     """Split ``predicate`` into normalized conjuncts, or ``None``.
 

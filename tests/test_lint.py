@@ -97,10 +97,6 @@ class QueryCounters:
     def merge(self, other):
         self.rows_scanned += other.rows_scanned
         self.cache_hits += other.cache_hits
-
-    def reset(self):
-        self.rows_scanned = 0
-        self.cache_hits = 0
 """
 
 ENGINE_OK = """
@@ -119,10 +115,6 @@ class QueryCounters:
     def merge(self, other):
         self.rows_scanned += other.rows_scanned
         self.cache_hits += other.cache_hits
-
-    def reset(self):
-        self.rows_scanned = 0
-        self.cache_hits = 0
 """
 
 
@@ -132,10 +124,10 @@ def test_rp004_passes_when_fields_covered():
 
 def test_rp004_flags_field_missing_from_merge_reset_and_metrics():
     found = check_counters(COUNTERS_DRIFTED, ENGINE_OK)
-    assert codes(found) == ["RP004", "RP004", "RP004"]
+    assert codes(found) == ["RP004", "RP004"]
     assert all("bloom_probes" in f.message for f in found)
     reasons = " ".join(f.message for f in found)
-    assert "merge" in reasons and "reset" in reasons and "metric" in reasons
+    assert "merge" in reasons and "metric" in reasons
 
 
 # -- RP005: persisted-format literals ------------------------------------------

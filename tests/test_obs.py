@@ -16,6 +16,7 @@ from repro import (
 )
 from repro.engine.counters import QueryCounters
 from repro.engine.explain import render_analyze
+from repro.engine.plan import ScanNode
 from repro.obs import Histogram
 from repro.storage import ColumnSpec, DataType, TableSchema
 
@@ -179,6 +180,26 @@ class TestEngineIntegration:
     def test_no_tracer_no_trace(self):
         engine = make_engine()
         assert engine.execute(Q6).trace is None
+
+    def test_failed_execute_plan_closes_its_span(self):
+        """A direct ``execute_plan`` that raises must not leave its
+        ``execute`` span open: the next query would be attached under
+        the dead span instead of becoming a root."""
+        tracer = Tracer()
+        engine = make_engine(tracer=tracer)
+        with pytest.raises(KeyError):
+            engine.execute_plan(ScanNode("no_such_table"))
+        assert tracer._stack == []
+        assert "KeyError" in tracer.roots[0].attrs["error"]
+        result = engine.execute_plan(ScanNode("lineitem"))
+        assert result.num_rows == 4000
+        assert tracer._stack == []
+        # ``output`` is the second query's sibling span, as on any
+        # direct execute_plan call.
+        assert [root.name for root in tracer.roots] == [
+            "execute", "execute", "output",
+        ]
+        assert result.trace is tracer.roots[1]
 
     def test_scan_slices_and_cache_lookup_traced(self):
         cache = PredicateCache(PredicateCacheConfig(variant="range"))

@@ -10,8 +10,8 @@ this test keeps it that way.
 Wall-clock assertions on shared CI boxes are noisy, so the measurement
 is deliberately robust: interleaved rounds, best-of-round per mode, and
 escalating retries before declaring failure.  The full-size run lives
-in ``benchmarks/perf/bench_obs_overhead.py`` (results in
-``benchmarks/results/BENCH_obs_overhead.json``).
+in ``benchmarks/perf/bench_overhead.py`` (results in
+``benchmarks/results/BENCH_overhead.json``).
 """
 
 import importlib.util
@@ -25,7 +25,7 @@ def load_bench():
     if str(BENCH_DIR) not in sys.path:
         sys.path.insert(0, str(BENCH_DIR))
     spec = importlib.util.spec_from_file_location(
-        "bench_obs_overhead", BENCH_DIR / "bench_obs_overhead.py"
+        "bench_overhead", BENCH_DIR / "bench_overhead.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

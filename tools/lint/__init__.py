@@ -15,8 +15,8 @@ RP002     no ambient time/randomness (``time.time``, ``random.*``,
 RP003     no bare ``except:`` / swallowing ``except Exception: pass`` on
           the read path (``core/``, ``engine/``, ``storage/``,
           ``lake/``, ``persist/``)
-RP004     every ``QueryCounters`` field must appear in ``merge`` and
-          ``reset`` and be mentioned by a registered metric name
+RP004     every ``QueryCounters`` field must appear in ``merge`` and be
+          mentioned by a registered metric name
 RP005     persisted-format constants (snapshot magic, version, section
           and op ids) must not be spelled as literals outside
           ``repro/persist/format.py``

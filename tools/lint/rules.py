@@ -52,7 +52,7 @@ RULES: Dict[str, str] = {
              "(breaks the differential and chaos oracles; inject seeds/clocks)",
     "RP003": "bare or swallowing except on the read path "
              "(would hide StorageFault and break the degradation ladder)",
-    "RP004": "QueryCounters field missing from merge/reset or without a "
+    "RP004": "QueryCounters field missing from merge or without a "
              "registered metric (counter drift)",
     "RP005": "persisted-format constant spelled as a literal outside "
              "repro/persist/format.py (format drift)",
@@ -709,12 +709,12 @@ def _counter_fields(tree: ast.Module) -> List[Tuple[str, int]]:
     return fields
 
 
-def _method_attr_names(tree: ast.Module, method: str) -> Optional[set]:
-    """Attribute names referenced inside ``QueryCounters.<method>``."""
+def _merge_attr_names(tree: ast.Module) -> Optional[set]:
+    """Attribute names referenced inside ``QueryCounters.merge``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and node.name == "QueryCounters":
             for stmt in node.body:
-                if isinstance(stmt, ast.FunctionDef) and stmt.name == method:
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == "merge":
                     return {
                         sub.attr
                         for sub in ast.walk(stmt)
@@ -752,12 +752,12 @@ def check_counters_trees(
     counters_path: str = "repro/engine/counters.py",
     engine_path: str = "repro/engine/engine.py",
 ) -> List[Finding]:
-    """RP004: QueryCounters fields vs. merge/reset and metric names.
+    """RP004: QueryCounters fields vs. merge and metric names.
 
     A field added to the dataclass but forgotten in ``merge`` silently
-    under-counts sub-plans; one forgotten in ``reset`` leaks across
-    queries; one without a metric name is invisible to dashboards —
-    exactly the drift PRs 2–3 risked when they grew the counter set.
+    under-counts sub-plans; one without a metric name is invisible to
+    dashboards — exactly the drift PRs 2–3 risked when they grew the
+    counter set.
     Metric coverage is satisfied when the field name occurs inside any
     string constant of the engine module (the registration name lists).
     """
@@ -766,20 +766,19 @@ def check_counters_trees(
     if not fields:
         return findings
     metric_strings = _string_constants(engine_tree)
-    for method in ("merge", "reset"):
-        referenced = _method_attr_names(counters_tree, method)
-        if referenced is None:
-            findings.append(
-                Finding(
-                    "RP004",
-                    counters_path,
-                    1,
-                    0,
-                    f"QueryCounters has no {method}() method to keep its "
-                    "fields in sync",
-                )
+    referenced = _merge_attr_names(counters_tree)
+    if referenced is None:
+        findings.append(
+            Finding(
+                "RP004",
+                counters_path,
+                1,
+                0,
+                "QueryCounters has no merge() method to keep its "
+                "fields in sync",
             )
-            continue
+        )
+    else:
         for name, line in fields:
             if name not in referenced:
                 findings.append(
@@ -789,7 +788,7 @@ def check_counters_trees(
                         line,
                         0,
                         f"field {name!r} is not handled by "
-                        f"QueryCounters.{method}()",
+                        "QueryCounters.merge()",
                     )
                 )
     for name, line in fields:
