@@ -658,8 +658,11 @@ def _scan_slice(
         qualifying = RangeList.empty()
         q_plain = RangeList.empty()
     else:
+        # One block coverage of the candidates serves every column read,
+        # the visibility mask and the row ids below.
+        covered = data_slice.cover(candidates)
         batch = {
-            name: data_slice.columns[name].read_ranges(candidates, table.rms)
+            name: data_slice.columns[name].read_ranges(covered, table.rms)
             for name in scan_columns
         }
         if isinstance(predicate, TruePredicate) and not scan_columns:
@@ -668,7 +671,7 @@ def _scan_slice(
             pred_mask = predicate.evaluate(batch)
             if pred_mask.shape == ():  # scalar result of an empty batch
                 pred_mask = np.full(candidates.num_rows, bool(pred_mask))
-        vis_mask = data_slice.visibility_mask(candidates, txid)
+        vis_mask = data_slice.visibility_mask(covered, txid)
         plain_mask = pred_mask & vis_mask
         full_mask = plain_mask
         for sj in semijoins:
@@ -677,7 +680,7 @@ def _scan_slice(
             counters.bloom_probes += len(keys)
             counters.bloom_positives += int(np.count_nonzero(bloom_mask))
             full_mask = full_mask & bloom_mask
-        row_ids = candidates.to_row_ids()
+        row_ids = covered.row_ids
         qualifying = RangeList.from_rows(row_ids[full_mask])
         q_plain = (
             qualifying
@@ -708,10 +711,11 @@ def _scan_slice(
     # exactly the reads ScanResult.gather would issue, moved here so
     # parallel slice tasks overlap the gather fetches too.
     materialized: Dict[str, np.ndarray] = {}
-    if qualifying:
+    if qualifying and gather_columns:
+        covered = data_slice.cover(qualifying)
         for name in gather_columns:
             materialized[name] = data_slice.columns[name].read_ranges(
-                qualifying, table.rms
+                covered, table.rms
             )
 
     return qualifying, q_plain, materialized, extras

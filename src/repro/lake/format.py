@@ -18,6 +18,7 @@ import numpy as np
 
 from ..predicates.ast import Bounds
 from ..storage.compression import EncodedBlock, choose_codec, decode_block
+from ..storage.zonemap import ZoneEntry
 
 __all__ = ["ColumnChunk", "RowGroup", "LakeFile", "write_file"]
 
@@ -46,22 +47,7 @@ class ColumnChunk:
 
     def may_contain(self, bounds: Bounds) -> bool:
         """Statistics check, mirroring Parquet row-group pruning."""
-        if self.minimum is None or self.maximum is None:
-            return True
-        try:
-            if bounds.hi is not None:
-                if self.minimum > bounds.hi:
-                    return False
-                if bounds.hi_strict and self.minimum >= bounds.hi:
-                    return False
-            if bounds.lo is not None:
-                if self.maximum < bounds.lo:
-                    return False
-                if bounds.lo_strict and self.maximum <= bounds.lo:
-                    return False
-        except TypeError:
-            return True
-        return True
+        return ZoneEntry(self.minimum, self.maximum).may_contain(bounds)
 
 
 @dataclass(frozen=True)

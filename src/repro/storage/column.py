@@ -10,7 +10,7 @@ counted.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .dtypes import DataType
 from .rms import BlockKey, ManagedStorage
 from .zonemap import ZoneMap
 
-__all__ = ["ColumnStore", "GrowableArray"]
+__all__ = ["BlockCoverage", "ColumnStore", "GrowableArray"]
 
 
 class GrowableArray:
@@ -54,6 +54,49 @@ class GrowableArray:
         """Swap in entirely new contents (vacuum rebuild)."""
         self._data = np.array(values, dtype=self._data.dtype)
         self._size = len(values)
+
+
+class BlockCoverage:
+    """Where the rows of a range list sit in a slice's blocks and tail.
+
+    A function of ``(ranges, rows_per_block, num_rows)`` alone — every
+    column of a slice seals at the same row counts — so one coverage
+    serves each column read, the visibility mask and the scan's own row
+    ids over the same ranges.  Built per scan; nothing is kept on the
+    range list.
+
+    Attributes:
+        row_ids: every covered row id below ``num_rows``, ascending.
+        sealed_rows: rows in sealed blocks (the rest is the tail).
+        blocks: indices of the sealed blocks touched, ascending.
+        offsets: position of each covered sealed row in the
+            concatenation of the touched blocks; ``None`` when the
+            ranges cover those blocks completely.
+        tail_offsets: covered tail rows, relative to ``sealed_rows``.
+    """
+
+    __slots__ = ("row_ids", "sealed_rows", "blocks", "offsets", "tail_offsets")
+
+    def __init__(self, ranges: RangeList, rows_per_block: int, num_rows: int) -> None:
+        size = rows_per_block
+        rows = ranges.clip(0, num_rows).to_row_ids()
+        self.row_ids = rows
+        self.sealed_rows = num_rows // size * size
+        split = int(np.searchsorted(rows, self.sealed_rows))
+        sealed = rows[:split]
+        self.tail_offsets = rows[split:] - self.sealed_rows
+        # rows ascend, so a block's rows are one run: mark each run's start.
+        block_of = sealed // size
+        first = np.ones(split, dtype=bool)
+        first[1:] = block_of[1:] != block_of[:-1]
+        touched = block_of[first]
+        self.blocks: List[int] = touched.tolist()
+        if split == len(touched) * size:
+            self.offsets = None
+        else:
+            # Rows of untouched blocks ahead of each touched one drop out.
+            dropped = (touched - np.arange(len(touched))) * size
+            self.offsets = sealed - dropped[np.cumsum(first) - 1]
 
 
 class ColumnStore:
@@ -163,31 +206,33 @@ class ColumnStore:
     def tail_values(self) -> np.ndarray:
         return self._to_array(self._tail)
 
-    def read_ranges(self, ranges: RangeList, rms: ManagedStorage) -> np.ndarray:
+    def cover(self, ranges: RangeList) -> BlockCoverage:
+        """Where ``ranges`` fall in this column's blocks and tail."""
+        return BlockCoverage(ranges, self.rows_per_block, self.num_rows)
+
+    def read_ranges(
+        self, ranges: Union[RangeList, BlockCoverage], rms: ManagedStorage
+    ) -> np.ndarray:
         """Gather the column's values for the given local row ranges.
 
         Sealed blocks are fetched through managed storage exactly once
-        per call (the per-access counting the cost model needs); tail
-        rows are served from the insert buffer without block accounting.
-
-        Block coverage is computed vectorially: one ``searchsorted``-style
-        division maps range bounds onto block indices, each touched block
-        is decoded once, and the qualifying rows of all ranges are
-        gathered per block — no per-range Python loop.
+        per call (the per-access counting the cost model needs), in one
+        ``read_blocks`` round; tail rows are served from the insert
+        buffer without block accounting.  A caller reading several
+        columns of one slice over the same ranges passes their
+        :class:`BlockCoverage` instead, computed once.
         """
-        if not ranges:
-            return self._to_array([])
-        sealed_rows = self.num_sealed_rows
-        sealed_part = ranges.clip(0, sealed_rows)
-        tail_part = ranges.clip(sealed_rows, self.num_rows)
-
+        coverage = ranges if isinstance(ranges, BlockCoverage) else self.cover(ranges)
+        if coverage.sealed_rows != self.num_sealed_rows:
+            raise ValueError(
+                f"coverage over {coverage.sealed_rows} sealed rows, "
+                f"column {self.column_name} has {self.num_sealed_rows}"
+            )
         pieces: List[np.ndarray] = []
-        if sealed_part:
-            pieces.append(self._gather_sealed(sealed_part, rms))
-        if tail_part:
-            tail = self.tail_values()
-            rows = tail_part.shift(-sealed_rows).to_row_ids()
-            pieces.append(tail[rows])
+        if coverage.blocks:
+            pieces.append(self._gather_sealed(coverage, rms))
+        if len(coverage.tail_offsets):
+            pieces.append(self.tail_values()[coverage.tail_offsets])
         if not pieces:
             return self._to_array([])
         if self.dtype is DataType.STRING:
@@ -196,31 +241,22 @@ class ColumnStore:
             return pieces[0]
         return np.concatenate(pieces)
 
-    def _gather_sealed(self, ranges: RangeList, rms: ManagedStorage) -> np.ndarray:
+    def _gather_sealed(
+        self, coverage: BlockCoverage, rms: ManagedStorage
+    ) -> np.ndarray:
         """Decode each touched sealed block once, gather all covered rows."""
-        size = self.rows_per_block
-        bounds = ranges.bounds
-        # Touched blocks as merged block-index intervals (vectorized).
-        block_bounds = np.empty_like(bounds)
-        block_bounds[:, 0] = bounds[:, 0] // size
-        block_bounds[:, 1] = (bounds[:, 1] - 1) // size + 1
-        touched = RangeList.from_bounds(block_bounds).to_row_ids()
-        decoded = [
-            rms.read_block(self._block_key(int(b)), self.blocks[int(b)])
-            for b in touched
-        ]
-        rows = ranges.to_row_ids()
-        block_of = rows // size
-        offsets = rows - block_of * size
-        out_dtype = object if self.dtype is DataType.STRING else decoded[0].dtype
-        out = np.empty(len(rows), dtype=out_dtype)
-        # rows is sorted, so each block's rows form one contiguous chunk.
-        cuts = np.searchsorted(block_of, touched, side="right")
-        lo = 0
-        for values, hi in zip(decoded, cuts):
-            out[lo:hi] = values[offsets[lo:hi]]
-            lo = int(hi)
-        return out
+        prefix = (self.table_name, self.slice_id, self.column_name)
+        blocks = self.blocks
+        decoded = rms.read_blocks(
+            [prefix + (b,) for b in coverage.blocks],
+            [blocks[b] for b in coverage.blocks],
+        )
+        if coverage.offsets is not None:
+            values = decoded[0] if len(decoded) == 1 else np.concatenate(decoded)
+            return values[coverage.offsets]
+        # Every row of every touched block: the concatenation is the answer
+        # (never a decoded array itself — those belong to the block cache).
+        return np.concatenate(decoded)
 
     def read_all(self, rms: ManagedStorage) -> np.ndarray:
         """Read the entire column (loads, joins on full tables)."""

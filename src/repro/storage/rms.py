@@ -13,38 +13,40 @@ so the reproduction's comparisons are exact even where wall-clock is not.
 
 Concurrency model (DESIGN.md §12):
 
-* **Scan phases are thread-bound.**  The parallel scan executor
-  brackets the slice fan-out with :meth:`ManagedStorage.begin_scan_phase`
-  / :meth:`end_scan_phase`; the phase is bound to the *coordinating
+* **Scan phases are thread-bound.**  The scan executor brackets the
+  slice fan-out with :meth:`ManagedStorage.begin_scan_phase` /
+  :meth:`end_scan_phase`; the phase is bound to the *coordinating
   thread*, and its worker threads adopt it for the duration of one
   slice task (:meth:`adopt_scan_context` / :meth:`release_scan_context`).
-  Concurrent queries from a serving layer each run their own phase on
-  their own thread — phases no longer exclude each other globally, only
-  per thread (a phase still must not nest on one thread).
+  Concurrent queries each run their own phase on their own thread (a
+  phase still must not nest on one thread).
 * **Phased LRU settlement.**  During a phase, block accesses are
-  recorded per slice instead of immediately reordering the LRU, and
-  capacity eviction is deferred to the barrier, where the log is
-  replayed in slice-major order — so the cache end-state (and therefore
-  the remote/local fetch split of every later query) depends only on
-  *what* the scan read, never on how worker threads interleaved.
-  Serial scans run the same phased path, which keeps the two modes
-  bit-identical by construction.  Within a scan a block key belongs to
-  exactly one slice, so one phase's reads never race on the same key.
-* **One storage lock.**  A single always-on ``threading.Lock`` guards
-  the decoded-block cache, the stats counters, and the per-query stat
-  sinks.  Decode work and fetch-latency sleeps run *outside* the lock,
-  so remote fetches still overlap across workers and across queries.
-  Two threads missing the same block concurrently may both fetch it
-  (both count a remote fetch) — the same duplicated round trip a real
-  node cache exhibits; workloads that need exact per-query counters
-  keep their tables disjoint.
+  recorded per slice instead of reordering the LRU, and capacity
+  eviction waits for the barrier, where the log is replayed in
+  slice-major order — so the cache end-state (and the remote/local
+  split of every later query) depends only on *what* the scan read,
+  never on how worker threads interleaved.  Serial scans run the same
+  phased path.  Within a scan a block key belongs to exactly one slice,
+  so one phase's reads never race on the same key.
+* **One storage lock, held per call, not per block.**  A single
+  always-on ``threading.Lock`` guards the decoded-block cache, the
+  stats, the per-query sinks and the phase logs.
+  :meth:`ManagedStorage.read_blocks` — the one read path, called once
+  per (slice, column) — takes it for one round that looks every key up,
+  counts the hits and extends the slice's log, and, only if something
+  missed, for a second round that counts and inserts what was fetched.
+  Fetch sleeps, decode and fault retries run *between* the rounds, so
+  remote fetches still overlap across workers and queries.  Nothing
+  marks a miss as in flight: two threads missing the same block between
+  each other's rounds both fetch it and both count a remote fetch — the
+  duplicated round trip a real node cache exhibits; workloads that need
+  exact per-query counters keep their tables disjoint.
 * **Per-query accounting.**  :meth:`begin_query` binds a
   :class:`QueryStorageContext` to the calling thread: a private
   ``StorageStats`` sink mirroring every counter the thread (and any
   worker that adopted its context) touches, plus the per-query retry
-  budget.  The engine reads a query's storage counters from its
-  context instead of diffing the global stats — which concurrent
-  queries would pollute.
+  budget.  The engine reads a query's counters from its context instead
+  of diffing the global stats, which concurrent queries would pollute.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -124,18 +127,11 @@ class QueryStorageContext:
         self._prev: Optional["QueryStorageContext"] = None
 
 
-class _ScanPhase:
-    """Deferred-eviction bookkeeping for one table scan (see module doc).
-
-    The access log is guarded by the owning storage's lock, not a
-    per-phase lock: concurrent phases from different queries interleave
-    on the same decoded-block cache, so one lock must order them all.
-    """
-
-    __slots__ = ("accesses",)
-
-    def __init__(self) -> None:
-        self.accesses: Dict[int, List[BlockKey]] = {}
+# A scan phase is its access log, slice id -> block keys in read order
+# (see module doc).  It is guarded by the owning storage's lock, not one
+# of its own: concurrent phases interleave on the same decoded-block
+# cache, so one lock must order them all.
+_ScanPhase = Dict[int, List[BlockKey]]
 
 
 class ManagedStorage:
@@ -161,9 +157,9 @@ class ManagedStorage:
         self.stats = StorageStats()
         self.fault_injector: Optional[FaultInjector] = None
         self.retry_policy = RetryPolicy()
-        # Fallback retry budget for callers that never bind a query
-        # context (direct ManagedStorage use in tests/tools).
-        self._retry_budget_left: Optional[int] = None
+        # Retry budget of callers that never bind a query context (direct
+        # ManagedStorage use in tests/tools); queries bring their own.
+        self._unbound = QueryStorageContext(None)
         # Resolved once at attach time so the per-fetch check is a
         # single attribute load ("no faults configured" costs nothing).
         self._faults_armed = False
@@ -189,16 +185,7 @@ class ManagedStorage:
         if retry_policy is not None:
             self.retry_policy = retry_policy
         self._faults_armed = injector is not None and injector.can_fault
-        self.reset_retry_budget()
-
-    def reset_retry_budget(self) -> None:
-        """Reset the fallback retry budget (no-op when unlimited).
-
-        Queries executed through the engine get a fresh budget on their
-        :class:`QueryStorageContext` instead; this fallback covers
-        direct storage use with no bound query.
-        """
-        self._retry_budget_left = self.retry_policy.retry_budget
+        self._unbound.retry_budget_left = self.retry_policy.retry_budget
 
     # -- per-query accounting --------------------------------------------------
 
@@ -236,7 +223,7 @@ class ManagedStorage:
         """
         if getattr(self._local, "phase", None) is not None:
             raise RuntimeError("a scan phase is already active")
-        phase = _ScanPhase()
+        phase: _ScanPhase = {}
         self._local.phase = phase
         return phase
 
@@ -253,18 +240,10 @@ class ManagedStorage:
         if phase is None:
             raise RuntimeError("no scan phase is active")
         self._local.phase = None
-        counts: Dict[int, int] = {}
+        logs = [phase[slice_id] for slice_id in sorted(phase)]
         with self._lock:
-            for slice_id in sorted(phase.accesses):
-                keys = phase.accesses[slice_id]
-                counts[slice_id] = len(keys)
-                for key in keys:
-                    if key in self._cache:
-                        self._cache.move_to_end(key)
-            if self.cache_capacity is not None:
-                while len(self._cache) > self.cache_capacity:
-                    self._cache.popitem(last=False)
-        return counts
+            self._settle_locked(chain.from_iterable(logs))
+        return {keys[0][1]: len(keys) for keys in logs}
 
     def adopt_scan_context(
         self,
@@ -299,59 +278,80 @@ class ManagedStorage:
 
     # -- the read path ---------------------------------------------------------
 
-    def _bump(self, name: str, amount) -> None:
-        """Count into the global stats and the bound query's sink.
-
-        Caller holds ``_lock``.
-        """
-        stats = self.stats
-        setattr(stats, name, getattr(stats, name) + amount)
+    def _sinks(self) -> Tuple[StorageStats, ...]:
+        """The stats a count goes into (under ``_lock``): global + bound query's."""
         query = getattr(self._local, "query", None)
-        if query is not None:
-            sink = query.stats
-            setattr(sink, name, getattr(sink, name) + amount)
+        return (self.stats,) if query is None else (self.stats, query.stats)
 
     def read_block(self, key: BlockKey, block: EncodedBlock) -> np.ndarray:
-        """Read a block's decoded values, counting the access."""
-        phase = getattr(self._local, "phase", None)
-        if phase is not None:
-            return self._read_block_phased(phase, key, block)
-        with self._lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                self._bump("local_hits", 1)
-                return cached
-        values = self._fetch(key, block)
-        with self._lock:
-            self._bump("remote_fetches", 1)
-            self._bump("bytes_fetched", block.nbytes)
-            self._cache[key] = values
-            if (
-                self.cache_capacity is not None
-                and len(self._cache) > self.cache_capacity
-            ):
-                self._cache.popitem(last=False)
-        return values
+        """Read one block: the one-element case of :meth:`read_blocks`."""
+        return self.read_blocks((key,), (block,))[0]
 
-    def _read_block_phased(
-        self, phase: _ScanPhase, key: BlockKey, block: EncodedBlock
-    ) -> np.ndarray:
-        """Phase-mode read: log the access, defer LRU movement/eviction."""
+    def read_blocks(
+        self, keys: Sequence[BlockKey], blocks: Sequence[EncodedBlock]
+    ) -> List[np.ndarray]:
+        """Read the decoded values of ``blocks``, counting every access.
+
+        ``keys`` name distinct blocks of one slice.  One lock round looks
+        them all up, counts the hits and logs the accesses; misses are
+        fetched outside the lock in key order, then counted and inserted
+        in a second round.  Counters, phase log and cache end-state are
+        those of reading the keys one at a time.
+        """
+        phase = getattr(self._local, "phase", None)
+        cache = self._cache
+        capacity = self.cache_capacity
+        if phase is None and capacity is not None and len(keys) > 1:
+            if len(cache) + len(keys) > capacity:
+                # An unphased read evicts as it inserts: a miss may push
+                # out a block a later key would have hit.  Keep that order.
+                return [
+                    self.read_blocks((key,), (block,))[0]
+                    for key, block in zip(keys, blocks)
+                ]
+        sinks = self._sinks()
         with self._lock:
-            phase.accesses.setdefault(key[1], []).append(key)
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._bump("local_hits", 1)
-                return cached
+            found = [cache.get(key) for key in keys]
+            missing = [i for i, values in enumerate(found) if values is None]
+            hits = len(keys) - len(missing)
+            for stats in sinks:
+                stats.local_hits += hits
+            if phase is not None:
+                # LRU movement and eviction wait for end_scan_phase.
+                phase.setdefault(keys[0][1], []).extend(keys)
+            elif not missing:
+                self._settle_locked(keys)
+        if not missing:
+            return found
         # Decode (and any fault machinery) runs outside the storage lock
         # so fetches genuinely overlap across workers and queries.
-        values = self._fetch(key, block)
-        with self._lock:
-            self._bump("remote_fetches", 1)
-            self._bump("bytes_fetched", block.nbytes)
-            self._cache[key] = values
-        return values
+        fetched: List[int] = []
+        try:
+            for i in missing:
+                found[i] = self._fetch(keys[i], blocks[i])
+                fetched.append(i)
+        finally:
+            # A fetch that raised leaves the ones before it counted.
+            nbytes = sum(blocks[i].nbytes for i in fetched)
+            with self._lock:
+                for stats in sinks:
+                    stats.remote_fetches += len(fetched)
+                    stats.bytes_fetched += nbytes
+                for i in fetched:
+                    cache[keys[i]] = found[i]
+                if phase is None:
+                    self._settle_locked(keys)
+        return found
+
+    def _settle_locked(self, keys: Iterable[BlockKey]) -> None:
+        """Make ``keys`` most recent, in order; evict.  Caller holds ``_lock``."""
+        cache = self._cache
+        for key in keys:
+            if key in cache:
+                cache.move_to_end(key)
+        if self.cache_capacity is not None:
+            while len(cache) > self.cache_capacity:
+                cache.popitem(last=False)
 
     def _fetch(self, key: BlockKey, block: EncodedBlock) -> np.ndarray:
         if self.fetch_delay_seconds > 0.0:
@@ -366,19 +366,12 @@ class ManagedStorage:
         Caller holds ``_lock``.  The budget lives on the thread's query
         context when one is bound, else on the storage-wide fallback.
         """
-        query = getattr(self._local, "query", None)
-        if query is not None:
-            if query.retry_budget_left is None:
-                return False
-            if query.retry_budget_left <= 0:
-                return True
-            query.retry_budget_left -= 1
+        holder = getattr(self._local, "query", None) or self._unbound
+        if holder.retry_budget_left is None:
             return False
-        if self._retry_budget_left is None:
-            return False
-        if self._retry_budget_left <= 0:
+        if holder.retry_budget_left <= 0:
             return True
-        self._retry_budget_left -= 1
+        holder.retry_budget_left -= 1
         return False
 
     def _fetch_resilient(self, key: BlockKey, block: EncodedBlock) -> np.ndarray:
@@ -400,6 +393,7 @@ class ManagedStorage:
         injector = self.fault_injector
         policy = self.retry_policy
         keyed = injector.schedule is None
+        sinks = self._sinks()
         with self._lock:
             ordinal = self._fetch_ordinals.get(key, 0)
             self._fetch_ordinals[key] = ordinal + 1
@@ -412,14 +406,14 @@ class ManagedStorage:
                 stream = None
                 decision = injector.draw()
             if decision.latency_seconds:
+                latency = quantize_model_seconds(decision.latency_seconds)
                 with self._lock:
-                    self._bump(
-                        "backoff_model_seconds",
-                        quantize_model_seconds(decision.latency_seconds),
-                    )
+                    for stats in sinks:
+                        stats.backoff_model_seconds += latency
             if decision.fail:
                 with self._lock:
-                    self._bump("transient_errors", 1)
+                    for stats in sinks:
+                        stats.transient_errors += 1
             else:
                 values = decode_block(block)
                 if decision.corrupt:
@@ -427,28 +421,30 @@ class ManagedStorage:
                 if block.checksum is None or array_checksum(values) == block.checksum:
                     return values
                 with self._lock:
-                    self._bump("corrupt_blocks", 1)
+                    for stats in sinks:
+                        stats.corrupt_blocks += 1
             attempt += 1
             if attempt >= policy.max_attempts:
                 with self._lock:
-                    self._bump("retry_giveups", 1)
+                    for stats in sinks:
+                        stats.retry_giveups += 1
                 raise TransientStorageError(
                     f"block {key} unreadable after {attempt} attempts"
                 )
             jitter = stream.random() if stream is not None else injector.uniform()
             with self._lock:
                 if self._spend_retry_locked():
-                    self._bump("retry_giveups", 1)
+                    for stats in sinks:
+                        stats.retry_giveups += 1
                     raise RetryBudgetExceeded(
                         f"query retry budget exhausted fetching block {key}"
                     )
-                self._bump("retries", 1)
-                self._bump(
-                    "backoff_model_seconds",
-                    quantize_model_seconds(
-                        policy.backoff_seconds(attempt - 1, jitter)
-                    ),
+                backoff = quantize_model_seconds(
+                    policy.backoff_seconds(attempt - 1, jitter)
                 )
+                for stats in sinks:
+                    stats.retries += 1
+                    stats.backoff_model_seconds += backoff
 
     def invalidate_table(self, table_name: str) -> None:
         """Drop all cached blocks of one table (vacuum / reseal)."""
@@ -456,13 +452,15 @@ class ManagedStorage:
             stale = [k for k in self._cache if k[0] == table_name]
             for key in stale:
                 del self._cache[key]
-            self._bump("blocks_invalidated", len(stale))
+            for stats in self._sinks():
+                stats.blocks_invalidated += len(stale)
 
     def invalidate_block(self, key: BlockKey) -> None:
         """Drop one cached block (a tail block being resealed)."""
         with self._lock:
             if self._cache.pop(key, None) is not None:
-                self._bump("blocks_invalidated", 1)
+                for stats in self._sinks():
+                    stats.blocks_invalidated += 1
 
     def clear(self) -> None:
         """Drop the whole local cache (simulates a cold node)."""

@@ -9,12 +9,12 @@ predicate-cache entries valid under inserts (§4.3.1).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from ..core.rowrange import RangeList
-from .column import ColumnStore, GrowableArray
+from .column import BlockCoverage, ColumnStore, GrowableArray
 from .dtypes import DataType
 from .rms import ManagedStorage
 
@@ -90,13 +90,22 @@ class DataSlice:
 
     # -- visibility ----------------------------------------------------------------
 
-    def visibility_mask(self, ranges: RangeList, txid: int) -> np.ndarray:
+    def cover(self, ranges: RangeList) -> BlockCoverage:
+        """The block coverage of ``ranges``, valid for every column."""
+        return BlockCoverage(ranges, self.rows_per_block, self.num_rows)
+
+    def visibility_mask(
+        self, ranges: Union[RangeList, BlockCoverage], txid: int
+    ) -> np.ndarray:
         """Visibility of each row in ``ranges`` (concatenated order).
 
         A row is visible to ``txid`` when it was created by a
         transaction ``<= txid`` and not deleted by one ``<= txid``.
         """
-        rows = ranges.to_row_ids()
+        if isinstance(ranges, BlockCoverage):
+            rows = ranges.row_ids
+        else:
+            rows = ranges.to_row_ids()
         xmin = self._xmin.values[rows]
         xmax = self._xmax.values[rows]
         return (xmin <= txid) & (xmax > txid)

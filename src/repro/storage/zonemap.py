@@ -52,48 +52,81 @@ class ZoneEntry:
 
 
 class ZoneMap:
-    """Bounds for all sealed blocks of one column of one slice."""
+    """Bounds for all sealed blocks of one column of one slice.
 
-    __slots__ = ("_entries",)
+    Minima and maxima live in one ``(2, capacity)`` array (doubling
+    growth, dtype of the first block; ``object`` for non-numeric
+    columns) so pruning compares all blocks at once.  Blocks without
+    usable bounds are listed in ``_unknown`` and never prune;
+    ``ZoneMap[i]`` hands back the scalar :class:`ZoneEntry`.
+    """
+
+    __slots__ = ("_bounds", "_size", "_unknown")
 
     def __init__(self) -> None:
-        self._entries: List[ZoneEntry] = []
+        self._bounds: Optional[np.ndarray] = None
+        self._size = 0
+        self._unknown: List[int] = []
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._size
 
     def __getitem__(self, block_index: int) -> ZoneEntry:
-        return self._entries[block_index]
+        index = range(self._size)[block_index]
+        if index in self._unknown:
+            return ZoneEntry(None, None)
+        minimum, maximum = self._bounds[:, index]
+        return ZoneEntry(_to_python(minimum), _to_python(maximum))
 
     def append_block(self, values: np.ndarray) -> None:
         """Record bounds for a newly sealed block."""
-        if len(values) == 0:
-            self._entries.append(ZoneEntry(None, None))
-            return
-        if values.dtype == object:
-            try:
-                minimum, maximum = min(values), max(values)
-            except TypeError:
-                minimum = maximum = None
-        else:
-            minimum, maximum = values.min(), values.max()
-        self._entries.append(ZoneEntry(_to_python(minimum), _to_python(maximum)))
-
-    def truncate(self, num_blocks: int) -> None:
-        """Drop entries beyond ``num_blocks`` (used by vacuum rebuilds)."""
-        del self._entries[num_blocks:]
+        index = self._size
+        if self._bounds is None or index == self._bounds.shape[1]:
+            dtype = values.dtype if values.dtype.kind in "biuf" else object
+            grown = np.empty((2, max(16, 2 * index)), dtype=dtype)
+            if index:
+                grown[:, :index] = self._bounds
+            self._bounds = grown
+        self._size = index + 1
+        try:
+            if values.dtype == object:
+                self._bounds[:, index] = min(values), max(values)
+            else:
+                self._bounds[:, index] = values.min(), values.max()
+        except (TypeError, ValueError):
+            # Mixed-type object block, or an empty one: bounds unknown.
+            self._unknown.append(index)
 
     def pruned_blocks(self, bounds) -> np.ndarray:
-        """Boolean array: True where the block can be skipped entirely."""
-        return np.array(
-            [not entry.may_contain(bounds) for entry in self._entries],
-            dtype=bool,
-        )
+        """Boolean array: True where the block can be skipped entirely.
+
+        :meth:`ZoneEntry.may_contain` for every block at once, in two
+        array comparisons.  numpy gives up on the first pair it cannot
+        compare (a numeric bound against string blocks); the scalar rule
+        then decides block by block, so the answer is the same either way.
+        """
+        if not self._size:
+            return np.zeros(0, dtype=bool)
+        minima, maxima = self._bounds[:, : self._size]
+        pruned = np.zeros(self._size, dtype=bool)
+        lo, hi = bounds.lo, bounds.hi
+        try:
+            if hi is not None:
+                pruned |= minima >= hi if bounds.hi_strict else minima > hi
+            if lo is not None:
+                pruned |= maxima <= lo if bounds.lo_strict else maxima < lo
+        except TypeError:
+            return np.array(
+                [not self[i].may_contain(bounds) for i in range(self._size)],
+                dtype=bool,
+            )
+        pruned[self._unknown] = False
+        return pruned
 
     @property
     def nbytes(self) -> int:
         """16 bytes (min + max) per block, as in the paper's Table 3."""
-        return 16 * len(self._entries)
+        return 16 * self._size
 
 
 def _to_python(value: object) -> object:

@@ -1,8 +1,16 @@
 """Storage engine: zone maps, column stores, managed storage."""
 
+import random
+from collections import Counter
+
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.rowrange import RangeList
+from repro.faults import FaultInjector, RetryBudgetExceeded, RetryPolicy
+from repro.storage.compression import choose_codec
 from repro.storage.column import ColumnStore, GrowableArray
 from repro.storage.dtypes import DataType, date_to_days, days_to_date
 from repro.storage.rms import ManagedStorage
@@ -200,3 +208,257 @@ class TestManagedStorage:
         delta = rms.stats.delta(before)
         assert delta.local_hits == 1
         assert delta.remote_fetches == 0
+
+
+# -- the batched read path ------------------------------------------------------
+
+
+def block_calls(seed, num_calls=40, num_slices=3, blocks_per_slice=8):
+    """A fixed sequence of ``read_blocks`` calls: each names 1-6 distinct
+    blocks of one slice, in no particular order, as (keys, blocks)."""
+    rng = random.Random(seed)
+    encoded = {
+        (s, b): choose_codec(np.arange(20, dtype=np.int64) + 100 * s + b)
+        for s in range(num_slices)
+        for b in range(blocks_per_slice)
+    }
+    calls = []
+    for _ in range(num_calls):
+        s = rng.randrange(num_slices)
+        ids = rng.sample(range(blocks_per_slice), rng.randint(1, 6))
+        calls.append(
+            ([("t", s, "c", b) for b in ids], [encoded[(s, b)] for b in ids])
+        )
+    return calls
+
+
+def drive(calls, batched, capacity, phased, injector=None, retry_budget=None):
+    """Run ``calls`` against a fresh storage, one query, a scan phase
+    around every five calls when ``phased``.  Returns what an observer
+    can tell: values read, stats, the query's sink, cache key order at
+    every barrier, per-slice phase counts, and where a fetch gave up."""
+    rms = ManagedStorage(cache_capacity=capacity)
+    if injector is not None:
+        rms.attach_faults(
+            injector, RetryPolicy(max_attempts=12, retry_budget=retry_budget)
+        )
+    query = rms.begin_query()
+    seen = {"values": [], "orders": [], "counts": [], "gave_up": None}
+    try:
+        for index, (keys, blocks) in enumerate(calls):
+            if phased and index % 5 == 0:
+                rms.begin_scan_phase()
+            try:
+                if batched:
+                    values = rms.read_blocks(keys, blocks)
+                else:
+                    values = [rms.read_block(k, b) for k, b in zip(keys, blocks)]
+            except RetryBudgetExceeded as error:
+                seen["gave_up"] = (index, str(error))
+                break
+            seen["values"].append([v.tolist() for v in values])
+            if phased and (index % 5 == 4 or index == len(calls) - 1):
+                seen["counts"].append(rms.end_scan_phase())
+                seen["orders"].append(list(rms._cache))
+    finally:
+        rms.end_query(query)
+    seen["orders"].append(list(rms._cache))
+    return rms.stats, query.stats, seen
+
+
+class TestReadBlocks:
+    @pytest.mark.parametrize("phased", [False, True])
+    @pytest.mark.parametrize("capacity", [None, 4, 11])
+    def test_equals_one_block_at_a_time(self, capacity, phased):
+        for seed in range(5):
+            calls = block_calls(seed)
+            one, one_sink, one_seen = drive(calls, False, capacity, phased)
+            many, many_sink, many_seen = drive(calls, True, capacity, phased)
+            assert many == one
+            assert many_sink == one_sink == one
+            assert many_seen == one_seen
+            assert one.local_hits > 0 and one.remote_fetches > 0
+
+    def test_bounded_sequences_do_evict(self):
+        # The twin test above must exercise eviction, not dodge it.
+        stats, _, _ = drive(block_calls(0), True, 4, False)
+        assert stats.remote_fetches > 3 * 8
+
+    @pytest.mark.parametrize("phased", [False, True])
+    @pytest.mark.parametrize("capacity", [None, 4])
+    def test_equal_under_keyed_faults(self, capacity, phased):
+        rates = dict(
+            error_rate=0.15, corruption_rate=0.05, latency_rate=0.2,
+            latency_seconds=0.004,
+        )
+        calls = block_calls(7)
+        one, one_sink, one_seen = drive(
+            calls, False, capacity, phased, FaultInjector(seed=5, **rates)
+        )
+        many, many_sink, many_seen = drive(
+            calls, True, capacity, phased, FaultInjector(seed=5, **rates)
+        )
+        assert one.transient_errors and one.corrupt_blocks and one.retries
+        assert one.backoff_model_seconds > 0
+        assert many == one and many_sink == one_sink
+        assert many_seen == one_seen
+
+    def test_retry_budget_runs_out_at_the_same_fetch(self):
+        rates = dict(error_rate=0.4, corruption_rate=0.1)
+        calls = block_calls(3)
+        runs = [
+            drive(
+                calls, batched, None, True, FaultInjector(seed=9, **rates),
+                retry_budget=6,
+            )
+            for batched in (False, True)
+        ]
+        (one, _, one_seen), (many, _, many_seen) = runs
+        assert one_seen["gave_up"] is not None
+        assert many_seen["gave_up"] == one_seen["gave_up"]
+        assert many_seen["values"] == one_seen["values"]
+        for name in (
+            "transient_errors", "corrupt_blocks", "retries", "retry_giveups",
+            "backoff_model_seconds",
+        ):
+            assert getattr(many, name) == getattr(one, name), name
+
+    def test_a_failed_fetch_keeps_the_earlier_ones_counted(self):
+        rms = ManagedStorage()
+        rms.attach_faults(
+            FaultInjector(schedule={1: "error"}), RetryPolicy(max_attempts=1)
+        )
+        keys, blocks = block_calls(0)[0]
+        assert len(keys) >= 2
+        with pytest.raises(Exception):
+            rms.read_blocks(keys, blocks)
+        assert rms.stats.remote_fetches == 1
+        assert list(rms._cache) == keys[:1]
+
+
+READ_RANGES_CASES = {
+    "straddles block edges": [(8, 13), (19, 31)],
+    "whole blocks": [(10, 30)],
+    "whole blocks, not adjacent": [(0, 10), (20, 30)],
+    "one block, two ranges": [(11, 13), (15, 19)],
+    "single row": [(29, 30)],
+    "into the tail": [(25, 34)],
+    "tail only": [(31, 33)],
+    "everything": [(0, 35)],
+    "past the end": [(33, 50)],
+    "nothing": [],
+}
+
+
+class TestReadRanges:
+    @pytest.mark.parametrize("dtype", [DataType.INT64, DataType.STRING])
+    @pytest.mark.parametrize("case", READ_RANGES_CASES)
+    def test_matches_plain_indexing(self, case, dtype):
+        # 35 rows at 10 per block: 3 sealed blocks and a 5-row tail.
+        values = [(i * 7) % 31 for i in range(35)]
+        if dtype is DataType.STRING:
+            values = [f"v{v:02d}" for v in values]
+        column = make_column(values, rows_per_block=10, dtype=dtype)
+        pairs = READ_RANGES_CASES[case]
+        rows = [i for lo, hi in pairs for i in range(lo, min(hi, 35))]
+        rms = ManagedStorage()
+        got = column.read_ranges(RangeList(pairs), rms)
+        assert got.tolist() == [values[i] for i in rows]
+        assert got.dtype == dtype.numpy_dtype
+        assert rms.stats.blocks_accessed == len({i // 10 for i in rows if i < 30})
+        # The caller owns what it gets: never an array of the block cache.
+        assert not any(got is cached for cached in rms._cache.values())
+        shared = column.read_ranges(column.cover(RangeList(pairs)), rms)
+        assert shared.tolist() == got.tolist()
+
+    def test_coverage_of_another_shape_is_refused(self):
+        column = make_column(range(25), rows_per_block=10)
+        longer = make_column(range(35), rows_per_block=10)
+        with pytest.raises(ValueError):
+            column.read_ranges(longer.cover(RangeList([(0, 5)])), ManagedStorage())
+
+
+def test_warm_scan_reads_each_column_of_each_slice_once(monkeypatch):
+    from repro import Database, PredicateCache, PredicateCacheConfig, QueryEngine
+    from repro.storage import ColumnSpec, TableSchema
+
+    db = Database(num_slices=4, rows_per_block=50)
+    db.create_table(TableSchema("t", (
+        ColumnSpec("a", DataType.INT64), ColumnSpec("b", DataType.INT64),
+    )))
+    rng = np.random.default_rng(3)
+    engine = QueryEngine(
+        db, predicate_cache=PredicateCache(PredicateCacheConfig()), scan_workers=0
+    )
+    engine.insert("t", {
+        "a": rng.integers(0, 100, size=4_000), "b": rng.integers(0, 100, size=4_000),
+    })
+    sql = "select count(*) as c from t where a < 20 and b < 50"
+    cold = engine.execute(sql)
+    calls = Counter()
+    row_id_lists = []  # held, so no two lists share an id()
+
+    def counting(owner, name, on_call=lambda *args: None):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            on_call(*args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(ManagedStorage, "read_blocks")
+    counting(ZoneEntry, "may_contain")
+    counting(RangeList, "to_row_ids", row_id_lists.append)
+    warm = engine.execute(sql)
+    assert warm.counters.cache_hits == 1
+    assert warm.column("c")[0] == cold.column("c")[0]
+    assert warm.counters.blocks_accessed > 8
+    assert 0 < calls["read_blocks"] <= 4 * 2
+    assert calls["may_contain"] == 0
+    # One materialisation of each slice's candidate list, and no other.
+    assert calls["to_row_ids"] == 4
+    assert len({id(ranges) for ranges in row_id_lists}) == 4
+
+
+# -- vectorised zone-map pruning against the scalar rule ------------------------
+
+INTS = st.integers(-(2**40), 2**40)
+FLOATS = st.floats(allow_nan=True, allow_infinity=True, width=64)
+WORDS = st.text("abcxyz", max_size=3)
+
+
+def blocks_of(values, dtype):
+    return st.lists(
+        st.lists(values, max_size=4).map(lambda v: np.array(v, dtype=dtype)),
+        max_size=6,
+    )
+
+
+def bounds_of(values):
+    side = st.none() | values
+    return st.builds(Bounds, side, side, st.booleans(), st.booleans())
+
+
+ZONE_MAP_CASES = st.one_of(
+    st.tuples(blocks_of(INTS, np.int64), bounds_of(INTS | FLOATS)),
+    st.tuples(blocks_of(FLOATS, np.float64), bounds_of(INTS | FLOATS)),
+    # String blocks, some mixed with a number (bounds unknown), against
+    # string bounds and against numeric ones (incomparable).
+    st.tuples(blocks_of(WORDS | st.just(7), object), bounds_of(WORDS)),
+    st.tuples(blocks_of(WORDS, object), bounds_of(INTS)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ZONE_MAP_CASES)
+def test_pruned_blocks_equals_the_scalar_rule(case):
+    blocks, bounds = case
+    zm = ZoneMap()
+    for block in blocks:
+        zm.append_block(block)
+    assert len(zm) == len(blocks)
+    assert zm.pruned_blocks(bounds).tolist() == [
+        not zm[i].may_contain(bounds) for i in range(len(zm))
+    ]
