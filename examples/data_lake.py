@@ -3,8 +3,9 @@
 A lake table evolves like Iceberg/Delta: other engines commit whole
 immutable files (Parquet-shaped: row groups with column statistics).
 The warehouse cannot reorganize the layout — but the predicate cache
-needs no ownership: it remembers *which row groups qualified* per file,
-appends extend entries, and removals invalidate only the dead files.
+needs no ownership: it remembers *which row groups qualified* by their
+ordinal in commit order, appends extend entries like any uncached tail,
+and removals invalidate nothing (dead ordinals are never consulted).
 
 Run:  python examples/data_lake.py
 """
@@ -75,8 +76,9 @@ def main() -> None:
     show("relearned", relearned)
 
     print(f"\nscanner: {scanner.num_entries} cached predicates, "
-          f"{scanner.total_nbytes} bytes, hit rate {scanner.hit_rate:.0%}, "
-          f"{scanner.invalidated_files} per-file invalidations")
+          f"{scanner.total_nbytes} bytes, "
+          f"hit rate {scanner.cache.stats.hit_rate:.0%}, "
+          f"{scanner.cache.stats.invalidations} per-file invalidations")
     print("matching rows:", len(out["amount"]))
 
 

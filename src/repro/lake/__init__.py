@@ -15,9 +15,10 @@ This package provides that substrate:
   statistics and compressed column chunks,
 * :mod:`repro.lake.table` — an Iceberg-shaped table: snapshots that add
   or remove whole files, with time travel between snapshots,
-* :mod:`repro.lake.scan` — a scanning engine whose predicate cache
-  indexes *qualifying row groups per file*; appended files are scanned
-  incrementally, removed files invalidate only the affected entries.
+* :mod:`repro.lake.scan` — a scanning engine on the shared
+  :class:`~repro.core.cache.PredicateCache`, addressing row groups by
+  their ordinal in commit order; appended files are the uncached tail,
+  removed files invalidate nothing.
 """
 
 from .format import ColumnChunk, LakeFile, RowGroup, write_file

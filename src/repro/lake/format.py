@@ -10,7 +10,6 @@ when it remembers *which row groups qualified*.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -21,8 +20,6 @@ from ..storage.compression import EncodedBlock, choose_codec, decode_block
 from ..storage.zonemap import ZoneEntry
 
 __all__ = ["ColumnChunk", "RowGroup", "LakeFile", "write_file"]
-
-_file_counter = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -58,17 +55,16 @@ class RowGroup:
     num_rows: int
     chunks: Dict[str, ColumnChunk]
 
+    def chunk(self, name: str) -> ColumnChunk:
+        try:
+            return self.chunks[name]
+        except KeyError:
+            raise KeyError(
+                f"row group has no column {name!r} (have {sorted(self.chunks)})"
+            ) from None
+
     def read_columns(self, columns: Sequence[str]) -> Dict[str, np.ndarray]:
-        out = {}
-        for name in columns:
-            try:
-                out[name] = self.chunks[name].read()
-            except KeyError:
-                raise KeyError(
-                    f"row group has no column {name!r} "
-                    f"(have {sorted(self.chunks)})"
-                ) from None
-        return out
+        return {name: self.chunk(name).read() for name in columns}
 
     @property
     def nbytes(self) -> int:
@@ -77,10 +73,17 @@ class RowGroup:
 
 @dataclass(frozen=True)
 class LakeFile:
-    """An immutable data file: metadata plus row groups."""
+    """An immutable data file: metadata plus row groups.
+
+    ``first_ordinal`` is the table-wide ordinal of row group 0, stamped
+    by :class:`~repro.lake.table.LakeTable` at commit: group ``i`` of
+    this file is "row" ``first_ordinal + i`` of the table's single
+    predicate-cache slice, for as long as the table lives.
+    """
 
     file_id: str
     row_groups: Tuple[RowGroup, ...]
+    first_ordinal: int = 0
 
     @property
     def num_rows(self) -> int:
@@ -104,7 +107,8 @@ class LakeFile:
 def write_file(
     data: Mapping[str, Sequence[object]],
     rows_per_group: int = 1000,
-    file_id: Optional[str] = None,
+    file_id: str = "file",
+    first_ordinal: int = 0,
 ) -> LakeFile:
     """Write column data into an immutable lake file.
 
@@ -150,5 +154,6 @@ def write_file(
             )
         groups.append(RowGroup(index=index, num_rows=end - start, chunks=chunks))
 
-    identifier = file_id if file_id is not None else f"file-{next(_file_counter):06d}"
-    return LakeFile(file_id=identifier, row_groups=tuple(groups))
+    return LakeFile(
+        file_id=file_id, row_groups=tuple(groups), first_ordinal=first_ordinal
+    )

@@ -1,46 +1,41 @@
-"""Scanning lake tables with a row-group predicate cache (§4.5).
+"""Scanning lake tables through the predicate cache (§4.5).
 
-The cache maps a canonical predicate key to, *per file*, a bitmap of
-the row groups that contained qualifying rows.  The paper's three
-requirements hold by construction:
+The lake cache *is* the predicate cache under a different row address:
+a lake table is one slice whose "rows" are row-group ordinals in commit
+order (:attr:`LakeFile.first_ordinal`), and the scanner owns a plain
+bitmap-variant :class:`~repro.core.cache.PredicateCache`, one bit per
+row group.  The paper's three requirements hold by construction:
 
-(a) rows are uniquely addressed by (file id, row group, offset),
-(b) addresses never change while a file lives (files are immutable),
-(c) commits are detectable — the scanner subscribes to them and drops
-    exactly the state of removed files; entries otherwise stay live.
+(a) a row group is uniquely addressed by its ordinal,
+(b) ordinals never change and are never reused (files are immutable),
+(c) commits are detectable — and invalidate nothing: a removed file's
+    ordinals are never consulted again, and an appended file's ordinals
+    lie above every entry's watermark, so a foreign append is literally
+    the uncached tail of §4.3.1 (scanned in full once, then folded in).
 
-Appended files are simply absent from an entry's per-file map: the next
-scan reads them in full (with statistics pruning), then folds their
-bitmap in — the lake equivalent of the insert-buffer extension (§4.3.1).
-
-Resilience (the fault-injection layer): with a
-:class:`~repro.faults.FaultInjector` attached, every chunk fetch is
-checksum-verified and retried under the scanner's
-:class:`~repro.faults.RetryPolicy`.  If a cached-bits-guided scan of a
-file still fails, the file's cached state is dropped (the invalidation
-counter fires) and the file is transparently rescanned in full; a
-per-file :class:`~repro.faults.CircuitBreaker` trips after consecutive
-degradations and routes around the cache until a cool-down expires.
-Without an injector, the scan path is byte-for-byte the fault-free one.
+Chunk reads go through a scanner-owned capacity-0
+:class:`~repro.storage.rms.ManagedStorage` (object-store reads are never
+served locally): lake reads are billed in ``StorageStats`` like native
+block reads and, under a :class:`~repro.faults.FaultInjector`, verified,
+retried and given up on by the same loop.  What stays here is the
+*file-level* degradation ladder (see :meth:`LakeScanner._scan_file`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..faults import (
-    CircuitBreaker,
-    FaultInjector,
-    RetryPolicy,
-    StorageFault,
-    TransientStorageError,
-)
+from ..core.cache import PredicateCache
+from ..core.config import PredicateCacheConfig
+from ..core.keys import ScanKey
+from ..core.rowrange import RangeList
+from ..faults import CircuitBreaker, FaultInjector, RetryPolicy, StorageFault
 from ..predicates.ast import Predicate
-from ..storage.compression import array_checksum
-from .format import ColumnChunk, LakeFile, RowGroup
+from ..storage.rms import ManagedStorage
+from .format import LakeFile, RowGroup
 from .table import LakeSnapshot, LakeTable
 
 __all__ = ["LakeScanner", "LakeScanStats"]
@@ -57,28 +52,32 @@ class LakeScanStats:
     row_groups_skipped_stats: int = 0
     rows_scanned: int = 0
     rows_qualifying: int = 0
-    chunk_bytes_read: int = 0
     cache_hit: bool = False
-    # Resilience counters (zero unless fault injection is armed).
+    degraded_files: int = 0
+    files_short_circuited: int = 0
+    # Read off the scan's StorageStats sink (faults: zero unless injected).
+    chunk_bytes_read: int = 0
     transient_errors: int = 0
     corrupt_chunks: int = 0
     retries: int = 0
-    degraded_files: int = 0
-    files_short_circuited: int = 0
     backoff_model_seconds: float = 0.0
 
 
-class _LakeEntry:
-    """Per-predicate cached state: file id -> qualifying-group bitmap."""
+@dataclass
+class _ScanRun:
+    """Working state of one :meth:`LakeScanner.scan` call."""
 
-    __slots__ = ("group_bits",)
-
-    def __init__(self) -> None:
-        self.group_bits: Dict[str, np.ndarray] = {}
-
-    @property
-    def nbytes(self) -> int:
-        return sum((len(bits) + 7) // 8 for bits in self.group_bits.values())
+    key: ScanKey
+    predicate: Predicate
+    predicate_columns: List[str]
+    stats: LakeScanStats
+    pieces: Dict[str, List[np.ndarray]]
+    # A hit's candidate ordinals (cached qualifying groups plus the
+    # uncached tail) and the watermark they were cached up to.
+    candidates: Optional[RangeList] = None
+    watermark: int = 0
+    # Ordinals of the row groups found qualifying: the scan's install.
+    qualifying: List[int] = field(default_factory=list)
 
 
 class LakeScanner:
@@ -92,22 +91,14 @@ class LakeScanner:
         breaker: Optional[CircuitBreaker] = None,
     ) -> None:
         self.table = table
-        self._entries: Dict[str, _LakeEntry] = {}
-        self.lookups = 0
-        self.hits = 0
-        self.invalidated_files = 0
-        # Resilience wiring: all optional, all zero-cost when unarmed.
-        self._injector = fault_injector
-        self._armed = fault_injector is not None and fault_injector.can_fault
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
+        self.cache = PredicateCache(
+            PredicateCacheConfig(variant="bitmap", bitmap_block_rows=1)
+        )
+        self.storage = ManagedStorage(cache_capacity=0)
+        self.storage.attach_faults(fault_injector, retry_policy)
         self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self.transient_errors = 0
-        self.corrupt_chunks = 0
-        self.retries = 0
-        self.retry_giveups = 0
         self.degraded_scans = 0
         self.short_circuited_files = 0
-        self.backoff_model_seconds = 0.0
         table.on_commit(self._on_commit)
 
     def attach_faults(
@@ -116,21 +107,10 @@ class LakeScanner:
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         """Arm (or, with None, disarm) fault injection on chunk reads."""
-        self._injector = injector
-        self._armed = injector is not None and injector.can_fault
-        if retry_policy is not None:
-            self.retry_policy = retry_policy
-
-    # -- invalidation ---------------------------------------------------------
+        self.storage.attach_faults(injector, retry_policy)
 
     def _on_commit(self, table: LakeTable, kind: str, removed: Tuple[str, ...]):
-        """Appends keep every entry; removals drop only the dead files."""
-        if not removed:
-            return
-        for entry in self._entries.values():
-            for file_id in removed:
-                if entry.group_bits.pop(file_id, None) is not None:
-                    self.invalidated_files += 1
+        """No commit invalidates: dead ordinals are never consulted."""
         for file_id in removed:
             self.breaker.forget(file_id)
 
@@ -149,31 +129,49 @@ class LakeScanner:
         the *current* snapshot (time-travel reads bypass it: historic
         snapshots may predate cached state).
         """
-        stats = LakeScanStats()
-        current = snapshot is None or snapshot == self.table.current_snapshot
-        key = predicate.cache_key()
-
-        entry: Optional[_LakeEntry] = None
+        table = self.table
+        current = snapshot is None or snapshot == table.current_snapshot
+        files = table.files(snapshot)
+        committed = table.groups_committed
+        run = _ScanRun(
+            key=ScanKey(table.name, predicate.cache_key()),
+            predicate=predicate,
+            predicate_columns=sorted(predicate.columns()),
+            stats=LakeScanStats(),
+            pieces={name: [] for name in columns},
+        )
+        stats = run.stats
         if current:
-            self.lookups += 1
-            entry = self._entries.get(key)
-            if entry is not None:
+            entry = self.cache.lookup(run.key)
+            state = entry.slice_states[0] if entry is not None else None
+            if state is not None:
                 stats.cache_hit = True
-                self.hits += 1
-            else:
-                entry = _LakeEntry()
-                self._entries[key] = entry
+                run.watermark = state.last_cached_row
+                run.candidates = state.candidates(committed)
 
-        predicate_columns = sorted(predicate.columns())
-        pieces: Dict[str, List[np.ndarray]] = {name: [] for name in columns}
-        for file in self.table.files(snapshot):
-            self._scan_file(
-                file, predicate, predicate_columns, columns, entry, pieces, stats
-            )
+        context = self.storage.begin_query()
+        try:
+            for file in files:
+                self._scan_file(file, run)
+        finally:
+            self.storage.end_query(context)
+        read = context.stats
+        stats.chunk_bytes_read = read.bytes_fetched
+        stats.transient_errors = read.transient_errors
+        stats.corrupt_chunks = read.corrupt_blocks
+        stats.retries = read.retries
+        stats.backoff_model_seconds = read.backoff_model_seconds
+
+        if current:
+            # The whole install: a first scan creates the state, a repeat
+            # extends it over the ordinals committed since (§4.3.1).  A
+            # degraded scan dropped its entry and installs a fresh one.
+            entry = self.cache.get_or_create(run.key, 1)
+            qualifying = RangeList.from_rows(run.qualifying)
+            self.cache.record_slice_scan(entry, 0, qualifying, committed)
 
         out: Dict[str, np.ndarray] = {}
-        for name in columns:
-            parts = pieces[name]
+        for name, parts in run.pieces.items():
             if not parts:
                 out[name] = np.empty(0)
             elif parts[0].dtype == object:
@@ -182,125 +180,73 @@ class LakeScanner:
                 out[name] = np.concatenate(parts)
         return out, stats
 
-    def _scan_file(
-        self,
-        file: LakeFile,
-        predicate: Predicate,
-        predicate_columns: List[str],
-        columns: Sequence[str],
-        entry: Optional[_LakeEntry],
-        pieces: Dict[str, List[np.ndarray]],
-        stats: LakeScanStats,
-    ) -> None:
-        stats.files_visited += 1
-        stats.row_groups_total += file.num_row_groups
-        if not self._armed:
-            cached_bits = entry.group_bits.get(file.file_id) if entry else None
-            self._scan_file_groups(
-                file, cached_bits, predicate, predicate_columns, columns,
-                entry, pieces, stats,
-            )
-            return
-        self._scan_file_resilient(
-            file, predicate, predicate_columns, columns, entry, pieces, stats
-        )
-
-    def _scan_file_resilient(
-        self,
-        file: LakeFile,
-        predicate: Predicate,
-        predicate_columns: List[str],
-        columns: Sequence[str],
-        entry: Optional[_LakeEntry],
-        pieces: Dict[str, List[np.ndarray]],
-        stats: LakeScanStats,
-    ) -> None:
-        """One file's scan under fault injection (degradation ladder).
+    def _scan_file(self, file: LakeFile, run: _ScanRun) -> None:
+        """One file's scan (degradation ladder).
 
         Rung 1 is the normal cached-bits-guided scan; if it fails even
-        after per-chunk retries, rung 2 drops the file's cached state
-        and rescans the file in full.  A full scan that fails is rung
-        3: the fault propagates (retry budget exhausted).  The per-file
-        circuit breaker counts consecutive degradations and, once open,
-        routes around the cache entirely for a cool-down.
+        after per-chunk retries, rung 2 drops the suspect entry and
+        rescans the file in full.  A full scan that fails is rung 3: the
+        fault propagates (retry budget exhausted).  The per-file circuit
+        breaker counts consecutive degradations and, once open, routes
+        around the cache entirely for a cool-down.
         """
-        cached_bits = entry.group_bits.get(file.file_id) if entry else None
-        use_cache = cached_bits is not None
-        if use_cache and not self.breaker.allow(file.file_id):
+        stats = run.stats
+        stats.files_visited += 1
+        stats.row_groups_total += file.num_row_groups
+        # A file has cached bits iff it committed below the watermark;
+        # later files are the uncached tail and are scanned in full.
+        cached = run.candidates if file.first_ordinal < run.watermark else None
+        if cached is not None and not self.breaker.allow(file.file_id):
             stats.files_short_circuited += 1
             self.short_circuited_files += 1
-            cached_bits = None
-            use_cache = False
-            entry = None  # route around the cache: no reads, no writes
+            cached = None  # route around the cache
 
-        marks = {name: len(parts) for name, parts in pieces.items()}
-        shape = _scan_shape_snapshot(stats)
+        # Every qualifying group adds one ordinal and one part per column.
+        found = len(run.qualifying)
+        before = replace(stats)
         try:
-            self._scan_file_groups(
-                file, cached_bits, predicate, predicate_columns, columns,
-                entry, pieces, stats,
-            )
+            self._scan_file_groups(file, cached, run)
         except StorageFault:
-            if not use_cache:
+            if cached is None:
                 raise
-            # Rung 2: drop the suspect cached state (invalidation
-            # counters fire), roll back this file's partial output, and
-            # rescan the file in full.
+            # Rung 2: drop the suspect cached state (the invalidation
+            # counter fires; the end of the scan installs a fresh entry),
+            # roll back this file's partial output and scan-shape counts
+            # (the reads it made stay billed in the storage sink, which
+            # scan() folds in afterwards), then rescan the file in full.
             self.breaker.record_failure(file.file_id)
-            if entry is not None and entry.group_bits.pop(file.file_id, None) is not None:
-                self.invalidated_files += 1
+            self.cache.drop_stale(run.key)
+            for parts in run.pieces.values():
+                del parts[found:]
+            del run.qualifying[found:]
+            vars(stats).update(vars(before))
             stats.degraded_files += 1
             self.degraded_scans += 1
-            for name, mark in marks.items():
-                del pieces[name][mark:]
-            _scan_shape_restore(stats, shape)
-            self._scan_file_groups(
-                file, None, predicate, predicate_columns, columns,
-                entry, pieces, stats,
-            )
+            self._scan_file_groups(file, None, run)
         else:
-            if use_cache:
+            if cached is not None:
                 self.breaker.record_success(file.file_id)
 
     def _scan_file_groups(
-        self,
-        file: LakeFile,
-        cached_bits: Optional[np.ndarray],
-        predicate: Predicate,
-        predicate_columns: List[str],
-        columns: Sequence[str],
-        entry: Optional[_LakeEntry],
-        pieces: Dict[str, List[np.ndarray]],
-        stats: LakeScanStats,
+        self, file: LakeFile, candidates: Optional[RangeList], run: _ScanRun
     ) -> None:
-        new_bits = np.zeros(file.num_row_groups, dtype=bool)
+        groups: Sequence[RowGroup] = file.row_groups
+        first = file.first_ordinal
+        if candidates is not None:
+            # Cache hit: jump straight to the candidate groups — the
+            # entry's ordinals clipped to this file's window.
+            live = candidates.clip(first, first + len(groups)).to_row_ids()
+            run.stats.row_groups_skipped_cache += len(groups) - len(live)
+            groups = [groups[ordinal - first] for ordinal in live]
+        for group in groups:
+            if self._stats_prune(group, run):
+                run.stats.row_groups_skipped_stats += 1
+            elif self._scan_group(group, first + group.index, run):
+                run.qualifying.append(first + group.index)
 
-        if cached_bits is None:
-            candidates = file.row_groups
-        else:
-            # Cache hit: jump straight to the qualifying groups instead
-            # of testing every group's bit in Python.
-            live = np.flatnonzero(cached_bits)
-            stats.row_groups_skipped_cache += file.num_row_groups - len(live)
-            candidates = [file.row_groups[i] for i in live]
-
-        for group in candidates:
-            if self._stats_prune(group, predicate, predicate_columns):
-                stats.row_groups_skipped_stats += 1
-                continue
-            qualifying = self._scan_group(
-                group, predicate, predicate_columns, columns, pieces, stats
-            )
-            new_bits[group.index] = qualifying
-
-        if entry is not None:
-            entry.group_bits[file.file_id] = new_bits
-
-    def _stats_prune(
-        self, group: RowGroup, predicate: Predicate, predicate_columns: List[str]
-    ) -> bool:
-        for name in predicate_columns:
-            bounds = predicate.bounds(name)
+    def _stats_prune(self, group: RowGroup, run: _ScanRun) -> bool:
+        for name in run.predicate_columns:
+            bounds = run.predicate.bounds(name)
             if bounds is None or bounds.unbounded:
                 continue
             chunk = group.chunks.get(name)
@@ -308,180 +254,69 @@ class LakeScanner:
                 return True
         return False
 
-    def _scan_group(
-        self,
-        group: RowGroup,
-        predicate: Predicate,
-        predicate_columns: List[str],
-        columns: Sequence[str],
-        pieces: Dict[str, List[np.ndarray]],
-        stats: LakeScanStats,
-    ) -> bool:
+    def _scan_group(self, group: RowGroup, ordinal: int, run: _ScanRun) -> bool:
+        stats = run.stats
         stats.row_groups_read += 1
         stats.rows_scanned += group.num_rows
-        batch = self._read_columns(group, predicate_columns, stats)
-        stats.chunk_bytes_read += sum(
-            group.chunks[name].nbytes for name in predicate_columns
-        )
-        mask = predicate.evaluate(batch) if predicate_columns else np.ones(
+        batch = self._read_columns(group, ordinal, run.predicate_columns)
+        mask = run.predicate.evaluate(batch) if batch else np.ones(
             group.num_rows, dtype=bool
         )
         count = int(np.count_nonzero(mask))
         stats.rows_qualifying += count
         if count == 0:
             return False
-        payload = self._read_columns(group, list(columns), stats)
-        stats.chunk_bytes_read += sum(
-            group.chunks[name].nbytes for name in columns if name not in predicate_columns
-        )
-        for name in columns:
-            pieces[name].append(payload[name][mask])
+        # Output columns the predicate already decoded come from `batch`.
+        payload = [name for name in run.pieces if name not in batch]
+        batch.update(self._read_columns(group, ordinal, payload))
+        for name, parts in run.pieces.items():
+            parts.append(batch[name][mask])
         return True
 
-    # -- resilient chunk reads -------------------------------------------------
-
     def _read_columns(
-        self, group: RowGroup, names: Sequence[str], stats: LakeScanStats
+        self, group: RowGroup, ordinal: int, names: Sequence[str]
     ) -> Dict[str, np.ndarray]:
-        if not self._armed:
-            return group.read_columns(names)
-        return {name: self._read_chunk(group.chunks[name], stats) for name in names}
-
-    def _read_chunk(self, chunk: ColumnChunk, stats: LakeScanStats) -> np.ndarray:
-        """One chunk fetch under injection: verify, retry, give up.
-
-        Corrupted payloads are caught by the chunk's block checksum and
-        retried like transient errors; a query never sees them.
-        """
-        injector = self._injector
-        policy = self.retry_policy
-        attempt = 0
-        while True:
-            decision = injector.draw()
-            if decision.latency_seconds:
-                stats.backoff_model_seconds += decision.latency_seconds
-                self.backoff_model_seconds += decision.latency_seconds
-            if decision.fail:
-                stats.transient_errors += 1
-                self.transient_errors += 1
-            else:
-                values = chunk.read()
-                if decision.corrupt:
-                    values = injector.corrupt_array(values)
-                checksum = chunk.encoded.checksum
-                if checksum is None or array_checksum(values) == checksum:
-                    return values
-                stats.corrupt_chunks += 1
-                self.corrupt_chunks += 1
-            attempt += 1
-            if attempt >= policy.max_attempts:
-                self.retry_giveups += 1
-                raise TransientStorageError(
-                    f"chunk {chunk.column!r} unreadable after {attempt} attempts"
-                )
-            stats.retries += 1
-            self.retries += 1
-            backoff = policy.backoff_seconds(attempt - 1, injector.uniform())
-            stats.backoff_model_seconds += backoff
-            self.backoff_model_seconds += backoff
+        """Fetch column chunks of one row group through managed storage."""
+        if not names:
+            return {}
+        blocks = [group.chunk(name).encoded for name in names]
+        keys = [(self.table.name, 0, name, ordinal) for name in names]
+        return dict(zip(names, self.storage.read_blocks(keys, blocks)))
 
     # -- observability --------------------------------------------------------------
 
     def register_metrics(self, registry, prefix: str = "repro_lake_cache") -> None:
-        """Expose this scanner's cache on a metrics registry.
+        """Expose this scanner's cache and chunk reads on a metrics registry.
 
-        Series are labelled with the lake table's name so several
-        scanners share one metric family; all reads are scrape-time
-        callbacks over counters the scanner keeps anyway.
+        Series carry the lake table's name as a label so several scanners
+        share one family: the cache's own series (``_lookups_total``,
+        ``_hits_total``, ``_entries``, ...), one counter per
+        ``StorageStats`` field, and the file-ladder counters kept here.
         """
         labels = {"table": self.table.name}
-        registry.counter(
-            f"{prefix}_lookups_total", "Lake predicate-cache lookups",
-            labels=labels, fn=lambda: self.lookups,
-        )
-        registry.counter(
-            f"{prefix}_hits_total", "Lake predicate-cache hits",
-            labels=labels, fn=lambda: self.hits,
-        )
-        registry.counter(
-            f"{prefix}_invalidated_files_total",
-            "Per-file cache states dropped by commits removing files",
-            labels=labels, fn=lambda: self.invalidated_files,
-        )
-        registry.gauge(
-            f"{prefix}_entries", "Live per-predicate lake cache entries",
-            labels=labels, fn=lambda: self.num_entries,
-        )
-        registry.gauge(
-            f"{prefix}_nbytes", "Lake cache payload bytes (group bitmaps)",
-            labels=labels, fn=lambda: self.total_nbytes,
-        )
-        registry.gauge(
-            f"{prefix}_hit_rate", "Hits over lookups",
-            labels=labels, fn=lambda: self.hit_rate,
-        )
-        registry.counter(
-            f"{prefix}_transient_errors_total",
-            "Injected transient chunk-fetch errors encountered",
-            labels=labels, fn=lambda: self.transient_errors,
-        )
-        registry.counter(
-            f"{prefix}_corrupt_chunks_total",
-            "Fetched chunks that failed checksum verification",
-            labels=labels, fn=lambda: self.corrupt_chunks,
-        )
-        registry.counter(
-            f"{prefix}_retries_total",
-            "Chunk fetches re-attempted after a fault",
-            labels=labels, fn=lambda: self.retries,
-        )
-        registry.counter(
-            f"{prefix}_degraded_scans_total",
-            "File scans that fell back from cached bits to a full scan",
-            labels=labels, fn=lambda: self.degraded_scans,
-        )
-        registry.counter(
-            f"{prefix}_short_circuited_files_total",
-            "File scans routed around the cache by an open circuit",
-            labels=labels, fn=lambda: self.short_circuited_files,
-        )
+        self.cache.register_metrics(registry, labels, prefix=prefix)
+        for field_name in vars(self.storage.stats):
+            registry.counter(
+                f"{prefix}_{field_name}_total",
+                f"Lake chunk reads: {field_name.replace('_', ' ')}",
+                labels=labels,
+                fn=lambda f=field_name: getattr(self.storage.stats, f),
+            )
+        for name, help_text in (
+            ("degraded_scans", "File scans that fell back from cached bits to full"),
+            ("short_circuited_files", "File scans routed around by an open circuit"),
+        ):
+            registry.counter(
+                f"{prefix}_{name}_total", help_text,
+                labels=labels, fn=lambda n=name: getattr(self, n),
+            )
 
     # -- introspection --------------------------------------------------------------
 
     @property
     def num_entries(self) -> int:
-        return len(self._entries)
+        return len(self.cache)
 
     @property
     def total_nbytes(self) -> int:
-        return sum(entry.nbytes for entry in self._entries.values())
-
-    @property
-    def hit_rate(self) -> float:
-        if self.lookups == 0:
-            return 0.0
-        return self.hits / self.lookups
-
-
-_SHAPE_FIELDS = (
-    "row_groups_read",
-    "row_groups_skipped_cache",
-    "row_groups_skipped_stats",
-    "rows_scanned",
-    "rows_qualifying",
-    "chunk_bytes_read",
-)
-
-
-def _scan_shape_snapshot(stats: LakeScanStats) -> Tuple[int, ...]:
-    return tuple(getattr(stats, name) for name in _SHAPE_FIELDS)
-
-
-def _scan_shape_restore(stats: LakeScanStats, shape: Tuple[int, ...]) -> None:
-    """Roll back the scan-shape counters of an abandoned file attempt.
-
-    Resilience counters (retries, faults, backoff) are deliberately
-    *not* rolled back — the work happened and must stay visible.
-    """
-    for name, value in zip(_SHAPE_FIELDS, shape):
-        setattr(stats, name, value)
+        return self.cache.total_nbytes

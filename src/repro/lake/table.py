@@ -3,9 +3,11 @@
 Both Iceberg and Delta Lake evolve tables by *adding or deleting whole
 data files*; each commit produces a new snapshot.  That property is
 exactly what the paper needs for predicate caching over lakes (§4.5):
-rows are addressed by (file id, row group, offset), addresses never
-change while the file lives, and changes are detectable as file-set
-diffs between snapshots.
+row groups are addressed by their *ordinal in commit order* — each file
+is stamped with the ordinal of its first row group when it commits, and
+ordinals are never reused — so addresses never change while the file
+lives, a foreign append only ever grows the address space at its end,
+and changes are detectable as file-set diffs between snapshots.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ class LakeTable:
         self.name = name
         self.rows_per_group = rows_per_group
         self._files: Dict[str, LakeFile] = {}
+        # Row-group ordinals handed out so far: the table's "row count"
+        # in the predicate cache's address space (monotone, never reused).
+        self.groups_committed = 0
         self._snapshots: List[LakeSnapshot] = [LakeSnapshot(0, ())]
         self._listeners: List = []
 
@@ -43,8 +48,7 @@ class LakeTable:
 
     def append_file(self, data: Mapping[str, Sequence[object]]) -> LakeFile:
         """Commit a new data file (another engine's ingestion)."""
-        file = write_file(data, rows_per_group=self.rows_per_group)
-        self._files[file.file_id] = file
+        file = self._write(data)
         self._commit(self.current_snapshot.file_ids + (file.file_id,), "append")
         return file
 
@@ -66,12 +70,27 @@ class LakeTable:
         for file_id in removed:
             if file_id not in self.current_snapshot:
                 raise KeyError(f"file {file_id!r} not in the current snapshot")
-        file = write_file(data, rows_per_group=self.rows_per_group)
-        self._files[file.file_id] = file
+        file = self._write(data)
         kept = tuple(
             f for f in self.current_snapshot.file_ids if f not in set(removed)
         )
         self._commit(kept + (file.file_id,), "replace", removed=tuple(removed))
+        return file
+
+    def _write(self, data: Mapping[str, Sequence[object]]) -> LakeFile:
+        """Write one data file, named and ordinal-stamped by this table.
+
+        File ids count this table's own files (no process-global state:
+        two tables built by the same calls name their files alike).
+        """
+        file = write_file(
+            data,
+            rows_per_group=self.rows_per_group,
+            file_id=f"file-{len(self._files) + 1:06d}",
+            first_ordinal=self.groups_committed,
+        )
+        self._files[file.file_id] = file
+        self.groups_committed += file.num_row_groups
         return file
 
     def _commit(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import invariants
 from repro.lake import LakeScanner, LakeTable, write_file
 from repro.predicates import TruePredicate, parse_predicate
 
@@ -80,6 +81,13 @@ class TestLakeTable:
         assert table.current_snapshot.file_ids == (merged.file_id,)
         assert table.num_rows() == 200
 
+    def test_file_ids_do_not_depend_on_process_history(self):
+        # Ids come from the table's own commit counter, not a module
+        # global: two tables built by the same calls name files alike.
+        first, second = make_table(seed=3), make_table(seed=3)
+        assert first.current_snapshot.file_ids == second.current_snapshot.file_ids
+        assert [f.first_ordinal for f in first.files()] == [0, 10, 20]
+
     def test_diff(self):
         table = make_table(num_files=1)
         first = table.current_snapshot
@@ -134,8 +142,12 @@ class TestLakeScanner:
         victim = table.current_snapshot.file_ids[0]
         table.delete_file(victim)
         out, stats = scanner.scan(pred, ["k"])
-        assert stats.cache_hit  # the entry survives for the other files
-        assert victim not in scanner._entries[pred.cache_key()].group_bits
+        # The entry survives (a removal invalidates nothing: the dead
+        # file's ordinals are just never consulted again).
+        assert stats.cache_hit
+        assert len(scanner.cache) == 1
+        assert scanner.cache.stats.invalidations == 0
+        assert stats.row_groups_total == sum(f.num_row_groups for f in table.files())
         # Correctness after removal:
         all_k = np.concatenate(
             [g.read_columns(["k"])["k"] for f in table.files() for g in f.row_groups]
@@ -179,6 +191,34 @@ class TestLakeScanner:
         out, stats = scanner.scan(TruePredicate(), ["k"])
         assert len(out["k"]) == 150
 
+    def test_predicate_columns_are_decoded_once(self):
+        # Output columns the predicate already decoded come from its
+        # batch: no second fetch (the parent re-read them, unbilled).
+        table = make_table(seed=9)
+        scanner = LakeScanner(table)
+        pred = parse_predicate("k < 40 and v < 0.5")
+        for columns in (["k"], ["v", "k"]):
+            before = scanner.storage.stats.snapshot()
+            _, stats = scanner.scan(pred, columns)
+            assert stats.rows_qualifying > 0
+            fetched = scanner.storage.stats.delta(before).remote_fetches
+            assert fetched == stats.row_groups_read * 2
+
+    def test_chunk_reads_are_billed_in_storage_stats(self):
+        table = make_table(seed=10)
+        scanner = LakeScanner(table)
+        pred = parse_predicate("k between 10 and 30")
+        for step in range(4):
+            if step == 2:
+                table.delete_file(table.current_snapshot.file_ids[1])
+                table.append_file({"k": np.arange(300) % 50, "v": np.zeros(300)})
+            before = scanner.storage.stats.snapshot()
+            _, stats = scanner.scan(pred, ["v"])
+            read = scanner.storage.stats.delta(before)
+            assert read.bytes_fetched == stats.chunk_bytes_read > 0
+            # Capacity-0 storage: object-store reads are never served locally.
+            assert read.local_hits == 0 and scanner.storage.cached_blocks == 0
+
     def test_memory_accounting(self):
         table = make_table(seed=8)
         scanner = LakeScanner(table)
@@ -191,10 +231,27 @@ class TestLakeScanner:
     values=st.lists(st.integers(0, 30), min_size=1, max_size=300),
     threshold=st.integers(0, 30),
     extra=st.lists(st.integers(0, 30), max_size=100),
+    commits=st.lists(
+        st.tuples(
+            st.sampled_from(["append", "delete", "replace"]),
+            st.lists(st.integers(0, 30), min_size=1, max_size=40),
+        ),
+        max_size=5,
+    ),
 )
 @settings(max_examples=60, deadline=None)
-def test_lake_cache_soundness(values, threshold, extra):
+def test_lake_cache_soundness(values, threshold, extra, commits):
     """Cached repeats equal cold scans, across appends and removals."""
+    was_validating = invariants.enabled()
+    invariants.enable()  # check_slice_state / check_cache on every install
+    try:
+        _check_lake_cache_soundness(values, threshold, extra, commits)
+    finally:
+        if not was_validating:
+            invariants.disable()
+
+
+def _check_lake_cache_soundness(values, threshold, extra, commits):
     table = LakeTable("t", rows_per_group=7)
     table.append_file({"k": np.array(values)})
     scanner = LakeScanner(table)
@@ -211,3 +268,25 @@ def test_lake_cache_soundness(values, threshold, extra):
     assert sorted(after["k"].tolist()) == expected
     again, _ = scanner.scan(pred, ["k"])
     assert sorted(again["k"].tolist()) == expected
+
+    # Foreign commits of every kind between scans; the model is the
+    # live files' rows.  Removals never renumber the surviving groups.
+    live = dict(zip(table.current_snapshot.file_ids, [values, extra]))
+    for kind, data in commits:
+        ids = list(live)
+        if kind == "append" or not ids:
+            live[table.append_file({"k": np.array(data)}).file_id] = data
+        elif kind == "delete":
+            victim = ids[len(data) % len(ids)]
+            table.delete_file(victim)
+            del live[victim]
+        else:  # compaction of the two oldest files plus a few new rows
+            merged = [v for fid in ids[:2] for v in live.pop(fid)] + data
+            live[table.replace_files(ids[:2], {"k": np.array(merged)}).file_id] = merged
+        assert list(live) == list(table.current_snapshot.file_ids)
+        expected = sorted(v for rows in live.values() for v in rows if v < threshold)
+        for _ in range(2):
+            out, stats = scanner.scan(pred, ["k"])
+            assert stats.cache_hit
+            assert sorted(out["k"].tolist()) == expected
+    assert len(scanner.cache) == 1 and scanner.cache.stats.invalidations == 0
