@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, FrozenSet, List, Optional
 
-from ..core.cache import PredicateCache
+from ..core.cache import PredicateCache, cache_series
 from ..core.config import PredicateCacheConfig
 from ..core.stats import CacheStats
 from ..faults.errors import NodeDownError
@@ -95,7 +95,7 @@ class ClusterCaches:
     (resize/fail_node racing each other) are expected to be serialized
     by the operator, e.g. under the serving layer's write lock.
 
-    **Canonical shard-lock order** (enforced by ``tools.analyze``
+    **Canonical shard-lock order** (enforced by ``tools.check``
     RP010 on the global lock-order graph): at most one node cache's
     lock may be held at a time.  Cross-node operations — aggregate
     stats, ``clear_all``, hydration, the health monitor's probes —
@@ -108,7 +108,7 @@ class ClusterCaches:
     (the static side elides re-entrant self-edges) and fails the
     witness cross-check.  The reference-swap mutations above are
     deliberately lock-free and carry RP012 waivers (see
-    ``tools/analyze/waivers.toml``).
+    ``tools/check/waivers.toml``).
     """
 
     def __init__(
@@ -346,35 +346,13 @@ class ClusterCaches:
     def _register(self, registry, prefix: str) -> None:
         for node_id in range(self.num_nodes):
             labels = {"node": str(node_id)}
-            for field_name in vars(CacheStats()):
-                registry.counter(
-                    f"{prefix}_{field_name}_total",
-                    f"Predicate cache {field_name.replace('_', ' ')}",
+            for kind, name, help_text, read in cache_series(prefix):
+                getattr(registry, kind)(
+                    name,
+                    help_text,
                     labels=labels,
-                    fn=lambda n=node_id, f=field_name: self._node_stat(n, f),
+                    fn=lambda n=node_id, read=read: self._node_value(n, read),
                 )
-            registry.gauge(
-                f"{prefix}_entries",
-                "Live predicate-cache entries",
-                labels=labels,
-                fn=lambda n=node_id: self._node_value(n, len, 0),
-            )
-            registry.gauge(
-                f"{prefix}_nbytes",
-                "Total payload bytes across entries (Table 3 metric)",
-                labels=labels,
-                fn=lambda n=node_id: self._node_value(
-                    n, lambda c: c.total_nbytes, 0
-                ),
-            )
-            registry.gauge(
-                f"{prefix}_hit_rate",
-                "Hits over lookups (Fig. 13 metric)",
-                labels=labels,
-                fn=lambda n=node_id: self._node_value(
-                    n, lambda c: c.stats.hit_rate, 0.0
-                ),
-            )
         registry.gauge(
             f"{prefix}_cluster_nbytes",
             "Summed predicate-cache payload bytes across nodes",
@@ -391,24 +369,14 @@ class ClusterCaches:
             fn=lambda: self.num_nodes,
         )
 
-    def _node_stat(self, node_id: int, field: str):
+    def _node_value(self, node_id: int, read):
         """Scrape helper: node ids removed by a resize — or currently
         dead — report zero instead of dangling into the shrunk node
         list or raising out of a scrape."""
-        if node_id >= len(self._nodes):
+        nodes = self._nodes
+        if node_id >= len(nodes) or isinstance(nodes[node_id], DownedCache):
             return 0
-        node = self._nodes[node_id]
-        if isinstance(node, DownedCache):
-            return 0
-        return getattr(node.stats, field)
-
-    def _node_value(self, node_id: int, fn, default):
-        if node_id >= len(self._nodes):
-            return default
-        node = self._nodes[node_id]
-        if isinstance(node, DownedCache):
-            return default
-        return fn(node)
+        return read(nodes[node_id])
 
     # -- aggregation -----------------------------------------------------------------
 

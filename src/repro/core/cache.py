@@ -24,14 +24,24 @@ without the lock: ``extend`` swaps in the new bounds array *before*
 advancing the watermark, so a reader that raced an extension sees a
 superset-safe (possibly slightly stale) state, never a torn one.
 Mutation outside a ``with self._lock`` block (or a helper documented as
-"caller holds ``_lock``") is rejected by linter rule RP007.
+"caller holds ``_lock``") is rejected by checker rule RP007.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from .. import invariants as _inv
 from ..obs import lockwitness
@@ -47,7 +57,7 @@ if TYPE_CHECKING:
     from ..persist.store import CacheStore
     from ..storage.table import Table
 
-__all__ = ["PredicateCache"]
+__all__ = ["PredicateCache", "cache_series"]
 
 
 class PredicateCache:
@@ -597,50 +607,12 @@ class PredicateCache:
         keeps anyway, so registration adds nothing to the scan path.
         Scrape-time reads run without the cache lock (single attribute
         loads of monotonic counters — a scrape may be one increment
-        stale, never torn).  ``labels`` distinguishes multiple caches
-        (e.g. cluster nodes).
+        stale, never torn).  ``labels`` distinguishes multiple caches.
         """
-        for field_name in vars(self.stats):
-            registry.counter(
-                f"{prefix}_{field_name}_total",
-                f"Predicate cache {field_name.replace('_', ' ')}",
-                labels=labels,
-                fn=lambda s=self, f=field_name: getattr(s.stats, f),
+        for kind, name, help_text, read in cache_series(prefix):
+            getattr(registry, kind)(
+                name, help_text, labels=labels, fn=lambda read=read: read(self)
             )
-        registry.gauge(
-            f"{prefix}_entries",
-            "Live predicate-cache entries",
-            labels=labels,
-            fn=lambda: len(self._entries),
-        )
-        registry.gauge(
-            f"{prefix}_nbytes",
-            "Total payload bytes across entries (Table 3 metric)",
-            labels=labels,
-            fn=lambda: self.total_nbytes,
-        )
-        registry.gauge(
-            f"{prefix}_hit_rate",
-            "Hits over lookups (Fig. 13 metric)",
-            labels=labels,
-            fn=lambda: self.stats.hit_rate,
-        )
-        # The reuse lattice's own metric family (DESIGN.md §14).  Keyed
-        # off the cache-family prefix so per-node cluster registrations
-        # ("repro_node_predicate_cache") stay distinct.
-        reuse_prefix = (
-            prefix.replace("predicate_cache", "reuse")
-            if "predicate_cache" in prefix
-            else f"{prefix}_reuse"
-        )
-        for field_name in vars(self.reuse_stats):
-            registry.counter(
-                f"{reuse_prefix}_{field_name}_total",
-                f"Reuse lattice {field_name.replace('_', ' ')}",
-                labels=labels,
-                fn=lambda s=self, f=field_name: getattr(s.reuse_stats, f),
-            )
-
     # -- introspection -------------------------------------------------------------
 
     @property
@@ -656,3 +628,49 @@ class PredicateCache:
     def keys(self) -> List[ScanKey]:
         with self._lock:
             return list(self._entries.keys())
+
+
+def cache_series(
+    prefix: str,
+) -> Iterator[Tuple[str, str, str, Callable[[PredicateCache], float]]]:
+    """``(kind, name, help, read)`` of every per-cache metric series.
+
+    The one definition a bare cache registers for itself and
+    :class:`~repro.cluster.ClusterCaches` registers once per node id,
+    reading through its router so a replaced node reports its successor.
+    """
+    for field_name in vars(CacheStats()):
+        yield (
+            "counter",
+            f"{prefix}_{field_name}_total",
+            f"Predicate cache {field_name.replace('_', ' ')}",
+            lambda cache, f=field_name: getattr(cache.stats, f),
+        )
+    yield (
+        "gauge", f"{prefix}_entries", "Live predicate-cache entries",
+        lambda cache: len(cache._entries),
+    )
+    yield (
+        "gauge", f"{prefix}_nbytes",
+        "Total payload bytes across entries (Table 3 metric)",
+        lambda cache: cache.total_nbytes,
+    )
+    yield (
+        "gauge", f"{prefix}_hit_rate", "Hits over lookups (Fig. 13 metric)",
+        lambda cache: cache.stats.hit_rate,
+    )
+    # The reuse lattice's own metric family (DESIGN.md §14).  Keyed off
+    # the cache-family prefix so other families ("repro_lake_cache")
+    # stay distinct.
+    reuse_prefix = (
+        prefix.replace("predicate_cache", "reuse")
+        if "predicate_cache" in prefix
+        else f"{prefix}_reuse"
+    )
+    for field_name in vars(ReuseStats()):
+        yield (
+            "counter",
+            f"{reuse_prefix}_{field_name}_total",
+            f"Reuse lattice {field_name.replace('_', ' ')}",
+            lambda cache, f=field_name: getattr(cache.reuse_stats, f),
+        )

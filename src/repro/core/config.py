@@ -34,10 +34,6 @@ class PredicateCacheConfig:
             composition and subsumption matching on a full-key miss.
             Off by default, like ``normalize_keys`` — the paper's cache
             is exact-match only.
-        reuse_composition: serve ``A AND B`` misses from the vectorized
-            intersection of cached per-conjunct entries.
-        reuse_subsumption: serve a range predicate from a cached wider
-            range on the same column, with a residual re-check.
     """
 
     variant: str = "bitmap"
@@ -49,8 +45,6 @@ class PredicateCacheConfig:
     normalize_keys: bool = False
     min_rows_to_cache: int = 0
     enable_reuse: bool = False
-    reuse_composition: bool = True
-    reuse_subsumption: bool = True
 
     def __post_init__(self) -> None:
         if self.variant not in ("bitmap", "range"):

@@ -12,7 +12,7 @@ the public entry point examples and benchmarks use:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -129,41 +129,17 @@ class QueryEngine:
         self._m_query_seconds = registry.histogram(
             "repro_query_seconds", "Per-query wall-clock latency"
         )
-        # Every numeric QueryCounters field gets a summed total; the
-        # project linter's RP004 rule checks this list stays complete
-        # (result_cache_hit is covered by the dedicated counter above,
-        # wall_seconds additionally by the latency histogram).
+        # Every numeric QueryCounters field gets a summed total, derived
+        # from the dataclass so the two cannot drift (result_cache_hit is
+        # covered by the dedicated counter above, wall_seconds
+        # additionally by the latency histogram).
         self._m_counter_totals = {
-            name: registry.counter(
-                f"repro_query_{name}_total", f"Summed per-query {name}"
+            field.name: registry.counter(
+                f"repro_query_{field.name}_total",
+                f"Summed per-query {field.name}",
             )
-            for name in (
-                "rows_scanned",
-                "rows_qualifying",
-                "rows_joined",
-                "rows_output",
-                "rows_skipped_cache",
-                "blocks_accessed",
-                "blocks_pruned_zonemap",
-                "remote_fetches",
-                "bytes_fetched",
-                "cache_hits",
-                "cache_misses",
-                "bloom_probes",
-                "bloom_positives",
-                "reuse_composed_serves",
-                "reuse_subsumed_serves",
-                "reuse_recheck_rows",
-                "reuse_skipped_rows",
-                "storage_faults",
-                "corrupt_blocks",
-                "storage_retries",
-                "retry_giveups",
-                "degraded_scans",
-                "backoff_seconds",
-                "wall_seconds",
-                "model_seconds",
-            )
+            for field in fields(QueryCounters)
+            if field.name != "result_cache_hit"
         }
         self.database.register_metrics(registry)
         if self.predicate_cache is not None:

@@ -28,10 +28,11 @@ Selection:
 
 from __future__ import annotations
 
-import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+
+from .. import env
 
 __all__ = [
     "DEFAULT_WORKERS",
@@ -48,8 +49,8 @@ DEFAULT_WORKERS = 4
 
 
 def _workers_from_env() -> int:
-    """Resolve the worker count from the environment (0 = serial)."""
-    enabled = os.environ.get("REPRO_PARALLEL", "").strip()
+    """Resolve the worker count from ``REPRO_PARALLEL`` (0 = serial)."""
+    enabled = env.PARALLEL
     if enabled in ("", "0"):
         return 0
     try:
@@ -101,7 +102,7 @@ class ParallelScanExecutor:
     Tasks must be self-contained closures that touch only per-task
     state (their own ``QueryCounters``, their slice's immutable entry
     state) plus the internally-synchronized managed-storage read path;
-    the linter rule RP006 enforces that worker code never mutates
+    the checker rule RP006 enforces that worker code never mutates
     shared engine or cache state.
     """
 

@@ -49,7 +49,7 @@ coordinator barrier as every other entry.
   re-check accounting, and one admission-policy observation per node.
 
 Worker code touches only per-task state plus the internally-synchronized
-storage read path; linter rule RP006 rejects shared-state mutation
+storage read path; checker rule RP006 rejects shared-state mutation
 inside the worker functions.
 """
 

@@ -30,16 +30,18 @@ Hook points (all behind the ``ACTIVE`` guard):
   own bytes and compares records (round-trip self-check).
 
 The module deliberately imports nothing from the rest of the package
-(only numpy), so any module may call into it without import cycles;
-checks are duck-typed over the objects they receive.
+(only numpy and the leaf ``repro.env``), so any module may call into it
+without import cycles; checks are duck-typed over the objects they
+receive.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
+
+from . import env
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from numpy.typing import NDArray
@@ -57,13 +59,9 @@ __all__ = [
 ]
 
 
-def _env_active() -> bool:
-    return os.environ.get("REPRO_VALIDATE", "") not in ("", "0")
-
-
 #: Hook sites read this module attribute on every call; keep it a plain
 #: bool so the disabled fast path is one attribute load and a branch.
-ACTIVE: bool = _env_active()
+ACTIVE: bool = env.VALIDATE
 
 
 class InvariantViolation(AssertionError):

@@ -1,4 +1,4 @@
-"""Runtime lock-order witness: the dynamic half of ``tools.analyze``.
+"""Runtime lock-order witness: the dynamic half of ``tools.check``.
 
 When ``REPRO_LOCK_WITNESS=1``, the ``named_lock`` / ``named_rlock`` /
 ``named_condition`` factories return instrumented locks that record,
@@ -8,14 +8,15 @@ lock ``B`` was acquired".  At teardown a suite can then
 * :func:`assert_acyclic` — the observed edge graph must have no
   cycle (a cycle means two threads can deadlock on these locks), and
 * :func:`missing_from` — every observed edge must be present in the
-  statically computed lock-order graph from ``tools.analyze``, proving
+  statically computed lock-order graph from ``tools.check``, proving
   the static model sound against real executions.
 
 When the variable is unset the factories return plain stdlib locks —
 the wrapper class is never constructed, so production overhead is one
-``os.environ`` check per lock *construction*, not per acquisition.
+``repro.env`` attribute read per lock *construction*, not per
+acquisition.
 
-Lock names are the analyzer's canonical names (``ClassName._attr``),
+Lock names are the checker's canonical names (``ClassName._attr``),
 passed as string literals at the construction site; the static side
 reads the same literals out of the ``named_*`` calls, so the two
 graphs agree on vocabulary by construction.
@@ -35,12 +36,12 @@ re-entrant lock around ``wait()`` correctly.
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Dict, List, Optional, Set, Tuple
 
+from .. import env
+
 __all__ = [
-    "ENV_VAR",
     "WitnessLock",
     "enabled",
     "named_lock",
@@ -53,11 +54,8 @@ __all__ = [
     "find_cycle",
 ]
 
-ENV_VAR = "REPRO_LOCK_WITNESS"
-
-
 def enabled() -> bool:
-    return os.environ.get(ENV_VAR, "") == "1"
+    return env.LOCK_WITNESS
 
 
 class _Registry:

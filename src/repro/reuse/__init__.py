@@ -16,7 +16,7 @@ PartitionCache idea (Poppinga, BTW 2025) rebuilt on our range algebra:
   same column whose interval contains the requested one and serve it as
   a superset with a residual re-check.
 
-Everything here is **read-only over the cache** (linter rule RP009):
+Everything here is **read-only over the cache** (checker rule RP009):
 this package plans a serving; the scan coordinator in
 :mod:`repro.engine.scan` evaluates the real predicate over the served
 candidates and installs results through the same

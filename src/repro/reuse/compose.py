@@ -21,7 +21,7 @@ protocols the scan path uses and carry ``ephemeral = True`` so
 ``invariants.check_cache`` rejects any attempt to put one in the entry
 table (which would double-count the source entries' bytes against the
 budget).  This module is read-only
-over the cache — linter rule RP009.
+over the cache — checker rule RP009.
 """
 
 from __future__ import annotations
@@ -139,20 +139,15 @@ def plan_reuse(
     serving (see module docstring); slices where no part has recorded
     state stay ``None`` and scan cold, exactly like a partial entry.
     """
-    config = cache.config
-    if not config.reuse_composition and len(decomposition.conjuncts) > 1:
-        return None
     resolved: List[Tuple[Conjunct, "CacheEntry"]] = []
     subsumed_parts = 0
     for conjunct in decomposition.conjuncts:
-        entry: Optional["CacheEntry"] = None
-        if config.reuse_composition or len(decomposition.conjuncts) == 1:
-            entry = cache.lookup_part(conjunct.key, current_versions)
-            if entry is not None and not any(
-                state is not None for state in entry.slice_states
-            ):
-                entry = None
-        if entry is None and config.reuse_subsumption:
+        entry = cache.lookup_part(conjunct.key, current_versions)
+        if entry is not None and not any(
+            state is not None for state in entry.slice_states
+        ):
+            entry = None
+        if entry is None:
             entry = find_subsuming(cache, conjunct)
             if entry is not None:
                 subsumed_parts += 1

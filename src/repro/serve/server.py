@@ -119,7 +119,7 @@ class QueryServer:
     own lock; engine-level shared state by the read/write statement
     lock; everything below (cache, storage, counters) by the layers'
     internal locks.  Mutation outside those regions is rejected by
-    linter rule RP007.
+    checker rule RP007.
     """
 
     def __init__(

@@ -1,26 +1,21 @@
-"""Fixture-driven tests for the whole-program concurrency analyzer.
+"""Fixture-driven tests for the checker's whole-program rules.
 
 Each fixture is a tiny in-memory project handed to
-:func:`tools.analyze.analyze_sources`; the assertions pin down the
+:func:`tools.check.check_sources`; the assertions pin down the
 semantics of RP010 (lock-order cycles), RP011 (blocking under a
 lock), RP012 (unguarded shared-state escapes + contract violations),
 waiver matching, and the precision rules (opaque containers, nested
 defs, re-entrant self-edges).  The final test is the merge gate: the
-real tree must analyze to zero unwaived findings with the shipped
-waiver file.
+real tree must check to zero unwaived findings with the shipped
+waiver file.  (The per-file rules' fixtures are in test_lint.py.)
 """
 
 import os
 
 import pytest
 
-from tools.analyze import (
-    analyze_paths,
-    analyze_sources,
-    default_waivers_path,
-    main,
-)
-from tools.analyze.waivers import WaiverError, parse_waivers
+from tools.check import WAIVERS_FILE, check_paths, check_sources, main
+from tools.check.findings import WaiverError, parse_waivers
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_REPRO = os.path.join(REPO_ROOT, "src", "repro")
@@ -35,10 +30,30 @@ def keys(result, rule=None):
 
 # -- RP010: lock-order cycles -------------------------------------------------
 
+SELF_DEADLOCK = {"repro/fix/box.py": '''
+import threading
+
+class Box:
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def outer(self):
+        with self._lock:
+            self.inner()
+
+    def inner(self):
+        with self._lock:
+            pass
+'''}
+REENTRY = {
+    path: src.replace("threading.Lock()", "threading.RLock()")
+    for path, src in SELF_DEADLOCK.items()
+}
+
 
 class TestRP010:
     def test_one_direction_is_not_a_cycle(self):
-        result = analyze_sources({
+        result = check_sources({
             "repro/fix/pair.py": '''
 import threading
 
@@ -60,10 +75,10 @@ class Right:
             pass
 '''})
         assert keys(result, "RP010") == []
-        assert ("Left._lock", "Right._lock") in result.edge_names()
+        assert ("Left._lock", "Right._lock") in result.program.edge_names()
 
     def test_cycle_reported_with_both_directions(self):
-        result = analyze_sources({
+        result = check_sources({
             "repro/fix/pair.py": '''
 import threading
 
@@ -96,58 +111,22 @@ class Right:
         cycles = keys(result, "RP010")
         assert len(cycles) == 1
         assert "Left._lock" in cycles[0] and "Right._lock" in cycles[0]
-        finding = [f for f in result.findings if f.rule == "RP010"][0]
+        finding = [f for f in result.findings if f.code == "RP010"][0]
         assert "potential deadlock" in finding.message
         # The witness chain names the functions on the path.
         assert "forward" in finding.message or "backward" in finding.message
 
     def test_plain_lock_self_acquire_is_cycle(self):
-        result = analyze_sources({
-            "repro/fix/selfdead.py": '''
-import threading
-
-class Box:
-    def __init__(self):
-        self._lock = threading.Lock()
-
-    def outer(self):
-        with self._lock:
-            self.inner()
-
-    def inner(self):
-        with self._lock:
-            pass
-'''})
-        cycles = keys(result, "RP010")
+        cycles = keys(check_sources(SELF_DEADLOCK), "RP010")
         assert cycles == ["RP010:Box._lock->Box._lock"]
 
     def test_rlock_self_reentry_is_not_cycle(self):
-        result = analyze_sources({
-            "repro/fix/reenter.py": '''
-import threading
-
-class Box:
-    def __init__(self):
-        self._lock = threading.RLock()
-
-    def outer(self):
-        with self._lock:
-            self.inner()
-
-    def inner(self):
-        with self._lock:
-            pass
-'''})
-        assert keys(result, "RP010") == []
+        assert keys(check_sources(REENTRY), "RP010") == []
 
 
 # -- RP011: blocking under a lock ---------------------------------------------
 
-
-class TestRP011:
-    def test_direct_sleep_under_lock(self):
-        result = analyze_sources({
-            "repro/fix/sleepy.py": '''
+SLEEPY = {"repro/fix/sleepy.py": '''
 import threading
 import time
 
@@ -158,13 +137,23 @@ class Sleepy:
     def nap(self):
         with self._lock:
             time.sleep(0.1)
-'''})
-        assert keys(result, "RP011") == [
+'''}
+LOCKLESS_SLEEP = {"repro/fix/fine.py": '''
+import time
+
+def pause():
+    time.sleep(0.1)
+'''}
+
+
+class TestRP011:
+    def test_direct_sleep_under_lock(self):
+        assert keys(check_sources(SLEEPY), "RP011") == [
             "RP011:Sleepy.nap:time.sleep@Sleepy.nap"
         ]
 
     def test_transitive_io_under_lock(self):
-        result = analyze_sources({
+        result = check_sources({
             "repro/fix/writer.py": '''
 import os
 import threading
@@ -183,21 +172,14 @@ class Writer:
         assert "RP011:Writer.flush:os.replace@Writer._rotate" in keys(
             result, "RP011"
         )
-        finding = [f for f in result.findings if f.rule == "RP011"][0]
+        finding = [f for f in result.findings if f.code == "RP011"][0]
         assert "Writer._lock" in finding.message
 
     def test_sleep_without_lock_is_clean(self):
-        result = analyze_sources({
-            "repro/fix/fine.py": '''
-import time
-
-def pause():
-    time.sleep(0.1)
-'''})
-        assert keys(result, "RP011") == []
+        assert keys(check_sources(LOCKLESS_SLEEP), "RP011") == []
 
     def test_condition_wait_under_own_cv_is_clean(self):
-        result = analyze_sources({
+        result = check_sources({
             "repro/fix/cv.py": '''
 import threading
 
@@ -212,7 +194,7 @@ class Waiter:
         assert keys(result, "RP011") == []
 
     def test_condition_wait_holding_other_lock_flagged(self):
-        result = analyze_sources({
+        result = check_sources({
             "repro/fix/cv2.py": '''
 import threading
 
@@ -255,31 +237,36 @@ class PredicateCache:
             return self._entries.get(part)
 ''',
 }
+UNREACHED = {"repro/core/cache.py": ESCAPE["repro/core/cache.py"]}
+
+#: code -> (fires, near-miss); test_lint.py's gate walks these with its own.
+FIXTURES = {
+    "RP010": (SELF_DEADLOCK, REENTRY),
+    "RP011": (SLEEPY, LOCKLESS_SLEEP),
+    "RP012": (ESCAPE, UNREACHED),
+}
 
 
 class TestRP012:
     def test_unguarded_escape_from_entry_point(self):
-        result = analyze_sources(ESCAPE)
+        result = check_sources(ESCAPE)
         assert "RP012:PredicateCache.install:_entries" in keys(result, "RP012")
         # The guarded lookup mutation is not flagged.
         assert "RP012:PredicateCache.lookup:hits" not in keys(result, "RP012")
 
     def test_unreachable_class_not_flagged(self):
         # Same mutation, but no entry point reaches it.
-        result = analyze_sources({
-            "repro/core/cache.py": ESCAPE["repro/core/cache.py"]
-        })
-        assert keys(result, "RP012") == []
+        assert keys(check_sources(UNREACHED), "RP012") == []
 
     def test_init_mutations_exempt(self):
-        result = analyze_sources({
+        result = check_sources({
             "repro/engine/scan.py": "def _scan_slice(c):\n    c.lookup(1)\n",
             "repro/core/cache.py": ESCAPE["repro/core/cache.py"],
         })
         assert not any("__init__" in k for k in keys(result, "RP012"))
 
     def test_contract_docstring_exempts_helper(self):
-        result = analyze_sources({
+        result = check_sources({
             "repro/engine/scan.py": '''
 def _scan_slice(cache, part):
     cache.record(part)
@@ -304,7 +291,7 @@ class PredicateCache:
         assert keys(result, "RP012") == []
 
     def test_contract_violation_flagged(self):
-        result = analyze_sources({
+        result = check_sources({
             "repro/engine/scan.py": '''
 def _scan_slice(cache, part):
     cache.record(part)
@@ -332,7 +319,7 @@ class PredicateCache:
     def test_opaque_container_calls_do_not_alias(self):
         # deque.clear() on a typed Deque attribute must not resolve to
         # PredicateCache.clear (which would fabricate reachability).
-        result = analyze_sources({
+        result = check_sources({
             "repro/engine/scan.py": '''
 def _scan_slice(srv):
     srv.drain()
@@ -365,7 +352,7 @@ class PredicateCache:
     def test_nested_defs_excluded(self):
         # A gauge callback defined inside a method runs at scrape time
         # on another stack; its reads/mutations are not the method's.
-        result = analyze_sources({
+        result = check_sources({
             "repro/engine/scan.py": '''
 def _scan_slice(cache):
     cache.register()
@@ -390,32 +377,38 @@ class PredicateCache:
 
 # -- waivers ------------------------------------------------------------------
 
+# One audited decision, seen by both rules that read the mutation pass.
 WAIVED_TOML = '''
 [[waiver]]
 rule = "RP012"
 match = "RP012:PredicateCache.install:*"
+reason = "fixture: deliberate lock-free publish"
+
+[[waiver]]
+rule = "RP007"
+match = "RP007:PredicateCache.install:_entries"
 reason = "fixture: deliberate lock-free publish"
 '''
 
 
 class TestWaivers:
     def test_waiver_suppresses_finding(self):
-        result = analyze_sources(ESCAPE, waivers_toml=WAIVED_TOML)
+        result = check_sources(ESCAPE, waivers_toml=WAIVED_TOML)
         assert result.unwaived == []
-        assert len(result.waived) == 1
+        assert sorted(f.code for f in result.waived) == ["RP007", "RP012"]
         assert result.waived[0].waiver_reason.startswith("fixture:")
 
     def test_waiver_rule_must_match(self):
         toml = WAIVED_TOML.replace('rule = "RP012"', 'rule = "RP011"')
-        result = analyze_sources(ESCAPE, waivers_toml=toml)
-        assert len(result.unwaived) == 1
+        result = check_sources(ESCAPE, waivers_toml=toml)
+        assert [f.code for f in result.unwaived] == ["RP012"]
 
     def test_malformed_waiver_rejected(self):
         with pytest.raises(WaiverError, match="reason"):
             parse_waivers('[[waiver]]\nrule = "RP012"\nmatch = "*"\n')
 
     def test_shipped_waivers_parse(self):
-        waivers = parse_waivers(open(default_waivers_path()).read())
+        waivers = parse_waivers(open(WAIVERS_FILE).read())
         assert waivers, "shipped waiver file should not be empty"
         assert all(w.reason for w in waivers)
 
@@ -425,7 +418,7 @@ class TestWaivers:
 
 class TestCleanAndGate:
     def test_clean_project_no_findings(self):
-        result = analyze_sources({
+        result = check_sources({
             "repro/core/tidy.py": '''
 import threading
 
@@ -443,7 +436,7 @@ class Tidy:
         assert result.findings == []
 
     def test_witness_factories_named_in_inventory(self):
-        result = analyze_sources({
+        result = check_sources({
             "repro/core/cache.py": '''
 from repro.obs import lockwitness
 
@@ -452,15 +445,15 @@ class PredicateCache:
         self._lock = lockwitness.named_rlock("PredicateCache._lock")
 ''',
         })
-        lock = result.inventory.locks["PredicateCache._lock"]
+        lock = result.program.inventory.locks["PredicateCache._lock"]
         assert lock.kind == "rlock"
         assert lock.reentrant
 
     def test_real_tree_zero_unwaived(self):
-        result = analyze_paths([SRC_REPRO])
+        result = check_paths([SRC_REPRO])
         assert result.unwaived == [], [f.render() for f in result.unwaived]
         # The static graph must be acyclic on the shipped tree.
-        assert not any(f.rule == "RP010" for f in result.findings)
+        assert not any(f.code == "RP010" for f in result.findings)
 
     def test_cli_exit_codes(self, capsys):
         assert main([SRC_REPRO]) == 0

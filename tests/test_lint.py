@@ -1,6 +1,8 @@
-"""The project linter (tools/lint): one passing and one failing fixture
-per rule, exercised through the library API, plus an end-to-end check
-that the real tree is clean."""
+"""The project checker's lexical and per-module rules (RP001-RP009):
+one passing and one failing fixture per rule, exercised through
+``tools.check.check_sources``, a table-driven gate that every code in
+``RULES`` has both, plus an end-to-end check that the real tree is
+clean.  The whole-program rules' fixtures are in test_analyze.py."""
 
 import subprocess
 import sys
@@ -8,15 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from tools.lint import (
-    FormatConstants,
-    check_counters,
-    extract_format_constants,
-    lint_paths,
-    lint_source,
-)
+from tools.check import RULES, check_paths, check_sources
+
+from tests.test_analyze import FIXTURES as WHOLE_PROGRAM_FIXTURES
 
 REPO = Path(__file__).resolve().parent.parent
+
+
+def lint_source(source, path, also=None):
+    """Findings for one fixture file (plus any companion modules)."""
+    return check_sources({path: source, **(also or {})}).findings
 
 
 def codes(findings):
@@ -84,63 +87,23 @@ def test_rp003_allows_handled_exceptions():
     assert lint_source(narrow, "repro/storage/rms.py") == []
 
 
-# -- RP004: QueryCounters completeness -----------------------------------------
-
-COUNTERS_OK = """
-from dataclasses import dataclass
-
-@dataclass
-class QueryCounters:
-    rows_scanned: int = 0
-    cache_hits: int = 0
-
-    def merge(self, other):
-        self.rows_scanned += other.rows_scanned
-        self.cache_hits += other.cache_hits
-"""
-
-ENGINE_OK = """
-METRICS = ("rows_scanned", "cache_hits")
-"""
-
-COUNTERS_DRIFTED = """
-from dataclasses import dataclass
-
-@dataclass
-class QueryCounters:
-    rows_scanned: int = 0
-    cache_hits: int = 0
-    bloom_probes: int = 0
-
-    def merge(self, other):
-        self.rows_scanned += other.rows_scanned
-        self.cache_hits += other.cache_hits
-"""
-
-
-def test_rp004_passes_when_fields_covered():
-    assert check_counters(COUNTERS_OK, ENGINE_OK) == []
-
-
-def test_rp004_flags_field_missing_from_merge_reset_and_metrics():
-    found = check_counters(COUNTERS_DRIFTED, ENGINE_OK)
-    assert codes(found) == ["RP004", "RP004"]
-    assert all("bloom_probes" in f.message for f in found)
-    reasons = " ".join(f.message for f in found)
-    assert "merge" in reasons and "metric" in reasons
-
-
 # -- RP005: persisted-format literals ------------------------------------------
 
-CONSTANTS = FormatConstants(magic=b"RPPCSNAP", ints=(1, 2, 255))
+# RP005 reads the constants out of the format module it is checked with.
+FORMAT = {
+    "repro/persist/format.py": (
+        'SNAPSHOT_MAGIC = b"RPPCSNAP"\n'
+        "FORMAT_VERSION = 1\nSECTION_ENTRY = 2\nSECTION_END = 255\n"
+    )
+}
 
 
 def test_rp005_flags_magic_and_section_literals():
     src = 'header = b"RPPCSNAP"\n'
-    found = lint_source(src, "repro/persist/store.py", format_constants=CONSTANTS)
+    found = lint_source(src, "repro/persist/store.py", FORMAT)
     assert codes(found) == ["RP005"]
     src = "if section_id == 255:\n    pass\n"
-    found = lint_source(src, "repro/persist/store.py", format_constants=CONSTANTS)
+    found = lint_source(src, "repro/persist/store.py", FORMAT)
     assert codes(found) == ["RP005"]
 
 
@@ -151,24 +114,19 @@ def test_rp005_allows_named_constants_and_unrelated_ints():
         "retries = 2\n"
         "if count == 255:\n    pass\n"  # not a format-ish name
     )
-    found = lint_source(src, "repro/persist/store.py", format_constants=CONSTANTS)
-    assert found == []
-    # The defining module itself is exempt.
-    assert (
-        lint_source(
-            'SNAPSHOT_MAGIC = b"RPPCSNAP"\n',
-            "repro/persist/format.py",
-            format_constants=CONSTANTS,
-        )
-        == []
-    )
+    # No finding in store.py, and the defining module itself is exempt.
+    assert lint_source(src, "repro/persist/store.py", FORMAT) == []
 
 
 def test_format_constants_extracted_from_real_module():
-    source = (REPO / "src" / "repro" / "persist" / "format.py").read_text()
-    constants = extract_format_constants(source)
-    assert constants.magic == b"RPPCSNAP"
-    assert len(constants.ints) >= 5
+    real = {
+        "repro/persist/format.py": (
+            REPO / "src" / "repro" / "persist" / "format.py"
+        ).read_text()
+    }
+    src = 'header = b"RPPCSNAP"\nif kind == 255 or op == 2:\n    pass\n'
+    found = lint_source(src, "repro/persist/store.py", real)
+    assert codes(found) == ["RP005"] * 3
 
 
 # -- RP006: shared-state mutation from scan worker code ------------------------
@@ -183,6 +141,17 @@ def test_rp006_flags_install_inside_worker_function():
     found = lint_source(src, "repro/engine/scan.py")
     assert codes(found) == ["RP006"]
     assert "coordinator" in found[0].message
+
+
+def test_rp006_knows_the_whole_install_path():
+    # What PR 12 added to the barrier's install is a cache write too.
+    src = (
+        "def _scan_slice(cache, entry, qualifying, considered):\n"
+        "    cache.record_entry_stats(entry, qualifying, considered)\n"
+        "    cache.record_reuse_rows(considered, 0)\n"
+        "    cache.record_reuse_serve('composed')\n"
+    )
+    assert codes(lint_source(src, "repro/engine/scan.py")) == ["RP006"] * 3
 
 
 def test_rp006_allows_coordinator_installs_and_other_modules():
@@ -400,8 +369,43 @@ def test_rp009_allows_reads_and_other_modules():
 # -- the real tree -------------------------------------------------------------
 
 
+# code -> (a fixture that must fire it, a near-miss that must not).
+UNLOCKED = "class S:\n    def stop(self):\n        self._up = False\n"
+LOCKED = (
+    "class S:\n    def stop(self):\n"
+    "        with self._lock:\n            self._up = False\n"
+)
+SWALLOW = "def probe(n):\n    try:\n        n.ping()\n    except NodeDownError:\n"
+FIXTURES = {
+    "RP001": ({"repro/core/k.py": "x = hash('k')\n"},
+              {"repro/engine/hashing.py": "x = hash('k')\n"}),
+    "RP002": ({"repro/core/k.py": "import time\nt = time.time()\n"},
+              {"repro/core/k.py": "import time\nt = time.perf_counter()\n"}),
+    "RP003": ({"repro/lake/scan.py": "try:\n    f()\nexcept:\n    raise\n"},
+              {"repro/lake/scan.py": "try:\n    f()\nexcept OSError:\n    pass\n"}),
+    "RP005": ({**FORMAT, "repro/persist/store.py": "ok = version == 1\n"},
+              {**FORMAT, "repro/persist/store.py": "ok = count == 1\n"}),
+    "RP006": ({"repro/engine/scan.py": "def _scan_slice(c):\n    c.drop_stale(1)\n"},
+              {"repro/engine/scan.py": "def _install(c):\n    c.drop_stale(1)\n"}),
+    "RP007": ({"repro/serve/server.py": UNLOCKED}, {"repro/serve/server.py": LOCKED}),
+    "RP008": ({"repro/serve/health.py": SWALLOW + "        pass\n"},
+              {"repro/serve/health.py": SWALLOW + "        raise\n"}),
+    "RP009": ({"repro/reuse/compose.py": "def plan(c):\n    c.clear()\n"},
+              {"repro/reuse/compose.py": "def plan(c):\n    c.entries()\n"}),
+    **WHOLE_PROGRAM_FIXTURES,
+}
+
+
+def test_every_rule_has_a_firing_and_a_clean_fixture():
+    """Adding a code to ``RULES`` without both fixtures fails here."""
+    assert sorted(FIXTURES) == sorted(RULES)
+    for code, (firing, clean) in FIXTURES.items():
+        assert code in codes(check_sources(firing).findings), code
+        assert code not in codes(check_sources(clean).findings), code
+
+
 def test_src_tree_is_clean():
-    assert lint_paths([str(REPO / "src")]) == []
+    assert check_paths([str(REPO / "src")]).unwaived == []
 
 
 def test_cli_exit_codes(tmp_path):
@@ -409,7 +413,7 @@ def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "repro" / "core.py"
     bad.write_text("x = hash('k')\n")
     proc = subprocess.run(
-        [sys.executable, "-m", "tools.lint", str(tmp_path)],
+        [sys.executable, "-m", "tools.check", str(tmp_path)],
         capture_output=True,
         text=True,
         cwd=REPO,
@@ -417,7 +421,7 @@ def test_cli_exit_codes(tmp_path):
     assert proc.returncode == 1
     assert "RP001" in proc.stdout
     clean = subprocess.run(
-        [sys.executable, "-m", "tools.lint", "src"],
+        [sys.executable, "-m", "tools.check", "src"],
         capture_output=True,
         text=True,
         cwd=REPO,
@@ -427,14 +431,14 @@ def test_cli_exit_codes(tmp_path):
 
 def test_list_rules():
     proc = subprocess.run(
-        [sys.executable, "-m", "tools.lint", "--list-rules"],
+        [sys.executable, "-m", "tools.check", "--list-rules"],
         capture_output=True,
         text=True,
         cwd=REPO,
     )
     assert proc.returncode == 0
-    for code in ("RP001", "RP002", "RP003", "RP004", "RP005", "RP006", "RP007"):
-        assert code in proc.stdout
+    listed = [line.split()[0] for line in proc.stdout.splitlines()]
+    assert listed == list(RULES) and len(listed) == 11 and "RP004" not in listed
 
 
 @pytest.mark.skipif(

@@ -9,9 +9,9 @@ threads never actually deadlock.
 
 The live test drives a real serving + failover workload with
 ``REPRO_LOCK_WITNESS=1`` and proves every observed acquisition-order
-edge is contained in the lock-order graph ``tools.analyze`` computed
+edge is contained in the lock-order graph ``tools.check`` computed
 statically — the soundness contract that lets CI trust the static
-analyzer.
+checker.
 """
 
 import threading
@@ -19,12 +19,13 @@ import time
 
 import pytest
 
+from repro import env
 from repro.obs import lockwitness
 
 
 @pytest.fixture(autouse=True)
 def _witness_on(monkeypatch):
-    monkeypatch.setenv(lockwitness.ENV_VAR, "1")
+    monkeypatch.setattr(env, "LOCK_WITNESS", True)
     lockwitness.reset()
     yield
     lockwitness.reset()
@@ -32,7 +33,7 @@ def _witness_on(monkeypatch):
 
 class TestFactories:
     def test_disabled_returns_plain_stdlib_locks(self, monkeypatch):
-        monkeypatch.delenv(lockwitness.ENV_VAR, raising=False)
+        monkeypatch.setattr(env, "LOCK_WITNESS", False)
         assert not lockwitness.enabled()
         assert not isinstance(
             lockwitness.named_lock("X._lock"), lockwitness.WitnessLock
@@ -177,14 +178,14 @@ class TestLiveWorkloadContainment:
     def test_observed_edges_subset_of_static_graph(self, tmp_path):
         """Serving + DML + node failover under the witness: the
         observed graph must be acyclic and contained in the static
-        lock-order graph (``tools.analyze``)."""
+        lock-order graph (``tools.check``)."""
         import os
         import sys
 
         repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         if repo_root not in sys.path:
             sys.path.insert(0, repo_root)
-        from tools.analyze import analyze_paths
+        from tools.check import check_paths
 
         from repro import (
             Database,
@@ -227,9 +228,9 @@ class TestLiveWorkloadContainment:
         assert observed, "the workload should exercise nested locking"
         lockwitness.assert_acyclic()
 
-        static = analyze_paths(
+        static = check_paths(
             [os.path.join(repo_root, "src", "repro")]
-        ).edge_names()
+        ).program.edge_names()
         missing = lockwitness.missing_from(static)
         assert missing == set(), (
             "observed lock-order edges absent from the static graph: "

@@ -280,6 +280,30 @@ class TestComponentRegistration:
             == 0
         )
 
+    def test_cluster_registers_reuse_series_per_node(self):
+        """The per-cache series are defined once: a cluster exposes the
+        reuse family per node too, and it counts a composed serve."""
+        config = PredicateCacheConfig(variant="range", enable_reuse=True)
+        cluster = ClusterCaches(num_nodes=2, config=config)
+        reg = MetricsRegistry()
+        engine = make_engine(predicate_cache=cluster, metrics=reg)
+        a, b = "discount < 10", "quantity < 24"
+        for where in (a, b, f"{a} and {b}"):
+            engine.execute(f"select sum(price) as r from lineitem where {where}")
+        bare = MetricsRegistry()
+        PredicateCache().register_metrics(bare)
+        reuse_names = {n.split("{")[0] for n in bare.as_dict() if "_reuse_" in n}
+        assert len(reuse_names) == 7
+        for name in reuse_names:
+            for node in ("0", "1"):
+                assert reg.get(name, labels={"node": node}) is not None, name
+        composed = [
+            reg.get("repro_reuse_composed_serves_total", labels={"node": n}).value
+            for n in ("0", "1")
+        ]
+        assert composed == [c.reuse_stats.composed_serves for c in cluster.nodes()]
+        assert sum(composed) >= 1
+
     def test_lake_scanner_registers(self):
         from repro.lake import LakeScanner, LakeTable
 
@@ -342,6 +366,20 @@ class TestCounters:
         merged.merge(donor)
         for name in vars(donor):
             assert getattr(merged, name) == getattr(donor, name), name
+
+    def test_every_numeric_field_has_a_total_series(self):
+        """The engine derives its ``repro_query_<field>_total`` list from
+        the dataclass; a field without a series shows up here."""
+        reg = MetricsRegistry()
+        engine = make_engine(metrics=reg)
+        numeric = [
+            name
+            for name, value in vars(QueryCounters()).items()
+            if not isinstance(value, bool)
+        ]
+        assert sorted(engine._m_counter_totals) == sorted(numeric)
+        for name in numeric:
+            assert reg.get(f"repro_query_{name}_total") is not None, name
 
     def test_snapshot_delta(self):
         c = QueryCounters(rows_scanned=10)

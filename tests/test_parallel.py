@@ -25,6 +25,7 @@ from repro import (
     PredicateCache,
     PredicateCacheConfig,
     QueryEngine,
+    env,
     parse_predicate,
 )
 from repro.engine import parallel
@@ -63,10 +64,7 @@ class TestConfiguration:
             ("nonsense", 0),
         ]
         for enabled, expected in cases:
-            if enabled is None:
-                monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-            else:
-                monkeypatch.setenv("REPRO_PARALLEL", enabled)
+            monkeypatch.setattr(env, "PARALLEL", enabled or "")
             assert _workers_from_env() == expected, enabled
 
     def test_set_workers_round_trip(self):

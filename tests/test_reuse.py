@@ -325,18 +325,6 @@ def test_reuse_off_by_default_and_stats_stay_pure():
     assert stats.misses >= reuse2.serves
 
 
-def test_reuse_disabled_features_individually():
-    comp_off = reuse_config(reuse_composition=False)
-    cached, plain = build_twins(comp_off)
-    run_drilldown(cached, plain, drilldown_steps(rounds=3))
-    assert cached.predicate_cache.reuse_stats.composed_serves == 0
-
-    sub_off = reuse_config(reuse_subsumption=False)
-    cached, plain = build_twins(sub_off)
-    run_drilldown(cached, plain, drilldown_steps(rounds=3))
-    assert cached.predicate_cache.reuse_stats.subsumed_serves == 0
-
-
 # -- hypothesis property: random conjunctive sessions -------------------------
 
 conjunct_strategy = st.tuples(

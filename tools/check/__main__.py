@@ -1,4 +1,4 @@
-"""``python -m tools.lint src/`` — run the project linter from the CLI."""
+"""``python -m tools.check src/repro`` — run the project checker."""
 
 import sys
 

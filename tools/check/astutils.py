@@ -1,49 +1,26 @@
-"""Shared AST utilities for the project linter and concurrency analyzer.
+"""Parsed sources and the AST name/path helpers every pass shares.
 
-Both ``tools.lint`` (per-file syntactic rules RP001–RP009) and
-``tools.analyze`` (whole-program concurrency rules RP010–RP012) work
-over the same parsed project: every source file is read and parsed
-exactly once into a :class:`ProjectFiles`, and the small name/path
-helpers that the rule implementations share live here instead of being
-duplicated per tool.
+Every source file is read and parsed exactly once into a
+:class:`ProjectFiles`; the lexical rules walk those trees directly and
+the program model (:mod:`tools.check.model`) is built over them.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 __all__ = [
-    "LOCK_NAME_HINTS",
-    "CALLER_HOLDS_RE",
-    "INIT_ONLY_RE",
     "ProjectFiles",
     "attr_chain",
-    "contract_locks",
     "iter_py_files",
     "normalize_path",
     "parse_files",
+    "parse_sources",
     "terminal_name",
 ]
-
-#: Identifier fragments that mark a ``with`` context expression as a
-#: lock (``with self._lock:``, ``with self._cv:``, ...).  Shared by
-#: linter rule RP007 and the analyzer's guardedness check (RP012).
-LOCK_NAME_HINTS = ("lock", "cv", "cond", "guard", "mutex")
-
-#: Docstring contract declaring the function runs with a named lock
-#: already held: ``Caller holds ``_lock``.`` — the analyzer seeds the
-#: function's held-set with that lock; the linter exempts it from RP007.
-CALLER_HOLDS_RE = re.compile(
-    r"caller holds\s+`*([A-Za-z_][A-Za-z0-9_]*)`*", re.IGNORECASE
-)
-
-#: Docstring contract declaring the helper is only ever called from
-#: ``__init__`` (single-threaded construction).
-INIT_ONLY_RE = re.compile(r"caller is `*__init__", re.IGNORECASE)
 
 
 def normalize_path(path: str) -> str:
@@ -78,16 +55,6 @@ def terminal_name(node: ast.AST) -> str:
     if isinstance(node, ast.Name):
         return node.id.lower()
     return ""
-
-
-def contract_locks(node: ast.AST) -> List[str]:
-    """Lock attribute names a function's docstring declares as held."""
-    doc = ast.get_docstring(node) if isinstance(
-        node, (ast.FunctionDef, ast.AsyncFunctionDef)
-    ) else None
-    if not doc:
-        return []
-    return CALLER_HOLDS_RE.findall(doc)
 
 
 def iter_py_files(paths: Sequence[Union[str, os.PathLike]]) -> List[str]:

@@ -5,7 +5,7 @@ analyzer implements: when the receiver type is unknown, a method call
 resolves to **every** project method of that name, so a lock edge or a
 blocking op can be missed only if the callee is outside the analyzed
 tree.  Precision comes from the attribute-type inference in
-:mod:`tools.analyze.project`:
+:mod:`tools.check.project`:
 
 * ``self.method()`` → the enclosing class's method (base classes
   searched);

@@ -1,11 +1,12 @@
-"""Audited exceptions for analyzer findings (``waivers.toml``).
+"""The one finding shape and its audited exceptions (``waivers.toml``).
 
-A waiver matches a finding when its ``rule`` equals the finding's
-rule and its ``match`` pattern (fnmatch) matches the finding's stable
-key.  Keys are built from function displays and operation names —
-never line numbers — so waivers survive unrelated churn.  Every
-waiver must carry a ``reason``; the CLI prints it next to the waived
-finding so the audit trail stays visible.
+Every rule reports :class:`Finding` objects.  ``key`` is the stable
+waiver handle: built from module paths, function displays and
+operation names — never line numbers — so waivers survive unrelated
+churn.  A waiver matches a finding when its ``rule`` equals the
+finding's code and its ``match`` pattern (fnmatch) matches the key.
+Every waiver must carry a ``reason``; the CLI prints it next to the
+waived finding so the audit trail stays visible.
 
 ```toml
 [[waiver]]
@@ -22,9 +23,34 @@ from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import List, Sequence
 
-from .rules import Finding
+__all__ = [
+    "Finding",
+    "Waiver",
+    "WaiverError",
+    "apply_waivers",
+    "load_waivers",
+    "parse_waivers",
+]
 
-__all__ = ["Waiver", "WaiverError", "load_waivers", "parse_waivers", "apply_waivers"]
+
+@dataclass
+class Finding:
+    """One finding of any rule; ``key`` is the stable waiver handle."""
+
+    code: str
+    key: str
+    path: str
+    line: int
+    message: str
+    col: int = 0
+    waived: bool = False
+    waiver_reason: str = ""
+
+    def render(self) -> str:
+        mark = f"  [waived: {self.waiver_reason}]" if self.waived else ""
+        return (
+            f"{self.path}:{self.line}:{self.col} {self.code} {self.message}{mark}"
+        )
 
 
 class WaiverError(ValueError):
@@ -72,7 +98,7 @@ def apply_waivers(
     """Mark findings matched by a waiver (in place)."""
     for finding in findings:
         for waiver in waivers:
-            if waiver.rule == finding.rule and fnmatchcase(
+            if waiver.rule == finding.code and fnmatchcase(
                 finding.key, waiver.match
             ):
                 finding.waived = True

@@ -25,7 +25,8 @@ lexically held lock set (``with self._lock:`` scopes plus docstring
 * ``blocking`` — blocking operations (``time.sleep``, file I/O,
   thread joins, ``Future.result``, condition waits) with held-sets;
 * ``mutations`` — ``self.<attr>`` writes with their guardedness
-  (under a lexical lock, contract-covered, or bare).
+  (under a lexical lock, contract-covered, or bare): the one mutation
+  pass RP007 (per-module scope) and RP012 (reachability scope) filter.
 
 Nested function and lambda bodies are *excluded* from the enclosing
 function's effects: they run at some later time on some other stack
@@ -39,9 +40,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from tools.lint.astutils import LOCK_NAME_HINTS, attr_chain, terminal_name
-
-from .project import ClassInfo, FunctionInfo, Project
+from .astutils import attr_chain, normalize_path, terminal_name
+from .project import FunctionInfo, Project
 
 __all__ = [
     "LockDef",
@@ -54,6 +54,11 @@ __all__ = [
     "build_inventory",
     "extract_effects",
 ]
+
+#: Identifier fragments that mark a ``with`` context expression as a
+#: lock even when the inventory cannot resolve it (``with self._lock:``
+#: in a class whose lock is built elsewhere, ``with guard:``).
+LOCK_NAME_HINTS = ("lock", "cv", "cond", "guard", "mutex")
 
 #: Constructor terminals recognized as lock objects, mapped to kinds.
 _LOCK_CONSTRUCTORS = {
@@ -139,12 +144,7 @@ def build_inventory(project: Project) -> LockInventory:
     """Find every lock constructed anywhere in the project."""
     inventory = LockInventory()
     for path, tree in project.files.trees.items():
-        module = None
-        for norm, original in project.files.by_module.items():
-            if original == path:
-                module = norm
-                break
-        module = module or path
+        module = normalize_path(path)
         stem = module.rsplit("/", 1)[-1].removesuffix(".py")
         # Module-level locks.
         for node in tree.body:
@@ -249,7 +249,7 @@ class FunctionEffects:
     )
 
 
-#: Container methods whose call mutates the receiver (shared with RP007).
+#: Container methods whose call on ``self._x`` is a shared-state write.
 CONTAINER_MUTATORS = frozenset(
     {
         "add", "append", "appendleft", "clear", "discard", "extend",

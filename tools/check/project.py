@@ -1,14 +1,14 @@
 """Whole-program model: functions, classes, and receiver-type inference.
 
 The analyzer's precision comes from three indexes built in one pass
-over the parsed project (:class:`~tools.lint.astutils.ProjectFiles`):
+over the parsed project (:class:`~tools.check.astutils.ProjectFiles`):
 
 * :class:`FunctionInfo` per function/method, carrying its docstring
   synchronization contract (``Caller holds \\`\\`_lock\\`\\`.``);
 * :class:`ClassInfo` per class, with its methods, properties, bases,
   and the inferred types of its instance attributes;
 * name indexes (``methods_by_name``, ``classes``) that back the
-  conservative fallback resolution in :mod:`tools.analyze.callgraph`.
+  conservative fallback resolution in :mod:`tools.check.callgraph`.
 
 Attribute-type inference is deliberately simple and sound-by-
 over-approximation: ``self._x = ClassName(...)`` and annotated
@@ -22,23 +22,32 @@ everything else stays *unknown* and falls back to by-name resolution.
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from tools.lint.astutils import (
-    INIT_ONLY_RE,
-    ProjectFiles,
-    contract_locks,
-)
+from .astutils import ProjectFiles, normalize_path
 
 __all__ = ["ClassInfo", "FunctionInfo", "Project", "build_project", "OPAQUE"]
+
+#: Docstring contract declaring the function runs with a named lock
+#: already held: ``Caller holds ``_lock``.`` — the effects pass seeds
+#: the function's held-set with that lock and counts its mutations as
+#: guarded (RP007, RP012); RP012 checks the call sites.
+CALLER_HOLDS_RE = re.compile(
+    r"caller holds\s+`*([A-Za-z_][A-Za-z0-9_]*)`*", re.IGNORECASE
+)
+
+#: Docstring contract declaring the helper is only ever called from
+#: ``__init__`` (single-threaded construction).
+INIT_ONLY_RE = re.compile(r"caller is `*__init__", re.IGNORECASE)
 
 #: Sentinel attribute type: a known non-project container/primitive —
 #: method calls through it resolve to *no* project function.
 OPAQUE = "<opaque>"
 
 #: Constructor names treated as opaque stdlib state (not project types,
-#: not locks — locks are inventoried separately in tools.analyze.locks).
+#: not locks — locks are inventoried separately in tools.check.locks).
 _OPAQUE_CONSTRUCTORS = frozenset(
     {
         "OrderedDict",
@@ -279,9 +288,8 @@ def _module_stem(module: str) -> str:
 def build_project(files: ProjectFiles) -> Project:
     """Index every function and class of the parsed project."""
     project = Project(files=files)
-    norm_by_path = {v: k for k, v in files.by_module.items()}
     for path, tree in files.trees.items():
-        module = norm_by_path.get(path, path)
+        module = normalize_path(path)
         stem = _module_stem(module)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -326,7 +334,7 @@ def _add_function(
         cls=cls,
         name=name,
         node=node,
-        contracts=tuple(contract_locks(node)),
+        contracts=tuple(CALLER_HOLDS_RE.findall(doc)),
         init_only=bool(INIT_ONLY_RE.search(doc)),
     )
     project.functions[qualid] = info
