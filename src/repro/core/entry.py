@@ -55,7 +55,10 @@ class SliceState:
 
     def candidates(self, num_rows: int) -> RangeList:
         """Rows a repeated scan must evaluate: cached hits + new tail."""
-        raise NotImplementedError
+        # Watermark before state — the reverse of extend's publication
+        # order, so a racing extend can only widen what is read here.
+        tail = self._tail_range(num_rows)
+        return self.cached_candidates().union(tail)
 
     def cached_candidates(self) -> RangeList:
         """Just the cached qualifying rows (rows < last_cached_row)."""
@@ -70,8 +73,11 @@ class SliceState:
         raise NotImplementedError
 
     def _tail_range(self, num_rows: int) -> RangeList:
-        if num_rows > self.last_cached_row:
-            return RangeList([(self.last_cached_row, num_rows)])
+        last = self.last_cached_row
+        if num_rows > last:
+            return RangeList._wrap(
+                np.array([[last, num_rows]], dtype=np.int64), num_rows - last
+            )
         return RangeList.empty()
 
 
@@ -87,9 +93,6 @@ class RangeSliceState(SliceState):
         self.ranges = qualifying.coalesce(max_ranges)
         self.last_cached_row = scanned_upto
 
-    def candidates(self, num_rows: int) -> RangeList:
-        return self.ranges.union(self._tail_range(num_rows))
-
     def cached_candidates(self) -> RangeList:
         return self.ranges
 
@@ -99,6 +102,8 @@ class RangeSliceState(SliceState):
                 f"cannot shrink cached region from {self.last_cached_row} "
                 f"to {scanned_upto}"
             )
+        if scanned_upto == self.last_cached_row:
+            return  # a repeat with no rows appended since: nothing to fold in
         merged = self.ranges.union(tail_qualifying.clip(self.last_cached_row, scanned_upto))
         # Publish the merged ranges before advancing the watermark (see
         # module docstring): lock-free readers must never observe a new
@@ -142,18 +147,20 @@ class BitmapSliceState(SliceState):
         np.add.at(delta, (bounds[:, 1] - 1) // self.block_size + 1, -1)
         self.bits |= np.cumsum(delta[:-1]) > 0
 
-    def candidates(self, num_rows: int) -> RangeList:
-        return self.cached_candidates().union(self._tail_range(num_rows))
-
     def cached_candidates(self) -> RangeList:
-        if not self.bits.any():
+        # The bits of the watermark's own blocks only: a racing extend
+        # grows ``bits`` before it advances ``last_cached_row``.
+        last = self.last_cached_row
+        bits = self.bits[: self._num_blocks(last)]
+        if not bits.any():
             return RangeList.empty()
-        # Merged runs of set bits, scaled to row ranges and clipped at the
-        # watermark (the last block may be partial).
-        bounds = RangeList.from_mask(self.bits).bounds * self.block_size
-        bounds = bounds.copy()
-        np.minimum(bounds[:, 1], self.last_cached_row, out=bounds[:, 1])
-        return RangeList.from_bounds(bounds)
+        # Merged runs of set bits scaled to row ranges are normal by
+        # construction; the watermark lies inside the last block (which
+        # may be partial), so clipping the last end keeps them so.
+        bounds = RangeList.from_mask(bits).bounds * self.block_size
+        if bounds[-1, 1] > last:
+            bounds[-1, 1] = last
+        return RangeList._wrap(bounds)
 
     def extend(self, tail_qualifying: RangeList, scanned_upto: int) -> None:
         if scanned_upto < self.last_cached_row:
@@ -161,6 +168,8 @@ class BitmapSliceState(SliceState):
                 f"cannot shrink cached region from {self.last_cached_row} "
                 f"to {scanned_upto}"
             )
+        if scanned_upto == self.last_cached_row:
+            return  # a repeat with no rows appended since: nothing to fold in
         needed = self._num_blocks(scanned_upto)
         if needed > len(self.bits):
             grown = np.zeros(needed, dtype=bool)

@@ -4,10 +4,12 @@ Scan flow per data slice:
 
 1. **Cache probe** — the scan offers its join-extended key and its plain
    key to the predicate cache and takes the most selective live entry.
-2. **Range restriction** — on a hit, candidate rows come from the cached
-   entry (cached qualifying ranges plus the uncached appended tail) and
-   the zone-map step is skipped; on a miss, zone maps prune whole blocks
-   whose min/max bounds cannot satisfy the predicate.
+2. **Range restriction** — zone maps mark the blocks whose min/max
+   bounds cannot satisfy the predicate, one dropped-block mask per
+   slice.  On a hit, candidate rows come from the cached entry (cached
+   qualifying ranges plus the uncached appended tail) and the block
+   coverage leaves the rows of dropped blocks out as it places them; on
+   a miss, the rows of the kept blocks and the tail are the candidates.
 3. **Vectorized scan** — the predicate (and any semi-join Bloom filters)
    is evaluated on the candidate rows; cached false positives are
    eliminated here, as is MVCC visibility.
@@ -640,37 +642,44 @@ def _scan_slice(
     num_rows = data_slice.num_rows
     state = entry.slice_states[slice_id] if entry is not None else None
 
-    if state is not None:
-        # Cache hit: the cached ranges replace the range-restricted scan.
-        candidates = state.candidates(num_rows)
-        counters.rows_skipped_cache += num_rows - candidates.num_rows
-    else:
-        candidates = RangeList.full(num_rows)
     # Zone-map pruning is applied on top of a hit too — it is
     # metadata-only and guarantees a hit never scans more than a miss
     # would ("rigorously avoiding slowdowns", §1).
-    candidates = _prune_with_zonemaps(data_slice, predicate, candidates, counters)
+    dropped = _prune_with_zonemaps(data_slice, predicate, counters)
+    if state is not None:
+        # Cache hit: the cached ranges replace the range-restricted scan;
+        # the coverage leaves the rows of dropped blocks out as it
+        # places them, so no range list is differenced on the way.
+        candidates = state.candidates(num_rows)
+        counters.rows_skipped_cache += num_rows - candidates.num_rows
+    else:
+        # Miss: the kept blocks' row ranges *are* the candidates — a
+        # full-slice scan pays no per-row block mask.
+        candidates, dropped = data_slice.unpruned_rows(dropped), None
+    # One block coverage of the candidates serves every column read,
+    # the visibility mask, the row ids and (selected down to the
+    # qualifying rows) the gather below.
+    covered = data_slice.cover(candidates, dropped)
+    row_ids = covered.row_ids
 
-    counters.rows_scanned += candidates.num_rows
-    extras = _SliceScanExtras(candidate_rows=candidates.num_rows)
+    counters.rows_scanned += len(row_ids)
+    extras = _SliceScanExtras(candidate_rows=len(row_ids))
+    materialized: Dict[str, np.ndarray] = {}
 
-    if candidates.num_rows == 0:
+    if not len(row_ids):
         qualifying = RangeList.empty()
         q_plain = RangeList.empty()
     else:
-        # One block coverage of the candidates serves every column read,
-        # the visibility mask and the row ids below.
-        covered = data_slice.cover(candidates)
         batch = {
             name: data_slice.columns[name].read_ranges(covered, table.rms)
             for name in scan_columns
         }
         if isinstance(predicate, TruePredicate) and not scan_columns:
-            pred_mask = np.ones(candidates.num_rows, dtype=bool)
+            pred_mask = np.ones(len(row_ids), dtype=bool)
         else:
             pred_mask = predicate.evaluate(batch)
             if pred_mask.shape == ():  # scalar result of an empty batch
-                pred_mask = np.full(candidates.num_rows, bool(pred_mask))
+                pred_mask = np.full(len(row_ids), bool(pred_mask))
         vis_mask = data_slice.visibility_mask(covered, txid)
         plain_mask = pred_mask & vis_mask
         full_mask = plain_mask
@@ -680,8 +689,8 @@ def _scan_slice(
             counters.bloom_probes += len(keys)
             counters.bloom_positives += int(np.count_nonzero(bloom_mask))
             full_mask = full_mask & bloom_mask
-        row_ids = covered.row_ids
-        qualifying = RangeList.from_rows(row_ids[full_mask])
+        gathered = covered.select(full_mask)
+        qualifying = RangeList.from_rows(gathered.row_ids)
         q_plain = (
             qualifying
             if full_mask is plain_mask
@@ -693,41 +702,43 @@ def _scan_slice(
             # set is padded with the complement — a false-positive-only
             # superset of the conjunct's truth whatever basis restricted
             # this scan (zone-map-pruned rows included; they re-prune).
-            complement = candidates.complement(num_rows)
+            # The candidate list is the scanned rows unless the coverage
+            # dropped blocks from it; only then is it rebuilt.
+            scanned = candidates if dropped is None else RangeList.from_rows(row_ids)
+            complement = scanned.complement(num_rows)
             conjunct_lists: List[RangeList] = []
             for conjunct in conjunct_predicates:
                 c_mask = conjunct.evaluate(batch)
                 if c_mask.shape == ():
-                    c_mask = np.full(candidates.num_rows, bool(c_mask))
+                    c_mask = np.full(len(row_ids), bool(c_mask))
                 c_mask = c_mask & vis_mask
                 conjunct_lists.append(
                     RangeList.from_rows(row_ids[c_mask]).union(complement)
                 )
             extras.conjunct_lists = conjunct_lists
+        # Materialize the caller's output columns for the qualifying rows
+        # — exactly the reads ScanResult.gather would issue, moved here
+        # so parallel slice tasks overlap the gather fetches too.
+        if qualifying:
+            for name in gather_columns:
+                materialized[name] = data_slice.columns[name].read_ranges(
+                    gathered, table.rms
+                )
 
     counters.rows_qualifying += qualifying.num_rows
-
-    # Materialize the caller's output columns for the qualifying rows —
-    # exactly the reads ScanResult.gather would issue, moved here so
-    # parallel slice tasks overlap the gather fetches too.
-    materialized: Dict[str, np.ndarray] = {}
-    if qualifying and gather_columns:
-        covered = data_slice.cover(qualifying)
-        for name in gather_columns:
-            materialized[name] = data_slice.columns[name].read_ranges(
-                covered, table.rms
-            )
-
     return qualifying, q_plain, materialized, extras
 
 
 def _prune_with_zonemaps(
-    data_slice: DataSlice,
-    predicate: Predicate,
-    candidates: RangeList,
-    counters: QueryCounters,
-) -> RangeList:
-    """Step 1 of the standard scan: drop blocks by min/max bounds."""
+    data_slice: DataSlice, predicate: Predicate, counters: QueryCounters
+) -> Optional[np.ndarray]:
+    """Step 1 of the standard scan: drop blocks by min/max bounds.
+
+    Returns one mask over the slice's sealed blocks — True where some
+    predicate column's zone map rules the block out — or ``None`` when
+    no block can be skipped.
+    """
+    dropped: Optional[np.ndarray] = None
     for column_name in predicate.columns():
         bounds = predicate.bounds(column_name)
         if bounds is None or bounds.unbounded:
@@ -735,10 +746,10 @@ def _prune_with_zonemaps(
         column = data_slice.columns.get(column_name)
         if column is None:
             continue
-        prunable = column.prunable_block_ranges(bounds)
-        if prunable:
-            counters.blocks_pruned_zonemap += len(prunable)
-            candidates = candidates.difference(prunable)
-        if not candidates:
-            break
-    return candidates
+        pruned = column.zonemap.pruned_blocks(bounds)
+        dropped = pruned if dropped is None else dropped | pruned
+    if dropped is None:
+        return None
+    num_dropped = int(np.count_nonzero(dropped))
+    counters.blocks_pruned_zonemap += num_dropped
+    return dropped if num_dropped else None

@@ -59,11 +59,16 @@ class GrowableArray:
 class BlockCoverage:
     """Where the rows of a range list sit in a slice's blocks and tail.
 
-    A function of ``(ranges, rows_per_block, num_rows)`` alone — every
-    column of a slice seals at the same row counts — so one coverage
-    serves each column read, the visibility mask and the scan's own row
-    ids over the same ranges.  Built per scan; nothing is kept on the
-    range list.
+    A function of ``(ranges, rows_per_block, num_rows, dropped)`` alone
+    — every column of a slice seals at the same row counts — so one
+    coverage serves each column read, the visibility mask and the scan's
+    own row ids over the same ranges.  Built per scan; nothing is kept
+    on the range list.
+
+    ``dropped`` is an optional boolean mask over the sealed blocks (the
+    zone-map verdict): rows of a dropped block are left out of the
+    coverage, exactly as if their row ranges had been subtracted from
+    ``ranges`` first.  The tail has no zone map and is never dropped.
 
     Attributes:
         row_ids: every covered row id below ``num_rows``, ascending.
@@ -75,18 +80,48 @@ class BlockCoverage:
         tail_offsets: covered tail rows, relative to ``sealed_rows``.
     """
 
-    __slots__ = ("row_ids", "sealed_rows", "blocks", "offsets", "tail_offsets")
+    __slots__ = (
+        "row_ids", "sealed_rows", "blocks", "offsets", "tail_offsets",
+        "_rows_per_block",
+    )
 
-    def __init__(self, ranges: RangeList, rows_per_block: int, num_rows: int) -> None:
-        size = rows_per_block
-        rows = ranges.clip(0, num_rows).to_row_ids()
+    def __init__(
+        self,
+        ranges: RangeList,
+        rows_per_block: int,
+        num_rows: int,
+        dropped: Optional[np.ndarray] = None,
+    ) -> None:
+        self._place(
+            ranges.clip(0, num_rows).to_row_ids(),
+            rows_per_block,
+            num_rows // rows_per_block * rows_per_block,
+            dropped,
+        )
+
+    def _place(
+        self,
+        rows: np.ndarray,
+        size: int,
+        sealed_rows: int,
+        dropped: Optional[np.ndarray] = None,
+    ) -> None:
+        """Fill every attribute from ascending row ids below the slice's
+        row count, leaving out the rows of ``dropped`` blocks."""
+        split = int(np.searchsorted(rows, sealed_rows))
+        block_of = rows[:split] // size
+        if dropped is not None:
+            keep = np.ones(len(rows), dtype=bool)
+            np.logical_not(dropped[block_of], out=keep[:split])
+            rows = rows[keep]
+            block_of = block_of[keep[:split]]
+            split = len(block_of)
         self.row_ids = rows
-        self.sealed_rows = num_rows // size * size
-        split = int(np.searchsorted(rows, self.sealed_rows))
+        self.sealed_rows = sealed_rows
+        self._rows_per_block = size
         sealed = rows[:split]
-        self.tail_offsets = rows[split:] - self.sealed_rows
+        self.tail_offsets = rows[split:] - sealed_rows
         # rows ascend, so a block's rows are one run: mark each run's start.
-        block_of = sealed // size
         first = np.ones(split, dtype=bool)
         first[1:] = block_of[1:] != block_of[:-1]
         touched = block_of[first]
@@ -95,8 +130,19 @@ class BlockCoverage:
             self.offsets = None
         else:
             # Rows of untouched blocks ahead of each touched one drop out.
-            dropped = (touched - np.arange(len(touched))) * size
-            self.offsets = sealed - dropped[np.cumsum(first) - 1]
+            skipped = (touched - np.arange(len(touched))) * size
+            self.offsets = sealed - skipped[np.cumsum(first) - 1]
+
+    def select(self, mask: np.ndarray) -> "BlockCoverage":
+        """The coverage of the rows of this one where ``mask`` is True.
+
+        Equal to a fresh coverage of ``RangeList.from_rows(row_ids[mask])``
+        — the scan's qualifying rows, for the gather — without the range
+        list in between: the row ids are already expanded and clipped.
+        """
+        selected = BlockCoverage.__new__(BlockCoverage)
+        selected._place(self.row_ids[mask], self._rows_per_block, self.sealed_rows)
+        return selected
 
 
 class ColumnStore:
@@ -261,23 +307,3 @@ class ColumnStore:
     def read_all(self, rms: ManagedStorage) -> np.ndarray:
         """Read the entire column (loads, joins on full tables)."""
         return self.read_ranges(RangeList.full(self.num_rows), rms)
-
-    # -- block pruning ----------------------------------------------------------
-
-    def prunable_block_ranges(self, bounds) -> RangeList:
-        """Row ranges of sealed blocks that cannot contain matches.
-
-        ``bounds`` is a :class:`repro.predicates.ast.Bounds`.  The tail
-        block carries no zone map (it is still mutable), so it is never
-        pruned — matching Redshift, where the insert buffer is always
-        scanned.
-        """
-        pruned = self.zonemap.pruned_blocks(bounds)
-        if not pruned.any():
-            return RangeList.empty()
-        # Scale merged block-index runs into row ranges in one shot;
-        # adjacent pruned blocks collapse into a single range, exactly
-        # like the per-block constructor used to produce.
-        return RangeList.from_bounds(
-            RangeList.from_mask(pruned).bounds * self.rows_per_block
-        )

@@ -90,9 +90,33 @@ class DataSlice:
 
     # -- visibility ----------------------------------------------------------------
 
-    def cover(self, ranges: RangeList) -> BlockCoverage:
-        """The block coverage of ``ranges``, valid for every column."""
-        return BlockCoverage(ranges, self.rows_per_block, self.num_rows)
+    def cover(
+        self, ranges: RangeList, dropped: Optional[np.ndarray] = None
+    ) -> BlockCoverage:
+        """The block coverage of ``ranges``, valid for every column;
+        rows in the sealed blocks ``dropped`` marks are left out."""
+        return BlockCoverage(ranges, self.rows_per_block, self.num_rows, dropped)
+
+    def unpruned_rows(self, dropped: Optional[np.ndarray]) -> RangeList:
+        """Every row of the slice outside the sealed blocks ``dropped``
+        marks: what a scan with no cached candidates starts from.  The
+        tail carries no zone map (it is still mutable), so it is always
+        in — matching Redshift, where the insert buffer is always scanned.
+        """
+        if dropped is None:
+            return RangeList.full(self.num_rows)
+        size = self.rows_per_block
+        sealed_rows = len(dropped) * size
+        # Runs of kept blocks scaled to rows are sorted, disjoint and
+        # non-adjacent already; the tail extends a run that ends at it.
+        bounds = RangeList.from_mask(~dropped).bounds * size
+        if self.num_rows > sealed_rows:
+            if len(bounds) and bounds[-1, 1] == sealed_rows:
+                bounds[-1, 1] = self.num_rows
+            else:
+                tail = np.array([[sealed_rows, self.num_rows]], dtype=np.int64)
+                bounds = np.concatenate((bounds, tail))
+        return RangeList._wrap(bounds)
 
     def visibility_mask(
         self, ranges: Union[RangeList, BlockCoverage], txid: int

@@ -25,6 +25,10 @@ class TestRangeSliceState:
         state = RangeSliceState(RangeList([(5, 10)]), 100, 8)
         assert state.candidates(100).to_pairs() == [(5, 10)]
 
+    def test_candidates_without_growth_are_the_stored_list(self):
+        state = RangeSliceState(RangeList([(5, 10), (40, 60)]), 100, 8)
+        assert state.candidates(100) is state.ranges
+
     def test_bounded_ranges(self):
         qualifying = RangeList([(i * 10, i * 10 + 2) for i in range(50)])
         state = RangeSliceState(qualifying, 500, max_ranges=4)
@@ -43,6 +47,12 @@ class TestRangeSliceState:
         # (they may come from a scan restricted to cached candidates).
         state.extend(RangeList([(0, 5), (100, 101)]), 120)
         assert state.cached_candidates().to_pairs() == [(0, 5), (100, 101)]
+
+    def test_extend_without_growth_keeps_the_stored_list(self):
+        state = RangeSliceState(RangeList([(0, 5)]), 100, 8)
+        stored = state.ranges
+        state.extend(RangeList([(0, 5)]), 100)
+        assert state.ranges is stored and state.last_cached_row == 100
 
     def test_extend_cannot_shrink(self):
         state = RangeSliceState(RangeList([(0, 5)]), 100, 8)
@@ -75,6 +85,20 @@ class TestBitmapSliceState:
     def test_last_block_clipped_to_watermark(self):
         state = BitmapSliceState(RangeList([(0, 100)]), 500, 1000)
         assert state.candidates(500).to_pairs() == [(0, 500)]
+
+    def test_candidates_without_growth_equal_the_cached_list(self):
+        # Watermark inside the last (partial) block, a run ending in it.
+        state = BitmapSliceState(RangeList([(0, 5), (2100, 2450)]), 2500, 1000)
+        assert state.candidates(2500) == state.cached_candidates()
+        assert state.candidates(2500).to_pairs() == [(0, 1000), (2000, 2500)]
+
+    def test_bits_past_the_watermark_are_not_candidates_yet(self):
+        # What a lock-free reader may see mid-extend: grown bits under
+        # the old watermark.  The unread tail covers those rows instead.
+        state = BitmapSliceState(RangeList([(0, 5)]), 1500, 1000)
+        state.bits = np.array([True, False, False, True])
+        assert state.cached_candidates().to_pairs() == [(0, 1000)]
+        assert state.candidates(3500).to_pairs() == [(0, 1000), (1500, 3500)]
 
     def test_tail_appended(self):
         state = BitmapSliceState(RangeList([(0, 10)]), 1000, 1000)

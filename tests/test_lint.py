@@ -4,6 +4,7 @@ one passing and one failing fixture per rule, exercised through
 ``RULES`` has both, plus an end-to-end check that the real tree is
 clean.  The whole-program rules' fixtures are in test_analyze.py."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from tools.check import RULES, check_paths, check_sources
+from tools.check.lexical import WORKER_FUNCTIONS
 
 from tests.test_analyze import FIXTURES as WHOLE_PROGRAM_FIXTURES
 
@@ -169,6 +171,30 @@ def test_rp006_allows_coordinator_installs_and_other_modules():
         "    cache.record_slice_scan(entry, 0, None, 0)\n"
     )
     assert lint_source(elsewhere, "repro/engine/executor.py") == []
+
+
+def test_rp006_worker_functions_are_the_slice_task_and_what_it_calls():
+    # WORKER_FUNCTIONS is a hand list: hold it against engine/scan.py,
+    # so a helper split out of the slice task cannot escape the rule.
+    tree = ast.parse((REPO / "src/repro/engine/scan.py").read_text())
+    defined = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    on_worker, frontier = set(), ["_scan_slice"]
+    while frontier:
+        name = frontier.pop()
+        if name in on_worker:
+            continue
+        on_worker.add(name)
+        frontier += [
+            call.func.id
+            for call in ast.walk(defined[name])
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id in defined
+        ]
+    assert on_worker == set(WORKER_FUNCTIONS)
+    for name in WORKER_FUNCTIONS:
+        src = f"def {name}(cache, key):\n    cache.drop_stale(key)\n"
+        assert codes(lint_source(src, "repro/engine/scan.py")) == ["RP006"], name
 
 
 # -- RP007: unsynchronized mutation in serving/cache code ----------------------

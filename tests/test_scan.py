@@ -69,8 +69,10 @@ class TestScanCorrectness:
         db = make_table(values, num_slices=1, rows_per_block=100)
         pred = parse_predicate("x between 250 and 260")
         _, counters = scan_rows(db, pred)
-        assert counters.blocks_pruned_zonemap > 0
-        assert counters.rows_scanned <= 200
+        # Blocks, not merged runs: 10 sealed blocks, only [200, 300) kept
+        # (the pruned ones form two runs of adjacent blocks).
+        assert counters.blocks_pruned_zonemap == 9
+        assert counters.rows_scanned == 100
 
     def test_true_predicate_scans_everything_without_caching(self):
         db = make_table(np.arange(100))
@@ -84,6 +86,58 @@ class TestScanCorrectness:
         cache = PredicateCache(PredicateCacheConfig(min_rows_to_cache=1000))
         scan_rows(db, parse_predicate("x < 10"), cache)
         assert len(cache) == 0
+
+
+# Per-statement counters of one fixed scenario, captured at the commit
+# before zone-map pruning became a block mask inside the coverage: the
+# same rows are scanned and the same blocks read, whatever does the
+# bookkeeping in between.  (rows_scanned, rows_skipped_cache,
+# blocks_accessed, rows_qualifying) for cold, cached repeat, repeat
+# after an append.
+PINNED_SCAN_COUNTERS = {
+    # Two coalesced ranges per slice span blocks the zone maps drop.
+    "range": [(700, 0, 36, 360), (440, 3260, 36, 360), (540, 3260, 48, 380)],
+    # 20-row bits straddle the 50-row storage blocks.
+    "bitmap": [(700, 0, 36, 360), (440, 3620, 36, 360), (540, 3620, 48, 380)],
+}
+
+
+@pytest.mark.parametrize("variant", ["range", "bitmap"])
+def test_pinned_counters_of_a_pruned_conjunction(variant):
+    from repro import QueryEngine
+
+    db = Database(num_slices=4, rows_per_block=50)
+    db.create_table(
+        TableSchema("t", (ColumnSpec("x", DataType.INT64), ColumnSpec("y", DataType.INT64)))
+    )
+    config = PredicateCacheConfig(
+        variant=variant, max_ranges_per_slice=2, bitmap_block_rows=20
+    )
+    engine = QueryEngine(db, predicate_cache=PredicateCache(config), scan_workers=0)
+    ids = np.arange(4_100)
+    engine.insert("t", {"x": ids // 120 % 5, "y": ids})
+    # x's zone maps prune inside the y window; y's prune outside it.
+    sql = "select count(*) as c, sum(y) as s from t where x < 1 and y between 1000 and 2999"
+    statements = [engine.execute(sql), engine.execute(sql)]
+    # 75 rows per slice, sealing two more blocks each: the first 100 rows
+    # may qualify, the rest cannot (y) and their block is pruned on the hit.
+    more = np.arange(300)
+    engine.insert("t", {"x": more % 5, "y": np.where(more < 100, 2000 + more, 9000)})
+    statements.append(engine.execute(sql))
+    assert [r.counters.cache_hits for r in statements] == [0, 1, 1]
+    assert [
+        (
+            r.counters.rows_scanned, r.counters.rows_skipped_cache,
+            r.counters.blocks_accessed, r.counters.rows_qualifying,
+        )
+        for r in statements
+    ] == PINNED_SCAN_COUNTERS[variant]
+    assert [(r.column("c")[0], r.column("s")[0]) for r in statements] == [
+        (360, 669420.0), (360, 669420.0), (380, 710370.0),
+    ]
+    # One count per dropped block per slice scan: 17 of 20 sealed blocks,
+    # 18 of 22 after the append.
+    assert [r.counters.blocks_pruned_zonemap for r in statements] == [68, 68, 72]
 
 
 class TestScanUnderDML:

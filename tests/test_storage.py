@@ -5,16 +5,17 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.rowrange import RangeList
 from repro.faults import FaultInjector, RetryBudgetExceeded, RetryPolicy
 from repro.storage.compression import choose_codec
-from repro.storage.column import ColumnStore, GrowableArray
+from repro.storage.column import BlockCoverage, ColumnStore, GrowableArray
 from repro.storage.dtypes import DataType, date_to_days, days_to_date
 from repro.storage.rms import ManagedStorage
 from repro.predicates.ast import Bounds
+from repro.storage.slice import DataSlice
 from repro.storage.zonemap import ZoneEntry, ZoneMap
 
 
@@ -140,14 +141,14 @@ class TestColumnStore:
 
     def test_prunable_block_ranges(self):
         column = make_column(list(range(100)), rows_per_block=10)
-        prunable = column.prunable_block_ranges(Bounds(35, 44))
+        pruned = column.zonemap.pruned_blocks(Bounds(35, 44))
         # Only blocks 3 ([30,40)) and 4 ([40,50)) may contain matches.
-        assert prunable.complement(100).to_pairs() == [(30, 50)]
+        assert np.flatnonzero(~pruned).tolist() == [3, 4]
 
     def test_tail_never_pruned(self):
         column = make_column(list(range(15)), rows_per_block=10)
-        prunable = column.prunable_block_ranges(Bounds(1000, 2000))
-        assert prunable.to_pairs() == [(0, 10)]  # only the sealed block
+        pruned = column.zonemap.pruned_blocks(Bounds(1000, 2000))
+        assert pruned.tolist() == [True]  # only the sealed block has a verdict
 
     def test_rebuild(self):
         column = make_column(range(20), rows_per_block=10)
@@ -462,3 +463,103 @@ def test_pruned_blocks_equals_the_scalar_rule(case):
     assert zm.pruned_blocks(bounds).tolist() == [
         not zm[i].may_contain(bounds) for i in range(len(zm))
     ]
+
+
+# -- block coverage: dropped blocks and selection against the plain build -------
+
+COVERAGE_ATTRIBUTES = ("row_ids", "sealed_rows", "blocks", "offsets", "tail_offsets")
+
+
+def assert_same_coverage(got, want):
+    for name in COVERAGE_ATTRIBUTES:
+        a, b = getattr(got, name), getattr(want, name)
+        if a is None or b is None:
+            assert a is b, name  # the dense case stays dense
+        else:
+            assert np.array_equal(a, b), name
+
+
+@st.composite
+def coverage_cases(draw):
+    size = draw(st.integers(1, 6))
+    num_rows = draw(st.integers(0, 40))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 45), st.integers(0, 45)), max_size=6))
+    ranges = RangeList([(min(p), max(p)) for p in pairs])
+    if draw(st.booleans()):
+        ranges = RangeList.full(num_rows)
+    num_blocks = num_rows // size
+    dropped = np.array(
+        draw(st.lists(st.booleans(), min_size=num_blocks, max_size=num_blocks)),
+        dtype=bool,
+    )
+    if draw(st.booleans()):
+        dropped[:] = True  # every sealed candidate row goes; the tail stays
+    covered_rows = ranges.clip(0, num_rows).num_rows
+    row_mask = np.array(
+        draw(st.lists(st.booleans(), min_size=covered_rows, max_size=covered_rows)),
+        dtype=bool,
+    )
+    return ranges, size, num_rows, dropped, row_mask
+
+
+def dropped_row_ranges(dropped, size):
+    return RangeList.from_bounds(RangeList.from_mask(dropped).bounds * size)
+
+
+def fixed_case(pairs, size, num_rows, dropped, keep_every=2):
+    ranges = RangeList(pairs)
+    row_mask = np.arange(ranges.clip(0, num_rows).num_rows) % keep_every == 0
+    return ranges, size, num_rows, np.array(dropped, dtype=bool), row_mask
+
+
+FIXED_COVERAGE_CASES = [
+    # Every sealed candidate row dropped: only the partial last block's tail is left.
+    fixed_case([(3, 8), (12, 25)], 10, 25, [True, True]),
+    # Empty tail; the kept block is covered completely (dense offsets).
+    fixed_case([(0, 30)], 10, 30, [True, False, True], keep_every=1),
+    # Partial last block, ranges past the end, a dropped block in the middle.
+    fixed_case([(5, 12), (18, 50)], 10, 37, [False, True, False], keep_every=3),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(coverage_cases())
+@example(FIXED_COVERAGE_CASES[0])
+@example(FIXED_COVERAGE_CASES[1])
+@example(FIXED_COVERAGE_CASES[2])
+def test_coverage_with_dropped_blocks_equals_coverage_of_the_difference(case):
+    ranges, size, num_rows, dropped, _ = case
+    assert_same_coverage(
+        BlockCoverage(ranges, size, num_rows, dropped),
+        BlockCoverage(
+            ranges.difference(dropped_row_ranges(dropped, size)), size, num_rows
+        ),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(coverage_cases())
+@example(FIXED_COVERAGE_CASES[0])
+@example(FIXED_COVERAGE_CASES[1])
+@example(FIXED_COVERAGE_CASES[2])
+def test_selected_coverage_equals_coverage_of_the_selected_rows(case):
+    ranges, size, num_rows, _, row_mask = case
+    coverage = BlockCoverage(ranges, size, num_rows)
+    assert_same_coverage(
+        coverage.select(row_mask),
+        BlockCoverage(RangeList.from_rows(coverage.row_ids[row_mask]), size, num_rows),
+    )
+
+
+@pytest.mark.parametrize("num_rows", [30, 35])  # empty tail, 5-row tail
+@pytest.mark.parametrize("dropped", [
+    [False, False, False], [True, False, True], [False, True, False],
+    [False, False, True], [True, True, True],
+])
+def test_unpruned_rows_are_the_kept_blocks_and_the_tail(num_rows, dropped):
+    data_slice = DataSlice("t", 0, {"c": DataType.INT64}, rows_per_block=10)
+    data_slice.append_rows({"c": list(range(num_rows))}, 1, None)
+    dropped = np.array(dropped)
+    want = RangeList.full(num_rows).difference(dropped_row_ranges(dropped, 10))
+    assert data_slice.unpruned_rows(dropped) == want
+    assert data_slice.unpruned_rows(None) == RangeList.full(num_rows)
