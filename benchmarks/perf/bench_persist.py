@@ -1,6 +1,6 @@
 """Benchmark: persistent cache store — snapshot/load throughput & warm start.
 
-Three numbers characterize the persistence subsystem (PR 4):
+Four numbers characterize the persistence subsystem (PR 4):
 
 * **Snapshot / load throughput** — serializing a populated cluster
   cache to the versioned snapshot format, and recovering it (decode +
@@ -15,6 +15,10 @@ Three numbers characterize the persistence subsystem (PR 4):
   ``blocks_accessed`` delta.  The gate is the whole point of the
   subsystem: the warm cluster must hit on its first execution and touch
   fewer blocks than the cold one.
+* **Write-through cost** — µs per journal record (encode + CRC +
+  append, timed around ``CacheStore.log_state`` on never-seen
+  predicates) and journal records per warm repeat, which is 0: a hit
+  changes no state and appends nothing.  Reported, not gated.
 
 Usage::
 
@@ -142,6 +146,18 @@ def main() -> int:
         warm_engine = QueryEngine(engine.database, predicate_cache=warm_caches)
         recovery_s = warm_store.last_recovery_seconds
         warm = run_queries(warm_engine, queries)
+
+        # Write-through cost on the hydrated, journalling cluster.
+        records_before = warm_store.journal_records
+        run_queries(warm_engine, queries)
+        records_per_repeat = (
+            warm_store.journal_records - records_before
+        ) / len(queries)
+        journal_s = _time_inside(warm_store, "log_state")
+        records_before = warm_store.journal_records
+        run_queries(warm_engine, query_set(num_rows - 1, num_queries))
+        journalled = warm_store.journal_records - records_before
+        journal_us = journal_s[0] * 1e6 / max(1, journalled)
     finally:
         shutil.rmtree(directory, ignore_errors=True)
 
@@ -153,6 +169,9 @@ def main() -> int:
           f"hydrate-recovery {recovery_s * 1e3:8.3f} ms")
     print(f"  first pass: cold hits {cold['cache_hits']} blocks {cold['blocks_accessed']}  "
           f"vs  warm hits {warm['cache_hits']} blocks {warm['blocks_accessed']}")
+
+    print(f"  write-through: {journal_us:.1f} us per journal record "
+          f"({journalled} records), {records_per_repeat:.2f} records per warm repeat")
 
     gates = {
         "warm_first_pass_hits": warm["cache_hits"] > 0,
@@ -180,6 +199,8 @@ def main() -> int:
         "load_s_best": load_s,
         "load_mb_per_s": mb / load_s,
         "hydrate_recovery_s": recovery_s,
+        "journal_us_per_record": journal_us,
+        "journal_records_per_warm_repeat": records_per_repeat,
         "first_pass": {"cold": cold, "warm": warm, "populated": populated},
         "gate": {
             "checks": gates,
@@ -202,6 +223,23 @@ def _timed(fn) -> float:
     t0 = time.perf_counter()
     fn()
     return time.perf_counter() - t0
+
+
+def _time_inside(obj, method_name: str) -> list:
+    """Rebind ``obj.method_name`` to a timing wrapper; returns the
+    one-element list its seconds accumulate into."""
+    method = getattr(obj, method_name)
+    total = [0.0]
+
+    def timed(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return method(*args, **kwargs)
+        finally:
+            total[0] += time.perf_counter() - t0
+
+    setattr(obj, method_name, timed)
+    return total
 
 
 if __name__ == "__main__":

@@ -25,15 +25,23 @@ advancing the watermark, so a reader that raced an extension sees a
 superset-safe (possibly slightly stale) state, never a torn one.
 Mutation outside a ``with self._lock`` block (or a helper documented as
 "caller holds ``_lock``") is rejected by checker rule RP007.
+
+Write-through (DESIGN.md §9): with a store attached, a mutator only
+*captures* what it changed while it holds the lock — plain records that
+share the immutable range bounds, or copy a bitmap — onto one FIFO, and
+appends them to the store after releasing the lock.  Nothing that
+encodes, checksums or touches a file runs under ``_lock``; a lookup or
+a repeat that changed nothing captures nothing; with no store attached
+the FIFO is never touched.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from typing import (
     TYPE_CHECKING,
     Callable,
+    Deque,
     Dict,
     Iterable,
     Iterator,
@@ -69,10 +77,12 @@ class PredicateCache:
     formats (§4.5) alike.
 
     Thread-safe: every public operation runs under ``_lock`` (see the
-    module docstring for the discipline).  Lock ordering with an
-    attached store is cache → store — the cache may call into the store
-    while holding its lock, never the reverse (hydration installs run
-    *without* the store's I/O lock held).
+    module docstring for the discipline).  ``_lock`` and an attached
+    store's I/O lock never nest: under ``_lock`` the cache only asks the
+    store for plain records (``capture_state``, which takes no lock and
+    touches no file); it appends them from :meth:`_drain_journal`, after
+    releasing its own lock, and the store calls into a cache (hydration
+    installs) holding none of its.
     """
 
     def __init__(
@@ -96,8 +106,13 @@ class PredicateCache:
         # numbering survived the restart (DESIGN.md §9).
         self._table_layouts: Dict[str, int] = {}
         # Optional durable store; when attached, install/extend/drop
-        # events are written through (see repro/persist/).
+        # events are written through (see repro/persist/): captured
+        # under ``_lock`` onto ``_pending`` in mutation order — ``(True,
+        # log_state's arguments)`` or ``(False, log_drop's)`` — and
+        # appended to the store by :meth:`_drain_journal` once the lock
+        # is released.
         self._store: Optional["CacheStore"] = None
+        self._pending: Deque[Tuple[bool, tuple]] = deque()
         # Re-entrant: invariant validation re-enters public read
         # methods (entries, generation_of, total_nbytes) under the lock.
         self._lock = lockwitness.named_rlock("PredicateCache._lock")
@@ -162,14 +177,79 @@ class PredicateCache:
 
         Every install/extend journals the new slice state; every
         invalidation/eviction journals the drop — the store stays a
-        faithful mirror that a replacement node can hydrate from.
+        faithful mirror that a replacement node can hydrate from.  A
+        repeat that neither created a state nor advanced a watermark
+        changed nothing and journals nothing.
         """
+        self.detach_store()
         with self._lock:
             self._store = store
 
     def detach_store(self) -> None:
+        """Stop writing through.  On return nothing of this cache's is
+        in flight to the store: events still queued are discarded, and
+        a drain that was mid-append has finished."""
         with self._lock:
-            self._store = None
+            store, self._store = self._store, None
+        if store is not None:
+            with store.io_lock:
+                self._pending.clear()
+
+    def _capture_state(
+        self, entry: CacheEntry, slice_id: int, state: SliceState
+    ) -> None:
+        """Queue an install/extend for the journal: the entry's metadata
+        and the slice's state as of now, as the store's own records.
+        Caller holds ``_lock``."""
+        if self._store is not None:
+            layout = self._table_layouts.get(entry.key.table, 0)
+            self._pending.append(
+                (True, self._store.capture_state(entry, slice_id, state, layout))
+            )
+
+    def _capture_drop(self, entry: Optional[CacheEntry]) -> None:
+        """Queue a drop for the journal: only this cache's installed
+        slice states (a cluster node must not erase its peers' shares
+        of the same entry).  Caller holds ``_lock``."""
+        if entry is None or self._store is None:
+            return
+        slices = [
+            slice_id
+            for slice_id, state in enumerate(entry.slice_states)
+            if state is not None
+        ]
+        if slices:
+            self._pending.append((False, (entry.key, slices)))
+
+    def _drain_journal(self) -> None:
+        """Append every queued event to the store, oldest first.
+
+        Every public mutator that queued something calls this after its
+        ``with self._lock`` block, so encoding, checksumming, the write
+        and any compaction run with no cache lock held — and a call that
+        queued nothing (a hit, a miss, a repeat) never waits for another
+        thread's append.  An event leaves the queue only
+        once the store is done with it, and both happen under the
+        store's I/O lock: records reach the journal in mutation order
+        whichever thread drains them, and an empty queue means
+        everything this thread queued is appended (or was refused by a
+        wedged store, or discarded by :meth:`detach_store`).
+        """
+        if not self._pending:
+            return
+        attached_store = self._store
+        if attached_store is None:
+            return
+        with attached_store.io_lock:
+            while self._pending and self._store is attached_store:
+                is_state, args = self._pending[0]
+                try:
+                    if is_state:
+                        attached_store.log_state(*args)
+                    else:
+                        attached_store.log_drop(*args)
+                finally:
+                    self._pending.popleft()
 
     @property
     def store(self) -> Optional["CacheStore"]:
@@ -219,7 +299,8 @@ class PredicateCache:
                 for state in slice_states.values():
                     _inv.check_slice_state(state)
                 _inv.check_cache(self)
-            return entry
+        self._drain_journal()
+        return entry
 
     # -- lookups -------------------------------------------------------------------
 
@@ -236,21 +317,27 @@ class PredicateCache:
         invalidation).
         """
         with self._lock:
+            rejections = self.stats.stale_rejections
             self.stats.lookups += 1
             entry = self._find(key, current_versions)
             if entry is None:
                 self.stats.misses += 1
-                return None
-            self.stats.hits += 1
-            entry.hits += 1
-            return entry
+            else:
+                self.stats.hits += 1
+                entry.hits += 1
+            dropped = self.stats.stale_rejections != rejections
+        if dropped:
+            self._drain_journal()
+        return entry
 
     def _find(
         self,
         key: ScanKey,
         current_versions: Optional[Mapping[str, int]],
     ) -> Optional[CacheEntry]:
-        """Caller holds ``_lock``."""
+        """Caller holds ``_lock`` — and drains the journal after
+        releasing it if ``stats.stale_rejections`` moved (the one way a
+        lookup queues anything)."""
         entry = self._entries.get(key)
         if entry is None:
             return None
@@ -275,6 +362,7 @@ class PredicateCache:
         entry".  Counts a single lookup (hit if any key matched).
         """
         with self._lock:
+            rejections = self.stats.stale_rejections
             self.stats.lookups += 1
             best: Optional[CacheEntry] = None
             for key in keys:
@@ -285,10 +373,13 @@ class PredicateCache:
                     best = entry
             if best is None:
                 self.stats.misses += 1
-                return None
-            self.stats.hits += 1
-            best.hits += 1
-            return best
+            else:
+                self.stats.hits += 1
+                best.hits += 1
+            dropped = self.stats.stale_rejections != rejections
+        if dropped:
+            self._drain_journal()
+        return best
 
     def lookup_part(
         self,
@@ -304,13 +395,16 @@ class PredicateCache:
         entry's hit count — a conjunct serving a composition is in use.
         """
         with self._lock:
+            rejections = self.stats.stale_rejections
             self.reuse_stats.conjunct_lookups += 1
             entry = self._find(key, current_versions)
-            if entry is None:
-                return None
-            self.reuse_stats.conjunct_hits += 1
-            entry.hits += 1
-            return entry
+            if entry is not None:
+                self.reuse_stats.conjunct_hits += 1
+                entry.hits += 1
+            dropped = self.stats.stale_rejections != rejections
+        if dropped:
+            self._drain_journal()
+        return entry
 
     def record_reuse_serve(self, basis: str) -> None:
         """Count one scan answered from derived entries ("composed"/"subsumed")."""
@@ -377,7 +471,8 @@ class PredicateCache:
             if provenance == "conjunct":
                 self.reuse_stats.conjunct_installs += 1
             self._evict_if_needed()
-            return entry
+        self._drain_journal()
+        return entry
 
     def generation_of(self, table_name: str) -> int:
         """Current invalidation generation of a table's entries."""
@@ -415,27 +510,28 @@ class PredicateCache:
                 return
             state = entry.slice_states[slice_id]
             if state is None:
-                entry.slice_states[slice_id] = self._new_state(
-                    qualifying, scanned_upto
-                )
+                state = self._new_state(qualifying, scanned_upto)
+                entry.slice_states[slice_id] = state
+                changed = True
             else:
+                watermark = state.last_cached_row
                 state.extend(qualifying, scanned_upto)
-                self.stats.extensions += 1
-            if self._store is not None:
-                self._store.log_state(
-                    entry,
-                    slice_id,
-                    entry.slice_states[slice_id],
-                    self._table_layouts.get(entry.key.table, 0),
-                )
-            # Recording state grows the entry's payload; re-enforce the byte
-            # budget here, not just on insert (after the write-through, so a
-            # resulting eviction's drop event lands after the state event).
-            self._evict_if_needed()
+                changed = state.last_cached_row != watermark
+                if changed:
+                    self.stats.extensions += 1
+            if changed:
+                # A repeat that found nothing appended changed nothing:
+                # no journal record, no budget to re-enforce.  Otherwise
+                # the state grew the entry's payload; re-enforce the byte
+                # budget here, not just on insert (after the capture, so a
+                # resulting eviction's drop event lands after the state
+                # event).
+                self._capture_state(entry, slice_id, state)
+                self._evict_if_needed()
             if _inv.ACTIVE:
-                _inv.check_slice_state(
-                    entry.slice_states[slice_id], slice_rows=scanned_upto
-                )
+                _inv.check_slice_state(state, slice_rows=scanned_upto)
+        if changed:
+            self._drain_journal()
 
     def record_entry_stats(
         self, entry: CacheEntry, rows_qualifying: int, rows_considered: int
@@ -471,7 +567,8 @@ class PredicateCache:
             for key in stale:
                 self._drop(key)
             self.stats.invalidations += len(stale)
-            return len(stale)
+        self._drain_journal()
+        return len(stale)
 
     def invalidate_build_side(self, table_name: str) -> int:
         """Drop join-index entries whose build side includes the table."""
@@ -482,7 +579,8 @@ class PredicateCache:
             for key in stale:
                 self._drop(key)
             self.stats.invalidations += len(stale)
-            return len(stale)
+        self._drain_journal()
+        return len(stale)
 
     def clear(self) -> int:
         """Drop every entry, counting invalidations.
@@ -501,7 +599,8 @@ class PredicateCache:
             for key in stale:
                 self._drop(key)
             self.stats.invalidations += len(stale)
-            return len(stale)
+        self._drain_journal()
+        return len(stale)
 
     def drop_stale(self, key: ScanKey) -> bool:
         """Drop one entry detected inconsistent at scan time.
@@ -513,11 +612,12 @@ class PredicateCache:
         invalidation shows up in metrics.
         """
         with self._lock:
-            if key in self._entries:
+            dropped = key in self._entries
+            if dropped:
                 self._drop(key)
                 self.stats.invalidations += 1
-                return True
-            return False
+        self._drain_journal()
+        return dropped
 
     def admits(self, key: ScanKey) -> bool:
         """True if an entry exists or the admission policy allows one."""
@@ -530,21 +630,7 @@ class PredicateCache:
         """Caller holds ``_lock``."""
         entry = self._entries.pop(key, None)
         self.policy.forget(key)
-        self._log_drop(entry)
-
-    def _log_drop(self, entry: Optional[CacheEntry]) -> None:
-        """Write a drop through to the store: only this cache's
-        installed slice states (a cluster node must not erase its
-        peers' shares of the same entry).  Caller holds ``_lock``."""
-        if entry is None or self._store is None:
-            return
-        slices = [
-            slice_id
-            for slice_id, state in enumerate(entry.slice_states)
-            if state is not None
-        ]
-        if slices:
-            self._store.log_drop(entry.key, slices)
+        self._capture_drop(entry)
 
     # -- capacity ----------------------------------------------------------------
 
@@ -567,18 +653,19 @@ class PredicateCache:
                 _, evicted = self._entries.popitem(last=False)
                 total -= evicted.nbytes
                 released += evicted.nbytes
-                self._log_drop(evicted)
+                self._capture_drop(evicted)
                 self.stats.evictions += 1
             if _inv.ACTIVE:
                 _inv.check_cache(self)
-            return released
+        self._drain_journal()
+        return released
 
     def _evict_if_needed(self) -> None:
         """Caller holds ``_lock``."""
         limit = self.config.max_entries
         while limit is not None and len(self._entries) > limit:
             _, evicted = self._entries.popitem(last=False)
-            self._log_drop(evicted)
+            self._capture_drop(evicted)
             self.stats.evictions += 1
         max_bytes = self.config.max_bytes
         if max_bytes is not None:
@@ -588,7 +675,7 @@ class PredicateCache:
             while len(self._entries) > 1 and total > max_bytes:
                 _, evicted = self._entries.popitem(last=False)
                 total -= evicted.nbytes
-                self._log_drop(evicted)
+                self._capture_drop(evicted)
                 self.stats.evictions += 1
         if _inv.ACTIVE:
             _inv.check_cache(self)

@@ -14,9 +14,28 @@ Keys are plain frozen dataclasses so they hash cheaply and can be logged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import FrozenSet, Tuple
 
 __all__ = ["SemiJoinDescriptor", "ScanKey", "conjunct_key"]
+
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_U64 = (1 << 64) - 1
+
+
+def _fnv1a_text(text: str) -> int:
+    """FNV-1a over the UTF-8 bytes of one string, as a signed int64.
+
+    The scalar twin of :func:`repro.engine.hashing.fnv1a_hash` on a
+    one-element array, bit for bit (a NUL byte terminates the key, the
+    64-bit state is reinterpreted as signed) — persisted digests written
+    through either must keep verifying.
+    """
+    state = _FNV_OFFSET
+    for byte in text.encode("utf-8").partition(b"\0")[0]:
+        state = ((state ^ byte) * _FNV_PRIME) & _U64
+    return state - (1 << 64) if state >> 63 else state
 
 
 @dataclass(frozen=True)
@@ -94,6 +113,14 @@ class ScanKey:
             nested = ", ".join(s.key() for s in self.semijoins)
             text += f"; semijoins=[{nested}]"
         return text
+
+    @cached_property
+    def digest(self) -> int:
+        """Stable 64-bit digest of :meth:`key` — process-independent,
+        unlike builtin ``hash``.  Computed once per key object (the
+        cached value lives in the instance, outside the dataclass
+        fields, so equality and hashing are untouched)."""
+        return _fnv1a_text(self.key())
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.key()

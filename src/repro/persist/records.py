@@ -30,7 +30,6 @@ import numpy as np
 from ..core.entry import BitmapSliceState, CacheEntry, RangeSliceState, SliceState
 from ..core.keys import ScanKey, SemiJoinDescriptor
 from ..core.rowrange import RangeList
-from ..engine.hashing import fnv1a_hash
 
 __all__ = [
     "StateRecord",
@@ -44,8 +43,8 @@ __all__ = [
 
 def key_digest(key: ScanKey) -> int:
     """Stable 64-bit digest of a scan key (FNV-1a over the canonical
-    string) — process-independent, unlike builtin ``hash``."""
-    return int(fnv1a_hash(np.array([key.key()], dtype=object))[0])
+    string), memoised on the key object."""
+    return key.digest
 
 
 def key_to_obj(key: ScanKey) -> dict:
@@ -103,6 +102,9 @@ class StateRecord:
 
     @classmethod
     def from_state(cls, state: SliceState) -> "StateRecord":
+        """The state as of now.  The range variant's bounds array is
+        shared, not copied — range lists are immutable, ``extend``
+        publishes a new one."""
         if isinstance(state, RangeSliceState):
             return cls(
                 KIND_RANGE,
@@ -115,7 +117,9 @@ class StateRecord:
                 KIND_BITMAP,
                 int(state.last_cached_row),
                 int(state.block_size),
-                np.asarray(state.bits, dtype=bool),
+                # A copy: ``_set_bits`` writes the live vector in place,
+                # and a record may outlive the lock it was taken under.
+                np.array(state.bits, dtype=bool),
             )
         raise TypeError(f"unknown slice-state type {type(state).__name__}")
 

@@ -29,17 +29,36 @@ CRCs catch at load time.
 Compaction: once the journal outgrows the snapshot by
 ``compact_factor`` (and ``min_compact_bytes``), the store folds the
 journal into a fresh snapshot and truncates the log.
+
+Handle ownership: the store keeps **one** open append handle on the
+journal (flushed after every record, so the file always holds whole
+records) and its own byte counts of both files, so an append costs no
+``open``/``close`` and no ``stat``.  The handle is opened by the first
+append that needs it and released by whatever ends the file it points
+into — a snapshot rotation (compaction included), a torn append — and
+by :meth:`close`.  A process that reopens the directory with a fresh
+store (a restart) closes, or at least stops appending through, the old
+one first.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import (
+    BinaryIO,
+    Callable,
+    ContextManager,
+    Dict,
+    Iterable,
+    Optional,
+    Tuple,
+)
 
 from .. import invariants as _inv
+from ..core.entry import CacheEntry, SliceState
+from ..core.keys import ScanKey
 from ..obs import lockwitness
 from .format import (
     DecodeIssues,
@@ -53,6 +72,13 @@ from .format import (
 from .records import EntryRecord, StateRecord, collect_records, key_digest
 
 __all__ = ["CacheStore", "LoadResult"]
+
+
+def _file_size(path: str) -> int:
+    try:
+        return os.path.getsize(path)
+    except OSError:
+        return 0
 
 
 @dataclass
@@ -119,10 +145,16 @@ class CacheStore:
         # serializes snapshot rotation, journal appends, and recovery
         # reads so concurrent write-throughs never interleave frames.
         # Re-entrant because an append can trigger compaction, which
-        # snapshots.  Lock ordering is cache → store (a cache calls in
-        # while holding its own lock); hydration installs therefore run
-        # *without* this lock held (see :meth:`hydrate`).
+        # snapshots, and because a cache drains a run of events under
+        # it (:attr:`io_lock`).  No cache lock is ever held while this
+        # one is taken, and the store never calls into a cache while
+        # holding it — the two locks do not nest in either direction.
         self._io_lock = lockwitness.named_rlock("CacheStore._io_lock")
+        # The one append handle (None until an append needs it) and the
+        # store's own byte counts of the two files.
+        self._journal: Optional[BinaryIO] = None
+        self._journal_size = _file_size(self._journal_path)
+        self._snapshot_size = _file_size(self._snapshot_path)
         # Monotonic counters (scrape-time metrics read these directly).
         self.snapshots_written = 0
         self.journal_records = 0
@@ -143,17 +175,33 @@ class CacheStore:
 
     @property
     def snapshot_bytes(self) -> int:
-        try:
-            return os.path.getsize(self._snapshot_path)
-        except OSError:
-            return 0
+        """Size of the snapshot file, as this store last wrote or saw it."""
+        return self._snapshot_size
 
     @property
     def journal_bytes(self) -> int:
-        try:
-            return os.path.getsize(self._journal_path)
-        except OSError:
-            return 0
+        """Size of the journal file, as this store last wrote or saw it."""
+        return self._journal_size
+
+    @property
+    def io_lock(self) -> ContextManager:
+        """The I/O lock, for a writer appending a run of events.
+
+        A cache drains its captured events under it so that taking an
+        event off its queue and appending it is one step: two threads
+        draining the same cache cannot swap two records, and an emptied
+        queue means every event is in the journal (or was dropped).
+        """
+        return self._io_lock
+
+    def close(self) -> None:
+        """Release the append handle.  Idempotent; every record was
+        flushed when it was appended, and a later append reopens it.
+        Required only before a second store appends to the directory: a
+        store that is simply dropped closes its handle with itself and
+        loses nothing."""
+        with self._io_lock:
+            self._release_journal()
 
     def bind_catalog(self, catalog) -> None:
         self.catalog = catalog
@@ -228,8 +276,11 @@ class CacheStore:
                 handle.flush()
                 os.fsync(handle.fileno())
         os.replace(temp_path, self._snapshot_path)
+        self._release_journal()
         with open(self._journal_path, "wb"):
             pass
+        self._snapshot_size = len(data)
+        self._journal_size = 0
         self._wedged = False
         self.snapshots_written += 1
         return True
@@ -250,17 +301,32 @@ class CacheStore:
 
     # -- journal (write-through event hooks) ----------------------------------
 
-    def log_state(self, entry, slice_id: int, state, table_layout: int) -> bool:
-        """Journal an install/extend: entry metadata + the new state."""
-        meta = EntryRecord.from_entry(entry, table_layout, with_states=False)
-        payload = encode_state_event(meta, slice_id, StateRecord.from_state(state))
-        return self._append(payload)
+    @staticmethod
+    def capture_state(
+        entry: CacheEntry, slice_id: int, state: SliceState, table_layout: int
+    ) -> Tuple[EntryRecord, int, StateRecord]:
+        """:meth:`log_state`'s arguments for one slice's state as of
+        now: plain records that no later cache mutation changes (the
+        range bounds are immutable and shared, a bitmap is copied).
+        Takes no lock and touches no file — a cache calls it under its
+        own lock and appends the result after releasing it."""
+        return (
+            EntryRecord.from_entry(entry, table_layout, with_states=False),
+            slice_id,
+            StateRecord.from_state(state),
+        )
 
-    def log_drop(self, key, slice_ids) -> bool:
+    def log_state(self, meta: EntryRecord, slice_id: int, state: StateRecord) -> bool:
+        """Journal an install/extend: entry metadata (a record taken
+        ``with_states=False``) + the slice's new state."""
+        return self._append(encode_state_event(meta, slice_id, state))
+
+    def log_drop(self, key: ScanKey, slice_ids: Iterable[int]) -> bool:
         """Journal an invalidate/evict of ``key``'s listed slice states."""
+        slice_ids = list(slice_ids)
         if not slice_ids:
             return True
-        return self._append(encode_drop_event(key_digest(key), list(slice_ids)))
+        return self._append(encode_drop_event(key_digest(key), slice_ids))
 
     def _append(self, payload: bytes) -> bool:
         with self._io_lock:
@@ -269,29 +335,48 @@ class CacheStore:
                 return False
             framed = frame_record(payload)
             decision = self._draw()
+            journal = self._open_journal_locked()
             if decision is not None and decision.fail:
                 cut = 1 + int(self.injector.uniform() * (len(framed) - 1))
-                with open(self._journal_path, "ab") as handle:
-                    handle.write(framed[:cut])
+                journal.write(framed[:cut])
+                self._journal_size += cut
+                self._release_journal()
                 self.torn_writes += 1
                 self._wedged = True
                 return False
             if decision is not None and decision.corrupt:
                 framed = self._flip_bit(framed)
                 self.corrupt_writes += 1
-            with open(self._journal_path, "ab") as handle:
-                handle.write(framed)
+            journal.write(framed)
+            journal.flush()
+            self._journal_size += len(framed)
             self.journal_records += 1
             self._maybe_compact()
             return True
 
+    def _open_journal_locked(self) -> BinaryIO:
+        """The append handle, opened if the last rotation, torn append
+        or :meth:`close` released it.  Caller holds ``_io_lock``."""
+        if self._journal is None:
+            # Append mode starts at the end of the file: its position
+            # is the size of whatever is already there.
+            self._journal = open(self._journal_path, "ab")
+            self._journal_size = self._journal.tell()
+        return self._journal
+
+    def _release_journal(self) -> None:
+        """Caller holds ``_io_lock``."""
+        if self._journal is not None:
+            self._journal.close()
+            self._journal = None
+
     # -- compaction ------------------------------------------------------------
 
     def _maybe_compact(self) -> None:
-        journal_bytes = self.journal_bytes
-        if journal_bytes <= self.min_compact_bytes:
+        """Caller holds ``_io_lock``."""
+        if self._journal_size <= self.min_compact_bytes:
             return
-        if journal_bytes <= self.compact_factor * max(1, self.snapshot_bytes):
+        if self._journal_size <= self.compact_factor * max(1, self._snapshot_size):
             return
         self.compact()
 
@@ -445,27 +530,30 @@ class CacheStore:
         still invalidates — there is no unwatched window.  Returns the
         number of entries restored.
 
-        The installs run *without* ``_io_lock`` held (only the
-        underlying :meth:`load` takes it): ``install_restored`` takes
-        the cache's lock, and the cache→store lock order must never be
-        inverted.
+        The installs run with no store lock held (only the underlying
+        :meth:`load` takes ``_io_lock``): an install that evicts in a
+        cache already writing through journals the drop like any other
+        mutation, after the cache's lock is released.
         """
         result = self.load()
         restored = 0
+        unreadable = 0
         tables = set()
         for record in result.records.values():
             try:
                 installed = record.install_into(cache, owned)
             except Exception:
-                with self._io_lock:
-                    self.corrupt_sections += 1
+                unreadable += 1
                 continue
             if not installed:
                 continue
             tables.add(record.key.table)
             restored += 1
-            with self._io_lock:
-                self.warm_restores += 1
+        # Read by the health monitor thread while failover hydrations
+        # run on workers: published in one lock round, like load's.
+        with self._io_lock:
+            self.warm_restores += restored
+            self.corrupt_sections += unreadable
         if self.catalog is not None:
             for name in tables:
                 table = self.catalog.tables.get(name)

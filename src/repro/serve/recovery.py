@@ -166,6 +166,9 @@ class RecoveryOrchestrator:
         before = self._keys_of(old_cache)
         for cache in old_cache.nodes():
             cache.detach_store()
+        # One writer per directory: the dead process's append handle
+        # goes before the fresh store opens its own.
+        self.store.close()
         fresh = CacheStore(self.store.directory, catalog=self.engine.database)
         replacement = self.cache_factory(fresh)
         self.engine.set_predicate_cache(replacement)

@@ -11,6 +11,7 @@ waiver file.  (The per-file rules' fixtures are in test_lint.py.)
 """
 
 import os
+from fnmatch import fnmatchcase
 
 import pytest
 
@@ -454,6 +455,12 @@ class PredicateCache:
         assert result.unwaived == [], [f.render() for f in result.unwaived]
         # The static graph must be acyclic on the shipped tree.
         assert not any(f.code == "RP010" for f in result.findings)
+        # No cache lock is held across anything that blocks — waived or
+        # not: the write-through drains after ``_lock`` is released.
+        assert not [
+            f.key for f in result.findings
+            if fnmatchcase(f.key, "RP011:PredicateCache.*")
+        ]
 
     def test_cli_exit_codes(self, capsys):
         assert main([SRC_REPRO]) == 0
@@ -465,4 +472,7 @@ class PredicateCache:
         assert main([SRC_REPRO, "--graph"]) == 0
         out = capsys.readouterr().out
         assert "lock-order graph" in out
-        assert "PredicateCache._lock -> CacheStore._io_lock" in out
+        assert "ClusterHealthMonitor._lock -> PredicateCache._lock" in out
+        # The cache and the store never nest, in either direction.
+        assert "PredicateCache._lock -> CacheStore._io_lock" not in out
+        assert "CacheStore._io_lock -> PredicateCache._lock" not in out

@@ -236,3 +236,132 @@ class TestLiveWorkloadContainment:
             "observed lock-order edges absent from the static graph: "
             f"{sorted(missing)}"
         )
+
+
+class TestWriteThroughOffTheCacheLock:
+    @pytest.mark.parametrize("variant", ["range", "bitmap"])
+    def test_concurrent_writers_keep_the_store_a_mirror(self, tmp_path, variant):
+        """Threads install, extend and evict on one cache with a
+        store: the journal holds the cache's mutations in order (a
+        restart recovers exactly the live states), and no append ran
+        with the cache lock held."""
+        import sys
+
+        import numpy as np
+
+        from repro import PredicateCache, PredicateCacheConfig
+        from repro.core.keys import ScanKey
+        from repro.core.rowrange import RangeList
+        from repro.persist import CacheStore
+        from tests.test_persist import assert_store_mirrors
+
+        cache = PredicateCache(
+            PredicateCacheConfig(variant=variant, bitmap_block_rows=64, max_entries=6)
+        )
+        store = CacheStore(tmp_path, min_compact_bytes=2048, compact_factor=1.0)
+        store.attach(cache)
+
+        def writer(worker):
+            rng = np.random.default_rng(worker)
+            watermarks = {}
+            for step in range(150):
+                key = ScanKey("t", f"x < {int(rng.integers(10))}")  # shared keys
+                slice_id = int(rng.integers(4))
+                entry = cache.get_or_create(key, 4)
+                state = entry.slice_states[slice_id]
+                known = state.last_cached_row if state is not None else 0
+                upto = max(known, watermarks.get((key, slice_id), 0)) + int(
+                    rng.integers(0, 3)
+                ) * 100
+                rows = RangeList.from_bounds(
+                    np.array([[max(0, upto - 40), upto]], dtype=np.int64)
+                )
+                try:
+                    cache.record_slice_scan(entry, slice_id, rows, upto)
+                except ValueError:
+                    continue  # the other writer extended past us meanwhile
+                watermarks[key, slice_id] = upto
+                if step % 50 == 49:
+                    cache.trim_to_bytes(0)
+
+        threads = [threading.Thread(target=writer, args=(w,)) for w in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave inside capture and drain
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert cache.stats.evictions > 0
+        assert cache.stats.extensions > 0
+        assert store.compactions > 0
+        assert_store_mirrors(store, cache)
+
+        edges = lockwitness.observed_edges()
+        assert ("PredicateCache._lock", "CacheStore._io_lock") not in edges
+        assert ("CacheStore._io_lock", "PredicateCache._lock") not in edges
+        lockwitness.assert_acyclic()
+
+    def test_a_hit_does_not_wait_out_another_threads_append(self, tmp_path):
+        """While one thread's install is stuck behind the store's I/O
+        lock, lookups and a repeat that changed nothing — calls that
+        queued nothing — return without touching that lock."""
+        import numpy as np
+
+        from repro import PredicateCache
+        from repro.core.keys import ScanKey
+        from repro.core.rowrange import RangeList
+        from repro.persist import CacheStore
+        from tests.test_persist import assert_store_mirrors
+
+        cache = PredicateCache()
+        store = CacheStore(tmp_path)
+        store.attach(cache)
+        rows = RangeList.from_bounds(np.array([[0, 40]], dtype=np.int64))
+        warm = cache.get_or_create(ScanKey("t", "x < 1"), 4)
+        cache.record_slice_scan(warm, 0, rows, 100)
+
+        held, release = threading.Event(), threading.Event()
+
+        def hold_io_lock():  # an append or compaction in flight
+            with store.io_lock:
+                held.set()
+                release.wait(timeout=30)
+
+        def install():
+            entry = cache.get_or_create(ScanKey("t", "x < 2"), 4)
+            cache.record_slice_scan(entry, 0, rows, 100)
+
+        def read():
+            assert cache.lookup(warm.key) is warm
+            assert cache.select_entry([warm.key]) is warm
+            assert cache.lookup_part(warm.key) is warm
+            assert cache.lookup(ScanKey("t", "x < 3")) is None
+            cache.record_slice_scan(warm, 0, RangeList.empty(), 100)
+
+        holder = threading.Thread(target=hold_io_lock)
+        installer = threading.Thread(target=install)
+        reader = threading.Thread(target=read)
+        holder.start()
+        assert held.wait(timeout=30)
+        try:
+            installer.start()
+            deadline = time.monotonic() + 30
+            while not cache._pending and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert cache._pending  # queued, and stuck draining
+            reader.start()
+            reader.join(timeout=30)
+            assert not reader.is_alive()
+            assert installer.is_alive()
+        finally:
+            release.set()
+            for thread in (holder, installer, reader):
+                thread.join(timeout=30)
+        assert not cache._pending
+        assert cache.stats.hits == 2 and cache.stats.misses == 1
+        assert_store_mirrors(store, cache)

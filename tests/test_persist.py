@@ -1,10 +1,11 @@
 """Persistent cache store & warm start (DESIGN.md §9).
 
-Covers the snapshot round trip, journal write-through and replay,
-recovery revalidation against the catalog, crash/corruption injection
-on the persistence write path, compaction, warm-started clusters
-(construction, ``fail_node`` replacement, ``resize``), and the store's
-metrics surface.
+Covers the snapshot round trip, journal write-through and replay (what
+is journalled when, and that the store stays a mirror of the live
+caches), the append handle's lifecycle, recovery revalidation against
+the catalog, crash/corruption injection on the persistence write path,
+compaction, warm-started clusters (construction, ``fail_node``
+replacement, ``resize``), and the store's metrics surface.
 """
 
 import numpy as np
@@ -34,15 +35,20 @@ COLUMNS = ("x", "v")
 OR_SQL = "select count(*) as c from t where x < 500 or x > 49500"
 
 
-def make_engine(variant="range", num_nodes=2, store=None, db=None):
+def make_db():
+    db = Database(num_slices=4, rows_per_block=256)
+    db.create_table(
+        TableSchema("t", tuple(ColumnSpec(c, DataType.INT64) for c in COLUMNS))
+    )
+    return db
+
+
+def make_engine(variant="range", num_nodes=2, store=None, db=None, **config):
     if db is None:
-        db = Database(num_slices=4, rows_per_block=256)
-        db.create_table(
-            TableSchema("t", tuple(ColumnSpec(c, DataType.INT64) for c in COLUMNS))
-        )
+        db = make_db()
     caches = ClusterCaches(
         num_nodes=num_nodes,
-        config=PredicateCacheConfig(variant=variant, bitmap_block_rows=256),
+        config=PredicateCacheConfig(variant=variant, bitmap_block_rows=256, **config),
         store=store,
     )
     engine = QueryEngine(db, predicate_cache=caches)
@@ -51,6 +57,33 @@ def make_engine(variant="range", num_nodes=2, store=None, db=None):
 
 def populate(engine, rows=50_000):
     engine.insert("t", {"x": np.arange(rows), "v": np.arange(rows) % 97})
+
+
+def make_stored_engine(tmp_path, variant="range", **config):
+    """An engine over a 2-node cluster writing through to a fresh store."""
+    db = make_db()
+    store = CacheStore(tmp_path, catalog=db)
+    engine, caches = make_engine(variant, store=store, db=db, **config)
+    return engine, caches, store
+
+
+def slice_rows(engine):
+    return [s.num_rows for s in engine.database.tables["t"].slices]
+
+
+def assert_store_mirrors(store, caches, revalidate=False):
+    """What a restart would recover is what the caches hold, state for
+    state.  (Scan stats lag by design: they are as of the last
+    journalled state change.)  ``revalidate=True`` recovers the way a
+    real restart does — against the store's catalog — so persisted
+    metadata that would make the entries stale fails the comparison."""
+    persisted = store.load(revalidate=revalidate).records
+    live = collect_records(caches.nodes())
+    assert set(persisted) == set(live)
+    for digest, record in live.items():
+        assert set(persisted[digest].states) == set(record.states), record.key
+        for slice_id, state in record.states.items():
+            assert persisted[digest].states[slice_id].equals(state), record.key
 
 
 class TestSnapshotRoundTrip:
@@ -158,6 +191,146 @@ class TestJournal:
         assert set(engineless.records) == set(twice_records)
         for digest in twice_records:
             assert engineless.records[digest].equals(twice_records[digest])
+
+
+@pytest.mark.parametrize("variant", ["range", "bitmap"])
+class TestJournalsWhatChanged:
+    def test_warm_repeat_appends_nothing(self, tmp_path, variant):
+        engine, caches, store = make_stored_engine(tmp_path, variant)
+        populate(engine)
+        engine.execute(OR_SQL)
+        records, size = store.journal_records, store.journal_bytes
+        assert size == (tmp_path / "cache.journal").stat().st_size > 0
+        for _ in range(3):
+            engine.execute(OR_SQL)
+        assert store.journal_records == records
+        assert store.journal_bytes == size
+        assert (tmp_path / "cache.journal").stat().st_size == size
+        assert caches.aggregate_stats().extensions == 0
+
+    def test_insert_then_repeat_appends_one_record_per_extended_slice(
+        self, tmp_path, variant
+    ):
+        engine, caches, store = make_stored_engine(tmp_path, variant)
+        populate(engine)
+        engine.execute(OR_SQL)
+        engine.execute(OR_SQL)
+        before_rows = slice_rows(engine)
+        engine.insert("t", {"x": np.array([7, 49_999]), "v": np.array([1, 2])})
+        grown = sum(a > b for a, b in zip(slice_rows(engine), before_rows))
+        assert 1 <= grown <= 2
+        records = store.journal_records
+        engine.execute(OR_SQL)
+        assert store.journal_records == records + grown
+        assert caches.aggregate_stats().extensions == grown
+        engine.execute(OR_SQL)  # the tail is cached now: a plain repeat again
+        assert store.journal_records == records + grown
+        assert caches.aggregate_stats().extensions == grown
+        assert_store_mirrors(store, caches)
+
+    def test_never_seen_predicate_appends_one_record_per_slice(
+        self, tmp_path, variant
+    ):
+        engine, caches, store = make_stored_engine(tmp_path, variant)
+        populate(engine)
+        engine.execute(OR_SQL)
+        records = store.journal_records
+        engine.execute("select count(*) as c from t where x < 123")
+        assert store.journal_records == records + 4
+        assert caches.aggregate_stats().extensions == 0
+
+    def test_store_mirrors_live_caches_through_a_seeded_mix(self, tmp_path, variant):
+        # Small enough that installs evict: the mirror has to survive
+        # drop events interleaved with the states that caused them.
+        engine, caches, store = make_stored_engine(tmp_path, variant, max_bytes=160)
+        populate(engine, rows=8_000)
+        plain = QueryEngine(engine.database)
+        rng = np.random.default_rng(20)
+        next_x = 8_000
+        for step in range(200):
+            draw = rng.random()
+            if draw < 0.70:
+                lo = int(rng.integers(0, 12)) * 600
+                sql = f"select count(*) as c from t where x >= {lo} and x < {lo + 450}"
+                assert engine.execute(sql).scalar() == plain.execute(sql).scalar()
+            elif draw < 0.85:
+                count = int(rng.integers(1, 40))
+                engine.insert(
+                    "t",
+                    {"x": np.arange(next_x, next_x + count), "v": np.zeros(count, int)},
+                )
+                next_x += count
+            elif draw < 0.95:
+                engine.execute(f"delete from t where x = {int(rng.integers(next_x))}")
+            else:
+                engine.execute("vacuum t")
+            if step == 120:
+                assert store.snapshot(caches)
+                assert_store_mirrors(store, caches)
+        assert caches.aggregate_stats().evictions > 0
+        assert caches.aggregate_stats().extensions > 0
+        assert caches.aggregate_stats().invalidations > 0
+        assert store.journal_records > 0
+        assert_store_mirrors(store, caches)
+
+
+class TestJournalHandle:
+    def test_appends_after_a_rotation_land_in_the_new_journal(self, tmp_path):
+        engine, caches, store = make_stored_engine(tmp_path)
+        populate(engine)
+        engine.execute(OR_SQL)
+        assert store.snapshot(caches)
+        assert store.journal_bytes == 0
+        assert (tmp_path / "cache.journal").stat().st_size == 0
+        engine.execute("select count(*) as c from t where x < 123")
+        assert store.journal_bytes == (tmp_path / "cache.journal").stat().st_size > 0
+        result = CacheStore(tmp_path, catalog=engine.database).load()
+        assert result.journal_records == 4
+        assert len(result.records) == 2
+
+    def test_close_is_idempotent_and_the_next_append_reopens(self, tmp_path):
+        engine, caches, store = make_stored_engine(tmp_path)
+        populate(engine)
+        engine.execute(OR_SQL)
+        store.close()
+        store.close()
+        engine.execute("select count(*) as c from t where x < 123")
+        assert store.journal_records == 8
+        assert store.journal_bytes == (tmp_path / "cache.journal").stat().st_size
+        assert_store_mirrors(store, caches)
+
+    def test_second_store_after_close_replays_everything_and_continues(self, tmp_path):
+        engine, caches, store = make_stored_engine(tmp_path)
+        populate(engine)
+        engine.execute(OR_SQL)
+        engine.execute("select count(*) as c from t where x < 123")
+        for node in caches.nodes():
+            node.detach_store()
+        store.close()
+
+        second = CacheStore(tmp_path, catalog=engine.database)
+        assert second.journal_bytes == store.journal_bytes
+        warm_engine, warm = make_engine(store=second, db=engine.database)
+        assert second.journal_replayed == 2 * store.journal_records  # two nodes load
+        assert collect_records(warm.nodes()).keys() == collect_records(
+            caches.nodes()
+        ).keys()
+        # The one writer left appends behind what the first one wrote.
+        warm_engine.execute("select count(*) as c from t where x > 40000")
+        assert second.journal_bytes == (tmp_path / "cache.journal").stat().st_size
+        assert second.journal_bytes > store.journal_bytes
+        assert_store_mirrors(second, warm)
+
+    def test_detach_discards_what_was_not_yet_appended(self, tmp_path):
+        engine, caches, store = make_stored_engine(tmp_path)
+        populate(engine)
+        engine.execute(OR_SQL)
+        records = store.journal_records
+        for node in caches.nodes():
+            node.detach_store()
+        engine.execute("select count(*) as c from t where x < 123")
+        caches.clear()
+        assert store.journal_records == records
 
 
 class TestRevalidation:
@@ -365,17 +538,9 @@ class TestCompaction:
         assert store.snapshot_bytes > 0
         assert store.journal_bytes <= store.compact_factor * store.snapshot_bytes
 
-        result = CacheStore(tmp_path, catalog=db).load()
-        live = collect_records(caches.nodes())
-        assert set(result.records) == set(live)
-        # Journaled scan stats lag the live entry by one scan (the event
-        # is written before record_scan_stats runs), so compare the
-        # payload that matters: the slice states themselves.
-        for digest in live:
-            persisted = result.records[digest]
-            assert set(persisted.states) == set(live[digest].states)
-            for sid in live[digest].states:
-                assert persisted.states[sid].equals(live[digest].states[sid])
+        assert_store_mirrors(
+            CacheStore(tmp_path, catalog=db), caches, revalidate=True
+        )
 
 
 class TestWarmStart:

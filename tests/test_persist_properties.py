@@ -1,6 +1,11 @@
 """Property tests for the persistence formats (DESIGN.md §9).
 
-Two invariants, hypothesis-driven:
+Three invariants, hypothesis-driven:
+
+* **Digest stability**: the scalar key digest a ``ScanKey`` memoises is
+  the vectorised FNV-1a of its canonical string, bit for bit, and three
+  digests written down at the commit before the scalar one existed pin
+  the persisted value itself.
 
 * **Round trip**: arbitrary cache entries → snapshot bytes (+ journal
   events) → load reproduces them *bit-identically* — ranges, bitmaps,
@@ -19,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.entry import PROVENANCES
 from repro.core.keys import ScanKey, SemiJoinDescriptor
+from repro.engine.hashing import fnv1a_hash
 from repro.persist import CacheStore
 from repro.persist.format import (
     DecodeIssues,
@@ -157,6 +163,70 @@ def assert_records_equal(a, b):
     assert set(a) == set(b)
     for digest in a:
         assert a[digest].equals(b[digest]), digest
+
+
+# -- key digests --------------------------------------------------------------
+
+_text = st.text(max_size=24)  # any unicode, embedded NULs included
+
+
+@st.composite
+def unicode_semijoins(draw, depth=1):
+    nested = ()
+    if depth > 0 and draw(st.booleans()):
+        nested = (draw(unicode_semijoins(depth=depth - 1)),)
+    return SemiJoinDescriptor(draw(_text), draw(_text), draw(_text), nested)
+
+
+class TestKeyDigest:
+    @SETTINGS
+    @given(
+        table=_text,
+        predicate=_text,
+        semijoins=st.lists(unicode_semijoins(), max_size=2),
+    )
+    @example(table="täble", predicate="näme = 'Zoë'", semijoins=[])
+    @example(table="t", predicate="a = 'x\x00y' AND b < 3", semijoins=[])
+    @example(table="\x00", predicate="", semijoins=[])
+    def test_scalar_digest_is_the_vectorised_one(self, table, predicate, semijoins):
+        key = ScanKey(table, predicate, tuple(semijoins))
+        expected = int(fnv1a_hash(np.array([key.key()], dtype=object))[0])
+        assert key_digest(key) == expected
+        assert key_digest(key) == expected  # the memoised read
+        assert key_digest(ScanKey(table, predicate, tuple(semijoins))) == expected
+
+    def test_digests_written_by_earlier_commits_still_verify(self):
+        # Captured at 1723fe9, when key_digest was fnv1a_hash over a
+        # one-element array: every snapshot and journal on disk holds
+        # values like these, and a drifted digest drops the entry.
+        nested = SemiJoinDescriptor(
+            "o_orderkey = l_orderkey",
+            "orders",
+            "o_orderdate < 9200",
+            (
+                SemiJoinDescriptor(
+                    "c_custkey = o_custkey", "customer", "c_mktsegment = 'BUILDING'"
+                ),
+            ),
+        )
+        assert key_digest(
+            ScanKey(
+                "lineitem",
+                "l_shipdate >= 9000 AND l_discount BETWEEN 0.05 AND 0.07",
+            )
+        ) == -6744684239901970853
+        assert key_digest(
+            ScanKey("täble", "näme = 'Zoë' OR x < 5")
+        ) == 464255686937529974
+        assert key_digest(
+            ScanKey("lineitem", "l_quantity < 24", (nested,))
+        ) == 7818946230905347585
+
+    def test_memo_is_not_part_of_the_key(self):
+        key, twin = ScanKey("t", "x < 5"), ScanKey("t", "x < 5")
+        key_digest(key)
+        assert key == twin and hash(key) == hash(twin)
+        assert repr(key) == repr(twin)
 
 
 # -- round trips --------------------------------------------------------------
