@@ -3,9 +3,8 @@
 Public surface:
 
 * :class:`~repro.core.rowrange.RowRange` / :class:`~repro.core.rowrange.RangeList`
-  — the row-range algebra shared with the scan path,
-* :class:`~repro.core.gapheap.GapHeapRangeBuilder` — online bounded-range
-  construction (§4.1.1),
+  — the row-range algebra shared with the scan path; its ``coalesce``
+  bounds the ranges an entry keeps (§4.1.1),
 * :class:`~repro.core.keys.ScanKey` / :class:`~repro.core.keys.SemiJoinDescriptor`
   — cache keys, including the join-index extension (§4.4),
 * :class:`~repro.core.entry.CacheEntry` with range and bitmap per-slice
@@ -18,7 +17,6 @@ Public surface:
 from .cache import PredicateCache
 from .config import PredicateCacheConfig
 from .entry import BitmapSliceState, CacheEntry, RangeSliceState, SliceState
-from .gapheap import GapHeapRangeBuilder
 from .keys import ScanKey, SemiJoinDescriptor, conjunct_key
 from .policy import AdmissionPolicy, AlwaysAdmit, CostBasedPolicy
 from .rowrange import RangeList, RowRange
@@ -31,7 +29,6 @@ __all__ = [
     "CostBasedPolicy",
     "CacheEntry",
     "CacheStats",
-    "GapHeapRangeBuilder",
     "PredicateCache",
     "PredicateCacheConfig",
     "RangeList",

@@ -13,9 +13,9 @@ Both index variants (§4.1.1–4.1.2) share the same lifecycle:
    the "online under inserts" property of §4.3.1.
 
 The **range variant** stores at most ``max_ranges`` merged row ranges
-(built with the gap heap).  The **bitmap variant** stores one bit per
-``block_size`` rows; it grows with the table but is ~8x smaller at the
-paper's settings (Table 3).
+(bounded by :meth:`RangeList.coalesce`, the gap heap's batch form).
+The **bitmap variant** stores one bit per ``block_size`` rows; it grows
+with the table but is ~8x smaller at the paper's settings (Table 3).
 
 Publication ordering: installs and extensions are serialized by the
 owning :class:`~repro.core.cache.PredicateCache` lock, but *readers*

@@ -368,11 +368,13 @@ class RangeList:
     def coalesce(self, max_ranges: int) -> "RangeList":
         """Reduce to at most ``max_ranges`` ranges by closing smallest gaps.
 
-        This is the *offline* equivalent of the paper's gap-heap
-        construction (:mod:`repro.core.gapheap` builds the same result
-        online): we keep the ``max_ranges - 1`` largest gaps between
-        consecutive ranges and merge across all other gaps.  The result
-        covers a superset of the original rows (false positives only).
+        This is what bounds an entry's ranges at install time: the
+        batch form of the paper's gap heap (§4.1.1; the streaming
+        construction lives in ``tests/gapheap.py`` as the reference this
+        is checked against).  We keep the ``max_ranges - 1`` largest
+        gaps between consecutive ranges and merge across all other
+        gaps.  The result covers a superset of the original rows (false
+        positives only).
         """
         if max_ranges < 1:
             raise ValueError("max_ranges must be >= 1")

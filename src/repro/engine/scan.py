@@ -138,8 +138,6 @@ class ScanResult:
             pieces = out[name]
             if not pieces:
                 result[name] = s_empty(self.table, name)
-            elif self.table.schema.dtype_of(name).numpy_dtype == object:
-                result[name] = np.concatenate([np.asarray(p, dtype=object) for p in pieces])
             else:
                 result[name] = np.concatenate(pieces)
         return result

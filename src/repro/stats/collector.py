@@ -173,13 +173,7 @@ def analyze_table(
                 picks = np.sort(rng.choice(n, size=per_slice, replace=False))
                 ranges = RangeList.from_rows(picks)
             pieces.append(data_slice.columns[name].read_ranges(ranges, table.rms))
-        if pieces:
-            if pieces[0].dtype == object:
-                sample = np.concatenate([np.asarray(p, dtype=object) for p in pieces])
-            else:
-                sample = np.concatenate(pieces)
-        else:
-            sample = np.array([])
+        sample = np.concatenate(pieces) if pieces else np.array([])
         hll = HyperLogLog()
         hll.add_many(sample)
         # Scale sampled NDV toward the table (bounded by row count).

@@ -3,21 +3,24 @@
 A :class:`ColumnStore` holds one column of one data slice.  Rows arrive
 appended to an in-memory *tail* (Redshift's insert buffer, §4.3.1); once
 the tail reaches the block size it is *sealed* into a compressed block
-with a zone-map entry.  Sealed blocks are immutable; reads go through
+with a zone-map entry.  Values are numpy arrays of the column's dtype
+(object for strings) from ``append`` on: converted once on the way in,
+held in a tail array shorter than one block, sealed from array slices.
+Sealed blocks are immutable; reads go through
 :class:`~repro.storage.rms.ManagedStorage` so every block access is
 counted.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Union
 
 import numpy as np
 
 from ..core.rowrange import RangeList
 from .compression import EncodedBlock, choose_codec
 from .dtypes import DataType
-from .rms import BlockKey, ManagedStorage
+from .rms import ManagedStorage
 from .zonemap import ZoneMap
 
 __all__ = ["BlockCoverage", "ColumnStore", "GrowableArray"]
@@ -168,7 +171,8 @@ class ColumnStore:
         self.block_store = block_store
         self.blocks: List[EncodedBlock] = []
         self.zonemap = ZoneMap()
-        self._tail: List[object] = []
+        # Fewer than rows_per_block values of the column's numpy dtype.
+        self._tail = np.empty(0, dtype=dtype.numpy_dtype)
 
     # -- size -----------------------------------------------------------------
 
@@ -183,7 +187,7 @@ class ColumnStore:
     @property
     def num_blocks(self) -> int:
         """Sealed blocks plus the tail counted as one open block."""
-        return len(self.blocks) + (1 if self._tail else 0)
+        return len(self.blocks) + (1 if len(self._tail) else 0)
 
     @property
     def compressed_nbytes(self) -> int:
@@ -206,51 +210,54 @@ class ColumnStore:
 
     # -- writes ---------------------------------------------------------------
 
-    def append(self, values: Sequence[object], rms: Optional[ManagedStorage]) -> None:
+    def append(self, values: Iterable[object]) -> None:
         """Append values to the tail, sealing full blocks as they fill."""
-        self._tail.extend(values)
-        while len(self._tail) >= self.rows_per_block:
-            self._seal(self._tail[: self.rows_per_block], rms)
-            del self._tail[: self.rows_per_block]
+        pending = np.concatenate((self._tail, self._to_array(values)))
+        size = self.rows_per_block
+        full = len(pending) - len(pending) % size
+        for start in range(0, full, size):
+            self._seal(pending[start : start + size])
+        # A copy: a view would keep the whole batch alive behind the tail.
+        self._tail = pending[full:].copy() if full else pending
 
-    def _seal(self, values: Sequence[object], rms: Optional[ManagedStorage]) -> None:
-        array = self._to_array(values)
-        block = choose_codec(array)
+    def _seal(self, values: np.ndarray) -> None:
+        """Seal one block of values.  The codecs copy what they keep, so
+        ``values`` may be a view.  Nothing is invalidated: a key enters
+        the decoded-block cache only by reading a sealed block, and
+        whoever restarts block indices (a rewrite, ``drop_table``)
+        invalidates the table first."""
+        block = choose_codec(values)
         if self.block_store is not None:
             # nbytes and checksum are already stamped; only payload
             # residency changes (see blockstore module doc).
             block = self.block_store.externalize(block)
         self.blocks.append(block)
-        self.zonemap.append_block(array)
-        if rms is not None:
-            # The rows were previously served from the tail; make sure no
-            # stale decoded tail data lingers for the new block id.
-            rms.invalidate_block(self._block_key(len(self.blocks) - 1))
+        self.zonemap.append_block(values)
 
-    def _to_array(self, values: Sequence[object]) -> np.ndarray:
-        if self.dtype is DataType.STRING:
-            return np.array(values, dtype=object)
-        return np.asarray(values, dtype=self.dtype.numpy_dtype)
+    def _to_array(self, values: Iterable[object]) -> np.ndarray:
+        """The one conversion, where values enter the column."""
+        if hasattr(values, "__len__"):
+            return np.asarray(values, dtype=self._tail.dtype)
+        # A generator: numpy will not size an array from one.
+        return np.fromiter(values, dtype=self._tail.dtype)
 
-    def rebuild(self, values: np.ndarray, rms: Optional[ManagedStorage]) -> None:
-        """Replace the whole column (vacuum): reseal everything."""
+    def rebuild(self, values: np.ndarray) -> None:
+        """Replace the whole column (:meth:`DataSlice.rewrite`): reseal
+        everything.  Block indices restart, so the caller invalidates the
+        table's decoded blocks before the column is read again."""
         if self.block_store is not None:
             for block in self.blocks:
                 self.block_store.release(block)
         self.blocks = []
         self.zonemap = ZoneMap()
-        self._tail = []
-        if rms is not None:
-            rms.invalidate_table(self.table_name)
-        self.append(list(values), rms)
+        self._tail = self._tail[:0]
+        self.append(values)
 
     # -- reads ----------------------------------------------------------------
 
-    def _block_key(self, block_index: int) -> BlockKey:
-        return (self.table_name, self.slice_id, self.column_name, block_index)
-
     def tail_values(self) -> np.ndarray:
-        return self._to_array(self._tail)
+        """The tail buffer itself (replaced, never written, by appends)."""
+        return self._tail
 
     def cover(self, ranges: RangeList) -> BlockCoverage:
         """Where ``ranges`` fall in this column's blocks and tail."""
@@ -274,18 +281,11 @@ class ColumnStore:
                 f"coverage over {coverage.sealed_rows} sealed rows, "
                 f"column {self.column_name} has {self.num_sealed_rows}"
             )
-        pieces: List[np.ndarray] = []
-        if coverage.blocks:
-            pieces.append(self._gather_sealed(coverage, rms))
-        if len(coverage.tail_offsets):
-            pieces.append(self.tail_values()[coverage.tail_offsets])
-        if not pieces:
-            return self._to_array([])
-        if self.dtype is DataType.STRING:
-            return np.concatenate([np.asarray(p, dtype=object) for p in pieces])
-        if len(pieces) == 1:
-            return pieces[0]
-        return np.concatenate(pieces)
+        tail = self.tail_values()[coverage.tail_offsets]
+        if not coverage.blocks:
+            return tail
+        sealed = self._gather_sealed(coverage, rms)
+        return np.concatenate((sealed, tail)) if len(tail) else sealed
 
     def _gather_sealed(
         self, coverage: BlockCoverage, rms: ManagedStorage

@@ -447,20 +447,13 @@ class ManagedStorage:
                     stats.backoff_model_seconds += backoff
 
     def invalidate_table(self, table_name: str) -> None:
-        """Drop all cached blocks of one table (vacuum / reseal)."""
+        """Drop all cached blocks of one table (rewrite / drop)."""
         with self._lock:
             stale = [k for k in self._cache if k[0] == table_name]
             for key in stale:
                 del self._cache[key]
             for stats in self._sinks():
                 stats.blocks_invalidated += len(stale)
-
-    def invalidate_block(self, key: BlockKey) -> None:
-        """Drop one cached block (a tail block being resealed)."""
-        with self._lock:
-            if self._cache.pop(key, None) is not None:
-                for stats in self._sinks():
-                    stats.blocks_invalidated += 1
 
     def clear(self) -> None:
         """Drop the whole local cache (simulates a cold node)."""

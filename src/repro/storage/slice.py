@@ -55,7 +55,6 @@ class DataSlice:
         self,
         rows: Mapping[str, Sequence[object]],
         txid: int,
-        rms: Optional[ManagedStorage],
     ) -> RangeList:
         """Append rows (column name -> values), returning their local range."""
         lengths = {name: len(values) for name, values in rows.items()}
@@ -73,7 +72,7 @@ class DataSlice:
         if count == 0:
             return RangeList.empty()
         for name, values in rows.items():
-            self.columns[name].append(values, rms)
+            self.columns[name].append(values)
         self._xmin.append_many(np.full(count, txid, dtype=np.int64))
         self._xmax.append_many(np.full(count, INFINITY_TX, dtype=np.int64))
         start = self.num_rows
@@ -143,9 +142,26 @@ class DataSlice:
         """Rows deleted and invisible to every transaction >= horizon."""
         return np.flatnonzero(self._xmax.values < horizon_txid)
 
-    # -- vacuum ------------------------------------------------------------------
+    # -- physical rewrites ---------------------------------------------------------
 
-    def vacuum(self, horizon_txid: int, rms: Optional[ManagedStorage]) -> bool:
+    def rewrite(self, order: np.ndarray, rms: ManagedStorage) -> None:
+        """Replace the slice by its rows ``order``, renumbered densely:
+        every column, ``xmin`` / ``xmax`` and ``num_rows``.
+
+        The one physical rewrite — ``order`` is the kept rows for vacuum,
+        a permutation for reorganization.  Row numbering and block
+        indices change, so the caller (the table, once for all its
+        slices) invalidates the decoded blocks and broadcasts the
+        ``layout`` event before the slice is read again.
+        """
+        full = RangeList.full(self.num_rows)
+        for column in self.columns.values():
+            column.rebuild(column.read_ranges(full, rms)[order])
+        self._xmin.replace(self._xmin.values[order])
+        self._xmax.replace(self._xmax.values[order])
+        self.num_rows = len(order)
+
+    def vacuum(self, horizon_txid: int, rms: ManagedStorage) -> bool:
         """Physically remove globally invisible rows; True if changed.
 
         Vacuum rewrites the slice with new (dense) row numbering, which
@@ -155,15 +171,7 @@ class DataSlice:
         dead = self._xmax.values < horizon_txid
         if not dead.any():
             return False
-        keep = ~dead
-        keep_rows = np.flatnonzero(keep)
-        full = RangeList.full(self.num_rows)
-        for column in self.columns.values():
-            values = column.read_ranges(full, rms) if rms else _raw_read(column)
-            column.rebuild(values[keep_rows], rms)
-        self._xmin.replace(self._xmin.values[keep_rows])
-        self._xmax.replace(self._xmax.values[keep_rows])
-        self.num_rows = int(len(keep_rows))
+        self.rewrite(np.flatnonzero(~dead), rms)
         return True
 
     # -- introspection ------------------------------------------------------------
@@ -177,14 +185,3 @@ class DataSlice:
 
     def compressed_nbytes(self) -> int:
         return sum(column.compressed_nbytes for column in self.columns.values())
-
-
-def _raw_read(column: ColumnStore) -> np.ndarray:
-    """Read a whole column without storage accounting (vacuum internals)."""
-    from .compression import decode_block
-
-    pieces = [decode_block(b) for b in column.blocks]
-    pieces.append(column.tail_values())
-    if column.dtype is DataType.STRING:
-        return np.concatenate([np.asarray(p, dtype=object) for p in pieces])
-    return np.concatenate(pieces) if pieces else column.tail_values()

@@ -22,7 +22,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.rowrange import RangeList
 from .dtypes import DataType
 from .rms import ManagedStorage
 from .slice import DataSlice
@@ -153,7 +152,7 @@ class Table:
             if not pick.any():
                 continue
             subset = {name: values[pick] for name, values in arrays.items()}
-            s.append_rows(subset, txid, self.rms)
+            s.append_rows(subset, txid)
         self.data_version += 1
         self._notify("data")
         return count
@@ -179,11 +178,7 @@ class Table:
         for s in self.slices:
             changed |= s.vacuum(horizon_txid, self.rms)
         if changed:
-            self.layout_version += 1
-            self.data_version += 1
-            self.rms.invalidate_table(self.name)
-            self._notify("layout")
-            self._notify("data")
+            self._rewritten()
         return changed
 
     def reorganize(self, order_of: Callable[["Table"], List[np.ndarray]]) -> None:
@@ -194,17 +189,17 @@ class Table:
         """
         permutations = order_of(self)
         for s, perm in zip(self.slices, permutations):
-            if perm is None:
-                continue
-            full = RangeList.full(s.num_rows)
-            for column in s.columns.values():
-                values = column.read_ranges(full, self.rms)
-                column.rebuild(values[perm], self.rms)
-            s._xmin.replace(s._xmin.values[perm])
-            s._xmax.replace(s._xmax.values[perm])
+            if perm is not None:
+                s.rewrite(perm, self.rms)
+        self._rewritten()
+
+    def _rewritten(self) -> None:
+        """After :meth:`DataSlice.rewrite` of any slices: block indices
+        restarted, so the table's decoded blocks go (once, before anyone
+        reads the new ones), then the versions move and listeners hear."""
+        self.rms.invalidate_table(self.name)
         self.layout_version += 1
         self.data_version += 1
-        self.rms.invalidate_table(self.name)
         self._notify("layout")
         self._notify("data")
 
@@ -216,11 +211,9 @@ class Table:
             raise ValueError(f"insert into {self.name} missing columns {sorted(missing)}")
         arrays: Dict[str, np.ndarray] = {}
         for spec in self.schema.columns:
-            values = rows[spec.name]
-            if spec.dtype is DataType.STRING:
-                arrays[spec.name] = np.array(values, dtype=object)
-            else:
-                arrays[spec.name] = np.asarray(values, dtype=spec.dtype.numpy_dtype)
+            arrays[spec.name] = np.asarray(
+                rows[spec.name], dtype=spec.dtype.numpy_dtype
+            )
         return arrays
 
     def _assign_slices(self, arrays: Dict[str, np.ndarray], count: int) -> np.ndarray:
@@ -245,7 +238,6 @@ class Table:
 
     def read_column_all(self, column: str) -> np.ndarray:
         """Concatenated full column across slices (loads, tests)."""
-        parts = [s.columns[column].read_all(self.rms) for s in self.slices]
-        if self.schema.dtype_of(column) is DataType.STRING:
-            return np.concatenate([np.asarray(p, dtype=object) for p in parts])
-        return np.concatenate(parts)
+        return np.concatenate(
+            [s.columns[column].read_all(self.rms) for s in self.slices]
+        )

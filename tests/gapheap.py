@@ -1,9 +1,15 @@
-"""Online bounded-range construction via a heap of the largest gaps.
+"""Reference: online bounded-range construction via a heap of the largest gaps.
 
 The paper (§4.1.1) limits the number of ranges stored per cache entry.
 While the scan streams qualifying row ranges, a bounded min-heap tracks
 the *largest gaps* between qualifying rows; after the scan the kept gaps
 are complemented into at most ``max_ranges`` merged ranges.
+
+The engine does not run this: a slice scan has all its qualifying rows
+at the barrier, so installs bound their ranges with the batch form,
+:meth:`repro.core.rowrange.RangeList.coalesce`.  This module is the
+paper's streaming construction, kept as the reference ``coalesce`` is
+checked against (``tests/test_gapheap.py``).
 
 Merging only ever *adds* rows to the cached ranges (false positives); it
 never drops a qualifying row (no false negatives), which is the safety
@@ -27,7 +33,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .rowrange import RangeList
+from repro.core.rowrange import RangeList
 
 __all__ = ["GapHeapRangeBuilder"]
 

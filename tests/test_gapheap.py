@@ -1,11 +1,12 @@
-"""Online gap-heap range building (§4.1.1)."""
+"""The streaming gap heap (§4.1.1, ``tests/gapheap.py``): its own cases,
+and the reference ``RangeList.coalesce`` — what installs run — is held to."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.gapheap import GapHeapRangeBuilder
 from repro.core.rowrange import RangeList
+from tests.gapheap import GapHeapRangeBuilder
 
 
 class TestGapHeapBasics:
@@ -60,7 +61,7 @@ class TestGapHeapBasics:
         assert builder.finish().to_pairs() == [(0, 6), (100, 101)]
 
 
-# -- equivalence with the offline coalesce ---------------------------------------------
+# -- the reference for RangeList.coalesce ----------------------------------------------
 
 pairs_strategy = st.lists(
     st.tuples(st.integers(0, 500), st.integers(1, 20)).map(
@@ -71,32 +72,36 @@ pairs_strategy = st.lists(
 )
 
 
-@given(pairs_strategy, st.integers(1, 6))
+@given(pairs_strategy, st.integers(1, 6), st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_matches_offline_coalesce(pairs, max_ranges):
-    """Streaming with the gap heap == normalize + offline coalesce.
+def test_matches_offline_coalesce(pairs, max_ranges, one_at_a_time):
+    """``coalesce`` == the gap heap fed the same sorted ranges, streamed
+    through ``heapq`` one at a time or in bulk.
 
-    Both keep the (max_ranges - 1) widest gaps; on gap-width ties the
-    results may differ in *which* equal-width gap is kept, so we compare
-    row coverage sizes and the superset property instead of identity,
-    plus exact equality when all gap widths are distinct.
+    Both keep the (max_ranges - 1) widest gaps; on gap-width ties they
+    may differ in *which* equal-width gap is kept, so ties compare range
+    count and row coverage, and distinct gap widths compare identity.
     """
     normalized = RangeList(pairs)
     builder = GapHeapRangeBuilder(max_ranges)
-    builder.add_range_list(normalized)
+    if one_at_a_time:
+        for start, end in normalized.to_pairs():
+            builder.add(start, end)
+    else:
+        builder.add_range_list(normalized)
     streamed = builder.finish()
     offline = normalized.coalesce(max_ranges)
 
-    assert streamed.covers(normalized)
-    assert len(streamed) <= max_ranges
+    assert offline.covers(normalized) and streamed.covers(normalized)
+    assert len(offline) == len(streamed) <= max_ranges
     gaps = [
         later.start - earlier.end
         for earlier, later in zip(normalized, list(normalized)[1:])
     ]
     if len(set(gaps)) == len(gaps):  # unambiguous gap choice
-        assert streamed == offline
+        assert offline == streamed
     else:
-        assert streamed.num_rows == offline.num_rows
+        assert offline.num_rows == streamed.num_rows
 
 
 @given(pairs_strategy, st.integers(1, 6))

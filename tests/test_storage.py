@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.rowrange import RangeList
 from repro.faults import FaultInjector, RetryBudgetExceeded, RetryPolicy
+from repro.storage import ColumnSpec, Database, Table, TableSchema
 from repro.storage.compression import choose_codec
 from repro.storage.column import BlockCoverage, ColumnStore, GrowableArray
 from repro.storage.dtypes import DataType, date_to_days, days_to_date
@@ -98,7 +99,7 @@ class TestZoneMap:
 
 def make_column(values, rows_per_block=10, dtype=DataType.INT64):
     column = ColumnStore("t", 0, "c", dtype, rows_per_block)
-    column.append(list(values), None)
+    column.append(list(values))
     return column
 
 
@@ -152,7 +153,7 @@ class TestColumnStore:
 
     def test_rebuild(self):
         column = make_column(range(20), rows_per_block=10)
-        column.rebuild(np.array([5, 6, 7]), None)
+        column.rebuild(np.array([5, 6, 7]))
         assert column.num_rows == 3
         assert column.read_all(ManagedStorage()).tolist() == [5, 6, 7]
 
@@ -558,8 +559,222 @@ def test_selected_coverage_equals_coverage_of_the_selected_rows(case):
 ])
 def test_unpruned_rows_are_the_kept_blocks_and_the_tail(num_rows, dropped):
     data_slice = DataSlice("t", 0, {"c": DataType.INT64}, rows_per_block=10)
-    data_slice.append_rows({"c": list(range(num_rows))}, 1, None)
+    data_slice.append_rows({"c": list(range(num_rows))}, 1)
     dropped = np.array(dropped)
     want = RangeList.full(num_rows).difference(dropped_row_ranges(dropped, 10))
     assert data_slice.unpruned_rows(dropped) == want
     assert data_slice.unpruned_rows(None) == RangeList.full(num_rows)
+
+
+# -- the write path: one representation, one rewrite --------------------------------
+
+BATCH_FORMS = ("list", "tuple", "generator", "array", "narrow", "range")
+
+
+def as_batch(values, form, dtype):
+    """``values`` (a list) in one of the shapes a caller may append."""
+    if form == "tuple":
+        return tuple(values)
+    if form == "generator":
+        return (value for value in values)
+    if form == "array":
+        return np.array(values, dtype=dtype.numpy_dtype)
+    integral = dtype in (DataType.INT64, DataType.DATE)
+    if form == "narrow" and dtype is DataType.FLOAT64:
+        return np.array(values, dtype=np.float32)
+    if form == "narrow" and integral:
+        return np.array(values, dtype=np.int32)
+    if form == "narrow" and all(isinstance(value, str) for value in values):
+        return np.array(values, dtype="U3")
+    if form == "range" and integral and values:
+        consecutive = range(values[0], values[0] + len(values))
+        if values == list(consecutive):
+            return consecutive
+    return list(values)
+
+
+@st.composite
+def split_appends(draw):
+    """(dtype, rows_per_block, values, batches): ``batches`` are the
+    values cut at arbitrary points (empty batches, exact block multiples
+    and single rows included), each in an arbitrary form."""
+    dtype = draw(st.sampled_from(list(DataType)))
+    size = draw(st.integers(1, 16))
+    if dtype is DataType.STRING:
+        element = draw(st.sampled_from([
+            st.text(alphabet="abc", max_size=3),
+            # Mixed types in one object column: comparable, so they seal,
+            # and never equal across types, so dict encoding loses nothing.
+            st.one_of(st.integers(-3, 3), st.sampled_from([-1.5, -0.5, 0.5, 2.5])),
+        ]))
+    elif dtype is DataType.FLOAT64:
+        element = st.floats(width=32, allow_nan=False)
+    else:
+        element = draw(st.sampled_from(
+            [st.integers(0, 3), st.integers(-(2**31), 2**31 - 1)]
+        ))
+    values = draw(st.one_of(
+        st.lists(element, max_size=70),
+        st.builds(lambda lo, n: list(range(lo, lo + n)), st.integers(-9, 9), st.integers(0, 70))
+        if dtype in (DataType.INT64, DataType.DATE) else st.nothing(),
+    ))
+    cut = st.one_of(
+        st.integers(0, len(values)),
+        st.integers(0, len(values) // size).map(lambda blocks: blocks * size),
+    )
+    cuts = [0, *sorted(draw(st.lists(cut, max_size=6))), len(values)]
+    batches = [
+        as_batch(values[lo:hi], draw(st.sampled_from(BATCH_FORMS)), dtype)
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
+    return dtype, size, values, batches
+
+
+def column_state(column):
+    zones = column.zonemap
+    return (
+        [(b.codec_name, b.num_values, b.nbytes, b.checksum) for b in column.blocks],
+        [zones[i] for i in range(len(zones))],
+        column.tail_values().tolist(),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_appends())
+def test_splitting_an_append_changes_nothing(case):
+    dtype, size, values, batches = case
+    whole = make_column(values, size, dtype)
+    split = ColumnStore("t", 0, "c", dtype, size)
+    for batch in batches:
+        split.append(batch)
+        if isinstance(batch, np.ndarray):
+            batch[:] = 0  # the column kept a copy, not the caller's array
+    want = column_state(whole)
+    assert column_state(split) == want
+    assert len(whole.blocks) == len(values) // size
+
+    tail = split.tail_values()
+    assert tail.dtype == dtype.numpy_dtype and len(tail) == len(values) % size
+    if len(tail):
+        assert np.shares_memory(tail, split.tail_values())
+
+    everything = whole.read_all(ManagedStorage())
+    assert everything.dtype == dtype.numpy_dtype
+    assert everything.tolist() == np.asarray(values, dtype=dtype.numpy_dtype).tolist()
+    split.rebuild(everything)
+    assert column_state(split) == want
+
+
+def snapshot_of(data_slice, rms):
+    """Every column, ``xmin`` and ``xmax`` of a slice, as arrays."""
+    state = {
+        name: column.read_all(rms) for name, column in data_slice.columns.items()
+    }
+    state["xmin"] = data_slice._xmin.values.copy()
+    state["xmax"] = data_slice._xmax.values.copy()
+    return state
+
+
+def rewrite_table():
+    """Three slices, three dtypes, two insert transactions, partial tails."""
+    table = Table(
+        TableSchema("t", (
+            ColumnSpec("k", DataType.INT64),
+            ColumnSpec("v", DataType.FLOAT64),
+            ColumnSpec("s", DataType.STRING),
+        )),
+        num_slices=3,
+        rows_per_block=4,
+    )
+    for txid, (lo, hi) in enumerate([(0, 31), (31, 50)], start=1):
+        keys = np.arange(lo, hi)
+        table.insert(
+            {"k": keys * 7 % 13, "v": keys / 4, "s": [f"s{k % 5}" for k in keys]},
+            txid,
+        )
+    return table
+
+
+def vacuum_case(table, rng):
+    """Rows deleted before the horizon go; a later delete keeps its xmax."""
+    orders = []
+    for slice_id, data_slice in enumerate(table.slices[:2]):
+        keep = rng.random(data_slice.num_rows) < 0.6
+        table.delete_local_rows(slice_id, np.flatnonzero(~keep), 5)
+        table.delete_local_rows(slice_id, np.flatnonzero(keep)[:2], 9)
+        orders.append(np.flatnonzero(keep))
+    return [*orders, None], lambda: table.vacuum(6)
+
+
+def reorganize_case(table, rng):
+    table.delete_local_rows(0, np.array([1, 2]), 5)
+    orders = [rng.permutation(table.slices[0].num_rows), None,
+              rng.permutation(table.slices[2].num_rows)]
+    return orders, lambda: table.reorganize(lambda _table: orders)
+
+
+@pytest.mark.parametrize("case", [vacuum_case, reorganize_case])
+def test_one_rewrite_two_callers(case):
+    """Vacuum (``order`` = the kept rows) and reorganize (``order`` = a
+    permutation, None for an untouched slice) against a numpy reference."""
+    table = rewrite_table()
+    orders, run = case(table, np.random.default_rng(7))
+    before = [snapshot_of(s, table.rms) for s in table.slices]
+    versions = table.layout_version, table.data_version
+    events = []
+    table.on_change(lambda _table, event: events.append(event))
+
+    run()
+
+    assert events == ["layout", "data"]
+    assert (table.layout_version, table.data_version) == (versions[0] + 1, versions[1] + 1)
+    size = table.slices[0].rows_per_block
+    for data_slice, was, order in zip(table.slices, before, orders):
+        if order is None:
+            order = np.arange(len(was["xmin"]))
+        assert data_slice.num_rows == len(order)
+        now = snapshot_of(data_slice, table.rms)
+        for name, values in was.items():
+            assert now[name].dtype == values.dtype
+            assert now[name].tolist() == values[order].tolist()
+        for name, column in data_slice.columns.items():
+            assert column.num_rows == len(order)
+            assert len(column.blocks) == len(column.zonemap) == len(order) // size
+            for index in range(len(column.blocks)):
+                block = was[name][order][index * size : (index + 1) * size]
+                assert column.zonemap[index] == ZoneEntry(min(block), max(block))
+
+
+def test_only_a_rewrite_invalidates_decoded_blocks():
+    """Sealing a block invalidates nothing (its key cannot be cached
+    yet); a rewrite drops the table's decoded blocks once, all of them,
+    and no other table's."""
+    db = Database(num_slices=2, rows_per_block=4)
+    for name in ("t", "other"):
+        db.create_table(TableSchema(name, (ColumnSpec("k", DataType.INT64),)))
+    t, other = db.table("t"), db.table("other")
+
+    def cached(name):
+        return [key for key in db.rms._cache if key[0] == name]
+
+    for start in range(0, 60, 7):  # tails fill and seal between the reads
+        for table in (t, other):
+            table.insert({"k": np.arange(start, start + 7)}, db.begin())
+            assert sorted(table.read_column_all("k")) == list(range(start + 7))
+    assert db.rms.stats.blocks_invalidated == 0
+
+    def reorder(table):
+        return [np.argsort(-s.columns["k"].read_all(table.rms)) for s in table.slices]
+
+    t.delete_local_rows(0, np.arange(5), db.begin())
+    for rewrite, survivors in (
+        (lambda: t.vacuum(db.horizon_txid), 58),
+        (lambda: t.reorganize(reorder), 58),
+    ):
+        dropped = db.rms.stats.blocks_invalidated
+        held, elsewhere = len(cached("t")), len(cached("other"))
+        assert held
+        rewrite()
+        assert cached("t") == [] and len(cached("other")) == elsewhere
+        assert db.rms.stats.blocks_invalidated == dropped + held
+        assert len(t.read_column_all("k")) == survivors  # refills the cache

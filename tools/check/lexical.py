@@ -62,7 +62,7 @@ PARALLEL_SCAN_MODULES = (
 WORKER_FUNCTIONS = ("_scan_slice", "_prune_with_zonemaps")
 
 #: Methods that mutate entries, accounting, watch or store state of a
-#: predicate cache (or, for ``invalidate_block``, of managed storage).
+#: predicate cache.
 #: The one table both barrier rules read: RP006 bans them (plus the
 #: admission policy's ``observe``) in scan worker code, where a call is
 #: a data race *and* makes the mutation order depend on thread
@@ -77,7 +77,6 @@ CACHE_WRITERS = frozenset(
         "get_or_create",
         "install_restored",
         "invalidate_table",
-        "invalidate_block",
         "invalidate_build_side",
         "clear",
         "drop_stale",
