@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, List, Optional
+from typing import Callable, FrozenSet, List, NoReturn, Optional
 
 from ..core.cache import PredicateCache, cache_series
 from ..core.config import PredicateCacheConfig
@@ -29,40 +29,14 @@ class DownedCache:
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
 
-    def _refuse(self, *_args, **_kwargs):
+    def __getattr__(self, name: str) -> NoReturn:
+        # Reached for every name but ``node_id``: whatever a live cache
+        # would answer — method, property, counter — the dead one
+        # refuses.  (Dunder probes by copy/pickle/pytest get the plain
+        # "no such attribute".)
+        if name.startswith("__"):
+            raise AttributeError(name)
         raise NodeDownError(f"cache node {self.node_id} is down")
-
-    ping = _refuse
-    lookup = _refuse
-    select_entry = _refuse
-    get_or_create = _refuse
-    record_slice_scan = _refuse
-    record_entry_stats = _refuse
-    admits = _refuse
-    watch_table = _refuse
-    watched_tables = _refuse
-    table_layout_of = _refuse
-    generation_of = _refuse
-    install_restored = _refuse
-    attach_store = _refuse
-    detach_store = _refuse
-    invalidate_table = _refuse
-    invalidate_build_side = _refuse
-    drop_stale = _refuse
-    trim_to_bytes = _refuse
-    clear = _refuse
-    entries = _refuse
-    keys = _refuse
-
-    @property
-    def total_nbytes(self) -> int:
-        self._refuse()
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    @property
-    def stats(self) -> CacheStats:
-        self._refuse()
-        raise AssertionError("unreachable")  # pragma: no cover
 
 
 class ClusterCaches:
@@ -203,14 +177,14 @@ class ClusterCaches:
         the node down, scans routed to it fail with
         :class:`~repro.faults.NodeDownError` and degrade to cache-off —
         the undetected-failure window is modeled, not skipped.  The dead
-        cache is detached from the store first (a crashed process stops
-        journaling).  Idempotent.
+        cache is closed (a crashed process stops journaling and hears no
+        more table events).  Idempotent.
         """
         dead = self._nodes[node_id]
         if isinstance(dead, DownedCache):
             return
-        dead.detach_store()
         self._nodes[node_id] = DownedCache(node_id)
+        dead.close()
 
     def mark_down(self, node_id: int) -> None:
         """Declare a node dead: route its slices cache-off from now on."""
@@ -239,8 +213,13 @@ class ClusterCaches:
         a fresh policy from ``policy_factory`` (a failure must not
         silently downgrade a cost-based cluster to default admission).
         """
+        replaced = self._nodes[node_id]
         replacement = self._new_node()
         self._nodes[node_id] = replacement
+        # Retired only once the router no longer hands it out: a cache
+        # that can still serve a scan must still hear its tables.
+        if not isinstance(replaced, DownedCache):
+            replaced.close()
         if self._store is not None:
             self._hydrate_node(node_id, replacement)
         # Restoring a node also clears its down marker: the router may
@@ -297,6 +276,8 @@ class ClusterCaches:
             for table in watched.values():
                 cache.watch_table(table)
         self._nodes = new_nodes
+        for cache in old_nodes:
+            cache.close()
         # Every slot now holds a freshly built live cache; down markers
         # referred to the old layout's node ids.
         self._down = frozenset()

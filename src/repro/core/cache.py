@@ -19,17 +19,17 @@ Locking discipline (DESIGN.md §12): one re-entrant lock serializes
 every mutation — installs, LRU reordering, eviction, invalidation,
 generation bumps, stats — so concurrent serving threads interleave at
 whole-operation granularity and generation stamps stay consistent with
-the entry table.  Slice-state payloads themselves are published safely
-without the lock: ``extend`` swaps in the new bounds array *before*
-advancing the watermark, so a reader that raced an extension sees a
-superset-safe (possibly slightly stale) state, never a torn one.
+the entry table.  A slice state is an immutable value
+(:mod:`repro.core.entry`): the one store of a new state into its
+``slice_states`` slot, under the lock, is the whole publication, so a
+scan reads a slot without the lock and works on a complete state.
 Mutation outside a ``with self._lock`` block (or a helper documented as
 "caller holds ``_lock``") is rejected by checker rule RP007.
 
 Write-through (DESIGN.md §9): with a store attached, a mutator only
-*captures* what it changed while it holds the lock — plain records that
-share the immutable range bounds, or copy a bitmap — onto one FIFO, and
-appends them to the store after releasing the lock.  Nothing that
+*captures* what it changed while it holds the lock — the entry's
+metadata and a reference to the immutable slice state — onto one FIFO,
+and appends them to the store after releasing the lock.  Nothing that
 encodes, checksums or touches a file runs under ``_lock``; a lookup or
 a repeat that changed nothing captures nothing; with no store attached
 the FIFO is never touched.
@@ -195,12 +195,23 @@ class PredicateCache:
             with store.io_lock:
                 self._pending.clear()
 
+    def close(self) -> None:
+        """Retire this cache — its node was replaced or restarted: stop
+        writing through and unsubscribe from every watched table, so a
+        table's change events reach only the caches still serving.
+        ``_watched`` is kept: :meth:`watch_table` from a scan still in
+        flight on the retired cache stays a no-op instead of
+        re-subscribing it.  Idempotent."""
+        self.detach_store()
+        for table in self.watched_tables():
+            table.off_change(self._on_table_event)
+
     def _capture_state(
         self, entry: CacheEntry, slice_id: int, state: SliceState
     ) -> None:
         """Queue an install/extend for the journal: the entry's metadata
-        and the slice's state as of now, as the store's own records.
-        Caller holds ``_lock``."""
+        as of now and the slice's (immutable) state.  Caller holds
+        ``_lock``."""
         if self._store is not None:
             layout = self._table_layouts.get(entry.key.table, 0)
             self._pending.append(
@@ -275,8 +286,13 @@ class PredicateCache:
         live), so subsequent scans may extend it like any other entry.
         Derived entries keep their recorded provenance across restarts.
         Does not write through — hydration must not re-journal what the
-        store just replayed.
+        store just replayed.  The states are installed as handed in, so
+        each is checked first, always: one that breaks its representation
+        invariants (a damaged file that still passed its CRC) raises
+        before the cache is touched.
         """
+        for state in slice_states.values():
+            _inv.check_slice_state(state)
         with self._lock:
             entry = CacheEntry(
                 key,
@@ -296,8 +312,6 @@ class PredicateCache:
                 self._table_layouts.setdefault(key.table, int(table_layout))
             self._evict_if_needed()
             if _inv.ACTIVE:
-                for state in slice_states.values():
-                    _inv.check_slice_state(state)
                 _inv.check_cache(self)
         self._drain_journal()
         return entry
@@ -488,8 +502,9 @@ class PredicateCache:
     ) -> None:
         """Record one slice's scan output into the entry.
 
-        First call per slice creates the state; later calls extend the
-        uncached tail (appends since the entry was built, §4.3.1).
+        First call per slice creates the state; later calls replace it
+        by one extended over the uncached tail (appends since the entry
+        was built, §4.3.1).
 
         Stale installs are refused: if the entry was invalidated or
         evicted after the scan picked it up (a vacuum between lookup and
@@ -510,26 +525,24 @@ class PredicateCache:
                 return
             state = entry.slice_states[slice_id]
             if state is None:
-                state = self._new_state(qualifying, scanned_upto)
-                entry.slice_states[slice_id] = state
-                changed = True
+                new = self._new_state(qualifying, scanned_upto)
             else:
-                watermark = state.last_cached_row
-                state.extend(qualifying, scanned_upto)
-                changed = state.last_cached_row != watermark
-                if changed:
-                    self.stats.extensions += 1
+                new = state.extended(qualifying, scanned_upto)
+            if _inv.ACTIVE:
+                _inv.check_slice_state(new, slice_rows=scanned_upto)
+            changed = new is not state
             if changed:
                 # A repeat that found nothing appended changed nothing:
                 # no journal record, no budget to re-enforce.  Otherwise
-                # the state grew the entry's payload; re-enforce the byte
-                # budget here, not just on insert (after the capture, so a
-                # resulting eviction's drop event lands after the state
-                # event).
-                self._capture_state(entry, slice_id, state)
+                # this one store publishes the new state, which grew the
+                # entry's payload; re-enforce the byte budget here, not
+                # just on insert (after the capture, so a resulting
+                # eviction's drop event lands after the state event).
+                entry.slice_states[slice_id] = new
+                if state is not None:
+                    self.stats.extensions += 1
+                self._capture_state(entry, slice_id, new)
                 self._evict_if_needed()
-            if _inv.ACTIVE:
-                _inv.check_slice_state(state, slice_rows=scanned_upto)
         if changed:
             self._drain_journal()
 

@@ -27,8 +27,6 @@ class PredicateCacheConfig:
             merging, CNF) before forming cache keys — the paper's
             §4.1.2 "SMT solver" extension.  Off by default, like the
             prototype.
-        min_rows_to_cache: scans over fewer candidate rows than this are
-            not worth an entry (tiny tables gain nothing).
         enable_reuse: turn on the cross-query reuse lattice (DESIGN.md
             §14): conjunct decomposition on install, intersection
             composition and subsumption matching on a full-key miss.
@@ -43,7 +41,6 @@ class PredicateCacheConfig:
     max_bytes: Optional[int] = None
     cache_join_keys: bool = True
     normalize_keys: bool = False
-    min_rows_to_cache: int = 0
     enable_reuse: bool = False
 
     def __post_init__(self) -> None:

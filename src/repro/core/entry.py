@@ -8,23 +8,23 @@ Both index variants (§4.1.1–4.1.2) share the same lifecycle:
 2. On a repeat, :meth:`candidates` returns the rows the scan must still
    look at: the cached qualifying rows (a superset of the truth — false
    positives only) plus the *uncached tail* appended since.
-3. After the repeat scanned the tail, :meth:`extend` folds the tail's
-   qualifying rows in, keeping the entry complete without rebuilds —
-   the "online under inserts" property of §4.3.1.
+3. After the repeat scanned the tail, :meth:`extended` builds the state
+   with the tail's qualifying rows folded in, keeping the entry complete
+   without rebuilds — the "online under inserts" property of §4.3.1.
 
 The **range variant** stores at most ``max_ranges`` merged row ranges
 (bounded by :meth:`RangeList.coalesce`, the gap heap's batch form).
 The **bitmap variant** stores one bit per ``block_size`` rows; it grows
 with the table but is ~8x smaller at the paper's settings (Table 3).
 
-Publication ordering: installs and extensions are serialized by the
-owning :class:`~repro.core.cache.PredicateCache` lock, but *readers*
-(the scan path consuming :meth:`SliceState.candidates`) run lock-free.
-Both ``extend`` implementations therefore publish the new qualifying
-state **before** advancing ``last_cached_row``: a racing reader sees
-either the old state (and re-scans the tail) or the new state with the
-old watermark (a superset of the truth) — never a new watermark over
-old state, which would silently skip tail rows.
+A state is an immutable value: nothing changes one after its
+constructor returns, and folding a tail in yields a *new* state.  The
+owning :class:`~repro.core.cache.PredicateCache` publishes it by storing
+that one reference into ``CacheEntry.slice_states`` under its lock.  A
+reader takes the slot's reference once and works on a state that is
+complete and stays so: lock-free scans, journal captures and snapshots
+all hold the value itself, and a reader that took the previous state
+merely re-scans the tail.
 """
 
 from __future__ import annotations
@@ -49,23 +49,25 @@ PROVENANCES: Tuple[str, ...] = ("scan", "conjunct", "composed", "subsumed")
 
 
 class SliceState:
-    """Per-slice qualifying-row state (abstract)."""
+    """Per-slice qualifying-row state (abstract, immutable)."""
+
+    __slots__ = ()
 
     last_cached_row: int
 
     def candidates(self, num_rows: int) -> RangeList:
         """Rows a repeated scan must evaluate: cached hits + new tail."""
-        # Watermark before state — the reverse of extend's publication
-        # order, so a racing extend can only widen what is read here.
-        tail = self._tail_range(num_rows)
-        return self.cached_candidates().union(tail)
+        return self.cached_candidates().union(self._tail_range(num_rows))
 
     def cached_candidates(self) -> RangeList:
         """Just the cached qualifying rows (rows < last_cached_row)."""
         raise NotImplementedError
 
-    def extend(self, tail_qualifying: RangeList, scanned_upto: int) -> None:
-        """Fold in qualifying rows of the previously uncached tail."""
+    def extended(
+        self, tail_qualifying: RangeList, scanned_upto: int
+    ) -> "SliceState":
+        """The state with the qualifying rows of the previously uncached
+        tail folded in — ``self`` when no row was appended since."""
         raise NotImplementedError
 
     @property
@@ -80,6 +82,13 @@ class SliceState:
             )
         return RangeList.empty()
 
+    def _check_grows_to(self, scanned_upto: int) -> None:
+        if scanned_upto < self.last_cached_row:
+            raise ValueError(
+                f"cannot shrink cached region from {self.last_cached_row} "
+                f"to {scanned_upto}"
+            )
+
 
 class RangeSliceState(SliceState):
     """Bounded list of merged row ranges (§4.1.1)."""
@@ -89,27 +98,45 @@ class RangeSliceState(SliceState):
     def __init__(
         self, qualifying: RangeList, scanned_upto: int, max_ranges: int
     ) -> None:
-        self.max_ranges = max_ranges
         self.ranges = qualifying.coalesce(max_ranges)
         self.last_cached_row = scanned_upto
+        self.max_ranges = max_ranges
+
+    @classmethod
+    def _wrap(
+        cls, ranges: RangeList, last_cached_row: int, max_ranges: int
+    ) -> "RangeSliceState":
+        """Trusted constructor: ``ranges`` is the stored list itself."""
+        out = cls.__new__(cls)
+        out.ranges = ranges
+        out.last_cached_row = last_cached_row
+        out.max_ranges = max_ranges
+        return out
 
     def cached_candidates(self) -> RangeList:
         return self.ranges
 
-    def extend(self, tail_qualifying: RangeList, scanned_upto: int) -> None:
-        if scanned_upto < self.last_cached_row:
-            raise ValueError(
-                f"cannot shrink cached region from {self.last_cached_row} "
-                f"to {scanned_upto}"
-            )
+    def extended(
+        self, tail_qualifying: RangeList, scanned_upto: int
+    ) -> "RangeSliceState":
+        self._check_grows_to(scanned_upto)
         if scanned_upto == self.last_cached_row:
-            return  # a repeat with no rows appended since: nothing to fold in
-        merged = self.ranges.union(tail_qualifying.clip(self.last_cached_row, scanned_upto))
-        # Publish the merged ranges before advancing the watermark (see
-        # module docstring): lock-free readers must never observe a new
-        # watermark over the old, tail-less range list.
-        self.ranges = merged.coalesce(self.max_ranges)
-        self.last_cached_row = scanned_upto
+            return self
+        merged = self.ranges.union(
+            tail_qualifying.clip(self.last_cached_row, scanned_upto)
+        )
+        return self._wrap(
+            merged.coalesce(self.max_ranges), scanned_upto, self.max_ranges
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RangeSliceState):
+            return NotImplemented
+        return (
+            self.last_cached_row == other.last_cached_row
+            and self.max_ranges == other.max_ranges
+            and self.ranges == other.ranges
+        )
 
     @property
     def nbytes(self) -> int:
@@ -127,64 +154,79 @@ class BitmapSliceState(SliceState):
     ) -> None:
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
-        self.block_size = block_size
-        self.bits = np.zeros(self._num_blocks(scanned_upto), dtype=bool)
+        self.bits = _block_bits(qualifying, scanned_upto, block_size)
+        self.bits.setflags(write=False)
         self.last_cached_row = scanned_upto
-        self._set_bits(qualifying)
+        self.block_size = block_size
 
-    def _num_blocks(self, num_rows: int) -> int:
-        return (num_rows + self.block_size - 1) // self.block_size
-
-    def _set_bits(self, qualifying: RangeList) -> None:
-        bounds = qualifying.bounds
-        if not len(bounds):
-            return
-        # Boundary-delta accumulation over block indices: +1 at each
-        # range's first block, -1 one past its last block, prefix sum > 0
-        # marks covered blocks — no per-range Python loop.
-        delta = np.zeros(len(self.bits) + 1, dtype=np.int64)
-        np.add.at(delta, bounds[:, 0] // self.block_size, 1)
-        np.add.at(delta, (bounds[:, 1] - 1) // self.block_size + 1, -1)
-        self.bits |= np.cumsum(delta[:-1]) > 0
+    @classmethod
+    def _wrap(
+        cls, bits: np.ndarray, last_cached_row: int, block_size: int
+    ) -> "BitmapSliceState":
+        """Trusted constructor: ``bits`` is the stored vector itself."""
+        out = cls.__new__(cls)
+        bits.setflags(write=False)
+        out.bits = bits
+        out.last_cached_row = last_cached_row
+        out.block_size = block_size
+        return out
 
     def cached_candidates(self) -> RangeList:
-        # The bits of the watermark's own blocks only: a racing extend
-        # grows ``bits`` before it advances ``last_cached_row``.
-        last = self.last_cached_row
-        bits = self.bits[: self._num_blocks(last)]
-        if not bits.any():
+        if not self.bits.any():
             return RangeList.empty()
         # Merged runs of set bits scaled to row ranges are normal by
         # construction; the watermark lies inside the last block (which
         # may be partial), so clipping the last end keeps them so.
-        bounds = RangeList.from_mask(bits).bounds * self.block_size
-        if bounds[-1, 1] > last:
-            bounds[-1, 1] = last
+        bounds = RangeList.from_mask(self.bits).bounds * self.block_size
+        if bounds[-1, 1] > self.last_cached_row:
+            bounds[-1, 1] = self.last_cached_row
         return RangeList._wrap(bounds)
 
-    def extend(self, tail_qualifying: RangeList, scanned_upto: int) -> None:
-        if scanned_upto < self.last_cached_row:
-            raise ValueError(
-                f"cannot shrink cached region from {self.last_cached_row} "
-                f"to {scanned_upto}"
-            )
+    def extended(
+        self, tail_qualifying: RangeList, scanned_upto: int
+    ) -> "BitmapSliceState":
+        self._check_grows_to(scanned_upto)
         if scanned_upto == self.last_cached_row:
-            return  # a repeat with no rows appended since: nothing to fold in
-        needed = self._num_blocks(scanned_upto)
-        if needed > len(self.bits):
-            grown = np.zeros(needed, dtype=bool)
-            grown[: len(self.bits)] = self.bits
-            self.bits = grown
-        # Set the tail bits before advancing the watermark (see module
-        # docstring): a racing lock-free reader then sees at worst extra
-        # candidate blocks under the old watermark — superset-safe.
-        self._set_bits(tail_qualifying.clip(self.last_cached_row, scanned_upto))
-        self.last_cached_row = scanned_upto
+            return self
+        grown = _block_bits(
+            tail_qualifying.clip(self.last_cached_row, scanned_upto),
+            scanned_upto,
+            self.block_size,
+        )
+        grown[: len(self.bits)] |= self.bits  # a fresh vector, not yet handed out
+        return self._wrap(grown, scanned_upto, self.block_size)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BitmapSliceState):
+            return NotImplemented
+        return (
+            self.last_cached_row == other.last_cached_row
+            and self.block_size == other.block_size
+            and np.array_equal(self.bits, other.bits)
+        )
 
     @property
     def nbytes(self) -> int:
         # One bit per block plus the watermark.
         return (len(self.bits) + 7) // 8 + 8
+
+
+def _block_bits(
+    qualifying: RangeList, num_rows: int, block_size: int
+) -> np.ndarray:
+    """One bool per ``block_size`` rows of ``[0, num_rows)``: True where
+    a qualifying range touches the block."""
+    num_blocks = (num_rows + block_size - 1) // block_size
+    bounds = qualifying.bounds
+    if not len(bounds):
+        return np.zeros(num_blocks, dtype=bool)
+    # Boundary-delta accumulation over block indices: +1 at each
+    # range's first block, -1 one past its last block, prefix sum > 0
+    # marks covered blocks — no per-range Python loop.
+    delta = np.zeros(num_blocks + 1, dtype=np.int64)
+    np.add.at(delta, bounds[:, 0] // block_size, 1)
+    np.add.at(delta, (bounds[:, 1] - 1) // block_size + 1, -1)
+    return np.cumsum(delta[:-1]) > 0
 
 
 class CacheEntry:

@@ -169,7 +169,11 @@ class QueryEngine:
         statement runs under a ``query`` root span, returned on
         ``result.trace``.
         """
-        tracer = self.tracer
+        return self._execute(sql, self.tracer)
+
+    def _execute(self, sql: str, tracer) -> QueryResult:
+        """:meth:`execute` under ``tracer`` — the engine's own, or the
+        one-off tracer of :meth:`explain_analyze`."""
         if tracer is None:
             return self._execute_statement(sql, None)
         query_span = tracer.begin("query", sql=sql)
@@ -205,7 +209,7 @@ class QueryEngine:
             else:
                 with tracer.span("plan"):
                     plan = plan_select(statement, self.database)
-            return self.execute_plan(plan, cache_key=_normalize_sql(sql))
+            return self._execute_plan(plan, _normalize_sql(sql), tracer)
         if isinstance(statement, InsertStatement):
             table = self.database.table(statement.table)
             columns = statement.columns or table.schema.column_names
@@ -257,7 +261,11 @@ class QueryEngine:
         unchanged tables return the stored result without execution
         (§3.1).  SQL execution passes the statement text.
         """
-        tracer = self.tracer
+        return self._execute_plan(plan, cache_key, self.tracer)
+
+    def _execute_plan(
+        self, plan: PlanNode, cache_key: Optional[str], tracer
+    ) -> QueryResult:
         counters = QueryCounters()
         if self.result_cache is not None and cache_key is not None:
             versions = self._table_versions(plan)
@@ -428,18 +436,14 @@ class QueryEngine:
         The rendering shows per-operator wall time, rows, block fetches,
         and the cache outcome of every scan slice — the runtime twin of
         :meth:`explain`.  Works whether or not the engine already has a
-        tracer (a temporary one is used either way so concurrent traces
-        are not mixed in).
+        tracer: the temporary one is handed down the call, the engine is
+        not touched, so statements running concurrently neither record
+        into it nor lose their own.
         """
         from ..obs import Tracer
         from .explain import render_analyze
 
-        saved = self.tracer
-        self.tracer = Tracer()
-        try:
-            result = self.execute(sql)
-        finally:
-            self.tracer = saved
+        result = self._execute(sql, Tracer())
         return render_analyze(result.trace, result.counters)
 
     def count_rows(self, table_name: str) -> int:

@@ -561,42 +561,41 @@ def _prepare_cache_context(
         tracer.end(lookup_span)
 
     context = _SliceCacheContext(cache, entry, basis)
-    if table.num_rows >= cache.config.min_rows_to_cache:
-        if join_key is not None and cache_join and cache.admits(join_key):
-            context.join_entry = cache.get_or_create(
-                join_key, table.num_slices, build_versions
-            )
-        # Unfiltered scans are not worth a plain entry: the paper
-        # caches "predicates pushed into table scans", and a TRUE
-        # entry would qualify every row.
-        if (
-            basis != "join"
-            and not isinstance(predicate, TruePredicate)
-            and cache.admits(plain_key)
-        ):
-            # A reuse-served scan evaluates the real predicate over a
-            # candidate superset, so its q_plain is exact — the full-key
-            # entry it fills records how it was derived.
-            context.plain_entry = cache.get_or_create(
-                plain_key,
-                table.num_slices,
-                {},
-                provenance=serving.basis if serving is not None else "scan",
-                source_digests=serving.source_digests if serving is not None else (),
-            )
-        # Derived conjunct entries: sound under any serving basis except
-        # "join" (where the complement-padded sets would be uselessly
-        # wide — the join candidates are already heavily filtered).
-        if decomposition is not None and basis != "join":
-            for conjunct in decomposition.conjuncts:
-                if conjunct.key == plain_key or not cache.admits(conjunct.key):
-                    continue
-                context.conjunct_entries.append(
-                    cache.get_or_create(
-                        conjunct.key, table.num_slices, {}, provenance="conjunct"
-                    )
+    if join_key is not None and cache_join and cache.admits(join_key):
+        context.join_entry = cache.get_or_create(
+            join_key, table.num_slices, build_versions
+        )
+    # Unfiltered scans are not worth a plain entry: the paper
+    # caches "predicates pushed into table scans", and a TRUE
+    # entry would qualify every row.
+    if (
+        basis != "join"
+        and not isinstance(predicate, TruePredicate)
+        and cache.admits(plain_key)
+    ):
+        # A reuse-served scan evaluates the real predicate over a
+        # candidate superset, so its q_plain is exact — the full-key
+        # entry it fills records how it was derived.
+        context.plain_entry = cache.get_or_create(
+            plain_key,
+            table.num_slices,
+            {},
+            provenance=serving.basis if serving is not None else "scan",
+            source_digests=serving.source_digests if serving is not None else (),
+        )
+    # Derived conjunct entries: sound under any serving basis except
+    # "join" (where the complement-padded sets would be uselessly
+    # wide — the join candidates are already heavily filtered).
+    if decomposition is not None and basis != "join":
+        for conjunct in decomposition.conjuncts:
+            if conjunct.key == plain_key or not cache.admits(conjunct.key):
+                continue
+            context.conjunct_entries.append(
+                cache.get_or_create(
+                    conjunct.key, table.num_slices, {}, provenance="conjunct"
                 )
-                context.conjunct_predicates += (conjunct.predicate,)
+            )
+            context.conjunct_predicates += (conjunct.predicate,)
     return context
 
 

@@ -25,7 +25,10 @@ Hook points (all behind the ``ACTIVE`` guard):
 * ``RangeList._wrap`` — every trusted (already-normalized) construction
   re-verifies the bounds-array invariant.
 * ``PredicateCache.record_slice_scan`` / ``install_restored`` — slice
-  states, generation stamps, and cache accounting.
+  states, generation stamps, and cache accounting.  (The one check that
+  runs whether or not validation is armed: ``install_restored`` calls
+  :func:`check_slice_state` on every state it is handed, before it
+  touches the cache — those come from disk, not from a constructor.)
 * ``CacheStore._write_snapshot`` — every snapshot rotation decodes its
   own bytes and compares records (round-trip self-check).
 
@@ -163,15 +166,10 @@ def check_slice_state(state: Any, slice_rows: Optional[int] = None) -> None:
         if block_size < 1:
             _fail(f"bitmap block_size must be >= 1, got {block_size}")
         expected = (watermark + block_size - 1) // block_size
-        if len(bits) < expected:
+        if len(bits) != expected:
             _fail(
                 f"bitmap has {len(bits)} bits, watermark {watermark} at "
-                f"block size {block_size} needs {expected}"
-            )
-        if len(bits) > expected and bool(bits[expected:].any()):
-            _fail(
-                "bitmap has qualifying bits beyond the watermark "
-                f"(watermark {watermark}, block size {block_size})"
+                f"block size {block_size} needs exactly {expected}"
             )
     else:
         _fail(f"unknown slice-state type {type(state).__name__}")
@@ -261,8 +259,8 @@ def check_snapshot_roundtrip(records: Any, data: bytes) -> None:
     """A freshly encoded snapshot must decode back to its own records.
 
     Called on store rotation *before* any fault injection touches the
-    bytes: decode must report no damage and yield a record set
-    bit-identical (``EntryRecord.equals``) to what was encoded.
+    bytes: decode must report no damage and yield a record set equal,
+    field for field and state for state, to what was encoded.
     """
     from .persist.format import decode_snapshot
 
@@ -280,7 +278,7 @@ def check_snapshot_roundtrip(records: Any, data: bytes) -> None:
             f"{len(records)}, decoded {len(decoded)}"
         )
     for digest, record in records.items():
-        if not decoded[digest].equals(record):
+        if decoded[digest] != record:
             _fail(
                 f"snapshot round-trip altered entry {record.key.key()!r} "
                 f"(digest {digest})"

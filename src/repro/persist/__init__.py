@@ -21,14 +21,13 @@ Warm start is wired into :class:`~repro.core.cache.PredicateCache`
 store).  See DESIGN.md §9.
 """
 
-from .records import EntryRecord, StateRecord, collect_records, key_digest
+from .records import EntryRecord, collect_records, key_digest
 from .store import CacheStore, LoadResult
 
 __all__ = [
     "CacheStore",
     "EntryRecord",
     "LoadResult",
-    "StateRecord",
     "collect_records",
     "key_digest",
 ]

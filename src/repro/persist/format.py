@@ -44,11 +44,11 @@ from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from ..core.entry import PROVENANCES
+from ..core.entry import PROVENANCES, BitmapSliceState, RangeSliceState, SliceState
+from ..core.rowrange import RangeList
 from ..storage.compression import array_checksum
 from .records import (
     EntryRecord,
-    StateRecord,
     key_digest,
     key_from_obj,
     key_to_obj,
@@ -210,26 +210,39 @@ def _decode_meta(
     return record, off
 
 
-def _encode_state(buf: bytearray, slice_id: int, state: StateRecord) -> None:
-    if state.kind == 0:  # range: raw (N, 2) int64 bounds
-        payload = np.ascontiguousarray(state.data, dtype="<i8").tobytes()
-        count = len(state.data)
-    else:  # bitmap: packed bits
-        bits = np.asarray(state.data, dtype=bool)
-        payload = np.packbits(bits).tobytes()
-        count = len(bits)
+# Slice-state variants on the wire.
+_STATE_RANGE = 0
+_STATE_BITMAP = 1
+
+
+def _encode_state(buf: bytearray, slice_id: int, state: SliceState) -> None:
+    if isinstance(state, RangeSliceState):  # raw (N, 2) int64 bounds
+        kind, param = _STATE_RANGE, state.max_ranges
+        bounds = state.ranges.bounds
+        payload = np.ascontiguousarray(bounds, dtype="<i8").tobytes()
+        count = len(bounds)
+    elif isinstance(state, BitmapSliceState):  # packed bits
+        kind, param = _STATE_BITMAP, state.block_size
+        payload = np.packbits(state.bits).tobytes()
+        count = len(state.bits)
+    else:
+        raise TypeError(f"unknown slice-state type {type(state).__name__}")
     buf += struct.pack(
-        "<IB3xQQQ", slice_id, state.kind, state.last_cached_row, state.param, count
+        "<IB3xQQQ", slice_id, kind, state.last_cached_row, param, count
     )
     buf += payload
 
 
-def _decode_state(data: bytes, off: int) -> Tuple[int, StateRecord, int]:
+def _decode_state(data: bytes, off: int) -> Tuple[int, SliceState, int]:
+    """The state exactly as stored: nothing is re-coalesced, re-derived
+    or judged here — ``install_restored`` checks a state before it
+    serves, compaction re-encodes what it read."""
     slice_id, kind, last_cached_row, param, count = struct.unpack_from(
         "<IB3xQQQ", data, off
     )
     off += struct.calcsize("<IB3xQQQ")
-    if kind == 0:
+    state: SliceState
+    if kind == _STATE_RANGE:
         nbytes = count * 16
         if off + nbytes > len(data):
             raise ValueError("range payload overruns section")
@@ -238,17 +251,19 @@ def _decode_state(data: bytes, off: int) -> Tuple[int, StateRecord, int]:
             .astype(np.int64)
             .reshape(-1, 2)
         )
-        record = StateRecord(0, int(last_cached_row), int(param), bounds)
-    elif kind == 1:
+        state = RangeSliceState._wrap(
+            RangeList._wrap(bounds), int(last_cached_row), int(param)
+        )
+    elif kind == _STATE_BITMAP:
         nbytes = (count + 7) // 8
         if off + nbytes > len(data):
             raise ValueError("bitmap payload overruns section")
         packed = np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=off)
         bits = np.unpackbits(packed, count=int(count)).astype(bool)
-        record = StateRecord(1, int(last_cached_row), int(param), bits)
+        state = BitmapSliceState._wrap(bits, int(last_cached_row), int(param))
     else:
         raise ValueError(f"unknown state kind {kind}")
-    return int(slice_id), record, off + nbytes
+    return int(slice_id), state, off + nbytes
 
 
 def encode_entry(record: EntryRecord) -> bytes:
@@ -387,7 +402,7 @@ def iter_journal(data: bytes, issues: DecodeIssues) -> Iterator[bytes]:
 
 
 def encode_state_event(
-    meta: EntryRecord, slice_id: int, state: StateRecord
+    meta: EntryRecord, slice_id: int, state: SliceState
 ) -> bytes:
     buf = bytearray(struct.pack("<B", OP_STATE))
     _encode_meta(buf, meta)

@@ -1,14 +1,13 @@
 """In-memory transfer records between live caches and the on-disk store.
 
-The persistence layer never serializes live :class:`CacheEntry` /
-:class:`SliceState` objects directly.  Everything funnels through two
-plain records:
+A slice's state travels as itself: a
+:class:`~repro.core.entry.SliceState` is an immutable value, so the
+journal capture, the snapshot, a re-shard and the decoder all hold (or
+build) the very object a cache serves from — nothing is copied and
+nothing is rebuilt on the way in, which is what makes a snapshot → load
+round trip bit-identical.  What the persistence layer adds is one plain
+record per entry:
 
-* :class:`StateRecord` — one slice's qualifying-row state, reduced to
-  raw arrays: an ``(N, 2)`` int64 bounds array for the range variant, a
-  bool bit vector for the bitmap variant.  Both reconstruct the exact
-  live object (``to_state``) without re-running builder logic, so a
-  snapshot → load round trip is bit-identical.
 * :class:`EntryRecord` — one cache entry's metadata (key, generation,
   per-table vacuum epoch, build-side DML versions, scan stats) plus its
   slice states.  Records are keyed by the stable FNV-1a digest of the
@@ -25,14 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
-import numpy as np
-
-from ..core.entry import BitmapSliceState, CacheEntry, RangeSliceState, SliceState
+from ..core.entry import CacheEntry, SliceState
 from ..core.keys import ScanKey, SemiJoinDescriptor
-from ..core.rowrange import RangeList
 
 __all__ = [
-    "StateRecord",
     "EntryRecord",
     "key_digest",
     "key_to_obj",
@@ -82,78 +77,6 @@ def _semijoin_from_obj(obj: Mapping) -> SemiJoinDescriptor:
     )
 
 
-KIND_RANGE = 0
-KIND_BITMAP = 1
-
-
-@dataclass
-class StateRecord:
-    """One slice's state reduced to raw arrays.
-
-    ``param`` is ``max_ranges`` for the range variant and ``block_size``
-    for the bitmap variant; ``data`` is the ``(N, 2)`` int64 bounds
-    array or the bool bit vector respectively.
-    """
-
-    kind: int
-    last_cached_row: int
-    param: int
-    data: np.ndarray
-
-    @classmethod
-    def from_state(cls, state: SliceState) -> "StateRecord":
-        """The state as of now.  The range variant's bounds array is
-        shared, not copied — range lists are immutable, ``extend``
-        publishes a new one."""
-        if isinstance(state, RangeSliceState):
-            return cls(
-                KIND_RANGE,
-                int(state.last_cached_row),
-                int(state.max_ranges),
-                np.asarray(state.ranges.bounds, dtype=np.int64),
-            )
-        if isinstance(state, BitmapSliceState):
-            return cls(
-                KIND_BITMAP,
-                int(state.last_cached_row),
-                int(state.block_size),
-                # A copy: ``_set_bits`` writes the live vector in place,
-                # and a record may outlive the lock it was taken under.
-                np.array(state.bits, dtype=bool),
-            )
-        raise TypeError(f"unknown slice-state type {type(state).__name__}")
-
-    def to_state(self) -> SliceState:
-        """Reconstruct the live state object, bit-identical to the
-        original (no re-coalescing, no bit re-derivation)."""
-        if self.kind == KIND_RANGE:
-            state = RangeSliceState.__new__(RangeSliceState)
-            state.max_ranges = int(self.param)
-            # from_bounds re-validates: corrupt bounds that slipped past
-            # the CRC (or a hand-edited file) raise here and the loader
-            # drops the entry instead of installing garbage.
-            state.ranges = RangeList.from_bounds(self.data)
-            state.last_cached_row = int(self.last_cached_row)
-            return state
-        if self.kind == KIND_BITMAP:
-            if self.param < 1:
-                raise ValueError("bitmap block_size must be >= 1")
-            state = BitmapSliceState.__new__(BitmapSliceState)
-            state.block_size = int(self.param)
-            state.bits = np.asarray(self.data, dtype=bool)
-            state.last_cached_row = int(self.last_cached_row)
-            return state
-        raise ValueError(f"unknown state kind {self.kind}")
-
-    def equals(self, other: "StateRecord") -> bool:
-        return (
-            self.kind == other.kind
-            and self.last_cached_row == other.last_cached_row
-            and self.param == other.param
-            and np.array_equal(self.data, other.data)
-        )
-
-
 @dataclass
 class EntryRecord:
     """One cache entry in transfer form (metadata + slice states).
@@ -177,16 +100,16 @@ class EntryRecord:
     rows_considered: int = 0
     provenance: str = "scan"
     source_digests: Tuple[int, ...] = ()
-    states: Dict[int, StateRecord] = field(default_factory=dict)
+    states: Dict[int, SliceState] = field(default_factory=dict)
 
     @classmethod
     def from_entry(
         cls, entry: CacheEntry, table_layout: int, with_states: bool = True
     ) -> "EntryRecord":
-        states: Dict[int, StateRecord] = {}
+        states: Dict[int, SliceState] = {}
         if with_states:
             states = {
-                slice_id: StateRecord.from_state(state)
+                slice_id: state
                 for slice_id, state in enumerate(entry.slice_states)
                 if state is not None
             }
@@ -211,13 +134,13 @@ class EntryRecord:
         """Install this record's states into ``cache`` (the inverse of
         :meth:`from_entry`), keeping only slices ``owned`` accepts.
 
-        Returns False when no owned slice has state.  A state that does
-        not reconstruct (``to_state`` raises) propagates to the caller
-        before the cache is touched.
+        Returns False when no owned slice has state.  The states are
+        installed as they are; one that breaks its invariants makes
+        ``install_restored`` raise before the cache is touched.
         """
         states = {
-            slice_id: state_record.to_state()
-            for slice_id, state_record in self.states.items()
+            slice_id: state
+            for slice_id, state in self.states.items()
             if owned is None or owned(slice_id)
         }
         if not states:
@@ -245,24 +168,6 @@ class EntryRecord:
         self.rows_considered = other.rows_considered
         self.provenance = other.provenance
         self.source_digests = tuple(other.source_digests)
-
-    def equals(self, other: "EntryRecord") -> bool:
-        """Bit-identical comparison (the round-trip property)."""
-        return (
-            self.key == other.key
-            and self.digest == other.digest
-            and self.table_layout == other.table_layout
-            and self.num_slices == other.num_slices
-            and self.generation == other.generation
-            and self.build_versions == other.build_versions
-            and self.hits == other.hits
-            and self.rows_qualifying == other.rows_qualifying
-            and self.rows_considered == other.rows_considered
-            and self.provenance == other.provenance
-            and self.source_digests == other.source_digests
-            and set(self.states) == set(other.states)
-            and all(self.states[s].equals(other.states[s]) for s in self.states)
-        )
 
 
 def collect_records(caches: Iterable) -> Dict[int, EntryRecord]:

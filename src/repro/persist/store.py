@@ -69,7 +69,7 @@ from .format import (
     frame_record,
     replay_journal,
 )
-from .records import EntryRecord, StateRecord, collect_records, key_digest
+from .records import EntryRecord, collect_records, key_digest
 
 __all__ = ["CacheStore", "LoadResult"]
 
@@ -304,19 +304,19 @@ class CacheStore:
     @staticmethod
     def capture_state(
         entry: CacheEntry, slice_id: int, state: SliceState, table_layout: int
-    ) -> Tuple[EntryRecord, int, StateRecord]:
+    ) -> Tuple[EntryRecord, int, SliceState]:
         """:meth:`log_state`'s arguments for one slice's state as of
-        now: plain records that no later cache mutation changes (the
-        range bounds are immutable and shared, a bitmap is copied).
+        now: the entry's metadata copied into a record, and the state
+        itself — an immutable value no later cache mutation changes.
         Takes no lock and touches no file — a cache calls it under its
         own lock and appends the result after releasing it."""
         return (
             EntryRecord.from_entry(entry, table_layout, with_states=False),
             slice_id,
-            StateRecord.from_state(state),
+            state,
         )
 
-    def log_state(self, meta: EntryRecord, slice_id: int, state: StateRecord) -> bool:
+    def log_state(self, meta: EntryRecord, slice_id: int, state: SliceState) -> bool:
         """Journal an install/extend: entry metadata (a record taken
         ``with_states=False``) + the slice's new state."""
         return self._append(encode_state_event(meta, slice_id, state))

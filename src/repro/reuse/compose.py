@@ -50,7 +50,8 @@ class ComposedSliceState:
     ``nbytes``).  The watermark is the *maximum* over the parts: a part
     with a lower watermark contributes its own uncached tail to its
     candidate set, so rows past any part's watermark are never skipped.
-    Never installed, never extended.
+    The parts are immutable values taken from their slots once, so the
+    view is as fixed as they are.  Never installed.
     """
 
     __slots__ = ("parts",)
@@ -158,9 +159,9 @@ def plan_reuse(
     slice_states: List[Optional[object]] = []
     for slice_id in range(num_slices):
         parts = tuple(
-            entry.slice_states[slice_id]
-            for _, entry in resolved
-            if entry.slice_states[slice_id] is not None
+            state
+            for state in (entry.slice_states[slice_id] for _, entry in resolved)
+            if state is not None
         )
         if not parts:
             slice_states.append(None)

@@ -160,11 +160,14 @@ class RecoveryOrchestrator:
         (detached first — its in-flight scans finish as harmless orphan
         writes into the detached object), a fresh store re-reads the
         directory, the replacement hydrates warm and takes over the
-        engine by reference swap.  Safe under live traffic.
+        engine by reference swap, and only then is the dead cache closed
+        (while a scan can still reach it, it still hears its tables).
+        Safe under live traffic.
         """
         old_cache = self.engine.predicate_cache
         before = self._keys_of(old_cache)
-        for cache in old_cache.nodes():
+        old_nodes = old_cache.nodes()
+        for cache in old_nodes:
             cache.detach_store()
         # One writer per directory: the dead process's append handle
         # goes before the fresh store opens its own.
@@ -172,6 +175,8 @@ class RecoveryOrchestrator:
         fresh = CacheStore(self.store.directory, catalog=self.engine.database)
         replacement = self.cache_factory(fresh)
         self.engine.set_predicate_cache(replacement)
+        for cache in old_nodes:
+            cache.close()
         restored = self._keys_of(replacement)
         retention = (
             len(restored & before) / len(before) if before else 1.0

@@ -134,8 +134,16 @@ class Table:
     def on_change(self, listener: ChangeListener) -> None:
         self._listeners.append(listener)
 
+    def off_change(self, listener: ChangeListener) -> None:
+        """Unsubscribe ``listener`` (a no-op if it is not subscribed)."""
+        try:
+            self._listeners.remove(listener)
+        except ValueError:
+            pass
+
     def _notify(self, event: str) -> None:
-        for listener in self._listeners:
+        # Over a copy: a listener may be unsubscribed while events fire.
+        for listener in tuple(self._listeners):
             listener(self, event)
 
     # -- DML -----------------------------------------------------------------------

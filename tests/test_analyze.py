@@ -350,6 +350,40 @@ class PredicateCache:
         })
         assert keys(result, "RP012") == []
 
+    def test_calls_through_a_class_outside_the_project_do_not_alias(self):
+        # file.close() on an attribute typed Optional[BinaryIO] must not
+        # resolve to PredicateCache.close: the by-name fallback is for
+        # receivers of *unknown* type, not of a known foreign one.
+        result = check_sources({
+            "repro/engine/scan.py": '''
+def _scan_slice(store):
+    store.release()
+''',
+            "repro/persist/store.py": '''
+import threading
+from typing import BinaryIO, Optional
+
+class CacheStore:
+    def __init__(self):
+        self._io_lock = threading.RLock()
+        self._journal: Optional[BinaryIO] = None
+
+    def release(self):
+        with self._io_lock:
+            if self._journal is not None:
+                self._journal.close()
+''',
+            "repro/core/cache.py": '''
+class PredicateCache:
+    def __init__(self):
+        self.closed = 0
+
+    def close(self):
+        self.closed += 1
+''',
+        })
+        assert keys(result, "RP012") == []
+
     def test_nested_defs_excluded(self):
         # A gauge callback defined inside a method runs at scrape time
         # on another stack; its reads/mutations are not the method's.

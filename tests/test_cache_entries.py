@@ -37,32 +37,34 @@ class TestRangeSliceState:
 
     def test_extend_folds_in_tail(self):
         state = RangeSliceState(RangeList([(0, 5)]), 100, 8)
-        state.extend(RangeList([(100, 103)]), 150)
-        assert state.last_cached_row == 150
-        assert state.cached_candidates().to_pairs() == [(0, 5), (100, 103)]
+        grown = state.extended(RangeList([(100, 103)]), 150)
+        assert grown.last_cached_row == 150
+        assert grown.cached_candidates().to_pairs() == [(0, 5), (100, 103)]
+        assert state.last_cached_row == 100
+        assert state.cached_candidates().to_pairs() == [(0, 5)]
 
     def test_extend_clips_to_tail_region(self):
         state = RangeSliceState(RangeList([(0, 5)]), 100, 8)
         # Qualifying ranges below the watermark must not be re-added
         # (they may come from a scan restricted to cached candidates).
-        state.extend(RangeList([(0, 5), (100, 101)]), 120)
-        assert state.cached_candidates().to_pairs() == [(0, 5), (100, 101)]
+        grown = state.extended(RangeList([(0, 5), (100, 101)]), 120)
+        assert grown.cached_candidates().to_pairs() == [(0, 5), (100, 101)]
 
     def test_extend_without_growth_keeps_the_stored_list(self):
         state = RangeSliceState(RangeList([(0, 5)]), 100, 8)
-        stored = state.ranges
-        state.extend(RangeList([(0, 5)]), 100)
-        assert state.ranges is stored and state.last_cached_row == 100
+        assert state.extended(RangeList([(0, 5)]), 100) is state
 
     def test_extend_cannot_shrink(self):
         state = RangeSliceState(RangeList([(0, 5)]), 100, 8)
         with pytest.raises(ValueError):
-            state.extend(RangeList(), 50)
+            state.extended(RangeList(), 50)
 
     def test_extend_respects_bound(self):
         state = RangeSliceState(RangeList([(i * 10, i * 10 + 1) for i in range(4)]), 40, 4)
-        state.extend(RangeList([(40 + i * 10, 41 + i * 10) for i in range(4)]), 80)
-        assert len(state.ranges) <= 4
+        grown = state.extended(
+            RangeList([(40 + i * 10, 41 + i * 10) for i in range(4)]), 80
+        )
+        assert len(grown.ranges) <= 4
 
     def test_nbytes(self):
         state = RangeSliceState(RangeList([(0, 1), (5, 6)]), 10, 8)
@@ -92,31 +94,30 @@ class TestBitmapSliceState:
         assert state.candidates(2500) == state.cached_candidates()
         assert state.candidates(2500).to_pairs() == [(0, 1000), (2000, 2500)]
 
-    def test_bits_past_the_watermark_are_not_candidates_yet(self):
-        # What a lock-free reader may see mid-extend: grown bits under
-        # the old watermark.  The unread tail covers those rows instead.
-        state = BitmapSliceState(RangeList([(0, 5)]), 1500, 1000)
-        state.bits = np.array([True, False, False, True])
-        assert state.cached_candidates().to_pairs() == [(0, 1000)]
-        assert state.candidates(3500).to_pairs() == [(0, 1000), (1500, 3500)]
-
     def test_tail_appended(self):
         state = BitmapSliceState(RangeList([(0, 10)]), 1000, 1000)
         assert state.candidates(1200).to_pairs() == [(0, 1200)]
 
     def test_extend_grows_bitmap(self):
         state = BitmapSliceState(RangeList([(0, 10)]), 1000, 1000)
-        state.extend(RangeList([(2100, 2200)]), 3000)
-        assert state.bits.tolist() == [True, False, True]
-        assert state.last_cached_row == 3000
+        grown = state.extended(RangeList([(2100, 2200)]), 3000)
+        assert grown.bits.tolist() == [True, False, True]
+        assert grown.last_cached_row == 3000
+        assert state.bits.tolist() == [True] and state.last_cached_row == 1000
 
     def test_extend_ignores_already_cached_region(self):
         state = BitmapSliceState(RangeList([(0, 10)]), 2000, 1000)
         assert state.bits.tolist() == [True, False]
-        state.extend(RangeList([(1500, 1600), (2500, 2600)]), 3000)
+        grown = state.extended(RangeList([(1500, 1600), (2500, 2600)]), 3000)
         # The (1500,1600) range is below the old watermark: a scan that
         # produced it was candidate-restricted, so only the tail counts.
-        assert state.bits.tolist() == [True, False, True]
+        assert grown.bits.tolist() == [True, False, True]
+
+    def test_bits_cannot_be_written(self):
+        state = BitmapSliceState(RangeList([(0, 10)]), 2000, 1000)
+        for held in (state, state.extended(RangeList(), 2500)):
+            with pytest.raises(ValueError):
+                held.bits[1] = True
 
     def test_rejects_bad_block_size(self):
         with pytest.raises(ValueError):
@@ -173,14 +174,65 @@ def test_bitmap_state_has_no_false_negatives(rows, block_size):
         assert cands.contains_row(row)
 
 
-@given(row_sets, row_sets, st.integers(1, 8))
-@settings(max_examples=100, deadline=None)
-def test_extend_preserves_soundness(initial_rows, tail_rows, max_ranges):
-    watermark = 2100
-    tail = [r + watermark for r in tail_rows]
-    initial = RangeList.from_rows(np.array(sorted(initial_rows), dtype=np.int64))
-    state = RangeSliceState(initial, watermark, max_ranges)
-    state.extend(RangeList.from_rows(np.array(sorted(tail), dtype=np.int64)), 4200)
-    cands = state.candidates(4200)
-    for row in list(initial_rows) + tail:
-        assert cands.contains_row(row)
+# -- states are values: what was handed out never changes --------------------
+
+# A build followed by extensions: per step, how many rows were appended
+# and which of them qualified (offsets into the appended tail).
+_steps = st.lists(
+    st.tuples(
+        st.integers(0, 700), st.lists(st.integers(0, 699), max_size=30, unique=True)
+    ),
+    min_size=1,
+    max_size=5,
+)
+_variants = st.one_of(
+    st.tuples(st.just(RangeSliceState), st.integers(1, 8)),
+    st.tuples(st.just(BitmapSliceState), st.sampled_from([1, 64, 100, 1000])),
+)
+
+
+def _twin(state):
+    """An equal state built from copies of ``state``'s representation."""
+    if isinstance(state, RangeSliceState):
+        ranges = RangeList.from_bounds(state.ranges.bounds.copy())
+        return RangeSliceState._wrap(ranges, state.last_cached_row, state.max_ranges)
+    return BitmapSliceState._wrap(
+        state.bits.copy(), state.last_cached_row, state.block_size
+    )
+
+
+@given(_steps, _variants)
+@settings(max_examples=200, deadline=None)
+def test_states_handed_out_earlier_never_change(steps, variant):
+    cls, param = variant
+    handed_out = []  # (state, probe n, candidates(n), nbytes, equal twin)
+    truth, num_rows, state = [], 0, None
+    for appended, offsets in steps:
+        tail = sorted(num_rows + o for o in offsets if o < appended)
+        qualifying = RangeList.from_rows(np.array(tail, dtype=np.int64))
+        num_rows += appended
+        if state is None:
+            new = cls(qualifying, num_rows, param)
+        else:
+            # A repeat scans cached candidates + tail, so what it reports
+            # reaches below the watermark: that part must be ignored.
+            new = state.extended(qualifying.union(state.cached_candidates()), num_rows)
+            assert (new is state) == (appended == 0)
+            if new is not state:
+                assert new != state
+        state = new
+        truth += tail
+        assert state.last_cached_row == num_rows
+        # The newest has no false negatives, and rows appended after it
+        # was built are all candidates.
+        probe = num_rows + 50
+        cands = state.candidates(probe)
+        assert all(cands.contains_row(row) for row in truth)
+        assert cands.contains_row(num_rows) and cands.contains_row(probe - 1)
+        assert state.candidates(num_rows) == state.cached_candidates()
+        handed_out.append((state, probe, cands, state.nbytes, _twin(state)))
+        # Every state handed out so far answers exactly as it did then.
+        for held, n, expected, nbytes, twin in handed_out:
+            assert held.candidates(n) == expected
+            assert held.nbytes == nbytes
+            assert held == twin and twin == held

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro import Database, PredicateCacheConfig, QueryEngine
+from repro import Database, PredicateCache, PredicateCacheConfig, QueryEngine
 from repro.cluster import ClusterCaches
+from repro.cluster.caches import DownedCache
 from repro.core import CostBasedPolicy
+from repro.faults import NodeDownError
 from repro.storage import ColumnSpec, DataType, TableSchema
 
 
@@ -378,6 +380,25 @@ class TestResize:
             ) == len(caches.node(node_id))
         assert series(grown, "repro_predicate_cache_cluster_nbytes") == sum(
             caches.per_node_nbytes()
+        )
+
+
+class TestDownedCache:
+    # Methods, properties and the attributes __init__ sets alike.
+    PUBLIC = sorted(n for n in dir(PredicateCache()) if not n.startswith("_"))
+
+    @pytest.mark.parametrize("name", PUBLIC)
+    def test_every_public_name_of_a_live_cache_refuses(self, name):
+        with pytest.raises(NodeDownError, match="cache node 3 is down"):
+            getattr(DownedCache(3), name)
+
+    def test_the_tombstone_itself_answers(self):
+        downed = DownedCache(3)
+        assert downed.node_id == 3
+        assert not isinstance(downed, PredicateCache)
+        assert not hasattr(downed, "__deepcopy__")
+        assert {"lookup_part", "record_reuse_serve", "store", "config", "close"} <= set(
+            self.PUBLIC
         )
 
 

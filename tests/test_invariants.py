@@ -121,15 +121,16 @@ class TestCheckSliceState:
         state = RangeSliceState(RangeList([(0, 5)]), 100, max_ranges=8)
         invariants.check_slice_state(state, slice_rows=100)
 
+    # Broken states come from the trusted constructor handed a broken
+    # representation — the one way left to make one (a damaged store).
+
     def test_range_beyond_watermark(self):
-        state = RangeSliceState(RangeList([(0, 50)]), 100, max_ranges=8)
-        state.last_cached_row = 10  # tamper: cached range ends past it
+        state = RangeSliceState._wrap(RangeList([(0, 50)]), 10, 8)
         with pytest.raises(InvariantViolation, match="beyond the"):
             invariants.check_slice_state(state)
 
     def test_range_count_over_budget(self):
-        state = RangeSliceState(RangeList([(0, 2), (4, 6)]), 100, max_ranges=8)
-        state.max_ranges = 1  # tamper
+        state = RangeSliceState._wrap(RangeList([(0, 2), (4, 6)]), 100, 1)
         with pytest.raises(InvariantViolation, match="max_ranges"):
             invariants.check_slice_state(state)
 
@@ -139,8 +140,7 @@ class TestCheckSliceState:
             invariants.check_slice_state(state, slice_rows=50)
 
     def test_negative_watermark(self):
-        state = RangeSliceState(RangeList.empty(), 0, max_ranges=8)
-        state.last_cached_row = -1
+        state = RangeSliceState._wrap(RangeList.empty(), -1, 8)
         with pytest.raises(InvariantViolation, match=">= 0"):
             invariants.check_slice_state(state)
 
@@ -149,26 +149,26 @@ class TestCheckSliceState:
         invariants.check_slice_state(state, slice_rows=1000)
 
     def test_bitmap_wrong_dtype(self):
-        state = BitmapSliceState(RangeList([(0, 64)]), 1000, block_size=128)
-        state.bits = state.bits.astype(np.int8)
+        state = BitmapSliceState._wrap(np.ones(8, dtype=np.int8), 1000, 128)
         with pytest.raises(InvariantViolation, match="bool"):
             invariants.check_slice_state(state)
 
     def test_bitmap_too_few_bits(self):
-        state = BitmapSliceState(RangeList([(0, 64)]), 1000, block_size=128)
-        state.bits = state.bits[:-2]
+        state = BitmapSliceState._wrap(np.ones(6, dtype=bool), 1000, 128)
         with pytest.raises(InvariantViolation, match="bits"):
             invariants.check_slice_state(state)
 
     def test_bitmap_set_bit_beyond_watermark(self):
-        state = BitmapSliceState(RangeList([(0, 64)]), 1000, block_size=128)
-        state.bits = np.concatenate([state.bits, np.array([True])])
-        with pytest.raises(InvariantViolation, match="beyond the watermark"):
-            invariants.check_slice_state(state)
+        # Set or not: no constructor leaves a bit past the watermark's
+        # blocks.
+        for extra in (True, False):
+            bits = np.array([True] * 8 + [extra])
+            state = BitmapSliceState._wrap(bits, 1000, 128)
+            with pytest.raises(InvariantViolation, match="needs exactly 8"):
+                invariants.check_slice_state(state)
 
     def test_bitmap_bad_block_size(self):
-        state = BitmapSliceState(RangeList([(0, 64)]), 1000, block_size=128)
-        state.block_size = 0
+        state = BitmapSliceState._wrap(np.ones(8, dtype=bool), 1000, 0)
         with pytest.raises(InvariantViolation, match="block_size"):
             invariants.check_slice_state(state)
 

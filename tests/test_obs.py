@@ -232,6 +232,26 @@ class TestEngineIntegration:
         assert engine.tracer is None
         assert engine.execute(Q6).trace is None
 
+    def test_explain_analyze_never_touches_the_engines_tracer(self):
+        # What a statement running concurrently on the same engine sees
+        # mid-explain: the engine's own tracer, never the one-off one.
+        own = Tracer()
+        engine = make_engine(tracer=own)
+        seen = []
+        run = engine._executor.execute
+
+        def spying(plan, txid, counters, tracer):
+            seen.append((engine.tracer, tracer))
+            return run(plan, txid, counters, tracer)
+
+        engine._executor.execute = spying
+        text = engine.explain_analyze(Q6)
+        assert "Scan(lineitem" in text
+        ((during, used),) = seen
+        assert during is own and engine.tracer is own
+        assert used is not own
+        assert own.roots == []
+
     def test_render_analyze_requires_trace(self):
         with pytest.raises(ValueError):
             render_analyze(None)

@@ -23,9 +23,13 @@ from repro import (
 from repro.obs import MetricsRegistry, Tracer
 from repro.persist import collect_records, key_digest
 from repro.persist.format import (
+    DecodeIssues,
+    decode_journal_payload,
     decode_snapshot,
     encode_snapshot,
+    iter_journal,
 )
+from repro.serve import RecoveryOrchestrator
 from repro.storage import ColumnSpec, DataType, TableSchema
 
 COLUMNS = ("x", "v")
@@ -83,7 +87,7 @@ def assert_store_mirrors(store, caches, revalidate=False):
     for digest, record in live.items():
         assert set(persisted[digest].states) == set(record.states), record.key
         for slice_id, state in record.states.items():
-            assert persisted[digest].states[slice_id].equals(state), record.key
+            assert persisted[digest].states[slice_id] == state, record.key
 
 
 class TestSnapshotRoundTrip:
@@ -103,7 +107,7 @@ class TestSnapshotRoundTrip:
         assert meta["entries"] == len(records)
         assert set(decoded) == set(records)
         for digest, record in records.items():
-            assert decoded[digest].equals(record), digest
+            assert decoded[digest] == record, digest
 
     def test_snapshot_then_load_restores_into_fresh_cache(self, tmp_path):
         engine, caches = make_engine()
@@ -120,7 +124,7 @@ class TestSnapshotRoundTrip:
         assert restored == len(original)
         roundtrip = collect_records([fresh])
         for digest, record in original.items():
-            assert roundtrip[digest].equals(record)
+            assert roundtrip[digest] == record
 
     def test_snapshot_load_reports_catalog_meta(self, tmp_path):
         engine, caches = make_engine()
@@ -190,7 +194,7 @@ class TestJournal:
         engineless = CacheStore(tmp_path, catalog=db).load(revalidate=False)
         assert set(engineless.records) == set(twice_records)
         for digest in twice_records:
-            assert engineless.records[digest].equals(twice_records[digest])
+            assert engineless.records[digest] == twice_records[digest]
 
 
 @pytest.mark.parametrize("variant", ["range", "bitmap"])
@@ -272,6 +276,65 @@ class TestJournalsWhatChanged:
         assert caches.aggregate_stats().invalidations > 0
         assert store.journal_records > 0
         assert_store_mirrors(store, caches)
+
+
+class TestSnapshotRacesAnExtendingWriter:
+    def test_every_load_is_a_state_the_writer_published(self, tmp_path):
+        """Snapshots read slice states outside the cache lock.  A state
+        is an immutable value, so whatever instant a snapshot catches,
+        it (plus the journal behind it) loads to a state the writer
+        stored into the slot — never a watermark from one and bits from
+        another."""
+        import sys
+        import threading
+
+        from repro.core.keys import ScanKey
+        from repro.core.rowrange import RangeList
+
+        cache = PredicateCache(PredicateCacheConfig(variant="bitmap", bitmap_block_rows=8))
+        store = CacheStore(tmp_path)
+        store.attach(cache)
+        entry = cache.get_or_create(ScanKey("t", "x < 5"), 1)
+        published, loaded, failures = [], [], []
+        done = threading.Event()
+
+        def writer():
+            try:
+                upto = 0
+                for step in range(400):
+                    tail = RangeList([(upto, upto + 1)]) if step % 3 else RangeList()
+                    upto += 1 + step % 13
+                    cache.record_slice_scan(entry, 0, tail, upto)
+                    published.append(entry.slice_states[0])
+            except BaseException as error:  # pragma: no cover - reported below
+                failures.append(error)
+            finally:
+                done.set()
+
+        def snapshotter():
+            try:
+                while not done.is_set() or not loaded:
+                    assert store.snapshot(cache)
+                    records = store.load(revalidate=False).records
+                    loaded.extend(r.states[0] for r in records.values())
+            except BaseException as error:  # pragma: no cover - reported below
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=f) for f in (writer, snapshotter)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures
+        assert len(published) == 400 and loaded
+        for state in loaded:
+            assert any(state == known for known in published)
+        assert_store_mirrors(store, cache)
 
 
 class TestJournalHandle:
@@ -429,6 +492,53 @@ class TestRevalidation:
         assert store.snapshot_records(records)
         result = CacheStore(tmp_path, catalog=engine.database).load()
         assert result.stale_dropped > 0
+
+
+class TestUnreadableStates:
+    """Bytes that pass their CRC but describe no state a constructor
+    builds: decoded as stored, refused at install, counted."""
+
+    def records(self):
+        from repro.core.entry import BitmapSliceState, RangeSliceState
+        from repro.core.keys import ScanKey
+        from repro.core.rowrange import RangeList
+        from repro.persist import EntryRecord
+
+        def record(predicate, state):
+            key = ScanKey("t", predicate)
+            return EntryRecord(
+                key=key, digest=key_digest(key), table_layout=0, num_slices=1,
+                generation=0, states={0: state},
+            )
+
+        good = record("x < 5", RangeSliceState(RangeList([(0, 5)]), 100, 8))
+        zero_block = record("x < 6", BitmapSliceState._wrap(np.ones(3, dtype=bool), 24, 0))
+        past_watermark = record("x < 7", RangeSliceState._wrap(RangeList([(0, 50)]), 10, 8))
+        short_bitmap = record("x < 8", BitmapSliceState._wrap(np.ones(2, dtype=bool), 24, 8))
+        return good, [zero_block, past_watermark, short_bitmap]
+
+    def test_hydrate_counts_them_and_installs_the_rest(self, tmp_path):
+        good, broken = self.records()
+        store = CacheStore(tmp_path)
+        assert store.snapshot_records({r.digest: r for r in [good, *broken]})
+        result = store.load(revalidate=False)
+        assert result.corrupt_sections == 0  # decoding judges nothing
+        assert all(result.records[r.digest] == r for r in [good, *broken])
+        cache = PredicateCache(PredicateCacheConfig())
+        before = store.corrupt_sections
+        assert store.hydrate(cache) == 1
+        assert store.corrupt_sections - before == len(broken)
+        assert cache.keys() == [good.key]
+        assert cache.entries()[0].slice_states[0] == good.states[0]
+
+    def test_journal_replay_does_not_stop_at_one(self, tmp_path):
+        good, broken = self.records()
+        store = CacheStore(tmp_path)
+        for record in [*broken, good]:
+            assert store.log_state(record, 0, record.states[0])
+        result = store.load(revalidate=False)
+        assert result.journal_records == len(broken) + 1
+        assert good.digest in result.records
 
 
 class TestCrashSafety:
@@ -632,6 +742,68 @@ class TestWarmStart:
         assert result.counters.cache_hits > 0
         assert engine.predicate_cache is warm
         assert engine._executor.predicate_cache is warm
+
+
+class TestRetiredCaches:
+    """A replaced cache lets go: of the store and of its tables."""
+
+    FIVE = [f"select count(*) as c from t where v = {v}" for v in range(5)]
+
+    def journalled_drops(self, directory):
+        payloads = iter_journal(
+            (directory / "cache.journal").read_bytes(), DecodeIssues()
+        )
+        events = [decode_journal_payload(payload) for payload in payloads]
+        return [event for event in events if event[0] == "drop"]
+
+    def test_replaced_nodes_unsubscribe_and_a_vacuum_journals_live_drops_only(
+        self, tmp_path
+    ):
+        engine, caches, store = make_stored_engine(tmp_path)
+        populate(engine, rows=8_000)
+        table = engine.database.tables["t"]
+        for sql in self.FIVE:
+            engine.execute(sql)
+        assert len(table._listeners) == 2
+        for round_ in range(6):
+            retired = caches.node(round_ % 2)
+            caches.fail_node(round_ % 2)
+            assert retired.store is None
+            assert len(table._listeners) == 2
+        caches.kill_node(1)
+        assert len(table._listeners) == 1
+        caches.fail_node(1)
+        engine.execute(self.FIVE[0])  # the replacement subscribes by scanning
+        assert len(table._listeners) == 2
+        for num_nodes in (3, 1, 2):
+            caches.resize(num_nodes)
+            assert len(table._listeners) == num_nodes
+        orchestrator = RecoveryOrchestrator(engine, store)
+        orchestrator.restart()
+        assert len(table._listeners) == 2
+        caches, store = engine.predicate_cache, orchestrator.store
+
+        live = sum(len(node) for node in caches.nodes())
+        assert live == 10  # 5 keys, each with a share on both nodes
+        assert store.snapshot(caches)
+        engine.execute("delete from t where x < 10")
+        engine.execute("vacuum t")
+        drops = self.journalled_drops(tmp_path)
+        assert len(drops) == live
+        assert len({digest for _, digest, _ in drops}) == 5
+        assert len(caches) == 0
+
+    def test_a_retired_cache_does_not_resubscribe(self, tmp_path):
+        engine, caches, _store = make_stored_engine(tmp_path)
+        populate(engine, rows=2_000)
+        engine.execute(self.FIVE[0])
+        table = engine.database.tables["t"]
+        retired = caches.node(0)
+        caches.fail_node(0)
+        retired.watch_table(table)  # an orphaned scan still in flight
+        retired.close()  # idempotent
+        assert len(table._listeners) == 2
+        assert retired._on_table_event not in table._listeners
 
 
 class TestObservability:

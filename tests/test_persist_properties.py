@@ -22,12 +22,15 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.entry import PROVENANCES
+from repro.core.entry import PROVENANCES, BitmapSliceState, RangeSliceState
 from repro.core.keys import ScanKey, SemiJoinDescriptor
+from repro.core.rowrange import RangeList
 from repro.engine.hashing import fnv1a_hash
 from repro.persist import CacheStore
 from repro.persist.format import (
+    FORMAT_VERSION,
     DecodeIssues,
+    decode_journal_payload,
     decode_snapshot,
     encode_drop_event,
     encode_snapshot,
@@ -35,13 +38,7 @@ from repro.persist.format import (
     frame_record,
     replay_journal,
 )
-from repro.persist.records import (
-    KIND_BITMAP,
-    KIND_RANGE,
-    EntryRecord,
-    StateRecord,
-    key_digest,
-)
+from repro.persist.records import EntryRecord, key_digest
 
 # -- strategies ---------------------------------------------------------------
 
@@ -54,8 +51,10 @@ _name = st.text(
 
 @st.composite
 def range_states(draw):
-    """Normalized (disjoint, non-adjacent, sorted) bounds arrays — the
-    only shape a live RangeList ever holds, so round trips are exact."""
+    """Range states as the public constructor builds them, from
+    normalized (disjoint, non-adjacent, sorted) bounds no longer than
+    ``max_ranges`` — so nothing is coalesced away and round trips are
+    exact."""
     n = draw(st.integers(min_value=0, max_value=8))
     # 2n strictly increasing cut points with a gap >= 2 between pairs.
     steps = draw(
@@ -70,17 +69,29 @@ def range_states(draw):
     bounds = np.array(cuts, dtype=np.int64).reshape(-1, 2)
     last = draw(st.integers(min_value=int(bounds[-1, 1]) if n else 0, max_value=10**6))
     max_ranges = draw(st.integers(min_value=max(1, n), max_value=4096))
-    return StateRecord(KIND_RANGE, last, max_ranges, bounds)
+    state = RangeSliceState(RangeList.from_bounds(bounds), last, max_ranges)
+    assert np.array_equal(state.ranges.bounds, bounds)
+    return state
 
 
 @st.composite
 def bitmap_states(draw):
-    bits = np.array(
-        draw(st.lists(st.booleans(), min_size=0, max_size=64)), dtype=bool
-    )
+    """Bitmap states as the public constructor builds them: any bit
+    pattern, the watermark anywhere inside the last block."""
+    bits = draw(st.lists(st.booleans(), min_size=0, max_size=64))
     block_size = draw(st.integers(min_value=1, max_value=4096))
-    last = draw(st.integers(min_value=0, max_value=10**6))
-    return StateRecord(KIND_BITMAP, last, block_size, bits)
+    last = 0
+    if bits:
+        last = draw(
+            st.integers(
+                min_value=(len(bits) - 1) * block_size + 1,
+                max_value=len(bits) * block_size,
+            )
+        )
+    first_rows = np.flatnonzero(bits).astype(np.int64) * block_size
+    state = BitmapSliceState(RangeList.from_rows(first_rows), last, block_size)
+    assert state.bits.tolist() == bits
+    return state
 
 
 @st.composite
@@ -162,7 +173,7 @@ SETTINGS = settings(
 def assert_records_equal(a, b):
     assert set(a) == set(b)
     for digest in a:
-        assert a[digest].equals(b[digest]), digest
+        assert a[digest] == b[digest], digest
 
 
 # -- key digests --------------------------------------------------------------
@@ -243,9 +254,7 @@ def _colliding_record(slice_ids):
         num_slices=3,
         generation=1,
         states={
-            sid: StateRecord(
-                KIND_RANGE, 10 + sid, 16, np.array([[0, 4 + sid]], dtype=np.int64)
-            )
+            sid: RangeSliceState(RangeList([(0, 4 + sid)]), 10 + sid, 16)
             for sid in slice_ids
         },
     )
@@ -254,7 +263,93 @@ def _colliding_record(slice_ids):
 _SNAPSHOTTED = _colliding_record([0, 1])
 
 
+def _golden_records():
+    """Both variants, an empty state of each, a join key, provenance."""
+    plain = ScanKey("t", "x < 5")
+    joined = ScanKey(
+        "lineitem",
+        "l_quantity < 24",
+        (SemiJoinDescriptor("o_orderkey = l_orderkey", "orders", "o_orderdate < 9200"),),
+    )
+    records = [
+        EntryRecord(
+            key=plain,
+            digest=key_digest(plain),
+            table_layout=3,
+            num_slices=4,
+            generation=2,
+            hits=7,
+            rows_qualifying=22,
+            rows_considered=4000,
+            states={
+                0: RangeSliceState(RangeList([(0, 10), (20, 32)]), 40, 16),
+                2: BitmapSliceState(RangeList([(0, 5), (2100, 2450)]), 2500, 1000),
+            },
+        ),
+        EntryRecord(
+            key=joined,
+            digest=key_digest(joined),
+            table_layout=0,
+            num_slices=2,
+            generation=0,
+            build_versions={"orders": 5},
+            provenance="composed",
+            source_digests=(key_digest(plain),),
+            states={
+                1: BitmapSliceState(RangeList(), 0, 64),
+                0: RangeSliceState(RangeList(), 9, 4),
+            },
+        ),
+    ]
+    return {record.digest: record for record in records}
+
+
+# ``encode_snapshot(_golden_records(), {"tables": {}})`` as commit 1110587
+# wrote it: format v2, byte for byte.  Stores on disk hold these bytes.
+_GOLDEN_SNAPSHOT_HEX = (
+    "52505043534e41500200000000000000010000001c00000000000000fee499a9"
+    "7b22656e7472696573223a20322c20227461626c6573223a207b7d7d02000000"
+    "2401000000000000c6a9356b850000007b2270223a20226c5f7175616e746974"
+    "79203c203234222c202273223a205b7b2262223a20226f7264657273222c2022"
+    "66223a20226f5f6f7264657264617465203c2039323030222c20226a223a2022"
+    "6f5f6f726465726b6579203d206c5f6f726465726b6579222c20226e223a205b"
+    "5d7d5d2c202274223a20226c696e656974656d227db0743d8b6d1f0bf5000000"
+    "0000000000020000000000000000000000000000000000000000000000000000"
+    "00000000000000000001000000060000006f7264657273050000000000000002"
+    "010000009a4ce5d4b0ab8d3f0200000000000000000000000900000000000000"
+    "0400000000000000000000000000000001000000010000000000000000000000"
+    "4000000000000000000000000000000002000000c700000000000000d0a32d40"
+    "210000007b2270223a202278203c2035222c202273223a205b5d2c202274223a"
+    "202274227d9a4ce5d4b0ab8d3f03000000000000000400000002000000000000"
+    "0007000000000000001600000000000000a00f00000000000000000000000000"
+    "0000020000000000000000000000280000000000000010000000000000000200"
+    "00000000000000000000000000000a0000000000000014000000000000002000"
+    "0000000000000200000001000000c409000000000000e8030000000000000300"
+    "000000000000a0ff000000000000000000000069df2265"
+)
+
+
 class TestRoundTripProperties:
+    @SETTINGS
+    @given(state=st.one_of(range_states(), bitmap_states()), slice_id=st.integers(0, 2**20))
+    def test_state_round_trip_is_the_same_value(self, state, slice_id):
+        meta = _colliding_record([])
+        payload = encode_state_event(meta, slice_id, state)
+        op, decoded_meta, decoded_slice, decoded = decode_journal_payload(payload)
+        assert (op, decoded_slice) == ("state", slice_id)
+        assert decoded_meta == meta
+        assert type(decoded) is type(state) and decoded == state
+        assert decoded.nbytes == state.nbytes
+        assert decoded.candidates(10**6) == state.candidates(10**6)
+
+    def test_snapshot_bytes_match_the_parent_commits(self):
+        assert FORMAT_VERSION == 2
+        data = encode_snapshot(_golden_records(), {"tables": {}})
+        assert data.hex() == _GOLDEN_SNAPSHOT_HEX
+        decoded, _meta, issues = decode_snapshot(data)
+        assert issues.clean
+        assert_records_equal(decoded, _golden_records())
+
     @SETTINGS
     @given(records=record_sets())
     def test_snapshot_round_trip_bit_identical(self, records):
@@ -295,7 +390,7 @@ class TestRoundTripProperties:
         # journaled slices are a subset of the replayed ones.
         assert set(extra.states) <= set(replayed.states)
         for sid, state in extra.states.items():
-            assert replayed.states[sid].equals(state)
+            assert replayed.states[sid] == state
 
         # Dropping every slice removes the record entirely.
         store._append(encode_drop_event(extra.digest, list(extra.states)))
@@ -321,7 +416,7 @@ class TestDamageProperties:
         truncated = data[: int(cut * len(data))]
         decoded, _meta, issues = decode_snapshot(truncated)
         for digest, record in decoded.items():
-            assert record.equals(records[digest])
+            assert record == records[digest]
         # A zero-byte file is "no snapshot yet" — a clean cold start,
         # not damage.  Any other strict prefix must be flagged.
         if 0 < len(truncated) < len(data):
@@ -341,7 +436,7 @@ class TestDamageProperties:
         # Whatever survives is bit-identical to an original; the flip
         # either hit a section (dropped + counted) or the header.
         for digest, record in decoded.items():
-            assert record.equals(records[digest])
+            assert record == records[digest]
         if len(decoded) < len(records):
             assert (
                 issues.corrupt_sections > 0
@@ -376,7 +471,7 @@ class TestDamageProperties:
         for digest, record in replayed_records.items():
             original = records[digest]
             for sid, state in record.states.items():
-                assert state.equals(original.states[sid])
+                assert state == original.states[sid]
 
     @SETTINGS
     @given(
@@ -409,7 +504,7 @@ class TestDamageProperties:
         for digest, record in result.records.items():
             original = records[digest]
             for sid, state in record.states.items():
-                assert state.equals(original.states[sid])
+                assert state == original.states[sid]
         damage_seen = (
             result.truncated
             or result.corrupt_sections > 0

@@ -416,13 +416,7 @@ def derived_record():
     entry = CacheEntry(
         key, 2, {}, provenance="composed", source_digests=sources
     )
-    state = RangeSliceState.__new__(RangeSliceState)
-    state.max_ranges = 16
-    state.ranges = RangeList.from_bounds(
-        np.array([[0, 10], [20, 32]], dtype=np.int64)
-    )
-    state.last_cached_row = 40
-    entry.slice_states[0] = state
+    entry.slice_states[0] = RangeSliceState(RangeList([(0, 10), (20, 32)]), 40, 16)
     return EntryRecord.from_entry(entry, table_layout=0)
 
 
@@ -433,7 +427,7 @@ def test_snapshot_round_trip_preserves_provenance():
     )
     assert issues.clean
     got = decoded[record.digest]
-    assert got.equals(record)
+    assert got == record
     assert got.provenance == "composed"
     assert got.source_digests == record.source_digests
 
@@ -445,7 +439,7 @@ def test_journal_event_round_trip_preserves_provenance():
     assert op == "state" and slice_id == 0
     assert meta.provenance == "composed"
     assert meta.source_digests == record.source_digests
-    assert state.equals(record.states[0])
+    assert state == record.states[0]
 
 
 def test_store_hydrate_restores_provenance(tmp_path):
@@ -496,7 +490,7 @@ def test_v1_snapshot_decodes_with_default_provenance():
     assert issues.clean
     got = decoded[record.digest]
     assert got.provenance == "scan" and got.source_digests == ()
-    assert got.equals(record)
+    assert got == record
 
 
 def test_reuse_survives_snapshot_restart():
@@ -511,7 +505,7 @@ def test_reuse_survives_snapshot_restart():
     decoded, _meta, issues = decode_snapshot(payload)
     assert issues.clean
     for digest, record in records.items():
-        assert decoded[digest].equals(record)
+        assert decoded[digest] == record
     provenances = {r.provenance for r in decoded.values()}
     assert "scan" in provenances  # plain installs happened
 

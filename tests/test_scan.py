@@ -81,12 +81,6 @@ class TestScanCorrectness:
         assert len(rows) == 100
         assert len(cache) == 0  # unfiltered scans are not cached
 
-    def test_min_rows_to_cache_respected(self):
-        db = make_table(np.arange(50))
-        cache = PredicateCache(PredicateCacheConfig(min_rows_to_cache=1000))
-        scan_rows(db, parse_predicate("x < 10"), cache)
-        assert len(cache) == 0
-
 
 # Per-statement counters of one fixed scenario, captured at the commit
 # before zone-map pruning became a block mask inside the coverage: the

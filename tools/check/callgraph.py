@@ -12,7 +12,9 @@ tree.  Precision comes from the attribute-type inference in
 * ``self._store.log_state()`` with ``self._store: Optional["CacheStore"]``
   → exactly ``CacheStore.log_state``;
 * ``self._queue.clear()`` with ``self._queue: Deque`` → *nothing*
-  (opaque container — must not alias ``PredicateCache.clear``);
+  (opaque container — must not alias ``PredicateCache.clear``), and so
+  ``self._journal.close()`` with ``self._journal: Optional[BinaryIO]``
+  (a class outside the project — must not alias ``PredicateCache.close``);
 * ``ClassName.method()`` → that class's method;
 * anything else → all project methods named ``method``.
 
@@ -99,7 +101,9 @@ def _resolve_site(
                 if candidate == OPAQUE:
                     continue
                 targets.extend(project.resolve_method(candidate, method))
-            if targets or candidates == {OPAQUE}:
+            if targets or not any(c in project.classes for c in candidates):
+                # Resolved — or every inferred type is a container or a
+                # class outside the project (``BinaryIO``): no effects.
                 return sorted(set(targets)), True
         # Unknown attribute type: fall through to by-name.
     if site.recv_kind == "class":
