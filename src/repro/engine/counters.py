@@ -10,7 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
+
+if TYPE_CHECKING:
+    from ..storage.rms import StorageStats
 
 __all__ = ["QueryCounters"]
 
@@ -85,6 +88,17 @@ class QueryCounters:
         self.result_cache_hit = self.result_cache_hit or other.result_cache_hit
         self.wall_seconds += other.wall_seconds
         self.model_seconds += other.model_seconds
+
+    def add_storage(self, stats: "StorageStats") -> None:
+        """Fold one statement's storage sink in (block traffic, resilience)."""
+        self.blocks_accessed += stats.blocks_accessed
+        self.remote_fetches += stats.remote_fetches
+        self.bytes_fetched += stats.bytes_fetched
+        self.storage_faults += stats.transient_errors
+        self.corrupt_blocks += stats.corrupt_blocks
+        self.storage_retries += stats.retries
+        self.retry_giveups += stats.retry_giveups
+        self.backoff_seconds += stats.backoff_model_seconds
 
     def snapshot(self) -> Tuple[float, ...]:
         """Current values as a flat tuple (for before/after deltas).

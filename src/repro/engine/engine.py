@@ -18,6 +18,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.cache import PredicateCache
+from ..obs.trace import Tracer, optional_span
 from ..predicates.ast import Predicate, TruePredicate
 from ..storage.database import Database
 from .cost import CostModel
@@ -25,6 +26,7 @@ from .counters import QueryCounters
 from .executor import Batch, Executor, _batch_len
 from .plan import PlanNode
 from .scan import execute_scan
+from .statement import StatementContext
 
 __all__ = ["QueryEngine", "QueryResult"]
 
@@ -45,7 +47,7 @@ class QueryResult:
     columns: Dict[str, np.ndarray]
     column_order: List[str]
     counters: QueryCounters
-    #: Root span of this query's trace (when the engine has a tracer).
+    #: Root span of this query's own trace (when the engine has a tracer).
     trace: Optional[object] = None
 
     @property
@@ -86,14 +88,15 @@ class QueryEngine:
         """Args beyond the caching layers:
 
         tracer: optional :class:`~repro.obs.Tracer`; when set, every
-            query records a span tree (``query → parse/plan → execute →
-            operators → scan[slice]``) exposed as ``result.trace`` and
-            rendered by :meth:`explain_analyze`.
+            query records its own span tree (``query → parse/plan →
+            execute → operators → scan[slice]``) exposed as
+            ``result.trace``, collected in ``tracer.roots`` and rendered
+            by :meth:`explain_analyze`.  Statements running concurrently
+            each build their own tree.
         metrics: optional :class:`~repro.obs.MetricsRegistry`; the
             engine registers query counters/latency and wires up the
             predicate cache's and database's metrics.  Both default to
-            ``None`` — the uninstrumented engine runs the exact
-            pre-observability code path.
+            ``None``.
         scan_workers: slice-scan worker threads for this engine; ``0``
             forces serial, ``None`` (default) defers to the session
             configuration (``REPRO_PARALLEL``).
@@ -106,7 +109,7 @@ class QueryEngine:
         self.tracer = tracer
         self.metrics = metrics
         self.scan_workers = scan_workers
-        self._executor = Executor(database, predicate_cache, scan_workers=scan_workers)
+        self._executor = Executor(database)
         self._m_queries = None
         if metrics is not None:
             self._register_metrics(metrics)
@@ -114,10 +117,9 @@ class QueryEngine:
     def set_predicate_cache(self, predicate_cache) -> None:
         """Swap the predicate cache (or :class:`ClusterCaches` router)
         mid-workload — e.g. after a cluster restart hydrated a fresh
-        cache from a :class:`~repro.persist.CacheStore`.  The executor
-        holds its own reference, so both must move together."""
+        cache from a :class:`~repro.persist.CacheStore`.  A statement
+        already running finishes on the cache it started with."""
         self.predicate_cache = predicate_cache
-        self._executor.predicate_cache = predicate_cache
 
     def _register_metrics(self, registry) -> None:
         self._m_queries = registry.counter(
@@ -169,24 +171,33 @@ class QueryEngine:
         statement runs under a ``query`` root span, returned on
         ``result.trace``.
         """
-        return self._execute(sql, self.tracer)
+        return self._execute(sql, self._statement_trace())
 
-    def _execute(self, sql: str, tracer) -> QueryResult:
-        """:meth:`execute` under ``tracer`` — the engine's own, or the
-        one-off tracer of :meth:`explain_analyze`."""
-        if tracer is None:
-            return self._execute_statement(sql, None)
-        query_span = tracer.begin("query", sql=sql)
-        try:
-            result = self._execute_statement(sql, tracer)
-        finally:
-            tracer.end(query_span)
-        query_span.set("rows_output", result.counters.rows_output)
-        query_span.set("wall_seconds", result.counters.wall_seconds)
-        result.trace = query_span
+    def _statement_trace(self) -> Optional[Tracer]:
+        """The next statement's own span stack on the engine's tracer."""
+        return self.tracer.for_statement() if self.tracer is not None else None
+
+    def _begin_statement(
+        self, trace: Optional[Tracer], cache: Optional[PredicateCache] = None
+    ) -> StatementContext:
+        """The one place a statement's context is built: a fresh
+        snapshot, and the worker count as configured right now."""
+        return StatementContext(
+            self.database.begin(), self.database.rms, cache, trace, self.scan_workers
+        )
+
+    def _execute(self, sql: str, trace: Optional[Tracer]) -> QueryResult:
+        """:meth:`execute` under ``trace`` — a span stack of the engine's
+        tracer, or the one-off tracer of :meth:`explain_analyze`."""
+        with optional_span(trace, "query", sql=sql) as query_span:
+            result = self._execute_statement(sql, trace)
+        if query_span is not None:
+            query_span.set("rows_output", result.counters.rows_output)
+            query_span.set("wall_seconds", result.counters.wall_seconds)
+            result.trace = query_span
         return result
 
-    def _execute_statement(self, sql: str, tracer) -> QueryResult:
+    def _execute_statement(self, sql: str, trace: Optional[Tracer]) -> QueryResult:
         from ..sql import (
             AnalyzeStatement,
             DeleteStatement,
@@ -198,54 +209,52 @@ class QueryEngine:
             plan_select,
         )
 
-        if tracer is None:
-            statement = parse_statement(sql)
-        else:
-            with tracer.span("parse"):
-                statement = parse_statement(sql)
-        if isinstance(statement, SelectStatement):
-            if tracer is None:
-                plan = plan_select(statement, self.database)
-            else:
-                with tracer.span("plan"):
-                    plan = plan_select(statement, self.database)
-            return self._execute_plan(plan, _normalize_sql(sql), tracer)
-        if isinstance(statement, InsertStatement):
-            table = self.database.table(statement.table)
-            columns = statement.columns or table.schema.column_names
-            if any(len(row) != len(columns) for row in statement.rows):
+        with optional_span(trace, "parse"):
+            parsed = parse_statement(sql)
+        if isinstance(parsed, SelectStatement):
+            with optional_span(trace, "plan"):
+                plan = plan_select(parsed, self.database)
+            return self._execute_plan(plan, _normalize_sql(sql), trace)
+        if isinstance(parsed, InsertStatement):
+            table = self.database.table(parsed.table)
+            columns = parsed.columns or table.schema.column_names
+            if any(len(row) != len(columns) for row in parsed.rows):
                 raise ValueError("VALUES row width does not match column list")
             rows = {
-                name: [row[i] for row in statement.rows]
+                name: [row[i] for row in parsed.rows]
                 for i, name in enumerate(columns)
             }
             # Unlisted columns are not supported (no NULL defaults here).
             missing = set(table.schema.column_names) - set(columns)
             if missing:
                 raise ValueError(f"INSERT must provide columns {sorted(missing)}")
-            return self._dml_result(self.insert(statement.table, rows))
-        if isinstance(statement, DeleteStatement):
-            predicate = statement.predicate or TruePredicate()
-            return self._dml_result(self.delete_where(statement.table, predicate))
-        if isinstance(statement, UpdateStatement):
-            predicate = statement.predicate or TruePredicate()
-            return self._dml_result(
-                self.update_where(
-                    statement.table, predicate, dict(statement.assignments)
+            return self._dml_result(self.insert(parsed.table, rows))
+        if isinstance(parsed, (DeleteStatement, UpdateStatement)):
+            statement = self._begin_statement(trace)
+            predicate = parsed.predicate or TruePredicate()
+            if isinstance(parsed, DeleteStatement):
+                affected = self._delete(statement, parsed.table, predicate)
+            else:
+                affected = self._update(
+                    statement, parsed.table, predicate, dict(parsed.assignments)
                 )
-            )
-        if isinstance(statement, VacuumStatement):
-            changed = self.vacuum([statement.table] if statement.table else None)
+            return self._dml_result(affected, statement)
+        if isinstance(parsed, VacuumStatement):
+            changed = self.vacuum([parsed.table] if parsed.table else None)
             return self._dml_result(len(changed))
-        if isinstance(statement, AnalyzeStatement):
+        if isinstance(parsed, AnalyzeStatement):
             analyzed = self.database.analyze(
-                [statement.table] if statement.table else None
+                [parsed.table] if parsed.table else None
             )
             return self._dml_result(len(analyzed))
-        raise TypeError(f"unhandled statement {type(statement).__name__}")
+        raise TypeError(f"unhandled statement {type(parsed).__name__}")
 
-    def _dml_result(self, affected: int) -> QueryResult:
-        counters = QueryCounters()
+    def _dml_result(
+        self, affected: int, statement: Optional[StatementContext] = None
+    ) -> QueryResult:
+        """One ``affected`` row; with the counters of the scan that found
+        the rows when the statement ran one (DELETE, UPDATE)."""
+        counters = statement.close() if statement is not None else QueryCounters()
         counters.rows_output = 1
         self._record_query_metrics(counters)
         return QueryResult(
@@ -261,59 +270,42 @@ class QueryEngine:
         unchanged tables return the stored result without execution
         (§3.1).  SQL execution passes the statement text.
         """
-        return self._execute_plan(plan, cache_key, self.tracer)
+        return self._execute_plan(plan, cache_key, self._statement_trace())
 
     def _execute_plan(
-        self, plan: PlanNode, cache_key: Optional[str], tracer
+        self, plan: PlanNode, cache_key: Optional[str], trace: Optional[Tracer]
     ) -> QueryResult:
-        counters = QueryCounters()
         if self.result_cache is not None and cache_key is not None:
             versions = self._table_versions(plan)
             hit = self.result_cache.lookup(cache_key, versions)
             if hit is not None:
+                counters = QueryCounters()
                 counters.result_cache_hit = True
                 counters.model_seconds = self.cost_model.query_overhead
                 columns, order = hit
-                if tracer is not None:
-                    with tracer.span("result-cache") as span:
+                with optional_span(trace, "result-cache") as span:
+                    if span is not None:
                         span.set("outcome", "hit")
                 self._record_query_metrics(counters)
                 return QueryResult(dict(columns), list(order), counters)
 
         started = time.perf_counter()
-        rms = self.database.rms
-        # Per-query storage accounting: the context's private sink sees
+        # The statement's storage reader has a private sink that sees
         # only this query's block traffic, even when other queries run
         # concurrently on the same storage (a global snapshot/delta
         # would fold their fetches in).  It also carries the per-query
         # retry budget the resilient fetch path spends.
-        storage_context = rms.begin_query()
-        try:
-            txid = self.database.begin()
-            execute_span = None
-            if tracer is None:
-                batch = self._executor.execute(plan, txid, counters, tracer)
-                order = self._output_order(plan, batch)
-            else:
-                # The context manager closes the span when the executor
-                # raises, so a failed query never parents the next one.
-                with tracer.span("execute") as execute_span:
-                    batch = self._executor.execute(plan, txid, counters, tracer)
-                with tracer.span("output") as span:
-                    order = self._output_order(plan, batch)
-                    span.set("rows_output", _batch_len(batch))
-        finally:
-            rms.end_query(storage_context)
+        statement = self._begin_statement(trace, self.predicate_cache)
+        # The context manager closes the span when the executor
+        # raises, so a failed query never parents the next one.
+        with optional_span(trace, "execute") as execute_span:
+            batch = self._executor.execute(plan, statement)
+        with optional_span(trace, "output") as span:
+            order = self._output_order(plan, batch)
+            if span is not None:
+                span.set("rows_output", _batch_len(batch))
+        counters = statement.close()
         counters.rows_output = _batch_len(batch)
-        storage_delta = storage_context.stats
-        counters.blocks_accessed += storage_delta.blocks_accessed
-        counters.remote_fetches += storage_delta.remote_fetches
-        counters.bytes_fetched += storage_delta.bytes_fetched
-        counters.storage_faults += storage_delta.transient_errors
-        counters.corrupt_blocks += storage_delta.corrupt_blocks
-        counters.storage_retries += storage_delta.retries
-        counters.retry_giveups += storage_delta.retry_giveups
-        counters.backoff_seconds += storage_delta.backoff_model_seconds
         counters.wall_seconds = time.perf_counter() - started
         # Retry backoff and injected latency are model time the query
         # actually waited out; fold them into the modeled runtime.
@@ -352,29 +344,25 @@ class QueryEngine:
 
     def delete_where(self, table_name: str, predicate: Predicate) -> int:
         """MVCC-delete every visible row matching ``predicate``."""
+        return self._delete(self._begin_statement(None), table_name, predicate)
+
+    def _delete(
+        self, statement: StatementContext, table_name: str, predicate: Predicate
+    ) -> int:
         table = self.database.table(table_name)
-        rms = self.database.rms
-        storage_context = rms.begin_query()
-        try:
-            read_txid = self.database.begin()
-            counters = QueryCounters()
-            # Deletes bypass the predicate cache: reusing a cached entry here
-            # would be correct (false positives re-checked), but Redshift's
-            # prototype hooks only the SELECT scan path.
-            result = execute_scan(
-                table, predicate, read_txid, counters, cache=None,
-                workers=self.scan_workers,
-            )
-            write_txid = self.database.begin()
-            deleted = 0
-            for slice_id, qualifying in enumerate(result.per_slice):
-                if qualifying:
-                    deleted += table.delete_local_rows(
-                        slice_id, qualifying.to_row_ids(), write_txid
-                    )
-            return deleted
-        finally:
-            rms.end_query(storage_context)
+        # Deletes bypass the predicate cache (the statement carries none):
+        # reusing a cached entry here would be correct (false positives
+        # re-checked), but Redshift's prototype hooks only the SELECT
+        # scan path.
+        result = execute_scan(table, predicate, statement)
+        write_txid = self.database.begin()
+        deleted = 0
+        for slice_id, qualifying in enumerate(result.per_slice):
+            if qualifying:
+                deleted += table.delete_local_rows(
+                    slice_id, qualifying.to_row_ids(), write_txid
+                )
+        return deleted
 
     def update_where(
         self,
@@ -383,36 +371,37 @@ class QueryEngine:
         assignments: Mapping[str, object],
     ) -> int:
         """Update = MVCC delete + append of new row versions (§4.3.3)."""
+        return self._update(
+            self._begin_statement(None), table_name, predicate, assignments
+        )
+
+    def _update(
+        self,
+        statement: StatementContext,
+        table_name: str,
+        predicate: Predicate,
+        assignments: Mapping[str, object],
+    ) -> int:
         table = self.database.table(table_name)
         unknown = set(assignments) - set(table.schema.column_names)
         if unknown:
             raise ValueError(f"unknown columns in UPDATE: {sorted(unknown)}")
-        rms = self.database.rms
-        storage_context = rms.begin_query()
-        try:
-            read_txid = self.database.begin()
-            counters = QueryCounters()
-            result = execute_scan(
-                table, predicate, read_txid, counters, cache=None,
-                workers=self.scan_workers,
-            )
-            old_rows = result.gather(table.schema.column_names)
-            count = _batch_len(old_rows)
-            if count == 0:
-                return 0
-            write_txid = self.database.begin()
-            for slice_id, qualifying in enumerate(result.per_slice):
-                if qualifying:
-                    table.delete_local_rows(
-                        slice_id, qualifying.to_row_ids(), write_txid
-                    )
-            new_rows = dict(old_rows)
-            for name, value in assignments.items():
-                new_rows[name] = np.full(count, value, dtype=old_rows[name].dtype)
-            table.insert(new_rows, write_txid)
-            return count
-        finally:
-            rms.end_query(storage_context)
+        result = execute_scan(table, predicate, statement)
+        old_rows = result.gather(table.schema.column_names)
+        count = _batch_len(old_rows)
+        if count == 0:
+            return 0
+        write_txid = self.database.begin()
+        for slice_id, qualifying in enumerate(result.per_slice):
+            if qualifying:
+                table.delete_local_rows(
+                    slice_id, qualifying.to_row_ids(), write_txid
+                )
+        new_rows = dict(old_rows)
+        for name, value in assignments.items():
+            new_rows[name] = np.full(count, value, dtype=old_rows[name].dtype)
+        table.insert(new_rows, write_txid)
+        return count
 
     def vacuum(self, tables: Optional[Sequence[str]] = None) -> List[str]:
         """Physically reclaim deleted rows (invalidates cache entries)."""
@@ -440,7 +429,6 @@ class QueryEngine:
         not touched, so statements running concurrently neither record
         into it nor lose their own.
         """
-        from ..obs import Tracer
         from .explain import render_analyze
 
         result = self._execute(sql, Tracer())

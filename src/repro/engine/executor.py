@@ -9,15 +9,14 @@ predicate cache's join-index extension records (§4.4).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..core.cache import PredicateCache
 from ..core.keys import SemiJoinDescriptor
+from ..obs.trace import optional_span
 from ..storage.database import Database
 from .bloom import BloomFilter
-from .counters import QueryCounters
 from .hashing import stable_int_keys
 from .plan import (
     AggregateNode,
@@ -32,9 +31,7 @@ from .plan import (
     SortNode,
 )
 from .scan import SemiJoinFilter, execute_scan
-
-if TYPE_CHECKING:
-    from ..obs.trace import Tracer
+from .statement import StatementContext
 
 __all__ = ["Executor", "Batch"]
 
@@ -44,31 +41,18 @@ Batch = Dict[str, np.ndarray]
 class Executor:
     """Executes plan trees against a database."""
 
-    def __init__(
-        self,
-        database: Database,
-        predicate_cache: Optional[PredicateCache] = None,
-        scan_workers: Optional[int] = None,
-    ) -> None:
+    def __init__(self, database: Database) -> None:
         self.database = database
-        self.predicate_cache = predicate_cache
-        self.scan_workers = scan_workers
 
-    def execute(
-        self,
-        plan: PlanNode,
-        txid: int,
-        counters: QueryCounters,
-        tracer: Optional[Tracer] = None,
-    ) -> Batch:
-        """Execute ``plan`` with visibility snapshot ``txid``.
+    def execute(self, plan: PlanNode, statement: StatementContext) -> Batch:
+        """Execute ``plan`` on behalf of ``statement``.
 
-        ``tracer`` (a :class:`~repro.obs.Tracer`) turns on per-operator
-        spans carrying inclusive counter deltas; ``None`` executes the
-        uninstrumented path.
+        Everything per-statement — snapshot, counters, storage reader,
+        cache, worker count — comes from ``statement``; a traced one
+        records per-operator spans carrying inclusive counter deltas.
         """
         needed = self._root_needed(plan)
-        return self._execute(plan, needed, [], txid, counters, tracer)
+        return self._execute(plan, needed, [], statement)
 
     def _root_needed(self, plan: PlanNode) -> Set[str]:
         try:
@@ -89,21 +73,20 @@ class Executor:
         node: PlanNode,
         needed: Set[str],
         filters: List[SemiJoinFilter],
-        txid: int,
-        counters: QueryCounters,
-        tracer: Optional[Tracer] = None,
+        statement: StatementContext,
     ) -> Batch:
-        if tracer is None:
-            return self._dispatch(node, needed, filters, txid, counters, None)
         # One span per operator, carrying the *inclusive* counter delta
         # (this operator plus its subtree, EXPLAIN ANALYZE convention).
-        with tracer.span(
-            type(node).__name__.removesuffix("Node"), operator=node.describe()
+        with optional_span(
+            statement.trace, type(node).__name__.removesuffix("Node")
         ) as span:
-            before = counters.snapshot()
-            batch = self._dispatch(node, needed, filters, txid, counters, tracer)
-            span.set("rows_out", _batch_len(batch))
-            span.update(counters.delta(before))
+            if span is not None:
+                span.set("operator", node.describe())
+                before = statement.counters.snapshot()
+            batch = self._dispatch(node, needed, filters, statement)
+            if span is not None:
+                span.set("rows_out", _batch_len(batch))
+                span.update(statement.counters.delta(before))
             return batch
 
     def _dispatch(
@@ -111,23 +94,19 @@ class Executor:
         node: PlanNode,
         needed: Set[str],
         filters: List[SemiJoinFilter],
-        txid: int,
-        counters: QueryCounters,
-        tracer: Optional[Tracer],
+        statement: StatementContext,
     ) -> Batch:
         if isinstance(node, ScanNode):
-            return self._execute_scan(node, needed, filters, txid, counters, tracer)
+            return self._execute_scan(node, needed, filters, statement)
         if isinstance(node, JoinNode):
-            return self._execute_join(node, needed, filters, txid, counters, tracer)
+            return self._execute_join(node, needed, filters, statement)
         if isinstance(node, AggregateNode):
-            return self._execute_aggregate(node, filters, txid, counters, tracer)
+            return self._execute_aggregate(node, filters, statement)
         if isinstance(node, MapNode):
             child_needed = (needed - {a for a, _ in node.computations}) | {
                 column for _, expr in node.computations for column in expr.columns()
             }
-            child = self._execute(
-                node.child, child_needed, filters, txid, counters, tracer
-            )
+            child = self._execute(node.child, child_needed, filters, statement)
             n = _batch_len(child)
             out = dict(child)
             for alias, expr in node.computations:
@@ -138,17 +117,15 @@ class Executor:
             return out
         if isinstance(node, FilterNode):
             child_needed = needed | node.predicate.columns()
-            child = self._execute(
-                node.child, child_needed, filters, txid, counters, tracer
-            )
+            child = self._execute(node.child, child_needed, filters, statement)
             mask = node.predicate.evaluate(child)
             return {name: values[mask] for name, values in child.items()}
         if isinstance(node, ProjectNode):
-            return self._execute_project(node, filters, txid, counters, tracer)
+            return self._execute_project(node, filters, statement)
         if isinstance(node, SortNode):
-            return self._execute_sort(node, needed, filters, txid, counters, tracer)
+            return self._execute_sort(node, needed, filters, statement)
         if isinstance(node, LimitNode):
-            child = self._execute(node.child, needed, filters, txid, counters, tracer)
+            child = self._execute(node.child, needed, filters, statement)
             return {name: values[: node.count] for name, values in child.items()}
         raise TypeError(f"unknown plan node {type(node).__name__}")
 
@@ -159,9 +136,7 @@ class Executor:
         node: ScanNode,
         needed: Set[str],
         filters: List[SemiJoinFilter],
-        txid: int,
-        counters: QueryCounters,
-        tracer: Optional[Tracer] = None,
+        statement: StatementContext,
     ) -> Batch:
         table = self.database.table(node.table)
         schema_columns = set(table.schema.column_names)
@@ -178,13 +153,9 @@ class Executor:
         result = execute_scan(
             table,
             node.predicate,
-            txid,
-            counters,
-            cache=self.predicate_cache,
+            statement,
             semijoins=local_filters,
             current_versions=self._current_versions(local_filters),
-            tracer=tracer,
-            workers=self.scan_workers,
             # The slice tasks materialize the output columns themselves,
             # so gather latency overlaps across slices in parallel mode.
             gather_columns=[c for c in columns if c != "__rows__"],
@@ -207,9 +178,7 @@ class Executor:
         node: JoinNode,
         needed: Set[str],
         filters: List[SemiJoinFilter],
-        txid: int,
-        counters: QueryCounters,
-        tracer: Optional[Tracer] = None,
+        statement: StatementContext,
     ) -> Batch:
         # Filters from enclosing joins go to whichever side produces
         # their probe column — Redshift pushes semi-join filters into
@@ -221,7 +190,7 @@ class Executor:
 
         build_needed = (needed | {node.build_key}) & build_columns
         build = self._execute(
-            node.build, build_needed, build_side_filters, txid, counters, tracer
+            node.build, build_needed, build_side_filters, statement
         )
         build_keys = stable_int_keys(build[node.build_key])
 
@@ -246,12 +215,10 @@ class Executor:
         probe_needed = (needed | {node.probe_key}) & set(
             self._subtree_columns(node.probe)
         )
-        probe = self._execute(
-            node.probe, probe_needed, probe_filters, txid, counters, tracer
-        )
+        probe = self._execute(node.probe, probe_needed, probe_filters, statement)
         probe_keys = stable_int_keys(probe[node.probe_key])
 
-        counters.rows_joined += len(probe_keys)
+        statement.counters.rows_joined += len(probe_keys)
         probe_idx, build_idx = _hash_join_indices(probe_keys, build_keys)
 
         out: Batch = {name: values[probe_idx] for name, values in probe.items()}
@@ -308,28 +275,24 @@ class Executor:
         self,
         node: AggregateNode,
         filters: List[SemiJoinFilter],
-        txid: int,
-        counters: QueryCounters,
-        tracer: Optional[Tracer] = None,
+        statement: StatementContext,
     ) -> Batch:
         needed = set(node.group_by)
         for agg in node.aggregations:
             needed |= agg.input_columns()
-        child = self._execute(node.child, needed, filters, txid, counters, tracer)
+        child = self._execute(node.child, needed, filters, statement)
         return _aggregate(child, node.group_by, node.aggregations)
 
     def _execute_project(
         self,
         node: ProjectNode,
         filters: List[SemiJoinFilter],
-        txid: int,
-        counters: QueryCounters,
-        tracer: Optional[Tracer] = None,
+        statement: StatementContext,
     ) -> Batch:
         needed: Set[str] = set()
         for _, expr in node.projections:
             needed |= expr.columns()
-        child = self._execute(node.child, needed, filters, txid, counters, tracer)
+        child = self._execute(node.child, needed, filters, statement)
         n = _batch_len(child)
         out: Batch = {}
         for alias, expr in node.projections:
@@ -344,14 +307,10 @@ class Executor:
         node: SortNode,
         needed: Set[str],
         filters: List[SemiJoinFilter],
-        txid: int,
-        counters: QueryCounters,
-        tracer: Optional[Tracer] = None,
+        statement: StatementContext,
     ) -> Batch:
         child_needed = needed | {col for col, _ in node.keys}
-        child = self._execute(
-            node.child, child_needed, filters, txid, counters, tracer
-        )
+        child = self._execute(node.child, child_needed, filters, statement)
         if _batch_len(child) == 0:
             return child
         # lexsort's last key is primary, so feed keys reversed.

@@ -21,7 +21,7 @@ Selection:
   coordinating thread, in slice order;
 * ``REPRO_PARALLEL=1`` — parallel with :data:`DEFAULT_WORKERS` workers;
 * ``REPRO_PARALLEL=N`` (N >= 2) — parallel with N workers;
-* ``QueryEngine(scan_workers=N)`` / ``execute_scan(workers=N)`` —
+* ``QueryEngine(scan_workers=N)`` / ``StatementContext(workers=N)`` —
   programmatic override; ``0`` forces inline, ``None`` defers to the
   environment.
 """

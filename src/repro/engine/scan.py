@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,13 +68,19 @@ from ..core.entry import CacheEntry
 from ..core.keys import ScanKey, SemiJoinDescriptor
 from ..core.rowrange import RangeList
 from ..faults.errors import NodeDownError
+from ..obs.trace import optional_span
 from ..predicates.ast import Predicate, TruePredicate
+from ..storage.rms import QueryStorageContext
 from ..storage.slice import DataSlice
 from ..storage.table import Table
 from . import parallel
 from .bloom import BloomFilter
 from .counters import ZERO_SNAPSHOT, QueryCounters
 from .hashing import stable_int_keys
+from .statement import StatementContext
+
+if TYPE_CHECKING:
+    from ..reuse import Decomposition, ReuseServing
 
 __all__ = ["SemiJoinFilter", "ScanResult", "execute_scan"]
 
@@ -95,7 +101,9 @@ class ScanResult:
 
     table: Table
     per_slice: List[RangeList]
-    txid: int
+    #: The scanning statement's storage reader: ``gather`` reads through
+    #: it, so late reads are billed to the same statement.
+    reader: QueryStorageContext
     #: Per-slice output columns materialized by the scan itself (the
     #: ``gather_columns`` of :func:`execute_scan`).  Reading them inside
     #: the slice tasks lets a parallel scan overlap the gather fetches
@@ -131,7 +139,7 @@ class ScanResult:
                     out[name].append(ready[name])
                 else:
                     out[name].append(
-                        s.columns[name].read_ranges(qualifying, self.table.rms)
+                        s.columns[name].read_ranges(qualifying, self.reader)
                     )
         result: Dict[str, np.ndarray] = {}
         for name in columns:
@@ -151,13 +159,9 @@ def s_empty(table: Table, column: str) -> np.ndarray:
 def execute_scan(
     table: Table,
     predicate: Predicate,
-    txid: int,
-    counters: QueryCounters,
-    cache: Optional[PredicateCache] = None,
+    statement: StatementContext,
     semijoins: Sequence[SemiJoinFilter] = (),
     current_versions: Optional[Mapping[str, int]] = None,
-    tracer=None,
-    workers: Optional[int] = None,
     gather_columns: Sequence[str] = (),
 ) -> ScanResult:
     """Run the two-step scan over every slice of ``table``.
@@ -165,21 +169,16 @@ def execute_scan(
     Args:
         table: the relation to scan.
         predicate: the pushed-down filter (``TruePredicate`` for none).
-        txid: MVCC visibility snapshot.
-        counters: query counters to accumulate into.
-        cache: the predicate cache — a ``PredicateCache`` or a
-            ``ClusterCaches`` router — or None to disable caching
-            entirely.
+        statement: the scanning statement — its visibility snapshot,
+            the counters to accumulate into, the storage reader every
+            block read goes through, the cache (None disables caching
+            entirely) and the worker count (results and surfaced
+            counters are bit-identical across worker counts).  A traced
+            statement records ``cache-lookup`` and per-slice
+            ``scan[slice]`` spans with counter and block-fetch deltas.
         semijoins: Bloom filters pushed down from hash joins (§4.4).
         current_versions: data versions of semi-join build tables, for
             stale-entry rejection.
-        tracer: optional :class:`~repro.obs.Tracer`; when set, the scan
-            records ``cache-lookup`` and per-slice ``scan[slice]`` spans
-            with counter and block-fetch deltas.
-        workers: slice-scan worker threads; ``0`` runs the slice tasks
-            inline on the calling thread, ``None`` defers to the session
-            configuration (``REPRO_PARALLEL``).  Results and surfaced
-            counters are bit-identical across worker counts.
         gather_columns: output columns the caller will gather from the
             result.  The slice tasks materialize them for their
             qualifying rows — the same reads ``ScanResult.gather``
@@ -190,24 +189,20 @@ def execute_scan(
         Per-slice qualifying row ranges (post predicate, semi-join
         filters, and visibility).
     """
-    plan = _plan_scan(
-        table, predicate, cache, semijoins, current_versions, counters, tracer
-    )
+    plan = _plan_scan(table, predicate, semijoins, current_versions, statement)
     # Degradation ladder, rung 2: one count per table scan however many
     # slices lost their node, plus one per stale entry dropped.
-    counters.degraded_scans += min(1, plan.degraded_slices) + plan.stale_drops
-    num_workers = (
-        parallel.configured_workers() if workers is None else max(0, int(workers))
+    statement.counters.degraded_scans += (
+        min(1, plan.degraded_slices) + plan.stale_drops
     )
     results = _run_slices(
-        table, predicate, semijoins, txid, counters,
-        plan, list(gather_columns), tracer, num_workers,
+        table, predicate, semijoins, plan, list(gather_columns), statement
     )
-    _install(table, predicate, plan, results, counters)
+    _install(table, predicate, plan, results, statement.counters)
     return ScanResult(
         table,
         [qualifying for qualifying, _, _, _ in results],
-        txid,
+        statement.storage,
         [materialized for _, _, materialized, _ in results],
     )
 
@@ -237,13 +232,12 @@ class ScanPlan:
 def _plan_scan(
     table: Table,
     predicate: Predicate,
-    cache: Optional[PredicateCache],
     semijoins: Sequence[SemiJoinFilter],
     current_versions: Optional[Mapping[str, int]],
-    counters: QueryCounters,
-    tracer,
+    statement: StatementContext,
 ) -> ScanPlan:
     """Derive the scan's keys and resolve one cache context per slice."""
+    cache = statement.cache
     predicate_key = predicate.cache_key()
     if cache is not None and cache.config.normalize_keys:
         from ..predicates.normalize import normalize
@@ -289,7 +283,7 @@ def _plan_scan(
                 try:
                     context = _prepare_cache_context(
                         node_cache, table, predicate, plain_key, join_key,
-                        build_versions, current_versions, counters, tracer,
+                        build_versions, current_versions, statement,
                     )
                 except NodeDownError:
                     # Undetected failure window: the node died but the
@@ -324,31 +318,23 @@ def _run_slices(
     table: Table,
     predicate: Predicate,
     semijoins: Sequence[SemiJoinFilter],
-    txid: int,
-    counters: QueryCounters,
     plan: ScanPlan,
     gather_columns: List[str],
-    tracer,
-    num_workers: int,
+    statement: StatementContext,
 ) -> List["_SliceResult"]:
     """Run one :func:`_scan_slice` task per slice; merge at the barrier.
 
-    ``num_workers <= 0`` runs the tasks inline on the calling thread,
-    in slice order; otherwise they fan over the shared worker pool.
-    Either way each task gets a fresh ``QueryCounters`` and records its
-    own span window via the tracer's shared clock; the coordinator
-    merges the counters and emits the spans in slice order, so traces
-    and totals do not depend on the worker count.
+    Zero workers run the tasks inline on the calling thread, in slice
+    order; otherwise they fan over the shared worker pool.  Either way
+    each task gets a fresh ``QueryCounters``, reads through the
+    statement's storage reader and records its own span window via the
+    trace's clock; the coordinator merges the counters and emits the
+    spans in slice order, so traces and totals do not depend on the
+    worker count.
     """
-    rms = table.rms
-    executor = parallel.ParallelScanExecutor(num_workers)
-    # The phase is started *before* the tasks are built so each task can
-    # capture it: pool threads adopt the coordinator's (phase, query)
-    # storage bindings for the duration of their slice, then restore —
-    # pool threads are shared across concurrent scans, and the inline
-    # path runs tasks on the coordinator thread itself.
-    phase = rms.begin_scan_phase()
-    query_context = rms.current_query_context()
+    reader = statement.storage
+    trace = statement.trace
+    now = trace.now if trace is not None else (lambda: 0.0)
 
     def make_task(slice_id: int, data_slice: DataSlice):
         context = plan.contexts[slice_id]
@@ -357,41 +343,39 @@ def _run_slices(
 
         def task() -> Tuple["_SliceResult", QueryCounters, float, float]:
             local = QueryCounters()
-            adopted = rms.adopt_scan_context(phase, query_context)
-            try:
-                start = tracer.now() if tracer is not None else 0.0
-                pair = _scan_slice(
-                    table, data_slice, slice_id, predicate, semijoins,
-                    txid, local, entry, plan.scan_columns, gather_columns,
-                    conjunct_predicates,
-                )
-                end = tracer.now() if tracer is not None else 0.0
-            finally:
-                rms.release_scan_context(adopted)
-            return pair, local, start, end
+            start = now()
+            pair = _scan_slice(
+                data_slice, slice_id, predicate, semijoins, statement,
+                local, entry, plan.scan_columns, gather_columns,
+                conjunct_predicates,
+            )
+            return pair, local, start, now()
 
         return task
 
+    # The access log opens before any task runs and settles at the
+    # barrier, also when a task raised (the pool drains first).
+    reader.begin_scan_phase()
     try:
-        outcomes = executor.run(
+        outcomes = parallel.ParallelScanExecutor(statement.workers).run(
             [
                 make_task(slice_id, data_slice)
                 for slice_id, data_slice in enumerate(table.slices)
             ]
         )
     finally:
-        access_counts = rms.end_scan_phase()
+        access_counts = reader.end_scan_phase()
 
     results: List["_SliceResult"] = []
     for slice_id, (pair, local, start, end) in enumerate(outcomes):
-        counters.merge(local)
-        if tracer is not None:
+        statement.counters.merge(local)
+        if trace is not None:
             context = plan.contexts[slice_id]
             attrs: Dict[str, object] = {"table": table.name, "slice": slice_id}
             attrs.update(local.delta(ZERO_SNAPSHOT))
             attrs["blocks_fetched"] = access_counts.get(slice_id, 0)
             attrs["cache_basis"] = context.basis if context is not None else "off"
-            tracer.emit(f"scan[slice {slice_id}]", start, end, attrs)
+            trace.emit(f"scan[slice {slice_id}]", start, end, attrs)
         results.append(pair)
     return results
 
@@ -481,10 +465,10 @@ def _prepare_cache_context(
     join_key: Optional[ScanKey],
     build_versions: Dict[str, int],
     current_versions: Optional[Mapping[str, int]],
-    counters: QueryCounters,
-    tracer=None,
+    statement: StatementContext,
 ) -> _SliceCacheContext:
     """Probe the cache and decide which entries this scan records."""
+    counters = statement.counters
     cache.watch_table(table)
     cache_join = cache.config.cache_join_keys
     candidate_keys = []
@@ -498,67 +482,41 @@ def _prepare_cache_context(
         from ..reuse import decompose
 
         decomposition = decompose(table.name, predicate)
-    lookup_span = None
-    if tracer is not None:
-        lookup_span = tracer.begin(
-            "cache-lookup", table=table.name, candidates=len(candidate_keys)
-        )
-    entry = cache.select_entry(candidate_keys, current_versions)
-    serving = None
-    if entry is None:
-        # The exact-match miss is counted regardless of a reuse serve:
-        # stats.hit_rate stays the paper's Fig. 13 metric, reuse serves
-        # are accounted on top in reuse_stats.
-        counters.cache_misses += 1
-        basis = "full"
-        if decomposition is not None:
-            from ..reuse import plan_reuse
-
-            plan_span = None
-            if tracer is not None:
-                plan_span = tracer.begin(
-                    "reuse-plan",
-                    table=table.name,
-                    conjuncts=len(decomposition.conjuncts),
-                )
-            plan = plan_reuse(
-                cache, decomposition, plain_key, current_versions,
-                table.num_slices,
-            )
-            if plan is not None:
-                serving = plan.serving
-                entry = serving
-                basis = serving.basis
-                cache.record_reuse_serve(basis)
-                if basis == "composed":
-                    counters.reuse_composed_serves += 1
-                else:
-                    counters.reuse_subsumed_serves += 1
-            if plan_span is not None:
-                plan_span.set("outcome", basis if plan is not None else "none")
-                if plan is not None:
-                    plan_span.set("resolved", plan.resolved)
-                    plan_span.set("subsumed_parts", plan.subsumed_parts)
-                    plan_span.set(
-                        "sources", [str(k) for k in plan.serving.source_keys]
-                    )
-                tracer.end(plan_span)
-    else:
-        counters.cache_hits += 1
-        basis = "join" if entry.key.is_join_key else "plain"
-    if lookup_span is not None:
-        if entry is None:
-            outcome = "miss"
-        elif serving is not None:
-            outcome = f"reuse-{basis}"
-        else:
-            outcome = "hit"
-        lookup_span.set("outcome", outcome)
-        lookup_span.set("basis", basis)
+    with optional_span(
+        statement.trace, "cache-lookup",
+        table=table.name, candidates=len(candidate_keys),
+    ) as lookup_span:
+        entry = cache.select_entry(candidate_keys, current_versions)
+        serving = None
         if entry is not None:
-            lookup_span.set("entry_selectivity", round(entry.selectivity, 6))
-            lookup_span.set("entry_nbytes", entry.nbytes)
-        tracer.end(lookup_span)
+            counters.cache_hits += 1
+            basis = "join" if entry.key.is_join_key else "plain"
+        else:
+            # The exact-match miss is counted regardless of a reuse serve:
+            # stats.hit_rate stays the paper's Fig. 13 metric, reuse serves
+            # are accounted on top in reuse_stats.
+            counters.cache_misses += 1
+            basis = "full"
+            if decomposition is not None:
+                serving = _plan_reuse_serving(
+                    cache, decomposition, plain_key, current_versions,
+                    table, statement,
+                )
+                if serving is not None:
+                    entry = serving
+                    basis = serving.basis
+        if lookup_span is not None:
+            if entry is None:
+                outcome = "miss"
+            elif serving is not None:
+                outcome = f"reuse-{basis}"
+            else:
+                outcome = "hit"
+            lookup_span.set("outcome", outcome)
+            lookup_span.set("basis", basis)
+            if entry is not None:
+                lookup_span.set("entry_selectivity", round(entry.selectivity, 6))
+                lookup_span.set("entry_nbytes", entry.nbytes)
 
     context = _SliceCacheContext(cache, entry, basis)
     if join_key is not None and cache_join and cache.admits(join_key):
@@ -599,6 +557,42 @@ def _prepare_cache_context(
     return context
 
 
+def _plan_reuse_serving(
+    cache: PredicateCache,
+    decomposition: "Decomposition",
+    plain_key: ScanKey,
+    current_versions: Optional[Mapping[str, int]],
+    table: Table,
+    statement: StatementContext,
+) -> Optional["ReuseServing"]:
+    """Ask the reuse lattice for an ephemeral serving of a full-key miss."""
+    from ..reuse import plan_reuse
+
+    with optional_span(
+        statement.trace, "reuse-plan",
+        table=table.name, conjuncts=len(decomposition.conjuncts),
+    ) as plan_span:
+        plan = plan_reuse(
+            cache, decomposition, plain_key, current_versions, table.num_slices
+        )
+        if plan is None:
+            if plan_span is not None:
+                plan_span.set("outcome", "none")
+            return None
+        serving = plan.serving
+        cache.record_reuse_serve(serving.basis)
+        if serving.basis == "composed":
+            statement.counters.reuse_composed_serves += 1
+        else:
+            statement.counters.reuse_subsumed_serves += 1
+        if plan_span is not None:
+            plan_span.set("outcome", serving.basis)
+            plan_span.set("resolved", plan.resolved)
+            plan_span.set("subsumed_parts", plan.subsumed_parts)
+            plan_span.set("sources", [str(k) for k in serving.source_keys])
+        return serving
+
+
 @dataclass
 class _SliceScanExtras:
     """Worker-side byproducts the coordinator's barrier consumes."""
@@ -617,12 +611,11 @@ _SliceResult = Tuple[RangeList, RangeList, Dict[str, np.ndarray], _SliceScanExtr
 
 
 def _scan_slice(
-    table: Table,
     data_slice: DataSlice,
     slice_id: int,
     predicate: Predicate,
     semijoins: Sequence[SemiJoinFilter],
-    txid: int,
+    statement: StatementContext,
     counters: QueryCounters,
     entry,
     scan_columns: List[str],
@@ -632,10 +625,13 @@ def _scan_slice(
     """Scan one slice; returns ``(qualifying, plain-qualifying,
     materialized gather columns, extras)``.
 
-    Worker-side code: may run on a pool thread with a per-task
-    ``counters``.  It must not mutate shared engine or cache state —
-    entry installs happen at the coordinator's barrier (rule RP006).
+    Worker-side code: may run on a pool thread.  It counts into its
+    per-task ``counters`` and takes from ``statement`` only the snapshot
+    and the storage reader; it must not mutate shared engine or cache
+    state — entry installs happen at the coordinator's barrier (rule
+    RP006).
     """
+    reader = statement.storage
     num_rows = data_slice.num_rows
     state = entry.slice_states[slice_id] if entry is not None else None
 
@@ -668,7 +664,7 @@ def _scan_slice(
         q_plain = RangeList.empty()
     else:
         batch = {
-            name: data_slice.columns[name].read_ranges(covered, table.rms)
+            name: data_slice.columns[name].read_ranges(covered, reader)
             for name in scan_columns
         }
         if isinstance(predicate, TruePredicate) and not scan_columns:
@@ -677,7 +673,7 @@ def _scan_slice(
             pred_mask = predicate.evaluate(batch)
             if pred_mask.shape == ():  # scalar result of an empty batch
                 pred_mask = np.full(len(row_ids), bool(pred_mask))
-        vis_mask = data_slice.visibility_mask(covered, txid)
+        vis_mask = data_slice.visibility_mask(covered, statement.txid)
         plain_mask = pred_mask & vis_mask
         full_mask = plain_mask
         for sj in semijoins:
@@ -719,7 +715,7 @@ def _scan_slice(
         if qualifying:
             for name in gather_columns:
                 materialized[name] = data_slice.columns[name].read_ranges(
-                    gathered, table.rms
+                    gathered, reader
                 )
 
     counters.rows_qualifying += qualifying.num_rows

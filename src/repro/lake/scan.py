@@ -34,7 +34,7 @@ from ..core.keys import ScanKey
 from ..core.rowrange import RangeList
 from ..faults import CircuitBreaker, FaultInjector, RetryPolicy, StorageFault
 from ..predicates.ast import Predicate
-from ..storage.rms import ManagedStorage
+from ..storage.rms import ManagedStorage, QueryStorageContext
 from .format import LakeFile, RowGroup
 from .table import LakeSnapshot, LakeTable
 
@@ -72,6 +72,8 @@ class _ScanRun:
     predicate_columns: List[str]
     stats: LakeScanStats
     pieces: Dict[str, List[np.ndarray]]
+    # The scan's reader of the scanner's storage: its sink and retry budget.
+    reader: QueryStorageContext
     # A hit's candidate ordinals (cached qualifying groups plus the
     # uncached tail) and the watermark they were cached up to.
     candidates: Optional[RangeList] = None
@@ -139,6 +141,7 @@ class LakeScanner:
             predicate_columns=sorted(predicate.columns()),
             stats=LakeScanStats(),
             pieces={name: [] for name in columns},
+            reader=self.storage.query_context(),
         )
         stats = run.stats
         if current:
@@ -149,13 +152,9 @@ class LakeScanner:
                 run.watermark = state.last_cached_row
                 run.candidates = state.candidates(committed)
 
-        context = self.storage.begin_query()
-        try:
-            for file in files:
-                self._scan_file(file, run)
-        finally:
-            self.storage.end_query(context)
-        read = context.stats
+        for file in files:
+            self._scan_file(file, run)
+        read = run.reader.stats
         stats.chunk_bytes_read = read.bytes_fetched
         stats.transient_errors = read.transient_errors
         stats.corrupt_chunks = read.corrupt_blocks
@@ -258,7 +257,7 @@ class LakeScanner:
         stats = run.stats
         stats.row_groups_read += 1
         stats.rows_scanned += group.num_rows
-        batch = self._read_columns(group, ordinal, run.predicate_columns)
+        batch = self._read_columns(group, ordinal, run.predicate_columns, run)
         mask = run.predicate.evaluate(batch) if batch else np.ones(
             group.num_rows, dtype=bool
         )
@@ -268,20 +267,20 @@ class LakeScanner:
             return False
         # Output columns the predicate already decoded come from `batch`.
         payload = [name for name in run.pieces if name not in batch]
-        batch.update(self._read_columns(group, ordinal, payload))
+        batch.update(self._read_columns(group, ordinal, payload, run))
         for name, parts in run.pieces.items():
             parts.append(batch[name][mask])
         return True
 
     def _read_columns(
-        self, group: RowGroup, ordinal: int, names: Sequence[str]
+        self, group: RowGroup, ordinal: int, names: Sequence[str], run: _ScanRun
     ) -> Dict[str, np.ndarray]:
         """Fetch column chunks of one row group through managed storage."""
         if not names:
             return {}
         blocks = [group.chunk(name).encoded for name in names]
         keys = [(self.table.name, 0, name, ordinal) for name in names]
-        return dict(zip(names, self.storage.read_blocks(keys, blocks)))
+        return dict(zip(names, run.reader.read_blocks(keys, blocks)))
 
     # -- observability --------------------------------------------------------------
 

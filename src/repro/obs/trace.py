@@ -7,15 +7,18 @@ code attaches (rows scanned, blocks fetched, cache outcome).
 
 Design constraints, in order:
 
-1. **Zero cost when off.**  Every instrumented call site is guarded by
-   ``if tracer is not None``; an engine constructed without a tracer
-   executes the exact pre-instrumentation code path.
+1. **Zero cost when off.**  An untraced statement carries ``None`` for
+   its trace; its span sites (:func:`optional_span`) enter a shared
+   no-op context manager and compute no attribute.
 2. **Cheap when on.**  Spans are ``__slots__`` objects; entering one is
    two ``perf_counter`` calls and a list append.  No thread-locals, no
-   globals — a tracer belongs to one engine, and the span tree is
-   mutated only by the coordinating thread: parallel scan workers just
-   read the clock via :meth:`Tracer.now` and the coordinator attaches
-   their spans in slice order via :meth:`Tracer.emit`.
+   globals — a span stack belongs to one statement
+   (:meth:`Tracer.for_statement`), so concurrent statements never see
+   each other's open spans, and within a statement the tree is mutated
+   only by the coordinating thread:
+   parallel scan workers just read the clock via :meth:`Tracer.now` and
+   the coordinator attaches their spans in slice order via
+   :meth:`Tracer.emit`.
 3. **Exportable.**  ``to_dict``/``to_json`` give the structured view;
    ``to_chrome_trace`` emits the ``trace_event`` JSON that
    ``chrome://tracing`` / Perfetto load directly.
@@ -25,9 +28,10 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Dict, Iterator, List, Optional
+from contextlib import nullcontext
+from typing import ContextManager, Dict, Iterator, List, Optional
 
-__all__ = ["Span", "Tracer"]
+__all__ = ["Span", "Tracer", "optional_span"]
 
 
 class Span:
@@ -108,6 +112,15 @@ class Tracer:
         self._stack: List[Span] = []
         self._origin = time.perf_counter()
 
+    def for_statement(self) -> "Tracer":
+        """A tracer with a fresh open-span stack on this one's clock,
+        whose roots land in this one's ``roots`` (a list append, atomic):
+        concurrent statements each build their own tree, collected here."""
+        trace = Tracer()
+        trace.roots = self.roots
+        trace._origin = self._origin
+        return trace
+
     # -- recording -----------------------------------------------------------
 
     def begin(self, name: str, **attrs: object) -> Span:
@@ -170,7 +183,8 @@ class Tracer:
         return self.roots[-1] if self.roots else None
 
     def clear(self) -> None:
-        self.roots = []
+        # In place: per-statement tracers share the list.
+        del self.roots[:]
         self._stack = []
 
     # -- export --------------------------------------------------------------
@@ -203,3 +217,14 @@ class Tracer:
                     }
                 )
         return {"traceEvents": events, "displayTimeUnit": "ms"}
+
+
+_UNTRACED: ContextManager[None] = nullcontext()
+
+
+def optional_span(
+    trace: Optional[Tracer], name: str, **attrs: object
+) -> ContextManager[Optional[Span]]:
+    """``with optional_span(trace, "plan") as span:`` — ``trace.span``,
+    or a no-op yielding None when the statement is untraced."""
+    return _UNTRACED if trace is None else trace.span(name, **attrs)

@@ -99,10 +99,10 @@ class QueryServer:
     """Concurrent statement execution over one shared engine.
 
     Args:
-        engine: the shared :class:`~repro.engine.QueryEngine`.  Engines
-            with a tracer attached are refused — the span tree is
-            mutated by one coordinating thread by design, and
-            concurrent queries would interleave their traces.
+        engine: the shared :class:`~repro.engine.QueryEngine`.  With a
+            tracer attached, every ``Response.result.trace`` is that
+            request's own span tree (a span stack belongs to one
+            statement, obs/trace.py).
         max_workers: worker threads executing statements (the global
             concurrency bound; per-tenant bounds come from
             ``admission``).
@@ -131,12 +131,6 @@ class QueryServer:
     ) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if getattr(engine, "tracer", None) is not None:
-            raise ValueError(
-                "QueryServer requires an engine without a tracer: the span "
-                "tree is single-coordinator by design (obs/trace.py); "
-                "attach per-query tracing via explain_analyze instead"
-            )
         self.engine = engine
         self.admission = (
             admission
@@ -222,15 +216,7 @@ class QueryServer:
             accepting = self._accepting
             queue_depth = len(self._queue)
         if not accepting:
-            response = Response(
-                request,
-                RequestStatus.REJECTED,
-                error="server is not accepting requests",
-                shed_reason="server_closed",
-            )
-            self._count_terminal(response)
-            future.set_result(response)
-            return future
+            return self._reject_closed(request, future)
         shed_reason = self.admission.should_shed(
             request.tenant,
             request.deadline_seconds,
@@ -259,8 +245,29 @@ class QueryServer:
             return future
         pending = _Pending(request, future, now)
         with self._cv:
-            self._queue.append(pending)
-            self._cv.notify()
+            # Re-checked where the request becomes visible to workers: a
+            # shutdown that completed since the first look has joined
+            # them, and nobody would ever dequeue it.
+            accepting = self._accepting
+            if accepting:
+                self._queue.append(pending)
+                self._cv.notify()
+        if not accepting:
+            self.admission.on_abandon(request.tenant, request.request_id)
+            return self._reject_closed(request, future)
+        return future
+
+    def _reject_closed(
+        self, request: Request, future: "Future[Response]"
+    ) -> "Future[Response]":
+        response = Response(
+            request,
+            RequestStatus.REJECTED,
+            error="server is not accepting requests",
+            shed_reason="server_closed",
+        )
+        self._count_terminal(response)
+        future.set_result(response)
         return future
 
     def execute(self, sql: str, tenant: str = "default") -> Response:

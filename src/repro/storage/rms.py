@@ -13,21 +13,28 @@ so the reproduction's comparisons are exact even where wall-clock is not.
 
 Concurrency model (DESIGN.md §12):
 
-* **Scan phases are thread-bound.**  The scan executor brackets the
-  slice fan-out with :meth:`ManagedStorage.begin_scan_phase` /
-  :meth:`end_scan_phase`; the phase is bound to the *coordinating
-  thread*, and its worker threads adopt it for the duration of one
-  slice task (:meth:`adopt_scan_context` / :meth:`release_scan_context`).
-  Concurrent queries each run their own phase on their own thread (a
-  phase still must not nest on one thread).
+* **Every read names its reader.**  A statement reads through its own
+  :class:`QueryStorageContext` (:meth:`ManagedStorage.query_context`),
+  handed down the call like any other argument and into
+  ``ColumnStore.read_ranges`` in the ``rms`` slot; everything outside a
+  statement (vacuum, statistics, baselines, tools) passes the storage
+  itself.  The context carries a private ``StorageStats`` sink mirroring
+  every counter its reads touch (the engine reads a query's counters
+  there instead of diffing the global stats, which concurrent queries
+  would pollute), the per-query retry budget and the access log of the
+  scan in progress.  Nothing is bound to a thread, so a pool thread
+  serves any scan and one thread may drive several statements.
 * **Phased LRU settlement.**  During a phase, block accesses are
   recorded per slice instead of reordering the LRU, and capacity
   eviction waits for the barrier, where the log is replayed in
   slice-major order — so the cache end-state (and the remote/local
   split of every later query) depends only on *what* the scan read,
   never on how worker threads interleaved.  Serial scans run the same
-  phased path.  Within a scan a block key belongs to exactly one slice,
-  so one phase's reads never race on the same key.
+  phased path.  The log lives on the scan's reader
+  (:meth:`QueryStorageContext.begin_scan_phase` / ``end_scan_phase``);
+  the scans of one statement run one after the other.  Within a scan a
+  block key belongs to exactly one slice, so one phase's reads never
+  race on the same key.
 * **One storage lock, held per call, not per block.**  A single
   always-on ``threading.Lock`` guards the decoded-block cache, the
   stats, the per-query sinks and the phase logs.
@@ -41,12 +48,6 @@ Concurrency model (DESIGN.md §12):
   each other's rounds both fetch it and both count a remote fetch — the
   duplicated round trip a real node cache exhibits; workloads that need
   exact per-query counters keep their tables disjoint.
-* **Per-query accounting.**  :meth:`begin_query` binds a
-  :class:`QueryStorageContext` to the calling thread: a private
-  ``StorageStats`` sink mirroring every counter the thread (and any
-  worker that adopted its context) touches, plus the per-query retry
-  budget.  The engine reads a query's counters from its context instead
-  of diffing the global stats, which concurrent queries would pollute.
 """
 
 from __future__ import annotations
@@ -110,28 +111,54 @@ class StorageStats:
         )
 
 
-class QueryStorageContext:
-    """Per-query storage accounting, bound to the executing thread.
-
-    Created by :meth:`ManagedStorage.begin_query`.  ``stats`` mirrors
-    every storage counter the query's threads touch (its private sink —
-    unpolluted by concurrent queries sharing the storage), and
-    ``retry_budget_left`` is the query's fault-retry allowance.
-    """
-
-    __slots__ = ("stats", "retry_budget_left", "_prev")
-
-    def __init__(self, retry_budget: Optional[int]) -> None:
-        self.stats = StorageStats()
-        self.retry_budget_left = retry_budget
-        self._prev: Optional["QueryStorageContext"] = None
-
-
 # A scan phase is its access log, slice id -> block keys in read order
 # (see module doc).  It is guarded by the owning storage's lock, not one
 # of its own: concurrent phases interleave on the same decoded-block
 # cache, so one lock must order them all.
 _ScanPhase = Dict[int, List[BlockKey]]
+
+
+class QueryStorageContext:
+    """One statement's reader of a :class:`ManagedStorage`.
+
+    Created by :meth:`ManagedStorage.query_context` and passed wherever
+    a read takes its ``rms``: ``stats`` is its private sink,
+    ``retry_budget_left`` its fault-retry allowance, and ``phase`` the
+    access log of the scan it is running, if any (see the module doc).
+    """
+
+    __slots__ = ("storage", "stats", "retry_budget_left", "phase")
+
+    def __init__(self, storage: "ManagedStorage", retry_budget: Optional[int]) -> None:
+        self.storage = storage
+        self.stats = StorageStats()
+        self.retry_budget_left = retry_budget
+        self.phase: Optional[_ScanPhase] = None
+
+    def read_blocks(
+        self, keys: Sequence[BlockKey], blocks: Sequence[EncodedBlock]
+    ) -> List[np.ndarray]:
+        """:meth:`ManagedStorage.read_blocks`, accounted to this statement."""
+        return self.storage.read_blocks(keys, blocks, self)
+
+    def begin_scan_phase(self) -> None:
+        """Log reads per slice, from whichever thread, instead of moving
+        the LRU, until the scan's barrier calls :meth:`end_scan_phase`."""
+        self.phase = {}
+
+    def end_scan_phase(self) -> Dict[int, int]:
+        """Settle the phase's LRU effects; return per-slice access counts.
+
+        Replays the access log in slice-major order — recency updates
+        first, then capacity eviction — which is exactly the order an
+        inline run of the slice tasks produces, whatever order worker
+        threads actually ran in.  The returned ``{slice_id: blocks_accessed}``
+        feeds the per-slice tracer spans.
+        """
+        phase, self.phase = self.phase, None
+        logs = [phase[slice_id] for slice_id in sorted(phase)]
+        self.storage._settle(chain.from_iterable(logs))
+        return {keys[0][1]: len(keys) for keys in logs}
 
 
 class ManagedStorage:
@@ -157,9 +184,10 @@ class ManagedStorage:
         self.stats = StorageStats()
         self.fault_injector: Optional[FaultInjector] = None
         self.retry_policy = RetryPolicy()
-        # Retry budget of callers that never bind a query context (direct
-        # ManagedStorage use in tests/tools); queries bring their own.
-        self._unbound = QueryStorageContext(None)
+        # The reader of callers that pass the storage itself (vacuum,
+        # statistics, tools): global stats only, a storage-wide retry
+        # budget, never a scan phase.  Statements bring their own.
+        self._direct = QueryStorageContext(self, None)
         # Resolved once at attach time so the per-fetch check is a
         # single attribute load ("no faults configured" costs nothing).
         self._faults_armed = False
@@ -168,9 +196,6 @@ class ManagedStorage:
         # stats, per-query sinks, fetch ordinals, and retry budgets.
         # Decode + injected sleeps run outside it (see module doc).
         self._lock = threading.Lock()
-        # Thread-bound execution state: .phase (the active _ScanPhase)
-        # and .query (the active QueryStorageContext) of each thread.
-        self._local = threading.local()
         self._fetch_ordinals: Dict[BlockKey, int] = {}
 
     # -- fault wiring ----------------------------------------------------------
@@ -185,110 +210,29 @@ class ManagedStorage:
         if retry_policy is not None:
             self.retry_policy = retry_policy
         self._faults_armed = injector is not None and injector.can_fault
-        self._unbound.retry_budget_left = self.retry_policy.retry_budget
+        self._direct.retry_budget_left = self.retry_policy.retry_budget
 
     # -- per-query accounting --------------------------------------------------
 
-    def begin_query(self) -> QueryStorageContext:
-        """Bind a fresh per-query storage context to this thread.
-
-        Every storage counter the thread (and any worker adopting the
-        context via :meth:`adopt_scan_context`) touches until
-        :meth:`end_query` is mirrored into the context's private
-        ``stats``.  Contexts save and restore the previous binding, so
-        a nested bind (re-entrant engine use) is safe.
-        """
-        context = QueryStorageContext(self.retry_policy.retry_budget)
-        context._prev = getattr(self._local, "query", None)
-        self._local.query = context
-        return context
-
-    def end_query(self, context: QueryStorageContext) -> None:
-        """Unbind ``context``, restoring the thread's previous binding."""
-        self._local.query = context._prev
-
-    def current_query_context(self) -> Optional[QueryStorageContext]:
-        """The query context bound to the calling thread, if any."""
-        return getattr(self._local, "query", None)
-
-    # -- scan phases (deferred LRU settlement) ---------------------------------
-
-    def begin_scan_phase(self) -> _ScanPhase:
-        """Start access logging for one table scan (see module doc).
-
-        The phase is bound to the calling (coordinator) thread; worker
-        threads adopt it per task via :meth:`adopt_scan_context`.
-        Phases do not nest on one thread — a scan owns its thread's
-        storage view until its barrier calls :meth:`end_scan_phase`.
-        """
-        if getattr(self._local, "phase", None) is not None:
-            raise RuntimeError("a scan phase is already active")
-        phase: _ScanPhase = {}
-        self._local.phase = phase
-        return phase
-
-    def end_scan_phase(self) -> Dict[int, int]:
-        """Settle the phase's LRU effects; return per-slice access counts.
-
-        Replays the access log in slice-major order — recency updates
-        first, then capacity eviction — which is exactly the order an
-        inline run of the slice tasks produces, whatever order worker
-        threads actually ran in.  The returned ``{slice_id: blocks_accessed}``
-        feeds the per-slice tracer spans.
-        """
-        phase = getattr(self._local, "phase", None)
-        if phase is None:
-            raise RuntimeError("no scan phase is active")
-        self._local.phase = None
-        logs = [phase[slice_id] for slice_id in sorted(phase)]
-        with self._lock:
-            self._settle_locked(chain.from_iterable(logs))
-        return {keys[0][1]: len(keys) for keys in logs}
-
-    def adopt_scan_context(
-        self,
-        phase: Optional[_ScanPhase],
-        query: Optional[QueryStorageContext],
-    ) -> Tuple[Optional[_ScanPhase], Optional[QueryStorageContext]]:
-        """Bind a coordinator's (phase, query context) onto this thread.
-
-        Called at the top of each worker task so the worker's block
-        reads land in the dispatching scan's access log and query sink.
-        Returns the thread's previous bindings; pass them back to
-        :meth:`release_scan_context` when the task ends — pool threads
-        are shared across scans (and the inline-execution path runs the
-        task on the coordinator thread itself), so save/restore is
-        mandatory, not optional.
-        """
-        local = self._local
-        previous = (
-            getattr(local, "phase", None),
-            getattr(local, "query", None),
-        )
-        local.phase = phase
-        local.query = query
-        return previous
-
-    def release_scan_context(
-        self,
-        previous: Tuple[Optional[_ScanPhase], Optional[QueryStorageContext]],
-    ) -> None:
-        """Restore the bindings :meth:`adopt_scan_context` displaced."""
-        self._local.phase, self._local.query = previous
+    def query_context(self) -> QueryStorageContext:
+        """A fresh reader for one statement: private sink, own retry budget."""
+        return QueryStorageContext(self, self.retry_policy.retry_budget)
 
     # -- the read path ---------------------------------------------------------
 
-    def _sinks(self) -> Tuple[StorageStats, ...]:
-        """The stats a count goes into (under ``_lock``): global + bound query's."""
-        query = getattr(self._local, "query", None)
-        return (self.stats,) if query is None else (self.stats, query.stats)
+    def _sinks(self, reader: QueryStorageContext) -> Tuple[StorageStats, ...]:
+        """The stats a count goes into (under ``_lock``): global + the reader's."""
+        return (self.stats,) if reader is self._direct else (self.stats, reader.stats)
 
     def read_block(self, key: BlockKey, block: EncodedBlock) -> np.ndarray:
         """Read one block: the one-element case of :meth:`read_blocks`."""
         return self.read_blocks((key,), (block,))[0]
 
     def read_blocks(
-        self, keys: Sequence[BlockKey], blocks: Sequence[EncodedBlock]
+        self,
+        keys: Sequence[BlockKey],
+        blocks: Sequence[EncodedBlock],
+        reader: Optional[QueryStorageContext] = None,
     ) -> List[np.ndarray]:
         """Read the decoded values of ``blocks``, counting every access.
 
@@ -296,9 +240,13 @@ class ManagedStorage:
         them all up, counts the hits and logs the accesses; misses are
         fetched outside the lock in key order, then counted and inserted
         in a second round.  Counters, phase log and cache end-state are
-        those of reading the keys one at a time.
+        those of reading the keys one at a time.  ``reader`` is the
+        statement the read belongs to: its sink is counted into, its
+        budget pays for retries, its phase logs the access.
         """
-        phase = getattr(self._local, "phase", None)
+        if reader is None:
+            reader = self._direct
+        phase = reader.phase
         cache = self._cache
         capacity = self.cache_capacity
         if phase is None and capacity is not None and len(keys) > 1:
@@ -306,10 +254,10 @@ class ManagedStorage:
                 # An unphased read evicts as it inserts: a miss may push
                 # out a block a later key would have hit.  Keep that order.
                 return [
-                    self.read_blocks((key,), (block,))[0]
+                    self.read_blocks((key,), (block,), reader)[0]
                     for key, block in zip(keys, blocks)
                 ]
-        sinks = self._sinks()
+        sinks = self._sinks(reader)
         with self._lock:
             found = [cache.get(key) for key in keys]
             missing = [i for i, values in enumerate(found) if values is None]
@@ -317,7 +265,7 @@ class ManagedStorage:
             for stats in sinks:
                 stats.local_hits += hits
             if phase is not None:
-                # LRU movement and eviction wait for end_scan_phase.
+                # LRU movement and eviction wait for the reader's end_scan_phase.
                 phase.setdefault(keys[0][1], []).extend(keys)
             elif not missing:
                 self._settle_locked(keys)
@@ -328,7 +276,7 @@ class ManagedStorage:
         fetched: List[int] = []
         try:
             for i in missing:
-                found[i] = self._fetch(keys[i], blocks[i])
+                found[i] = self._fetch(keys[i], blocks[i], reader)
                 fetched.append(i)
         finally:
             # A fetch that raised leaves the ones before it counted.
@@ -343,6 +291,10 @@ class ManagedStorage:
                     self._settle_locked(keys)
         return found
 
+    def _settle(self, keys: Iterable[BlockKey]) -> None:
+        with self._lock:
+            self._settle_locked(keys)
+
     def _settle_locked(self, keys: Iterable[BlockKey]) -> None:
         """Make ``keys`` most recent, in order; evict.  Caller holds ``_lock``."""
         cache = self._cache
@@ -353,28 +305,18 @@ class ManagedStorage:
             while len(cache) > self.cache_capacity:
                 cache.popitem(last=False)
 
-    def _fetch(self, key: BlockKey, block: EncodedBlock) -> np.ndarray:
+    def _fetch(
+        self, key: BlockKey, block: EncodedBlock, reader: QueryStorageContext
+    ) -> np.ndarray:
         if self.fetch_delay_seconds > 0.0:
             time.sleep(self.fetch_delay_seconds)
         if not self._faults_armed:
             return decode_block(block)
-        return self._fetch_resilient(key, block)
+        return self._fetch_resilient(key, block, reader)
 
-    def _spend_retry_locked(self) -> bool:
-        """Consume one retry from the bound budget; True when exhausted.
-
-        Caller holds ``_lock``.  The budget lives on the thread's query
-        context when one is bound, else on the storage-wide fallback.
-        """
-        holder = getattr(self._local, "query", None) or self._unbound
-        if holder.retry_budget_left is None:
-            return False
-        if holder.retry_budget_left <= 0:
-            return True
-        holder.retry_budget_left -= 1
-        return False
-
-    def _fetch_resilient(self, key: BlockKey, block: EncodedBlock) -> np.ndarray:
+    def _fetch_resilient(
+        self, key: BlockKey, block: EncodedBlock, reader: QueryStorageContext
+    ) -> np.ndarray:
         """Fetch under fault injection: verify, retry with backoff, give up.
 
         Every attempt consults the injector; returned payloads are
@@ -393,7 +335,7 @@ class ManagedStorage:
         injector = self.fault_injector
         policy = self.retry_policy
         keyed = injector.schedule is None
-        sinks = self._sinks()
+        sinks = self._sinks(reader)
         with self._lock:
             ordinal = self._fetch_ordinals.get(key, 0)
             self._fetch_ordinals[key] = ordinal + 1
@@ -433,12 +375,14 @@ class ManagedStorage:
                 )
             jitter = stream.random() if stream is not None else injector.uniform()
             with self._lock:
-                if self._spend_retry_locked():
-                    for stats in sinks:
-                        stats.retry_giveups += 1
-                    raise RetryBudgetExceeded(
-                        f"query retry budget exhausted fetching block {key}"
-                    )
+                if reader.retry_budget_left is not None:
+                    if reader.retry_budget_left <= 0:
+                        for stats in sinks:
+                            stats.retry_giveups += 1
+                        raise RetryBudgetExceeded(
+                            f"query retry budget exhausted fetching block {key}"
+                        )
+                    reader.retry_budget_left -= 1
                 backoff = quantize_model_seconds(
                     policy.backoff_seconds(attempt - 1, jitter)
                 )
@@ -452,8 +396,7 @@ class ManagedStorage:
             stale = [k for k in self._cache if k[0] == table_name]
             for key in stale:
                 del self._cache[key]
-            for stats in self._sinks():
-                stats.blocks_invalidated += len(stale)
+            self.stats.blocks_invalidated += len(stale)
 
     def clear(self) -> None:
         """Drop the whole local cache (simulates a cold node)."""

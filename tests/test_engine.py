@@ -74,6 +74,57 @@ class TestDML:
         assert engine.update_where("t", parse_predicate("k = 99999"), {"v": 0.0}) == 0
 
 
+class TestStatementContext:
+    def test_dml_reports_the_scan_it_ran(self, engine):
+        """DELETE / UPDATE find their rows with a scan; its counters and
+        block traffic are the statement's, not thrown away."""
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        metered = QueryEngine(engine.database, metrics=registry)
+        before = engine.database.rms.stats.snapshot()
+        result = metered.execute("delete from t where v < 0.5")
+        moved = engine.database.rms.stats.delta(before)
+        counters = result.counters
+        assert result.column("affected")[0] > 0
+        assert counters.rows_output == 1
+        assert counters.rows_scanned == 1000
+        assert counters.rows_qualifying == result.column("affected")[0]
+        assert counters.blocks_accessed == moved.blocks_accessed > 0
+        assert counters.remote_fetches == moved.remote_fetches
+        flat = registry.as_dict()
+        assert flat["repro_query_rows_scanned_total"] == 1000
+        assert flat["repro_query_blocks_accessed_total"] == moved.blocks_accessed
+        updated = metered.execute("update t set v = 2.0 where k < 10")
+        # The scan plus the gather of the old row versions.
+        assert updated.counters.rows_scanned > 0
+        assert updated.counters.blocks_accessed > 0
+
+    def test_a_statement_finishes_on_the_cache_it_started_with(self, engine):
+        """``set_predicate_cache`` mid-statement: the join's second scan
+        still consults the router its first scan did."""
+        db = engine.database
+        db.create_table(TableSchema("d", (ColumnSpec("dk", DataType.INT64),)))
+        engine.insert("d", {"dk": np.arange(0, 1000, 10)})
+        late = PredicateCache()
+
+        class SwapsWhenAsked(PredicateCache):
+            def cache_for_slice(self, slice_id):
+                engine.set_predicate_cache(late)
+                return super().cache_for_slice(slice_id)
+
+        first = SwapsWhenAsked()
+        engine.set_predicate_cache(first)
+        sql = "select count(*) as c from t join d on k = dk where k < 500 and dk < 700"
+        assert engine.execute(sql).scalar() == 50
+        assert engine.predicate_cache is late
+        assert late.stats.lookups == 0 and len(late) == 0
+        assert {key.table for key in first.keys()} == {"t", "d"}
+        engine.result_cache = None
+        assert engine.execute(sql).scalar() == 50
+        assert late.stats.lookups > 0
+
+
 class TestResultCacheIntegration:
     def test_identical_statement_hits(self, engine):
         sql = "select count(*) as c from t where k < 10"

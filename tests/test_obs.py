@@ -240,16 +240,16 @@ class TestEngineIntegration:
         seen = []
         run = engine._executor.execute
 
-        def spying(plan, txid, counters, tracer):
-            seen.append((engine.tracer, tracer))
-            return run(plan, txid, counters, tracer)
+        def spying(plan, statement):
+            seen.append((engine.tracer, statement.trace))
+            return run(plan, statement)
 
         engine._executor.execute = spying
         text = engine.explain_analyze(Q6)
         assert "Scan(lineitem" in text
         ((during, used),) = seen
         assert during is own and engine.tracer is own
-        assert used is not own
+        assert used.roots is not own.roots
         assert own.roots == []
 
     def test_render_analyze_requires_trace(self):

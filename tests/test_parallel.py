@@ -101,12 +101,13 @@ class TestScanPhase:
             i: choose_codec(np.arange(4, dtype=np.int64) + i) for i in range(3)
         }
         keys = {i: ("t", i % 2, "c", i) for i in range(3)}
-        rms.begin_scan_phase()
+        reader = rms.query_context()
+        reader.begin_scan_phase()
         # Arrival order 2, 0, 1 — deliberately not slice order.
         for i in (2, 0, 1):
-            rms.read_block(keys[i], blocks[i])
+            reader.read_blocks((keys[i],), (blocks[i],))
         assert rms.cached_blocks == 3  # over capacity, eviction deferred
-        counts = rms.end_scan_phase()
+        counts = reader.end_scan_phase()
         assert counts == {0: 2, 1: 1}  # slices 0 and 1 access counts
         assert rms.cached_blocks == 2
         # Slice-major replay: slice 0 touches block 2 then block 0,
@@ -114,15 +115,6 @@ class TestScanPhase:
         # no matter that it *arrived* first.
         assert keys[2] not in rms._cache
         assert keys[0] in rms._cache and keys[1] in rms._cache
-
-    def test_phases_do_not_nest(self):
-        rms = ManagedStorage()
-        rms.begin_scan_phase()
-        with pytest.raises(RuntimeError):
-            rms.begin_scan_phase()
-        rms.end_scan_phase()
-        with pytest.raises(RuntimeError):
-            rms.end_scan_phase()
 
 
 # -- differential oracle across worker counts ----------------------------------

@@ -741,7 +741,6 @@ class TestWarmStart:
         assert result.scalar() == expected
         assert result.counters.cache_hits > 0
         assert engine.predicate_cache is warm
-        assert engine._executor.predicate_cache is warm
 
 
 class TestRetiredCaches:

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PredicateCache, PredicateCacheConfig
-from repro.engine.counters import QueryCounters
 from repro.engine.scan import execute_scan
+from repro.engine.statement import StatementContext
 from repro.predicates import TruePredicate, parse_predicate
 from repro.storage import ColumnSpec, Database, DataType, TableSchema
 
@@ -28,12 +28,10 @@ def make_table(values, num_slices=2, rows_per_block=10):
 
 
 def scan_rows(db, predicate, cache=None):
-    counters = QueryCounters()
-    result = execute_scan(
-        db.table("t"), predicate, db.begin(), counters, cache=cache
-    )
+    statement = StatementContext(db.begin(), db.rms, cache=cache)
+    result = execute_scan(db.table("t"), predicate, statement)
     xs = result.gather(["x"])["x"]
-    return sorted(xs.tolist()), counters
+    return sorted(xs.tolist()), statement.counters
 
 
 class TestScanCorrectness:

@@ -19,6 +19,7 @@ Four layers of assurance over :mod:`repro.serve` (DESIGN.md §12):
   goes negative.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -84,10 +85,96 @@ class TestServerBasics:
             # The worker survives the exception and keeps serving.
             assert server.execute("vacuum").ok
 
-    def test_rejects_engines_with_a_tracer(self):
-        engine = QueryEngine(Database(), tracer=Tracer())
-        with pytest.raises(ValueError, match="tracer"):
-            QueryServer(engine)
+    @pytest.mark.parametrize("scan_workers", [0, 2])
+    def test_a_traced_engine_serves_one_span_tree_per_request(self, scan_workers):
+        """4 clients on disjoint tables over 4 server workers: each OK
+        response carries its own closed ``query`` tree — its SQL, its
+        slices — and the engine's tracer collects one root per
+        statement, no span shared between two of them."""
+        num_clients, per_client, num_slices = 4, 50, 4
+        gen = LoadGenerator(num_clients=num_clients, statements_per_client=1, seed=4)
+        tracer = Tracer()
+        engine = QueryEngine(
+            Database(num_slices=num_slices),
+            predicate_cache=PredicateCache(),
+            tracer=tracer,
+            scan_workers=scan_workers,
+        )
+        setup_load_tables(engine, gen, rows_per_table=2000)
+        responses = [[] for _ in range(num_clients)]
+
+        def client(index: int) -> None:
+            table = gen.table_for(index)
+            for step in range(per_client):
+                if step % 5 == 4:
+                    sql = f"insert into {table} values ({step}, {index}, 7)"
+                else:
+                    lo = 400 * (step % 7)
+                    sql = (
+                        f"select count(*) from {table} "
+                        f"where k >= {lo} and k < {lo + 900}"
+                    )
+                responses[index].append(server.execute(sql))
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # more interleavings than the default 5 ms
+        try:
+            with QueryServer(engine, max_workers=4) as server:
+                threads = [
+                    threading.Thread(target=client, args=(i,))
+                    for i in range(num_clients)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert all(not t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(switch_interval)
+
+        flat = [r for mine in responses for r in mine]
+        assert len(flat) == num_clients * per_client
+        assert all(r.ok for r in flat)
+        seen = set()
+        for response in flat:
+            root = response.result.trace
+            assert root.name == "query"
+            assert root.attrs["sql"] == response.request.sql
+            spans = list(root.walk())
+            assert all(span.end_s is not None for span in spans)
+            slices = sorted(s.name for s in spans if s.name.startswith("scan[slice"))
+            if response.request.sql.startswith("select"):
+                assert slices == [f"scan[slice {i}]" for i in range(num_slices)]
+                table = response.request.sql.split()[3]
+                scanned = {s.attrs["table"] for s in spans if "slice" in s.attrs}
+                assert scanned == {table}
+            else:
+                assert slices == []
+            assert seen.isdisjoint(map(id, spans))
+            seen.update(map(id, spans))
+        # Table setup ran through engine.insert, which records no span.
+        assert len(tracer.roots) == len(flat)
+        assert {id(root) for root in tracer.roots} == {
+            id(r.result.trace) for r in flat
+        }
+
+    def test_submit_racing_a_completed_shutdown_is_rejected(self):
+        """``submit`` looks at ``_accepting`` before admission and queues
+        after it; a shutdown completing in between has joined the
+        workers, so the request must be refused, not queued forever."""
+        server = make_server(max_workers=2)
+        admit = server.admission.try_admit
+
+        def shutdown_then_admit(tenant, request_id=None):
+            server.shutdown()
+            return admit(tenant, request_id)
+
+        server.admission.try_admit = shutdown_then_admit
+        response = server.submit(Request("vacuum")).result(timeout=2)
+        assert response.status is RequestStatus.REJECTED
+        assert response.shed_reason == "server_closed"
+        assert len(server._queue) == 0
+        assert server.admission.total_outstanding == 0
 
     def test_admission_rejects_past_tenant_limits(self):
         gen = LoadGenerator(num_clients=1, statements_per_client=1, seed=2)

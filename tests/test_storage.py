@@ -244,26 +244,25 @@ def drive(calls, batched, capacity, phased, injector=None, retry_budget=None):
         rms.attach_faults(
             injector, RetryPolicy(max_attempts=12, retry_budget=retry_budget)
         )
-    query = rms.begin_query()
+    query = rms.query_context()
     seen = {"values": [], "orders": [], "counts": [], "gave_up": None}
-    try:
-        for index, (keys, blocks) in enumerate(calls):
-            if phased and index % 5 == 0:
-                rms.begin_scan_phase()
-            try:
-                if batched:
-                    values = rms.read_blocks(keys, blocks)
-                else:
-                    values = [rms.read_block(k, b) for k, b in zip(keys, blocks)]
-            except RetryBudgetExceeded as error:
-                seen["gave_up"] = (index, str(error))
-                break
-            seen["values"].append([v.tolist() for v in values])
-            if phased and (index % 5 == 4 or index == len(calls) - 1):
-                seen["counts"].append(rms.end_scan_phase())
-                seen["orders"].append(list(rms._cache))
-    finally:
-        rms.end_query(query)
+    for index, (keys, blocks) in enumerate(calls):
+        if phased and index % 5 == 0:
+            query.begin_scan_phase()
+        try:
+            if batched:
+                values = query.read_blocks(keys, blocks)
+            else:
+                values = [
+                    query.read_blocks((k,), (b,))[0] for k, b in zip(keys, blocks)
+                ]
+        except RetryBudgetExceeded as error:
+            seen["gave_up"] = (index, str(error))
+            break
+        seen["values"].append([v.tolist() for v in values])
+        if phased and (index % 5 == 4 or index == len(calls) - 1):
+            seen["counts"].append(query.end_scan_phase())
+            seen["orders"].append(list(rms._cache))
     seen["orders"].append(list(rms._cache))
     return rms.stats, query.stats, seen
 
@@ -336,6 +335,70 @@ class TestReadBlocks:
             rms.read_blocks(keys, blocks)
         assert rms.stats.remote_fetches == 1
         assert list(rms._cache) == keys[:1]
+
+
+class TestReadersAreExplicit:
+    """Accounting follows the reader a call names, never the thread."""
+
+    RATES = dict(error_rate=0.25, corruption_rate=0.05)
+    FIELDS = tuple(vars(ManagedStorage().stats))
+
+    def armed(self, budget):
+        rms = ManagedStorage(cache_capacity=6)
+        rms.attach_faults(
+            FaultInjector(seed=11, **self.RATES),
+            RetryPolicy(max_attempts=12, retry_budget=budget),
+        )
+        return rms
+
+    def test_two_contexts_alternating_on_one_thread(self):
+        rms = self.armed(budget=500)
+        one, two = rms.query_context(), rms.query_context()
+        one.begin_scan_phase()  # one is mid-scan, two reads unphased
+        for index, (keys, blocks) in enumerate(block_calls(1)):
+            (one, two)[index % 2].read_blocks(keys, blocks)
+        one.end_scan_phase()
+        for name in self.FIELDS:
+            total = getattr(one.stats, name) + getattr(two.stats, name)
+            assert total == pytest.approx(getattr(rms.stats, name)), name
+        for reader in (one, two):
+            assert reader.stats.blocks_accessed > 0 and reader.stats.retries > 0
+            assert reader.retry_budget_left == 500 - reader.stats.retries
+        assert one.stats != two.stats
+
+    def test_an_exhausted_budget_is_its_owners_alone(self):
+        rms = self.armed(budget=2)
+        spent, fresh = rms.query_context(), rms.query_context()
+        calls = block_calls(2)
+        with pytest.raises(RetryBudgetExceeded):
+            for keys, blocks in calls:
+                spent.read_blocks(keys, blocks)
+        assert spent.retry_budget_left == 0 and spent.stats.retry_giveups == 1
+        keys, blocks = calls[0]
+        assert fresh.retry_budget_left == 2
+        assert len(fresh.read_blocks(keys[:1], blocks[:1])) == 1
+        assert fresh.stats.retry_giveups == 0
+
+    def test_one_context_driven_from_two_threads(self):
+        import threading
+
+        rms = self.armed(budget=500)
+        reader = rms.query_context()
+        calls = block_calls(3)
+        threads = [
+            threading.Thread(
+                target=lambda mine: [reader.read_blocks(k, b) for k, b in mine],
+                args=(calls[half::2],),
+            )
+            for half in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert reader.stats == rms.stats
+        assert reader.stats.blocks_accessed == sum(len(k) for k, _ in calls)
+        assert reader.retry_budget_left == 500 - reader.stats.retries
 
 
 READ_RANGES_CASES = {
