@@ -24,7 +24,10 @@ the entry table.  A slice state is an immutable value
 ``slice_states`` slot, under the lock, is the whole publication, so a
 scan reads a slot without the lock and works on a complete state.
 Mutation outside a ``with self._lock`` block (or a helper documented as
-"caller holds ``_lock``") is rejected by checker rule RP007.
+"caller holds ``_lock``") is rejected by checker rule RP007.  Entries
+enter the table through one helper (:meth:`_insert`) and leave it
+through one (:meth:`_remove`), whether installed, restored, evicted or
+invalidated.
 
 Write-through (DESIGN.md §9): with a store attached, a mutator only
 *captures* what it changed while it holds the lock — the entry's
@@ -218,20 +221,6 @@ class PredicateCache:
                 (True, self._store.capture_state(entry, slice_id, state, layout))
             )
 
-    def _capture_drop(self, entry: Optional[CacheEntry]) -> None:
-        """Queue a drop for the journal: only this cache's installed
-        slice states (a cluster node must not erase its peers' shares
-        of the same entry).  Caller holds ``_lock``."""
-        if entry is None or self._store is None:
-            return
-        slices = [
-            slice_id
-            for slice_id, state in enumerate(entry.slice_states)
-            if state is not None
-        ]
-        if slices:
-            self._pending.append((False, (entry.key, slices)))
-
     def _drain_journal(self) -> None:
         """Append every queued event to the store, oldest first.
 
@@ -295,24 +284,16 @@ class PredicateCache:
             _inv.check_slice_state(state)
         with self._lock:
             entry = CacheEntry(
-                key,
-                num_slices,
-                dict(build_versions),
-                generation=self._generations.get(key.table, 0),
-                provenance=provenance,
-                source_digests=source_digests,
+                key, num_slices, build_versions, provenance, source_digests
             )
             for slice_id, state in slice_states.items():
                 entry.slice_states[slice_id] = state
             entry.hits, entry.rows_qualifying, entry.rows_considered = (
                 int(stats[0]), int(stats[1]), int(stats[2]),
             )
-            self._entries[key] = entry
             if table_layout is not None:
                 self._table_layouts.setdefault(key.table, int(table_layout))
-            self._evict_if_needed()
-            if _inv.ACTIVE:
-                _inv.check_cache(self)
+            self._insert(entry)
         self._drain_journal()
         return entry
 
@@ -323,46 +304,9 @@ class PredicateCache:
         key: ScanKey,
         current_versions: Optional[Mapping[str, int]] = None,
     ) -> Optional[CacheEntry]:
-        """Find a live entry for ``key``; counts a lookup.
-
-        ``current_versions`` maps build-side table names to their current
-        ``data_version``; entries whose recorded versions mismatch are
-        dropped as stale (defence in depth on top of event-driven
-        invalidation).
-        """
-        with self._lock:
-            rejections = self.stats.stale_rejections
-            self.stats.lookups += 1
-            entry = self._find(key, current_versions)
-            if entry is None:
-                self.stats.misses += 1
-            else:
-                self.stats.hits += 1
-                entry.hits += 1
-            dropped = self.stats.stale_rejections != rejections
-        if dropped:
-            self._drain_journal()
-        return entry
-
-    def _find(
-        self,
-        key: ScanKey,
-        current_versions: Optional[Mapping[str, int]],
-    ) -> Optional[CacheEntry]:
-        """Caller holds ``_lock`` — and drains the journal after
-        releasing it if ``stats.stale_rejections`` moved (the one way a
-        lookup queues anything)."""
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        if current_versions is not None:
-            for table_name, version in entry.build_versions.items():
-                if current_versions.get(table_name, version) != version:
-                    self._drop(key)
-                    self.stats.stale_rejections += 1
-                    return None
-        self._entries.move_to_end(key)
-        return entry
+        """Find a live entry for ``key``; counts a lookup.  The one-key
+        case of :meth:`select_entry`."""
+        return self.select_entry((key,), current_versions)
 
     def select_entry(
         self,
@@ -374,26 +318,12 @@ class PredicateCache:
         The scan path offers both the join-extended key and the plain
         base key; per §4.4 we "choose the most selective matching
         entry".  Counts a single lookup (hit if any key matched).
+        ``current_versions`` maps build-side table names to their
+        current ``data_version``; entries whose recorded versions
+        mismatch are dropped as stale (defence in depth on top of
+        event-driven invalidation).
         """
-        with self._lock:
-            rejections = self.stats.stale_rejections
-            self.stats.lookups += 1
-            best: Optional[CacheEntry] = None
-            for key in keys:
-                entry = self._find(key, current_versions)
-                if entry is None:
-                    continue
-                if best is None or entry.selectivity < best.selectivity:
-                    best = entry
-            if best is None:
-                self.stats.misses += 1
-            else:
-                self.stats.hits += 1
-                best.hits += 1
-            dropped = self.stats.stale_rejections != rejections
-        if dropped:
-            self._drain_journal()
-        return best
+        return self._select(keys, current_versions, exact=True)
 
     def lookup_part(
         self,
@@ -408,17 +338,52 @@ class PredicateCache:
         reuse lattice's extra probes.  Still touches the LRU and the
         entry's hit count — a conjunct serving a composition is in use.
         """
+        return self._select((key,), current_versions, exact=False)
+
+    def _select(
+        self,
+        keys: Iterable[ScanKey],
+        current_versions: Optional[Mapping[str, int]],
+        exact: bool,
+    ) -> Optional[CacheEntry]:
+        """The locked find-and-drain body of every probe: the most
+        selective live entry among ``keys``, counted in :attr:`stats`
+        (``exact``) or as a conjunct probe in :attr:`reuse_stats`.  A
+        stale drop is the one thing a probe journals; only then is the
+        journal drained, after the lock is released."""
+        dropped = False
         with self._lock:
-            rejections = self.stats.stale_rejections
-            self.reuse_stats.conjunct_lookups += 1
-            entry = self._find(key, current_versions)
-            if entry is not None:
-                self.reuse_stats.conjunct_hits += 1
-                entry.hits += 1
-            dropped = self.stats.stale_rejections != rejections
+            best: Optional[CacheEntry] = None
+            for key in keys:
+                entry = self._entries.get(key)
+                if entry is None:
+                    continue
+                if entry.build_versions and current_versions is not None and any(
+                    current_versions.get(table_name, version) != version
+                    for table_name, version in entry.build_versions.items()
+                ):
+                    self._drop(key)
+                    self.stats.stale_rejections += 1
+                    dropped = True
+                    continue
+                self._entries.move_to_end(key)
+                if best is None or entry.selectivity < best.selectivity:
+                    best = entry
+            if exact:
+                self.stats.lookups += 1
+                if best is None:
+                    self.stats.misses += 1
+                else:
+                    self.stats.hits += 1
+            else:
+                self.reuse_stats.conjunct_lookups += 1
+                if best is not None:
+                    self.reuse_stats.conjunct_hits += 1
+            if best is not None:
+                best.hits += 1
         if dropped:
             self._drain_journal()
-        return entry
+        return best
 
     def record_reuse_serve(self, basis: str) -> None:
         """Count one scan answered from derived entries ("composed"/"subsumed")."""
@@ -461,9 +426,9 @@ class PredicateCache:
         scan of ``x < 25`` and the decomposer's ``x < 25`` conjunct share
         one entry, first writer names it).  Derived entries are
         first-class for accounting and eviction — their payload bytes
-        count against ``max_bytes`` exactly once, here, because the
-        ephemeral composed/subsumed servings built *from* them are never
-        installed (enforced by ``invariants.check_cache``).
+        count against ``max_bytes`` exactly once, on the entry itself: a
+        scan served by composition or subsumption reads its source
+        entries' states in place and stores nothing of its own.
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -473,20 +438,22 @@ class PredicateCache:
             if key.is_join_key and not self.config.cache_join_keys:
                 raise ValueError("join-index keys are disabled by configuration")
             entry = CacheEntry(
-                key,
-                num_slices,
-                dict(build_versions or {}),
-                generation=self._generations.get(key.table, 0),
-                provenance=provenance,
-                source_digests=source_digests,
+                key, num_slices, build_versions or {}, provenance, source_digests
             )
-            self._entries[key] = entry
+            self._insert(entry)
             self.stats.inserts += 1
             if provenance == "conjunct":
                 self.reuse_stats.conjunct_installs += 1
-            self._evict_if_needed()
         self._drain_journal()
         return entry
+
+    def _insert(self, entry: CacheEntry) -> None:
+        """The one store into ``_entries``: stamp ``entry`` with its
+        table's current invalidation generation, store it under its key,
+        and enforce the budgets.  Caller holds ``_lock``."""
+        entry.generation = self._generations.get(entry.key.table, 0)
+        self._entries[entry.key] = entry
+        self._evict_if_needed()
 
     def generation_of(self, table_name: str) -> int:
         """Current invalidation generation of a table's entries."""
@@ -572,65 +539,60 @@ class PredicateCache:
 
     def invalidate_table(self, table_name: str) -> int:
         """Drop every entry scanning ``table_name`` (layout changed)."""
-        with self._lock:
-            self._generations[table_name] = (
-                self._generations.get(table_name, 0) + 1
-            )
-            stale = [k for k in self._entries if k.table == table_name]
-            for key in stale:
-                self._drop(key)
-            self.stats.invalidations += len(stale)
-        self._drain_journal()
-        return len(stale)
+        return self._invalidate(
+            lambda live: [key for key in live if key.table == table_name],
+            lambda _: (table_name,),
+        )
 
     def invalidate_build_side(self, table_name: str) -> int:
         """Drop join-index entries whose build side includes the table."""
-        with self._lock:
-            stale = [
-                k for k in self._entries if table_name in k.referenced_tables()
+        return self._invalidate(
+            lambda live: [
+                key for key in live if table_name in key.referenced_tables()
             ]
-            for key in stale:
-                self._drop(key)
-            self.stats.invalidations += len(stale)
-        self._drain_journal()
-        return len(stale)
+        )
 
     def clear(self) -> int:
         """Drop every entry, counting invalidations.
 
-        Routes through :meth:`_drop` so the admission policy forgets
-        each key — a cleared key starts from scratch and can earn
-        re-admission, instead of being silently blacklisted by stale
-        observation state.
+        The admission policy forgets each key — a cleared key starts
+        from scratch and can earn re-admission, instead of being
+        silently blacklisted by stale observation state.
         """
-        with self._lock:
-            stale = list(self._entries)
-            for table_name in {key.table for key in stale}:
-                self._generations[table_name] = (
-                    self._generations.get(table_name, 0) + 1
-                )
-            for key in stale:
-                self._drop(key)
-            self.stats.invalidations += len(stale)
-        self._drain_journal()
-        return len(stale)
+        return self._invalidate(list, lambda keys: {key.table for key in keys})
 
     def drop_stale(self, key: ScanKey) -> bool:
         """Drop one entry detected inconsistent at scan time.
 
         The degraded-scan path calls this when a cached state disagrees
         with the slice it describes (e.g. its watermark exceeds the
-        slice's row count after a missed invalidation).  Routes through
-        :meth:`_drop` so the admission policy forgets the key and the
-        invalidation shows up in metrics.
+        slice's row count after a missed invalidation).  An invalidation
+        like any other: the admission policy forgets the key and the
+        drop shows up in metrics.
         """
+        return self._invalidate(lambda live: [key] if key in live else []) > 0
+
+    def _invalidate(
+        self,
+        select: Callable[[Mapping[ScanKey, CacheEntry]], List[ScanKey]],
+        bump: Callable[[List[ScanKey]], Iterable[str]] = lambda keys: (),
+    ) -> int:
+        """The one invalidation body: drop the live keys ``select``
+        picks, after advancing the generation of each table ``bump``
+        names for them (a layout change: installs stamped before it are
+        refused).  Each drop counts as an invalidation and goes through
+        :meth:`_drop`; returns the number dropped."""
         with self._lock:
-            dropped = key in self._entries
-            if dropped:
+            keys = select(self._entries)
+            for table_name in bump(keys):
+                self._generations[table_name] = (
+                    self._generations.get(table_name, 0) + 1
+                )
+            for key in keys:
                 self._drop(key)
-                self.stats.invalidations += 1
+            self.stats.invalidations += len(keys)
         self._drain_journal()
-        return dropped
+        return len(keys)
 
     def admits(self, key: ScanKey) -> bool:
         """True if an entry exists or the admission policy allows one."""
@@ -640,10 +602,29 @@ class PredicateCache:
         return self.policy.should_admit(key)
 
     def _drop(self, key: ScanKey) -> None:
-        """Caller holds ``_lock``."""
-        entry = self._entries.pop(key, None)
+        """Invalidate one live entry: remove it, and make the admission
+        policy forget the key.  Caller holds ``_lock``."""
+        self._remove(key)
         self.policy.forget(key)
-        self._capture_drop(entry)
+
+    def _remove(self, key: ScanKey) -> CacheEntry:
+        """The one removal from ``_entries``: pop the live entry and
+        queue its drop for the journal.  Eviction calls this directly,
+        so the admission policy keeps its observations of an evicted
+        key; invalidation goes through :meth:`_drop`.  Caller holds
+        ``_lock``."""
+        entry = self._entries.pop(key)
+        if self._store is not None:
+            # Only this cache's installed slice states: a cluster node
+            # must not erase its peers' shares of the same entry.
+            slices = [
+                slice_id
+                for slice_id, state in enumerate(entry.slice_states)
+                if state is not None
+            ]
+            if slices:
+                self._pending.append((False, (key, slices)))
+        return entry
 
     # -- capacity ----------------------------------------------------------------
 
@@ -660,38 +641,34 @@ class PredicateCache:
         like any other drop.
         """
         with self._lock:
-            total = self.total_nbytes
-            released = 0
-            while len(self._entries) > 1 and total > budget_bytes:
-                _, evicted = self._entries.popitem(last=False)
-                total -= evicted.nbytes
-                released += evicted.nbytes
-                self._capture_drop(evicted)
-                self.stats.evictions += 1
-            if _inv.ACTIVE:
-                _inv.check_cache(self)
+            released = self._evict_to(budget_bytes)
         self._drain_journal()
         return released
 
     def _evict_if_needed(self) -> None:
-        """Caller holds ``_lock``."""
+        """Enforce the configured budgets.  Caller holds ``_lock``."""
+        self._evict_to(self.config.max_bytes)
+
+    def _evict_to(self, max_bytes: Optional[int]) -> int:
+        """The one eviction loop: remove least recently used entries
+        while more than ``config.max_entries`` are live, or more than
+        one is live and their payload exceeds ``max_bytes``.  Returns
+        the payload bytes released.  Caller holds ``_lock``."""
         limit = self.config.max_entries
-        while limit is not None and len(self._entries) > limit:
-            _, evicted = self._entries.popitem(last=False)
-            self._capture_drop(evicted)
+        # Sum the payload once and subtract per eviction — re-summing
+        # every entry per loop iteration is quadratic.
+        total = self.total_nbytes if max_bytes is not None else 0
+        released = 0
+        while (limit is not None and len(self._entries) > limit) or (
+            max_bytes is not None
+            and len(self._entries) > 1
+            and total - released > max_bytes
+        ):
+            released += self._remove(next(iter(self._entries))).nbytes
             self.stats.evictions += 1
-        max_bytes = self.config.max_bytes
-        if max_bytes is not None:
-            # Compute the payload total once and decrement per eviction —
-            # re-summing every entry per loop iteration is quadratic.
-            total = self.total_nbytes
-            while len(self._entries) > 1 and total > max_bytes:
-                _, evicted = self._entries.popitem(last=False)
-                total -= evicted.nbytes
-                self._capture_drop(evicted)
-                self.stats.evictions += 1
         if _inv.ACTIVE:
             _inv.check_cache(self)
+        return released
 
     # -- observability -------------------------------------------------------------
 

@@ -249,7 +249,6 @@ class CacheEntry:
         key,
         num_slices: int,
         build_versions: dict,
-        generation: int = 0,
         provenance: str = "scan",
         source_digests: Tuple[int, ...] = (),
     ) -> None:
@@ -260,10 +259,11 @@ class CacheEntry:
         # may have changed and the entry is stale (§4.4).
         self.build_versions = dict(build_versions)
         # The cache's per-table invalidation generation when this entry
-        # was created.  A scan that prepared against an older generation
-        # (a vacuum fired mid-flight) must not install its row ranges:
-        # the numbering they describe no longer exists.
-        self.generation = generation
+        # was stored (stamped by the owning cache's insert).  A scan
+        # that prepared against an older generation (a vacuum fired
+        # mid-flight) must not install its row ranges: the numbering
+        # they describe no longer exists.
+        self.generation = 0
         self.hits = 0
         self.rows_qualifying = 0
         self.rows_considered = 0
@@ -276,14 +276,6 @@ class CacheEntry:
             raise ValueError(f"unknown entry provenance {provenance!r}")
         self.provenance = provenance
         self.source_digests: Tuple[int, ...] = tuple(source_digests)
-
-    @property
-    def source_keys(self) -> tuple:
-        """Keys of the installed entries whose state this entry serves
-        from: itself.  (An ephemeral reuse serving names the entries it
-        was assembled from instead — the scan drops *those* when a
-        served state turns out stale.)"""
-        return (self.key,)
 
     @property
     def complete(self) -> bool:

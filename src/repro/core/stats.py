@@ -61,11 +61,3 @@ class ReuseStats:
     def serves(self) -> int:
         """Scans answered from derived entries rather than exact hits."""
         return self.composed_serves + self.subsumed_serves
-
-    def snapshot(self) -> "ReuseStats":
-        return ReuseStats(**vars(self))
-
-    def delta(self, before: "ReuseStats") -> "ReuseStats":
-        return ReuseStats(
-            **{k: getattr(self, k) - getattr(before, k) for k in vars(self)}
-        )

@@ -6,7 +6,7 @@ Scan flow per data slice:
    key to the predicate cache and takes the most selective live entry.
 2. **Range restriction** — zone maps mark the blocks whose min/max
    bounds cannot satisfy the predicate, one dropped-block mask per
-   slice.  On a hit, candidate rows come from the cached entry (cached
+   slice.  On a hit, candidate rows come from the cached states (cached
    qualifying ranges plus the uncached appended tail) and the block
    coverage leaves the rows of dropped blocks out as it places them; on
    a miss, the rows of the kept blocks and the tail are the candidates.
@@ -23,12 +23,16 @@ those candidates, so it must not write the plain entry.  A scan
 restricted by the *plain* entry covers every join-qualifying row (the
 join result is a subset of the predicate result), so it may write both.
 
-With ``enable_reuse`` on (DESIGN.md §14), a full-key miss additionally
-consults the reuse lattice (:mod:`repro.reuse`): the predicate's cached
-conjuncts — or a cached wider range on the same column — yield an
-ephemeral serving whose candidates are a superset of the truth, so step
-3's re-evaluation keeps the result bit-identical to a cache-off scan.
-Served or not, the scan derives per-conjunct qualifying sets on the way
+A scan serves from cache entries only: each slice's candidates come
+from the states its *source entries* hold for that slice — one entry
+on an exact hit, none on a miss.  With ``enable_reuse`` on (DESIGN.md
+§14), a full-key miss additionally consults the reuse lattice
+(:mod:`repro.reuse`), which names the live entries of the predicate's
+cached conjuncts — or of a cached wider range on the same column — as
+the sources; the slice intersects their candidate sets, a superset of
+the truth, so step 3's re-evaluation keeps the result bit-identical to
+a cache-off scan.  Served or not, the scan derives per-conjunct
+qualifying sets on the way
 (each padded with the complement of the candidate set, so they stay
 supersets under *any* serving basis) and installs them at the same
 coordinator barrier as every other entry.
@@ -42,6 +46,8 @@ coordinator barrier as every other entry.
   itself — it *is* the one-node router.  A node that is down (the
   router answers ``None``, or its tombstone raises ``NodeDownError``)
   gets a null context, and so does every slice when caching is off.
+  A source state whose watermark outruns its slice drops every source
+  entry of that node, whose slices then scan in full.
 * **run** (:func:`_run_slices`) — steps 2–3, one :func:`_scan_slice`
   task per slice handed to ``parallel.ParallelScanExecutor``; with zero
   workers the same tasks run inline on the coordinator.  Each task
@@ -59,7 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,6 +76,7 @@ from ..core.rowrange import RangeList
 from ..faults.errors import NodeDownError
 from ..obs.trace import optional_span
 from ..predicates.ast import Predicate, TruePredicate
+from ..reuse import Decomposition, ReusePlan, decompose, plan_reuse
 from ..storage.rms import QueryStorageContext
 from ..storage.slice import DataSlice
 from ..storage.table import Table
@@ -78,9 +85,6 @@ from .bloom import BloomFilter
 from .counters import ZERO_SNAPSHOT, QueryCounters
 from .hashing import stable_int_keys
 from .statement import StatementContext
-
-if TYPE_CHECKING:
-    from ..reuse import Decomposition, ReuseServing
 
 __all__ = ["SemiJoinFilter", "ScanResult", "execute_scan"]
 
@@ -298,19 +302,19 @@ def _plan_scan(
 
     for slice_id, data_slice in enumerate(table.slices):
         context = plan.contexts[slice_id]
-        if context is not None and context.entry is not None:
-            state = context.entry.slice_states[slice_id]
-            if state is not None and state.last_cached_row > data_slice.num_rows:
-                # The cached state claims a row numbering this slice no
-                # longer has (an invalidation was missed).  Drop the
-                # entry — through drop_stale, so metrics fire — and fall
-                # back to full scans for the rest of this table scan.
-                # An ephemeral reuse serving names the *source* entries
-                # it was composed from; those hold the stale state.
-                for stale_key in context.entry.source_keys:
-                    context.cache.drop_stale(stale_key)
-                plan.stale_drops += 1
-                context.entry = None
+        if context is None or not any(
+            state is not None and state.last_cached_row > data_slice.num_rows
+            for state in (entry.slice_states[slice_id] for entry in context.sources)
+        ):
+            continue
+        # A cached state claims a row numbering this slice no longer
+        # has (an invalidation was missed).  Drop every source entry —
+        # through drop_stale, so metrics fire — and fall back to full
+        # scans on this node for the rest of this table scan.
+        for source in context.sources:
+            context.cache.drop_stale(source.key)
+        plan.stale_drops += 1
+        context.sources, context.basis = (), "full"
     return plan
 
 
@@ -338,7 +342,7 @@ def _run_slices(
 
     def make_task(slice_id: int, data_slice: DataSlice):
         context = plan.contexts[slice_id]
-        entry = context.entry if context is not None else None
+        sources = context.sources if context is not None else ()
         conjunct_predicates = context.conjunct_predicates if context is not None else ()
 
         def task() -> Tuple["_SliceResult", QueryCounters, float, float]:
@@ -346,7 +350,7 @@ def _run_slices(
             start = now()
             pair = _scan_slice(
                 data_slice, slice_id, predicate, semijoins, statement,
-                local, entry, plan.scan_columns, gather_columns,
+                local, sources, plan.scan_columns, gather_columns,
                 conjunct_predicates,
             )
             return pair, local, start, now()
@@ -408,10 +412,7 @@ def _install(
             if entry is not None:
                 context.cache.record_slice_scan(entry, slice_id, ranges, num_rows)
                 context.cache.record_entry_stats(entry, ranges.num_rows, num_rows)
-        if (
-            context.basis in ("composed", "subsumed")
-            and context.entry is not None
-        ):
+        if context.basis in ("composed", "subsumed"):
             # The subsumption/composition re-check accounting: candidate
             # rows were re-evaluated, the rest were skipped outright.
             rechecked = extras.candidate_rows
@@ -437,14 +438,17 @@ class _SliceCacheContext:
     """Resolved cache interaction of a scan with one cache node.
 
     Built by the coordinator before dispatch and mutated only by the
-    coordinator afterwards; workers read ``entry`` (immutable slice
-    states) and the conjunct predicates, nothing else.
+    coordinator afterwards; workers read ``sources`` (their immutable
+    slice states) and the conjunct predicates, nothing else.
     ``qualifying_rows``/``total_rows`` accumulate the per-node policy
     observation at the barrier.
     """
 
     cache: PredicateCache
-    entry: Optional[object]
+    #: The live entries this node's slices are served from: the hit for
+    #: an exact hit, the resolved parts for a composed or subsumed
+    #: serve, none for a miss (``basis`` says which).
+    sources: Tuple[CacheEntry, ...] = ()
     basis: str = "full"
     join_entry: Optional[CacheEntry] = None
     plain_entry: Optional[CacheEntry] = None
@@ -477,48 +481,39 @@ def _prepare_cache_context(
     candidate_keys.append(plain_key)
     decomposition = None
     if cache.config.enable_reuse and not isinstance(predicate, TruePredicate):
-        # Deferred import: the reuse package sits above the engine in
-        # the import graph (it reads persist/ for key digests).
-        from ..reuse import decompose
-
         decomposition = decompose(table.name, predicate)
     with optional_span(
         statement.trace, "cache-lookup",
         table=table.name, candidates=len(candidate_keys),
     ) as lookup_span:
         entry = cache.select_entry(candidate_keys, current_versions)
-        serving = None
         if entry is not None:
             counters.cache_hits += 1
-            basis = "join" if entry.key.is_join_key else "plain"
+            context = _SliceCacheContext(
+                cache, (entry,), "join" if entry.key.is_join_key else "plain"
+            )
+            outcome = "hit"
         else:
             # The exact-match miss is counted regardless of a reuse serve:
             # stats.hit_rate stays the paper's Fig. 13 metric, reuse serves
             # are accounted on top in reuse_stats.
             counters.cache_misses += 1
-            basis = "full"
+            context = _SliceCacheContext(cache)
+            outcome = "miss"
             if decomposition is not None:
-                serving = _plan_reuse_serving(
-                    cache, decomposition, plain_key, current_versions,
-                    table, statement,
+                reuse = _plan_reuse(
+                    cache, decomposition, current_versions, table, statement
                 )
-                if serving is not None:
-                    entry = serving
-                    basis = serving.basis
+                if reuse is not None:
+                    context.sources, context.basis = reuse.sources, reuse.basis
+                    outcome = f"reuse-{reuse.basis}"
         if lookup_span is not None:
-            if entry is None:
-                outcome = "miss"
-            elif serving is not None:
-                outcome = f"reuse-{basis}"
-            else:
-                outcome = "hit"
             lookup_span.set("outcome", outcome)
-            lookup_span.set("basis", basis)
+            lookup_span.set("basis", context.basis)
             if entry is not None:
                 lookup_span.set("entry_selectivity", round(entry.selectivity, 6))
                 lookup_span.set("entry_nbytes", entry.nbytes)
 
-    context = _SliceCacheContext(cache, entry, basis)
     if join_key is not None and cache_join and cache.admits(join_key):
         context.join_entry = cache.get_or_create(
             join_key, table.num_slices, build_versions
@@ -527,24 +522,25 @@ def _prepare_cache_context(
     # caches "predicates pushed into table scans", and a TRUE
     # entry would qualify every row.
     if (
-        basis != "join"
+        context.basis != "join"
         and not isinstance(predicate, TruePredicate)
         and cache.admits(plain_key)
     ):
         # A reuse-served scan evaluates the real predicate over a
         # candidate superset, so its q_plain is exact — the full-key
         # entry it fills records how it was derived.
+        served = context.basis in ("composed", "subsumed")
         context.plain_entry = cache.get_or_create(
             plain_key,
             table.num_slices,
             {},
-            provenance=serving.basis if serving is not None else "scan",
-            source_digests=serving.source_digests if serving is not None else (),
+            context.basis if served else "scan",
+            tuple(source.key.digest for source in context.sources) if served else (),
         )
     # Derived conjunct entries: sound under any serving basis except
     # "join" (where the complement-padded sets would be uselessly
     # wide — the join candidates are already heavily filtered).
-    if decomposition is not None and basis != "join":
+    if decomposition is not None and context.basis != "join":
         for conjunct in decomposition.conjuncts:
             if conjunct.key == plain_key or not cache.admits(conjunct.key):
                 continue
@@ -557,40 +553,34 @@ def _prepare_cache_context(
     return context
 
 
-def _plan_reuse_serving(
+def _plan_reuse(
     cache: PredicateCache,
-    decomposition: "Decomposition",
-    plain_key: ScanKey,
+    decomposition: Decomposition,
     current_versions: Optional[Mapping[str, int]],
     table: Table,
     statement: StatementContext,
-) -> Optional["ReuseServing"]:
-    """Ask the reuse lattice for an ephemeral serving of a full-key miss."""
-    from ..reuse import plan_reuse
-
+) -> Optional[ReusePlan]:
+    """Ask the reuse lattice which live entries serve a full-key miss."""
     with optional_span(
         statement.trace, "reuse-plan",
         table=table.name, conjuncts=len(decomposition.conjuncts),
     ) as plan_span:
-        plan = plan_reuse(
-            cache, decomposition, plain_key, current_versions, table.num_slices
-        )
-        if plan is None:
+        reuse = plan_reuse(cache, decomposition, current_versions)
+        if reuse is None:
             if plan_span is not None:
                 plan_span.set("outcome", "none")
             return None
-        serving = plan.serving
-        cache.record_reuse_serve(serving.basis)
-        if serving.basis == "composed":
+        cache.record_reuse_serve(reuse.basis)
+        if reuse.basis == "composed":
             statement.counters.reuse_composed_serves += 1
         else:
             statement.counters.reuse_subsumed_serves += 1
         if plan_span is not None:
-            plan_span.set("outcome", serving.basis)
-            plan_span.set("resolved", plan.resolved)
-            plan_span.set("subsumed_parts", plan.subsumed_parts)
-            plan_span.set("sources", [str(k) for k in serving.source_keys])
-        return serving
+            plan_span.set("outcome", reuse.basis)
+            plan_span.set("resolved", len(reuse.sources))
+            plan_span.set("subsumed_parts", reuse.subsumed_parts)
+            plan_span.set("sources", [str(source.key) for source in reuse.sources])
+        return reuse
 
 
 @dataclass
@@ -617,7 +607,7 @@ def _scan_slice(
     semijoins: Sequence[SemiJoinFilter],
     statement: StatementContext,
     counters: QueryCounters,
-    entry,
+    sources: Tuple[CacheEntry, ...],
     scan_columns: List[str],
     gather_columns: List[str],
     conjunct_predicates: Tuple[Predicate, ...] = (),
@@ -633,17 +623,27 @@ def _scan_slice(
     """
     reader = statement.storage
     num_rows = data_slice.num_rows
-    state = entry.slice_states[slice_id] if entry is not None else None
+    states = [
+        state
+        for state in (source.slice_states[slice_id] for source in sources)
+        if state is not None
+    ]
 
     # Zone-map pruning is applied on top of a hit too — it is
     # metadata-only and guarantees a hit never scans more than a miss
     # would ("rigorously avoiding slowdowns", §1).
     dropped = _prune_with_zonemaps(data_slice, predicate, counters)
-    if state is not None:
+    if states:
         # Cache hit: the cached ranges replace the range-restricted scan;
         # the coverage leaves the rows of dropped blocks out as it
-        # places them, so no range list is differenced on the way.
-        candidates = state.candidates(num_rows)
+        # places them, so no range list is differenced on the way.  A
+        # composed or subsumed serve intersects its parts' candidates,
+        # each a superset of its conjunct's truth.
+        candidates = states[0].candidates(num_rows)
+        for state in states[1:]:
+            if not candidates:
+                break
+            candidates = candidates.intersect(state.candidates(num_rows))
         counters.rows_skipped_cache += num_rows - candidates.num_rows
     else:
         # Miss: the kept blocks' row ranges *are* the candidates — a

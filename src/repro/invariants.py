@@ -195,11 +195,10 @@ def check_cache(cache: Any) -> None:
       slipped through), and generations never go negative;
     * policy accounting: a bounded admission policy never tracks more
       keys than its configured bound;
-    * reuse provenance (DESIGN.md §14): no ephemeral serving object is
-      ever installed as an entry (its bytes would double-count against
-      the budget), every entry's provenance tag is known, and derived
-      provenances (``composed``/``subsumed``) carry source digests while
-      primary ones (``scan``/``conjunct``) carry none.
+    * reuse provenance (DESIGN.md §14): every entry's provenance tag is
+      known, and derived provenances (``composed``/``subsumed``) carry
+      source digests while primary ones (``scan``/``conjunct``) carry
+      none.
     """
     entries = cache.entries()
     limit = cache.config.max_entries
@@ -222,11 +221,6 @@ def check_cache(cache: Any) -> None:
             )
         if len(entry.slice_states) == 0:
             _fail(f"entry {entry.key.key()!r} has zero slices")
-        if getattr(entry, "ephemeral", False):
-            _fail(
-                f"ephemeral reuse serving for {entry.key.key()!r} was "
-                "installed as a cache entry (budget double-count)"
-            )
         provenance = getattr(entry, "provenance", "scan")
         if provenance not in _PROVENANCES:
             _fail(

@@ -391,7 +391,7 @@ class CacheStore:
         # Hold the I/O lock across read-then-rewrite: an append landing
         # between the replay and the truncating snapshot would be lost.
         with self._io_lock:
-            records, _issues = self._read_state()
+            records, _issues, _replayed = self._read_state()
             if self.snapshot_records(records):
                 self.compactions += 1
                 return True
@@ -399,37 +399,33 @@ class CacheStore:
 
     # -- recovery --------------------------------------------------------------
 
-    def _read_state(self):
+    def _read_state(self) -> Tuple[Dict[int, EntryRecord], DecodeIssues, int]:
         """Snapshot + journal replay, damage-tolerant; never raises.
+        Returns the records, the damage found, and the number of journal
+        records replayed.
 
         Runs under ``_io_lock`` so a recovery never reads a snapshot
         mid-rotation or a journal mid-append.
         """
         with self._io_lock:
-            return self._read_state_locked()
-
-    def _read_state_locked(self):
-        """Caller holds ``_io_lock``."""
-        issues = DecodeIssues()
-        records: Dict[int, EntryRecord] = {}
-        meta: dict = {}
-        try:
-            with open(self._snapshot_path, "rb") as handle:
-                snapshot_data = handle.read()
-        except OSError:
-            snapshot_data = b""
-        try:
-            records, meta, issues = decode_snapshot(snapshot_data)
-        except Exception:  # pragma: no cover - decode_snapshot is total
-            issues.corrupt_sections += 1
-        try:
-            with open(self._journal_path, "rb") as handle:
-                journal_data = handle.read()
-        except OSError:
-            journal_data = b""
-        replayed = replay_journal(records, journal_data, issues)
-        issues_meta = {"meta": meta, "replayed": replayed}
-        return records, (issues, issues_meta)
+            issues = DecodeIssues()
+            records: Dict[int, EntryRecord] = {}
+            try:
+                with open(self._snapshot_path, "rb") as handle:
+                    snapshot_data = handle.read()
+            except OSError:
+                snapshot_data = b""
+            try:
+                records, _meta, issues = decode_snapshot(snapshot_data)
+            except Exception:  # pragma: no cover - decode_snapshot is total
+                issues.corrupt_sections += 1
+            try:
+                with open(self._journal_path, "rb") as handle:
+                    journal_data = handle.read()
+            except OSError:
+                journal_data = b""
+            replayed = replay_journal(records, journal_data, issues)
+        return records, issues, replayed
 
     def load(self, revalidate: bool = True) -> LoadResult:
         """Recover the persisted cache state.
@@ -443,11 +439,11 @@ class CacheStore:
         if self.tracer is not None:
             span = self.tracer.begin("persist.load")
         start = time.perf_counter()
-        records, (issues, extra) = self._read_state()
+        records, issues, replayed = self._read_state()
         result = LoadResult(
             records=records,
             snapshot_entries=len(records),
-            journal_records=extra["replayed"],
+            journal_records=replayed,
             corrupt_sections=issues.corrupt_sections + (1 if issues.truncated else 0),
             truncated=issues.truncated,
             unsupported_version=issues.unsupported_version,

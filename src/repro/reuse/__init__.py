@@ -9,31 +9,30 @@ PartitionCache idea (Poppinga, BTW 2025) rebuilt on our range algebra:
   CNF machinery and split it into canonical per-conjunct
   :class:`~repro.core.keys.ScanKey` variants.
 * :mod:`~repro.reuse.compose` — on a full-key miss, look up each
-  conjunct's cached entry and serve the scan from the vectorized
-  intersection of their range lists (any non-empty subset of conjunct
-  hits is a sound superset of the conjunction's truth).
+  conjunct's cached entry and hand the scan those source entries; it
+  serves from the vectorized intersection of their range lists (any
+  non-empty subset of conjunct hits is a sound superset of the
+  conjunction's truth).
 * :mod:`~repro.reuse.subsume` — find a cached range predicate on the
   same column whose interval contains the requested one and serve it as
   a superset with a residual re-check.
 
 Everything here is **read-only over the cache** (checker rule RP009):
-this package plans a serving; the scan coordinator in
-:mod:`repro.engine.scan` evaluates the real predicate over the served
-candidates and installs results through the same
+this package names the live entries a scan is served from; the scan
+coordinator in :mod:`repro.engine.scan` evaluates the real predicate
+over their candidates and installs results through the same
 ``record_slice_scan`` barrier as every other scan, so the differential
 oracle covers the reuse path end to end.
 """
 
-from .compose import ComposedSliceState, ReusePlan, ReuseServing, plan_reuse
+from .compose import ReusePlan, plan_reuse
 from .decompose import Conjunct, Decomposition, decompose
 from .subsume import bounds_contain, find_subsuming
 
 __all__ = [
-    "ComposedSliceState",
     "Conjunct",
     "Decomposition",
     "ReusePlan",
-    "ReuseServing",
     "bounds_contain",
     "decompose",
     "find_subsuming",

@@ -25,17 +25,18 @@ from repro import (
     TransientStorageError,
 )
 from repro.core.rowrange import RangeList
+from repro.engine.explain import render_analyze
 from repro.lake import LakeScanner, LakeTable
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Tracer
 from repro.predicates import parse_predicate
 from repro.storage import ColumnSpec, DataType, TableSchema
 from repro.storage.compression import array_checksum, choose_codec, decode_block
 
 
-def make_engine(num_slices=1, rows_per_block=32, rows=200):
+def make_engine(num_slices=1, rows_per_block=32, rows=200, tracer=None):
     db = Database(num_slices=num_slices, rows_per_block=rows_per_block)
     db.create_table(TableSchema("t", (ColumnSpec("x", DataType.INT64),)))
-    engine = QueryEngine(db, predicate_cache=PredicateCache())
+    engine = QueryEngine(db, predicate_cache=PredicateCache(), tracer=tracer)
     engine.insert("t", {"x": np.arange(rows)})
     return db, engine
 
@@ -380,6 +381,27 @@ class TestDegradedScan:
         assert again.scalar() == expected
         assert again.counters.degraded_scans == 0
         assert len(cache) == 1
+
+    def test_dropped_entry_slices_report_a_full_scan(self):
+        """The probe hit, but the stale entry was dropped before any
+        slice ran: every slice span (and so EXPLAIN ANALYZE) must say
+        the slice scanned in full, not that the entry served it."""
+        _, engine = make_engine(num_slices=2, rows=400, tracer=Tracer())
+        sql = "select count(*) as c from t where x < 100"
+        engine.execute(sql)
+        for state in engine.predicate_cache.entries()[0].slice_states:
+            if state is not None:
+                state.last_cached_row = 10**9
+
+        result = engine.execute(sql)
+        assert result.counters.degraded_scans == 1
+        assert result.trace.find("cache-lookup").attrs["outcome"] == "hit"
+        bases = [
+            result.trace.find(f"scan[slice {i}]").attrs["cache_basis"]
+            for i in range(2)
+        ]
+        assert bases == ["full", "full"]
+        assert "cache_basis=plain" not in render_analyze(result.trace)
 
 
 class TestLakeResilience:

@@ -222,6 +222,37 @@ class TestClearRegression:
         assert cache.admits(key)
         assert cache.get_or_create(key, 1) is not entry
 
+    @pytest.mark.parametrize("evict", ["max_entries", "trim_to_bytes"])
+    def test_eviction_keeps_observations_invalidation_forgets_them(self, evict):
+        """An evicted key keeps its admission-policy observations (it
+        earned admission and may come straight back); an invalidated
+        one starts from scratch."""
+        policy = CostBasedPolicy(min_sightings=2, max_selectivity=0.9)
+        limit = 1 if evict == "max_entries" else None
+        cache = PredicateCache(
+            PredicateCacheConfig(max_entries=limit), policy=policy
+        )
+        old, new = ScanKey("t", "x = 1"), ScanKey("t", "x = 2")
+        for key in (old, new):
+            policy.observe(key, 0.1)
+            entry = cache.get_or_create(key, 1)
+            cache.record_slice_scan(entry, 0, RangeList([(0, 5)]), 100)
+        if evict == "trim_to_bytes":
+            assert cache.trim_to_bytes(0) > 0
+        assert old not in cache and new in cache
+        assert cache.stats.evictions == 1
+        assert policy.tracked_keys == 2  # eviction forgets nothing
+        assert cache.admits(old)
+
+        assert cache.invalidate_table("t") == 1
+        assert policy.tracked_keys == 1  # only the live entry's key
+        assert cache.admits(old) and not cache.admits(new)
+
+        cache.get_or_create(old, 1)
+        assert cache.drop_stale(old)
+        assert policy.tracked_keys == 0
+        assert cache.stats.invalidations == 2
+
     def test_engine_level_clear_then_rebuild(self):
         policy = CostBasedPolicy(min_sightings=2, max_selectivity=0.9)
         engine = make_engine(cache=PredicateCache(policy=policy))

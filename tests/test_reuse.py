@@ -22,6 +22,7 @@ from repro import (
     PredicateCacheConfig,
     QueryEngine,
     RetryPolicy,
+    Tracer,
     invariants,
     parse_predicate,
 )
@@ -229,17 +230,12 @@ class _CacheView:
         return getattr(self._cache, name)
 
 
-def test_invariant_rejects_installed_ephemeral_and_bad_sources():
+def test_invariant_rejects_bad_provenance_sources():
     cache = PredicateCache(reuse_config())
     entry = cache.get_or_create(ScanKey("t", "k < 5"), 2, {})
     cache.record_slice_scan(entry, 0, RangeList.from_bounds(
         np.array([[0, 4]], dtype=np.int64)), 10)
     invariants.check_cache(cache)  # healthy
-
-    # An ephemeral serving installed as an entry (budget double-count).
-    bad = _CacheView(cache, [_EntryOverride(entry, ephemeral=True)])
-    with pytest.raises(invariants.InvariantViolation, match="ephemeral"):
-        invariants.check_cache(bad)
 
     # Derived provenance without sources.
     bad = _CacheView(cache, [_EntryOverride(entry, provenance="composed")])
@@ -260,15 +256,67 @@ def test_invariant_rejects_installed_ephemeral_and_bad_sources():
 
 
 def test_derived_entries_do_not_double_count_budget():
-    """An ephemeral serving never enters the cache, so serving from
-    composition adds zero bytes; only real conjunct installs count."""
+    """A reuse serve reads its source entries' states in place and
+    stores nothing of its own, so serving from composition adds zero
+    bytes; only real installs count."""
     cached, plain = build_twins(reuse_config())
     cache = cached.predicate_cache
     run_drilldown(cached, plain, drilldown_steps(rounds=2))
+    assert cache.reuse_stats.serves > 0
     for entry in cache.entries():
-        assert not getattr(entry, "ephemeral", False)
+        assert type(entry) is CacheEntry
     assert cache.total_nbytes == sum(e.nbytes for e in cache.entries())
     invariants.check_cache(cache)
+
+
+def test_composed_serve_drops_every_source_when_one_is_stale():
+    """One source's watermark outruns its slice (a missed
+    invalidation): the scan drops *every* entry it was composed from
+    and scans in full, with the cache-off twin's answer."""
+    cached, plain = build_twins(reuse_config("range"))
+    cache = cached.predicate_cache
+    for where in ("k < 50", "v >= 20"):
+        cached.execute(f"select count(*) as c from t where {where}")
+    sources = cache.entries()
+    assert len(sources) == 2
+    for state in sources[1].slice_states:
+        state.last_cached_row = 10**9
+
+    sql = "select count(*) as c from t where k < 50 and v >= 20"
+    result = cached.execute(sql)
+    assert result.scalar() == plain.execute(sql).scalar()
+    assert cache.reuse_stats.composed_serves == 1
+    assert result.counters.degraded_scans == 1
+    assert cache.stats.invalidations == 2
+    assert not any(source.key in cache for source in sources)
+    invariants.check_cache(cache)
+
+
+def test_reuse_serve_lookup_span_reports_no_entry_stats():
+    """A reuse serve has no single entry: its cache-lookup span carries
+    the outcome and basis only, while an exact hit adds the entry's
+    selectivity and size."""
+    db = Database(num_slices=2, rows_per_block=64)
+    db.create_table(
+        TableSchema("t", tuple(ColumnSpec(c, DataType.INT64) for c in COLUMNS))
+    )
+    engine = QueryEngine(
+        db, predicate_cache=PredicateCache(reuse_config()), tracer=Tracer()
+    )
+    rng = np.random.default_rng(3)
+    engine.insert("t", {c: rng.integers(0, 100, 500) for c in COLUMNS})
+    engine.execute("select count(*) as c from t where k < 50")
+
+    def lookup_attrs(where):
+        trace = engine.execute(f"select count(*) as c from t where {where}").trace
+        return trace.find("cache-lookup").attrs
+
+    served = lookup_attrs("k < 50 and v >= 20")
+    assert served["outcome"] == "reuse-composed"
+    assert "entry_selectivity" not in served and "entry_nbytes" not in served
+    hit = lookup_attrs("k < 50")
+    assert hit["outcome"] == "hit"
+    assert "entry_selectivity" in hit and hit["entry_nbytes"] > 0
 
 
 # -- the oracle: drill-down session at several worker counts ------------------
