@@ -3,8 +3,13 @@
 Redshift builds a Bloom filter on the build side of a hash join and
 passes it to the probe-side scan (§4.4) so rows without a join partner
 are dropped during the vectorized scan.  The implementation is fully
-vectorized: ``k`` multiply-shift hash functions over int64 keys, bits in
-a packed numpy array.
+vectorized: ``k`` multiply-shift hash functions over int64 keys, one
+bool per bit in a ``num_bits``-slot table (a set is one scatter, a test
+one gather — no byte / shift arithmetic).  Most probed keys are
+absent, so a probe rejects them hash by hash: the first two hashes run
+one at a time over the keys still alive, and only the survivors (at
+most about a quarter of absent keys at the design load) pay the
+remaining ``k - 2`` as one gather.  Which keys pass is exactly "all k bits set" either way.
 """
 
 from __future__ import annotations
@@ -30,6 +35,10 @@ _MULTIPLIERS = np.array(
     dtype=np.uint64,
 )
 
+# Hashes a probe applies one at a time, compacting the live keys after
+# each; the rest are one gather over the survivors.
+_STAGED_HASHES = 2
+
 
 class BloomFilter:
     """A fixed-size Bloom filter over int64 keys.
@@ -48,37 +57,43 @@ class BloomFilter:
         self.num_hashes = min(
             len(_MULTIPLIERS), max(1, round(self.num_bits / expected_items * math.log(2)))
         )
-        self._bits = np.zeros(self.num_bits // 8, dtype=np.uint8)
+        self._bits = np.zeros(self.num_bits, dtype=bool)
         self._shift = np.uint64(64 - int(math.log2(self.num_bits)))
         self.items_added = 0
 
-    def _positions(self, keys: np.ndarray) -> np.ndarray:
-        """Bit positions, shape (num_hashes, len(keys))."""
-        keys = keys.astype(np.int64, copy=False).view(np.uint64)
-        mults = _MULTIPLIERS[: self.num_hashes, None]
-        with np.errstate(over="ignore"):
-            hashed = keys[None, :] * mults
-        return (hashed >> self._shift).astype(np.int64)
+    def _positions(self, keys: np.ndarray, first: int) -> np.ndarray:
+        """Bit positions of uint64 ``keys`` under hashes ``first`` to
+        ``num_hashes - 1``, shape (num_hashes - first, len(keys)).
+
+        Array products wrap modulo 2**64 without a warning, which is
+        the multiply-shift hash itself.
+        """
+        mults = _MULTIPLIERS[first : self.num_hashes, None]
+        return (keys[None, :] * mults) >> self._shift
 
     def add_many(self, keys: np.ndarray) -> None:
         """Insert all keys (vectorized)."""
         if len(keys) == 0:
             return
-        positions = self._positions(np.asarray(keys)).ravel()
-        np.bitwise_or.at(
-            self._bits, positions // 8, (1 << (positions % 8)).astype(np.uint8)
-        )
+        self._bits[self._positions(_as_uint64(keys), 0)] = True
         self.items_added += len(keys)
 
     def may_contain(self, keys: np.ndarray) -> np.ndarray:
         """Boolean membership mask (false positives possible)."""
-        keys = np.asarray(keys)
-        if len(keys) == 0:
-            return np.zeros(0, dtype=bool)
-        positions = self._positions(keys)
-        bytes_ = self._bits[positions // 8]
-        bits = (bytes_ >> (positions % 8).astype(np.uint8)) & 1
-        return bits.all(axis=0)
+        keys = _as_uint64(keys)
+        found = np.zeros(len(keys), dtype=bool)
+        # Indices into the caller's keys of those no hash has ruled out
+        # yet; ``keys`` is compacted alongside after every staged hash.
+        alive = np.flatnonzero(self._bits[(keys * _MULTIPLIERS[0]) >> self._shift])
+        keys = keys[alive]
+        staged = min(_STAGED_HASHES, self.num_hashes)
+        for mult in _MULTIPLIERS[1:staged]:
+            keep = np.flatnonzero(self._bits[(keys * mult) >> self._shift])
+            alive, keys = alive[keep], keys[keep]
+        if self.num_hashes > staged and len(keys):
+            alive = alive[self._bits[self._positions(keys, staged)].all(axis=0)]
+        found[alive] = True
+        return found
 
     @property
     def nbytes(self) -> int:
@@ -87,4 +102,8 @@ class BloomFilter:
     @property
     def fill_ratio(self) -> float:
         """Fraction of set bits (diagnostics / fpr estimation)."""
-        return float(np.unpackbits(self._bits).mean()) if self.num_bits else 0.0
+        return float(self._bits.mean())
+
+
+def _as_uint64(keys: np.ndarray) -> np.ndarray:
+    return np.asarray(keys).astype(np.int64, copy=False).view(np.uint64)

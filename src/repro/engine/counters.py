@@ -33,7 +33,11 @@ class QueryCounters:
     rows_skipped_cache: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
+    #: Keys actually handed to a semi-join Bloom filter: a filter probes
+    #: only the rows passing predicate, visibility and every earlier
+    #: filter (``repro_query_bloom_probes_total``).
     bloom_probes: int = 0
+    #: Of those, the keys the filter passed.
     bloom_positives: int = 0
     # Reuse-lattice counters (zero unless enable_reuse is configured).
     reuse_composed_serves: int = 0

@@ -646,11 +646,17 @@ def _scan_slice(
         plain_mask = pred_mask & vis_mask
         full_mask = plain_mask
         for sj in semijoins:
-            keys = stable_int_keys(batch[sj.probe_column])
-            bloom_mask = sj.bloom.may_contain(keys)
+            # Probe only the rows still qualifying, each filter the
+            # previous one's survivors: a row's verdict is its key's, so
+            # the mask is the all-rows AND.  The hits go into a fresh
+            # mask — ``plain_mask`` stays as it is (``q_plain`` below).
+            probed = np.flatnonzero(full_mask)
+            keys = stable_int_keys(batch[sj.probe_column][probed])
+            hits = sj.bloom.may_contain(keys)
             counters.bloom_probes += len(keys)
-            counters.bloom_positives += int(np.count_nonzero(bloom_mask))
-            full_mask = full_mask & bloom_mask
+            counters.bloom_positives += int(np.count_nonzero(hits))
+            full_mask = np.zeros(len(row_ids), dtype=bool)
+            full_mask[probed[hits]] = True
         gathered = covered.select(full_mask)
         qualifying = RangeList.from_rows(gathered.row_ids)
         q_plain = (

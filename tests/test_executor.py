@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro import Database, PredicateCache, QueryEngine
+from repro.core.config import PredicateCacheConfig
+from repro.core.entry import RangeSliceState
+from repro.core.rowrange import RangeList
+from repro.engine import executor as executor_module
 from repro.engine.executor import _hash_join_indices
+from repro.engine.hashing import stable_int_keys
 from repro.engine.expr import Col, Const
 from repro.engine.plan import (
     AggregateNode,
@@ -147,6 +152,147 @@ class TestJoins:
         # ~10% of dim keys match L3, so the bloom filter admits ~10% of
         # fact rows (plus false positives).
         assert result.counters.rows_qualifying < 5000 * 0.2 + 100
+
+
+def _reference_scan(table, predicate, filters, txid):
+    """Per-slice qualifying row ids of a scan that probes *every* row
+    with every filter and ANDs the masks, plus the number of keys a
+    survivors-only probe hands the filters: the rows passing predicate,
+    visibility and every earlier filter."""
+    per_slice, probes = [], 0
+    for data_slice in table.slices:
+        batch = {
+            name: column.read_all(table.rms)
+            for name, column in data_slice.columns.items()
+        }
+        mask = predicate.evaluate(batch) & data_slice.visibility_mask(
+            RangeList.full(data_slice.num_rows), txid
+        )
+        for f in filters:
+            probes += int(np.count_nonzero(mask))
+            mask = mask & f.bloom.may_contain(stable_int_keys(batch[f.probe_column]))
+        per_slice.append(np.flatnonzero(mask))
+    return per_slice, probes
+
+
+class TestSemiJoinProbe:
+    def test_probing_survivors_only_changes_no_result(self, monkeypatch):
+        """A star join whose fact scan carries two semi-join filters: the
+        filters probe only the rows still qualifying, and rows, counts
+        and every installed fact entry equal a probe-every-row scan."""
+        db = Database(num_slices=2, rows_per_block=50)
+        db.create_table(
+            TableSchema(
+                "fact",
+                tuple(
+                    ColumnSpec(name, DataType.INT64)
+                    for name in ("id", "fk1", "fk2", "tag")
+                ),
+            )
+        )
+        for dim, key, group in (("dim1", "pk1", "g1"), ("dim2", "pk2", "g2")):
+            db.create_table(
+                TableSchema(
+                    dim, (ColumnSpec(key, DataType.INT64), ColumnSpec(group, DataType.INT64))
+                )
+            )
+        cache = PredicateCache(PredicateCacheConfig(variant="range"))
+        engine = QueryEngine(db, predicate_cache=cache)
+        engine.insert("dim1", {"pk1": np.arange(200), "g1": np.arange(200) % 10})
+        engine.insert("dim2", {"pk2": np.arange(300), "g2": np.arange(300) % 7})
+        rng = np.random.default_rng(27)
+        n = 6000
+        engine.insert(
+            "fact",
+            {
+                "id": np.arange(n),
+                "fk1": rng.integers(0, 200, n),
+                "fk2": rng.integers(0, 300, n),
+                "tag": rng.integers(0, 5, n),
+            },
+        )
+        # Deleted rows still pass ``tag < 4``: only visibility drops them.
+        engine.delete_where("fact", parse_predicate("tag = 0"))
+
+        fact_filters = []
+        real_execute_scan = executor_module.execute_scan
+
+        def recording_execute_scan(table, predicate, statement, semijoins=(), **kw):
+            if table.name == "fact":
+                fact_filters.append(list(semijoins))
+            return real_execute_scan(table, predicate, statement, semijoins, **kw)
+
+        monkeypatch.setattr(executor_module, "execute_scan", recording_execute_scan)
+        predicates = {
+            name: parse_predicate(text)
+            for name, text in (("fact", "tag < 4"), ("dim1", "g1 = 3"), ("dim2", "g2 < 3"))
+        }
+        plan = ProjectNode(
+            JoinNode(
+                JoinNode(
+                    ScanNode("fact", predicates["fact"]),
+                    ScanNode("dim1", predicates["dim1"]),
+                    "fk1",
+                    "pk1",
+                ),
+                ScanNode("dim2", predicates["dim2"]),
+                "fk2",
+                "pk2",
+            ),
+            [("id", Col("id"))],
+        )
+        first = engine.execute_plan(plan)
+        repeat = engine.execute_plan(plan)
+
+        filters = fact_filters[0]
+        assert len(filters) == 2
+        txid = db.begin()
+        reference = {
+            name: _reference_scan(
+                db.table(name), predicate, filters if name == "fact" else [], txid
+            )
+            for name, predicate in predicates.items()
+        }
+        fact_rows, probes = reference["fact"]
+
+        # Rows: the hash join is exact, so the ids are the reference
+        # qualifying rows with a partner on both dimensions.
+        fact = db.table("fact")
+        partner1 = np.flatnonzero(np.arange(200) % 10 == 3)
+        partner2 = np.flatnonzero(np.arange(300) % 7 < 3)
+        expected_ids = []
+        for data_slice, rows in zip(fact.slices, fact_rows):
+            values = {
+                name: data_slice.columns[name].read_all(fact.rms)[rows]
+                for name in ("id", "fk1", "fk2")
+            }
+            joined = np.isin(values["fk1"], partner1) & np.isin(values["fk2"], partner2)
+            expected_ids.extend(values["id"][joined].tolist())
+        expected_ids.sort()
+        assert sorted(first.column("id").tolist()) == expected_ids
+        assert sorted(repeat.column("id").tolist()) == expected_ids
+
+        assert first.counters.rows_qualifying == sum(
+            len(rows) for per_slice, _ in reference.values() for rows in per_slice
+        )
+        # The cold scan probed every row passing predicate, visibility
+        # and the earlier filter — fewer keys than two full passes.
+        assert first.counters.bloom_probes == probes
+        assert probes < 2 * sum(s.num_rows for s in fact.slices)
+
+        plain_rows, _ = _reference_scan(fact, predicates["fact"], [], txid)
+        fact_entries = [e for e in cache.entries() if e.key.table == "fact"]
+        assert any(e.key.is_join_key for e in fact_entries)
+        for entry in fact_entries:
+            rows = fact_rows if entry.key.is_join_key else plain_rows
+            assert entry.slice_states == [
+                RangeSliceState(
+                    RangeList.from_rows(rows[slice_id]),
+                    data_slice.num_rows,
+                    cache.config.max_ranges_per_slice,
+                )
+                for slice_id, data_slice in enumerate(fact.slices)
+            ]
 
 
 class TestAggregation:
