@@ -34,8 +34,6 @@ from .core import (
 )
 from .engine import CostModel, QueryCounters, QueryEngine, QueryResult
 from .faults import (
-    CircuitBreaker,
-    CorruptedBlockError,
     FaultInjector,
     RetryBudgetExceeded,
     RetryPolicy,
@@ -67,9 +65,7 @@ __all__ = [
     "AlwaysAdmit",
     "CacheStats",
     "CacheStore",
-    "CircuitBreaker",
     "ClusterCaches",
-    "CorruptedBlockError",
     "CostBasedPolicy",
     "ColumnSpec",
     "CostModel",

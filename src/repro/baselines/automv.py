@@ -84,18 +84,6 @@ class MaterializedView:
     base_version: int = -1
     refreshes: int = 0
 
-    def view_columns(self) -> List[str]:
-        columns = list(self.group_columns)
-        for partial in self.partials:
-            for column in (
-                partial.sum_column,
-                partial.count_column,
-                partial.minmax_column,
-            ):
-                if column is not None and column not in columns:
-                    columns.append(column)
-        return columns
-
 
 class AutoMVManager:
     """Observes statements, creates MVs, rewrites matching queries.
@@ -328,11 +316,6 @@ class AutoMVManager:
         if not hasattr(self, "_reps"):
             self._reps: Dict[str, SelectStatement] = {}
         return self._reps
-
-    def remember_representative(
-        self, view: MaterializedView, statement: SelectStatement
-    ) -> None:
-        self._representatives[view.name] = statement
 
     def view_nbytes(self, view: MaterializedView) -> int:
         """Semantic view size: rows x columns x 8 bytes (Table 3)."""

@@ -52,10 +52,6 @@ class BenchmarkRow:
     rows_output: int
     cold_model_seconds: float = 0.0
 
-    @property
-    def speedup_available(self) -> bool:
-        return self.cold_model_seconds > 0
-
 
 def run_query_set(
     engine: QueryEngine,

@@ -190,10 +190,6 @@ class ClusterCaches:
         """Declare a node dead: route its slices cache-off from now on."""
         self._down = self._down | {node_id}
 
-    def mark_up(self, node_id: int) -> None:
-        """Clear a node's down marker (its slot must hold a live cache)."""
-        self._down = self._down - {node_id}
-
     def is_down(self, node_id: int) -> bool:
         return node_id in self._down
 
@@ -288,24 +284,6 @@ class ClusterCaches:
     def clear(self) -> None:
         for cache in self.nodes():
             cache.clear()
-
-    def trim_to_bytes(self, budget_bytes: int) -> int:
-        """Trim the cluster's caches toward a byte budget (DESIGN.md §13).
-
-        Each live node gets a share of the budget proportional to its
-        current payload, so a hot node is trimmed harder than a cold
-        one.  Returns the total payload bytes released.
-        """
-        live = self.nodes()
-        per_node = [cache.total_nbytes for cache in live]
-        total = sum(per_node)
-        if total <= budget_bytes or total == 0:
-            return 0
-        released = 0
-        for cache, nbytes in zip(live, per_node):
-            target = (budget_bytes * nbytes) // total
-            released += cache.trim_to_bytes(target)
-        return released
 
     # -- observability ---------------------------------------------------------------
 

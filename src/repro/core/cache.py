@@ -450,7 +450,7 @@ class PredicateCache:
     def _insert(self, entry: CacheEntry) -> None:
         """The one store into ``_entries``: stamp ``entry`` with its
         table's current invalidation generation, store it under its key,
-        and enforce the budgets.  Caller holds ``_lock``."""
+        and enforce the byte budget.  Caller holds ``_lock``."""
         entry.generation = self._generations.get(entry.key.table, 0)
         self._entries[entry.key] = entry
         self._evict_if_needed()
@@ -628,47 +628,20 @@ class PredicateCache:
 
     # -- capacity ----------------------------------------------------------------
 
-    def trim_to_bytes(self, budget_bytes: int) -> int:
-        """Evict LRU entries until payload bytes fit ``budget_bytes``.
-
-        The memory-pressure hook (DESIGN.md §13): under overload the
-        health monitor trims the cache toward its byte budget *before*
-        allocation pressure turns into an OOM kill, instead of waiting
-        for the per-install enforcement in :meth:`_evict_if_needed`.
-        At least one entry always survives (mirroring the byte-budget
-        eviction rule).  Returns the number of payload bytes released;
-        evictions are counted and written through to an attached store
-        like any other drop.
-        """
-        with self._lock:
-            released = self._evict_to(budget_bytes)
-        self._drain_journal()
-        return released
-
     def _evict_if_needed(self) -> None:
-        """Enforce the configured budgets.  Caller holds ``_lock``."""
-        self._evict_to(self.config.max_bytes)
-
-    def _evict_to(self, max_bytes: Optional[int]) -> int:
         """The one eviction loop: remove least recently used entries
-        while more than ``config.max_entries`` are live, or more than
-        one is live and their payload exceeds ``max_bytes``.  Returns
-        the payload bytes released.  Caller holds ``_lock``."""
-        limit = self.config.max_entries
-        # Sum the payload once and subtract per eviction — re-summing
-        # every entry per loop iteration is quadratic.
-        total = self.total_nbytes if max_bytes is not None else 0
-        released = 0
-        while (limit is not None and len(self._entries) > limit) or (
-            max_bytes is not None
-            and len(self._entries) > 1
-            and total - released > max_bytes
-        ):
-            released += self._remove(next(iter(self._entries))).nbytes
-            self.stats.evictions += 1
+        while more than one is live and their payload exceeds
+        ``config.max_bytes``.  Caller holds ``_lock``."""
+        max_bytes = self.config.max_bytes
+        if max_bytes is not None:
+            # Sum the payload once and subtract per eviction — re-summing
+            # every entry per loop iteration is quadratic.
+            total = self.total_nbytes
+            while len(self._entries) > 1 and total > max_bytes:
+                total -= self._remove(next(iter(self._entries))).nbytes
+                self.stats.evictions += 1
         if _inv.ACTIVE:
             _inv.check_cache(self)
-        return released
 
     # -- observability -------------------------------------------------------------
 

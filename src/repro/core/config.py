@@ -19,8 +19,9 @@ class PredicateCacheConfig:
         max_ranges_per_slice: bound for the range variant.
         bitmap_block_rows: rows represented per bit for the bitmap
             variant.
-        max_entries: LRU capacity in entries (None = unbounded).
-        max_bytes: LRU capacity in payload bytes (None = unbounded).
+        max_bytes: LRU capacity in payload bytes (None = unbounded);
+            the one capacity bound, enforced at every install and
+            extension.
         cache_join_keys: whether the join-index extension (§4.4) records
             semi-join-filtered entries at all.
         normalize_keys: normalize predicates (NOT push-down, interval
@@ -37,7 +38,6 @@ class PredicateCacheConfig:
     variant: str = "bitmap"
     max_ranges_per_slice: int = 16384
     bitmap_block_rows: int = 1000
-    max_entries: Optional[int] = None
     max_bytes: Optional[int] = None
     cache_join_keys: bool = True
     normalize_keys: bool = False

@@ -5,16 +5,15 @@ The paper's safety argument (§4.2.1, §4.5) is that predicate caching is
 never correctness.  This package is how the reproduction exercises that
 margin: a seeded :class:`FaultInjector` makes storage reads flake,
 corrupt, and lag deterministically; a :class:`RetryPolicy` bounds how
-hard the read paths fight back (backoff is model time, never a sleep);
-a :class:`CircuitBreaker` routes around persistently failing lake
-files.  The chaos differential oracle (``tests/test_chaos.py``) runs
-full workloads under injection and asserts bit-identical results
-against a fault-free twin.
+hard the one fetch loop (``ManagedStorage._fetch_resilient``, shared by
+native blocks and lake chunks) fights back — backoff is model time,
+never a sleep — and a read it gives up on surfaces as a
+:class:`StorageFault`.  The chaos differential oracle
+(``tests/test_chaos.py``) runs full workloads under injection and
+asserts bit-identical results against a fault-free twin.
 """
 
-from .breaker import CircuitBreaker
 from .errors import (
-    CorruptedBlockError,
     NodeDownError,
     RetryBudgetExceeded,
     StorageFault,
@@ -24,8 +23,6 @@ from .injector import FaultDecision, FaultInjector
 from .retry import RetryPolicy, quantize_model_seconds
 
 __all__ = [
-    "CircuitBreaker",
-    "CorruptedBlockError",
     "FaultDecision",
     "FaultInjector",
     "NodeDownError",

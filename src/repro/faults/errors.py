@@ -1,17 +1,17 @@
 """Fault taxonomy for the resilience layer.
 
-Three failure classes, mirroring what cloud object storage actually
-throws at a warehouse:
+The failure classes a warehouse sees from cloud object storage and its
+own compute nodes:
 
 * :class:`TransientStorageError` — a fetch failed outright (connection
-  reset, 500/503, throttling).  Retryable by definition.
-* :class:`CorruptedBlockError` — a fetch *returned*, but the payload
-  fails its checksum (bit flip in transit, truncated body).  Also
-  retryable: the authoritative copy on managed storage is intact.
-* :class:`RetryBudgetExceeded` — the retry policy gave up.  This is the
-  only storage fault a query is ever allowed to surface: the bottom
-  rung of the degradation ladder (cached scan -> full scan -> error
-  only on exhausted budget).
+  reset, 500/503, throttling).  Retryable by definition.  A fetch whose
+  payload fails its checksum (bit flip in transit, truncated body) is
+  retried the same way and counted as a corrupt block; when the fetch
+  loop runs out of attempts on either, it raises this error.
+* :class:`RetryBudgetExceeded` — the statement's retry budget ran out
+  before the read could be retried.  Like an exhausted
+  :class:`TransientStorageError`, it surfaces to the query: the fetch
+  loop is the one place a failing read is retried.
 * :class:`NodeDownError` — a cluster compute node stopped answering
   (crashed process, lost heartbeats).  Raised by a dead node's cache
   tombstone; the scan path degrades to cache-off scans for that node's
@@ -23,7 +23,6 @@ from __future__ import annotations
 __all__ = [
     "StorageFault",
     "TransientStorageError",
-    "CorruptedBlockError",
     "RetryBudgetExceeded",
     "NodeDownError",
 ]
@@ -35,10 +34,6 @@ class StorageFault(Exception):
 
 class TransientStorageError(StorageFault):
     """A remote read failed; the operation is safe to retry."""
-
-
-class CorruptedBlockError(StorageFault):
-    """A fetched block failed checksum verification."""
 
 
 class RetryBudgetExceeded(StorageFault):

@@ -29,7 +29,7 @@ Hook points (all behind the ``ACTIVE`` guard):
   runs whether or not validation is armed: ``install_restored`` calls
   :func:`check_slice_state` on every state it is handed, before it
   touches the cache — those come from disk, not from a constructor.)
-* ``CacheStore._write_snapshot`` — every snapshot rotation decodes its
+* ``CacheStore.snapshot_records`` — every snapshot rotation decodes its
   own bytes and compares records (round-trip self-check).
 
 The module deliberately imports nothing from the rest of the package
@@ -186,9 +186,9 @@ _PROVENANCES = ("scan", "conjunct", "composed", "subsumed")
 def check_cache(cache: Any) -> None:
     """Whole-cache accounting invariants.
 
-    * capacity: live entries respect ``max_entries``; the byte budget is
-      respected whenever more than one entry is live (a single oversized
-      entry is allowed to stay, matching the eviction loop);
+    * capacity: the byte budget is respected whenever more than one
+      entry is live (a single oversized entry is allowed to stay,
+      matching the eviction loop);
     * generations: every live entry's stamp equals the cache's current
       generation for its table (stale entries are dropped on
       invalidation and stale installs refused — a mismatch means one
@@ -201,9 +201,6 @@ def check_cache(cache: Any) -> None:
       none.
     """
     entries = cache.entries()
-    limit = cache.config.max_entries
-    if limit is not None and len(entries) > limit:
-        _fail(f"{len(entries)} live entries exceed max_entries {limit}")
     max_bytes = cache.config.max_bytes
     if max_bytes is not None and len(entries) > 1:
         total = cache.total_nbytes

@@ -17,13 +17,15 @@ Chunk reads go through a scanner-owned capacity-0
 :class:`~repro.storage.rms.ManagedStorage` (object-store reads are never
 served locally): lake reads are billed in ``StorageStats`` like native
 block reads and, under a :class:`~repro.faults.FaultInjector`, verified,
-retried and given up on by the same loop.  What stays here is the
-*file-level* degradation ladder (see :meth:`LakeScanner._scan_file`).
+retried and given up on by the same loop.  A read that loop gives up on
+raises out of :meth:`LakeScanner.scan` exactly as a native block read
+raises out of a native scan; the cached entry stays, because the
+storage failed, not the cached bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +34,7 @@ from ..core.cache import PredicateCache
 from ..core.config import PredicateCacheConfig
 from ..core.keys import ScanKey
 from ..core.rowrange import RangeList
-from ..faults import CircuitBreaker, FaultInjector, RetryPolicy, StorageFault
+from ..faults import FaultInjector, RetryPolicy
 from ..predicates.ast import Predicate
 from ..storage.rms import ManagedStorage, QueryStorageContext
 from .format import LakeFile, RowGroup
@@ -53,8 +55,6 @@ class LakeScanStats:
     rows_scanned: int = 0
     rows_qualifying: int = 0
     cache_hit: bool = False
-    degraded_files: int = 0
-    files_short_circuited: int = 0
     # Read off the scan's StorageStats sink (faults: zero unless injected).
     chunk_bytes_read: int = 0
     transient_errors: int = 0
@@ -90,7 +90,6 @@ class LakeScanner:
         table: LakeTable,
         fault_injector: Optional[FaultInjector] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
     ) -> None:
         self.table = table
         self.cache = PredicateCache(
@@ -98,10 +97,6 @@ class LakeScanner:
         )
         self.storage = ManagedStorage(cache_capacity=0)
         self.storage.attach_faults(fault_injector, retry_policy)
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self.degraded_scans = 0
-        self.short_circuited_files = 0
-        table.on_commit(self._on_commit)
 
     def attach_faults(
         self,
@@ -110,11 +105,6 @@ class LakeScanner:
     ) -> None:
         """Arm (or, with None, disarm) fault injection on chunk reads."""
         self.storage.attach_faults(injector, retry_policy)
-
-    def _on_commit(self, table: LakeTable, kind: str, removed: Tuple[str, ...]):
-        """No commit invalidates: dead ordinals are never consulted."""
-        for file_id in removed:
-            self.breaker.forget(file_id)
 
     # -- scanning ----------------------------------------------------------------
 
@@ -163,8 +153,7 @@ class LakeScanner:
 
         if current:
             # The whole install: a first scan creates the state, a repeat
-            # extends it over the ordinals committed since (§4.3.1).  A
-            # degraded scan dropped its entry and installs a fresh one.
+            # extends it over the ordinals committed since (§4.3.1).
             entry = self.cache.get_or_create(run.key, 1)
             qualifying = RangeList.from_rows(run.qualifying)
             self.cache.record_slice_scan(entry, 0, qualifying, committed)
@@ -180,66 +169,23 @@ class LakeScanner:
         return out, stats
 
     def _scan_file(self, file: LakeFile, run: _ScanRun) -> None:
-        """One file's scan (degradation ladder).
-
-        Rung 1 is the normal cached-bits-guided scan; if it fails even
-        after per-chunk retries, rung 2 drops the suspect entry and
-        rescans the file in full.  A full scan that fails is rung 3: the
-        fault propagates (retry budget exhausted).  The per-file circuit
-        breaker counts consecutive degradations and, once open, routes
-        around the cache entirely for a cool-down.
-        """
+        """Count one file, then scan its candidate row groups."""
         stats = run.stats
         stats.files_visited += 1
         stats.row_groups_total += file.num_row_groups
-        # A file has cached bits iff it committed below the watermark;
-        # later files are the uncached tail and are scanned in full.
-        cached = run.candidates if file.first_ordinal < run.watermark else None
-        if cached is not None and not self.breaker.allow(file.file_id):
-            stats.files_short_circuited += 1
-            self.short_circuited_files += 1
-            cached = None  # route around the cache
-
-        # Every qualifying group adds one ordinal and one part per column.
-        found = len(run.qualifying)
-        before = replace(stats)
-        try:
-            self._scan_file_groups(file, cached, run)
-        except StorageFault:
-            if cached is None:
-                raise
-            # Rung 2: drop the suspect cached state (the invalidation
-            # counter fires; the end of the scan installs a fresh entry),
-            # roll back this file's partial output and scan-shape counts
-            # (the reads it made stay billed in the storage sink, which
-            # scan() folds in afterwards), then rescan the file in full.
-            self.breaker.record_failure(file.file_id)
-            self.cache.drop_stale(run.key)
-            for parts in run.pieces.values():
-                del parts[found:]
-            del run.qualifying[found:]
-            vars(stats).update(vars(before))
-            stats.degraded_files += 1
-            self.degraded_scans += 1
-            self._scan_file_groups(file, None, run)
-        else:
-            if cached is not None:
-                self.breaker.record_success(file.file_id)
-
-    def _scan_file_groups(
-        self, file: LakeFile, candidates: Optional[RangeList], run: _ScanRun
-    ) -> None:
         groups: Sequence[RowGroup] = file.row_groups
         first = file.first_ordinal
-        if candidates is not None:
+        # A file has cached bits iff it committed below the watermark;
+        # later files are the uncached tail and are scanned in full.
+        if run.candidates is not None and first < run.watermark:
             # Cache hit: jump straight to the candidate groups — the
             # entry's ordinals clipped to this file's window.
-            live = candidates.clip(first, first + len(groups)).to_row_ids()
-            run.stats.row_groups_skipped_cache += len(groups) - len(live)
+            live = run.candidates.clip(first, first + len(groups)).to_row_ids()
+            stats.row_groups_skipped_cache += len(groups) - len(live)
             groups = [groups[ordinal - first] for ordinal in live]
         for group in groups:
             if self._stats_prune(group, run):
-                run.stats.row_groups_skipped_stats += 1
+                stats.row_groups_skipped_stats += 1
             elif self._scan_group(group, first + group.index, run):
                 run.qualifying.append(first + group.index)
 
@@ -289,8 +235,8 @@ class LakeScanner:
 
         Series carry the lake table's name as a label so several scanners
         share one family: the cache's own series (``_lookups_total``,
-        ``_hits_total``, ``_entries``, ...), one counter per
-        ``StorageStats`` field, and the file-ladder counters kept here.
+        ``_hits_total``, ``_entries``, ...) and one counter per
+        ``StorageStats`` field.
         """
         labels = {"table": self.table.name}
         self.cache.register_metrics(registry, labels, prefix=prefix)
@@ -300,14 +246,6 @@ class LakeScanner:
                 f"Lake chunk reads: {field_name.replace('_', ' ')}",
                 labels=labels,
                 fn=lambda f=field_name: getattr(self.storage.stats, f),
-            )
-        for name, help_text in (
-            ("degraded_scans", "File scans that fell back from cached bits to full"),
-            ("short_circuited_files", "File scans routed around by an open circuit"),
-        ):
-            registry.counter(
-                f"{prefix}_{name}_total", help_text,
-                labels=labels, fn=lambda n=name: getattr(self, n),
             )
 
     # -- introspection --------------------------------------------------------------

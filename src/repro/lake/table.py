@@ -42,14 +42,13 @@ class LakeTable:
         # in the predicate cache's address space (monotone, never reused).
         self.groups_committed = 0
         self._snapshots: List[LakeSnapshot] = [LakeSnapshot(0, ())]
-        self._listeners: List = []
 
     # -- commits -----------------------------------------------------------------
 
     def append_file(self, data: Mapping[str, Sequence[object]]) -> LakeFile:
         """Commit a new data file (another engine's ingestion)."""
         file = self._write(data)
-        self._commit(self.current_snapshot.file_ids + (file.file_id,), "append")
+        self._commit(self.current_snapshot.file_ids + (file.file_id,))
         return file
 
     def delete_file(self, file_id: str) -> None:
@@ -59,7 +58,7 @@ class LakeTable:
         remaining = tuple(
             f for f in self.current_snapshot.file_ids if f != file_id
         )
-        self._commit(remaining, "delete", removed=(file_id,))
+        self._commit(remaining)
 
     def replace_files(
         self,
@@ -74,7 +73,7 @@ class LakeTable:
         kept = tuple(
             f for f in self.current_snapshot.file_ids if f not in set(removed)
         )
-        self._commit(kept + (file.file_id,), "replace", removed=tuple(removed))
+        self._commit(kept + (file.file_id,))
         return file
 
     def _write(self, data: Mapping[str, Sequence[object]]) -> LakeFile:
@@ -93,17 +92,8 @@ class LakeTable:
         self.groups_committed += file.num_row_groups
         return file
 
-    def _commit(
-        self, file_ids: Tuple[str, ...], kind: str, removed: Tuple[str, ...] = ()
-    ) -> None:
-        snapshot = LakeSnapshot(len(self._snapshots), file_ids)
-        self._snapshots.append(snapshot)
-        for listener in self._listeners:
-            listener(self, kind, removed)
-
-    def on_commit(self, listener) -> None:
-        """Subscribe to commits: listener(table, kind, removed_ids)."""
-        self._listeners.append(listener)
+    def _commit(self, file_ids: Tuple[str, ...]) -> None:
+        self._snapshots.append(LakeSnapshot(len(self._snapshots), file_ids))
 
     # -- reads --------------------------------------------------------------------
 

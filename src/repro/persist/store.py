@@ -106,7 +106,6 @@ class CacheStore:
         directory,
         catalog=None,
         injector=None,
-        tracer=None,
         compact_factor: float = 2.0,
         min_compact_bytes: int = 64 * 1024,
         fsync: bool = False,
@@ -118,8 +117,6 @@ class CacheStore:
                 revalidation (round-trip tests over synthetic entries).
             injector: optional :class:`~repro.faults.FaultInjector`
                 consulted before every write (crash points).
-            tracer: optional :class:`~repro.obs.Tracer` for persistence
-                spans (``persist.snapshot`` / ``persist.load``).
             compact_factor: journal-to-snapshot size ratio that triggers
                 compaction.
             min_compact_bytes: journal size below which compaction never
@@ -131,7 +128,6 @@ class CacheStore:
         os.makedirs(self.directory, exist_ok=True)
         self.catalog = catalog
         self.injector = injector
-        self.tracer = tracer
         self.compact_factor = float(compact_factor)
         self.min_compact_bytes = int(min_compact_bytes)
         self.fsync = bool(fsync)
@@ -203,9 +199,6 @@ class CacheStore:
         with self._io_lock:
             self._release_journal()
 
-    def bind_catalog(self, catalog) -> None:
-        self.catalog = catalog
-
     # -- fault hooks -----------------------------------------------------------
 
     def _draw(self):
@@ -236,17 +229,8 @@ class CacheStore:
         return self.snapshot_records(collect_records(caches))
 
     def snapshot_records(self, records: Dict[int, EntryRecord]) -> bool:
-        span = None
-        if self.tracer is not None:
-            span = self.tracer.begin("persist.snapshot", entries=len(records))
-        ok = self._write_snapshot(records)
-        if span is not None:
-            span.set("ok", ok)
-            span.set("snapshot_bytes", self.snapshot_bytes)
-            self.tracer.end(span)
-        return ok
-
-    def _write_snapshot(self, records: Dict[int, EntryRecord]) -> bool:
+        """Write ``records`` as the new snapshot and reset the journal;
+        False if an injected crash tore the write."""
         with self._io_lock:
             return self._write_snapshot_locked(records)
 
@@ -435,9 +419,6 @@ class CacheStore:
         versions and build-side data versions.  Stale and damaged
         records are dropped and counted; the method never raises.
         """
-        span = None
-        if self.tracer is not None:
-            span = self.tracer.begin("persist.load")
         start = time.perf_counter()
         records, issues, replayed = self._read_state()
         result = LoadResult(
@@ -462,12 +443,6 @@ class CacheStore:
             self.last_recovery_seconds = result.seconds
             self.stale_dropped += result.stale_dropped
             self.corrupt_sections += result.corrupt_sections
-        if span is not None:
-            span.set("entries", len(records))
-            span.set("journal_records", result.journal_records)
-            span.set("stale_dropped", result.stale_dropped)
-            span.set("corrupt_sections", result.corrupt_sections)
-            self.tracer.end(span)
         return result
 
     def _revalidate(self, records: Dict[int, EntryRecord]) -> int:

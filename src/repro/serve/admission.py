@@ -27,7 +27,6 @@ Every shed is counted by reason (``SHED_REASONS``) for the
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Optional
 
@@ -37,6 +36,9 @@ __all__ = ["AdmissionController", "TenantState", "SHED_REASONS"]
 
 #: Stable shed-reason vocabulary (metric label values; never reorder).
 SHED_REASONS = ("queue_full", "deadline_unmeetable", "tenant_limit")
+
+#: EWMA smoothing factor for observed service times (DESIGN.md §13).
+_SERVICE_TIME_ALPHA = 0.2
 
 
 @dataclass
@@ -70,8 +72,6 @@ class AdmissionController:
             tenants are shed only at twice this threshold.
         priority_tenants: tenants whose work survives queue-pressure
             shedding longest (hot tenants per the ROADMAP).
-        service_time_alpha: EWMA smoothing factor for observed service
-            times (higher = faster adaptation).
 
     The request lifecycle drives three transitions, all serialized on
     one internal lock: :meth:`try_admit` (queued++, or reject),
@@ -86,7 +86,6 @@ class AdmissionController:
         max_queued: int = 16,
         shed_queue_depth: Optional[int] = None,
         priority_tenants: Iterable[str] = (),
-        service_time_alpha: float = 0.2,
     ) -> None:
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
@@ -94,13 +93,10 @@ class AdmissionController:
             raise ValueError("max_queued must be >= 0")
         if shed_queue_depth is not None and shed_queue_depth < 1:
             raise ValueError("shed_queue_depth must be >= 1 or None")
-        if not 0.0 < service_time_alpha <= 1.0:
-            raise ValueError("service_time_alpha must be in (0, 1]")
         self.max_in_flight = max_in_flight
         self.max_queued = max_queued
         self.shed_queue_depth = shed_queue_depth
         self.priority_tenants: FrozenSet[str] = frozenset(priority_tenants)
-        self.service_time_alpha = service_time_alpha
         self._lock = lockwitness.named_lock("AdmissionController._lock")
         self._tenants: Dict[str, TenantState] = {}
         self._queued_ids: Dict[int, str] = {}
@@ -125,9 +121,9 @@ class AdmissionController:
             if self._service_time_ewma is None:
                 self._service_time_ewma = seconds
             else:
-                alpha = self.service_time_alpha
                 self._service_time_ewma = (
-                    alpha * seconds + (1.0 - alpha) * self._service_time_ewma
+                    _SERVICE_TIME_ALPHA * seconds
+                    + (1.0 - _SERVICE_TIME_ALPHA) * self._service_time_ewma
                 )
 
     def estimated_wait(self, queue_depth: int, workers: int) -> Optional[float]:
@@ -185,14 +181,14 @@ class AdmissionController:
 
     # -- request lifecycle -----------------------------------------------------
 
-    def try_admit(self, tenant: str, request_id: Optional[int] = None) -> bool:
+    def try_admit(self, tenant: str, request_id: int) -> bool:
         """Admit one request into the tenant's queue, or reject it.
 
         A tenant is full when its outstanding requests (executing plus
         waiting) have reached ``max_in_flight + max_queued``; below
         that, the request is counted as queued (the server moves it to
-        in-flight at dispatch).  When ``request_id`` is given the queue
-        slot is tracked by id so later release is idempotent.
+        in-flight at dispatch).  The queue slot is tracked by
+        ``request_id`` so its release is idempotent.
         """
         with self._lock:
             state = self._state(tenant)
@@ -202,11 +198,10 @@ class AdmissionController:
                 return False
             state.queued += 1
             state.admitted += 1
-            if request_id is not None:
-                self._queued_ids[request_id] = tenant
+            self._queued_ids[request_id] = tenant
             return True
 
-    def try_start(self, tenant: str, request_id: Optional[int] = None) -> bool:
+    def try_start(self, tenant: str, request_id: int) -> bool:
         """Atomically move one queued request to in-flight.
 
         Refuses when the tenant is already executing ``max_in_flight``
@@ -220,8 +215,7 @@ class AdmissionController:
                 return False
             state.queued -= 1
             state.in_flight += 1
-            if request_id is not None:
-                self._queued_ids.pop(request_id, None)
+            self._queued_ids.pop(request_id, None)
             return True
 
     def on_finish(self, tenant: str) -> None:
@@ -229,19 +223,16 @@ class AdmissionController:
         with self._lock:
             self._state(tenant).in_flight -= 1
 
-    def on_abandon(self, tenant: str, request_id: Optional[int] = None) -> None:
+    def on_abandon(self, tenant: str, request_id: int) -> None:
         """A queued request died without executing (timeout/shutdown).
 
         Idempotent per request id: the slot is released only if the id
         is still registered as queued, so a request that times out at
-        dequeue *and* is abandoned by the client cannot double-release
-        (ISSUE 8 satellite).  Calls without an id keep the legacy
-        unconditional release.
+        dequeue *and* is abandoned by the client cannot double-release.
         """
         with self._lock:
-            if request_id is not None:
-                if self._queued_ids.pop(request_id, None) is None:
-                    return
+            if self._queued_ids.pop(request_id, None) is None:
+                return
             state = self._state(tenant)
             state.queued -= 1
             state.completed += 1

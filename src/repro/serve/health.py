@@ -18,10 +18,9 @@ failure-survival state machine:
   the dead node via ``cluster.fail_node``: the replacement hydrates its
   slice share warm from the attached store and the router resumes
   cache-on scans.  Restoration counts a *failover*.
-* With a ``memory_budget_bytes`` the monitor also acts as the memory
-  pressure valve: whenever the cluster's payload exceeds the budget it
-  trims LRU entries back toward it (:meth:`ClusterCaches.trim_to_bytes`)
-  instead of letting the cache grow into an OOM kill.
+
+Cache memory is not the monitor's business: each node's cache enforces
+``PredicateCacheConfig.max_bytes`` at every install and extension.
 
 The monitor is deterministic-by-default: tests drive :meth:`tick`
 directly; :meth:`start`/:meth:`stop` wrap the same tick in a daemon
@@ -61,8 +60,6 @@ class ClusterHealthMonitor:
             >= ``suspect_after``).
         auto_restore: replace DOWN nodes immediately via
             ``cluster.fail_node`` (store-backed warm restore).
-        memory_budget_bytes: cluster-wide payload budget; exceeded bytes
-            are trimmed each tick (``None`` disables the valve).
         interval_seconds: probe cadence of the background thread
             (:meth:`start`); :meth:`tick` ignores it.
 
@@ -79,7 +76,6 @@ class ClusterHealthMonitor:
         suspect_after: int = 1,
         down_after: int = 3,
         auto_restore: bool = True,
-        memory_budget_bytes: Optional[int] = None,
         interval_seconds: float = 0.02,
     ) -> None:
         if suspect_after < 1:
@@ -92,7 +88,6 @@ class ClusterHealthMonitor:
         self.suspect_after = suspect_after
         self.down_after = down_after
         self.auto_restore = auto_restore
-        self.memory_budget_bytes = memory_budget_bytes
         self.interval_seconds = interval_seconds
         self._lock = lockwitness.named_lock("ClusterHealthMonitor._lock")
         self._missed: Dict[int, int] = {}
@@ -104,8 +99,6 @@ class ClusterHealthMonitor:
         self.ping_failures = 0
         self.nodes_marked_down = 0
         self.failovers = 0
-        self.memory_trims = 0
-        self.bytes_trimmed = 0
 
     # -- the heartbeat round ---------------------------------------------------
 
@@ -135,7 +128,6 @@ class ClusterHealthMonitor:
                     restored.append(node_id)
             elif missed >= self.suspect_after:
                 self._states[node_id] = NodeState.SUSPECT
-        self._trim_memory()
         return restored
 
     def _probe(self, node_id: int) -> bool:
@@ -160,34 +152,11 @@ class ClusterHealthMonitor:
         self._missed[node_id] = 0
         self._states[node_id] = NodeState.UP
 
-    def _trim_memory(self) -> None:
-        """Memory-pressure valve: trim toward the byte budget.
-
-        Caller holds ``_lock``.
-        """
-        budget = self.memory_budget_bytes
-        if budget is None:
-            return
-        if self.cluster.total_nbytes <= budget:
-            return
-        released = self.cluster.trim_to_bytes(budget)
-        if released > 0:
-            self.memory_trims += 1
-            self.bytes_trimmed += released
-
     # -- introspection ---------------------------------------------------------
 
     def node_state(self, node_id: int) -> NodeState:
         with self._lock:
             return self._states.get(node_id, NodeState.UP)
-
-    def node_states(self) -> Dict[int, NodeState]:
-        """Point-in-time states for every current node id."""
-        with self._lock:
-            return {
-                node_id: self._states.get(node_id, NodeState.UP)
-                for node_id in range(self.cluster.num_nodes)
-            }
 
     # -- background probing ----------------------------------------------------
 
@@ -252,16 +221,6 @@ class ClusterHealthMonitor:
             "repro_resilience_failovers_total",
             "Dead nodes replaced by warm-restored successors",
             fn=lambda: self.failovers,
-        )
-        registry.counter(
-            "repro_resilience_memory_trims_total",
-            "Memory-pressure trims toward the byte budget",
-            fn=lambda: self.memory_trims,
-        )
-        registry.counter(
-            "repro_resilience_bytes_trimmed_total",
-            "Payload bytes released by memory-pressure trims",
-            fn=lambda: self.bytes_trimmed,
         )
         registry.counter(
             "repro_resilience_down_route_fallbacks_total",

@@ -52,11 +52,6 @@ class Database:
             return txid
 
     @property
-    def current_txid(self) -> int:
-        """The most recently allocated transaction id."""
-        return self._next_txid - 1
-
-    @property
     def horizon_txid(self) -> int:
         """Oldest tx that could still be active.
 

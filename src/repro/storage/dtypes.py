@@ -47,13 +47,6 @@ class DataType(Enum):
     def is_numeric(self) -> bool:
         return self in (DataType.INT64, DataType.FLOAT64, DataType.DATE)
 
-    @property
-    def value_size(self) -> int:
-        """Uncompressed bytes per value (strings: average estimate)."""
-        if self is DataType.STRING:
-            return 16
-        return 8
-
 
 def date_to_days(value: Union[str, _dt.date, int]) -> int:
     """Convert a date (``'1995-01-31'``, date object, or days) to days.

@@ -134,10 +134,6 @@ class DataSlice:
         xmax = self._xmax.values
         return int(np.count_nonzero((xmin <= txid) & (xmax > txid)))
 
-    def deleted_row_ids(self, horizon_txid: int) -> np.ndarray:
-        """Rows deleted and invisible to every transaction >= horizon."""
-        return np.flatnonzero(self._xmax.values < horizon_txid)
-
     # -- physical rewrites ---------------------------------------------------------
 
     def rewrite(self, order: np.ndarray, rms: ManagedStorage) -> None:

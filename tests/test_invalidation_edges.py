@@ -222,23 +222,23 @@ class TestClearRegression:
         assert cache.admits(key)
         assert cache.get_or_create(key, 1) is not entry
 
-    @pytest.mark.parametrize("evict", ["max_entries", "trim_to_bytes"])
-    def test_eviction_keeps_observations_invalidation_forgets_them(self, evict):
+    def test_eviction_keeps_observations_invalidation_forgets_them(self):
         """An evicted key keeps its admission-policy observations (it
         earned admission and may come straight back); an invalidated
         one starts from scratch."""
         policy = CostBasedPolicy(min_sightings=2, max_selectivity=0.9)
-        limit = 1 if evict == "max_entries" else None
-        cache = PredicateCache(
-            PredicateCacheConfig(max_entries=limit), policy=policy
-        )
         old, new = ScanKey("t", "x = 1"), ScanKey("t", "x = 2")
+        sizing = PredicateCache()
+        entry = sizing.get_or_create(old, 1)
+        sizing.record_slice_scan(entry, 0, RangeList([(0, 5)]), 100)
+        # A byte budget of one entry: the second install evicts the first.
+        cache = PredicateCache(
+            PredicateCacheConfig(max_bytes=entry.nbytes), policy=policy
+        )
         for key in (old, new):
             policy.observe(key, 0.1)
             entry = cache.get_or_create(key, 1)
             cache.record_slice_scan(entry, 0, RangeList([(0, 5)]), 100)
-        if evict == "trim_to_bytes":
-            assert cache.trim_to_bytes(0) > 0
         assert old not in cache and new in cache
         assert cache.stats.evictions == 1
         assert policy.tracked_keys == 2  # eviction forgets nothing

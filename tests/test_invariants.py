@@ -211,15 +211,6 @@ class TestCheckCache:
         with pytest.raises(InvariantViolation, match="negative"):
             invariants.check_cache(cache)
 
-    def test_entry_count_over_limit(self):
-        cache = make_cache(max_entries=1)
-        # Bypass get_or_create's eviction to seed the violation.
-        for i in range(2):
-            key = ScanKey("t", f"x = {i}")
-            cache._entries[key] = CacheEntry(key, 1, {})
-        with pytest.raises(InvariantViolation, match="max_entries"):
-            invariants.check_cache(cache)
-
     def test_byte_budget_violation(self):
         cache = make_cache(max_bytes=10)
         for i in range(2):

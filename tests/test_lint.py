@@ -242,7 +242,7 @@ def test_rp008_allows_counted_reraised_or_inc_handlers():
         "    def probe(self, node):\n"
         "        try:\n"
         "            node.ping()\n"
-        "        except CorruptedBlockError:\n"
+        "        except TransientStorageError:\n"
         "            raise\n"
     )
     assert lint_source(reraised, "repro/serve/health.py") == []

@@ -256,7 +256,7 @@ class TestWriteThroughOffTheCacheLock:
         from tests.test_persist import assert_store_mirrors
 
         cache = PredicateCache(
-            PredicateCacheConfig(variant=variant, bitmap_block_rows=64, max_entries=6)
+            PredicateCacheConfig(variant=variant, bitmap_block_rows=64, max_bytes=400)
         )
         store = CacheStore(tmp_path, min_compact_bytes=2048, compact_factor=1.0)
         store.attach(cache)
@@ -281,8 +281,6 @@ class TestWriteThroughOffTheCacheLock:
                 except ValueError:
                     continue  # the other writer extended past us meanwhile
                 watermarks[key, slice_id] = upto
-                if step % 50 == 49:
-                    cache.trim_to_bytes(0)
 
         threads = [threading.Thread(target=writer, args=(w,)) for w in range(4)]
         interval = sys.getswitchinterval()

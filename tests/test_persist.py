@@ -20,7 +20,7 @@ from repro import (
     PredicateCacheConfig,
     QueryEngine,
 )
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry
 from repro.persist import collect_records, key_digest
 from repro.persist.format import (
     DecodeIssues,
@@ -806,27 +806,22 @@ class TestRetiredCaches:
 
 
 class TestObservability:
-    def test_store_metrics_and_spans(self, tmp_path):
+    def test_store_metrics(self, tmp_path):
         registry = MetricsRegistry()
-        tracer = Tracer()
         db = Database(num_slices=4, rows_per_block=256)
         db.create_table(
             TableSchema("t", tuple(ColumnSpec(c, DataType.INT64) for c in COLUMNS))
         )
-        store = CacheStore(tmp_path, catalog=db, tracer=tracer)
+        store = CacheStore(tmp_path, catalog=db)
         store.register_metrics(registry)
         engine, caches = make_engine(store=store, db=db)
         populate(engine)
         engine.execute(OR_SQL)
         store.snapshot(caches)
-        CacheStore(tmp_path, catalog=db, tracer=tracer).load()
 
         text = registry.render_prometheus()
         assert "repro_persist_snapshot_bytes" in text
         assert "repro_persist_journal_records_total" in text
-        names = [span.name for root in tracer.roots for span in root.walk()]
-        assert "persist.snapshot" in names
-        assert "persist.load" in names
 
     def test_warm_restore_counters(self, tmp_path):
         engine, caches = make_engine()

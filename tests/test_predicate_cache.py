@@ -15,6 +15,13 @@ def make_cache(**kwargs):
     return PredicateCache(PredicateCacheConfig(**kwargs))
 
 
+def install(cache, key):
+    """Create ``key``'s entry with one recorded slice state."""
+    entry = cache.get_or_create(key, 1)
+    cache.record_slice_scan(entry, 0, RangeList([(0, 5)]), 100)
+    return entry
+
+
 class TestKeys:
     def test_plain_key_equality(self):
         assert ScanKey("t", "x = 1") == ScanKey("t", "x = 1")
@@ -156,23 +163,16 @@ class TestInvalidation:
 
 
 class TestEviction:
-    def test_entry_count_lru(self):
-        cache = make_cache(max_entries=2)
-        keys = [ScanKey("t", f"x = {i}") for i in range(3)]
-        for key in keys:
-            cache.get_or_create(key, 1)
-        assert keys[0] not in cache
-        assert keys[1] in cache and keys[2] in cache
-        assert cache.stats.evictions == 1
-
     def test_lookup_refreshes_lru_position(self):
-        cache = make_cache(max_entries=2)
         a, b, c = (ScanKey("t", f"x = {i}") for i in range(3))
-        cache.get_or_create(a, 1)
-        cache.get_or_create(b, 1)
+        entry_bytes = install(make_cache(), a).nbytes
+        cache = make_cache(max_bytes=2 * entry_bytes)  # room for two
+        install(cache, a)
+        install(cache, b)
         cache.lookup(a)  # refresh a
-        cache.get_or_create(c, 1)
-        assert a in cache and b not in cache
+        install(cache, c)
+        assert a in cache and b not in cache and c in cache
+        assert cache.stats.evictions == 1
 
     def test_byte_budget(self):
         cache = make_cache(max_bytes=100, variant="range")

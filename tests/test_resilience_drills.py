@@ -390,29 +390,6 @@ class TestOverloadShedDrill:
         assert admission.should_shed("vip", None, 8, 2) == "queue_full"
         assert admission.sheds()["queue_full"] == 2
 
-    def test_memory_pressure_trims_toward_budget(self, tmp_path):
-        gen = LoadGenerator(num_clients=2, statements_per_client=16, seed=5)
-        db = Database()
-        cluster = ClusterCaches(2, store=CacheStore(tmp_path, catalog=db))
-        engine = QueryEngine(db, predicate_cache=cluster)
-        setup_load_tables(engine, gen, rows_per_table=3000)
-        for script in gen.scripts():
-            for sql in script.statements:
-                engine.execute(sql)
-        nbytes = cluster.total_nbytes
-        assert nbytes > 0
-        budget = max(1, nbytes // 2)
-        monitor = ClusterHealthMonitor(cluster, memory_budget_bytes=budget)
-        monitor.tick()
-        assert monitor.memory_trims == 1
-        assert monitor.bytes_trimmed > 0
-        assert cluster.total_nbytes < nbytes
-        # Back under budget: the next tick is a no-op.
-        trims = monitor.memory_trims
-        if cluster.total_nbytes <= budget:
-            monitor.tick()
-            assert monitor.memory_trims == trims
-
 
 # -- metrics: the repro_resilience_* family -----------------------------------
 
@@ -423,7 +400,7 @@ class TestResilienceMetrics:
         store = CacheStore(tmp_path, catalog=db)
         cluster = ClusterCaches(2, store=store)
         engine = QueryEngine(db, predicate_cache=cluster)
-        monitor = ClusterHealthMonitor(cluster, memory_budget_bytes=1 << 20)
+        monitor = ClusterHealthMonitor(cluster)
         admission = AdmissionController(shed_queue_depth=2)
         orchestrator = RecoveryOrchestrator(engine, store)
         registry = MetricsRegistry()
@@ -441,8 +418,6 @@ class TestResilienceMetrics:
             "repro_resilience_ping_failures_total",
             "repro_resilience_nodes_marked_down_total",
             "repro_resilience_failovers_total",
-            "repro_resilience_memory_trims_total",
-            "repro_resilience_bytes_trimmed_total",
             "repro_resilience_down_route_fallbacks_total",
             "repro_resilience_sheds_total",
             "repro_resilience_service_time_ewma_seconds",

@@ -22,7 +22,6 @@ Four layers of assurance over :mod:`repro.serve` (DESIGN.md §12):
 import sys
 import threading
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -163,7 +162,7 @@ class TestServerBasics:
         server = make_server(max_workers=2)
         admit = server.admission.try_admit
 
-        def shutdown_then_admit(tenant, request_id=None):
+        def shutdown_then_admit(tenant, request_id):
             server.shutdown()
             return admit(tenant, request_id)
 
@@ -281,7 +280,7 @@ class TestServerBasics:
 class TestAdmissionIdempotence:
     def test_on_abandon_is_idempotent_per_request_id(self):
         """A request that times out at dequeue *and* is abandoned by its
-        client must release its queue slot exactly once (ISSUE 8)."""
+        client must release its queue slot exactly once."""
         admission = AdmissionController()
         assert admission.try_admit("t", request_id=101)
         admission.on_abandon("t", request_id=101)  # timeout at dequeue
@@ -302,12 +301,6 @@ class TestAdmissionIdempotence:
         assert state.in_flight == 1
         admission.on_finish("t")
         assert admission.tenant_stats("t").outstanding == 0
-
-    def test_legacy_abandon_without_id_stays_unconditional(self):
-        admission = AdmissionController()
-        assert admission.try_admit("t")
-        admission.on_abandon("t")
-        assert admission.tenant_stats("t").queued == 0
 
 
 class TestOverloadShedding:

@@ -66,7 +66,6 @@ CACHE_WRITERS = frozenset(
         "invalidate_build_side",
         "clear",
         "drop_stale",
-        "trim_to_bytes",
         "attach_store",
         "detach_store",
         "watch_table",
@@ -96,7 +95,6 @@ _STORAGE_FAULT_NAMES = frozenset(
     {
         "StorageFault",
         "TransientStorageError",
-        "CorruptedBlockError",
         "RetryBudgetExceeded",
         "NodeDownError",
     }
