@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, List, NoReturn, Optional
+from typing import Callable, List, NoReturn, Optional
 
 from ..core.cache import PredicateCache, cache_series
 from ..core.config import PredicateCacheConfig
@@ -20,10 +20,9 @@ class DownedCache:
     operation raises :class:`~repro.faults.NodeDownError`, the way an
     RPC to a crashed node fails.  The scan path catches the error at
     cache-context resolution and degrades to cache-off scans for the
-    node's slices; the health monitor's ``ping`` probes turn the raise
-    into missed heartbeats and eventually mark the node down, after
-    which the router stops handing the tombstone out at all
-    (DESIGN.md §13).
+    node's slices — the one signal of a dead node.  The health
+    monitor's ``ping`` probes turn the same raise into missed
+    heartbeats and eventually replace the node (DESIGN.md §13).
     """
 
     def __init__(self, node_id: int) -> None:
@@ -56,9 +55,9 @@ class ClusterCaches:
 
     With a :class:`~repro.persist.CacheStore` attached, every node
     writes its cache events through to the store, initial nodes and the
-    replacements created by :meth:`fail_node` / :meth:`resize` hydrate
-    their slice shares from it (warm start), and restored entries are
-    revalidated against the store's bound catalog first.
+    replacements created by :meth:`fail_node` hydrate their slice
+    shares from it (warm start), and restored entries are revalidated
+    against the store's bound catalog first.
 
     Concurrency: the router itself holds no lock — each
     :class:`PredicateCache` node is internally synchronized, and the
@@ -81,8 +80,9 @@ class ClusterCaches:
     PredicateCache._lock`` edge that is absent from the static graph
     (the static side elides re-entrant self-edges) and fails the
     witness cross-check.  The reference-swap mutations above are
-    deliberately lock-free and carry RP012 waivers (see
-    ``tools/check/waivers.toml``).
+    deliberately lock-free; they run on operator calls (a monitor
+    tick, a resize), never from a worker entry point, so ``tools.check``
+    RP012 has nothing to flag.
     """
 
     def __init__(
@@ -99,32 +99,18 @@ class ClusterCaches:
         self.policy_factory = policy_factory
         self._store = store
         self._registrations: List[tuple] = []
-        # Nodes the health monitor declared dead: the router returns
-        # None for their slices (degraded cache-off scans) instead of
-        # handing out the tombstone.  Published by whole-set swap.
-        self._down: FrozenSet[int] = frozenset()
-        #: Scrape-side counter: slices routed around because their
-        #: owning node was marked down (an int += is GIL-atomic enough
-        #: for a monotonic metric).
-        self.down_route_fallbacks = 0
         self._nodes: List[PredicateCache] = [
             self._new_node() for _ in range(num_nodes)
         ]
         if store is not None:
             for node_id, cache in enumerate(self._nodes):
-                self._hydrate_node(node_id, cache)
+                store.attach(cache, owned=self._owned_by(node_id))
 
     def _new_node(self) -> PredicateCache:
         return PredicateCache(
             self.config,
             policy=self.policy_factory() if self.policy_factory is not None else None,
         )
-
-    def _hydrate_node(self, node_id: int, cache: PredicateCache) -> int:
-        """Warm-start one node from the store: restore only the slice
-        states this node owns under the *current* shard layout, then
-        enable write-through."""
-        return self._store.attach(cache, owned=self._owned_by(node_id))
 
     def _owned_by(self, node_id: int) -> Callable[[int], bool]:
         """Slice-ownership test of ``node_id`` under the current layout."""
@@ -133,21 +119,17 @@ class ClusterCaches:
 
     # -- routing (the scan-path interface) -------------------------------------
 
-    def cache_for_slice(self, slice_id: int) -> Optional[PredicateCache]:
+    def cache_for_slice(self, slice_id: int) -> PredicateCache:
+        """The owning node's cache — a dead node's tombstone included:
+        the scan planner turns its ``NodeDownError`` into cache-off
+        scans of the node's slices."""
         # Snapshot the node list once and derive the modulus from it:
         # a concurrent resize() publishes a new list as a single
         # reference swap, so the captured list and its length always
         # agree (indexing self._nodes by self.num_nodes separately
         # could race a grow and fall off the shorter old list).
         nodes = self._nodes
-        node_id = slice_id % len(nodes)
-        if node_id in self._down:
-            # Failover routing: the owning node was declared dead, so
-            # its slices scan cache-off until a replacement is restored
-            # (the scan path treats a None cache as "no cache node").
-            self.down_route_fallbacks += 1
-            return None
-        return nodes[node_id]
+        return nodes[slice_id % len(nodes)]
 
     # -- operator surface ---------------------------------------------------------
 
@@ -167,34 +149,22 @@ class ClusterCaches:
     def store(self):
         return self._store
 
-    # -- failure injection & liveness marking ----------------------------------
+    # -- failure injection & replacement ---------------------------------------
 
     def kill_node(self, node_id: int) -> None:
         """Kill one node's process (drill injection, DESIGN.md §13).
 
         The node's cache is replaced by a :class:`DownedCache`
-        tombstone: until the health monitor detects the death and marks
-        the node down, scans routed to it fail with
-        :class:`~repro.faults.NodeDownError` and degrade to cache-off —
-        the undetected-failure window is modeled, not skipped.  The dead
-        cache is closed (a crashed process stops journaling and hears no
-        more table events).  Idempotent.
+        tombstone: until :meth:`fail_node` replaces it, scans routed to
+        it fail with :class:`~repro.faults.NodeDownError` and degrade to
+        cache-off.  The dead cache is closed (a crashed process stops
+        journaling and hears no more table events).  Idempotent.
         """
         dead = self._nodes[node_id]
         if isinstance(dead, DownedCache):
             return
         self._nodes[node_id] = DownedCache(node_id)
         dead.close()
-
-    def mark_down(self, node_id: int) -> None:
-        """Declare a node dead: route its slices cache-off from now on."""
-        self._down = self._down | {node_id}
-
-    def is_down(self, node_id: int) -> bool:
-        return node_id in self._down
-
-    def down_nodes(self) -> List[int]:
-        return sorted(self._down)
 
     def fail_node(self, node_id: int) -> PredicateCache:
         """Simulate a node failure.
@@ -217,22 +187,19 @@ class ClusterCaches:
         if not isinstance(replaced, DownedCache):
             replaced.close()
         if self._store is not None:
-            self._hydrate_node(node_id, replacement)
-        # Restoring a node also clears its down marker: the router may
-        # hand the replacement out as soon as it is hydrated.
-        self._down = self._down - {node_id}
+            self._store.attach(replacement, owned=self._owned_by(node_id))
         return replacement
 
     def resize(self, num_nodes: int) -> "ClusterCaches":
         """Re-shard the cluster to ``num_nodes`` compute nodes.
 
         Slice ownership is recomputed (``slice % num_nodes``), so every
-        entry's per-slice states move to their new owning node.  With a
-        store attached the new nodes hydrate from it (snapshot first,
-        so nothing learned since the last rotation is lost); without
-        one, states are re-sharded in memory from the old nodes.  Table
-        subscriptions move too — a vacuum right after the resize still
-        invalidates.  Metrics registered through
+        entry's per-slice states move, in memory, from the live nodes
+        to their new owning node.  With a store attached the new nodes
+        only write through to it: the store already holds every state
+        by entry and slice, so nothing is snapshotted or reloaded.
+        Table subscriptions move too — a vacuum right after the resize
+        still invalidates.  Metrics registered through
         :meth:`register_metrics` are re-registered so new node labels
         appear and the cluster rollups stay consistent.
         """
@@ -246,13 +213,9 @@ class ClusterCaches:
         # from surviving state, exactly like a real cluster resize
         # after a node loss.
         old_nodes = self.nodes()
-        records = None
-        if self._store is not None:
-            self._store.snapshot(self)
-        else:
-            records = collect_records(old_nodes)
+        records = collect_records(old_nodes)
         self.num_nodes = num_nodes
-        # Build and hydrate the new shard off to the side, then publish
+        # Build and fill the new shard off to the side, then publish
         # the node list as one reference swap: concurrent scans routing
         # through cache_for_slice see either the complete old layout or
         # the complete new one, never a half-built mix.
@@ -263,20 +226,16 @@ class ClusterCaches:
             for table in cache.watched_tables()
         }
         for node_id, cache in enumerate(new_nodes):
-            if self._store is not None:
-                self._hydrate_node(node_id, cache)
-            else:
-                owned = self._owned_by(node_id)
-                for record in records.values():
-                    record.install_into(cache, owned)
+            owned = self._owned_by(node_id)
+            for record in records.values():
+                record.install_into(cache, owned)
             for table in watched.values():
                 cache.watch_table(table)
+            if self._store is not None:
+                cache.attach_store(self._store)
         self._nodes = new_nodes
         for cache in old_nodes:
             cache.close()
-        # Every slot now holds a freshly built live cache; down markers
-        # referred to the old layout's node ids.
-        self._down = frozenset()
         for registry, prefix in self._registrations:
             self._register(registry, prefix)
         return self

@@ -48,7 +48,7 @@ class Executor:
         """Execute ``plan`` on behalf of ``statement``.
 
         Everything per-statement — snapshot, counters, storage reader,
-        cache, worker count — comes from ``statement``; a traced one
+        cache — comes from ``statement``; a traced one
         records per-operator spans carrying inclusive counter deltas.
         """
         needed = self._root_needed(plan)

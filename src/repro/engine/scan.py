@@ -43,9 +43,9 @@ coordinator barrier as every other entry.
   cache is always asked through the router protocol
   ``cache.cache_for_slice(slice_id)``: a :class:`ClusterCaches` answers
   the slice's owning node (§4.6), a bare ``PredicateCache`` answers
-  itself — it *is* the one-node router.  A node that is down (the
-  router answers ``None``, or its tombstone raises ``NodeDownError``)
-  gets a null context, and so does every slice when caching is off.
+  itself — it *is* the one-node router.  A dead node's tombstone
+  raises ``NodeDownError``, and its slices get a null context — as
+  does every slice when caching is off.
   A source state whose watermark outruns its slice drops every source
   entry of that node, whose slices then scan in full.
 * **run** (:func:`_run_slices`) — steps 2–3, a loop calling
@@ -263,29 +263,25 @@ def _plan_scan(
 
     # One context per *cache node*, held by direct reference (never
     # keyed by ``id()``: a collected cache's id can be reused mid-scan,
-    # which would alias two distinct nodes into one context).  A down
-    # node — the router answers None once it is marked DOWN — resolves
-    # to a None context for all of its slices.
+    # which would alias two distinct nodes into one context).  A dead
+    # node's tombstone resolves to a None context for all of its slices.
     resolved: List[Tuple[object, Optional[_SliceCacheContext]]] = []
     for slice_id in range(len(table.slices)):
         node_cache = cache.cache_for_slice(slice_id)
-        context = None
-        if node_cache is not None:
-            for known_cache, known_context in resolved:
-                if known_cache is node_cache:
-                    context = known_context
-                    break
-            else:
-                try:
-                    context = _prepare_cache_context(
-                        node_cache, table, predicate, plain_key, join_key,
-                        build_versions, current_versions, statement,
-                    )
-                except NodeDownError:
-                    # Undetected failure window: the node died but the
-                    # health monitor has not routed around it yet.
-                    pass
-                resolved.append((node_cache, context))
+        for known_cache, known_context in resolved:
+            if known_cache is node_cache:
+                context = known_context
+                break
+        else:
+            try:
+                context = _prepare_cache_context(
+                    node_cache, table, predicate, plain_key, join_key,
+                    build_versions, current_versions, statement,
+                )
+            except NodeDownError:
+                # The node died and has not been replaced yet.
+                context = None
+            resolved.append((node_cache, context))
         if context is None:
             # Cache-off for this slice: correctness never depends on the cache.
             plan.degraded_slices += 1

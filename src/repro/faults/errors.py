@@ -15,7 +15,7 @@ own compute nodes:
 * :class:`NodeDownError` — a cluster compute node stopped answering
   (crashed process, lost heartbeats).  Raised by a dead node's cache
   tombstone; the scan path degrades to cache-off scans for that node's
-  slices and the health monitor routes around it (DESIGN.md §13).
+  slices until the health monitor replaces it (DESIGN.md §13).
 """
 
 from __future__ import annotations
@@ -41,4 +41,4 @@ class RetryBudgetExceeded(StorageFault):
 
 
 class NodeDownError(StorageFault):
-    """A cluster node is unreachable; callers must route around it."""
+    """A cluster node is unreachable; callers scan without its cache."""

@@ -432,8 +432,8 @@ class CacheStore:
         if revalidate and self.catalog is not None:
             result.stale_dropped = self._revalidate(records)
         result.seconds = time.perf_counter() - start
-        # Recovery counters are read by the health monitor thread while
-        # failover hydrations run on workers — update them under the
+        # Recovery counters are read by other threads (metric scrapes,
+        # concurrent failover hydrations) — update them under the
         # I/O lock (re-entrant, so the nested _read_state acquire above
         # already released it).
         with self._io_lock:
@@ -520,8 +520,8 @@ class CacheStore:
                 continue
             tables.add(record.key.table)
             restored += 1
-        # Read by the health monitor thread while failover hydrations
-        # run on workers: published in one lock round, like load's.
+        # Read by other threads while failover hydrations run:
+        # published in one lock round, like load's.
         with self._io_lock:
             self.warm_restores += restored
             self.corrupt_sections += unreadable

@@ -7,9 +7,9 @@ past configured queue/in-flight limits, deadlines are honored at
 dispatch, and DML serializes against concurrent SELECTs through a
 shared/exclusive statement lock.
 
-The resilience control plane (PR 8) lives here too: a
-:class:`ClusterHealthMonitor` heartbeats cluster nodes and fails over
-around dead ones, a :class:`RecoveryOrchestrator` stages mid-write
+The resilience control plane lives here too: a
+:class:`ClusterHealthMonitor` heartbeats cluster nodes on each tick and
+replaces dead ones, a :class:`RecoveryOrchestrator` stages mid-write
 crashes and drives warm restarts, and the
 :class:`AdmissionController` adaptively sheds overload (queue depth,
 unmeetable deadlines) with priority retention for hot tenants.

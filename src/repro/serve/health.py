@@ -1,38 +1,33 @@
 """Cluster heartbeat monitoring and node failover (DESIGN.md §13).
 
 A :class:`ClusterHealthMonitor` probes every node of a
-:class:`~repro.cluster.ClusterCaches` on a fixed cadence and drives the
-failure-survival state machine:
-
-``UP → SUSPECT → DOWN → RESTORING → UP``
+:class:`~repro.cluster.ClusterCaches` once per :meth:`~ClusterHealthMonitor.tick`:
 
 * A :meth:`~repro.core.cache.PredicateCache.ping` that raises
-  :class:`~repro.faults.NodeDownError` is one missed heartbeat; after
-  ``suspect_after`` consecutive misses the node is SUSPECT, after
-  ``down_after`` it is declared DOWN.
-* Declaring a node DOWN calls ``cluster.mark_down`` — from then on the
-  router returns ``None`` for the node's slices and scans degrade to
-  cache-off (availability over freshness; correctness never depended on
-  the cache).
-* With ``auto_restore`` (the default) the monitor immediately replaces
-  the dead node via ``cluster.fail_node``: the replacement hydrates its
-  slice share warm from the attached store and the router resumes
-  cache-on scans.  Restoration counts a *failover*.
+  :class:`~repro.faults.NodeDownError` is one missed heartbeat; a node
+  with missed beats is SUSPECT.
+* After ``down_after`` consecutive misses the monitor replaces the node
+  via ``cluster.fail_node``: the replacement hydrates its slice share
+  warm from the attached store, and the node is UP again.  Each
+  replacement counts a *failover*.
 
-Cache memory is not the monitor's business: each node's cache enforces
-``PredicateCacheConfig.max_bytes`` at every install and extension.
+The monitor never routes around a node.  Until the replacement lands,
+the dead node's tombstone is the only signal: the scan planner catches
+its ``NodeDownError`` and scans the node's slices cache-off
+(availability over freshness; correctness never depended on the cache).
+Cache memory is not the monitor's business either: each node's cache
+enforces ``PredicateCacheConfig.max_bytes`` at every install and
+extension.
 
-The monitor is deterministic-by-default: tests drive :meth:`tick`
-directly; :meth:`start`/:meth:`stop` wrap the same tick in a daemon
-thread for live serving.  Every decision is counted and exported as
-``repro_resilience_*`` series via :meth:`register_metrics`.
+Whoever owns the cadence calls :meth:`tick` (tests drive it directly).
+Every decision is counted and exported as ``repro_resilience_*`` series
+via :meth:`register_metrics`.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..faults.errors import NodeDownError
 from ..obs import lockwitness
@@ -45,8 +40,6 @@ class NodeState(enum.IntEnum):
 
     UP = 0
     SUSPECT = 1
-    DOWN = 2
-    RESTORING = 3
 
 
 class ClusterHealthMonitor:
@@ -54,143 +47,51 @@ class ClusterHealthMonitor:
 
     Args:
         cluster: a :class:`~repro.cluster.ClusterCaches` (or any object
-            with ``node``/``num_nodes``/``mark_down``/``fail_node``).
-        suspect_after: consecutive missed heartbeats before SUSPECT.
-        down_after: consecutive missed heartbeats before DOWN (must be
-            >= ``suspect_after``).
-        auto_restore: replace DOWN nodes immediately via
-            ``cluster.fail_node`` (store-backed warm restore).
-        interval_seconds: probe cadence of the background thread
-            (:meth:`start`); :meth:`tick` ignores it.
+            with ``node``/``num_nodes``/``fail_node``).
+        down_after: consecutive missed heartbeats before the node is
+            replaced via ``cluster.fail_node`` (store-backed warm
+            restore).
 
-    Concurrency: one internal lock serializes ticks (manual and
-    threaded), so state transitions and counters are consistent even
-    when a test calls :meth:`tick` while the daemon runs.  The cluster
-    mutations it performs (``mark_down``/``fail_node``) publish by
-    reference swap and are safe under concurrent scans.
+    Concurrency: one internal lock serializes ticks, so miss counts and
+    counters stay consistent when several threads tick.  The cluster
+    mutation it performs (``fail_node``) publishes by reference swap and
+    is safe under concurrent scans.
     """
 
-    def __init__(
-        self,
-        cluster,
-        suspect_after: int = 1,
-        down_after: int = 3,
-        auto_restore: bool = True,
-        interval_seconds: float = 0.02,
-    ) -> None:
-        if suspect_after < 1:
-            raise ValueError("suspect_after must be >= 1")
-        if down_after < suspect_after:
-            raise ValueError("down_after must be >= suspect_after")
-        if interval_seconds <= 0:
-            raise ValueError("interval_seconds must be > 0")
+    def __init__(self, cluster, down_after: int = 3) -> None:
+        if down_after < 1:
+            raise ValueError("down_after must be >= 1")
         self.cluster = cluster
-        self.suspect_after = suspect_after
         self.down_after = down_after
-        self.auto_restore = auto_restore
-        self.interval_seconds = interval_seconds
         self._lock = lockwitness.named_lock("ClusterHealthMonitor._lock")
         self._missed: Dict[int, int] = {}
-        self._states: Dict[int, NodeState] = {}
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
         # Monotonic counters (public: scrape-time metrics read these).
-        self.ticks = 0
         self.ping_failures = 0
-        self.nodes_marked_down = 0
         self.failovers = 0
 
-    # -- the heartbeat round ---------------------------------------------------
-
     def tick(self) -> List[int]:
-        """Run one probe round; returns node ids restored this round."""
-        with self._lock:
-            return self._tick_locked()
-
-    def _tick_locked(self) -> List[int]:
-        """Caller holds ``_lock``."""
-        self.ticks += 1
+        """Run one probe round; returns node ids replaced this round."""
         restored: List[int] = []
-        for node_id in range(self.cluster.num_nodes):
-            if self._probe(node_id):
-                self._missed[node_id] = 0
-                self._states[node_id] = NodeState.UP
-                continue
-            missed = self._missed.get(node_id, 0) + 1
-            self._missed[node_id] = missed
-            if missed >= self.down_after:
-                if self._states.get(node_id) is not NodeState.DOWN:
-                    self.cluster.mark_down(node_id)
-                    self.nodes_marked_down += 1
-                self._states[node_id] = NodeState.DOWN
-                if self.auto_restore:
-                    self._restore(node_id)
+        with self._lock:
+            for node_id in range(self.cluster.num_nodes):
+                try:
+                    self.cluster.node(node_id).ping()
+                    missed = 0
+                except NodeDownError:
+                    self.ping_failures += 1
+                    missed = self._missed.get(node_id, 0) + 1
+                if missed >= self.down_after:
+                    self.cluster.fail_node(node_id)
+                    self.failovers += 1
                     restored.append(node_id)
-            elif missed >= self.suspect_after:
-                self._states[node_id] = NodeState.SUSPECT
+                    missed = 0
+                self._missed[node_id] = missed
         return restored
-
-    def _probe(self, node_id: int) -> bool:
-        """One heartbeat; a dead node's raise is a missed beat.
-
-        Caller holds ``_lock``.
-        """
-        try:
-            return bool(self.cluster.node(node_id).ping())
-        except NodeDownError:
-            self.ping_failures += 1
-            return False
-
-    def _restore(self, node_id: int) -> None:
-        """Replace a DOWN node (warm when a store is attached).
-
-        Caller holds ``_lock``.
-        """
-        self._states[node_id] = NodeState.RESTORING
-        self.cluster.fail_node(node_id)
-        self.failovers += 1
-        self._missed[node_id] = 0
-        self._states[node_id] = NodeState.UP
-
-    # -- introspection ---------------------------------------------------------
 
     def node_state(self, node_id: int) -> NodeState:
         with self._lock:
-            return self._states.get(node_id, NodeState.UP)
-
-    # -- background probing ----------------------------------------------------
-
-    def start(self) -> "ClusterHealthMonitor":
-        """Probe on a daemon thread every ``interval_seconds``."""
-        with self._lock:
-            if self._thread is not None:
-                return self
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._run, name="health-monitor", daemon=True
-            )
-        self._thread.start()
-        return self
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval_seconds):
-            self.tick()
-
-    def stop(self) -> None:
-        """Stop the daemon thread (joins it); manual ticks still work."""
-        with self._lock:
-            thread = self._thread
-            self._thread = None
-        if thread is None:
-            return
-        self._stop.set()
-        thread.join(timeout=5.0)
-
-    def __enter__(self) -> "ClusterHealthMonitor":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+            missed = self._missed.get(node_id, 0)
+        return NodeState.SUSPECT if missed else NodeState.UP
 
     # -- observability ---------------------------------------------------------
 
@@ -203,7 +104,7 @@ class ClusterHealthMonitor:
         for node_id in range(self.cluster.num_nodes):
             registry.gauge(
                 "repro_resilience_node_state",
-                "Node liveness (0=up, 1=suspect, 2=down, 3=restoring)",
+                "Node liveness (0=up, 1=suspect)",
                 labels={"node": str(node_id)},
                 fn=lambda n=node_id: int(self._safe_state(n)),
             )
@@ -213,19 +114,9 @@ class ClusterHealthMonitor:
             fn=lambda: self.ping_failures,
         )
         registry.counter(
-            "repro_resilience_nodes_marked_down_total",
-            "Nodes declared dead after missed heartbeats",
-            fn=lambda: self.nodes_marked_down,
-        )
-        registry.counter(
             "repro_resilience_failovers_total",
             "Dead nodes replaced by warm-restored successors",
             fn=lambda: self.failovers,
-        )
-        registry.counter(
-            "repro_resilience_down_route_fallbacks_total",
-            "Slices routed cache-off because their node was down",
-            fn=lambda: self.cluster.down_route_fallbacks,
         )
 
     def _safe_state(self, node_id: int) -> NodeState:

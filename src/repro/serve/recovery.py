@@ -29,8 +29,10 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional, Set
+from typing import Optional, Set, Union
 
+from ..cluster.caches import ClusterCaches
+from ..core.cache import PredicateCache
 from ..core.keys import ScanKey
 from ..faults.injector import FaultInjector
 from ..persist.store import CacheStore
@@ -79,11 +81,9 @@ class RecoveryOrchestrator:
             target and is replaced wholesale at :meth:`restart`.
         store: the live :class:`~repro.persist.CacheStore` the cache
             writes through to.  The restart re-opens the same directory
-            with a fresh store, exactly like a new process would.
-        cache_factory: builds the replacement cache given the fresh
-            store (hydrating from it and attaching write-through).
-            Defaults to rebuilding the engine's current cache shape —
-            same config, same node count, same policy factory.
+            with a fresh store, exactly like a new process would, and
+            rebuilds the engine's current cache shape over it — same
+            config, same node count, same admission policy.
 
     The orchestrator performs administrative swaps only (injector
     attach, cache reference swap); all data-plane synchronization lives
@@ -91,17 +91,9 @@ class RecoveryOrchestrator:
     live multi-client workload.
     """
 
-    def __init__(
-        self,
-        engine,
-        store: CacheStore,
-        cache_factory: Optional[Callable[[CacheStore], object]] = None,
-    ) -> None:
+    def __init__(self, engine, store: CacheStore) -> None:
         self.engine = engine
         self.store = store
-        self.cache_factory = (
-            cache_factory if cache_factory is not None else self._default_factory
-        )
         # Monotonic counters (scrape-time metrics read these directly).
         self.crashes_injected = 0
         self.restarts = 0
@@ -173,7 +165,19 @@ class RecoveryOrchestrator:
         # goes before the fresh store opens its own.
         self.store.close()
         fresh = CacheStore(self.store.directory, catalog=self.engine.database)
-        replacement = self.cache_factory(fresh)
+        replacement: Union[ClusterCaches, PredicateCache]
+        if isinstance(old_cache, ClusterCaches):
+            replacement = ClusterCaches(
+                old_cache.num_nodes,
+                config=old_cache.config,
+                policy_factory=old_cache.policy_factory,
+                store=fresh,
+            )
+        else:
+            # The policy carries over: a restarted cache admits by the
+            # same rule as the one it replaces.
+            replacement = PredicateCache(old_cache.config, policy=old_cache.policy)
+            fresh.attach(replacement)
         self.engine.set_predicate_cache(replacement)
         for cache in old_nodes:
             cache.close()
@@ -215,25 +219,6 @@ class RecoveryOrchestrator:
         else:
             raise ValueError(f"unknown crash kind {crash_kind!r}")
         return self.restart(crash_kind=crash_kind, torn_write=torn)
-
-    # -- cache-shape helpers ---------------------------------------------------
-
-    def _default_factory(self, fresh: CacheStore):
-        """Rebuild the engine's current cache shape over ``fresh``."""
-        from ..cluster.caches import ClusterCaches
-        from ..core.cache import PredicateCache
-
-        current = self.engine.predicate_cache
-        if isinstance(current, ClusterCaches):
-            return ClusterCaches(
-                current.num_nodes,
-                config=current.config,
-                policy_factory=current.policy_factory,
-                store=fresh,
-            )
-        replacement = PredicateCache(current.config)
-        fresh.attach(replacement)
-        return replacement
 
     @staticmethod
     def _keys_of(cache) -> Set[ScanKey]:

@@ -207,9 +207,7 @@ class TestLiveWorkloadContainment:
         cluster = ClusterCaches(2, store=store)
         engine = QueryEngine(db, predicate_cache=cluster)
         setup_load_tables(engine, gen, rows_per_table=1200)
-        monitor = ClusterHealthMonitor(
-            cluster, suspect_after=1, down_after=2, auto_restore=True
-        )
+        monitor = ClusterHealthMonitor(cluster, down_after=2)
         server = QueryServer(engine, max_workers=3)
         try:
             futures = []

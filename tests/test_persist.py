@@ -711,6 +711,30 @@ class TestWarmStart:
                         if state is not None:
                             assert sid % n == node_id
 
+    def test_resize_with_a_store_writes_no_snapshot(self, tmp_path):
+        """Resize moves states in memory; the store, already a mirror,
+        is neither rotated nor re-read, and the new nodes write through."""
+        engine, caches, store = make_stored_engine(tmp_path)
+        populate(engine)
+        engine.execute(OR_SQL)
+        engine.execute("select count(*) as c from t where x < 123")
+        before = collect_records(caches.nodes())
+        assert before
+        written, nbytes = store.snapshots_written, store.snapshot_bytes
+
+        caches.resize(3)
+        assert (store.snapshots_written, store.snapshot_bytes) == (written, nbytes)
+        after = collect_records(caches.nodes())
+        assert set(after) == set(before)
+        for digest, record in before.items():
+            assert after[digest].states == record.states, record.key
+
+        records = store.journal_records
+        engine.execute("select count(*) as c from t where x < 77")
+        assert store.journal_records > records
+        assert all(node.store is store for node in caches.nodes())
+        assert_store_mirrors(CacheStore(tmp_path, catalog=engine.database), caches)
+
     def test_resize_after_vacuum_does_not_resurrect_stale_state(self, tmp_path):
         engine, caches = make_engine()
         populate(engine)

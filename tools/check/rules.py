@@ -43,8 +43,8 @@ per file), so :func:`run_rules` runs each distinct check once.
   instance attribute of a guarded class (``PredicateCache``,
   ``QueryServer``, ``AdmissionController``, ``ClusterHealthMonitor``,
   ``CacheStore``, ``ClusterCaches``) on some path from a concurrent
-  entry point (``scan._scan_slice``, ``QueryServer._worker_loop``,
-  ``ClusterHealthMonitor._run``) without a dominating lock
+  entry point (``scan._scan_slice``, ``QueryServer._worker_loop``)
+  without a dominating lock
   acquisition, docstring contract, or ``__init__`` context.  RP012
   also checks contracts interprocedurally: calling a
   ``Caller holds ...`` helper without that lock in the held-set at
@@ -89,7 +89,6 @@ GUARDED_CLASSES = frozenset(
 ENTRY_POINTS = (
     "scan._scan_slice",
     "QueryServer._worker_loop",
-    "ClusterHealthMonitor._run",
 )
 
 
