@@ -27,7 +27,12 @@ Mutation outside a ``with self._lock`` block (or a helper documented as
 "caller holds ``_lock``") is rejected by checker rule RP007.  Entries
 enter the table through one helper (:meth:`_insert`) and leave it
 through one (:meth:`_remove`), whether installed, restored, evicted or
-invalidated.
+invalidated.  The two side indexes — plain entries by the exact
+single-column interval their predicate is (the subsumption matcher's
+candidates), join entries by every build-side table they reference
+(what a write there drops) — change only in those two helpers and the
+LRU touch (:meth:`_touch`), so no lookup or invalidation walks every
+entry (DESIGN.md §14).
 
 Write-through (DESIGN.md §9): with a store attached, a mutator only
 *captures* what it changed while it holds the lock — the entry's
@@ -56,6 +61,8 @@ from typing import (
 
 from .. import invariants as _inv
 from ..obs import lockwitness
+from ..predicates.ast import Bounds
+from ..predicates.interval import exact_interval_of_key
 from .config import PredicateCacheConfig
 from .entry import BitmapSliceState, CacheEntry, RangeSliceState, SliceState
 from .keys import ScanKey
@@ -96,6 +103,18 @@ class PredicateCache:
         self.config = config if config is not None else PredicateCacheConfig()
         self.policy = policy if policy is not None else AlwaysAdmit()
         self._entries: "OrderedDict[ScanKey, CacheEntry]" = OrderedDict()
+        # Side indexes over ``_entries`` (see the module docstring).
+        # Plain keys whose predicate is one exact single-column
+        # interval, parsed once at install, bucketed by (table, column)
+        # with each bucket in ``_entries``' LRU order; kept only with
+        # reuse on, the matcher being their one reader.  ``_range_columns``
+        # names each indexed key's bucket column.
+        self._ranges: Dict[
+            Tuple[str, str], Dict[ScanKey, Tuple[CacheEntry, Bounds]]
+        ] = {}
+        self._range_columns: Dict[ScanKey, str] = {}
+        # Join keys by every table in their ``referenced_tables()``.
+        self._build_keys: Dict[str, Dict[ScanKey, None]] = {}
         self.stats = CacheStats()
         self.reuse_stats = ReuseStats()
         self._watched: Dict[str, object] = {}
@@ -366,7 +385,7 @@ class PredicateCache:
                     self.stats.stale_rejections += 1
                     dropped = True
                     continue
-                self._entries.move_to_end(key)
+                self._touch(key)
                 if best is None or entry.selectivity < best.selectivity:
                     best = entry
             if exact:
@@ -384,6 +403,18 @@ class PredicateCache:
         if dropped:
             self._drain_journal()
         return best
+
+    def range_entries(
+        self, table_name: str, column: str
+    ) -> List[Tuple[CacheEntry, Bounds]]:
+        """The live plain entries on ``table_name`` whose predicate is
+        one exact interval of ``column``, each with that interval, least
+        recently used first — the subsumption matcher's candidates.
+        Empty unless reuse is enabled.  A read: touches neither the LRU
+        order nor any count."""
+        with self._lock:
+            bucket = self._ranges.get((table_name, column))
+            return list(bucket.values()) if bucket else []
 
     def record_reuse_serve(self, basis: str) -> None:
         """Count one scan answered from derived entries ("composed"/"subsumed")."""
@@ -433,7 +464,7 @@ class PredicateCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
-                self._entries.move_to_end(key)
+                self._touch(key)
                 return entry
             if key.is_join_key and not self.config.cache_join_keys:
                 raise ValueError("join-index keys are disabled by configuration")
@@ -449,11 +480,35 @@ class PredicateCache:
 
     def _insert(self, entry: CacheEntry) -> None:
         """The one store into ``_entries``: stamp ``entry`` with its
-        table's current invalidation generation, store it under its key,
-        and enforce the byte budget.  Caller holds ``_lock``."""
-        entry.generation = self._generations.get(entry.key.table, 0)
-        self._entries[entry.key] = entry
+        table's current invalidation generation, store it under its key
+        and in the side indexes, and enforce the byte budget.  Storing
+        over a live key (a restore) keeps its LRU position in
+        ``_entries`` and in its range bucket alike.  Caller holds
+        ``_lock``."""
+        key = entry.key
+        entry.generation = self._generations.get(key.table, 0)
+        self._entries[key] = entry
+        for table_name in key.referenced_tables():
+            self._build_keys.setdefault(table_name, {})[key] = None
+        if self.config.enable_reuse and not key.is_join_key:
+            interval = exact_interval_of_key(key.predicate_key)
+            if interval is not None:
+                column, bounds = interval
+                self._range_columns[key] = column
+                self._ranges.setdefault((key.table, column), {})[key] = (entry, bounds)
         self._evict_if_needed()
+
+    def _touch(self, key: ScanKey) -> None:
+        """Mark a live key most recently used, in ``_entries`` and in
+        its range bucket: a bucket walked front to back meets its keys
+        in the order a walk of ``_entries`` would, so the subsumption
+        matcher's ties still go to the least recently used entry.
+        Caller holds ``_lock``."""
+        self._entries.move_to_end(key)
+        column = self._range_columns.get(key)
+        if column is not None:
+            bucket = self._ranges[(key.table, column)]
+            bucket[key] = bucket.pop(key)
 
     def generation_of(self, table_name: str) -> int:
         """Current invalidation generation of a table's entries."""
@@ -545,11 +600,10 @@ class PredicateCache:
         )
 
     def invalidate_build_side(self, table_name: str) -> int:
-        """Drop join-index entries whose build side includes the table."""
+        """Drop join-index entries whose build side includes the table
+        (at any depth of a snowflake chain): its build-table bucket."""
         return self._invalidate(
-            lambda live: [
-                key for key in live if table_name in key.referenced_tables()
-            ]
+            lambda live: list(self._build_keys.get(table_name, ()))
         )
 
     def clear(self) -> int:
@@ -608,12 +662,25 @@ class PredicateCache:
         self.policy.forget(key)
 
     def _remove(self, key: ScanKey) -> CacheEntry:
-        """The one removal from ``_entries``: pop the live entry and
+        """The one removal from ``_entries``: pop the live entry, take
+        it out of the side indexes (an emptied bucket goes with it), and
         queue its drop for the journal.  Eviction calls this directly,
         so the admission policy keeps its observations of an evicted
         key; invalidation goes through :meth:`_drop`.  Caller holds
         ``_lock``."""
         entry = self._entries.pop(key)
+        for table_name in key.referenced_tables():
+            keys = self._build_keys[table_name]
+            del keys[key]
+            if not keys:
+                del self._build_keys[table_name]
+        column = self._range_columns.pop(key, None)
+        if column is not None:
+            slot = (key.table, column)
+            bucket = self._ranges[slot]
+            del bucket[key]
+            if not bucket:
+                del self._ranges[slot]
         if self._store is not None:
             # Only this cache's installed slice states: a cluster node
             # must not erase its peers' shares of the same entry.

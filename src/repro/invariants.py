@@ -198,7 +198,9 @@ def check_cache(cache: Any) -> None:
     * reuse provenance (DESIGN.md §14): every entry's provenance tag is
       known, and derived provenances (``composed``/``subsumed``) carry
       source digests while primary ones (``scan``/``conjunct``) carry
-      none.
+      none;
+    * side indexes (DESIGN.md §14): both equal what a walk of the live
+      entries derives (:func:`_check_cache_indexes`).
     """
     entries = cache.entries()
     max_bytes = cache.config.max_bytes
@@ -241,6 +243,57 @@ def check_cache(cache: Any) -> None:
         _fail(
             f"admission policy tracks {tracked} keys, bound is {max_tracked}"
         )
+    _check_cache_indexes(cache, entries)
+
+
+def _check_cache_indexes(cache: Any, entries: Any) -> None:
+    """The cache's side indexes equal what a walk of its live entries
+    (in LRU order) derives: every plain key whose predicate parses to
+    one exact single-column interval — with reuse on — in its (table,
+    column) bucket, with its live entry and that interval, each bucket
+    in LRU order; every join key under each table it references.  No
+    bucket is empty."""
+    from .predicates.interval import exact_interval_of_key
+
+    ranges: dict = {}
+    build: dict = {}
+    for entry in entries:
+        key = entry.key
+        for table_name in key.referenced_tables():
+            build.setdefault(table_name, set()).add(key)
+        if cache.config.enable_reuse and not key.is_join_key:
+            interval = exact_interval_of_key(key.predicate_key)
+            if interval is not None:
+                ranges.setdefault((key.table, interval[0]), []).append(
+                    (key, entry, interval[1])
+                )
+    indexed = {
+        slot: [(key, entry, bounds) for key, (entry, bounds) in bucket.items()]
+        for slot, bucket in cache._ranges.items()
+    }
+    if indexed != ranges:
+        wrong = sorted(
+            slot
+            for slot in set(indexed) | set(ranges)
+            if indexed.get(slot) != ranges.get(slot)
+        )
+        _fail(
+            f"interval index disagrees with the live entries (or their LRU "
+            f"order) on bucket(s) {wrong}"
+        )
+    columns = {
+        key: column for (_, column), bucket in ranges.items() for key, _, _ in bucket
+    }
+    if cache._range_columns != columns:
+        _fail("interval index's key -> column map disagrees with its buckets")
+    by_table = {table: set(keys) for table, keys in cache._build_keys.items()}
+    if by_table != build:
+        wrong = sorted(
+            table
+            for table in set(by_table) | set(build)
+            if by_table.get(table) != build.get(table)
+        )
+        _fail(f"build-table index disagrees with the live entries on {wrong}")
 
 
 # -- snapshot round trip ----------------------------------------------------

@@ -8,7 +8,9 @@ normalization).  This package provides:
 * the expression node types (:mod:`repro.predicates.ast`),
 * numpy-vectorized evaluation over column batches,
 * helpers for building conjunctions and extracting referenced columns,
-* a small predicate parser used by the SQL front end and tests.
+* a small predicate parser used by the SQL front end and tests,
+* single-column intervals, what the reuse lattice's subsumption
+  matcher and the cache's interval index work on.
 """
 
 from .ast import (
@@ -31,6 +33,7 @@ from .ast import (
     conjunction_of,
     lit,
 )
+from .interval import exact_interval_of_key, single_column_range
 from .normalize import normalize, push_not_inward, to_cnf
 from .parser import parse_predicate
 
@@ -52,9 +55,11 @@ __all__ = [
     "TruePredicate",
     "col",
     "conjunction_of",
+    "exact_interval_of_key",
     "lit",
     "normalize",
     "parse_predicate",
     "push_not_inward",
+    "single_column_range",
     "to_cnf",
 ]

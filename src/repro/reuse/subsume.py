@@ -9,19 +9,20 @@ a superset of the narrower one's — the scan serves from it and the
 normal residual re-check (the predicate is always re-evaluated over
 candidates) filters the extra rows out.
 
-Read-only over the cache (RP009): candidate entries are discovered by
-parsing their canonical predicate keys back into ASTs — the cache key
-*is* the predicate, so no side index is needed.  Parses are memoized;
-the cache key space is bounded by the entry budget.
+Read-only over the cache (RP009).  Candidates come from the cache's
+interval index (:meth:`PredicateCache.range_entries`): the live plain
+entries whose key parsed, once at install, to an exact interval of the
+requested column — one bucket, never a walk of every entry.  The
+requested side is read off the decomposed conjunct's predicate, so
+nothing is parsed here.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from ..predicates.ast import And, Between, Bounds, Comparison, Predicate
-from ..predicates.parser import PredicateParseError, parse_predicate
+from ..predicates.ast import Bounds
+from ..predicates.interval import single_column_range
 
 if TYPE_CHECKING:
     from ..core.cache import PredicateCache
@@ -29,40 +30,6 @@ if TYPE_CHECKING:
     from .decompose import Conjunct
 
 __all__ = ["bounds_contain", "find_subsuming"]
-
-
-def _is_exact_interval(predicate: Predicate) -> bool:
-    """True when a one-column predicate holds for *every* value inside
-    its ``bounds()`` — a comparison (not ``<>``), ``BETWEEN``, or a
-    conjunction of those.  Anything else (``IN``, ``<>``, ``LIKE``,
-    ``OR``) only reports a zone-map hull with holes in it.
-    """
-    if isinstance(predicate, And):
-        return all(_is_exact_interval(op) for op in predicate.operands)
-    if isinstance(predicate, Comparison):
-        return predicate.op != "<>"
-    return isinstance(predicate, Between)
-
-
-@lru_cache(maxsize=4096)
-def _single_column_range(predicate_key: str) -> Optional[Tuple[str, Bounds, bool]]:
-    """Parse a cache key back into ``(column, bounds, exact)`` if it is
-    a one-column predicate with value bounds; ``None`` for anything
-    else.  ``exact`` says whether the bounds are the predicate's truth
-    (:func:`_is_exact_interval`) or merely a hull around it.
-    """
-    try:
-        predicate: Predicate = parse_predicate(predicate_key)
-    except PredicateParseError:
-        return None
-    columns = predicate.columns()
-    if len(columns) != 1:
-        return None
-    (column,) = columns
-    bounds = predicate.bounds(column)
-    if bounds is None or bounds.unbounded:
-        return None
-    return column, bounds, _is_exact_interval(predicate)
 
 
 def bounds_contain(outer: Bounds, inner: Bounds) -> bool:
@@ -109,35 +76,27 @@ def find_subsuming(
     qualify, and only ones that have recorded at least one slice state —
     an empty shell cannot serve anything.  The cached side must be an
     *exact* interval: a hull (``k IN (7, 80)``) contains values its
-    predicate rejects, so its rows are no superset of ``k = 26``'s.  The
-    requested side may be a hull — containing the hull contains the
-    truth inside it.  Ties are broken toward the most selective entry
-    (fewest false positives to re-check), then the narrowest interval.
+    predicate rejects, so its rows are no superset of ``k = 26``'s — the
+    interval index holds exact intervals only.  The requested side may
+    be a hull — containing the hull contains the truth inside it.  Ties
+    are broken toward the most selective entry (fewest false positives
+    to re-check), then the narrowest interval, then the least recently
+    used (the bucket's order).
     """
-    requested = _single_column_range(conjunct.key.predicate_key)
+    requested = single_column_range(conjunct.predicate)
     if requested is None:
         return None
     column, wanted, _ = requested
-    prefix = f"{column} "
     best: Optional["CacheEntry"] = None
     best_rank: Tuple[float, float] = (float("inf"), float("inf"))
-    for entry in cache.entries():
-        key = entry.key
-        if (
-            key.is_join_key
-            or key.table != conjunct.key.table
-            or key.predicate_key == conjunct.key.predicate_key
-            or not key.predicate_key.startswith(prefix)
-        ):
+    for entry, cached in cache.range_entries(conjunct.key.table, column):
+        if entry.key.predicate_key == conjunct.key.predicate_key:
             continue
-        cached = _single_column_range(key.predicate_key)
-        if cached is None or cached[0] != column or not cached[2]:
-            continue
-        if not bounds_contain(cached[1], wanted):
+        if not bounds_contain(cached, wanted):
             continue
         if not any(state is not None for state in entry.slice_states):
             continue
-        rank = (entry.selectivity, _interval_width(cached[1]))
+        rank = (entry.selectivity, _interval_width(cached))
         if rank < best_rank:
             best, best_rank = entry, rank
     return best

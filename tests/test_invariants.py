@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 
 from repro import invariants
-from repro.core import PredicateCache, PredicateCacheConfig, RangeList, ScanKey
+from repro.core import (
+    PredicateCache,
+    PredicateCacheConfig,
+    RangeList,
+    ScanKey,
+    SemiJoinDescriptor,
+)
 from repro.core.entry import BitmapSliceState, CacheEntry, RangeSliceState
 from repro.invariants import InvariantViolation
 from repro.persist import CacheStore, collect_records
@@ -234,6 +240,53 @@ class TestCheckCache:
         cache = populated_cache(num_keys=1)
         cache.policy = SimpleNamespace(tracked_keys=5, max_tracked=2)
         with pytest.raises(InvariantViolation, match="policy"):
+            invariants.check_cache(cache)
+
+    @staticmethod
+    def indexed_cache():
+        """Reuse on: two exact intervals on ``x`` share a bucket, and a
+        join key references two build tables."""
+        cache = make_cache(enable_reuse=True)
+        for text in ("x < 5", "x < 9"):
+            cache.get_or_create(ScanKey("t", text), 1)
+        join = ScanKey("t", "x = 1", (SemiJoinDescriptor(
+            "a = b", "d", "TRUE", (SemiJoinDescriptor("c = e", "d2"),)
+        ),))
+        cache.get_or_create(join, 1)
+        invariants.check_cache(cache)  # healthy
+        return cache, join
+
+    def test_interval_bucket_out_of_lru_order(self):
+        cache, _ = self.indexed_cache()
+        bucket = cache._ranges[("t", "x")]
+        first = next(iter(bucket))
+        bucket[first] = bucket.pop(first)  # reordered behind the LRU's back
+        with pytest.raises(InvariantViolation, match="interval index"):
+            invariants.check_cache(cache)
+
+    def test_interval_index_missing_key(self):
+        cache, _ = self.indexed_cache()
+        key = ScanKey("t", "x < 5")
+        del cache._ranges[("t", "x")][key]
+        with pytest.raises(InvariantViolation, match="interval index"):
+            invariants.check_cache(cache)
+
+    def test_interval_index_column_map_drift(self):
+        cache, _ = self.indexed_cache()
+        cache._range_columns[ScanKey("t", "x < 5")] = "y"
+        with pytest.raises(InvariantViolation, match="key -> column"):
+            invariants.check_cache(cache)
+
+    def test_build_table_index_keeps_a_dead_key(self):
+        cache, join = self.indexed_cache()
+        cache._build_keys["d3"] = {join: None}
+        with pytest.raises(InvariantViolation, match="build-table index"):
+            invariants.check_cache(cache)
+
+    def test_empty_bucket_left_behind(self):
+        cache, _ = self.indexed_cache()
+        cache._ranges[("t", "y")] = {}
+        with pytest.raises(InvariantViolation, match="interval index"):
             invariants.check_cache(cache)
 
     def test_eviction_hook_fires(self, validate, monkeypatch):

@@ -26,7 +26,7 @@ from repro import (
     parse_predicate,
 )
 from repro.core.entry import PROVENANCES, CacheEntry, RangeSliceState
-from repro.core.keys import ScanKey, conjunct_key
+from repro.core.keys import ScanKey, SemiJoinDescriptor, conjunct_key
 from repro.core.rowrange import RangeList
 from repro.persist import CacheStore
 from repro.persist.format import (
@@ -36,8 +36,10 @@ from repro.persist.format import (
     encode_state_event,
 )
 from repro.persist.records import EntryRecord, key_digest
-from repro.reuse import bounds_contain, decompose
-from repro.reuse.subsume import _single_column_range
+from repro.predicates import single_column_range
+from repro.predicates.parser import PredicateParseError
+from repro.reuse import bounds_contain, decompose, find_subsuming
+from repro.reuse.subsume import _interval_width
 from repro.storage import ColumnSpec, DataType, TableSchema
 
 from tests.test_differential import assert_rows_equal
@@ -167,7 +169,7 @@ def test_decompose_dedups_repeated_conjuncts():
 
 def test_bounds_containment():
     def bounds_of(expr):
-        parsed = _single_column_range(parse_predicate(expr).cache_key())
+        parsed = single_column_range(parse_predicate(expr))
         assert parsed is not None, expr
         return parsed[1]
 
@@ -184,8 +186,350 @@ def test_bounds_containment():
 
 
 def test_single_column_range_rejects_multi_column_and_unbounded():
-    assert _single_column_range(parse_predicate("k < v").cache_key()) is None
-    assert _single_column_range(parse_predicate("k < 5 or v < 5").cache_key()) is None
+    assert single_column_range(parse_predicate("k < v")) is None
+    assert single_column_range(parse_predicate("k < 5 or v < 5")) is None
+
+
+# -- the subsumption matcher against its linear reference ---------------------
+
+
+def linear_find_subsuming(cache, conjunct):
+    """The matcher as a walk of every live entry, re-parsing each key —
+    the reference the interval index must agree with, entry for entry."""
+
+    def parsed(predicate_key):
+        try:
+            return single_column_range(parse_predicate(predicate_key))
+        except PredicateParseError:
+            return None
+
+    requested = parsed(conjunct.key.predicate_key)
+    if requested is None:
+        return None
+    column, wanted, _ = requested
+    best, best_rank = None, (float("inf"), float("inf"))
+    for entry in cache.entries():
+        key = entry.key
+        if (
+            key.is_join_key
+            or key.table != conjunct.key.table
+            or key.predicate_key == conjunct.key.predicate_key
+        ):
+            continue
+        cached = parsed(key.predicate_key)
+        if cached is None or cached[0] != column or not cached[2]:
+            continue
+        if not bounds_contain(cached[1], wanted):
+            continue
+        if not any(state is not None for state in entry.slice_states):
+            continue
+        rank = (entry.selectivity, _interval_width(cached[1]))
+        if rank < best_rank:
+            best, best_rank = entry, rank
+    return best
+
+
+def linear_build_side(cache, table_name):
+    """The keys a write to ``table_name`` must drop, by a walk."""
+    return {key for key in cache.keys() if table_name in key.referenced_tables()}
+
+
+def the_conjunct(text):
+    """The one conjunct of a single-conjunct predicate."""
+    (conjunct,) = decompose("t", parse_predicate(text)).conjuncts
+    return conjunct
+
+
+def plain_key(text):
+    """The plain cache key of predicate ``text`` on ``t``."""
+    return ScanKey("t", parse_predicate(text).cache_key())
+
+
+def install_plain(cache, text, stats=None):
+    """A plain entry on ``text`` with one recorded slice state and, if
+    given, ``(rows_qualifying, rows_considered)``."""
+    entry = cache.get_or_create(plain_key(text), 2)
+    cache.record_slice_scan(entry, 0, RangeList([(0, 4)]), 16)
+    if stats is not None:
+        cache.record_entry_stats(entry, *stats)
+    return entry
+
+
+def served(cache, request):
+    """``find_subsuming``'s answer for ``request``, checked against the
+    linear reference."""
+    conjunct = the_conjunct(request)
+    found = find_subsuming(cache, conjunct)
+    assert found is linear_find_subsuming(cache, conjunct)
+    return found
+
+
+def test_hull_entries_never_serve_a_point_in_their_hole():
+    cache = PredicateCache(reuse_config())
+    install_plain(cache, "k in (7, 80)")
+    install_plain(cache, "k >= 5 and k <> 26")
+    assert served(cache, "k = 26") is None
+    exact = install_plain(cache, "k between 20 and 30")
+    assert served(cache, "k = 26") is exact
+
+
+def test_equal_intervals_most_selective_wins():
+    """Same interval, two keys: the more selective one serves although
+    the other is less recently used (which would win a full tie)."""
+    cache = PredicateCache(reuse_config())
+    install_plain(cache, "k between 10 and 50", stats=(50, 100))
+    tighter = install_plain(cache, "k >= 10 and k <= 50", stats=(10, 100))
+    assert served(cache, "k = 26") is tighter
+
+
+def test_equal_selectivity_narrowest_wins():
+    cache = PredicateCache(reuse_config())
+    install_plain(cache, "k < 95")
+    install_plain(cache, "k between 0 and 90")
+    narrow = install_plain(cache, "k between 10 and 60")
+    assert served(cache, "k = 26") is narrow
+    assert narrow.selectivity == 1.0
+
+
+def test_entry_without_recorded_state_is_skipped():
+    cache = PredicateCache(reuse_config())
+    cache.get_or_create(ScanKey("t", "k BETWEEN 10 AND 60"), 2)
+    assert served(cache, "k = 26") is None
+    wide = install_plain(cache, "k < 90")
+    assert served(cache, "k = 26") is wide
+
+
+def test_half_open_tie_goes_to_the_least_recently_used_entry():
+    """Two half-open entries at selectivity 1.0 rank equal (width inf):
+    the one used least recently serves — in the order a walk of the
+    whole cache meets them, not the order they were installed."""
+    cache = PredicateCache(reuse_config())
+    first = install_plain(cache, "day < 707")
+    second = install_plain(cache, "day < 698")
+    assert served(cache, "day < 697") is first
+    assert cache.lookup(first.key) is first  # now the most recently used
+    assert served(cache, "day < 697") is second
+    assert cache.lookup_part(second.key) is second
+    assert served(cache, "day < 697") is first
+
+
+@pytest.mark.parametrize("drop", ["evict", "invalidate", "vacuum"])
+def test_dropped_entries_are_never_returned(drop):
+    one = install_plain(PredicateCache(reuse_config()), "k < 90").nbytes
+    cache = PredicateCache(reuse_config(max_bytes=one))
+    wide = install_plain(cache, "k < 90")
+    assert served(cache, "k = 26") is wide
+    if drop == "evict":
+        install_plain(cache, "v < 3")
+        assert cache.stats.evictions == 1
+    elif drop == "invalidate":
+        assert cache.drop_stale(wide.key)
+    else:
+        cache.invalidate_table("t")
+    assert wide.key not in cache
+    assert served(cache, "k = 26") is None
+
+
+def test_write_to_region_drops_lineitem_key_joined_through_nation():
+    db = Database(num_slices=1)
+    for name in ("lineitem", "nation", "region"):
+        db.create_table(TableSchema(name, (ColumnSpec("x", DataType.INT64),)))
+    cache = PredicateCache(reuse_config())
+    for name in ("lineitem", "nation", "region"):
+        cache.watch_table(db.table(name))
+    region = SemiJoinDescriptor("n_regionkey = r_regionkey", "region", "x = 2")
+    through_region = ScanKey(
+        "lineitem", "x < 5",
+        (SemiJoinDescriptor("l_nationkey = n_nationkey", "nation", "TRUE", (region,)),),
+    )
+    nation_only = ScanKey(
+        "lineitem", "x < 5", (SemiJoinDescriptor("l_nationkey = n_nationkey", "nation"),)
+    )
+    plain = ScanKey("lineitem", "x < 5")
+    for key in (through_region, nation_only, plain):
+        cache.get_or_create(key, 1)
+    assert linear_build_side(cache, "region") == {through_region}
+    db.table("region").insert({"x": [1]}, db.begin())
+    assert through_region not in cache
+    assert nation_only in cache and plain in cache
+    assert cache.stats.invalidations == 1
+    assert set(cache._build_keys) == {"nation"}
+    invariants.check_cache(cache)
+
+
+def test_clear_leaves_both_indexes_empty():
+    cache = PredicateCache(reuse_config())
+    for text in ("k < 5", "k between 1 and 9", "v >= 3", "k in (1, 2)"):
+        install_plain(cache, text)
+    join = ScanKey("t", "k < 5", (SemiJoinDescriptor("a = b", "d", "TRUE", (
+        SemiJoinDescriptor("c = e", "d2"),
+    )),))
+    cache.get_or_create(join, 2)
+    assert set(cache._ranges) == {("t", "k"), ("t", "v")}
+    assert set(cache._build_keys) == {"d", "d2"}
+    cache.clear()
+    assert cache._ranges == {} and cache._range_columns == {}
+    assert cache._build_keys == {}
+    invariants.check_cache(cache)
+
+
+def test_reuse_off_keeps_no_interval_index():
+    cache = PredicateCache(PredicateCacheConfig(variant="range"))
+    install_plain(cache, "k < 5")
+    assert cache._ranges == {} and cache.range_entries("t", "k") == []
+    invariants.check_cache(cache)
+
+
+def _weighted(*options):
+    """One of the ``(weight, strategy)`` options, drawn in proportion to
+    its weight (``st.one_of`` draws its branches evenly)."""
+    choices = [strategy for weight, strategy in options for _ in range(weight)]
+    return st.sampled_from(range(len(choices))).flatmap(choices.__getitem__)
+
+
+_column = st.sampled_from(["k", "v", "day"])
+_value = st.integers(0, 9)
+_comparison = st.builds(
+    "{} {} {}".format,
+    _column,
+    st.sampled_from(["<", "<", "<=", ">", ">", ">=", "=", "<>"]),
+    _value,
+)
+_between = st.builds(
+    lambda c, lo, width: f"{c} between {lo} and {lo + width}",
+    _column, _value, st.integers(0, 5),
+)
+_atom = _weighted(
+    (2, _comparison),
+    (2, _between),
+    (1, st.builds(lambda c, a, b: f"{c} in ({a}, {b})", _column, _value, _value)),
+    (1, st.builds(lambda c, p: f"{c} like '{p}%'", _column, st.integers(0, 9))),
+)
+_predicate_text = _weighted((3, _atom), (1, st.builds("{} and {}".format, _atom, _atom)))
+#: Drill-down keys: half-open ranges on one column, which all rank at
+#: width ``inf`` — where equal ranks, hence the LRU tie rule, are common.
+_drill = st.builds("day {} {}".format, st.sampled_from(["<", "<="]), st.integers(4, 9))
+_join_key = st.builds(
+    lambda text, build, nested: ScanKey(
+        "t",
+        plain_key(text).predicate_key,
+        (SemiJoinDescriptor(
+            "a = b", build, "TRUE",
+            tuple(SemiJoinDescriptor("c = d", n) for n in nested),
+        ),),
+    ),
+    _predicate_text,
+    st.sampled_from(["d1", "d2"]),
+    st.lists(st.sampled_from(["d2", "d3"]), max_size=2, unique=True),
+)
+_install = st.tuples(
+    st.just("install"),
+    _weighted(
+        (2, _drill.map(plain_key)),
+        (2, _predicate_text.map(plain_key)),
+        (1, _join_key),
+    ),
+    st.sampled_from([{0}, {1}, {0, 1}, {0, 1}, set()]),
+    st.sampled_from([(0, 0), (0, 0), (1, 2), (1, 4)]),
+)
+#: Lookups, restores and stale drops name an earlier install by index.
+_installed = st.integers(0, 63)
+#: Weighted so the cache grows past its byte budget between the rare
+#: whole-table wipes.
+_operation = _weighted(
+    (16, _install),
+    (8, st.tuples(st.sampled_from(["lookup", "lookup_part"]), _installed)),
+    (1, st.tuples(st.just("restore"), _installed)),
+    (2, st.tuples(st.just("build_write"), st.sampled_from(["d1", "d2", "d3"]))),
+    (1, st.tuples(st.just("drop_stale"), _installed)),
+    (1, st.tuples(st.sampled_from(["vacuum", "clear"]))),
+)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    operations=st.lists(_operation, min_size=20, max_size=60),
+    requests=st.lists(
+        st.one_of(
+            _atom,
+            st.builds("day {} {}".format, st.sampled_from(["<", "="]), st.integers(0, 4)),
+        ),
+        min_size=3,
+        max_size=8,
+    ),
+)
+def test_indexed_matcher_twins_the_linear_walk(operations, requests):
+    """Installs, lookups (each touches the LRU), restores over live keys,
+    evictions under ``max_bytes``, build-side writes, stale drops,
+    vacuums and clears, in any order: after every step the indexed
+    matcher returns the very entry the linear walk does, and a
+    build-side write drops the very key set a walk selects."""
+    cache = PredicateCache(reuse_config("range", max_bytes=480))
+    installed = []
+    # ``day < 1`` lies inside every drill-down key: most steps pit
+    # equally ranked entries against each other.
+    conjuncts = [the_conjunct("day < 1")]
+    for text in requests:
+        decomposition = decompose("t", parse_predicate(text))
+        if decomposition is not None:
+            conjuncts.extend(decomposition.conjuncts)
+    for operation in operations:
+        kind = operation[0]
+        if kind in ("lookup", "lookup_part", "restore", "drop_stale"):
+            if not installed:
+                continue
+            key = installed[operation[1] % len(installed)]
+        if kind == "install":
+            _, key, slices, stats = operation
+            installed.append(key)
+            entry = cache.get_or_create(key, 2)
+            for slice_id in sorted(slices):
+                cache.record_slice_scan(entry, slice_id, RangeList([(0, 3)]), 12)
+            cache.record_entry_stats(entry, *stats)
+        elif kind == "lookup":
+            cache.lookup(key)
+        elif kind == "lookup_part":
+            cache.lookup_part(key)
+        elif kind == "restore":
+            cache.install_restored(
+                key, 2, {},
+                {0: RangeSliceState(RangeList([(1, 2)]), 8, 16)},
+                stats=(1, 2, 4),
+            )
+        elif kind == "build_write":
+            expected = linear_build_side(cache, operation[1])
+            before = set(cache.keys())
+            cache.invalidate_build_side(operation[1])
+            assert before - set(cache.keys()) == expected
+        elif kind == "drop_stale":
+            cache.drop_stale(key)
+        elif kind == "vacuum":
+            cache.invalidate_table("t")
+        else:
+            cache.clear()
+        for conjunct in conjuncts:
+            assert find_subsuming(cache, conjunct) is linear_find_subsuming(
+                cache, conjunct
+            ), (operation, conjunct.key)
+        invariants.check_cache(cache)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_predicate_text)
+def test_requested_side_read_off_the_conjunct_equals_parsing_its_key(text):
+    """The matcher reads the requested interval off the decomposed
+    conjunct's predicate instead of parsing its canonical key back."""
+    decomposition = decompose("t", parse_predicate(text))
+    if decomposition is None:
+        return
+    for conjunct in decomposition.conjuncts:
+        assert single_column_range(conjunct.predicate) == single_column_range(
+            parse_predicate(conjunct.key.predicate_key)
+        )
 
 
 # -- provenance plumbing ------------------------------------------------------
