@@ -2,20 +2,18 @@
 
 The serving layer turns the single-session :class:`~repro.engine.QueryEngine`
 into a multi-client front end: a bounded worker pool executes statements
-from many clients concurrently, per-tenant admission control sheds load
-past configured queue/in-flight limits, deadlines are honored at
-dispatch, and DML serializes against concurrent SELECTs through a
-shared/exclusive statement lock.
+from many clients concurrently, per-tenant admission control rejects
+load past configured queue/in-flight limits (the one overload
+mechanism), deadlines are honored at dispatch, and DML serializes
+against concurrent SELECTs through a shared/exclusive statement lock.
 
 The resilience control plane lives here too: a
 :class:`ClusterHealthMonitor` heartbeats cluster nodes on each tick and
-replaces dead ones, a :class:`RecoveryOrchestrator` stages mid-write
-crashes and drives warm restarts, and the
-:class:`AdmissionController` adaptively sheds overload (queue depth,
-unmeetable deadlines) with priority retention for hot tenants.
+replaces dead ones, and a :class:`RecoveryOrchestrator` stages
+mid-write crashes and drives warm restarts.
 """
 
-from .admission import SHED_REASONS, AdmissionController, TenantState
+from .admission import AdmissionController, TenantState
 from .envelope import Request, RequestStatus, Response
 from .health import ClusterHealthMonitor, NodeState
 from .recovery import RecoveryOrchestrator, RecoveryReport
@@ -32,6 +30,5 @@ __all__ = [
     "Request",
     "RequestStatus",
     "Response",
-    "SHED_REASONS",
     "TenantState",
 ]

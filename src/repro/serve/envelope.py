@@ -46,13 +46,11 @@ class Request:
         deadline_seconds: latency budget measured from submission; a
             request still queued when its budget lapses is failed with
             :attr:`RequestStatus.TIMED_OUT` instead of executing late.
-        tag: opaque client correlation value, echoed on the response.
     """
 
     sql: str
     tenant: str = "default"
     deadline_seconds: Optional[float] = None
-    tag: Optional[object] = None
     request_id: int = field(default_factory=lambda: next(_REQUEST_IDS))
 
 
@@ -70,9 +68,9 @@ class Response:
     queued_seconds: float = 0.0
     #: Submission-to-completion seconds (queue wait + execution).
     total_seconds: float = 0.0
-    #: Why a REJECTED request was shed (an element of
-    #: :data:`~repro.serve.admission.SHED_REASONS`, or ``"server_closed"``);
-    #: ``None`` for every other status.
+    #: Why a REJECTED request was shed: ``"tenant_limit"`` (over its
+    #: admission caps) or ``"server_closed"``; ``None`` for every other
+    #: status.
     shed_reason: Optional[str] = None
 
     @property

@@ -21,8 +21,9 @@ those crashes against a live engine — reusing the
    pre-crash cache keys that survived into the restarted cache.
 
 Correctness never rides on any of this (a lost entry is a cold scan,
-not a wrong answer); the drills exist to bound the performance cliff
-and are gated by ``benchmarks/perf/bench_resilience.py``.
+not a wrong answer); the drills in ``tests/test_resilience_drills.py``
+run each crash under live load and assert that the restarted cache is
+warm (``warm_hit_retention > 0``) and every statement stays correct.
 """
 
 from __future__ import annotations

@@ -214,25 +214,8 @@ class QueryServer:
         now = time.monotonic()
         with self._cv:
             accepting = self._accepting
-            queue_depth = len(self._queue)
         if not accepting:
             return self._reject_closed(request, future)
-        shed_reason = self.admission.should_shed(
-            request.tenant,
-            request.deadline_seconds,
-            queue_depth,
-            len(self._workers),
-        )
-        if shed_reason is not None:
-            response = Response(
-                request,
-                RequestStatus.REJECTED,
-                error=f"shed before admission ({shed_reason})",
-                shed_reason=shed_reason,
-            )
-            self._count_terminal(response)
-            future.set_result(response)
-            return future
         if not self.admission.try_admit(request.tenant, request.request_id):
             response = Response(
                 request,
@@ -364,8 +347,6 @@ class QueryServer:
             total_seconds=now - pending.enqueued_at,
         )
         self.admission.on_finish(request.tenant)
-        self.admission.on_complete(request.tenant)
-        self.admission.observe_service_time(now - started)
         if self._m_latency is not None:
             self._m_queue_wait.observe(queued_seconds)
         self._count_terminal(response)

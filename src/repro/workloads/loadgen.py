@@ -11,7 +11,7 @@ replayed serially for differential testing.
 :func:`run_closed_loop` drives a :class:`~repro.serve.QueryServer` with
 one thread per client, each submitting its next statement only after
 the previous response arrives (closed-loop: offered load adapts to
-service rate, the standard harness shape for latency percentiles).
+service rate).
 """
 
 from __future__ import annotations
@@ -203,28 +203,21 @@ def setup_load_tables(
 
 @dataclass
 class LoadReport:
-    """Everything a closed-loop run observed, per client and overall.
+    """What a closed-loop run observed, per client.
 
     ``responses`` holds each client's *terminal* responses in statement
     order.  Rejections a closed-loop client retried through (admission
-    pushback, overload sheds) never become terminal, so they are
-    tallied separately in ``rejections`` — keyed by client, then by
-    shed reason — which is what makes shed-mode runs diagnosable.
+    pushback) never become terminal, so they are tallied separately in
+    ``rejections`` — keyed by client, then by shed reason — which is
+    what makes an overloaded run diagnosable.
     """
 
     responses: Dict[int, List[Response]] = field(default_factory=dict)
     rejections: Dict[int, Dict[str, int]] = field(default_factory=dict)
-    wall_seconds: float = 0.0
 
     @property
     def total_requests(self) -> int:
         return sum(len(r) for r in self.responses.values())
-
-    @property
-    def qps(self) -> float:
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.total_requests / self.wall_seconds
 
     def status_counts(self) -> Dict[RequestStatus, int]:
         """Terminal responses per status, every status present (one pass)."""
@@ -263,51 +256,8 @@ class LoadReport:
     def errors(self) -> int:
         return self.count(RequestStatus.ERROR)
 
-    def latencies(self) -> np.ndarray:
-        """Completion latencies (seconds) of executed statements."""
-        values = [
-            response.total_seconds
-            for responses in self.responses.values()
-            for response in responses
-            if response.status in (RequestStatus.OK, RequestStatus.ERROR)
-        ]
-        return np.asarray(values, dtype=np.float64)
 
-    def percentile(self, q: float) -> float:
-        latencies = self.latencies()
-        if latencies.size == 0:
-            return 0.0
-        return float(np.percentile(latencies, q))
-
-    @property
-    def p50(self) -> float:
-        return self.percentile(50)
-
-    @property
-    def p99(self) -> float:
-        return self.percentile(99)
-
-    def summary(self) -> Dict[str, float]:
-        counts = self.status_counts()
-        return {
-            "requests": self.total_requests,
-            "qps": self.qps,
-            "p50_seconds": self.p50,
-            "p99_seconds": self.p99,
-            "ok": counts[RequestStatus.OK],
-            "rejected": counts[RequestStatus.REJECTED],
-            "timed_out": counts[RequestStatus.TIMED_OUT],
-            "errors": counts[RequestStatus.ERROR],
-            "retried_rejections": self.total_rejections,
-            "wall_seconds": self.wall_seconds,
-        }
-
-
-def run_closed_loop(
-    server,
-    scripts: Sequence[LoadScript],
-    deadline_seconds: Optional[float] = None,
-) -> LoadReport:
+def run_closed_loop(server, scripts: Sequence[LoadScript]) -> LoadReport:
     """Drive the server with one closed-loop thread per script.
 
     Each client thread submits its statements strictly in order,
@@ -316,9 +266,7 @@ def run_closed_loop(
     by blocking, they do not drop work), so every script runs to
     completion and differential comparisons see all statements.  Every
     retried rejection is recorded on the report by shed reason, so
-    shed-mode runs stay diagnosable.  ``deadline_seconds`` stamps each
-    request with a latency budget (timed-out statements are terminal,
-    not retried).
+    overloaded runs stay diagnosable.
     """
     report = LoadReport(responses={script.client_id: [] for script in scripts})
 
@@ -327,11 +275,7 @@ def run_closed_loop(
         for sql in script.statements:
             while True:
                 response = server.submit(
-                    Request(
-                        sql,
-                        tenant=script.tenant,
-                        deadline_seconds=deadline_seconds,
-                    )
+                    Request(sql, tenant=script.tenant)
                 ).result()
                 if response.status is not RequestStatus.REJECTED:
                     sink.append(response)
@@ -348,10 +292,8 @@ def run_closed_loop(
         )
         for script in scripts
     ]
-    started = time.monotonic()
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    report.wall_seconds = time.monotonic() - started
     return report

@@ -12,14 +12,16 @@ exact invalidation accounting where DML is in play):
 * **crash-restart recovery** — the cache process "dies" mid-snapshot
   (and mid-journal-append), then restarts: journal replay + catalog
   revalidation rebuild a warm cache under live load.
-* **adaptive overload shed** — a deliberately undersized server sheds
-  queue pressure by reason; closed-loop clients retry through it and
-  every statement still completes correctly.
+* **overload shed** — eight clients share one tenant whose admission
+  caps hold four requests; the excess is rejected as ``tenant_limit``,
+  closed-loop clients retry through it and every statement still
+  completes correctly.
 
 ``REPRO_DRILL_SEED`` offsets every generator seed so CI can run the
 whole suite at independent seeds.
 """
 
+import dataclasses
 import os
 import threading
 import time
@@ -40,7 +42,6 @@ from repro.faults import NodeDownError
 from repro.obs import MetricsRegistry
 from repro.persist import CacheStore
 from repro.serve import (
-    SHED_REASONS,
     AdmissionController,
     ClusterHealthMonitor,
     NodeState,
@@ -83,12 +84,12 @@ def assert_matches_truth(report, generator, truth):
             assert got == expected, context
 
 
-def run_load_in_background(server, scripts, **kwargs):
+def run_load_in_background(server, scripts):
     """Start a closed-loop run on a thread; returns (thread, results)."""
     results = []
 
     def runner():
-        results.append(run_closed_loop(server, scripts, **kwargs))
+        results.append(run_closed_loop(server, scripts))
 
     thread = threading.Thread(target=runner, name="drill-load")
     thread.start()
@@ -317,7 +318,7 @@ class TestCrashRestartDrill:
         assert len(replacement) == 0
 
 
-# -- drill 3: adaptive overload shedding --------------------------------------
+# -- drill 3: overload shedding -----------------------------------------------
 
 
 class TestOverloadShedDrill:
@@ -336,15 +337,15 @@ class TestOverloadShedDrill:
         setup_load_tables(engine, gen, rows_per_table=3000)
         table_name = gen.table_for(0)
 
-        admission = AdmissionController(
-            max_in_flight=2,
-            max_queued=2,
-            shed_queue_depth=3,
-            priority_tenants=("tenant_0",),
-        )
+        # Eight clients, one tenant: its caps admit four requests at a
+        # time, so the other clients are pushed back and retry.
+        scripts = [
+            dataclasses.replace(script, tenant="shared") for script in gen.scripts()
+        ]
+        admission = AdmissionController(max_in_flight=2, max_queued=2)
         server = QueryServer(engine, max_workers=2, admission=admission)
         try:
-            report = run_closed_loop(server, gen.scripts())
+            report = run_closed_loop(server, scripts)
         finally:
             server.shutdown()
 
@@ -361,13 +362,8 @@ class TestOverloadShedDrill:
         assert cache.generation_of(table_name) == layout_changes
 
         # Pressure actually shed, and every shed was diagnosable.
-        sheds = admission.sheds()
-        assert set(sheds) == set(SHED_REASONS)
-        assert admission.total_sheds > 0
-        assert report.total_rejections == admission.total_sheds
-        by_reason = report.rejections_by_reason()
-        assert sum(by_reason.values()) == admission.total_sheds
-        assert set(by_reason) <= set(SHED_REASONS)
+        assert report.total_rejections == admission.total_rejected > 0
+        assert set(report.rejections_by_reason()) == {"tenant_limit"}
 
         # Quiescent differential: cached view equals an uncached reader.
         reader = QueryEngine(engine.database)
@@ -377,29 +373,6 @@ class TestOverloadShedDrill:
                 f"where {predicate}"
             )
             assert engine.execute(sql).rows() == reader.execute(sql).rows()
-
-    def test_deadline_unmeetable_sheds_before_queueing(self):
-        admission = AdmissionController(shed_queue_depth=100)
-        # Teach the EWMA that requests take ~100ms.
-        for _ in range(5):
-            admission.observe_service_time(0.1)
-        # 10 queued ahead over 1 worker -> ~1.1s estimated wait.
-        reason = admission.should_shed("t", 0.05, queue_depth=10, workers=1)
-        assert reason == "deadline_unmeetable"
-        # A generous deadline is admitted.
-        assert admission.should_shed("t", 5.0, queue_depth=10, workers=1) is None
-        # No observations -> never shed on a guess.
-        fresh = AdmissionController()
-        assert fresh.should_shed("t", 0.001, queue_depth=50, workers=1) is None
-
-    def test_priority_tenants_survive_queue_pressure_longer(self):
-        admission = AdmissionController(
-            shed_queue_depth=4, priority_tenants=("vip",)
-        )
-        assert admission.should_shed("normal", None, 4, 2) == "queue_full"
-        assert admission.should_shed("vip", None, 4, 2) is None
-        assert admission.should_shed("vip", None, 8, 2) == "queue_full"
-        assert admission.sheds()["queue_full"] == 2
 
 
 # -- metrics: the repro_resilience_* family -----------------------------------
@@ -412,14 +385,12 @@ class TestResilienceMetrics:
         cluster = ClusterCaches(2, store=store)
         engine = QueryEngine(db, predicate_cache=cluster)
         monitor = ClusterHealthMonitor(cluster)
-        admission = AdmissionController(shed_queue_depth=2)
         orchestrator = RecoveryOrchestrator(engine, store)
         registry = MetricsRegistry()
         monitor.register_metrics(registry)
-        admission.register_metrics(registry)
         orchestrator.register_metrics(registry)
         store.register_metrics(registry)
-        return registry, (engine, cluster, monitor, admission, orchestrator)
+        return registry, (engine, cluster, monitor, orchestrator)
 
     def test_expected_series_exist(self, tmp_path):
         registry, _ = self._full_registry(tmp_path)
@@ -428,8 +399,6 @@ class TestResilienceMetrics:
             "repro_resilience_node_state",
             "repro_resilience_ping_failures_total",
             "repro_resilience_failovers_total",
-            "repro_resilience_sheds_total",
-            "repro_resilience_service_time_ewma_seconds",
             "repro_resilience_crashes_injected_total",
             "repro_resilience_restarts_total",
             "repro_resilience_journal_replays_total",
@@ -440,10 +409,10 @@ class TestResilienceMetrics:
             assert expected in names, expected
 
     def test_labels_are_stable_across_activity(self, tmp_path):
-        """The series/label universe is fixed at registration: drills,
-        sheds, and failovers change *values*, never the label sets."""
-        registry, (engine, cluster, monitor, admission, orchestrator) = (
-            self._full_registry(tmp_path)
+        """The series/label universe is fixed at registration: drills
+        and failovers change *values*, never the label sets."""
+        registry, (engine, cluster, monitor, orchestrator) = self._full_registry(
+            tmp_path
         )
         before = set(registry.as_dict().keys())
 
@@ -454,8 +423,6 @@ class TestResilienceMetrics:
         cluster.kill_node(0)
         for _ in range(5):
             monitor.tick()
-        admission.should_shed("t", None, 10, 1)
-        admission.observe_service_time(0.01)
         orchestrator.drill("mid_snapshot")
 
         after = set(registry.as_dict().keys())
@@ -464,15 +431,7 @@ class TestResilienceMetrics:
         # And the interesting series moved.
         values = registry.as_dict()
         assert values["repro_resilience_failovers_total"] >= 1
-        assert values['repro_resilience_sheds_total{reason="queue_full"}'] >= 1
         assert values["repro_resilience_restarts_total"] == 1
-
-    def test_shed_reason_labels_are_preregistered(self):
-        registry = MetricsRegistry()
-        AdmissionController(shed_queue_depth=1).register_metrics(registry)
-        series = registry.as_dict()
-        for reason in SHED_REASONS:
-            assert f'repro_resilience_sheds_total{{reason="{reason}"}}' in series
 
     def test_node_state_gauge_tracks_the_state_machine(self, tmp_path):
         db = Database()
