@@ -20,9 +20,8 @@ class DownedCache:
     operation raises :class:`~repro.faults.NodeDownError`, the way an
     RPC to a crashed node fails.  The scan path catches the error at
     cache-context resolution and degrades to cache-off scans for the
-    node's slices — the one signal of a dead node.  The health
-    monitor's ``ping`` probes turn the same raise into missed
-    heartbeats and eventually replace the node (DESIGN.md §13).
+    node's slices — the one signal of a dead node — until whoever
+    killed it calls :meth:`ClusterCaches.fail_node` (DESIGN.md §13).
     """
 
     def __init__(self, node_id: int) -> None:
@@ -71,17 +70,16 @@ class ClusterCaches:
     **Canonical shard-lock order** (enforced by ``tools.check``
     RP010 on the global lock-order graph): at most one node cache's
     lock may be held at a time.  Cross-node operations — aggregate
-    stats, ``clear_all``, hydration, the health monitor's probes —
-    visit nodes sequentially in ascending node id and never call into
-    node *j*'s cache while holding node *i*'s lock.  All node caches
-    share the lock name ``PredicateCache._lock``, and the runtime
-    witness skips only *same-instance* re-entry — so a nested
-    cross-node acquisition records a ``PredicateCache._lock →
-    PredicateCache._lock`` edge that is absent from the static graph
-    (the static side elides re-entrant self-edges) and fails the
-    witness cross-check.  The reference-swap mutations above are
-    deliberately lock-free; they run on operator calls (a monitor
-    tick, a resize), never from a worker entry point, so ``tools.check``
+    stats, :meth:`clear`, hydration — visit nodes sequentially in
+    ascending node id and never call into node *j*'s cache while
+    holding node *i*'s lock.  All node caches share the lock name
+    ``PredicateCache._lock``, and the runtime witness skips only
+    *same-instance* re-entry — so a nested cross-node acquisition
+    records a ``PredicateCache._lock → PredicateCache._lock`` edge that
+    is absent from the static graph (the static side elides re-entrant
+    self-edges) and fails the witness cross-check.  The reference-swap mutations above are
+    deliberately lock-free; they run on operator calls (a failover, a
+    resize), never from a worker entry point, so ``tools.check``
     RP012 has nothing to flag.
     """
 
@@ -167,9 +165,10 @@ class ClusterCaches:
         dead.close()
 
     def fail_node(self, node_id: int) -> PredicateCache:
-        """Simulate a node failure.
+        """Replace a node — dead (after :meth:`kill_node`) or live.
 
-        A new compute node downloads its data slices from managed
+        This is the one failover call: whoever kills a node replaces it
+        here.  A new compute node downloads its data slices from managed
         storage (§4.2.1).  Without a store its cache starts cold and
         only its share of each entry must be relearned — the other
         nodes keep theirs.  With a store attached, the replacement

@@ -154,17 +154,6 @@ class PredicateCache:
 
     # -- wiring ------------------------------------------------------------------
 
-    def ping(self) -> bool:
-        """Liveness probe for the health monitor (DESIGN.md §13).
-
-        A live cache answers by briefly taking and releasing its lock —
-        proving the node is both reachable and not wedged.  A dead
-        node's tombstone raises
-        :class:`~repro.faults.NodeDownError` instead.
-        """
-        with self._lock:
-            return True
-
     def watch_table(self, table: "Table") -> None:
         """Subscribe to a table's change events (idempotent)."""
         with self._lock:

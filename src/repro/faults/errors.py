@@ -13,9 +13,9 @@ own compute nodes:
   :class:`TransientStorageError`, it surfaces to the query: the fetch
   loop is the one place a failing read is retried.
 * :class:`NodeDownError` — a cluster compute node stopped answering
-  (crashed process, lost heartbeats).  Raised by a dead node's cache
-  tombstone; the scan path degrades to cache-off scans for that node's
-  slices until the health monitor replaces it (DESIGN.md §13).
+  (crashed process).  Raised by a dead node's cache tombstone; the scan
+  path degrades to cache-off scans for that node's slices until
+  ``ClusterCaches.fail_node`` replaces it (DESIGN.md §13).
 """
 
 from __future__ import annotations

@@ -5,10 +5,11 @@ A :class:`CacheStore` owns one directory holding two files:
 * ``cache.snapshot`` — the last complete snapshot, rotated atomically
   (write to a temp file, ``os.replace``): readers always see either the
   old complete snapshot or the new one, never a half-written file.
-* ``cache.journal`` — the append-only event log since that snapshot.
-  Install/extend events carry the full new slice state (idempotent
-  replay); invalidate/evict events carry the entry digest plus the
-  dropped slice ids.
+* ``cache.journal`` — the append-only event log since that snapshot
+  (or since an earlier one, when an append raced the snapshot's reads:
+  see :meth:`CacheStore.snapshot`).  Install/extend events carry the
+  full new slice state (idempotent replay); invalidate/evict events
+  carry the entry digest plus the dropped slice ids.
 
 ``load`` = read snapshot + replay journal + **revalidate**: every
 restored entry is checked against the bound catalog's current table
@@ -221,12 +222,22 @@ class CacheStore:
     def snapshot(self, caches) -> bool:
         """Serialize the live cache(s) — a ``PredicateCache``, a
         ``ClusterCaches`` router, or a plain list of caches — into a
-        fresh snapshot and reset the journal.  Returns False if an
-        injected crash tore the write (the previous snapshot and journal
-        survive untouched)."""
+        fresh snapshot and reset the journal (kept when an append raced
+        the reads, see below).  Returns False if an injected crash tore
+        the write (the previous snapshot and journal survive
+        untouched)."""
         if not isinstance(caches, (list, tuple)):
             caches = caches.nodes()
-        return self.snapshot_records(collect_records(caches))
+        appended = self.journal_records
+        records = collect_records(caches)
+        with self._io_lock:
+            # The states were read with no lock held, so an append that
+            # landed meanwhile may carry a newer state than the one read.
+            # Such a rotation keeps the journal: replay is last-writer-
+            # wins, so it ends on the newest appended state.  A wedged
+            # journal ends in a torn record and is reset as always.
+            raced = self.journal_records != appended and not self._wedged
+            return self._write_snapshot_locked(records, keep_journal=raced)
 
     def snapshot_records(self, records: Dict[int, EntryRecord]) -> bool:
         """Write ``records`` as the new snapshot and reset the journal;
@@ -234,7 +245,9 @@ class CacheStore:
         with self._io_lock:
             return self._write_snapshot_locked(records)
 
-    def _write_snapshot_locked(self, records: Dict[int, EntryRecord]) -> bool:
+    def _write_snapshot_locked(
+        self, records: Dict[int, EntryRecord], keep_journal: bool = False
+    ) -> bool:
         """Caller holds ``_io_lock``."""
         data = encode_snapshot(records, self._catalog_meta())
         if _inv.ACTIVE:
@@ -260,12 +273,13 @@ class CacheStore:
                 handle.flush()
                 os.fsync(handle.fileno())
         os.replace(temp_path, self._snapshot_path)
-        self._release_journal()
-        with open(self._journal_path, "wb"):
-            pass
         self._snapshot_size = len(data)
-        self._journal_size = 0
-        self._wedged = False
+        if not keep_journal:
+            self._release_journal()
+            with open(self._journal_path, "wb"):
+                pass
+            self._journal_size = 0
+            self._wedged = False
         self.snapshots_written += 1
         return True
 

@@ -7,22 +7,19 @@ load past configured queue/in-flight limits (the one overload
 mechanism), deadlines are honored at dispatch, and DML serializes
 against concurrent SELECTs through a shared/exclusive statement lock.
 
-The resilience control plane lives here too: a
-:class:`ClusterHealthMonitor` heartbeats cluster nodes on each tick and
-replaces dead ones, and a :class:`RecoveryOrchestrator` stages
-mid-write crashes and drives warm restarts.
+A :class:`RecoveryOrchestrator` stages mid-write cache crashes and
+drives warm restarts.  A dead cluster node needs nothing from this
+layer: its tombstone sends its slices cache-off, and whoever killed it
+replaces it with ``ClusterCaches.fail_node``.
 """
 
 from .admission import AdmissionController, TenantState
 from .envelope import Request, RequestStatus, Response
-from .health import ClusterHealthMonitor, NodeState
 from .recovery import RecoveryOrchestrator, RecoveryReport
 from .server import QueryServer, ReadWriteLock
 
 __all__ = [
     "AdmissionController",
-    "ClusterHealthMonitor",
-    "NodeState",
     "QueryServer",
     "ReadWriteLock",
     "RecoveryOrchestrator",

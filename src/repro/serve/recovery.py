@@ -16,9 +16,11 @@ those crashes against a live engine — reusing the
    directory (snapshot + journal replay + catalog revalidation), a
    replacement cache hydrates warm from it, and the engine is swapped
    over by reference — all while the serving layer keeps executing.
-3. **report** — a :class:`RecoveryReport` records recovery time,
-   journal replay volume, and *warm-hit retention*: the fraction of
-   pre-crash cache keys that survived into the restarted cache.
+   The returned :class:`RecoveryReport` holds *warm-hit retention*: the
+   fraction of pre-crash cache keys that survived into the restarted
+   cache.  Recovery time and replay volume are the fresh store's own
+   counters (``orchestrator.store.recovery_seconds``,
+   ``journal_replayed``, ``warm_restores``, ...).
 
 Correctness never rides on any of this (a lost entry is a cold scan,
 not a wrong answer); the drills in ``tests/test_resilience_drills.py``
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Set, Union
+from typing import Set, Union
 
 from ..cluster.caches import ClusterCaches
 from ..core.cache import PredicateCache
@@ -47,30 +49,14 @@ _DRILL_KEY = ScanKey("__recovery_drill__", "tear-here")
 
 @dataclass
 class RecoveryReport:
-    """Outcome of one crash-restart drill."""
+    """What one restart kept of the cache it replaced."""
 
-    #: Which crash preceded the restart ("mid_snapshot", "mid_journal",
-    #: or "clean" for a plain restart drill).
-    crash_kind: str
-    #: Whether the staged crash actually tore a write (False means the
-    #: store had nothing to write at the crash point).
-    torn_write: bool
     #: Distinct cache keys live immediately before the restart.
     keys_before: int
     #: Distinct cache keys in the restarted (hydrated) cache.
     keys_restored: int
     #: |restored ∩ before| / |before| — 1.0 for an empty pre-crash cache.
     warm_hit_retention: float
-    #: Entries installed into the replacement cache(s) at hydration.
-    warm_restores: int
-    #: Journal events replayed during the restart's recovery load(s).
-    journal_replayed: int
-    #: Restored entries/states dropped by catalog revalidation.
-    stale_dropped: int
-    #: Sections/records dropped by checksum or framing damage.
-    corrupt_sections: int
-    #: Wall-clock seconds spent in the restart's recovery load(s).
-    recovery_seconds: float
 
 
 class RecoveryOrchestrator:
@@ -95,12 +81,6 @@ class RecoveryOrchestrator:
     def __init__(self, engine, store: CacheStore) -> None:
         self.engine = engine
         self.store = store
-        # Monotonic counters (scrape-time metrics read these directly).
-        self.crashes_injected = 0
-        self.restarts = 0
-        self.journal_replays = 0
-        self.recovery_seconds_total = 0.0
-        self.last_report: Optional[RecoveryReport] = None
 
     # -- crash staging ---------------------------------------------------------
 
@@ -114,10 +94,7 @@ class RecoveryOrchestrator:
         torn_before = self.store.torn_writes
         with self._one_shot_crash():
             self.store.snapshot(self.engine.predicate_cache)
-        torn = self.store.torn_writes > torn_before
-        if torn:
-            self.crashes_injected += 1
-        return torn
+        return self.store.torn_writes > torn_before
 
     def crash_mid_journal(self) -> bool:
         """Kill the cache process mid-journal-append.
@@ -129,10 +106,7 @@ class RecoveryOrchestrator:
         torn_before = self.store.torn_writes
         with self._one_shot_crash():
             self.store.log_drop(_DRILL_KEY, [0])
-        torn = self.store.torn_writes > torn_before
-        if torn:
-            self.crashes_injected += 1
-        return torn
+        return self.store.torn_writes > torn_before
 
     @contextmanager
     def _one_shot_crash(self):
@@ -146,7 +120,7 @@ class RecoveryOrchestrator:
 
     # -- the restart -----------------------------------------------------------
 
-    def restart(self, crash_kind: str = "clean", torn_write: bool = False) -> RecoveryReport:
+    def restart(self) -> RecoveryReport:
         """Replace the engine's cache with one recovered from disk.
 
         Models a process restart: the dead cache stops journaling
@@ -182,44 +156,15 @@ class RecoveryOrchestrator:
         self.engine.set_predicate_cache(replacement)
         for cache in old_nodes:
             cache.close()
-        restored = self._keys_of(replacement)
-        retention = (
-            len(restored & before) / len(before) if before else 1.0
-        )
         self.store = fresh
-        report = RecoveryReport(
-            crash_kind=crash_kind,
-            torn_write=torn_write,
+        restored = self._keys_of(replacement)
+        return RecoveryReport(
             keys_before=len(before),
             keys_restored=len(restored),
-            warm_hit_retention=retention,
-            warm_restores=fresh.warm_restores,
-            journal_replayed=fresh.journal_replayed,
-            stale_dropped=fresh.stale_dropped,
-            corrupt_sections=fresh.corrupt_sections,
-            recovery_seconds=fresh.recovery_seconds,
+            warm_hit_retention=(
+                len(restored & before) / len(before) if before else 1.0
+            ),
         )
-        self.restarts += 1
-        self.journal_replays += report.journal_replayed
-        self.recovery_seconds_total += report.recovery_seconds
-        self.last_report = report
-        return report
-
-    def drill(self, crash_kind: str) -> RecoveryReport:
-        """One full drill: stage the named crash, then restart.
-
-        ``crash_kind`` is ``"mid_snapshot"``, ``"mid_journal"``, or
-        ``"clean"`` (restart without a staged crash).
-        """
-        if crash_kind == "mid_snapshot":
-            torn = self.crash_mid_snapshot()
-        elif crash_kind == "mid_journal":
-            torn = self.crash_mid_journal()
-        elif crash_kind == "clean":
-            torn = False
-        else:
-            raise ValueError(f"unknown crash kind {crash_kind!r}")
-        return self.restart(crash_kind=crash_kind, torn_write=torn)
 
     @staticmethod
     def _keys_of(cache) -> Set[ScanKey]:
@@ -227,37 +172,3 @@ class RecoveryOrchestrator:
         for node in cache.nodes():
             keys.update(node.keys())
         return keys
-
-    # -- observability ---------------------------------------------------------
-
-    def register_metrics(self, registry) -> None:
-        """Publish the ``repro_resilience_*`` recovery family."""
-        registry.counter(
-            "repro_resilience_crashes_injected_total",
-            "Mid-write crashes staged by recovery drills",
-            fn=lambda: self.crashes_injected,
-        )
-        registry.counter(
-            "repro_resilience_restarts_total",
-            "Crash-restart recoveries performed",
-            fn=lambda: self.restarts,
-        )
-        registry.counter(
-            "repro_resilience_journal_replays_total",
-            "Journal events replayed across restarts",
-            fn=lambda: self.journal_replays,
-        )
-        registry.counter(
-            "repro_resilience_recovery_seconds_total",
-            "Wall-clock seconds spent recovering across restarts",
-            fn=lambda: self.recovery_seconds_total,
-        )
-        registry.gauge(
-            "repro_resilience_warm_hit_retention",
-            "Pre-crash cache keys surviving the latest restart (fraction)",
-            fn=lambda: (
-                self.last_report.warm_hit_retention
-                if self.last_report is not None
-                else 1.0
-            ),
-        )

@@ -150,10 +150,11 @@ class ManagedStorage:
 
     ``fetch_delay_seconds`` (default 0.0 — no sleeps anywhere) is an
     opt-in *wall-clock* cost per remote fetch, modeling the network
-    round trip to managed storage.  The serving and resilience
-    benchmarks use it to measure latency hiding: sleeps run outside the
-    storage lock, so they overlap across concurrent statements the way
-    real S3 round trips would.  It never affects counters or model time.
+    round trip to managed storage.  ``tests/test_serving.py`` sets it
+    to keep statements in flight long enough for queues to fill and
+    deadlines to expire: sleeps run outside the storage lock, so they
+    overlap across concurrent statements the way real S3 round trips
+    would.  It never affects counters or model time.
     """
 
     def __init__(self, cache_capacity: Optional[int] = None) -> None:

@@ -506,7 +506,7 @@ class PredicateCache:
         assert main([SRC_REPRO, "--graph"]) == 0
         out = capsys.readouterr().out
         assert "lock-order graph" in out
-        assert "ClusterHealthMonitor._lock -> PredicateCache._lock" in out
+        assert "CacheStore._io_lock -> FaultInjector._lock" in out
         # The cache and the store never nest, in either direction.
         assert "PredicateCache._lock -> CacheStore._io_lock" not in out
         assert "CacheStore._io_lock -> PredicateCache._lock" not in out

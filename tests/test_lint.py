@@ -197,90 +197,6 @@ def test_rp007_ignores_public_and_non_self_mutations():
     assert lint_source(src, "repro/serve/server.py") == []
 
 
-# -- RP008: uncounted StorageFault on health/recovery paths --------------------
-
-
-def test_rp008_flags_swallowed_storage_fault():
-    src = (
-        "class Monitor:\n"
-        "    def probe(self, node):\n"
-        "        try:\n"
-        "            node.ping()\n"
-        "        except NodeDownError:\n"
-        "            pass\n"
-    )
-    found = lint_source(src, "repro/serve/health.py")
-    assert codes(found) == ["RP008"]
-    assert "failover" in found[0].message
-
-
-def test_rp008_flags_tuple_catch_with_unrelated_handling():
-    src = (
-        "class Orchestrator:\n"
-        "    def restart(self):\n"
-        "        try:\n"
-        "            self.store.load()\n"
-        "        except (ValueError, StorageFault):\n"
-        "            result = None\n"
-    )
-    found = lint_source(src, "repro/serve/recovery.py")
-    assert codes(found) == ["RP008"]
-
-
-def test_rp008_allows_counted_reraised_or_inc_handlers():
-    counted = (
-        "class Monitor:\n"
-        "    def probe(self, node):\n"
-        "        try:\n"
-        "            node.ping()\n"
-        "        except NodeDownError:\n"
-        "            self.ping_failures += 1\n"
-    )
-    assert lint_source(counted, "repro/serve/health.py") == []
-    reraised = (
-        "class Monitor:\n"
-        "    def probe(self, node):\n"
-        "        try:\n"
-        "            node.ping()\n"
-        "        except TransientStorageError:\n"
-        "            raise\n"
-    )
-    assert lint_source(reraised, "repro/serve/health.py") == []
-    inc_metric = (
-        "class Orchestrator:\n"
-        "    def restart(self):\n"
-        "        try:\n"
-        "            self.store.load()\n"
-        "        except TransientStorageError:\n"
-        "            self.gauge.inc()\n"
-    )
-    assert lint_source(inc_metric, "repro/serve/recovery.py") == []
-
-
-def test_rp008_scope_is_health_and_recovery_only():
-    src = (
-        "class Reader:\n"
-        "    def fetch(self):\n"
-        "        try:\n"
-        "            self.store.load()\n"
-        "        except StorageFault:\n"
-        "            pass\n"
-    )
-    # Outside the resilience modules other rules own this pattern.
-    assert "RP008" not in codes(lint_source(src, "repro/serve/server.py"))
-    assert "RP008" not in codes(lint_source(src, "repro/persist/store.py"))
-    # Non-storage exceptions are out of scope even inside them.
-    benign = (
-        "class Monitor:\n"
-        "    def probe(self, node):\n"
-        "        try:\n"
-        "            node.ping()\n"
-        "        except ValueError:\n"
-        "            pass\n"
-    )
-    assert "RP008" not in codes(lint_source(benign, "repro/serve/health.py"))
-
-
 # -- RP009: cache writes from reuse planning code ------------------------------
 
 
@@ -333,7 +249,6 @@ LOCKED = (
     "class S:\n    def stop(self):\n"
     "        with self._lock:\n            self._up = False\n"
 )
-SWALLOW = "def probe(n):\n    try:\n        n.ping()\n    except NodeDownError:\n"
 FIXTURES = {
     "RP001": ({"repro/core/k.py": "x = hash('k')\n"},
               {"repro/engine/hashing.py": "x = hash('k')\n"}),
@@ -344,8 +259,6 @@ FIXTURES = {
     "RP005": ({**FORMAT, "repro/persist/store.py": "ok = version == 1\n"},
               {**FORMAT, "repro/persist/store.py": "ok = count == 1\n"}),
     "RP007": ({"repro/serve/server.py": UNLOCKED}, {"repro/serve/server.py": LOCKED}),
-    "RP008": ({"repro/serve/health.py": SWALLOW + "        pass\n"},
-              {"repro/serve/health.py": SWALLOW + "        raise\n"}),
     "RP009": ({"repro/reuse/compose.py": "def plan(c):\n    c.clear()\n"},
               {"repro/reuse/compose.py": "def plan(c):\n    c.entries()\n"}),
     **WHOLE_PROGRAM_FIXTURES,
@@ -394,8 +307,8 @@ def test_list_rules():
     )
     assert proc.returncode == 0
     listed = [line.split()[0] for line in proc.stdout.splitlines()]
-    assert listed == list(RULES) and len(listed) == 10
-    assert "RP004" not in listed and "RP006" not in listed
+    assert listed == list(RULES) and len(listed) == 9
+    assert not {"RP004", "RP006", "RP008"} & set(listed)
 
 
 @pytest.mark.skipif(

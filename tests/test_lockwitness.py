@@ -196,7 +196,6 @@ class TestLiveWorkloadContainment:
         )
         from repro.cluster import ClusterCaches
         from repro.persist import CacheStore
-        from repro.serve.health import ClusterHealthMonitor
         from repro.workloads.loadgen import LoadGenerator, setup_load_tables
 
         gen = LoadGenerator(
@@ -207,7 +206,6 @@ class TestLiveWorkloadContainment:
         cluster = ClusterCaches(2, store=store)
         engine = QueryEngine(db, predicate_cache=cluster)
         setup_load_tables(engine, gen, rows_per_table=1200)
-        monitor = ClusterHealthMonitor(cluster, down_after=2)
         server = QueryServer(engine, max_workers=3)
         try:
             futures = []
@@ -215,8 +213,7 @@ class TestLiveWorkloadContainment:
                 for sql in script.statements:
                     futures.append(server.submit(Request(sql=sql)))
             cluster.kill_node(1)
-            for _ in range(8):
-                monitor.tick()
+            cluster.fail_node(1)
             for future in futures:
                 future.result(timeout=30)
         finally:

@@ -340,6 +340,38 @@ class TestSnapshotRacesAnExtendingWriter:
             assert any(state == known for known in published)
         assert_store_mirrors(store, cache)
 
+    def test_an_append_between_the_reads_and_the_rotation_survives(
+        self, tmp_path, monkeypatch
+    ):
+        """The interleaving the race above hits at random, forced: the
+        snapshot reads a slot, the writer extends it and journals the
+        newer state, then the snapshot rotates.  The newer state must
+        still be what a restart recovers."""
+        from repro.core.keys import ScanKey
+        from repro.core.rowrange import RangeList
+        from repro.persist import store as store_module
+
+        cache = PredicateCache(PredicateCacheConfig())
+        store = CacheStore(tmp_path)
+        store.attach(cache)
+        entry = cache.get_or_create(ScanKey("t", "x < 5"), 1)
+        cache.record_slice_scan(entry, 0, RangeList([(0, 1)]), 10)
+        read_states = store_module.collect_records
+
+        def read_then_extend(caches):
+            records = read_states(caches)
+            cache.record_slice_scan(entry, 0, RangeList([(12, 13)]), 20)
+            return records
+
+        monkeypatch.setattr(store_module, "collect_records", read_then_extend)
+        assert store.snapshot(cache)
+        assert_store_mirrors(store, cache)
+        # Without a race the rotation resets the journal as before.
+        monkeypatch.setattr(store_module, "collect_records", read_states)
+        assert store.snapshot(cache)
+        assert store.journal_bytes == 0
+        assert_store_mirrors(store, cache)
+
 
 class TestJournalHandle:
     def test_appends_after_a_rotation_land_in_the_new_journal(self, tmp_path):

@@ -6,9 +6,9 @@ closed-loop workload, each checked against the differential oracle
 exact invalidation accounting where DML is in play):
 
 * **node kill + failover + warm restore** — a cluster node dies
-  mid-traffic; its slices scan cache-off, the heartbeat monitor
-  detects the death and restores a warm replacement from the store
-  while the server keeps answering every request.
+  mid-traffic; its slices scan cache-off until the drill replaces it
+  with ``ClusterCaches.fail_node``, which restores a warm replacement
+  from the store while the server keeps answering every request.
 * **crash-restart recovery** — the cache process "dies" mid-snapshot
   (and mid-journal-append), then restarts: journal replay + catalog
   revalidation rebuild a warm cache under live load.
@@ -41,13 +41,7 @@ from repro.cluster import ClusterCaches
 from repro.faults import NodeDownError
 from repro.obs import MetricsRegistry
 from repro.persist import CacheStore
-from repro.serve import (
-    AdmissionController,
-    ClusterHealthMonitor,
-    NodeState,
-    RecoveryOrchestrator,
-)
-from repro.serve.recovery import RecoveryReport
+from repro.serve import AdmissionController, RecoveryOrchestrator
 from repro.workloads.loadgen import (
     LoadGenerator,
     run_closed_loop,
@@ -114,7 +108,6 @@ class TestNodeFailoverDrill:
         cluster = ClusterCaches(3, store=store)
         engine = QueryEngine(db, predicate_cache=cluster)
         setup_load_tables(engine, gen, rows_per_table=3000)
-        monitor = ClusterHealthMonitor(cluster, down_after=2)
 
         server = QueryServer(engine, max_workers=4)
         try:
@@ -122,24 +115,17 @@ class TestNodeFailoverDrill:
             # Let traffic flow, then kill a node mid-workload.
             time.sleep(0.03)
             cluster.kill_node(1)
-            # Heartbeats: tick until the monitor replaces the dead node
-            # with a warm restore (down_after=2 -> >=2 ticks).
-            restored = []
-            for _ in range(50):
-                restored = monitor.tick()
-                if restored:
-                    break
-                time.sleep(0.002)
+            # Its slices scan cache-off for a while, then the node is
+            # replaced by a warm restore from the store.
+            time.sleep(0.01)
+            replacement = cluster.fail_node(1)
             thread.join(timeout=60)
             assert not thread.is_alive()
         finally:
             server.shutdown()
 
-        # Failover happened, and it was observable.
-        assert restored == [1]
-        assert monitor.failovers >= 1
-        assert monitor.ping_failures >= 2
-        assert monitor.node_state(1) is NodeState.UP
+        # The replacement took the dead node's place.
+        assert cluster.node(1) is replacement
         assert len(cluster.nodes()) == 3
 
         # Availability: every request reached a terminal OK response,
@@ -168,7 +154,7 @@ class TestNodeFailoverDrill:
 
         cluster.kill_node(0)
         with pytest.raises(NodeDownError):
-            cluster.node(0).ping()
+            cluster.node(0).keys()
         degraded = engine.execute(sql)
         assert degraded.rows() == baseline
         assert degraded.counters.degraded_scans >= 1
@@ -187,13 +173,12 @@ class TestNodeFailoverDrill:
         assert keys_before
 
         cluster.kill_node(0)
-        monitor = ClusterHealthMonitor(cluster, down_after=1)
-        restored = monitor.tick()
-        assert restored == [0]
-        keys_after = {k for node in cluster.nodes() for k in node.keys()}
+        restores_before = store.warm_restores
+        replacement = cluster.fail_node(0)
+        assert cluster.node(0) is replacement
         # The replacement hydrated its slice share from the store.
-        assert keys_after & keys_before
-        assert store.warm_restores > 0
+        assert set(replacement.keys()) & keys_before
+        assert store.warm_restores > restores_before
 
 
 # -- drill 2: crash-restart recovery ------------------------------------------
@@ -232,22 +217,24 @@ class TestCrashRestartDrill:
         try:
             thread, results = run_load_in_background(server, gen.scripts())
             time.sleep(0.02)  # crash strikes mid-workload
-            report = orchestrator.drill(crash_kind)
+            torn = getattr(orchestrator, f"crash_{crash_kind}")()
+            report = orchestrator.restart()
             thread.join(timeout=60)
             assert not thread.is_alive()
         finally:
             server.shutdown()
 
-        assert isinstance(report, RecoveryReport)
-        assert report.crash_kind == crash_kind
-        assert report.torn_write
+        assert torn
+        assert store.torn_writes == 1
         assert report.keys_before > 0
         assert report.keys_restored > 0
         assert report.warm_hit_retention > 0.0
-        assert report.recovery_seconds >= 0.0
-        # The replacement cache took over the engine and journals anew.
+        # The replacement cache took over the engine and journals anew;
+        # the fresh store counts its own recovery.
         assert engine.predicate_cache.store is orchestrator.store
         assert orchestrator.store is not store
+        assert orchestrator.store.recoveries == 1
+        assert orchestrator.store.warm_restores > 0
 
         load_report = results[0]
         assert load_report.errors == 0
@@ -276,7 +263,7 @@ class TestCrashRestartDrill:
         )
         assert store.journal_dropped > dropped_before  # wedged, as a crash would be
 
-        report = orchestrator.restart(crash_kind="mid_journal", torn_write=True)
+        report = orchestrator.restart()
         assert report.keys_restored > 0
         # The fresh store is not wedged: new installs journal again.
         records_before = orchestrator.store.journal_records
@@ -289,10 +276,7 @@ class TestCrashRestartDrill:
         for script in gen.scripts():
             for sql in script.statements:
                 engine.execute(sql)
-        orchestrator = RecoveryOrchestrator(engine, store)
-        report = orchestrator.drill("clean")
-        assert report.crash_kind == "clean"
-        assert not report.torn_write
+        report = RecoveryOrchestrator(engine, store).restart()
         # Nothing was lost: write-through journaled every install.
         assert report.warm_hit_retention == 1.0
         assert report.keys_restored >= report.keys_before
@@ -375,7 +359,7 @@ class TestOverloadShedDrill:
             assert engine.execute(sql).rows() == reader.execute(sql).rows()
 
 
-# -- metrics: the repro_resilience_* family -----------------------------------
+# -- metrics: the store's and the cluster's own series ------------------------
 
 
 class TestResilienceMetrics:
@@ -384,36 +368,31 @@ class TestResilienceMetrics:
         store = CacheStore(tmp_path, catalog=db)
         cluster = ClusterCaches(2, store=store)
         engine = QueryEngine(db, predicate_cache=cluster)
-        monitor = ClusterHealthMonitor(cluster)
-        orchestrator = RecoveryOrchestrator(engine, store)
         registry = MetricsRegistry()
-        monitor.register_metrics(registry)
-        orchestrator.register_metrics(registry)
+        cluster.register_metrics(registry)
         store.register_metrics(registry)
-        return registry, (engine, cluster, monitor, orchestrator)
+        return registry, (engine, cluster, store)
 
     def test_expected_series_exist(self, tmp_path):
+        """Failovers and crash-restarts are observed through the
+        store's and the cluster's own series; no second copy exists."""
         registry, _ = self._full_registry(tmp_path)
         names = set(registry.names())
         for expected in (
-            "repro_resilience_node_state",
-            "repro_resilience_ping_failures_total",
-            "repro_resilience_failovers_total",
-            "repro_resilience_crashes_injected_total",
-            "repro_resilience_restarts_total",
-            "repro_resilience_journal_replays_total",
-            "repro_resilience_recovery_seconds_total",
-            "repro_resilience_warm_hit_retention",
+            "repro_persist_torn_writes_total",
+            "repro_persist_recoveries_total",
             "repro_persist_journal_replayed_total",
+            "repro_persist_recovery_seconds_total",
+            "repro_persist_warm_restores_total",
+            "repro_predicate_cache_cluster_nodes",
         ):
             assert expected in names, expected
+        assert not [n for n in names if n.startswith("repro_resilience_")]
 
     def test_labels_are_stable_across_activity(self, tmp_path):
         """The series/label universe is fixed at registration: drills
         and failovers change *values*, never the label sets."""
-        registry, (engine, cluster, monitor, orchestrator) = self._full_registry(
-            tmp_path
-        )
+        registry, (engine, cluster, store) = self._full_registry(tmp_path)
         before = set(registry.as_dict().keys())
 
         gen = LoadGenerator(num_clients=1, statements_per_client=6, seed=3)
@@ -421,33 +400,15 @@ class TestResilienceMetrics:
         for sql in gen.scripts()[0].statements:
             engine.execute(sql)
         cluster.kill_node(0)
-        for _ in range(5):
-            monitor.tick()
-        orchestrator.drill("mid_snapshot")
+        cluster.fail_node(0)
+        orchestrator = RecoveryOrchestrator(engine, store)
+        assert orchestrator.crash_mid_snapshot()
+        orchestrator.restart()
 
         after = set(registry.as_dict().keys())
         assert before == after
 
         # And the interesting series moved.
         values = registry.as_dict()
-        assert values["repro_resilience_failovers_total"] >= 1
-        assert values["repro_resilience_restarts_total"] == 1
-
-    def test_node_state_gauge_tracks_the_state_machine(self, tmp_path):
-        db = Database()
-        cluster = ClusterCaches(2, store=CacheStore(tmp_path, catalog=db))
-        monitor = ClusterHealthMonitor(cluster, down_after=3)
-        registry = MetricsRegistry()
-        monitor.register_metrics(registry)
-        gauge = 'repro_resilience_node_state{node="0"}'
-        assert registry.as_dict()[gauge] == float(NodeState.UP)
-        cluster.kill_node(0)
-        assert monitor.tick() == []
-        assert registry.as_dict()[gauge] == float(NodeState.SUSPECT)
-        assert monitor.tick() == []
-        assert registry.as_dict()[gauge] == float(NodeState.SUSPECT)
-        assert monitor.tick() == [0]
-        assert registry.as_dict()[gauge] == float(NodeState.UP)
-        assert monitor.tick() == []
-        assert registry.as_dict()[gauge] == float(NodeState.UP)
-        assert monitor.failovers == 1
+        assert values["repro_persist_torn_writes_total"] == 1
+        assert values["repro_persist_warm_restores_total"] >= 1

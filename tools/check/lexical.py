@@ -1,6 +1,6 @@
 """The purely lexical rules: one visitor, one walk per file.
 
-RP001–RP003, RP005, RP008 and RP009 need nothing but a file's
+RP001–RP003, RP005 and RP009 need nothing but a file's
 own syntax tree and its path relative to the source root
 (``repro/engine/scan.py`` etc.), which decides which of them apply —
 so fixtures can exercise any rule under a virtual path.  RP005 also
@@ -72,33 +72,12 @@ CACHE_WRITERS = frozenset(
     }
 )
 
-#: Modules RP008 holds to the resilience observability contract: an
-#: except handler that catches a StorageFault subclass must count the
-#: fault (a ``self.<counter> += 1`` / ``.inc()`` call) or re-raise —
-#: a silently swallowed fault is an invisible failover decision.
-RESILIENCE_MODULES = (
-    "repro/serve/health.py",
-    "repro/serve/recovery.py",
-)
-
 #: Modules RP009 holds to the reuse read-only contract (DESIGN.md §14):
 #: conjunct decomposition, composition, and subsumption matching may
 #: *read* the cache (``lookup_part``, ``range_entries``) but
 #: never write it — ad-hoc installs from planning code would bypass the
 #: coordinator-barrier install path that the differential oracle covers.
 REUSE_MODULES = ("repro/reuse/",)
-
-#: The StorageFault family (repro/faults/errors.py) RP008 watches for
-#: in except clauses, matched by terminal name so qualified references
-#: (``faults.NodeDownError``) count too.
-_STORAGE_FAULT_NAMES = frozenset(
-    {
-        "StorageFault",
-        "TransientStorageError",
-        "RetryBudgetExceeded",
-        "NodeDownError",
-    }
-)
 
 
 def _format_constants(tree: ast.Module) -> Tuple[bytes, Tuple[int, ...]]:
@@ -141,7 +120,6 @@ class _FileChecker(ast.NodeVisitor):
         self.check_hash = module != HASHING_MODULE
         self.check_determinism = module.startswith(DETERMINISTIC_PACKAGES)
         self.check_excepts = module.startswith(READ_PATH_PACKAGES)
-        self.check_resilience = module in RESILIENCE_MODULES
         self.check_reuse_readonly = module.startswith(REUSE_MODULES)
         self.magic = magic
         self.format_ints = format_ints
@@ -277,20 +255,6 @@ class _FileChecker(ast.NodeVisitor):
                     "except Exception: pass on the read path silently "
                     "swallows StorageFault; handle or count the failure",
                 )
-        if (
-            self.check_resilience
-            and node.type is not None
-            and self._catches_storage_fault(node.type)
-            and not self._counts_fault(node.body)
-        ):
-            self._emit(
-                "RP008",
-                node,
-                "uncounted-fault",
-                "a StorageFault caught on a health/recovery path must be "
-                "counted (increment a self.<counter> or call .inc()) or "
-                "re-raised; a silent catch hides a failover decision",
-            )
         self.generic_visit(node)
 
     @staticmethod
@@ -303,49 +267,6 @@ class _FileChecker(ast.NodeVisitor):
                 "BaseException",
             ):
                 return True
-        return False
-
-    @staticmethod
-    def _catches_storage_fault(node: ast.expr) -> bool:
-        names: Iterable[ast.expr]
-        names = node.elts if isinstance(node, ast.Tuple) else (node,)
-        for name in names:
-            terminal = ""
-            if isinstance(name, ast.Attribute):
-                terminal = name.attr
-            elif isinstance(name, ast.Name):
-                terminal = name.id
-            if terminal in _STORAGE_FAULT_NAMES:
-                return True
-        return False
-
-    @staticmethod
-    def _counts_fault(body: Sequence[ast.stmt]) -> bool:
-        """True when a handler observably accounts for the fault:
-        a re-raise, a ``self.<counter> += 1``, or an ``.inc()`` call."""
-        for stmt in body:
-            for sub in ast.walk(stmt):
-                if isinstance(sub, ast.Raise):
-                    return True
-                if isinstance(sub, ast.AugAssign):
-                    target = sub.target
-                    while isinstance(target, ast.Subscript):
-                        target = target.value
-                    root = target
-                    while isinstance(root, ast.Attribute):
-                        root = root.value
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(root, ast.Name)
-                        and root.id == "self"
-                    ):
-                        return True
-                if (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr == "inc"
-                ):
-                    return True
         return False
 
     @staticmethod

@@ -2,10 +2,10 @@
 
 Each check takes the one :class:`~tools.check.model.Program` and
 returns :class:`~tools.check.findings.Finding` objects; a check may
-emit more than one code (the lexical visitor emits six from one walk
+emit more than one code (the lexical visitor emits five from one walk
 per file), so :func:`run_rules` runs each distinct check once.
 
-* **RP001–RP003, RP005, RP008, RP009** — purely lexical, see
+* **RP001–RP003, RP005, RP009** — purely lexical, see
   :mod:`tools.check.lexical`.
 
 * **RP004** — retired: it policed a hand-typed metric-name list that
@@ -26,6 +26,12 @@ per file), so :func:`run_rules` runs each distinct check once.
   records — the same records RP012 reads, scoped by module instead of
   by reachability.
 
+* **RP008** — retired: it banned an uncounted ``StorageFault`` catch
+  in the heartbeat monitor and the recovery orchestrator.  The monitor
+  is gone (a dead node's tombstone alone sends its slices cache-off,
+  and ``ClusterCaches.fail_node`` is the one failover call) and the
+  orchestrator catches no fault, so the rule policed nothing.
+
 * **RP010 — lock-order cycle.**  Any cycle in the global
   lock-acquisition-order graph is a potential deadlock: two threads
   traversing the cycle from different entry edges can each hold one
@@ -41,8 +47,8 @@ per file), so :func:`run_rules` runs each distinct check once.
 
 * **RP012 — unguarded shared-state escape.**  A mutation of an
   instance attribute of a guarded class (``PredicateCache``,
-  ``QueryServer``, ``AdmissionController``, ``ClusterHealthMonitor``,
-  ``CacheStore``, ``ClusterCaches``) on some path from a concurrent
+  ``QueryServer``, ``AdmissionController``, ``CacheStore``,
+  ``ClusterCaches``) on some path from a concurrent
   entry point (``scan._scan_slice``, ``QueryServer._worker_loop``)
   without a dominating lock
   acquisition, docstring contract, or ``__init__`` context.  RP012
@@ -78,7 +84,6 @@ GUARDED_CLASSES = frozenset(
         "PredicateCache",
         "QueryServer",
         "AdmissionController",
-        "ClusterHealthMonitor",
         "CacheStore",
         "ClusterCaches",
     }
@@ -300,8 +305,8 @@ def _lexical(program: Program) -> List[Finding]:
     return lexical_findings(program.files)
 
 
-#: code -> (summary, the check that emits it).  RP004 and RP006 are
-#: retired (see the module docstring); their numbers are not reused.
+#: code -> (summary, the check that emits it).  RP004, RP006 and RP008
+#: are retired (see the module docstring); their numbers are not reused.
 RULES: Dict[str, Tuple[str, Check]] = {
     "RP001": (
         "raw hash() outside repro/engine/hashing.py "
@@ -328,12 +333,6 @@ RULES: Dict[str, Tuple[str, Check]] = {
         "(mutate private attributes under the owning lock, or in a "
         "helper documented as caller-holds-lock)",
         _rp007,
-    ),
-    "RP008": (
-        "StorageFault swallowed on a health/recovery path without "
-        "counting it (resilience decisions must be observable: "
-        "increment a metric or re-raise)",
-        _lexical,
     ),
     "RP009": (
         "cache-mutating call inside repro/reuse/ (reuse planning is "
