@@ -32,7 +32,9 @@ single-column interval their predicate is (the subsumption matcher's
 candidates), join entries by every build-side table they reference
 (what a write there drops) — change only in those two helpers and the
 LRU touch (:meth:`_touch`), so no lookup or invalidation walks every
-entry (DESIGN.md §14).
+entry (DESIGN.md §14).  The running byte count the budget is enforced
+against changes only in those two helpers and the slot store that
+publishes a new slice state, so no install re-sums the payload.
 
 Write-through (DESIGN.md §9): with a store attached, a mutator only
 *captures* what it changed while it holds the lock — the entry's
@@ -115,6 +117,10 @@ class PredicateCache:
         self._range_columns: Dict[ScanKey, str] = {}
         # Join keys by every table in their ``referenced_tables()``.
         self._build_keys: Dict[str, Dict[ScanKey, None]] = {}
+        # Payload bytes of every live entry, kept by the three stores
+        # that change one: ``_insert``, ``_remove`` and the slot swap
+        # publishing a new slice state (``record_slice_scan``).
+        self._nbytes = 0
         self.stats = CacheStats()
         self.reuse_stats = ReuseStats()
         self._watched: Dict[str, object] = {}
@@ -476,6 +482,10 @@ class PredicateCache:
         ``_lock``."""
         key = entry.key
         entry.generation = self._generations.get(key.table, 0)
+        replaced = self._entries.get(key)
+        if replaced is not None:
+            self._nbytes -= replaced.nbytes
+        self._nbytes += entry.nbytes
         self._entries[key] = entry
         for table_name in key.referenced_tables():
             self._build_keys.setdefault(table_name, {})[key] = None
@@ -550,7 +560,9 @@ class PredicateCache:
                 # just on insert (after the capture, so a resulting
                 # eviction's drop event lands after the state event).
                 entry.slice_states[slice_id] = new
+                self._nbytes += new.nbytes
                 if state is not None:
+                    self._nbytes -= state.nbytes
                     self.stats.extensions += 1
                 self._capture_state(entry, slice_id, new)
                 self._evict_if_needed()
@@ -658,6 +670,7 @@ class PredicateCache:
         key; invalidation goes through :meth:`_drop`.  Caller holds
         ``_lock``."""
         entry = self._entries.pop(key)
+        self._nbytes -= entry.nbytes
         for table_name in key.referenced_tables():
             keys = self._build_keys[table_name]
             del keys[key]
@@ -690,11 +703,8 @@ class PredicateCache:
         ``config.max_bytes``.  Caller holds ``_lock``."""
         max_bytes = self.config.max_bytes
         if max_bytes is not None:
-            # Sum the payload once and subtract per eviction — re-summing
-            # every entry per loop iteration is quadratic.
-            total = self.total_nbytes
-            while len(self._entries) > 1 and total > max_bytes:
-                total -= self._remove(next(iter(self._entries))).nbytes
+            while len(self._entries) > 1 and self._nbytes > max_bytes:
+                self._remove(next(iter(self._entries)))
                 self.stats.evictions += 1
         if _inv.ACTIVE:
             _inv.check_cache(self)
@@ -723,9 +733,10 @@ class PredicateCache:
 
     @property
     def total_nbytes(self) -> int:
-        """Total payload bytes across entries (the Table 3 metric)."""
+        """Total payload bytes across entries (the Table 3 metric): the
+        running count, O(1)."""
         with self._lock:
-            return sum(entry.nbytes for entry in self._entries.values())
+            return self._nbytes
 
     def entries(self) -> List[CacheEntry]:
         with self._lock:

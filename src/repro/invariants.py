@@ -188,7 +188,8 @@ def check_cache(cache: Any) -> None:
 
     * capacity: the byte budget is respected whenever more than one
       entry is live (a single oversized entry is allowed to stay,
-      matching the eviction loop);
+      matching the eviction loop), and the cache's running byte count
+      equals the live entries' payload re-summed;
     * generations: every live entry's stamp equals the cache's current
       generation for its table (stale entries are dropped on
       invalidation and stale installs refused — a mismatch means one
@@ -203,11 +204,12 @@ def check_cache(cache: Any) -> None:
       entries derives (:func:`_check_cache_indexes`).
     """
     entries = cache.entries()
+    total = sum(entry.nbytes for entry in entries)
     max_bytes = cache.config.max_bytes
-    if max_bytes is not None and len(entries) > 1:
-        total = cache.total_nbytes
-        if total > max_bytes:
-            _fail(f"total payload {total} B exceeds max_bytes {max_bytes} B")
+    if max_bytes is not None and len(entries) > 1 and total > max_bytes:
+        _fail(f"total payload {total} B exceeds max_bytes {max_bytes} B")
+    if cache.total_nbytes != total:
+        _fail(f"byte count {cache.total_nbytes} B, live entries hold {total} B")
     for table_name, generation in cache._generations.items():
         if generation < 0:
             _fail(f"negative generation {generation} for table {table_name!r}")

@@ -3,9 +3,11 @@
 A :class:`ColumnStore` holds one column of one data slice.  Rows arrive
 appended to an in-memory *tail* (Redshift's insert buffer, §4.3.1); once
 the tail reaches the block size it is *sealed* into a compressed block
-with a zone-map entry.  Values are numpy arrays of the column's dtype
-(object for strings) from ``append`` on: converted once on the way in,
-held in a tail array shorter than one block, sealed from array slices.
+with a zone-map entry — all the blocks one append fills at once, sized,
+encoded and bounded from one statistics pass.  Values are numpy arrays
+of the column's dtype (object for strings) from ``append`` on:
+converted once on the way in, held in a tail array shorter than one
+block, sealed from array slices.
 Sealed blocks are immutable; reads go through
 :class:`~repro.storage.rms.ManagedStorage` so every block access is
 counted.
@@ -18,7 +20,7 @@ from typing import Iterable, List, Optional, Union
 import numpy as np
 
 from ..core.rowrange import RangeList
-from .compression import EncodedBlock, choose_codec
+from .compression import EncodedBlock, seal_blocks
 from .dtypes import DataType
 from .rms import ManagedStorage
 from .zonemap import ZoneMap
@@ -210,19 +212,23 @@ class ColumnStore:
         pending = np.concatenate((self._tail, self._to_array(values)))
         size = self.rows_per_block
         full = len(pending) - len(pending) % size
-        for start in range(0, full, size):
-            self._seal(pending[start : start + size])
+        if full:
+            self._seal(pending[:full].reshape(-1, size))
         # A copy: a view would keep the whole batch alive behind the tail.
         self._tail = pending[full:].copy() if full else pending
 
-    def _seal(self, values: np.ndarray) -> None:
-        """Seal one block of values.  The codecs copy what they keep, so
-        ``values`` may be a view.  Nothing is invalidated: a key enters
-        the decoded-block cache only by reading a sealed block, and
-        whoever restarts block indices (a rewrite, ``drop_table``)
-        invalidates the table first."""
-        self.blocks.append(choose_codec(values))
-        self.zonemap.append_block(values)
+    def _seal(self, blocks: np.ndarray) -> None:
+        """Seal the full blocks of one append, the rows of a ``(k,
+        rows_per_block)`` array: one statistics pass sizes every codec
+        and bounds every zone-map entry, then each block is encoded
+        once.  The codecs copy what they keep, so ``blocks`` may be a
+        view.  Nothing is invalidated: a key enters the decoded-block
+        cache only by reading a sealed block, and whoever restarts block
+        indices (a rewrite, ``drop_table``) invalidates the table
+        first."""
+        encoded, minima, maxima = seal_blocks(blocks)
+        self.blocks.extend(encoded)
+        self.zonemap.append_blocks(minima, maxima)
 
     def _to_array(self, values: Iterable[object]) -> np.ndarray:
         """The one conversion, where values enter the column."""

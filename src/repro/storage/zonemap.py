@@ -78,24 +78,27 @@ class ZoneMap:
         minimum, maximum = self._bounds[:, index]
         return ZoneEntry(_to_python(minimum), _to_python(maximum))
 
-    def append_block(self, values: np.ndarray) -> None:
-        """Record bounds for a newly sealed block."""
-        index = self._size
-        if self._bounds is None or index == self._bounds.shape[1]:
-            dtype = values.dtype if values.dtype.kind in "biuf" else object
-            grown = np.empty((2, max(16, 2 * index)), dtype=dtype)
-            if index:
-                grown[:, :index] = self._bounds
+    def append_blocks(self, minima: np.ndarray, maxima: np.ndarray) -> None:
+        """Record the bounds of newly sealed blocks, one per element —
+        the minima and maxima the seal's statistics pass computed
+        (:func:`~repro.storage.compression.seal_blocks`).  A None bound
+        (an object block whose values do not compare) is unknown: that
+        block never prunes."""
+        start = self._size
+        end = start + len(minima)
+        if self._bounds is None or end > self._bounds.shape[1]:
+            dtype = minima.dtype if minima.dtype.kind in "biuf" else object
+            grown = np.empty((2, max(16, 2 * end)), dtype=dtype)
+            if start:
+                grown[:, :start] = self._bounds[:, :start]
             self._bounds = grown
-        self._size = index + 1
-        try:
-            if values.dtype == object:
-                self._bounds[:, index] = min(values), max(values)
-            else:
-                self._bounds[:, index] = values.min(), values.max()
-        except (TypeError, ValueError):
-            # Mixed-type object block, or an empty one: bounds unknown.
-            self._unknown.append(index)
+        self._bounds[0, start:end] = minima
+        self._bounds[1, start:end] = maxima
+        if minima.dtype == object:
+            self._unknown.extend(
+                start + i for i, bound in enumerate(minima) if bound is None
+            )
+        self._size = end
 
     def pruned_blocks(self, bounds) -> np.ndarray:
         """Boolean array: True where the block can be skipped entirely.

@@ -1,18 +1,29 @@
-"""Block compression codecs: roundtrips and size accounting."""
+"""Block compression codecs: roundtrips, size accounting, and the
+closed-form codec choice against encode-all-and-compare."""
+
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.storage import compression
+from repro.storage.column import ColumnStore
 from repro.storage.compression import (
     CODECS,
     DictionaryCodec,
+    EncodedBlock,
     FrameOfReferenceCodec,
     PlainCodec,
     RunLengthCodec,
+    array_checksum,
     choose_codec,
     decode_block,
+    seal_blocks,
 )
+from repro.storage.dtypes import DataType
 
 
 class TestPlain:
@@ -174,3 +185,250 @@ def test_chosen_codec_is_never_larger_than_plain(values):
     best = choose_codec(array)
     plain = CODECS["plain"].encode(array)
     assert best.nbytes <= plain.nbytes
+
+
+# -- bugfixes: every block decodes to the bytes it was sealed from --------------
+
+
+def assert_round_trips(block, values):
+    """``block`` decodes to ``values`` byte for byte (value for value and
+    type for type on object blocks) and to its own checksum."""
+    decoded = decode_block(block)
+    assert array_checksum(decoded) == block.checksum
+    if values.dtype == object:
+        assert [(type(v), v) for v in decoded] == [(type(v), v) for v in values]
+    else:
+        widened = values.astype(np.int64) if block.codec_name == "for" else values
+        assert decoded.dtype == widened.dtype
+        assert decoded.tobytes() == widened.tobytes()
+
+
+NAN_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+
+
+class TestByteExactFloats:
+    def test_dictionary_keeps_the_sign_of_zero(self):
+        values = np.array([0.0] * 14 + [-0.0])
+        block = choose_codec(values)
+        assert block.codec_name == "dict"
+        assert np.signbit(decode_block(block)).tolist() == [False] * 14 + [True]
+        assert_round_trips(block, values)
+
+    def test_dictionary_keeps_nan_payloads(self):
+        values = np.array([np.nan, NAN_PAYLOAD, -np.nan, 1.5] * 8)
+        block = DictionaryCodec().encode(values)
+        assert len(block.payload[0]) == 4
+        assert decode_block(block).tobytes() == values.tobytes()
+
+    def test_runs_break_at_the_sign_of_zero(self):
+        values = np.array([0.0, -0.0, -0.0, 0.0])
+        block = RunLengthCodec().encode(values)
+        assert block.payload[1].tolist() == [1, 2, 1]
+        assert decode_block(block).tobytes() == values.tobytes()
+
+    def test_dictionary_orders_as_np_unique_when_nothing_merges(self):
+        values = np.array([2.5, -np.inf, np.nan, -0.0, 7.0, np.inf, 2.5])
+        block = DictionaryCodec().encode(values)
+        dictionary, codes = np.unique(values, return_inverse=True)
+        assert block.payload[0].tobytes() == dictionary.tobytes()
+        assert block.payload[1].tolist() == codes.tolist()
+
+
+class TestMixedTypeObjects:
+    def test_zero_and_false_store_plain(self):
+        values = np.array([0, False] * 4, dtype=object)
+        block = choose_codec(values)
+        assert block.codec_name == "plain"
+        assert_round_trips(block, values)
+
+    def test_one_type_still_uses_the_dictionary(self):
+        values = np.array([3, 1, 3, 3], dtype=object)
+        assert choose_codec(values).codec_name == "dict"
+
+    def test_python_floats_store_plain(self):
+        values = np.array([0.0, -0.0, 0.0], dtype=object)
+        block = choose_codec(values)
+        assert block.codec_name == "plain"
+        assert_round_trips(block, values)
+
+    def test_mixed_string_insert_seals(self):
+        from repro import QueryEngine
+        from repro.storage import ColumnSpec, Database, DataType, TableSchema
+        from repro.storage.zonemap import ZoneEntry
+
+        db = Database(num_slices=1, rows_per_block=5)
+        db.create_table(TableSchema("t", (ColumnSpec("s", DataType.STRING),)))
+        QueryEngine(db).insert("t", {"s": ["a", 1, "b", 2, "c"]})
+        column = db.table("t").slices[0].columns["s"]
+        assert [block.codec_name for block in column.blocks] == ["plain"]
+        assert column.read_all(db.rms).tolist() == ["a", 1, "b", 2, "c"]
+        assert column.zonemap[0] == ZoneEntry(None, None)  # never prunes
+
+
+def test_for_declines_values_int64_cannot_hold():
+    values = np.array([2**63 - 1, 2**63], dtype=np.uint64)
+    assert FrameOfReferenceCodec().encode(values) is None
+    assert_round_trips(choose_codec(values), values)
+
+
+# -- the closed-form choice against encode-all-and-compare ----------------------
+
+
+def encode_all_and_compare(values):
+    """The reference: every codec encodes, a codec wins only by being
+    strictly smaller than all before it (plain, RLE, FOR, dict), and the
+    winner's decode is checksummed.  It runs the same codecs, so the
+    byte-exact float and mixed-type fixes above hold on both sides."""
+    if values.dtype == object:
+        encoded = CODECS["dict"].encode(values)
+        if encoded is None:
+            nbytes = sum(len(str(v)) for v in values)
+            encoded = EncodedBlock("plain", len(values), (values.copy(),), nbytes)
+        return replace(encoded, checksum=array_checksum(values))
+    best = CODECS["plain"].encode(values)
+    for name in ("rle", "for", "dict"):
+        candidate = CODECS[name].encode(values)
+        if candidate is not None and candidate.nbytes < best.nbytes:
+            best = candidate
+    return replace(best, checksum=array_checksum(decode_block(best)))
+
+
+def assert_same_block(got, want):
+    assert (got.codec_name, got.num_values, got.nbytes, got.checksum) == (
+        want.codec_name, want.num_values, want.nbytes, want.checksum,
+    )
+    assert len(got.payload) == len(want.payload)
+    for mine, theirs in zip(got.payload, want.payload):
+        assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+        if mine.dtype == object:
+            assert [(type(v), v) for v in mine] == [(type(v), v) for v in theirs]
+        else:
+            assert mine.tobytes() == theirs.tobytes()
+
+
+INTEGER_DTYPES = [np.int8, np.int16, np.int32, np.int64,
+                  np.uint8, np.uint16, np.uint32, np.uint64]
+SPECIAL_FLOATS = [0.0, -0.0, np.nan, -np.nan, NAN_PAYLOAD, np.inf, -np.inf]
+
+
+def integer_pools(dtype):
+    info = np.iinfo(dtype)
+    anywhere = st.integers(int(info.min), int(info.max))
+    # Spans around 2**32, FOR's limit, wherever the dtype reaches them.
+    near_limit = st.builds(
+        lambda base, span: min(base + span, int(info.max)),
+        anywhere,
+        st.sampled_from([2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1]),
+    )
+    small = st.integers(0, min(60, int(info.max)))
+    return st.lists(st.one_of(anywhere, near_limit, small), min_size=1, max_size=40)
+
+
+def float_pools(dtype):
+    width = 32 if dtype == np.float32 else 64
+    return st.lists(
+        st.floats(width=width) | st.sampled_from(SPECIAL_FLOATS),
+        min_size=1, max_size=40,
+    ).map(lambda pool: np.array(pool, dtype=dtype))
+
+
+@st.composite
+def blocks(draw):
+    """``(k, n)`` values: k blocks of n rows each laid out from one pool
+    of values — in runs, in random order or sorted."""
+    kind = draw(st.sampled_from(["integer", "float", "string", "mixed"]))
+    if kind == "integer":
+        dtype = draw(st.sampled_from(INTEGER_DTYPES))
+        pool = np.array(draw(integer_pools(dtype)), dtype=dtype)
+    elif kind == "float":
+        pool = draw(float_pools(draw(st.sampled_from([np.float32, np.float64]))))
+    else:
+        values = st.text("abcxyz", max_size=4)
+        if kind == "mixed":
+            values = values | st.integers(-3, 3) | st.booleans()
+        drawn = draw(st.lists(values, min_size=1, max_size=40))
+        pool = np.empty(len(drawn), dtype=object)
+        pool[:] = drawn
+    count = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["runs", "random", "sorted"]))
+    picks = rng.integers(0, len(pool), count * n)
+    if layout == "runs":
+        picks = np.repeat(picks, rng.integers(1, 60, len(picks)))[: count * n]
+    elif layout == "sorted" and pool.dtype != object:
+        picks = picks[np.argsort(pool[picks], kind="stable")]
+    return pool[picks].reshape(count, n)
+
+
+def assert_seals_as_reference(rows):
+    sealed, minima, maxima = seal_blocks(rows)
+    assert len(sealed) == len(rows)
+    for block, values, lo, hi in zip(sealed, rows, minima, maxima):
+        assert_same_block(block, encode_all_and_compare(values))
+        assert_same_block(choose_codec(values), block)
+        assert_round_trips(block, values)
+        # The zone-map bounds the old per-block pass took.
+        if values.dtype == object:
+            try:
+                bounds = (min(values), max(values))
+            except TypeError:
+                bounds = (None, None)
+            assert (lo, hi) == bounds
+        else:
+            assert np.array([lo, hi]).tobytes() == np.array(
+                [values.min(), values.max()]
+            ).tobytes()
+
+
+@given(blocks())
+@settings(max_examples=300, deadline=None)
+def test_closed_form_choice_equals_encode_all_and_compare(rows):
+    assert_seals_as_reference(rows)
+
+
+@pytest.mark.parametrize("card", [4094, 4095, 4096, 4097, 4098])
+@pytest.mark.parametrize("n", [4097, 16_384])
+@pytest.mark.parametrize(
+    "dtype, step", [(np.int64, 2**33 + 1), (np.int32, 3), (np.float64, 0.5)]
+)
+def test_closed_form_choice_at_the_dictionary_limit(card, n, dtype, step):
+    """Distinct counts around ``max_card`` (4096): with rows to spare
+    and spans past FOR's, the dictionary wins up to the limit exactly."""
+    rng = np.random.default_rng(card + n)
+    values = rng.permutation(np.resize(np.arange(min(card, n)), n)) * step
+    assert_seals_as_reference(values.astype(dtype).reshape(1, -1))
+
+
+def test_sealing_encodes_each_block_once_and_never_decodes(monkeypatch):
+    """k full blocks appended: the winning codec's ``encode`` runs once
+    per block, no other codec encodes, and nothing is decoded."""
+    size = 100
+    rng = np.random.default_rng(5)
+    wide = rng.integers(0, 2**40, 30) * 1000
+    rows = [
+        np.full(size, 7),                                 # rle
+        np.arange(size) * 1000,                           # for
+        wide[rng.integers(0, 30, size)],                  # dict
+        rng.integers(0, 2**60, size),                     # plain
+        np.repeat(rng.integers(0, 2**40, 4), size // 4),  # rle
+    ]
+    expected = Counter(encode_all_and_compare(row).codec_name for row in rows)
+    assert set(expected) == {"plain", "rle", "for", "dict"}
+    calls = Counter()
+
+    def forbidden(*args):
+        raise AssertionError("sealing decoded a block")
+
+    for name, codec in CODECS.items():
+        def counting(values, name=name, encode=codec.encode):
+            calls[name] += 1
+            return encode(values)
+
+        monkeypatch.setattr(codec, "encode", counting)
+        monkeypatch.setattr(codec, "decode", forbidden)
+    monkeypatch.setattr(compression, "decode_block", forbidden)
+    column = ColumnStore("t", 0, "c", DataType.INT64, size)
+    column.append(np.concatenate(rows + [np.arange(30)]))  # and a tail
+    assert calls == expected
+    assert sum(calls.values()) == len(column.blocks) == len(rows)

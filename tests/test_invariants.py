@@ -229,6 +229,12 @@ class TestCheckCache:
         with pytest.raises(InvariantViolation, match="max_bytes"):
             invariants.check_cache(cache)
 
+    def test_byte_count_drift(self):
+        cache = populated_cache(num_keys=2)
+        cache._nbytes += 1  # tamper
+        with pytest.raises(InvariantViolation, match="byte count"):
+            invariants.check_cache(cache)
+
     def test_zero_slice_entry(self):
         cache = make_cache()
         key = ScanKey("t", "x = 1")

@@ -182,6 +182,34 @@ class TestEviction:
             cache._evict_if_needed()
         assert cache.total_nbytes <= 100 or len(cache) == 1
 
+    def test_byte_count_follows_every_payload_change(self):
+        """The running count equals the re-sum after an install, an
+        extension, a restore over a live key, an eviction, an
+        invalidation and a clear."""
+        a, b, c = (ScanKey("t", f"x = {i}") for i in range(3))
+        entry_bytes = install(make_cache(variant="range"), a).nbytes
+        cache = make_cache(variant="range", max_bytes=4 * entry_bytes)
+
+        def resummed():
+            return sum(entry.nbytes for entry in cache.entries())
+
+        entry = install(cache, a)
+        install(cache, b)
+        assert cache.total_nbytes == resummed() == 2 * entry_bytes
+        cache.record_slice_scan(entry, 0, RangeList([(120, 130)]), 200)
+        assert cache.total_nbytes == resummed() > 2 * entry_bytes
+        restored = entry.slice_states[0]
+        cache.install_restored(b, 1, {}, {0: restored})
+        assert cache.total_nbytes == resummed() == 2 * restored.nbytes
+        install(cache, c)  # over budget: evicts the least recently used
+        assert cache.stats.evictions == 1
+        assert cache.total_nbytes == resummed()
+        cache.invalidate_table("t")
+        assert cache.total_nbytes == resummed() == 0
+        install(cache, a)
+        cache.clear()
+        assert cache.total_nbytes == 0
+
     def test_join_keys_disabled_by_config(self):
         cache = make_cache(cache_join_keys=False)
         join = ScanKey("t", "x", (SemiJoinDescriptor("a = b", "d"),))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.core.rowrange import RangeList
 from repro.faults import FaultInjector, RetryBudgetExceeded, RetryPolicy
 from repro.storage import ColumnSpec, Database, Table, TableSchema
-from repro.storage.compression import choose_codec
+from repro.storage.compression import choose_codec, seal_blocks
 from repro.storage.column import BlockCoverage, ColumnStore, GrowableArray
 from repro.storage.dtypes import DataType, date_to_days, days_to_date
 from repro.storage.rms import ManagedStorage
@@ -54,10 +54,16 @@ class TestGrowableArray:
         assert a.values.tolist() == [7, 8]
 
 
+def append_block(zm, values):
+    """Seal ``values`` as one block and record its bounds, as a column does."""
+    _, minima, maxima = seal_blocks(np.asarray(values).reshape(1, -1))
+    zm.append_blocks(minima, maxima)
+
+
 class TestZoneMap:
     def test_bounds_recorded(self):
         zm = ZoneMap()
-        zm.append_block(np.array([5, 1, 9]))
+        append_block(zm, np.array([5, 1, 9]))
         assert zm[0].minimum == 1
         assert zm[0].maximum == 9
 
@@ -85,15 +91,15 @@ class TestZoneMap:
 
     def test_pruned_blocks(self):
         zm = ZoneMap()
-        zm.append_block(np.array([0, 9]))
-        zm.append_block(np.array([10, 19]))
-        zm.append_block(np.array([20, 29]))
+        append_block(zm, np.array([0, 9]))
+        append_block(zm, np.array([10, 19]))
+        append_block(zm, np.array([20, 29]))
         assert zm.pruned_blocks(Bounds(12, 15)).tolist() == [True, False, True]
 
     def test_nbytes(self):
         zm = ZoneMap()
-        zm.append_block(np.array([1]))
-        zm.append_block(np.array([2]))
+        append_block(zm, np.array([1]))
+        append_block(zm, np.array([2]))
         assert zm.nbytes == 32
 
 
@@ -156,6 +162,31 @@ class TestColumnStore:
         column.rebuild(np.array([5, 6, 7]))
         assert column.num_rows == 3
         assert column.read_all(ManagedStorage()).tolist() == [5, 6, 7]
+
+    @pytest.mark.parametrize(
+        "dtype", [DataType.INT64, DataType.FLOAT64, DataType.STRING]
+    )
+    def test_one_bulk_append_seals_as_small_appends_do(self, dtype):
+        """k blocks sealed from one ``(k, rows_per_block)`` view equal
+        the same blocks sealed one append at a time, zone map included."""
+        rng = np.random.default_rng(2)
+        values = np.repeat(rng.integers(0, 40, 200), rng.integers(1, 12, 200))[:1000]
+        if dtype is DataType.FLOAT64:
+            values = values / 4
+        elif dtype is DataType.STRING:
+            values = np.array([f"s{v}" for v in values], dtype=object)
+        bulk = make_column(values, rows_per_block=100, dtype=dtype)
+        steps = ColumnStore("t", 0, "c", dtype, 100)
+        for start in range(0, len(values), 37):
+            steps.append(values[start : start + 37])
+        assert len(bulk.blocks) == len(steps.blocks) == 10
+        for mine, theirs in zip(bulk.blocks, steps.blocks):
+            assert (mine.codec_name, mine.nbytes, mine.checksum) == (
+                theirs.codec_name, theirs.nbytes, theirs.checksum,
+            )
+        assert [bulk.zonemap[i] for i in range(10)] == [
+            steps.zonemap[i] for i in range(10)
+        ]
 
     def test_compressed_nbytes_positive(self):
         column = make_column(range(20), rows_per_block=10)
@@ -536,8 +567,11 @@ WORDS = st.text("abcxyz", max_size=3)
 
 
 def blocks_of(values, dtype):
+    # A sealed block is never empty.
     return st.lists(
-        st.lists(values, max_size=4).map(lambda v: np.array(v, dtype=dtype)),
+        st.lists(values, min_size=1, max_size=4).map(
+            lambda v: np.array(v, dtype=dtype)
+        ),
         max_size=6,
     )
 
@@ -563,7 +597,7 @@ def test_pruned_blocks_equals_the_scalar_rule(case):
     blocks, bounds = case
     zm = ZoneMap()
     for block in blocks:
-        zm.append_block(block)
+        append_block(zm, block)
     assert len(zm) == len(blocks)
     assert zm.pruned_blocks(bounds).tolist() == [
         not zm[i].may_contain(bounds) for i in range(len(zm))
