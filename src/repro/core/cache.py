@@ -520,12 +520,17 @@ class PredicateCache:
         slice_id: int,
         qualifying: RangeList,
         scanned_upto: int,
+        exact: bool = False,
     ) -> None:
         """Record one slice's scan output into the entry.
 
         First call per slice creates the state; later calls replace it
         by one extended over the uncached tail (appends since the entry
-        was built, §4.3.1).
+        was built, §4.3.1).  ``exact`` says that ``qualifying`` is the
+        truth over the rows it covers, not a superset of it — the scan's
+        own fully evaluated output, never a complement-padded conjunct
+        list; the state stays exact only while every list it was built
+        from was (:mod:`repro.core.entry`).
 
         Stale installs are refused: if the entry was invalidated or
         evicted after the scan picked it up (a vacuum between lookup and
@@ -546,9 +551,9 @@ class PredicateCache:
                 return
             state = entry.slice_states[slice_id]
             if state is None:
-                new = self._new_state(qualifying, scanned_upto)
+                new = self._new_state(qualifying, scanned_upto, exact)
             else:
-                new = state.extended(qualifying, scanned_upto)
+                new = state.extended(qualifying, scanned_upto, exact)
             if _inv.ACTIVE:
                 _inv.check_slice_state(new, slice_rows=scanned_upto)
             changed = new is not state
@@ -581,11 +586,13 @@ class PredicateCache:
         with self._lock:
             entry.record_scan_stats(rows_qualifying, rows_considered)
 
-    def _new_state(self, qualifying: RangeList, scanned_upto: int) -> SliceState:
+    def _new_state(
+        self, qualifying: RangeList, scanned_upto: int, exact: bool
+    ) -> SliceState:
         """Caller holds ``_lock``."""
         if self.config.variant == "range":
             return RangeSliceState(
-                qualifying, scanned_upto, self.config.max_ranges_per_slice
+                qualifying, scanned_upto, self.config.max_ranges_per_slice, exact
             )
         return BitmapSliceState(
             qualifying, scanned_upto, self.config.bitmap_block_rows

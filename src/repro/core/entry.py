@@ -17,6 +17,17 @@ The **range variant** stores at most ``max_ranges`` merged row ranges
 The **bitmap variant** stores one bit per ``block_size`` rows; it grows
 with the table but is ~8x smaller at the paper's settings (Table 3).
 
+A range state is **exact** when its ranges are the qualifying rows
+themselves, not a superset: every list it was built from was fully
+evaluated (an entry's own scan output, never a complement-padded
+conjunct list) and ``coalesce`` never merged.  Rows below the
+watermark of an exact state then need no re-check, only visibility
+(DESIGN.md §14).  Exactness is a property of the state, not of the
+entry's provenance: a conjunct list may extend the state of an entry
+a direct scan created, since both share one key.  A state decoded
+from a snapshot or journal comes back inexact, and a bitmap state is
+never exact.
+
 A state is an immutable value: nothing changes one after its
 constructor returns, and folding a tail in yields a *new* state.  The
 owning :class:`~repro.core.cache.PredicateCache` publishes it by storing
@@ -54,6 +65,9 @@ class SliceState:
     __slots__ = ()
 
     last_cached_row: int
+    #: True when the cached rows are exactly the qualifying rows, so a
+    #: hit may take their verdict without re-evaluating the predicate.
+    exact: bool
 
     def candidates(self, num_rows: int) -> RangeList:
         """Rows a repeated scan must evaluate: cached hits + new tail."""
@@ -64,10 +78,12 @@ class SliceState:
         raise NotImplementedError
 
     def extended(
-        self, tail_qualifying: RangeList, scanned_upto: int
+        self, tail_qualifying: RangeList, scanned_upto: int, exact: bool = False
     ) -> "SliceState":
         """The state with the qualifying rows of the previously uncached
-        tail folded in — ``self`` when no row was appended since."""
+        tail folded in — ``self`` when no row was appended since.
+        ``exact`` says whether ``tail_qualifying`` is the tail's truth
+        (fully evaluated) rather than a superset of it."""
         raise NotImplementedError
 
     @property
@@ -93,31 +109,41 @@ class SliceState:
 class RangeSliceState(SliceState):
     """Bounded list of merged row ranges (§4.1.1)."""
 
-    __slots__ = ("ranges", "last_cached_row", "max_ranges")
+    __slots__ = ("ranges", "last_cached_row", "max_ranges", "exact")
 
     def __init__(
-        self, qualifying: RangeList, scanned_upto: int, max_ranges: int
+        self,
+        qualifying: RangeList,
+        scanned_upto: int,
+        max_ranges: int,
+        exact: bool = False,
     ) -> None:
         self.ranges = qualifying.coalesce(max_ranges)
         self.last_cached_row = scanned_upto
         self.max_ranges = max_ranges
+        self.exact = exact and len(qualifying) <= max_ranges
 
     @classmethod
     def _wrap(
-        cls, ranges: RangeList, last_cached_row: int, max_ranges: int
+        cls,
+        ranges: RangeList,
+        last_cached_row: int,
+        max_ranges: int,
+        exact: bool = False,
     ) -> "RangeSliceState":
         """Trusted constructor: ``ranges`` is the stored list itself."""
         out = cls.__new__(cls)
         out.ranges = ranges
         out.last_cached_row = last_cached_row
         out.max_ranges = max_ranges
+        out.exact = exact
         return out
 
     def cached_candidates(self) -> RangeList:
         return self.ranges
 
     def extended(
-        self, tail_qualifying: RangeList, scanned_upto: int
+        self, tail_qualifying: RangeList, scanned_upto: int, exact: bool = False
     ) -> "RangeSliceState":
         self._check_grows_to(scanned_upto)
         if scanned_upto == self.last_cached_row:
@@ -126,7 +152,10 @@ class RangeSliceState(SliceState):
             tail_qualifying.clip(self.last_cached_row, scanned_upto)
         )
         return self._wrap(
-            merged.coalesce(self.max_ranges), scanned_upto, self.max_ranges
+            merged.coalesce(self.max_ranges),
+            scanned_upto,
+            self.max_ranges,
+            self.exact and exact and len(merged) <= self.max_ranges,
         )
 
     def __eq__(self, other: object) -> bool:
@@ -148,6 +177,9 @@ class BitmapSliceState(SliceState):
     """One bit per block of ``block_size`` rows (§4.1.2)."""
 
     __slots__ = ("bits", "last_cached_row", "block_size")
+
+    # A set bit stands for a whole block: never the qualifying rows.
+    exact = False
 
     def __init__(
         self, qualifying: RangeList, scanned_upto: int, block_size: int
@@ -183,7 +215,7 @@ class BitmapSliceState(SliceState):
         return RangeList._wrap(bounds)
 
     def extended(
-        self, tail_qualifying: RangeList, scanned_upto: int
+        self, tail_qualifying: RangeList, scanned_upto: int, exact: bool = False
     ) -> "BitmapSliceState":
         self._check_grows_to(scanned_upto)
         if scanned_upto == self.last_cached_row:

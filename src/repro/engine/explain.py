@@ -24,8 +24,13 @@ executes a statement and returns this rendering::
         Aggregate  (time=1.50ms rows_out=1 ...)
           Scan  (time=1.41ms rows_out=5943 cache_hits=1 ...)
             cache-lookup  (outcome=hit basis=plain ...)
-            scan[slice 0]  (rows_scanned=1486 rows_skipped_cache=8514
-                            blocks_fetched=6 cache_basis=plain ...)
+            scan[slice 0]  (time=0.21ms cache_basis=plain exact=True
+                            rows_scanned=1486 rows_skipped_cache=8514
+                            rows_qualifying=1486 blocks_fetched=3 ...)
+
+``exact=True`` marks a slice answered from an exact range state: its
+rows below the watermark took the state's verdict, so the slice read
+no predicate-only column there.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ _LEADING_ATTRS = (
     "outcome",
     "basis",
     "cache_basis",
+    "exact",
     "rows_out",
     "rows_output",
     "rows_scanned",
@@ -88,7 +94,8 @@ def render_analyze(span, counters: Optional[QueryCounters] = None) -> str:
     (``QueryResult.trace``); ``counters`` appends the query-totals
     footer.  Operator spans show their plan-node description plus the
     inclusive counter deltas the executor attached; scan slices show the
-    cache outcome, rows skipped, and blocks fetched.
+    cache basis, whether an exact state answered them, rows skipped,
+    and blocks fetched.
     """
     if span is None:
         raise ValueError(

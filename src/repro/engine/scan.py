@@ -12,7 +12,12 @@ Scan flow per data slice:
    a miss, the rows of the kept blocks and the tail are the candidates.
 3. **Vectorized scan** — the predicate (and any semi-join Bloom filters)
    is evaluated on the candidate rows; cached false positives are
-   eliminated here, as is MVCC visibility.
+   eliminated here, as is MVCC visibility.  An exact-match hit on an
+   *exact* state (one that was never merged, :mod:`repro.core.entry`)
+   has no false positives to eliminate: rows below its watermark take
+   the state's verdict, so only the tail reads the predicate-only
+   columns and is evaluated (and, for a join-keyed state, probed).
+   Visibility still applies to every row.
 4. **Cache fill** — the qualifying row ranges (which the scan produced
    anyway) are inserted back into the cache: the join-extended entry
    always, the plain entry whenever the scan's candidate set covers it.
@@ -65,13 +70,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.cache import PredicateCache
-from ..core.entry import CacheEntry
+from ..core.entry import CacheEntry, SliceState
 from ..core.keys import ScanKey, SemiJoinDescriptor
 from ..core.rowrange import RangeList
 from ..faults.errors import NodeDownError
 from ..obs.trace import optional_span
 from ..predicates.ast import Predicate, TruePredicate
 from ..reuse import Decomposition, ReusePlan, decompose, plan_reuse
+from ..storage.column import BlockCoverage
 from ..storage.rms import QueryStorageContext
 from ..storage.slice import DataSlice
 from ..storage.table import Table
@@ -329,6 +335,7 @@ def _run_slices(
     try:
         for slice_id, data_slice in enumerate(table.slices):
             context = plan.contexts[slice_id]
+            exact = _exact_state(context, slice_id)
             with optional_span(
                 trace, f"scan[slice {slice_id}]", table=table.name, slice=slice_id
             ) as span:
@@ -341,6 +348,7 @@ def _run_slices(
                         context.sources if context is not None else (),
                         plan.scan_columns, gather_columns,
                         context.conjunct_predicates if context is not None else (),
+                        exact,
                     )
                 )
                 if span is not None:
@@ -349,6 +357,7 @@ def _run_slices(
                         "blocks_fetched", reader.stats.blocks_accessed - blocks_before
                     )
                     span.set("cache_basis", context.basis if context is not None else "off")
+                    span.set("exact", exact is not None)
     finally:
         reader.end_scan_phase()
     return results
@@ -374,12 +383,25 @@ def _install(
         num_rows = table.slices[slice_id].num_rows
         context.qualifying_rows += qualifying.num_rows
         context.total_rows += num_rows
-        installs = [(context.join_entry, qualifying), (context.plain_entry, q_plain)]
+        # The scan's own outputs are fully evaluated, so they install
+        # exact; a conjunct list is padded with the complement of the
+        # candidates and never is.
+        installs = [
+            (context.join_entry, qualifying, True),
+            (context.plain_entry, q_plain, True),
+        ]
         if extras.conjunct_lists is not None:
-            installs += zip(context.conjunct_entries, extras.conjunct_lists)
-        for entry, ranges in installs:
+            installs += [
+                (entry, ranges, False)
+                for entry, ranges in zip(
+                    context.conjunct_entries, extras.conjunct_lists
+                )
+            ]
+        for entry, ranges, exact in installs:
             if entry is not None:
-                context.cache.record_slice_scan(entry, slice_id, ranges, num_rows)
+                context.cache.record_slice_scan(
+                    entry, slice_id, ranges, num_rows, exact
+                )
                 context.cache.record_entry_stats(entry, ranges.num_rows, num_rows)
         if context.basis in ("composed", "subsumed"):
             # The subsumption/composition re-check accounting: candidate
@@ -551,6 +573,27 @@ def _plan_reuse(
         return reuse
 
 
+def _exact_state(
+    context: Optional[_SliceCacheContext], slice_id: int
+) -> Optional[SliceState]:
+    """The state an exact hit answers this slice from, or ``None``.
+
+    Only an exact-match hit qualifies: a composed or subsumed serve
+    reads other keys' states, which are supersets of this predicate's
+    truth.  A scan that derives conjunct lists evaluates every conjunct
+    on every candidate, so it re-checks anyway.  The hit entry's state
+    must itself be exact (:mod:`repro.core.entry`).
+    """
+    if (
+        context is None
+        or context.basis not in ("plain", "join")
+        or context.conjunct_predicates
+    ):
+        return None
+    state = context.sources[0].slice_states[slice_id]
+    return state if state is not None and state.exact else None
+
+
 @dataclass
 class _SliceScanExtras:
     """Slice-scan byproducts the barrier consumes."""
@@ -578,17 +621,23 @@ def _scan_slice(
     scan_columns: List[str],
     gather_columns: List[str],
     conjunct_predicates: Tuple[Predicate, ...] = (),
+    exact: Optional[SliceState] = None,
 ) -> _SliceResult:
     """Scan one slice; returns ``(qualifying, plain-qualifying,
     materialized gather columns, extras)``.
 
     Counts into the statement's counters and reads through its storage
     reader at its snapshot; entry installs wait for the barrier.
+    ``exact`` is the hit's exact source state (:func:`_exact_state`):
+    its rows below the watermark take the state's verdict, so only the
+    tail reads the predicate columns and is evaluated.
     """
     reader = statement.storage
     counters = statement.counters
     num_rows = data_slice.num_rows
-    states = [
+    # An exact hit's candidates come from the state the caller judged
+    # exact, not from a second read of a slot an install may swap.
+    states = [exact] if exact is not None else [
         state
         for state in (source.slice_states[slice_id] for source in sources)
         if state is not None
@@ -628,38 +677,78 @@ def _scan_slice(
         qualifying = RangeList.empty()
         q_plain = RangeList.empty()
     else:
-        batch = {
-            name: data_slice.columns[name].read_ranges(covered, reader)
-            for name in scan_columns
-        }
-        if isinstance(predicate, TruePredicate) and not scan_columns:
-            pred_mask = np.ones(len(row_ids), dtype=bool)
+        # ``batch`` holds its columns for every candidate row; the
+        # semi-join filters probe the rows of ``probe_batch``, which
+        # start at position ``probe_from`` of ``row_ids``.
+        join_keyed = exact is not None and sources[0].key.is_join_key
+        if exact is None:
+            batch = _read(data_slice, scan_columns, covered, reader)
+            pred_mask = _evaluate(predicate, batch, len(row_ids))
+            probe_batch, probe_from = batch, 0
         else:
-            pred_mask = predicate.evaluate(batch)
-            if pred_mask.shape == ():  # scalar result of an empty batch
-                pred_mask = np.full(len(row_ids), bool(pred_mask))
+            # Rows below the watermark qualified when the state was
+            # installed: only the tail reads the predicate's columns and
+            # is evaluated.  Every candidate reads just what the answer
+            # needs — the output columns the predicate reads too (read
+            # once, not again for the gather) and, unless a join-keyed
+            # state recorded the probes' verdict at the build versions
+            # the lookup checked, the probe columns.
+            split = int(np.searchsorted(row_ids, exact.last_cached_row))
+            needed = set(gather_columns)
+            if not join_keyed:
+                needed.update(sj.probe_column for sj in semijoins)
+            batch = _read(
+                data_slice, [name for name in scan_columns if name in needed],
+                covered, reader,
+            )
+            pred_mask = np.ones(len(row_ids), dtype=bool)
+            tail_batch: Dict[str, np.ndarray] = {}
+            if split < len(row_ids):
+                tail = data_slice.cover(
+                    RangeList([(exact.last_cached_row, num_rows)]), dropped
+                )
+                tail_batch = _read(
+                    data_slice, [name for name in scan_columns if name not in batch],
+                    tail, reader,
+                )
+                for name, values in batch.items():
+                    tail_batch[name] = values[split:]
+                pred_mask[split:] = _evaluate(
+                    predicate, tail_batch, len(row_ids) - split
+                )
+            probe_batch, probe_from = (tail_batch, split) if join_keyed else (batch, 0)
         vis_mask = data_slice.visibility_mask(covered, statement.txid)
         plain_mask = pred_mask & vis_mask
         full_mask = plain_mask
-        for sj in semijoins:
+        for sj in semijoins if probe_from < len(row_ids) else ():
             # Probe only the rows still qualifying, each filter the
             # previous one's survivors: a row's verdict is its key's, so
             # the mask is the all-rows AND.  The hits go into a fresh
             # mask — ``plain_mask`` stays as it is (``q_plain`` below).
-            probed = np.flatnonzero(full_mask)
-            keys = stable_int_keys(batch[sj.probe_column][probed])
+            probed = np.flatnonzero(full_mask[probe_from:])
+            keys = stable_int_keys(probe_batch[sj.probe_column][probed])
             hits = sj.bloom.may_contain(keys)
             counters.bloom_probes += len(keys)
             counters.bloom_positives += int(np.count_nonzero(hits))
-            full_mask = np.zeros(len(row_ids), dtype=bool)
-            full_mask[probed[hits]] = True
-        gathered = covered.select(full_mask)
-        qualifying = RangeList.from_rows(gathered.row_ids)
-        q_plain = (
-            qualifying
-            if full_mask is plain_mask
-            else RangeList.from_rows(row_ids[plain_mask])
-        )
+            passed = np.zeros(len(row_ids), dtype=bool)
+            passed[:probe_from] = full_mask[:probe_from]
+            passed[probed[hits] + probe_from] = True
+            full_mask = passed
+        if len(row_ids) == candidates.num_rows and full_mask.all():
+            # The coverage dropped no candidate and every one qualifies
+            # (an exact hit with no row deleted since, most often): the
+            # candidate list is the answer.
+            gathered, qualifying = covered, candidates
+        else:
+            gathered = covered.select(full_mask)
+            qualifying = RangeList.from_rows(gathered.row_ids)
+        if full_mask is plain_mask or join_keyed:
+            # Equal, or the plain predicate was not evaluated below the
+            # watermark: a join basis fills no plain entry, so the barrier
+            # never installs this one.
+            q_plain = qualifying
+        else:
+            q_plain = RangeList.from_rows(row_ids[plain_mask])
         if conjunct_predicates:
             # Per-conjunct qualifying sets for the reuse lattice.  Rows
             # outside the candidate set were not evaluated here, so each
@@ -672,25 +761,48 @@ def _scan_slice(
             complement = scanned.complement(num_rows)
             conjunct_lists: List[RangeList] = []
             for conjunct in conjunct_predicates:
-                c_mask = conjunct.evaluate(batch)
-                if c_mask.shape == ():
-                    c_mask = np.full(len(row_ids), bool(c_mask))
-                c_mask = c_mask & vis_mask
+                c_mask = _evaluate(conjunct, batch, len(row_ids)) & vis_mask
                 conjunct_lists.append(
                     RangeList.from_rows(row_ids[c_mask]).union(complement)
                 )
             extras.conjunct_lists = conjunct_lists
         # Materialize the caller's output columns for the qualifying rows
         # — exactly the reads ScanResult.gather would issue, moved here
-        # so they count in this slice's span.
+        # so they count in this slice's span.  A column the batch holds
+        # for every candidate is taken from it by mask, not read again.
         if qualifying:
             for name in gather_columns:
-                materialized[name] = data_slice.columns[name].read_ranges(
-                    gathered, reader
-                )
+                if name in batch:
+                    materialized[name] = batch[name][full_mask]
+                else:
+                    materialized[name] = data_slice.columns[name].read_ranges(
+                        gathered, reader
+                    )
 
     counters.rows_qualifying += qualifying.num_rows
     return qualifying, q_plain, materialized, extras
+
+
+def _read(
+    data_slice: DataSlice,
+    names: Sequence[str],
+    rows: BlockCoverage,
+    reader: QueryStorageContext,
+) -> Dict[str, np.ndarray]:
+    """The named columns' values over ``rows``."""
+    return {name: data_slice.columns[name].read_ranges(rows, reader) for name in names}
+
+
+def _evaluate(
+    predicate: Predicate, batch: Dict[str, np.ndarray], num_rows: int
+) -> np.ndarray:
+    """The predicate's verdict on the ``num_rows`` rows of ``batch``."""
+    if isinstance(predicate, TruePredicate):
+        return np.ones(num_rows, dtype=bool)
+    mask = predicate.evaluate(batch)
+    if mask.shape == ():  # scalar result of an empty batch
+        mask = np.full(num_rows, bool(mask))
+    return mask
 
 
 def _prune_with_zonemaps(

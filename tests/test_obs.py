@@ -222,6 +222,10 @@ class TestEngineIntegration:
         assert slice0.attrs["cache_basis"] == "plain"
         assert slice0.attrs["rows_skipped_cache"] > 0
         assert runs[0].trace.find("scan[slice 0]").attrs["cache_basis"] == "full"
+        # ``exact`` says whether the hit took an exact state's verdict.
+        (entry,) = cache.entries()
+        assert slice0.attrs["exact"] is entry.slice_states[0].exact
+        assert runs[0].trace.find("scan[slice 0]").attrs["exact"] is False
 
     def test_explain_analyze_cached_repeat(self):
         """The acceptance scenario: TPC-H Q6-style scan, cached repeat."""
@@ -230,6 +234,7 @@ class TestEngineIntegration:
         engine.execute(Q6)  # cold: fills the cache
         text = engine.explain_analyze(Q6)
         assert "outcome=hit" in text
+        assert "cache_basis=plain exact=" in text
         assert "rows_skipped_cache=" in text
         assert "blocks_fetched=" in text
         assert "Scan(lineitem" in text

@@ -9,6 +9,14 @@ from repro.core import (
     ScanKey,
     SemiJoinDescriptor,
 )
+from repro.core.entry import BitmapSliceState, CacheEntry, RangeSliceState
+from repro.persist.format import (
+    decode_journal_payload,
+    decode_snapshot,
+    encode_snapshot,
+    encode_state_event,
+)
+from repro.persist.records import EntryRecord
 
 
 def make_cache(**kwargs):
@@ -235,3 +243,98 @@ class TestConfig:
         cache.lookup(ScanKey("t", "x"))
         delta = cache.stats.delta(before)
         assert delta.lookups == 1
+
+
+class TestExactStates:
+    """A range state is exact only while every list it was built from
+    was the truth and ``coalesce`` never merged (``core/entry.py``)."""
+
+    @staticmethod
+    def ranges(count):
+        return RangeList([(10 * i, 10 * i + 3) for i in range(count)])
+
+    def test_exact_up_to_the_bound_and_not_past_it(self):
+        at_bound = RangeSliceState(self.ranges(4), 100, 4, exact=True)
+        past_bound = RangeSliceState(self.ranges(5), 100, 4, exact=True)
+        assert at_bound.exact and at_bound.ranges == self.ranges(4)
+        assert not past_bound.exact and len(past_bound.ranges) == 4
+
+    def test_constructor_defaults_to_inexact(self):
+        assert not RangeSliceState(self.ranges(1), 100, 4).exact
+        assert not RangeSliceState._wrap(self.ranges(1), 100, 4).exact
+
+    def test_extension_ands_old_flag_new_flag_and_the_bound(self):
+        exact = RangeSliceState(self.ranges(2), 100, 4, exact=True)
+        assert exact.extended(RangeList([(100, 105)]), 120, exact=True).exact
+        assert not exact.extended(RangeList([(100, 105)]), 120).exact
+        coalesced = exact.extended(
+            RangeList([(100, 101), (103, 104), (106, 107)]), 120, exact=True
+        )
+        assert not coalesced.exact and len(coalesced.ranges) == 4
+        inexact = RangeSliceState(self.ranges(2), 100, 4)
+        assert not inexact.extended(RangeList([(100, 105)]), 120, exact=True).exact
+
+    def test_a_repeat_with_no_tail_keeps_the_state(self):
+        exact = RangeSliceState(self.ranges(2), 100, 4, exact=True)
+        assert exact.extended(RangeList(), 100) is exact
+
+    def test_flag_is_not_part_of_equality_or_bytes(self):
+        exact = RangeSliceState(self.ranges(2), 100, 4, exact=True)
+        inexact = RangeSliceState(self.ranges(2), 100, 4)
+        assert exact == inexact and exact.nbytes == inexact.nbytes
+
+    def test_conjunct_list_extension_demotes_an_exact_state(self):
+        cache = make_cache(variant="range", max_ranges_per_slice=8)
+        entry = cache.get_or_create(ScanKey("t", "x < 5"), 1)
+        cache.record_slice_scan(entry, 0, RangeList([(0, 5)]), 100, exact=True)
+        assert entry.slice_states[0].exact
+        cache.record_slice_scan(entry, 0, RangeList([(100, 150)]), 150)
+        assert not entry.slice_states[0].exact
+        cache.record_slice_scan(entry, 0, RangeList([(150, 151)]), 160, exact=True)
+        assert not entry.slice_states[0].exact
+
+    def test_bitmap_states_are_never_exact(self):
+        cache = make_cache(variant="bitmap")
+        entry = cache.get_or_create(ScanKey("t", "x < 5"), 1)
+        cache.record_slice_scan(entry, 0, RangeList([(0, 5)]), 100, exact=True)
+        cache.record_slice_scan(entry, 0, RangeList([(100, 101)]), 120, exact=True)
+        assert not entry.slice_states[0].exact
+        assert not BitmapSliceState(RangeList([(0, 5)]), 100, 20).exact
+
+    @staticmethod
+    def exact_record():
+        entry = CacheEntry(ScanKey("t", "x < 5"), 1, {})
+        entry.slice_states[0] = RangeSliceState(
+            RangeList([(0, 5), (9, 12)]), 100, 8, exact=True
+        )
+        return EntryRecord.from_entry(entry, table_layout=0)
+
+    def test_decoded_snapshot_states_are_inexact(self):
+        record = self.exact_record()
+        decoded, _meta, issues = decode_snapshot(
+            encode_snapshot({record.digest: record})
+        )
+        assert issues.clean
+        state = decoded[record.digest].states[0]
+        assert state == record.states[0] and not state.exact
+
+    def test_journal_replayed_states_are_inexact(self):
+        record = self.exact_record()
+        _op, _meta, _slice, state = decode_journal_payload(
+            encode_state_event(record, 0, record.states[0])
+        )
+        assert state == record.states[0] and not state.exact
+
+    def test_hydrated_states_are_inexact(self, tmp_path):
+        from repro.persist import CacheStore
+
+        cache = make_cache(variant="range")
+        CacheStore(tmp_path).attach(cache)
+        entry = cache.get_or_create(ScanKey("t", "x < 5"), 1)
+        cache.record_slice_scan(entry, 0, RangeList([(0, 5)]), 100, exact=True)
+        assert entry.slice_states[0].exact
+        warm = make_cache(variant="range")
+        assert CacheStore(tmp_path).attach(warm) == 1
+        (restored,) = warm.entries()
+        assert restored.slice_states[0] == entry.slice_states[0]
+        assert not restored.slice_states[0].exact

@@ -695,6 +695,49 @@ def test_reuse_off_by_default_and_stats_stay_pure():
     assert stats.misses >= reuse2.serves
 
 
+def test_conjunct_list_on_a_scanned_key_is_never_an_exact_hit():
+    """A direct scan of ``x < 25`` and the decomposer's ``x < 25``
+    conjunct share one entry.  After an INSERT, a composed scan of ``x <
+    25 and y > 50`` extends that entry's tail with a complement-padded
+    conjunct list: false positives.  Exactness must follow the state,
+    not the entry's ``scan`` provenance, or the next exact-match hit on
+    ``x < 25`` skips the re-check and returns the padding."""
+    twins = []
+    for use_cache in (True, False):
+        db = Database(num_slices=1, rows_per_block=64)
+        db.create_table(
+            TableSchema(
+                "t", tuple(ColumnSpec(c, DataType.INT64) for c in ("x", "y"))
+            )
+        )
+        cache = PredicateCache(reuse_config()) if use_cache else None
+        twins.append(QueryEngine(db, predicate_cache=cache))
+    cached, plain = twins
+    rng = np.random.default_rng(3)
+    seed = {c: rng.integers(0, 100, 1000) for c in ("x", "y")}
+    more = {c: rng.integers(0, 100, 300) for c in ("x", "y")}
+
+    def both(sql):
+        ra, rb = cached.execute(sql), plain.execute(sql)
+        assert_rows_equal(ra.rows(), rb.rows(), sql)
+        assert ra.counters.rows_qualifying == rb.counters.rows_qualifying
+        return ra
+
+    for engine in twins:
+        engine.insert("t", seed)
+    both("select x, y from t where x < 25")
+    for engine in twins:
+        engine.insert("t", more)
+    both("select x, y from t where y > 50")
+    composed = both("select x, y from t where x < 25 and y > 50")
+    assert composed.counters.reuse_composed_serves == 1
+    live = {entry.key: entry for entry in cached.predicate_cache.entries()}
+    (state,) = live[plain_key("x < 25")].slice_states
+    assert state.last_cached_row == 1300 and not state.exact
+    repeat = both("select x, y from t where x < 25")
+    assert repeat.counters.cache_hits == 1
+
+
 # -- hypothesis property: random conjunctive sessions -------------------------
 
 conjunct_strategy = st.tuples(
