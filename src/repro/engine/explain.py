@@ -75,6 +75,7 @@ _LEADING_ATTRS = (
     "basis",
     "cache_basis",
     "exact",
+    "visibility",
     "rows_out",
     "rows_output",
     "rows_scanned",
@@ -94,8 +95,9 @@ def render_analyze(span, counters: Optional[QueryCounters] = None) -> str:
     (``QueryResult.trace``); ``counters`` appends the query-totals
     footer.  Operator spans show their plan-node description plus the
     inclusive counter deltas the executor attached; scan slices show the
-    cache basis, whether an exact state answered them, rows skipped,
-    and blocks fetched.
+    cache basis, whether an exact state answered them, whether
+    visibility came from the slice's MVCC summary or its rows, rows
+    skipped, and blocks fetched.
     """
     if span is None:
         raise ValueError(

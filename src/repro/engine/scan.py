@@ -6,10 +6,13 @@ Scan flow per data slice:
    key to the predicate cache and takes the most selective live entry.
 2. **Range restriction** — zone maps mark the blocks whose min/max
    bounds cannot satisfy the predicate, one dropped-block mask per
-   slice.  On a hit, candidate rows come from the cached states (cached
-   qualifying ranges plus the uncached appended tail) and the block
-   coverage leaves the rows of dropped blocks out as it places them; on
-   a miss, the rows of the kept blocks and the tail are the candidates.
+   slice, from bounds the plan derived once for the whole scan.  On a
+   hit, candidate rows come from the cached states (cached qualifying
+   ranges plus the uncached appended tail) and the block coverage
+   leaves the rows of dropped blocks out as it places them; on a miss,
+   the rows of the kept blocks and the tail are the candidates.  An
+   exact hit with no tail (below) consults no zone map: every one of its
+   candidates qualifies, so no block holding one can be pruned.
 3. **Vectorized scan** — the predicate (and any semi-join Bloom filters)
    is evaluated on the candidate rows; cached false positives are
    eliminated here, as is MVCC visibility.  An exact-match hit on an
@@ -17,7 +20,12 @@ Scan flow per data slice:
    has no false positives to eliminate: rows below its watermark take
    the state's verdict, so only the tail reads the predicate-only
    columns and is evaluated (and, for a join-keyed state, probed).
-   Visibility still applies to every row.
+   Visibility applies to every row, unless the slice's MVCC summary
+   says every row is visible at the statement's snapshot
+   (:meth:`~repro.storage.slice.DataSlice.all_visible`) — then no
+   slice scan computes a per-row visibility mask.  An exact hit with no
+   tail at such a snapshot builds no mask at all: its candidate list is
+   the answer.
 4. **Cache fill** — the qualifying row ranges (which the scan produced
    anyway) are inserted back into the cache: the join-extended entry
    always, the plain entry whenever the scan's candidate set covers it.
@@ -75,7 +83,7 @@ from ..core.keys import ScanKey, SemiJoinDescriptor
 from ..core.rowrange import RangeList
 from ..faults.errors import NodeDownError
 from ..obs.trace import optional_span
-from ..predicates.ast import Predicate, TruePredicate
+from ..predicates.ast import Bounds, Predicate, TruePredicate
 from ..reuse import Decomposition, ReusePlan, decompose, plan_reuse
 from ..storage.column import BlockCoverage
 from ..storage.rms import QueryStorageContext
@@ -219,6 +227,9 @@ class ScanPlan:
     join_key: Optional[ScanKey]
     #: Columns the vectorized scan reads (predicate + probe columns).
     scan_columns: List[str]
+    #: The predicate's zone-map bounds, per bounded column: derived
+    #: once here, read by every slice scan that prunes.
+    zone_bounds: List[Tuple[str, Bounds]]
     #: Per-slice cache context; ``None`` scans that slice cache-off
     #: (caching disabled, or the slice's node is down).
     contexts: List[Optional["_SliceCacheContext"]] = field(default_factory=list)
@@ -262,6 +273,7 @@ def _plan_scan(
         plain_key,
         join_key,
         sorted(predicate.columns() | {sj.probe_column for sj in semijoins}),
+        _zone_bounds(predicate),
     )
     if cache is None:
         plan.contexts = [None] * len(table.slices)
@@ -325,7 +337,8 @@ def _run_slices(
     Block-cache eviction waits for the end of the last slice, also when
     a slice raised (the storage reader's scan phase).  A traced
     statement gets one ``scan[slice N]`` span per slice carrying the
-    slice's counter deltas and the blocks it read.
+    slice's counter deltas, the blocks it read and whether visibility
+    came from the slice's MVCC summary or from its rows.
     """
     reader = statement.storage
     counters = statement.counters
@@ -336,6 +349,7 @@ def _run_slices(
         for slice_id, data_slice in enumerate(table.slices):
             context = plan.contexts[slice_id]
             exact = _exact_state(context, slice_id)
+            all_visible = data_slice.all_visible(statement.txid)
             with optional_span(
                 trace, f"scan[slice {slice_id}]", table=table.name, slice=slice_id
             ) as span:
@@ -346,9 +360,9 @@ def _run_slices(
                     _scan_slice(
                         data_slice, slice_id, predicate, semijoins, statement,
                         context.sources if context is not None else (),
-                        plan.scan_columns, gather_columns,
+                        plan.scan_columns, plan.zone_bounds, gather_columns,
                         context.conjunct_predicates if context is not None else (),
-                        exact,
+                        exact, all_visible,
                     )
                 )
                 if span is not None:
@@ -358,6 +372,7 @@ def _run_slices(
                     )
                     span.set("cache_basis", context.basis if context is not None else "off")
                     span.set("exact", exact is not None)
+                    span.set("visibility", "summary" if all_visible else "rows")
     finally:
         reader.end_scan_phase()
     return results
@@ -619,9 +634,11 @@ def _scan_slice(
     statement: StatementContext,
     sources: Tuple[CacheEntry, ...],
     scan_columns: List[str],
+    zone_bounds: List[Tuple[str, Bounds]],
     gather_columns: List[str],
     conjunct_predicates: Tuple[Predicate, ...] = (),
     exact: Optional[SliceState] = None,
+    all_visible: bool = False,
 ) -> _SliceResult:
     """Scan one slice; returns ``(qualifying, plain-qualifying,
     materialized gather columns, extras)``.
@@ -630,7 +647,9 @@ def _scan_slice(
     reader at its snapshot; entry installs wait for the barrier.
     ``exact`` is the hit's exact source state (:func:`_exact_state`):
     its rows below the watermark take the state's verdict, so only the
-    tail reads the predicate columns and is evaluated.
+    tail reads the predicate columns and is evaluated.  ``all_visible``
+    is the slice's MVCC summary at the statement's snapshot: when set,
+    no row is checked for visibility.
     """
     reader = statement.storage
     counters = statement.counters
@@ -643,10 +662,15 @@ def _scan_slice(
         if state is not None
     ]
 
-    # Zone-map pruning is applied on top of a hit too — it is
+    # An exact hit with no tail: every candidate satisfies the
+    # predicate, so no block holding one can be pruned.
+    settled = exact is not None and exact.last_cached_row == num_rows
+    # Otherwise zone-map pruning is applied on top of a hit too — it is
     # metadata-only and guarantees a hit never scans more than a miss
     # would ("rigorously avoiding slowdowns", §1).
-    dropped = _prune_with_zonemaps(data_slice, predicate, counters)
+    dropped = (
+        None if settled else _prune_with_zonemaps(data_slice, zone_bounds, counters)
+    )
     if states:
         # Cache hit: the cached ranges replace the range-restricted scan;
         # the coverage leaves the rows of dropped blocks out as it
@@ -665,7 +689,8 @@ def _scan_slice(
         candidates, dropped = data_slice.unpruned_rows(dropped), None
     # One block coverage of the candidates serves every column read,
     # the visibility mask, the row ids and (selected down to the
-    # qualifying rows) the gather below.
+    # qualifying rows) the gather below.  A mask of ``None`` passes
+    # every candidate.
     covered = data_slice.cover(candidates, dropped)
     row_ids = covered.row_ids
 
@@ -683,7 +708,7 @@ def _scan_slice(
         join_keyed = exact is not None and sources[0].key.is_join_key
         if exact is None:
             batch = _read(data_slice, scan_columns, covered, reader)
-            pred_mask = _evaluate(predicate, batch, len(row_ids))
+            pred_mask: Optional[np.ndarray] = _evaluate(predicate, batch, len(row_ids))
             probe_batch, probe_from = batch, 0
         else:
             # Rows below the watermark qualified when the state was
@@ -701,26 +726,35 @@ def _scan_slice(
                 data_slice, [name for name in scan_columns if name in needed],
                 covered, reader,
             )
-            pred_mask = np.ones(len(row_ids), dtype=bool)
+            # A settled hit needs no predicate mask; any other evaluates
+            # what the zone maps kept of its tail.
+            pred_mask = None
             tail_batch: Dict[str, np.ndarray] = {}
-            if split < len(row_ids):
-                tail = data_slice.cover(
-                    RangeList([(exact.last_cached_row, num_rows)]), dropped
-                )
-                tail_batch = _read(
-                    data_slice, [name for name in scan_columns if name not in batch],
-                    tail, reader,
-                )
-                for name, values in batch.items():
-                    tail_batch[name] = values[split:]
-                pred_mask[split:] = _evaluate(
-                    predicate, tail_batch, len(row_ids) - split
-                )
+            if not settled:
+                pred_mask = np.ones(len(row_ids), dtype=bool)
+                if split < len(row_ids):
+                    tail = data_slice.cover(
+                        RangeList([(exact.last_cached_row, num_rows)]), dropped
+                    )
+                    tail_batch = _read(
+                        data_slice,
+                        [name for name in scan_columns if name not in batch],
+                        tail, reader,
+                    )
+                    for name, values in batch.items():
+                        tail_batch[name] = values[split:]
+                    pred_mask[split:] = _evaluate(
+                        predicate, tail_batch, len(row_ids) - split
+                    )
             probe_batch, probe_from = (tail_batch, split) if join_keyed else (batch, 0)
-        vis_mask = data_slice.visibility_mask(covered, statement.txid)
-        plain_mask = pred_mask & vis_mask
+        vis_mask = (
+            None if all_visible else data_slice.visibility_mask(covered, statement.txid)
+        )
+        plain_mask = _and(pred_mask, vis_mask)
         full_mask = plain_mask
         for sj in semijoins if probe_from < len(row_ids) else ():
+            if full_mask is None:
+                full_mask = np.ones(len(row_ids), dtype=bool)
             # Probe only the rows still qualifying, each filter the
             # previous one's survivors: a row's verdict is its key's, so
             # the mask is the all-rows AND.  The hits go into a fresh
@@ -734,10 +768,14 @@ def _scan_slice(
             passed[:probe_from] = full_mask[:probe_from]
             passed[probed[hits] + probe_from] = True
             full_mask = passed
-        if len(row_ids) == candidates.num_rows and full_mask.all():
+        if full_mask is None or (
+            len(row_ids) == candidates.num_rows and full_mask.all()
+        ):
             # The coverage dropped no candidate and every one qualifies
             # (an exact hit with no row deleted since, most often): the
-            # candidate list is the answer.
+            # candidate list is the answer.  With no mask at all (an
+            # exact hit with no tail, every row visible, nothing to
+            # probe) that is known without looking at a row.
             gathered, qualifying = covered, candidates
         else:
             gathered = covered.select(full_mask)
@@ -747,6 +785,10 @@ def _scan_slice(
             # watermark: a join basis fills no plain entry, so the barrier
             # never installs this one.
             q_plain = qualifying
+        elif plain_mask is None:
+            # A settled hit with every row visible: only the probes
+            # dropped rows, and the plain entry keeps them all.
+            q_plain = candidates
         else:
             q_plain = RangeList.from_rows(row_ids[plain_mask])
         if conjunct_predicates:
@@ -761,7 +803,7 @@ def _scan_slice(
             complement = scanned.complement(num_rows)
             conjunct_lists: List[RangeList] = []
             for conjunct in conjunct_predicates:
-                c_mask = _evaluate(conjunct, batch, len(row_ids)) & vis_mask
+                c_mask = _and(_evaluate(conjunct, batch, len(row_ids)), vis_mask)
                 conjunct_lists.append(
                     RangeList.from_rows(row_ids[c_mask]).union(complement)
                 )
@@ -773,7 +815,9 @@ def _scan_slice(
         if qualifying:
             for name in gather_columns:
                 if name in batch:
-                    materialized[name] = batch[name][full_mask]
+                    materialized[name] = (
+                        batch[name] if full_mask is None else batch[name][full_mask]
+                    )
                 else:
                     materialized[name] = data_slice.columns[name].read_ranges(
                         gathered, reader
@@ -805,8 +849,31 @@ def _evaluate(
     return mask
 
 
+def _and(
+    left: Optional[np.ndarray], right: Optional[np.ndarray]
+) -> Optional[np.ndarray]:
+    """``left & right``, where ``None`` passes every row."""
+    if left is None:
+        return right
+    if right is None:
+        return left
+    return left & right
+
+
+def _zone_bounds(predicate: Predicate) -> List[Tuple[str, Bounds]]:
+    """The predicate's bounds on each column a zone map can prune by."""
+    zone_bounds: List[Tuple[str, Bounds]] = []
+    for column_name in predicate.columns():
+        bounds = predicate.bounds(column_name)
+        if bounds is not None and not bounds.unbounded:
+            zone_bounds.append((column_name, bounds))
+    return zone_bounds
+
+
 def _prune_with_zonemaps(
-    data_slice: DataSlice, predicate: Predicate, counters: QueryCounters
+    data_slice: DataSlice,
+    zone_bounds: List[Tuple[str, Bounds]],
+    counters: QueryCounters,
 ) -> Optional[np.ndarray]:
     """Step 1 of the standard scan: drop blocks by min/max bounds.
 
@@ -815,10 +882,7 @@ def _prune_with_zonemaps(
     no block can be skipped.
     """
     dropped: Optional[np.ndarray] = None
-    for column_name in predicate.columns():
-        bounds = predicate.bounds(column_name)
-        if bounds is None or bounds.unbounded:
-            continue
+    for column_name, bounds in zone_bounds:
         column = data_slice.columns.get(column_name)
         if column is None:
             continue

@@ -31,6 +31,8 @@ Hook points (all behind the ``ACTIVE`` guard):
   touches the cache — those come from disk, not from a constructor.)
 * ``CacheStore.snapshot_records`` — every snapshot rotation decodes its
   own bytes and compares records (round-trip self-check).
+* ``Table`` writes and rewrites — every slice's MVCC summary equals its
+  recomputation from the per-row timestamps.
 
 The module deliberately imports nothing from the rest of the package
 (only numpy and the leaf ``repro.env``), so any module may call into it
@@ -57,6 +59,7 @@ __all__ = [
     "enabled",
     "check_bounds",
     "check_slice_state",
+    "check_slice_visibility",
     "check_cache",
     "check_snapshot_roundtrip",
 ]
@@ -173,6 +176,25 @@ def check_slice_state(state: Any, slice_rows: Optional[int] = None) -> None:
             )
     else:
         _fail(f"unknown slice-state type {type(state).__name__}")
+
+
+# -- MVCC summary -----------------------------------------------------------
+
+
+def check_slice_visibility(data_slice: Any) -> None:
+    """A data slice's MVCC summary equals its recomputation: ``max_xmin``
+    is the newest row creator (0 with no rows) and ``min_xmax`` the
+    oldest deleter (the "never" sentinel with no rows).  Scans skip the
+    per-row visibility mask on the summary's word alone."""
+    max_xmin = int(data_slice._xmin.values.max(initial=0))
+    min_xmax = int(data_slice._xmax.values.min(initial=np.iinfo(np.int64).max))
+    if (data_slice.max_xmin, data_slice.min_xmax) != (max_xmin, min_xmax):
+        _fail(
+            f"slice {data_slice.slice_id} of {data_slice.table_name!r} "
+            f"summarizes (max_xmin={data_slice.max_xmin}, "
+            f"min_xmax={data_slice.min_xmax}), its rows give "
+            f"({max_xmin}, {min_xmax})"
+        )
 
 
 # -- cache accounting -------------------------------------------------------

@@ -5,6 +5,14 @@ nodes (§4.2.1).  Each :class:`DataSlice` owns its rows end-to-end:
 column stores, MVCC timestamps, and local row numbering starting at 0.
 Appends always go to the slice's end, which is the property that keeps
 predicate-cache entries valid under inserts (§4.3.1).
+
+Beside the per-row ``xmin`` / ``xmax`` arrays a slice keeps an **MVCC
+summary**: the newest ``xmin`` and the oldest ``xmax`` of any of its
+rows.  Every row is visible at ``txid`` exactly when ``max_xmin <= txid
+< min_xmax``, so a scan at such a snapshot needs no per-row visibility
+mask (:meth:`DataSlice.all_visible`).  Appends and deletes move the
+summary in O(1) — before they touch a row, so a reader never pairs new
+rows with an old summary — and a rewrite recomputes it.
 """
 
 from __future__ import annotations
@@ -44,6 +52,10 @@ class DataSlice:
         self._xmin = GrowableArray(np.dtype(np.int64))
         self._xmax = GrowableArray(np.dtype(np.int64))
         self.num_rows = 0
+        #: The MVCC summary: the newest creator and the oldest deleter
+        #: of any row (0 and "never" while the slice is empty).
+        self.max_xmin = 0
+        self.min_xmax = INFINITY_TX
 
     # -- writes -----------------------------------------------------------------
 
@@ -67,6 +79,7 @@ class DataSlice:
         count = distinct.pop() if distinct else 0
         if count == 0:
             return RangeList.empty()
+        self.max_xmin = max(self.max_xmin, txid)
         for name, values in rows.items():
             self.columns[name].append(values)
         self._xmin.append_many(np.full(count, txid, dtype=np.int64))
@@ -80,6 +93,8 @@ class DataSlice:
         local_rows = np.asarray(local_rows, dtype=np.int64)
         xmax = self._xmax.values
         alive = local_rows[xmax[local_rows] == INFINITY_TX]
+        if len(alive):
+            self.min_xmax = min(self.min_xmax, txid)
         xmax[alive] = txid
         return int(len(alive))
 
@@ -113,6 +128,11 @@ class DataSlice:
                 bounds = np.concatenate((bounds, tail))
         return RangeList._wrap(bounds)
 
+    def all_visible(self, txid: int) -> bool:
+        """Whether every row is visible to ``txid``: none was created
+        after it or deleted at or before it (the MVCC summary)."""
+        return self.max_xmin <= txid < self.min_xmax
+
     def visibility_mask(
         self, ranges: Union[RangeList, BlockCoverage], txid: int
     ) -> np.ndarray:
@@ -130,6 +150,8 @@ class DataSlice:
         return (xmin <= txid) & (xmax > txid)
 
     def visible_row_count(self, txid: int) -> int:
+        if self.all_visible(txid):
+            return self.num_rows
         xmin = self._xmin.values
         xmax = self._xmax.values
         return int(np.count_nonzero((xmin <= txid) & (xmax > txid)))
@@ -149,9 +171,13 @@ class DataSlice:
         full = RangeList.full(self.num_rows)
         for column in self.columns.values():
             column.rebuild(column.read_ranges(full, rms)[order])
-        self._xmin.replace(self._xmin.values[order])
-        self._xmax.replace(self._xmax.values[order])
+        xmin = self._xmin.values[order]
+        xmax = self._xmax.values[order]
+        self._xmin.replace(xmin)
+        self._xmax.replace(xmax)
         self.num_rows = len(order)
+        self.max_xmin = int(xmin.max(initial=0))
+        self.min_xmax = int(xmax.min(initial=INFINITY_TX))
 
     def vacuum(self, horizon_txid: int, rms: ManagedStorage) -> bool:
         """Physically remove globally invisible rows; True if changed.
@@ -160,10 +186,9 @@ class DataSlice:
         is exactly the event that invalidates predicate-cache entries
         (§4.3.2) — the table layer broadcasts it to listeners.
         """
-        dead = self._xmax.values < horizon_txid
-        if not dead.any():
-            return False
-        self.rewrite(np.flatnonzero(~dead), rms)
+        if self.min_xmax >= horizon_txid:
+            return False  # no row was deleted before the horizon
+        self.rewrite(np.flatnonzero(self._xmax.values >= horizon_txid), rms)
         return True
 
     # -- introspection ------------------------------------------------------------

@@ -22,6 +22,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import invariants as _inv
 from .dtypes import DataType
 from .rms import ManagedStorage
 from .slice import DataSlice
@@ -158,6 +159,7 @@ class Table:
                 continue
             subset = {name: values[pick] for name, values in arrays.items()}
             s.append_rows(subset, txid)
+        self._check_summaries()
         self.data_version += 1
         self._notify("data")
         return count
@@ -167,6 +169,7 @@ class Table:
     ) -> int:
         """MVCC-delete rows of one slice (the executor resolves which)."""
         deleted = self.slices[slice_id].mark_deleted(local_rows, txid)
+        self._check_summaries()
         if deleted:
             self.data_version += 1
             self._notify("data")
@@ -202,6 +205,7 @@ class Table:
         """After :meth:`DataSlice.rewrite` of any slices: block indices
         restarted, so the table's decoded blocks go (once, before anyone
         reads the new ones), then the versions move and listeners hear."""
+        self._check_summaries()
         self.rms.invalidate_table(self.name)
         self.layout_version += 1
         self.data_version += 1
@@ -209,6 +213,13 @@ class Table:
         self._notify("data")
 
     # -- helpers -------------------------------------------------------------------
+
+    def _check_summaries(self) -> None:
+        """After a write or rewrite, under ``REPRO_VALIDATE``: every
+        slice's MVCC summary equals its rows' (DESIGN.md §11)."""
+        if _inv.ACTIVE:
+            for s in self.slices:
+                _inv.check_slice_visibility(s)
 
     def _to_arrays(self, rows: Mapping[str, Sequence[object]]) -> Dict[str, np.ndarray]:
         missing = set(self.schema.column_names) - set(rows)

@@ -26,6 +26,7 @@ from repro.core.entry import BitmapSliceState, CacheEntry, RangeSliceState
 from repro.invariants import InvariantViolation
 from repro.persist import CacheStore, collect_records
 from repro.persist.format import encode_snapshot
+from repro.storage import ColumnSpec, Database, DataType, TableSchema
 
 
 @pytest.fixture
@@ -195,6 +196,41 @@ class TestCheckSliceState:
         )
         populated_cache(num_keys=1)
         assert len(seen) == 1
+
+
+# -- check_slice_visibility ----------------------------------------------------
+
+
+class TestCheckSliceVisibility:
+    def make_table(self):
+        db = Database(num_slices=1, rows_per_block=4)
+        db.create_table(TableSchema("t", (ColumnSpec("k", DataType.INT64),)))
+        table = db.table("t")
+        table.insert({"k": np.arange(6)}, db.begin())
+        return db, table
+
+    def test_written_summary_passes(self):
+        db, table = self.make_table()
+        table.delete_local_rows(0, np.array([2]), db.begin())
+        invariants.check_slice_visibility(table.slices[0])
+
+    @pytest.mark.parametrize("field", ["max_xmin", "min_xmax"])
+    def test_stale_summary(self, field):
+        _, table = self.make_table()
+        setattr(table.slices[0], field, 0)
+        with pytest.raises(InvariantViolation, match="summarizes"):
+            invariants.check_slice_visibility(table.slices[0])
+
+    def test_table_writes_and_rewrites_fire_the_hook(self, validate, monkeypatch):
+        db, table = self.make_table()
+        seen = []
+        monkeypatch.setattr(
+            invariants, "check_slice_visibility", lambda s: seen.append(s)
+        )
+        table.insert({"k": [9]}, db.begin())
+        table.delete_local_rows(0, np.array([0]), db.begin())
+        table.vacuum(db.horizon_txid)
+        assert seen == [table.slices[0]] * 3
 
 
 # -- check_cache ---------------------------------------------------------------

@@ -226,6 +226,15 @@ class TestEngineIntegration:
         (entry,) = cache.entries()
         assert slice0.attrs["exact"] is entry.slice_states[0].exact
         assert runs[0].trace.find("scan[slice 0]").attrs["exact"] is False
+        # ``visibility`` says whether the slice's MVCC summary answered
+        # for every row or the scan checked them one by one: after a
+        # DELETE, later readers check rows.
+        assert [s.attrs["visibility"] for s in slices] == ["summary", "summary"]
+        engine.execute("DELETE FROM lineitem WHERE quantity = 7")
+        after = engine.execute(Q6).trace
+        assert [
+            after.find(f"scan[slice {i}]").attrs["visibility"] for i in (0, 1)
+        ] == ["rows", "rows"]
 
     def test_explain_analyze_cached_repeat(self):
         """The acceptance scenario: TPC-H Q6-style scan, cached repeat."""
@@ -234,7 +243,7 @@ class TestEngineIntegration:
         engine.execute(Q6)  # cold: fills the cache
         text = engine.explain_analyze(Q6)
         assert "outcome=hit" in text
-        assert "cache_basis=plain exact=" in text
+        assert "cache_basis=plain exact=True visibility=summary" in text
         assert "rows_skipped_cache=" in text
         assert "blocks_fetched=" in text
         assert "Scan(lineitem" in text

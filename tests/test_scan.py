@@ -15,6 +15,8 @@ from repro.engine.scan import execute_scan
 from repro.engine.statement import StatementContext
 from repro.predicates import TruePredicate, parse_predicate
 from repro.storage import ColumnSpec, Database, DataType, TableSchema
+from repro.storage.slice import DataSlice
+from repro.storage.zonemap import ZoneMap
 
 
 def make_table(values, num_slices=2, rows_per_block=10):
@@ -188,6 +190,74 @@ class TestScanUnderDML:
         rows, counters = scan_rows(db, pred, cache)
         assert rows == [0, 1, 3, 4]
         assert counters.cache_hits == 1
+
+
+def test_an_exact_hit_recomputes_nothing_it_already_knows(monkeypatch):
+    """A warm exact hit with no tail on a slice where every row is
+    visible consults no zone map and builds no visibility mask; a tail
+    brings the zone maps back, a delete the mask, and a vacuum (after
+    the rebuilding miss) takes both away again."""
+    calls = {"zonemap": 0, "visibility": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        ZoneMap, "pruned_blocks", counting("zonemap", ZoneMap.pruned_blocks)
+    )
+    monkeypatch.setattr(
+        DataSlice, "visibility_mask", counting("visibility", DataSlice.visibility_mask)
+    )
+
+    def scan():
+        calls.update(zonemap=0, visibility=0)
+        return scan_rows(db, pred, cache)
+
+    db = make_table(np.arange(400), num_slices=4)
+    table = db.table("t")
+    cache = PredicateCache(PredicateCacheConfig(variant="range"))
+    cache.watch_table(table)
+    pred = parse_predicate("x between 100 and 150")
+    cold_rows, cold = scan()
+    assert cold.cache_misses == 1 and cold.blocks_pruned_zonemap > 0
+    assert calls == {"zonemap": 4, "visibility": 0}
+
+    # 1. Warm exact hit, no tail, every row visible.
+    rows, counters = scan()
+    assert rows == cold_rows == list(range(100, 151))
+    assert counters.cache_hits == 1
+    assert all(state.exact for state in cache.entries()[0].slice_states)
+    assert calls == {"zonemap": 0, "visibility": 0}
+    assert counters.blocks_pruned_zonemap == 0
+
+    # 2. An INSERT gives every slice a tail: the hit prunes again.
+    table.insert({"x": [125, 999, 130, 7], "y": [0, 0, 0, 0]}, db.begin())
+    rows, counters = scan()
+    assert rows == sorted(list(range(100, 151)) + [125, 130])
+    assert counters.cache_hits == 1
+    assert calls == {"zonemap": 4, "visibility": 0}
+
+    # 3. A DELETE: the deleting slice computes the mask, the row is gone.
+    (local,) = np.flatnonzero(table.slices[0].columns["x"].read_all(db.rms) == 120)
+    table.delete_local_rows(0, np.array([local]), db.begin())
+    rows, counters = scan()
+    assert 120 not in rows and len(rows) == 52
+    assert counters.cache_hits == 1
+    assert calls == {"zonemap": 0, "visibility": 1}
+
+    # 4. A VACUUM drops the entry; after the rebuilding miss, both skips
+    # are back.
+    table.vacuum(db.horizon_txid)
+    miss_rows, counters = scan()
+    assert counters.cache_misses == 1 and calls == {"zonemap": 4, "visibility": 0}
+    rows, counters = scan()
+    assert rows == miss_rows and counters.cache_hits == 1
+    assert calls == {"zonemap": 0, "visibility": 0}
+    assert counters.blocks_pruned_zonemap == 0
 
 
 class TestBothVariantsAgree:

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import invariants
 from repro.core.rowrange import RangeList
 from repro.storage import ColumnSpec, Database, DataType, TableSchema
+from repro.storage.slice import INFINITY_TX
 
 
 def make_db(num_slices=2, rows_per_block=10):
@@ -113,6 +117,85 @@ class TestMVCC:
         table.delete_local_rows(0, np.array([2, 3]), db.begin())
         mask = table.slices[0].visibility_mask(RangeList.full(6), db.begin())
         assert mask.tolist() == [True, True, False, False, True, True]
+
+
+class TestMVCCSummary:
+    """A slice's MVCC summary (newest ``xmin``, oldest ``xmax``) against
+    the per-row mask it lets scans skip."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_summary_twins_the_per_row_mask(self, data):
+        db = make_db(num_slices=2, rows_per_block=4)
+        table = db.table("t")
+        latest = 0
+        for _ in range(data.draw(st.integers(1, 12), label="steps")):
+            op = data.draw(
+                st.sampled_from(["append", "delete", "update", "vacuum", "reorganize"]),
+                label="op",
+            )
+            if op == "vacuum":
+                horizon = data.draw(st.integers(0, latest + 1), label="horizon")
+                # The full re-scan's answer, taken before the vacuum.
+                before = [s.num_rows for s in table.slices]
+                survivors = [
+                    int(np.count_nonzero(s._xmax.values >= horizon))
+                    for s in table.slices
+                ]
+                assert table.vacuum(horizon) == (survivors != before)
+                assert [s.num_rows for s in table.slices] == survivors
+            elif op == "reorganize":
+                orders = [
+                    np.asarray(
+                        data.draw(st.permutations(range(s.num_rows)), label="order"),
+                        dtype=np.int64,
+                    )
+                    for s in table.slices
+                ]
+                table.reorganize(lambda _table: orders)
+            else:
+                latest = db.begin()
+                if op != "append":
+                    for slice_id, s in enumerate(table.slices):
+                        doomed = data.draw(
+                            st.lists(st.integers(0, max(0, s.num_rows - 1)), max_size=4)
+                            if s.num_rows
+                            else st.just([]),
+                            label="doomed",
+                        )
+                        table.delete_local_rows(
+                            slice_id, np.array(doomed, dtype=np.int64), latest
+                        )
+                if op != "delete":
+                    n = data.draw(st.integers(1, 9), label="rows")
+                    table.insert({"k": np.arange(n), "v": np.zeros(n)}, latest)
+            for s in table.slices:
+                invariants.check_slice_visibility(s)
+                full = RangeList.full(s.num_rows)
+                for txid in range(latest + 2):
+                    mask = s.visibility_mask(full, txid)
+                    assert s.all_visible(txid) == bool(mask.all())
+                    assert s.visible_row_count(txid) == int(np.count_nonzero(mask))
+
+    def test_summary_follows_writes_and_rewrites(self):
+        db = make_db(num_slices=1)
+        table = db.table("t")
+        s = table.slices[0]
+        assert s.all_visible(0)  # an empty slice hides nothing
+        tx1 = db.begin()
+        table.insert({"k": np.arange(6), "v": np.zeros(6)}, tx1)
+        assert (s.max_xmin, s.min_xmax) == (tx1, INFINITY_TX)
+        assert not s.all_visible(tx1 - 1) and s.all_visible(tx1)
+        tx2 = db.begin()
+        table.delete_local_rows(0, np.array([1]), tx2)
+        assert s.min_xmax == tx2
+        assert s.all_visible(tx2 - 1) and not s.all_visible(tx2)
+        assert s.visible_row_count(tx2) == 5
+        # Nothing was deleted before tx2: vacuum answers from the summary.
+        assert not s.vacuum(tx2, table.rms)
+        assert table.vacuum(tx2 + 1)
+        assert (s.num_rows, s.min_xmax) == (5, INFINITY_TX)
+        assert s.all_visible(tx2)
 
 
 class TestVacuum:
