@@ -4,28 +4,31 @@ Scan flow per data slice:
 
 1. **Cache probe** — the scan offers its join-extended key and its plain
    key to the predicate cache and takes the most selective live entry.
-2. **Range restriction** — zone maps mark the blocks whose min/max
-   bounds cannot satisfy the predicate, one dropped-block mask per
-   slice, from bounds the plan derived once for the whole scan.  On a
-   hit, candidate rows come from the cached states (cached qualifying
-   ranges plus the uncached appended tail) and the block coverage
-   leaves the rows of dropped blocks out as it places them; on a miss,
-   the rows of the kept blocks and the tail are the candidates.  An
-   exact hit with no tail (below) consults no zone map: every one of its
-   candidates qualifies, so no block holding one can be pruned.
-3. **Vectorized scan** — the predicate (and any semi-join Bloom filters)
-   is evaluated on the candidate rows; cached false positives are
-   eliminated here, as is MVCC visibility.  An exact-match hit on an
-   *exact* state (one that was never merged, :mod:`repro.core.entry`)
-   has no false positives to eliminate: rows below its watermark take
-   the state's verdict, so only the tail reads the predicate-only
-   columns and is evaluated (and, for a join-keyed state, probed).
-   Visibility applies to every row, unless the slice's MVCC summary
-   says every row is visible at the statement's snapshot
+2. **Range restriction** — the plan resolves one immutable
+   :class:`SliceSource` per slice: its candidate rows and two verdict
+   watermarks.  A miss has no candidates, so the zone maps choose them:
+   the rows of the blocks whose min/max bounds can satisfy the
+   predicate, plus the tail.  A hit's candidates are the cached state's
+   (cached qualifying ranges plus the uncached appended tail), a
+   composed or subsumed serve's the intersection of its parts'; zone
+   maps still drop blocks on top, and the block coverage leaves their
+   rows out as it places the candidates.  An exact hit (below) whose
+   watermark reaches the slice's row count consults no zone map: every
+   candidate qualifies, so no block holding one can be pruned.
+3. **Vectorized scan** — rows at or past the source's ``verdict_below``
+   are evaluated (predicate, then any semi-join Bloom filters from
+   ``probe_verdict_below`` on); cached false positives are eliminated
+   here, as is MVCC visibility.  Both watermarks are 0 except on an
+   exact-match hit on an *exact* state (one that was never merged,
+   :mod:`repro.core.entry`): it has no false positives, so rows below
+   its watermark take the state's verdict and read only the columns
+   the answer needs, and a join-keyed state's rows there skip the
+   probes too.  Visibility applies to every row, unless the slice's
+   MVCC summary says every row is visible at the statement's snapshot
    (:meth:`~repro.storage.slice.DataSlice.all_visible`) — then no
-   slice scan computes a per-row visibility mask.  An exact hit with no
-   tail at such a snapshot builds no mask at all: its candidate list is
-   the answer.
+   slice scan computes a per-row visibility mask.  When no row is
+   evaluated, none is invisible and the coverage dropped none, the
+   candidate list is the answer without a mask.
 4. **Cache fill** — the qualifying row ranges (which the scan produced
    anyway) are inserted back into the cache: the join-extended entry
    always, the plain entry whenever the scan's candidate set covers it.
@@ -42,7 +45,7 @@ on an exact hit, none on a miss.  With ``enable_reuse`` on (DESIGN.md
 §14), a full-key miss additionally consults the reuse lattice
 (:mod:`repro.reuse`), which names the live entries of the predicate's
 cached conjuncts — or of a cached wider range on the same column — as
-the sources; the slice intersects their candidate sets, a superset of
+the sources; the plan intersects their candidate sets, a superset of
 the truth, so step 3's re-evaluation keeps the result bit-identical to
 a cache-off scan.  Served or not, the scan derives per-conjunct
 qualifying sets on the way
@@ -52,18 +55,19 @@ coordinator barrier as every other entry.
 
 :func:`execute_scan` is three coordinator steps around the four above:
 
-* **plan** (:func:`_plan_scan`) — step 1, once per cache node.  The
-  cache is always asked through the router protocol
-  ``cache.cache_for_slice(slice_id)``: a :class:`ClusterCaches` answers
-  the slice's owning node (§4.6), a bare ``PredicateCache`` answers
-  itself — it *is* the one-node router.  A dead node's tombstone
-  raises ``NodeDownError``, and its slices get a null context — as
-  does every slice when caching is off.
-  A source state whose watermark outruns its slice drops every source
-  entry of that node, whose slices then scan in full.
+* **plan** (:func:`_plan_scan`) — step 1, once per cache node, and
+  the resolution of step 2's sources.  The cache is always asked
+  through the router protocol ``cache.cache_for_slice(slice_id)``: a
+  :class:`ClusterCaches` answers the slice's owning node (§4.6), a bare
+  ``PredicateCache`` answers itself — it *is* the one-node router.  A
+  dead node's tombstone raises ``NodeDownError``, and its slices get
+  the default source (no context) — as does every slice when caching
+  is off.  A source state whose watermark outruns its slice drops every
+  source entry of that node, whose slices then scan as misses.  Only
+  then is each slice's state slot read, once, into its source.
 * **run** (:func:`_run_slices`) — steps 2–3, a loop calling
-  :func:`_scan_slice` once per slice, in slice order, counting into the
-  statement's counters.
+  :func:`_scan_slice` once per slice on its source, in slice order,
+  counting into the statement's counters.
 * **install** (:func:`_install`) — step 4 at the barrier, in slice
   order: entry installs, reuse re-check accounting, and one
   admission-policy observation per node.
@@ -73,7 +77,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -199,21 +203,21 @@ def execute_scan(
         Per-slice qualifying row ranges (post predicate, semi-join
         filters, and visibility).
     """
-    plan = _plan_scan(table, predicate, semijoins, current_versions, statement)
+    plan = _plan_scan(
+        table, predicate, semijoins, current_versions, gather_columns, statement
+    )
     # Degradation ladder, rung 2: one count per table scan however many
     # slices lost their node, plus one per stale entry dropped.
     statement.counters.degraded_scans += (
         min(1, plan.degraded_slices) + plan.stale_drops
     )
-    results = _run_slices(
-        table, predicate, semijoins, plan, list(gather_columns), statement
-    )
-    _install(table, predicate, plan, results, statement.counters)
+    results = _run_slices(table, plan, statement)
+    _install(table, plan, results, statement.counters)
     return ScanResult(
         table,
-        [qualifying for qualifying, _, _, _ in results],
+        [result.qualifying for result in results],
         statement.storage,
-        [materialized for _, _, materialized, _ in results],
+        [result.materialized for result in results],
     )
 
 
@@ -225,14 +229,17 @@ class ScanPlan:
     plain_key: ScanKey
     #: The join-extended key, when every semi-join filter is describable.
     join_key: Optional[ScanKey]
+    predicate: Predicate
+    semijoins: Sequence[SemiJoinFilter]
     #: Columns the vectorized scan reads (predicate + probe columns).
     scan_columns: List[str]
+    #: Output columns each slice scan materializes for its qualifying rows.
+    gather_columns: List[str]
     #: The predicate's zone-map bounds, per bounded column: derived
     #: once here, read by every slice scan that prunes.
     zone_bounds: List[Tuple[str, Bounds]]
-    #: Per-slice cache context; ``None`` scans that slice cache-off
-    #: (caching disabled, or the slice's node is down).
-    contexts: List[Optional["_SliceCacheContext"]] = field(default_factory=list)
+    #: What each slice scans from, in slice order.
+    sources: List["SliceSource"] = field(default_factory=list)
     #: The distinct contexts, one per live cache node.  Each carries the
     #: node's serving basis and receives one policy observation.
     node_contexts: List["_SliceCacheContext"] = field(default_factory=list)
@@ -242,14 +249,39 @@ class ScanPlan:
     stale_drops: int = 0
 
 
+class SliceSource(NamedTuple):
+    """What one slice is scanned from, resolved once at plan time.
+
+    The default source scans the slice cache-off.  Every serving basis
+    is candidates plus two watermarks: rows below ``verdict_below`` take
+    the state's verdict on the predicate (they are not evaluated), rows
+    below ``probe_verdict_below`` take it on the semi-join probes too.
+    """
+
+    #: The slice's cache node; ``None`` scans the slice cache-off
+    #: (caching disabled, or the slice's node is down).
+    context: Optional["_SliceCacheContext"] = None
+    #: ``None`` on a miss (the zone maps choose the candidates); the
+    #: state's candidates on a hit; their intersection on a composed or
+    #: subsumed serve.
+    candidates: Optional[RangeList] = None
+    #: The exact hit's watermark, else 0.
+    verdict_below: int = 0
+    #: The same watermark for a join-keyed exact hit, else 0.
+    probe_verdict_below: int = 0
+    #: Whether the source is an exact hit (the ``exact`` span attribute).
+    exact: bool = False
+
+
 def _plan_scan(
     table: Table,
     predicate: Predicate,
     semijoins: Sequence[SemiJoinFilter],
     current_versions: Optional[Mapping[str, int]],
+    gather_columns: Sequence[str],
     statement: StatementContext,
 ) -> ScanPlan:
-    """Derive the scan's keys and resolve one cache context per slice."""
+    """Derive the scan's keys and resolve one source per slice."""
     cache = statement.cache
     predicate_key = predicate.cache_key()
     if cache is not None and cache.config.normalize_keys:
@@ -272,11 +304,14 @@ def _plan_scan(
     plan = ScanPlan(
         plain_key,
         join_key,
+        predicate,
+        semijoins,
         sorted(predicate.columns() | {sj.probe_column for sj in semijoins}),
+        list(gather_columns),
         _zone_bounds(predicate),
     )
     if cache is None:
-        plan.contexts = [None] * len(table.slices)
+        plan.sources = [SliceSource() for _ in table.slices]
         return plan
 
     # One context per *cache node*, held by direct reference (never
@@ -284,6 +319,7 @@ def _plan_scan(
     # which would alias two distinct nodes into one context).  A dead
     # node's tombstone resolves to a None context for all of its slices.
     resolved: List[Tuple[object, Optional[_SliceCacheContext]]] = []
+    contexts: List[Optional[_SliceCacheContext]] = []
     for slice_id in range(len(table.slices)):
         node_cache = cache.cache_for_slice(slice_id)
         for known_cache, known_context in resolved:
@@ -303,11 +339,11 @@ def _plan_scan(
         if context is None:
             # Cache-off for this slice: correctness never depends on the cache.
             plan.degraded_slices += 1
-        plan.contexts.append(context)
+        contexts.append(context)
     plan.node_contexts = [known for _, known in resolved if known is not None]
 
     for slice_id, data_slice in enumerate(table.slices):
-        context = plan.contexts[slice_id]
+        context = contexts[slice_id]
         if context is None or not any(
             state is not None and state.last_cached_row > data_slice.num_rows
             for state in (entry.slice_states[slice_id] for entry in context.sources)
@@ -321,16 +357,50 @@ def _plan_scan(
             context.cache.drop_stale(source.key)
         plan.stale_drops += 1
         context.sources, context.basis = (), "full"
+    plan.sources = [
+        _resolve_source(context, slice_id, data_slice.num_rows)
+        for slice_id, (data_slice, context) in enumerate(zip(table.slices, contexts))
+    ]
     return plan
 
 
+def _resolve_source(
+    context: Optional["_SliceCacheContext"], slice_id: int, num_rows: int
+) -> SliceSource:
+    """The slice's source, read off its entries' slots once the stale
+    drops are done.
+
+    An exact hit keeps the candidates of the state it was judged exact
+    from (:func:`_exact_state`), not of a second read of a slot an
+    install may swap.  A composed or subsumed serve intersects its
+    parts' candidates, each a superset of its conjunct's truth.
+    """
+    if context is None:
+        return SliceSource()
+    exact = _exact_state(context, slice_id)
+    states = [exact] if exact is not None else [
+        state
+        for state in (source.slice_states[slice_id] for source in context.sources)
+        if state is not None
+    ]
+    if not states:
+        return SliceSource(context)
+    candidates = states[0].candidates(num_rows)
+    for state in states[1:]:
+        if not candidates:
+            break
+        candidates = candidates.intersect(state.candidates(num_rows))
+    if exact is None:
+        return SliceSource(context, candidates)
+    # A join-keyed exact state also recorded the probes' verdict, at the
+    # build versions the lookup checked.
+    watermark = exact.last_cached_row
+    probed = watermark if context.basis == "join" else 0
+    return SliceSource(context, candidates, watermark, probed, True)
+
+
 def _run_slices(
-    table: Table,
-    predicate: Predicate,
-    semijoins: Sequence[SemiJoinFilter],
-    plan: ScanPlan,
-    gather_columns: List[str],
-    statement: StatementContext,
+    table: Table, plan: ScanPlan, statement: StatementContext
 ) -> List["_SliceResult"]:
     """Scan the slices one after the other, in slice order.
 
@@ -347,32 +417,24 @@ def _run_slices(
     reader.begin_scan_phase()
     try:
         for slice_id, data_slice in enumerate(table.slices):
-            context = plan.contexts[slice_id]
-            exact = _exact_state(context, slice_id)
-            all_visible = data_slice.all_visible(statement.txid)
+            source = plan.sources[slice_id]
             with optional_span(
                 trace, f"scan[slice {slice_id}]", table=table.name, slice=slice_id
             ) as span:
                 if span is not None:
                     before = counters.snapshot()
                     blocks_before = reader.stats.blocks_accessed
-                results.append(
-                    _scan_slice(
-                        data_slice, slice_id, predicate, semijoins, statement,
-                        context.sources if context is not None else (),
-                        plan.scan_columns, plan.zone_bounds, gather_columns,
-                        context.conjunct_predicates if context is not None else (),
-                        exact, all_visible,
-                    )
-                )
+                results.append(_scan_slice(data_slice, source, plan, statement))
                 if span is not None:
+                    context = source.context
                     span.update(counters.delta(before))
                     span.set(
                         "blocks_fetched", reader.stats.blocks_accessed - blocks_before
                     )
                     span.set("cache_basis", context.basis if context is not None else "off")
-                    span.set("exact", exact is not None)
-                    span.set("visibility", "summary" if all_visible else "rows")
+                    span.set("exact", source.exact)
+                    visible = data_slice.all_visible(statement.txid)
+                    span.set("visibility", "summary" if visible else "rows")
     finally:
         reader.end_scan_phase()
     return results
@@ -380,7 +442,6 @@ def _run_slices(
 
 def _install(
     table: Table,
-    predicate: Predicate,
     plan: ScanPlan,
     results: List["_SliceResult"],
     counters: QueryCounters,
@@ -391,25 +452,25 @@ def _install(
     last slice.  Derived conjunct entries ride the same barrier (RP009:
     the reuse package itself never writes).
     """
-    for slice_id, (qualifying, q_plain, _, extras) in enumerate(results):
-        context = plan.contexts[slice_id]
+    for slice_id, (source, result) in enumerate(zip(plan.sources, results)):
+        context = source.context
         if context is None:
             continue
         num_rows = table.slices[slice_id].num_rows
-        context.qualifying_rows += qualifying.num_rows
+        context.qualifying_rows += result.qualifying.num_rows
         context.total_rows += num_rows
         # The scan's own outputs are fully evaluated, so they install
         # exact; a conjunct list is padded with the complement of the
         # candidates and never is.
         installs = [
-            (context.join_entry, qualifying, True),
-            (context.plain_entry, q_plain, True),
+            (context.join_entry, result.qualifying, True),
+            (context.plain_entry, result.q_plain, True),
         ]
-        if extras.conjunct_lists is not None:
+        if result.conjunct_lists is not None:
             installs += [
                 (entry, ranges, False)
                 for entry, ranges in zip(
-                    context.conjunct_entries, extras.conjunct_lists
+                    context.conjunct_entries, result.conjunct_lists
                 )
             ]
         for entry, ranges, exact in installs:
@@ -421,12 +482,12 @@ def _install(
         if context.basis in ("composed", "subsumed"):
             # The subsumption/composition re-check accounting: candidate
             # rows were re-evaluated, the rest were skipped outright.
-            rechecked = extras.candidate_rows
+            rechecked = result.candidate_rows
             counters.reuse_recheck_rows += rechecked
             counters.reuse_skipped_rows += num_rows - rechecked
             context.cache.record_reuse_rows(rechecked, num_rows - rechecked)
 
-    if isinstance(predicate, TruePredicate):
+    if isinstance(plan.predicate, TruePredicate):
         return
     # Feed the admission policy (repetitiveness + selectivity, §4.1.2):
     # one observation per (node, scan) — not per slice — so a "sighting"
@@ -610,221 +671,171 @@ def _exact_state(
 
 
 @dataclass
-class _SliceScanExtras:
-    """Slice-scan byproducts the barrier consumes."""
+class _SliceResult:
+    """What one slice scan hands the barrier and the result."""
 
-    #: Candidate rows this slice actually re-evaluated (post zone-map);
-    #: for a reuse-served scan these are the re-checked rows.
+    qualifying: RangeList
+    #: The rows passing the predicate and visibility, before the probes
+    #: (what the plain entry installs).
+    q_plain: RangeList
+    #: The caller's output columns over the qualifying rows.
+    materialized: Dict[str, np.ndarray]
+    #: Candidate rows this slice actually scanned (post zone-map); for a
+    #: reuse-served scan these are the re-checked rows.
     candidate_rows: int
     #: Derived per-conjunct qualifying sets (each padded with the
     #: complement of the candidate set so it stays a superset of the
     #: conjunct's truth under any serving basis), or ``None`` when the
-    #: slice evaluated nothing.
+    #: slice derived none.
     conjunct_lists: Optional[List[RangeList]] = None
-
-
-_SliceResult = Tuple[RangeList, RangeList, Dict[str, np.ndarray], _SliceScanExtras]
 
 
 def _scan_slice(
     data_slice: DataSlice,
-    slice_id: int,
-    predicate: Predicate,
-    semijoins: Sequence[SemiJoinFilter],
+    source: SliceSource,
+    plan: ScanPlan,
     statement: StatementContext,
-    sources: Tuple[CacheEntry, ...],
-    scan_columns: List[str],
-    zone_bounds: List[Tuple[str, Bounds]],
-    gather_columns: List[str],
-    conjunct_predicates: Tuple[Predicate, ...] = (),
-    exact: Optional[SliceState] = None,
-    all_visible: bool = False,
 ) -> _SliceResult:
-    """Scan one slice; returns ``(qualifying, plain-qualifying,
-    materialized gather columns, extras)``.
+    """Scan one slice from its source.
 
     Counts into the statement's counters and reads through its storage
     reader at its snapshot; entry installs wait for the barrier.
-    ``exact`` is the hit's exact source state (:func:`_exact_state`):
-    its rows below the watermark take the state's verdict, so only the
-    tail reads the predicate columns and is evaluated.  ``all_visible``
-    is the slice's MVCC summary at the statement's snapshot: when set,
-    no row is checked for visibility.
     """
     reader = statement.storage
     counters = statement.counters
     num_rows = data_slice.num_rows
-    # An exact hit's candidates come from the state the caller judged
-    # exact, not from a second read of a slot an install may swap.
-    states = [exact] if exact is not None else [
-        state
-        for state in (source.slice_states[slice_id] for source in sources)
-        if state is not None
-    ]
-
-    # An exact hit with no tail: every candidate satisfies the
-    # predicate, so no block holding one can be pruned.
-    settled = exact is not None and exact.last_cached_row == num_rows
-    # Otherwise zone-map pruning is applied on top of a hit too — it is
-    # metadata-only and guarantees a hit never scans more than a miss
-    # would ("rigorously avoiding slowdowns", §1).
-    dropped = (
-        None if settled else _prune_with_zonemaps(data_slice, zone_bounds, counters)
-    )
-    if states:
-        # Cache hit: the cached ranges replace the range-restricted scan;
-        # the coverage leaves the rows of dropped blocks out as it
-        # places them, so no range list is differenced on the way.  A
-        # composed or subsumed serve intersects its parts' candidates,
-        # each a superset of its conjunct's truth.
-        candidates = states[0].candidates(num_rows)
-        for state in states[1:]:
-            if not candidates:
-                break
-            candidates = candidates.intersect(state.candidates(num_rows))
-        counters.rows_skipped_cache += num_rows - candidates.num_rows
-    else:
+    # Zone-map pruning applies on top of a hit too — it is metadata-only
+    # and guarantees a hit never scans more than a miss would
+    # ("rigorously avoiding slowdowns", §1) — unless the verdict covers
+    # every row: no block holding a qualifying candidate can be pruned.
+    dropped: Optional[np.ndarray] = None
+    if source.verdict_below < num_rows:
+        dropped = _prune_with_zonemaps(data_slice, plan.zone_bounds, counters)
+    candidates = source.candidates
+    if candidates is None:
         # Miss: the kept blocks' row ranges *are* the candidates — a
         # full-slice scan pays no per-row block mask.
         candidates, dropped = data_slice.unpruned_rows(dropped), None
-    # One block coverage of the candidates serves every column read,
-    # the visibility mask, the row ids and (selected down to the
-    # qualifying rows) the gather below.  A mask of ``None`` passes
-    # every candidate.
+    else:
+        counters.rows_skipped_cache += num_rows - candidates.num_rows
+    # One block coverage of the candidates serves every column read, the
+    # visibility mask, the row ids and (selected down to the qualifying
+    # rows) the gather; it leaves the rows of dropped blocks out as it
+    # places them, so no range list is differenced on the way.
     covered = data_slice.cover(candidates, dropped)
     row_ids = covered.row_ids
+    n = len(row_ids)
+    counters.rows_scanned += n
+    if not n:
+        return _SliceResult(RangeList.empty(), RangeList.empty(), {}, 0)
 
-    counters.rows_scanned += len(row_ids)
-    extras = _SliceScanExtras(candidate_rows=len(row_ids))
-    materialized: Dict[str, np.ndarray] = {}
-
-    if not len(row_ids):
-        qualifying = RangeList.empty()
-        q_plain = RangeList.empty()
-    else:
-        # ``batch`` holds its columns for every candidate row; the
-        # semi-join filters probe the rows of ``probe_batch``, which
-        # start at position ``probe_from`` of ``row_ids``.
-        join_keyed = exact is not None and sources[0].key.is_join_key
-        if exact is None:
-            batch = _read(data_slice, scan_columns, covered, reader)
-            pred_mask: Optional[np.ndarray] = _evaluate(predicate, batch, len(row_ids))
-            probe_batch, probe_from = batch, 0
-        else:
-            # Rows below the watermark qualified when the state was
-            # installed: only the tail reads the predicate's columns and
-            # is evaluated.  Every candidate reads just what the answer
-            # needs — the output columns the predicate reads too (read
-            # once, not again for the gather) and, unless a join-keyed
-            # state recorded the probes' verdict at the build versions
-            # the lookup checked, the probe columns.
-            split = int(np.searchsorted(row_ids, exact.last_cached_row))
-            needed = set(gather_columns)
-            if not join_keyed:
-                needed.update(sj.probe_column for sj in semijoins)
-            batch = _read(
-                data_slice, [name for name in scan_columns if name in needed],
-                covered, reader,
-            )
-            # A settled hit needs no predicate mask; any other evaluates
-            # what the zone maps kept of its tail.
-            pred_mask = None
-            tail_batch: Dict[str, np.ndarray] = {}
-            if not settled:
-                pred_mask = np.ones(len(row_ids), dtype=bool)
-                if split < len(row_ids):
-                    tail = data_slice.cover(
-                        RangeList([(exact.last_cached_row, num_rows)]), dropped
-                    )
-                    tail_batch = _read(
-                        data_slice,
-                        [name for name in scan_columns if name not in batch],
-                        tail, reader,
-                    )
-                    for name, values in batch.items():
-                        tail_batch[name] = values[split:]
-                    pred_mask[split:] = _evaluate(
-                        predicate, tail_batch, len(row_ids) - split
-                    )
-            probe_batch, probe_from = (tail_batch, split) if join_keyed else (batch, 0)
-        vis_mask = (
-            None if all_visible else data_slice.visibility_mask(covered, statement.txid)
+    # Rows below ``split`` take the state's verdict: they read only what
+    # the answer needs — the output columns the predicate reads too (read
+    # once, not again for the gather) and, unless the probes' verdict is
+    # known there, the probe columns.  ``tail`` holds every scan column
+    # for the rows from ``split`` on, which are evaluated.
+    split = probe_from = 0
+    head = plan.scan_columns
+    if source.verdict_below:
+        split = int(np.searchsorted(row_ids, source.verdict_below))
+        probe_from = split if source.probe_verdict_below else 0
+        needed = set(plan.gather_columns)
+        if not probe_from:
+            needed.update(sj.probe_column for sj in plan.semijoins)
+        head = [name for name in head if name in needed or not split]
+    batch = _read(data_slice, head, covered, reader)
+    tail = batch
+    if 0 < split < n:
+        tail = _read(
+            data_slice,
+            [name for name in plan.scan_columns if name not in batch],
+            covered.select(slice(split, None)), reader,
         )
-        plain_mask = _and(pred_mask, vis_mask)
-        full_mask = plain_mask
-        for sj in semijoins if probe_from < len(row_ids) else ():
-            if full_mask is None:
-                full_mask = np.ones(len(row_ids), dtype=bool)
-            # Probe only the rows still qualifying, each filter the
-            # previous one's survivors: a row's verdict is its key's, so
-            # the mask is the all-rows AND.  The hits go into a fresh
-            # mask — ``plain_mask`` stays as it is (``q_plain`` below).
-            probed = np.flatnonzero(full_mask[probe_from:])
-            keys = stable_int_keys(probe_batch[sj.probe_column][probed])
-            hits = sj.bloom.may_contain(keys)
-            counters.bloom_probes += len(keys)
-            counters.bloom_positives += int(np.count_nonzero(hits))
-            passed = np.zeros(len(row_ids), dtype=bool)
-            passed[:probe_from] = full_mask[:probe_from]
-            passed[probed[hits] + probe_from] = True
-            full_mask = passed
-        if full_mask is None or (
-            len(row_ids) == candidates.num_rows and full_mask.all()
-        ):
-            # The coverage dropped no candidate and every one qualifies
-            # (an exact hit with no row deleted since, most often): the
-            # candidate list is the answer.  With no mask at all (an
-            # exact hit with no tail, every row visible, nothing to
-            # probe) that is known without looking at a row.
-            gathered, qualifying = covered, candidates
-        else:
-            gathered = covered.select(full_mask)
-            qualifying = RangeList.from_rows(gathered.row_ids)
-        if full_mask is plain_mask or join_keyed:
-            # Equal, or the plain predicate was not evaluated below the
-            # watermark: a join basis fills no plain entry, so the barrier
-            # never installs this one.
-            q_plain = qualifying
-        elif plain_mask is None:
-            # A settled hit with every row visible: only the probes
-            # dropped rows, and the plain entry keeps them all.
-            q_plain = candidates
-        else:
-            q_plain = RangeList.from_rows(row_ids[plain_mask])
-        if conjunct_predicates:
-            # Per-conjunct qualifying sets for the reuse lattice.  Rows
-            # outside the candidate set were not evaluated here, so each
-            # set is padded with the complement — a false-positive-only
-            # superset of the conjunct's truth whatever basis restricted
-            # this scan (zone-map-pruned rows included; they re-prune).
-            # The candidate list is the scanned rows unless the coverage
-            # dropped blocks from it; only then is it rebuilt.
-            scanned = candidates if dropped is None else RangeList.from_rows(row_ids)
-            complement = scanned.complement(num_rows)
-            conjunct_lists: List[RangeList] = []
-            for conjunct in conjunct_predicates:
-                c_mask = _and(_evaluate(conjunct, batch, len(row_ids)), vis_mask)
-                conjunct_lists.append(
-                    RangeList.from_rows(row_ids[c_mask]).union(complement)
+        tail.update((name, values[split:]) for name, values in batch.items())
+    # A mask of ``None`` passes every row.  It may stand for the
+    # predicate only where the coverage dropped no candidate: an exact
+    # hit whose tail the zone maps pruned still builds one.
+    pred_mask: Optional[np.ndarray] = None
+    if split < n or n < candidates.num_rows:
+        pred_mask = _evaluate(plan.predicate, tail, n - split)
+        if split:
+            pred_mask = np.concatenate((np.ones(split, dtype=bool), pred_mask))
+    vis_mask: Optional[np.ndarray] = None
+    if not data_slice.all_visible(statement.txid):
+        vis_mask = data_slice.visibility_mask(covered, statement.txid)
+    plain_mask = _and(pred_mask, vis_mask)
+    full_mask = plain_mask
+    probe_batch = tail if probe_from else batch
+    for sj in plan.semijoins if probe_from < n else ():
+        if full_mask is None:
+            full_mask = np.ones(n, dtype=bool)
+        # Probe only the rows still qualifying, each filter the previous
+        # one's survivors: a row's verdict is its key's, so the mask is
+        # the all-rows AND.  The hits go into a fresh mask —
+        # ``plain_mask`` stays as it is (``q_plain`` below).
+        probed = np.flatnonzero(full_mask[probe_from:])
+        keys = stable_int_keys(probe_batch[sj.probe_column][probed])
+        hits = sj.bloom.may_contain(keys)
+        counters.bloom_probes += len(keys)
+        counters.bloom_positives += int(np.count_nonzero(hits))
+        passed = np.zeros(n, dtype=bool)
+        passed[:probe_from] = full_mask[:probe_from]
+        passed[probed[hits] + probe_from] = True
+        full_mask = passed
+    if full_mask is None or (n == candidates.num_rows and full_mask.all()):
+        # The coverage dropped no candidate and every one qualifies (an
+        # exact hit with no row deleted since, most often): the candidate
+        # list is the answer.  With no mask at all that is known without
+        # looking at a row.
+        gathered, qualifying = covered, candidates
+    else:
+        gathered = covered.select(full_mask)
+        qualifying = RangeList.from_rows(gathered.row_ids)
+    if full_mask is plain_mask or source.probe_verdict_below:
+        # Equal, or the plain predicate was not evaluated below the
+        # watermark: a join basis fills no plain entry, so the barrier
+        # never installs this one.
+        q_plain = qualifying
+    elif plain_mask is None:
+        # Nothing evaluated, every row visible: only the probes dropped
+        # rows, and the plain entry keeps them all.
+        q_plain = candidates
+    else:
+        q_plain = RangeList.from_rows(row_ids[plain_mask])
+    result = _SliceResult(qualifying, q_plain, {}, n)
+    conjuncts = source.context.conjunct_predicates if source.context else ()
+    if conjuncts:
+        # Per-conjunct qualifying sets for the reuse lattice.  Rows
+        # outside the candidate set were not evaluated here, so each set
+        # is padded with the complement — a false-positive-only superset
+        # of the conjunct's truth whatever basis restricted this scan
+        # (zone-map-pruned rows included; they re-prune).  The candidate
+        # list is the scanned rows unless the coverage dropped blocks
+        # from it; only then is it rebuilt.
+        scanned = candidates if dropped is None else RangeList.from_rows(row_ids)
+        complement = scanned.complement(num_rows)
+        result.conjunct_lists = [
+            RangeList.from_rows(
+                row_ids[_and(_evaluate(conjunct, batch, n), vis_mask)]
+            ).union(complement)
+            for conjunct in conjuncts
+        ]
+    # Materialize the caller's output columns for the qualifying rows —
+    # exactly the reads ScanResult.gather would issue, moved here so they
+    # count in this slice's span.  A column the batch holds for every
+    # candidate is taken from it by mask, not read again.
+    if qualifying:
+        for name in plan.gather_columns:
+            if name in batch:
+                result.materialized[name] = (
+                    batch[name] if full_mask is None else batch[name][full_mask]
                 )
-            extras.conjunct_lists = conjunct_lists
-        # Materialize the caller's output columns for the qualifying rows
-        # — exactly the reads ScanResult.gather would issue, moved here
-        # so they count in this slice's span.  A column the batch holds
-        # for every candidate is taken from it by mask, not read again.
-        if qualifying:
-            for name in gather_columns:
-                if name in batch:
-                    materialized[name] = (
-                        batch[name] if full_mask is None else batch[name][full_mask]
-                    )
-                else:
-                    materialized[name] = data_slice.columns[name].read_ranges(
-                        gathered, reader
-                    )
-
+            else:
+                result.materialized[name] = data_slice.columns[name].read_ranges(
+                    gathered, reader
+                )
     counters.rows_qualifying += qualifying.num_rows
-    return qualifying, q_plain, materialized, extras
+    return result
 
 
 def _read(
@@ -841,7 +852,7 @@ def _evaluate(
     predicate: Predicate, batch: Dict[str, np.ndarray], num_rows: int
 ) -> np.ndarray:
     """The predicate's verdict on the ``num_rows`` rows of ``batch``."""
-    if isinstance(predicate, TruePredicate):
+    if isinstance(predicate, TruePredicate) or not num_rows:
         return np.ones(num_rows, dtype=bool)
     mask = predicate.evaluate(batch)
     if mask.shape == ():  # scalar result of an empty batch

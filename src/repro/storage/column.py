@@ -138,15 +138,18 @@ class BlockCoverage:
             skipped = (touched - np.arange(len(touched))) * size
             self.offsets = sealed - skipped[np.cumsum(first) - 1]
 
-    def select(self, mask: np.ndarray) -> "BlockCoverage":
-        """The coverage of the rows of this one where ``mask`` is True.
+    def select(self, index: Union[np.ndarray, slice]) -> "BlockCoverage":
+        """The coverage of the rows ``row_ids[index]`` of this one.
 
-        Equal to a fresh coverage of ``RangeList.from_rows(row_ids[mask])``
-        — the scan's qualifying rows, for the gather — without the range
-        list in between: the row ids are already expanded and clipped.
+        ``index`` is any numpy index that keeps the row ids ascending: a
+        boolean mask (the scan's qualifying rows, for the gather) or a
+        slice (an exact hit's tail).  Equal to a fresh coverage of
+        ``RangeList.from_rows(row_ids[index])`` without the range list in
+        between: the row ids are already expanded and clipped, and rows
+        this coverage left out stay out.
         """
         selected = BlockCoverage.__new__(BlockCoverage)
-        selected._place(self.row_ids[mask], self._rows_per_block, self.sealed_rows)
+        selected._place(self.row_ids[index], self._rows_per_block, self.sealed_rows)
         return selected
 
 

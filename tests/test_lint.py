@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from tools.check import RULES, check_paths, check_sources
+from tools.check.rules import ENTRY_POINTS
 
 from tests.test_analyze import FIXTURES as WHOLE_PROGRAM_FIXTURES
 
@@ -275,6 +276,15 @@ def test_every_rule_has_a_firing_and_a_clean_fixture():
 
 def test_src_tree_is_clean():
     assert check_paths([str(REPO / "src")]).unwaived == []
+
+
+def test_every_entry_point_resolves():
+    """RP012 roots its reachability at ``ENTRY_POINTS``: an entry point
+    that no longer names a function (renamed or moved) would silently
+    drop its root, and the clean tree above would prove nothing."""
+    functions = check_paths([str(REPO / "src")]).program.project.functions
+    displays = {info.display for info in functions.values()}
+    assert [name for name in ENTRY_POINTS if name not in displays] == []
 
 
 def test_cli_exit_codes(tmp_path):

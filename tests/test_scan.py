@@ -10,8 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ClusterCaches
 from repro.core import PredicateCache, PredicateCacheConfig
-from repro.engine.scan import execute_scan
+from repro.core.entry import RangeSliceState
+from repro.core.keys import ScanKey, SemiJoinDescriptor
+from repro.core.rowrange import RangeList
+from repro.engine.bloom import BloomFilter
+from repro.engine.hashing import stable_int_keys
+from repro.engine.scan import SemiJoinFilter, SliceSource, _plan_scan, execute_scan
 from repro.engine.statement import StatementContext
 from repro.predicates import TruePredicate, parse_predicate
 from repro.storage import ColumnSpec, Database, DataType, TableSchema
@@ -258,6 +264,151 @@ def test_an_exact_hit_recomputes_nothing_it_already_knows(monkeypatch):
     assert rows == miss_rows and counters.cache_hits == 1
     assert calls == {"zonemap": 0, "visibility": 0}
     assert counters.blocks_pruned_zonemap == 0
+
+
+class TestSliceSources:
+    """Every serving basis resolves, at plan time, to one source per
+    slice: candidates plus two verdict watermarks."""
+
+    PRED = "x between 100 and 150"
+
+    def setup_method(self):
+        self.db = make_table(np.arange(400), num_slices=4)
+        self.table = self.db.table("t")
+
+    def sources(self, cache, predicate=PRED, semijoins=()):
+        statement = StatementContext(self.db.begin(), self.db.rms, cache=cache)
+        plan = _plan_scan(
+            self.table, parse_predicate(predicate), semijoins, None, (), statement
+        )
+        return plan.sources
+
+    def warm(self, cache, predicate=PRED, semijoins=()):
+        statement = StatementContext(self.db.begin(), self.db.rms, cache=cache)
+        execute_scan(self.table, parse_predicate(predicate), statement, semijoins)
+
+    def num_rows(self, slice_id):
+        return self.table.slices[slice_id].num_rows
+
+    def range_cache(self, **config):
+        return PredicateCache(PredicateCacheConfig(variant="range", **config))
+
+    def assert_served(self, source, verdict_below=0, probe_verdict_below=0):
+        assert source.context is not None and source.candidates is not None
+        assert source.verdict_below == verdict_below
+        assert source.probe_verdict_below == probe_verdict_below
+        assert source.exact is (verdict_below > 0)
+
+    def test_cache_off_and_a_down_node_scan_from_the_default_source(self):
+        assert self.sources(None) == [SliceSource()] * 4
+        cluster = ClusterCaches(2, PredicateCacheConfig(variant="range"))
+        self.warm(cluster)
+        cluster.kill_node(0)
+        sources = self.sources(cluster)
+        assert sources[0] == sources[2] == SliceSource()
+        for slice_id in (1, 3):
+            self.assert_served(sources[slice_id], self.num_rows(slice_id))
+
+    def test_a_miss_lets_the_zone_maps_choose(self):
+        sources = self.sources(self.range_cache())
+        assert all(s.context is not None and s.candidates is None for s in sources)
+        assert all(s.verdict_below == s.probe_verdict_below == 0 for s in sources)
+
+    def test_an_exact_hit_takes_the_verdict_below_its_watermark(self):
+        cache = self.range_cache()
+        self.warm(cache)
+        (entry,) = cache.entries()
+        for data_slice, state, source in zip(
+            self.table.slices, entry.slice_states, self.sources(cache)
+        ):
+            self.assert_served(source, data_slice.num_rows)
+            assert source.candidates == state.candidates(data_slice.num_rows)
+        # After an INSERT the verdict still ends at the old watermark.
+        before = [s.num_rows for s in self.table.slices]
+        self.table.insert({"x": [125, 999, 130, 7], "y": [0] * 4}, self.db.begin())
+        assert [s.num_rows for s in self.table.slices] != before
+        for rows, source in zip(before, self.sources(cache)):
+            self.assert_served(source, rows)
+
+    def test_a_join_keyed_exact_hit_also_takes_the_probe_verdict(self):
+        bloom = BloomFilter(expected_items=16)
+        bloom.add_many(stable_int_keys(np.arange(100, 120)))
+        semijoins = [
+            SemiJoinFilter("x", bloom, SemiJoinDescriptor("d = x", "d", "d < 20"))
+        ]
+        cache = self.range_cache()
+        self.warm(cache, semijoins=semijoins)
+        for data_slice, source in zip(
+            self.table.slices, self.sources(cache, semijoins=semijoins)
+        ):
+            assert source.context.basis == "join"
+            rows = data_slice.num_rows
+            self.assert_served(source, rows, probe_verdict_below=rows)
+
+    def test_merged_and_bitmap_states_re_check_every_candidate(self):
+        db = make_table(np.arange(400) % 10, num_slices=4)
+        self.table, self.db = db.table("t"), db
+        for cache in (
+            self.range_cache(max_ranges_per_slice=2),
+            PredicateCache(
+                PredicateCacheConfig(variant="bitmap", bitmap_block_rows=8)
+            ),
+        ):
+            self.warm(cache, "x < 5")
+            (entry,) = cache.entries()
+            assert not any(state.exact for state in entry.slice_states)
+            for source in self.sources(cache, "x < 5"):
+                assert source.context.basis == "plain"
+                self.assert_served(source)
+
+    def test_a_conjunct_deriving_hit_re_checks_every_candidate(self):
+        cache = self.range_cache(enable_reuse=True)
+        predicate = "x < 30 and y > 4"
+        self.warm(cache, predicate)
+        hit = cache.lookup(_plan_key(self.table, predicate))
+        assert all(state.exact for state in hit.slice_states)
+        for source in self.sources(cache, predicate):
+            assert source.context.basis == "plain"
+            assert source.context.conjunct_predicates
+            self.assert_served(source)
+
+    @pytest.mark.parametrize(
+        "parts, basis",
+        [(("x < 30", "y > 10"), "composed"), (("x < 50", "y > 10"), "subsumed")],
+    )
+    def test_a_reuse_serve_intersects_its_parts_at_plan_time(self, parts, basis):
+        cache = self.range_cache(enable_reuse=True)
+        for part in parts:
+            self.warm(cache, part)
+        entries = [cache.lookup(_plan_key(self.table, part)) for part in parts]
+        for slice_id, (data_slice, source) in enumerate(
+            zip(self.table.slices, self.sources(cache, "x < 30 and y > 10"))
+        ):
+            assert source.context.basis == basis
+            rows = data_slice.num_rows
+            first, second = (
+                entry.slice_states[slice_id].candidates(rows) for entry in entries
+            )
+            assert source.candidates == first.intersect(second)
+            self.assert_served(source)
+
+    def test_a_stale_state_sends_every_slice_of_its_node_to_the_zone_maps(self):
+        cluster = ClusterCaches(2, PredicateCacheConfig(variant="range"))
+        self.warm(cluster)
+        (entry,) = cluster.node(1).entries()
+        entry.slice_states[3] = RangeSliceState(RangeList(), 10**6, 4)
+        sources = self.sources(cluster)
+        for slice_id in (1, 3):
+            assert sources[slice_id].context is not None
+            assert sources[slice_id].candidates is None
+            assert sources[slice_id].verdict_below == 0
+        for slice_id in (0, 2):
+            self.assert_served(sources[slice_id], self.num_rows(slice_id))
+
+
+def _plan_key(table, predicate):
+    """The plain key a scan of ``predicate`` on ``table`` looks up."""
+    return ScanKey(table.name, parse_predicate(predicate).cache_key())
 
 
 class TestBothVariantsAgree:
