@@ -13,13 +13,25 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.cache import PredicateCache
 from ..obs.trace import Tracer, optional_span
 from ..predicates.ast import Predicate, TruePredicate
+from ..sql import (
+    AnalyzeStatement,
+    DeleteStatement,
+    InsertStatement,
+    SelectStatement,
+    Statement,
+    UpdateStatement,
+    VacuumStatement,
+    parse_statement,
+    plan_select,
+    statement_key,
+)
 from ..storage.database import Database
 from .cost import CostModel
 from .counters import QueryCounters
@@ -31,13 +43,18 @@ from .statement import StatementContext
 __all__ = ["QueryEngine", "QueryResult"]
 
 
-def _normalize_sql(sql: str) -> str:
-    """Whitespace-insensitive, case-insensitive result-cache key.
+#: The statement cache holds at most this many SELECT texts; when it is
+#: full it is cleared, not trimmed.
+STATEMENT_CACHE_TEXTS = 1024
 
-    Matching the paper's result cache: a hit requires the *same
-    statement including parameters* — no structural generalization.
-    """
-    return " ".join(sql.split()).rstrip(";").lower()
+
+class _Compiled(NamedTuple):
+    """A statement text compiled: its frozen statement and, for a SELECT
+    on an engine with a result cache, its result-cache key
+    (:func:`~repro.sql.statement_key`)."""
+
+    statement: Statement
+    result_key: Optional[str] = None
 
 
 @dataclass
@@ -113,6 +130,11 @@ class QueryEngine:
         self.tracer = tracer
         self.metrics = metrics
         self._executor = Executor(database)
+        # SELECT text -> _Compiled.  A plain dict: each get, set and clear
+        # is atomic under the GIL, so two statements racing on one text
+        # at worst parse it twice (and racing misses may pass the bound
+        # by one each until the next miss clears it).
+        self._statements: Dict[str, _Compiled] = {}
         self._m_queries = None
         if metrics is not None:
             self._register_metrics(metrics)
@@ -169,7 +191,7 @@ class QueryEngine:
         """Parse, plan, and run one SQL statement.
 
         SELECTs go through the result cache (when configured) keyed by
-        the normalized statement text; DML returns a single-column
+        :func:`~repro.sql.statement_key`; DML returns a single-column
         ``affected`` result.  With a tracer attached the whole
         statement runs under a ``query`` root span, returned on
         ``result.trace``.
@@ -197,24 +219,41 @@ class QueryEngine:
             result.trace = query_span
         return result
 
-    def _execute_statement(self, sql: str, trace: Optional[Tracer]) -> QueryResult:
-        from ..sql import (
-            AnalyzeStatement,
-            DeleteStatement,
-            InsertStatement,
-            SelectStatement,
-            UpdateStatement,
-            VacuumStatement,
-            parse_statement,
-            plan_select,
-        )
+    def _compile(self, sql: str, trace: Optional[Tracer]) -> _Compiled:
+        """``sql`` parsed, under the statement's ``parse`` span.
 
-        with optional_span(trace, "parse"):
-            parsed = parse_statement(sql)
+        A SELECT text is parsed once and then served from the statement
+        cache (the span's ``cached`` attribute says which).  Only the
+        parse is kept: planning reads the catalog's row counts, which
+        every INSERT moves, so each execution plans afresh.
+        """
+        with optional_span(trace, "parse") as span:
+            compiled = self._statements.get(sql)
+            if self.result_cache is not None and compiled is not None:
+                if compiled.result_key is None:
+                    compiled = None  # compiled before the result cache was set
+            if span is not None:
+                span.set("cached", compiled is not None)
+            if compiled is not None:
+                return compiled
+            statement = parse_statement(sql)
+            if not isinstance(statement, SelectStatement):
+                return _Compiled(statement)
+            compiled = _Compiled(
+                statement,
+                statement_key(sql) if self.result_cache is not None else None,
+            )
+            if len(self._statements) >= STATEMENT_CACHE_TEXTS:
+                self._statements.clear()
+            self._statements[sql] = compiled
+            return compiled
+
+    def _execute_statement(self, sql: str, trace: Optional[Tracer]) -> QueryResult:
+        parsed, result_key = self._compile(sql, trace)
         if isinstance(parsed, SelectStatement):
             with optional_span(trace, "plan"):
                 plan = plan_select(parsed, self.database)
-            return self._execute_plan(plan, _normalize_sql(sql), trace)
+            return self._execute_plan(plan, result_key, trace)
         if isinstance(parsed, InsertStatement):
             table = self.database.table(parsed.table)
             columns = parsed.columns or table.schema.column_names
@@ -268,7 +307,8 @@ class QueryEngine:
 
         ``cache_key`` enables the result cache: identical keys over
         unchanged tables return the stored result without execution
-        (§3.1).  SQL execution passes the statement text.
+        (§3.1).  SQL execution passes the statement's
+        :func:`~repro.sql.statement_key`.
         """
         return self._execute_plan(plan, cache_key, self._statement_trace())
 
@@ -411,10 +451,9 @@ class QueryEngine:
 
     def explain(self, sql: str) -> str:
         """Plan a SELECT and render its plan tree (no execution)."""
-        from ..sql import SelectStatement, parse_statement, plan_select
         from .explain import explain as render
 
-        statement = parse_statement(sql)
+        statement = self._compile(sql, None).statement
         if not isinstance(statement, SelectStatement):
             raise ValueError("EXPLAIN supports SELECT statements only")
         return render(plan_select(statement, self.database))

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, NamedTuple
 
 __all__ = ["Token", "TokenKind", "LexError", "tokenize"]
 
@@ -36,8 +35,10 @@ _OPERATORS = ("<>", "<=", ">=", "!=", "=", "<", ">")
 _PUNCT = "(),.*;+-/%"
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
+    """One lexeme; a ``NamedTuple`` because the lexer builds one per
+    word, number and operator of every text it reads."""
+
     kind: str
     text: str
     pos: int
@@ -75,14 +76,14 @@ def _tokens(text: str) -> Iterator[Token]:
                     j += 1
             i = j + 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        if ch.isdecimal() or (ch == "." and i + 1 < n and text[i + 1].isdecimal()):
             j = i
             seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < n and (text[j].isdecimal() or (text[j] == "." and not seen_dot)):
                 if text[j] == ".":
                     # A dot not followed by a digit is punctuation
                     # (e.g. ``t.col``), not a decimal point.
-                    if j + 1 >= n or not text[j + 1].isdigit():
+                    if j + 1 >= n or not text[j + 1].isdecimal():
                         break
                     seen_dot = True
                 j += 1

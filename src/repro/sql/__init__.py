@@ -24,7 +24,7 @@ from .ast import (
     UpdateStatement,
     VacuumStatement,
 )
-from .parser import SQLParseError, parse_statement
+from .parser import SQLParseError, parse_statement, statement_key
 from .planner import PlannerError, plan_select
 
 __all__ = [
@@ -40,4 +40,5 @@ __all__ = [
     "VacuumStatement",
     "parse_statement",
     "plan_select",
+    "statement_key",
 ]

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from ..engine.expr import Expr
 from ..predicates.ast import Predicate
@@ -55,16 +55,17 @@ class JoinCondition:
         return f"{a} = {b}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelectStatement(Statement):
-    """A parsed SELECT."""
+    """A parsed SELECT.  Frozen, with tuple fields: the engine's
+    statement cache hands one instance to every execution of its text."""
 
-    items: List[SelectItem]
-    tables: List[str]
-    filters: List[Predicate] = field(default_factory=list)
-    joins: List[JoinCondition] = field(default_factory=list)
-    group_by: List[str] = field(default_factory=list)
-    order_by: List[Tuple[str, bool]] = field(default_factory=list)
+    items: Tuple[SelectItem, ...]
+    tables: Tuple[str, ...]
+    filters: Tuple[Predicate, ...] = ()
+    joins: Tuple[JoinCondition, ...] = ()
+    group_by: Tuple[str, ...] = ()
+    order_by: Tuple[Tuple[str, bool], ...] = ()
     limit: Optional[int] = None
 
     @property
@@ -72,16 +73,16 @@ class SelectStatement(Statement):
         return any(item.is_aggregate for item in self.items)
 
 
-@dataclass
+@dataclass(frozen=True)
 class InsertStatement(Statement):
     """``INSERT INTO table [(columns)] VALUES (...), (...)``."""
 
     table: str
-    columns: Optional[List[str]]
-    rows: List[Tuple]
+    columns: Optional[Tuple[str, ...]]
+    rows: Tuple[Tuple, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeleteStatement(Statement):
     """``DELETE FROM table [WHERE predicate]``."""
 
@@ -89,23 +90,23 @@ class DeleteStatement(Statement):
     predicate: Optional[Predicate]
 
 
-@dataclass
+@dataclass(frozen=True)
 class UpdateStatement(Statement):
     """``UPDATE table SET col = value, ... [WHERE predicate]``."""
 
     table: str
-    assignments: List[Tuple[str, object]]
+    assignments: Tuple[Tuple[str, object], ...]
     predicate: Optional[Predicate]
 
 
-@dataclass
+@dataclass(frozen=True)
 class VacuumStatement(Statement):
     """``VACUUM [table]``."""
 
     table: Optional[str]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalyzeStatement(Statement):
     """``ANALYZE [table]``: collect optimizer statistics."""
 

@@ -30,7 +30,7 @@ from .ast import (
     VacuumStatement,
 )
 
-__all__ = ["SQLParseError", "parse_statement"]
+__all__ = ["SQLParseError", "parse_statement", "statement_key"]
 
 _AGG_KEYWORDS = {"count", "sum", "avg", "min", "max"}
 _CLAUSE_KEYWORDS = {"group", "order", "limit", "having"}
@@ -46,6 +46,27 @@ def parse_statement(text: str) -> Statement:
     parser = _StatementParser(tokens)
     statement = parser.parse()
     return statement
+
+
+def statement_key(text: str) -> str:
+    """The result-cache key of a statement text: its tokens joined by
+    single spaces, keywords lowercased, literals and identifiers verbatim
+    (a trailing ``;`` dropped).
+
+    ``SELECT  x FROM t`` and ``select x from t`` share a key; the
+    literals ``'ABC'`` and ``'abc'``, or ``'a  b'`` and ``'a b'``, do
+    not.  A hit needs the same statement including its parameters, as
+    the paper's result cache does.
+    """
+    words: List[str] = []
+    for token in tokenize(text):
+        if token.kind == TokenKind.KEYWORD:
+            words.append(token.lowered)
+        elif token.kind == TokenKind.STRING:
+            words.append("'" + token.text.replace("'", "''") + "'")
+        elif token.kind != TokenKind.EOF and token.text != ";":
+            words.append(token.text)
+    return " ".join(words)
 
 
 class _StatementParser(PredicateParser):
@@ -113,12 +134,12 @@ class _StatementParser(PredicateParser):
             limit = int(token.text)
 
         return SelectStatement(
-            items=items,
-            tables=tables,
-            filters=filters,
-            joins=joins,
-            group_by=group_by,
-            order_by=order_by,
+            items=tuple(items),
+            tables=tuple(tables),
+            filters=tuple(filters),
+            joins=tuple(joins),
+            group_by=tuple(group_by),
+            order_by=tuple(order_by),
             limit=limit,
         )
 
@@ -282,7 +303,11 @@ class _StatementParser(PredicateParser):
         rows: List[Tuple] = [self._parse_value_tuple()]
         while self.accept_punct(","):
             rows.append(self._parse_value_tuple())
-        return InsertStatement(table=table, columns=columns, rows=rows)
+        return InsertStatement(
+            table=table,
+            columns=None if columns is None else tuple(columns),
+            rows=tuple(rows),
+        )
 
     def _parse_value_tuple(self) -> Tuple:
         self.expect_punct("(")
@@ -311,7 +336,9 @@ class _StatementParser(PredicateParser):
         predicate: Optional[Predicate] = None
         if self.accept_keyword("where"):
             predicate = self.parse_or()
-        return UpdateStatement(table=table, assignments=assignments, predicate=predicate)
+        return UpdateStatement(
+            table=table, assignments=tuple(assignments), predicate=predicate
+        )
 
     def _parse_assignment(self) -> Tuple[str, object]:
         column = self._parse_column().name

@@ -157,6 +157,28 @@ class TestResultCacheIntegration:
         other = engine.execute("select count(*) as c from t where k < 11")
         assert not other.counters.result_cache_hit
 
+    @pytest.mark.parametrize(
+        "rows, first, second",
+        [(["ABC", "abc", "abc"], "ABC", "abc"), (["a  b", "a b", "a b"], "a  b", "a b")],
+    )
+    def test_string_literals_keep_case_and_spacing(self, engine, rows, first, second):
+        # Texts differing only inside a string literal are different
+        # statements: the second must not be served the first's answer.
+        engine.insert("t", {"k": [-1, -2, -3], "v": [0.0] * 3, "s": rows})
+        sql = "select count(*) as c from t where s = '{}'"
+        assert engine.execute(sql.format(first)).scalar() == 1
+        other = engine.execute(sql.format(second))
+        assert not other.counters.result_cache_hit
+        assert other.scalar() == 2
+
+    def test_result_cache_attached_after_a_text_was_compiled(self, engine):
+        sql = "select count(*) as c from t where k < 10"
+        engine.result_cache = None
+        engine.execute(sql)
+        engine.result_cache = ResultCache()
+        engine.execute(sql)
+        assert engine.execute(sql).counters.result_cache_hit
+
     def test_dml_not_cached(self, engine):
         engine.execute("delete from t where k = 1")
         result = engine.execute("delete from t where k = 1")

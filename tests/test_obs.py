@@ -249,6 +249,18 @@ class TestEngineIntegration:
         assert "Scan(lineitem" in text
         assert "Totals:" in text
 
+    def test_explain_analyze_shows_a_repeated_text_parsed_once(self):
+        engine = make_engine()
+
+        def parse_line(text):
+            lines = text.splitlines()
+            (line,) = [row for row in lines if row.lstrip().startswith("parse ")]
+            return line
+
+        assert "cached=False" in parse_line(engine.explain_analyze(Q6))
+        assert "cached=True" in parse_line(engine.explain_analyze(Q6))
+        assert "cached=False" in parse_line(engine.explain_analyze(Q6 + " "))
+
     def test_explain_analyze_leaves_engine_untraced(self):
         engine = make_engine()
         engine.explain_analyze(Q6)

@@ -1,5 +1,7 @@
 """SQL front end: parser and planner."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from repro.engine.plan import (
     ScanNode,
     SortNode,
 )
+from repro.predicates import parse_predicate
+from repro.predicates.lexer import LexError, TokenKind, tokenize
 from repro.sql import (
     DeleteStatement,
     InsertStatement,
@@ -77,14 +81,14 @@ class TestParser:
             "where l_qty > 10 group by l_qty order by c desc limit 5"
         )
         assert isinstance(stmt, SelectStatement)
-        assert stmt.tables == ["lineitem"]
-        assert stmt.group_by == ["l_qty"]
-        assert stmt.order_by == [("c", False)]
+        assert stmt.tables == ("lineitem",)
+        assert stmt.group_by == ("l_qty",)
+        assert stmt.order_by == (("c", False),)
         assert stmt.limit == 5
 
     def test_select_star(self):
         stmt = parse_statement("select * from lineitem")
-        assert stmt.items == []
+        assert stmt.items == ()
 
     def test_aggregates(self):
         stmt = parse_statement(
@@ -109,13 +113,13 @@ class TestParser:
             "values (1, 2, 3.5), (4, 5, 6.5)"
         )
         assert isinstance(stmt, InsertStatement)
-        assert stmt.rows == [(1, 2, 3.5), (4, 5, 6.5)]
+        assert stmt.rows == ((1, 2, 3.5), (4, 5, 6.5))
 
     def test_delete_update_vacuum(self):
         assert isinstance(parse_statement("delete from orders where o_total < 1"), DeleteStatement)
         stmt = parse_statement("update orders set o_total = 0.0 where o_custkey = 3")
         assert isinstance(stmt, UpdateStatement)
-        assert stmt.assignments == [("o_total", 0.0)]
+        assert stmt.assignments == (("o_total", 0.0),)
         vac = parse_statement("vacuum orders")
         assert isinstance(vac, VacuumStatement) and vac.table == "orders"
         assert parse_statement("vacuum").table is None
@@ -124,7 +128,7 @@ class TestParser:
         stmt = parse_statement(
             "select l_qty, count(*) as c from lineitem group by l_qty order by 2 desc"
         )
-        assert stmt.order_by == [("c", False)]
+        assert stmt.order_by == (("c", False),)
 
     def test_string_escapes(self):
         stmt = parse_statement("select count(*) from orders where o_orderkey = 1")
@@ -145,6 +149,34 @@ class TestParser:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(SQLParseError):
             parse_statement("select count(*) from lineitem; drop")
+
+    def test_non_decimal_digit_is_a_lex_error(self):
+        # '²' is a digit to str.isdigit() but no base-10 digit: the lexer
+        # rejects it at its position instead of int() raising later.
+        with pytest.raises(LexError, match="position 33"):
+            parse_statement("select count(*) from t where a = \u00b2")
+
+    def test_other_decimal_digits_are_numbers(self):
+        # An Arabic-Indic three is a decimal digit: '\u06639' is 39.
+        tokens = tokenize("a = \u06639")
+        assert [(t.kind, t.text) for t in tokens[2:]] == [
+            (TokenKind.NUMBER, "\u06639"),
+            (TokenKind.EOF, ""),
+        ]
+        stmt = parse_statement("select count(*) from t where a = \u06639")
+        assert stmt.filters == (parse_predicate("a = 39"),)
+
+    def test_statements_are_frozen(self):
+        stmt = parse_statement("select k from t where k < 3 order by k")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stmt.limit = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stmt.filters = ()
+        assert isinstance(stmt.filters, tuple) and isinstance(stmt.order_by, tuple)
+        insert = parse_statement("insert into t (k) values (1), (2)")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            insert.rows = ()
+        assert insert.columns == ("k",)
 
 
 class TestPlanner:
