@@ -10,6 +10,10 @@ query stream — instead of asserting opinions:
 * maintenance overhead— work to be back at full speed after an insert,
 * gain                — speedup of a repeat over the cold run,
 * hit rate            — fraction of the stream answered by the cache.
+
+The committed report counts work in the paper's currency, blocks
+accessed per query (the views' builds and refreshes included), so it
+regenerates byte-identical; the wall-clock mean goes to stdout only.
 """
 
 import time
@@ -73,11 +77,13 @@ def _run_stream(make_engine, use_automv=False, presort=False):
     answered = 0
     selects = 0
     work = []
+    blocks = []
     for kind, sql in events:
         if kind == "insert":
             _insert_row(engine)
             continue
         selects += 1
+        blocks_before = db.rms.stats.blocks_accessed
         started = time.perf_counter()
         if manager is not None:
             plan = manager.process(sql)
@@ -91,7 +97,8 @@ def _run_stream(make_engine, use_automv=False, presort=False):
             if cache_hit_fn(result):
                 answered += 1
         work.append(time.perf_counter() - started)
-    return answered / selects, float(np.mean(work))
+        blocks.append(db.rms.stats.blocks_accessed - blocks_before)
+    return answered / selects, float(np.mean(blocks)), float(np.mean(work))
 
 
 def test_table1_technique_comparison(benchmark):
@@ -129,11 +136,13 @@ def test_table1_technique_comparison(benchmark):
     measured = benchmark.pedantic(run, rounds=1, iterations=1)
 
     table = [
-        [name, f"{hit_rate:.2f}", f"{mean_work * 1000:.1f} ms"]
-        for name, (hit_rate, mean_work) in measured.items()
+        [name, f"{hit_rate:.2f}", f"{mean_blocks:.1f}"]
+        for name, (hit_rate, mean_blocks, _) in measured.items()
     ]
+    for name, (_, _, mean_work) in measured.items():
+        print(f"{name}: {mean_work * 1000:.1f} ms mean wall time per query")
     report = format_table(
-        ["technique", "hit rate on stream", "mean work per query"],
+        ["technique", "hit rate on stream", "blocks accessed per query"],
         table,
         title=(
             "Table 1 - caching techniques on a literal-varying, "
@@ -144,9 +153,9 @@ def test_table1_technique_comparison(benchmark):
     )
     save_report("table1_technique_comparison", report)
 
-    rc_hit, _ = measured["Result Caching"]
-    mv_hit, _ = measured["MVs (AutoMV)"]
-    pc_hit, _ = measured["Predicate Caching"]
+    rc_hit, _, _ = measured["Result Caching"]
+    mv_hit, _, _ = measured["MVs (AutoMV)"]
+    pc_hit, _, _ = measured["Predicate Caching"]
     # Result caching suffers from literal variation + updates (-- hit).
     assert rc_hit < 0.6
     # AutoMV generalizes across literals (++ hit).

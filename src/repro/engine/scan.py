@@ -711,20 +711,18 @@ def _scan_slice(
     dropped: Optional[np.ndarray] = None
     if source.verdict_below < num_rows:
         dropped = _prune_with_zonemaps(data_slice, plan.zone_bounds, counters)
+    # One block coverage of the candidates serves every column read, the
+    # visibility mask, the row ids and (selected down to the qualifying
+    # rows) the gather; it leaves the rows of dropped blocks out, so no
+    # range list is differenced.  A miss's candidates are the kept blocks
+    # and the tail, covered by the block: only a reader expands row ids.
     candidates = source.candidates
+    covered = data_slice.cover(candidates, dropped)
     if candidates is None:
-        # Miss: the kept blocks' row ranges *are* the candidates — a
-        # full-slice scan pays no per-row block mask.
         candidates, dropped = data_slice.unpruned_rows(dropped), None
     else:
         counters.rows_skipped_cache += num_rows - candidates.num_rows
-    # One block coverage of the candidates serves every column read, the
-    # visibility mask, the row ids and (selected down to the qualifying
-    # rows) the gather; it leaves the rows of dropped blocks out as it
-    # places them, so no range list is differenced on the way.
-    covered = data_slice.cover(candidates, dropped)
-    row_ids = covered.row_ids
-    n = len(row_ids)
+    n = len(covered)
     counters.rows_scanned += n
     if not n:
         return _SliceResult(RangeList.empty(), RangeList.empty(), {}, 0)
@@ -737,7 +735,7 @@ def _scan_slice(
     split = probe_from = 0
     head = plan.scan_columns
     if source.verdict_below:
-        split = int(np.searchsorted(row_ids, source.verdict_below))
+        split = int(np.searchsorted(covered.row_ids, source.verdict_below))
         probe_from = split if source.probe_verdict_below else 0
         needed = set(plan.gather_columns)
         if not probe_from:
@@ -801,7 +799,7 @@ def _scan_slice(
         # rows, and the plain entry keeps them all.
         q_plain = candidates
     else:
-        q_plain = RangeList.from_rows(row_ids[plain_mask])
+        q_plain = RangeList.from_rows(covered.row_ids[plain_mask])
     result = _SliceResult(qualifying, q_plain, {}, n)
     conjuncts = source.context.conjunct_predicates if source.context else ()
     if conjuncts:
@@ -812,11 +810,13 @@ def _scan_slice(
         # (zone-map-pruned rows included; they re-prune).  The candidate
         # list is the scanned rows unless the coverage dropped blocks
         # from it; only then is it rebuilt.
-        scanned = candidates if dropped is None else RangeList.from_rows(row_ids)
+        scanned = (
+            candidates if dropped is None else RangeList.from_rows(covered.row_ids)
+        )
         complement = scanned.complement(num_rows)
         result.conjunct_lists = [
             RangeList.from_rows(
-                row_ids[_and(_evaluate(conjunct, batch, n), vis_mask)]
+                covered.row_ids[_and(_evaluate(conjunct, batch, n), vis_mask)]
             ).union(complement)
             for conjunct in conjuncts
         ]

@@ -306,7 +306,10 @@ class InList(Predicate):
 
     def evaluate(self, batch: Batch) -> np.ndarray:
         column = _resolve(batch, self.column)
-        return np.isin(column, np.asarray(self.values))
+        # "sort": one ``==`` pass per value for a short list, a sort for a
+        # long one; never the lookup table numpy otherwise builds for an
+        # integer column (DESIGN.md §11, "IN lists").
+        return np.isin(column, np.asarray(self.values), kind="sort")
 
     def cache_key(self) -> str:
         rendered = ", ".join(_format_value(v) for v in self.values)
@@ -357,8 +360,21 @@ class Like(Predicate):
         prefix = _like_literal_prefix(self.pattern)
         if not prefix:
             return None
-        # Values matching 'abc%' sort within [ 'abc', 'abc￿' ).
-        return Bounds(lo=prefix, hi=prefix + "￿", hi_strict=True)
+        # Values matching 'abc%' sort within [ 'abc', 'abd' ): below the
+        # prefix's successor, whatever characters follow the prefix.
+        successor = _string_successor(prefix)
+        if successor is None:
+            return Bounds(lo=prefix)
+        return Bounds(lo=prefix, hi=successor, hi_strict=True)
+
+
+def _string_successor(prefix: str) -> Optional[str]:
+    """The least string above every string starting with ``prefix``, or
+    ``None`` when there is none (``prefix`` is all ``U+10FFFF``)."""
+    stripped = prefix.rstrip(chr(0x10FFFF))
+    if not stripped:
+        return None
+    return stripped[:-1] + chr(ord(stripped[-1]) + 1)
 
 
 def _like_regex(pattern: str):

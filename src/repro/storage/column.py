@@ -75,6 +75,16 @@ class BlockCoverage:
     coverage, exactly as if their row ranges had been subtracted from
     ``ranges`` first.  The tail has no zone map and is never dropped.
 
+    A coverage comes in two forms with the same attributes.  The
+    constructor places rows: it expands the ranges to row ids and finds
+    each one's block.  :meth:`of_blocks` covers whole blocks plus the
+    whole tail (a scan with no cached candidates) and places nothing:
+    its row ids are computed only when something reads them, and
+    :meth:`select` and :meth:`take` work from block indices, so a
+    coverage of ``n`` rows costs O(blocks) to build and O(selected) to
+    select from.  The caller picks the form from what it knows; no
+    coverage inspects its ranges to find out.
+
     Attributes:
         row_ids: every covered row id below ``num_rows``, ascending.
         sealed_rows: rows in sealed blocks (the rest is the tail).
@@ -86,9 +96,10 @@ class BlockCoverage:
     """
 
     __slots__ = (
-        "row_ids", "sealed_rows", "blocks", "offsets", "tail_offsets",
+        "_row_ids", "sealed_rows", "blocks", "offsets", "tail_offsets",
         "_rows_per_block",
     )
+    _row_ids: Optional[np.ndarray]  # None until a whole-block coverage's are read
 
     def __init__(
         self,
@@ -103,6 +114,40 @@ class BlockCoverage:
             num_rows // rows_per_block * rows_per_block,
             dropped,
         )
+
+    @classmethod
+    def of_blocks(
+        cls, kept: np.ndarray, rows_per_block: int, num_rows: int
+    ) -> "BlockCoverage":
+        """Every row of the sealed blocks ``kept`` (ascending indices)
+        and of the tail: equal to a coverage of those rows' ranges, with
+        no row placed."""
+        coverage = cls.__new__(cls)
+        coverage._row_ids = None
+        coverage.sealed_rows = num_rows // rows_per_block * rows_per_block
+        coverage._rows_per_block = rows_per_block
+        coverage.blocks = kept.tolist()
+        coverage.offsets = None
+        coverage.tail_offsets = np.arange(num_rows - coverage.sealed_rows)
+        return coverage
+
+    def __len__(self) -> int:
+        sealed = (
+            len(self.blocks) * self._rows_per_block
+            if self.offsets is None else len(self.offsets)
+        )
+        return sealed + len(self.tail_offsets)
+
+    @property
+    def row_ids(self) -> np.ndarray:
+        if self._row_ids is None:
+            size = self._rows_per_block
+            starts = np.array(self.blocks, dtype=np.int64) * size
+            self._row_ids = np.concatenate((
+                (starts[:, None] + np.arange(size)).ravel(),
+                self.tail_offsets + self.sealed_rows,
+            ))
+        return self._row_ids
 
     def _place(
         self,
@@ -121,7 +166,7 @@ class BlockCoverage:
             rows = rows[keep]
             block_of = block_of[keep[:split]]
             split = len(block_of)
-        self.row_ids = rows
+        self._row_ids = rows
         self.sealed_rows = sealed_rows
         self._rows_per_block = size
         sealed = rows[:split]
@@ -141,16 +186,48 @@ class BlockCoverage:
     def select(self, index: Union[np.ndarray, slice]) -> "BlockCoverage":
         """The coverage of the rows ``row_ids[index]`` of this one.
 
-        ``index`` is any numpy index that keeps the row ids ascending: a
-        boolean mask (the scan's qualifying rows, for the gather) or a
-        slice (an exact hit's tail).  Equal to a fresh coverage of
+        ``index`` is a boolean mask (the scan's qualifying rows, for the
+        gather) or a slice (an exact hit's tail): either keeps the row
+        ids ascending.  Equal to a fresh coverage of
         ``RangeList.from_rows(row_ids[index])`` without the range list in
         between: the row ids are already expanded and clipped, and rows
-        this coverage left out stay out.
+        this coverage left out stay out.  A whole-block coverage maps the
+        selected positions straight to row ids (O(selected)), so row ids
+        it never expanded stay unexpanded.
         """
+        size = self._rows_per_block
+        if self._row_ids is not None:
+            rows = self._row_ids[index]
+        else:
+            if isinstance(index, slice):
+                positions = np.arange(len(self))[index]
+            else:
+                positions = np.flatnonzero(index)
+            # Position p sits in the p // size-th kept block (the tail
+            # packs after the last); it is off by that block's distance
+            # from where it packs.
+            slots = np.array(self.blocks + [self.sealed_rows // size], dtype=np.int64)
+            shift = (slots - np.arange(len(slots))) * size
+            rows = positions + shift[positions // size]
         selected = BlockCoverage.__new__(BlockCoverage)
-        selected._place(self.row_ids[index], self._rows_per_block, self.sealed_rows)
+        selected._place(rows, size, self.sealed_rows)
         return selected
+
+    def take(self, values: np.ndarray) -> np.ndarray:
+        """``values[row_ids]`` for a per-row array of the slice
+        (``xmin``, ``xmax``), possibly a view of it.  A whole-block
+        coverage takes it by the block, without expanding a row id: one
+        slice when its rows are one run (a scan no zone map pruned)."""
+        if self._row_ids is not None:
+            return values[self._row_ids]
+        size, blocks, tail = self._rows_per_block, self.blocks, len(self.tail_offsets)
+        end = self.sealed_rows + tail
+        lo = blocks[0] * size if blocks else self.sealed_rows
+        hi = end if tail or not blocks else (blocks[-1] + 1) * size
+        if hi - lo == len(self):
+            return values[lo:hi]
+        sealed = values[: self.sealed_rows].reshape(-1, size)[blocks].ravel()
+        return np.concatenate((sealed, values[self.sealed_rows : end]))
 
 
 class ColumnStore:

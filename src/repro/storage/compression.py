@@ -218,7 +218,7 @@ class FrameOfReferenceCodec(Codec):
 
     def decode(self, block: EncodedBlock) -> np.ndarray:
         reference, deltas = block.payload
-        return deltas.astype(np.int64) + int(reference[0])
+        return np.add(deltas, reference[0], dtype=np.int64)
 
 
 class DictionaryCodec(Codec):

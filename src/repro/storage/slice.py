@@ -101,11 +101,22 @@ class DataSlice:
     # -- visibility ----------------------------------------------------------------
 
     def cover(
-        self, ranges: RangeList, dropped: Optional[np.ndarray] = None
+        self, ranges: Optional[RangeList], dropped: Optional[np.ndarray] = None
     ) -> BlockCoverage:
         """The block coverage of ``ranges``, valid for every column;
-        rows in the sealed blocks ``dropped`` marks are left out."""
-        return BlockCoverage(ranges, self.rows_per_block, self.num_rows, dropped)
+        rows in the sealed blocks ``dropped`` marks are left out.
+
+        ``None`` covers :meth:`unpruned_rows` (a scan with no cached
+        candidates) by the block: no row id is expanded or placed.
+        """
+        size = self.rows_per_block
+        if ranges is not None:
+            return BlockCoverage(ranges, size, self.num_rows, dropped)
+        kept = (
+            np.arange(self.num_rows // size) if dropped is None
+            else np.flatnonzero(~dropped)
+        )
+        return BlockCoverage.of_blocks(kept, size, self.num_rows)
 
     def unpruned_rows(self, dropped: Optional[np.ndarray]) -> RangeList:
         """Every row of the slice outside the sealed blocks ``dropped``
@@ -142,11 +153,12 @@ class DataSlice:
         transaction ``<= txid`` and not deleted by one ``<= txid``.
         """
         if isinstance(ranges, BlockCoverage):
-            rows = ranges.row_ids
+            xmin = ranges.take(self._xmin.values)
+            xmax = ranges.take(self._xmax.values)
         else:
             rows = ranges.to_row_ids()
-        xmin = self._xmin.values[rows]
-        xmax = self._xmax.values[rows]
+            xmin = self._xmin.values[rows]
+            xmax = self._xmax.values[rows]
         return (xmin <= txid) & (xmax > txid)
 
     def visible_row_count(self, txid: int) -> int:

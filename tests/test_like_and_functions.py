@@ -44,6 +44,12 @@ class TestLikeUnit:
         assert Like(col("s"), "%BRASS").bounds("s") is None
         assert Like(col("s"), "A%", negated=True).bounds("s") is None
 
+    def test_prefix_bounds_end_at_the_successor_of_the_prefix(self):
+        assert Like(col("s"), "abc%").bounds("s").hi == "abd"
+        assert Like(col("s"), "a\U0010ffff%").bounds("s").hi == "b"
+        top = Like(col("s"), "\U0010ffff%").bounds("s")
+        assert top.lo == "\U0010ffff" and top.hi is None
+
     def test_cache_key(self):
         assert Like(col("s"), "a%").cache_key() == "s LIKE 'a%'"
         assert Like(col("s"), "a%", negated=True).cache_key() == "s NOT LIKE 'a%'"
@@ -146,3 +152,23 @@ class TestEndToEnd:
             "select year(sold) as y, count(*) as c from items group by y"
         )
         assert "Map(y=year(sold))" in text
+
+
+def test_prefix_like_keeps_values_whose_next_character_sorts_above_u_ffff():
+    """'abc\U0001F600' and 'abc\uffffz' match 'abc%'.  A prefix bound of
+    'abc' followed by U+FFFF sorted below both, so the zone maps pruned
+    their blocks and the count lost 8 of 12 rows."""
+    db = Database(num_slices=1, rows_per_block=4)
+    db.create_table(TableSchema("t", (ColumnSpec("s", DataType.STRING),)))
+    engine = QueryEngine(db, predicate_cache=PredicateCache())
+    engine.insert("t", {
+        "s": ["abc\U0001F600"] * 4 + ["abc\uffffz"] * 4 + ["zzz"] * 4 + ["abcd"] * 4
+    })
+    zonemap = db.table("t").slices[0].columns["s"].zonemap
+    bounds = Like(col("s"), "abc%").bounds("s")
+    assert zonemap.pruned_blocks(bounds).tolist() == [False, False, True, False]
+    sql = "select count(*) as c from t where s like 'abc%'"
+    for _ in range(2):  # the miss, then the hit on the entry it installed
+        result = engine.execute(sql)
+        assert result.column("c")[0] == 12
+        assert result.counters.blocks_pruned_zonemap == 1

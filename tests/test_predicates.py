@@ -64,6 +64,36 @@ class TestEvaluation:
         values = batch(s=np.array(["a", "b", "c"], dtype=object))
         assert pred.evaluate(values).tolist() == [True, False, True]
 
+    # InList.evaluate asks np.isin for kind="sort"; the default kind
+    # answers the same on every dtype a column or literal list can have.
+    IN_LIST_TWIN_CASES = {
+        "int64 narrow": (np.arange(2_000) * 7 % 50, (3, 7)),
+        "int64 wide": (
+            np.array([-(2**62), -5, 0, 5, 2**62, 2**40 + 1] * 50),
+            (2**62, -5, 2**40 + 1, 3),
+        ),
+        "float64 specials": (
+            np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 1.5, 2.0] * 30),
+            (0.0, float("nan"), float("inf"), 2),
+        ),
+        "float64 negative zero": (np.array([-0.0, 0.0, 1.0]), (-0.0,)),
+        "bool": (np.array([True, False, True, False]), (True,)),
+        "object strings with None": (
+            np.array(["a", None, "b", "c", None], dtype=object), ("a", "c"),
+        ),
+        "mixed literals on int64": (np.arange(100) % 9, (1, 2.5, 4.0)),
+        "mixed literals on float64": (np.arange(100) % 9 / 2, (1, 2.5, 4)),
+        "one value": (np.arange(1_000) % 13, (12,)),
+        "200 values": (np.arange(5_000) * 31 % 997, tuple(range(0, 1_000, 5))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(IN_LIST_TWIN_CASES))
+    def test_in_list_twin_of_default_isin(self, name):
+        column, values = self.IN_LIST_TWIN_CASES[name]
+        got = InList(col("x"), values).evaluate({"x": column})
+        assert got.dtype == bool
+        assert np.array_equal(got, np.isin(column, np.asarray(values)))
+
     def test_column_comparison(self):
         pred = ColumnComparison(col("a"), ">", col("b"))
         assert pred.evaluate(batch(a=[1, 5, 3], b=[2, 2, 3])).tolist() == [

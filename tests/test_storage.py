@@ -490,7 +490,19 @@ class TestReadRanges:
             column.read_ranges(longer.cover(RangeList([(0, 5)])), ManagedStorage())
 
 
-def test_warm_scan_reads_each_column_of_each_slice_once(monkeypatch):
+def count_calls(monkeypatch, calls, owner, name, on_call=lambda *args: None):
+    """Count ``owner.name`` calls into ``calls[name]`` for one test."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        on_call(*args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def two_column_engine():
     from repro import Database, PredicateCache, PredicateCacheConfig, QueryEngine
     from repro.storage import ColumnSpec, TableSchema
 
@@ -503,20 +515,18 @@ def test_warm_scan_reads_each_column_of_each_slice_once(monkeypatch):
     engine.insert("t", {
         "a": rng.integers(0, 100, size=4_000), "b": rng.integers(0, 100, size=4_000),
     })
+    return engine
+
+
+def test_warm_scan_reads_each_column_of_each_slice_once(monkeypatch):
+    engine = two_column_engine()
     sql = "select count(*) as c from t where a < 20 and b < 50"
     cold = engine.execute(sql)
     calls = Counter()
     row_id_lists = []  # held, so no two lists share an id()
 
     def counting(owner, name, on_call=lambda *args: None):
-        original = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            on_call(*args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, wrapper)
+        count_calls(monkeypatch, calls, owner, name, on_call)
 
     counting(ManagedStorage, "read_blocks")
     counting(ZoneEntry, "may_contain")
@@ -530,6 +540,28 @@ def test_warm_scan_reads_each_column_of_each_slice_once(monkeypatch):
     # One materialisation of each slice's candidate list, and no other.
     assert calls["to_row_ids"] == 4
     assert len({id(ranges) for ranges in row_id_lists}) == 4
+
+
+def test_cold_scan_expands_no_range_list_and_reads_each_column_of_each_slice_once(
+    monkeypatch,
+):
+    """A miss covers its kept blocks by the block: no candidate range list
+    is expanded to row ids, not even for the visibility mask a DELETE
+    makes every slice compute, and each column of each slice is read in
+    one ``read_blocks`` round."""
+    engine = two_column_engine()
+    engine.execute("delete from t where b = 7")
+    truth = engine.execute("select a, b from t")
+    a, b = truth.column("a"), truth.column("b")
+    calls = Counter()
+    count_calls(monkeypatch, calls, ManagedStorage, "read_blocks")
+    count_calls(monkeypatch, calls, RangeList, "to_row_ids")
+    cold = engine.execute("select count(*) as c from t where a < 20 and b < 50")
+    assert cold.counters.cache_misses > 0 and cold.counters.cache_hits == 0
+    assert cold.column("c")[0] == np.count_nonzero((a < 20) & (b < 50))
+    assert cold.counters.blocks_accessed > 8
+    assert 0 < calls["read_blocks"] <= 4 * 2
+    assert calls["to_row_ids"] == 0
 
 
 def test_a_scan_larger_than_the_block_cache_keeps_its_last_blocks():
@@ -702,6 +734,75 @@ def test_unpruned_rows_are_the_kept_blocks_and_the_tail(num_rows, dropped):
     want = RangeList.full(num_rows).difference(dropped_row_ranges(dropped, 10))
     assert data_slice.unpruned_rows(dropped) == want
     assert data_slice.unpruned_rows(None) == RangeList.full(num_rows)
+
+
+@st.composite
+def whole_block_cases(draw):
+    """A slice of whole blocks, with or without a tail, some rows deleted,
+    a zone-map verdict (or none) and a mask over the kept rows."""
+    size = draw(st.integers(1, 6))
+    num_rows = draw(st.integers(0, 8)) * size + draw(st.integers(0, size - 1))
+    num_blocks = num_rows // size
+    dropped = None
+    if draw(st.booleans()):
+        dropped = np.array(
+            draw(st.lists(st.booleans(), min_size=num_blocks, max_size=num_blocks)),
+            dtype=bool,
+        )
+    created = draw(st.integers(0, num_rows))  # rows [created, num_rows) come at txid 3
+    deleted = draw(st.lists(st.integers(0, max(num_rows - 1, 0)), max_size=num_rows))
+    kept_rows = num_rows - (0 if dropped is None else int(dropped.sum()) * size)
+    row_mask = np.array(
+        draw(st.lists(st.booleans(), min_size=kept_rows, max_size=kept_rows)),
+        dtype=bool,
+    )
+    start = draw(st.integers(0, kept_rows))
+    return size, num_rows, dropped, created, deleted, row_mask, start
+
+
+@settings(max_examples=300, deadline=None)
+@given(whole_block_cases())
+@example(
+    (10, 37, np.array([False, True, False]), 20, [0, 15, 36], np.arange(27) % 2 == 0, 12)
+)
+@example((10, 30, None, 30, [], np.ones(30, dtype=bool), 0))
+@example((4, 3, np.zeros(0, dtype=bool), 0, [1], np.array([True, False, True]), 3))
+def test_whole_block_coverage_equals_the_placed_coverage_of_the_unpruned_rows(case):
+    """The miss path's coverage, built by the block from the zone-map
+    verdict, against the constructor's coverage of the same candidates:
+    every attribute, the length, ``select``, ``read_ranges`` and the
+    visibility mask.  Each use gets a fresh whole-block coverage, so none
+    sees row ids another use expanded."""
+    size, num_rows, dropped, created, deleted, row_mask, start = case
+    data_slice = DataSlice("t", 0, {"c": DataType.INT64}, rows_per_block=size)
+    values = np.arange(num_rows, dtype=np.int64) * 7 % 11
+    data_slice.append_rows({"c": values[:created]}, 1)
+    data_slice.append_rows({"c": values[created:]}, 3)
+    data_slice.mark_deleted(np.array(deleted, dtype=np.int64), 2)
+
+    def whole():
+        return data_slice.cover(None, dropped)
+
+    placed = BlockCoverage(data_slice.unpruned_rows(dropped), size, num_rows)
+    assert len(whole()) == len(placed) == len(placed.row_ids)
+    assert_same_coverage(whole(), placed)
+    for index in (row_mask, slice(start, None)):
+        assert len(whole().select(index)) == len(placed.select(index))
+        assert_same_coverage(whole().select(index), placed.select(index))
+    rms = ManagedStorage()
+    column = data_slice.columns["c"]
+    assert np.array_equal(
+        column.read_ranges(whole(), rms), column.read_ranges(placed, rms)
+    )
+    assert np.array_equal(
+        column.read_ranges(whole().select(row_mask), rms),
+        column.read_ranges(placed.select(row_mask), rms),
+    )
+    for txid in (0, 1, 2, 3):
+        assert np.array_equal(
+            data_slice.visibility_mask(whole(), txid),
+            data_slice.visibility_mask(placed, txid),
+        )
 
 
 # -- the write path: one representation, one rewrite --------------------------------
