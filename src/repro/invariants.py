@@ -33,6 +33,9 @@ Hook points (all behind the ``ACTIVE`` guard):
   own bytes and compares records (round-trip self-check).
 * ``Table`` writes and rewrites — every slice's MVCC summary equals its
   recomputation from the per-row timestamps.
+* ``ColumnStore._gather_sealed`` — every block a read takes from has
+  its row of the column's decoded array written, and a block with a
+  checksum matches it.
 
 The module deliberately imports nothing from the rest of the package
 (only numpy and the leaf ``repro.env``), so any module may call into it
@@ -60,6 +63,7 @@ __all__ = [
     "check_bounds",
     "check_slice_state",
     "check_slice_visibility",
+    "check_decoded_rows",
     "check_cache",
     "check_snapshot_roundtrip",
 ]
@@ -195,6 +199,26 @@ def check_slice_visibility(data_slice: Any) -> None:
             f"min_xmax={data_slice.min_xmax}), its rows give "
             f"({max_xmin}, {min_xmax})"
         )
+
+
+# -- decoded rows -------------------------------------------------------------
+
+
+def check_decoded_rows(
+    decoded: Any, encoded: Any, indices: Any, checksum: Any
+) -> None:
+    """Every sealed block ``indices`` names has its row of the column's
+    decoded array (``decoded``, a ``DecodedBlocks``) written, and where
+    the encoded block (``encoded[index]``) carries a checksum, the row
+    matches it under ``checksum`` (``array_checksum``, passed in because
+    this module imports nothing from the package).  A read takes its
+    rows from these blocks right after the call."""
+    for index in indices:
+        if not decoded.written(index):
+            _fail(f"block {index} is read but its decoded row was never written")
+        expected = encoded[index].checksum
+        if expected is not None and checksum(decoded.row(index)) != expected:
+            _fail(f"decoded row of block {index} does not match its checksum")
 
 
 # -- cache accounting -------------------------------------------------------

@@ -36,7 +36,7 @@ from ..core.keys import ScanKey
 from ..core.rowrange import RangeList
 from ..faults import FaultInjector, RetryPolicy
 from ..predicates.ast import Predicate
-from ..storage.rms import ManagedStorage, QueryStorageContext
+from ..storage.rms import BlockKey, ManagedStorage, QueryStorageContext
 from .format import LakeFile, RowGroup
 from .table import LakeSnapshot, LakeTable
 
@@ -221,12 +221,16 @@ class LakeScanner:
     def _read_columns(
         self, group: RowGroup, ordinal: int, names: Sequence[str], run: _ScanRun
     ) -> Dict[str, np.ndarray]:
-        """Fetch column chunks of one row group through managed storage."""
+        """Fetch column chunks of one row group through managed storage
+        into a dict of their decoded values (capacity 0: none is ever
+        resident, so every read writes them)."""
         if not names:
             return {}
         blocks = [group.chunk(name).encoded for name in names]
         keys = [(self.table.name, 0, name, ordinal) for name in names]
-        return dict(zip(names, run.reader.read_blocks(keys, blocks)))
+        chunks: Dict[BlockKey, np.ndarray] = {}
+        run.reader.read_blocks(keys, blocks, into=chunks)
+        return {name: chunks[key] for name, key in zip(names, keys)}
 
     # -- observability --------------------------------------------------------------
 

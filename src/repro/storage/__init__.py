@@ -9,7 +9,8 @@ A laptop-scale analogue of Redshift's storage architecture (§4.2.1):
 * visibility is **MVCC** with per-row creation/deletion transaction ids;
   deletes mark, **vacuum** physically reclaims and re-numbers rows,
 * blocks live on **managed storage** (:mod:`repro.storage.rms`) and are
-  fetched through a local block cache with per-fetch cost accounting.
+  fetched through a local block residency cache with per-fetch cost
+  accounting; each column keeps its decoded values in one array.
 """
 
 from .dtypes import DataType, date_to_days, days_to_date

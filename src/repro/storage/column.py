@@ -11,6 +11,12 @@ block, sealed from array slices.
 Sealed blocks are immutable; reads go through
 :class:`~repro.storage.rms.ManagedStorage` so every block access is
 counted.
+
+Decoded values live in one place per column: :class:`DecodedBlocks`, a
+``(blocks, rows_per_block)`` array whose row ``b`` is block ``b``'s
+values, written when the block is first fetched.  A read takes its rows
+from it by row id — the bytes copied follow the rows reported, not the
+blocks touched — and the storage only tracks which blocks are resident.
 """
 
 from __future__ import annotations
@@ -19,13 +25,14 @@ from typing import Iterable, List, Optional, Union
 
 import numpy as np
 
+from .. import invariants as _inv
 from ..core.rowrange import RangeList
-from .compression import EncodedBlock, seal_blocks
+from .compression import EncodedBlock, array_checksum, seal_blocks
 from .dtypes import DataType
-from .rms import ManagedStorage
+from .rms import BlockKey, ManagedStorage
 from .zonemap import ZoneMap
 
-__all__ = ["BlockCoverage", "ColumnStore", "GrowableArray"]
+__all__ = ["BlockCoverage", "ColumnStore", "DecodedBlocks", "GrowableArray"]
 
 
 class GrowableArray:
@@ -61,6 +68,79 @@ class GrowableArray:
         self._size = len(values)
 
 
+class DecodedBlocks:
+    """One column's decoded sealed blocks: row ``b`` of a ``(blocks,
+    rows_per_block)`` array holds block ``b``'s values once written.
+
+    The ``into`` of every read of the column (a
+    :class:`~repro.storage.rms.BlockSink` keyed by block index, the last
+    field of a ``BlockKey``).  The rules, DESIGN.md §11:
+
+    * a row is written before its key is resident — the storage writes
+      it in the locked round that makes the key resident;
+    * a row is written once per build: the storage skips a written row,
+      so a re-fetch after eviction never rewrites it and a row a reader
+      is taking from never changes;
+    * the array grows only in :meth:`grow` (from ``ColumnStore._seal``),
+      copying only written rows, and is emptied by :meth:`reset` (from
+      ``ColumnStore.rebuild``).  Both run under an exclusive writer —
+      the statement lock runs every write alone; writers that run beside
+      readers must revisit this;
+    * no view of the array escapes: :meth:`take` returns a copy.
+    """
+
+    __slots__ = ("_rows", "_written")
+
+    def __init__(self, dtype: np.dtype, rows_per_block: int) -> None:
+        self._rows = np.empty((0, rows_per_block), dtype=dtype)
+        # One byte per sealed block: 1 once its row is written.
+        self._written = bytearray()
+
+    def __contains__(self, key: BlockKey) -> bool:
+        return bool(self._written[key[3]])
+
+    def __setitem__(self, key: BlockKey, values: np.ndarray) -> None:
+        index = key[3]
+        self._rows[index] = values
+        self._written[index] = 1
+
+    def written(self, index: int) -> bool:
+        """Whether block ``index``'s row holds its values."""
+        return bool(self._written[index])
+
+    def row(self, index: int) -> np.ndarray:
+        """A copy of block ``index``'s row (validation)."""
+        return self._rows[index].copy()
+
+    def grow(self, num_blocks: int) -> None:
+        """Room for ``num_blocks`` sealed blocks, the new ones unwritten.
+        Capacity doubles; a move copies only the written rows, so rows
+        never read take no memory."""
+        self._written.extend(bytes(num_blocks - len(self._written)))
+        if num_blocks <= len(self._rows):
+            return
+        rows = np.empty(
+            (max(num_blocks, 2 * len(self._rows)), self._rows.shape[1]),
+            dtype=self._rows.dtype,
+        )
+        written = np.flatnonzero(np.frombuffer(self._written, dtype=np.uint8))
+        rows[written] = self._rows[written]
+        self._rows = rows
+
+    def reset(self) -> None:
+        """Forget every row: the column reseals all of its values."""
+        self._rows = np.empty((0, self._rows.shape[1]), dtype=self._rows.dtype)
+        self._written = bytearray()
+
+    def take(self, coverage: "BlockCoverage") -> np.ndarray:
+        """The covered sealed rows' values, a new array: one row gather
+        for whole blocks, one element gather by row id otherwise.
+        ``coverage`` touches at least one block."""
+        if coverage.whole_blocks:
+            return self._rows.take(coverage.blocks, axis=0).ravel()
+        return self._rows.reshape(-1).take(coverage.sealed_row_ids)
+
+
 class BlockCoverage:
     """Where the rows of a range list sit in a slice's blocks and tail.
 
@@ -80,23 +160,22 @@ class BlockCoverage:
     each one's block.  :meth:`of_blocks` covers whole blocks plus the
     whole tail (a scan with no cached candidates) and places nothing:
     its row ids are computed only when something reads them, and
-    :meth:`select` and :meth:`take` work from block indices, so a
-    coverage of ``n`` rows costs O(blocks) to build and O(selected) to
-    select from.  The caller picks the form from what it knows; no
-    coverage inspects its ranges to find out.
+    :meth:`select`, :meth:`take` and the column gather work from block
+    indices, so a coverage of ``n`` rows costs O(blocks) to build and
+    O(selected) to select from.  The caller picks the form from what it
+    knows; no coverage inspects its ranges to find out.
 
     Attributes:
         row_ids: every covered row id below ``num_rows``, ascending.
         sealed_rows: rows in sealed blocks (the rest is the tail).
         blocks: indices of the sealed blocks touched, ascending.
-        offsets: position of each covered sealed row in the
-            concatenation of the touched blocks; ``None`` when the
-            ranges cover those blocks completely.
+        whole_blocks: whether every row of each touched block is
+            covered (a column then takes its values by the block).
         tail_offsets: covered tail rows, relative to ``sealed_rows``.
     """
 
     __slots__ = (
-        "_row_ids", "sealed_rows", "blocks", "offsets", "tail_offsets",
+        "_row_ids", "sealed_rows", "blocks", "whole_blocks", "tail_offsets",
         "_rows_per_block",
     )
     _row_ids: Optional[np.ndarray]  # None until a whole-block coverage's are read
@@ -127,16 +206,14 @@ class BlockCoverage:
         coverage.sealed_rows = num_rows // rows_per_block * rows_per_block
         coverage._rows_per_block = rows_per_block
         coverage.blocks = kept.tolist()
-        coverage.offsets = None
+        coverage.whole_blocks = True
         coverage.tail_offsets = np.arange(num_rows - coverage.sealed_rows)
         return coverage
 
     def __len__(self) -> int:
-        sealed = (
-            len(self.blocks) * self._rows_per_block
-            if self.offsets is None else len(self.offsets)
-        )
-        return sealed + len(self.tail_offsets)
+        if self._row_ids is not None:
+            return len(self._row_ids)
+        return len(self.blocks) * self._rows_per_block + len(self.tail_offsets)
 
     @property
     def row_ids(self) -> np.ndarray:
@@ -148,6 +225,12 @@ class BlockCoverage:
                 self.tail_offsets + self.sealed_rows,
             ))
         return self._row_ids
+
+    @property
+    def sealed_row_ids(self) -> np.ndarray:
+        """The covered row ids below ``sealed_rows``: a view of ``row_ids``."""
+        row_ids = self.row_ids
+        return row_ids[: len(row_ids) - len(self.tail_offsets)]
 
     def _place(
         self,
@@ -169,19 +252,13 @@ class BlockCoverage:
         self._row_ids = rows
         self.sealed_rows = sealed_rows
         self._rows_per_block = size
-        sealed = rows[:split]
         self.tail_offsets = rows[split:] - sealed_rows
         # rows ascend, so a block's rows are one run: mark each run's start.
         first = np.ones(split, dtype=bool)
         first[1:] = block_of[1:] != block_of[:-1]
         touched = block_of[first]
         self.blocks: List[int] = touched.tolist()
-        if split == len(touched) * size:
-            self.offsets = None
-        else:
-            # Rows of untouched blocks ahead of each touched one drop out.
-            skipped = (touched - np.arange(len(touched))) * size
-            self.offsets = sealed - skipped[np.cumsum(first) - 1]
+        self.whole_blocks = split == len(touched) * size
 
     def select(self, index: Union[np.ndarray, slice]) -> "BlockCoverage":
         """The coverage of the rows ``row_ids[index]`` of this one.
@@ -247,9 +324,13 @@ class ColumnStore:
         self.dtype = dtype
         self.rows_per_block = rows_per_block
         self.blocks: List[EncodedBlock] = []
+        # _keys[b] is block b's BlockKey, built when an index is first
+        # sealed; a rebuild restarts indices at 0 and reuses them.
+        self._keys: List[BlockKey] = []
         self.zonemap = ZoneMap()
         # Fewer than rows_per_block values of the column's numpy dtype.
         self._tail = np.empty(0, dtype=dtype.numpy_dtype)
+        self._decoded = DecodedBlocks(self._tail.dtype, rows_per_block)
 
     # -- size -----------------------------------------------------------------
 
@@ -302,13 +383,18 @@ class ColumnStore:
         rows_per_block)`` array: one statistics pass sizes every codec
         and bounds every zone-map entry, then each block is encoded
         once.  The codecs copy what they keep, so ``blocks`` may be a
-        view.  Nothing is invalidated: a key enters the decoded-block
-        cache only by reading a sealed block, and whoever restarts block
-        indices (a rewrite, ``drop_table``) invalidates the table
-        first."""
+        view.  The decoded array grows by the new blocks, unwritten,
+        and an index sealed for the first time gets its key.
+        Nothing is invalidated: a key becomes resident only by reading a
+        sealed block, and whoever restarts block indices (a rewrite,
+        ``drop_table``) invalidates the table first."""
         encoded, minima, maxima = seal_blocks(blocks)
         self.blocks.extend(encoded)
         self.zonemap.append_blocks(minima, maxima)
+        self._decoded.grow(len(self.blocks))
+        prefix = (self.table_name, self.slice_id, self.column_name)
+        new = range(len(self._keys), len(self.blocks))
+        self._keys.extend(prefix + (b,) for b in new)
 
     def _to_array(self, values: Iterable[object]) -> np.ndarray:
         """The one conversion, where values enter the column."""
@@ -319,10 +405,12 @@ class ColumnStore:
 
     def rebuild(self, values: np.ndarray) -> None:
         """Replace the whole column (:meth:`DataSlice.rewrite`): reseal
-        everything.  Block indices restart, so the caller invalidates the
-        table's decoded blocks before the column is read again."""
+        everything.  Block indices restart, so the decoded rows go and
+        the caller makes none of the table's blocks resident before the
+        column is read again."""
         self.blocks = []
         self.zonemap = ZoneMap()
+        self._decoded.reset()
         self._tail = self._tail[:0]
         self.append(values)
 
@@ -343,8 +431,9 @@ class ColumnStore:
 
         Sealed blocks are fetched through managed storage exactly once
         per call (the per-access counting the cost model needs), in one
-        ``read_blocks`` round; tail rows are served from the insert
-        buffer without block accounting.  A caller reading several
+        ``read_blocks`` round, and the covered rows taken from the
+        decoded array; tail rows are served from the insert buffer
+        without block accounting.  A caller reading several
         columns of one slice over the same ranges passes their
         :class:`BlockCoverage` instead, computed once.
         """
@@ -363,19 +452,19 @@ class ColumnStore:
     def _gather_sealed(
         self, coverage: BlockCoverage, rms: ManagedStorage
     ) -> np.ndarray:
-        """Decode each touched sealed block once, gather all covered rows."""
-        prefix = (self.table_name, self.slice_id, self.column_name)
-        blocks = self.blocks
-        decoded = rms.read_blocks(
-            [prefix + (b,) for b in coverage.blocks],
+        """Read every touched sealed block (each row is then written),
+        take the covered rows in one gather."""
+        keys, blocks = self._keys, self.blocks
+        rms.read_blocks(
+            [keys[b] for b in coverage.blocks],
             [blocks[b] for b in coverage.blocks],
+            into=self._decoded,
         )
-        if coverage.offsets is not None:
-            values = decoded[0] if len(decoded) == 1 else np.concatenate(decoded)
-            return values[coverage.offsets]
-        # Every row of every touched block: the concatenation is the answer
-        # (never a decoded array itself — those belong to the block cache).
-        return np.concatenate(decoded)
+        if _inv.ACTIVE:
+            _inv.check_decoded_rows(
+                self._decoded, blocks, coverage.blocks, array_checksum
+            )
+        return self._decoded.take(coverage)
 
     def read_all(self, rms: ManagedStorage) -> np.ndarray:
         """Read the entire column (loads, joins on full tables)."""

@@ -154,7 +154,7 @@ class Database:
         )
         registry.counter(
             f"{prefix}_local_hits_total",
-            "Block reads served by the local decoded-block cache",
+            "Block reads served locally (the block was resident)",
             fn=lambda: stats.local_hits,
         )
         registry.counter(
@@ -199,7 +199,7 @@ class Database:
         )
         registry.gauge(
             f"{prefix}_cached_blocks",
-            "Decoded blocks currently held locally",
+            "Blocks currently resident locally",
             fn=lambda: self.rms.cached_blocks,
         )
         registry.gauge(

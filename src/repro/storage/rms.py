@@ -2,10 +2,25 @@
 
 Redshift compute nodes download column blocks from Redshift Managed
 Storage (RMS, backed by S3) and cache them on local SSD (§4.2.1).  The
-reproduction models this as a decoded-block cache in front of the sealed
-blocks: the first access to a block is a *remote fetch* (slow, counted),
-later accesses are *local hits* (fast, counted) until the block is
-evicted (LRU by capacity) or invalidated (vacuum/reseal).
+reproduction models this as a *residency* LRU of block keys in front of
+the sealed blocks: the first access to a block is a *remote fetch*
+(slow, counted), later accesses are *local hits* (fast, counted) until
+the block is evicted (LRU by capacity) or invalidated (vacuum/reseal).
+The storage decides only whether a read is local or remote; it holds no
+decoded values.  Whoever reads names where a fetched block's values go
+(``into``): a column its ``(blocks, rows_per_block)`` decoded array
+(:class:`~repro.storage.column.DecodedBlocks`), the lake scanner a dict
+of its decoded chunks.  The rules (DESIGN.md §11):
+
+* **A row is written before its key is resident.**  A fetched block's
+  checksum-verified values go to ``into[key]`` in the same locked round
+  that makes the key resident, so a hit always finds its row.
+* **A row is written once.**  A re-fetch after eviction still decodes,
+  verifies and counts, but writes nothing where ``key in into``: a row
+  a reader is taking from never changes, and a corrupted fetch attempt
+  never reaches it.
+* **Capacity bounds residency, not decoded memory.**  Evicting a key
+  makes its next read remote; the row stays where it was written.
 
 `StorageStats` is the ground truth behind the paper's "blocks accessed"
 columns: every experiment reads these counters rather than timing alone,
@@ -32,18 +47,19 @@ Concurrency model (DESIGN.md §12):
   blocks a repeat of the scan reads first.  An unbounded cache keeps no
   recency order at all — nothing would read it.
 * **One storage lock, held per call, not per block.**  A single
-  always-on ``threading.Lock`` guards the decoded-block cache, the
-  stats and the per-query sinks.
+  always-on ``threading.Lock`` guards the residency LRU, the stats,
+  the per-query sinks and the writes into ``into``.
   :meth:`ManagedStorage.read_blocks` — the one read path, called once
   per (slice, column) — takes it for one round that looks every key up
   and counts the hits, and, only if something missed, for a second
-  round that counts and inserts what was fetched.  Fetch sleeps, decode
-  and fault retries run *between* the rounds, so remote fetches overlap
-  across concurrent statements.  Nothing marks a miss as in flight: two
-  threads missing the same block between each other's rounds both
-  fetch it and both count a remote fetch — the duplicated round trip a
-  real node cache exhibits; workloads that need exact per-query
-  counters keep their tables disjoint.
+  round that counts, writes and makes resident what was fetched.  Fetch
+  sleeps, decode and fault retries run *between* the rounds, so remote
+  fetches overlap across concurrent statements.  Nothing marks a miss
+  as in flight: two threads missing the same block between each
+  other's rounds both fetch it and both count a remote fetch — the
+  duplicated round trip a real node cache exhibits — and the first to
+  reach its second round writes the row.  Workloads that need exact
+  per-query counters keep their tables disjoint.
 """
 
 from __future__ import annotations
@@ -52,7 +68,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -65,10 +81,21 @@ from ..faults import (
 )
 from .compression import EncodedBlock, array_checksum, decode_block
 
-__all__ = ["BlockKey", "ManagedStorage", "QueryStorageContext", "StorageStats"]
+__all__ = [
+    "BlockKey", "BlockSink", "ManagedStorage", "QueryStorageContext", "StorageStats",
+]
 
 # (table, slice, column, block index) uniquely names a block.
 BlockKey = Tuple[str, int, str, int]
+
+
+class BlockSink(Protocol):
+    """Where a read's fetched blocks go: written once per key, under the
+    storage lock, before the key is resident (see the module doc)."""
+
+    def __contains__(self, key: BlockKey) -> bool: ...
+
+    def __setitem__(self, key: BlockKey, values: np.ndarray) -> None: ...
 
 
 @dataclass
@@ -125,10 +152,14 @@ class QueryStorageContext:
         self.scanning = False
 
     def read_blocks(
-        self, keys: Sequence[BlockKey], blocks: Sequence[EncodedBlock]
-    ) -> List[np.ndarray]:
+        self,
+        keys: Sequence[BlockKey],
+        blocks: Sequence[EncodedBlock],
+        *,
+        into: BlockSink,
+    ) -> None:
         """:meth:`ManagedStorage.read_blocks`, accounted to this statement."""
-        return self.storage.read_blocks(keys, blocks, self)
+        self.storage.read_blocks(keys, blocks, self, into=into)
 
     def begin_scan_phase(self) -> None:
         """Hold capacity eviction back until :meth:`end_scan_phase`."""
@@ -141,12 +172,14 @@ class QueryStorageContext:
 
 
 class ManagedStorage:
-    """Decoded-block cache with remote-fetch accounting.
+    """Block residency LRU with remote-fetch accounting.
 
     Args:
-        cache_capacity: number of decoded blocks kept locally (LRU).
+        cache_capacity: number of blocks resident locally (LRU).
             ``None`` means unbounded (everything fits on local SSD, the
-            common case for the scaled-down benchmarks).
+            common case for the scaled-down benchmarks).  It bounds
+            residency, not decoded memory: the values live wherever the
+            reader's ``into`` keeps them.
 
     ``fetch_delay_seconds`` (default 0.0 — no sleeps anywhere) is an
     opt-in *wall-clock* cost per remote fetch, modeling the network
@@ -158,7 +191,8 @@ class ManagedStorage:
     """
 
     def __init__(self, cache_capacity: Optional[int] = None) -> None:
-        self._cache: "OrderedDict[BlockKey, np.ndarray]" = OrderedDict()
+        # The resident keys, coldest first; the values are unused.
+        self._cache: "OrderedDict[BlockKey, None]" = OrderedDict()
         self.cache_capacity = cache_capacity
         self.stats = StorageStats()
         self.fault_injector: Optional[FaultInjector] = None
@@ -171,8 +205,9 @@ class ManagedStorage:
         # single attribute load ("no faults configured" costs nothing).
         self._faults_armed = False
         self.fetch_delay_seconds = 0.0
-        # One always-on lock guards the decoded-block cache, the global
-        # stats, per-query sinks, fetch ordinals, and retry budgets.
+        # One always-on lock guards the residency LRU, the global stats,
+        # per-query sinks, fetch ordinals, retry budgets and the writes
+        # into a read's sink.
         # Decode + injected sleeps run outside it (see module doc).
         self._lock = threading.Lock()
         self._fetch_ordinals: Dict[BlockKey, int] = {}
@@ -203,26 +238,31 @@ class ManagedStorage:
         """The stats a count goes into (under ``_lock``): global + the reader's."""
         return (self.stats,) if reader is self._direct else (self.stats, reader.stats)
 
-    def read_block(self, key: BlockKey, block: EncodedBlock) -> np.ndarray:
+    def read_block(self, key: BlockKey, block: EncodedBlock, into: BlockSink) -> None:
         """Read one block: the one-element case of :meth:`read_blocks`."""
-        return self.read_blocks((key,), (block,))[0]
+        self.read_blocks((key,), (block,), into=into)
 
     def read_blocks(
         self,
         keys: Sequence[BlockKey],
         blocks: Sequence[EncodedBlock],
         reader: Optional[QueryStorageContext] = None,
-    ) -> List[np.ndarray]:
-        """Read the decoded values of ``blocks``, counting every access.
+        *,
+        into: BlockSink,
+    ) -> None:
+        """Read ``blocks`` into ``into``, counting every access.
 
         ``keys`` name distinct blocks of one slice.  One lock round looks
         them all up and counts the hits; misses are fetched outside the
-        lock in key order, then counted and inserted in a second round,
-        which also moves every key to the most-recent end.  Counters and
-        cache end-state are those of reading the keys one at a time.
-        ``reader`` is the statement the read belongs to: its sink is
-        counted into, its budget pays for retries, and while it is
-        scanning, eviction waits for its ``end_scan_phase``.
+        lock in key order, then counted, written to ``into`` and made
+        resident in a second round, which also moves every key to the
+        most-recent end.  Counters and residency end-state are those of
+        reading the keys one at a time.  ``into`` is the one sink of
+        these keys: a resident key's values are already in it, and a
+        fetched key's are written only if they are not (the module
+        doc's rules).  ``reader`` is the statement the read belongs to:
+        its sink is counted into, its budget pays for retries, and while
+        it is scanning, eviction waits for its ``end_scan_phase``.
         """
         if reader is None:
             reader = self._direct
@@ -232,39 +272,37 @@ class ManagedStorage:
             if len(cache) + len(keys) > capacity:
                 # A read outside a scan evicts as it inserts: a miss may
                 # push out a block a later key would have hit.  Keep that order.
-                return [
-                    self.read_blocks((key,), (block,), reader)[0]
-                    for key, block in zip(keys, blocks)
-                ]
+                for key, block in zip(keys, blocks):
+                    self.read_blocks((key,), (block,), reader, into=into)
+                return
         sinks = self._sinks(reader)
         with self._lock:
-            found = [cache.get(key) for key in keys]
-            missing = [i for i, values in enumerate(found) if values is None]
+            missing = [i for i, key in enumerate(keys) if key not in cache]
             hits = len(keys) - len(missing)
             for stats in sinks:
                 stats.local_hits += hits
             if not missing:
                 self._settle_locked(keys, reader)
-        if not missing:
-            return found
+                return
         # Decode (and any fault machinery) runs outside the storage lock
         # so fetches genuinely overlap across workers and queries.
-        fetched: List[int] = []
+        fetched: List[Tuple[BlockKey, np.ndarray]] = []
         try:
             for i in missing:
-                found[i] = self._fetch(keys[i], blocks[i], reader)
-                fetched.append(i)
+                fetched.append((keys[i], self._fetch(keys[i], blocks[i], reader)))
         finally:
             # A fetch that raised leaves the ones before it counted.
-            nbytes = sum(blocks[i].nbytes for i in fetched)
+            nbytes = sum(blocks[i].nbytes for i in missing[: len(fetched)])
             with self._lock:
                 for stats in sinks:
                     stats.remote_fetches += len(fetched)
                     stats.bytes_fetched += nbytes
-                for i in fetched:
-                    cache[keys[i]] = found[i]
+                for key, values in fetched:
+                    # Written once, before the key is resident.
+                    if key not in into:
+                        into[key] = values
+                    cache[key] = None
                 self._settle_locked(keys, reader)
-        return found
 
     def _settle(self, keys: Sequence[BlockKey], reader: QueryStorageContext) -> None:
         with self._lock:
@@ -274,7 +312,7 @@ class ManagedStorage:
         self, keys: Sequence[BlockKey], reader: QueryStorageContext
     ) -> None:
         """Make ``keys`` most recent, in order; unless ``reader`` is
-        scanning, evict the coldest blocks down to capacity.  An unbounded
+        scanning, evict the coldest keys down to capacity.  An unbounded
         cache does neither.  Caller holds ``_lock``."""
         capacity = self.cache_capacity
         if capacity is None:
@@ -373,7 +411,7 @@ class ManagedStorage:
                     stats.backoff_model_seconds += backoff
 
     def invalidate_table(self, table_name: str) -> None:
-        """Drop all cached blocks of one table (rewrite / drop)."""
+        """Make no block of one table resident (rewrite / drop)."""
         with self._lock:
             stale = [k for k in self._cache if k[0] == table_name]
             for key in stale:
@@ -381,7 +419,7 @@ class ManagedStorage:
             self.stats.blocks_invalidated += len(stale)
 
     def clear(self) -> None:
-        """Drop the whole local cache (simulates a cold node)."""
+        """Make no block resident (simulates a cold node)."""
         with self._lock:
             self._cache.clear()
 

@@ -177,7 +177,7 @@ class DataSlice:
         The one physical rewrite — ``order`` is the kept rows for vacuum,
         a permutation for reorganization.  Row numbering and block
         indices change, so the caller (the table, once for all its
-        slices) invalidates the decoded blocks and broadcasts the
+        slices) makes none of its blocks resident and broadcasts the
         ``layout`` event before the slice is read again.
         """
         full = RangeList.full(self.num_rows)

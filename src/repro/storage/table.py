@@ -203,8 +203,9 @@ class Table:
 
     def _rewritten(self) -> None:
         """After :meth:`DataSlice.rewrite` of any slices: block indices
-        restarted, so the table's decoded blocks go (once, before anyone
-        reads the new ones), then the versions move and listeners hear."""
+        restarted, so none of the table's blocks stays resident (once,
+        before anyone reads the new ones), then the versions move and
+        listeners hear."""
         self._check_summaries()
         self.rms.invalidate_table(self.name)
         self.layout_version += 1

@@ -273,9 +273,9 @@ def read_keys(monkeypatch):
     seen = []
     original = ManagedStorage.read_blocks
 
-    def spy(self, keys, blocks, reader=None):
+    def spy(self, keys, blocks, reader=None, *, into):
         seen.extend(keys)
-        return original(self, keys, blocks, reader)
+        return original(self, keys, blocks, reader, into=into)
 
     monkeypatch.setattr(ManagedStorage, "read_blocks", spy)
     return seen

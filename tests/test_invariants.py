@@ -27,6 +27,9 @@ from repro.invariants import InvariantViolation
 from repro.persist import CacheStore, collect_records
 from repro.persist.format import encode_snapshot
 from repro.storage import ColumnSpec, Database, DataType, TableSchema
+from repro.storage.column import ColumnStore
+from repro.storage.compression import array_checksum
+from repro.storage.rms import ManagedStorage
 
 
 @pytest.fixture
@@ -231,6 +234,49 @@ class TestCheckSliceVisibility:
         table.delete_local_rows(0, np.array([0]), db.begin())
         table.vacuum(db.horizon_txid)
         assert seen == [table.slices[0]] * 3
+
+
+# -- check_decoded_rows --------------------------------------------------------
+
+
+class TestCheckDecodedRows:
+    def make_column(self):
+        column = ColumnStore("t", 0, "k", DataType.INT64, 4)
+        column.append(np.arange(10))  # two sealed blocks and a tail
+        return column
+
+    def check(self, column, indices):
+        invariants.check_decoded_rows(
+            column._decoded, column.blocks, indices, array_checksum
+        )
+
+    def test_read_rows_pass(self):
+        column = self.make_column()
+        column.read_all(ManagedStorage())
+        self.check(column, [0, 1])
+
+    def test_unwritten_row(self):
+        column = self.make_column()
+        with pytest.raises(InvariantViolation, match="never written"):
+            self.check(column, [0])
+
+    def test_row_that_does_not_match_its_checksum(self):
+        column = self.make_column()
+        column.read_all(ManagedStorage())
+        column._decoded._rows[1, 2] = -1
+        self.check(column, [0])
+        with pytest.raises(InvariantViolation, match="checksum"):
+            self.check(column, [0, 1])
+
+    def test_gather_fires_the_hook(self, validate, monkeypatch):
+        column = self.make_column()
+        seen = []
+        monkeypatch.setattr(
+            invariants, "check_decoded_rows",
+            lambda decoded, blocks, indices, checksum: seen.append(list(indices)),
+        )
+        column.read_ranges(RangeList([(5, 10)]), ManagedStorage())
+        assert seen == [[1]]
 
 
 # -- check_cache ---------------------------------------------------------------

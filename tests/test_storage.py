@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.core.rowrange import RangeList
 from repro.faults import FaultInjector, RetryBudgetExceeded, RetryPolicy
 from repro.storage import ColumnSpec, Database, Table, TableSchema
-from repro.storage.compression import choose_codec, seal_blocks
+from repro.storage.compression import choose_codec, decode_block, seal_blocks
 from repro.storage.column import BlockCoverage, ColumnStore, GrowableArray
 from repro.storage.dtypes import DataType, date_to_days, days_to_date
 from repro.storage.rms import ManagedStorage
@@ -203,8 +203,11 @@ class TestManagedStorage:
         rms = ManagedStorage()
         block = self._block([1, 2, 3])
         key = ("t", 0, "c", 0)
-        rms.read_block(key, block)
-        rms.read_block(key, block)
+        into = {}
+        rms.read_block(key, block, into)
+        assert into[key].tolist() == [1, 2, 3]
+        rms.read_block(key, block, into)
+        assert into[key].tolist() == [1, 2, 3]
         assert rms.stats.remote_fetches == 1
         assert rms.stats.local_hits == 1
         assert rms.stats.blocks_accessed == 2
@@ -212,11 +215,15 @@ class TestManagedStorage:
     def test_lru_eviction(self):
         rms = ManagedStorage(cache_capacity=2)
         blocks = {i: self._block([i]) for i in range(3)}
+        into = {}
         for i in range(3):
-            rms.read_block(("t", 0, "c", i), blocks[i])
-        # Block 0 evicted; re-reading is a remote fetch again.
-        rms.read_block(("t", 0, "c", 0), blocks[0])
+            rms.read_block(("t", 0, "c", i), blocks[i], into)
+        first = into[("t", 0, "c", 0)]
+        # Block 0 evicted; re-reading is a remote fetch again, and its
+        # values, already written, are not written again.
+        rms.read_block(("t", 0, "c", 0), blocks[0], into)
         assert rms.stats.remote_fetches == 4
+        assert into[("t", 0, "c", 0)] is first and first.tolist() == [0]
 
     def test_a_scan_defers_eviction_to_its_barrier(self):
         """Inside a scan every read is most recent at once, but nothing
@@ -227,8 +234,10 @@ class TestManagedStorage:
         blocks = [self._block([i]) for i in range(3)]
         reader = rms.query_context()
         reader.begin_scan_phase()
+        into = {}
         for i in (0, 1, 2, 0):  # the last read of block 0 is a hit
-            reader.read_blocks((keys[i],), (blocks[i],))
+            reader.read_blocks((keys[i],), (blocks[i],), into=into)
+        assert [into[key].tolist() for key in keys] == [[0], [1], [2]]
         assert rms.cached_blocks == 3  # over capacity, eviction deferred
         reader.end_scan_phase()
         assert list(rms._cache) == [keys[2], keys[0]]  # block 1 was coldest
@@ -236,30 +245,39 @@ class TestManagedStorage:
 
     def test_invalidate_table(self):
         rms = ManagedStorage()
-        rms.read_block(("a", 0, "c", 0), self._block([1]))
-        rms.read_block(("b", 0, "c", 0), self._block([2]))
+        into = {}
+        rms.read_block(("a", 0, "c", 0), self._block([1]), into)
+        rms.read_block(("b", 0, "c", 0), self._block([2]), into)
         rms.invalidate_table("a")
         assert rms.cached_blocks == 1
-        rms.read_block(("a", 0, "c", 0), self._block([1]))
+        rms.read_block(("a", 0, "c", 0), self._block([1]), {})
         assert rms.stats.remote_fetches == 3
 
     def test_bytes_fetched(self):
         rms = ManagedStorage()
         block = self._block(np.arange(100))
-        rms.read_block(("t", 0, "c", 0), block)
+        into = {}
+        rms.read_block(("t", 0, "c", 0), block, into)
         assert rms.stats.bytes_fetched == block.nbytes
+        assert into[("t", 0, "c", 0)].tolist() == list(range(100))
 
     def test_stats_delta(self):
         rms = ManagedStorage()
-        rms.read_block(("t", 0, "c", 0), self._block([1]))
+        into = {}
+        rms.read_block(("t", 0, "c", 0), self._block([1]), into)
         before = rms.stats.snapshot()
-        rms.read_block(("t", 0, "c", 0), self._block([1]))
+        rms.read_block(("t", 0, "c", 0), self._block([1]), into)
         delta = rms.stats.delta(before)
         assert delta.local_hits == 1
         assert delta.remote_fetches == 0
 
 
 # -- the batched read path ------------------------------------------------------
+
+
+def blocks_values(key):
+    """The values :func:`block_calls` encodes under ``key``."""
+    return list(range(100 * key[1] + key[3], 100 * key[1] + key[3] + 20))
 
 
 def block_calls(seed, num_calls=40, num_slices=3, blocks_per_slice=8):
@@ -292,21 +310,21 @@ def drive(calls, batched, capacity, phased, injector=None, retry_budget=None):
             injector, RetryPolicy(max_attempts=12, retry_budget=retry_budget)
         )
     query = rms.query_context()
+    into = {}
     seen = {"values": [], "orders": [], "gave_up": None}
     for index, (keys, blocks) in enumerate(calls):
         if phased and index % 5 == 0:
             query.begin_scan_phase()
         try:
             if batched:
-                values = query.read_blocks(keys, blocks)
+                query.read_blocks(keys, blocks, into=into)
             else:
-                values = [
-                    query.read_blocks((k,), (b,))[0] for k, b in zip(keys, blocks)
-                ]
+                for key, block in zip(keys, blocks):
+                    query.read_blocks((key,), (block,), into=into)
         except RetryBudgetExceeded as error:
             seen["gave_up"] = (index, str(error))
             break
-        seen["values"].append([v.tolist() for v in values])
+        seen["values"].append([into[key].tolist() for key in keys])
         if phased and (index % 5 == 4 or index == len(calls) - 1):
             query.end_scan_phase()
             seen["orders"].append(list(rms._cache))
@@ -378,10 +396,125 @@ class TestReadBlocks:
         )
         keys, blocks = block_calls(0)[0]
         assert len(keys) >= 2
+        into = {}
         with pytest.raises(Exception):
-            rms.read_blocks(keys, blocks)
+            rms.read_blocks(keys, blocks, into=into)
         assert rms.stats.remote_fetches == 1
         assert list(rms._cache) == keys[:1]
+        assert list(into) == keys[:1]
+
+
+class ResidencyCheckingSink(dict):
+    """An ``into`` that asserts, on every write, that its key is not yet
+    resident, and records the keys written."""
+
+    def __init__(self, rms):
+        super().__init__()
+        self.rms = rms
+        self.writes = []
+
+    def __setitem__(self, key, values):
+        assert key not in self.rms._cache, f"{key} resident before its row"
+        self.writes.append(key)
+        super().__setitem__(key, values)
+
+
+class TestRowsBeforeResidency:
+    """A row is written before its key is resident, and once."""
+
+    def setup_method(self):
+        self.keys = [("t", 0, "c", b) for b in range(4)]
+        self.blocks = [choose_codec(np.arange(20, dtype=np.int64) + b) for b in range(4)]
+
+    def test_a_miss_a_refetch_and_the_one_key_at_a_time_path(self):
+        keys, blocks = self.keys, self.blocks
+        rms = ManagedStorage(cache_capacity=2)
+        into = ResidencyCheckingSink(rms)
+        rms.read_blocks(keys[:1], blocks[:1], into=into)  # a miss
+        assert into.writes == keys[:1] and list(rms._cache) == keys[:1]
+        # 1 resident + 3 keys > capacity 2: one key at a time, evicting.
+        rms.read_blocks(keys[1:], blocks[1:], into=into)
+        assert into.writes == keys and list(rms._cache) == keys[2:]
+        # Key 0 was evicted: its re-fetch decodes and counts, and writes
+        # nothing where the row is already written...
+        first = into[keys[0]]
+        fetches = rms.stats.remote_fetches
+        rms.read_blocks(keys[:1], blocks[:1], into=into)
+        assert rms.stats.remote_fetches == fetches + 1
+        assert into.writes == keys and into[keys[0]] is first
+        # ...and writes, before residency, into a sink that lacks it.
+        rms.read_blocks(keys[2:], blocks[2:], into=into)  # evicts key 0
+        other = ResidencyCheckingSink(rms)
+        rms.read_blocks(keys[:1], blocks[:1], into=other)
+        assert other.writes == keys[:1] and into.writes == keys
+        for key, block in zip(keys, blocks):
+            assert into[key].tolist() == decode_block(block).tolist()
+
+    def test_a_corrupted_attempt_never_reaches_the_row(self):
+        keys, blocks = self.keys, self.blocks
+        rms = ManagedStorage(cache_capacity=2)
+        rms.attach_faults(
+            FaultInjector(schedule={0: "corrupt", 3: "corrupt"}),
+            RetryPolicy(max_attempts=3),
+        )
+        into = ResidencyCheckingSink(rms)
+        rms.read_blocks(keys, blocks, into=into)
+        assert rms.stats.corrupt_blocks == 2
+        assert into.writes == keys
+        for key, block in zip(keys, blocks):
+            assert into[key].tolist() == decode_block(block).tolist()
+
+
+def test_concurrent_readers_take_only_written_rows():
+    """More reader threads than cores, each a statement of its own,
+    read the columns of a table through a bounded storage under a short
+    switch interval: evictions, re-fetches and racing misses of one
+    block.  Every read equals decoding its blocks, and every access is
+    counted once, in the global stats and in its reader's sink."""
+    import sys
+    import threading
+
+    rms = ManagedStorage(cache_capacity=5)
+    table = Table(TableSchema("t", TWIN_COLUMNS), num_slices=2, rows_per_block=7, rms=rms)
+    table.insert(twin_rows(0, 300), 1)
+    wants = [
+        {name: decoded_reference(column) for name, column in s.columns.items()}
+        for s in table.slices
+    ]
+    readers, failures = [], []
+
+    def read(seed):
+        rng = random.Random(seed)
+        reader = rms.query_context()
+        readers.append(reader)
+        try:
+            for _ in range(40):
+                slice_id = rng.randrange(2)
+                data_slice = table.slices[slice_id]
+                lo = rng.randrange(data_slice.num_rows)
+                coverage = data_slice.cover(RangeList([(lo, lo + rng.randrange(1, 60))]))
+                for name, column in data_slice.columns.items():
+                    got = column.read_ranges(coverage, reader)
+                    assert got.tolist() == wants[slice_id][name][coverage.row_ids].tolist()
+        except Exception as error:  # reported by the main thread
+            failures.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    blocks = sum(len(c.blocks) for s in table.slices for c in s.columns.values())
+    assert rms.stats.remote_fetches > blocks and rms.stats.local_hits > 0  # re-fetches
+    for name in ("remote_fetches", "local_hits"):
+        assert getattr(rms.stats, name) == sum(getattr(r.stats, name) for r in readers)
 
 
 class TestReadersAreExplicit:
@@ -402,8 +535,10 @@ class TestReadersAreExplicit:
         rms = self.armed(budget=500)
         one, two = rms.query_context(), rms.query_context()
         one.begin_scan_phase()  # one is mid-scan, two reads unphased
+        into = {}
         for index, (keys, blocks) in enumerate(block_calls(1)):
-            (one, two)[index % 2].read_blocks(keys, blocks)
+            (one, two)[index % 2].read_blocks(keys, blocks, into=into)
+            assert all(key in into for key in keys)
         one.end_scan_phase()
         for name in self.FIELDS:
             total = getattr(one.stats, name) + getattr(two.stats, name)
@@ -417,13 +552,16 @@ class TestReadersAreExplicit:
         rms = self.armed(budget=2)
         spent, fresh = rms.query_context(), rms.query_context()
         calls = block_calls(2)
+        into = {}  # the one sink of these keys, whichever reader reads them
         with pytest.raises(RetryBudgetExceeded):
             for keys, blocks in calls:
-                spent.read_blocks(keys, blocks)
+                spent.read_blocks(keys, blocks, into=into)
         assert spent.retry_budget_left == 0 and spent.stats.retry_giveups == 1
         keys, blocks = calls[0]
         assert fresh.retry_budget_left == 2
-        assert len(fresh.read_blocks(keys[:1], blocks[:1])) == 1
+        fresh.read_blocks(keys[:1], blocks[:1], into=into)
+        assert fresh.stats.blocks_accessed == 1
+        assert into[keys[0]].tolist() == blocks_values(keys[0])
         assert fresh.stats.retry_giveups == 0
 
     def test_one_context_driven_from_two_threads(self):
@@ -432,9 +570,12 @@ class TestReadersAreExplicit:
         rms = self.armed(budget=500)
         reader = rms.query_context()
         calls = block_calls(3)
+        into = {}
         threads = [
             threading.Thread(
-                target=lambda mine: [reader.read_blocks(k, b) for k, b in mine],
+                target=lambda mine: [
+                    reader.read_blocks(k, b, into=into) for k, b in mine
+                ],
                 args=(calls[half::2],),
             )
             for half in range(2)
@@ -445,6 +586,7 @@ class TestReadersAreExplicit:
             thread.join(timeout=30.0)
         assert reader.stats == rms.stats
         assert reader.stats.blocks_accessed == sum(len(k) for k, _ in calls)
+        assert set(into) == {key for keys, _ in calls for key in keys}
         assert reader.retry_budget_left == 500 - reader.stats.retries
 
 
@@ -478,8 +620,8 @@ class TestReadRanges:
         assert got.tolist() == [values[i] for i in rows]
         assert got.dtype == dtype.numpy_dtype
         assert rms.stats.blocks_accessed == len({i // 10 for i in rows if i < 30})
-        # The caller owns what it gets: never an array of the block cache.
-        assert not any(got is cached for cached in rms._cache.values())
+        # The caller owns what it gets: never a view of the decoded array.
+        assert not np.shares_memory(got, column._decoded._rows)
         shared = column.read_ranges(column.cover(RangeList(pairs)), rms)
         assert shared.tolist() == got.tolist()
 
@@ -638,16 +780,14 @@ def test_pruned_blocks_equals_the_scalar_rule(case):
 
 # -- block coverage: dropped blocks and selection against the plain build -------
 
-COVERAGE_ATTRIBUTES = ("row_ids", "sealed_rows", "blocks", "offsets", "tail_offsets")
+COVERAGE_ATTRIBUTES = (
+    "row_ids", "sealed_rows", "blocks", "whole_blocks", "tail_offsets",
+)
 
 
 def assert_same_coverage(got, want):
     for name in COVERAGE_ATTRIBUTES:
-        a, b = getattr(got, name), getattr(want, name)
-        if a is None or b is None:
-            assert a is b, name  # the dense case stays dense
-        else:
-            assert np.array_equal(a, b), name
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 @st.composite
@@ -686,7 +826,7 @@ def fixed_case(pairs, size, num_rows, dropped, keep_every=2):
 FIXED_COVERAGE_CASES = [
     # Every sealed candidate row dropped: only the partial last block's tail is left.
     fixed_case([(3, 8), (12, 25)], 10, 25, [True, True]),
-    # Empty tail; the kept block is covered completely (dense offsets).
+    # Empty tail; the kept block is covered completely (whole blocks).
     fixed_case([(0, 30)], 10, 30, [True, False, True], keep_every=1),
     # Partial last block, ranges past the end, a dropped block in the middle.
     fixed_case([(5, 12), (18, 50)], 10, 37, [False, True, False], keep_every=3),
@@ -985,9 +1125,9 @@ def test_one_rewrite_two_callers(case):
 
 
 def test_only_a_rewrite_invalidates_decoded_blocks():
-    """Sealing a block invalidates nothing (its key cannot be cached
-    yet); a rewrite drops the table's decoded blocks once, all of them,
-    and no other table's."""
+    """Sealing a block invalidates nothing (its key cannot be resident
+    yet); a rewrite makes the table's blocks non-resident once, all of
+    them, and no other table's."""
     db = Database(num_slices=2, rows_per_block=4)
     for name in ("t", "other"):
         db.create_table(TableSchema(name, (ColumnSpec("k", DataType.INT64),)))
@@ -1017,3 +1157,122 @@ def test_only_a_rewrite_invalidates_decoded_blocks():
         assert cached("t") == [] and len(cached("other")) == elsewhere
         assert db.rms.stats.blocks_invalidated == dropped + held
         assert len(t.read_column_all("k")) == survivors  # refills the cache
+
+
+# -- the decoded array against decoding every block --------------------------------
+
+
+TWIN_COLUMNS = (
+    ColumnSpec("k", DataType.INT64),
+    ColumnSpec("f", DataType.FLOAT64),
+    ColumnSpec("s", DataType.STRING),
+)
+
+
+def twin_rows(start, count):
+    keys = np.arange(start, start + count)
+    return {
+        "k": keys * 7 % 23,
+        "f": keys / 4,
+        "s": [f"s{key % 5}" for key in keys],
+    }
+
+
+@st.composite
+def decoded_array_cases(draw):
+    """(rows_per_block, capacity, fault seed, steps): a first append, then
+    appends of any size, reads of range lists or of whole blocks (most
+    steps), DELETE + VACUUM, ``reorganize`` and a cold node, in any
+    order."""
+    size = draw(st.integers(1, 6))
+    capacity = draw(st.integers(1, 30))
+    fault_seed = draw(st.none() | st.integers(0, 1_000))
+    pairs = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=4)
+    read = st.one_of(
+        st.tuples(st.just("read"), st.integers(0, 1), pairs, st.booleans()),
+        st.tuples(st.just("whole"), st.integers(0, 1), st.integers(0, 2**16)),
+    )
+    step = st.one_of(
+        read, read, read,
+        st.tuples(st.just("append"), st.integers(0, 25)),
+        st.tuples(st.just("vacuum"), st.integers(0, 2**16)),
+        st.tuples(st.just("reorganize"), st.integers(0, 2**16)),
+        st.tuples(st.just("clear")),
+    )
+    first = ("append", draw(st.integers(2 * size, 40)))
+    return size, capacity, fault_seed, [first, *draw(st.lists(step, min_size=2, max_size=14))]
+
+
+def decoded_reference(column):
+    """Every row of the column by decoding each sealed block afresh."""
+    return np.concatenate(
+        [decode_block(block) for block in column.blocks] + [column.tail_values()]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(decoded_array_cases())
+@example((2, 1, 3, [
+    ("append", 11), ("read", 0, [(0, 9)], False), ("append", 9),
+    ("read", 1, [(1, 3), (5, 12)], True), ("clear",), ("whole", 0, 5),
+    ("vacuum", 1), ("read", 0, [(0, 20)], True), ("reorganize", 2),
+    ("whole", 1, 0),
+]))
+def test_decoded_array_reads_equal_decoding_every_block(case):
+    """Column reads through a capacity-bounded storage — eviction, the
+    re-fetch that writes nothing, the array growing under appends, the
+    resets of VACUUM and ``reorganize``, corrupted attempts retried —
+    equal decoding every sealed block and indexing the covered rows."""
+    size, capacity, fault_seed, steps = case
+    rms = ManagedStorage(cache_capacity=capacity)
+    if fault_seed is not None:
+        rms.attach_faults(
+            FaultInjector(seed=fault_seed, error_rate=0.1, corruption_rate=0.2),
+            RetryPolicy(max_attempts=40),
+        )
+    table = Table(TableSchema("t", TWIN_COLUMNS), num_slices=2, rows_per_block=size, rms=rms)
+    txid, loaded = 1, 0
+    for step in steps:
+        kind = step[0]
+        if kind == "append":
+            table.insert(twin_rows(loaded, step[1]), txid)
+            loaded += step[1]
+        elif kind in ("read", "whole"):
+            data_slice = table.slices[step[1]]
+            if kind == "read":
+                coverage = data_slice.cover(RangeList([(min(p), max(p)) for p in step[2]]))
+            else:
+                rng = np.random.default_rng(step[2])
+                dropped = rng.random(data_slice.num_rows // size) < 0.3
+                coverage = data_slice.cover(None, dropped)
+            reader = rms
+            if kind == "read" and step[3]:
+                reader = rms.query_context()
+                reader.begin_scan_phase()
+            for column in data_slice.columns.values():
+                want = decoded_reference(column)[coverage.row_ids]
+                got = column.read_ranges(coverage, reader)
+                assert got.dtype == want.dtype
+                assert got.tolist() == want.tolist()
+            if reader is not rms:
+                reader.end_scan_phase()
+        elif kind == "vacuum":
+            rng = np.random.default_rng(step[1])
+            for slice_id, data_slice in enumerate(table.slices):
+                doomed = np.flatnonzero(rng.random(data_slice.num_rows) < 0.3)
+                table.delete_local_rows(slice_id, doomed, txid)
+            table.vacuum(txid + 1)
+        elif kind == "reorganize":
+            rng = np.random.default_rng(step[1])
+            table.reorganize(
+                lambda t: [rng.permutation(s.num_rows) for s in t.slices]
+            )
+        else:
+            rms.clear()
+        txid += 1
+    # No row was ever written wrong, nor rewritten by a corrupted attempt.
+    for data_slice in table.slices:
+        for column in data_slice.columns.values():
+            for index, block in enumerate(column.blocks):
+                if column._decoded.written(index):
+                    assert column._decoded.row(index).tolist() == decode_block(block).tolist()
