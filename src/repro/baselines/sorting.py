@@ -68,24 +68,3 @@ class PredicateSorter:
             keys.insert(0, np.arange(num_rows))
             permutations.append(np.lexsort(keys))
         return permutations
-
-    def signature_matrix(self, table: Table) -> np.ndarray:
-        """Per-row predicate-satisfaction bits (diagnostics and tests)."""
-        columns = sorted({c for p in self.predicates for c in p.columns()})
-        rows = []
-        for data_slice in table.slices:
-            num_rows = data_slice.num_rows
-            full = RangeList.full(num_rows)
-            batch = {
-                name: data_slice.columns[name].read_ranges(full, table.rms)
-                for name in columns
-                if name in data_slice.columns
-            }
-            bits = np.zeros((num_rows, len(self.predicates)), dtype=bool)
-            for j, predicate in enumerate(self.predicates):
-                try:
-                    bits[:, j] = predicate.evaluate(batch)
-                except KeyError:
-                    pass
-            rows.append(bits)
-        return np.concatenate(rows) if rows else np.zeros((0, len(self.predicates)))

@@ -46,11 +46,10 @@ class ClusterCaches:
     shared or synchronized between nodes (§4.6).
 
     ``cache_for_slice`` and ``nodes`` are the router protocol the scan
-    planner, the store and the recovery orchestrator address every
-    cache through (a bare :class:`PredicateCache` implements the same
-    two methods as a one-node router); everything else (aggregate
-    stats, memory, failure injection, persistence) is operator
-    convenience.
+    planner and the store address every cache through (a bare
+    :class:`PredicateCache` implements the same two methods as a
+    one-node router); everything else (aggregate stats, memory, failure
+    injection, persistence) is operator convenience.
 
     With a :class:`~repro.persist.CacheStore` attached, every node
     writes its cache events through to the store, initial nodes and the

@@ -81,16 +81,6 @@ class RowRange:
         end = min(self.end, other.end)
         return RowRange(start, max(start, end))
 
-    def union_touching(self, other: "RowRange") -> "RowRange":
-        """Merge with a touching range.
-
-        Raises:
-            ValueError: if the ranges neither overlap nor touch.
-        """
-        if not self.touches(other):
-            raise ValueError(f"ranges {self} and {other} do not touch")
-        return RowRange(min(self.start, other.start), max(self.end, other.end))
-
     def shift(self, offset: int) -> "RowRange":
         """A copy of this range translated by ``offset`` rows."""
         return RowRange(self.start + offset, self.end + offset)

@@ -7,23 +7,23 @@ load past configured queue/in-flight limits (the one overload
 mechanism), deadlines are honored at dispatch, and DML serializes
 against concurrent SELECTs through a shared/exclusive statement lock.
 
-A :class:`RecoveryOrchestrator` stages mid-write cache crashes and
-drives warm restarts.  A dead cluster node needs nothing from this
-layer: its tombstone sends its slices cache-off, and whoever killed it
-replaces it with ``ClusterCaches.fail_node``.
+Failure survival needs nothing from this layer.  A dead cluster node's
+tombstone sends its slices cache-off, and whoever killed it replaces it
+with ``ClusterCaches.fail_node``.  A cache-process restart is three
+calls on the engine's caches and store: detach the old caches and close
+the old store, open a fresh :class:`~repro.persist.CacheStore` over the
+same directory, and hand the engine a cache hydrated from it with
+``QueryEngine.set_predicate_cache``.
 """
 
 from .admission import AdmissionController, TenantState
 from .envelope import Request, RequestStatus, Response
-from .recovery import RecoveryOrchestrator, RecoveryReport
 from .server import QueryServer, ReadWriteLock
 
 __all__ = [
     "AdmissionController",
     "QueryServer",
     "ReadWriteLock",
-    "RecoveryOrchestrator",
-    "RecoveryReport",
     "Request",
     "RequestStatus",
     "Response",

@@ -24,6 +24,7 @@ the serving boundary, and workers cannot die to an engine exception.
 
 from __future__ import annotations
 
+import re
 import threading
 import time
 from collections import deque
@@ -39,6 +40,9 @@ __all__ = ["QueryServer", "ReadWriteLock"]
 # Statements whose first keyword mutates table or catalog state take
 # the write lock; everything else shares the read side.
 _WRITE_KEYWORDS = frozenset({"insert", "update", "delete", "vacuum", "analyze"})
+#: The statement's first keyword: its leading run of letters, so that
+#: ``vacuum;`` reads as ``vacuum`` without lexing the whole text.
+_FIRST_KEYWORD = re.compile(r"\s*([A-Za-z]+)")
 
 
 class ReadWriteLock:
@@ -425,6 +429,5 @@ class QueryServer:
 
 def _is_write_statement(sql: str) -> bool:
     """True when the statement's first keyword mutates shared state."""
-    stripped = sql.lstrip()
-    first = stripped.split(None, 1)[0].lower() if stripped else ""
-    return first in _WRITE_KEYWORDS
+    match = _FIRST_KEYWORD.match(sql)
+    return match is not None and match.group(1).lower() in _WRITE_KEYWORDS

@@ -7,22 +7,14 @@
 * :mod:`repro.workloads.fleet` — the fleet-of-clusters simulator behind
   the paper's Section 2 workload analysis,
 * :mod:`repro.workloads.customer` — the paper's internal customer
-  Workloads A and B (hit-rate and scan-repetition experiments),
-* :mod:`repro.workloads.loadgen` — seeded closed-loop load generation
-  for the concurrent serving layer.
+  Workloads A and B (hit-rate and scan-repetition experiments).
 """
 
-from . import customer, fleet, loadgen, ssb, tpcds_lite, tpch
-from .loadgen import LoadGenerator, LoadReport, LoadScript, run_closed_loop
+from . import customer, fleet, ssb, tpcds_lite, tpch
 
 __all__ = [
-    "LoadGenerator",
-    "LoadReport",
-    "LoadScript",
     "customer",
     "fleet",
-    "loadgen",
-    "run_closed_loop",
     "ssb",
     "tpch",
     "tpcds_lite",

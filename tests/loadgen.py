@@ -1,4 +1,4 @@
-"""Seeded closed-loop load generation for the serving layer (§12).
+"""Seeded closed-loop load generation for the serving tests (DESIGN.md §12).
 
 A :class:`LoadGenerator` deterministically expands a seed into
 per-client SQL scripts shaped like the paper's fleet traffic: a hot set
@@ -19,22 +19,19 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..serve import Request, RequestStatus, Response
-
-__all__ = [
-    "LoadGenerator",
-    "LoadReport",
-    "LoadScript",
-    "run_closed_loop",
-    "setup_load_tables",
-]
+from repro.serve import Request, RequestStatus, Response
+from repro.storage import ColumnSpec, DataType, TableSchema
 
 #: Columns every generated table carries.
-_COLUMNS = ("k", "v", "bucket")
+COLUMNS = ("k", "v", "bucket")
+#: Half-open upper bound of the ``k`` column and of generated keys.
+KEY_SPACE = 10_000
+#: Size of each client's hot scan pool.
+HOT_TEMPLATES = 8
 
 
 @dataclass(frozen=True)
@@ -43,7 +40,6 @@ class LoadScript:
 
     client_id: int
     tenant: str
-    table: str
     statements: Sequence[str]
 
 
@@ -57,17 +53,13 @@ class LoadGenerator:
             ``seed + i`` so adding clients never perturbs existing
             scripts.
         shared_table: when True every client hits one table
-            (``{table_prefix}_shared``) — contended mode for chaos
-            testing; when False client ``i`` owns ``{table_prefix}_c{i}``
-            — disjoint mode, where concurrent execution is bit-identical
-            to serial replay.
+            (``load_shared``) — contended mode for chaos testing; when
+            False client ``i`` owns ``load_c{i}`` — disjoint mode, where
+            concurrent execution is bit-identical to serial replay.
         hot_fraction: probability a statement repeats one of the
             client's hot scan templates (cache-hit traffic).
         dml_fraction: probability a statement is an invalidating write
             (DELETE, UPDATE, or VACUUM); the rest are ad-hoc scans.
-        hot_templates: size of each client's hot scan pool.
-        key_space: half-open upper bound of the ``k`` column domain the
-            generated predicates draw from.
     """
 
     def __init__(
@@ -78,9 +70,6 @@ class LoadGenerator:
         shared_table: bool = False,
         hot_fraction: float = 0.6,
         dml_fraction: float = 0.0,
-        hot_templates: int = 8,
-        key_space: int = 10_000,
-        table_prefix: str = "load",
     ) -> None:
         if num_clients < 1:
             raise ValueError("num_clients must be >= 1")
@@ -92,14 +81,9 @@ class LoadGenerator:
         self.shared_table = shared_table
         self.hot_fraction = hot_fraction
         self.dml_fraction = dml_fraction
-        self.hot_templates = hot_templates
-        self.key_space = key_space
-        self.table_prefix = table_prefix
 
     def table_for(self, client_id: int) -> str:
-        if self.shared_table:
-            return f"{self.table_prefix}_shared"
-        return f"{self.table_prefix}_c{client_id}"
+        return "load_shared" if self.shared_table else f"load_c{client_id}"
 
     def tables(self) -> List[str]:
         """Distinct tables the scripts reference, in client order."""
@@ -119,9 +103,7 @@ class LoadGenerator:
         table = self.table_for(client_id)
         # The hot pool is fixed up front so repeats are literal repeats
         # (same statement text → same scan key → predicate-cache hit).
-        hot_pool = [
-            self._scan_sql(table, rng) for _ in range(self.hot_templates)
-        ]
+        hot_pool = [self._scan_sql(table, rng) for _ in range(HOT_TEMPLATES)]
         statements: List[str] = []
         for _ in range(self.statements_per_client):
             draw = rng.random()
@@ -134,12 +116,11 @@ class LoadGenerator:
         return LoadScript(
             client_id=client_id,
             tenant=f"tenant_{client_id}",
-            table=table,
             statements=tuple(statements),
         )
 
     def _scan_sql(self, table: str, rng: np.random.Generator) -> str:
-        lo = int(rng.integers(0, self.key_space))
+        lo = int(rng.integers(0, KEY_SPACE))
         width = int(rng.integers(50, 500))
         if rng.random() < 0.5:
             return (
@@ -155,50 +136,42 @@ class LoadGenerator:
     def _dml_sql(self, table: str, rng: np.random.Generator) -> str:
         kind = rng.random()
         if kind < 0.4:
-            key = int(rng.integers(0, self.key_space))
+            key = int(rng.integers(0, KEY_SPACE))
             return f"delete from {table} where k = {key}"
         if kind < 0.8:
-            key = int(rng.integers(0, self.key_space))
+            key = int(rng.integers(0, KEY_SPACE))
             bump = int(rng.integers(1, 10))
             return f"update {table} set v = {bump} where k = {key}"
         return f"vacuum {table}"
 
 
-def setup_load_tables(
-    engine,
-    generator: LoadGenerator,
-    rows_per_table: int = 20_000,
-    seed: Optional[int] = None,
-) -> List[str]:
-    """Create + populate every table a generator's scripts reference.
+def setup_load_tables(engine, generator: LoadGenerator, rows_per_table: int = 20_000):
+    """Create + populate every table a generator's scripts reference;
+    returns ``engine``.
 
-    Row content is seeded (default: the generator's own seed), so two
-    databases set up with the same arguments hold identical data —
-    required by the differential oracle.
+    Row content is seeded by the generator's own seed, so two databases
+    set up with the same arguments hold identical data — required by
+    the differential oracle.
     """
-    from ..storage import ColumnSpec, DataType, TableSchema
-
-    seed = generator.seed if seed is None else seed
-    names = generator.tables()
-    for name in names:
+    for name in generator.tables():
         # SeedSequence takes integer entropy; fold the table name in so
         # shared and per-client tables get distinct but stable content.
-        rng = np.random.default_rng([seed, *name.encode()])
+        rng = np.random.default_rng([generator.seed, *name.encode()])
         engine.database.create_table(
             TableSchema(
                 name,
-                tuple(ColumnSpec(column, DataType.INT64) for column in _COLUMNS),
+                tuple(ColumnSpec(column, DataType.INT64) for column in COLUMNS),
             )
         )
         engine.insert(
             name,
             {
-                "k": rng.integers(0, generator.key_space, rows_per_table),
+                "k": rng.integers(0, KEY_SPACE, rows_per_table),
                 "v": rng.integers(0, 1000, rows_per_table),
                 "bucket": rng.integers(0, 50, rows_per_table),
             },
         )
-    return names
+    return engine
 
 
 @dataclass
@@ -219,16 +192,13 @@ class LoadReport:
     def total_requests(self) -> int:
         return sum(len(r) for r in self.responses.values())
 
-    def status_counts(self) -> Dict[RequestStatus, int]:
-        """Terminal responses per status, every status present (one pass)."""
-        counts = {status: 0 for status in RequestStatus}
-        for responses in self.responses.values():
-            for response in responses:
-                counts[response.status] += 1
-        return counts
-
     def count(self, status: RequestStatus) -> int:
-        return self.status_counts()[status]
+        """Terminal responses with ``status``."""
+        return sum(
+            response.status is status
+            for responses in self.responses.values()
+            for response in responses
+        )
 
     def note_rejection(self, client_id: int, reason: str) -> None:
         """Record one retried rejection (called by the client's own thread)."""

@@ -16,22 +16,10 @@ happened and were absorbed (injected > 0, retried > 0, given up == 0).
 import numpy as np
 import pytest
 
-from repro import (
-    ClusterCaches,
-    Database,
-    FaultInjector,
-    PredicateCacheConfig,
-    QueryEngine,
-    RetryPolicy,
-)
-from repro.storage import ColumnSpec, DataType, TableSchema
+from repro import ClusterCaches, FaultInjector, PredicateCacheConfig, RetryPolicy
 
-from tests.test_differential import (
-    COLUMNS,
-    SEED_ROWS,
-    apply_step,
-    generate_steps,
-)
+from tests.test_differential import TWIN_DATA, apply_step, generate_steps
+from tests.twins import seeded_engine
 
 ERROR_RATE = 0.05
 CORRUPTION_RATE = 0.01
@@ -44,25 +32,12 @@ CHAOS_RETRIES = RetryPolicy(max_attempts=8)
 
 def build_chaos_twins(variant, seed, num_nodes=2):
     """Cached twin under fault injection, uncached twin fault-free."""
-
-    def populate(engine):
-        rng = np.random.default_rng(7)
-        engine.insert(
-            "t",
-            {c: rng.integers(0, 100, SEED_ROWS) for c in COLUMNS},
-        )
-
-    schema = TableSchema("t", tuple(ColumnSpec(c, DataType.INT64) for c in COLUMNS))
-
-    # A bounded block cache keeps remote refetches (and therefore fault
-    # draws) coming for the whole workload, not just after vacuums.
-    chaos_db = Database(num_slices=2, rows_per_block=64, cache_capacity=48)
-    chaos_db.create_table(schema)
     caches = ClusterCaches(
         num_nodes=num_nodes, config=PredicateCacheConfig(variant=variant)
     )
-    cached = QueryEngine(chaos_db, predicate_cache=caches)
-    populate(cached)
+    # A bounded block cache keeps remote refetches (and therefore fault
+    # draws) coming for the whole workload, not just after vacuums.
+    cached = seeded_engine(caches, **TWIN_DATA, cache_capacity=48)
     injector = FaultInjector(
         seed=seed,
         error_rate=ERROR_RATE,
@@ -70,13 +45,8 @@ def build_chaos_twins(variant, seed, num_nodes=2):
         latency_rate=LATENCY_RATE,
         latency_seconds=0.005,
     )
-    chaos_db.attach_faults(injector, CHAOS_RETRIES)
-
-    plain_db = Database(num_slices=2, rows_per_block=64)
-    plain_db.create_table(schema)
-    plain = QueryEngine(plain_db)
-    populate(plain)
-    return cached, plain, caches, injector
+    cached.database.attach_faults(injector, CHAOS_RETRIES)
+    return cached, seeded_engine(None, **TWIN_DATA), caches, injector
 
 
 def run_chaos_workload(variant, seed, steps=200, fail_node_every=25):

@@ -16,70 +16,27 @@ Two layers of generation:
   profiles.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import (
-    Database,
-    PredicateCache,
-    PredicateCacheConfig,
-    QueryEngine,
-    parse_predicate,
-)
-from repro.storage import ColumnSpec, DataType, TableSchema
+from repro import PredicateCache, PredicateCacheConfig, parse_predicate
 
-COLUMNS = ("k", "v", "w")
+from tests.twins import COLUMNS, assert_rows_equal, seeded_engine
+
 SEED_ROWS = 1200
+#: Seed and layout of the twins' table ``t``.
+TWIN_DATA = dict(seed=7, rows=SEED_ROWS, num_slices=2, rows_per_block=64)
 
 
 def build_twins(variant):
-    """Two engines over identically-populated twin databases."""
-    engines = []
-    for use_cache in (True, False):
-        db = Database(num_slices=2, rows_per_block=64)
-        db.create_table(
-            TableSchema(
-                "t", tuple(ColumnSpec(c, DataType.INT64) for c in COLUMNS)
-            )
-        )
-        cache = (
-            PredicateCache(PredicateCacheConfig(variant=variant))
-            if use_cache
-            else None
-        )
-        engine = QueryEngine(db, predicate_cache=cache)
-        rng = np.random.default_rng(7)
-        engine.insert(
-            "t",
-            {
-                "k": rng.integers(0, 100, SEED_ROWS),
-                "v": rng.integers(0, 100, SEED_ROWS),
-                "w": rng.integers(0, 100, SEED_ROWS),
-            },
-        )
-        engines.append(engine)
-    return engines
+    """A cached engine and its cache-off twin over identical data."""
+    cache = PredicateCache(PredicateCacheConfig(variant=variant))
+    return seeded_engine(cache, **TWIN_DATA), seeded_engine(None, **TWIN_DATA)
 
 
 # -- the oracle ---------------------------------------------------------------
-
-
-def assert_rows_equal(a, b, context):
-    assert len(a) == len(b), f"{context}: row counts differ {len(a)} vs {len(b)}"
-    for ra, rb in zip(sorted(a, key=repr), sorted(b, key=repr)):
-        for va, vb in zip(ra, rb):
-            both_nan = (
-                isinstance(va, float)
-                and isinstance(vb, float)
-                and math.isnan(va)
-                and math.isnan(vb)
-            )
-            if not both_nan:
-                assert va == vb, f"{context}: {ra} != {rb}"
 
 
 def apply_step(cached, plain, step, step_no):

@@ -26,10 +26,8 @@ from hypothesis import strategies as st
 from repro import (
     CacheStore,
     ClusterCaches,
-    Database,
     PredicateCache,
     PredicateCacheConfig,
-    QueryEngine,
     invariants,
     parse_predicate,
 )
@@ -37,9 +35,8 @@ from repro.engine import scan as scan_module
 from repro.storage import ColumnSpec, DataType, TableSchema
 from repro.storage.rms import ManagedStorage
 
-from tests.test_differential import assert_rows_equal
+from tests.twins import COLUMNS, assert_rows_equal, seeded_engine
 
-COLUMNS = ("k", "v", "w")
 SEED_ROWS = 800
 
 
@@ -50,19 +47,20 @@ def forced_recheck():
     )
 
 
-def make_db():
-    db = Database(num_slices=4, rows_per_block=32)
-    for name, columns in (("t", COLUMNS), ("d", ("dk", "g"))):
-        db.create_table(
-            TableSchema(name, tuple(ColumnSpec(c, DataType.INT64) for c in columns))
-        )
-    return db
-
-
-def populate(engine):
+def build(cache):
+    """The harness's ``t`` plus the dimension ``d(dk, g)`` joins probe."""
+    engine = seeded_engine(
+        cache, seed=7, rows=SEED_ROWS, num_slices=4, rows_per_block=32
+    )
+    engine.database.create_table(
+        TableSchema("d", tuple(ColumnSpec(c, DataType.INT64) for c in ("dk", "g")))
+    )
+    # ``g`` continues the seed's stream past the draws that filled ``t``.
     rng = np.random.default_rng(7)
-    engine.insert("t", {c: rng.integers(0, 100, SEED_ROWS) for c in COLUMNS})
+    for _ in COLUMNS:
+        rng.integers(0, 100, SEED_ROWS)
     engine.insert("d", {"dk": np.arange(100), "g": rng.integers(0, 10, 100)})
+    return engine
 
 
 class Twin:
@@ -71,13 +69,13 @@ class Twin:
 
     def __init__(self, config, forced, directory):
         self.forced = forced
-        self.db = make_db()
         self.cluster = None
         if config is not None:
-            store = CacheStore(directory, catalog=self.db)
-            self.cluster = ClusterCaches(2, config, store=store)
-        self.engine = QueryEngine(self.db, predicate_cache=self.cluster)
-        populate(self.engine)
+            self.cluster = ClusterCaches(2, config, store=CacheStore(directory))
+        self.engine = build(self.cluster)
+        if self.cluster is not None:
+            # Restores revalidate against the database the twin built.
+            self.cluster.store.catalog = self.engine.database
 
     def __call__(self, method, *args):
         with forced_recheck() if self.forced else nullcontext():
@@ -282,12 +280,7 @@ def read_keys(monkeypatch):
 
 
 def range_engine():
-    engine = QueryEngine(
-        make_db(),
-        predicate_cache=PredicateCache(PredicateCacheConfig(variant="range")),
-    )
-    populate(engine)
-    return engine
+    return build(PredicateCache(PredicateCacheConfig(variant="range")))
 
 
 def test_warm_exact_hit_reads_no_predicate_only_column(monkeypatch):
@@ -317,8 +310,7 @@ def test_exact_hit_reads_predicate_columns_of_the_tail_only(monkeypatch):
     tail_blocks = [
         (slice_id, block) for _, slice_id, column, block in seen if column == "k"
     ]
-    plain = QueryEngine(make_db())
-    populate(plain)
+    plain = build(None)
     plain.insert("t", more)
     truth = plain.execute(sql)
     assert_rows_equal(warm.rows(), truth.rows(), sql)

@@ -196,7 +196,7 @@ class TestLiveWorkloadContainment:
         )
         from repro.cluster import ClusterCaches
         from repro.persist import CacheStore
-        from repro.workloads.loadgen import LoadGenerator, setup_load_tables
+        from tests.loadgen import LoadGenerator, setup_load_tables
 
         gen = LoadGenerator(
             num_clients=4, statements_per_client=10, seed=97, hot_fraction=0.5

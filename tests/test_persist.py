@@ -29,8 +29,9 @@ from repro.persist.format import (
     encode_snapshot,
     iter_journal,
 )
-from repro.serve import RecoveryOrchestrator
 from repro.storage import ColumnSpec, DataType, TableSchema
+
+from tests.twins import restart
 
 COLUMNS = ("x", "v")
 
@@ -837,10 +838,9 @@ class TestRetiredCaches:
         for num_nodes in (3, 1, 2):
             caches.resize(num_nodes)
             assert len(table._listeners) == num_nodes
-        orchestrator = RecoveryOrchestrator(engine, store)
-        orchestrator.restart()
+        store = restart(engine, store)[0]
         assert len(table._listeners) == 2
-        caches, store = engine.predicate_cache, orchestrator.store
+        caches = engine.predicate_cache
 
         live = sum(len(node) for node in caches.nodes())
         assert live == 10  # 5 keys, each with a share on both nodes

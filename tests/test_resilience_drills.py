@@ -11,7 +11,8 @@ exact invalidation accounting where DML is in play):
   from the store while the server keeps answering every request.
 * **crash-restart recovery** — the cache process "dies" mid-snapshot
   (and mid-journal-append), then restarts: journal replay + catalog
-  revalidation rebuild a warm cache under live load.
+  revalidation rebuild a warm cache under live load
+  (``tests/twins.py``'s ``crash_next_write`` and ``restart``).
 * **overload shed** — eight clients share one tenant whose admission
   caps hold four requests; the excess is rejected as ``tenant_limit``,
   closed-loop clients retry through it and every statement still
@@ -38,44 +39,35 @@ from repro import (
     RequestStatus,
 )
 from repro.cluster import ClusterCaches
+from repro.core.keys import ScanKey
 from repro.faults import NodeDownError
 from repro.obs import MetricsRegistry
 from repro.persist import CacheStore
-from repro.serve import AdmissionController, RecoveryOrchestrator
-from repro.workloads.loadgen import (
-    LoadGenerator,
-    run_closed_loop,
-    setup_load_tables,
-)
+from repro.serve import AdmissionController
+
+from tests.loadgen import LoadGenerator, run_closed_loop, setup_load_tables
+from tests.twins import assert_matches, crash_next_write, replay, restart
 
 #: CI runs the suite at two seeds; locally this defaults to 0.
 DRILL_SEED = int(os.environ.get("REPRO_DRILL_SEED", "0"))
 
+#: Journalled only to tear a journal append: its digest matches no
+#: live entry, so replay ignores it.
+TEAR_KEY = ScanKey("__recovery_drill__", "tear-here")
 
-def uncached_truth(generator, rows_per_table=3000):
-    """Serial cache-off ground truth for every script statement."""
-    plain = QueryEngine(Database())
-    setup_load_tables(plain, generator, rows_per_table=rows_per_table)
-    return {
-        script.client_id: [
-            {k: v.tolist() for k, v in plain.execute(sql).columns.items()}
-            for sql in script.statements
-        ]
-        for script in generator.scripts()
-    }
+#: The write each crash drill tears.
+CRASHES = {
+    "mid_snapshot": lambda engine, store: store.snapshot(engine.predicate_cache),
+    "mid_journal": lambda engine, store: store.log_drop(TEAR_KEY, [0]),
+}
 
 
-def assert_matches_truth(report, generator, truth):
-    for script in generator.scripts():
-        responses = report.responses[script.client_id]
-        assert len(responses) == len(script.statements)
-        for position, (expected, response) in enumerate(
-            zip(truth[script.client_id], responses)
-        ):
-            context = f"client {script.client_id} statement {position}"
-            assert response.ok, f"{context}: {response.error}"
-            got = {k: v.tolist() for k, v in response.result.columns.items()}
-            assert got == expected, context
+def crash(engine, store, kind):
+    """Tear the ``kind`` write of a live store; True when it tore."""
+    torn_before = store.torn_writes
+    with crash_next_write(store):
+        CRASHES[kind](engine, store)
+    return store.torn_writes > torn_before
 
 
 def run_load_in_background(server, scripts):
@@ -101,7 +93,8 @@ class TestNodeFailoverDrill:
             seed=31 + DRILL_SEED,
             hot_fraction=0.6,
         )
-        truth = uncached_truth(gen)
+        plain = setup_load_tables(QueryEngine(Database()), gen, rows_per_table=3000)
+        truth = replay(plain, gen)  # serial cache-off ground truth
 
         db = Database()
         store = CacheStore(tmp_path, catalog=db)
@@ -133,7 +126,7 @@ class TestNodeFailoverDrill:
         report = results[0]
         assert report.errors == 0
         assert report.count(RequestStatus.OK) == report.total_requests
-        assert_matches_truth(report, gen, truth)
+        assert_matches(report, gen, truth)
 
         # The restored node serves cache traffic again (warm or cold).
         hot_sql = gen.scripts()[1].statements[0]
@@ -202,7 +195,8 @@ class TestCrashRestartDrill:
             seed=47 + DRILL_SEED,
             hot_fraction=0.7,
         )
-        truth = uncached_truth(gen)
+        plain = setup_load_tables(QueryEngine(Database()), gen, rows_per_table=3000)
+        truth = replay(plain, gen)  # serial cache-off ground truth
         engine, store = self._engine_with_store(tmp_path, gen)
 
         # Warm the cache and persist a clean snapshot baseline.
@@ -212,13 +206,12 @@ class TestCrashRestartDrill:
         assert store.snapshot(engine.predicate_cache)
         assert len(engine.predicate_cache.keys()) > 0
 
-        orchestrator = RecoveryOrchestrator(engine, store)
         server = QueryServer(engine, max_workers=4)
         try:
             thread, results = run_load_in_background(server, gen.scripts())
             time.sleep(0.02)  # crash strikes mid-workload
-            torn = getattr(orchestrator, f"crash_{crash_kind}")()
-            report = orchestrator.restart()
+            torn = crash(engine, store, crash_kind)
+            fresh, before, restored = restart(engine, store)
             thread.join(timeout=60)
             assert not thread.is_alive()
         finally:
@@ -226,20 +219,21 @@ class TestCrashRestartDrill:
 
         assert torn
         assert store.torn_writes == 1
-        assert report.keys_before > 0
-        assert report.keys_restored > 0
-        assert report.warm_hit_retention > 0.0
+        assert before
+        assert restored
+        warm_hit_retention = len(restored & before) / len(before)
+        assert warm_hit_retention > 0.0
         # The replacement cache took over the engine and journals anew;
         # the fresh store counts its own recovery.
-        assert engine.predicate_cache.store is orchestrator.store
-        assert orchestrator.store is not store
-        assert orchestrator.store.recoveries == 1
-        assert orchestrator.store.warm_restores > 0
+        assert engine.predicate_cache.store is fresh
+        assert fresh is not store
+        assert fresh.recoveries == 1
+        assert fresh.warm_restores > 0
 
         load_report = results[0]
         assert load_report.errors == 0
         assert load_report.count(RequestStatus.OK) == load_report.total_requests
-        assert_matches_truth(load_report, gen, truth)
+        assert_matches(load_report, gen, truth)
 
         # Post-restart cache keeps serving and stays consistent.
         reader = QueryEngine(engine.database)
@@ -251,8 +245,7 @@ class TestCrashRestartDrill:
         engine, store = self._engine_with_store(tmp_path, gen, rows=2000)
         for sql in gen.scripts()[0].statements:
             engine.execute(sql)
-        orchestrator = RecoveryOrchestrator(engine, store)
-        assert orchestrator.crash_mid_journal()
+        assert crash(engine, store, "mid_journal")
         dropped_before = store.journal_dropped
         # A warm repeat changes no state and journals nothing, wedged or
         # not; what a wedged store must drop is a real install.
@@ -263,12 +256,12 @@ class TestCrashRestartDrill:
         )
         assert store.journal_dropped > dropped_before  # wedged, as a crash would be
 
-        report = orchestrator.restart()
-        assert report.keys_restored > 0
+        fresh, _, restored = restart(engine, store)
+        assert restored
         # The fresh store is not wedged: new installs journal again.
-        records_before = orchestrator.store.journal_records
+        records_before = fresh.journal_records
         engine.execute(gen.scripts()[0].statements[1])
-        assert orchestrator.store.journal_records >= records_before
+        assert fresh.journal_records >= records_before
 
     def test_clean_restart_retains_all_journaled_keys(self, tmp_path):
         gen = LoadGenerator(num_clients=2, statements_per_client=10, seed=29)
@@ -276,10 +269,10 @@ class TestCrashRestartDrill:
         for script in gen.scripts():
             for sql in script.statements:
                 engine.execute(sql)
-        report = RecoveryOrchestrator(engine, store).restart()
-        # Nothing was lost: write-through journaled every install.
-        assert report.warm_hit_retention == 1.0
-        assert report.keys_restored >= report.keys_before
+        _, before, restored = restart(engine, store)
+        # Nothing was lost (warm-hit retention 1.0): write-through
+        # journaled every install.
+        assert before <= restored
 
     def test_restart_keeps_the_admission_policy(self, tmp_path):
         gen = LoadGenerator(num_clients=1, statements_per_client=4, seed=5)
@@ -292,7 +285,7 @@ class TestCrashRestartDrill:
         store = CacheStore(tmp_path, catalog=db)
         store.attach(cache)
 
-        RecoveryOrchestrator(engine, store).restart()
+        restart(engine, store)
         replacement = engine.predicate_cache
         assert replacement is not cache
         assert type(replacement.policy) is CostBasedPolicy
@@ -401,9 +394,8 @@ class TestResilienceMetrics:
             engine.execute(sql)
         cluster.kill_node(0)
         cluster.fail_node(0)
-        orchestrator = RecoveryOrchestrator(engine, store)
-        assert orchestrator.crash_mid_snapshot()
-        orchestrator.restart()
+        assert crash(engine, store, "mid_snapshot")
+        restart(engine, store)
 
         after = set(registry.as_dict().keys())
         assert before == after

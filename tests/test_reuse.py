@@ -42,9 +42,8 @@ from repro.reuse import bounds_contain, decompose, find_subsuming
 from repro.reuse.subsume import _interval_width
 from repro.storage import ColumnSpec, DataType, TableSchema
 
-from tests.test_differential import assert_rows_equal
+from tests.twins import COLUMNS, assert_rows_equal, seeded_engine
 
-COLUMNS = ("k", "v", "w")
 SEED_ROWS = 1500
 
 
@@ -53,25 +52,13 @@ def reuse_config(variant="range", **overrides):
 
 
 def build_twins(config, seed_rows=SEED_ROWS, inject=None):
-    """Reuse-enabled cached engine vs cache-off twin."""
-    engines = []
-    for use_cache in (True, False):
-        db = Database(num_slices=2, rows_per_block=64)
-        db.create_table(
-            TableSchema(
-                "t", tuple(ColumnSpec(c, DataType.INT64) for c in COLUMNS)
-            )
-        )
-        cache = PredicateCache(config) if use_cache else None
-        engine = QueryEngine(db, predicate_cache=cache)
-        rng = np.random.default_rng(11)
-        engine.insert(
-            "t", {c: rng.integers(0, 100, seed_rows) for c in COLUMNS}
-        )
-        if use_cache and inject is not None:
-            db.attach_faults(inject, RetryPolicy(max_attempts=8))
-        engines.append(engine)
-    return engines
+    """Reuse-enabled cached engine vs cache-off twin; ``inject`` faults
+    the cached side's storage only."""
+    data = dict(seed=11, rows=seed_rows, num_slices=2, rows_per_block=64)
+    cached = seeded_engine(PredicateCache(config), **data)
+    if inject is not None:
+        cached.database.attach_faults(inject, RetryPolicy(max_attempts=8))
+    return cached, seeded_engine(None, **data)
 
 
 def drilldown_steps(rounds=4, seed=5):

@@ -46,11 +46,6 @@ class TestRowRange:
         empty = RowRange(0, 5).intersect(RowRange(8, 10))
         assert len(empty) == 0
 
-    def test_union_touching(self):
-        assert RowRange(0, 5).union_touching(RowRange(5, 9)) == RowRange(0, 9)
-        with pytest.raises(ValueError):
-            RowRange(0, 5).union_touching(RowRange(7, 9))
-
     def test_shift(self):
         assert RowRange(3, 7).shift(10) == RowRange(13, 17)
 

@@ -7,7 +7,8 @@ Four layers of assurance over :mod:`repro.serve` (DESIGN.md §12):
 * **concurrent differential oracle** — N closed-loop clients over
   disjoint per-client tables must produce results (and per-query
   ``blocks_accessed``) bit-identical to a serial replay of the same
-  scripts, and to a cache-disabled twin;
+  scripts, and to a cache-disabled twin (``tests/twins.py``'s
+  ``replay`` and ``assert_matches``);
 * **concurrent chaos** — 8 clients hammer one *shared* table with scans
   and invalidating DML for 200+ statements: zero surfaced errors, no
   dropped or duplicated invalidations (generation accounting is exact),
@@ -42,11 +43,10 @@ from repro.obs import Tracer
 from repro.persist import CacheStore
 from repro.serve import AdmissionController
 from repro.serve.server import _is_write_statement
-from repro.workloads.loadgen import (
-    LoadGenerator,
-    run_closed_loop,
-    setup_load_tables,
-)
+from repro.sql import SelectStatement, parse_statement
+
+from tests.loadgen import LoadGenerator, run_closed_loop, setup_load_tables
+from tests.twins import assert_matches, replay
 
 
 def make_server(engine=None, **kwargs):
@@ -57,10 +57,8 @@ def make_server(engine=None, **kwargs):
 
 def make_loaded_engine(generator, rows_per_table=3000, **db_kwargs):
     """A fresh cached engine with the generator's tables populated."""
-    db = Database(**db_kwargs)
-    engine = QueryEngine(db, predicate_cache=PredicateCache())
-    setup_load_tables(engine, generator, rows_per_table=rows_per_table)
-    return engine
+    engine = QueryEngine(Database(**db_kwargs), predicate_cache=PredicateCache())
+    return setup_load_tables(engine, generator, rows_per_table=rows_per_table)
 
 
 # -- server semantics ---------------------------------------------------------
@@ -255,8 +253,25 @@ class TestServerBasics:
         assert _is_write_statement("Update t set v = 1")
         assert _is_write_statement("vacuum t")
         assert _is_write_statement("analyze")
+        assert _is_write_statement("vacuum;")
+        assert _is_write_statement("analyze;")
         assert not _is_write_statement("select count(*) from t")
         assert not _is_write_statement("")
+        # Exclusive exactly when the statement is not a SELECT, whatever
+        # follows its first keyword.
+        for text in (
+            "select count(*) from t where k < 3",
+            "insert into t values (1, 2, 3)",
+            "delete from t where k = 1",
+            "update t set v = 1 where k = 2",
+            "vacuum t",
+            "vacuum",
+            "analyze t",
+            "analyze",
+        ):
+            for sql in (text, text + ";"):
+                expected = not isinstance(parse_statement(sql), SelectStatement)
+                assert _is_write_statement(sql) == expected, sql
 
     def test_per_tenant_stats_are_isolated(self):
         gen = LoadGenerator(num_clients=2, statements_per_client=1, seed=6)
@@ -390,27 +405,6 @@ class TestDeadlineDrainRace:
 # -- the concurrent differential oracle ---------------------------------------
 
 
-def run_serial_twin(generator, rows_per_table=3000):
-    """Replay every script serially on a fresh cached engine.
-
-    Returns ``{client_id: [(columns_dict, blocks_accessed), ...]}``.
-    """
-    engine = make_loaded_engine(generator, rows_per_table=rows_per_table)
-    outputs = {}
-    for script in generator.scripts():
-        per_statement = []
-        for sql in script.statements:
-            result = engine.execute(sql)
-            per_statement.append(
-                (
-                    {k: v.tolist() for k, v in result.columns.items()},
-                    result.counters.blocks_accessed,
-                )
-            )
-        outputs[script.client_id] = per_statement
-    return outputs
-
-
 @pytest.mark.parametrize(
     "num_clients,seed",
     [(2, 11), (8, 11), (8, 29), (32, 11)],
@@ -423,7 +417,7 @@ def test_concurrent_matches_serial_bit_identical(num_clients, seed):
     gen = LoadGenerator(
         num_clients=num_clients, statements_per_client=statements, seed=seed
     )
-    serial = run_serial_twin(gen)
+    serial = replay(make_loaded_engine(gen), gen)
 
     engine = make_loaded_engine(gen)
     server = QueryServer(engine, max_workers=8)
@@ -434,18 +428,7 @@ def test_concurrent_matches_serial_bit_identical(num_clients, seed):
 
     assert report.errors == 0
     assert report.count(RequestStatus.TIMED_OUT) == 0
-    for script in gen.scripts():
-        expected = serial[script.client_id]
-        responses = report.responses[script.client_id]
-        assert len(responses) == len(expected)
-        for position, ((columns, blocks), response) in enumerate(
-            zip(expected, responses)
-        ):
-            context = f"client {script.client_id} statement {position}"
-            assert response.ok, context
-            got = {k: v.tolist() for k, v in response.result.columns.items()}
-            assert got == columns, context
-            assert response.result.counters.blocks_accessed == blocks, context
+    assert_matches(report, gen, serial, blocks=True)
 
 
 def test_concurrent_matches_cache_disabled_twin():
@@ -453,17 +436,8 @@ def test_concurrent_matches_cache_disabled_twin():
     cache-*disabled* engine — concurrency plus caching together change
     nothing about answers."""
     gen = LoadGenerator(num_clients=8, statements_per_client=20, seed=17)
-
-    plain_db = Database()
-    plain = QueryEngine(plain_db)
-    setup_load_tables(plain, gen, rows_per_table=3000)
-    truth = {
-        script.client_id: [
-            {k: v.tolist() for k, v in plain.execute(sql).columns.items()}
-            for sql in script.statements
-        ]
-        for script in gen.scripts()
-    }
+    plain = setup_load_tables(QueryEngine(Database()), gen, rows_per_table=3000)
+    truth = replay(plain, gen)
 
     engine = make_loaded_engine(gen)
     server = QueryServer(engine, max_workers=8)
@@ -472,12 +446,7 @@ def test_concurrent_matches_cache_disabled_twin():
     finally:
         server.shutdown()
     assert engine.predicate_cache.stats.hits > 0, "oracle is vacuous"
-    for script in gen.scripts():
-        for expected, response in zip(
-            truth[script.client_id], report.responses[script.client_id]
-        ):
-            got = {k: v.tolist() for k, v in response.result.columns.items()}
-            assert got == expected
+    assert_matches(report, gen, truth)
 
 
 # -- concurrent chaos over one shared table -----------------------------------

@@ -75,13 +75,6 @@ class TestPredicateSorter:
         with pytest.raises(ValueError):
             PredicateSorter([])
 
-    def test_signature_matrix(self):
-        db = make_db(n=100, num_slices=1)
-        sorter = PredicateSorter([parse_predicate("x < 10")])
-        bits = sorter.signature_matrix(db.table("t"))
-        xs = db.table("t").read_column_all("x")
-        assert bits[:, 0].tolist() == (xs < 10).tolist()
-
 
 class TestQdTree:
     def test_fig9_four_partitions(self):

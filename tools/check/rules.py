@@ -27,10 +27,11 @@ per file), so :func:`run_rules` runs each distinct check once.
   by reachability.
 
 * **RP008** — retired: it banned an uncounted ``StorageFault`` catch
-  in the heartbeat monitor and the recovery orchestrator.  The monitor
-  is gone (a dead node's tombstone alone sends its slices cache-off,
-  and ``ClusterCaches.fail_node`` is the one failover call) and the
-  orchestrator catches no fault, so the rule policed nothing.
+  in the heartbeat monitor and the recovery orchestrator.  Both are
+  gone: a dead node's tombstone alone sends its slices cache-off,
+  ``ClusterCaches.fail_node`` is the one failover call, and a
+  cache-process restart is three calls its caller makes (detach and
+  close, a fresh ``CacheStore``, ``QueryEngine.set_predicate_cache``).
 
 * **RP010 — lock-order cycle.**  Any cycle in the global
   lock-acquisition-order graph is a potential deadlock: two threads
