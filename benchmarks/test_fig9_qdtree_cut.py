@@ -33,16 +33,16 @@ def test_fig9_qdtree_cut(benchmark):
 
     benchmark.pedantic(lambda: tree.build_and_apply(db.table("t")), rounds=1, iterations=1)
 
-    both = tree.candidate_ranges({0: True, 1: True}, 0)
-    narrower = tree.candidate_ranges({0: True}, 0)
+    both = len(tree.candidate_rows({0: True, 1: True}, 0))
+    narrower = len(tree.candidate_rows({0: True}, 0))
     engine = QueryEngine(db)
     exact = engine.execute("select count(*) as c from t where x < 10 and y > 42").scalar()
 
     rows = [
         ["partitions", tree.num_leaves, "4"],
-        ["rows for x<10 AND y>42", f"{both.num_rows} of {n}", "1 of 4 parts"],
+        ["rows for x<10 AND y>42", f"{both} of {n}", "1 of 4 parts"],
         ["exact matches inside", int(exact), "all covered"],
-        ["rows for narrower x<5", f"{narrower.num_rows} of {n}", "2 of 4 parts"],
+        ["rows for narrower x<5", f"{narrower} of {n}", "2 of 4 parts"],
     ]
     report = format_table(
         ["metric", "measured", "paper"],
@@ -52,6 +52,6 @@ def test_fig9_qdtree_cut(benchmark):
     save_report("fig9_qdtree_cut", report)
 
     assert tree.num_leaves == 4
-    assert both.num_rows <= n * 0.35          # ~one quarter (+ rounding)
-    assert exact <= both.num_rows             # no false negatives
-    assert n * 0.4 <= narrower.num_rows <= n * 0.6
+    assert both <= n * 0.35          # ~one quarter (+ rounding)
+    assert exact <= both             # no false negatives
+    assert n * 0.4 <= narrower <= n * 0.6

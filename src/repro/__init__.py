@@ -28,7 +28,6 @@ from .core import (
     PredicateCacheConfig,
     RangeList,
     ReuseStats,
-    RowRange,
     ScanKey,
     SemiJoinDescriptor,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "RetryBudgetExceeded",
     "RetryPolicy",
     "ReuseStats",
-    "RowRange",
     "ScanKey",
     "SemiJoinDescriptor",
     "Span",

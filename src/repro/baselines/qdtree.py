@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.rowrange import RangeList
 from ..predicates.ast import Predicate
 from ..storage.table import Table
 
@@ -86,13 +85,12 @@ class QdTree:
 
     def _signature_matrix(self, table: Table, data_slice) -> np.ndarray:
         num_rows = data_slice.num_rows
-        full = RangeList.full(num_rows)
         columns = sorted(
             {c for p in self.predicates for c in p.columns()}
             & set(data_slice.columns)
         )
         batch = {
-            name: data_slice.columns[name].read_ranges(full, table.rms)
+            name: data_slice.columns[name].read_all(table.rms)
             for name in columns
         }
         matrix = np.zeros((num_rows, len(self.predicates)), dtype=bool)
@@ -167,13 +165,17 @@ class QdTree:
                 out.append(leaf)
         return out
 
-    def candidate_ranges(
+    def candidate_rows(
         self, required: Dict[int, bool], slice_id: int
-    ) -> RangeList:
-        """Row ranges (in the rewritten layout) a routed scan must read."""
-        return RangeList(
-            (leaf.start, leaf.end)
-            for leaf in self.matching_leaves(required, slice_id)
+    ) -> np.ndarray:
+        """Row ids (in the rewritten layout, ascending: leaves are laid
+        out in order) a routed scan must read."""
+        return np.concatenate(
+            [np.empty(0, dtype=np.int64)]
+            + [
+                np.arange(leaf.start, leaf.end, dtype=np.int64)
+                for leaf in self.matching_leaves(required, slice_id)
+            ]
         )
 
     def leaves(self, slice_id: int) -> List[QdLeaf]:

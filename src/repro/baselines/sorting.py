@@ -14,7 +14,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..core.rowrange import RangeList
 from ..predicates.ast import Predicate
 from ..storage.table import Table
 
@@ -45,13 +44,12 @@ class PredicateSorter:
             if num_rows == 0:
                 permutations.append(None)
                 continue
-            full = RangeList.full(num_rows)
             needed = sorted(
                 {c for p in self.predicates for c in p.columns()}
                 & set(data_slice.columns)
             )
             batch = {
-                name: data_slice.columns[name].read_ranges(full, table.rms)
+                name: data_slice.columns[name].read_all(table.rms)
                 for name in needed
             }
             # Most significant predicate first: np.lexsort sorts by the

@@ -2,9 +2,10 @@
 
 Public surface:
 
-* :class:`~repro.core.rowrange.RowRange` / :class:`~repro.core.rowrange.RangeList`
-  — the row-range algebra shared with the scan path; its ``coalesce``
-  bounds the ranges an entry keeps (§4.1.1),
+* :class:`~repro.core.rowrange.RangeList` — a range state's payload;
+  its ``coalesce`` bounds the ranges an entry keeps (§4.1.1).  Rows
+  travel between the cache, the scan and storage as ascending int64
+  row ids,
 * :class:`~repro.core.keys.ScanKey` / :class:`~repro.core.keys.SemiJoinDescriptor`
   — cache keys, including the join-index extension (§4.4),
 * :class:`~repro.core.entry.CacheEntry` with range and bitmap per-slice
@@ -19,7 +20,7 @@ from .config import PredicateCacheConfig
 from .entry import BitmapSliceState, CacheEntry, RangeSliceState, SliceState
 from .keys import ScanKey, SemiJoinDescriptor, conjunct_key
 from .policy import AdmissionPolicy, AlwaysAdmit, CostBasedPolicy
-from .rowrange import RangeList, RowRange
+from .rowrange import RangeList
 from .stats import CacheStats, ReuseStats
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "RangeList",
     "RangeSliceState",
     "ReuseStats",
-    "RowRange",
     "ScanKey",
     "SemiJoinDescriptor",
     "SliceState",

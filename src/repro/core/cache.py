@@ -3,9 +3,10 @@
 This is the paper's contribution (§4).  The cache is a per-node hash
 table mapping :class:`~repro.core.keys.ScanKey` to
 :class:`~repro.core.entry.CacheEntry`.  It is filled as a side product
-of scanning (the engine calls :meth:`record_slice_scan` with the row
-ranges the vectorized scan produced anyway), consulted before scans
-(:meth:`lookup` / :meth:`select_entry`), and invalidated by:
+of scanning (the engine calls :meth:`record_slice_scan` with the
+qualifying row ids the vectorized scan produced anyway), consulted
+before scans (:meth:`lookup` / :meth:`select_entry`), and invalidated
+by:
 
 * ``layout`` changes of the scanned table (vacuum, reorganization) —
   row numbering changed, all entries on that table are dropped;
@@ -61,6 +62,8 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from .. import invariants as _inv
 from ..obs import lockwitness
 from ..predicates.ast import Bounds
@@ -69,7 +72,6 @@ from .config import PredicateCacheConfig
 from .entry import BitmapSliceState, CacheEntry, RangeSliceState, SliceState
 from .keys import ScanKey
 from .policy import AdmissionPolicy, AlwaysAdmit
-from .rowrange import RangeList
 from .stats import CacheStats, ReuseStats
 
 if TYPE_CHECKING:
@@ -518,19 +520,22 @@ class PredicateCache:
         self,
         entry: CacheEntry,
         slice_id: int,
-        qualifying: RangeList,
+        rows: np.ndarray,
         scanned_upto: int,
         exact: bool = False,
     ) -> None:
-        """Record one slice's scan output into the entry.
+        """Record one slice's scan output — its qualifying row ids,
+        ascending — into the entry.
 
         First call per slice creates the state; later calls replace it
         by one extended over the uncached tail (appends since the entry
-        was built, §4.3.1).  ``exact`` says that ``qualifying`` is the
-        truth over the rows it covers, not a superset of it — the scan's
-        own fully evaluated output, never a complement-padded conjunct
-        list; the state stays exact only while every list it was built
-        from was (:mod:`repro.core.entry`).
+        was built, §4.3.1).  The state converts ``rows`` to its payload
+        only when it changes: a repeat that found no appended row
+        converts nothing.  ``exact`` says that ``rows`` are the truth
+        over the rows scanned, not a superset of it — the scan's own
+        fully evaluated output, never a complement-padded conjunct set;
+        the state stays exact only while every set it was built from
+        was (:mod:`repro.core.entry`).
 
         Stale installs are refused: if the entry was invalidated or
         evicted after the scan picked it up (a vacuum between lookup and
@@ -551,9 +556,9 @@ class PredicateCache:
                 return
             state = entry.slice_states[slice_id]
             if state is None:
-                new = self._new_state(qualifying, scanned_upto, exact)
+                new = self._new_state(rows, scanned_upto, exact)
             else:
-                new = state.extended(qualifying, scanned_upto, exact)
+                new = state.extended(rows, scanned_upto, exact)
             if _inv.ACTIVE:
                 _inv.check_slice_state(new, slice_rows=scanned_upto)
             changed = new is not state
@@ -587,15 +592,15 @@ class PredicateCache:
             entry.record_scan_stats(rows_qualifying, rows_considered)
 
     def _new_state(
-        self, qualifying: RangeList, scanned_upto: int, exact: bool
+        self, rows: np.ndarray, scanned_upto: int, exact: bool
     ) -> SliceState:
         """Caller holds ``_lock``."""
         if self.config.variant == "range":
             return RangeSliceState(
-                qualifying, scanned_upto, self.config.max_ranges_per_slice, exact
+                rows, scanned_upto, self.config.max_ranges_per_slice, exact
             )
         return BitmapSliceState(
-            qualifying, scanned_upto, self.config.bitmap_block_rows
+            rows, scanned_upto, self.config.bitmap_block_rows
         )
 
     # -- invalidation ---------------------------------------------------------------

@@ -2,20 +2,26 @@
 
 Both index variants (§4.1.1–4.1.2) share the same lifecycle:
 
-1. On the first scan, the qualifying row ranges of each slice are
-   recorded, together with ``last_cached_row`` — the slice size at scan
-   time.
-2. On a repeat, :meth:`candidates` returns the rows the scan must still
-   look at: the cached qualifying rows (a superset of the truth — false
-   positives only) plus the *uncached tail* appended since.
-3. After the repeat scanned the tail, :meth:`extended` builds the state
-   with the tail's qualifying rows folded in, keeping the entry complete
-   without rebuilds — the "online under inserts" property of §4.3.1.
+1. On the first scan, the qualifying rows of each slice are recorded,
+   together with ``last_cached_row`` — the slice size at scan time.
+2. On a repeat, :meth:`SliceState.rows` returns the rows the scan must
+   still look at: the cached qualifying rows (a superset of the truth —
+   false positives only) plus the *uncached tail* appended since.
+3. After the repeat scanned the tail, :meth:`SliceState.extended`
+   builds the state with the tail's qualifying rows folded in, keeping
+   the entry complete without rebuilds — the "online under inserts"
+   property of §4.3.1.
+
+Rows enter and leave a state as ascending int64 row ids, the one row
+set the cache, the scan and storage pass around.  A state converts them
+to its payload only when it changes (a repeat that found no appended row
+converts nothing), and back to row ids once per plan.
 
 The **range variant** stores at most ``max_ranges`` merged row ranges
 (bounded by :meth:`RangeList.coalesce`, the gap heap's batch form).
-The **bitmap variant** stores one bit per ``block_size`` rows; it grows
-with the table but is ~8x smaller at the paper's settings (Table 3).
+The **bitmap variant** stores one bit per ``block_size`` rows, set
+straight from ``rows // block_size``; it grows with the table but is
+~8x smaller at the paper's settings (Table 3).
 
 A range state is **exact** when its ranges are the qualifying rows
 themselves, not a superset: every list it was built from was fully
@@ -69,34 +75,40 @@ class SliceState:
     #: hit may take their verdict without re-evaluating the predicate.
     exact: bool
 
-    def candidates(self, num_rows: int) -> RangeList:
-        """Rows a repeated scan must evaluate: cached hits + new tail."""
-        return self.cached_candidates().union(self._tail_range(num_rows))
+    def rows(self, num_rows: int) -> np.ndarray:
+        """Rows a repeated scan must evaluate, ascending: the cached
+        qualifying rows plus the uncached tail ``[last_cached_row,
+        num_rows)``."""
+        raise NotImplementedError
 
-    def cached_candidates(self) -> RangeList:
-        """Just the cached qualifying rows (rows < last_cached_row)."""
+    def count(self, num_rows: int) -> int:
+        """``len(self.rows(num_rows))``: a range state reads it off its
+        payload."""
+        raise NotImplementedError
+
+    def mask(self, num_rows: int) -> np.ndarray:
+        """:meth:`rows` as a bool mask over ``[0, num_rows)``, written
+        from the payload without expanding it to row ids."""
         raise NotImplementedError
 
     def extended(
-        self, tail_qualifying: RangeList, scanned_upto: int, exact: bool = False
+        self, rows: np.ndarray, scanned_upto: int, exact: bool = False
     ) -> "SliceState":
         """The state with the qualifying rows of the previously uncached
         tail folded in — ``self`` when no row was appended since.
-        ``exact`` says whether ``tail_qualifying`` is the tail's truth
-        (fully evaluated) rather than a superset of it."""
+        ``rows`` are ascending; only those in ``[last_cached_row,
+        scanned_upto)`` are read.  ``exact`` says whether they are the
+        tail's truth (fully evaluated) rather than a superset of it."""
         raise NotImplementedError
 
     @property
     def nbytes(self) -> int:
         raise NotImplementedError
 
-    def _tail_range(self, num_rows: int) -> RangeList:
-        last = self.last_cached_row
-        if num_rows > last:
-            return RangeList._wrap(
-                np.array([[last, num_rows]], dtype=np.int64), num_rows - last
-            )
-        return RangeList.empty()
+    def _tail_rows(self, rows: np.ndarray, scanned_upto: int) -> np.ndarray:
+        """The ascending ``rows`` in ``[last_cached_row, scanned_upto)``."""
+        lo, hi = np.searchsorted(rows, (self.last_cached_row, scanned_upto))
+        return rows[lo:hi]
 
     def _check_grows_to(self, scanned_upto: int) -> None:
         if scanned_upto < self.last_cached_row:
@@ -113,11 +125,12 @@ class RangeSliceState(SliceState):
 
     def __init__(
         self,
-        qualifying: RangeList,
+        rows: np.ndarray,
         scanned_upto: int,
         max_ranges: int,
         exact: bool = False,
     ) -> None:
+        qualifying = RangeList.from_rows(rows)
         self.ranges = qualifying.coalesce(max_ranges)
         self.last_cached_row = scanned_upto
         self.max_ranges = max_ranges
@@ -139,18 +152,42 @@ class RangeSliceState(SliceState):
         out.exact = exact
         return out
 
-    def cached_candidates(self) -> RangeList:
-        return self.ranges
+    def rows(self, num_rows: int) -> np.ndarray:
+        cached = self.ranges.to_row_ids()
+        if num_rows <= self.last_cached_row:
+            return cached
+        tail = np.arange(self.last_cached_row, num_rows, dtype=np.int64)
+        return np.concatenate((cached, tail))
+
+    def count(self, num_rows: int) -> int:
+        return self.ranges.num_rows + max(0, num_rows - self.last_cached_row)
+
+    def mask(self, num_rows: int) -> np.ndarray:
+        # Runs outside, inside, outside, ... a range, then the tail.
+        edges = np.empty(2 * len(self.ranges) + 3, dtype=np.int64)
+        edges[0] = 0
+        edges[1:-2] = self.ranges.bounds.ravel()
+        edges[-2] = self.last_cached_row
+        edges[-1] = max(num_rows, self.last_cached_row)
+        runs = edges[1:] - edges[:-1]
+        return np.repeat(np.arange(len(runs)) % 2 == 1, runs)[:num_rows]
 
     def extended(
-        self, tail_qualifying: RangeList, scanned_upto: int, exact: bool = False
+        self, rows: np.ndarray, scanned_upto: int, exact: bool = False
     ) -> "RangeSliceState":
         self._check_grows_to(scanned_upto)
         if scanned_upto == self.last_cached_row:
             return self
-        merged = self.ranges.union(
-            tail_qualifying.clip(self.last_cached_row, scanned_upto)
-        )
+        # Cached ranges end at or below the watermark and the tail's
+        # start at or above it: appending keeps the bounds sorted, and
+        # only a tail range starting right at a cached end merges.
+        tail = RangeList.from_rows(self._tail_rows(rows, scanned_upto))
+        bounds = np.concatenate((self.ranges.bounds, tail.bounds))
+        seam = len(self.ranges)
+        if 0 < seam < len(bounds) and bounds[seam - 1, 1] == bounds[seam, 0]:
+            bounds[seam - 1, 1] = bounds[seam, 1]
+            bounds = np.delete(bounds, seam, axis=0)
+        merged = RangeList._wrap(bounds)
         return self._wrap(
             merged.coalesce(self.max_ranges),
             scanned_upto,
@@ -182,11 +219,11 @@ class BitmapSliceState(SliceState):
     exact = False
 
     def __init__(
-        self, qualifying: RangeList, scanned_upto: int, block_size: int
+        self, rows: np.ndarray, scanned_upto: int, block_size: int
     ) -> None:
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
-        self.bits = _block_bits(qualifying, scanned_upto, block_size)
+        self.bits = _block_bits(rows, scanned_upto, block_size)
         self.bits.setflags(write=False)
         self.last_cached_row = scanned_upto
         self.block_size = block_size
@@ -203,27 +240,26 @@ class BitmapSliceState(SliceState):
         out.block_size = block_size
         return out
 
-    def cached_candidates(self) -> RangeList:
-        if not self.bits.any():
-            return RangeList.empty()
-        # Merged runs of set bits scaled to row ranges are normal by
-        # construction; the watermark lies inside the last block (which
-        # may be partial), so clipping the last end keeps them so.
-        bounds = RangeList.from_mask(self.bits).bounds * self.block_size
-        if bounds[-1, 1] > self.last_cached_row:
-            bounds[-1, 1] = self.last_cached_row
-        return RangeList._wrap(bounds)
+    def rows(self, num_rows: int) -> np.ndarray:
+        return np.flatnonzero(self.mask(max(num_rows, self.last_cached_row)))
+
+    def count(self, num_rows: int) -> int:
+        return len(self.rows(num_rows))
+
+    def mask(self, num_rows: int) -> np.ndarray:
+        marked = np.ones(num_rows, dtype=bool)
+        cached = min(num_rows, self.last_cached_row)
+        marked[:cached] = np.repeat(self.bits, self.block_size)[:cached]
+        return marked
 
     def extended(
-        self, tail_qualifying: RangeList, scanned_upto: int, exact: bool = False
+        self, rows: np.ndarray, scanned_upto: int, exact: bool = False
     ) -> "BitmapSliceState":
         self._check_grows_to(scanned_upto)
         if scanned_upto == self.last_cached_row:
             return self
         grown = _block_bits(
-            tail_qualifying.clip(self.last_cached_row, scanned_upto),
-            scanned_upto,
-            self.block_size,
+            self._tail_rows(rows, scanned_upto), scanned_upto, self.block_size
         )
         grown[: len(self.bits)] |= self.bits  # a fresh vector, not yet handed out
         return self._wrap(grown, scanned_upto, self.block_size)
@@ -243,22 +279,12 @@ class BitmapSliceState(SliceState):
         return (len(self.bits) + 7) // 8 + 8
 
 
-def _block_bits(
-    qualifying: RangeList, num_rows: int, block_size: int
-) -> np.ndarray:
+def _block_bits(rows: np.ndarray, num_rows: int, block_size: int) -> np.ndarray:
     """One bool per ``block_size`` rows of ``[0, num_rows)``: True where
-    a qualifying range touches the block."""
-    num_blocks = (num_rows + block_size - 1) // block_size
-    bounds = qualifying.bounds
-    if not len(bounds):
-        return np.zeros(num_blocks, dtype=bool)
-    # Boundary-delta accumulation over block indices: +1 at each
-    # range's first block, -1 one past its last block, prefix sum > 0
-    # marks covered blocks — no per-range Python loop.
-    delta = np.zeros(num_blocks + 1, dtype=np.int64)
-    np.add.at(delta, bounds[:, 0] // block_size, 1)
-    np.add.at(delta, (bounds[:, 1] - 1) // block_size + 1, -1)
-    return np.cumsum(delta[:-1]) > 0
+    a row of ``rows`` falls in the block."""
+    bits = np.zeros((num_rows + block_size - 1) // block_size, dtype=bool)
+    bits[rows // block_size] = True
+    return bits
 
 
 class CacheEntry:

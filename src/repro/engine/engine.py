@@ -400,7 +400,7 @@ class QueryEngine:
         for slice_id, qualifying in enumerate(result.per_slice):
             if qualifying:
                 deleted += table.delete_local_rows(
-                    slice_id, qualifying.to_row_ids(), write_txid
+                    slice_id, qualifying.row_ids, write_txid
                 )
         return deleted
 
@@ -426,6 +426,11 @@ class QueryEngine:
         unknown = set(assignments) - set(table.schema.column_names)
         if unknown:
             raise ValueError(f"unknown columns in UPDATE: {sorted(unknown)}")
+        # Refused before any row is marked deleted: the new versions
+        # would fail to insert and leave the UPDATE half-applied.
+        nulls = sorted(name for name, value in assignments.items() if value is None)
+        if nulls:
+            raise ValueError(f"UPDATE of {table_name}: columns {nulls} are NOT NULL")
         result = execute_scan(table, predicate, statement)
         old_rows = result.gather(table.schema.column_names)
         count = _batch_len(old_rows)
@@ -434,9 +439,7 @@ class QueryEngine:
         write_txid = self.database.begin()
         for slice_id, qualifying in enumerate(result.per_slice):
             if qualifying:
-                table.delete_local_rows(
-                    slice_id, qualifying.to_row_ids(), write_txid
-                )
+                table.delete_local_rows(slice_id, qualifying.row_ids, write_txid)
         new_rows = dict(old_rows)
         for name, value in assignments.items():
             new_rows[name] = np.full(count, value, dtype=old_rows[name].dtype)

@@ -9,10 +9,10 @@ Scan flow per data slice:
    watermarks.  A miss has no candidates, so the zone maps choose them:
    the rows of the blocks whose min/max bounds can satisfy the
    predicate, plus the tail.  A hit's candidates are the cached state's
-   (cached qualifying ranges plus the uncached appended tail), a
-   composed or subsumed serve's the intersection of its parts'; zone
-   maps still drop blocks on top, and the block coverage leaves their
-   rows out as it places the candidates.  An exact hit (below) whose
+   rows (cached qualifying rows plus the uncached appended tail), a
+   composed or subsumed serve's the intersection of its parts' rows;
+   zone maps still drop blocks on top, and the block coverage leaves
+   their rows out as it places the candidates.  An exact hit (below) whose
    watermark reaches the slice's row count consults no zone map: every
    candidate qualifies, so no block holding one can be pruned.
 3. **Vectorized scan** — rows at or past the source's ``verdict_below``
@@ -28,10 +28,19 @@ Scan flow per data slice:
    (:meth:`~repro.storage.slice.DataSlice.all_visible`) — then no
    slice scan computes a per-row visibility mask.  When no row is
    evaluated, none is invisible and the coverage dropped none, the
-   candidate list is the answer without a mask.
-4. **Cache fill** — the qualifying row ranges (which the scan produced
+   candidates' coverage is the answer without a mask.
+4. **Cache fill** — the qualifying row ids (which the scan produced
    anyway) are inserted back into the cache: the join-extended entry
    always, the plain entry whenever the scan's candidate set covers it.
+
+One row set is in flight: ascending int64 row ids, placed by storage
+block in a :class:`~repro.storage.column.BlockCoverage`.  A state gives
+the plan its rows once, a composed serve intersects row ids, the
+candidates' coverage is what every column read, the visibility mask
+and the probes work on, the qualifying rows are a selection of it —
+``ScanResult.per_slice``, read as is by the gather, DELETE and UPDATE
+— and the barrier hands their ids to the cache, whose states convert
+them to a payload only when they change.
 
 Step 4's coverage rule keeps entries sound: a scan restricted by a
 *join* entry's candidates has not evaluated the bare predicate outside
@@ -48,10 +57,9 @@ cached conjuncts — or of a cached wider range on the same column — as
 the sources; the plan intersects their candidate sets, a superset of
 the truth, so step 3's re-evaluation keeps the result bit-identical to
 a cache-off scan.  Served or not, the scan derives per-conjunct
-qualifying sets on the way
-(each padded with the complement of the candidate set, so they stay
-supersets under *any* serving basis) and installs them at the same
-coordinator barrier as every other entry.
+qualifying sets on the way (every row but the scanned rows the conjunct
+rejected, so they stay supersets under *any* serving basis) and
+installs them at the same coordinator barrier as every other entry.
 
 :func:`execute_scan` is three coordinator steps around the four above:
 
@@ -84,7 +92,6 @@ import numpy as np
 from ..core.cache import PredicateCache
 from ..core.entry import CacheEntry, SliceState
 from ..core.keys import ScanKey, SemiJoinDescriptor
-from ..core.rowrange import RangeList
 from ..faults.errors import NodeDownError
 from ..obs.trace import optional_span
 from ..predicates.ast import Bounds, Predicate, TruePredicate
@@ -116,7 +123,9 @@ class ScanResult:
     """Qualifying rows of one scan, per slice, plus gather support."""
 
     table: Table
-    per_slice: List[RangeList]
+    #: Each slice's qualifying rows, placed by block: the coverage the
+    #: slice scan built, which ``gather``, DELETE and UPDATE read as is.
+    per_slice: List[BlockCoverage]
     #: The scanning statement's storage reader: ``gather`` reads through
     #: it, so late reads are billed to the same statement.
     reader: QueryStorageContext
@@ -127,7 +136,7 @@ class ScanResult:
 
     @cached_property
     def num_rows(self) -> int:
-        return sum(r.num_rows for r in self.per_slice)
+        return sum(len(rows) for rows in self.per_slice)
 
     def gather(self, columns: Sequence[str]) -> Dict[str, np.ndarray]:
         """Materialize the given columns of all qualifying rows.
@@ -200,8 +209,8 @@ def execute_scan(
             slice's span and fall under its deferred block eviction.
 
     Returns:
-        Per-slice qualifying row ranges (post predicate, semi-join
-        filters, and visibility).
+        Per-slice qualifying rows (post predicate, semi-join filters,
+        and visibility).
     """
     plan = _plan_scan(
         table, predicate, semijoins, current_versions, gather_columns, statement
@@ -262,9 +271,9 @@ class SliceSource(NamedTuple):
     #: (caching disabled, or the slice's node is down).
     context: Optional["_SliceCacheContext"] = None
     #: ``None`` on a miss (the zone maps choose the candidates); the
-    #: state's candidates on a hit; their intersection on a composed or
-    #: subsumed serve.
-    candidates: Optional[RangeList] = None
+    #: state's rows on a hit; their intersection on a composed or
+    #: subsumed serve.  Ascending row ids.
+    candidates: Optional[np.ndarray] = None
     #: The exact hit's watermark, else 0.
     verdict_below: int = 0
     #: The same watermark for a join-keyed exact hit, else 0.
@@ -370,10 +379,11 @@ def _resolve_source(
     """The slice's source, read off its entries' slots once the stale
     drops are done.
 
-    An exact hit keeps the candidates of the state it was judged exact
-    from (:func:`_exact_state`), not of a second read of a slot an
-    install may swap.  A composed or subsumed serve intersects its
-    parts' candidates, each a superset of its conjunct's truth.
+    An exact hit keeps the rows of the state it was judged exact from
+    (:func:`_exact_state`), not of a second read of a slot an install
+    may swap.  A composed or subsumed serve intersects its parts' rows,
+    each a superset of its conjunct's truth: it expands the part with
+    the fewest and keeps those the other parts' masks mark.
     """
     if context is None:
         return SliceSource()
@@ -385,11 +395,13 @@ def _resolve_source(
     ]
     if not states:
         return SliceSource(context)
-    candidates = states[0].candidates(num_rows)
+    if len(states) > 1:
+        states.sort(key=lambda state: state.count(num_rows))
+    candidates = states[0].rows(num_rows)
     for state in states[1:]:
-        if not candidates:
+        if not len(candidates):
             break
-        candidates = candidates.intersect(state.candidates(num_rows))
+        candidates = candidates[state.mask(num_rows)[candidates]]
     if exact is None:
         return SliceSource(context, candidates)
     # A join-keyed exact state also recorded the probes' verdict, at the
@@ -457,28 +469,24 @@ def _install(
         if context is None:
             continue
         num_rows = table.slices[slice_id].num_rows
-        context.qualifying_rows += result.qualifying.num_rows
+        context.qualifying_rows += len(result.qualifying)
         context.total_rows += num_rows
         # The scan's own outputs are fully evaluated, so they install
-        # exact; a conjunct list is padded with the complement of the
-        # candidates and never is.
-        installs = [
-            (context.join_entry, result.qualifying, True),
-            (context.plain_entry, result.q_plain, True),
-        ]
-        if result.conjunct_lists is not None:
-            installs += [
-                (entry, ranges, False)
-                for entry, ranges in zip(
-                    context.conjunct_entries, result.conjunct_lists
-                )
-            ]
-        for entry, ranges, exact in installs:
-            if entry is not None:
-                context.cache.record_slice_scan(
-                    entry, slice_id, ranges, num_rows, exact
-                )
-                context.cache.record_entry_stats(entry, ranges.num_rows, num_rows)
+        # exact; a conjunct set is padded with the complement of the
+        # scanned rows and never is.
+        installs = []
+        if context.join_entry is not None:
+            rows = result.qualifying.row_ids
+            installs.append((context.join_entry, rows, len(rows), True))
+        if context.plain_entry is not None:
+            rows = result.plain_rows()
+            installs.append((context.plain_entry, rows, len(rows), True))
+        for entry, rejected in zip(context.conjunct_entries, result.conjunct_rejected):
+            rows = _padded(rejected, entry.slice_states[slice_id], num_rows)
+            installs.append((entry, rows, num_rows - len(rejected), False))
+        for entry, rows, count, exact in installs:
+            context.cache.record_slice_scan(entry, slice_id, rows, num_rows, exact)
+            context.cache.record_entry_stats(entry, count, num_rows)
         if context.basis in ("composed", "subsumed"):
             # The subsumption/composition re-check accounting: candidate
             # rows were re-evaluated, the rest were skipped outright.
@@ -674,20 +682,27 @@ def _exact_state(
 class _SliceResult:
     """What one slice scan hands the barrier and the result."""
 
-    qualifying: RangeList
-    #: The rows passing the predicate and visibility, before the probes
-    #: (what the plain entry installs).
-    q_plain: RangeList
+    #: The qualifying rows, placed by block.
+    qualifying: BlockCoverage
+    #: The row ids passing the predicate and visibility, before the
+    #: probes (what the plain entry installs); ``None`` when they are
+    #: the qualifying rows.
+    q_plain: Optional[np.ndarray]
     #: The caller's output columns over the qualifying rows.
     materialized: Dict[str, np.ndarray]
     #: Candidate rows this slice actually scanned (post zone-map); for a
     #: reuse-served scan these are the re-checked rows.
     candidate_rows: int
-    #: Derived per-conjunct qualifying sets (each padded with the
-    #: complement of the candidate set so it stays a superset of the
-    #: conjunct's truth under any serving basis), or ``None`` when the
-    #: slice derived none.
-    conjunct_lists: Optional[List[RangeList]] = None
+    #: Per derived conjunct, in the order of the context's conjunct
+    #: entries: the scanned row ids it (or visibility) rejected.  Its
+    #: qualifying set is every other row of the slice (:func:`_padded`),
+    #: a superset of the conjunct's truth under any serving basis.
+    #: Empty when the slice derived none.
+    conjunct_rejected: List[np.ndarray] = field(default_factory=list)
+
+    def plain_rows(self) -> np.ndarray:
+        """What the plain entry installs."""
+        return self.qualifying.row_ids if self.q_plain is None else self.q_plain
 
 
 def _scan_slice(
@@ -713,19 +728,19 @@ def _scan_slice(
         dropped = _prune_with_zonemaps(data_slice, plan.zone_bounds, counters)
     # One block coverage of the candidates serves every column read, the
     # visibility mask, the row ids and (selected down to the qualifying
-    # rows) the gather; it leaves the rows of dropped blocks out, so no
-    # range list is differenced.  A miss's candidates are the kept blocks
-    # and the tail, covered by the block: only a reader expands row ids.
+    # rows) the gather and the result; it leaves the rows of dropped
+    # blocks out.  A miss's candidates are the kept blocks and the tail,
+    # covered by the block: only a reader expands row ids.
     candidates = source.candidates
     covered = data_slice.cover(candidates, dropped)
-    if candidates is None:
-        candidates, dropped = data_slice.unpruned_rows(dropped), None
-    else:
-        counters.rows_skipped_cache += num_rows - candidates.num_rows
     n = len(covered)
+    if candidates is not None:
+        counters.rows_skipped_cache += num_rows - len(candidates)
+    # Whether the coverage dropped a candidate (a miss's are its own).
+    pruned = candidates is not None and n < len(candidates)
     counters.rows_scanned += n
     if not n:
-        return _SliceResult(RangeList.empty(), RangeList.empty(), {}, 0)
+        return _SliceResult(covered, None, {}, 0)
 
     # Rows below ``split`` take the state's verdict: they read only what
     # the answer needs — the output columns the predicate reads too (read
@@ -754,7 +769,7 @@ def _scan_slice(
     # predicate only where the coverage dropped no candidate: an exact
     # hit whose tail the zone maps pruned still builds one.
     pred_mask: Optional[np.ndarray] = None
-    if split < n or n < candidates.num_rows:
+    if split < n or pruned:
         pred_mask = _evaluate(plan.predicate, tail, n - split)
         if split:
             pred_mask = np.concatenate((np.ones(split, dtype=bool), pred_mask))
@@ -780,51 +795,40 @@ def _scan_slice(
         passed[:probe_from] = full_mask[:probe_from]
         passed[probed[hits] + probe_from] = True
         full_mask = passed
-    if full_mask is None or (n == candidates.num_rows and full_mask.all()):
+    if full_mask is None or (not pruned and full_mask.all()):
         # The coverage dropped no candidate and every one qualifies (an
-        # exact hit with no row deleted since, most often): the candidate
-        # list is the answer.  With no mask at all that is known without
+        # exact hit with no row deleted since, most often): the coverage
+        # is the answer.  With no mask at all that is known without
         # looking at a row.
-        gathered, qualifying = covered, candidates
+        qualifying = covered
     else:
-        gathered = covered.select(full_mask)
-        qualifying = RangeList.from_rows(gathered.row_ids)
-    if full_mask is plain_mask or source.probe_verdict_below:
-        # Equal, or the plain predicate was not evaluated below the
-        # watermark: a join basis fills no plain entry, so the barrier
-        # never installs this one.
-        q_plain = qualifying
-    elif plain_mask is None:
-        # Nothing evaluated, every row visible: only the probes dropped
-        # rows, and the plain entry keeps them all.
-        q_plain = candidates
-    else:
-        q_plain = RangeList.from_rows(covered.row_ids[plain_mask])
+        qualifying = covered.select(full_mask)
+    # The plain entry installs the qualifying rows when the masks are
+    # equal, or when the plain predicate was not evaluated below the
+    # watermark (a join basis fills no plain entry, so the barrier never
+    # installs those).  Otherwise the probes dropped rows it keeps: all
+    # of them when nothing was evaluated and every row is visible.
+    q_plain: Optional[np.ndarray] = None
+    if full_mask is not plain_mask and not source.probe_verdict_below:
+        q_plain = covered.row_ids if plain_mask is None else covered.row_ids[plain_mask]
     result = _SliceResult(qualifying, q_plain, {}, n)
     conjuncts = source.context.conjunct_predicates if source.context else ()
-    if conjuncts:
+    for conjunct in conjuncts:
         # Per-conjunct qualifying sets for the reuse lattice.  Rows
-        # outside the candidate set were not evaluated here, so each set
-        # is padded with the complement — a false-positive-only superset
-        # of the conjunct's truth whatever basis restricted this scan
-        # (zone-map-pruned rows included; they re-prune).  The candidate
-        # list is the scanned rows unless the coverage dropped blocks
-        # from it; only then is it rebuilt.
-        scanned = (
-            candidates if dropped is None else RangeList.from_rows(covered.row_ids)
-        )
-        complement = scanned.complement(num_rows)
-        result.conjunct_lists = [
-            RangeList.from_rows(
-                covered.row_ids[_and(_evaluate(conjunct, batch, n), vis_mask)]
-            ).union(complement)
-            for conjunct in conjuncts
-        ]
+        # outside the scanned set were not evaluated here, so each set
+        # keeps them — a false-positive-only superset of the conjunct's
+        # truth whatever basis restricted this scan (zone-map-pruned
+        # rows included; they re-prune): every row but the scanned rows
+        # the conjunct (or visibility) rejected.
+        rejected = ~_evaluate(conjunct, batch, n)
+        if vis_mask is not None:
+            rejected |= ~vis_mask
+        result.conjunct_rejected.append(covered.row_ids[rejected])
     # Materialize the caller's output columns for the qualifying rows —
     # exactly the reads ScanResult.gather would issue, moved here so they
     # count in this slice's span.  A column the batch holds for every
     # candidate is taken from it by mask, not read again.
-    if qualifying:
+    if len(qualifying):
         for name in plan.gather_columns:
             if name in batch:
                 result.materialized[name] = (
@@ -832,10 +836,24 @@ def _scan_slice(
                 )
             else:
                 result.materialized[name] = data_slice.columns[name].read_ranges(
-                    gathered, reader
+                    qualifying, reader
                 )
-    counters.rows_qualifying += qualifying.num_rows
+    counters.rows_qualifying += len(qualifying)
     return result
+
+
+def _padded(
+    rejected: np.ndarray, state: Optional[SliceState], num_rows: int
+) -> np.ndarray:
+    """A conjunct's qualifying row ids: every row of the slice but the
+    ascending ``rejected``, from the row its entry's ``state`` still
+    needs on.  A live entry's state only grows, and extends over the
+    rows past its watermark alone, so the rows below go unbuilt; a
+    state already at ``num_rows`` needs none."""
+    start = 0 if state is None else min(state.last_cached_row, num_rows)
+    kept = np.ones(num_rows - start, dtype=bool)
+    kept[rejected[np.searchsorted(rejected, start):] - start] = False
+    return np.flatnonzero(kept) + start
 
 
 def _read(

@@ -22,8 +22,9 @@ enough context to reproduce.
 
 Hook points (all behind the ``ACTIVE`` guard):
 
-* ``RangeList._wrap`` — every trusted (already-normalized) construction
-  re-verifies the bounds-array invariant.
+* ``RangeList._wrap`` — every range payload a state stores or decodes
+  (built from row ids or a mask, bounded by ``coalesce``, read back
+  from disk) re-verifies the bounds-array invariant.
 * ``PredicateCache.record_slice_scan`` / ``install_restored`` — slice
   states, generation stamps, and cache accounting.  (The one check that
   runs whether or not validation is armed: ``install_restored`` calls
@@ -98,11 +99,12 @@ def _fail(message: str) -> None:
     raise InvariantViolation(message)
 
 
-# -- range lists ------------------------------------------------------------
+# -- range payloads ---------------------------------------------------------
 
 
 def check_bounds(bounds: "NDArray[np.int64]") -> None:
-    """The RangeList normalization invariant on a raw bounds array.
+    """The range payload's (RangeList's) normalization invariant on a
+    raw bounds array.
 
     Checks (DESIGN.md §6): shape ``(N, 2)``, dtype int64, starts >= 0,
     every range non-empty (``start < end``), and strictly increasing

@@ -33,7 +33,6 @@ import numpy as np
 from ..core.cache import PredicateCache
 from ..core.config import PredicateCacheConfig
 from ..core.keys import ScanKey
-from ..core.rowrange import RangeList
 from ..faults import FaultInjector, RetryPolicy
 from ..predicates.ast import Predicate
 from ..storage.rms import BlockKey, ManagedStorage, QueryStorageContext
@@ -76,7 +75,7 @@ class _ScanRun:
     reader: QueryStorageContext
     # A hit's candidate ordinals (cached qualifying groups plus the
     # uncached tail) and the watermark they were cached up to.
-    candidates: Optional[RangeList] = None
+    candidates: Optional[np.ndarray] = None
     watermark: int = 0
     # Ordinals of the row groups found qualifying: the scan's install.
     qualifying: List[int] = field(default_factory=list)
@@ -140,7 +139,7 @@ class LakeScanner:
             if state is not None:
                 stats.cache_hit = True
                 run.watermark = state.last_cached_row
-                run.candidates = state.candidates(committed)
+                run.candidates = state.rows(committed)
 
         for file in files:
             self._scan_file(file, run)
@@ -155,7 +154,7 @@ class LakeScanner:
             # The whole install: a first scan creates the state, a repeat
             # extends it over the ordinals committed since (§4.3.1).
             entry = self.cache.get_or_create(run.key, 1)
-            qualifying = RangeList.from_rows(run.qualifying)
+            qualifying = np.array(run.qualifying, dtype=np.int64)
             self.cache.record_slice_scan(entry, 0, qualifying, committed)
 
         out: Dict[str, np.ndarray] = {}
@@ -180,7 +179,8 @@ class LakeScanner:
         if run.candidates is not None and first < run.watermark:
             # Cache hit: jump straight to the candidate groups — the
             # entry's ordinals clipped to this file's window.
-            live = run.candidates.clip(first, first + len(groups)).to_row_ids()
+            lo, hi = np.searchsorted(run.candidates, (first, first + len(groups)))
+            live = run.candidates[lo:hi]
             stats.row_groups_skipped_cache += len(groups) - len(live)
             groups = [groups[ordinal - first] for ordinal in live]
         for group in groups:

@@ -404,23 +404,16 @@ def _like_literal_prefix(pattern: str) -> str:
 class IsNull(Predicate):
     """``column IS [NOT] NULL``.
 
-    Null semantics in the storage engine are sentinel-based: each column
-    carries an optional validity array; the batch exposes it under the
-    pseudo-column name ``<column>__valid``.  Columns without a validity
-    array are fully non-null.
+    Every column is NOT NULL (``Table.insert`` and UPDATE refuse a
+    None), so ``IS NULL`` holds for no row and ``IS NOT NULL`` for all.
     """
 
     column: ColumnRef
     negated: bool = False
 
     def evaluate(self, batch: Batch) -> np.ndarray:
-        valid = batch.get(f"{self.column.name}__valid")
-        if valid is None:
-            n = len(_resolve(batch, self.column))
-            nulls = np.zeros(n, dtype=bool)
-        else:
-            nulls = ~valid
-        return ~nulls if self.negated else nulls
+        n = len(_resolve(batch, self.column))
+        return np.full(n, self.negated, dtype=bool)
 
     def cache_key(self) -> str:
         return f"{self.column} IS {'NOT ' if self.negated else ''}NULL"

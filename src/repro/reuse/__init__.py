@@ -10,7 +10,7 @@ PartitionCache idea (Poppinga, BTW 2025) rebuilt on our range algebra:
   :class:`~repro.core.keys.ScanKey` variants.
 * :mod:`~repro.reuse.compose` — on a full-key miss, look up each
   conjunct's cached entry and hand the scan those source entries; it
-  serves from the vectorized intersection of their range lists (any
+  serves from the intersection of their row sets (any
   non-empty subset of conjunct hits is a sound superset of the
   conjunction's truth).
 * :mod:`~repro.reuse.subsume` — find a cached range predicate on the

@@ -2,12 +2,12 @@
 
 On a full-key miss the composer probes the cache for each conjunct of
 the decomposed predicate (falling back to the subsumption matcher per
-part) and hands the scan the live entries it resolved.  The scan serves
-each slice from the vectorized :meth:`RangeList.intersect` of those
-entries' candidate sets — PartitionCache's set intersection of cached
-results, and nothing more.
+part) and hands the scan the live entries it resolved.  The scan's plan
+serves each slice from the intersection of those entries' row sets
+(each state's ascending row ids, ``SliceState.rows``) — PartitionCache's
+set intersection of cached results, and nothing more.
 
-Soundness: each part's ``candidates`` is a superset of that conjunct's
+Soundness: each part's rows are a superset of that conjunct's
 truth (cached false positives plus the part's own uncached tail, which
 is included wholesale).  The intersection of supersets of each
 conjunct's truth is a superset of the conjunction's truth — and so is

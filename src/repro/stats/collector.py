@@ -17,7 +17,6 @@ from typing import Dict
 
 import numpy as np
 
-from ..core.rowrange import RangeList
 from ..predicates.ast import (
     And,
     Between,
@@ -168,11 +167,11 @@ def analyze_table(
                 continue
             per_slice = max(1, sample_rows // max(1, table.num_slices))
             if n <= per_slice:
-                ranges = RangeList.full(n)
+                rows = data_slice.cover()
             else:
                 picks = np.sort(rng.choice(n, size=per_slice, replace=False))
-                ranges = RangeList.from_rows(picks)
-            pieces.append(data_slice.columns[name].read_ranges(ranges, table.rms))
+                rows = data_slice.cover(picks)
+            pieces.append(data_slice.columns[name].read_ranges(rows, table.rms))
         sample = np.concatenate(pieces) if pieces else np.array([])
         hll = HyperLogLog()
         hll.add_many(sample)

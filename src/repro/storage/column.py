@@ -26,7 +26,6 @@ from typing import Iterable, List, Optional, Union
 import numpy as np
 
 from .. import invariants as _inv
-from ..core.rowrange import RangeList
 from .compression import EncodedBlock, array_checksum, seal_blocks
 from .dtypes import DataType
 from .rms import BlockKey, ManagedStorage
@@ -142,28 +141,28 @@ class DecodedBlocks:
 
 
 class BlockCoverage:
-    """Where the rows of a range list sit in a slice's blocks and tail.
+    """Where a set of rows sits in a slice's blocks and tail: ascending
+    int64 row ids placed by storage block, the one row set the cache,
+    the scan and storage pass between them.
 
-    A function of ``(ranges, rows_per_block, num_rows, dropped)`` alone
+    A function of ``(rows, rows_per_block, num_rows, dropped)`` alone
     — every column of a slice seals at the same row counts — so one
     coverage serves each column read, the visibility mask and the scan's
-    own row ids over the same ranges.  Built per scan; nothing is kept
-    on the range list.
+    own row ids over the same rows.  Built per scan.
 
     ``dropped`` is an optional boolean mask over the sealed blocks (the
     zone-map verdict): rows of a dropped block are left out of the
-    coverage, exactly as if their row ranges had been subtracted from
-    ``ranges`` first.  The tail has no zone map and is never dropped.
+    coverage.  The tail has no zone map and is never dropped.
 
     A coverage comes in two forms with the same attributes.  The
-    constructor places rows: it expands the ranges to row ids and finds
-    each one's block.  :meth:`of_blocks` covers whole blocks plus the
+    constructor places rows: it finds each row id's block.
+    :meth:`of_blocks` covers whole blocks plus the
     whole tail (a scan with no cached candidates) and places nothing:
     its row ids are computed only when something reads them, and
     :meth:`select`, :meth:`take` and the column gather work from block
     indices, so a coverage of ``n`` rows costs O(blocks) to build and
     O(selected) to select from.  The caller picks the form from what it
-    knows; no coverage inspects its ranges to find out.
+    knows; no coverage inspects its rows to find out.
 
     Attributes:
         row_ids: every covered row id below ``num_rows``, ascending.
@@ -182,16 +181,14 @@ class BlockCoverage:
 
     def __init__(
         self,
-        ranges: RangeList,
+        rows: np.ndarray,
         rows_per_block: int,
         num_rows: int,
         dropped: Optional[np.ndarray] = None,
     ) -> None:
+        """Place ``rows``: ascending row ids below ``num_rows``."""
         self._place(
-            ranges.clip(0, num_rows).to_row_ids(),
-            rows_per_block,
-            num_rows // rows_per_block * rows_per_block,
-            dropped,
+            rows, rows_per_block, num_rows // rows_per_block * rows_per_block, dropped
         )
 
     @classmethod
@@ -199,8 +196,8 @@ class BlockCoverage:
         cls, kept: np.ndarray, rows_per_block: int, num_rows: int
     ) -> "BlockCoverage":
         """Every row of the sealed blocks ``kept`` (ascending indices)
-        and of the tail: equal to a coverage of those rows' ranges, with
-        no row placed."""
+        and of the tail: equal to a coverage of those rows' ids, with no
+        row placed."""
         coverage = cls.__new__(cls)
         coverage._row_ids = None
         coverage.sealed_rows = num_rows // rows_per_block * rows_per_block
@@ -265,10 +262,8 @@ class BlockCoverage:
 
         ``index`` is a boolean mask (the scan's qualifying rows, for the
         gather) or a slice (an exact hit's tail): either keeps the row
-        ids ascending.  Equal to a fresh coverage of
-        ``RangeList.from_rows(row_ids[index])`` without the range list in
-        between: the row ids are already expanded and clipped, and rows
-        this coverage left out stay out.  A whole-block coverage maps the
+        ids ascending.  Equal to a fresh coverage of ``row_ids[index]``;
+        rows this coverage left out stay out.  A whole-block coverage maps the
         selected positions straight to row ids (O(selected)), so row ids
         it never expanded stay unexpanded.
         """
@@ -420,24 +415,19 @@ class ColumnStore:
         """The tail buffer itself (replaced, never written, by appends)."""
         return self._tail
 
-    def cover(self, ranges: RangeList) -> BlockCoverage:
-        """Where ``ranges`` fall in this column's blocks and tail."""
-        return BlockCoverage(ranges, self.rows_per_block, self.num_rows)
-
     def read_ranges(
-        self, ranges: Union[RangeList, BlockCoverage], rms: ManagedStorage
+        self, coverage: BlockCoverage, rms: ManagedStorage
     ) -> np.ndarray:
-        """Gather the column's values for the given local row ranges.
+        """Gather the column's values for the covered local rows.
 
         Sealed blocks are fetched through managed storage exactly once
         per call (the per-access counting the cost model needs), in one
         ``read_blocks`` round, and the covered rows taken from the
         decoded array; tail rows are served from the insert buffer
-        without block accounting.  A caller reading several
-        columns of one slice over the same ranges passes their
-        :class:`BlockCoverage` instead, computed once.
+        without block accounting.  The coverage is the slice's
+        (:meth:`~repro.storage.slice.DataSlice.cover`): one serves every
+        column read over the same rows.
         """
-        coverage = ranges if isinstance(ranges, BlockCoverage) else self.cover(ranges)
         if coverage.sealed_rows != self.num_sealed_rows:
             raise ValueError(
                 f"coverage over {coverage.sealed_rows} sealed rows, "
@@ -468,4 +458,7 @@ class ColumnStore:
 
     def read_all(self, rms: ManagedStorage) -> np.ndarray:
         """Read the entire column (loads, joins on full tables)."""
-        return self.read_ranges(RangeList.full(self.num_rows), rms)
+        every = BlockCoverage.of_blocks(
+            np.arange(len(self.blocks)), self.rows_per_block, self.num_rows
+        )
+        return self.read_ranges(every, rms)

@@ -17,11 +17,10 @@ rows with an old summary — and a rewrite recomputes it.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Union
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..core.rowrange import RangeList
 from .column import BlockCoverage, ColumnStore, GrowableArray
 from .dtypes import DataType
 from .rms import ManagedStorage
@@ -63,8 +62,8 @@ class DataSlice:
         self,
         rows: Mapping[str, Sequence[object]],
         txid: int,
-    ) -> RangeList:
-        """Append rows (column name -> values), returning their local range."""
+    ) -> None:
+        """Append rows (column name -> values) at the slice's end."""
         lengths = {name: len(values) for name, values in rows.items()}
         if set(rows) != set(self.columns):
             missing = set(self.columns) - set(rows)
@@ -78,15 +77,13 @@ class DataSlice:
             raise ValueError(f"ragged append: column lengths {lengths}")
         count = distinct.pop() if distinct else 0
         if count == 0:
-            return RangeList.empty()
+            return
         self.max_xmin = max(self.max_xmin, txid)
         for name, values in rows.items():
             self.columns[name].append(values)
         self._xmin.append_many(np.full(count, txid, dtype=np.int64))
         self._xmax.append_many(np.full(count, INFINITY_TX, dtype=np.int64))
-        start = self.num_rows
         self.num_rows += count
-        return RangeList([(start, start + count)])
 
     def mark_deleted(self, local_rows: np.ndarray, txid: int) -> int:
         """MVCC delete: set xmax for still-visible rows; returns count."""
@@ -101,64 +98,41 @@ class DataSlice:
     # -- visibility ----------------------------------------------------------------
 
     def cover(
-        self, ranges: Optional[RangeList], dropped: Optional[np.ndarray] = None
+        self,
+        rows: Optional[np.ndarray] = None,
+        dropped: Optional[np.ndarray] = None,
     ) -> BlockCoverage:
-        """The block coverage of ``ranges``, valid for every column;
-        rows in the sealed blocks ``dropped`` marks are left out.
+        """The block coverage of ``rows`` (ascending local row ids),
+        valid for every column; rows in the sealed blocks ``dropped``
+        marks are left out.
 
-        ``None`` covers :meth:`unpruned_rows` (a scan with no cached
-        candidates) by the block: no row id is expanded or placed.
+        ``None`` covers every row by the block (a scan with no cached
+        candidates): no row id is expanded or placed.  The tail carries
+        no zone map (it is still mutable), so it is always in — matching
+        Redshift, where the insert buffer is always scanned.
         """
         size = self.rows_per_block
-        if ranges is not None:
-            return BlockCoverage(ranges, size, self.num_rows, dropped)
+        if rows is not None:
+            return BlockCoverage(rows, size, self.num_rows, dropped)
         kept = (
             np.arange(self.num_rows // size) if dropped is None
             else np.flatnonzero(~dropped)
         )
         return BlockCoverage.of_blocks(kept, size, self.num_rows)
 
-    def unpruned_rows(self, dropped: Optional[np.ndarray]) -> RangeList:
-        """Every row of the slice outside the sealed blocks ``dropped``
-        marks: what a scan with no cached candidates starts from.  The
-        tail carries no zone map (it is still mutable), so it is always
-        in — matching Redshift, where the insert buffer is always scanned.
-        """
-        if dropped is None:
-            return RangeList.full(self.num_rows)
-        size = self.rows_per_block
-        sealed_rows = len(dropped) * size
-        # Runs of kept blocks scaled to rows are sorted, disjoint and
-        # non-adjacent already; the tail extends a run that ends at it.
-        bounds = RangeList.from_mask(~dropped).bounds * size
-        if self.num_rows > sealed_rows:
-            if len(bounds) and bounds[-1, 1] == sealed_rows:
-                bounds[-1, 1] = self.num_rows
-            else:
-                tail = np.array([[sealed_rows, self.num_rows]], dtype=np.int64)
-                bounds = np.concatenate((bounds, tail))
-        return RangeList._wrap(bounds)
-
     def all_visible(self, txid: int) -> bool:
         """Whether every row is visible to ``txid``: none was created
         after it or deleted at or before it (the MVCC summary)."""
         return self.max_xmin <= txid < self.min_xmax
 
-    def visibility_mask(
-        self, ranges: Union[RangeList, BlockCoverage], txid: int
-    ) -> np.ndarray:
-        """Visibility of each row in ``ranges`` (concatenated order).
+    def visibility_mask(self, coverage: BlockCoverage, txid: int) -> np.ndarray:
+        """Visibility of each covered row (ascending row order).
 
         A row is visible to ``txid`` when it was created by a
         transaction ``<= txid`` and not deleted by one ``<= txid``.
         """
-        if isinstance(ranges, BlockCoverage):
-            xmin = ranges.take(self._xmin.values)
-            xmax = ranges.take(self._xmax.values)
-        else:
-            rows = ranges.to_row_ids()
-            xmin = self._xmin.values[rows]
-            xmax = self._xmax.values[rows]
+        xmin = coverage.take(self._xmin.values)
+        xmax = coverage.take(self._xmax.values)
         return (xmin <= txid) & (xmax > txid)
 
     def visible_row_count(self, txid: int) -> int:
@@ -180,9 +154,8 @@ class DataSlice:
         slices) makes none of its blocks resident and broadcasts the
         ``layout`` event before the slice is read again.
         """
-        full = RangeList.full(self.num_rows)
         for column in self.columns.values():
-            column.rebuild(column.read_ranges(full, rms)[order])
+            column.rebuild(column.read_all(rms)[order])
         xmin = self._xmin.values[order]
         xmax = self._xmax.values[order]
         self._xmin.replace(xmin)

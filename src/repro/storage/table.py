@@ -228,9 +228,16 @@ class Table:
             raise ValueError(f"insert into {self.name} missing columns {sorted(missing)}")
         arrays: Dict[str, np.ndarray] = {}
         for spec in self.schema.columns:
-            arrays[spec.name] = np.asarray(
-                rows[spec.name], dtype=spec.dtype.numpy_dtype
-            )
+            values = rows[spec.name]
+            # Columns are NOT NULL: a None would be stored as a string,
+            # become NaN or fail deep in numpy, so it is refused here.
+            if (
+                not isinstance(values, np.ndarray) or values.dtype == object
+            ) and None in values:
+                raise ValueError(
+                    f"insert into {self.name}: column {spec.name!r} is NOT NULL"
+                )
+            arrays[spec.name] = np.asarray(values, dtype=spec.dtype.numpy_dtype)
         return arrays
 
     def _assign_slices(self, arrays: Dict[str, np.ndarray], count: int) -> np.ndarray:

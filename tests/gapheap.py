@@ -51,8 +51,8 @@ class GapHeapRangeBuilder:
         >>> b = GapHeapRangeBuilder(max_ranges=2)
         >>> for r in [(0, 2), (4, 6), (100, 110)]:
         ...     b.add(*r)
-        >>> b.finish().to_pairs()
-        [(0, 6), (100, 110)]
+        >>> b.finish().bounds.tolist()
+        [[0, 6], [100, 110]]
     """
 
     def __init__(self, max_ranges: int) -> None:
@@ -161,7 +161,7 @@ class GapHeapRangeBuilder:
 
     def add_range_list(self, ranges: RangeList) -> None:
         """Stream every range of a :class:`RangeList` (bulk path)."""
-        self.add_ranges(ranges.starts, ranges.ends)
+        self.add_ranges(ranges.bounds[:, 0], ranges.bounds[:, 1])
 
     def _push_gap(self, gap_start: int, gap_end: int) -> None:
         width = gap_end - gap_start
@@ -176,7 +176,7 @@ class GapHeapRangeBuilder:
         """Complement the kept gaps into the final bounded range list."""
         self._finished = True
         if self._first_start is None:
-            return RangeList.empty()
+            return RangeList.from_rows([])
         assert self._last_end is not None
         if not self._gaps:
             bounds = np.array([[self._first_start, self._last_end]], dtype=np.int64)

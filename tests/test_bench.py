@@ -118,6 +118,33 @@ RETIRED_SHIMS = {
         "BlockCoverage; storage.zonemap_ms reads 0 (its time shows under "
         "engine.scan_self_ms) until SHIMS binds ZoneMap.pruned_blocks"
     ),
+    # RangeList keeps only a range state's payload; rows travel as
+    # ascending row ids, so core.rangeops reads lower until SHIMS
+    # rebinds it.
+    "RangeList.union": (
+        "deleted: a plan's rows are a state's cached row ids plus its "
+        "tail (SliceState.rows), inside engine.scan_self"
+    ),
+    "RangeList.intersect": (
+        "deleted: a composed serve intersects row ids with a mask, "
+        "inside engine.scan_self"
+    ),
+    "RangeList.difference": (
+        "deleted: zone-map drops leave blocks out of the BlockCoverage,"
+        " inside engine.scan_self"
+    ),
+    "RangeList.complement": (
+        "deleted: a conjunct set is every row but the scanned rows it "
+        "rejected, one mask inside engine.scan_self"
+    ),
+    "RangeList.clip": (
+        "deleted: an extension takes its tail rows by searchsorted "
+        "inside SliceState.extended, under core.install"
+    ),
+    "RangeList.shift": "deleted with no caller outside tests; no work moved",
+    "RangeList.covers": "deleted with no caller outside tests; no work moved",
+    "RangeList.to_mask": "deleted with no caller outside tests; no work moved",
+    "RangeList.from_bounds": "deleted with no caller outside tests; no work moved",
 }
 
 

@@ -5,126 +5,128 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.cache import PredicateCache
 from repro.core.entry import BitmapSliceState, CacheEntry, RangeSliceState
 from repro.core.keys import ScanKey
 from repro.core.rowrange import RangeList
+from repro.engine.scan import _SliceCacheContext, _resolve_source
+
+from tests.gapheap import GapHeapRangeBuilder
+from tests.rowsets import pairs, rows
 
 
 class TestRangeSliceState:
     def test_initial_state(self):
-        state = RangeSliceState(RangeList([(5, 10)]), scanned_upto=100, max_ranges=8)
-        assert state.cached_candidates().to_pairs() == [(5, 10)]
+        state = RangeSliceState(rows((5, 10)), scanned_upto=100, max_ranges=8)
+        assert pairs(state.ranges) == [(5, 10)]
         assert state.last_cached_row == 100
 
     def test_candidates_include_uncached_tail(self):
-        state = RangeSliceState(RangeList([(5, 10)]), 100, 8)
-        cands = state.candidates(120)
-        assert cands.to_pairs() == [(5, 10), (100, 120)]
+        state = RangeSliceState(rows((5, 10)), 100, 8)
+        assert pairs(state.rows(120)) == [(5, 10), (100, 120)]
 
     def test_candidates_without_growth(self):
-        state = RangeSliceState(RangeList([(5, 10)]), 100, 8)
-        assert state.candidates(100).to_pairs() == [(5, 10)]
+        state = RangeSliceState(rows((5, 10)), 100, 8)
+        assert pairs(state.rows(100)) == [(5, 10)]
 
     def test_candidates_without_growth_are_the_stored_list(self):
-        state = RangeSliceState(RangeList([(5, 10), (40, 60)]), 100, 8)
-        assert state.candidates(100) is state.ranges
+        state = RangeSliceState(rows((5, 10), (40, 60)), 100, 8)
+        assert state.rows(100).tolist() == state.ranges.to_row_ids().tolist()
 
     def test_bounded_ranges(self):
-        qualifying = RangeList([(i * 10, i * 10 + 2) for i in range(50)])
+        qualifying = rows(*((i * 10, i * 10 + 2) for i in range(50)))
         state = RangeSliceState(qualifying, 500, max_ranges=4)
         assert len(state.ranges) <= 4
-        assert state.ranges.covers(qualifying)
+        assert np.isin(qualifying, state.rows(500)).all()
 
     def test_extend_folds_in_tail(self):
-        state = RangeSliceState(RangeList([(0, 5)]), 100, 8)
-        grown = state.extended(RangeList([(100, 103)]), 150)
+        state = RangeSliceState(rows((0, 5)), 100, 8)
+        grown = state.extended(rows((100, 103)), 150)
         assert grown.last_cached_row == 150
-        assert grown.cached_candidates().to_pairs() == [(0, 5), (100, 103)]
+        assert pairs(grown.ranges) == [(0, 5), (100, 103)]
         assert state.last_cached_row == 100
-        assert state.cached_candidates().to_pairs() == [(0, 5)]
+        assert pairs(state.ranges) == [(0, 5)]
 
     def test_extend_clips_to_tail_region(self):
-        state = RangeSliceState(RangeList([(0, 5)]), 100, 8)
-        # Qualifying ranges below the watermark must not be re-added
+        state = RangeSliceState(rows((0, 5)), 100, 8)
+        # Qualifying rows below the watermark must not be re-added
         # (they may come from a scan restricted to cached candidates).
-        grown = state.extended(RangeList([(0, 5), (100, 101)]), 120)
-        assert grown.cached_candidates().to_pairs() == [(0, 5), (100, 101)]
+        grown = state.extended(rows((0, 5), (100, 101)), 120)
+        assert pairs(grown.ranges) == [(0, 5), (100, 101)]
 
     def test_extend_without_growth_keeps_the_stored_list(self):
-        state = RangeSliceState(RangeList([(0, 5)]), 100, 8)
-        assert state.extended(RangeList([(0, 5)]), 100) is state
+        state = RangeSliceState(rows((0, 5)), 100, 8)
+        assert state.extended(rows((0, 5)), 100) is state
 
     def test_extend_cannot_shrink(self):
-        state = RangeSliceState(RangeList([(0, 5)]), 100, 8)
+        state = RangeSliceState(rows((0, 5)), 100, 8)
         with pytest.raises(ValueError):
-            state.extended(RangeList(), 50)
+            state.extended(rows(), 50)
 
     def test_extend_respects_bound(self):
-        state = RangeSliceState(RangeList([(i * 10, i * 10 + 1) for i in range(4)]), 40, 4)
-        grown = state.extended(
-            RangeList([(40 + i * 10, 41 + i * 10) for i in range(4)]), 80
-        )
+        state = RangeSliceState(rows(*((i * 10, i * 10 + 1) for i in range(4))), 40, 4)
+        grown = state.extended(rows(*((40 + i * 10, 41 + i * 10) for i in range(4))), 80)
         assert len(grown.ranges) <= 4
 
     def test_nbytes(self):
-        state = RangeSliceState(RangeList([(0, 1), (5, 6)]), 10, 8)
+        state = RangeSliceState(rows((0, 1), (5, 6)), 10, 8)
         assert state.nbytes == 2 * 16 + 8
 
 
 class TestBitmapSliceState:
     def test_blocks_marked(self):
-        state = BitmapSliceState(RangeList([(0, 5), (2500, 2600)]), 3000, 1000)
+        state = BitmapSliceState(rows((0, 5), (2500, 2600)), 3000, 1000)
         assert state.bits.tolist() == [True, False, True]
 
     def test_candidates_are_block_aligned(self):
-        state = BitmapSliceState(RangeList([(1500, 1501)]), 3000, 1000)
-        assert state.candidates(3000).to_pairs() == [(1000, 2000)]
+        state = BitmapSliceState(rows((1500, 1501)), 3000, 1000)
+        assert pairs(state.rows(3000)) == [(1000, 2000)]
 
     def test_range_spanning_blocks(self):
-        state = BitmapSliceState(RangeList([(900, 1100)]), 3000, 1000)
+        state = BitmapSliceState(rows((900, 1100)), 3000, 1000)
         assert state.bits.tolist() == [True, True, False]
 
     def test_last_block_clipped_to_watermark(self):
-        state = BitmapSliceState(RangeList([(0, 100)]), 500, 1000)
-        assert state.candidates(500).to_pairs() == [(0, 500)]
+        state = BitmapSliceState(rows((0, 100)), 500, 1000)
+        assert pairs(state.rows(500)) == [(0, 500)]
 
     def test_candidates_without_growth_equal_the_cached_list(self):
         # Watermark inside the last (partial) block, a run ending in it.
-        state = BitmapSliceState(RangeList([(0, 5), (2100, 2450)]), 2500, 1000)
-        assert state.candidates(2500) == state.cached_candidates()
-        assert state.candidates(2500).to_pairs() == [(0, 1000), (2000, 2500)]
+        state = BitmapSliceState(rows((0, 5), (2100, 2450)), 2500, 1000)
+        assert pairs(state.rows(2500)) == [(0, 1000), (2000, 2500)]
+        assert pairs(state.rows(2400)) == pairs(state.rows(2500))
 
     def test_tail_appended(self):
-        state = BitmapSliceState(RangeList([(0, 10)]), 1000, 1000)
-        assert state.candidates(1200).to_pairs() == [(0, 1200)]
+        state = BitmapSliceState(rows((0, 10)), 1000, 1000)
+        assert pairs(state.rows(1200)) == [(0, 1200)]
 
     def test_extend_grows_bitmap(self):
-        state = BitmapSliceState(RangeList([(0, 10)]), 1000, 1000)
-        grown = state.extended(RangeList([(2100, 2200)]), 3000)
+        state = BitmapSliceState(rows((0, 10)), 1000, 1000)
+        grown = state.extended(rows((2100, 2200)), 3000)
         assert grown.bits.tolist() == [True, False, True]
         assert grown.last_cached_row == 3000
         assert state.bits.tolist() == [True] and state.last_cached_row == 1000
 
     def test_extend_ignores_already_cached_region(self):
-        state = BitmapSliceState(RangeList([(0, 10)]), 2000, 1000)
+        state = BitmapSliceState(rows((0, 10)), 2000, 1000)
         assert state.bits.tolist() == [True, False]
-        grown = state.extended(RangeList([(1500, 1600), (2500, 2600)]), 3000)
-        # The (1500,1600) range is below the old watermark: a scan that
-        # produced it was candidate-restricted, so only the tail counts.
+        grown = state.extended(rows((1500, 1600), (2500, 2600)), 3000)
+        # The (1500,1600) rows are below the old watermark: a scan that
+        # produced them was candidate-restricted, so only the tail counts.
         assert grown.bits.tolist() == [True, False, True]
 
     def test_bits_cannot_be_written(self):
-        state = BitmapSliceState(RangeList([(0, 10)]), 2000, 1000)
-        for held in (state, state.extended(RangeList(), 2500)):
+        state = BitmapSliceState(rows((0, 10)), 2000, 1000)
+        for held in (state, state.extended(rows(), 2500)):
             with pytest.raises(ValueError):
                 held.bits[1] = True
 
     def test_rejects_bad_block_size(self):
         with pytest.raises(ValueError):
-            BitmapSliceState(RangeList(), 0, 0)
+            BitmapSliceState(rows(), 0, 0)
 
     def test_nbytes_is_bits(self):
-        state = BitmapSliceState(RangeList(), 16_000, 1000)
+        state = BitmapSliceState(rows(), 16_000, 1000)
         assert state.nbytes == 2 + 8  # 16 bits -> 2 bytes + watermark
 
 
@@ -132,9 +134,9 @@ class TestCacheEntry:
     def test_completeness(self):
         entry = CacheEntry(ScanKey("t", "x = 1"), num_slices=2, build_versions={})
         assert not entry.complete
-        entry.slice_states[0] = RangeSliceState(RangeList(), 0, 4)
+        entry.slice_states[0] = RangeSliceState(rows(), 0, 4)
         assert not entry.complete
-        entry.slice_states[1] = RangeSliceState(RangeList(), 0, 4)
+        entry.slice_states[1] = RangeSliceState(rows(), 0, 4)
         assert entry.complete
 
     def test_selectivity(self):
@@ -145,7 +147,7 @@ class TestCacheEntry:
 
     def test_nbytes_sums_slices(self):
         entry = CacheEntry(ScanKey("t", "x = 1"), 2, {})
-        entry.slice_states[0] = RangeSliceState(RangeList([(0, 1)]), 10, 4)
+        entry.slice_states[0] = RangeSliceState(rows((0, 1)), 10, 4)
         assert entry.nbytes == entry.slice_states[0].nbytes
 
 
@@ -156,22 +158,16 @@ row_sets = st.lists(st.integers(0, 2000), max_size=80, unique=True)
 
 @given(row_sets, st.integers(1, 16))
 @settings(max_examples=200, deadline=None)
-def test_range_state_has_no_false_negatives(rows, max_ranges):
-    qualifying = RangeList.from_rows(np.array(sorted(rows), dtype=np.int64))
-    state = RangeSliceState(qualifying, 2100, max_ranges)
-    cands = state.candidates(2100)
-    for row in rows:
-        assert cands.contains_row(row)
+def test_range_state_has_no_false_negatives(qualifying, max_ranges):
+    state = RangeSliceState(np.array(sorted(qualifying), dtype=np.int64), 2100, max_ranges)
+    assert set(qualifying) <= set(state.rows(2100).tolist())
 
 
 @given(row_sets, st.sampled_from([64, 100, 1000]))
 @settings(max_examples=200, deadline=None)
-def test_bitmap_state_has_no_false_negatives(rows, block_size):
-    qualifying = RangeList.from_rows(np.array(sorted(rows), dtype=np.int64))
-    state = BitmapSliceState(qualifying, 2100, block_size)
-    cands = state.candidates(2100)
-    for row in rows:
-        assert cands.contains_row(row)
+def test_bitmap_state_has_no_false_negatives(qualifying, block_size):
+    state = BitmapSliceState(np.array(sorted(qualifying), dtype=np.int64), 2100, block_size)
+    assert set(qualifying) <= set(state.rows(2100).tolist())
 
 
 # -- states are values: what was handed out never changes --------------------
@@ -194,7 +190,7 @@ _variants = st.one_of(
 def _twin(state):
     """An equal state built from copies of ``state``'s representation."""
     if isinstance(state, RangeSliceState):
-        ranges = RangeList.from_bounds(state.ranges.bounds.copy())
+        ranges = RangeList._wrap(state.ranges.bounds.copy())
         return RangeSliceState._wrap(ranges, state.last_cached_row, state.max_ranges)
     return BitmapSliceState._wrap(
         state.bits.copy(), state.last_cached_row, state.block_size
@@ -205,34 +201,143 @@ def _twin(state):
 @settings(max_examples=200, deadline=None)
 def test_states_handed_out_earlier_never_change(steps, variant):
     cls, param = variant
-    handed_out = []  # (state, probe n, candidates(n), nbytes, equal twin)
+    handed_out = []  # (state, probe n, rows(n), nbytes, equal twin)
     truth, num_rows, state = [], 0, None
     for appended, offsets in steps:
-        tail = sorted(num_rows + o for o in offsets if o < appended)
-        qualifying = RangeList.from_rows(np.array(tail, dtype=np.int64))
+        tail = np.array(sorted(num_rows + o for o in offsets if o < appended), dtype=np.int64)
         num_rows += appended
         if state is None:
-            new = cls(qualifying, num_rows, param)
+            new = cls(tail, num_rows, param)
         else:
             # A repeat scans cached candidates + tail, so what it reports
             # reaches below the watermark: that part must be ignored.
-            new = state.extended(qualifying.union(state.cached_candidates()), num_rows)
+            reported = np.union1d(state.rows(state.last_cached_row), tail)
+            new = state.extended(reported, num_rows)
             assert (new is state) == (appended == 0)
             if new is not state:
                 assert new != state
         state = new
-        truth += tail
+        truth += tail.tolist()
         assert state.last_cached_row == num_rows
         # The newest has no false negatives, and rows appended after it
         # was built are all candidates.
         probe = num_rows + 50
-        cands = state.candidates(probe)
-        assert all(cands.contains_row(row) for row in truth)
-        assert cands.contains_row(num_rows) and cands.contains_row(probe - 1)
-        assert state.candidates(num_rows) == state.cached_candidates()
+        cands = state.rows(probe)
+        assert set(truth) <= set(cands.tolist())
+        assert set(range(num_rows, probe)) <= set(cands.tolist())
         handed_out.append((state, probe, cands, state.nbytes, _twin(state)))
         # Every state handed out so far answers exactly as it did then.
         for held, n, expected, nbytes, twin in handed_out:
-            assert held.candidates(n) == expected
+            assert np.array_equal(held.rows(n), expected)
             assert held.nbytes == nbytes
             assert held == twin and twin == held
+
+
+# -- the build-from-rows oracle ---------------------------------------------------------
+
+# A first scan's qualifying rows, then one to three appended tails, each
+# (rows appended, offsets of its qualifying rows into them).
+_builds = st.tuples(
+    st.integers(0, 600),
+    st.lists(st.integers(0, 599), max_size=60, unique=True),
+    st.lists(
+        st.tuples(
+            st.integers(0, 400), st.lists(st.integers(0, 399), max_size=40, unique=True)
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+
+
+def _oracle_rows(state):
+    """The state's cached rows, from its payload by plain Python."""
+    if isinstance(state, RangeSliceState):
+        return {row for start, end in pairs(state.ranges) for row in range(start, end)}
+    size = state.block_size
+    return {
+        row
+        for block, bit in enumerate(state.bits.tolist()) if bit
+        for row in range(block * size, min((block + 1) * size, state.last_cached_row))
+    }
+
+
+def _build(cls, param, build):
+    """Install the first scan exact, then extend over every tail the way
+    a repeat reports it (cached rows plus the tail's qualifying rows);
+    returns the state, the watermark and the true rows."""
+    first, offsets, tails = build
+    truth = sorted(o for o in offsets if o < first)
+    exact = {"exact": True} if cls is RangeSliceState else {}
+    state = cls(np.array(truth, dtype=np.int64), first, param, **exact)
+    num_rows = first
+    for appended, tail_offsets in tails:
+        tail = sorted(num_rows + o for o in tail_offsets if o < appended)
+        truth += tail
+        reported = np.array(
+            sorted(_oracle_rows(state) | set(tail)), dtype=np.int64
+        )
+        num_rows += appended
+        state = state.extended(reported, num_rows, exact=True)
+    return state, num_rows, truth
+
+
+@given(_builds, st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_range_state_built_from_rows_matches_the_streaming_gap_heap(build, max_ranges):
+    state, num_rows, truth = _build(RangeSliceState, max_ranges, build)
+    truth_ranges = RangeList.from_rows(np.array(truth, dtype=np.int64))
+    builder = GapHeapRangeBuilder(max_ranges)
+    for start, end in pairs(truth_ranges):
+        builder.add(start, end)
+    streamed = builder.finish()
+    assert len(state.ranges) == len(streamed) <= max_ranges
+    assert state.ranges.num_rows == streamed.num_rows
+    bounds = truth_ranges.bounds
+    gaps = (bounds[1:, 0] - bounds[:-1, 1]).tolist()
+    if len(set(gaps)) == len(gaps):  # unambiguous gap choice
+        assert state.ranges == streamed
+    assert state.exact == (pairs(state.ranges) == pairs(truth_ranges))
+    assert state.exact == (len(truth_ranges) <= max_ranges)
+
+
+@given(_builds, st.sampled_from([1, 7, 64, 1000]))
+@settings(max_examples=300, deadline=None)
+def test_bitmap_bits_are_the_blocks_of_the_rows(build, block_size):
+    state, num_rows, truth = _build(BitmapSliceState, block_size, build)
+    want = np.zeros(-(-num_rows // block_size), dtype=bool)
+    want[[row // block_size for row in truth]] = True
+    assert state.bits.tolist() == want.tolist()
+    assert not state.exact
+
+
+@given(
+    _builds,
+    _builds,
+    st.sampled_from([(RangeSliceState, 3), (RangeSliceState, 64), (BitmapSliceState, 50)]),
+    st.integers(0, 300),
+)
+@settings(max_examples=200, deadline=None)
+def test_rows_and_a_composed_intersection_match_set_oracles(left, right, variant, grown):
+    """A plan's rows are the cached rows plus the uncached tail, and a
+    state counts and tests them without expanding its payload; a
+    composed serve's candidates are the intersection of its parts'."""
+    cls, param = variant
+    parts = [_build(cls, param, build)[0] for build in (left, right)]
+    num_rows = max(part.last_cached_row for part in parts) + grown
+    wants = []
+    for part in parts:
+        want = _oracle_rows(part) | set(range(part.last_cached_row, num_rows))
+        assert part.rows(num_rows).tolist() == sorted(want)
+        assert part.count(num_rows) == len(want)
+        assert np.flatnonzero(part.mask(num_rows)).tolist() == sorted(want)
+        wants.append(want)
+    entries = []
+    for part in parts:
+        entry = CacheEntry(ScanKey("t", f"x < {len(entries)}"), 1, {})
+        entry.slice_states[0] = part
+        entries.append(entry)
+    context = _SliceCacheContext(PredicateCache(), tuple(entries), "composed")
+    source = _resolve_source(context, 0, num_rows)
+    assert source.candidates.tolist() == sorted(wants[0] & wants[1])
+    assert source.verdict_below == 0 and not source.exact

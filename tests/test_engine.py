@@ -74,6 +74,42 @@ class TestDML:
         assert engine.update_where("t", parse_predicate("k = 99999"), {"v": 0.0}) == 0
 
 
+class TestNotNull:
+    """Every column is NOT NULL: a None is refused where it enters, and
+    a refused statement changes nothing."""
+
+    @staticmethod
+    def snapshot(engine):
+        rows = engine.execute("select k, v, s from t")
+        return engine.count_rows("t"), sorted(
+            zip(*(rows.column(name).tolist() for name in ("k", "v", "s")))
+        )
+
+    @pytest.mark.parametrize("column", ["s", "v", "k"])
+    def test_insert_refuses_none_naming_the_column(self, engine, column):
+        before = self.snapshot(engine)
+        row = {"k": [5000, 5001], "v": [0.5, 0.25], "s": ["a", "b"]}
+        row[column] = [row[column][0], None]
+        with pytest.raises(ValueError, match=repr(column)):
+            engine.insert("t", row)
+        assert self.snapshot(engine) == before
+        assert engine.execute("select count(*) as c from t where s is null").scalar() == 0
+
+    def test_sql_insert_of_null_is_refused(self, engine):
+        before = self.snapshot(engine)
+        with pytest.raises(ValueError, match="'s'"):
+            engine.execute("insert into t values (5000, 0.5, null)")
+        assert self.snapshot(engine) == before
+
+    @pytest.mark.parametrize("column", ["s", "v"])
+    def test_update_to_null_is_refused_before_any_row_is_deleted(self, engine, column):
+        before = self.snapshot(engine)
+        with pytest.raises(ValueError, match=column):
+            engine.execute(f"update t set {column} = null where k < 10")
+        assert self.snapshot(engine) == before
+        assert engine.execute("select count(*) as c from t where k < 10").scalar() == 10
+
+
 class TestStatementContext:
     def test_dml_reports_the_scan_it_ran(self, engine):
         """DELETE / UPDATE find their rows with a scan; its counters and

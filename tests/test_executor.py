@@ -6,7 +6,6 @@ import pytest
 from repro import Database, PredicateCache, QueryEngine
 from repro.core.config import PredicateCacheConfig
 from repro.core.entry import RangeSliceState
-from repro.core.rowrange import RangeList
 from repro.engine import executor as executor_module
 from repro.engine.executor import _hash_join_indices
 from repro.engine.hashing import stable_int_keys
@@ -166,7 +165,7 @@ def _reference_scan(table, predicate, filters, txid):
             for name, column in data_slice.columns.items()
         }
         mask = predicate.evaluate(batch) & data_slice.visibility_mask(
-            RangeList.full(data_slice.num_rows), txid
+            data_slice.cover(), txid
         )
         for f in filters:
             probes += int(np.count_nonzero(mask))
@@ -287,7 +286,7 @@ class TestSemiJoinProbe:
             rows = fact_rows if entry.key.is_join_key else plain_rows
             assert entry.slice_states == [
                 RangeSliceState(
-                    RangeList.from_rows(rows[slice_id]),
+                    rows[slice_id],
                     data_slice.num_rows,
                     cache.config.max_ranges_per_slice,
                 )

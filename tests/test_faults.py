@@ -24,13 +24,14 @@ from repro import (
     ScanKey,
     TransientStorageError,
 )
-from repro.core.rowrange import RangeList
 from repro.engine.explain import render_analyze
 from repro.lake import LakeScanner, LakeTable
 from repro.obs import MetricsRegistry, Tracer
 from repro.predicates import parse_predicate
 from repro.storage import ColumnSpec, DataType, TableSchema
 from repro.storage.compression import array_checksum, choose_codec, decode_block
+
+from tests.rowsets import rows
 
 
 def make_engine(num_slices=1, rows_per_block=32, rows=200, tracer=None):
@@ -252,7 +253,7 @@ class TestStaleGenerationInstalls:
         cache = PredicateCache(PredicateCacheConfig(variant="range"))
         key = ScanKey("t", "x < 10")
         entry = cache.get_or_create(key, num_slices=2)
-        cache.record_slice_scan(entry, 0, RangeList([(0, 5)]), 10)
+        cache.record_slice_scan(entry, 0, rows((0, 5)), 10)
         assert entry.slice_states[0] is not None
 
         cache.invalidate_table("t")  # the vacuum
@@ -260,7 +261,7 @@ class TestStaleGenerationInstalls:
 
         # The scan still holds the old entry and tries to install its
         # second slice: the write must be dropped, not resurrected.
-        cache.record_slice_scan(entry, 1, RangeList([(0, 5)]), 10)
+        cache.record_slice_scan(entry, 1, rows((0, 5)), 10)
         assert key not in cache
         assert len(cache) == 0
         assert cache.stats.stale_installs == 1
@@ -275,12 +276,12 @@ class TestStaleGenerationInstalls:
         assert fresh.generation == 1
 
         # Old-generation object: refused even though the key is live again.
-        cache.record_slice_scan(old, 0, RangeList([(0, 5)]), 10)
+        cache.record_slice_scan(old, 0, rows((0, 5)), 10)
         assert cache.stats.stale_installs == 1
         assert fresh.slice_states[0] is None
 
         # The fresh entry installs normally.
-        cache.record_slice_scan(fresh, 0, RangeList([(0, 5)]), 10)
+        cache.record_slice_scan(fresh, 0, rows((0, 5)), 10)
         assert fresh.slice_states[0] is not None
 
     def test_clear_bumps_generation(self):
@@ -288,7 +289,7 @@ class TestStaleGenerationInstalls:
         key = ScanKey("t", "x < 10")
         entry = cache.get_or_create(key, num_slices=1)
         cache.clear()
-        cache.record_slice_scan(entry, 0, RangeList([(0, 5)]), 10)
+        cache.record_slice_scan(entry, 0, rows((0, 5)), 10)
         assert cache.stats.stale_installs == 1
         assert cache.get_or_create(key, 1).generation == entry.generation + 1
 
@@ -301,7 +302,7 @@ class TestStaleGenerationInstalls:
         engine.delete_where("t", parse_predicate("x = 199"))
         engine.vacuum(["t"])  # layout change drops + generation-bumps
         assert len(cache) == 0
-        cache.record_slice_scan(stale_entry, 0, RangeList([(0, 5)]), 10)
+        cache.record_slice_scan(stale_entry, 0, rows((0, 5)), 10)
         assert len(cache) == 0
         assert cache.stats.stale_installs == 1
         assert engine.execute(sql).scalar() == expected

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.rowrange import RangeList
 from tests.gapheap import GapHeapRangeBuilder
+from tests.rowsets import pairs, ranges
 
 
 class TestGapHeapBasics:
@@ -16,27 +16,27 @@ class TestGapHeapBasics:
         builder = GapHeapRangeBuilder(max_ranges=1)
         builder.add(1, 3)
         builder.add(4, 7)
-        assert builder.finish().to_pairs() == [(1, 7)]
+        assert pairs(builder.finish()) == [(1, 7)]
 
     def test_keeps_largest_gaps(self):
         builder = GapHeapRangeBuilder(max_ranges=2)
         for start, end in [(0, 2), (4, 6), (100, 110)]:
             builder.add(start, end)
-        assert builder.finish().to_pairs() == [(0, 6), (100, 110)]
+        assert pairs(builder.finish()) == [(0, 6), (100, 110)]
 
     def test_no_merging_needed(self):
         builder = GapHeapRangeBuilder(max_ranges=10)
         builder.add(0, 2)
         builder.add(50, 60)
-        assert builder.finish().to_pairs() == [(0, 2), (50, 60)]
+        assert pairs(builder.finish()) == [(0, 2), (50, 60)]
 
     def test_empty(self):
-        assert GapHeapRangeBuilder(max_ranges=4).finish().to_pairs() == []
+        assert pairs(GapHeapRangeBuilder(max_ranges=4).finish()) == []
 
     def test_empty_ranges_ignored(self):
         builder = GapHeapRangeBuilder(max_ranges=4)
         builder.add(5, 5)
-        assert builder.finish().to_pairs() == []
+        assert pairs(builder.finish()) == []
 
     def test_rejects_out_of_order(self):
         builder = GapHeapRangeBuilder(max_ranges=4)
@@ -57,8 +57,8 @@ class TestGapHeapBasics:
 
     def test_add_range_list(self):
         builder = GapHeapRangeBuilder(max_ranges=2)
-        builder.add_range_list(RangeList([(0, 1), (5, 6), (100, 101)]))
-        assert builder.finish().to_pairs() == [(0, 6), (100, 101)]
+        builder.add_range_list(ranges((0, 1), (5, 6), (100, 101)))
+        assert pairs(builder.finish()) == [(0, 6), (100, 101)]
 
 
 # -- the reference for RangeList.coalesce ----------------------------------------------
@@ -74,7 +74,7 @@ pairs_strategy = st.lists(
 
 @given(pairs_strategy, st.integers(1, 6), st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_matches_offline_coalesce(pairs, max_ranges, one_at_a_time):
+def test_matches_offline_coalesce(spans, max_ranges, one_at_a_time):
     """``coalesce`` == the gap heap fed the same sorted ranges, streamed
     through ``heapq`` one at a time or in bulk.
 
@@ -82,22 +82,22 @@ def test_matches_offline_coalesce(pairs, max_ranges, one_at_a_time):
     may differ in *which* equal-width gap is kept, so ties compare range
     count and row coverage, and distinct gap widths compare identity.
     """
-    normalized = RangeList(pairs)
+    normalized = ranges(*spans)
     builder = GapHeapRangeBuilder(max_ranges)
     if one_at_a_time:
-        for start, end in normalized.to_pairs():
+        for start, end in pairs(normalized):
             builder.add(start, end)
     else:
         builder.add_range_list(normalized)
     streamed = builder.finish()
     offline = normalized.coalesce(max_ranges)
 
-    assert offline.covers(normalized) and streamed.covers(normalized)
+    qualifying = set(normalized.to_row_ids().tolist())
+    assert qualifying <= set(offline.to_row_ids().tolist())
+    assert qualifying <= set(streamed.to_row_ids().tolist())
     assert len(offline) == len(streamed) <= max_ranges
-    gaps = [
-        later.start - earlier.end
-        for earlier, later in zip(normalized, list(normalized)[1:])
-    ]
+    bounds = normalized.bounds
+    gaps = (bounds[1:, 0] - bounds[:-1, 1]).tolist()
     if len(set(gaps)) == len(gaps):  # unambiguous gap choice
         assert offline == streamed
     else:
@@ -106,11 +106,10 @@ def test_matches_offline_coalesce(pairs, max_ranges, one_at_a_time):
 
 @given(pairs_strategy, st.integers(1, 6))
 @settings(max_examples=200, deadline=None)
-def test_never_false_negative(pairs, max_ranges):
+def test_never_false_negative(spans, max_ranges):
     """Every qualifying row stays covered — the cache's safety property."""
-    normalized = RangeList(pairs)
+    normalized = ranges(*spans)
     builder = GapHeapRangeBuilder(max_ranges)
     builder.add_range_list(normalized)
     result = builder.finish()
-    for row in normalized.to_row_ids():
-        assert result.contains_row(int(row))
+    assert set(normalized.to_row_ids().tolist()) <= set(result.to_row_ids().tolist())

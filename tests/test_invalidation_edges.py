@@ -10,12 +10,13 @@ from repro import (
     PredicateCache,
     PredicateCacheConfig,
     QueryEngine,
-    RangeList,
     ScanKey,
     SemiJoinDescriptor,
     parse_predicate,
 )
 from repro.storage import ColumnSpec, DataType, TableSchema
+
+from tests.rowsets import rows
 
 
 def make_engine(cache=None, **cache_kwargs):
@@ -208,7 +209,7 @@ class TestClearRegression:
         policy.observe(key, 0.1)
         assert cache.admits(key)
         entry = cache.get_or_create(key, 1)
-        cache.record_slice_scan(entry, 0, RangeList([(0, 5)]), 100)
+        cache.record_slice_scan(entry, 0, rows((0, 5)), 100)
         assert policy.tracked_keys == 1
 
         cleared = cache.clear()
@@ -230,7 +231,7 @@ class TestClearRegression:
         old, new = ScanKey("t", "x = 1"), ScanKey("t", "x = 2")
         sizing = PredicateCache()
         entry = sizing.get_or_create(old, 1)
-        sizing.record_slice_scan(entry, 0, RangeList([(0, 5)]), 100)
+        sizing.record_slice_scan(entry, 0, rows((0, 5)), 100)
         # A byte budget of one entry: the second install evicts the first.
         cache = PredicateCache(
             PredicateCacheConfig(max_bytes=entry.nbytes), policy=policy
@@ -238,7 +239,7 @@ class TestClearRegression:
         for key in (old, new):
             policy.observe(key, 0.1)
             entry = cache.get_or_create(key, 1)
-            cache.record_slice_scan(entry, 0, RangeList([(0, 5)]), 100)
+            cache.record_slice_scan(entry, 0, rows((0, 5)), 100)
         assert old not in cache and new in cache
         assert cache.stats.evictions == 1
         assert policy.tracked_keys == 2  # eviction forgets nothing

@@ -27,9 +27,11 @@ from repro.invariants import InvariantViolation
 from repro.persist import CacheStore, collect_records
 from repro.persist.format import encode_snapshot
 from repro.storage import ColumnSpec, Database, DataType, TableSchema
-from repro.storage.column import ColumnStore
+from repro.storage.column import BlockCoverage, ColumnStore
 from repro.storage.compression import array_checksum
 from repro.storage.rms import ManagedStorage
+
+from tests.rowsets import ranges, rows
 
 
 @pytest.fixture
@@ -50,7 +52,7 @@ def populated_cache(num_keys=2):
     cache = make_cache()
     for i in range(num_keys):
         entry = cache.get_or_create(ScanKey("t", f"x = {i}"), num_slices=2)
-        cache.record_slice_scan(entry, 0, RangeList([(0, 5)]), 100)
+        cache.record_slice_scan(entry, 0, rows((0, 5)), 100)
     return cache
 
 
@@ -128,34 +130,34 @@ class TestCheckBounds:
 
 class TestCheckSliceState:
     def test_range_state_passes(self):
-        state = RangeSliceState(RangeList([(0, 5)]), 100, max_ranges=8)
+        state = RangeSliceState(rows((0, 5)), 100, max_ranges=8)
         invariants.check_slice_state(state, slice_rows=100)
 
     # Broken states come from the trusted constructor handed a broken
     # representation — the one way left to make one (a damaged store).
 
     def test_range_beyond_watermark(self):
-        state = RangeSliceState._wrap(RangeList([(0, 50)]), 10, 8)
+        state = RangeSliceState._wrap(ranges((0, 50)), 10, 8)
         with pytest.raises(InvariantViolation, match="beyond the"):
             invariants.check_slice_state(state)
 
     def test_range_count_over_budget(self):
-        state = RangeSliceState._wrap(RangeList([(0, 2), (4, 6)]), 100, 1)
+        state = RangeSliceState._wrap(ranges((0, 2), (4, 6)), 100, 1)
         with pytest.raises(InvariantViolation, match="max_ranges"):
             invariants.check_slice_state(state)
 
     def test_watermark_beyond_slice(self):
-        state = RangeSliceState(RangeList([(0, 5)]), 100, max_ranges=8)
+        state = RangeSliceState(rows((0, 5)), 100, max_ranges=8)
         with pytest.raises(InvariantViolation, match="slice row count"):
             invariants.check_slice_state(state, slice_rows=50)
 
     def test_negative_watermark(self):
-        state = RangeSliceState._wrap(RangeList.empty(), -1, 8)
+        state = RangeSliceState._wrap(ranges(), -1, 8)
         with pytest.raises(InvariantViolation, match=">= 0"):
             invariants.check_slice_state(state)
 
     def test_bitmap_state_passes(self):
-        state = BitmapSliceState(RangeList([(0, 64)]), 1000, block_size=128)
+        state = BitmapSliceState(rows((0, 64)), 1000, block_size=128)
         invariants.check_slice_state(state, slice_rows=1000)
 
     def test_bitmap_wrong_dtype(self):
@@ -275,7 +277,8 @@ class TestCheckDecodedRows:
             invariants, "check_decoded_rows",
             lambda decoded, blocks, indices, checksum: seen.append(list(indices)),
         )
-        column.read_ranges(RangeList([(5, 10)]), ManagedStorage())
+        coverage = BlockCoverage(rows((5, 10)), column.rows_per_block, column.num_rows)
+        column.read_ranges(coverage, ManagedStorage())
         assert seen == [[1]]
 
 
@@ -305,7 +308,7 @@ class TestCheckCache:
             key = ScanKey("t", f"x = {i}")
             entry = CacheEntry(key, 1, {})
             entry.slice_states[0] = RangeSliceState(
-                RangeList([(0, 5), (7, 9)]), 100, max_ranges=8
+                rows((0, 5), (7, 9)), 100, max_ranges=8
             )
             cache._entries[key] = entry
         with pytest.raises(InvariantViolation, match="max_bytes"):

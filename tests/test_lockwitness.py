@@ -246,7 +246,6 @@ class TestWriteThroughOffTheCacheLock:
 
         from repro import PredicateCache, PredicateCacheConfig
         from repro.core.keys import ScanKey
-        from repro.core.rowrange import RangeList
         from repro.persist import CacheStore
         from tests.test_persist import assert_store_mirrors
 
@@ -268,9 +267,7 @@ class TestWriteThroughOffTheCacheLock:
                 upto = max(known, watermarks.get((key, slice_id), 0)) + int(
                     rng.integers(0, 3)
                 ) * 100
-                rows = RangeList.from_bounds(
-                    np.array([[max(0, upto - 40), upto]], dtype=np.int64)
-                )
+                rows = np.arange(max(0, upto - 40), upto, dtype=np.int64)
                 try:
                     cache.record_slice_scan(entry, slice_id, rows, upto)
                 except ValueError:
@@ -307,14 +304,13 @@ class TestWriteThroughOffTheCacheLock:
 
         from repro import PredicateCache
         from repro.core.keys import ScanKey
-        from repro.core.rowrange import RangeList
         from repro.persist import CacheStore
         from tests.test_persist import assert_store_mirrors
 
         cache = PredicateCache()
         store = CacheStore(tmp_path)
         store.attach(cache)
-        rows = RangeList.from_bounds(np.array([[0, 40]], dtype=np.int64))
+        rows = np.arange(40, dtype=np.int64)
         warm = cache.get_or_create(ScanKey("t", "x < 1"), 4)
         cache.record_slice_scan(warm, 0, rows, 100)
 
@@ -334,7 +330,7 @@ class TestWriteThroughOffTheCacheLock:
             assert cache.select_entry([warm.key]) is warm
             assert cache.lookup_part(warm.key) is warm
             assert cache.lookup(ScanKey("t", "x < 3")) is None
-            cache.record_slice_scan(warm, 0, RangeList.empty(), 100)
+            cache.record_slice_scan(warm, 0, np.empty(0, dtype=np.int64), 100)
 
         holder = threading.Thread(target=hold_io_lock)
         installer = threading.Thread(target=install)

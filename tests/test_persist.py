@@ -31,6 +31,7 @@ from repro.persist.format import (
 )
 from repro.storage import ColumnSpec, DataType, TableSchema
 
+from tests.rowsets import ranges, rows
 from tests.twins import restart
 
 COLUMNS = ("x", "v")
@@ -294,7 +295,6 @@ class TestSnapshotRacesAnExtendingWriter:
         import threading
 
         from repro.core.keys import ScanKey
-        from repro.core.rowrange import RangeList
 
         cache = PredicateCache(PredicateCacheConfig(variant="bitmap", bitmap_block_rows=8))
         store = CacheStore(tmp_path)
@@ -307,7 +307,7 @@ class TestSnapshotRacesAnExtendingWriter:
             try:
                 upto = 0
                 for step in range(400):
-                    tail = RangeList([(upto, upto + 1)]) if step % 3 else RangeList()
+                    tail = rows((upto, upto + 1)) if step % 3 else rows()
                     upto += 1 + step % 13
                     cache.record_slice_scan(entry, 0, tail, upto)
                     published.append(entry.slice_states[0])
@@ -349,19 +349,18 @@ class TestSnapshotRacesAnExtendingWriter:
         newer state, then the snapshot rotates.  The newer state must
         still be what a restart recovers."""
         from repro.core.keys import ScanKey
-        from repro.core.rowrange import RangeList
         from repro.persist import store as store_module
 
         cache = PredicateCache(PredicateCacheConfig())
         store = CacheStore(tmp_path)
         store.attach(cache)
         entry = cache.get_or_create(ScanKey("t", "x < 5"), 1)
-        cache.record_slice_scan(entry, 0, RangeList([(0, 1)]), 10)
+        cache.record_slice_scan(entry, 0, rows((0, 1)), 10)
         read_states = store_module.collect_records
 
         def read_then_extend(caches):
             records = read_states(caches)
-            cache.record_slice_scan(entry, 0, RangeList([(12, 13)]), 20)
+            cache.record_slice_scan(entry, 0, rows((12, 13)), 20)
             return records
 
         monkeypatch.setattr(store_module, "collect_records", read_then_extend)
@@ -538,7 +537,6 @@ class TestUnreadableStates:
     def records(self):
         from repro.core.entry import BitmapSliceState, RangeSliceState
         from repro.core.keys import ScanKey
-        from repro.core.rowrange import RangeList
         from repro.persist import EntryRecord
 
         def record(predicate, state):
@@ -548,9 +546,9 @@ class TestUnreadableStates:
                 generation=0, states={0: state},
             )
 
-        good = record("x < 5", RangeSliceState(RangeList([(0, 5)]), 100, 8))
+        good = record("x < 5", RangeSliceState(rows((0, 5)), 100, 8))
         zero_block = record("x < 6", BitmapSliceState._wrap(np.ones(3, dtype=bool), 24, 0))
-        past_watermark = record("x < 7", RangeSliceState._wrap(RangeList([(0, 50)]), 10, 8))
+        past_watermark = record("x < 7", RangeSliceState._wrap(ranges((0, 50)), 10, 8))
         short_bitmap = record("x < 8", BitmapSliceState._wrap(np.ones(2, dtype=bool), 24, 8))
         return good, [zero_block, past_watermark, short_bitmap]
 

@@ -18,6 +18,8 @@ from repro.persist.format import (
 )
 from repro.persist.records import EntryRecord
 
+from tests.rowsets import pairs, rows
+
 
 def make_cache(**kwargs):
     return PredicateCache(PredicateCacheConfig(**kwargs))
@@ -26,7 +28,7 @@ def make_cache(**kwargs):
 def install(cache, key):
     """Create ``key``'s entry with one recorded slice state."""
     entry = cache.get_or_create(key, 1)
-    cache.record_slice_scan(entry, 0, RangeList([(0, 5)]), 100)
+    cache.record_slice_scan(entry, 0, rows((0, 5)), 100)
     return entry
 
 
@@ -69,7 +71,7 @@ class TestLookupAndInsert:
         key = ScanKey("t", "x = 1")
         assert cache.lookup(key) is None
         entry = cache.get_or_create(key, num_slices=2)
-        cache.record_slice_scan(entry, 0, RangeList([(0, 5)]), 100)
+        cache.record_slice_scan(entry, 0, rows((0, 5)), 100)
         found = cache.lookup(key)
         assert found is entry
         assert cache.stats.hits == 1
@@ -84,8 +86,8 @@ class TestLookupAndInsert:
     def test_record_extends_existing_slice(self):
         cache = make_cache(variant="range")
         entry = cache.get_or_create(ScanKey("t", "x = 1"), 1)
-        cache.record_slice_scan(entry, 0, RangeList([(0, 5)]), 100)
-        cache.record_slice_scan(entry, 0, RangeList([(100, 110)]), 200)
+        cache.record_slice_scan(entry, 0, rows((0, 5)), 100)
+        cache.record_slice_scan(entry, 0, rows((100, 110)), 200)
         assert cache.stats.extensions == 1
         assert entry.slice_states[0].last_cached_row == 200
 
@@ -186,7 +188,7 @@ class TestEviction:
         cache = make_cache(max_bytes=100, variant="range")
         for i in range(10):
             entry = cache.get_or_create(ScanKey("t", f"x = {i}"), 1)
-            cache.record_slice_scan(entry, 0, RangeList([(0, 5)]), 100)
+            cache.record_slice_scan(entry, 0, rows((0, 5)), 100)
             cache._evict_if_needed()
         assert cache.total_nbytes <= 100 or len(cache) == 1
 
@@ -204,7 +206,7 @@ class TestEviction:
         entry = install(cache, a)
         install(cache, b)
         assert cache.total_nbytes == resummed() == 2 * entry_bytes
-        cache.record_slice_scan(entry, 0, RangeList([(120, 130)]), 200)
+        cache.record_slice_scan(entry, 0, rows((120, 130)), 200)
         assert cache.total_nbytes == resummed() > 2 * entry_bytes
         restored = entry.slice_states[0]
         cache.install_restored(b, 1, {}, {0: restored})
@@ -251,32 +253,32 @@ class TestExactStates:
 
     @staticmethod
     def ranges(count):
-        return RangeList([(10 * i, 10 * i + 3) for i in range(count)])
+        return rows(*((10 * i, 10 * i + 3) for i in range(count)))
 
     def test_exact_up_to_the_bound_and_not_past_it(self):
         at_bound = RangeSliceState(self.ranges(4), 100, 4, exact=True)
         past_bound = RangeSliceState(self.ranges(5), 100, 4, exact=True)
-        assert at_bound.exact and at_bound.ranges == self.ranges(4)
+        assert at_bound.exact and pairs(at_bound.ranges) == pairs(self.ranges(4))
         assert not past_bound.exact and len(past_bound.ranges) == 4
 
     def test_constructor_defaults_to_inexact(self):
         assert not RangeSliceState(self.ranges(1), 100, 4).exact
-        assert not RangeSliceState._wrap(self.ranges(1), 100, 4).exact
+        assert not RangeSliceState._wrap(RangeList.from_rows(self.ranges(1)), 100, 4).exact
 
     def test_extension_ands_old_flag_new_flag_and_the_bound(self):
         exact = RangeSliceState(self.ranges(2), 100, 4, exact=True)
-        assert exact.extended(RangeList([(100, 105)]), 120, exact=True).exact
-        assert not exact.extended(RangeList([(100, 105)]), 120).exact
+        assert exact.extended(rows((100, 105)), 120, exact=True).exact
+        assert not exact.extended(rows((100, 105)), 120).exact
         coalesced = exact.extended(
-            RangeList([(100, 101), (103, 104), (106, 107)]), 120, exact=True
+            rows((100, 101), (103, 104), (106, 107)), 120, exact=True
         )
         assert not coalesced.exact and len(coalesced.ranges) == 4
         inexact = RangeSliceState(self.ranges(2), 100, 4)
-        assert not inexact.extended(RangeList([(100, 105)]), 120, exact=True).exact
+        assert not inexact.extended(rows((100, 105)), 120, exact=True).exact
 
     def test_a_repeat_with_no_tail_keeps_the_state(self):
         exact = RangeSliceState(self.ranges(2), 100, 4, exact=True)
-        assert exact.extended(RangeList(), 100) is exact
+        assert exact.extended(rows(), 100) is exact
 
     def test_flag_is_not_part_of_equality_or_bytes(self):
         exact = RangeSliceState(self.ranges(2), 100, 4, exact=True)
@@ -286,26 +288,26 @@ class TestExactStates:
     def test_conjunct_list_extension_demotes_an_exact_state(self):
         cache = make_cache(variant="range", max_ranges_per_slice=8)
         entry = cache.get_or_create(ScanKey("t", "x < 5"), 1)
-        cache.record_slice_scan(entry, 0, RangeList([(0, 5)]), 100, exact=True)
+        cache.record_slice_scan(entry, 0, rows((0, 5)), 100, exact=True)
         assert entry.slice_states[0].exact
-        cache.record_slice_scan(entry, 0, RangeList([(100, 150)]), 150)
+        cache.record_slice_scan(entry, 0, rows((100, 150)), 150)
         assert not entry.slice_states[0].exact
-        cache.record_slice_scan(entry, 0, RangeList([(150, 151)]), 160, exact=True)
+        cache.record_slice_scan(entry, 0, rows((150, 151)), 160, exact=True)
         assert not entry.slice_states[0].exact
 
     def test_bitmap_states_are_never_exact(self):
         cache = make_cache(variant="bitmap")
         entry = cache.get_or_create(ScanKey("t", "x < 5"), 1)
-        cache.record_slice_scan(entry, 0, RangeList([(0, 5)]), 100, exact=True)
-        cache.record_slice_scan(entry, 0, RangeList([(100, 101)]), 120, exact=True)
+        cache.record_slice_scan(entry, 0, rows((0, 5)), 100, exact=True)
+        cache.record_slice_scan(entry, 0, rows((100, 101)), 120, exact=True)
         assert not entry.slice_states[0].exact
-        assert not BitmapSliceState(RangeList([(0, 5)]), 100, 20).exact
+        assert not BitmapSliceState(rows((0, 5)), 100, 20).exact
 
     @staticmethod
     def exact_record():
         entry = CacheEntry(ScanKey("t", "x < 5"), 1, {})
         entry.slice_states[0] = RangeSliceState(
-            RangeList([(0, 5), (9, 12)]), 100, 8, exact=True
+            rows((0, 5), (9, 12)), 100, 8, exact=True
         )
         return EntryRecord.from_entry(entry, table_layout=0)
 
@@ -331,7 +333,7 @@ class TestExactStates:
         cache = make_cache(variant="range")
         CacheStore(tmp_path).attach(cache)
         entry = cache.get_or_create(ScanKey("t", "x < 5"), 1)
-        cache.record_slice_scan(entry, 0, RangeList([(0, 5)]), 100, exact=True)
+        cache.record_slice_scan(entry, 0, rows((0, 5)), 100, exact=True)
         assert entry.slice_states[0].exact
         warm = make_cache(variant="range")
         assert CacheStore(tmp_path).attach(warm) == 1

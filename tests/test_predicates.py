@@ -107,11 +107,6 @@ class TestEvaluation:
             True, True,
         ]
 
-    def test_is_null_with_validity(self):
-        values = batch(x=[1, 2, 3])
-        values["x__valid"] = np.array([True, False, True])
-        assert IsNull(col("x")).evaluate(values).tolist() == [False, True, False]
-
     def test_and_or_not(self):
         values = batch(x=[1, 2, 3, 4])
         a = Comparison(col("x"), ">", lit(1))

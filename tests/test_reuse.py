@@ -27,7 +27,6 @@ from repro import (
 )
 from repro.core.entry import PROVENANCES, CacheEntry, RangeSliceState
 from repro.core.keys import ScanKey, SemiJoinDescriptor, conjunct_key
-from repro.core.rowrange import RangeList
 from repro.persist import CacheStore
 from repro.persist.format import (
     decode_journal_payload,
@@ -42,6 +41,7 @@ from repro.reuse import bounds_contain, decompose, find_subsuming
 from repro.reuse.subsume import _interval_width
 from repro.storage import ColumnSpec, DataType, TableSchema
 
+from tests.rowsets import rows
 from tests.twins import COLUMNS, assert_rows_equal, seeded_engine
 
 SEED_ROWS = 1500
@@ -236,7 +236,7 @@ def install_plain(cache, text, stats=None):
     """A plain entry on ``text`` with one recorded slice state and, if
     given, ``(rows_qualifying, rows_considered)``."""
     entry = cache.get_or_create(plain_key(text), 2)
-    cache.record_slice_scan(entry, 0, RangeList([(0, 4)]), 16)
+    cache.record_slice_scan(entry, 0, rows((0, 4)), 16)
     if stats is not None:
         cache.record_entry_stats(entry, *stats)
     return entry
@@ -475,7 +475,7 @@ def test_indexed_matcher_twins_the_linear_walk(operations, requests):
             installed.append(key)
             entry = cache.get_or_create(key, 2)
             for slice_id in sorted(slices):
-                cache.record_slice_scan(entry, slice_id, RangeList([(0, 3)]), 12)
+                cache.record_slice_scan(entry, slice_id, rows((0, 3)), 12)
             cache.record_entry_stats(entry, *stats)
         elif kind == "lookup":
             cache.lookup(key)
@@ -484,7 +484,7 @@ def test_indexed_matcher_twins_the_linear_walk(operations, requests):
         elif kind == "restore":
             cache.install_restored(
                 key, 2, {},
-                {0: RangeSliceState(RangeList([(1, 2)]), 8, 16)},
+                {0: RangeSliceState(rows((1, 2)), 8, 16)},
                 stats=(1, 2, 4),
             )
         elif kind == "build_write":
@@ -563,8 +563,7 @@ class _CacheView:
 def test_invariant_rejects_bad_provenance_sources():
     cache = PredicateCache(reuse_config())
     entry = cache.get_or_create(ScanKey("t", "k < 5"), 2, {})
-    cache.record_slice_scan(entry, 0, RangeList.from_bounds(
-        np.array([[0, 4]], dtype=np.int64)), 10)
+    cache.record_slice_scan(entry, 0, rows((0, 4)), 10)
     invariants.check_cache(cache)  # healthy
 
     # Derived provenance without sources.
@@ -813,7 +812,7 @@ def derived_record():
     entry = CacheEntry(
         key, 2, {}, provenance="composed", source_digests=sources
     )
-    entry.slice_states[0] = RangeSliceState(RangeList([(0, 10), (20, 32)]), 40, 16)
+    entry.slice_states[0] = RangeSliceState(rows((0, 10), (20, 32)), 40, 16)
     return EntryRecord.from_entry(entry, table_layout=0)
 
 

@@ -1,21 +1,21 @@
-"""Property suite: every RangeList operation against a boolean-mask oracle.
+"""Property suite: the range payload's builders and measures against a
+boolean-mask oracle.
 
-The array-backed RangeList implements its set algebra with boundary
-merges and event sweeps; the oracle re-derives every answer from plain
-boolean masks over the row domain, where union/intersection/difference/
-complement are just ``|``/``&``/``& ~``/``~``.  Any divergence between
-the two is a bug in the vectorized algebra.
-
-The strategies deliberately overweight the edge cases the sweep logic
-has to get right: empty ranges, adjacent ranges (end == next start),
-single-row ranges, and coincident boundaries between the two operands.
+A :class:`RangeList` is built from row ids (``from_rows``) or a mask
+(``from_mask``), bounded by ``coalesce`` and expanded back to row ids;
+the oracle re-derives every answer from plain boolean masks over the
+row domain.  The strategies overweight the edge cases run detection has
+to get right: empty input, adjacent ranges (end == next start) and
+single-row ranges.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.rowrange import RangeList, RowRange
+from repro.core.rowrange import RangeList
+
+from tests.rowsets import pairs, ranges
 
 DOMAIN = 256  # all oracle masks live over [0, DOMAIN)
 
@@ -26,20 +26,18 @@ range_pairs = st.tuples(st.integers(0, 60), st.integers(0, 12)).map(
 )
 pair_lists = st.lists(range_pairs, max_size=16)
 
-# Mixed representation: the constructor accepts RowRange objects too.
-range_objects = range_pairs.map(lambda p: RowRange(*p))
-mixed_lists = st.lists(st.one_of(range_pairs, range_objects), max_size=12)
 
-
-def oracle_mask(pairs) -> np.ndarray:
+def oracle_mask(spans) -> np.ndarray:
     mask = np.zeros(DOMAIN, dtype=bool)
-    for start, end in pairs:
+    for start, end in spans:
         mask[start:end] = True
     return mask
 
 
-def as_mask(rl: RangeList) -> np.ndarray:
-    return rl.to_mask(DOMAIN)
+def as_mask(rl: RangeList, size: int = DOMAIN) -> np.ndarray:
+    mask = np.zeros(size, dtype=bool)
+    mask[rl.to_row_ids()] = True
+    return mask
 
 
 def assert_normalized(rl: RangeList) -> None:
@@ -53,29 +51,13 @@ def assert_normalized(rl: RangeList) -> None:
 # -- constructors ---------------------------------------------------------------
 
 
-@given(mixed_lists)
-@settings(max_examples=300, deadline=None)
-def test_constructor_matches_oracle(items):
-    pairs = [(r.start, r.end) if isinstance(r, RowRange) else r for r in items]
-    rl = RangeList(items)
-    assert_normalized(rl)
-    assert np.array_equal(as_mask(rl), oracle_mask(pairs))
-
-
-@given(pair_lists)
-@settings(max_examples=300, deadline=None)
-def test_from_bounds_matches_constructor(pairs):
-    array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    assert RangeList.from_bounds(array) == RangeList(pairs)
-
-
 @given(st.lists(st.booleans(), max_size=64))
 @settings(max_examples=300, deadline=None)
 def test_from_mask_roundtrip(bits):
     mask = np.array(bits, dtype=bool)
     rl = RangeList.from_mask(mask)
     assert_normalized(rl)
-    assert np.array_equal(rl.to_mask(len(mask)), mask)
+    assert np.array_equal(as_mask(rl, len(mask)), mask)
     assert rl.num_rows == int(mask.sum())
 
 
@@ -97,143 +79,50 @@ def test_from_rows_presorted_fast_path(rows):
     assert RangeList.from_rows(presorted) == RangeList.from_rows(rows)
 
 
-# -- set algebra vs the mask oracle ----------------------------------------------
-
-
-@given(pair_lists, pair_lists)
-@settings(max_examples=400, deadline=None)
-def test_union_matches_oracle(a_pairs, b_pairs):
-    result = RangeList(a_pairs).union(RangeList(b_pairs))
-    assert_normalized(result)
-    assert np.array_equal(as_mask(result), oracle_mask(a_pairs) | oracle_mask(b_pairs))
-
-
-@given(pair_lists, pair_lists)
-@settings(max_examples=400, deadline=None)
-def test_intersect_matches_oracle(a_pairs, b_pairs):
-    result = RangeList(a_pairs).intersect(RangeList(b_pairs))
-    assert_normalized(result)
-    assert np.array_equal(as_mask(result), oracle_mask(a_pairs) & oracle_mask(b_pairs))
-
-
-@given(pair_lists, pair_lists)
-@settings(max_examples=400, deadline=None)
-def test_difference_matches_oracle(a_pairs, b_pairs):
-    result = RangeList(a_pairs).difference(RangeList(b_pairs))
-    assert_normalized(result)
-    assert np.array_equal(
-        as_mask(result), oracle_mask(a_pairs) & ~oracle_mask(b_pairs)
-    )
-
-
-@given(pair_lists, st.integers(0, DOMAIN))
-@settings(max_examples=400, deadline=None)
-def test_complement_matches_oracle(pairs, num_rows):
-    result = RangeList(pairs).complement(num_rows)
-    assert_normalized(result)
-    expected = ~oracle_mask(pairs)[:num_rows]
-    assert np.array_equal(result.to_mask(num_rows), expected)
-
-
-@given(pair_lists, st.integers(0, DOMAIN), st.integers(0, DOMAIN))
-@settings(max_examples=400, deadline=None)
-def test_clip_matches_oracle(pairs, a, b):
-    start, end = min(a, b), max(a, b)
-    result = RangeList(pairs).clip(start, end)
-    assert_normalized(result)
-    expected = oracle_mask(pairs).copy()
-    expected[:start] = False
-    expected[end:] = False
-    assert np.array_equal(as_mask(result), expected)
-
-
-@given(pair_lists, pair_lists)
-@settings(max_examples=300, deadline=None)
-def test_covers_matches_oracle(a_pairs, b_pairs):
-    a_mask, b_mask = oracle_mask(a_pairs), oracle_mask(b_pairs)
-    expected = bool((~a_mask & b_mask).sum() == 0)
-    assert RangeList(a_pairs).covers(RangeList(b_pairs)) is expected
-
-
-@given(pair_lists, st.integers(0, DOMAIN - 1))
-@settings(max_examples=300, deadline=None)
-def test_contains_row_matches_oracle(pairs, row):
-    assert RangeList(pairs).contains_row(row) == bool(oracle_mask(pairs)[row])
-
-
 # -- measures and round-trips ------------------------------------------------------
 
 
 @given(pair_lists)
 @settings(max_examples=300, deadline=None)
-def test_num_rows_matches_oracle(pairs):
-    assert RangeList(pairs).num_rows == int(oracle_mask(pairs).sum())
+def test_num_rows_matches_oracle(spans):
+    assert ranges(*spans).num_rows == int(oracle_mask(spans).sum())
 
 
 @given(pair_lists)
 @settings(max_examples=300, deadline=None)
-def test_row_ids_mask_roundtrip(pairs):
-    rl = RangeList(pairs)
+def test_row_ids_mask_roundtrip(spans):
+    rl = ranges(*spans)
     ids = rl.to_row_ids()
-    assert np.array_equal(ids, np.flatnonzero(oracle_mask(pairs)))
+    assert np.array_equal(ids, np.flatnonzero(oracle_mask(spans)))
     assert RangeList.from_rows(ids) == rl
-    assert RangeList.from_mask(rl.to_mask(DOMAIN)) == rl
-
-
-@given(pair_lists, st.integers(-5, 20))
-@settings(max_examples=200, deadline=None)
-def test_shift_matches_oracle(pairs, offset):
-    rl = RangeList(pairs)
-    if rl and rl.span.start + offset < 0:
-        return  # negative row ids are rejected; covered by unit tests
-    shifted = rl.shift(offset)
-    assert_normalized(shifted)
-    assert np.array_equal(
-        shifted.to_row_ids(), rl.to_row_ids() + offset
-    )
-    assert shifted.num_rows == rl.num_rows
+    assert RangeList.from_mask(as_mask(rl)) == rl
 
 
 @given(pair_lists, st.integers(1, 8))
 @settings(max_examples=300, deadline=None)
-def test_coalesce_superset_and_bound(pairs, max_ranges):
-    rl = RangeList(pairs)
+def test_coalesce_superset_and_bound(spans, max_ranges):
+    rl = ranges(*spans)
     merged = rl.coalesce(max_ranges)
     assert_normalized(merged)
     assert len(merged) <= max_ranges
     # Supersets only (false positives allowed, never false negatives).
-    assert not (oracle_mask(pairs) & ~merged.to_mask(DOMAIN + 20)[:DOMAIN]).any()
+    assert not (oracle_mask(spans) & ~as_mask(merged, DOMAIN + 20)[:DOMAIN]).any()
 
 
-# -- single-row / adjacency / empty edge cases (explicitly) -------------------------
+# -- single-row / empty edge cases (explicitly) -------------------------------------
 
 
 def test_empty_edge_cases():
-    empty = RangeList.empty()
-    other = RangeList([(3, 9)])
-    assert empty.union(other) == other
-    assert other.union(empty) == other
-    assert empty.intersect(other) == empty
-    assert other.intersect(empty) == empty
-    assert other.difference(empty) == other
-    assert empty.difference(other) == empty
-    assert empty.complement(5) == RangeList([(0, 5)])
+    empty = RangeList.from_rows([])
     assert empty.num_rows == 0
-    assert not empty.contains_row(0)
+    assert len(empty) == 0 and pairs(empty) == []
     assert empty.to_row_ids().size == 0
-
-
-def test_adjacent_operand_boundaries():
-    a = RangeList([(0, 5)])
-    b = RangeList([(5, 10)])
-    assert a.union(b).to_pairs() == [(0, 10)]
-    assert a.intersect(b).to_pairs() == []
-    assert a.difference(b) == a
+    assert empty.coalesce(1) is empty
+    assert RangeList.from_mask(np.zeros(5, dtype=bool)) == empty
 
 
 def test_single_row_ranges():
-    rl = RangeList([(4, 5), (6, 7), (8, 9)])
+    rl = ranges((4, 5), (6, 7), (8, 9))
     assert rl.num_rows == 3
     assert rl.to_row_ids().tolist() == [4, 6, 8]
-    assert rl.intersect(RangeList([(6, 7)])).to_pairs() == [(6, 7)]
-    assert rl.coalesce(1).to_pairs() == [(4, 9)]
+    assert pairs(rl.coalesce(1)) == [(4, 9)]

@@ -14,7 +14,6 @@ from repro.cluster import ClusterCaches
 from repro.core import PredicateCache, PredicateCacheConfig
 from repro.core.entry import RangeSliceState
 from repro.core.keys import ScanKey, SemiJoinDescriptor
-from repro.core.rowrange import RangeList
 from repro.engine.bloom import BloomFilter
 from repro.engine.hashing import stable_int_keys
 from repro.engine.scan import SemiJoinFilter, SliceSource, _plan_scan, execute_scan
@@ -322,7 +321,7 @@ class TestSliceSources:
             self.table.slices, entry.slice_states, self.sources(cache)
         ):
             self.assert_served(source, data_slice.num_rows)
-            assert source.candidates == state.candidates(data_slice.num_rows)
+            assert np.array_equal(source.candidates, state.rows(data_slice.num_rows))
         # After an INSERT the verdict still ends at the old watermark.
         before = [s.num_rows for s in self.table.slices]
         self.table.insert({"x": [125, 999, 130, 7], "y": [0] * 4}, self.db.begin())
@@ -387,16 +386,17 @@ class TestSliceSources:
             assert source.context.basis == basis
             rows = data_slice.num_rows
             first, second = (
-                entry.slice_states[slice_id].candidates(rows) for entry in entries
+                set(entry.slice_states[slice_id].rows(rows).tolist())
+                for entry in entries
             )
-            assert source.candidates == first.intersect(second)
+            assert source.candidates.tolist() == sorted(first & second)
             self.assert_served(source)
 
     def test_a_stale_state_sends_every_slice_of_its_node_to_the_zone_maps(self):
         cluster = ClusterCaches(2, PredicateCacheConfig(variant="range"))
         self.warm(cluster)
         (entry,) = cluster.node(1).entries()
-        entry.slice_states[3] = RangeSliceState(RangeList(), 10**6, 4)
+        entry.slice_states[3] = RangeSliceState(np.empty(0, dtype=np.int64), 10**6, 4)
         sources = self.sources(cluster)
         for slice_id in (1, 3):
             assert sources[slice_id].context is not None

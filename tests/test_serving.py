@@ -33,7 +33,6 @@ from repro import (
     PredicateCacheConfig,
     QueryEngine,
     QueryServer,
-    RangeList,
     Request,
     RequestStatus,
     ScanKey,
@@ -46,6 +45,7 @@ from repro.serve.server import _is_write_statement
 from repro.sql import SelectStatement, parse_statement
 
 from tests.loadgen import LoadGenerator, run_closed_loop, setup_load_tables
+from tests.rowsets import rows
 from tests.twins import assert_matches, replay
 
 
@@ -540,7 +540,7 @@ def _apply_cache_op(cache, op):
         _, table, predicate_id, slice_id, start = op
         key = ScanKey(table, f"p{predicate_id}")
         entry = cache.get_or_create(key, num_slices=2)
-        qualifying = RangeList([(start, start + 10)])
+        qualifying = rows((start, start + 10))
         # Watermarks only move forward (scans extend, never shrink), so
         # every install reports the same scanned-up-to high water.
         cache.record_slice_scan(entry, slice_id, qualifying, 64)

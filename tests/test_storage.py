@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.entry import BitmapSliceState
 from repro.core.rowrange import RangeList
 from repro.faults import FaultInjector, RetryBudgetExceeded, RetryPolicy
 from repro.storage import ColumnSpec, Database, Table, TableSchema
@@ -18,6 +19,8 @@ from repro.storage.rms import ManagedStorage
 from repro.predicates.ast import Bounds
 from repro.storage.slice import DataSlice
 from repro.storage.zonemap import ZoneEntry, ZoneMap
+
+from tests.rowsets import rows
 
 
 class TestDtypes:
@@ -109,6 +112,11 @@ def make_column(values, rows_per_block=10, dtype=DataType.INT64):
     return column
 
 
+def cover(column, row_ids):
+    """The coverage of ascending ``row_ids`` in ``column``'s blocks."""
+    return BlockCoverage(row_ids, column.rows_per_block, column.num_rows)
+
+
 class TestColumnStore:
     def test_sealing(self):
         column = make_column(range(25), rows_per_block=10)
@@ -120,19 +128,19 @@ class TestColumnStore:
     def test_read_ranges_spanning_blocks_and_tail(self):
         column = make_column(range(25), rows_per_block=10)
         rms = ManagedStorage()
-        values = column.read_ranges(RangeList([(5, 12), (18, 23)]), rms)
+        values = column.read_ranges(cover(column, rows((5, 12), (18, 23))), rms)
         assert values.tolist() == list(range(5, 12)) + list(range(18, 23))
 
     def test_tail_reads_do_not_count_blocks(self):
         column = make_column(range(25), rows_per_block=10)
         rms = ManagedStorage()
-        column.read_ranges(RangeList([(21, 24)]), rms)
+        column.read_ranges(cover(column, rows((21, 24))), rms)
         assert rms.stats.blocks_accessed == 0
 
     def test_sealed_reads_count_blocks_once_per_call(self):
         column = make_column(range(30), rows_per_block=10)
         rms = ManagedStorage()
-        column.read_ranges(RangeList([(0, 5), (7, 9)]), rms)  # both in block 0
+        column.read_ranges(cover(column, rows((0, 5), (7, 9))), rms)  # both in block 0
         assert rms.stats.blocks_accessed == 1
 
     def test_read_all(self):
@@ -143,7 +151,7 @@ class TestColumnStore:
         column = make_column(
             ["a", "b", "c", "d"], rows_per_block=2, dtype=DataType.STRING
         )
-        values = column.read_ranges(RangeList([(1, 4)]), ManagedStorage())
+        values = column.read_ranges(cover(column, rows((1, 4))), ManagedStorage())
         assert values.tolist() == ["b", "c", "d"]
 
     def test_prunable_block_ranges(self):
@@ -492,7 +500,8 @@ def test_concurrent_readers_take_only_written_rows():
                 slice_id = rng.randrange(2)
                 data_slice = table.slices[slice_id]
                 lo = rng.randrange(data_slice.num_rows)
-                coverage = data_slice.cover(RangeList([(lo, lo + rng.randrange(1, 60))]))
+                hi = min(lo + rng.randrange(1, 60), data_slice.num_rows)
+                coverage = data_slice.cover(rows((lo, hi)))
                 for name, column in data_slice.columns.items():
                     got = column.read_ranges(coverage, reader)
                     assert got.tolist() == wants[slice_id][name][coverage.row_ids].tolist()
@@ -614,22 +623,20 @@ class TestReadRanges:
             values = [f"v{v:02d}" for v in values]
         column = make_column(values, rows_per_block=10, dtype=dtype)
         pairs = READ_RANGES_CASES[case]
-        rows = [i for lo, hi in pairs for i in range(lo, min(hi, 35))]
+        wanted = [i for lo, hi in pairs for i in range(lo, min(hi, 35))]
         rms = ManagedStorage()
-        got = column.read_ranges(RangeList(pairs), rms)
-        assert got.tolist() == [values[i] for i in rows]
+        got = column.read_ranges(cover(column, np.array(wanted, dtype=np.int64)), rms)
+        assert got.tolist() == [values[i] for i in wanted]
         assert got.dtype == dtype.numpy_dtype
-        assert rms.stats.blocks_accessed == len({i // 10 for i in rows if i < 30})
+        assert rms.stats.blocks_accessed == len({i // 10 for i in wanted if i < 30})
         # The caller owns what it gets: never a view of the decoded array.
         assert not np.shares_memory(got, column._decoded._rows)
-        shared = column.read_ranges(column.cover(RangeList(pairs)), rms)
-        assert shared.tolist() == got.tolist()
 
     def test_coverage_of_another_shape_is_refused(self):
         column = make_column(range(25), rows_per_block=10)
         longer = make_column(range(35), rows_per_block=10)
         with pytest.raises(ValueError):
-            column.read_ranges(longer.cover(RangeList([(0, 5)])), ManagedStorage())
+            column.read_ranges(cover(longer, rows((0, 5))), ManagedStorage())
 
 
 def count_calls(monkeypatch, calls, owner, name, on_call=lambda *args: None):
@@ -665,23 +672,26 @@ def test_warm_scan_reads_each_column_of_each_slice_once(monkeypatch):
     sql = "select count(*) as c from t where a < 20 and b < 50"
     cold = engine.execute(sql)
     calls = Counter()
-    row_id_lists = []  # held, so no two lists share an id()
+    states = []  # held, so no two states share an id()
 
     def counting(owner, name, on_call=lambda *args: None):
         count_calls(monkeypatch, calls, owner, name, on_call)
 
     counting(ManagedStorage, "read_blocks")
     counting(ZoneEntry, "may_contain")
-    counting(RangeList, "to_row_ids", row_id_lists.append)
+    counting(BitmapSliceState, "rows", lambda state, num_rows: states.append(state))
+    counting(RangeList, "to_row_ids")
     warm = engine.execute(sql)
     assert warm.counters.cache_hits == 1
     assert warm.column("c")[0] == cold.column("c")[0]
     assert warm.counters.blocks_accessed > 8
     assert 0 < calls["read_blocks"] <= 4 * 2
     assert calls["may_contain"] == 0
-    # One materialisation of each slice's candidate list, and no other.
-    assert calls["to_row_ids"] == 4
-    assert len({id(ranges) for ranges in row_id_lists}) == 4
+    # One materialisation of each slice's candidate rows, and no other:
+    # a bitmap state expands its bits straight to row ids.
+    assert calls["rows"] == 4
+    assert len({id(state) for state in states}) == 4
+    assert calls["to_row_ids"] == 0
 
 
 def test_cold_scan_expands_no_range_list_and_reads_each_column_of_each_slice_once(
@@ -795,9 +805,12 @@ def coverage_cases(draw):
     size = draw(st.integers(1, 6))
     num_rows = draw(st.integers(0, 40))
     pairs = draw(st.lists(st.tuples(st.integers(0, 45), st.integers(0, 45)), max_size=6))
-    ranges = RangeList([(min(p), max(p)) for p in pairs])
+    covered = np.array(
+        sorted({row for p in pairs for row in range(min(p), min(max(p), num_rows))}),
+        dtype=np.int64,
+    )
     if draw(st.booleans()):
-        ranges = RangeList.full(num_rows)
+        covered = np.arange(num_rows, dtype=np.int64)
     num_blocks = num_rows // size
     dropped = np.array(
         draw(st.lists(st.booleans(), min_size=num_blocks, max_size=num_blocks)),
@@ -805,22 +818,25 @@ def coverage_cases(draw):
     )
     if draw(st.booleans()):
         dropped[:] = True  # every sealed candidate row goes; the tail stays
-    covered_rows = ranges.clip(0, num_rows).num_rows
     row_mask = np.array(
-        draw(st.lists(st.booleans(), min_size=covered_rows, max_size=covered_rows)),
+        draw(st.lists(st.booleans(), min_size=len(covered), max_size=len(covered))),
         dtype=bool,
     )
-    return ranges, size, num_rows, dropped, row_mask
+    return covered, size, num_rows, dropped, row_mask
 
 
-def dropped_row_ranges(dropped, size):
-    return RangeList.from_bounds(RangeList.from_mask(dropped).bounds * size)
+def unpruned(row_ids, size, dropped):
+    """The row ids outside the sealed blocks ``dropped`` marks."""
+    sealed = row_ids < len(dropped) * size
+    kept = np.ones(len(row_ids), dtype=bool)
+    kept[sealed] = ~dropped[row_ids[sealed] // size]
+    return row_ids[kept]
 
 
 def fixed_case(pairs, size, num_rows, dropped, keep_every=2):
-    ranges = RangeList(pairs)
-    row_mask = np.arange(ranges.clip(0, num_rows).num_rows) % keep_every == 0
-    return ranges, size, num_rows, np.array(dropped, dtype=bool), row_mask
+    covered = rows(*((lo, min(hi, num_rows)) for lo, hi in pairs))
+    row_mask = np.arange(len(covered)) % keep_every == 0
+    return covered, size, num_rows, np.array(dropped, dtype=bool), row_mask
 
 
 FIXED_COVERAGE_CASES = [
@@ -839,12 +855,10 @@ FIXED_COVERAGE_CASES = [
 @example(FIXED_COVERAGE_CASES[1])
 @example(FIXED_COVERAGE_CASES[2])
 def test_coverage_with_dropped_blocks_equals_coverage_of_the_difference(case):
-    ranges, size, num_rows, dropped, _ = case
+    covered, size, num_rows, dropped, _ = case
     assert_same_coverage(
-        BlockCoverage(ranges, size, num_rows, dropped),
-        BlockCoverage(
-            ranges.difference(dropped_row_ranges(dropped, size)), size, num_rows
-        ),
+        BlockCoverage(covered, size, num_rows, dropped),
+        BlockCoverage(unpruned(covered, size, dropped), size, num_rows),
     )
 
 
@@ -854,11 +868,11 @@ def test_coverage_with_dropped_blocks_equals_coverage_of_the_difference(case):
 @example(FIXED_COVERAGE_CASES[1])
 @example(FIXED_COVERAGE_CASES[2])
 def test_selected_coverage_equals_coverage_of_the_selected_rows(case):
-    ranges, size, num_rows, _, row_mask = case
-    coverage = BlockCoverage(ranges, size, num_rows)
+    covered, size, num_rows, _, row_mask = case
+    coverage = BlockCoverage(covered, size, num_rows)
     assert_same_coverage(
         coverage.select(row_mask),
-        BlockCoverage(RangeList.from_rows(coverage.row_ids[row_mask]), size, num_rows),
+        BlockCoverage(coverage.row_ids[row_mask], size, num_rows),
     )
 
 
@@ -871,9 +885,10 @@ def test_unpruned_rows_are_the_kept_blocks_and_the_tail(num_rows, dropped):
     data_slice = DataSlice("t", 0, {"c": DataType.INT64}, rows_per_block=10)
     data_slice.append_rows({"c": list(range(num_rows))}, 1)
     dropped = np.array(dropped)
-    want = RangeList.full(num_rows).difference(dropped_row_ranges(dropped, 10))
-    assert data_slice.unpruned_rows(dropped) == want
-    assert data_slice.unpruned_rows(None) == RangeList.full(num_rows)
+    everything = np.arange(num_rows)
+    want = unpruned(everything, 10, dropped)
+    assert data_slice.cover(None, dropped).row_ids.tolist() == want.tolist()
+    assert data_slice.cover().row_ids.tolist() == everything.tolist()
 
 
 @st.composite
@@ -923,7 +938,12 @@ def test_whole_block_coverage_equals_the_placed_coverage_of_the_unpruned_rows(ca
     def whole():
         return data_slice.cover(None, dropped)
 
-    placed = BlockCoverage(data_slice.unpruned_rows(dropped), size, num_rows)
+    everything = np.arange(num_rows, dtype=np.int64)
+    placed = BlockCoverage(
+        everything if dropped is None else unpruned(everything, size, dropped),
+        size,
+        num_rows,
+    )
     assert len(whole()) == len(placed) == len(placed.row_ids)
     assert_same_coverage(whole(), placed)
     for index in (row_mask, slice(start, None)):
@@ -1240,7 +1260,10 @@ def test_decoded_array_reads_equal_decoding_every_block(case):
         elif kind in ("read", "whole"):
             data_slice = table.slices[step[1]]
             if kind == "read":
-                coverage = data_slice.cover(RangeList([(min(p), max(p)) for p in step[2]]))
+                coverage = data_slice.cover(np.array(sorted({
+                    row for p in step[2]
+                    for row in range(min(p), min(max(p), data_slice.num_rows))
+                }), dtype=np.int64))
             else:
                 rng = np.random.default_rng(step[2])
                 dropped = rng.random(data_slice.num_rows // size) < 0.3

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import invariants
-from repro.core.rowrange import RangeList
 from repro.storage import ColumnSpec, Database, DataType, TableSchema
 from repro.storage.slice import INFINITY_TX
 
@@ -115,7 +114,7 @@ class TestMVCC:
         table = db.table("t")
         table.insert({"k": np.arange(6), "v": np.zeros(6)}, db.begin())
         table.delete_local_rows(0, np.array([2, 3]), db.begin())
-        mask = table.slices[0].visibility_mask(RangeList.full(6), db.begin())
+        mask = table.slices[0].visibility_mask(table.slices[0].cover(), db.begin())
         assert mask.tolist() == [True, True, False, False, True, True]
 
 
@@ -171,7 +170,7 @@ class TestMVCCSummary:
                     table.insert({"k": np.arange(n), "v": np.zeros(n)}, latest)
             for s in table.slices:
                 invariants.check_slice_visibility(s)
-                full = RangeList.full(s.num_rows)
+                full = s.cover()
                 for txid in range(latest + 2):
                     mask = s.visibility_mask(full, txid)
                     assert s.all_visible(txid) == bool(mask.all())
