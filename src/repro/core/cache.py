@@ -523,6 +523,7 @@ class PredicateCache:
         rows: np.ndarray,
         scanned_upto: int,
         exact: bool = False,
+        rejected: bool = False,
     ) -> None:
         """Record one slice's scan output — its qualifying row ids,
         ascending — into the entry.
@@ -533,9 +534,10 @@ class PredicateCache:
         only when it changes: a repeat that found no appended row
         converts nothing.  ``exact`` says that ``rows`` are the truth
         over the rows scanned, not a superset of it — the scan's own
-        fully evaluated output, never a complement-padded conjunct set;
-        the state stays exact only while every set it was built from
-        was (:mod:`repro.core.entry`).
+        fully evaluated output, never a derived conjunct set; the state
+        stays exact only while every set it was built from was
+        (:mod:`repro.core.entry`).  ``rejected``: ``rows`` are the rows
+        a derived conjunct rejected, and the set is every other row.
 
         Stale installs are refused: if the entry was invalidated or
         evicted after the scan picked it up (a vacuum between lookup and
@@ -555,10 +557,11 @@ class PredicateCache:
                 self.stats.stale_installs += 1
                 return
             state = entry.slice_states[slice_id]
-            if state is None:
+            if state is None and not rejected:
                 new = self._new_state(rows, scanned_upto, exact)
-            else:
-                new = state.extended(rows, scanned_upto, exact)
+            else:  # a derived set's first build extends an empty state
+                base = state or self._new_state(np.empty(0, np.int64), 0, False)
+                new = base.extended(rows, scanned_upto, exact, rejected)
             if _inv.ACTIVE:
                 _inv.check_slice_state(new, slice_rows=scanned_upto)
             changed = new is not state

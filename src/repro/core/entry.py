@@ -15,7 +15,8 @@ Both index variants (§4.1.1–4.1.2) share the same lifecycle:
 Rows enter and leave a state as ascending int64 row ids, the one row
 set the cache, the scan and storage pass around.  A state converts them
 to its payload only when it changes (a repeat that found no appended row
-converts nothing), and back to row ids once per plan.
+converts nothing), and back to row ids once per plan.  A derived conjunct
+set (DESIGN.md §14) enters as the rows its conjunct ``rejected``, alone.
 
 The **range variant** stores at most ``max_ranges`` merged row ranges
 (bounded by :meth:`RangeList.coalesce`, the gap heap's batch form).
@@ -25,8 +26,8 @@ straight from ``rows // block_size``; it grows with the table but is
 
 A range state is **exact** when its ranges are the qualifying rows
 themselves, not a superset: every list it was built from was fully
-evaluated (an entry's own scan output, never a complement-padded
-conjunct list) and ``coalesce`` never merged.  Rows below the
+evaluated (an entry's own scan output, never a derived conjunct
+set) and ``coalesce`` never merged.  Rows below the
 watermark of an exact state then need no re-check, only visibility
 (DESIGN.md §14).  Exactness is a property of the state, not of the
 entry's provenance: a conjunct list may extend the state of an entry
@@ -92,13 +93,15 @@ class SliceState:
         raise NotImplementedError
 
     def extended(
-        self, rows: np.ndarray, scanned_upto: int, exact: bool = False
+        self, rows: np.ndarray, scanned_upto: int, exact: bool = False,
+        rejected: bool = False,
     ) -> "SliceState":
         """The state with the qualifying rows of the previously uncached
         tail folded in — ``self`` when no row was appended since.
         ``rows`` are ascending; only those in ``[last_cached_row,
         scanned_upto)`` are read.  ``exact`` says whether they are the
-        tail's truth (fully evaluated) rather than a superset of it."""
+        tail's truth (fully evaluated) rather than a superset of it;
+        ``rejected``, that the tail holds every row but them."""
         raise NotImplementedError
 
     @property
@@ -173,7 +176,8 @@ class RangeSliceState(SliceState):
         return np.repeat(np.arange(len(runs)) % 2 == 1, runs)[:num_rows]
 
     def extended(
-        self, rows: np.ndarray, scanned_upto: int, exact: bool = False
+        self, rows: np.ndarray, scanned_upto: int, exact: bool = False,
+        rejected: bool = False,
     ) -> "RangeSliceState":
         self._check_grows_to(scanned_upto)
         if scanned_upto == self.last_cached_row:
@@ -181,7 +185,11 @@ class RangeSliceState(SliceState):
         # Cached ranges end at or below the watermark and the tail's
         # start at or above it: appending keeps the bounds sorted, and
         # only a tail range starting right at a cached end merges.
-        tail = RangeList.from_rows(self._tail_rows(rows, scanned_upto))
+        rows = self._tail_rows(rows, scanned_upto)
+        tail = (
+            RangeList.from_complement(rows, self.last_cached_row, scanned_upto)
+            if rejected else RangeList.from_rows(rows)
+        )
         bounds = np.concatenate((self.ranges.bounds, tail.bounds))
         seam = len(self.ranges)
         if 0 < seam < len(bounds) and bounds[seam - 1, 1] == bounds[seam, 0]:
@@ -223,7 +231,7 @@ class BitmapSliceState(SliceState):
     ) -> None:
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
-        self.bits = _block_bits(rows, scanned_upto, block_size)
+        self.bits = _block_bits(rows, 0, scanned_upto, block_size)
         self.bits.setflags(write=False)
         self.last_cached_row = scanned_upto
         self.block_size = block_size
@@ -253,13 +261,15 @@ class BitmapSliceState(SliceState):
         return marked
 
     def extended(
-        self, rows: np.ndarray, scanned_upto: int, exact: bool = False
+        self, rows: np.ndarray, scanned_upto: int, exact: bool = False,
+        rejected: bool = False,
     ) -> "BitmapSliceState":
         self._check_grows_to(scanned_upto)
         if scanned_upto == self.last_cached_row:
             return self
         grown = _block_bits(
-            self._tail_rows(rows, scanned_upto), scanned_upto, self.block_size
+            self._tail_rows(rows, scanned_upto), self.last_cached_row,
+            scanned_upto, self.block_size, rejected,
         )
         grown[: len(self.bits)] |= self.bits  # a fresh vector, not yet handed out
         return self._wrap(grown, scanned_upto, self.block_size)
@@ -279,11 +289,20 @@ class BitmapSliceState(SliceState):
         return (len(self.bits) + 7) // 8 + 8
 
 
-def _block_bits(rows: np.ndarray, num_rows: int, block_size: int) -> np.ndarray:
-    """One bool per ``block_size`` rows of ``[0, num_rows)``: True where
-    a row of ``rows`` falls in the block."""
-    bits = np.zeros((num_rows + block_size - 1) // block_size, dtype=bool)
-    bits[rows // block_size] = True
+def _block_bits(
+    rows: np.ndarray, start: int, stop: int, block_size: int, rejected: bool = False
+) -> np.ndarray:
+    """One bool per ``block_size`` rows of ``[0, stop)``: True where a
+    row of ``rows`` falls in the block — or, if they are the ``rejected``
+    rows of ``[start, stop)``, where the block holds another one there."""
+    bits = np.zeros((stop + block_size - 1) // block_size, dtype=bool)
+    if rejected:  # the block's rows in range, less those rejected
+        first = start // block_size
+        edges = np.clip(np.arange(first, len(bits) + 1) * block_size, start, stop)
+        dropped = np.bincount(rows // block_size - first, minlength=len(bits) - first)
+        bits[first:] = np.diff(edges) > dropped
+    else:
+        bits[rows // block_size] = True
     return bits
 
 

@@ -4,7 +4,8 @@ A :class:`RangeList` is what a range slice state stores (§4.1.1): an
 ordered, non-overlapping, non-adjacent list of half-open row ranges
 ``[start, end)``.  It is not the row set in flight.  The predicate
 cache, the scan and storage pass ascending int64 row ids; a range state
-turns them into its payload (:meth:`RangeList.from_rows`, bounded by
+turns them (or the rows a conjunct rejected) into its payload
+(:meth:`RangeList.from_rows` / :meth:`RangeList.from_complement`, bounded by
 :meth:`RangeList.coalesce`) only when the state changes, and back into
 row ids (:meth:`RangeList.to_row_ids`) when a plan asks for its rows.
 
@@ -102,6 +103,19 @@ class RangeList:
         bounds[:-1, 1] = rows[breaks] + 1
         bounds[-1, 1] = rows[-1] + 1
         return cls._wrap(bounds, int(rows.size))
+
+    @classmethod
+    def from_complement(cls, rows: np.ndarray, start: int, stop: int) -> "RangeList":
+        """Every row of ``[start, stop)`` but the ascending, unique ``rows``
+        inside it: the gaps between them, in O(len(rows))."""
+        bounds = np.empty((len(rows) + 1, 2), dtype=np.int64)
+        bounds[0, 0] = start
+        bounds[1:, 0] = rows + 1
+        bounds[:-1, 1] = rows
+        bounds[-1, 1] = stop
+        return cls._wrap(
+            bounds[bounds[:, 0] < bounds[:, 1]], stop - start - len(rows)
+        )
 
     def __len__(self) -> int:
         return len(self._bounds)

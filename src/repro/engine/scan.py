@@ -56,10 +56,12 @@ on an exact hit, none on a miss.  With ``enable_reuse`` on (DESIGN.md
 cached conjuncts — or of a cached wider range on the same column — as
 the sources; the plan intersects their candidate sets, a superset of
 the truth, so step 3's re-evaluation keeps the result bit-identical to
-a cache-off scan.  Served or not, the scan derives per-conjunct
+a cache-off scan.  A full-key miss, served or not, derives per-conjunct
 qualifying sets on the way (every row but the scanned rows the conjunct
-rejected, so they stay supersets under *any* serving basis) and
-installs them at the same coordinator barrier as every other entry.
+rejected, so they stay supersets under *any* serving basis) and hands
+the cache only those rejected ids, at the same coordinator barrier as
+every other entry.  An exact-match hit derives none (its statement did
+when it first ran), so an exact state keeps its verdict with reuse on.
 
 :func:`execute_scan` is three coordinator steps around the four above:
 
@@ -472,8 +474,8 @@ def _install(
         context.qualifying_rows += len(result.qualifying)
         context.total_rows += num_rows
         # The scan's own outputs are fully evaluated, so they install
-        # exact; a conjunct set is padded with the complement of the
-        # scanned rows and never is.
+        # exact; a conjunct set is every row but the scanned rows its
+        # conjunct rejected, handed over as those, and never is.
         installs = []
         if context.join_entry is not None:
             rows = result.qualifying.row_ids
@@ -482,10 +484,11 @@ def _install(
             rows = result.plain_rows()
             installs.append((context.plain_entry, rows, len(rows), True))
         for entry, rejected in zip(context.conjunct_entries, result.conjunct_rejected):
-            rows = _padded(rejected, entry.slice_states[slice_id], num_rows)
-            installs.append((entry, rows, num_rows - len(rejected), False))
+            installs.append((entry, rejected, num_rows - len(rejected), False))
         for entry, rows, count, exact in installs:
-            context.cache.record_slice_scan(entry, slice_id, rows, num_rows, exact)
+            context.cache.record_slice_scan(
+                entry, slice_id, rows, num_rows, exact, rejected=not exact
+            )
             context.cache.record_entry_stats(entry, count, num_rows)
         if context.basis in ("composed", "subsumed"):
             # The subsumption/composition re-check accounting: candidate
@@ -553,9 +556,9 @@ def _prepare_cache_context(
     if join_key is not None and cache_join:
         candidate_keys.append(join_key)
     candidate_keys.append(plain_key)
+    # Only a miss decomposes: an exact-match hit derives no conjunct set
+    # (its statement derived them when it first ran) and stays exact.
     decomposition = None
-    if cache.config.enable_reuse and not isinstance(predicate, TruePredicate):
-        decomposition = decompose(table.name, predicate)
     with optional_span(
         statement.trace, "cache-lookup",
         table=table.name, candidates=len(candidate_keys),
@@ -574,6 +577,8 @@ def _prepare_cache_context(
             counters.cache_misses += 1
             context = _SliceCacheContext(cache)
             outcome = "miss"
+            if cache.config.enable_reuse and not isinstance(predicate, TruePredicate):
+                decomposition = decompose(table.name, predicate)
             if decomposition is not None:
                 reuse = _plan_reuse(
                     cache, decomposition, current_versions, table, statement
@@ -611,10 +616,9 @@ def _prepare_cache_context(
             context.basis if served else "scan",
             tuple(source.key.digest for source in context.sources) if served else (),
         )
-    # Derived conjunct entries: sound under any serving basis except
-    # "join" (where the complement-padded sets would be uselessly
-    # wide — the join candidates are already heavily filtered).
-    if decomposition is not None and context.basis != "join":
+    # Derived conjunct entries: supersets of each conjunct's truth under
+    # any serving basis of a miss.
+    if decomposition is not None:
         for conjunct in decomposition.conjuncts:
             if conjunct.key == plain_key or not cache.admits(conjunct.key):
                 continue
@@ -664,15 +668,11 @@ def _exact_state(
 
     Only an exact-match hit qualifies: a composed or subsumed serve
     reads other keys' states, which are supersets of this predicate's
-    truth.  A scan that derives conjunct lists evaluates every conjunct
-    on every candidate, so it re-checks anyway.  The hit entry's state
-    must itself be exact (:mod:`repro.core.entry`).
+    truth.  A hit derives no conjunct set, so nothing asks it to
+    evaluate its candidates.  The hit entry's state must itself be
+    exact (:mod:`repro.core.entry`).
     """
-    if (
-        context is None
-        or context.basis not in ("plain", "join")
-        or context.conjunct_predicates
-    ):
+    if context is None or context.basis not in ("plain", "join"):
         return None
     state = context.sources[0].slice_states[slice_id]
     return state if state is not None and state.exact else None
@@ -695,9 +695,9 @@ class _SliceResult:
     candidate_rows: int
     #: Per derived conjunct, in the order of the context's conjunct
     #: entries: the scanned row ids it (or visibility) rejected.  Its
-    #: qualifying set is every other row of the slice (:func:`_padded`),
-    #: a superset of the conjunct's truth under any serving basis.
-    #: Empty when the slice derived none.
+    #: qualifying set is every other row of the slice, a superset of the
+    #: conjunct's truth under any serving basis; the barrier installs it
+    #: as these ids.  Empty when the slice derived none.
     conjunct_rejected: List[np.ndarray] = field(default_factory=list)
 
     def plain_rows(self) -> np.ndarray:
@@ -840,20 +840,6 @@ def _scan_slice(
                 )
     counters.rows_qualifying += len(qualifying)
     return result
-
-
-def _padded(
-    rejected: np.ndarray, state: Optional[SliceState], num_rows: int
-) -> np.ndarray:
-    """A conjunct's qualifying row ids: every row of the slice but the
-    ascending ``rejected``, from the row its entry's ``state`` still
-    needs on.  A live entry's state only grows, and extends over the
-    rows past its watermark alone, so the rows below go unbuilt; a
-    state already at ``num_rows`` needs none."""
-    start = 0 if state is None else min(state.last_cached_row, num_rows)
-    kept = np.ones(num_rows - start, dtype=bool)
-    kept[rejected[np.searchsorted(rejected, start):] - start] = False
-    return np.flatnonzero(kept) + start
 
 
 def _read(

@@ -14,7 +14,8 @@ interval index (:meth:`PredicateCache.range_entries`): the live plain
 entries whose key parsed, once at install, to an exact interval of the
 requested column — one bucket, never a walk of every entry.  The
 requested side is read off the decomposed conjunct's predicate, so
-nothing is parsed here.
+nothing is parsed here.  An entry less selective than the best so far
+is skipped on its rank alone, before any containment test.
 """
 
 from __future__ import annotations
@@ -90,13 +91,16 @@ def find_subsuming(
     best: Optional["CacheEntry"] = None
     best_rank: Tuple[float, float] = (float("inf"), float("inf"))
     for entry, cached in cache.range_entries(conjunct.key.table, column):
+        selectivity = entry.selectivity  # cannot win if already worse
+        if selectivity > best_rank[0]:
+            continue
         if entry.key.predicate_key == conjunct.key.predicate_key:
             continue
         if not bounds_contain(cached, wanted):
             continue
         if not any(state is not None for state in entry.slice_states):
             continue
-        rank = (entry.selectivity, _interval_width(cached))
+        rank = (selectivity, _interval_width(cached))
         if rank < best_rank:
             best, best_rank = entry, rank
     return best

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cache import PredicateCache
+from repro.core.config import PredicateCacheConfig
 from repro.core.entry import BitmapSliceState, CacheEntry, RangeSliceState
 from repro.core.keys import ScanKey
 from repro.core.rowrange import RangeList
@@ -341,3 +342,80 @@ def test_rows_and_a_composed_intersection_match_set_oracles(left, right, variant
     source = _resolve_source(context, 0, num_rows)
     assert source.candidates.tolist() == sorted(wants[0] & wants[1])
     assert source.verdict_below == 0 and not source.exact
+
+
+# -- the rejected-rows build oracle ------------------------------------------------
+
+
+def _padded(rejected, state, num_rows):
+    """A conjunct set as the row ids it keeps: every row from the state's
+    watermark on but the ascending ``rejected`` — how the set was built
+    before it was handed over as its rejected rows, kept as their oracle."""
+    start = 0 if state is None else min(state.last_cached_row, num_rows)
+    kept = np.ones(num_rows - start, dtype=bool)
+    kept[rejected[np.searchsorted(rejected, start):] - start] = False
+    return np.flatnonzero(kept) + start
+
+
+# Per install, rows appended and which rows of the slice the scan
+# rejected; the first may be a direct scan's exact qualifying rows.
+_rejections = st.tuples(
+    st.booleans(),
+    st.lists(
+        st.tuples(
+            st.integers(0, 300),
+            st.lists(st.integers(0, 1199), max_size=80, unique=True),
+        ),
+        min_size=2,
+        max_size=4,
+    ),
+)
+
+
+@given(
+    _rejections,
+    st.one_of(
+        st.builds(
+            dict, variant=st.just("range"), max_ranges_per_slice=st.integers(1, 4)
+        ),
+        st.builds(
+            dict,
+            variant=st.just("bitmap"),
+            bitmap_block_rows=st.sampled_from([1, 7, 64]),
+        ),
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_set_built_from_rejected_rows_is_the_padded_build(rejections, config):
+    """A build and one to three extensions, each from the rows a conjunct
+    rejected: the same payload, watermark, exactness and size as the
+    state built from the padded row ids, for either variant, with
+    ``coalesce`` merging past a small ``max_ranges``."""
+    scanned_first, installs = rejections
+    twins = []
+    for _ in range(2):
+        cache = PredicateCache(PredicateCacheConfig(**config))
+        twins.append((cache, cache.get_or_create(ScanKey("t", "x < 5"), 1)))
+    (padded_cache, padded), (built_cache, built) = twins
+    num_rows = 0
+    for step, (appended, offsets) in enumerate(installs):
+        num_rows += appended
+        rejected = np.array(sorted(o for o in offsets if o < num_rows), dtype=np.int64)
+        if step == 0 and scanned_first:
+            # A direct scan created the entry; conjunct sets extend it.
+            for cache, entry in twins:
+                cache.record_slice_scan(entry, 0, rejected, num_rows, exact=True)
+            continue
+        kept = _padded(rejected, padded.slice_states[0], num_rows)
+        padded_cache.record_slice_scan(padded, 0, kept, num_rows)
+        built_cache.record_slice_scan(built, 0, rejected, num_rows, rejected=True)
+        want, got = padded.slice_states[0], built.slice_states[0]
+        assert got == want
+        assert got.exact == want.exact
+        assert got.nbytes == want.nbytes
+        assert built_cache.total_nbytes == padded_cache.total_nbytes
+        if config["variant"] == "range":
+            assert got.ranges.bounds.tobytes() == want.ranges.bounds.tobytes()
+            assert got.ranges.num_rows == want.ranges.num_rows
+        else:
+            assert got.bits.tobytes() == want.bits.tobytes()

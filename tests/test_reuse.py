@@ -621,10 +621,86 @@ def test_composed_serve_drops_every_source_when_one_is_stale():
     invariants.check_cache(cache)
 
 
-def test_reuse_serve_lookup_span_reports_no_entry_stats():
-    """A reuse serve has no single entry: its cache-lookup span carries
-    the outcome and basis only, while an exact hit adds the entry's
-    selectivity and size."""
+@pytest.mark.parametrize("variant", ["range", "bitmap"])
+def test_a_column_interval_is_probed_as_one_part(variant):
+    """``k >= 10 and k < 30`` decomposes into two half-open conjuncts.
+    Its first scan is served from a wider interval and reads only that
+    one's rows, so each half's derived set holds nearly every row, while
+    the interval's own plain key holds its exact rows: that entry serves
+    the column, and neither half is probed."""
+    cached, plain = build_twins(reuse_config(variant), seed_rows=2000)
+    cache = cached.predicate_cache
+    both_twins(cached, plain, "select k, v from t where k >= 5 and k < 40")
+    interval = "k >= 10 and k < 30"
+    first = both_twins(cached, plain, f"select k, v from t where {interval}")
+    assert first.counters.reuse_subsumed_serves == 1
+    (entry,) = (live for live in cache.entries() if live.key == plain_key(interval))
+    lookups = cache.reuse_stats.conjunct_lookups
+    where = f"{interval} and v < 50"
+    result = both_twins(cached, plain, f"select k, v from t where {where}")
+    assert result.counters.reuse_composed_serves == 1
+    # One probe for the interval, one for ``v < 50``: none for a half.
+    assert cache.reuse_stats.conjunct_lookups - lookups == 2
+    live = {live.key: live for live in cache.entries()}
+    composed = live[ScanKey("t", parse_predicate(where).cache_key())]
+    assert composed.provenance == "composed"
+    assert entry.key.digest in composed.source_digests
+    candidates = sum(
+        state.count(data_slice.num_rows)
+        for state, data_slice in zip(
+            entry.slice_states, cached.database.table("t").slices
+        )
+    )
+    assert result.counters.rows_scanned <= candidates
+    if variant == "range":  # exact: the candidates are the interval's rows
+        assert candidates == first.counters.rows_qualifying
+    invariants.check_cache(cache)
+
+
+@pytest.mark.parametrize("variant", ["range", "bitmap"])
+def test_an_interval_entry_without_state_falls_back_to_its_halves(variant):
+    cached, plain = build_twins(reuse_config(variant))
+    cache = cached.predicate_cache
+    halves = ("k >= 10", "k < 30")
+    for half in halves:
+        both_twins(cached, plain, f"select k from t where {half}")
+    cache.get_or_create(plain_key("k >= 10 and k < 30"), 2)
+    lookups = cache.reuse_stats.conjunct_lookups
+    where = "k >= 10 and k < 30 and v < 50"
+    result = both_twins(cached, plain, f"select k, v from t where {where}")
+    assert result.counters.reuse_composed_serves == 1
+    assert cache.reuse_stats.conjunct_lookups - lookups == 4
+    live = {entry.key: entry for entry in cache.entries()}
+    composed = live[ScanKey("t", parse_predicate(where).cache_key())]
+    assert set(composed.source_digests) == {
+        live[plain_key(half)].key.digest for half in halves
+    }
+
+
+def test_an_exact_hit_stays_exact_with_reuse_on():
+    """A repeat of a conjunction is an exact-match hit: it derives no
+    conjunct set (the first run did), so its exact states take their
+    verdict instead of re-evaluating every candidate."""
+    engine = traced_engine()
+    sql = "select count(*) as c from t where k < 50 and v >= 20"
+    engine.execute(sql)
+    repeat = engine.execute(sql)
+    assert repeat.counters.cache_hits == 1
+    for slice_id in range(2):
+        span = repeat.trace.find(f"scan[slice {slice_id}]")
+        assert span.attrs["cache_basis"] == "plain"
+        assert span.attrs["exact"] is True
+
+
+def both_twins(cached, plain, sql):
+    """Run ``sql`` on both twins, assert they agree, return the cached result."""
+    ra, rb = cached.execute(sql), plain.execute(sql)
+    assert_rows_equal(ra.rows(), rb.rows(), sql)
+    return ra
+
+
+def traced_engine(rows=500):
+    """A traced, reuse-enabled engine over ``rows`` rows of t in 2 slices."""
     db = Database(num_slices=2, rows_per_block=64)
     db.create_table(
         TableSchema("t", tuple(ColumnSpec(c, DataType.INT64) for c in COLUMNS))
@@ -633,7 +709,15 @@ def test_reuse_serve_lookup_span_reports_no_entry_stats():
         db, predicate_cache=PredicateCache(reuse_config()), tracer=Tracer()
     )
     rng = np.random.default_rng(3)
-    engine.insert("t", {c: rng.integers(0, 100, 500) for c in COLUMNS})
+    engine.insert("t", {c: rng.integers(0, 100, rows) for c in COLUMNS})
+    return engine
+
+
+def test_reuse_serve_lookup_span_reports_no_entry_stats():
+    """A reuse serve has no single entry: its cache-lookup span carries
+    the outcome and basis only, while an exact hit adds the entry's
+    selectivity and size."""
+    engine = traced_engine()
     engine.execute("select count(*) as c from t where k < 50")
 
     def lookup_attrs(where):

@@ -360,16 +360,18 @@ class TestSliceSources:
                 assert source.context.basis == "plain"
                 self.assert_served(source)
 
-    def test_a_conjunct_deriving_hit_re_checks_every_candidate(self):
+    def test_a_hit_with_reuse_on_derives_nothing_and_takes_the_verdict(self):
         cache = self.range_cache(enable_reuse=True)
         predicate = "x < 30 and y > 4"
         self.warm(cache, predicate)
         hit = cache.lookup(_plan_key(self.table, predicate))
         assert all(state.exact for state in hit.slice_states)
-        for source in self.sources(cache, predicate):
+        sources = self.sources(cache, predicate)
+        for data_slice, source in zip(self.table.slices, sources):
             assert source.context.basis == "plain"
-            assert source.context.conjunct_predicates
-            self.assert_served(source)
+            assert not source.context.conjunct_predicates
+            assert not source.context.conjunct_entries
+            self.assert_served(source, data_slice.num_rows)
 
     @pytest.mark.parametrize(
         "parts, basis",
