@@ -96,10 +96,6 @@ class ScanKey:
     def is_join_key(self) -> bool:
         return bool(self.semijoins)
 
-    def base_key(self) -> "ScanKey":
-        """The same scan without semi-join filters (fallback lookup)."""
-        return ScanKey(self.table, self.predicate_key)
-
     def referenced_tables(self) -> FrozenSet[str]:
         """Tables whose *data* changes invalidate this entry."""
         tables: FrozenSet[str] = frozenset()

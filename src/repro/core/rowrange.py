@@ -25,7 +25,7 @@ ranges — is expressed on the array as::
     bounds[:-1, 1] < bounds[1:, 0]       (strictly increasing, gaps > 0)
 
 Every constructor builds normalized bounds directly (from ascending row
-ids or from a mask), so nothing re-sorts or re-merges.  ``num_rows`` is
+ids or their complement), so nothing re-sorts or re-merges.  ``num_rows`` is
 computed once and cached.
 """
 
@@ -58,30 +58,6 @@ class RangeList:
         out._bounds = bounds
         out._num_rows = num_rows
         return out
-
-    @classmethod
-    def from_mask(cls, mask: np.ndarray, offset: int = 0) -> "RangeList":
-        """Build a range list from a boolean qualification mask:
-        consecutive ``True`` runs become ranges.  ``offset`` translates
-        mask positions into row ids."""
-        mask = np.asarray(mask, dtype=bool)
-        if mask.size == 0 or not mask.any():
-            return cls._wrap(_EMPTY_BOUNDS, 0)
-        # Run boundaries: diff of the int mask is +1 at run starts and
-        # -1 one past run ends.
-        diff = np.diff(mask.astype(np.int8))
-        starts = np.flatnonzero(diff == 1) + 1
-        ends = np.flatnonzero(diff == -1) + 1
-        if mask[0]:
-            starts = np.concatenate(([0], starts))
-        if mask[-1]:
-            ends = np.concatenate((ends, [mask.size]))
-        bounds = np.empty((len(starts), 2), dtype=np.int64)
-        bounds[:, 0] = starts
-        bounds[:, 1] = ends
-        if offset:
-            bounds += offset
-        return cls._wrap(bounds, int(np.count_nonzero(mask)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[int] | np.ndarray) -> "RangeList":

@@ -21,7 +21,6 @@ from ..core.cache import PredicateCache
 from ..obs.trace import Tracer, optional_span
 from ..predicates.ast import Predicate, TruePredicate
 from ..sql import (
-    AnalyzeStatement,
     DeleteStatement,
     InsertStatement,
     SelectStatement,
@@ -281,11 +280,6 @@ class QueryEngine:
         if isinstance(parsed, VacuumStatement):
             changed = self.vacuum([parsed.table] if parsed.table else None)
             return self._dml_result(len(changed))
-        if isinstance(parsed, AnalyzeStatement):
-            analyzed = self.database.analyze(
-                [parsed.table] if parsed.table else None
-            )
-            return self._dml_result(len(analyzed))
         raise TypeError(f"unhandled statement {type(parsed).__name__}")
 
     def _dml_result(
@@ -426,13 +420,15 @@ class QueryEngine:
         unknown = set(assignments) - set(table.schema.column_names)
         if unknown:
             raise ValueError(f"unknown columns in UPDATE: {sorted(unknown)}")
-        # Refused before any row is marked deleted: the new versions
-        # would fail to insert and leave the UPDATE half-applied.
-        nulls = sorted(name for name, value in assignments.items() if value is None)
-        if nulls:
-            raise ValueError(f"UPDATE of {table_name}: columns {nulls} are NOT NULL")
-        result = execute_scan(table, predicate, statement)
-        old_rows = result.gather(table.schema.column_names)
+        # Converted before any row is marked deleted: a value the new
+        # versions could not hold would leave the UPDATE half-applied.
+        values = {
+            name: table.column_array(name, [value])
+            for name, value in assignments.items()
+        }
+        columns = table.schema.column_names
+        result = execute_scan(table, predicate, statement, gather_columns=columns)
+        old_rows = result.gather(columns)
         count = _batch_len(old_rows)
         if count == 0:
             return 0
@@ -441,8 +437,8 @@ class QueryEngine:
             if qualifying:
                 table.delete_local_rows(slice_id, qualifying.row_ids, write_txid)
         new_rows = dict(old_rows)
-        for name, value in assignments.items():
-            new_rows[name] = np.full(count, value, dtype=old_rows[name].dtype)
+        for name, value in values.items():
+            new_rows[name] = np.repeat(value, count)
         table.insert(new_rows, write_txid)
         return count
 

@@ -122,58 +122,43 @@ class SemiJoinFilter:
 
 @dataclass
 class ScanResult:
-    """Qualifying rows of one scan, per slice, plus gather support."""
+    """Qualifying rows of one scan, per slice, and the output columns
+    its slice scans materialized for them."""
 
     table: Table
     #: Each slice's qualifying rows, placed by block: the coverage the
     #: slice scan built, which ``gather``, DELETE and UPDATE read as is.
     per_slice: List[BlockCoverage]
-    #: The scanning statement's storage reader: ``gather`` reads through
-    #: it, so late reads are billed to the same statement.
-    reader: QueryStorageContext
-    #: Per-slice output columns materialized by the scan itself (the
-    #: ``gather_columns`` of :func:`execute_scan`); ``gather`` falls
-    #: back to storage for anything not here.
-    prefetched: Optional[List[Dict[str, np.ndarray]]] = None
+    #: Per-slice output columns materialized by the slice scans (the
+    #: ``gather_columns`` of :func:`execute_scan`).
+    materialized: List[Dict[str, np.ndarray]]
 
     @cached_property
     def num_rows(self) -> int:
         return sum(len(rows) for rows in self.per_slice)
 
     def gather(self, columns: Sequence[str]) -> Dict[str, np.ndarray]:
-        """Materialize the given columns of all qualifying rows.
+        """Assemble the given columns of all qualifying rows.
 
-        Reads go through managed storage (block accesses are counted) —
-        this is step (6) of Fig. 11, loading and decompressing only the
-        required columns of qualifying rows.  Columns the slice scans
-        already materialized (``prefetched``) are assembled without
-        touching storage again.  The virtual column ``"__rows__"``
-        yields a zero array of the right length without touching
-        storage (used by ``count(*)``-only plans).
+        Each column must be one of the scan's ``gather_columns``: the
+        slice scans read them — step (6) of Fig. 11, loading and
+        decompressing only the required columns of qualifying rows —
+        and this only concatenates.  The virtual column ``"__rows__"``
+        yields a zero array of the right length (used by
+        ``count(*)``-only plans).
         """
         if list(columns) == ["__rows__"]:
             return {"__rows__": np.zeros(self.num_rows, dtype=np.int8)}
-        out: Dict[str, List[np.ndarray]] = {name: [] for name in columns}
-        for slice_id, (s, qualifying) in enumerate(
-            zip(self.table.slices, self.per_slice)
-        ):
-            if not qualifying:
-                continue
-            ready = self.prefetched[slice_id] if self.prefetched else {}
-            for name in columns:
-                if name in ready:
-                    out[name].append(ready[name])
-                else:
-                    out[name].append(
-                        s.columns[name].read_ranges(qualifying, self.reader)
-                    )
         result: Dict[str, np.ndarray] = {}
         for name in columns:
-            pieces = out[name]
-            if not pieces:
-                result[name] = s_empty(self.table, name)
-            else:
-                result[name] = np.concatenate(pieces)
+            pieces = [
+                ready[name]
+                for ready, qualifying in zip(self.materialized, self.per_slice)
+                if qualifying
+            ]
+            result[name] = (
+                np.concatenate(pieces) if pieces else s_empty(self.table, name)
+            )
         return result
 
 
@@ -205,10 +190,10 @@ def execute_scan(
         current_versions: data versions of semi-join build tables, for
             stale-entry rejection.
         gather_columns: output columns the caller will gather from the
-            result.  Each slice scan materializes them for its
-            qualifying rows — the same reads ``ScanResult.gather``
-            would issue, moved inside the scan so they count in the
-            slice's span and fall under its deferred block eviction.
+            result: ``ScanResult.gather`` takes no other column.
+            Each slice scan materializes them for its qualifying rows,
+            so the reads count in the slice's span and fall under its
+            deferred block eviction.
 
     Returns:
         Per-slice qualifying rows (post predicate, semi-join filters,
@@ -227,7 +212,6 @@ def execute_scan(
     return ScanResult(
         table,
         [result.qualifying for result in results],
-        statement.storage,
         [result.materialized for result in results],
     )
 
@@ -824,9 +808,8 @@ def _scan_slice(
         if vis_mask is not None:
             rejected |= ~vis_mask
         result.conjunct_rejected.append(covered.row_ids[rejected])
-    # Materialize the caller's output columns for the qualifying rows —
-    # exactly the reads ScanResult.gather would issue, moved here so they
-    # count in this slice's span.  A column the batch holds for every
+    # Materialize the caller's output columns for the qualifying rows,
+    # counted in this slice's span.  A column the batch holds for every
     # candidate is taken from it by mask, not read again.
     if len(qualifying):
         for name in plan.gather_columns:

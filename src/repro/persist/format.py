@@ -282,6 +282,12 @@ def decode_entry(payload: bytes, version: int = FORMAT_VERSION) -> EntryRecord:
     for _ in range(n_states):
         slice_id, state, off = _decode_state(payload, off)
         record.states[slice_id] = state
+    # The header's version is outside every CRC: a flip that turns 2
+    # into 0 reads a version-2 entry without its provenance fields and
+    # takes their bytes for the state count.  An entry whose fields do
+    # not end exactly at its payload's end is damage.
+    if off != len(payload):
+        raise ValueError("entry payload not consumed exactly")
     return record
 
 

@@ -27,7 +27,7 @@ _KEYWORDS = {
     "select", "from", "where", "group", "by", "order", "having", "limit",
     "and", "or", "not", "between", "in", "is", "null", "as", "asc", "desc",
     "insert", "into", "values", "update", "set", "delete", "copy", "vacuum",
-    "create", "table", "join", "on", "inner", "left", "count", "sum", "avg", "analyze",
+    "create", "table", "join", "on", "inner", "left", "count", "sum", "avg",
     "min", "max", "distinct", "true", "false", "like",
 }
 

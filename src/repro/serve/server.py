@@ -10,7 +10,7 @@ one shared :class:`~repro.engine.QueryEngine`:
 * requests carry deadlines, re-checked at dequeue — a statement whose
   latency budget lapsed while queued is failed, not executed late;
 * SELECTs run concurrently under a shared read lock while DML
-  (insert/update/delete/vacuum/analyze) takes the exclusive side —
+  (insert/update/delete/vacuum) takes the exclusive side —
   table mutation and the MVCC single-writer model stay serialized
   while the read path scales out;
 * :meth:`drain` / :meth:`shutdown` stop intake first, then let queued
@@ -39,7 +39,7 @@ __all__ = ["QueryServer", "ReadWriteLock"]
 
 # Statements whose first keyword mutates table or catalog state take
 # the write lock; everything else shares the read side.
-_WRITE_KEYWORDS = frozenset({"insert", "update", "delete", "vacuum", "analyze"})
+_WRITE_KEYWORDS = frozenset({"insert", "update", "delete", "vacuum"})
 #: The statement's first keyword: its leading run of letters, so that
 #: ``vacuum;`` reads as ``vacuum`` without lexing the whole text.
 _FIRST_KEYWORD = re.compile(r"\s*([A-Za-z]+)")

@@ -15,7 +15,6 @@ conditions (planned as hash joins with semi-join filter pushdown).
 """
 
 from .ast import (
-    AnalyzeStatement,
     DeleteStatement,
     InsertStatement,
     SelectItem,
@@ -28,7 +27,6 @@ from .parser import SQLParseError, parse_statement, statement_key
 from .planner import PlannerError, plan_select
 
 __all__ = [
-    "AnalyzeStatement",
     "DeleteStatement",
     "InsertStatement",
     "PlannerError",

@@ -9,7 +9,6 @@ from ..engine.expr import Expr
 from ..predicates.ast import Predicate
 
 __all__ = [
-    "AnalyzeStatement",
     "Statement",
     "SelectItem",
     "JoinCondition",
@@ -102,12 +101,5 @@ class UpdateStatement(Statement):
 @dataclass(frozen=True)
 class VacuumStatement(Statement):
     """``VACUUM [table]``."""
-
-    table: Optional[str]
-
-
-@dataclass(frozen=True)
-class AnalyzeStatement(Statement):
-    """``ANALYZE [table]``: collect optimizer statistics."""
 
     table: Optional[str]

@@ -19,7 +19,6 @@ from ..predicates.ast import Predicate
 from ..predicates.lexer import TokenKind, tokenize
 from ..predicates.parser import PredicateParser
 from .ast import (
-    AnalyzeStatement,
     DeleteStatement,
     InsertStatement,
     JoinCondition,
@@ -87,8 +86,6 @@ class _StatementParser(PredicateParser):
             statement = self._parse_update()
         elif word == "vacuum":
             statement = self._parse_vacuum()
-        elif word == "analyze":
-            statement = self._parse_analyze()
         else:
             raise SQLParseError(f"unsupported statement {word.upper()!r}")
         self.accept_punct(";")
@@ -346,14 +343,6 @@ class _StatementParser(PredicateParser):
         if token.kind != TokenKind.OPERATOR or token.text != "=":
             raise SQLParseError(f"expected '=' in SET, got {token.text!r}")
         return (column, self._parse_value())
-
-    def _parse_analyze(self) -> AnalyzeStatement:
-        self.expect_keyword("analyze")
-        token = self.peek()
-        table: Optional[str] = None
-        if token.kind in (TokenKind.IDENT, TokenKind.KEYWORD):
-            table = self.advance().text
-        return AnalyzeStatement(table=table)
 
     def _parse_vacuum(self) -> VacuumStatement:
         self.expect_keyword("vacuum")

@@ -182,15 +182,8 @@ def _order_joins(
         _owned_condition(join, column_owner) for join in join_conditions
     ]
 
-    # The probe side anchors on the largest *estimated filtered*
-    # cardinality (falls back to physical size without statistics).
-    def estimated_output(name: str) -> float:
-        stats = database.table_statistics(name)
-        if stats is not None:
-            return stats.estimated_rows(scans[name].predicate)
-        return float(database.table(name).num_rows)
-
-    root = max(tables, key=estimated_output)
+    # The probe side anchors on the table with the most rows.
+    root = max(tables, key=lambda name: database.table(name).num_rows)
     tree: PlanNode = scans[root]
     joined: Set[str] = {root}
     remaining = list(conditions)

@@ -31,7 +31,6 @@ class Database:
         self.rows_per_block = rows_per_block
         self.rms = ManagedStorage(cache_capacity=cache_capacity)
         self.tables: Dict[str, Table] = {}
-        self.statistics: Dict[str, "TableStatistics"] = {}
         self._next_txid = 1
         self._txid_lock = threading.Lock()
 
@@ -86,7 +85,6 @@ class Database:
         table = self.tables.pop(name, None)
         if table is None:
             raise KeyError(f"no table {name!r}")
-        self.statistics.pop(name, None)
         self.rms.invalidate_table(name)
 
     def table(self, name: str) -> Table:
@@ -113,26 +111,6 @@ class Database:
         layer's :class:`~repro.faults.RetryPolicy`.
         """
         self.rms.attach_faults(injector, retry_policy)
-
-    def analyze(
-        self,
-        tables: Optional[Iterable[str]] = None,
-        sample_rows: int = 10_000,
-    ) -> List[str]:
-        """Collect optimizer statistics (the ANALYZE statement)."""
-        from ..stats import analyze_table
-
-        names = list(tables) if tables is not None else self.table_names()
-        txid = self.begin()
-        for name in names:
-            self.statistics[name] = analyze_table(
-                self.table(name), txid, sample_rows=sample_rows
-            )
-        return names
-
-    def table_statistics(self, name: str):
-        """Statistics from the last ANALYZE, or None."""
-        return self.statistics.get(name)
 
     # -- observability --------------------------------------------------------
 

@@ -238,10 +238,6 @@ class ManagedStorage:
         """The stats a count goes into (under ``_lock``): global + the reader's."""
         return (self.stats,) if reader is self._direct else (self.stats, reader.stats)
 
-    def read_block(self, key: BlockKey, block: EncodedBlock, into: BlockSink) -> None:
-        """Read one block: the one-element case of :meth:`read_blocks`."""
-        self.read_blocks((key,), (block,), into=into)
-
     def read_blocks(
         self,
         keys: Sequence[BlockKey],

@@ -226,19 +226,33 @@ class Table:
         missing = set(self.schema.column_names) - set(rows)
         if missing:
             raise ValueError(f"insert into {self.name} missing columns {sorted(missing)}")
-        arrays: Dict[str, np.ndarray] = {}
-        for spec in self.schema.columns:
-            values = rows[spec.name]
-            # Columns are NOT NULL: a None would be stored as a string,
-            # become NaN or fail deep in numpy, so it is refused here.
-            if (
-                not isinstance(values, np.ndarray) or values.dtype == object
-            ) and None in values:
-                raise ValueError(
-                    f"insert into {self.name}: column {spec.name!r} is NOT NULL"
-                )
-            arrays[spec.name] = np.asarray(values, dtype=spec.dtype.numpy_dtype)
-        return arrays
+        return {
+            spec.name: self.column_array(spec.name, rows[spec.name])
+            for spec in self.schema.columns
+        }
+
+    def column_array(self, column: str, values: Sequence[object]) -> np.ndarray:
+        """``values`` converted to ``column``'s physical dtype.
+
+        INSERT converts every column here and UPDATE every assignment,
+        before either writes a row, so a refused value changes nothing.
+        Columns are NOT NULL: a None would be stored as a string, become
+        NaN or fail deep in numpy.  A STRING column holds ``str`` only:
+        one number among its values breaks every later comparison.
+        """
+        dtype = self.schema.dtype_of(column)
+        loose = not isinstance(values, np.ndarray) or values.dtype == object
+        if loose and None in values:
+            raise ValueError(f"{self.name}: column {column!r} is NOT NULL")
+        if dtype is DataType.STRING and not (
+            all(isinstance(value, str) for value in values)
+            if loose
+            else np.asarray(values).dtype.kind == "U"
+        ):
+            raise ValueError(
+                f"{self.name}: STRING column {column!r} takes str values only"
+            )
+        return np.asarray(values, dtype=dtype.numpy_dtype)
 
     def _assign_slices(self, arrays: Dict[str, np.ndarray], count: int) -> np.ndarray:
         """Slice id per row: hash of dist key, else round-robin batches."""

@@ -145,6 +145,8 @@ RETIRED_SHIMS = {
     "RangeList.covers": "deleted with no caller outside tests; no work moved",
     "RangeList.to_mask": "deleted with no caller outside tests; no work moved",
     "RangeList.from_bounds": "deleted with no caller outside tests; no work moved",
+    "ManagedStorage.read_block": "deleted with no caller outside tests; no work moved",
+    "RangeList.from_mask": "deleted with no caller outside tests; no work moved",
 }
 
 

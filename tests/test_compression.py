@@ -252,14 +252,20 @@ class TestMixedTypeObjects:
         assert_round_trips(block, values)
 
     def test_mixed_string_insert_seals(self):
+        """An INSERT refuses a number for a STRING column; below that
+        check, a mixed batch a column is handed still seals as plain and
+        its zone map never prunes."""
         from repro import QueryEngine
         from repro.storage import ColumnSpec, Database, DataType, TableSchema
         from repro.storage.zonemap import ZoneEntry
 
         db = Database(num_slices=1, rows_per_block=5)
         db.create_table(TableSchema("t", (ColumnSpec("s", DataType.STRING),)))
-        QueryEngine(db).insert("t", {"s": ["a", 1, "b", 2, "c"]})
+        with pytest.raises(ValueError, match="STRING column 's'"):
+            QueryEngine(db).insert("t", {"s": ["a", 1, "b", 2, "c"]})
         column = db.table("t").slices[0].columns["s"]
+        assert column.num_rows == 0
+        column.append(["a", 1, "b", 2, "c"])
         assert [block.codec_name for block in column.blocks] == ["plain"]
         assert column.read_all(db.rms).tolist() == ["a", 1, "b", 2, "c"]
         assert column.zonemap[0] == ZoneEntry(None, None)  # never prunes

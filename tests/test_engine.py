@@ -74,40 +74,81 @@ class TestDML:
         assert engine.update_where("t", parse_predicate("k = 99999"), {"v": 0.0}) == 0
 
 
+def snapshot(engine):
+    rows = engine.execute("select k, v, s from t")
+    return engine.count_rows("t"), sorted(
+        zip(*(rows.column(name).tolist() for name in ("k", "v", "s")))
+    )
+
+
 class TestNotNull:
     """Every column is NOT NULL: a None is refused where it enters, and
     a refused statement changes nothing."""
 
-    @staticmethod
-    def snapshot(engine):
-        rows = engine.execute("select k, v, s from t")
-        return engine.count_rows("t"), sorted(
-            zip(*(rows.column(name).tolist() for name in ("k", "v", "s")))
-        )
-
     @pytest.mark.parametrize("column", ["s", "v", "k"])
     def test_insert_refuses_none_naming_the_column(self, engine, column):
-        before = self.snapshot(engine)
+        before = snapshot(engine)
         row = {"k": [5000, 5001], "v": [0.5, 0.25], "s": ["a", "b"]}
         row[column] = [row[column][0], None]
         with pytest.raises(ValueError, match=repr(column)):
             engine.insert("t", row)
-        assert self.snapshot(engine) == before
+        assert snapshot(engine) == before
         assert engine.execute("select count(*) as c from t where s is null").scalar() == 0
 
     def test_sql_insert_of_null_is_refused(self, engine):
-        before = self.snapshot(engine)
+        before = snapshot(engine)
         with pytest.raises(ValueError, match="'s'"):
             engine.execute("insert into t values (5000, 0.5, null)")
-        assert self.snapshot(engine) == before
+        assert snapshot(engine) == before
 
     @pytest.mark.parametrize("column", ["s", "v"])
     def test_update_to_null_is_refused_before_any_row_is_deleted(self, engine, column):
-        before = self.snapshot(engine)
+        before = snapshot(engine)
         with pytest.raises(ValueError, match=column):
             engine.execute(f"update t set {column} = null where k < 10")
-        assert self.snapshot(engine) == before
+        assert snapshot(engine) == before
         assert engine.execute("select count(*) as c from t where k < 10").scalar() == 10
+
+
+class TestRefusedValues:
+    """A value a column cannot hold is refused before anything is
+    written: an UPDATE deletes no old row version, and a STRING column
+    never stores a number that would break its later comparisons."""
+
+    def test_update_with_an_unconvertible_value_changes_nothing(self, engine):
+        before = snapshot(engine)
+        with pytest.raises(ValueError):
+            engine.execute("update t set k = 'abc' where k < 3")
+        assert snapshot(engine) == before
+        assert engine.execute("select count(*) as c from t where k < 3").scalar() == 3
+
+    def test_sql_insert_of_a_number_into_a_string_column_is_refused(self, engine):
+        before = snapshot(engine)
+        with pytest.raises(ValueError, match="'s'"):
+            engine.execute("insert into t (k, v, s) values (9, 0.5, 7)")
+        assert snapshot(engine) == before
+        assert engine.execute("select count(*) as c from t where s > 'a'").scalar() == 1000
+
+    @pytest.mark.parametrize("values", [[7], np.array([7])])
+    def test_insert_of_a_number_into_a_string_column_is_refused(self, engine, values):
+        before = snapshot(engine)
+        with pytest.raises(ValueError, match="STRING column 's'"):
+            engine.insert("t", {"k": [9], "v": [0.5], "s": values})
+        assert snapshot(engine) == before
+
+    def test_update_of_a_string_column_to_a_number_is_refused(self, engine):
+        before = snapshot(engine)
+        with pytest.raises(ValueError, match="'s'"):
+            engine.execute("update t set s = 5")
+        assert snapshot(engine) == before
+        assert engine.execute("select count(*) as c from t where s > 'a'").scalar() == 1000
+
+    def test_string_columns_take_unicode_arrays_and_str_lists(self, engine):
+        engine.insert("t", {"k": [9000], "v": [0.5], "s": np.array(["zz"])})
+        engine.insert("t", {"k": [9001], "v": [0.5], "s": ["zz"]})
+        engine.execute("update t set s = 'zy' where k = 9001")
+        rows = engine.execute("select k, s from t where s > 'z' order by k")
+        assert rows.column("s").tolist() == ["zz", "zy"]
 
 
 class TestStatementContext:

@@ -667,6 +667,23 @@ class TestCrashSafety:
         assert result.unsupported_version
         assert result.records == {}
 
+    def test_a_version_flipped_to_zero_drops_every_entry(self, tmp_path):
+        """The header's version is outside every CRC.  One flipped bit
+        turns version 2 into 0, which would read each entry without its
+        provenance fields and take their bytes for the state count: the
+        entries are damage, not records that lost their states."""
+        engine, caches = make_engine()
+        populate(engine)
+        engine.execute(OR_SQL)
+        CacheStore(tmp_path, catalog=engine.database).snapshot(caches)
+        data = bytearray((tmp_path / "cache.snapshot").read_bytes())
+        assert data[8] == 2
+        data[8] ^= 0b10
+        (tmp_path / "cache.snapshot").write_bytes(bytes(data))
+        result = CacheStore(tmp_path, catalog=engine.database).load()
+        assert result.records == {}
+        assert result.corrupt_sections > 0
+
 
 class TestCompaction:
     def test_journal_folds_into_snapshot(self, tmp_path):

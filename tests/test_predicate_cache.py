@@ -49,11 +49,6 @@ class TestKeys:
         key = ScanKey("supplier", "TRUE", (outer,))
         assert key.referenced_tables() == frozenset({"nation", "region"})
 
-    def test_base_key_strips_joins(self):
-        key = ScanKey("t", "x = 1", (SemiJoinDescriptor("a = b", "d"),))
-        assert key.base_key() == ScanKey("t", "x = 1")
-        assert key.is_join_key and not key.base_key().is_join_key
-
     def test_key_text_mirrors_paper_layout(self):
         descriptor = SemiJoinDescriptor(
             "l_orderkey = o_orderkey",

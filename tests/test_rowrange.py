@@ -1,5 +1,5 @@
-"""The range state's payload: RangeList built from row ids or a mask,
-bounded by ``coalesce`` and expanded back to row ids."""
+"""The range state's payload: RangeList built from row ids, bounded by
+``coalesce`` and expanded back to row ids."""
 
 import numpy as np
 import pytest
@@ -14,19 +14,6 @@ from tests.rowsets import pairs, ranges
 
 
 class TestRangeListConstruction:
-    def test_from_mask(self):
-        mask = np.array([1, 1, 0, 0, 1, 0, 1, 1, 1], dtype=bool)
-        rl = RangeList.from_mask(mask)
-        assert pairs(rl) == [(0, 2), (4, 5), (6, 9)]
-
-    def test_from_mask_with_offset(self):
-        mask = np.array([0, 1, 1], dtype=bool)
-        assert pairs(RangeList.from_mask(mask, offset=100)) == [(101, 103)]
-
-    def test_from_mask_empty(self):
-        assert pairs(RangeList.from_mask(np.zeros(0, dtype=bool))) == []
-        assert pairs(RangeList.from_mask(np.zeros(5, dtype=bool))) == []
-
     def test_from_rows(self):
         rl = RangeList.from_rows([7, 1, 2, 3, 9, 8])
         assert pairs(rl) == [(1, 4), (7, 10)]
@@ -78,7 +65,7 @@ class TestMaterialization:
     def test_mask_roundtrip(self):
         mask = np.zeros(12, dtype=bool)
         mask[[1, 2, 3, 7, 8]] = True
-        rl = RangeList.from_mask(mask)
+        rl = RangeList.from_rows(np.flatnonzero(mask))
         assert rl == ranges((1, 4), (7, 9))
         assert rl.to_row_ids().tolist() == np.flatnonzero(mask).tolist()
 

@@ -1,12 +1,11 @@
 """Property suite: the range payload's builders and measures against a
 boolean-mask oracle.
 
-A :class:`RangeList` is built from row ids (``from_rows``) or a mask
-(``from_mask``), bounded by ``coalesce`` and expanded back to row ids;
-the oracle re-derives every answer from plain boolean masks over the
-row domain.  The strategies overweight the edge cases run detection has
-to get right: empty input, adjacent ranges (end == next start) and
-single-row ranges.
+A :class:`RangeList` is built from row ids (``from_rows``), bounded by
+``coalesce`` and expanded back to row ids; the oracle re-derives every
+answer from plain boolean masks over the row domain.  The strategies
+overweight the edge cases run detection has to get right: empty input,
+adjacent ranges (end == next start) and single-row ranges.
 """
 
 import numpy as np
@@ -51,16 +50,6 @@ def assert_normalized(rl: RangeList) -> None:
 # -- constructors ---------------------------------------------------------------
 
 
-@given(st.lists(st.booleans(), max_size=64))
-@settings(max_examples=300, deadline=None)
-def test_from_mask_roundtrip(bits):
-    mask = np.array(bits, dtype=bool)
-    rl = RangeList.from_mask(mask)
-    assert_normalized(rl)
-    assert np.array_equal(as_mask(rl, len(mask)), mask)
-    assert rl.num_rows == int(mask.sum())
-
-
 @given(st.lists(st.integers(0, DOMAIN - 1), max_size=40))
 @settings(max_examples=300, deadline=None)
 def test_from_rows_matches_oracle(rows):
@@ -95,7 +84,7 @@ def test_row_ids_mask_roundtrip(spans):
     ids = rl.to_row_ids()
     assert np.array_equal(ids, np.flatnonzero(oracle_mask(spans)))
     assert RangeList.from_rows(ids) == rl
-    assert RangeList.from_mask(as_mask(rl)) == rl
+    assert RangeList.from_rows(np.flatnonzero(as_mask(rl))) == rl
 
 
 @given(pair_lists, st.integers(1, 8))
@@ -118,7 +107,7 @@ def test_empty_edge_cases():
     assert len(empty) == 0 and pairs(empty) == []
     assert empty.to_row_ids().size == 0
     assert empty.coalesce(1) is empty
-    assert RangeList.from_mask(np.zeros(5, dtype=bool)) == empty
+    assert RangeList.from_rows(np.flatnonzero(np.zeros(5, dtype=bool))) == empty
 
 
 def test_single_row_ranges():

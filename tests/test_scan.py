@@ -36,7 +36,7 @@ def make_table(values, num_slices=2, rows_per_block=10):
 
 def scan_rows(db, predicate, cache=None):
     statement = StatementContext(db.begin(), db.rms, cache=cache)
-    result = execute_scan(db.table("t"), predicate, statement)
+    result = execute_scan(db.table("t"), predicate, statement, gather_columns=["x"])
     xs = result.gather(["x"])["x"]
     return sorted(xs.tolist()), statement.counters
 

@@ -252,9 +252,7 @@ class TestServerBasics:
         assert _is_write_statement("  DELETE from t")
         assert _is_write_statement("Update t set v = 1")
         assert _is_write_statement("vacuum t")
-        assert _is_write_statement("analyze")
         assert _is_write_statement("vacuum;")
-        assert _is_write_statement("analyze;")
         assert not _is_write_statement("select count(*) from t")
         assert not _is_write_statement("")
         # Exclusive exactly when the statement is not a SELECT, whatever
@@ -266,8 +264,6 @@ class TestServerBasics:
             "update t set v = 1 where k = 2",
             "vacuum t",
             "vacuum",
-            "analyze t",
-            "analyze",
         ):
             for sql in (text, text + ";"):
                 expected = not isinstance(parse_statement(sql), SelectStatement)

@@ -146,6 +146,13 @@ class TestParser:
             with pytest.raises((SQLParseError, Exception)):
                 parse_statement(bad)
 
+    def test_unsupported_statements_rejected(self):
+        # ANALYZE is not part of the subset: the planner orders joins
+        # by table size and reads no optimizer statistics.
+        for bad in ("analyze", "analyze lineitem", "explain select 1"):
+            with pytest.raises(SQLParseError, match="statement keyword"):
+                parse_statement(bad)
+
     def test_trailing_garbage_rejected(self):
         with pytest.raises(SQLParseError):
             parse_statement("select count(*) from lineitem; drop")

@@ -7,7 +7,7 @@ predicate cache: after every step of a random script both sides return
 the same rows in the same column order with the same counters (rows
 scanned, blocks accessed, Bloom probes, ...), or raise the same error.
 The script repeats SELECT texts across INSERT / DELETE / UPDATE,
-ANALYZE, VACUUM, a drop and re-create of a table under the same name
+VACUUM, a drop and re-create of a table under the same name
 with another schema, and growth of the dimension table past the fact
 table, which turns a fresh plan's join around.
 """
@@ -54,7 +54,6 @@ step_strategy = st.one_of(
     st.tuples(st.just("insert"), st.integers(0, 2**16), st.integers(1, 20)),
     st.tuples(st.just("delete"), st.integers(0, 100)),
     st.tuples(st.just("update"), st.integers(0, 100), st.integers(0, 100)),
-    st.tuples(st.just("analyze"), st.sampled_from(["", " t", " d"])),
     st.tuples(st.just("vacuum"), st.sampled_from(["", " t"])),
     st.tuples(st.just("recreate"), st.sampled_from(sorted(DIM_SCHEMAS))),
     st.tuples(st.just("grow"), st.integers(0, 2**16), st.integers(200, 900)),
@@ -131,8 +130,6 @@ def step_sql(step):
         return f"delete from t where k = {step[1]}"
     if kind == "update":
         return f"update t set w = {step[2]} where v = {step[1]}"
-    if kind == "analyze":
-        return "analyze" + step[1]
     if kind == "vacuum":
         return "vacuum" + step[1]
     return None

@@ -212,9 +212,9 @@ class TestManagedStorage:
         block = self._block([1, 2, 3])
         key = ("t", 0, "c", 0)
         into = {}
-        rms.read_block(key, block, into)
+        rms.read_blocks((key,), (block,), into=into)
         assert into[key].tolist() == [1, 2, 3]
-        rms.read_block(key, block, into)
+        rms.read_blocks((key,), (block,), into=into)
         assert into[key].tolist() == [1, 2, 3]
         assert rms.stats.remote_fetches == 1
         assert rms.stats.local_hits == 1
@@ -225,11 +225,11 @@ class TestManagedStorage:
         blocks = {i: self._block([i]) for i in range(3)}
         into = {}
         for i in range(3):
-            rms.read_block(("t", 0, "c", i), blocks[i], into)
+            rms.read_blocks((("t", 0, "c", i),), (blocks[i],), into=into)
         first = into[("t", 0, "c", 0)]
         # Block 0 evicted; re-reading is a remote fetch again, and its
         # values, already written, are not written again.
-        rms.read_block(("t", 0, "c", 0), blocks[0], into)
+        rms.read_blocks((("t", 0, "c", 0),), (blocks[0],), into=into)
         assert rms.stats.remote_fetches == 4
         assert into[("t", 0, "c", 0)] is first and first.tolist() == [0]
 
@@ -254,27 +254,27 @@ class TestManagedStorage:
     def test_invalidate_table(self):
         rms = ManagedStorage()
         into = {}
-        rms.read_block(("a", 0, "c", 0), self._block([1]), into)
-        rms.read_block(("b", 0, "c", 0), self._block([2]), into)
+        rms.read_blocks((("a", 0, "c", 0),), (self._block([1]),), into=into)
+        rms.read_blocks((("b", 0, "c", 0),), (self._block([2]),), into=into)
         rms.invalidate_table("a")
         assert rms.cached_blocks == 1
-        rms.read_block(("a", 0, "c", 0), self._block([1]), {})
+        rms.read_blocks((("a", 0, "c", 0),), (self._block([1]),), into={})
         assert rms.stats.remote_fetches == 3
 
     def test_bytes_fetched(self):
         rms = ManagedStorage()
         block = self._block(np.arange(100))
         into = {}
-        rms.read_block(("t", 0, "c", 0), block, into)
+        rms.read_blocks((("t", 0, "c", 0),), (block,), into=into)
         assert rms.stats.bytes_fetched == block.nbytes
         assert into[("t", 0, "c", 0)].tolist() == list(range(100))
 
     def test_stats_delta(self):
         rms = ManagedStorage()
         into = {}
-        rms.read_block(("t", 0, "c", 0), self._block([1]), into)
+        rms.read_blocks((("t", 0, "c", 0),), (self._block([1]),), into=into)
         before = rms.stats.snapshot()
-        rms.read_block(("t", 0, "c", 0), self._block([1]), into)
+        rms.read_blocks((("t", 0, "c", 0),), (self._block([1]),), into=into)
         delta = rms.stats.delta(before)
         assert delta.local_hits == 1
         assert delta.remote_fetches == 0
