@@ -1,17 +1,18 @@
 """Result-cache simulation over statement logs (§3.1: Fig. 6–7).
 
-Replays a cluster's statement stream against an idealized result cache:
-a select hits iff its exact text was executed before *and* none of its
-tables changed in between.  This is the mechanism that makes result
-caching's hit rate collapse on write-heavy clusters even though the
-queries themselves repeat.
+Replays a cluster's statement stream through the engine's own
+:class:`~repro.baselines.ResultCache`: a select hits iff its exact text
+was executed before *and* none of its tables changed in between.  This
+is the mechanism that makes result caching's hit rate collapse on
+write-heavy clusters even though the queries themselves repeat.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
+from ..baselines import ResultCache
 from ..workloads.fleet import Statement
 
 __all__ = ["simulate_result_cache", "ResultCacheSimulation"]
@@ -34,35 +35,24 @@ class ResultCacheSimulation:
 
 
 def simulate_result_cache(statements: Sequence[Statement]) -> ResultCacheSimulation:
-    """Replay a statement stream through an exact-match result cache."""
+    """Replay a statement stream through the engine's :class:`ResultCache`:
+    every select looks its text up at the current table versions and
+    stores itself on a miss."""
+    cache = ResultCache()
     table_versions: Dict[str, int] = {}
-    cached: Dict[str, Tuple[Tuple[str, int], ...]] = {}
-    selects = hits = invalidations = writes = 0
-
+    writes = 0
     for statement in statements:
         if statement.is_write:
             writes += 1
             for table in statement.tables:
                 table_versions[table] = table_versions.get(table, 0) + 1
-            continue
-        if not statement.is_select:
-            continue
-        selects += 1
-        current = tuple(
-            (table, table_versions.get(table, 0)) for table in sorted(statement.tables)
-        )
-        seen = cached.get(statement.text)
-        if seen is not None:
-            if seen == current:
-                hits += 1
-            else:
-                invalidations += 1
-        cached[statement.text] = current
-
-    total = max(1, len(statements))
+        elif statement.is_select:
+            versions = {t: table_versions.get(t, 0) for t in statement.tables}
+            if cache.lookup(statement.text, versions) is None:
+                cache.store(statement.text, versions, True)
     return ResultCacheSimulation(
-        selects=selects,
-        hits=hits,
-        invalidations=invalidations,
-        write_fraction=writes / total,
+        selects=cache.stats.lookups,
+        hits=cache.stats.hits,
+        invalidations=cache.stats.invalidations,
+        write_fraction=writes / max(1, len(statements)),
     )

@@ -27,6 +27,7 @@ from ..sql import (
     Statement,
     UpdateStatement,
     VacuumStatement,
+    bind_literals,
     parse_statement,
     plan_select,
     statement_key,
@@ -384,6 +385,8 @@ class QueryEngine:
         self, statement: StatementContext, table_name: str, predicate: Predicate
     ) -> int:
         table = self.database.table(table_name)
+        types = {spec.name: spec.dtype for spec in table.schema.columns}
+        predicate = bind_literals(predicate, types)
         # Deletes bypass the predicate cache (the statement carries none):
         # reusing a cached entry here would be correct (false positives
         # re-checked), but Redshift's prototype hooks only the SELECT
@@ -427,6 +430,8 @@ class QueryEngine:
             for name, value in assignments.items()
         }
         columns = table.schema.column_names
+        types = {spec.name: spec.dtype for spec in table.schema.columns}
+        predicate = bind_literals(predicate, types)
         result = execute_scan(table, predicate, statement, gather_columns=columns)
         old_rows = result.gather(columns)
         count = _batch_len(old_rows)

@@ -1,32 +1,29 @@
-"""Seeded, deterministic fault injection for storage reads.
+"""Seeded, deterministic fault injection for storage reads and writes.
 
-A :class:`FaultInjector` is attached to a read path (managed storage,
-the lake scanner) and consulted once per remote fetch.  Every decision
-comes from one seeded ``random.Random`` stream, so a workload replayed
-with the same seed sees byte-identical faults — the property the chaos
+A :class:`FaultInjector` is consulted once per attempt of every remote
+fetch (managed storage, the lake scanner), snapshot write and journal
+append (the cache store).  One method decides every fault:
+:meth:`FaultInjector.decide`, keyed by *what* is read or written,
+*which* read or write of it this is (:meth:`FaultInjector.next_ordinal`)
+and the retry attempt.  The attempt's own stream, seeded from ``(seed,
+key, ordinal, attempt)``, yields its verdict, corruption shape and retry
+jitter, so a replay with the same seed meets byte-identical faults
+however its reads and writes interleave — the property the chaos
 differential oracle depends on.
 
 Two planning modes:
 
-* **probability-driven** (the default): each fetch independently fails
-  with ``error_rate``, returns corrupted bytes with ``corruption_rate``,
-  and suffers extra latency with ``latency_rate``.
-* **schedule-driven**: an explicit ``{read_index: kind}`` mapping pins
-  faults to specific fetches (unit tests, regression reproductions).
-  Kinds are ``"error"``, ``"corrupt"``, and ``"latency"``.
+* **probability-driven** (the default): each attempt independently
+  fails with ``error_rate``, returns corrupted bytes with
+  ``corruption_rate``, and suffers extra latency with ``latency_rate``.
+* **schedule-driven**: an explicit ``{index: kind}`` mapping pins
+  faults to the listed ``decide`` calls (unit tests, regression
+  reproductions).  Kinds are ``"error"``, ``"corrupt"``, ``"latency"``.
 
 Injected latency is *model time*: it is accumulated into counters the
 cost model folds into ``model_seconds`` — there are no real sleeps
-anywhere in the layer.
-
-Concurrency: probability-driven injectors hand the storage layer a
-*keyed* stream per fetch attempt (:meth:`FaultInjector.fetch_stream`),
-derived from ``(seed, block key, per-key fetch ordinal, attempt)``.
-Which fetches fault then depends only on *what* was fetched, never on
-the order concurrent statements (``QueryServer`` workers sharing one
-injector) interleaved their fetches.  Schedule-driven injectors keep the sequential ``draw()``
-index their schedules are written against.  The monotonic counters are
-guarded by an internal lock either way.
+anywhere in the layer.  The ordinals and counters are guarded by an
+internal lock.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ import hashlib
 import random
 import threading
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -50,27 +47,22 @@ class FaultDecision:
     corrupt: bool = False
     latency_seconds: float = 0.0
 
-    @property
-    def clean(self) -> bool:
-        return not self.fail and not self.corrupt
-
-
-_CLEAN = FaultDecision()
-
 
 class FaultInjector:
-    """Deterministic fault plan for storage fetches.
+    """Deterministic fault plan for storage reads and cache-store writes.
 
     Args:
-        seed: seeds the decision stream (and corruption shapes).
-        error_rate: per-fetch probability of a transient I/O error.
-        corruption_rate: per-fetch probability the payload is corrupted
-            (bit flip or truncation, chosen by the stream).
-        latency_rate: per-fetch probability of added latency.
+        seed: seeds every attempt's stream (verdicts, corruption shapes,
+            jitter).
+        error_rate: per-attempt probability of a transient I/O error
+            (a torn write on the store).
+        corruption_rate: per-attempt probability the payload is
+            corrupted (bit flip or truncation, chosen by the stream).
+        latency_rate: per-attempt probability of added latency.
         latency_seconds: model-time latency added when drawn.
-        schedule: explicit ``{read_index: kind}`` plan; when given, the
-            probabilistic rates are ignored and only listed fetches
-            fault.  Read indices count every :meth:`draw` call.
+        schedule: explicit ``{index: kind}`` plan; when given, the
+            probabilistic rates are ignored and only listed attempts
+            fault.  Indices count every :meth:`decide` call.
     """
 
     def __init__(
@@ -95,8 +87,9 @@ class FaultInjector:
         self.latency_rate = latency_rate
         self.latency_seconds = latency_seconds
         self.schedule = dict(schedule) if schedule is not None else None
-        self._rng = random.Random(seed)
         self._lock = threading.Lock()
+        # Reads or writes decided so far, per key (see next_ordinal).
+        self._ordinals: Dict[object, int] = {}
         # Monotonic counters (scrape-time metrics read these directly).
         self.reads_seen = 0
         self.errors_injected = 0
@@ -121,91 +114,50 @@ class FaultInjector:
 
     # -- decisions -------------------------------------------------------------
 
-    def draw(self) -> FaultDecision:
-        """The fault verdict for the next fetch attempt (sequential).
+    def next_ordinal(self, key: object) -> int:
+        """Which read or write of ``key`` comes next (0 for the first).
 
-        Consumes the injector's single seeded stream, so the verdict
-        depends on draw *order*.  Concurrent read paths should use
-        :meth:`fetch_stream` + :meth:`draw_keyed` instead; schedules
-        (written against draw indices) always come through here.
+        Counted by the injector, not by the caller, so a restarted
+        store's first append of a record is not its predecessor's.
         """
         with self._lock:
-            index = self.reads_seen
-            self.reads_seen += 1
+            ordinal = self._ordinals.get(key, 0)
+            self._ordinals[key] = ordinal + 1
+        return ordinal
+
+    def decide(
+        self, key: object, ordinal: int, attempt: int = 0
+    ) -> Tuple[FaultDecision, random.Random]:
+        """The verdict for one attempt of one read or write, and its stream.
+
+        The stream is seeded from ``(seed, key, ordinal, attempt)`` by a
+        stable hash (builtin ``hash`` is salted per process).  In
+        probability mode the verdict is drawn from it: fail, then
+        corrupt, then latency.  A schedule replaces the rates.
+        """
+        material = repr((self.seed, key, ordinal, attempt)).encode()
+        digest = hashlib.blake2b(material, digest_size=8).digest()
+        stream = random.Random(int.from_bytes(digest, "big"))
+        with self._lock:
             if self.schedule is not None:
-                kind = self.schedule.get(index)
-                if kind is None:
-                    return _CLEAN
-                decision = self._scheduled(kind)
+                kind = self.schedule.get(self.reads_seen)
+                decision = FaultDecision() if kind is None else self._scheduled(kind)
             else:
-                fail = self.error_rate > 0.0 and self._rng.random() < self.error_rate
+                fail = self.error_rate > 0.0 and stream.random() < self.error_rate
                 corrupt = (
                     not fail
                     and self.corruption_rate > 0.0
-                    and self._rng.random() < self.corruption_rate
+                    and stream.random() < self.corruption_rate
                 )
-                latency = 0.0
-                if self.latency_rate > 0.0 and self._rng.random() < self.latency_rate:
-                    latency = self.latency_seconds
-                decision = (
-                    FaultDecision(fail, corrupt, latency)
-                    if (fail or corrupt or latency)
-                    else _CLEAN
+                latency = self.latency_rate > 0.0 and stream.random() < self.latency_rate
+                decision = FaultDecision(
+                    fail, corrupt, self.latency_seconds if latency else 0.0
                 )
-            self._count(decision)
-        return decision
-
-    def fetch_stream(self, key: object, sequence: int, attempt: int) -> random.Random:
-        """A private seeded stream for one fetch attempt of one block.
-
-        The stream is derived (via a stable hash — builtin ``hash`` is
-        salted per process) from the injector seed, the block key, the
-        per-key fetch ordinal, and the retry attempt.  Two runs that
-        fetch the same blocks the same number of times get identical
-        fault patterns regardless of how concurrent statements
-        interleave, and
-        each attempt's verdict, corruption shape, and retry jitter all
-        come from this one stream.
-        """
-        material = repr((self.seed, key, sequence, attempt)).encode()
-        digest = hashlib.blake2b(material, digest_size=8).digest()
-        return random.Random(int.from_bytes(digest, "big"))
-
-    def draw_keyed(self, stream: random.Random) -> FaultDecision:
-        """Probability-mode verdict drawn from a :meth:`fetch_stream`.
-
-        Schedule-driven injectors ignore the stream and fall back to
-        the sequential :meth:`draw` their schedule indices refer to.
-        """
-        if self.schedule is not None:
-            return self.draw()
-        fail = self.error_rate > 0.0 and stream.random() < self.error_rate
-        corrupt = (
-            not fail
-            and self.corruption_rate > 0.0
-            and stream.random() < self.corruption_rate
-        )
-        latency = 0.0
-        if self.latency_rate > 0.0 and stream.random() < self.latency_rate:
-            latency = self.latency_seconds
-        decision = (
-            FaultDecision(fail, corrupt, latency)
-            if (fail or corrupt or latency)
-            else _CLEAN
-        )
-        with self._lock:
             self.reads_seen += 1
-            self._count(decision)
-        return decision
-
-    def _count(self, decision: FaultDecision) -> None:
-        # Callers hold self._lock.
-        if decision.fail:
-            self.errors_injected += 1
-        if decision.corrupt:
-            self.corruptions_injected += 1
-        if decision.latency_seconds:
+            self.errors_injected += decision.fail
+            self.corruptions_injected += decision.corrupt
             self.latency_injected_seconds += decision.latency_seconds
+        return decision, stream
 
     def _scheduled(self, kind: str) -> FaultDecision:
         if kind == "error":
@@ -216,31 +168,17 @@ class FaultInjector:
             return FaultDecision(latency_seconds=self.latency_seconds)
         raise ValueError(f"unknown scheduled fault kind {kind!r}")
 
-    def uniform(self) -> float:
-        """A draw from the injector's stream (retry-jitter source)."""
-        with self._lock:
-            return self._rng.random()
-
     # -- corruption ------------------------------------------------------------
 
-    def corrupt_array(
-        self, values: np.ndarray, stream: Optional[random.Random] = None
-    ) -> np.ndarray:
+    @staticmethod
+    def corrupt_array(values: np.ndarray, rng: random.Random) -> np.ndarray:
         """A corrupted *copy* of ``values`` (the original is never touched).
 
-        Two shapes, chosen by the stream: truncation (a short read drops
-        the tail) and a bit flip in one element.  Either is guaranteed
-        to fail checksum verification against the clean payload.  Keyed
-        read paths pass the attempt's :meth:`fetch_stream` so the
-        corruption shape is order-independent too; without one the
-        injector's sequential stream is used (snapshotted under the
-        lock into a private stream — the shared ``random.Random`` must
-        not be advanced concurrently from multiple fetch threads).
+        Two shapes, chosen by ``rng`` (the attempt's stream from
+        :meth:`decide`): truncation (a short read drops the tail) and a
+        bit flip in one element.  Either is guaranteed to fail checksum
+        verification against the clean payload.
         """
-        if stream is None:
-            with self._lock:
-                stream = random.Random(self._rng.random())
-        rng = stream
         if len(values) == 0:
             # Nothing to flip; model an impossible phantom row instead.
             return np.array(["\x00phantom"], dtype=object)
@@ -262,7 +200,7 @@ class FaultInjector:
     def register_metrics(self, registry, prefix: str = "repro_faults") -> None:
         """Expose the injector's counters on a metrics registry."""
         registry.counter(
-            f"{prefix}_reads_seen_total", "Fetch attempts the injector judged",
+            f"{prefix}_reads_seen_total", "Read and write attempts decided",
             fn=lambda: self.reads_seen,
         )
         registry.counter(

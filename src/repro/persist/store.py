@@ -18,13 +18,14 @@ versions; stale entries are dropped and counted, never installed.  The
 whole read path is total — torn tails, bit flips, and truncation
 degrade toward a cold cache without ever raising through ``load``.
 
-Crash injection: an attached :class:`~repro.faults.FaultInjector` is
-consulted before every snapshot write and journal append.  An injected
-*error* models a crash mid-write: the snapshot write leaves only a
-partial temp file (the previous snapshot survives), a journal append
-leaves a torn record and wedges the journal (the process "crashed" —
-later appends are dropped until the next snapshot resets the log).  An
-injected *corruption* flips one bit in the written bytes, which the
+Crash injection: an attached :class:`~repro.faults.FaultInjector`
+decides every snapshot write and journal append by what is written
+(``"snapshot"``, or a record's entry digest and slice ids), never by
+write order.  An injected *error* models a crash mid-write: the
+snapshot write leaves only a partial temp file (the previous snapshot
+survives), a journal append a torn record that wedges the journal (the
+process "crashed" — later appends are dropped until the next snapshot
+resets the log).  An injected *corruption* flips one bit, which the
 CRCs catch at load time.
 
 Compaction: once the journal outgrows the snapshot by
@@ -166,7 +167,6 @@ class CacheStore:
         self.recovery_seconds = 0.0
         self.last_recovery_seconds = 0.0
         self.compactions = 0
-        self.injected_latency_seconds = 0.0
 
     # -- introspection ---------------------------------------------------------
 
@@ -202,20 +202,24 @@ class CacheStore:
 
     # -- fault hooks -----------------------------------------------------------
 
-    def _draw(self):
-        """Caller holds ``_io_lock`` (fault counters are shared state)."""
+    def _draw(self, site: object, data: bytes) -> Tuple[bytes, bool]:
+        """The bytes the next write of ``site`` leaves — a strict prefix
+        if an injected crash tore it (then True), one bit flipped if it
+        is corrupted.  Caller holds ``_io_lock`` (shared counters)."""
         if self.injector is None or not self.injector.can_fault:
-            return None
-        decision = self.injector.draw()
-        if decision.latency_seconds:
-            self.injected_latency_seconds += decision.latency_seconds
-        return decision
-
-    def _flip_bit(self, data: bytes) -> bytes:
-        corrupted = bytearray(data)
-        index = min(int(self.injector.uniform() * len(corrupted)), len(corrupted) - 1)
-        corrupted[index] ^= 1 << int(self.injector.uniform() * 8)
-        return bytes(corrupted)
+            return data, False
+        decision, stream = self.injector.decide(
+            site, self.injector.next_ordinal(site)
+        )
+        if decision.fail:
+            self.torn_writes += 1
+            return data[: stream.randrange(1, len(data))], True
+        if decision.corrupt:
+            self.corrupt_writes += 1
+            damaged = bytearray(data)
+            damaged[stream.randrange(len(damaged))] ^= 1 << stream.randrange(8)
+            return bytes(damaged), False
+        return data, False
 
     # -- snapshot --------------------------------------------------------------
 
@@ -255,23 +259,16 @@ class CacheStore:
             # injected fault gets a chance to touch them.
             _inv.check_snapshot_roundtrip(records, data)
         temp_path = self._snapshot_path + ".tmp"
-        decision = self._draw()
-        if decision is not None and decision.fail:
-            # Crash mid-write: a partial temp file is left behind and
-            # never renamed — recovery still sees the old snapshot.
-            cut = 1 + int(self.injector.uniform() * (len(data) - 1))
-            with open(temp_path, "wb") as handle:
-                handle.write(data[:cut])
-            self.torn_writes += 1
-            return False
-        if decision is not None and decision.corrupt:
-            data = self._flip_bit(data)
-            self.corrupt_writes += 1
+        data, torn = self._draw("snapshot", data)
         with open(temp_path, "wb") as handle:
             handle.write(data)
             if self.fsync:
                 handle.flush()
                 os.fsync(handle.fileno())
+        if torn:
+            # Crash mid-write: the partial temp file is never renamed —
+            # recovery still sees the old snapshot.
+            return False
         os.replace(temp_path, self._snapshot_path)
         self._snapshot_size = len(data)
         if not keep_journal:
@@ -317,37 +314,33 @@ class CacheStore:
     def log_state(self, meta: EntryRecord, slice_id: int, state: SliceState) -> bool:
         """Journal an install/extend: entry metadata (a record taken
         ``with_states=False``) + the slice's new state."""
-        return self._append(encode_state_event(meta, slice_id, state))
+        return self._append(
+            encode_state_event(meta, slice_id, state), (meta.digest, (slice_id,))
+        )
 
     def log_drop(self, key: ScanKey, slice_ids: Iterable[int]) -> bool:
         """Journal an invalidate/evict of ``key``'s listed slice states."""
-        slice_ids = list(slice_ids)
+        slice_ids = tuple(slice_ids)
         if not slice_ids:
             return True
-        return self._append(encode_drop_event(key_digest(key), slice_ids))
+        digest = key_digest(key)
+        return self._append(encode_drop_event(digest, slice_ids), (digest, slice_ids))
 
-    def _append(self, payload: bytes) -> bool:
+    def _append(self, payload: bytes, site: object = "journal") -> bool:
+        """Append one record; ``site`` names it to the fault injector."""
         with self._io_lock:
             if self._wedged:
                 self.journal_dropped += 1
                 return False
-            framed = frame_record(payload)
-            decision = self._draw()
+            framed, torn = self._draw(site, frame_record(payload))
             journal = self._open_journal_locked()
-            if decision is not None and decision.fail:
-                cut = 1 + int(self.injector.uniform() * (len(framed) - 1))
-                journal.write(framed[:cut])
-                self._journal_size += cut
+            journal.write(framed)
+            self._journal_size += len(framed)
+            if torn:
                 self._release_journal()
-                self.torn_writes += 1
                 self._wedged = True
                 return False
-            if decision is not None and decision.corrupt:
-                framed = self._flip_bit(framed)
-                self.corrupt_writes += 1
-            journal.write(framed)
             journal.flush()
-            self._journal_size += len(framed)
             self.journal_records += 1
             self._maybe_compact()
             return True
@@ -569,7 +562,6 @@ class CacheStore:
             ("recoveries", "Load (recovery) operations"),
             ("journal_replayed", "Journal events replayed during recoveries"),
             ("recovery_seconds", "Wall-clock seconds spent in recovery"),
-            ("injected_latency_seconds", "Model-time latency injected on writes"),
         ):
             registry.counter(
                 f"{prefix}_{name}_total",

@@ -24,7 +24,7 @@ from .ast import (
     VacuumStatement,
 )
 from .parser import SQLParseError, parse_statement, statement_key
-from .planner import PlannerError, plan_select
+from .planner import PlannerError, bind_literals, plan_select
 
 __all__ = [
     "DeleteStatement",
@@ -36,6 +36,7 @@ __all__ = [
     "Statement",
     "UpdateStatement",
     "VacuumStatement",
+    "bind_literals",
     "parse_statement",
     "plan_select",
     "statement_key",

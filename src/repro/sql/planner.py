@@ -3,7 +3,8 @@
 Planning steps:
 
 1. Resolve every referenced column to its table (column names must be
-   unambiguous across the statement's tables, as in TPC-H/SSB schemas).
+   unambiguous across the statement's tables, as in TPC-H/SSB schemas);
+   bind every WHERE literal to its column's type (:func:`bind_literals`).
 2. Push each WHERE conjunct into the scan of the single table it
    references — this forms the predicate the cache indexes.
 3. Order joins left-deep with the largest table as the probe root
@@ -13,7 +14,9 @@ Planning steps:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from contextlib import suppress
+from dataclasses import replace
+from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 from ..engine.expr import Col
 from ..engine.plan import (
@@ -28,11 +31,24 @@ from ..engine.plan import (
     ScanNode,
     SortNode,
 )
-from ..predicates.ast import ColumnComparison, Or, Predicate, conjunction_of
+from ..predicates.ast import (
+    And,
+    Between,
+    ColumnComparison,
+    Comparison,
+    InList,
+    Literal,
+    Not,
+    Or,
+    Predicate,
+    Value,
+    conjunction_of,
+)
 from ..storage.database import Database
+from ..storage.dtypes import DataType, date_to_days
 from .ast import JoinCondition, SelectStatement
 
-__all__ = ["PlannerError", "plan_select"]
+__all__ = ["PlannerError", "bind_literals", "plan_select"]
 
 
 class PlannerError(ValueError):
@@ -41,9 +57,11 @@ class PlannerError(ValueError):
 
 def plan_select(statement: SelectStatement, database: Database) -> PlanNode:
     """Plan a parsed SELECT against the database catalog."""
-    column_owner = _resolve_columns(statement.tables, database)
+    column_owner, types = _resolve_columns(statement.tables, database)
     per_table, joins, residuals = _split_conjuncts(
-        statement.filters, statement.joins, column_owner
+        [bind_literals(f, types) for f in statement.filters],
+        statement.joins,
+        column_owner,
     )
 
     # Multi-table predicates (e.g. Q19's OR of conjunctions) still
@@ -69,27 +87,84 @@ def plan_select(statement: SelectStatement, database: Database) -> PlanNode:
     # SELECT * leaves the join/scan output as-is.
 
     if statement.order_by:
+        # The sort runs on the select list's output (every column for
+        # SELECT *), so a key must be one of its columns.
+        known = tree.output_columns() if statement.items else column_owner
+        for key, _ in statement.order_by:
+            if key not in known:
+                raise PlannerError(f"ORDER BY {key!r} is not in the select list")
         tree = SortNode(tree, list(statement.order_by))
     if statement.limit is not None:
         tree = LimitNode(tree, statement.limit)
     return tree
 
 
+def bind_literals(predicate: Predicate, types: Mapping[str, DataType]) -> Predicate:
+    """``predicate`` with an ISO ``'YYYY-MM-DD'`` string compared with a
+    DATE column turned into its days, and :class:`PlannerError` naming
+    the column for a literal that cannot compare with it.  Returns
+    ``predicate`` itself when every literal fits, so no cache key moves;
+    a column missing from ``types`` is the caller's to report."""
+    if isinstance(predicate, (And, Or)):
+        operands = tuple([bind_literals(op, types) for op in predicate.operands])
+        # Unchanged operands are the same objects; a bound one differs.
+        if operands == predicate.operands:
+            return predicate
+        return type(predicate)(operands)
+    if isinstance(predicate, Not):
+        operand = bind_literals(predicate.operand, types)
+        return predicate if operand is predicate.operand else Not(operand)
+    if isinstance(predicate, Comparison):
+        value = _bind(predicate.literal.value, predicate.column.name, types)
+        if value is predicate.literal.value:
+            return predicate
+        return replace(predicate, literal=Literal(value))
+    if isinstance(predicate, Between):
+        name = predicate.column.name
+        low = _bind(predicate.low.value, name, types)
+        high = _bind(predicate.high.value, name, types)
+        if low is predicate.low.value and high is predicate.high.value:
+            return predicate
+        return replace(predicate, low=Literal(low), high=Literal(high))
+    if isinstance(predicate, InList):
+        name = predicate.column.name
+        values = tuple([_bind(v, name, types) for v in predicate.values])
+        if values == predicate.values:
+            return predicate
+        return replace(predicate, values=values)
+    return predicate
+
+
+def _bind(value: Value, column: str, types: Mapping[str, DataType]) -> Value:
+    dtype = types.get(column)
+    if dtype is None or value is None:
+        return value
+    if isinstance(value, str) == (dtype is DataType.STRING):
+        return value
+    if dtype is DataType.DATE and isinstance(value, str):
+        with suppress(ValueError):
+            return date_to_days(value)
+    raise PlannerError(
+        f"column {column!r} ({dtype.name}) cannot compare with {Literal(value)}"
+    )
+
+
 def _resolve_columns(
     tables: Sequence[str], database: Database
-) -> Dict[str, str]:
-    """Column name -> owning table, rejecting ambiguity."""
+) -> Tuple[Dict[str, str], Dict[str, DataType]]:
+    """Column name -> owning table and -> type, rejecting ambiguity."""
     owner: Dict[str, str] = {}
+    types: Dict[str, DataType] = {}
     for name in tables:
-        table = database.table(name)
-        for column in table.schema.column_names:
-            if column in owner:
+        for spec in database.table(name).schema.columns:
+            if spec.name in owner:
                 raise PlannerError(
-                    f"ambiguous column {column!r} (both {owner[column]} "
+                    f"ambiguous column {spec.name!r} (both {owner[spec.name]} "
                     f"and {name}); the subset requires unique column names"
                 )
-            owner[column] = name
-    return owner
+            owner[spec.name] = name
+            types[spec.name] = spec.dtype
+    return owner, types
 
 
 def _split_conjuncts(

@@ -22,6 +22,12 @@ of its decoded chunks.  The rules (DESIGN.md §11):
 * **Capacity bounds residency, not decoded memory.**  Evicting a key
   makes its next read remote; the row stays where it was written.
 
+Under an attached :class:`~repro.faults.FaultInjector` every fetch
+attempt is decided by ``FaultInjector.decide``, keyed by the block, the
+injector's count of that block's fetches and the attempt, so which
+fetches fault depends on what was read, never on how concurrent
+statements interleaved.
+
 `StorageStats` is the ground truth behind the paper's "blocks accessed"
 columns: every experiment reads these counters rather than timing alone,
 so the reproduction's comparisons are exact even where wall-clock is not.
@@ -52,8 +58,8 @@ Concurrency model (DESIGN.md §12):
   :meth:`ManagedStorage.read_blocks` — the one read path, called once
   per (slice, column) — takes it for one round that looks every key up
   and counts the hits, and, only if something missed, for a second
-  round that counts, writes and makes resident what was fetched.  Fetch
-  sleeps, decode and fault retries run *between* the rounds, so remote
+  round that counts, writes and makes resident what was fetched.
+  Decode and fault retries run *between* the rounds, so remote
   fetches overlap across concurrent statements.  Nothing marks a miss
   as in flight: two threads missing the same block between each
   other's rounds both fetch it and both count a remote fetch — the
@@ -65,10 +71,9 @@ Concurrency model (DESIGN.md §12):
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -180,14 +185,6 @@ class ManagedStorage:
             common case for the scaled-down benchmarks).  It bounds
             residency, not decoded memory: the values live wherever the
             reader's ``into`` keeps them.
-
-    ``fetch_delay_seconds`` (default 0.0 — no sleeps anywhere) is an
-    opt-in *wall-clock* cost per remote fetch, modeling the network
-    round trip to managed storage.  ``tests/test_serving.py`` sets it
-    to keep statements in flight long enough for queues to fill and
-    deadlines to expire: sleeps run outside the storage lock, so they
-    overlap across concurrent statements the way real S3 round trips
-    would.  It never affects counters or model time.
     """
 
     def __init__(self, cache_capacity: Optional[int] = None) -> None:
@@ -204,13 +201,10 @@ class ManagedStorage:
         # Resolved once at attach time so the per-fetch check is a
         # single attribute load ("no faults configured" costs nothing).
         self._faults_armed = False
-        self.fetch_delay_seconds = 0.0
         # One always-on lock guards the residency LRU, the global stats,
-        # per-query sinks, fetch ordinals, retry budgets and the writes
-        # into a read's sink.
-        # Decode + injected sleeps run outside it (see module doc).
+        # per-query sinks, retry budgets and the writes into a read's
+        # sink.  Decode and fault retries run outside it (see module doc).
         self._lock = threading.Lock()
-        self._fetch_ordinals: Dict[BlockKey, int] = {}
 
     # -- fault wiring ----------------------------------------------------------
 
@@ -324,8 +318,6 @@ class ManagedStorage:
     def _fetch(
         self, key: BlockKey, block: EncodedBlock, reader: QueryStorageContext
     ) -> np.ndarray:
-        if self.fetch_delay_seconds > 0.0:
-            time.sleep(self.fetch_delay_seconds)
         if not self._faults_armed:
             return decode_block(block)
         return self._fetch_resilient(key, block, reader)
@@ -341,28 +333,18 @@ class ManagedStorage:
         ``max_attempts`` or the per-query retry budget raises (the last
         rung of the degradation ladder).
 
-        Probability-mode verdicts come from per-attempt keyed streams
-        (:meth:`FaultInjector.fetch_stream`): the fault pattern is a
-        function of which fetch of which block this is, not of thread
-        interleaving.  Model-time addends are quantized so the float
-        accumulation is order-independent too.  Schedule-mode injectors
-        keep the sequential draw their schedules index.
+        Each attempt's verdict, corruption shape and jitter come from
+        its own stream (:meth:`FaultInjector.decide`, keyed by the block,
+        which fetch of it this is, and the attempt); model-time addends
+        are quantized, so neither depends on thread interleaving.
         """
         injector = self.fault_injector
         policy = self.retry_policy
-        keyed = injector.schedule is None
         sinks = self._sinks(reader)
-        with self._lock:
-            ordinal = self._fetch_ordinals.get(key, 0)
-            self._fetch_ordinals[key] = ordinal + 1
+        ordinal = injector.next_ordinal(key)
         attempt = 0
         while True:
-            if keyed:
-                stream = injector.fetch_stream(key, ordinal, attempt)
-                decision = injector.draw_keyed(stream)
-            else:
-                stream = None
-                decision = injector.draw()
+            decision, stream = injector.decide(key, ordinal, attempt)
             if decision.latency_seconds:
                 latency = quantize_model_seconds(decision.latency_seconds)
                 with self._lock:
@@ -389,7 +371,7 @@ class ManagedStorage:
                 raise TransientStorageError(
                     f"block {key} unreadable after {attempt} attempts"
                 )
-            jitter = stream.random() if stream is not None else injector.uniform()
+            jitter = stream.random()
             with self._lock:
                 if reader.retry_budget_left is not None:
                     if reader.retry_budget_left <= 0:

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import invariants as _inv
-from .dtypes import DataType
+from .dtypes import DataType, date_to_days
 from .rms import ManagedStorage
 from .slice import DataSlice
 
@@ -238,7 +238,9 @@ class Table:
         before either writes a row, so a refused value changes nothing.
         Columns are NOT NULL: a None would be stored as a string, become
         NaN or fail deep in numpy.  A STRING column holds ``str`` only:
-        one number among its values breaks every later comparison.
+        one number among its values breaks every later comparison.  A
+        loose (list or object) value converts exactly or not at all: 2.7
+        is no INT64; a DATE takes days or ISO ``'YYYY-MM-DD'`` strings.
         """
         dtype = self.schema.dtype_of(column)
         loose = not isinstance(values, np.ndarray) or values.dtype == object
@@ -252,7 +254,19 @@ class Table:
             raise ValueError(
                 f"{self.name}: STRING column {column!r} takes str values only"
             )
-        return np.asarray(values, dtype=dtype.numpy_dtype)
+        if not loose or dtype is DataType.STRING:
+            return np.asarray(values, dtype=dtype.numpy_dtype)
+        where = f"{self.name}: {dtype.name} column {column!r}"
+        try:
+            if dtype is DataType.DATE:
+                values = [date_to_days(v) if isinstance(v, str) else v for v in values]
+            array = np.asarray(values, dtype=dtype.numpy_dtype)
+        except (TypeError, ValueError, OverflowError) as error:
+            raise ValueError(f"{where}: {error}") from None
+        for stored, value in zip(array.tolist(), values):
+            if stored != value and value == value:  # a FLOAT64 holds NaN
+                raise ValueError(f"{where} cannot hold {value!r} exactly")
+        return array
 
     def _assign_slices(self, arrays: Dict[str, np.ndarray], count: int) -> np.ndarray:
         """Slice id per row: hash of dist key, else round-robin batches."""

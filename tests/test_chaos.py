@@ -19,7 +19,7 @@ import pytest
 from repro import ClusterCaches, FaultInjector, PredicateCacheConfig, RetryPolicy
 
 from tests.test_differential import TWIN_DATA, apply_step, generate_steps
-from tests.twins import seeded_engine
+from tests.twins import corrupt_next_write, crash_next_write, seeded_engine
 
 ERROR_RATE = 0.05
 CORRUPTION_RATE = 0.01
@@ -118,6 +118,10 @@ class TestPersistenceChaos:
             error_rate=self.STORE_ERROR_RATE,
             corruption_rate=self.STORE_CORRUPTION_RATE,
         )
+        injectors = [store_injector]
+        # Damage by construction, whatever the rates draw: the first
+        # restart's snapshot tears, the second's lands bit-flipped.
+        damage = {1: crash_next_write, 2: corrupt_next_write}
 
         def new_store():
             return CacheStore(
@@ -144,24 +148,35 @@ class TestPersistenceChaos:
         restarts = 0
         for step_no, step in enumerate(workload):
             if step_no and step_no % restart_every == 0:
-                caches.store.snapshot(caches)  # may tear — that's the point
+                restarts += 1
+                if restarts in damage:
+                    with damage[restarts](caches.store) as one_shot:
+                        caches.store.snapshot(caches)
+                    injectors.append(one_shot)
+                else:
+                    caches.store.snapshot(caches)  # may tear — that's the point
+                # The restarted process is gone: its caches stop watching
+                # tables and journaling, and its store lets go of the file.
+                for node in caches.nodes():
+                    node.close()
+                caches.store.close()
                 retire(caches.store)
                 caches = ClusterCaches(num_nodes=2, config=config, store=new_store())
                 cached.set_predicate_cache(caches)
-                restarts += 1
             apply_step(cached, plain, step, step_no)
         retire(caches.store)
-        return caches, store_injector, totals, restarts
+        totals["errors"] = sum(i.errors_injected for i in injectors)
+        totals["corruptions"] = sum(i.corruptions_injected for i in injectors)
+        return caches, totals, restarts
 
     @pytest.mark.parametrize("variant,seed", [("range", 515), ("bitmap", 616)])
     def test_store_faults_never_change_results(self, variant, seed, tmp_path):
-        caches, store_injector, totals, restarts = self.run_workload(
-            variant, seed, tmp_path
-        )
+        caches, totals, restarts = self.run_workload(variant, seed, tmp_path)
         # Persistence faults genuinely happened ...
-        assert store_injector.errors_injected > 0
-        assert store_injector.corruptions_injected > 0
+        assert totals["errors"] > 0
+        assert totals["corruptions"] > 0
         assert totals["torn"] > 0
+        assert totals["torn"] == totals["errors"]  # every one hit a live store
         # ... recovery found and dropped the damage or staleness ...
         assert totals["stale"] + totals["sections"] > 0
         # ... and warm starts still delivered restored entries.

@@ -8,6 +8,7 @@ from repro.baselines.result_cache import ResultCache
 from repro.engine.cost import CostModel
 from repro.engine.counters import QueryCounters
 from repro.predicates import parse_predicate
+from repro.sql import PlannerError
 from repro.storage import ColumnSpec, DataType, TableSchema
 
 
@@ -149,6 +150,117 @@ class TestRefusedValues:
         engine.execute("update t set s = 'zy' where k = 9001")
         rows = engine.execute("select k, s from t where s > 'z' order by k")
         assert rows.column("s").tolist() == ["zz", "zy"]
+
+
+@pytest.fixture()
+def dated():
+    """``t(x INT64, d DATE, s STRING)`` holding (1, 3, 'a'), (2, 20, 'b')."""
+    db = Database(num_slices=2, rows_per_block=4)
+    db.create_table(
+        TableSchema(
+            "t",
+            (
+                ColumnSpec("x", DataType.INT64),
+                ColumnSpec("d", DataType.DATE),
+                ColumnSpec("s", DataType.STRING),
+            ),
+        )
+    )
+    eng = QueryEngine(db, predicate_cache=PredicateCache())
+    eng.execute("insert into t values (1, 3, 'a'), (2, 20, 'b')")
+    return eng
+
+
+def rows_of(engine):
+    result = engine.execute("select x, d, s from t")
+    return sorted(zip(*(result.column(c).tolist() for c in ("x", "d", "s"))))
+
+
+class TestExactValues:
+    """A loose value converts to its column's type exactly or not at
+    all: an INT64 column never truncates a float, and a DATE column
+    takes ISO date strings."""
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "insert into t values (2.7, 1, 'z')",
+            "update t set x = 2.5 where x = 1",
+            "insert into t values ('5', 1, 'z')",
+        ],
+    )
+    def test_a_value_an_int_column_cannot_hold_is_refused(self, dated, sql):
+        before = rows_of(dated)
+        with pytest.raises(ValueError, match="INT64 column 'x'"):
+            dated.execute(sql)
+        assert rows_of(dated) == before
+
+    def test_an_exact_float_is_an_int(self, dated):
+        dated.execute("insert into t values (4.0, 1, 'z')")
+        assert (4, 1, "z") in rows_of(dated)
+
+    def test_a_date_column_takes_iso_strings(self, dated):
+        dated.execute("insert into t values (4, '1995-01-01', 'd')")
+        dated.execute("update t set d = '1970-01-02' where x = 1")
+        assert rows_of(dated) == [(1, 1, "a"), (2, 20, "b"), (4, 9131, "d")]
+
+    def test_a_string_that_is_no_date_is_refused(self, dated):
+        before = rows_of(dated)
+        with pytest.raises(ValueError, match="DATE column 'd'"):
+            dated.execute("insert into t values (4, 'soon', 'd')")
+        assert rows_of(dated) == before
+
+    def test_bulk_arrays_keep_their_cast(self, dated):
+        dated.insert("t", {"x": np.array([7]), "d": np.array([5]), "s": ["q"]})
+        assert (7, 5, "q") in rows_of(dated)
+
+
+class TestLiteralBinding:
+    """A WHERE literal is bound to its column's type before the scan:
+    one that cannot compare is a PlannerError naming the column, never a
+    numpy error or a silently empty answer."""
+
+    @pytest.mark.parametrize(
+        "where,column",
+        [
+            ("s > 5", "'s'"),
+            ("x > 'a'", "'x'"),
+            ("x in (1, 'a')", "'x'"),
+            ("d between 1 and 'later'", "'d'"),
+        ],
+    )
+    def test_an_incomparable_literal_is_a_planner_error(self, dated, where, column):
+        with pytest.raises(PlannerError, match=column):
+            dated.execute(f"select count(*) as c from t where {where}")
+
+    @pytest.mark.parametrize(
+        "sql", ["delete from t where s = 3", "update t set x = 9 where x = 'a'"]
+    )
+    def test_dml_binds_its_predicate_too(self, dated, sql):
+        before = rows_of(dated)
+        with pytest.raises(PlannerError):
+            dated.execute(sql)
+        assert rows_of(dated) == before
+
+    def test_a_date_string_compares_as_days(self, dated):
+        count = "select count(*) as c from t where "
+        assert dated.execute(count + "d < '1970-01-15'").scalar() == 1
+        assert dated.execute(count + "d between '1970-01-01' and '1970-01-21'").scalar() == 2
+        assert dated.execute(count + "d in ('1970-01-04', 20)").scalar() == 2
+        assert dated.execute("delete from t where d = '1970-01-21'").scalar() == 1
+        assert rows_of(dated) == [(1, 3, "a")]
+
+    def test_fitting_literals_keep_the_predicate_object(self):
+        from repro.sql import bind_literals
+
+        predicate = parse_predicate("x in (1, 2) and (s = 'a' or not d < 5)")
+        types = {"x": DataType.INT64, "d": DataType.DATE, "s": DataType.STRING}
+        assert bind_literals(predicate, types) is predicate
+
+    def test_order_by_outside_the_select_list_is_a_planner_error(self, dated):
+        with pytest.raises(PlannerError, match="'s'"):
+            dated.execute("select x from t order by s")
+        assert dated.execute("select * from t order by s").column("x").tolist() == [1, 2]
 
 
 class TestStatementContext:

@@ -25,6 +25,7 @@ from repro import (
     TransientStorageError,
 )
 from repro.engine.explain import render_analyze
+from repro.faults import FaultDecision
 from repro.lake import LakeScanner, LakeTable
 from repro.obs import MetricsRegistry, Tracer
 from repro.predicates import parse_predicate
@@ -60,7 +61,9 @@ class TestFaultInjector:
         kwargs = dict(error_rate=0.2, corruption_rate=0.1, latency_rate=0.3)
         a = FaultInjector(seed=42, **kwargs)
         b = FaultInjector(seed=42, **kwargs)
-        assert [a.draw() for _ in range(500)] == [b.draw() for _ in range(500)]
+        assert [a.decide("k", i)[0] for i in range(500)] == [
+            b.decide("k", i)[0] for i in range(500)
+        ]
         assert a.errors_injected == b.errors_injected
         assert a.corruptions_injected == b.corruptions_injected
         assert a.latency_injected_seconds == b.latency_injected_seconds
@@ -68,11 +71,34 @@ class TestFaultInjector:
     def test_different_seed_different_decisions(self):
         a = FaultInjector(seed=1, error_rate=0.3)
         b = FaultInjector(seed=2, error_rate=0.3)
-        assert [a.draw() for _ in range(200)] != [b.draw() for _ in range(200)]
+        assert [a.decide("k", i)[0] for i in range(200)] != [
+            b.decide("k", i)[0] for i in range(200)
+        ]
+
+    def test_decision_depends_on_what_not_when(self):
+        """The verdict and the stream of one (key, ordinal, attempt) are
+        the same whatever was decided before it."""
+        kwargs = dict(seed=9, error_rate=0.3, corruption_rate=0.2)
+        sites = [(key, ordinal, attempt) for key in "abc" for ordinal in range(3)
+                 for attempt in range(2)]
+
+        def verdicts(order):
+            injector = FaultInjector(**kwargs)
+            out = {}
+            for site in order:
+                decision, stream = injector.decide(*site)
+                out[site] = (decision, stream.random())
+            return out
+
+        assert verdicts(sites) == verdicts(list(reversed(sites)))
+
+    def test_next_ordinal_counts_per_key(self):
+        injector = FaultInjector()
+        assert [injector.next_ordinal(k) for k in "aabab"] == [0, 1, 0, 2, 1]
 
     def test_zero_rates_always_clean(self):
         injector = FaultInjector(seed=7)
-        assert all(injector.draw().clean for _ in range(100))
+        assert all(injector.decide("k", i)[0] == FaultDecision() for i in range(100))
         assert injector.reads_seen == 100
         assert injector.errors_injected == 0
 
@@ -80,7 +106,7 @@ class TestFaultInjector:
         injector = FaultInjector(
             schedule={1: "error", 3: "corrupt", 5: "latency"}, latency_seconds=0.5
         )
-        decisions = [injector.draw() for _ in range(7)]
+        decisions = [injector.decide("k", i)[0] for i in range(7)]
         assert [d.fail for d in decisions] == [
             False, True, False, False, False, False, False
         ]
@@ -96,7 +122,7 @@ class TestFaultInjector:
         with pytest.raises(ValueError):
             FaultInjector(corruption_rate=-0.1)
         with pytest.raises(ValueError):
-            FaultInjector(schedule={0: "meteor"}).draw()
+            FaultInjector(schedule={0: "meteor"}).decide("k", 0)
 
     @pytest.mark.parametrize(
         "values",
@@ -112,8 +138,9 @@ class TestFaultInjector:
         injector = FaultInjector(seed=3)
         original = values.copy()
         clean_sum = array_checksum(values)
-        for _ in range(20):
-            corrupted = injector.corrupt_array(values)
+        for ordinal in range(20):
+            _, stream = injector.decide("k", ordinal)
+            corrupted = injector.corrupt_array(values, stream)
             assert array_checksum(corrupted) != clean_sum
             np.testing.assert_array_equal(values, original)
 
@@ -440,6 +467,6 @@ class TestFaultMetricsRegistration:
         registry = MetricsRegistry()
         injector = FaultInjector(schedule={0: "error"})
         injector.register_metrics(registry)
-        injector.draw()
+        injector.decide("k", 0)
         text = registry.render_prometheus()
         assert "repro_faults_errors_injected_total 1" in text

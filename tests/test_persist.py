@@ -8,6 +8,8 @@ compaction, warm-started clusters (construction, ``fail_node``
 replacement, ``resize``), and the store's metrics surface.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -641,6 +643,37 @@ class TestCrashSafety:
         assert store.snapshot(caches)
         engine.execute("select count(*) as c from t where x < 55")
         assert store.journal_records > 2
+
+    def test_the_records_torn_do_not_depend_on_write_order(self, tmp_path):
+        """One injector shared by fresh stores, each writing one record:
+        a fault is keyed by what is written, so the same records tear
+        whichever of them is written first."""
+        from repro.core.entry import RangeSliceState
+        from repro.core.keys import ScanKey
+        from repro.persist import EntryRecord
+
+        state = RangeSliceState(rows((0, 5)), 100, 8)
+        records = []
+        for predicate in ("x < 5", "x > 7"):
+            key = ScanKey("t", predicate)
+            records.append(EntryRecord(
+                key=key, digest=key_digest(key), table_layout=0, num_slices=1,
+                generation=0, states={},
+            ))
+
+        directories = (tmp_path / str(n) for n in itertools.count())
+
+        def torn(seed, order):
+            injector = FaultInjector(seed=seed, error_rate=0.5)
+            out = set()
+            for record in order:
+                store = CacheStore(next(directories), injector=injector)
+                if not store.log_state(record, 0, state):
+                    out.add(record.digest)
+            return out
+
+        for seed in range(20):
+            assert torn(seed, records) == torn(seed, records[::-1]), seed
 
     def test_truncated_snapshot_never_raises(self, tmp_path):
         engine, caches = make_engine()

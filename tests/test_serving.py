@@ -22,6 +22,7 @@ Four layers of assurance over :mod:`repro.serve` (DESIGN.md §12):
 
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -59,6 +60,21 @@ def make_loaded_engine(generator, rows_per_table=3000, **db_kwargs):
     """A fresh cached engine with the generator's tables populated."""
     engine = QueryEngine(Database(**db_kwargs), predicate_cache=PredicateCache())
     return setup_load_tables(engine, generator, rows_per_table=rows_per_table)
+
+
+def slow_fetches(engine, seconds):
+    """Make every remote fetch of ``engine``'s storage sleep ``seconds``
+    first, outside the storage lock like a network round trip, so
+    statements stay in flight long enough for queues to fill and
+    deadlines to expire."""
+    rms = engine.database.rms
+    fetch = rms._fetch
+
+    def slow(*args):
+        time.sleep(seconds)
+        return fetch(*args)
+
+    rms._fetch = slow
 
 
 # -- server semantics ---------------------------------------------------------
@@ -174,7 +190,7 @@ class TestServerBasics:
     def test_admission_rejects_past_tenant_limits(self):
         gen = LoadGenerator(num_clients=1, statements_per_client=1, seed=2)
         engine = make_loaded_engine(gen)
-        engine.database.rms.fetch_delay_seconds = 0.02
+        slow_fetches(engine, 0.02)
         admission = AdmissionController(max_in_flight=1, max_queued=0)
         server = QueryServer(engine, max_workers=2, admission=admission)
         try:
@@ -195,7 +211,7 @@ class TestServerBasics:
     def test_deadline_expires_in_queue(self):
         gen = LoadGenerator(num_clients=1, statements_per_client=1, seed=3)
         engine = make_loaded_engine(gen, cache_capacity=2)
-        engine.database.rms.fetch_delay_seconds = 0.01
+        slow_fetches(engine, 0.01)
         admission = AdmissionController(max_in_flight=1, max_queued=4)
         server = QueryServer(engine, max_workers=2, admission=admission)
         try:
@@ -233,7 +249,7 @@ class TestServerBasics:
     def test_shutdown_without_drain_rejects_queued_work(self):
         gen = LoadGenerator(num_clients=1, statements_per_client=1, seed=5)
         engine = make_loaded_engine(gen, cache_capacity=2)
-        engine.database.rms.fetch_delay_seconds = 0.005
+        slow_fetches(engine, 0.005)
         admission = AdmissionController(max_in_flight=1, max_queued=64)
         server = QueryServer(engine, max_workers=1, admission=admission)
         sql = f"select count(*) from {gen.table_for(0)}"
@@ -318,7 +334,7 @@ class TestOverloadShedding:
     def test_tenant_limit_rejections_carry_the_reason(self):
         gen = LoadGenerator(num_clients=1, statements_per_client=1, seed=2)
         engine = make_loaded_engine(gen)
-        engine.database.rms.fetch_delay_seconds = 0.02
+        slow_fetches(engine, 0.02)
         admission = AdmissionController(max_in_flight=1, max_queued=0)
         server = QueryServer(engine, max_workers=2, admission=admission)
         try:
@@ -351,7 +367,7 @@ class TestDeadlineDrainRace:
         terminal Response (OK or TIMED_OUT) — nothing may hang."""
         gen = LoadGenerator(num_clients=1, statements_per_client=1, seed=9)
         engine = make_loaded_engine(gen)
-        engine.database.rms.fetch_delay_seconds = 0.004
+        slow_fetches(engine, 0.004)
         admission = AdmissionController(max_in_flight=2, max_queued=64)
         server = QueryServer(engine, max_workers=2, admission=admission)
         sql = f"select count(*) from {gen.table_for(0)}"

@@ -14,7 +14,8 @@ cache.  The pieces here build such twins and compare them:
   held to that replay;
 * :func:`crash_next_write` / :func:`restart` — a cache process that dies
   mid-write and comes back from its store, as the resilience drills and
-  the persistence tests stage it.
+  the persistence tests stage it; :func:`corrupt_next_write` — a write
+  that lands with one bit flipped.
 """
 
 import math
@@ -108,16 +109,27 @@ def assert_matches(report, generator, expected, blocks=False):
 
 
 @contextmanager
+def _fault_next_write(store, kind):
+    saved = store.injector
+    store.injector = injector = FaultInjector(schedule={0: kind})
+    try:
+        yield injector
+    finally:
+        store.injector = saved
+
+
 def crash_next_write(store):
     """Tear exactly the next write of ``store``, as a process killed
     mid-write would: a snapshot leaves a partial temp file, a journal
-    append a torn tail that wedges the store."""
-    saved = store.injector
-    store.injector = FaultInjector(schedule={0: "error"})
-    try:
-        yield
-    finally:
-        store.injector = saved
+    append a torn tail that wedges the store.  Yields the one-shot
+    injector that tears it."""
+    return _fault_next_write(store, "error")
+
+
+def corrupt_next_write(store):
+    """Flip one bit in exactly the next write of ``store``, for the CRCs
+    to catch at load time.  Yields the one-shot injector that flips it."""
+    return _fault_next_write(store, "corrupt")
 
 
 def _keys(cache):
