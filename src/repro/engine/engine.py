@@ -27,7 +27,6 @@ from ..sql import (
     Statement,
     UpdateStatement,
     VacuumStatement,
-    bind_literals,
     parse_statement,
     plan_select,
     statement_key,
@@ -97,7 +96,6 @@ class QueryEngine:
         database: Database,
         predicate_cache: Optional[PredicateCache] = None,
         result_cache=None,
-        cost_model: Optional[CostModel] = None,
         tracer=None,
         metrics=None,
         scan_workers: Optional[int] = None,
@@ -126,7 +124,7 @@ class QueryEngine:
         self.database = database
         self.predicate_cache = predicate_cache
         self.result_cache = result_cache
-        self.cost_model = cost_model if cost_model is not None else CostModel()
+        self.cost_model = CostModel()
         self.tracer = tracer
         self.metrics = metrics
         self._executor = Executor(database)
@@ -385,8 +383,6 @@ class QueryEngine:
         self, statement: StatementContext, table_name: str, predicate: Predicate
     ) -> int:
         table = self.database.table(table_name)
-        types = {spec.name: spec.dtype for spec in table.schema.columns}
-        predicate = bind_literals(predicate, types)
         # Deletes bypass the predicate cache (the statement carries none):
         # reusing a cached entry here would be correct (false positives
         # re-checked), but Redshift's prototype hooks only the SELECT
@@ -430,8 +426,6 @@ class QueryEngine:
             for name, value in assignments.items()
         }
         columns = table.schema.column_names
-        types = {spec.name: spec.dtype for spec in table.schema.columns}
-        predicate = bind_literals(predicate, types)
         result = execute_scan(table, predicate, statement, gather_columns=columns)
         old_rows = result.gather(columns)
         count = _batch_len(old_rows)

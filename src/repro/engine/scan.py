@@ -98,6 +98,7 @@ from ..faults.errors import NodeDownError
 from ..obs.trace import optional_span
 from ..predicates.ast import Bounds, Predicate, TruePredicate
 from ..reuse import Decomposition, ReusePlan, decompose, plan_reuse
+from ..sql.planner import bind_literals
 from ..storage.column import BlockCoverage
 from ..storage.rms import QueryStorageContext
 from ..storage.slice import DataSlice
@@ -198,7 +199,12 @@ def execute_scan(
     Returns:
         Per-slice qualifying rows (post predicate, semi-join filters,
         and visibility).
+
+    Raises:
+        PlannerError: a literal or a column comparison in ``predicate``
+            cannot compare with its column (:func:`bind_literals`).
     """
+    predicate = bind_literals(predicate, table.schema.column_types)
     plan = _plan_scan(
         table, predicate, semijoins, current_versions, gather_columns, statement
     )

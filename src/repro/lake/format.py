@@ -17,7 +17,6 @@ import numpy as np
 
 from ..predicates.ast import Bounds
 from ..storage.compression import EncodedBlock, choose_codec, decode_block
-from ..storage.zonemap import ZoneEntry
 
 __all__ = ["ColumnChunk", "RowGroup", "LakeFile", "write_file"]
 
@@ -44,7 +43,7 @@ class ColumnChunk:
 
     def may_contain(self, bounds: Bounds) -> bool:
         """Statistics check, mirroring Parquet row-group pruning."""
-        return ZoneEntry(self.minimum, self.maximum).may_contain(bounds)
+        return not bounds.excludes(self.minimum, self.maximum)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,8 @@ Value = Union[int, float, str, bool, None]
 
 @dataclass(frozen=True, slots=True)
 class Bounds:
-    """Value bounds a predicate implies for one column.
+    """Value bounds a predicate implies for one column: an interval, and
+    the one place its algebra is written (DESIGN.md §11, §14).
 
     ``lo``/``hi`` of None mean unbounded; ``*_strict`` marks an open
     endpoint (``x < 10`` gives ``hi=10, hi_strict=True``), which lets
@@ -67,6 +68,78 @@ class Bounds:
 
     def as_pair(self) -> "Tuple[Value, Value]":
         return (self.lo, self.hi)
+
+    def meet(self, other: "Bounds") -> "Bounds":
+        """AND: the tighter end on each side; on a tie the end is strict
+        if either side's is.  Incomparable ends raise ``TypeError``."""
+        lo, lo_strict = self.lo, self.lo_strict
+        if other.lo is not None and (lo is None or other.lo > lo):
+            lo, lo_strict = other.lo, other.lo_strict
+        elif other.lo is not None and other.lo == lo:
+            lo_strict = lo_strict or other.lo_strict
+        hi, hi_strict = self.hi, self.hi_strict
+        if other.hi is not None and (hi is None or other.hi < hi):
+            hi, hi_strict = other.hi, other.hi_strict
+        elif other.hi is not None and other.hi == hi:
+            hi_strict = hi_strict or other.hi_strict
+        return Bounds(lo, hi, lo_strict, hi_strict)
+
+    def hull(self, other: "Bounds") -> "Bounds":
+        """OR: the closed interval from the lower to the higher end, a
+        side unbounded if either side is.  Strictness is dropped."""
+        lo = None if self.lo is None or other.lo is None else min(self.lo, other.lo)
+        hi = None if self.hi is None or other.hi is None else max(self.hi, other.hi)
+        return Bounds(lo, hi)
+
+    def contains(self, other: "Bounds") -> bool:
+        """True when every value ``other`` admits is admitted here.
+
+        A strict end only contains an equal end of ``other`` that is
+        strict too; incomparable ends never contain each other.
+        """
+        try:
+            if self.lo is not None:
+                if other.lo is None or other.lo < self.lo:
+                    return False
+                if other.lo == self.lo and self.lo_strict and not other.lo_strict:
+                    return False
+            if self.hi is not None:
+                if other.hi is None or other.hi > self.hi:
+                    return False
+                if other.hi == self.hi and self.hi_strict and not other.hi_strict:
+                    return False
+        except TypeError:
+            return False
+        return True
+
+    def width(self) -> float:
+        """``hi - lo``; ``inf`` for a half-open or non-numeric interval."""
+        if self.lo is None or self.hi is None:
+            return float("inf")
+        try:
+            return float(self.hi) - float(self.lo)
+        except (TypeError, ValueError):
+            return float("inf")
+
+    def excludes(self, minimum, maximum):
+        """True where a block whose values lie in ``[minimum, maximum]``
+        holds no value admitted here: the zone-map test (§4.2.2).
+
+        Takes a scalar pair or arrays of block minima and maxima.  A side
+        that cannot compare (an unknown ``None`` bound, incomparable
+        types) excludes nothing, and NaN compares false; arrays on which
+        the ``hi`` side raises get a plain ``False``.
+        """
+        out = False
+        try:
+            if self.hi is not None:
+                out = minimum >= self.hi if self.hi_strict else minimum > self.hi
+            if self.lo is not None:
+                below = maximum <= self.lo if self.lo_strict else maximum < self.lo
+                out = out | below
+        except TypeError:
+            pass
+        return out
 
 
 _COMPARISON_OPS = {
@@ -464,22 +537,8 @@ class And(Predicate):
         result: Optional[Bounds] = None
         for op in self.operands:
             b = op.bounds(column)
-            if b is None:
-                continue
-            if result is None:
-                result = b
-                continue
-            lo, lo_strict = result.lo, result.lo_strict
-            if b.lo is not None and (lo is None or b.lo > lo):
-                lo, lo_strict = b.lo, b.lo_strict
-            elif b.lo is not None and b.lo == lo:
-                lo_strict = lo_strict or b.lo_strict
-            hi, hi_strict = result.hi, result.hi_strict
-            if b.hi is not None and (hi is None or b.hi < hi):
-                hi, hi_strict = b.hi, b.hi_strict
-            elif b.hi is not None and b.hi == hi:
-                hi_strict = hi_strict or b.hi_strict
-            result = Bounds(lo, hi, lo_strict, hi_strict)
+            if b is not None:
+                result = b if result is None else result.meet(b)
         return result
 
     def conjuncts(self) -> List[Predicate]:
@@ -522,24 +581,14 @@ class Or(Predicate):
 
     def bounds(self, column: str) -> Optional[Bounds]:
         # A disjunction bounds a column only if *every* branch bounds it;
-        # the union of the branch intervals is the implied bound.
-        # Strictness is kept conservatively non-strict.
-        lo: Value = None
-        hi: Value = None
-        first = True
+        # the hull of the branch intervals is the implied bound.
+        result: Optional[Bounds] = None
         for op in self.operands:
             b = op.bounds(column)
             if b is None:
                 return None
-            if first:
-                lo, hi = b.lo, b.hi
-                first = False
-                continue
-            lo = None if (lo is None or b.lo is None) else min(lo, b.lo)
-            hi = None if (hi is None or b.hi is None) else max(hi, b.hi)
-        if lo is None and hi is None:
-            return None
-        return Bounds(lo, hi)
+            result = (b if result is None else result).hull(b)
+        return None if result is None or result.unbounded else result
 
     def __hash__(self) -> int:
         return hash(("Or", self.operands))

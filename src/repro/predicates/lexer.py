@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, NamedTuple
 
-__all__ = ["Token", "TokenKind", "LexError", "tokenize"]
+__all__ = ["Token", "TokenKind", "LexError", "number_value", "tokenize"]
 
 
 class LexError(ValueError):
@@ -87,6 +87,13 @@ def _tokens(text: str) -> Iterator[Token]:
                         break
                     seen_dot = True
                 j += 1
+            # An exponent needs a digit: in ``1e`` or ``1ex`` the ``e``
+            # starts an identifier.
+            k = j + 1 + (text[j + 1 : j + 2] in ("+", "-"))
+            if text[j : j + 1] in ("e", "E") and text[k : k + 1].isdecimal():
+                j = k
+                while j < n and text[j].isdecimal():
+                    j += 1
             yield Token(TokenKind.NUMBER, text[i:j], i)
             i = j
             continue
@@ -114,6 +121,12 @@ def _tokens(text: str) -> Iterator[Token]:
             continue
         raise LexError(f"unexpected character {ch!r} at position {i}")
     yield Token(TokenKind.EOF, "", n)
+
+
+def number_value(text: str) -> float | int:
+    """The value of a NUMBER token: a float with a point or an exponent
+    (``1.5``, ``1e5``), an int otherwise."""
+    return int(text) if text.isdecimal() else float(text)
 
 
 def _string_token(text: str, start: int) -> Token:

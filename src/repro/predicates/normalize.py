@@ -22,6 +22,7 @@ hit-rate difference on a workload of syntactic variants.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Dict, List, Optional, Tuple
 
 from .ast import (
@@ -180,23 +181,21 @@ def _merge_column_intervals(
 
     Returns (new conjunct list, contradiction flag).
     """
-    mergeable: Dict[str, List[Predicate]] = {}
+    mergeable: Dict[str, List[Tuple[Predicate, Bounds]]] = {}
     passthrough: List[Predicate] = []
     for conjunct in conjuncts:
-        if isinstance(conjunct, (Comparison, Between)) and _is_range(conjunct):
-            mergeable.setdefault(_column_of(conjunct), []).append(conjunct)
-        else:
+        bounds = _range_bounds(conjunct)
+        if bounds is None:
             passthrough.append(conjunct)
+        else:
+            mergeable.setdefault(_column_of(conjunct), []).append((conjunct, bounds))
 
     merged: List[Predicate] = []
     for column, parts in sorted(mergeable.items()):
         if len(parts) == 1:
-            merged.append(parts[0])
+            merged.append(parts[0][0])
             continue
-        interval = _combine_bounds(column, parts)
-        if interval is None:  # mixed types: keep as-is, no merging
-            merged.extend(parts)
-            continue
+        interval = reduce(Bounds.meet, [bounds for _, bounds in parts])
         rebuilt, contradiction = _interval_to_predicate(column, interval)
         if contradiction:
             return [], True
@@ -205,12 +204,17 @@ def _merge_column_intervals(
     return passthrough + merged, False
 
 
-def _is_range(predicate: Predicate) -> bool:
+def _range_bounds(predicate: Predicate) -> Optional[Bounds]:
+    """The interval of a numeric comparison (not ``<>``) or BETWEEN."""
     if isinstance(predicate, Between):
-        return _comparable(predicate.low.value) and _comparable(predicate.high.value)
-    if isinstance(predicate, Comparison):
-        return predicate.op != "<>" and _comparable(predicate.literal.value)
-    return False
+        values = (predicate.low.value, predicate.high.value)
+    elif isinstance(predicate, Comparison) and predicate.op != "<>":
+        values = (predicate.literal.value,)
+    else:
+        return None
+    if not all(_comparable(value) for value in values):
+        return None
+    return predicate.bounds(_column_of(predicate))
 
 
 def _comparable(value) -> bool:
@@ -219,26 +223,6 @@ def _comparable(value) -> bool:
 
 def _column_of(predicate: Predicate) -> str:
     return next(iter(predicate.columns()))
-
-
-def _combine_bounds(column: str, parts: List[Predicate]) -> Optional[Bounds]:
-    lo = hi = None
-    lo_strict = hi_strict = False
-    for part in parts:
-        bounds = part.bounds(column)
-        if bounds is None:
-            return None
-        if bounds.lo is not None:
-            if lo is None or bounds.lo > lo:
-                lo, lo_strict = bounds.lo, bounds.lo_strict
-            elif bounds.lo == lo:
-                lo_strict = lo_strict or bounds.lo_strict
-        if bounds.hi is not None:
-            if hi is None or bounds.hi < hi:
-                hi, hi_strict = bounds.hi, bounds.hi_strict
-            elif bounds.hi == hi:
-                hi_strict = hi_strict or bounds.hi_strict
-    return Bounds(lo, hi, lo_strict, hi_strict)
 
 
 def _interval_to_predicate(

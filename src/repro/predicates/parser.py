@@ -36,7 +36,7 @@ from .ast import (
     Predicate,
     Value,
 )
-from .lexer import Token, TokenKind, tokenize
+from .lexer import Token, TokenKind, number_value, tokenize
 
 __all__ = ["parse_predicate", "PredicateParseError", "PredicateParser"]
 
@@ -222,8 +222,7 @@ class PredicateParser:
     def _parse_value(self) -> Value:
         token = self.advance()
         if token.kind == TokenKind.NUMBER:
-            text = token.text
-            return float(text) if "." in text else int(text)
+            return number_value(token.text)
         if token.kind == TokenKind.STRING:
             return token.text
         if token.kind == TokenKind.KEYWORD:
@@ -236,8 +235,7 @@ class PredicateParser:
         if token.kind == TokenKind.PUNCT and token.text == "-":
             follow = self.advance()
             if follow.kind == TokenKind.NUMBER:
-                text = follow.text
-                return -(float(text) if "." in text else int(text))
+                return -number_value(follow.text)
         raise PredicateParseError(
             f"expected literal value at position {token.pos}, "
             f"got {token.text!r}"

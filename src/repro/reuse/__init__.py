@@ -28,13 +28,12 @@ oracle covers the reuse path end to end.
 
 from .compose import ReusePlan, plan_reuse
 from .decompose import Conjunct, Decomposition, decompose
-from .subsume import bounds_contain, find_subsuming
+from .subsume import find_subsuming
 
 __all__ = [
     "Conjunct",
     "Decomposition",
     "ReusePlan",
-    "bounds_contain",
     "decompose",
     "find_subsuming",
     "plan_reuse",

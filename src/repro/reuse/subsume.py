@@ -3,7 +3,8 @@
 Dashboard drill-downs narrow a range predicate step by step
 (``x < 150`` → ``x < 100`` → ``x < 80``); exact-match caching restarts
 cold at every step.  The matcher here finds a cached entry on the same
-table and column whose interval *contains* the requested one.  Its
+table and column whose interval *contains* the requested one
+(:meth:`~repro.predicates.ast.Bounds.contains`).  Its
 cached candidate set is a superset of the wider predicate's truth, hence
 a superset of the narrower one's — the scan serves from it and the
 normal residual re-check (the predicate is always re-evaluated over
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from ..predicates.ast import Bounds
 from ..predicates.interval import single_column_range
 
 if TYPE_CHECKING:
@@ -30,41 +30,7 @@ if TYPE_CHECKING:
     from ..core.entry import CacheEntry
     from .decompose import Conjunct
 
-__all__ = ["bounds_contain", "find_subsuming"]
-
-
-def bounds_contain(outer: Bounds, inner: Bounds) -> bool:
-    """True when the ``outer`` interval contains the ``inner`` one.
-
-    ``None`` endpoints are infinite; a strict outer endpoint only
-    contains an equal inner endpoint if the inner one is strict too.
-    Incomparable endpoint types (a string bound against a numeric
-    request) never contain each other.
-    """
-    try:
-        if outer.lo is not None:
-            if inner.lo is None or inner.lo < outer.lo:
-                return False
-            if inner.lo == outer.lo and outer.lo_strict and not inner.lo_strict:
-                return False
-        if outer.hi is not None:
-            if inner.hi is None or inner.hi > outer.hi:
-                return False
-            if inner.hi == outer.hi and outer.hi_strict and not inner.hi_strict:
-                return False
-    except TypeError:
-        return False
-    return True
-
-
-def _interval_width(bounds: Bounds) -> float:
-    """Finite interval width, ``inf`` for half-open or non-numeric."""
-    if bounds.lo is None or bounds.hi is None:
-        return float("inf")
-    try:
-        return float(bounds.hi) - float(bounds.lo)
-    except (TypeError, ValueError):
-        return float("inf")
+__all__ = ["find_subsuming"]
 
 
 def find_subsuming(
@@ -81,7 +47,8 @@ def find_subsuming(
     interval index holds exact intervals only.  The requested side may
     be a hull — containing the hull contains the truth inside it.  Ties
     are broken toward the most selective entry (fewest false positives
-    to re-check), then the narrowest interval, then the least recently
+    to re-check), then the narrowest interval (:meth:`Bounds.width`,
+    ``inf`` when half-open), then the least recently
     used (the bucket's order).
     """
     requested = single_column_range(conjunct.predicate)
@@ -96,11 +63,11 @@ def find_subsuming(
             continue
         if entry.key.predicate_key == conjunct.key.predicate_key:
             continue
-        if not bounds_contain(cached, wanted):
+        if not cached.contains(wanted):
             continue
         if not any(state is not None for state in entry.slice_states):
             continue
-        rank = (selectivity, _interval_width(cached))
+        rank = (selectivity, cached.width())
         if rank < best_rank:
             best, best_rank = entry, rank
     return best

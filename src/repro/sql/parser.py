@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 from ..engine.expr import BinOp, Col, Const, Expr, Func
 from ..engine.expr import _SCALAR_FUNCS
 from ..predicates.ast import Predicate
-from ..predicates.lexer import TokenKind, tokenize
+from ..predicates.lexer import TokenKind, number_value, tokenize
 from ..predicates.parser import PredicateParser
 from .ast import (
     DeleteStatement,
@@ -126,7 +126,7 @@ class _StatementParser(PredicateParser):
         limit: Optional[int] = None
         if self.accept_keyword("limit"):
             token = self.advance()
-            if token.kind != TokenKind.NUMBER or "." in token.text:
+            if token.kind != TokenKind.NUMBER or not token.text.isdecimal():
                 raise SQLParseError(f"LIMIT needs an integer, got {token.text!r}")
             limit = int(token.text)
 
@@ -219,6 +219,8 @@ class _StatementParser(PredicateParser):
     def _parse_order_key(self, items: List[SelectItem]) -> Tuple[str, bool]:
         token = self.advance()
         if token.kind == TokenKind.NUMBER:
+            if not token.text.isdecimal():
+                raise SQLParseError(f"ORDER BY position {token.text!r} is no integer")
             position = int(token.text)
             if not 1 <= position <= len(items):
                 raise SQLParseError(f"ORDER BY position {position} out of range")
@@ -270,8 +272,7 @@ class _StatementParser(PredicateParser):
             return BinOp(Const(0), "-", self._parse_factor())
         if token.kind == TokenKind.NUMBER:
             self.advance()
-            text = token.text
-            return Const(float(text) if "." in text else int(text))
+            return Const(number_value(token.text))
         if token.kind == TokenKind.IDENT and token.lowered in _SCALAR_FUNCS:
             after = self._tokens[self._pos + 1]
             if after.kind == TokenKind.PUNCT and after.text == "(":

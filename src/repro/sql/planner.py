@@ -4,7 +4,8 @@ Planning steps:
 
 1. Resolve every referenced column to its table (column names must be
    unambiguous across the statement's tables, as in TPC-H/SSB schemas);
-   bind every WHERE literal to its column's type (:func:`bind_literals`).
+   bind every WHERE literal to its column's type and check that the two
+   columns of a comparison or join compare (:func:`bind_literals`).
 2. Push each WHERE conjunct into the scan of the single table it
    references — this forms the predicate the cache indexes.
 3. Order joins left-deep with the largest table as the probe root
@@ -63,6 +64,8 @@ def plan_select(statement: SelectStatement, database: Database) -> PlanNode:
         statement.joins,
         column_owner,
     )
+    for join in joins:
+        _check_columns(join.left_column, join.right_column, types)
 
     # Multi-table predicates (e.g. Q19's OR of conjunctions) still
     # contribute *implied* per-table disjunctions to the scans; the full
@@ -102,9 +105,11 @@ def plan_select(statement: SelectStatement, database: Database) -> PlanNode:
 def bind_literals(predicate: Predicate, types: Mapping[str, DataType]) -> Predicate:
     """``predicate`` with an ISO ``'YYYY-MM-DD'`` string compared with a
     DATE column turned into its days, and :class:`PlannerError` naming
-    the column for a literal that cannot compare with it.  Returns
-    ``predicate`` itself when every literal fits, so no cache key moves;
-    a column missing from ``types`` is the caller's to report."""
+    the column for a literal, or the columns for a column comparison,
+    that cannot compare: a STRING compares only with a STRING, and
+    INT64, FLOAT64 and DATE with each other.  Returns ``predicate``
+    itself when everything fits, so no cache key moves; a column
+    missing from ``types`` is the caller's to report."""
     if isinstance(predicate, (And, Or)):
         operands = tuple([bind_literals(op, types) for op in predicate.operands])
         # Unchanged operands are the same objects; a bound one differs.
@@ -114,6 +119,9 @@ def bind_literals(predicate: Predicate, types: Mapping[str, DataType]) -> Predic
     if isinstance(predicate, Not):
         operand = bind_literals(predicate.operand, types)
         return predicate if operand is predicate.operand else Not(operand)
+    if isinstance(predicate, ColumnComparison):
+        _check_columns(predicate.left.name, predicate.right.name, types)
+        return predicate
     if isinstance(predicate, Comparison):
         value = _bind(predicate.literal.value, predicate.column.name, types)
         if value is predicate.literal.value:
@@ -147,6 +155,17 @@ def _bind(value: Value, column: str, types: Mapping[str, DataType]) -> Value:
     raise PlannerError(
         f"column {column!r} ({dtype.name}) cannot compare with {Literal(value)}"
     )
+
+
+def _check_columns(left: str, right: str, types: Mapping[str, DataType]) -> None:
+    left_type, right_type = types.get(left), types.get(right)
+    if left_type is None or right_type is None:
+        return
+    if (left_type is DataType.STRING) != (right_type is DataType.STRING):
+        raise PlannerError(
+            f"column {left!r} ({left_type.name}) cannot compare with "
+            f"column {right!r} ({right_type.name})"
+        )
 
 
 def _resolve_columns(

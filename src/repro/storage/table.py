@@ -18,6 +18,7 @@ with event in ``{"data", "layout"}``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,7 +48,6 @@ class TableSchema:
     name: str
     columns: Tuple[ColumnSpec, ...]
     dist_key: Optional[str] = None
-    sort_key: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         names = [c.name for c in self.columns]
@@ -55,13 +55,15 @@ class TableSchema:
             raise ValueError(f"duplicate column names in {self.name}: {names}")
         if self.dist_key is not None and self.dist_key not in names:
             raise ValueError(f"dist key {self.dist_key!r} not a column of {self.name}")
-        for key in self.sort_key:
-            if key not in names:
-                raise ValueError(f"sort key {key!r} not a column of {self.name}")
 
     @property
     def column_names(self) -> List[str]:
         return [c.name for c in self.columns]
+
+    @cached_property
+    def column_types(self) -> Dict[str, DataType]:
+        """Column name -> type, built once: every scan binds with it."""
+        return {c.name: c.dtype for c in self.columns}
 
     def dtype_of(self, column: str) -> DataType:
         for spec in self.columns:
@@ -85,12 +87,7 @@ class Table:
         self.schema = schema
         self.rms = rms if rms is not None else ManagedStorage()
         self.slices: List[DataSlice] = [
-            DataSlice(
-                schema.name,
-                slice_id,
-                {c.name: c.dtype for c in schema.columns},
-                rows_per_block,
-            )
+            DataSlice(schema.name, slice_id, schema.column_types, rows_per_block)
             for slice_id in range(num_slices)
         ]
         self.data_version = 0

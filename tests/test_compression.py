@@ -257,7 +257,7 @@ class TestMixedTypeObjects:
         its zone map never prunes."""
         from repro import QueryEngine
         from repro.storage import ColumnSpec, Database, DataType, TableSchema
-        from repro.storage.zonemap import ZoneEntry
+        from repro.predicates.ast import Bounds
 
         db = Database(num_slices=1, rows_per_block=5)
         db.create_table(TableSchema("t", (ColumnSpec("s", DataType.STRING),)))
@@ -268,7 +268,8 @@ class TestMixedTypeObjects:
         column.append(["a", 1, "b", 2, "c"])
         assert [block.codec_name for block in column.blocks] == ["plain"]
         assert column.read_all(db.rms).tolist() == ["a", 1, "b", 2, "c"]
-        assert column.zonemap[0] == ZoneEntry(None, None)  # never prunes
+        assert column.zonemap.pruned_blocks(Bounds("d", "e")).tolist() == [False]
+        assert column.zonemap.pruned_blocks(Bounds(5, 6)).tolist() == [False]
 
 
 def test_for_declines_values_int64_cannot_hold():

@@ -7,6 +7,7 @@ from repro import Database, PredicateCache, QueryEngine
 from repro.baselines.result_cache import ResultCache
 from repro.engine.cost import CostModel
 from repro.engine.counters import QueryCounters
+from repro.engine.plan import ScanNode
 from repro.predicates import parse_predicate
 from repro.sql import PlannerError
 from repro.storage import ColumnSpec, DataType, TableSchema
@@ -256,6 +257,32 @@ class TestLiteralBinding:
         predicate = parse_predicate("x in (1, 2) and (s = 'a' or not d < 5)")
         types = {"x": DataType.INT64, "d": DataType.DATE, "s": DataType.STRING}
         assert bind_literals(predicate, types) is predicate
+
+    @pytest.mark.parametrize(
+        "sql,left,right",
+        [
+            ("select count(*) as c from t where x = s", "x", "s"),
+            ("select count(*) as c from t where s = d", "s", "d"),
+            ("select count(*) as c from t where x < s", "x", "s"),
+            ("select count(*) as c from t, u where x = k", "x", "k"),
+            ("select count(*) as c from t join u on k = d", "k", "d"),
+        ],
+    )
+    def test_incomparable_columns_are_a_planner_error(self, dated, sql, left, right):
+        u = TableSchema("u", (ColumnSpec("k", DataType.STRING),))
+        dated.database.create_table(u)
+        dated.execute("insert into u values ('1')")
+        with pytest.raises(PlannerError, match=f"'{left}'.*'{right}'"):
+            dated.execute(sql)
+
+    @pytest.mark.parametrize("where", ["s > 5", "x < 'b'", "x = s"])
+    def test_a_hand_built_scan_binds_its_predicate(self, dated, where):
+        with pytest.raises(PlannerError):
+            dated.execute_plan(ScanNode("t", parse_predicate(where)))
+        days = dated.execute_plan(ScanNode("t", parse_predicate("d < '1970-01-15'")))
+        assert days.num_rows == 1
+        # INT64, FLOAT64 and DATE compare with each other.
+        assert dated.execute_plan(ScanNode("t", parse_predicate("x < d"))).num_rows == 2
 
     def test_order_by_outside_the_select_list_is_a_planner_error(self, dated):
         with pytest.raises(PlannerError, match="'s'"):

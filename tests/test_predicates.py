@@ -1,8 +1,10 @@
 """Predicate ASTs: evaluation, cache keys, bounds, and the parser."""
 
+from itertools import product
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.predicates import (
@@ -20,7 +22,10 @@ from repro.predicates import (
     lit,
     parse_predicate,
 )
+from repro.predicates.ast import Bounds
 from repro.predicates.parser import PredicateParseError
+from repro.storage.compression import seal_blocks
+from repro.storage.zonemap import ZoneMap
 
 
 def batch(**cols):
@@ -235,6 +240,205 @@ class TestBounds:
             )
         )
         assert pred.bounds("x") is None
+
+
+# -- the interval algebra against brute force ------------------------------------
+#
+# Bounds ends come from a few integers or short strings; each method is
+# checked against the set of values a Bounds admits over a domain dense
+# enough that two distinct ends always have a value strictly between them
+# (half steps for the integers; one more character, '0' sorting below
+# 'a', for the strings) and a value beyond every end.
+
+INT_ENDS = list(range(5))
+INT_DOMAIN = [k / 2 for k in range(-2, 11)]
+STR_ENDS = ["".join(p) for n in (1, 2) for p in product("ab", repeat=n)]
+STR_DOMAIN = ["".join(p) for n in range(4) for p in product("0ab", repeat=n)]
+
+
+def bounds_over(ends):
+    side = st.none() | st.sampled_from(ends)
+    return st.builds(
+        lambda lo, hi, lo_strict, hi_strict: Bounds(
+            lo, hi, lo_strict and lo is not None, hi_strict and hi is not None
+        ),
+        side, side, st.booleans(), st.booleans(),
+    )
+
+
+def algebra_cases(ends, domain):
+    block = st.lists(st.sampled_from(domain), min_size=2, max_size=2).map(sorted)
+    return st.tuples(
+        st.just((ends, domain)), bounds_over(ends), bounds_over(ends), block
+    )
+
+
+ALGEBRA_CASES = algebra_cases(INT_ENDS, INT_DOMAIN) | algebra_cases(
+    STR_ENDS, STR_DOMAIN
+)
+
+
+def admits(bounds, value):
+    lo, hi = bounds.lo, bounds.hi
+    return (lo is None or (value > lo if bounds.lo_strict else value >= lo)) and (
+        hi is None or (value < hi if bounds.hi_strict else value <= hi)
+    )
+
+
+def admitted(bounds, domain):
+    return {value for value in domain if admits(bounds, value)}
+
+
+def as_predicate(bounds):
+    """The conjunction of comparisons whose ``bounds("x")`` is ``bounds``."""
+    parts = []
+    if bounds.lo is not None:
+        op = ">" if bounds.lo_strict else ">="
+        parts.append(Comparison(col("x"), op, lit(bounds.lo)))
+    if bounds.hi is not None:
+        op = "<" if bounds.hi_strict else "<="
+        parts.append(Comparison(col("x"), op, lit(bounds.hi)))
+    return conjunction_of(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ALGEBRA_CASES)
+def test_algebra_meet_is_the_intersection_and_matches_and(case):
+    (_, domain), a, b, _ = case
+    met = a.meet(b)
+    assert admitted(met, domain) == admitted(a, domain) & admitted(b, domain)
+    conjunction = And((as_predicate(a), as_predicate(b)))
+    assert conjunction.bounds("x") == (None if met.unbounded else met)
+    truth = conjunction.evaluate(batch(x=np.array(domain, dtype=object)))
+    assert {v for v, keep in zip(domain, truth) if keep} == admitted(met, domain)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ALGEBRA_CASES)
+def test_algebra_hull_holds_the_union_and_matches_or(case):
+    (ends, domain), a, b, _ = case
+    hull = a.hull(b)
+    assert not hull.lo_strict and not hull.hi_strict
+    union = admitted(a, domain) | admitted(b, domain)
+    assert union <= admitted(hull, domain)
+    # Or bounds a column only when both branches do and the hull is bounded.
+    disjunction = Or((as_predicate(a), as_predicate(b)))
+    assert disjunction.bounds("x") == (None if hull.unbounded else hull)
+    # The least closed interval holding two non-empty ones.
+    if admitted(a, domain) and admitted(b, domain):
+        sides = [None, *ends]
+        for lo, hi in product(sides, sides):
+            closed = admitted(Bounds(lo, hi), domain)
+            if union <= closed:
+                assert admitted(hull, domain) <= closed
+
+
+@settings(max_examples=300, deadline=None)
+@given(ALGEBRA_CASES)
+def test_algebra_contains_is_the_subset_relation(case):
+    (ends, domain), a, b, _ = case
+    subset = admitted(b, domain) <= admitted(a, domain)
+    if a.contains(b):
+        assert subset
+    if admitted(b, domain):  # an empty interval's ends still rank
+        assert a.contains(b) == subset
+    numeric = ends is INT_ENDS and a.lo is not None and a.hi is not None
+    assert a.width() == (a.hi - a.lo if numeric else float("inf"))
+    if a.contains(b):
+        assert a.width() >= b.width()
+
+
+@settings(max_examples=300, deadline=None)
+@given(ALGEBRA_CASES)
+def test_algebra_excludes_a_block_with_no_admitted_value(case):
+    (_, domain), bounds, _, (minimum, maximum) = case
+    inside = {value for value in domain if minimum <= value <= maximum}
+    holds = bool(admitted(bounds, domain) & inside)
+    if bounds.excludes(minimum, maximum):
+        assert not holds
+    if admitted(bounds, domain):  # an empty interval may exclude nothing
+        assert bounds.excludes(minimum, maximum) == (not holds)
+
+
+@pytest.mark.parametrize(
+    "bounds, minimum, maximum, excluded",
+    [
+        (Bounds(15, 18), 10, 20, False),
+        (Bounds(None, 10), 10, 20, False),  # touches the minimum
+        (Bounds(20, None), 10, 20, False),
+        (Bounds(None, 9), 10, 20, True),
+        (Bounds(21, None), 10, 20, True),
+        # A strict end excludes a block whose extreme equals it.
+        (Bounds(hi=10, hi_strict=True), 10, 20, True),
+        (Bounds(lo=20, lo_strict=True), 10, 20, True),
+        (Bounds(hi=10), 10, 20, False),
+        (Bounds(lo=20), 10, 20, False),
+        # Unknown, incomparable and NaN block bounds never exclude.
+        (Bounds(0, 1), None, None, False),
+        (Bounds(1, 5), "apple", "pear", False),
+        (Bounds("a", "b"), 1, 2, False),
+        (Bounds(0, 1), float("nan"), float("nan"), False),
+        (Bounds(lo=float("nan")), 0, 1, False),
+    ],
+)
+def test_algebra_excludes_known_cases(bounds, minimum, maximum, excluded):
+    assert bounds.excludes(minimum, maximum) is excluded
+    # Arrays answer per block, or one plain False when a side raised.
+    arrays = bounds.excludes(np.array([minimum]), np.array([maximum]))
+    assert np.broadcast_to(arrays, 1).tolist() == [excluded]
+
+
+def test_algebra_incomparable_ends_never_contain():
+    assert not Bounds(1, 5).contains(Bounds("a", "b"))
+    assert not Bounds("a", "b").contains(Bounds(1, 5))
+    assert Bounds("a", "b").width() == float("inf")
+
+
+# The zone map's two array comparisons against excludes on each block:
+# int, float (NaN and infinities included) and string blocks, some mixed
+# with a number (bounds unknown), against comparable and incomparable
+# bounds.
+
+INTS = st.integers(-(2**40), 2**40)
+FLOATS = st.floats(allow_nan=True, allow_infinity=True, width=64)
+WORDS = st.text("abcxyz", max_size=3)
+
+
+def blocks_of(values, dtype):
+    # A sealed block is never empty.
+    return st.lists(
+        st.lists(values, min_size=1, max_size=4).map(
+            lambda v: np.array(v, dtype=dtype)
+        ),
+        max_size=6,
+    )
+
+
+def bounds_of(values):
+    side = st.none() | values
+    return st.builds(Bounds, side, side, st.booleans(), st.booleans())
+
+
+ZONE_MAP_CASES = st.one_of(
+    st.tuples(blocks_of(INTS, np.int64), bounds_of(INTS | FLOATS)),
+    st.tuples(blocks_of(FLOATS, np.float64), bounds_of(INTS | FLOATS)),
+    st.tuples(blocks_of(WORDS | st.just(7), object), bounds_of(WORDS)),
+    st.tuples(blocks_of(WORDS, object), bounds_of(INTS)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ZONE_MAP_CASES)
+@example(([np.array([1.0, np.nan]), np.array([2.0, 3.0])], Bounds(hi=1.5)))
+@example(([np.array(["a", 7], dtype=object), np.array(["b"], dtype=object)], Bounds("c")))
+def test_algebra_pruned_blocks_is_excludes_block_by_block(case):
+    blocks, bounds = case
+    zm, expected = ZoneMap(), []
+    for block in blocks:
+        _, minima, maxima = seal_blocks(block.reshape(1, -1))
+        zm.append_blocks(minima, maxima)
+        expected.append(bool(bounds.excludes(minima.tolist()[0], maxima.tolist()[0])))
+    assert zm.pruned_blocks(bounds).tolist() == expected
 
 
 # -- structure helpers ----------------------------------------------------------------------

@@ -37,8 +37,7 @@ from repro.persist.format import (
 from repro.persist.records import EntryRecord, key_digest
 from repro.predicates import single_column_range
 from repro.predicates.parser import PredicateParseError
-from repro.reuse import bounds_contain, decompose, find_subsuming
-from repro.reuse.subsume import _interval_width
+from repro.reuse import decompose, find_subsuming
 from repro.storage import ColumnSpec, DataType, TableSchema
 
 from tests.rowsets import rows
@@ -162,14 +161,14 @@ def test_bounds_containment():
 
     wide = bounds_of("k between 10 and 90")
     narrow = bounds_of("k between 20 and 80")
-    assert bounds_contain(wide, narrow)
-    assert not bounds_contain(narrow, wide)
+    assert wide.contains(narrow)
+    assert not narrow.contains(wide)
     # Half-open containment and strictness at the edges.
-    assert bounds_contain(bounds_of("k < 50"), bounds_of("k < 50"))
-    assert bounds_contain(bounds_of("k <= 50"), bounds_of("k < 50"))
-    assert not bounds_contain(bounds_of("k < 50"), bounds_of("k <= 50"))
-    assert bounds_contain(bounds_of("k >= 10"), bounds_of("k between 10 and 20"))
-    assert not bounds_contain(bounds_of("k >= 30"), bounds_of("k between 10 and 20"))
+    assert bounds_of("k < 50").contains(bounds_of("k < 50"))
+    assert bounds_of("k <= 50").contains(bounds_of("k < 50"))
+    assert not bounds_of("k < 50").contains(bounds_of("k <= 50"))
+    assert bounds_of("k >= 10").contains(bounds_of("k between 10 and 20"))
+    assert not bounds_of("k >= 30").contains(bounds_of("k between 10 and 20"))
 
 
 def test_single_column_range_rejects_multi_column_and_unbounded():
@@ -206,11 +205,11 @@ def linear_find_subsuming(cache, conjunct):
         cached = parsed(key.predicate_key)
         if cached is None or cached[0] != column or not cached[2]:
             continue
-        if not bounds_contain(cached[1], wanted):
+        if not cached[1].contains(wanted):
             continue
         if not any(state is not None for state in entry.slice_states):
             continue
-        rank = (entry.selectivity, _interval_width(cached[1]))
+        rank = (entry.selectivity, cached[1].width())
         if rank < best_rank:
             best, best_rank = entry, rank
     return best

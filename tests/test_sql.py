@@ -1,9 +1,12 @@
 """SQL front end: parser and planner."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Database, PredicateCache, QueryEngine
 from repro.engine.plan import (
@@ -172,6 +175,39 @@ class TestParser:
         ]
         stmt = parse_statement("select count(*) from t where a = \u06639")
         assert stmt.filters == (parse_predicate("a = 39"),)
+
+    def test_exponent_literals_are_floats(self):
+        tokens = tokenize("f < 1e5 and g > 2.5E-3 and h = .5e+2")
+        numbers = [t.text for t in tokens if t.kind == TokenKind.NUMBER]
+        assert numbers == ["1e5", "2.5E-3", ".5e+2"]
+        stmt = parse_statement("select count(*) from t where f < 1e5")
+        assert stmt.filters == (parse_predicate("f < 100000.0"),)
+        insert = parse_statement("insert into t values (1e5, -2e-1)")
+        assert insert.rows == ((100000.0, -0.2),)
+        with pytest.raises(SQLParseError, match="LIMIT needs an integer"):
+            parse_statement("select x from t limit 1e1")
+        with pytest.raises(SQLParseError, match="is no integer"):
+            parse_statement("select x from t order by 1e0")
+
+    def test_an_e_without_digits_stays_an_identifier(self):
+        words = [t.text for t in tokenize("1e 1ex 1e+x 2E- 3.e5")]
+        assert words == ["1", "e", "1", "ex", "1", "e", "+", "x", "2", "E", "-",
+                         "3", ".", "e5", ""]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text("19.eEx+- ", max_size=12))
+    def test_only_an_exponent_joins_a_number(self, text):
+        """Without digits after ``e`` (and an optional sign) no number
+        takes the ``e``, so every token, and so ``statement_key``, is
+        what it was before numbers had exponents."""
+        exponents = [
+            t.text for t in tokenize(text)
+            if t.kind == TokenKind.NUMBER and re.search("[eE]", t.text)
+        ]
+        for number in exponents:
+            assert re.fullmatch(r"(\d+(\.\d+)?|\.\d+)[eE][+-]?\d+", number)
+        if not re.search(r"\d[eE][+-]?\d", text):
+            assert not exponents
 
     def test_statements_are_frozen(self):
         stmt = parse_statement("select k from t where k < 3 order by k")
