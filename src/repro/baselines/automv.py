@@ -140,7 +140,7 @@ class AutoMVManager:
     # -- eligibility ---------------------------------------------------------------
 
     def _eligible(self, statement: SelectStatement) -> bool:
-        if len(statement.tables) != 1 or statement.joins:
+        if len(statement.tables) != 1:
             return False
         if not statement.has_aggregates:
             return False

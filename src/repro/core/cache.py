@@ -18,9 +18,11 @@ the design's headline property (§4.3).
 
 Locking discipline (DESIGN.md §12): one re-entrant lock serializes
 every mutation — installs, LRU reordering, eviction, invalidation,
-generation bumps, stats — so concurrent serving threads interleave at
-whole-operation granularity and generation stamps stay consistent with
-the entry table.  A slice state is an immutable value
+stats — so concurrent serving threads interleave at whole-operation
+granularity.  The entry table is the one record of which entries are
+live: an install lands only in the entry its key still maps to, so a
+scan that raced an invalidation or an eviction writes nothing back.
+A slice state is an immutable value
 (:mod:`repro.core.entry`): the one store of a new state into its
 ``slice_states`` slot, under the lock, is the whole publication, so a
 scan reads a slot without the lock and works on a complete state.
@@ -126,11 +128,6 @@ class PredicateCache:
         self.stats = CacheStats()
         self.reuse_stats = ReuseStats()
         self._watched: Dict[str, object] = {}
-        # Per-table invalidation generation: bumped whenever a table's
-        # entries are dropped wholesale (vacuum/layout change).  Entries
-        # are stamped at creation; installs with a stale stamp are
-        # refused (see record_slice_scan).
-        self._generations: Dict[str, int] = {}
         # Last observed layout_version (vacuum epoch) per watched table.
         # Persisted with every entry so recovery can tell whether row
         # numbering survived the restart (DESIGN.md §9).
@@ -144,7 +141,7 @@ class PredicateCache:
         self._store: Optional["CacheStore"] = None
         self._pending: Deque[Tuple[bool, tuple]] = deque()
         # Re-entrant: invariant validation re-enters public read
-        # methods (entries, generation_of, total_nbytes) under the lock.
+        # methods (entries, total_nbytes) under the lock.
         self._lock = lockwitness.named_rlock("PredicateCache._lock")
 
     # -- the router protocol ------------------------------------------------------
@@ -281,27 +278,23 @@ class PredicateCache:
         slice_states: Mapping[int, SliceState],
         stats: Tuple[int, int, int] = (0, 0, 0),
         table_layout: Optional[int] = None,
-        provenance: str = "scan",
-        source_digests: Tuple[int, ...] = (),
     ) -> CacheEntry:
         """Install a warm-start entry recovered from a store.
 
-        The entry is stamped with *this* cache's current generation for
-        its table (revalidation already proved the row numbering is
-        live), so subsequent scans may extend it like any other entry.
-        Derived entries keep their recorded provenance across restarts.
-        Does not write through — hydration must not re-journal what the
-        store just replayed.  The states are installed as handed in, so
-        each is checked first, always: one that breaks its representation
-        invariants (a damaged file that still passed its CRC) raises
-        before the cache is touched.
+        Revalidation already proved the row numbering is live, so the
+        entry replaces whatever lives under its key and subsequent scans
+        extend it like any other entry; an install through the entry it
+        replaced is refused as stale.  Does not write through —
+        hydration must not re-journal what the store just replayed.  The
+        states are installed as handed in, so each is checked first,
+        always: one that breaks its representation invariants (a damaged
+        file that still passed its CRC) raises before the cache is
+        touched.
         """
         for state in slice_states.values():
             _inv.check_slice_state(state)
         with self._lock:
-            entry = CacheEntry(
-                key, num_slices, build_versions, provenance, source_digests
-            )
+            entry = CacheEntry(key, num_slices, build_versions)
             for slice_id, state in slice_states.items():
                 entry.slice_states[slice_id] = state
             entry.hits, entry.rows_qualifying, entry.rows_considered = (
@@ -423,12 +416,6 @@ class PredicateCache:
             else:
                 raise ValueError(f"unknown reuse serve basis {basis!r}")
 
-    def record_reuse_rows(self, rechecked: int, skipped: int) -> None:
-        """Fold one reuse-served scan's re-checked vs. skipped row counts."""
-        with self._lock:
-            self.reuse_stats.recheck_rows += int(rechecked)
-            self.reuse_stats.skipped_rows += int(skipped)
-
     def __contains__(self, key: ScanKey) -> bool:
         with self._lock:
             return key in self._entries
@@ -444,19 +431,15 @@ class PredicateCache:
         key: ScanKey,
         num_slices: int,
         build_versions: Optional[Mapping[str, int]] = None,
-        provenance: str = "scan",
-        source_digests: Tuple[int, ...] = (),
     ) -> CacheEntry:
         """The entry for ``key``, creating an empty one if needed.
 
-        ``provenance``/``source_digests`` only stamp a *newly created*
-        entry: an existing entry keeps its original provenance (a direct
-        scan of ``x < 25`` and the decomposer's ``x < 25`` conjunct share
-        one entry, first writer names it).  Derived entries are
-        first-class for accounting and eviction — their payload bytes
-        count against ``max_bytes`` exactly once, on the entry itself: a
-        scan served by composition or subsumption reads its source
-        entries' states in place and stores nothing of its own.
+        One key, one entry, however it is filled: a direct scan of
+        ``x < 25`` and the decomposer's ``x < 25`` conjunct share it.
+        Its payload bytes count against ``max_bytes`` exactly once, on
+        the entry itself: a scan served by composition or subsumption
+        reads its source entries' states in place and stores nothing of
+        its own.
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -465,25 +448,19 @@ class PredicateCache:
                 return entry
             if key.is_join_key and not self.config.cache_join_keys:
                 raise ValueError("join-index keys are disabled by configuration")
-            entry = CacheEntry(
-                key, num_slices, build_versions or {}, provenance, source_digests
-            )
+            entry = CacheEntry(key, num_slices, build_versions or {})
             self._insert(entry)
             self.stats.inserts += 1
-            if provenance == "conjunct":
-                self.reuse_stats.conjunct_installs += 1
         self._drain_journal()
         return entry
 
     def _insert(self, entry: CacheEntry) -> None:
-        """The one store into ``_entries``: stamp ``entry`` with its
-        table's current invalidation generation, store it under its key
+        """The one store into ``_entries``: store ``entry`` under its key
         and in the side indexes, and enforce the byte budget.  Storing
         over a live key (a restore) keeps its LRU position in
         ``_entries`` and in its range bucket alike.  Caller holds
         ``_lock``."""
         key = entry.key
-        entry.generation = self._generations.get(key.table, 0)
         replaced = self._entries.get(key)
         if replaced is not None:
             self._nbytes -= replaced.nbytes
@@ -511,11 +488,6 @@ class PredicateCache:
             bucket = self._ranges[(key.table, column)]
             bucket[key] = bucket.pop(key)
 
-    def generation_of(self, table_name: str) -> int:
-        """Current invalidation generation of a table's entries."""
-        with self._lock:
-            return self._generations.get(table_name, 0)
-
     def record_slice_scan(
         self,
         entry: CacheEntry,
@@ -526,7 +498,10 @@ class PredicateCache:
         rejected: bool = False,
     ) -> None:
         """Record one slice's scan output — its qualifying row ids,
-        ascending — into the entry.
+        ascending — into the entry, and fold its counts into the entry's
+        selectivity: ``scanned_upto`` rows considered, of which the set
+        holds ``len(rows)`` (``scanned_upto - len(rows)`` when
+        ``rejected``).
 
         First call per slice creates the state; later calls replace it
         by one extended over the uncached tail (appends since the entry
@@ -539,23 +514,23 @@ class PredicateCache:
         (:mod:`repro.core.entry`).  ``rejected``: ``rows`` are the rows
         a derived conjunct rejected, and the set is every other row.
 
-        Stale installs are refused: if the entry was invalidated or
-        evicted after the scan picked it up (a vacuum between lookup and
-        install), or its generation stamp no longer matches the table's,
-        the ranges describe row numbering that no longer exists and must
-        not be (re)installed — the scan's results are still correct, only
-        the cache write is dropped.  The whole check-then-install runs
-        under ``_lock``, so a concurrent invalidation lands either
-        before (install refused) or after (entry dropped) — never
-        between the stamp check and the extension.
+        Stale installs are refused: if ``entry`` is no longer the live
+        object under its key — invalidated, evicted or replaced by a
+        restore after the scan picked it up (a vacuum between lookup and
+        install) — its rows may describe a numbering that no longer
+        exists and must not be (re)installed; the scan's results are
+        still correct, only the cache write is dropped.  The whole
+        check-then-install runs under ``_lock``, so a concurrent
+        invalidation lands either before (install refused) or after
+        (entry dropped) — never between the check and the extension.
         """
         with self._lock:
-            if (
-                self._entries.get(entry.key) is not entry
-                or entry.generation != self._generations.get(entry.key.table, 0)
-            ):
+            if self._entries.get(entry.key) is not entry:
                 self.stats.stale_installs += 1
                 return
+            held = len(rows)
+            entry.rows_qualifying += scanned_upto - held if rejected else held
+            entry.rows_considered += scanned_upto
             state = entry.slice_states[slice_id]
             if state is None and not rejected:
                 new = self._new_state(rows, scanned_upto, exact)
@@ -582,18 +557,6 @@ class PredicateCache:
         if changed:
             self._drain_journal()
 
-    def record_entry_stats(
-        self, entry: CacheEntry, rows_qualifying: int, rows_considered: int
-    ) -> None:
-        """Fold one slice scan's row counts into the entry's selectivity.
-
-        Serialized on the cache lock: concurrent scan coordinators
-        updating the same entry must not lose increments (the entry's
-        unsynchronized ``record_scan_stats`` is for single-owner use).
-        """
-        with self._lock:
-            entry.record_scan_stats(rows_qualifying, rows_considered)
-
     def _new_state(
         self, rows: np.ndarray, scanned_upto: int, exact: bool
     ) -> SliceState:
@@ -611,8 +574,7 @@ class PredicateCache:
     def invalidate_table(self, table_name: str) -> int:
         """Drop every entry scanning ``table_name`` (layout changed)."""
         return self._invalidate(
-            lambda live: [key for key in live if key.table == table_name],
-            lambda _: (table_name,),
+            lambda live: [key for key in live if key.table == table_name]
         )
 
     def invalidate_build_side(self, table_name: str) -> int:
@@ -629,7 +591,7 @@ class PredicateCache:
         from scratch and can earn re-admission, instead of being
         silently blacklisted by stale observation state.
         """
-        return self._invalidate(list, lambda keys: {key.table for key in keys})
+        return self._invalidate(list)
 
     def drop_stale(self, key: ScanKey) -> bool:
         """Drop one entry detected inconsistent at scan time.
@@ -645,19 +607,13 @@ class PredicateCache:
     def _invalidate(
         self,
         select: Callable[[Mapping[ScanKey, CacheEntry]], List[ScanKey]],
-        bump: Callable[[List[ScanKey]], Iterable[str]] = lambda keys: (),
     ) -> int:
         """The one invalidation body: drop the live keys ``select``
-        picks, after advancing the generation of each table ``bump``
-        names for them (a layout change: installs stamped before it are
-        refused).  Each drop counts as an invalidation and goes through
-        :meth:`_drop`; returns the number dropped."""
+        picks.  Each drop counts as an invalidation and goes through
+        :meth:`_drop`; returns the number dropped.  An install through a
+        dropped entry is refused (:meth:`record_slice_scan`)."""
         with self._lock:
             keys = select(self._entries)
-            for table_name in bump(keys):
-                self._generations[table_name] = (
-                    self._generations.get(table_name, 0) + 1
-                )
             for key in keys:
                 self._drop(key)
             self.stats.invalidations += len(keys)

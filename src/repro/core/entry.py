@@ -30,10 +30,9 @@ evaluated (an entry's own scan output, never a derived conjunct
 set) and ``coalesce`` never merged.  Rows below the
 watermark of an exact state then need no re-check, only visibility
 (DESIGN.md §14).  Exactness is a property of the state, not of the
-entry's provenance: a conjunct list may extend the state of an entry
-a direct scan created, since both share one key.  A state decoded
-from a snapshot or journal comes back inexact, and a bitmap state is
-never exact.
+entry: a conjunct list may extend the state of an entry a direct scan
+created, since both share one key.  A state decoded from a snapshot or
+journal comes back inexact, and a bitmap state is never exact.
 
 A state is an immutable value: nothing changes one after its
 constructor returns, and folding a tail in yields a *new* state.  The
@@ -47,7 +46,7 @@ merely re-scans the tail.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -58,12 +57,7 @@ __all__ = [
     "RangeSliceState",
     "BitmapSliceState",
     "CacheEntry",
-    "PROVENANCES",
 ]
-
-# How an entry came to exist (DESIGN.md §14).  Order matters: the
-# persistence layer encodes provenance as the index into this tuple.
-PROVENANCES: Tuple[str, ...] = ("scan", "conjunct", "composed", "subsumed")
 
 
 class SliceState:
@@ -307,52 +301,30 @@ def _block_bits(
 
 
 class CacheEntry:
-    """One predicate-cache entry: per-slice states plus bookkeeping."""
+    """One predicate-cache entry: per-slice states plus what a lookup
+    reads of it.  Whether it is live is the owning cache's entry table's
+    answer alone (:meth:`~repro.core.cache.PredicateCache.record_slice_scan`)."""
 
     __slots__ = (
         "key",
         "slice_states",
         "build_versions",
-        "generation",
         "hits",
         "rows_qualifying",
         "rows_considered",
-        "provenance",
-        "source_digests",
     )
 
-    def __init__(
-        self,
-        key,
-        num_slices: int,
-        build_versions: dict,
-        provenance: str = "scan",
-        source_digests: Tuple[int, ...] = (),
-    ) -> None:
+    def __init__(self, key, num_slices: int, build_versions: dict) -> None:
         self.key = key
         self.slice_states: List[Optional[SliceState]] = [None] * num_slices
         # data_version of each build-side table at entry creation; a
         # mismatch at lookup time means the semi-join filter contents
         # may have changed and the entry is stale (§4.4).
         self.build_versions = dict(build_versions)
-        # The cache's per-table invalidation generation when this entry
-        # was stored (stamped by the owning cache's insert).  A scan
-        # that prepared against an older generation (a vacuum fired
-        # mid-flight) must not install its row ranges: the numbering
-        # they describe no longer exists.
-        self.generation = 0
         self.hits = 0
+        # Folded in by every install (the owning cache's lock held).
         self.rows_qualifying = 0
         self.rows_considered = 0
-        # How this entry came to exist (DESIGN.md §14): "scan" for a
-        # direct install, "conjunct" for a decomposed part, "composed" /
-        # "subsumed" for full-key entries filled by a reuse-served scan.
-        # Derived entries record the key digests they were built from so
-        # explain/analyze and the invariant checker can audit the lattice.
-        if provenance not in PROVENANCES:
-            raise ValueError(f"unknown entry provenance {provenance!r}")
-        self.provenance = provenance
-        self.source_digests: Tuple[int, ...] = tuple(source_digests)
 
     @property
     def complete(self) -> bool:
@@ -373,7 +345,3 @@ class CacheEntry:
     @property
     def nbytes(self) -> int:
         return sum(s.nbytes for s in self.slice_states if s is not None)
-
-    def record_scan_stats(self, qualifying: int, considered: int) -> None:
-        self.rows_qualifying += qualifying
-        self.rows_considered += considered

@@ -129,8 +129,7 @@ def conjunct_key(table: str, predicate_key: str) -> ScanKey:
     over the conjunct's normalized canonical rendering.  Using the plain
     form means a direct scan of the same single-conjunct predicate and
     the reuse lattice's decomposer share one entry: there is no separate
-    key namespace for derived entries, only a provenance tag on the
-    :class:`~repro.core.entry.CacheEntry`.
+    key namespace for derived entries.
     """
     if not predicate_key:
         raise ValueError("conjunct predicate key must be non-empty")

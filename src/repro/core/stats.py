@@ -51,11 +51,8 @@ class ReuseStats:
 
     conjunct_lookups: int = 0
     conjunct_hits: int = 0
-    conjunct_installs: int = 0
     composed_serves: int = 0
     subsumed_serves: int = 0
-    recheck_rows: int = 0
-    skipped_rows: int = 0
 
     @property
     def serves(self) -> int:

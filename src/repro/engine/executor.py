@@ -220,6 +220,12 @@ class Executor:
 
         statement.counters.rows_joined += len(probe_keys)
         probe_idx, build_idx = _hash_join_indices(probe_keys, build_keys)
+        probe_values, build_values = probe[node.probe_key], build[node.build_key]
+        if probe_values.dtype.kind != "i" or build_values.dtype.kind != "i":
+            # Keys that are not both integers may match unequal values
+            # (stable_int_keys): keep only the pairs whose values are equal.
+            equal = probe_values[probe_idx] == build_values[build_idx]
+            probe_idx, build_idx = probe_idx[equal], build_idx[equal]
 
         out: Batch = {name: values[probe_idx] for name, values in probe.items()}
         for name, values in build.items():

@@ -2,7 +2,13 @@
 
 Join keys are reduced to int64 before hash-join bucketing and Bloom
 probing.  Integer keys pass through unchanged; string keys are hashed
-with FNV-1a over their UTF-8 bytes.
+with FNV-1a over their UTF-8 bytes; a float key that holds a whole
+number in the int64 range becomes that integer (so ``2.0`` meets ``2``,
+and ``-0.0`` is 0), any other float its float64 bit pattern.  Equal
+values always get equal keys, but unequal ones may share a key (an
+FNV-1a collision, a bit pattern that is also some integer) and NaN
+meets NaN: a join over keys that are not integers re-checks the values
+of each matched pair.
 
 Python's builtin ``hash`` must NOT be used here: for ``str`` it is salted
 per process (``PYTHONHASHSEED``), so Bloom-filter false-positive behavior
@@ -50,8 +56,16 @@ def fnv1a_hash(strings: np.ndarray) -> np.ndarray:
 
 
 def stable_int_keys(values: np.ndarray) -> np.ndarray:
-    """Join keys as int64 (strings via stable FNV-1a, not ``hash()``)."""
+    """Join keys as int64 (strings via stable FNV-1a, not ``hash()``;
+    floats by value where whole, else by bit pattern)."""
     values = np.asarray(values)
     if values.dtype == object or values.dtype.kind == "U":
         return fnv1a_hash(values)
+    if values.dtype.kind == "f":
+        values = values.astype(np.float64, copy=False)
+        whole = (np.floor(values) == values) & (values >= -(2.0**63))
+        whole &= values < 2.0**63
+        keys = values.view(np.int64).copy()
+        keys[whole] = values[whole].astype(np.int64)
+        return keys
     return values.astype(np.int64, copy=False)

@@ -79,7 +79,8 @@ when it first ran), so an exact state keeps its verdict with reuse on.
   :func:`_scan_slice` once per slice on its source, in slice order,
   counting into the statement's counters.
 * **install** (:func:`_install`) — step 4 at the barrier, in slice
-  order: entry installs, reuse re-check accounting, and one
+  order: one cache call per entry install (its state and its counts),
+  reuse re-check accounting on the statement's counters, and one
   admission-policy observation per node.
 """
 
@@ -468,25 +469,20 @@ def _install(
         # conjunct rejected, handed over as those, and never is.
         installs = []
         if context.join_entry is not None:
-            rows = result.qualifying.row_ids
-            installs.append((context.join_entry, rows, len(rows), True))
+            installs.append((context.join_entry, result.qualifying.row_ids, True))
         if context.plain_entry is not None:
-            rows = result.plain_rows()
-            installs.append((context.plain_entry, rows, len(rows), True))
+            installs.append((context.plain_entry, result.plain_rows(), True))
         for entry, rejected in zip(context.conjunct_entries, result.conjunct_rejected):
-            installs.append((entry, rejected, num_rows - len(rejected), False))
-        for entry, rows, count, exact in installs:
+            installs.append((entry, rejected, False))
+        for entry, rows, exact in installs:
             context.cache.record_slice_scan(
                 entry, slice_id, rows, num_rows, exact, rejected=not exact
             )
-            context.cache.record_entry_stats(entry, count, num_rows)
         if context.basis in ("composed", "subsumed"):
             # The subsumption/composition re-check accounting: candidate
             # rows were re-evaluated, the rest were skipped outright.
-            rechecked = result.candidate_rows
-            counters.reuse_recheck_rows += rechecked
-            counters.reuse_skipped_rows += num_rows - rechecked
-            context.cache.record_reuse_rows(rechecked, num_rows - rechecked)
+            counters.reuse_recheck_rows += result.candidate_rows
+            counters.reuse_skipped_rows += num_rows - result.candidate_rows
 
     if isinstance(plan.predicate, TruePredicate):
         return
@@ -589,23 +585,14 @@ def _prepare_cache_context(
         )
     # Unfiltered scans are not worth a plain entry: the paper
     # caches "predicates pushed into table scans", and a TRUE
-    # entry would qualify every row.
-    if (
-        context.basis != "join"
-        and not isinstance(predicate, TruePredicate)
-        and cache.admits(plain_key)
-    ):
-        # A reuse-served scan evaluates the real predicate over a
-        # candidate superset, so its q_plain is exact — the full-key
-        # entry it fills records how it was derived.
-        served = context.basis in ("composed", "subsumed")
-        context.plain_entry = cache.get_or_create(
-            plain_key,
-            table.num_slices,
-            {},
-            context.basis if served else "scan",
-            tuple(source.key.digest for source in context.sources) if served else (),
-        )
+    # entry would qualify every row.  A plain hit installs into the
+    # entry its lookup returned; a reuse-served scan evaluates the real
+    # predicate over a candidate superset, so its q_plain is exact too.
+    if context.basis != "join" and not isinstance(predicate, TruePredicate):
+        if context.basis == "plain":
+            context.plain_entry = entry
+        elif cache.admits(plain_key):
+            context.plain_entry = cache.get_or_create(plain_key, table.num_slices)
     # Derived conjunct entries: supersets of each conjunct's truth under
     # any serving basis of a miss.
     if decomposition is not None:
@@ -613,9 +600,7 @@ def _prepare_cache_context(
             if conjunct.key == plain_key or not cache.admits(conjunct.key):
                 continue
             context.conjunct_entries.append(
-                cache.get_or_create(
-                    conjunct.key, table.num_slices, {}, provenance="conjunct"
-                )
+                cache.get_or_create(conjunct.key, table.num_slices)
             )
             context.conjunct_predicates += (conjunct.predicate,)
     return context

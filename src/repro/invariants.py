@@ -4,8 +4,7 @@ The paper's safety argument rests on representation invariants that the
 engine never re-checks at runtime: cached range lists are sorted,
 disjoint, and non-empty (§4.1.1); a bitmap covers exactly the rows below
 its watermark (§4.1.2); cached states never describe rows beyond their
-slice; entries never outlive the invalidation generation they were
-stamped with (§4.3).  Violating any of these silently turns "approximate
+slice; an install lands only in an entry that is still live (§4.3).  Violating any of these silently turns "approximate
 but superset-of-truth" into "wrong answers".
 
 This module makes those invariants machine-checked.  Validation is
@@ -26,7 +25,7 @@ Hook points (all behind the ``ACTIVE`` guard):
   (built from row ids or a mask, bounded by ``coalesce``, read back
   from disk) re-verifies the bounds-array invariant.
 * ``PredicateCache.record_slice_scan`` / ``install_restored`` — slice
-  states, generation stamps, and cache accounting.  (The one check that
+  states and cache accounting.  (The one check that
   runs whether or not validation is armed: ``install_restored`` calls
   :func:`check_slice_state` on every state it is handed, before it
   touches the cache — those come from disk, not from a constructor.)
@@ -225,12 +224,6 @@ def check_decoded_rows(
 
 # -- cache accounting -------------------------------------------------------
 
-#: Mirrors :data:`repro.core.entry.PROVENANCES` — duplicated because
-#: this module deliberately imports nothing from the package (see
-#: module docstring); ``test_reuse`` asserts the two stay equal.
-_PROVENANCES = ("scan", "conjunct", "composed", "subsumed")
-
-
 def check_cache(cache: Any) -> None:
     """Whole-cache accounting invariants.
 
@@ -238,16 +231,9 @@ def check_cache(cache: Any) -> None:
       entry is live (a single oversized entry is allowed to stay,
       matching the eviction loop), and the cache's running byte count
       equals the live entries' payload re-summed;
-    * generations: every live entry's stamp equals the cache's current
-      generation for its table (stale entries are dropped on
-      invalidation and stale installs refused — a mismatch means one
-      slipped through), and generations never go negative;
+    * every live entry has at least one slice;
     * policy accounting: a bounded admission policy never tracks more
       keys than its configured bound;
-    * reuse provenance (DESIGN.md §14): every entry's provenance tag is
-      known, and derived provenances (``composed``/``subsumed``) carry
-      source digests while primary ones (``scan``/``conjunct``) carry
-      none;
     * side indexes (DESIGN.md §14): both equal what a walk of the live
       entries derives (:func:`_check_cache_indexes`).
     """
@@ -258,35 +244,9 @@ def check_cache(cache: Any) -> None:
         _fail(f"total payload {total} B exceeds max_bytes {max_bytes} B")
     if cache.total_nbytes != total:
         _fail(f"byte count {cache.total_nbytes} B, live entries hold {total} B")
-    for table_name, generation in cache._generations.items():
-        if generation < 0:
-            _fail(f"negative generation {generation} for table {table_name!r}")
     for entry in entries:
-        current = cache.generation_of(entry.key.table)
-        if entry.generation != current:
-            _fail(
-                f"entry {entry.key.key()!r} stamped generation "
-                f"{entry.generation}, table is at {current}"
-            )
         if len(entry.slice_states) == 0:
             _fail(f"entry {entry.key.key()!r} has zero slices")
-        provenance = getattr(entry, "provenance", "scan")
-        if provenance not in _PROVENANCES:
-            _fail(
-                f"entry {entry.key.key()!r} has unknown provenance "
-                f"{provenance!r}"
-            )
-        sources = tuple(getattr(entry, "source_digests", ()))
-        if provenance in ("composed", "subsumed") and not sources:
-            _fail(
-                f"derived entry {entry.key.key()!r} ({provenance}) has "
-                "no source digests"
-            )
-        if provenance in ("scan", "conjunct") and sources:
-            _fail(
-                f"primary entry {entry.key.key()!r} ({provenance}) "
-                f"carries source digests {sources}"
-            )
     tracked = getattr(cache.policy, "tracked_keys", None)
     max_tracked = getattr(cache.policy, "max_tracked", None)
     if tracked is not None and max_tracked is not None and tracked > max_tracked:

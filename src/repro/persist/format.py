@@ -25,10 +25,12 @@ the slice ids whose states were dropped).
 
 Forward compatibility: the header version is checked on read; files
 written by a *newer* format are refused wholesale (cold start) instead
-of being half-parsed.  Version 2 appended entry provenance (a code into
-:data:`repro.core.entry.PROVENANCES` plus the source-entry digests of
-the reuse lattice, DESIGN.md §14) to the entry metadata; version-1
-snapshots still decode, with every entry defaulting to ``"scan"``.
+of being half-parsed.  Version 2 appended a provenance code (an index
+into :data:`_PROVENANCES`) and a list of source-entry digests to the
+entry metadata.  Like the entry's ``generation`` they are reserved: a
+live cache writes 0, ``"scan"`` and no digests, and a decode reads and
+range-checks them but nothing uses them.  Version-1 snapshots still
+decode, with every entry defaulting to ``"scan"``.
 Journal records carry no version of their own — they are paired with a
 snapshot from the same writer — so a journal from an older writer reads
 as a torn tail (replay stops, recovery degrades toward cold, exactly
@@ -44,7 +46,7 @@ from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from ..core.entry import PROVENANCES, BitmapSliceState, RangeSliceState, SliceState
+from ..core.entry import BitmapSliceState, RangeSliceState, SliceState
 from ..core.rowrange import RangeList
 from ..storage.compression import array_checksum
 from .records import (
@@ -71,9 +73,10 @@ __all__ = [
 SNAPSHOT_MAGIC = b"RPPCSNAP"
 FORMAT_VERSION = 2
 
-# Entry provenance on the wire: the index into PROVENANCES (order is
-# part of the format — append-only).
-_PROVENANCE_CODES = {name: code for code, name in enumerate(PROVENANCES)}
+# The reserved provenance field on the wire: an index into this tuple
+# (order is part of the format — append-only).
+_PROVENANCES: Tuple[str, ...] = ("scan", "conjunct", "composed", "subsumed")
+_PROVENANCE_CODES = {name: code for code, name in enumerate(_PROVENANCES)}
 
 _HEADER = struct.Struct("<8sHHI")          # magic, version, flags, reserved
 _SECTION = struct.Struct("<B3xQI")         # kind, payload_len, crc32
@@ -146,7 +149,7 @@ def _encode_meta(buf: bytearray, record: EntryRecord) -> None:
     for name in sorted(record.build_versions):
         _put_bytes(buf, name.encode("utf-8"))
         buf += struct.pack("<Q", record.build_versions[name])
-    # Version 2: provenance code + reuse-lattice source digests.
+    # Version 2: the reserved provenance code and source digests.
     buf += struct.pack("<B", _PROVENANCE_CODES[record.provenance])
     buf += struct.pack("<I", len(record.source_digests))
     for source_digest in record.source_digests:
@@ -183,9 +186,9 @@ def _decode_meta(
     if version >= 2:
         (provenance_code,) = struct.unpack_from("<B", data, off)
         off += 1
-        if provenance_code >= len(PROVENANCES):
+        if provenance_code >= len(_PROVENANCES):
             raise ValueError(f"unknown provenance code {provenance_code}")
-        provenance = PROVENANCES[provenance_code]
+        provenance = _PROVENANCES[provenance_code]
         (n_sources,) = struct.unpack_from("<I", data, off)
         off += 4
         if off + 8 * n_sources > len(data):

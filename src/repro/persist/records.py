@@ -8,9 +8,9 @@ nothing is rebuilt on the way in, which is what makes a snapshot → load
 round trip bit-identical.  What the persistence layer adds is one plain
 record per entry:
 
-* :class:`EntryRecord` — one cache entry's metadata (key, generation,
-  per-table vacuum epoch, build-side DML versions, scan stats) plus its
-  slice states.  Records are keyed by the stable FNV-1a digest of the
+* :class:`EntryRecord` — one cache entry's metadata (key, per-table
+  vacuum epoch, build-side DML versions, scan stats) plus its slice
+  states.  Records are keyed by the stable FNV-1a digest of the
   canonical key string, which the journal uses to reference entries
   compactly and the decoder re-derives to detect key drift.
 
@@ -87,13 +87,18 @@ class EntryRecord:
     states describe rows that no longer exist.  ``build_versions`` are
     the build-side tables' ``data_version`` stamps with the same role
     for join-index entries (§4.4 invalidation across restarts).
+
+    ``generation``, ``provenance`` and ``source_digests`` are reserved
+    fields of the version-2 layout (:mod:`repro.persist.format`): a live
+    cache writes them as 0, ``"scan"`` and ``()``, and nothing reads
+    what a decode finds there.
     """
 
     key: ScanKey
     digest: int
     table_layout: int
     num_slices: int
-    generation: int
+    generation: int = 0
     build_versions: Dict[str, int] = field(default_factory=dict)
     hits: int = 0
     rows_qualifying: int = 0
@@ -118,13 +123,10 @@ class EntryRecord:
             digest=key_digest(entry.key),
             table_layout=int(table_layout),
             num_slices=len(entry.slice_states),
-            generation=int(entry.generation),
             build_versions=dict(entry.build_versions),
             hits=int(entry.hits),
             rows_qualifying=int(entry.rows_qualifying),
             rows_considered=int(entry.rows_considered),
-            provenance=entry.provenance,
-            source_digests=tuple(entry.source_digests),
             states=states,
         )
 
@@ -152,8 +154,6 @@ class EntryRecord:
             states,
             stats=(self.hits, self.rows_qualifying, self.rows_considered),
             table_layout=self.table_layout,
-            provenance=self.provenance,
-            source_digests=self.source_digests,
         )
         return True
 

@@ -62,7 +62,6 @@ class SelectStatement(Statement):
     items: Tuple[SelectItem, ...]
     tables: Tuple[str, ...]
     filters: Tuple[Predicate, ...] = ()
-    joins: Tuple[JoinCondition, ...] = ()
     group_by: Tuple[str, ...] = ()
     order_by: Tuple[Tuple[str, bool], ...] = ()
     limit: Optional[int] = None

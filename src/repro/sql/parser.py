@@ -21,7 +21,6 @@ from ..predicates.parser import PredicateParser
 from .ast import (
     DeleteStatement,
     InsertStatement,
-    JoinCondition,
     SelectItem,
     SelectStatement,
     Statement,
@@ -102,10 +101,7 @@ class _StatementParser(PredicateParser):
         self.expect_keyword("select")
         items = self._parse_select_list()
         self.expect_keyword("from")
-        tables, join_filters, join_conditions = self._parse_from()
-
-        filters: List[Predicate] = list(join_filters)
-        joins: List[JoinCondition] = list(join_conditions)
+        tables, filters = self._parse_from()
         if self.accept_keyword("where"):
             filters.extend(self.parse_or().conjuncts())
 
@@ -134,7 +130,6 @@ class _StatementParser(PredicateParser):
             items=tuple(items),
             tables=tuple(tables),
             filters=tuple(filters),
-            joins=tuple(joins),
             group_by=tuple(group_by),
             order_by=tuple(order_by),
             limit=limit,
@@ -185,12 +180,11 @@ class _StatementParser(PredicateParser):
             return self.advance().text
         return None
 
-    def _parse_from(
-        self,
-    ) -> Tuple[List[str], List[Predicate], List[JoinCondition]]:
+    def _parse_from(self) -> Tuple[List[str], List[Predicate]]:
+        """The FROM list's tables, and the conjuncts of its ``JOIN … ON``
+        conditions: they plan like WHERE conjuncts."""
         tables = [self._parse_table_name()]
         filters: List[Predicate] = []
-        joins: List[JoinCondition] = []
         while True:
             if self.accept_punct(","):
                 tables.append(self._parse_table_name())
@@ -205,7 +199,7 @@ class _StatementParser(PredicateParser):
                 filters.extend(self.parse_or().conjuncts())
                 continue
             break
-        return tables, filters, joins
+        return tables, filters
 
     def _parse_table_name(self) -> str:
         token = self.advance()
@@ -349,9 +343,7 @@ class _StatementParser(PredicateParser):
         self.expect_keyword("vacuum")
         token = self.peek()
         table: Optional[str] = None
-        if token.kind in (TokenKind.IDENT, TokenKind.KEYWORD) and token.lowered not in (
-            "",
-        ):
+        if token.kind in (TokenKind.IDENT, TokenKind.KEYWORD):
             table = self.advance().text
         return VacuumStatement(table=table)
 

@@ -60,9 +60,7 @@ def plan_select(statement: SelectStatement, database: Database) -> PlanNode:
     """Plan a parsed SELECT against the database catalog."""
     column_owner, types = _resolve_columns(statement.tables, database)
     per_table, joins, residuals = _split_conjuncts(
-        [bind_literals(f, types) for f in statement.filters],
-        statement.joins,
-        column_owner,
+        [bind_literals(f, types) for f in statement.filters], column_owner
     )
     for join in joins:
         _check_columns(join.left_column, join.right_column, types)
@@ -188,7 +186,6 @@ def _resolve_columns(
 
 def _split_conjuncts(
     filters: Sequence[Predicate],
-    explicit_joins: Sequence[JoinCondition],
     column_owner: Dict[str, str],
 ) -> Tuple[Dict[str, List[Predicate]], List[JoinCondition], List[Predicate]]:
     """Partition WHERE conjuncts: per-table filters, joins, residuals.
@@ -199,7 +196,7 @@ def _split_conjuncts(
     the joins).
     """
     per_table: Dict[str, List[Predicate]] = {}
-    joins: List[JoinCondition] = list(explicit_joins)
+    joins: List[JoinCondition] = []
     residuals: List[Predicate] = []
     for predicate in filters:
         tables = set()

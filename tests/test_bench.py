@@ -147,6 +147,9 @@ RETIRED_SHIMS = {
     "RangeList.from_bounds": "deleted with no caller outside tests; no work moved",
     "ManagedStorage.read_block": "deleted with no caller outside tests; no work moved",
     "RangeList.from_mask": "deleted with no caller outside tests; no work moved",
+    "PredicateCache.record_entry_stats": (
+        "folded into record_slice_scan, still under core.install"
+    ),
 }
 
 

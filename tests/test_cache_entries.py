@@ -143,7 +143,7 @@ class TestCacheEntry:
     def test_selectivity(self):
         entry = CacheEntry(ScanKey("t", "x = 1"), 1, {})
         assert entry.selectivity == 1.0
-        entry.record_scan_stats(10, 1000)
+        entry.rows_qualifying, entry.rows_considered = 10, 1000
         assert entry.selectivity == 0.01
 
     def test_nbytes_sums_slices(self):

@@ -162,7 +162,6 @@ def installed(cluster):
             [None if s is None else (s, s.exact) for s in entry.slice_states],
             entry.rows_qualifying,
             entry.rows_considered,
-            entry.provenance,
         )
         for node_id, node in enumerate(cluster.nodes())
         for entry in node.entries()

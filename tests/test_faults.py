@@ -294,15 +294,16 @@ class TestStaleGenerationInstalls:
         assert cache.stats.stale_installs == 1
 
     def test_generation_stamp_blocks_cross_generation_install(self):
+        """An entry object's lifetime is its generation: once the key
+        maps to another object, the old one installs nothing."""
         cache = PredicateCache(PredicateCacheConfig(variant="bitmap"))
         key = ScanKey("t", "x < 10")
         old = cache.get_or_create(key, num_slices=1)
-        assert old.generation == 0
         cache.invalidate_table("t")
         fresh = cache.get_or_create(key, num_slices=1)
-        assert fresh.generation == 1
+        assert fresh is not old
 
-        # Old-generation object: refused even though the key is live again.
+        # The dropped object: refused even though the key is live again.
         cache.record_slice_scan(old, 0, rows((0, 5)), 10)
         assert cache.stats.stale_installs == 1
         assert fresh.slice_states[0] is None
@@ -318,7 +319,7 @@ class TestStaleGenerationInstalls:
         cache.clear()
         cache.record_slice_scan(entry, 0, rows((0, 5)), 10)
         assert cache.stats.stale_installs == 1
-        assert cache.get_or_create(key, 1).generation == entry.generation + 1
+        assert cache.get_or_create(key, 1) is not entry
 
     def test_engine_vacuum_between_queries_never_resurrects(self):
         _, engine = make_engine(num_slices=2)
@@ -327,7 +328,7 @@ class TestStaleGenerationInstalls:
         expected = engine.execute(sql).scalar()
         stale_entry = cache.entries()[0]
         engine.delete_where("t", parse_predicate("x = 199"))
-        engine.vacuum(["t"])  # layout change drops + generation-bumps
+        engine.vacuum(["t"])  # the layout change drops every entry
         assert len(cache) == 0
         cache.record_slice_scan(stale_entry, 0, rows((0, 5)), 10)
         assert len(cache) == 0

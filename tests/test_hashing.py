@@ -8,9 +8,12 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+from repro import Database, PredicateCache, QueryEngine
 from repro.engine.bloom import BloomFilter
 from repro.engine.hashing import fnv1a_hash, stable_int_keys
+from repro.storage import ColumnSpec, DataType, TableSchema
 
 # Reference FNV-1a 64-bit digests (computed independently, byte by byte).
 _KNOWN = {
@@ -95,3 +98,46 @@ class TestCrossProcessDeterminism:
             bloom.add_many(stable_int_keys(build))
             masks.append(bloom.may_contain(stable_int_keys(probe)))
         assert np.array_equal(masks[0], masks[1])
+
+
+class TestFloatJoinKeys:
+    """A FLOAT64 join key meets an equal value, never a truncated one."""
+
+    def test_whole_floats_key_as_integers_others_by_bits(self):
+        values = np.array([1.0, 2.5, -0.0, -(2.0**63), 2.0**63, np.nan, np.inf])
+        keys = stable_int_keys(values)
+        assert keys[:4].tolist() == [1, values[1:2].view(np.int64)[0], 0, -(2**63)]
+        assert keys[4:].tolist() == values[4:].view(np.int64).tolist()
+
+    @pytest.fixture()
+    def engine(self):
+        db = Database(num_slices=2, rows_per_block=2)
+        columns = {"t": ("x", DataType.INT64), "u": ("g", DataType.FLOAT64),
+                   "v": ("h", DataType.FLOAT64)}
+        for table, (column, dtype) in columns.items():
+            db.create_table(TableSchema(table, (ColumnSpec(column, dtype),)))
+        engine = QueryEngine(db, predicate_cache=PredicateCache())
+        engine.insert("t", {"x": np.array([1, 2, 3])})
+        engine.insert("u", {"g": np.array([1.0, 2.5, 3.0, 4.0])})
+        engine.insert("v", {"h": np.array([2.7, 2.5])})
+        return engine
+
+    @pytest.mark.parametrize(
+        "condition, truth", [("x = g", 2), ("g = x", 2), ("g = h", 1)]
+    )
+    def test_int_and_float_keys_join_by_value(self, engine, condition, truth):
+        tables = "t, u" if "x" in condition else "u, v"
+        sql = f"select count(*) from {tables} where {condition}"
+        assert engine.execute(sql).scalar() == truth
+
+    def test_nan_joins_nothing(self, engine):
+        engine.insert("u", {"g": np.array([np.nan])})
+        engine.insert("v", {"h": np.array([np.nan])})
+        assert engine.execute("select count(*) from u, v where g = h").scalar() == 1
+
+    def test_negative_zero_joins_zero_and_nothing_else(self, engine):
+        engine.insert("t", {"x": np.array([0])})
+        engine.insert("u", {"g": np.array([-0.0, 0.5])})
+        engine.insert("v", {"h": np.array([0.0])})
+        assert engine.execute("select count(*) from t, u where x = g").scalar() == 3
+        assert engine.execute("select count(*) from u, v where g = h").scalar() == 2

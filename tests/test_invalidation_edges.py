@@ -168,9 +168,9 @@ class TestSelectEntry:
             "fact", "x < 10", (SemiJoinDescriptor("fk = dk", "dim"),)
         )
         plain = cache.get_or_create(plain_key, 1)
-        plain.record_scan_stats(400, 1000)
+        plain.rows_qualifying, plain.rows_considered = 400, 1000
         join = cache.get_or_create(join_key, 1, {"dim": 1})
-        join.record_scan_stats(25, 1000)
+        join.rows_qualifying, join.rows_considered = 25, 1000
         assert cache.select_entry([plain_key, join_key]) is join
 
     def test_prefers_plain_when_it_is_more_selective(self):
@@ -180,9 +180,9 @@ class TestSelectEntry:
             "fact", "x < 10", (SemiJoinDescriptor("fk = dk", "dim"),)
         )
         plain = cache.get_or_create(plain_key, 1)
-        plain.record_scan_stats(5, 1000)
+        plain.rows_qualifying, plain.rows_considered = 5, 1000
         join = cache.get_or_create(join_key, 1, {"dim": 1})
-        join.record_scan_stats(400, 1000)
+        join.rows_qualifying, join.rows_considered = 400, 1000
         assert cache.select_entry([plain_key, join_key]) is plain
 
 

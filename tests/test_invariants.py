@@ -289,19 +289,6 @@ class TestCheckCache:
     def test_healthy_cache_passes(self):
         invariants.check_cache(populated_cache())
 
-    def test_generation_mismatch(self):
-        cache = populated_cache(num_keys=1)
-        cache.entries()[0].generation += 1  # tamper
-        with pytest.raises(InvariantViolation, match="generation"):
-            invariants.check_cache(cache)
-
-    def test_negative_generation(self):
-        cache = populated_cache(num_keys=1)
-        cache._generations["t"] = -1
-        cache.entries()[0].generation = -1
-        with pytest.raises(InvariantViolation, match="negative"):
-            invariants.check_cache(cache)
-
     def test_byte_budget_violation(self):
         cache = make_cache(max_bytes=10)
         for i in range(2):

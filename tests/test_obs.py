@@ -348,7 +348,7 @@ class TestComponentRegistration:
         bare = MetricsRegistry()
         PredicateCache().register_metrics(bare)
         reuse_names = {n.split("{")[0] for n in bare.as_dict() if "_reuse_" in n}
-        assert len(reuse_names) == 7
+        assert len(reuse_names) == 4  # lookups, hits, composed and subsumed serves
         for name in reuse_names:
             for node in ("0", "1"):
                 assert reg.get(name, labels={"node": node}) is not None, name

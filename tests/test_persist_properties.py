@@ -22,11 +22,12 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.entry import PROVENANCES, BitmapSliceState, RangeSliceState
+from repro.core.entry import BitmapSliceState, RangeSliceState
 from repro.core.keys import ScanKey, SemiJoinDescriptor
 from repro.engine.hashing import fnv1a_hash
 from repro.persist import CacheStore
 from repro.persist.format import (
+    _PROVENANCES,
     FORMAT_VERSION,
     DecodeIssues,
     decode_journal_payload,
@@ -124,9 +125,9 @@ def entry_records(draw):
     states = {
         sid: draw(st.one_of(range_states(), bitmap_states())) for sid in slice_ids
     }
-    # Reuse-lattice provenance (DESIGN.md §14): derived entries carry
-    # the digests of the conjunct entries they were composed from.
-    provenance = draw(st.sampled_from(PROVENANCES))
+    # The version-2 layout's reserved provenance fields: a live cache
+    # writes "scan" and no digests, but any code decodes.
+    provenance = draw(st.sampled_from(_PROVENANCES))
     if provenance in ("composed", "subsumed"):
         source_digests = tuple(
             draw(

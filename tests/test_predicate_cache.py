@@ -1,6 +1,8 @@
 """The PredicateCache: keys, lookups, invalidation, eviction (§4)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     PredicateCache,
@@ -9,6 +11,7 @@ from repro.core import (
     ScanKey,
     SemiJoinDescriptor,
 )
+from repro import invariants
 from repro.core.entry import BitmapSliceState, CacheEntry, RangeSliceState
 from repro.persist.format import (
     decode_journal_payload,
@@ -89,10 +92,10 @@ class TestLookupAndInsert:
     def test_select_entry_prefers_most_selective(self):
         cache = make_cache()
         plain = cache.get_or_create(ScanKey("t", "x = 1"), 1)
-        plain.record_scan_stats(500, 1000)
+        plain.rows_qualifying, plain.rows_considered = 500, 1000
         join_key = ScanKey("t", "x = 1", (SemiJoinDescriptor("a = b", "d"),))
         join = cache.get_or_create(join_key, 1)
-        join.record_scan_stats(10, 1000)
+        join.rows_qualifying, join.rows_considered = 10, 1000
         chosen = cache.select_entry([join_key, ScanKey("t", "x = 1")])
         assert chosen is join
 
@@ -335,3 +338,94 @@ class TestExactStates:
         (restored,) = warm.entries()
         assert restored.slice_states[0] == entry.slice_states[0]
         assert not restored.slice_states[0].exact
+
+
+# -- the entry ledger: the entry table alone decides liveness -----------------
+
+_LEDGER_KEYS = (
+    ScanKey("t", "x < 1"),
+    ScanKey("t", "x < 2"),
+    ScanKey("u", "y < 1"),
+    ScanKey("t", "x < 3", (SemiJoinDescriptor("x = z", "d"),)),
+)
+
+_ledger_op = st.one_of(
+    st.tuples(st.just("get"), st.integers(0, len(_LEDGER_KEYS) - 1)),
+    # (captured entry index, slice, rows the install adds)
+    st.tuples(st.just("install"), st.integers(0, 63), st.integers(0, 1),
+              st.integers(1, 12)),
+    st.tuples(st.just("restore"), st.integers(0, len(_LEDGER_KEYS) - 1)),
+    st.tuples(st.just("invalidate_table"), st.sampled_from(("t", "u"))),
+    st.just(("invalidate_build_side",)),
+    st.just(("clear",)),
+    st.tuples(st.just("drop_stale"), st.integers(0, len(_LEDGER_KEYS) - 1)),
+)
+
+
+class TestEntryLedger:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=st.lists(_ledger_op, max_size=40))
+    def test_an_install_lands_exactly_when_its_entry_is_live(self, ops):
+        """Entry objects captured by ``get_or_create`` and
+        ``install_restored`` install later, after invalidations, clears,
+        stale drops, evictions under a small ``max_bytes`` and restores
+        over a live key.  An install lands (its state and counts change)
+        exactly when its object is still the one under its key, and
+        ``stale_installs`` counts every other install."""
+        cache = make_cache(variant="range", max_bytes=40)
+        captured, refused, upto = [], 0, 0
+        for op in ops:
+            kind = op[0]
+            if kind == "get":
+                captured.append(cache.get_or_create(_LEDGER_KEYS[op[1]], 2))
+            elif kind == "restore":
+                state = RangeSliceState(rows((upto, upto + 1)), upto + 1, 16)
+                upto += 1
+                captured.append(
+                    cache.install_restored(_LEDGER_KEYS[op[1]], 2, {}, {0: state})
+                )
+            elif kind == "install":
+                if not captured:
+                    continue
+                entry = captured[op[1] % len(captured)]
+                live = any(e is entry for e in cache.entries())
+                before = (entry.rows_considered, entry.slice_states[op[2]])
+                upto += op[3]
+                cache.record_slice_scan(entry, op[2], rows((upto - op[3], upto)), upto)
+                landed = (entry.rows_considered, entry.slice_states[op[2]]) != before
+                assert landed == live, op
+                refused += not live
+            elif kind == "invalidate_table":
+                cache.invalidate_table(op[1])
+            elif kind == "invalidate_build_side":
+                cache.invalidate_build_side("d")
+            elif kind == "clear":
+                cache.clear()
+            else:
+                cache.drop_stale(_LEDGER_KEYS[op[1]])
+            invariants.check_cache(cache)
+        assert cache.stats.stale_installs == refused
+
+    def test_selectivity_is_the_installs_summed_counts(self):
+        """Every install folds ``scanned_upto`` considered rows and the
+        rows its set holds into the entry: a repeat that found nothing
+        appended counts again, and a rejected set holds every row but
+        the ones handed over."""
+        cache = make_cache(variant="range")
+        entry = cache.get_or_create(ScanKey("t", "x < 9"), 2)
+        script = (  # slice, rows, scanned_upto, rejected
+            (0, rows((0, 10)), 100, False),
+            (1, rows((5, 8)), 50, False),
+            (0, rows((100, 130)), 200, False),
+            (0, rows((100, 130)), 200, False),
+            (1, rows((60, 70)), 80, True),
+        )
+        qualifying = considered = 0
+        for slice_id, ids, scanned_upto, rejected in script:
+            cache.record_slice_scan(
+                entry, slice_id, ids, scanned_upto, rejected=rejected
+            )
+            qualifying += scanned_upto - len(ids) if rejected else len(ids)
+            considered += scanned_upto
+        assert (entry.rows_qualifying, entry.rows_considered) == (143, 630)
+        assert entry.selectivity == qualifying / considered

@@ -327,16 +327,11 @@ class TestOverloadShedDrill:
             server.shutdown()
 
         # Correctness under pressure: every statement eventually ran,
-        # nothing errored, invalidation accounting is exact.
+        # nothing errored, the cache saw the table's last layout change.
         assert report.errors == 0
         assert report.count(RequestStatus.OK) == report.total_requests
-        layout_changes = sum(
-            int(response.result.scalar())
-            for responses in report.responses.values()
-            for response in responses
-            if response.request.sql.startswith("vacuum")
-        )
-        assert cache.generation_of(table_name) == layout_changes
+        table = engine.database.table(table_name)
+        assert cache.table_layout_of(table_name) == table.layout_version
 
         # Pressure actually shed, and every shed was diagnosable.
         assert report.total_rejections == admission.total_rejected > 0

@@ -25,9 +25,8 @@ from repro import (
     invariants,
     parse_predicate,
 )
-from repro.core.entry import PROVENANCES, CacheEntry, RangeSliceState
+from repro.core.entry import CacheEntry, RangeSliceState
 from repro.core.keys import ScanKey, SemiJoinDescriptor, conjunct_key
-from repro.persist import CacheStore
 from repro.persist.format import (
     decode_journal_payload,
     decode_snapshot,
@@ -237,7 +236,7 @@ def install_plain(cache, text, stats=None):
     entry = cache.get_or_create(plain_key(text), 2)
     cache.record_slice_scan(entry, 0, rows((0, 4)), 16)
     if stats is not None:
-        cache.record_entry_stats(entry, *stats)
+        entry.rows_qualifying, entry.rows_considered = stats
     return entry
 
 
@@ -270,11 +269,10 @@ def test_equal_intervals_most_selective_wins():
 
 def test_equal_selectivity_narrowest_wins():
     cache = PredicateCache(reuse_config())
-    install_plain(cache, "k < 95")
-    install_plain(cache, "k between 0 and 90")
-    narrow = install_plain(cache, "k between 10 and 60")
-    assert served(cache, "k = 26") is narrow
-    assert narrow.selectivity == 1.0
+    texts = ("k < 95", "k between 0 and 90", "k between 10 and 60")
+    entries = [install_plain(cache, text) for text in texts]
+    assert served(cache, "k = 26") is entries[-1]
+    assert len({entry.selectivity for entry in entries}) == 1
 
 
 def test_entry_without_recorded_state_is_skipped():
@@ -286,7 +284,7 @@ def test_entry_without_recorded_state_is_skipped():
 
 
 def test_half_open_tie_goes_to_the_least_recently_used_entry():
-    """Two half-open entries at selectivity 1.0 rank equal (width inf):
+    """Two half-open entries at equal selectivity rank equal (width inf):
     the one used least recently serves — in the order a walk of the
     whole cache meets them, not the order they were installed."""
     cache = PredicateCache(reuse_config())
@@ -475,7 +473,7 @@ def test_indexed_matcher_twins_the_linear_walk(operations, requests):
             entry = cache.get_or_create(key, 2)
             for slice_id in sorted(slices):
                 cache.record_slice_scan(entry, slice_id, rows((0, 3)), 12)
-            cache.record_entry_stats(entry, *stats)
+            entry.rows_qualifying, entry.rows_considered = stats
         elif kind == "lookup":
             cache.lookup(key)
         elif kind == "lookup_part":
@@ -516,71 +514,6 @@ def test_requested_side_read_off_the_conjunct_equals_parsing_its_key(text):
         assert single_column_range(conjunct.predicate) == single_column_range(
             parse_predicate(conjunct.key.predicate_key)
         )
-
-
-# -- provenance plumbing ------------------------------------------------------
-
-
-def test_invariants_provenance_tuple_mirrors_entry_module():
-    assert invariants._PROVENANCES == PROVENANCES
-
-
-def test_cache_entry_validates_provenance():
-    key = ScanKey("t", "k < 5")
-    entry = CacheEntry(key, 2, {}, provenance="conjunct")
-    assert entry.provenance == "conjunct" and entry.source_digests == ()
-    with pytest.raises(ValueError):
-        CacheEntry(key, 2, {}, provenance="psychic")
-
-
-class _EntryOverride:
-    """A cache entry with some attributes forced (CacheEntry is slotted,
-    so the bad states the invariant must catch are staged via a proxy)."""
-
-    def __init__(self, base, **overrides):
-        self._base = base
-        self.__dict__.update(overrides)
-
-    def __getattr__(self, name):
-        return getattr(self._base, name)
-
-
-class _CacheView:
-    """The real cache with a substituted entries() listing."""
-
-    def __init__(self, cache, entries):
-        self._cache = cache
-        self._entries = entries
-
-    def entries(self):
-        return self._entries
-
-    def __getattr__(self, name):
-        return getattr(self._cache, name)
-
-
-def test_invariant_rejects_bad_provenance_sources():
-    cache = PredicateCache(reuse_config())
-    entry = cache.get_or_create(ScanKey("t", "k < 5"), 2, {})
-    cache.record_slice_scan(entry, 0, rows((0, 4)), 10)
-    invariants.check_cache(cache)  # healthy
-
-    # Derived provenance without sources.
-    bad = _CacheView(cache, [_EntryOverride(entry, provenance="composed")])
-    with pytest.raises(invariants.InvariantViolation, match="source digests"):
-        invariants.check_cache(bad)
-
-    # Primary provenance carrying sources.
-    bad = _CacheView(
-        cache, [_EntryOverride(entry, provenance="scan", source_digests=(123,))]
-    )
-    with pytest.raises(invariants.InvariantViolation, match="carries source"):
-        invariants.check_cache(bad)
-
-    # Unknown provenance tag.
-    bad = _CacheView(cache, [_EntryOverride(entry, provenance="psychic")])
-    with pytest.raises(invariants.InvariantViolation, match="unknown provenance"):
-        invariants.check_cache(bad)
 
 
 def test_derived_entries_do_not_double_count_budget():
@@ -640,10 +573,6 @@ def test_a_column_interval_is_probed_as_one_part(variant):
     assert result.counters.reuse_composed_serves == 1
     # One probe for the interval, one for ``v < 50``: none for a half.
     assert cache.reuse_stats.conjunct_lookups - lookups == 2
-    live = {live.key: live for live in cache.entries()}
-    composed = live[ScanKey("t", parse_predicate(where).cache_key())]
-    assert composed.provenance == "composed"
-    assert entry.key.digest in composed.source_digests
     candidates = sum(
         state.count(data_slice.num_rows)
         for state, data_slice in zip(
@@ -665,15 +594,16 @@ def test_an_interval_entry_without_state_falls_back_to_its_halves(variant):
         both_twins(cached, plain, f"select k from t where {half}")
     cache.get_or_create(plain_key("k >= 10 and k < 30"), 2)
     lookups = cache.reuse_stats.conjunct_lookups
+    keys = {plain_key(half) for half in halves}
+    parts = [entry for entry in cache.entries() if entry.key in keys]
+    hits = [part.hits for part in parts]
     where = "k >= 10 and k < 30 and v < 50"
     result = both_twins(cached, plain, f"select k, v from t where {where}")
     assert result.counters.reuse_composed_serves == 1
     assert cache.reuse_stats.conjunct_lookups - lookups == 4
-    live = {entry.key: entry for entry in cache.entries()}
-    composed = live[ScanKey("t", parse_predicate(where).cache_key())]
-    assert set(composed.source_digests) == {
-        live[plain_key(half)].key.digest for half in halves
-    }
+    # Each half was probed and found live: the serve was composed of them.
+    assert len(parts) == 2
+    assert [part.hits for part in parts] == [hit + 1 for hit in hits]
 
 
 def test_an_exact_hit_stays_exact_with_reuse_on():
@@ -887,16 +817,17 @@ def test_drilldown_under_chaos_with_dml():
 
 
 def derived_record():
-    key = ScanKey("t", "k < 50 and v >= 20")
-    sources = (
+    """A record whose reserved provenance fields hold what a version-2
+    writer could have put there: they still round-trip."""
+    entry = CacheEntry(ScanKey("t", "k < 50 and v >= 20"), 2, {})
+    entry.slice_states[0] = RangeSliceState(rows((0, 10), (20, 32)), 40, 16)
+    record = EntryRecord.from_entry(entry, table_layout=0)
+    record.provenance = "composed"
+    record.source_digests = (
         key_digest(conjunct_key("t", "k < 50")),
         key_digest(conjunct_key("t", "v >= 20")),
     )
-    entry = CacheEntry(
-        key, 2, {}, provenance="composed", source_digests=sources
-    )
-    entry.slice_states[0] = RangeSliceState(rows((0, 10), (20, 32)), 40, 16)
-    return EntryRecord.from_entry(entry, table_layout=0)
+    return record
 
 
 def test_snapshot_round_trip_preserves_provenance():
@@ -919,28 +850,6 @@ def test_journal_event_round_trip_preserves_provenance():
     assert meta.provenance == "composed"
     assert meta.source_digests == record.source_digests
     assert state == record.states[0]
-
-
-def test_store_hydrate_restores_provenance(tmp_path):
-    record = derived_record()
-    conjunct = EntryRecord.from_entry(
-        CacheEntry(conjunct_key("t", "k < 50"), 2, {}, provenance="conjunct"),
-        table_layout=0,
-    )
-    conjunct.states[0] = record.states[0]
-    store = CacheStore(tmp_path)
-    assert store.snapshot_records(
-        {record.digest: record, conjunct.digest: conjunct}
-    )
-    cache = PredicateCache(reuse_config())
-    restored = CacheStore(tmp_path).attach(cache)
-    assert restored == 2
-    by_key = {e.key.key(): e for e in cache.entries()}
-    composed = by_key[record.key.key()]
-    assert composed.provenance == "composed"
-    assert composed.source_digests == record.source_digests
-    assert by_key[conjunct.key.key()].provenance == "conjunct"
-    invariants.check_cache(cache)
 
 
 def test_v1_snapshot_decodes_with_default_provenance():
@@ -985,8 +894,10 @@ def test_reuse_survives_snapshot_restart():
     assert issues.clean
     for digest, record in records.items():
         assert decoded[digest] == record
-    provenances = {r.provenance for r in decoded.values()}
-    assert "scan" in provenances  # plain installs happened
+    # A live cache writes the reserved fields as 0, "scan" and ().
+    assert {
+        (r.generation, r.provenance, r.source_digests) for r in decoded.values()
+    } == {(0, "scan", ())}
 
 
 # -- metrics ------------------------------------------------------------------
@@ -1004,8 +915,6 @@ def test_reuse_metrics_registered():
         "conjunct_hits",
         "composed_serves",
         "subsumed_serves",
-        "recheck_rows",
-        "skipped_rows",
     ):
         assert any(field in n and "reuse" in n for n in names), (field, names)
 

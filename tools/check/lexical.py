@@ -56,10 +56,7 @@ _FORMAT_NAME_HINTS = ("kind", "section", "version", "magic", "op")
 CACHE_WRITERS = frozenset(
     {
         "record_slice_scan",
-        "record_entry_stats",
-        "record_scan_stats",
         "record_reuse_serve",
-        "record_reuse_rows",
         "get_or_create",
         "install_restored",
         "invalidate_table",
