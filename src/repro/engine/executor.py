@@ -483,10 +483,17 @@ def _compute_aggregate(
             return np.full(num_groups, np.nan)
         if values.dtype == object:
             return _object_minmax(agg.func, values, group_codes, num_groups)
-        fill = np.inf if agg.func == "min" else -np.inf
-        result = np.full(num_groups, fill, dtype=np.float64)
+        # Every group has a row, so the fill never survives.  An integer
+        # column (INT64, DATE) keeps its dtype: float64 would round past 2**53.
+        if values.dtype.kind in "iu":
+            limits = np.iinfo(values.dtype)
+            fill = limits.max if agg.func == "min" else limits.min
+            result = np.full(num_groups, fill, dtype=values.dtype)
+        else:
+            values = values.astype(np.float64)
+            result = np.full(num_groups, np.inf if agg.func == "min" else -np.inf)
         op = np.minimum if agg.func == "min" else np.maximum
-        op.at(result, group_codes, values.astype(np.float64))
+        op.at(result, group_codes, values)
         return result
     raise ValueError(f"unknown aggregate {agg.func!r}")
 

@@ -6,8 +6,8 @@ never correctness.  This package is how the reproduction exercises that
 margin: a seeded :class:`FaultInjector` makes storage reads flake,
 corrupt and lag, and cache-store writes tear, deterministically; a
 :class:`RetryPolicy` bounds how hard the one fetch loop
-(``ManagedStorage._fetch_resilient``, shared by native blocks and lake
-chunks) fights back — backoff is model time, never a sleep — and a read
+(``ManagedStorage._attempts``, run per fetched block over its decoded
+row and shared by native blocks and lake chunks) fights back — backoff is model time, never a sleep — and a read
 it gives up on surfaces as a :class:`StorageFault`.  The chaos
 differential oracle (``tests/test_chaos.py``) runs full workloads under
 injection and asserts bit-identical results against a fault-free twin.

@@ -35,7 +35,7 @@ from ..core.config import PredicateCacheConfig
 from ..core.keys import ScanKey
 from ..faults import FaultInjector, RetryPolicy
 from ..predicates.ast import Predicate
-from ..storage.rms import BlockKey, ManagedStorage, QueryStorageContext
+from ..storage.rms import BlockDict, ManagedStorage, QueryStorageContext
 from .format import LakeFile, RowGroup
 from .table import LakeSnapshot, LakeTable
 
@@ -222,13 +222,13 @@ class LakeScanner:
         self, group: RowGroup, ordinal: int, names: Sequence[str], run: _ScanRun
     ) -> Dict[str, np.ndarray]:
         """Fetch column chunks of one row group through managed storage
-        into a dict of their decoded values (capacity 0: none is ever
-        resident, so every read writes them)."""
+        into a :class:`BlockDict` of their decoded values (capacity 0:
+        none is ever resident, so every read writes them)."""
         if not names:
             return {}
         blocks = [group.chunk(name).encoded for name in names]
         keys = [(self.table.name, 0, name, ordinal) for name in names]
-        chunks: Dict[BlockKey, np.ndarray] = {}
+        chunks = BlockDict()
         run.reader.read_blocks(keys, blocks, into=chunks)
         return {name: chunks[key] for name, key in zip(names, keys)}
 

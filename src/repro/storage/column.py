@@ -21,12 +21,12 @@ blocks touched — and the storage only tracks which blocks are resident.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from .. import invariants as _inv
-from .compression import EncodedBlock, array_checksum, seal_blocks
+from .compression import DecodedGroup, EncodedBlock, array_checksum, seal_blocks
 from .dtypes import DataType
 from .rms import BlockKey, ManagedStorage
 from .zonemap import ZoneMap
@@ -75,11 +75,12 @@ class DecodedBlocks:
     :class:`~repro.storage.rms.BlockSink` keyed by block index, the last
     field of a ``BlockKey``).  The rules, DESIGN.md §11:
 
-    * a row is written before its key is resident — the storage writes
-      it in the locked round that makes the key resident;
-    * a row is written once per build: the storage skips a written row,
-      so a re-fetch after eviction never rewrites it and a row a reader
-      is taking from never changes;
+    * a row is written before its key is resident — the storage calls
+      :meth:`write_groups` in the locked round that makes the keys
+      resident;
+    * a row is written once per build: :meth:`write_groups` skips a
+      written row, so a re-fetch after eviction never rewrites it and a
+      row a reader is taking from never changes;
     * the array grows only in :meth:`grow` (from ``ColumnStore._seal``),
       copying only written rows, and is emptied by :meth:`reset` (from
       ``ColumnStore.rebuild``).  Both run under an exclusive writer —
@@ -95,13 +96,23 @@ class DecodedBlocks:
         # One byte per sealed block: 1 once its row is written.
         self._written = bytearray()
 
-    def __contains__(self, key: BlockKey) -> bool:
-        return bool(self._written[key[3]])
-
-    def __setitem__(self, key: BlockKey, values: np.ndarray) -> None:
-        index = key[3]
-        self._rows[index] = values
-        self._written[index] = 1
+    def write_groups(
+        self, keys: Sequence[BlockKey], groups: Sequence[DecodedGroup]
+    ) -> None:
+        """Write each decoded group's unwritten rows in one assignment:
+        row j of a group's values is block ``keys[positions[j]][3]``'s."""
+        written = self._written
+        for positions, values in groups:
+            index = [keys[p][3] for p in positions]
+            fresh = [j for j, b in enumerate(index) if not written[b]]
+            if len(fresh) < len(index):
+                if not fresh:
+                    continue
+                index = [index[j] for j in fresh]
+                values = values[fresh]
+            self._rows[index] = values
+            for b in index:
+                written[b] = 1
 
     def written(self, index: int) -> bool:
         """Whether block ``index``'s row holds its values."""

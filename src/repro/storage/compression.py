@@ -24,13 +24,27 @@ Every codec is byte-exact: decoding a block gives back the bytes that
 went in, cast the way the codec's decode widens (FOR decodes to int64
 whatever width came in).  So a block's checksum is taken over its
 *input*, cast that way, and verifies the decoded values of a fetch.
+
+Decoding works by the batch.  Each codec's one ``decode`` turns k
+blocks of one length and one decoded dtype into a ``(k, n)`` array with
+a fixed few numpy calls, none per block: FOR widens the concatenated
+deltas to int64 and adds the references down the rows, RLE repeats the
+concatenated runs once, the dictionary takes the concatenated codes,
+offset per block, from the concatenated dictionaries, and plain
+concatenates.  :func:`decode_blocks` groups a read round's misses by
+codec, length and decoded dtype (so an int block never upcasts beside
+a float one) and decodes each group in one codec call;
+:func:`decode_block` is the batch of one.  Both give the bytes a
+block-at-a-time decode would, ``-0.0``, NaN payloads and object values
+included.
 """
 
 from __future__ import annotations
 
 import zlib
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import DefaultDict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +58,10 @@ __all__ = [
     "choose_codec",
     "seal_blocks",
     "CODECS",
+    "DecodedGroup",
     "array_checksum",
+    "decode_block",
+    "decode_blocks",
 ]
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -141,7 +158,9 @@ class Codec:
         """Encode, or return None if this codec cannot encode the input."""
         raise NotImplementedError
 
-    def decode(self, block: EncodedBlock) -> np.ndarray:
+    def decode(self, blocks: Sequence[EncodedBlock]) -> np.ndarray:
+        """Decode k >= 1 blocks of this codec, one length and one decoded
+        dtype: a new ``(k, n)`` array whose row i is block i's values."""
         raise NotImplementedError
 
 
@@ -159,8 +178,9 @@ class PlainCodec(Codec):
             nbytes=int(values.nbytes),
         )
 
-    def decode(self, block: EncodedBlock) -> np.ndarray:
-        return block.payload[0]
+    def decode(self, blocks: Sequence[EncodedBlock]) -> np.ndarray:
+        values = np.concatenate([block.payload[0] for block in blocks])
+        return values.reshape(len(blocks), blocks[0].num_values)
 
 
 class RunLengthCodec(Codec):
@@ -170,7 +190,7 @@ class RunLengthCodec(Codec):
 
     def encode(self, values: np.ndarray) -> Optional[EncodedBlock]:
         if len(values) == 0:
-            return EncodedBlock(self.name, 0, (values.copy(), values[:0]), 0)
+            return EncodedBlock(self.name, 0, (values.copy(), np.zeros(0, np.int64)), 0)
         change = np.flatnonzero(_run_breaks(values)) + 1
         starts = np.concatenate(([0], change))
         run_values = values[starts]
@@ -183,9 +203,10 @@ class RunLengthCodec(Codec):
             nbytes=nbytes,
         )
 
-    def decode(self, block: EncodedBlock) -> np.ndarray:
-        run_values, lengths = block.payload
-        return np.repeat(run_values, lengths)
+    def decode(self, blocks: Sequence[EncodedBlock]) -> np.ndarray:
+        run_values, lengths = zip(*[block.payload for block in blocks])
+        values = np.repeat(np.concatenate(run_values), np.concatenate(lengths))
+        return values.reshape(len(blocks), blocks[0].num_values)
 
 
 class FrameOfReferenceCodec(Codec):
@@ -216,9 +237,13 @@ class FrameOfReferenceCodec(Codec):
             nbytes=int(8 + _packed_bytes(span, len(values))),
         )
 
-    def decode(self, block: EncodedBlock) -> np.ndarray:
-        reference, deltas = block.payload
-        return np.add(deltas, reference[0], dtype=np.int64)
+    def decode(self, blocks: Sequence[EncodedBlock]) -> np.ndarray:
+        references, deltas = zip(*[block.payload for block in blocks])
+        # Widened as they are copied, then one same-dtype add in place.
+        rows = np.concatenate(deltas, dtype=np.int64)
+        rows = rows.reshape(len(blocks), blocks[0].num_values)
+        rows += np.concatenate(references)[:, None]
+        return rows
 
 
 class DictionaryCodec(Codec):
@@ -237,7 +262,7 @@ class DictionaryCodec(Codec):
 
     def encode(self, values: np.ndarray) -> Optional[EncodedBlock]:
         if len(values) == 0:
-            return EncodedBlock(self.name, 0, (values.copy(), values[:0]), 0)
+            return EncodedBlock(self.name, 0, (values.copy(), np.zeros(0, np.int32)), 0)
         if values.dtype.kind == "f":
             _, first, codes = np.unique(
                 _float_keys(values), return_index=True, return_inverse=True
@@ -260,9 +285,13 @@ class DictionaryCodec(Codec):
             nbytes=int(dict_bytes + _packed_bytes(len(dictionary) - 1, len(values))),
         )
 
-    def decode(self, block: EncodedBlock) -> np.ndarray:
-        dictionary, codes = block.payload
-        return dictionary[codes]
+    def decode(self, blocks: Sequence[EncodedBlock]) -> np.ndarray:
+        dictionaries, codes = zip(*[block.payload for block in blocks])
+        sizes = np.array([len(dictionary) for dictionary in dictionaries])
+        rows = np.concatenate(codes).reshape(len(blocks), blocks[0].num_values)
+        # Block i's codes index the concatenation past the dictionaries before it.
+        rows = rows + (np.cumsum(sizes) - sizes)[:, None]
+        return np.concatenate(dictionaries)[rows]
 
 
 CODECS = {
@@ -371,6 +400,28 @@ def choose_codec(values: np.ndarray) -> EncodedBlock:
     return seal_blocks(values.reshape(1, -1))[0][0]
 
 
+#: One decoded group: the positions of its blocks in the decoded
+#: sequence, ascending, and a ``(len(positions), n)`` array whose row j
+#: holds the values of block ``positions[j]``.
+DecodedGroup = Tuple[List[int], np.ndarray]
+
+
+def decode_blocks(blocks: Sequence[EncodedBlock]) -> List[DecodedGroup]:
+    """Decode ``blocks`` by the group: blocks of one codec, one length
+    and one decoded dtype decode together, in one call of their codec.
+    Groups come in the order of their first block."""
+    groups: DefaultDict[Tuple[str, int, np.dtype], List[int]] = defaultdict(list)
+    for position, block in enumerate(blocks):
+        # A block's first payload array has its decoded dtype (FOR's
+        # int64 reference; the values, runs or dictionary otherwise).
+        kind = (block.codec_name, block.num_values, block.payload[0].dtype)
+        groups[kind].append(position)
+    return [
+        (positions, CODECS[kind[0]].decode([blocks[p] for p in positions]))
+        for kind, positions in groups.items()
+    ]
+
+
 def decode_block(block: EncodedBlock) -> np.ndarray:
-    """Decode any encoded block back to its value array."""
-    return CODECS[block.codec_name].decode(block)
+    """Decode any encoded block back to its value array: the batch of one."""
+    return CODECS[block.codec_name].decode((block,))[0]

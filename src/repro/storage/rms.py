@@ -8,25 +8,33 @@ the sealed blocks: the first access to a block is a *remote fetch*
 the block is evicted (LRU by capacity) or invalidated (vacuum/reseal).
 The storage decides only whether a read is local or remote; it holds no
 decoded values.  Whoever reads names where a fetched block's values go
-(``into``): a column its ``(blocks, rows_per_block)`` decoded array
-(:class:`~repro.storage.column.DecodedBlocks`), the lake scanner a dict
-of its decoded chunks.  The rules (DESIGN.md §11):
+(``into``, a :class:`BlockSink`): a column its ``(blocks,
+rows_per_block)`` decoded array
+(:class:`~repro.storage.column.DecodedBlocks`), the lake scanner a
+:class:`BlockDict` of its decoded chunks.  A read round decodes its
+whole miss set at once, one codec call per group of blocks that share a
+codec, a length and a decoded dtype
+(:func:`~repro.storage.compression.decode_blocks`), and hands the groups
+to the sink in one ``write_groups`` call.  The rules (DESIGN.md §11):
 
 * **A row is written before its key is resident.**  A fetched block's
-  checksum-verified values go to ``into[key]`` in the same locked round
-  that makes the key resident, so a hit always finds its row.
+  values go to ``into`` in the same locked round that makes the key
+  resident, so a hit always finds its row.
 * **A row is written once.**  A re-fetch after eviction still decodes,
-  verifies and counts, but writes nothing where ``key in into``: a row
-  a reader is taking from never changes, and a corrupted fetch attempt
-  never reaches it.
+  verifies and counts, but the sink's write skips a key it already
+  holds: a row a reader is taking from never changes, and a corrupted
+  fetch attempt never reaches it.
 * **Capacity bounds residency, not decoded memory.**  Evicting a key
   makes its next read remote; the row stays where it was written.
 
-Under an attached :class:`~repro.faults.FaultInjector` every fetch
-attempt is decided by ``FaultInjector.decide``, keyed by the block, the
-injector's count of that block's fetches and the attempt, so which
-fetches fault depends on what was read, never on how concurrent
-statements interleaved.
+Under an attached :class:`~repro.faults.FaultInjector` each fetched
+block then runs its attempt loop, in key order, over its decoded row:
+every attempt is decided by ``FaultInjector.decide``, keyed by the
+block, the injector's count of that block's fetches and the attempt, so
+which fetches fault depends on what was read, never on how concurrent
+statements interleaved.  An attempt that is not failed verifies the
+row's checksum, on a corrupted copy when the attempt corrupts; a fetch
+that gives up leaves the blocks before it counted and written.
 
 `StorageStats` is the ground truth behind the paper's "blocks accessed"
 columns: every experiment reads these counters rather than timing alone,
@@ -58,9 +66,9 @@ Concurrency model (DESIGN.md §12):
   :meth:`ManagedStorage.read_blocks` — the one read path, called once
   per (slice, column) — takes it for one round that looks every key up
   and counts the hits, and, only if something missed, for a second
-  round that counts, writes and makes resident what was fetched.
-  Decode and fault retries run *between* the rounds, so remote
-  fetches overlap across concurrent statements.  Nothing marks a miss
+  round that counts, writes (one sink call) and makes resident what was
+  fetched.  Decode and fault retries run *between* the rounds, so
+  remote fetches overlap across concurrent statements.  Nothing marks a miss
   as in flight: two threads missing the same block between each
   other's rounds both fetch it and both count a remote fetch — the
   duplicated round trip a real node cache exhibits — and the first to
@@ -71,9 +79,10 @@ Concurrency model (DESIGN.md §12):
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -84,10 +93,11 @@ from ..faults import (
     TransientStorageError,
     quantize_model_seconds,
 )
-from .compression import EncodedBlock, array_checksum, decode_block
+from .compression import DecodedGroup, EncodedBlock, array_checksum, decode_blocks
 
 __all__ = [
-    "BlockKey", "BlockSink", "ManagedStorage", "QueryStorageContext", "StorageStats",
+    "BlockDict", "BlockKey", "BlockSink", "ManagedStorage", "QueryStorageContext",
+    "StorageStats",
 ]
 
 # (table, slice, column, block index) uniquely names a block.
@@ -98,9 +108,26 @@ class BlockSink(Protocol):
     """Where a read's fetched blocks go: written once per key, under the
     storage lock, before the key is resident (see the module doc)."""
 
-    def __contains__(self, key: BlockKey) -> bool: ...
+    def write_groups(
+        self, keys: Sequence[BlockKey], groups: Sequence[DecodedGroup]
+    ) -> None:
+        """Write row j of each group's values under ``keys[positions[j]]``,
+        skipping every key already written."""
 
-    def __setitem__(self, key: BlockKey, values: np.ndarray) -> None: ...
+
+class BlockDict(Dict[BlockKey, np.ndarray]):
+    """A sink that keeps each written block's values under its key (the
+    lake scanner's chunks of one row group).  A value is a row of its
+    group's decoded array."""
+
+    def write_groups(
+        self, keys: Sequence[BlockKey], groups: Sequence[DecodedGroup]
+    ) -> None:
+        for positions, values in groups:
+            for position, row in zip(positions, values):
+                key = keys[position]
+                if key not in self:
+                    self[key] = row
 
 
 @dataclass
@@ -242,29 +269,41 @@ class ManagedStorage:
     ) -> None:
         """Read ``blocks`` into ``into``, counting every access.
 
-        ``keys`` name distinct blocks of one slice.  One lock round looks
-        them all up and counts the hits; misses are fetched outside the
-        lock in key order, then counted, written to ``into`` and made
-        resident in a second round, which also moves every key to the
-        most-recent end.  Counters and residency end-state are those of
-        reading the keys one at a time.  ``into`` is the one sink of
-        these keys: a resident key's values are already in it, and a
-        fetched key's are written only if they are not (the module
+        ``keys`` name distinct blocks of one slice, read in one round
+        (:meth:`_read_round`).  Counters and residency end-state are
+        those of reading the keys one at a time.  ``into`` is the one
+        sink of these keys: a resident key's values are already in it,
+        and a fetched key's are written only if they are not (the module
         doc's rules).  ``reader`` is the statement the read belongs to:
         its sink is counted into, its budget pays for retries, and while
         it is scanning, eviction waits for its ``end_scan_phase``.
         """
         if reader is None:
             reader = self._direct
-        cache = self._cache
         capacity = self.cache_capacity
         if not reader.scanning and capacity is not None and len(keys) > 1:
-            if len(cache) + len(keys) > capacity:
+            if len(self._cache) + len(keys) > capacity:
                 # A read outside a scan evicts as it inserts: a miss may
                 # push out a block a later key would have hit.  Keep that order.
                 for key, block in zip(keys, blocks):
-                    self.read_blocks((key,), (block,), reader, into=into)
+                    self._read_round((key,), (block,), reader, into)
                 return
+        self._read_round(keys, blocks, reader, into)
+
+    def _read_round(
+        self,
+        keys: Sequence[BlockKey],
+        blocks: Sequence[EncodedBlock],
+        reader: QueryStorageContext,
+        into: BlockSink,
+    ) -> None:
+        """One lock round looks every key up and counts the hits.  The
+        misses decode outside the lock, in one call per codec group, and
+        under an armed injector run their attempt loops in key order.  A
+        second round counts what was fetched, writes it to ``into`` in
+        one call, makes it resident and moves every key to the
+        most-recent end."""
+        cache = self._cache
         sinks = self._sinks(reader)
         with self._lock:
             missing = [i for i, key in enumerate(keys) if key not in cache]
@@ -274,23 +313,38 @@ class ManagedStorage:
             if not missing:
                 self._settle_locked(keys, reader)
                 return
-        # Decode (and any fault machinery) runs outside the storage lock
-        # so fetches genuinely overlap across workers and queries.
-        fetched: List[Tuple[BlockKey, np.ndarray]] = []
+        fetched = [keys[i] for i in missing]
+        encoded = [blocks[i] for i in missing]
+        groups = decode_blocks(encoded)
+        done = len(fetched)
         try:
-            for i in missing:
-                fetched.append((keys[i], self._fetch(keys[i], blocks[i], reader)))
+            if self._faults_armed:
+                done = 0
+                rows = {
+                    position: row
+                    for positions, values in groups
+                    for position, row in zip(positions, values)
+                }
+                for position, (key, block) in enumerate(zip(fetched, encoded)):
+                    self._attempts(key, block, rows[position], reader)
+                    done += 1
         finally:
-            # A fetch that raised leaves the ones before it counted.
-            nbytes = sum(blocks[i].nbytes for i in missing[: len(fetched)])
+            # A fetch that raised leaves the ones before it counted and written.
+            if done < len(fetched):
+                kept = []
+                for positions, values in groups:
+                    cut = bisect_left(positions, done)
+                    if cut:
+                        kept.append((positions[:cut], values[:cut]))
+                groups = kept
+            nbytes = sum([block.nbytes for block in encoded[:done]])
             with self._lock:
                 for stats in sinks:
-                    stats.remote_fetches += len(fetched)
+                    stats.remote_fetches += done
                     stats.bytes_fetched += nbytes
-                for key, values in fetched:
-                    # Written once, before the key is resident.
-                    if key not in into:
-                        into[key] = values
+                # Written once, before the keys are resident.
+                into.write_groups(fetched, groups)
+                for key in fetched[:done]:
                     cache[key] = None
                 self._settle_locked(keys, reader)
 
@@ -308,30 +362,33 @@ class ManagedStorage:
         if capacity is None:
             return
         cache = self._cache
+        move_to_end = cache.move_to_end
         for key in keys:
-            if key in cache:
-                cache.move_to_end(key)
+            try:
+                move_to_end(key)
+            except KeyError:
+                pass  # a fetch that raised, or evicted between the rounds
         if not reader.scanning:
             while len(cache) > capacity:
                 cache.popitem(last=False)
 
-    def _fetch(
-        self, key: BlockKey, block: EncodedBlock, reader: QueryStorageContext
-    ) -> np.ndarray:
-        if not self._faults_armed:
-            return decode_block(block)
-        return self._fetch_resilient(key, block, reader)
+    def _attempts(
+        self,
+        key: BlockKey,
+        block: EncodedBlock,
+        values: np.ndarray,
+        reader: QueryStorageContext,
+    ) -> None:
+        """One fetched block's attempts under fault injection: verify,
+        retry with backoff, give up.
 
-    def _fetch_resilient(
-        self, key: BlockKey, block: EncodedBlock, reader: QueryStorageContext
-    ) -> np.ndarray:
-        """Fetch under fault injection: verify, retry with backoff, give up.
-
-        Every attempt consults the injector; returned payloads are
-        checksum-verified, so a corrupted fetch is *never* handed to a
-        scan — it is retried like a transient error.  Exhausting
-        ``max_attempts`` or the per-query retry budget raises (the last
-        rung of the degradation ladder).
+        Every attempt consults the injector.  One that does not fail
+        verifies ``values`` (the block's decoded row) against the
+        block's checksum, on a corrupted copy when the attempt corrupts,
+        so a corrupted fetch is *never* handed to a scan — it is retried
+        like a transient error.  Exhausting ``max_attempts`` or the
+        per-query retry budget raises (the last rung of the degradation
+        ladder).
 
         Each attempt's verdict, corruption shape and jitter come from
         its own stream (:meth:`FaultInjector.decide`, keyed by the block,
@@ -355,11 +412,11 @@ class ManagedStorage:
                     for stats in sinks:
                         stats.transient_errors += 1
             else:
-                values = decode_block(block)
+                read = values
                 if decision.corrupt:
-                    values = injector.corrupt_array(values, stream)
-                if block.checksum is None or array_checksum(values) == block.checksum:
-                    return values
+                    read = injector.corrupt_array(values, stream)
+                if block.checksum is None or array_checksum(read) == block.checksum:
+                    return
                 with self._lock:
                     for stats in sinks:
                         stats.corrupt_blocks += 1

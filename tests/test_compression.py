@@ -1,5 +1,6 @@
-"""Block compression codecs: roundtrips, size accounting, and the
-closed-form codec choice against encode-all-and-compare."""
+"""Block compression codecs: roundtrips, size accounting, the
+closed-form codec choice against encode-all-and-compare, and the batch
+decode against decoding block by block."""
 
 from collections import Counter
 from dataclasses import replace
@@ -21,6 +22,7 @@ from repro.storage.compression import (
     array_checksum,
     choose_codec,
     decode_block,
+    decode_blocks,
     seal_blocks,
 )
 from repro.storage.dtypes import DataType
@@ -439,3 +441,118 @@ def test_sealing_encodes_each_block_once_and_never_decodes(monkeypatch):
     column.append(np.concatenate(rows + [np.arange(30)]))  # and a tail
     assert calls == expected
     assert sum(calls.values()) == len(column.blocks) == len(rows)
+
+
+# -- the batch decode against decoding block by block ---------------------------
+
+
+def decode_one_by_one(block):
+    """The reference: one block decoded on its own, by its codec's
+    per-block formula."""
+    payload = block.payload
+    if block.codec_name == "plain":
+        return payload[0]
+    if block.codec_name == "rle":
+        return np.repeat(payload[0], payload[1])
+    if block.codec_name == "for":
+        return np.add(payload[1], payload[0][0], dtype=np.int64)
+    return payload[0][payload[1]]
+
+
+def assert_same_values(got, want):
+    """Byte for byte: dtype, shape and bytes, and on an object block the
+    very objects."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if want.dtype == object:
+        assert all(mine is theirs for mine, theirs in zip(got, want))
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+def assert_batch_equals_one_by_one(encoded):
+    """``decode_blocks`` decodes every block once, in one group per
+    codec, length and decoded dtype, each row the bytes of decoding its
+    block alone; ``decode_block`` (the batch of one) agrees."""
+    groups = decode_blocks(encoded)
+    assert sorted(p for positions, _ in groups for p in positions) == list(
+        range(len(encoded))
+    )
+    kinds = set()
+    for positions, values in groups:
+        assert positions == sorted(positions) and len(values) == len(positions)
+        for position, row in zip(positions, values):
+            want = decode_one_by_one(encoded[position])
+            assert_same_values(row, want)
+            kinds.add((encoded[position].codec_name, len(want), want.dtype))
+    assert len(kinds) == len(groups)  # no group mixes dtypes or lengths
+    for block in encoded:
+        assert_same_values(decode_block(block), decode_one_by_one(block))
+
+
+def encode_as(name, values):
+    """``values`` encoded by codec ``name``, or plain where it declines."""
+    return CODECS[name].encode(values) or CODECS["plain"].encode(values)
+
+
+def object_array(values):
+    array = np.empty(len(values), dtype=object)
+    array[:] = values
+    return array
+
+
+@st.composite
+def miss_sets(draw):
+    """A read round's miss set: 1-12 blocks of int64, float64 or string
+    values, each encoded by a drawn codec (plain where it declines), of
+    lengths from a short list so that groups form."""
+    lengths = draw(st.lists(st.integers(0, 40), min_size=1, max_size=3))
+    pools = {
+        # Offsets from a base: spans FOR takes, and wider ones it declines.
+        "int64": st.integers(0, 3) | st.integers(0, 2**32 - 1) | st.integers(0, 2**34),
+        "float64": st.floats() | st.sampled_from(SPECIAL_FLOATS),
+        "object": st.text("abc", max_size=3),
+    }
+    encoded = []
+    for _ in range(draw(st.integers(1, 12))):
+        dtype = draw(st.sampled_from(sorted(pools)))
+        n = draw(st.sampled_from(lengths))
+        drawn = draw(st.lists(pools[dtype], min_size=n, max_size=n))
+        if dtype == "object":
+            values = object_array(drawn)
+        elif dtype == "int64":
+            base = draw(st.integers(-(2**63), 2**63 - 1 - 2**34))
+            values = np.array(drawn, dtype=np.int64) + base
+        else:
+            values = np.array(drawn, dtype=dtype)
+        if draw(st.booleans()):  # runs, for RLE and the dictionary
+            values = np.sort(values)
+        codec = draw(st.sampled_from(["plain", "rle", "for", "dict"]))
+        encoded.append(encode_as(codec, values))
+    return encoded
+
+
+@given(miss_sets())
+@settings(max_examples=300, deadline=None)
+def test_batch_decode_equals_decoding_block_by_block(encoded):
+    assert_batch_equals_one_by_one(encoded)
+
+
+def test_a_mixed_row_group_decodes_without_upcasting():
+    """A lake row group's chunks: int and float blocks of one length,
+    under every codec, with -0.0 and NaN payloads, and strings.  Each
+    comes back in its own dtype; a batch of one each too."""
+    n = 8
+    ints = np.array([5, 5, 5, 7, 7, 9, 2**31, 2**31], dtype=np.int64)
+    floats = np.array([0.0, -0.0, -0.0, NAN_PAYLOAD, -np.nan, 1.5, 1.5, np.inf])
+    strings = object_array(["a", "a", "b", "a", "c", "c", "c", "a"])
+    encoded = [
+        encode_as("for", ints), encode_as("rle", floats), encode_as("dict", strings),
+        encode_as("rle", ints), encode_as("dict", floats), encode_as("plain", ints),
+        encode_as("plain", floats), encode_as("dict", ints), encode_as("for", ints + 1),
+        encode_as("rle", strings), encode_as("plain", strings),
+    ]
+    assert {block.codec_name for block in encoded} == {"plain", "rle", "for", "dict"}
+    assert all(block.num_values == n for block in encoded)
+    assert_batch_equals_one_by_one(encoded)
+    for block in encoded:
+        assert_batch_equals_one_by_one([block])

@@ -352,6 +352,37 @@ class TestAggregation:
         )
         assert engine.execute_plan(plan).scalar() == 0
 
+    @pytest.mark.parametrize("dtype", [DataType.INT64, DataType.DATE])
+    def test_min_and_max_are_exact_past_2_to_the_53(self, dtype):
+        """An integer column's MIN / MAX keep its dtype: through float64
+        ``2**53 + 3`` reads ``2**53 + 4`` and ``-(2**53 + 1)`` reads
+        ``-2**53``."""
+        big = 2**53
+        db = Database(num_slices=2, rows_per_block=2)
+        db.create_table(TableSchema("t", (
+            ColumnSpec("g", DataType.INT64), ColumnSpec("x", dtype),
+        )))
+        engine = QueryEngine(db)
+        engine.insert("t", {
+            "g": np.array([0, 0, 1, 1, 0]),
+            "x": np.array([big + 1, big + 3, 5, -(big + 1), -3], dtype=np.int64),
+        })
+        result = engine.execute("select max(x) as hi, min(x) as lo from t")
+        assert result.column("hi").dtype == result.column("lo").dtype == np.int64
+        assert (result.column("hi")[0], result.column("lo")[0]) == (big + 3, -(big + 1))
+        grouped = engine.execute(
+            "select g, max(x) as hi, min(x) as lo from t group by g order by g"
+        )
+        assert grouped.column("hi").tolist() == [big + 3, 5]
+        assert grouped.column("lo").tolist() == [-3, -(big + 1)]
+
+    def test_min_and_max_over_no_rows_are_nan(self, star_db):
+        db, engine = star_db
+        result = engine.execute(
+            "select min(tag) as lo, max(tag) as hi from fact where tag = 999"
+        )
+        assert np.isnan(result.column("lo")[0]) and np.isnan(result.column("hi")[0])
+
     def test_aggregation_validation(self):
         with pytest.raises(ValueError):
             Aggregation("median", Col("x"), "m")

@@ -129,7 +129,7 @@ def test_zero_rate_injector_adds_no_call_to_the_cold_scan():
         if armed:
             db.attach_faults(FaultInjector(seed=0))
         engine = make_engine(db)
-        calls[armed] = count_calls(lambda: engine.execute(QUERY), "_fetch_resilient")
+        calls[armed] = count_calls(lambda: engine.execute(QUERY), "_attempts")
     assert calls[False][0] > 0
     assert calls[True] == calls[False]
 

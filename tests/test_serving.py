@@ -61,18 +61,20 @@ def make_loaded_engine(generator, rows_per_table=3000, **db_kwargs):
 
 
 def slow_fetches(engine, seconds):
-    """Make every remote fetch of ``engine``'s storage sleep ``seconds``
-    first, outside the storage lock like a network round trip, so
-    statements stay in flight long enough for queues to fill and
-    deadlines to expire."""
+    """Make every read of ``engine``'s storage sleep ``seconds`` per
+    block it fetched remotely, after its rounds and outside the storage
+    lock like a network round trip, so statements stay in flight long
+    enough for queues to fill and deadlines to expire."""
     rms = engine.database.rms
-    fetch = rms._fetch
+    read = rms.read_blocks
 
-    def slow(*args):
-        time.sleep(seconds)
-        return fetch(*args)
+    def slow(keys, blocks, reader=None, *, into):
+        stats = rms.stats if reader is None else reader.stats
+        before = stats.remote_fetches
+        read(keys, blocks, reader, into=into)
+        time.sleep(seconds * (stats.remote_fetches - before))
 
-    rms._fetch = slow
+    rms.read_blocks = slow
 
 
 # -- server semantics ---------------------------------------------------------

@@ -13,9 +13,9 @@ from repro.core.rowrange import RangeList
 from repro.faults import FaultInjector, RetryBudgetExceeded, RetryPolicy
 from repro.storage import ColumnSpec, Database, Table, TableSchema
 from repro.storage.compression import choose_codec, decode_block, seal_blocks
-from repro.storage.column import BlockCoverage, ColumnStore, GrowableArray
+from repro.storage.column import BlockCoverage, ColumnStore, DecodedBlocks, GrowableArray
 from repro.storage.dtypes import DataType, date_to_days, days_to_date
-from repro.storage.rms import ManagedStorage
+from repro.storage.rms import BlockDict, ManagedStorage
 from repro.predicates.ast import Bounds
 from repro.storage.slice import DataSlice
 from repro.storage.zonemap import ZoneMap
@@ -224,7 +224,7 @@ class TestManagedStorage:
         rms = ManagedStorage()
         block = self._block([1, 2, 3])
         key = ("t", 0, "c", 0)
-        into = {}
+        into = BlockDict()
         rms.read_blocks((key,), (block,), into=into)
         assert into[key].tolist() == [1, 2, 3]
         rms.read_blocks((key,), (block,), into=into)
@@ -236,7 +236,7 @@ class TestManagedStorage:
     def test_lru_eviction(self):
         rms = ManagedStorage(cache_capacity=2)
         blocks = {i: self._block([i]) for i in range(3)}
-        into = {}
+        into = BlockDict()
         for i in range(3):
             rms.read_blocks((("t", 0, "c", i),), (blocks[i],), into=into)
         first = into[("t", 0, "c", 0)]
@@ -255,7 +255,7 @@ class TestManagedStorage:
         blocks = [self._block([i]) for i in range(3)]
         reader = rms.query_context()
         reader.begin_scan_phase()
-        into = {}
+        into = BlockDict()
         for i in (0, 1, 2, 0):  # the last read of block 0 is a hit
             reader.read_blocks((keys[i],), (blocks[i],), into=into)
         assert [into[key].tolist() for key in keys] == [[0], [1], [2]]
@@ -266,25 +266,25 @@ class TestManagedStorage:
 
     def test_invalidate_table(self):
         rms = ManagedStorage()
-        into = {}
+        into = BlockDict()
         rms.read_blocks((("a", 0, "c", 0),), (self._block([1]),), into=into)
         rms.read_blocks((("b", 0, "c", 0),), (self._block([2]),), into=into)
         rms.invalidate_table("a")
         assert rms.cached_blocks == 1
-        rms.read_blocks((("a", 0, "c", 0),), (self._block([1]),), into={})
+        rms.read_blocks((("a", 0, "c", 0),), (self._block([1]),), into=BlockDict())
         assert rms.stats.remote_fetches == 3
 
     def test_bytes_fetched(self):
         rms = ManagedStorage()
         block = self._block(np.arange(100))
-        into = {}
+        into = BlockDict()
         rms.read_blocks((("t", 0, "c", 0),), (block,), into=into)
         assert rms.stats.bytes_fetched == block.nbytes
         assert into[("t", 0, "c", 0)].tolist() == list(range(100))
 
     def test_stats_delta(self):
         rms = ManagedStorage()
-        into = {}
+        into = BlockDict()
         rms.read_blocks((("t", 0, "c", 0),), (self._block([1]),), into=into)
         before = rms.stats.snapshot()
         rms.read_blocks((("t", 0, "c", 0),), (self._block([1]),), into=into)
@@ -331,7 +331,7 @@ def drive(calls, batched, capacity, phased, injector=None, retry_budget=None):
             injector, RetryPolicy(max_attempts=12, retry_budget=retry_budget)
         )
     query = rms.query_context()
-    into = {}
+    into = BlockDict()
     seen = {"values": [], "orders": [], "gave_up": None}
     for index, (keys, blocks) in enumerate(calls):
         if phased and index % 5 == 0:
@@ -417,7 +417,7 @@ class TestReadBlocks:
         )
         keys, blocks = block_calls(0)[0]
         assert len(keys) >= 2
-        into = {}
+        into = BlockDict()
         with pytest.raises(Exception):
             rms.read_blocks(keys, blocks, into=into)
         assert rms.stats.remote_fetches == 1
@@ -425,7 +425,7 @@ class TestReadBlocks:
         assert list(into) == keys[:1]
 
 
-class ResidencyCheckingSink(dict):
+class ResidencyCheckingSink(BlockDict):
     """An ``into`` that asserts, on every write, that its key is not yet
     resident, and records the keys written."""
 
@@ -484,6 +484,21 @@ class TestRowsBeforeResidency:
         assert into.writes == keys
         for key, block in zip(keys, blocks):
             assert into[key].tolist() == decode_block(block).tolist()
+
+
+def test_a_group_writes_only_its_unwritten_rows():
+    """One decoded group whose blocks are partly written: the unwritten
+    rows land, the written ones keep the values they had."""
+    decoded = DecodedBlocks(np.dtype(np.int64), 3)
+    decoded.grow(4)
+    keys = [("t", 0, "c", b) for b in range(4)]
+    values = np.arange(12).reshape(4, 3)
+    decoded.write_groups(keys, [([1, 3], values[[1, 3]])])
+    decoded.write_groups(keys, [([0, 1, 2, 3], values + 100)])
+    assert [decoded.row(b).tolist() for b in range(4)] == [
+        [100, 101, 102], [3, 4, 5], [106, 107, 108], [9, 10, 11],
+    ]
+    assert all(decoded.written(b) for b in range(4))
 
 
 def test_concurrent_readers_take_only_written_rows():
@@ -557,7 +572,7 @@ class TestReadersAreExplicit:
         rms = self.armed(budget=500)
         one, two = rms.query_context(), rms.query_context()
         one.begin_scan_phase()  # one is mid-scan, two reads unphased
-        into = {}
+        into = BlockDict()
         for index, (keys, blocks) in enumerate(block_calls(1)):
             (one, two)[index % 2].read_blocks(keys, blocks, into=into)
             assert all(key in into for key in keys)
@@ -574,7 +589,7 @@ class TestReadersAreExplicit:
         rms = self.armed(budget=2)
         spent, fresh = rms.query_context(), rms.query_context()
         calls = block_calls(2)
-        into = {}  # the one sink of these keys, whichever reader reads them
+        into = BlockDict()  # the one sink of these keys, whichever reader reads them
         with pytest.raises(RetryBudgetExceeded):
             for keys, blocks in calls:
                 spent.read_blocks(keys, blocks, into=into)
@@ -592,7 +607,7 @@ class TestReadersAreExplicit:
         rms = self.armed(budget=500)
         reader = rms.query_context()
         calls = block_calls(3)
-        into = {}
+        into = BlockDict()
         threads = [
             threading.Thread(
                 target=lambda mine: [
