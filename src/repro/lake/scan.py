@@ -221,9 +221,10 @@ class LakeScanner:
     def _read_columns(
         self, group: RowGroup, ordinal: int, names: Sequence[str], run: _ScanRun
     ) -> Dict[str, np.ndarray]:
-        """Fetch column chunks of one row group through managed storage
-        into a :class:`BlockDict` of their decoded values (capacity 0:
-        none is ever resident, so every read writes them)."""
+        """Fetch column chunks of one row group through managed storage,
+        in one read round, into a :class:`BlockDict` of their decoded
+        values (capacity 0: none is ever resident, so every read writes
+        them)."""
         if not names:
             return {}
         blocks = [group.chunk(name).encoded for name in names]

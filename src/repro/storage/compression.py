@@ -31,8 +31,9 @@ a fixed few numpy calls, none per block: FOR widens the concatenated
 deltas to int64 and adds the references down the rows, RLE repeats the
 concatenated runs once, the dictionary takes the concatenated codes,
 offset per block, from the concatenated dictionaries, and plain
-concatenates.  :func:`decode_blocks` groups a read round's misses by
-codec, length and decoded dtype (so an int block never upcasts beside
+concatenates (a plain batch of one is its payload, uncopied).
+:func:`decode_blocks` groups a read round's misses by codec, length and
+decoded dtype (so an int chunk of a lake row group never upcasts beside
 a float one) and decodes each group in one codec call;
 :func:`decode_block` is the batch of one.  Both give the bytes a
 block-at-a-time decode would, ``-0.0``, NaN payloads and object values
@@ -42,9 +43,8 @@ included.
 from __future__ import annotations
 
 import zlib
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import DefaultDict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -160,7 +160,9 @@ class Codec:
 
     def decode(self, blocks: Sequence[EncodedBlock]) -> np.ndarray:
         """Decode k >= 1 blocks of this codec, one length and one decoded
-        dtype: a new ``(k, n)`` array whose row i is block i's values."""
+        dtype: a ``(k, n)`` array whose row i is block i's values.  Plain's
+        batch of one is a view of its payload, so no caller may write into a
+        decoded array."""
         raise NotImplementedError
 
 
@@ -179,6 +181,8 @@ class PlainCodec(Codec):
         )
 
     def decode(self, blocks: Sequence[EncodedBlock]) -> np.ndarray:
+        if len(blocks) == 1:
+            return blocks[0].payload[0][None]  # the payload, uncopied
         values = np.concatenate([block.payload[0] for block in blocks])
         return values.reshape(len(blocks), blocks[0].num_values)
 
@@ -410,12 +414,12 @@ def decode_blocks(blocks: Sequence[EncodedBlock]) -> List[DecodedGroup]:
     """Decode ``blocks`` by the group: blocks of one codec, one length
     and one decoded dtype decode together, in one call of their codec.
     Groups come in the order of their first block."""
-    groups: DefaultDict[Tuple[str, int, np.dtype], List[int]] = defaultdict(list)
+    groups: Dict[Tuple[str, int, np.dtype], List[int]] = {}
     for position, block in enumerate(blocks):
         # A block's first payload array has its decoded dtype (FOR's
         # int64 reference; the values, runs or dictionary otherwise).
         kind = (block.codec_name, block.num_values, block.payload[0].dtype)
-        groups[kind].append(position)
+        groups.setdefault(kind, []).append(position)
     return [
         (positions, CODECS[kind[0]].decode([blocks[p] for p in positions]))
         for kind, positions in groups.items()

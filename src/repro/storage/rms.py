@@ -281,7 +281,9 @@ class ManagedStorage:
         if reader is None:
             reader = self._direct
         capacity = self.cache_capacity
-        if not reader.scanning and capacity is not None and len(keys) > 1:
+        # Capacity 0 (the lake scanner's) keeps nothing resident past a
+        # round, so every key misses in either order: one round.
+        if not reader.scanning and capacity and len(keys) > 1:
             if len(self._cache) + len(keys) > capacity:
                 # A read outside a scan evicts as it inserts: a miss may
                 # push out a block a later key would have hit.  Keep that order.

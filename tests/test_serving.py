@@ -42,6 +42,7 @@ from repro.persist import CacheStore
 from repro.serve import AdmissionController
 from repro.serve.server import _is_write_statement
 from repro.sql import SelectStatement, parse_statement
+from repro.storage import rms as rms_module
 
 from tests.loadgen import LoadGenerator, run_closed_loop, setup_load_tables
 from tests.rowsets import rows
@@ -60,21 +61,18 @@ def make_loaded_engine(generator, rows_per_table=3000, **db_kwargs):
     return setup_load_tables(engine, generator, rows_per_table=rows_per_table)
 
 
-def slow_fetches(engine, seconds):
-    """Make every read of ``engine``'s storage sleep ``seconds`` per
-    block it fetched remotely, after its rounds and outside the storage
-    lock like a network round trip, so statements stay in flight long
-    enough for queues to fill and deadlines to expire."""
-    rms = engine.database.rms
-    read = rms.read_blocks
+def slow_fetches(monkeypatch, seconds):
+    """Make every read round sleep ``seconds`` per block it fetches
+    remotely, between its two lock rounds (before the blocks are
+    resident) like a network round trip, so statements stay in flight
+    long enough for queues to fill and deadlines to expire."""
+    decode_blocks = rms_module.decode_blocks
 
-    def slow(keys, blocks, reader=None, *, into):
-        stats = rms.stats if reader is None else reader.stats
-        before = stats.remote_fetches
-        read(keys, blocks, reader, into=into)
-        time.sleep(seconds * (stats.remote_fetches - before))
+    def slow(blocks):
+        time.sleep(seconds * len(blocks))
+        return decode_blocks(blocks)
 
-    rms.read_blocks = slow
+    monkeypatch.setattr(rms_module, "decode_blocks", slow)
 
 
 # -- server semantics ---------------------------------------------------------
@@ -187,10 +185,10 @@ class TestServerBasics:
         assert len(server._queue) == 0
         assert server.admission.total_outstanding == 0
 
-    def test_admission_rejects_past_tenant_limits(self):
+    def test_admission_rejects_past_tenant_limits(self, monkeypatch):
         gen = LoadGenerator(num_clients=1, statements_per_client=1, seed=2)
         engine = make_loaded_engine(gen)
-        slow_fetches(engine, 0.02)
+        slow_fetches(monkeypatch, 0.02)
         admission = AdmissionController(max_in_flight=1, max_queued=0)
         server = QueryServer(engine, max_workers=2, admission=admission)
         try:
@@ -208,10 +206,10 @@ class TestServerBasics:
         rejected = next(r for r in responses if r.status is RequestStatus.REJECTED)
         assert "admission" in rejected.error
 
-    def test_deadline_expires_in_queue(self):
+    def test_deadline_expires_in_queue(self, monkeypatch):
         gen = LoadGenerator(num_clients=1, statements_per_client=1, seed=3)
         engine = make_loaded_engine(gen, cache_capacity=2)
-        slow_fetches(engine, 0.01)
+        slow_fetches(monkeypatch, 0.01)
         admission = AdmissionController(max_in_flight=1, max_queued=4)
         server = QueryServer(engine, max_workers=2, admission=admission)
         try:
@@ -246,10 +244,10 @@ class TestServerBasics:
         finally:
             server.shutdown()
 
-    def test_shutdown_without_drain_rejects_queued_work(self):
+    def test_shutdown_without_drain_rejects_queued_work(self, monkeypatch):
         gen = LoadGenerator(num_clients=1, statements_per_client=1, seed=5)
         engine = make_loaded_engine(gen, cache_capacity=2)
-        slow_fetches(engine, 0.005)
+        slow_fetches(monkeypatch, 0.005)
         admission = AdmissionController(max_in_flight=1, max_queued=64)
         server = QueryServer(engine, max_workers=1, admission=admission)
         sql = f"select count(*) from {gen.table_for(0)}"
@@ -331,10 +329,10 @@ class TestAdmissionIdempotence:
 
 
 class TestOverloadShedding:
-    def test_tenant_limit_rejections_carry_the_reason(self):
+    def test_tenant_limit_rejections_carry_the_reason(self, monkeypatch):
         gen = LoadGenerator(num_clients=1, statements_per_client=1, seed=2)
         engine = make_loaded_engine(gen)
-        slow_fetches(engine, 0.02)
+        slow_fetches(monkeypatch, 0.02)
         admission = AdmissionController(max_in_flight=1, max_queued=0)
         server = QueryServer(engine, max_workers=2, admission=admission)
         try:
@@ -361,13 +359,13 @@ class TestOverloadShedding:
 
 
 class TestDeadlineDrainRace:
-    def test_deadline_expiry_races_drain_at_eight_clients(self):
+    def test_deadline_expiry_races_drain_at_eight_clients(self, monkeypatch):
         """8 client threads submit tight-deadline requests while the
         main thread drains: every admitted request must resolve to a
         terminal Response (OK or TIMED_OUT) — nothing may hang."""
         gen = LoadGenerator(num_clients=1, statements_per_client=1, seed=9)
         engine = make_loaded_engine(gen)
-        slow_fetches(engine, 0.004)
+        slow_fetches(monkeypatch, 0.004)
         admission = AdmissionController(max_in_flight=2, max_queued=64)
         server = QueryServer(engine, max_workers=2, admission=admission)
         sql = f"select count(*) from {gen.table_for(0)}"
