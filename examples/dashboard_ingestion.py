@@ -92,8 +92,9 @@ def main() -> None:
     engine.vacuum(["orders"])
     after = engine.execute(DASHBOARD[0])
     invalidated = engine.predicate_cache.stats.invalidations - pc.invalidations
-    print(f"vacuum invalidated {invalidated} entries; the next dashboard "
-          f"refresh rebuilds them (cache misses: {after.counters.cache_misses})")
+    print(f"vacuum invalidated {invalidated} entries, dropped by the next "
+          f"dashboard refresh, which rebuilds them "
+          f"(cache misses: {after.counters.cache_misses})")
 
 
 if __name__ == "__main__":

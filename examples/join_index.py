@@ -10,7 +10,8 @@ Replays the paper's running example:
 and shows (1) the two plain entries plus the join-extended entry with
 its nested build-side key, (2) how the join entry is ~100x more
 selective, and (3) how DML on the build side (orders) invalidates only
-the join entries while plain entries survive.
+the join entries while plain entries survive: the insert leaves them
+stale, and the next probe of their key drops them.
 
 Run:  python examples/join_index.py
 """
@@ -53,7 +54,8 @@ def main() -> None:
           f"{second.counters.rows_scanned}")
 
     # DML on the build side: the semi-join filter contents changed, so
-    # join entries die; plain entries survive (§4.4).
+    # the join entries' recorded orders stamp is stale and the next
+    # probe of their key drops them; plain entries survive (§4.4).
     engine.insert(
         "orders",
         {
@@ -65,13 +67,20 @@ def main() -> None:
     print("\nafter inserting into orders (a build side):")
     for entry in cache.entries():
         kind = "JOIN " if entry.key.is_join_key else "plain"
-        print(f"  [{kind}] {entry.key.table}: {entry.key.predicate_key[:60]}")
-    join_left = [e for e in cache.entries() if e.key.is_join_key]
-    print(f"join entries remaining: {len(join_left)} (invalidated); "
-          f"plain entries kept: {len(cache.entries()) - len(join_left)}")
+        stale = any(
+            db.table(name).data_version != version
+            for name, version in entry.build_versions.items()
+        )
+        print(f"  [{kind}] {entry.key.table}: {entry.key.predicate_key[:60]}"
+              f"{'  (stale)' if stale else ''}")
 
+    rejected = cache.stats.stale_rejections
     third = engine.execute(sql)
-    print(f"\nre-run relearns the join entry; answer stays correct: "
+    plain_kept = sum(not e.key.is_join_key for e in cache.entries())
+    print(f"join entries dropped as stale by the re-run: "
+          f"{cache.stats.stale_rejections - rejected}; "
+          f"plain entries kept: {plain_kept}")
+    print(f"re-run relearns the join entry; answer stays correct: "
           f"{third.rows()[0][0]}")
 
 

@@ -1,4 +1,10 @@
-"""Per-node cache routing for multi-node clusters."""
+"""Per-node cache routing for multi-node clusters.
+
+Each node's cache holds its own layout stamps and checks them when a
+scan routed to it reads (DESIGN.md §5); no node hears from a table.  A
+re-shard carries each entry's stamp with its states, so a vacuum that
+no scan has seen yet still drops them on the new nodes.
+"""
 
 from __future__ import annotations
 
@@ -155,7 +161,7 @@ class ClusterCaches:
         tombstone: until :meth:`fail_node` replaces it, scans routed to
         it fail with :class:`~repro.faults.NodeDownError` and degrade to
         cache-off.  The dead cache is closed (a crashed process stops
-        journaling and hears no more table events).  Idempotent.
+        journaling).  Idempotent.
         """
         dead = self._nodes[node_id]
         if isinstance(dead, DownedCache):
@@ -181,7 +187,7 @@ class ClusterCaches:
         replacement = self._new_node()
         self._nodes[node_id] = replacement
         # Retired only once the router no longer hands it out: a cache
-        # that can still serve a scan must still hear its tables.
+        # that can still serve a scan still writes through.
         if not isinstance(replaced, DownedCache):
             replaced.close()
         if self._store is not None:
@@ -196,8 +202,9 @@ class ClusterCaches:
         to their new owning node.  With a store attached the new nodes
         only write through to it: the store already holds every state
         by entry and slice, so nothing is snapshotted or reloaded.
-        Table subscriptions move too — a vacuum right after the resize
-        still invalidates.  Metrics registered through
+        Each state moves with the layout stamp its old node held, so a
+        state of a layout no scan has checked yet is still dropped by
+        the first scan after the resize.  Metrics registered through
         :meth:`register_metrics` are re-registered so new node labels
         appear and the cluster rollups stay consistent.
         """
@@ -218,17 +225,10 @@ class ClusterCaches:
         # through cache_for_slice see either the complete old layout or
         # the complete new one, never a half-built mix.
         new_nodes = [self._new_node() for _ in range(num_nodes)]
-        watched = {
-            table.name: table
-            for cache in old_nodes
-            for table in cache.watched_tables()
-        }
         for node_id, cache in enumerate(new_nodes):
             owned = self._owned_by(node_id)
             for record in records.values():
                 record.install_into(cache, owned)
-            for table in watched.values():
-                cache.watch_table(table)
             if self._store is not None:
                 cache.attach_store(self._store)
         self._nodes = new_nodes

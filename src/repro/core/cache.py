@@ -6,15 +6,21 @@ table mapping :class:`~repro.core.keys.ScanKey` to
 of scanning (the engine calls :meth:`record_slice_scan` with the
 qualifying row ids the vectorized scan produced anyway), consulted
 before scans (:meth:`lookup` / :meth:`select_entry`), and invalidated
-by:
+when a scan reads — no table calls into a cache (DESIGN.md §5):
 
-* ``layout`` changes of the scanned table (vacuum, reorganization) —
-  row numbering changed, all entries on that table are dropped;
-* ``data`` changes of any *build-side* table of a join-index entry —
-  the semi-join filter's contents changed (§4.4).
+* the layout rule, :meth:`check_layout`, run by every scan before it
+  probes: a scanned table whose ``layout_version`` stamp is not the
+  one the cache holds for its name (a vacuum, a reorganization, a
+  table re-created under that name) loses every entry on that name;
+* the build-side rule, in every probe: a join-index entry whose
+  recorded build-side ``data_version`` stamps are not the current
+  ones is dropped, not served — the semi-join filter's contents
+  changed (§4.4).
 
-Plain entries survive inserts/deletes/updates on their own table —
-the design's headline property (§4.3).
+Stamps are never reused (:mod:`repro.storage.table`), so a stale entry
+is never served, and it is gone after the next scan of its table or
+the next probe of its key.  Plain entries survive inserts/deletes/
+updates on their own table — the design's headline property (§4.3).
 
 Locking discipline (DESIGN.md §12): one re-entrant lock serializes
 every mutation — installs, LRU reordering, eviction, invalidation,
@@ -30,14 +36,13 @@ Mutation outside a ``with self._lock`` block (or a helper documented as
 "caller holds ``_lock``") is rejected by checker rule RP007.  Entries
 enter the table through one helper (:meth:`_insert`) and leave it
 through one (:meth:`_remove`), whether installed, restored, evicted or
-invalidated.  The two side indexes — plain entries by the exact
+invalidated.  The side index — plain entries by the exact
 single-column interval their predicate is (the subsumption matcher's
-candidates), join entries by every build-side table they reference
-(what a write there drops) — change only in those two helpers and the
-LRU touch (:meth:`_touch`), so no lookup or invalidation walks every
-entry (DESIGN.md §14).  The running byte count the budget is enforced
-against changes only in those two helpers and the slot store that
-publishes a new slice state, so no install re-sums the payload.
+candidates) — changes only in those two helpers and the LRU touch
+(:meth:`_touch`), so no lookup walks every entry (DESIGN.md §14).  The
+running byte count the budget is enforced against changes only in
+those two helpers and the slot store that publishes a new slice state,
+so no install re-sums the payload.
 
 Write-through (DESIGN.md §9): with a store attached, a mutator only
 *captures* what it changed while it holds the lock — the entry's
@@ -119,18 +124,16 @@ class PredicateCache:
             Tuple[str, str], Dict[ScanKey, Tuple[CacheEntry, Bounds]]
         ] = {}
         self._range_columns: Dict[ScanKey, str] = {}
-        # Join keys by every table in their ``referenced_tables()``.
-        self._build_keys: Dict[str, Dict[ScanKey, None]] = {}
         # Payload bytes of every live entry, kept by the three stores
         # that change one: ``_insert``, ``_remove`` and the slot swap
         # publishing a new slice state (``record_slice_scan``).
         self._nbytes = 0
         self.stats = CacheStats()
         self.reuse_stats = ReuseStats()
-        self._watched: Dict[str, object] = {}
-        # Last observed layout_version (vacuum epoch) per watched table.
-        # Persisted with every entry so recovery can tell whether row
-        # numbering survived the restart (DESIGN.md §9).
+        # The layout_version stamp every live entry on a table name was
+        # built under (:meth:`check_layout`).  Persisted with every
+        # entry so recovery can tell whether row numbering survived the
+        # restart (DESIGN.md §9).
         self._table_layouts: Dict[str, int] = {}
         # Optional durable store; when attached, install/extend/drop
         # events are written through (see repro/persist/): captured
@@ -157,34 +160,29 @@ class PredicateCache:
         """The live per-node caches: just this one."""
         return [self]
 
-    # -- wiring ------------------------------------------------------------------
+    # -- the layout rule -----------------------------------------------------------
 
-    def watch_table(self, table: "Table") -> None:
-        """Subscribe to a table's change events (idempotent)."""
+    def check_layout(self, table: "Table") -> None:
+        """The one layout rule, run by every scan before it probes: if
+        the stamp held for ``table.name`` is not ``table.layout_version``
+        — a vacuum, a reorganization, or another table under that name —
+        drop every entry on the name, then hold the new stamp.
+
+        The stamp is recorded only after the drop, so a concurrent scan
+        that finds it current finds no entry of an older layout.
+        """
+        stamp = table.layout_version
         with self._lock:
-            if table.name in self._watched:
+            if self._table_layouts.get(table.name) == stamp:
                 return
-            self._watched[table.name] = table
-            self._table_layouts[table.name] = table.layout_version
-        table.on_change(self._on_table_event)
-
-    def watched_tables(self) -> List["Table"]:
-        """The table objects this cache subscribed to (resize transfer)."""
+        self.invalidate_table(table.name)
         with self._lock:
-            return list(self._watched.values())
+            self._table_layouts[table.name] = stamp
 
     def table_layout_of(self, table_name: str) -> int:
-        """Last observed layout_version (vacuum epoch) of a table."""
+        """The layout_version stamp held for a table (0: none yet)."""
         with self._lock:
             return self._table_layouts.get(table_name, 0)
-
-    def _on_table_event(self, table: "Table", event: str) -> None:
-        if event == "layout":
-            with self._lock:
-                self._table_layouts[table.name] = table.layout_version
-            self.invalidate_table(table.name)
-        elif event == "data":
-            self.invalidate_build_side(table.name)
 
     # -- persistence ---------------------------------------------------------------
 
@@ -213,14 +211,8 @@ class PredicateCache:
 
     def close(self) -> None:
         """Retire this cache — its node was replaced or restarted: stop
-        writing through and unsubscribe from every watched table, so a
-        table's change events reach only the caches still serving.
-        ``_watched`` is kept: :meth:`watch_table` from a scan still in
-        flight on the retired cache stays a no-op instead of
-        re-subscribing it.  Idempotent."""
+        writing through.  Idempotent."""
         self.detach_store()
-        for table in self.watched_tables():
-            table.off_change(self._on_table_event)
 
     def _capture_state(
         self, entry: CacheEntry, slice_id: int, state: SliceState
@@ -329,8 +321,7 @@ class PredicateCache:
         entry".  Counts a single lookup (hit if any key matched).
         ``current_versions`` maps build-side table names to their
         current ``data_version``; entries whose recorded versions
-        mismatch are dropped as stale (defence in depth on top of
-        event-driven invalidation).
+        mismatch are dropped as stale — the one build-side rule.
         """
         return self._select(keys, current_versions, exact=True)
 
@@ -456,7 +447,7 @@ class PredicateCache:
 
     def _insert(self, entry: CacheEntry) -> None:
         """The one store into ``_entries``: store ``entry`` under its key
-        and in the side indexes, and enforce the byte budget.  Storing
+        and in the side index, and enforce the byte budget.  Storing
         over a live key (a restore) keeps its LRU position in
         ``_entries`` and in its range bucket alike.  Caller holds
         ``_lock``."""
@@ -466,8 +457,6 @@ class PredicateCache:
             self._nbytes -= replaced.nbytes
         self._nbytes += entry.nbytes
         self._entries[key] = entry
-        for table_name in key.referenced_tables():
-            self._build_keys.setdefault(table_name, {})[key] = None
         if self.config.enable_reuse and not key.is_join_key:
             interval = exact_interval_of_key(key.predicate_key)
             if interval is not None:
@@ -577,13 +566,6 @@ class PredicateCache:
             lambda live: [key for key in live if key.table == table_name]
         )
 
-    def invalidate_build_side(self, table_name: str) -> int:
-        """Drop join-index entries whose build side includes the table
-        (at any depth of a snowflake chain): its build-table bucket."""
-        return self._invalidate(
-            lambda live: list(self._build_keys.get(table_name, ()))
-        )
-
     def clear(self) -> int:
         """Drop every entry, counting invalidations.
 
@@ -635,18 +617,13 @@ class PredicateCache:
 
     def _remove(self, key: ScanKey) -> CacheEntry:
         """The one removal from ``_entries``: pop the live entry, take
-        it out of the side indexes (an emptied bucket goes with it), and
+        it out of the side index (an emptied bucket goes with it), and
         queue its drop for the journal.  Eviction calls this directly,
         so the admission policy keeps its observations of an evicted
         key; invalidation goes through :meth:`_drop`.  Caller holds
         ``_lock``."""
         entry = self._entries.pop(key)
         self._nbytes -= entry.nbytes
-        for table_name in key.referenced_tables():
-            keys = self._build_keys[table_name]
-            del keys[key]
-            if not keys:
-                del self._build_keys[table_name]
         column = self._range_columns.pop(key, None)
         if column is not None:
             slot = (key.table, column)

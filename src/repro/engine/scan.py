@@ -536,7 +536,8 @@ def _prepare_cache_context(
 ) -> _SliceCacheContext:
     """Probe the cache and decide which entries this scan records."""
     counters = statement.counters
-    cache.watch_table(table)
+    # The layout rule: no entry of another layout of this table serves.
+    cache.check_layout(table)
     cache_join = cache.config.cache_join_keys
     candidate_keys = []
     if join_key is not None and cache_join:

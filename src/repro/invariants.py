@@ -234,8 +234,8 @@ def check_cache(cache: Any) -> None:
     * every live entry has at least one slice;
     * policy accounting: a bounded admission policy never tracks more
       keys than its configured bound;
-    * side indexes (DESIGN.md §14): both equal what a walk of the live
-      entries derives (:func:`_check_cache_indexes`).
+    * side index (DESIGN.md §14): it equals what a walk of the live
+      entries derives (:func:`_check_cache_index`).
     """
     entries = cache.entries()
     total = sum(entry.nbytes for entry in entries)
@@ -253,24 +253,20 @@ def check_cache(cache: Any) -> None:
         _fail(
             f"admission policy tracks {tracked} keys, bound is {max_tracked}"
         )
-    _check_cache_indexes(cache, entries)
+    _check_cache_index(cache, entries)
 
 
-def _check_cache_indexes(cache: Any, entries: Any) -> None:
-    """The cache's side indexes equal what a walk of its live entries
+def _check_cache_index(cache: Any, entries: Any) -> None:
+    """The cache's side index equals what a walk of its live entries
     (in LRU order) derives: every plain key whose predicate parses to
     one exact single-column interval — with reuse on — in its (table,
     column) bucket, with its live entry and that interval, each bucket
-    in LRU order; every join key under each table it references.  No
-    bucket is empty."""
+    in LRU order.  No bucket is empty."""
     from .predicates.interval import exact_interval_of_key
 
     ranges: dict = {}
-    build: dict = {}
     for entry in entries:
         key = entry.key
-        for table_name in key.referenced_tables():
-            build.setdefault(table_name, set()).add(key)
         if cache.config.enable_reuse and not key.is_join_key:
             interval = exact_interval_of_key(key.predicate_key)
             if interval is not None:
@@ -296,14 +292,6 @@ def _check_cache_indexes(cache: Any, entries: Any) -> None:
     }
     if cache._range_columns != columns:
         _fail("interval index's key -> column map disagrees with its buckets")
-    by_table = {table: set(keys) for table, keys in cache._build_keys.items()}
-    if by_table != build:
-        wrong = sorted(
-            table
-            for table in set(by_table) | set(build)
-            if by_table.get(table) != build.get(table)
-        )
-        _fail(f"build-table index disagrees with the live entries on {wrong}")
 
 
 # -- snapshot round trip ----------------------------------------------------

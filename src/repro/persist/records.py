@@ -81,8 +81,8 @@ def _semijoin_from_obj(obj: Mapping) -> SemiJoinDescriptor:
 class EntryRecord:
     """One cache entry in transfer form (metadata + slice states).
 
-    ``table_layout`` is the scanned table's ``layout_version`` (vacuum
-    epoch) observed when the states were recorded — the load-time
+    ``table_layout`` is the scanned table's ``layout_version`` stamp
+    the cache held when the states were recorded — the load-time
     validity anchor: a mismatch means row numbering changed and the
     states describe rows that no longer exist.  ``build_versions`` are
     the build-side tables' ``data_version`` stamps with the same role

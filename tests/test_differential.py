@@ -2,7 +2,8 @@
 
 The predicate cache is an *optimization* — it must never change what a
 query returns.  These tests drive randomized workloads (scans mixed
-with inserts, deletes, updates, and vacuums) against two engines over
+with inserts, deletes, updates, vacuums, and ``t`` dropped and
+re-created from another seed) against two engines over
 identical twin databases: one with a predicate cache, one without.
 After every step the two must agree on result rows, ``rows_output``,
 and MVCC-visible row counts.  Any divergence is a caching bug
@@ -23,7 +24,12 @@ from hypothesis import strategies as st
 
 from repro import PredicateCache, PredicateCacheConfig, parse_predicate
 
-from tests.twins import COLUMNS, assert_rows_equal, seeded_engine
+from tests.twins import (
+    COLUMNS,
+    assert_rows_equal,
+    create_seeded_table,
+    seeded_engine,
+)
 
 SEED_ROWS = 1200
 #: Seed and layout of the twins' table ``t``.
@@ -81,6 +87,10 @@ def apply_step(cached, plain, step, step_no):
     elif kind == "vacuum":
         cached.vacuum(["t"])
         plain.vacuum(["t"])
+    elif kind == "recreate":
+        for engine in (cached, plain):
+            engine.database.drop_table("t")
+            create_seeded_table(engine.database, seed=step[1], rows=SEED_ROWS)
     else:  # pragma: no cover - strategy bug
         raise AssertionError(f"unknown step kind {kind!r}")
 
@@ -109,6 +119,7 @@ step_strategy = st.one_of(
         st.integers(0, 100),
     ),
     st.just(("vacuum",)),
+    st.tuples(st.just("recreate"), st.integers(0, 2**16)),
 )
 
 
@@ -141,7 +152,7 @@ def generate_steps(rng, n):
     steps = []
     for _ in range(n):
         kind = rng.choice(
-            ["scan"] * 5 + ["insert", "delete", "update", "vacuum"]
+            ["scan"] * 5 + ["insert", "delete", "update", "vacuum", "recreate"]
         )
         column = str(rng.choice(COLUMNS))
         value = int(rng.integers(0, 100))
@@ -153,6 +164,8 @@ def generate_steps(rng, n):
             steps.append(("delete", column, value))
         elif kind == "update":
             steps.append(("update", column, value, int(rng.integers(0, 100))))
+        elif kind == "recreate":
+            steps.append(("recreate", int(rng.integers(0, 2**16))))
         else:
             steps.append(("vacuum",))
     return steps

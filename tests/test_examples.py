@@ -36,7 +36,7 @@ def test_dashboard_ingestion():
 def test_join_index():
     out = run_example("join_index.py")
     assert "more selective than the plain entry" in out
-    assert "join entries remaining: 0" in out
+    assert "join entries dropped as stale by the re-run: 1;" in out
 
 
 def test_caching_techniques_tour():

@@ -116,6 +116,7 @@ class TestDmlLifecycle:
         assert stats.inserts >= 1
         engine.delete_where("lineitem", tpch_parse("l_quantity >= 49"))
         engine.vacuum(["lineitem"])
+        assert engine.execute(q).counters.cache_hits == 0
         assert engine.predicate_cache.stats.invalidations >= 1
 
 
@@ -130,7 +131,9 @@ class TestJoinIndexLifecycle:
         assert join_keys_before
 
         # Insert into orders (a build side): join entries on lineitem
-        # probing orders must die; plain entries survive.
+        # probing orders must never serve again, and the next probe of
+        # their key drops them; plain entries survive.
+        stale_before = cache.stats.stale_rejections
         engine.insert(
             "orders",
             {
@@ -143,14 +146,22 @@ class TestJoinIndexLifecycle:
                 "o_shippriority": [0],
             },
         )
-        remaining_join = [k for k in cache.keys() if k.is_join_key and "orders" in k.referenced_tables()]
-        assert not remaining_join
+        stale = [
+            e for e in cache.entries()
+            if e.key.is_join_key and "orders" in e.key.referenced_tables()
+        ]
+        assert stale
         for key in plain_before:
             assert key in cache
 
         # The query still answers correctly and re-learns the join entry.
-        engine.execute(sql)
+        result = engine.execute(sql)
+        assert result.rows() == QueryEngine(engine.database).execute(sql).rows()
+        assert cache.stats.stale_rejections - stale_before == len(stale)
+        assert not any(e is s for e in cache.entries() for s in stale)
         assert any(k.is_join_key for k in cache.keys())
+        for key in plain_before:
+            assert key in cache
 
     def test_correct_results_after_build_side_change(self, tpch_engine):
         engine = tpch_engine

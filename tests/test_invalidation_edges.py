@@ -14,6 +14,7 @@ from repro import (
     SemiJoinDescriptor,
     parse_predicate,
 )
+from repro.baselines.result_cache import ResultCache
 from repro.storage import ColumnSpec, DataType, TableSchema
 
 from tests.rowsets import rows
@@ -62,35 +63,42 @@ JOIN_Q = (
 
 class TestVacuumScope:
     def test_vacuum_drops_only_reorganized_table(self):
-        """Vacuuming ``fact`` must not touch entries on ``other``."""
+        """Vacuuming ``fact`` must not touch entries on ``other``: a scan
+        of ``other`` still hits, and the next scan of ``fact`` drops
+        every ``fact`` entry of the old layout before it probes."""
         engine = make_engine()
         engine.execute(FACT_Q)
         engine.execute(OTHER_Q)
         cache = engine.predicate_cache
-        fact_keys = [k for k in cache.keys() if k.table == "fact"]
+        fact_entries = [e for e in cache.entries() if e.key.table == "fact"]
         other_keys = [k for k in cache.keys() if k.table == "other"]
-        assert fact_keys and other_keys
+        assert fact_entries and other_keys
 
         engine.delete_where("fact", parse_predicate("x < 2"))
         invalidated_before = cache.stats.invalidations
         engine.vacuum(["fact"])
+        assert engine.execute(OTHER_Q).counters.cache_hits == 1
+        assert cache.stats.invalidations == invalidated_before
+        rebuilt = engine.execute(FACT_Q)
+        assert rebuilt.counters.cache_hits == 0
         assert cache.stats.invalidations > invalidated_before
-        for key in fact_keys:
-            assert key not in cache
+        live = cache.entries()
+        assert not any(e is stale for e in live for stale in fact_entries)
         for key in other_keys:
             assert key in cache
 
         # And the rebuilt fact entry still answers correctly.
-        fresh = engine.execute(FACT_Q).scalar()
-        assert engine.execute(FACT_Q).scalar() == fresh
+        assert rebuilt.scalar() == QueryEngine(engine.database).execute(FACT_Q).scalar()
+        assert engine.execute(FACT_Q).scalar() == rebuilt.scalar()
 
     def test_vacuum_without_garbage_spares_everything(self):
-        """A vacuum that reclaims nothing emits no layout event."""
+        """A vacuum that reclaims nothing leaves the layout stamp."""
         engine = make_engine()
         engine.execute(FACT_Q)
         keys = engine.predicate_cache.keys()
         changed = engine.vacuum(["fact"])
         assert changed == []
+        assert engine.execute(FACT_Q).counters.cache_hits == 1
         for key in keys:
             assert key in engine.predicate_cache
 
@@ -107,9 +115,15 @@ class TestBuildSideDml:
         assert join_keys and plain_keys
 
         engine.insert("dim", {"dk": [9999], "v": [1]})
-        for key in join_keys:
-            if "dim" in key.referenced_tables():
-                assert key not in cache
+        stale = [
+            e for e in cache.entries()
+            if e.key.is_join_key and "dim" in e.key.referenced_tables()
+        ]
+        assert stale
+        result = engine.execute(JOIN_Q)
+        assert result.scalar() == QueryEngine(engine.database).execute(JOIN_Q).scalar()
+        assert cache.stats.stale_rejections == len(stale)
+        assert not any(e is s for e in cache.entries() for s in stale)
         for key in plain_keys:
             assert key in cache
 
@@ -132,6 +146,95 @@ class TestBuildSideDml:
         fresh = engine.execute(JOIN_Q).scalar()
         cached = engine.execute(JOIN_Q).scalar()
         assert cached == fresh
+
+
+# -- table churn: a table dropped and re-created under the same name ----------
+
+CHURN_Q = "select count(*) as c, sum(x) as s from t where x < 50"
+
+
+def churn_db():
+    return Database(num_slices=1, rows_per_block=10)
+
+
+def create_t(db, values):
+    db.create_table(TableSchema("t", (ColumnSpec("x", DataType.INT64),)))
+    db.table("t").insert({"x": np.asarray(list(values))}, db.begin())
+
+
+def answer(engine, sql=CHURN_Q):
+    return engine.execute(sql).rows()
+
+
+def cache_off(engine, sql=CHURN_Q):
+    return QueryEngine(engine.database).execute(sql).rows()
+
+
+class TestTableChurn:
+    """Every version stamp names one state of one table, so nothing a
+    cache learned of a dropped table serves its successor."""
+
+    @pytest.mark.parametrize("variant", ["range", "bitmap"])
+    def test_dropped_table_entries_never_serve_its_successor(self, variant):
+        db = churn_db()
+        engine = QueryEngine(db, predicate_cache=PredicateCache(
+            PredicateCacheConfig(variant=variant, bitmap_block_rows=10)
+        ))
+        create_t(db, range(100))
+        engine.execute(CHURN_Q)
+        db.drop_table("t")
+        create_t(db, range(99, -1, -1))
+        assert answer(engine) == cache_off(engine) == [(50, 1225)]
+
+    @pytest.mark.parametrize("variant", ["range", "bitmap"])
+    def test_a_successors_vacuum_reaches_the_cache(self, variant):
+        db = churn_db()
+        engine = QueryEngine(db, predicate_cache=PredicateCache(
+            PredicateCacheConfig(variant=variant, bitmap_block_rows=10)
+        ))
+        create_t(db, range(100))
+        engine.execute(CHURN_Q)  # the cache has seen a table "t"
+        db.drop_table("t")
+        create_t(db, range(100))
+        engine.execute(CHURN_Q)
+        engine.execute("delete from t where x < 30")
+        engine.execute("vacuum t")
+        db.table("t").insert({"x": np.arange(30)}, db.begin())
+        assert answer(engine) == cache_off(engine) == [(50, 1225)]
+
+    def test_join_entry_on_a_recreated_dimension_is_stale(self):
+        db = churn_db()
+        engine = QueryEngine(db, predicate_cache=PredicateCache(
+            PredicateCacheConfig(variant="range")
+        ))
+        db.create_table(TableSchema("f", (
+            ColumnSpec("k", DataType.INT64), ColumnSpec("v", DataType.INT64),
+        )))
+        i = np.arange(100)
+        db.table("f").insert({"k": i % 10, "v": i}, db.begin())
+
+        def create_d(g):
+            db.create_table(TableSchema("d", (
+                ColumnSpec("id", DataType.INT64), ColumnSpec("g", DataType.INT64),
+            )))
+            db.table("d").insert({"id": np.arange(10), "g": g}, db.begin())
+
+        sql = "select count(*) as c, sum(v) as s from f, d where k = id and g = 0"
+        create_d(np.arange(10) % 2)
+        assert answer(engine, sql) == [(50, 2450)]
+        assert any(key.is_join_key for key in engine.predicate_cache.keys())
+        db.drop_table("d")
+        create_d((np.arange(10) + 1) % 2)
+        assert answer(engine, sql) == cache_off(engine, sql) == [(50, 2500)]
+
+    def test_result_cache_never_serves_a_dropped_table(self):
+        db = churn_db()
+        engine = QueryEngine(db, result_cache=ResultCache())
+        create_t(db, range(100))
+        assert answer(engine) == [(50, 1225)]
+        db.drop_table("t")
+        create_t(db, range(1000, 1100))
+        assert answer(engine) == cache_off(engine) == [(0, 0)]
 
 
 class TestAppendExtension:

@@ -323,7 +323,7 @@ class TestCheckCache:
     @staticmethod
     def indexed_cache():
         """Reuse on: two exact intervals on ``x`` share a bucket, and a
-        join key references two build tables."""
+        join key stays out of the interval index."""
         cache = make_cache(enable_reuse=True)
         for text in ("x < 5", "x < 9"):
             cache.get_or_create(ScanKey("t", text), 1)
@@ -332,10 +332,10 @@ class TestCheckCache:
         ),))
         cache.get_or_create(join, 1)
         invariants.check_cache(cache)  # healthy
-        return cache, join
+        return cache
 
     def test_interval_bucket_out_of_lru_order(self):
-        cache, _ = self.indexed_cache()
+        cache = self.indexed_cache()
         bucket = cache._ranges[("t", "x")]
         first = next(iter(bucket))
         bucket[first] = bucket.pop(first)  # reordered behind the LRU's back
@@ -343,26 +343,20 @@ class TestCheckCache:
             invariants.check_cache(cache)
 
     def test_interval_index_missing_key(self):
-        cache, _ = self.indexed_cache()
+        cache = self.indexed_cache()
         key = ScanKey("t", "x < 5")
         del cache._ranges[("t", "x")][key]
         with pytest.raises(InvariantViolation, match="interval index"):
             invariants.check_cache(cache)
 
     def test_interval_index_column_map_drift(self):
-        cache, _ = self.indexed_cache()
+        cache = self.indexed_cache()
         cache._range_columns[ScanKey("t", "x < 5")] = "y"
         with pytest.raises(InvariantViolation, match="key -> column"):
             invariants.check_cache(cache)
 
-    def test_build_table_index_keeps_a_dead_key(self):
-        cache, join = self.indexed_cache()
-        cache._build_keys["d3"] = {join: None}
-        with pytest.raises(InvariantViolation, match="build-table index"):
-            invariants.check_cache(cache)
-
     def test_empty_bucket_left_behind(self):
-        cache, _ = self.indexed_cache()
+        cache = self.indexed_cache()
         cache._ranges[("t", "y")] = {}
         with pytest.raises(InvariantViolation, match="interval index"):
             invariants.check_cache(cache)

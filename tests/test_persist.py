@@ -853,7 +853,8 @@ class TestWarmStart:
 
 
 class TestRetiredCaches:
-    """A replaced cache lets go: of the store and of its tables."""
+    """A replaced cache lets go of the store: only the live nodes
+    journal what a scan drops."""
 
     FIVE = [f"select count(*) as c from t where v = {v}" for v in range(5)]
 
@@ -869,48 +870,54 @@ class TestRetiredCaches:
     ):
         engine, caches, store = make_stored_engine(tmp_path)
         populate(engine, rows=8_000)
-        table = engine.database.tables["t"]
         for sql in self.FIVE:
             engine.execute(sql)
-        assert len(table._listeners) == 2
+        retired = []
         for round_ in range(6):
-            retired = caches.node(round_ % 2)
+            retired.append(caches.node(round_ % 2))
             caches.fail_node(round_ % 2)
-            assert retired.store is None
-            assert len(table._listeners) == 2
+            assert retired[-1].store is None
         caches.kill_node(1)
-        assert len(table._listeners) == 1
         caches.fail_node(1)
-        engine.execute(self.FIVE[0])  # the replacement subscribes by scanning
-        assert len(table._listeners) == 2
+        engine.execute(self.FIVE[0])
         for num_nodes in (3, 1, 2):
+            retired.extend(caches.nodes())
             caches.resize(num_nodes)
-            assert len(table._listeners) == num_nodes
         store = restart(engine, store)[0]
-        assert len(table._listeners) == 2
         caches = engine.predicate_cache
+        assert all(cache.store is None for cache in retired)
 
         live = sum(len(node) for node in caches.nodes())
         assert live == 10  # 5 keys, each with a share on both nodes
         assert store.snapshot(caches)
         engine.execute("delete from t where x < 10")
         engine.execute("vacuum t")
+        assert self.journalled_drops(tmp_path) == []  # a write calls no cache
+        engine.execute(self.FIVE[0])  # its layout check drops the old layout
         drops = self.journalled_drops(tmp_path)
         assert len(drops) == live
         assert len({digest for _, digest, _ in drops}) == 5
-        assert len(caches) == 0
+        assert len(caches) == 1  # the scan's own new entry
 
     def test_a_retired_cache_does_not_resubscribe(self, tmp_path):
+        """An orphaned scan still in flight on a replaced cache writes
+        nothing through: the store hears only the live nodes."""
+        from repro.core.keys import ScanKey
+
         engine, caches, _store = make_stored_engine(tmp_path)
         populate(engine, rows=2_000)
         engine.execute(self.FIVE[0])
         table = engine.database.tables["t"]
         retired = caches.node(0)
         caches.fail_node(0)
-        retired.watch_table(table)  # an orphaned scan still in flight
+        journal = (tmp_path / "cache.journal").read_bytes()
+        retired.check_layout(table)  # an orphaned scan still in flight
+        entry = retired.get_or_create(ScanKey("t", "v = 4"), table.num_slices)
+        retired.record_slice_scan(entry, 0, rows((0, 3)), 10)
+        retired.clear()
         retired.close()  # idempotent
-        assert len(table._listeners) == 2
-        assert retired._on_table_event not in table._listeners
+        assert retired.store is None
+        assert (tmp_path / "cache.journal").read_bytes() == journal
 
 
 class TestObservability:

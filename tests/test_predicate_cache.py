@@ -128,7 +128,8 @@ class TestInvalidation:
         join = ScanKey("fact", "x = 1", (SemiJoinDescriptor("a = b", "dim"),))
         cache.get_or_create(plain, 1)
         cache.get_or_create(join, 1, {"dim": 3})
-        assert cache.invalidate_build_side("dim") == 1
+        assert cache.select_entry([join, plain], {"dim": 4}).key == plain
+        assert cache.stats.stale_rejections == 1
         assert plain in cache
         assert join not in cache
 
@@ -147,27 +148,40 @@ class TestInvalidation:
         assert cache.lookup(join, {"dim": 3}) is not None
 
     def test_table_events_wire_invalidation(self):
+        """A table calls into no cache: a write moves its stamps, and the
+        cache drops what they make stale when a scan reads — a join
+        entry at the next probe of its key, every entry on a table at
+        the next layout check of it."""
         from repro.storage import ColumnSpec, Database, DataType, TableSchema
 
         db = Database(num_slices=1)
         db.create_table(TableSchema("fact", (ColumnSpec("x", DataType.INT64),)))
         db.create_table(TableSchema("dim", (ColumnSpec("y", DataType.INT64),)))
+        fact, dim = db.table("fact"), db.table("dim")
         cache = make_cache()
-        cache.watch_table(db.table("fact"))
-        cache.watch_table(db.table("dim"))
+        cache.check_layout(fact)
         plain = ScanKey("fact", "x = 1")
         join = ScanKey("fact", "x = 1", (SemiJoinDescriptor("x = y", "dim"),))
         cache.get_or_create(plain, 1)
-        cache.get_or_create(join, 1, {"dim": 0})
-        # DML on dim kills the join entry, keeps the plain one (§4.4).
-        db.table("dim").insert({"y": [1]}, db.begin())
+        cache.get_or_create(join, 1, {"dim": dim.data_version})
+        # DML on dim leaves both entries in place; the next probe drops
+        # the join entry and keeps the plain one (§4.4).
+        dim.insert({"y": [1]}, db.begin())
+        assert plain in cache and join in cache
+        versions = {"dim": dim.data_version}
+        assert cache.select_entry([join, plain], versions).key == plain
         assert plain in cache and join not in cache
-        # Vacuum-like layout change on fact kills everything on fact.
-        db.table("fact").insert({"x": [1]}, db.begin())
-        deleted = db.table("fact").delete_local_rows(0, [0], db.begin())
-        assert deleted == 1
-        db.table("fact").vacuum(db.horizon_txid)
+        # DML on fact moves no layout stamp: its entries stay current.
+        fact.insert({"x": [1]}, db.begin())
+        cache.check_layout(fact)
+        assert plain in cache
+        # A vacuum does: the next layout check drops everything on fact.
+        assert fact.delete_local_rows(0, [0], db.begin()) == 1
+        fact.vacuum(db.horizon_txid)
+        assert plain in cache
+        cache.check_layout(fact)
         assert plain not in cache
+        assert cache.table_layout_of("fact") == fact.layout_version
 
 
 class TestEviction:
@@ -356,7 +370,7 @@ _ledger_op = st.one_of(
               st.integers(1, 12)),
     st.tuples(st.just("restore"), st.integers(0, len(_LEDGER_KEYS) - 1)),
     st.tuples(st.just("invalidate_table"), st.sampled_from(("t", "u"))),
-    st.just(("invalidate_build_side",)),
+    st.just(("stale_probe",)),
     st.just(("clear",)),
     st.tuples(st.just("drop_stale"), st.integers(0, len(_LEDGER_KEYS) - 1)),
 )
@@ -368,7 +382,8 @@ class TestEntryLedger:
     def test_an_install_lands_exactly_when_its_entry_is_live(self, ops):
         """Entry objects captured by ``get_or_create`` and
         ``install_restored`` install later, after invalidations, clears,
-        stale drops, evictions under a small ``max_bytes`` and restores
+        stale drops (a join entry probed with a moved build-side stamp
+        among them), evictions under a small ``max_bytes`` and restores
         over a live key.  An install lands (its state and counts change)
         exactly when its object is still the one under its key, and
         ``stale_installs`` counts every other install."""
@@ -377,7 +392,9 @@ class TestEntryLedger:
         for op in ops:
             kind = op[0]
             if kind == "get":
-                captured.append(cache.get_or_create(_LEDGER_KEYS[op[1]], 2))
+                key = _LEDGER_KEYS[op[1]]
+                versions = {"d": 1} if key.is_join_key else {}
+                captured.append(cache.get_or_create(key, 2, versions))
             elif kind == "restore":
                 state = RangeSliceState(rows((upto, upto + 1)), upto + 1, 16)
                 upto += 1
@@ -397,8 +414,8 @@ class TestEntryLedger:
                 refused += not live
             elif kind == "invalidate_table":
                 cache.invalidate_table(op[1])
-            elif kind == "invalidate_build_side":
-                cache.invalidate_build_side("d")
+            elif kind == "stale_probe":
+                cache.lookup(_LEDGER_KEYS[3], {"d": 2})
             elif kind == "clear":
                 cache.clear()
             else:

@@ -37,6 +37,7 @@ from repro.persist.records import EntryRecord, key_digest
 from repro.predicates import single_column_range
 from repro.predicates.parser import PredicateParseError
 from repro.reuse import decompose, find_subsuming
+from repro.reuse.decompose import MAX_CONJUNCTS
 from repro.storage import ColumnSpec, DataType, TableSchema
 
 from tests.rowsets import rows
@@ -121,7 +122,7 @@ def run_drilldown(cached, plain, predicates):
 
 def test_decompose_splits_conjunctions():
     pred = parse_predicate("k < 50 and v >= 20 and w = 3")
-    d = decompose("t", pred, max_conjuncts=8)
+    d = decompose("t", pred)
     assert d is not None and d.table == "t"
     keys = {c.key.predicate_key for c in d.conjuncts}
     assert len(d.conjuncts) == 3
@@ -134,16 +135,20 @@ def test_decompose_splits_conjunctions():
 def test_decompose_rejects_trivial_and_oversized():
     from repro.predicates.ast import TruePredicate
 
-    assert decompose("t", TruePredicate(), 8) is None
+    assert decompose("t", TruePredicate()) is None
     # Contradictions normalize to FalsePredicate — also undecomposable.
-    assert decompose("t", parse_predicate("k < 5 and k > 10"), 8) is None
-    pred = parse_predicate("k < 50 and v < 50 and w < 50")
-    assert decompose("t", pred, max_conjuncts=2) is None
+    assert decompose("t", parse_predicate("k < 5 and k > 10")) is None
+
+    def conjunction(n):
+        return parse_predicate(" and ".join(f"c{i} = {i}" for i in range(n)))
+
+    assert len(decompose("t", conjunction(MAX_CONJUNCTS)).conjuncts) == MAX_CONJUNCTS
+    assert decompose("t", conjunction(MAX_CONJUNCTS + 1)) is None
 
 
 def test_decompose_dedups_repeated_conjuncts():
     pred = parse_predicate("k < 50 and k < 50 and v >= 1")
-    d = decompose("t", pred, max_conjuncts=8)
+    d = decompose("t", pred)
     assert d is not None
     keys = [c.key.predicate_key for c in d.conjuncts]
     assert len(keys) == len(set(keys))
@@ -215,7 +220,7 @@ def linear_find_subsuming(cache, conjunct):
 
 
 def linear_build_side(cache, table_name):
-    """The keys a write to ``table_name`` must drop, by a walk."""
+    """The keys a write to ``table_name`` makes stale, by a walk."""
     return {key for key in cache.keys() if table_name in key.referenced_tables()}
 
 
@@ -319,8 +324,6 @@ def test_write_to_region_drops_lineitem_key_joined_through_nation():
     for name in ("lineitem", "nation", "region"):
         db.create_table(TableSchema(name, (ColumnSpec("x", DataType.INT64),)))
     cache = PredicateCache(reuse_config())
-    for name in ("lineitem", "nation", "region"):
-        cache.watch_table(db.table(name))
     region = SemiJoinDescriptor("n_regionkey = r_regionkey", "region", "x = 2")
     through_region = ScanKey(
         "lineitem", "x < 5",
@@ -330,14 +333,22 @@ def test_write_to_region_drops_lineitem_key_joined_through_nation():
         "lineitem", "x < 5", (SemiJoinDescriptor("l_nationkey = n_nationkey", "nation"),)
     )
     plain = ScanKey("lineitem", "x < 5")
+    def versions():
+        return {name: db.table(name).data_version for name in ("nation", "region")}
+
+    recorded = versions()
     for key in (through_region, nation_only, plain):
-        cache.get_or_create(key, 1)
+        cache.get_or_create(
+            key, 1, {name: recorded[name] for name in key.referenced_tables()}
+        )
     assert linear_build_side(cache, "region") == {through_region}
     db.table("region").insert({"x": [1]}, db.begin())
+    # The write calls into no cache; the next probe drops the stale key.
+    assert through_region in cache
+    cache.select_entry([through_region, nation_only, plain], versions())
     assert through_region not in cache
     assert nation_only in cache and plain in cache
-    assert cache.stats.invalidations == 1
-    assert set(cache._build_keys) == {"nation"}
+    assert cache.stats.stale_rejections == 1
     invariants.check_cache(cache)
 
 
@@ -350,10 +361,8 @@ def test_clear_leaves_both_indexes_empty():
     )),))
     cache.get_or_create(join, 2)
     assert set(cache._ranges) == {("t", "k"), ("t", "v")}
-    assert set(cache._build_keys) == {"d", "d2"}
     cache.clear()
     assert cache._ranges == {} and cache._range_columns == {}
-    assert cache._build_keys == {}
     invariants.check_cache(cache)
 
 
@@ -450,9 +459,14 @@ def test_indexed_matcher_twins_the_linear_walk(operations, requests):
     """Installs, lookups (each touches the LRU), restores over live keys,
     evictions under ``max_bytes``, build-side writes, stale drops,
     vacuums and clears, in any order: after every step the indexed
-    matcher returns the very entry the linear walk does, and a
-    build-side write drops the very key set a walk selects."""
+    matcher returns the very entry the linear walk does, and probes
+    after a build-side write drop the very key set a walk selects."""
     cache = PredicateCache(reuse_config("range", max_bytes=480))
+    stamps = {"d1": 0, "d2": 0, "d3": 0}
+
+    def recorded(key):
+        return {name: stamps[name] for name in key.referenced_tables()}
+
     installed = []
     # ``day < 1`` lies inside every drill-down key: most steps pit
     # equally ranked entries against each other.
@@ -470,24 +484,26 @@ def test_indexed_matcher_twins_the_linear_walk(operations, requests):
         if kind == "install":
             _, key, slices, stats = operation
             installed.append(key)
-            entry = cache.get_or_create(key, 2)
+            entry = cache.get_or_create(key, 2, recorded(key))
             for slice_id in sorted(slices):
                 cache.record_slice_scan(entry, slice_id, rows((0, 3)), 12)
             entry.rows_qualifying, entry.rows_considered = stats
         elif kind == "lookup":
-            cache.lookup(key)
+            cache.lookup(key, stamps)
         elif kind == "lookup_part":
-            cache.lookup_part(key)
+            cache.lookup_part(key, stamps)
         elif kind == "restore":
             cache.install_restored(
-                key, 2, {},
+                key, 2, recorded(key),
                 {0: RangeSliceState(rows((1, 2)), 8, 16)},
                 stats=(1, 2, 4),
             )
         elif kind == "build_write":
+            stamps[operation[1]] += 1
             expected = linear_build_side(cache, operation[1])
             before = set(cache.keys())
-            cache.invalidate_build_side(operation[1])
+            for stale in expected:
+                cache.lookup(stale, stamps)
             assert before - set(cache.keys()) == expected
         elif kind == "drop_stale":
             cache.drop_stale(key)

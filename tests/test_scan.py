@@ -170,15 +170,17 @@ class TestScanUnderDML:
     def test_vacuum_invalidates_then_rebuilds(self):
         db = make_table(np.arange(100), num_slices=1)
         cache = PredicateCache()
-        cache.watch_table(db.table("t"))
         pred = parse_predicate("x < 10")
         scan_rows(db, pred, cache)
+        (stale,) = cache.entries()
         db.table("t").delete_local_rows(0, np.array([0]), db.begin())
         db.table("t").vacuum(db.horizon_txid)
-        assert len(cache) == 0
+        assert cache.stats.invalidations == 0  # a write calls no cache
         rows, counters = scan_rows(db, pred, cache)
         assert rows == list(range(1, 10))
         assert counters.cache_misses == 1
+        assert cache.stats.invalidations == 1
+        assert cache.entries()[0] is not stale
         rows2, c2 = scan_rows(db, pred, cache)
         assert rows2 == rows and c2.cache_hits == 1
 
@@ -225,7 +227,6 @@ def test_an_exact_hit_recomputes_nothing_it_already_knows(monkeypatch):
     db = make_table(np.arange(400), num_slices=4)
     table = db.table("t")
     cache = PredicateCache(PredicateCacheConfig(variant="range"))
-    cache.watch_table(table)
     pred = parse_predicate("x between 100 and 150")
     cold_rows, cold = scan()
     assert cold.cache_misses == 1 and cold.blocks_pruned_zonemap > 0
@@ -254,8 +255,8 @@ def test_an_exact_hit_recomputes_nothing_it_already_knows(monkeypatch):
     assert counters.cache_hits == 1
     assert calls == {"zonemap": 0, "visibility": 1}
 
-    # 4. A VACUUM drops the entry; after the rebuilding miss, both skips
-    # are back.
+    # 4. The scan after a VACUUM drops the entry; after that rebuilding
+    # miss, both skips are back.
     table.vacuum(db.horizon_txid)
     miss_rows, counters = scan()
     assert counters.cache_misses == 1 and calls == {"zonemap": 4, "visibility": 0}

@@ -66,10 +66,17 @@ class TestPredicateSorter:
         db = make_db()
         cache = PredicateCache()
         engine = QueryEngine(db, predicate_cache=cache)
-        engine.execute("select count(*) as c from t where x < 10")
-        assert len(cache) > 0
+        q = "select count(*) as c from t where x < 10"
+        engine.execute(q)
+        stale = cache.entries()
+        assert stale
         PredicateSorter([parse_predicate("x < 10")]).apply(db.table("t"))
-        assert len(cache) == 0  # layout change dropped entries
+        # The next scan's layout check drops the entries of the old layout.
+        result = engine.execute(q)
+        assert result.counters.cache_hits == 0
+        assert result.scalar() == QueryEngine(db).execute(q).scalar()
+        assert cache.stats.invalidations == len(stale)
+        assert not any(e is s for e in cache.entries() for s in stale)
 
     def test_requires_predicates(self):
         with pytest.raises(ValueError):

@@ -1103,13 +1103,10 @@ def test_one_rewrite_two_callers(case):
     orders, run = case(table, np.random.default_rng(7))
     before = [snapshot_of(s, table.rms) for s in table.slices]
     versions = table.layout_version, table.data_version
-    events = []
-    table.on_change(lambda _table, event: events.append(event))
 
     run()
 
-    assert events == ["layout", "data"]
-    assert (table.layout_version, table.data_version) == (versions[0] + 1, versions[1] + 1)
+    assert table.layout_version == table.data_version > max(versions)
     size = table.slices[0].rows_per_block
     for data_slice, was, order in zip(table.slices, before, orders):
         if order is None:

@@ -7,7 +7,8 @@ cache.  The pieces here build such twins and compare them:
 
 * :func:`seeded_engine` — an engine over a fresh database holding the
   seeded table ``t(k, v, w)``; the cached side passes its cache, the
-  cache-off side ``None``;
+  cache-off side ``None``; :func:`create_seeded_table` — that table
+  (re-)created in a database, from any seed;
 * :func:`assert_rows_equal` — two row lists agree (order-free, NaN-equal);
 * :func:`replay` / :func:`assert_matches` — a load generator's scripts
   replayed serially on one engine, and a concurrent run's responses
@@ -36,18 +37,24 @@ from repro.storage import ColumnSpec, DataType, TableSchema
 COLUMNS = ("k", "v", "w")
 
 
-def seeded_engine(cache, *, seed, rows, **db_kwargs):
-    """A :class:`QueryEngine` with ``cache`` (``None``: cache-off) over a
-    fresh ``Database(**db_kwargs)`` holding ``t(k, v, w)``: ``rows`` rows,
-    every column drawn from ``[0, 100)`` by ``default_rng(seed)``."""
-    db = Database(**db_kwargs)
+def create_seeded_table(db, *, seed, rows):
+    """Create ``t(k, v, w)`` in ``db``: ``rows`` rows, every column drawn
+    from ``[0, 100)`` by ``default_rng(seed)``."""
     db.create_table(
         TableSchema("t", tuple(ColumnSpec(c, DataType.INT64) for c in COLUMNS))
     )
-    engine = QueryEngine(db, predicate_cache=cache)
     rng = np.random.default_rng(seed)
-    engine.insert("t", {c: rng.integers(0, 100, rows) for c in COLUMNS})
-    return engine
+    db.table("t").insert(
+        {c: rng.integers(0, 100, rows) for c in COLUMNS}, db.begin()
+    )
+
+
+def seeded_engine(cache, *, seed, rows, **db_kwargs):
+    """A :class:`QueryEngine` with ``cache`` (``None``: cache-off) over a
+    fresh ``Database(**db_kwargs)`` holding the seeded ``t(k, v, w)``."""
+    db = Database(**db_kwargs)
+    create_seeded_table(db, seed=seed, rows=rows)
+    return QueryEngine(db, predicate_cache=cache)
 
 
 def assert_rows_equal(a, b, context):

@@ -51,7 +51,7 @@ FORMAT_CONSTANT_NAMES = (
 #: a comparison (RP005): ``kind == 2``, ``version > 1``, ``op != 255``.
 _FORMAT_NAME_HINTS = ("kind", "section", "version", "magic", "op")
 
-#: Methods that mutate entries, accounting, watch or store state of a
+#: Methods that mutate entries, accounting, layout stamps or store state of a
 #: predicate cache; RP009 bans them anywhere under ``repro/reuse/``.
 CACHE_WRITERS = frozenset(
     {
@@ -60,12 +60,11 @@ CACHE_WRITERS = frozenset(
         "get_or_create",
         "install_restored",
         "invalidate_table",
-        "invalidate_build_side",
         "clear",
         "drop_stale",
         "attach_store",
         "detach_store",
-        "watch_table",
+        "check_layout",
     }
 )
 
