@@ -464,6 +464,14 @@ def _compute_aggregate(
     if agg.func == "count":
         return np.bincount(group_codes, minlength=num_groups).astype(np.int64)
     if agg.func == "sum":
+        # An integer column (INT64, DATE) sums exactly: float64
+        # weights would round past 2**53.
+        if values.dtype.kind == "i":
+            if n and max(-int(values.min()), int(values.max())) * n >= 2**63:
+                return _checked_int_sums(values, group_codes, num_groups)
+            sums = np.zeros(num_groups, dtype=np.int64)
+            np.add.at(sums, group_codes, values)
+            return sums
         return np.bincount(group_codes, weights=values, minlength=num_groups)
     if agg.func == "avg":
         sums = np.bincount(group_codes, weights=values, minlength=num_groups)
@@ -496,6 +504,18 @@ def _compute_aggregate(
         op.at(result, group_codes, values)
         return result
     raise ValueError(f"unknown aggregate {agg.func!r}")
+
+
+def _checked_int_sums(
+    values: np.ndarray, group_codes: np.ndarray, num_groups: int
+) -> np.ndarray:
+    """Integer sums that could leave int64, summed in Python ints:
+    exact where they fit, an error where they do not (int64 would wrap)."""
+    sums = np.zeros(num_groups, dtype=object)
+    np.add.at(sums, group_codes, values.astype(object))
+    if any(not -(2**63) <= total < 2**63 for total in sums):
+        raise OverflowError("SUM of an integer column leaves the int64 range")
+    return sums.astype(np.int64)
 
 
 def _object_minmax(

@@ -20,7 +20,10 @@ block reads and, under a :class:`~repro.faults.FaultInjector`, verified,
 retried and given up on by the same loop.  A read that loop gives up on
 raises out of :meth:`LakeScanner.scan` exactly as a native block read
 raises out of a native scan; the cached entry stays, because the
-storage failed, not the cached bits.
+storage failed, not the cached bits.  The storage only counts: the
+scanner decodes a row group's chunks itself, after the read, one
+codec call per group of chunks that share a codec, a length and a
+decoded dtype.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from ..core.config import PredicateCacheConfig
 from ..core.keys import ScanKey
 from ..faults import FaultInjector, RetryPolicy
 from ..predicates.ast import Predicate
-from ..storage.rms import BlockDict, ManagedStorage, QueryStorageContext
+from ..storage.compression import decode_blocks
+from ..storage.rms import ManagedStorage, QueryStorageContext
 from .format import LakeFile, RowGroup
 from .table import LakeSnapshot, LakeTable
 
@@ -222,16 +226,20 @@ class LakeScanner:
         self, group: RowGroup, ordinal: int, names: Sequence[str], run: _ScanRun
     ) -> Dict[str, np.ndarray]:
         """Fetch column chunks of one row group through managed storage,
-        in one read round, into a :class:`BlockDict` of their decoded
-        values (capacity 0: none is ever resident, so every read writes
-        them)."""
+        in one read round, then decode them in one :func:`decode_blocks`
+        call (capacity 0: none is ever resident, so every read counts a
+        remote fetch)."""
         if not names:
             return {}
         blocks = [group.chunk(name).encoded for name in names]
-        keys = [(self.table.name, 0, name, ordinal) for name in names]
-        chunks = BlockDict()
-        run.reader.read_blocks(keys, blocks, into=chunks)
-        return {name: chunks[key] for name, key in zip(names, keys)}
+        run.reader.read_blocks(
+            [(self.table.name, 0, name, ordinal) for name in names], blocks
+        )
+        return {
+            names[position]: row
+            for positions, values in decode_blocks(blocks)
+            for position, row in zip(positions, values)
+        }
 
     # -- observability --------------------------------------------------------------
 

@@ -33,8 +33,8 @@ resets the log).  An injected *corruption* flips one bit, which the
 CRCs catch at load time.
 
 Compaction: once the journal outgrows the snapshot by
-``compact_factor`` (and ``min_compact_bytes``), the store folds the
-journal into a fresh snapshot and truncates the log.
+:data:`COMPACT_FACTOR` (and :data:`MIN_COMPACT_BYTES`), the store folds
+the journal into a fresh snapshot and truncates the log.
 
 Handle ownership: the store keeps **one** open append handle on the
 journal (flushed after every record, so the file always holds whole
@@ -79,6 +79,12 @@ from .records import EntryRecord, collect_records, key_digest
 
 __all__ = ["CacheStore", "LoadResult"]
 
+#: Journal-to-snapshot size ratio that triggers compaction.
+COMPACT_FACTOR = 2.0
+#: Journal size below which compaction never triggers (avoids thrashing
+#: on tiny caches).
+MIN_COMPACT_BYTES = 64 * 1024
+
 
 def _file_size(path: str) -> int:
     try:
@@ -112,8 +118,6 @@ class CacheStore:
         directory,
         catalog=None,
         injector=None,
-        compact_factor: float = 2.0,
-        min_compact_bytes: int = 64 * 1024,
         fsync: bool = False,
     ) -> None:
         """Args:
@@ -123,10 +127,6 @@ class CacheStore:
                 revalidation (round-trip tests over synthetic entries).
             injector: optional :class:`~repro.faults.FaultInjector`
                 consulted before every write (crash points).
-            compact_factor: journal-to-snapshot size ratio that triggers
-                compaction.
-            min_compact_bytes: journal size below which compaction never
-                triggers (avoids thrashing on tiny caches).
             fsync: fsync snapshot temp files before rotation (off by
                 default; the reproduction's crash model is process-level).
         """
@@ -134,8 +134,6 @@ class CacheStore:
         os.makedirs(self.directory, exist_ok=True)
         self.catalog = catalog
         self.injector = injector
-        self.compact_factor = float(compact_factor)
-        self.min_compact_bytes = int(min_compact_bytes)
         self.fsync = bool(fsync)
         self._snapshot_path = os.path.join(self.directory, self.SNAPSHOT_NAME)
         self._journal_path = os.path.join(self.directory, self.JOURNAL_NAME)
@@ -369,9 +367,9 @@ class CacheStore:
 
     def _maybe_compact(self) -> None:
         """Caller holds ``_io_lock``."""
-        if self._journal_size <= self.min_compact_bytes:
+        if self._journal_size <= MIN_COMPACT_BYTES:
             return
-        if self._journal_size <= self.compact_factor * max(1, self._snapshot_size):
+        if self._journal_size <= COMPACT_FACTOR * max(1, self._snapshot_size):
             return
         self.compact()
 

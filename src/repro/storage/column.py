@@ -14,9 +14,10 @@ counted.
 
 Decoded values live in one place per column: :class:`DecodedBlocks`, a
 ``(blocks, rows_per_block)`` array whose row ``b`` is block ``b``'s
-values, written when the block is first fetched.  A read takes its rows
-from it by row id — the bytes copied follow the rows reported, not the
-blocks touched — and the storage only tracks which blocks are resident.
+values, decoded by the column the first time a read takes it.  A read
+fills its rows, then asks the storage, which only counts and tracks
+which blocks are resident, then takes its rows by row id — the bytes
+copied follow the rows reported, not the blocks touched.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterable, List, Optional, Sequence, Union
 import numpy as np
 
 from .. import invariants as _inv
-from .compression import DecodedGroup, EncodedBlock, array_checksum, seal_blocks
+from .compression import EncodedBlock, array_checksum, decode_blocks, seal_blocks
 from .dtypes import DataType
 from .rms import BlockKey, ManagedStorage
 from .zonemap import ZoneMap
@@ -71,16 +72,18 @@ class DecodedBlocks:
     """One column's decoded sealed blocks: row ``b`` of a ``(blocks,
     rows_per_block)`` array holds block ``b``'s values once written.
 
-    The ``into`` of every read of the column (a
-    :class:`~repro.storage.rms.BlockSink` keyed by block index, the last
-    field of a ``BlockKey``).  The rules, DESIGN.md §11:
+    The column decodes its own blocks; the storage never sees a value.
+    The rules, DESIGN.md §11:
 
-    * a row is written before its key is resident — the storage calls
-      :meth:`write_groups` in the locked round that makes the keys
-      resident;
-    * a row is written once per build: :meth:`write_groups` skips a
-      written row, so a re-fetch after eviction never rewrites it and a
-      row a reader is taking from never changes;
+    * a reader fills before it reads: ``ColumnStore._gather_sealed``
+      calls :meth:`fill` for every row it takes, then the storage, so
+      rows never depend on residency;
+    * a block decodes once per build: :meth:`fill` decodes only
+      unwritten rows, so a re-fetch after eviction decodes nothing and
+      a row a reader is taking from never changes;
+    * two readers filling one row at once decode the same block and
+      write equal bytes, and a row is flagged written only after it is
+      assigned;
     * the array grows only in :meth:`grow` (from ``ColumnStore._seal``),
       copying only written rows, and is emptied by :meth:`reset` (from
       ``ColumnStore.rebuild``).  Both run under an exclusive writer —
@@ -96,22 +99,20 @@ class DecodedBlocks:
         # One byte per sealed block: 1 once its row is written.
         self._written = bytearray()
 
-    def write_groups(
-        self, keys: Sequence[BlockKey], groups: Sequence[DecodedGroup]
-    ) -> None:
-        """Write each decoded group's unwritten rows in one assignment:
-        row j of a group's values is block ``keys[positions[j]][3]``'s."""
+    def fill(self, index: Sequence[int], blocks: Sequence[EncodedBlock]) -> None:
+        """Write the rows of blocks ``index`` that are not written yet,
+        decoding ``blocks[b]`` for each in one :func:`decode_blocks`
+        call; one assignment per decoded group."""
         written = self._written
-        for positions, values in groups:
-            index = [keys[p][3] for p in positions]
-            fresh = [j for j, b in enumerate(index) if not written[b]]
-            if len(fresh) < len(index):
-                if not fresh:
-                    continue
-                index = [index[j] for j in fresh]
-                values = values[fresh]
-            self._rows[index] = values
-            for b in index:
+        if 0 not in written:  # a warm column: no per-block scan of ``index``
+            return
+        fresh = [b for b in index if not written[b]]
+        if not fresh:
+            return
+        for positions, values in decode_blocks([blocks[b] for b in fresh]):
+            rows = [fresh[p] for p in positions]
+            self._rows[rows] = values
+            for b in rows:
                 written[b] = 1
 
     def written(self, index: int) -> bool:
@@ -434,8 +435,8 @@ class ColumnStore:
         Sealed blocks are fetched through managed storage exactly once
         per call (the per-access counting the cost model needs), in one
         ``read_blocks`` round, and the covered rows taken from the
-        decoded array; tail rows are served from the insert buffer
-        without block accounting.  The coverage is the slice's
+        decoded array, filled first; tail rows are served from the
+        insert buffer without block accounting.  The coverage is the slice's
         (:meth:`~repro.storage.slice.DataSlice.cover`): one serves every
         column read over the same rows.
         """
@@ -453,14 +454,11 @@ class ColumnStore:
     def _gather_sealed(
         self, coverage: BlockCoverage, rms: ManagedStorage
     ) -> np.ndarray:
-        """Read every touched sealed block (each row is then written),
-        take the covered rows in one gather."""
-        keys, blocks = self._keys, self.blocks
-        rms.read_blocks(
-            [keys[b] for b in coverage.blocks],
-            [blocks[b] for b in coverage.blocks],
-            into=self._decoded,
-        )
+        """Fill every touched sealed block's row, read the blocks, take
+        the covered rows in one gather."""
+        keys, blocks, index = self._keys, self.blocks, coverage.blocks
+        self._decoded.fill(index, blocks)
+        rms.read_blocks([keys[b] for b in index], [blocks[b] for b in index])
         if _inv.ACTIVE:
             _inv.check_decoded_rows(
                 self._decoded, blocks, coverage.blocks, array_checksum

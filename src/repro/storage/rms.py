@@ -6,35 +6,34 @@ reproduction models this as a *residency* LRU of block keys in front of
 the sealed blocks: the first access to a block is a *remote fetch*
 (slow, counted), later accesses are *local hits* (fast, counted) until
 the block is evicted (LRU by capacity) or invalidated (vacuum/reseal).
-The storage decides only whether a read is local or remote; it holds no
-decoded values.  Whoever reads names where a fetched block's values go
-(``into``, a :class:`BlockSink`): a column its ``(blocks,
+The storage decides only whether a read is local or remote: it counts,
+and it hands no values to anyone.  The reader owns the values and
+decodes them itself: a column fills the rows of its ``(blocks,
 rows_per_block)`` decoded array
-(:class:`~repro.storage.column.DecodedBlocks`), the lake scanner a
-:class:`BlockDict` of its decoded chunks.  A read round decodes its
-whole miss set at once, one codec call per group of blocks that share a
-codec, a length and a decoded dtype
-(:func:`~repro.storage.compression.decode_blocks`), and hands the groups
-to the sink in one ``write_groups`` call.  The rules (DESIGN.md §11):
+(:meth:`~repro.storage.column.DecodedBlocks.fill`) before it reads, the
+lake scanner decodes its row group's chunks after the read.  The rules
+(DESIGN.md §11):
 
-* **A row is written before its key is resident.**  A fetched block's
-  values go to ``into`` in the same locked round that makes the key
-  resident, so a hit always finds its row.
-* **A row is written once.**  A re-fetch after eviction still decodes,
-  verifies and counts, but the sink's write skips a key it already
-  holds: a row a reader is taking from never changes, and a corrupted
-  fetch attempt never reaches it.
+* **A reader fills before it reads.**  Rows never depend on residency:
+  a hit and a miss take the same row, written before the storage is
+  asked.
+* **A block decodes once per build.**  A re-fetch after eviction counts
+  a remote fetch and decodes nothing.
 * **Capacity bounds residency, not decoded memory.**  Evicting a key
   makes its next read remote; the row stays where it was written.
 
-Under an attached :class:`~repro.faults.FaultInjector` each fetched
-block then runs its attempt loop, in key order, over its decoded row:
-every attempt is decided by ``FaultInjector.decide``, keyed by the
-block, the injector's count of that block's fetches and the attempt, so
-which fetches fault depends on what was read, never on how concurrent
-statements interleaved.  An attempt that is not failed verifies the
-row's checksum, on a corrupted copy when the attempt corrupts; a fetch
-that gives up leaves the blocks before it counted and written.
+Under an attached :class:`~repro.faults.FaultInjector` a read round
+decodes its misses by the batch, one codec call per group of blocks
+that share a codec, a length and a decoded dtype
+(:func:`~repro.storage.compression.decode_blocks`), only to verify
+them, and each fetched block runs its attempt loop, in key order, over
+its decoded row: every attempt is decided by ``FaultInjector.decide``,
+keyed by the block, the injector's count of that block's fetches and
+the attempt, so which fetches fault depends on what was read, never on
+how concurrent statements interleaved.  An attempt that is not failed
+verifies the row's checksum, on a corrupted copy when the attempt
+corrupts; nothing keeps the rows afterwards.  A fetch that gives up
+leaves the blocks before it counted and resident.
 
 `StorageStats` is the ground truth behind the paper's "blocks accessed"
 columns: every experiment reads these counters rather than timing alone,
@@ -62,27 +61,25 @@ Concurrency model (DESIGN.md §12):
   recency order at all — nothing would read it.
 * **One storage lock, held per call, not per block.**  A single
   always-on ``threading.Lock`` guards the residency LRU, the stats,
-  the per-query sinks and the writes into ``into``.
-  :meth:`ManagedStorage.read_blocks` — the one read path, called once
-  per (slice, column) — takes it for one round that looks every key up
-  and counts the hits, and, only if something missed, for a second
-  round that counts, writes (one sink call) and makes resident what was
-  fetched.  Decode and fault retries run *between* the rounds, so
-  remote fetches overlap across concurrent statements.  Nothing marks a miss
+  the per-query sinks and the retry budgets; no value is written under
+  it.  :meth:`ManagedStorage.read_blocks` — the one read path, called
+  once per (slice, column) — takes it for one round that looks every
+  key up and counts the hits, and, only if something missed, for a
+  second round that counts and makes resident what was fetched.
+  Verification and fault retries run *between* the rounds, so remote
+  fetches overlap across concurrent statements.  Nothing marks a miss
   as in flight: two threads missing the same block between each
   other's rounds both fetch it and both count a remote fetch — the
-  duplicated round trip a real node cache exhibits — and the first to
-  reach its second round writes the row.  Workloads that need exact
-  per-query counters keep their tables disjoint.
+  duplicated round trip a real node cache exhibits.  Workloads that
+  need exact per-query counters keep their tables disjoint.
 """
 
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Protocol, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,41 +90,12 @@ from ..faults import (
     TransientStorageError,
     quantize_model_seconds,
 )
-from .compression import DecodedGroup, EncodedBlock, array_checksum, decode_blocks
+from .compression import EncodedBlock, array_checksum, decode_blocks
 
-__all__ = [
-    "BlockDict", "BlockKey", "BlockSink", "ManagedStorage", "QueryStorageContext",
-    "StorageStats",
-]
+__all__ = ["BlockKey", "ManagedStorage", "QueryStorageContext", "StorageStats"]
 
 # (table, slice, column, block index) uniquely names a block.
 BlockKey = Tuple[str, int, str, int]
-
-
-class BlockSink(Protocol):
-    """Where a read's fetched blocks go: written once per key, under the
-    storage lock, before the key is resident (see the module doc)."""
-
-    def write_groups(
-        self, keys: Sequence[BlockKey], groups: Sequence[DecodedGroup]
-    ) -> None:
-        """Write row j of each group's values under ``keys[positions[j]]``,
-        skipping every key already written."""
-
-
-class BlockDict(Dict[BlockKey, np.ndarray]):
-    """A sink that keeps each written block's values under its key (the
-    lake scanner's chunks of one row group).  A value is a row of its
-    group's decoded array."""
-
-    def write_groups(
-        self, keys: Sequence[BlockKey], groups: Sequence[DecodedGroup]
-    ) -> None:
-        for positions, values in groups:
-            for position, row in zip(positions, values):
-                key = keys[position]
-                if key not in self:
-                    self[key] = row
 
 
 @dataclass
@@ -187,11 +155,9 @@ class QueryStorageContext:
         self,
         keys: Sequence[BlockKey],
         blocks: Sequence[EncodedBlock],
-        *,
-        into: BlockSink,
     ) -> None:
         """:meth:`ManagedStorage.read_blocks`, accounted to this statement."""
-        self.storage.read_blocks(keys, blocks, self, into=into)
+        self.storage.read_blocks(keys, blocks, self)
 
     def begin_scan_phase(self) -> None:
         """Hold capacity eviction back until :meth:`end_scan_phase`."""
@@ -210,8 +176,8 @@ class ManagedStorage:
         cache_capacity: number of blocks resident locally (LRU).
             ``None`` means unbounded (everything fits on local SSD, the
             common case for the scaled-down benchmarks).  It bounds
-            residency, not decoded memory: the values live wherever the
-            reader's ``into`` keeps them.
+            residency, not decoded memory: the values live with the
+            reader that decoded them.
     """
 
     def __init__(self, cache_capacity: Optional[int] = None) -> None:
@@ -229,8 +195,8 @@ class ManagedStorage:
         # single attribute load ("no faults configured" costs nothing).
         self._faults_armed = False
         # One always-on lock guards the residency LRU, the global stats,
-        # per-query sinks, retry budgets and the writes into a read's
-        # sink.  Decode and fault retries run outside it (see module doc).
+        # per-query sinks and retry budgets.  Verification and fault
+        # retries run outside it (see module doc).
         self._lock = threading.Lock()
 
     # -- fault wiring ----------------------------------------------------------
@@ -264,19 +230,16 @@ class ManagedStorage:
         keys: Sequence[BlockKey],
         blocks: Sequence[EncodedBlock],
         reader: Optional[QueryStorageContext] = None,
-        *,
-        into: BlockSink,
     ) -> None:
-        """Read ``blocks`` into ``into``, counting every access.
+        """Read ``blocks``: count every access and make every key resident.
 
         ``keys`` name distinct blocks of one slice, read in one round
         (:meth:`_read_round`).  Counters and residency end-state are
-        those of reading the keys one at a time.  ``into`` is the one
-        sink of these keys: a resident key's values are already in it,
-        and a fetched key's are written only if they are not (the module
-        doc's rules).  ``reader`` is the statement the read belongs to:
-        its sink is counted into, its budget pays for retries, and while
-        it is scanning, eviction waits for its ``end_scan_phase``.
+        those of reading the keys one at a time.  No value leaves the
+        storage: the reader decodes what it takes (the module doc).
+        ``reader`` is the statement the read belongs to: its sink is
+        counted into, its budget pays for retries, and while it is
+        scanning, eviction waits for its ``end_scan_phase``.
         """
         if reader is None:
             reader = self._direct
@@ -288,23 +251,22 @@ class ManagedStorage:
                 # A read outside a scan evicts as it inserts: a miss may
                 # push out a block a later key would have hit.  Keep that order.
                 for key, block in zip(keys, blocks):
-                    self._read_round((key,), (block,), reader, into)
+                    self._read_round((key,), (block,), reader)
                 return
-        self._read_round(keys, blocks, reader, into)
+        self._read_round(keys, blocks, reader)
 
     def _read_round(
         self,
         keys: Sequence[BlockKey],
         blocks: Sequence[EncodedBlock],
         reader: QueryStorageContext,
-        into: BlockSink,
     ) -> None:
-        """One lock round looks every key up and counts the hits.  The
-        misses decode outside the lock, in one call per codec group, and
-        under an armed injector run their attempt loops in key order.  A
-        second round counts what was fetched, writes it to ``into`` in
-        one call, makes it resident and moves every key to the
-        most-recent end."""
+        """One lock round looks every key up and counts the hits.  Under
+        an armed injector the misses then decode outside the lock, in
+        one call per codec group, and run their attempt loops in key
+        order over those rows, which nothing keeps.  A second round
+        counts what was fetched, makes it resident and moves every key
+        to the most-recent end."""
         cache = self._cache
         sinks = self._sinks(reader)
         with self._lock:
@@ -317,35 +279,25 @@ class ManagedStorage:
                 return
         fetched = [keys[i] for i in missing]
         encoded = [blocks[i] for i in missing]
-        groups = decode_blocks(encoded)
         done = len(fetched)
         try:
             if self._faults_armed:
                 done = 0
                 rows = {
                     position: row
-                    for positions, values in groups
+                    for positions, values in decode_blocks(encoded)
                     for position, row in zip(positions, values)
                 }
                 for position, (key, block) in enumerate(zip(fetched, encoded)):
                     self._attempts(key, block, rows[position], reader)
                     done += 1
         finally:
-            # A fetch that raised leaves the ones before it counted and written.
-            if done < len(fetched):
-                kept = []
-                for positions, values in groups:
-                    cut = bisect_left(positions, done)
-                    if cut:
-                        kept.append((positions[:cut], values[:cut]))
-                groups = kept
+            # A fetch that raised leaves the ones before it counted and resident.
             nbytes = sum([block.nbytes for block in encoded[:done]])
             with self._lock:
                 for stats in sinks:
                     stats.remote_fetches += done
                     stats.bytes_fetched += nbytes
-                # Written once, before the keys are resident.
-                into.write_groups(fetched, groups)
                 for key in fetched[:done]:
                     cache[key] = None
                 self._settle_locked(keys, reader)
@@ -386,11 +338,10 @@ class ManagedStorage:
 
         Every attempt consults the injector.  One that does not fail
         verifies ``values`` (the block's decoded row) against the
-        block's checksum, on a corrupted copy when the attempt corrupts,
-        so a corrupted fetch is *never* handed to a scan — it is retried
-        like a transient error.  Exhausting ``max_attempts`` or the
-        per-query retry budget raises (the last rung of the degradation
-        ladder).
+        block's checksum, on a corrupted copy when the attempt corrupts;
+        a corrupted attempt is retried like a transient error.
+        Exhausting ``max_attempts`` or the per-query retry budget raises
+        (the last rung of the degradation ladder).
 
         Each attempt's verdict, corruption shape and jitter come from
         its own stream (:meth:`FaultInjector.decide`, keyed by the block,

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro import ClusterCaches, FaultInjector, PredicateCacheConfig, RetryPolicy
+from repro.persist import store as store_module
 
 from tests.test_differential import TWIN_DATA, apply_step, generate_steps
 from tests.twins import corrupt_next_write, crash_next_write, seeded_engine
@@ -128,7 +129,6 @@ class TestPersistenceChaos:
                 directory,
                 catalog=cached.database,
                 injector=store_injector,
-                min_compact_bytes=4096,
             )
 
         totals = {"torn": 0, "corrupt": 0, "warm": 0, "stale": 0, "sections": 0}
@@ -170,7 +170,8 @@ class TestPersistenceChaos:
         return caches, totals, restarts
 
     @pytest.mark.parametrize("variant,seed", [("range", 515), ("bitmap", 616)])
-    def test_store_faults_never_change_results(self, variant, seed, tmp_path):
+    def test_store_faults_never_change_results(self, variant, seed, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "MIN_COMPACT_BYTES", 4096)
         caches, totals, restarts = self.run_workload(variant, seed, tmp_path)
         # Persistence faults genuinely happened ...
         assert totals["errors"] > 0

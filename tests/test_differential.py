@@ -6,7 +6,7 @@ with inserts, deletes, updates, vacuums, and ``t`` dropped and
 re-created from another seed) against two engines over
 identical twin databases: one with a predicate cache, one without.
 After every step the two must agree on result rows, ``rows_output``,
-and MVCC-visible row counts.  Any divergence is a caching bug
+MVCC-visible row counts and one filtered scan the cached twin repeats.  Any divergence is a caching bug
 (false negative, stale entry, or broken invalidation).
 
 Two layers of generation:
@@ -100,6 +100,19 @@ def apply_step(cached, plain, step, step_no):
     assert visible_a == visible_b, context
 
 
+#: One filtered scan both twins answer after every step: the cached
+#: twin repeats it, so a stale entry shows as soon as a step makes one.
+REPEATED_SCAN = "select count(*) as c, sum(v) as s from t where k < 50"
+
+
+def assert_repeated_scan_agrees(cached, plain, step_no):
+    """Both twins answer :data:`REPEATED_SCAN` alike."""
+    context = f"repeated scan after step {step_no}"
+    assert_rows_equal(
+        cached.execute(REPEATED_SCAN).rows(), plain.execute(REPEATED_SCAN).rows(), context
+    )
+
+
 # -- hypothesis-driven workloads ----------------------------------------------
 
 step_strategy = st.one_of(
@@ -134,6 +147,7 @@ def test_random_workload_never_diverges(variant, steps):
     cached, plain = build_twins(variant)
     for step_no, step in enumerate(steps):
         apply_step(cached, plain, step, step_no)
+        assert_repeated_scan_agrees(cached, plain, step_no)
 
 
 # -- deterministic full-length workload ---------------------------------------
@@ -180,6 +194,7 @@ def test_deterministic_200_step_workload(variant, seed):
     assert len(steps) >= 200
     for step_no, step in enumerate(steps):
         apply_step(cached, plain, step, step_no)
+        assert_repeated_scan_agrees(cached, plain, step_no)
     stats = cached.predicate_cache.stats
     assert stats.hits > 0, "workload never hit the cache — oracle is vacuous"
     assert plain.predicate_cache is None

@@ -270,9 +270,9 @@ def read_keys(monkeypatch):
     seen = []
     original = ManagedStorage.read_blocks
 
-    def spy(self, keys, blocks, reader=None, *, into):
+    def spy(self, keys, blocks, reader=None):
         seen.extend(keys)
-        return original(self, keys, blocks, reader, into=into)
+        return original(self, keys, blocks, reader)
 
     monkeypatch.setattr(ManagedStorage, "read_blocks", spy)
     return seen

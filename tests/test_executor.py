@@ -376,6 +376,43 @@ class TestAggregation:
         assert grouped.column("hi").tolist() == [big + 3, 5]
         assert grouped.column("lo").tolist() == [-3, -(big + 1)]
 
+    @pytest.mark.parametrize("dtype", [DataType.INT64, DataType.DATE])
+    def test_sum_of_an_integer_column_is_exact(self, dtype):
+        """SUM over an integer column keeps int64: through float64
+        ``2**53 + 1`` reads ``2**53``.  An empty SUM is still 0."""
+        big = 2**53
+        db = Database(num_slices=2, rows_per_block=2)
+        db.create_table(TableSchema("t", (
+            ColumnSpec("g", DataType.INT64), ColumnSpec("x", dtype),
+        )))
+        engine = QueryEngine(db)
+        engine.insert("t", {
+            "g": np.array([0, 1, 0]), "x": np.array([big, 7, 1], dtype=np.int64),
+        })
+        total = engine.execute("select sum(x) as s from t").column("s")
+        assert total.dtype == np.int64 and total[0] == big + 8
+        assert engine.execute("select sum(x) from t where g = 0").scalar() == 9007199254740993
+        grouped = engine.execute("select g, sum(x) as s from t group by g order by g")
+        assert grouped.column("s").tolist() == [big + 1, 7]
+        assert engine.execute("select sum(x) as s from t where g = 9").scalar() == 0
+
+    def test_sum_that_leaves_int64_is_refused_not_wrapped(self):
+        """Sums whose rows could overflow are summed exactly: one that
+        fits is returned, one that does not raises."""
+        db = Database(num_slices=1, rows_per_block=2)
+        db.create_table(TableSchema("t", (
+            ColumnSpec("g", DataType.INT64), ColumnSpec("x", DataType.INT64),
+        )))
+        engine = QueryEngine(db)
+        top = 2**62
+        engine.insert("t", {
+            "g": np.array([0, 0, 1, 1]),
+            "x": np.array([top, top, top, -top], dtype=np.int64),
+        })
+        assert engine.execute("select sum(x) from t where g = 1").scalar() == 0
+        with pytest.raises(OverflowError):
+            engine.execute("select sum(x) from t where g = 0")
+
     def test_min_and_max_over_no_rows_are_nan(self, star_db):
         db, engine = star_db
         result = engine.execute(

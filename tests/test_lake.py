@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from repro import invariants
 from repro.lake import LakeScanner, LakeTable, write_file
+from repro.lake import scan as lake_scan
 from repro.predicates import TruePredicate, parse_predicate
-from repro.storage import rms as rms_module
 
 
 def make_table(num_files=3, rows_per_file=1000, rows_per_group=100, seed=0):
@@ -207,11 +207,11 @@ class TestLakeScanner:
 
     def test_a_row_groups_chunks_decode_in_one_round(self, monkeypatch):
         # Capacity 0 keeps nothing resident, so a row group's predicate
-        # chunks read in one round and decode together; the int and the
-        # float chunk come back in their own dtypes.
+        # chunks read in one round, and the scanner decodes them together;
+        # the int and the float chunk come back in their own dtypes.
         table = make_table(seed=9)
         scanner = LakeScanner(table)
-        decode_blocks = rms_module.decode_blocks
+        decode_blocks = lake_scan.decode_blocks
         rounds = []
 
         def recording(blocks):
@@ -219,7 +219,7 @@ class TestLakeScanner:
             rounds.append(sorted(values.dtype.str for _, values in groups))
             return groups
 
-        monkeypatch.setattr(rms_module, "decode_blocks", recording)
+        monkeypatch.setattr(lake_scan, "decode_blocks", recording)
         out, stats = scanner.scan(parse_predicate("k < 40 and v < 0.5"), ["k", "v"])
         assert len(rounds) == stats.row_groups_read > 0
         assert all(dtypes == ["<f8", "<i8"] for dtypes in rounds)

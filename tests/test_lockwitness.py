@@ -235,7 +235,7 @@ class TestLiveWorkloadContainment:
 
 class TestWriteThroughOffTheCacheLock:
     @pytest.mark.parametrize("variant", ["range", "bitmap"])
-    def test_concurrent_writers_keep_the_store_a_mirror(self, tmp_path, variant):
+    def test_concurrent_writers_keep_the_store_a_mirror(self, tmp_path, variant, monkeypatch):
         """Threads install, extend and evict on one cache with a
         store: the journal holds the cache's mutations in order (a
         restart recovers exactly the live states), and no append ran
@@ -247,12 +247,15 @@ class TestWriteThroughOffTheCacheLock:
         from repro import PredicateCache, PredicateCacheConfig
         from repro.core.keys import ScanKey
         from repro.persist import CacheStore
+        from repro.persist import store as store_module
         from tests.test_persist import assert_store_mirrors
 
+        monkeypatch.setattr(store_module, "MIN_COMPACT_BYTES", 2048)
+        monkeypatch.setattr(store_module, "COMPACT_FACTOR", 1.0)
         cache = PredicateCache(
             PredicateCacheConfig(variant=variant, bitmap_block_rows=64, max_bytes=400)
         )
-        store = CacheStore(tmp_path, min_compact_bytes=2048, compact_factor=1.0)
+        store = CacheStore(tmp_path)
         store.attach(cache)
 
         def writer(worker):

@@ -24,6 +24,7 @@ from repro import (
 )
 from repro.obs import MetricsRegistry
 from repro.persist import collect_records, key_digest
+from repro.persist import store as store_module
 from repro.persist.format import (
     DecodeIssues,
     decode_journal_payload,
@@ -351,7 +352,6 @@ class TestSnapshotRacesAnExtendingWriter:
         newer state, then the snapshot rotates.  The newer state must
         still be what a restart recovers."""
         from repro.core.keys import ScanKey
-        from repro.persist import store as store_module
 
         cache = PredicateCache(PredicateCacheConfig())
         store = CacheStore(tmp_path)
@@ -719,19 +719,21 @@ class TestCrashSafety:
 
 
 class TestCompaction:
-    def test_journal_folds_into_snapshot(self, tmp_path):
+    def test_journal_folds_into_snapshot(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "MIN_COMPACT_BYTES", 256)
+        monkeypatch.setattr(store_module, "COMPACT_FACTOR", 1.0)
         db = Database(num_slices=4, rows_per_block=256)
         db.create_table(
             TableSchema("t", tuple(ColumnSpec(c, DataType.INT64) for c in COLUMNS))
         )
-        store = CacheStore(tmp_path, catalog=db, min_compact_bytes=256, compact_factor=1.0)
+        store = CacheStore(tmp_path, catalog=db)
         engine, caches = make_engine(store=store, db=db)
         populate(engine)
         for hi in range(100, 2000, 100):
             engine.execute(f"select count(*) as c from t where x < {hi}")
         assert store.compactions > 0
         assert store.snapshot_bytes > 0
-        assert store.journal_bytes <= store.compact_factor * store.snapshot_bytes
+        assert store.journal_bytes <= store_module.COMPACT_FACTOR * store.snapshot_bytes
 
         assert_store_mirrors(
             CacheStore(tmp_path, catalog=db), caches, revalidate=True

@@ -63,16 +63,16 @@ def make_loaded_engine(generator, rows_per_table=3000, **db_kwargs):
 
 def slow_fetches(monkeypatch, seconds):
     """Make every read round sleep ``seconds`` per block it fetches
-    remotely, between its two lock rounds (before the blocks are
-    resident) like a network round trip, so statements stay in flight
-    long enough for queues to fill and deadlines to expire."""
-    decode_blocks = rms_module.decode_blocks
+    remotely — a key not resident when the round starts — before the
+    blocks are resident, like a network round trip, so statements stay
+    in flight long enough for queues to fill and deadlines to expire."""
+    read_round = rms_module.ManagedStorage._read_round
 
-    def slow(blocks):
-        time.sleep(seconds * len(blocks))
-        return decode_blocks(blocks)
+    def slow(self, keys, blocks, reader):
+        time.sleep(seconds * sum(key not in self._cache for key in keys))
+        return read_round(self, keys, blocks, reader)
 
-    monkeypatch.setattr(rms_module, "decode_blocks", slow)
+    monkeypatch.setattr(rms_module.ManagedStorage, "_read_round", slow)
 
 
 # -- server semantics ---------------------------------------------------------

@@ -12,10 +12,10 @@ from repro.core.entry import BitmapSliceState
 from repro.core.rowrange import RangeList
 from repro.faults import FaultInjector, RetryBudgetExceeded, RetryPolicy
 from repro.storage import ColumnSpec, Database, Table, TableSchema
-from repro.storage.compression import choose_codec, decode_block, seal_blocks
+from repro.storage.compression import CODECS, choose_codec, decode_block, seal_blocks
 from repro.storage.column import BlockCoverage, ColumnStore, DecodedBlocks, GrowableArray
 from repro.storage.dtypes import DataType, date_to_days, days_to_date
-from repro.storage.rms import BlockDict, ManagedStorage
+from repro.storage.rms import ManagedStorage
 from repro.predicates.ast import Bounds
 from repro.storage.slice import DataSlice
 from repro.storage.zonemap import ZoneMap
@@ -224,11 +224,8 @@ class TestManagedStorage:
         rms = ManagedStorage()
         block = self._block([1, 2, 3])
         key = ("t", 0, "c", 0)
-        into = BlockDict()
-        rms.read_blocks((key,), (block,), into=into)
-        assert into[key].tolist() == [1, 2, 3]
-        rms.read_blocks((key,), (block,), into=into)
-        assert into[key].tolist() == [1, 2, 3]
+        rms.read_blocks((key,), (block,))
+        rms.read_blocks((key,), (block,))
         assert rms.stats.remote_fetches == 1
         assert rms.stats.local_hits == 1
         assert rms.stats.blocks_accessed == 2
@@ -236,15 +233,13 @@ class TestManagedStorage:
     def test_lru_eviction(self):
         rms = ManagedStorage(cache_capacity=2)
         blocks = {i: self._block([i]) for i in range(3)}
-        into = BlockDict()
         for i in range(3):
-            rms.read_blocks((("t", 0, "c", i),), (blocks[i],), into=into)
-        first = into[("t", 0, "c", 0)]
-        # Block 0 evicted; re-reading is a remote fetch again, and its
-        # values, already written, are not written again.
-        rms.read_blocks((("t", 0, "c", 0),), (blocks[0],), into=into)
+            rms.read_blocks((("t", 0, "c", i),), (blocks[i],))
+        assert list(rms._cache) == [("t", 0, "c", 1), ("t", 0, "c", 2)]
+        # Block 0 evicted; re-reading is a remote fetch again.
+        rms.read_blocks((("t", 0, "c", 0),), (blocks[0],))
         assert rms.stats.remote_fetches == 4
-        assert into[("t", 0, "c", 0)] is first and first.tolist() == [0]
+        assert list(rms._cache) == [("t", 0, "c", 2), ("t", 0, "c", 0)]
 
     def test_a_scan_defers_eviction_to_its_barrier(self):
         """Inside a scan every read is most recent at once, but nothing
@@ -255,10 +250,8 @@ class TestManagedStorage:
         blocks = [self._block([i]) for i in range(3)]
         reader = rms.query_context()
         reader.begin_scan_phase()
-        into = BlockDict()
         for i in (0, 1, 2, 0):  # the last read of block 0 is a hit
-            reader.read_blocks((keys[i],), (blocks[i],), into=into)
-        assert [into[key].tolist() for key in keys] == [[0], [1], [2]]
+            reader.read_blocks((keys[i],), (blocks[i],))
         assert rms.cached_blocks == 3  # over capacity, eviction deferred
         reader.end_scan_phase()
         assert list(rms._cache) == [keys[2], keys[0]]  # block 1 was coldest
@@ -266,39 +259,30 @@ class TestManagedStorage:
 
     def test_invalidate_table(self):
         rms = ManagedStorage()
-        into = BlockDict()
-        rms.read_blocks((("a", 0, "c", 0),), (self._block([1]),), into=into)
-        rms.read_blocks((("b", 0, "c", 0),), (self._block([2]),), into=into)
+        rms.read_blocks((("a", 0, "c", 0),), (self._block([1]),))
+        rms.read_blocks((("b", 0, "c", 0),), (self._block([2]),))
         rms.invalidate_table("a")
         assert rms.cached_blocks == 1
-        rms.read_blocks((("a", 0, "c", 0),), (self._block([1]),), into=BlockDict())
+        rms.read_blocks((("a", 0, "c", 0),), (self._block([1]),))
         assert rms.stats.remote_fetches == 3
 
     def test_bytes_fetched(self):
         rms = ManagedStorage()
         block = self._block(np.arange(100))
-        into = BlockDict()
-        rms.read_blocks((("t", 0, "c", 0),), (block,), into=into)
+        rms.read_blocks((("t", 0, "c", 0),), (block,))
         assert rms.stats.bytes_fetched == block.nbytes
-        assert into[("t", 0, "c", 0)].tolist() == list(range(100))
 
     def test_stats_delta(self):
         rms = ManagedStorage()
-        into = BlockDict()
-        rms.read_blocks((("t", 0, "c", 0),), (self._block([1]),), into=into)
+        rms.read_blocks((("t", 0, "c", 0),), (self._block([1]),))
         before = rms.stats.snapshot()
-        rms.read_blocks((("t", 0, "c", 0),), (self._block([1]),), into=into)
+        rms.read_blocks((("t", 0, "c", 0),), (self._block([1]),))
         delta = rms.stats.delta(before)
         assert delta.local_hits == 1
         assert delta.remote_fetches == 0
 
 
 # -- the batched read path ------------------------------------------------------
-
-
-def blocks_values(key):
-    """The values :func:`block_calls` encodes under ``key``."""
-    return list(range(100 * key[1] + key[3], 100 * key[1] + key[3] + 20))
 
 
 def block_calls(seed, num_calls=40, num_slices=3, blocks_per_slice=8):
@@ -324,28 +308,28 @@ def drive(calls, batched, capacity, phased, injector=None, retry_budget=None):
     """Run ``calls`` against a fresh storage, one query, a scan phase
     around every five calls when ``phased``.  Returns what an observer
     can tell: values read, stats, the query's sink, cache key order at
-    every barrier, and where a fetch gave up."""
+    every barrier, the keys resident after every call that returned,
+    and where a fetch gave up."""
     rms = ManagedStorage(cache_capacity=capacity)
     if injector is not None:
         rms.attach_faults(
             injector, RetryPolicy(max_attempts=12, retry_budget=retry_budget)
         )
     query = rms.query_context()
-    into = BlockDict()
-    seen = {"values": [], "orders": [], "gave_up": None}
+    seen = {"resident": [], "orders": [], "gave_up": None}
     for index, (keys, blocks) in enumerate(calls):
         if phased and index % 5 == 0:
             query.begin_scan_phase()
         try:
             if batched:
-                query.read_blocks(keys, blocks, into=into)
+                query.read_blocks(keys, blocks)
             else:
                 for key, block in zip(keys, blocks):
-                    query.read_blocks((key,), (block,), into=into)
+                    query.read_blocks((key,), (block,))
         except RetryBudgetExceeded as error:
             seen["gave_up"] = (index, str(error))
             break
-        seen["values"].append([into[key].tolist() for key in keys])
+        seen["resident"].append(list(rms._cache))
         if phased and (index % 5 == 4 or index == len(calls) - 1):
             query.end_scan_phase()
             seen["orders"].append(list(rms._cache))
@@ -403,7 +387,7 @@ class TestReadBlocks:
         (one, _, one_seen), (many, _, many_seen) = runs
         assert one_seen["gave_up"] is not None
         assert many_seen["gave_up"] == one_seen["gave_up"]
-        assert many_seen["values"] == one_seen["values"]
+        assert many_seen["resident"] == one_seen["resident"]
         for name in (
             "transient_errors", "corrupt_blocks", "retries", "retry_giveups",
             "backoff_model_seconds",
@@ -417,88 +401,178 @@ class TestReadBlocks:
         )
         keys, blocks = block_calls(0)[0]
         assert len(keys) >= 2
-        into = BlockDict()
         with pytest.raises(Exception):
-            rms.read_blocks(keys, blocks, into=into)
+            rms.read_blocks(keys, blocks)
         assert rms.stats.remote_fetches == 1
         assert list(rms._cache) == keys[:1]
-        assert list(into) == keys[:1]
 
 
-class ResidencyCheckingSink(BlockDict):
-    """An ``into`` that asserts, on every write, that its key is not yet
-    resident, and records the keys written."""
+def fill_checked(rms, column):
+    """Record every ``read_blocks`` call of ``rms`` as its keys, and
+    assert that each key's row of ``column`` is written by then."""
+    calls = []
+    read_blocks = rms.read_blocks
 
-    def __init__(self, rms):
-        super().__init__()
-        self.rms = rms
-        self.writes = []
+    def checked(keys, blocks, reader=None):
+        for key in keys:
+            assert column._decoded.written(key[3]), f"{key} read before its row"
+        calls.append(list(keys))
+        read_blocks(keys, blocks, reader)
 
-    def __setitem__(self, key, values):
-        assert key not in self.rms._cache, f"{key} resident before its row"
-        self.writes.append(key)
-        super().__setitem__(key, values)
+    rms.read_blocks = checked
+    return calls
+
+
+def count_decodes(monkeypatch):
+    """Count the blocks every codec's ``decode`` turns into values."""
+    decoded = Counter()
+    for name, codec in CODECS.items():
+        def counting(blocks, name=name, decode=codec.decode):
+            decoded[name] += len(blocks)
+            return decode(blocks)
+
+        monkeypatch.setattr(codec, "decode", counting)
+    return decoded
 
 
 class TestRowsBeforeResidency:
-    """A row is written before its key is resident, and once."""
+    """A reader fills its rows before it reads, and a block decodes once
+    per build."""
 
     def setup_method(self):
-        self.keys = [("t", 0, "c", b) for b in range(4)]
-        self.blocks = [choose_codec(np.arange(20, dtype=np.int64) + b) for b in range(4)]
+        self.column = make_column(range(80), rows_per_block=20)
 
-    def test_a_miss_a_refetch_and_the_one_key_at_a_time_path(self):
-        keys, blocks = self.keys, self.blocks
+    def read(self, rms, index):
+        column = self.column
+        coverage = BlockCoverage.of_blocks(
+            np.array(index, dtype=np.int64), column.rows_per_block, column.num_rows
+        )
+        return column.read_ranges(coverage, rms)
+
+    def test_a_miss_a_refetch_and_the_one_key_at_a_time_path(self, monkeypatch):
+        column = self.column
         rms = ManagedStorage(cache_capacity=2)
-        into = ResidencyCheckingSink(rms)
-        rms.read_blocks(keys[:1], blocks[:1], into=into)  # a miss
-        assert into.writes == keys[:1] and list(rms._cache) == keys[:1]
+        calls = fill_checked(rms, column)
+        decoded = count_decodes(monkeypatch)
+        assert self.read(rms, [0]).tolist() == list(range(20))  # a miss
+        assert list(rms._cache) == [column._keys[0]]
         # 1 resident + 3 keys > capacity 2: one key at a time, evicting.
-        rms.read_blocks(keys[1:], blocks[1:], into=into)
-        assert into.writes == keys and list(rms._cache) == keys[2:]
-        # Key 0 was evicted: its re-fetch decodes and counts, and writes
-        # nothing where the row is already written...
-        first = into[keys[0]]
+        assert self.read(rms, [1, 2, 3]).tolist() == list(range(20, 80))
+        assert list(rms._cache) == column._keys[2:]
+        assert sum(decoded.values()) == 4
+        # Key 0 was evicted: its re-fetch counts and decodes nothing.
         fetches = rms.stats.remote_fetches
-        rms.read_blocks(keys[:1], blocks[:1], into=into)
+        assert self.read(rms, [0]).tolist() == list(range(20))
         assert rms.stats.remote_fetches == fetches + 1
-        assert into.writes == keys and into[keys[0]] is first
-        # ...and writes, before residency, into a sink that lacks it.
-        rms.read_blocks(keys[2:], blocks[2:], into=into)  # evicts key 0
-        other = ResidencyCheckingSink(rms)
-        rms.read_blocks(keys[:1], blocks[:1], into=other)
-        assert other.writes == keys[:1] and into.writes == keys
-        for key, block in zip(keys, blocks):
-            assert into[key].tolist() == decode_block(block).tolist()
+        assert sum(decoded.values()) == 4
+        assert len(calls) == 3
 
     def test_a_corrupted_attempt_never_reaches_the_row(self):
-        keys, blocks = self.keys, self.blocks
         rms = ManagedStorage(cache_capacity=2)
         rms.attach_faults(
             FaultInjector(schedule={0: "corrupt", 3: "corrupt"}),
             RetryPolicy(max_attempts=3),
         )
-        into = ResidencyCheckingSink(rms)
-        rms.read_blocks(keys, blocks, into=into)
-        assert rms.stats.corrupt_blocks == 2
-        assert into.writes == keys
-        for key, block in zip(keys, blocks):
-            assert into[key].tolist() == decode_block(block).tolist()
+        calls = fill_checked(rms, self.column)
+        assert self.read(rms, [0, 1, 2, 3]).tolist() == list(range(80))
+        assert rms.stats.corrupt_blocks == 2 and rms.stats.retries == 2
+        assert len(calls) == 1
+        for index, block in enumerate(self.column.blocks):
+            assert self.column._decoded.row(index).tolist() == decode_block(block).tolist()
+
+    def test_a_refetch_after_eviction_decodes_nothing(self, monkeypatch):
+        """Every block of a column decodes once, however often the
+        storage evicts and re-fetches it."""
+        rms = ManagedStorage(cache_capacity=1)
+        decoded = count_decodes(monkeypatch)
+        for _ in range(3):
+            for index in ([0, 1], [2], [3, 0], [1, 2, 3]):
+                assert self.read(rms, index).tolist() == [
+                    value for b in index for value in range(20 * b, 20 * b + 20)
+                ]
+        assert rms.stats.remote_fetches > 4 * 3
+        assert sum(decoded.values()) == 4
+
+    def test_a_corrupted_refetch_is_retried_and_the_row_stays(self):
+        """A corruption scheduled on the re-fetch of an evicted block is
+        counted and retried by the storage; the column's row, written
+        by the first read, does not change."""
+        column = self.column
+        rms = ManagedStorage(cache_capacity=1)
+        # decide calls: 0 fetches block 0, 1 block 1 (evicting 0), 2 the
+        # re-fetch of block 0.
+        rms.attach_faults(FaultInjector(schedule={2: "corrupt"}), RetryPolicy(max_attempts=3))
+        self.read(rms, [0])
+        row = column._decoded.row(0)
+        self.read(rms, [1])
+        assert rms.stats.corrupt_blocks == 0
+        assert self.read(rms, [0]).tolist() == list(range(20))
+        assert rms.stats.corrupt_blocks == 1 and rms.stats.retries == 1
+        assert rms.stats.remote_fetches == 3
+        assert column._decoded.row(0).tolist() == row.tolist() == list(range(20))
 
 
-def test_a_group_writes_only_its_unwritten_rows():
-    """One decoded group whose blocks are partly written: the unwritten
-    rows land, the written ones keep the values they had."""
+def test_a_group_writes_only_its_unwritten_rows(monkeypatch):
+    """A fill whose blocks are partly written decodes and writes only the
+    unwritten rows; the written ones keep their values, and a fill of
+    written rows decodes nothing."""
     decoded = DecodedBlocks(np.dtype(np.int64), 3)
     decoded.grow(4)
-    keys = [("t", 0, "c", b) for b in range(4)]
     values = np.arange(12).reshape(4, 3)
-    decoded.write_groups(keys, [([1, 3], values[[1, 3]])])
-    decoded.write_groups(keys, [([0, 1, 2, 3], values + 100)])
+    blocks = [choose_codec(row) for row in values]
+    counts = count_decodes(monkeypatch)
+    decoded.fill([1, 3], blocks)
+    assert sum(counts.values()) == 2
+    assert [decoded.written(b) for b in range(4)] == [False, True, False, True]
+    decoded.fill([0, 1, 2, 3], [choose_codec(row + 100) for row in values])
+    assert sum(counts.values()) == 4
     assert [decoded.row(b).tolist() for b in range(4)] == [
         [100, 101, 102], [3, 4, 5], [106, 107, 108], [9, 10, 11],
     ]
-    assert all(decoded.written(b) for b in range(4))
+    decoded.fill([0, 2], blocks)
+    assert sum(counts.values()) == 4
+
+
+def test_readers_of_one_cold_column_fill_it_together():
+    """Four threads read the same cold column at once through a
+    capacity-2 storage: they race to fill the same rows, and every read
+    equals decoding every block."""
+    import sys
+    import threading
+
+    column = make_column(np.arange(600) * 3 % 41, rows_per_block=10)
+    want = decoded_reference(column)
+    rms = ManagedStorage(cache_capacity=2)
+    start = threading.Barrier(4)
+    failures = []
+
+    def read(seed):
+        rng = random.Random(seed)
+        reader = rms.query_context()
+        try:
+            start.wait(timeout=30.0)
+            for _ in range(15):
+                lo = rng.randrange(column.num_rows)
+                hi = min(lo + rng.randrange(1, 200), column.num_rows)
+                coverage = cover(column, np.arange(lo, hi))
+                assert column.read_ranges(coverage, reader).tolist() == want[lo:hi].tolist()
+            assert column.read_all(reader).tolist() == want.tolist()
+        except Exception as error:  # reported by the main thread
+            failures.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert all(column._decoded.written(b) for b in range(len(column.blocks)))
 
 
 def test_concurrent_readers_take_only_written_rows():
@@ -572,10 +646,9 @@ class TestReadersAreExplicit:
         rms = self.armed(budget=500)
         one, two = rms.query_context(), rms.query_context()
         one.begin_scan_phase()  # one is mid-scan, two reads unphased
-        into = BlockDict()
         for index, (keys, blocks) in enumerate(block_calls(1)):
-            (one, two)[index % 2].read_blocks(keys, blocks, into=into)
-            assert all(key in into for key in keys)
+            (one, two)[index % 2].read_blocks(keys, blocks)
+            assert all(key in rms._cache for key in keys)
         one.end_scan_phase()
         for name in self.FIELDS:
             total = getattr(one.stats, name) + getattr(two.stats, name)
@@ -589,16 +662,14 @@ class TestReadersAreExplicit:
         rms = self.armed(budget=2)
         spent, fresh = rms.query_context(), rms.query_context()
         calls = block_calls(2)
-        into = BlockDict()  # the one sink of these keys, whichever reader reads them
         with pytest.raises(RetryBudgetExceeded):
             for keys, blocks in calls:
-                spent.read_blocks(keys, blocks, into=into)
+                spent.read_blocks(keys, blocks)
         assert spent.retry_budget_left == 0 and spent.stats.retry_giveups == 1
         keys, blocks = calls[0]
         assert fresh.retry_budget_left == 2
-        fresh.read_blocks(keys[:1], blocks[:1], into=into)
+        fresh.read_blocks(keys[:1], blocks[:1])
         assert fresh.stats.blocks_accessed == 1
-        assert into[keys[0]].tolist() == blocks_values(keys[0])
         assert fresh.stats.retry_giveups == 0
 
     def test_one_context_driven_from_two_threads(self):
@@ -607,12 +678,9 @@ class TestReadersAreExplicit:
         rms = self.armed(budget=500)
         reader = rms.query_context()
         calls = block_calls(3)
-        into = BlockDict()
         threads = [
             threading.Thread(
-                target=lambda mine: [
-                    reader.read_blocks(k, b, into=into) for k, b in mine
-                ],
+                target=lambda mine: [reader.read_blocks(k, b) for k, b in mine],
                 args=(calls[half::2],),
             )
             for half in range(2)
@@ -623,7 +691,6 @@ class TestReadersAreExplicit:
             thread.join(timeout=30.0)
         assert reader.stats == rms.stats
         assert reader.stats.blocks_accessed == sum(len(k) for k, _ in calls)
-        assert set(into) == {key for keys, _ in calls for key in keys}
         assert reader.retry_budget_left == 500 - reader.stats.retries
 
 
