@@ -42,15 +42,25 @@ reader takes the slot's reference once and works on a state that is
 complete and stays so: lock-free scans, journal captures and snapshots
 all hold the value itself, and a reader that took the previous state
 merely re-scans the tail.
+
+One field is written after the constructor, once: a range state keeps
+the block placement of its own rows (:meth:`RangeSliceState.placed`),
+which an exact hit on a slice that has not grown takes as its answer.
+It is derived from the payload, never part of the value: equality,
+``nbytes``, journal records and snapshots ignore it, and two scans that
+place the rows at once store equal placements (DESIGN.md §12).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional, TypeVar
 
 import numpy as np
 
+from .. import invariants as _inv
 from .rowrange import RangeList
+
+_Placed = TypeVar("_Placed")
 
 __all__ = [
     "SliceState",
@@ -77,8 +87,8 @@ class SliceState:
         raise NotImplementedError
 
     def count(self, num_rows: int) -> int:
-        """``len(self.rows(num_rows))``: a range state reads it off its
-        payload."""
+        """``len(self.rows(num_rows))``, read off the payload without
+        expanding it."""
         raise NotImplementedError
 
     def mask(self, num_rows: int) -> np.ndarray:
@@ -118,7 +128,7 @@ class SliceState:
 class RangeSliceState(SliceState):
     """Bounded list of merged row ranges (§4.1.1)."""
 
-    __slots__ = ("ranges", "last_cached_row", "max_ranges", "exact")
+    __slots__ = ("ranges", "last_cached_row", "max_ranges", "exact", "_placed")
 
     def __init__(
         self,
@@ -132,6 +142,7 @@ class RangeSliceState(SliceState):
         self.last_cached_row = scanned_upto
         self.max_ranges = max_ranges
         self.exact = exact and len(qualifying) <= max_ranges
+        self._placed = None
 
     @classmethod
     def _wrap(
@@ -147,7 +158,33 @@ class RangeSliceState(SliceState):
         out.last_cached_row = last_cached_row
         out.max_ranges = max_ranges
         out.exact = exact
+        out._placed = None
         return out
+
+    def placed(
+        self, num_rows: int, place: Callable[[np.ndarray], _Placed]
+    ) -> _Placed:
+        """``place(self.rows(num_rows))``, computed on the first call and
+        kept on the state: the block coverage of the cached rows, when
+        ``place`` is the slice's ``cover``.
+
+        Only for a slice that has not grown since the state was
+        installed (``num_rows == last_cached_row``): its row count and
+        the rows below the watermark never change under this state, so
+        neither does the placement.  Two callers racing on the first
+        call each store an equal value; the last store wins.
+        """
+        if num_rows != self.last_cached_row:
+            raise ValueError(
+                f"placement of rows cached up to {self.last_cached_row} "
+                f"asked for a slice of {num_rows} rows"
+            )
+        placed = self._placed
+        if placed is None:
+            placed = self._placed = place(self.rows(num_rows))
+        elif _inv.ACTIVE:
+            _inv.check_placement(placed, place(self.rows(num_rows)))
+        return placed
 
     def rows(self, num_rows: int) -> np.ndarray:
         cached = self.ranges.to_row_ids()
@@ -246,7 +283,13 @@ class BitmapSliceState(SliceState):
         return np.flatnonzero(self.mask(max(num_rows, self.last_cached_row)))
 
     def count(self, num_rows: int) -> int:
-        return len(self.rows(num_rows))
+        # A set bit stands for its whole block, but the last block ends
+        # at the watermark.
+        bits, size = self.bits, self.block_size
+        cached = int(np.count_nonzero(bits)) * size
+        if len(bits) and bits[-1]:
+            cached -= len(bits) * size - self.last_cached_row
+        return cached + max(0, num_rows - self.last_cached_row)
 
     def mask(self, num_rows: int) -> np.ndarray:
         marked = np.ones(num_rows, dtype=bool)

@@ -445,6 +445,22 @@ class QueryEngine:
         """Physically reclaim deleted rows (invalidates cache entries)."""
         return self.database.vacuum(tables)
 
+    def drop_table(self, name: str) -> None:
+        """Drop table ``name``, then every cache entry scanning it.
+
+        No later scan reads the name until a successor is created, so
+        nothing else would drop them before eviction.  Each predicate
+        cache node invalidates the name (a node with a store journals
+        the drops, so a reload does not bring them back), and so does
+        the result cache.
+        """
+        self.database.drop_table(name)
+        if self.predicate_cache is not None:
+            for node in self.predicate_cache.nodes():
+                node.invalidate_table(name)
+        if self.result_cache is not None:
+            self.result_cache.invalidate_table(name)
+
     # -- introspection -----------------------------------------------------------
 
     def explain(self, sql: str) -> str:

@@ -14,7 +14,11 @@ Scan flow per data slice:
    zone maps still drop blocks on top, and the block coverage leaves
    their rows out as it places the candidates.  An exact hit (below) whose
    watermark reaches the slice's row count consults no zone map: every
-   candidate qualifies, so no block holding one can be pruned.
+   candidate qualifies, so no block holding one can be pruned.  Its
+   candidates' coverage is then a function of the state alone, so the
+   state keeps it (:meth:`~repro.core.entry.RangeSliceState.placed`):
+   the first such hit places the rows, every later one takes the
+   placement as is.
 3. **Vectorized scan** — rows at or past the source's ``verdict_below``
    are evaluated (predicate, then any semi-join Bloom filters from
    ``probe_verdict_below`` on); cached false positives are eliminated
@@ -93,7 +97,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.cache import PredicateCache
-from ..core.entry import CacheEntry, SliceState
+from ..core.entry import CacheEntry, RangeSliceState, SliceState
 from ..core.keys import ScanKey, SemiJoinDescriptor
 from ..faults.errors import NodeDownError
 from ..obs.trace import optional_span
@@ -273,6 +277,10 @@ class SliceSource(NamedTuple):
     probe_verdict_below: int = 0
     #: Whether the source is an exact hit (the ``exact`` span attribute).
     exact: bool = False
+    #: An exact hit whose watermark reaches the slice's row count: the
+    #: candidates' coverage its state keeps (``candidates`` are its row
+    #: ids), taken as is, else ``None``.
+    placed: Optional[BlockCoverage] = None
 
 
 def _plan_scan(
@@ -360,48 +368,58 @@ def _plan_scan(
         plan.stale_drops += 1
         context.sources, context.basis = (), "full"
     plan.sources = [
-        _resolve_source(context, slice_id, data_slice.num_rows)
+        _resolve_source(context, slice_id, data_slice)
         for slice_id, (data_slice, context) in enumerate(zip(table.slices, contexts))
     ]
     return plan
 
 
 def _resolve_source(
-    context: Optional["_SliceCacheContext"], slice_id: int, num_rows: int
+    context: Optional["_SliceCacheContext"], slice_id: int, data_slice: DataSlice
 ) -> SliceSource:
     """The slice's source, read off its entries' slots once the stale
     drops are done.
 
     An exact hit keeps the rows of the state it was judged exact from
     (:func:`_exact_state`), not of a second read of a slot an install
-    may swap.  A composed or subsumed serve intersects its parts' rows,
-    each a superset of its conjunct's truth: it expands the part with
-    the fewest and keeps those the other parts' masks mark.
+    may swap.  When its watermark reaches the slice's row count its
+    verdict covers every row and no zone map drops one, so the state's
+    own placement is the candidates' coverage: placed by the first such
+    hit, kept on the state, taken as is by every later one.  A composed
+    or subsumed serve intersects its parts' rows, each a superset of its
+    conjunct's truth: it expands the part with the fewest and keeps
+    those the other parts' masks mark.
     """
     if context is None:
         return SliceSource()
+    num_rows = data_slice.num_rows
     exact = _exact_state(context, slice_id)
-    states = [exact] if exact is not None else [
-        state
-        for state in (source.slice_states[slice_id] for source in context.sources)
-        if state is not None
-    ]
-    if not states:
-        return SliceSource(context)
-    if len(states) > 1:
-        states.sort(key=lambda state: state.count(num_rows))
-    candidates = states[0].rows(num_rows)
-    for state in states[1:]:
-        if not len(candidates):
-            break
-        candidates = candidates[state.mask(num_rows)[candidates]]
+    placed: Optional[BlockCoverage] = None
+    if exact is not None and exact.last_cached_row == num_rows:
+        placed = exact.placed(num_rows, data_slice.cover)
+        candidates = placed.row_ids
+    else:
+        states: List[SliceState] = [exact] if exact is not None else [
+            state
+            for state in (source.slice_states[slice_id] for source in context.sources)
+            if state is not None
+        ]
+        if not states:
+            return SliceSource(context)
+        if len(states) > 1:
+            states.sort(key=lambda state: state.count(num_rows))
+        candidates = states[0].rows(num_rows)
+        for state in states[1:]:
+            if not len(candidates):
+                break
+            candidates = candidates[state.mask(num_rows)[candidates]]
     if exact is None:
         return SliceSource(context, candidates)
     # A join-keyed exact state also recorded the probes' verdict, at the
     # build versions the lookup checked.
     watermark = exact.last_cached_row
     probed = watermark if context.basis == "join" else 0
-    return SliceSource(context, candidates, watermark, probed, True)
+    return SliceSource(context, candidates, watermark, probed, True, placed)
 
 
 def _run_slices(
@@ -639,19 +657,19 @@ def _plan_reuse(
 
 def _exact_state(
     context: Optional[_SliceCacheContext], slice_id: int
-) -> Optional[SliceState]:
+) -> Optional[RangeSliceState]:
     """The state an exact hit answers this slice from, or ``None``.
 
     Only an exact-match hit qualifies: a composed or subsumed serve
     reads other keys' states, which are supersets of this predicate's
     truth.  A hit derives no conjunct set, so nothing asks it to
     evaluate its candidates.  The hit entry's state must itself be
-    exact (:mod:`repro.core.entry`).
+    exact (:mod:`repro.core.entry`), so a range state.
     """
     if context is None or context.basis not in ("plain", "join"):
         return None
     state = context.sources[0].slice_states[slice_id]
-    return state if state is not None and state.exact else None
+    return state if isinstance(state, RangeSliceState) and state.exact else None
 
 
 @dataclass
@@ -706,9 +724,12 @@ def _scan_slice(
     # visibility mask, the row ids and (selected down to the qualifying
     # rows) the gather and the result; it leaves the rows of dropped
     # blocks out.  A miss's candidates are the kept blocks and the tail,
-    # covered by the block: only a reader expands row ids.
+    # covered by the block: only a reader expands row ids.  An exact hit
+    # whose verdict covers every row brings the coverage its state keeps.
     candidates = source.candidates
-    covered = data_slice.cover(candidates, dropped)
+    covered = source.placed
+    if covered is None:
+        covered = data_slice.cover(candidates, dropped)
     n = len(covered)
     if candidates is not None:
         counters.rows_skipped_cache += num_rows - len(candidates)

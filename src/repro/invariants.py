@@ -36,6 +36,9 @@ Hook points (all behind the ``ACTIVE`` guard):
 * ``ColumnStore._gather_sealed`` — every block a read takes from has
   its row of the column's decoded array written, and a block with a
   checksum matches it.
+* ``RangeSliceState.placed`` — a block placement a state kept equals a
+  fresh one of its rows each time a scan takes it, and its arrays are
+  still read-only.
 
 The module deliberately imports nothing from the rest of the package
 (only numpy and the leaf ``repro.env``), so any module may call into it
@@ -64,6 +67,7 @@ __all__ = [
     "check_slice_state",
     "check_slice_visibility",
     "check_decoded_rows",
+    "check_placement",
     "check_cache",
     "check_snapshot_roundtrip",
 ]
@@ -220,6 +224,29 @@ def check_decoded_rows(
         expected = encoded[index].checksum
         if expected is not None and checksum(decoded.row(index)) != expected:
             _fail(f"decoded row of block {index} does not match its checksum")
+
+
+# -- kept placements -----------------------------------------------------------
+
+
+def check_placement(kept: Any, fresh: Any) -> None:
+    """A block coverage a state kept (``RangeSliceState.placed``) equals
+    ``fresh``, the same rows placed again, field for field, and its
+    arrays are still read-only: every statement and thread that takes
+    it shares the one object."""
+    for name in ("row_ids", "tail_offsets"):
+        if getattr(kept, name).flags.writeable:
+            _fail(f"a kept placement's {name} is writeable")
+    fields = ("sealed_rows", "blocks", "whole_blocks")
+    if any(getattr(kept, name) != getattr(fresh, name) for name in fields) or not (
+        np.array_equal(kept.row_ids, fresh.row_ids)
+        and np.array_equal(kept.tail_offsets, fresh.tail_offsets)
+    ):
+        _fail(
+            f"a kept placement of {len(kept.row_ids)} rows over "
+            f"{kept.sealed_rows} sealed rows differs from a fresh one of "
+            f"{len(fresh.row_ids)} rows over {fresh.sealed_rows}"
+        )
 
 
 # -- cache accounting -------------------------------------------------------

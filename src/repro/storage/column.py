@@ -160,7 +160,12 @@ class BlockCoverage:
     A function of ``(rows, rows_per_block, num_rows, dropped)`` alone
     — every column of a slice seals at the same row counts — so one
     coverage serves each column read, the visibility mask and the scan's
-    own row ids over the same rows.  Built per scan.
+    own row ids over the same rows.  Built per scan, except an exact
+    hit's: its range state keeps the placement of its rows
+    (:meth:`~repro.core.entry.RangeSliceState.placed`), which every
+    statement and thread hitting it then shares.  So nothing writes to
+    a coverage's arrays, and the constructor flags ``row_ids`` (the rows
+    it is handed) and ``tail_offsets`` read-only.
 
     ``dropped`` is an optional boolean mask over the sealed blocks (the
     zone-map verdict): rows of a dropped block are left out of the
@@ -258,10 +263,12 @@ class BlockCoverage:
             rows = rows[keep]
             block_of = block_of[keep[:split]]
             split = len(block_of)
+        rows.setflags(write=False)
         self._row_ids = rows
         self.sealed_rows = sealed_rows
         self._rows_per_block = size
         self.tail_offsets = rows[split:] - sealed_rows
+        self.tail_offsets.setflags(write=False)
         # rows ascend, so a block's rows are one run: mark each run's start.
         first = np.ones(split, dtype=bool)
         first[1:] = block_of[1:] != block_of[:-1]

@@ -11,6 +11,8 @@ from repro.core.entry import BitmapSliceState, CacheEntry, RangeSliceState
 from repro.core.keys import ScanKey
 from repro.core.rowrange import RangeList
 from repro.engine.scan import _SliceCacheContext, _resolve_source
+from repro.storage import DataType
+from repro.storage.slice import DataSlice
 
 from tests.gapheap import GapHeapRangeBuilder
 from tests.rowsets import pairs, rows
@@ -321,8 +323,10 @@ def test_bitmap_bits_are_the_blocks_of_the_rows(build, block_size):
 @settings(max_examples=200, deadline=None)
 def test_rows_and_a_composed_intersection_match_set_oracles(left, right, variant, grown):
     """A plan's rows are the cached rows plus the uncached tail, and a
-    state counts and tests them without expanding its payload; a
-    composed serve's candidates are the intersection of its parts'."""
+    state counts and tests them without expanding its payload — also
+    asked for fewer rows than it cached, where it counts every cached
+    row; a composed serve's candidates are the intersection of its
+    parts'."""
     cls, param = variant
     parts = [_build(cls, param, build)[0] for build in (left, right)]
     num_rows = max(part.last_cached_row for part in parts) + grown
@@ -333,15 +337,24 @@ def test_rows_and_a_composed_intersection_match_set_oracles(left, right, variant
         assert part.count(num_rows) == len(want)
         assert np.flatnonzero(part.mask(num_rows)).tolist() == sorted(want)
         wants.append(want)
+        shrunk = max(0, part.last_cached_row - grown)
+        assert part.count(shrunk) == len(part.rows(shrunk)) == len(_oracle_rows(part))
     entries = []
     for part in parts:
         entry = CacheEntry(ScanKey("t", f"x < {len(entries)}"), 1, {})
         entry.slice_states[0] = part
         entries.append(entry)
     context = _SliceCacheContext(PredicateCache(), tuple(entries), "composed")
-    source = _resolve_source(context, 0, num_rows)
+    source = _resolve_source(context, 0, _slice_of(num_rows))
     assert source.candidates.tolist() == sorted(wants[0] & wants[1])
     assert source.verdict_below == 0 and not source.exact
+
+
+def _slice_of(num_rows):
+    """A one-column data slice of ``num_rows`` rows."""
+    data_slice = DataSlice("t", 0, {"x": DataType.INT64}, rows_per_block=16)
+    data_slice.append_rows({"x": np.arange(num_rows)}, txid=1)
+    return data_slice
 
 
 # -- the rejected-rows build oracle ------------------------------------------------

@@ -12,6 +12,10 @@ The reference is the same engine with the exact-hit test patched to
 engine is the second reference.  After every step of a random workload
 the three agree on rows and ``rows_qualifying``, and the two caches hold
 the same entries with equal states and equal ``exact`` flags.
+
+A hit whose slice has not grown takes the block placement its state
+keeps (``RangeSliceState.placed``); every one it takes equals a fresh
+placement of the state's rows, field for field.
 """
 
 import tempfile
@@ -31,10 +35,13 @@ from repro import (
     invariants,
     parse_predicate,
 )
+from repro.core.entry import RangeSliceState
 from repro.engine import scan as scan_module
 from repro.storage import ColumnSpec, DataType, TableSchema
+from repro.storage.column import BlockCoverage
 from repro.storage.rms import ManagedStorage
 
+from tests.test_storage import assert_same_coverage
 from tests.twins import COLUMNS, assert_rows_equal, seeded_engine
 
 SEED_ROWS = 800
@@ -45,6 +52,25 @@ def forced_recheck():
     return mock.patch.object(
         scan_module, "_exact_state", lambda context, slice_id: None
     )
+
+
+def checked_placements(taken):
+    """Check every placement a hit takes from its state against a fresh
+    ``BlockCoverage`` of the state's rows, field for field, and that its
+    arrays are read-only; append ``(state, coverage)`` to ``taken`` for
+    each."""
+    original = RangeSliceState.placed
+
+    def spy(state, num_rows, place):
+        kept = original(state, num_rows, place)
+        size = place.__self__.rows_per_block  # ``place`` is the slice's cover
+        assert_same_coverage(kept, BlockCoverage(state.rows(num_rows), size, num_rows))
+        assert not kept.row_ids.flags.writeable
+        assert not kept.tail_offsets.flags.writeable
+        taken.append((state, kept))
+        return kept
+
+    return mock.patch.object(RangeSliceState, "placed", spy)
 
 
 def build(cache):
@@ -189,16 +215,18 @@ CONFIGS = {
 }
 
 
-def run_twins(name, steps):
+def run_twins(name, steps, taken=None):
     """Run ``steps`` on the three twins, checking them after each one;
     returns the summed (blocks_accessed, bloom_probes) of the exact and
-    the forced engine's statements."""
+    the forced engine's statements.  Every placement a hit takes is
+    checked, and appended to ``taken`` when given."""
     config = PredicateCacheConfig(
         variant="range", max_ranges_per_slice=48, **CONFIGS[name]
     )
     totals = np.zeros((2, 2), dtype=np.int64)
     with tempfile.TemporaryDirectory() as exact_dir, \
-            tempfile.TemporaryDirectory() as forced_dir:
+            tempfile.TemporaryDirectory() as forced_dir, \
+            checked_placements([] if taken is None else taken):
         twins = (
             Twin(config, False, exact_dir),
             Twin(config, True, forced_dir),
@@ -257,9 +285,65 @@ def test_seeded_session_skips_reads_and_probes(name):
         else:
             steps.append(("dim", value))
     steps += [("snapshot",), ("scan", "k < 25", "rows"), ("resize", 3), ("vacuum",)]
-    exact, forced = run_twins(name, steps)
+    taken = []
+    exact, forced = run_twins(name, steps, taken)
     assert exact[0] < forced[0]  # blocks accessed
     assert exact[1] < forced[1]  # Bloom probes
+    assert taken  # hits took kept placements, each checked
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_rows_deleted_since_the_install_stay_in_the_kept_placement(name):
+    """Scan, append, delete cached rows, scan: the state still holds the
+    deleted rows (a superset), so its placement scans them too, as the
+    forced re-check does; visibility drops them."""
+    run_twins(name, [
+        ("scan", "k < 25", "rows"),
+        ("insert", 1, 80),
+        ("delete", "k", 7),
+        ("scan", "k < 25", "rows"),
+    ])
+
+
+def test_an_append_after_the_placement_makes_the_next_hit_place_fresh():
+    engine = range_engine()
+    sql = "select k, v from t where k < 25"
+    taken = []
+    with checked_placements(taken):
+        engine.execute(sql)  # a miss installs exact states
+        engine.execute(sql)  # the first hit places each slice's rows
+        placed = [state for state, _ in taken]
+        assert len({id(state) for state in placed}) == 4
+        engine.execute(sql)  # a second hit takes the same placements
+        assert all(a[1] is b[1] for a, b in zip(taken[:4], taken[4:]))
+        engine.insert("t", {c: np.arange(400) % 100 for c in COLUMNS})
+        taken.clear()
+        grown = engine.execute(sql)  # every slice grew: no kept placement
+        assert not taken
+        again = engine.execute(sql)  # the extended states place fresh
+        assert len(taken) == 4
+        assert not any(state is old for state, _ in taken for old in placed)
+    plain = build(None)
+    plain.insert("t", {c: np.arange(400) % 100 for c in COLUMNS})
+    truth = plain.execute(sql)
+    assert_rows_equal(grown.rows(), truth.rows(), sql)
+    assert_rows_equal(again.rows(), truth.rows(), sql)
+
+
+def test_an_extended_state_starts_unplaced():
+    def place(num_rows):
+        return lambda rows: BlockCoverage(rows, 16, num_rows)
+
+    state = RangeSliceState(np.arange(10, 30), 100, 8, exact=True)
+    kept = state.placed(100, place(100))
+    assert state.placed(100, place(100)) is kept
+    extended = state.extended(np.array([100, 101], dtype=np.int64), 120, exact=True)
+    with pytest.raises(ValueError):
+        extended.placed(100, place(100))  # its slice has 120 rows now
+    grown = extended.placed(120, place(120))
+    assert grown is not kept and grown.row_ids.tolist() == [*range(10, 30), 100, 101]
+    assert extended.placed(120, place(120)) is grown
+    assert state.placed(100, place(100)) is kept
 
 
 # -- structure: what an exact hit does not do ---------------------------------

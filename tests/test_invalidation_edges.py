@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from repro import (
+    CacheStore,
+    ClusterCaches,
     CostBasedPolicy,
     Database,
     PredicateCache,
@@ -235,6 +237,48 @@ class TestTableChurn:
         db.drop_table("t")
         create_t(db, range(1000, 1100))
         assert answer(engine) == cache_off(engine) == [(0, 0)]
+
+    def test_engine_drop_table_leaves_no_entry_of_it(self):
+        """``QueryEngine.drop_table`` drops the name's entries at once:
+        scans of other tables never come back to it."""
+        engine = QueryEngine(
+            make_engine().database,
+            predicate_cache=PredicateCache(PredicateCacheConfig(variant="range")),
+            result_cache=ResultCache(),
+        )
+        create_t(engine.database, range(100))
+        engine.execute(CHURN_Q)
+        assert [key.table for key in engine.predicate_cache.keys()] == ["t"]
+        engine.drop_table("t")
+        for sql in (FACT_Q, OTHER_Q, JOIN_Q):
+            engine.execute(sql)
+        tables = {key.table for key in engine.predicate_cache.keys()}
+        assert tables == {"fact", "dim", "other"}
+        assert engine.result_cache.invalidate_table("t") == 0
+
+    def test_engine_drop_table_journals_the_drops_on_every_node(self, tmp_path):
+        """On a 2-node cluster writing through to a store, the drops
+        reach every node and the journal: a reload over a snapshot that
+        still held the table brings none of its entries back."""
+        cluster = ClusterCaches(
+            2, PredicateCacheConfig(variant="range"), store=CacheStore(tmp_path)
+        )
+        database = make_engine().database
+        create_t(database, range(100))
+        engine = QueryEngine(database, predicate_cache=cluster)
+        engine.execute(CHURN_Q)
+        assert all(
+            [key.table for key in node.keys()] == ["t"] for node in cluster.nodes()
+        )
+        assert cluster.store.snapshot(cluster)
+        engine.drop_table("t")
+        for sql in (FACT_Q, OTHER_Q, JOIN_Q):
+            engine.execute(sql)
+        for node in cluster.nodes():
+            assert "t" not in {key.table for key in node.keys()}
+            assert len(node.keys()) > 0
+        records = cluster.store.load(revalidate=False).records.values()
+        assert records and "t" not in {record.key.table for record in records}
 
 
 class TestAppendExtension:
