@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.lake import LakeScanner, LakeTable
 from repro.predicates import parse_predicate
+from repro.storage.compression import decode_block
 
 
 def batch(rng, n=20_000):
@@ -56,18 +57,11 @@ def main() -> None:
     # Compaction: two old files become one.
     old = list(table.current_snapshot.file_ids[:2])
     merged = {
-        "day": np.concatenate([
-            g.read_columns(["day"])["day"]
+        name: np.concatenate([
+            decode_block(g.chunks[name].encoded)
             for fid in old for g in table.file(fid).row_groups
-        ]),
-        "status": np.concatenate([
-            g.read_columns(["status"])["status"]
-            for fid in old for g in table.file(fid).row_groups
-        ]),
-        "amount": np.concatenate([
-            g.read_columns(["amount"])["amount"]
-            for fid in old for g in table.file(fid).row_groups
-        ]),
+        ])
+        for name in ("day", "status", "amount")
     }
     table.replace_files(old, merged)
     out, compacted = scanner.scan(pred, ["amount"])

@@ -3,20 +3,24 @@
 A :class:`LakeFile` is immutable once written (like a Parquet file on
 object storage): a list of :class:`RowGroup` footers, each holding one
 compressed :class:`ColumnChunk` per column with min/max statistics.
-Readers prune row groups on the statistics, then decompress only the
-chunks they touch — the access pattern the predicate cache exploits
-when it remembers *which row groups qualified*.
+Readers prune row groups on the statistics, then read only the chunks
+they touch — the access pattern the predicate cache exploits when it
+remembers *which row groups qualified*.  A file keeps one
+:class:`~repro.storage.column.DecodedBlocks` per column, one row per
+row group: a chunk decodes the first time a reader takes it and never
+again while the file lives, because its bytes never change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..predicates.ast import Bounds
-from ..storage.compression import EncodedBlock, choose_codec, decode_block
+from ..storage.column import DecodedBlocks
+from ..storage.compression import EncodedBlock, choose_codec
 
 __all__ = ["ColumnChunk", "RowGroup", "LakeFile", "write_file"]
 
@@ -29,17 +33,6 @@ class ColumnChunk:
     encoded: EncodedBlock
     minimum: Optional[object]
     maximum: Optional[object]
-
-    @property
-    def num_values(self) -> int:
-        return self.encoded.num_values
-
-    @property
-    def nbytes(self) -> int:
-        return self.encoded.nbytes
-
-    def read(self) -> np.ndarray:
-        return decode_block(self.encoded)
 
     def may_contain(self, bounds: Bounds) -> bool:
         """Statistics check, mirroring Parquet row-group pruning."""
@@ -62,13 +55,6 @@ class RowGroup:
                 f"row group has no column {name!r} (have {sorted(self.chunks)})"
             ) from None
 
-    def read_columns(self, columns: Sequence[str]) -> Dict[str, np.ndarray]:
-        return {name: self.chunk(name).read() for name in columns}
-
-    @property
-    def nbytes(self) -> int:
-        return sum(chunk.nbytes for chunk in self.chunks.values())
-
 
 @dataclass(frozen=True)
 class LakeFile:
@@ -78,11 +64,17 @@ class LakeFile:
     by :class:`~repro.lake.table.LakeTable` at commit: group ``i`` of
     this file is "row" ``first_ordinal + i`` of the table's single
     predicate-cache slice, for as long as the table lives.
+
+    ``encoded[name][i]`` is group ``i``'s chunk of column ``name``, and
+    ``decoded[name]`` the column's decoded values: one row per group,
+    as wide as group 0, in the dtype the chunks decode to.
     """
 
     file_id: str
     row_groups: Tuple[RowGroup, ...]
-    first_ordinal: int = 0
+    first_ordinal: int
+    encoded: Dict[str, Tuple[EncodedBlock, ...]] = field(compare=False, repr=False)
+    decoded: Dict[str, DecodedBlocks] = field(compare=False, repr=False)
 
     @property
     def num_rows(self) -> int:
@@ -91,16 +83,6 @@ class LakeFile:
     @property
     def num_row_groups(self) -> int:
         return len(self.row_groups)
-
-    @property
-    def columns(self) -> List[str]:
-        if not self.row_groups:
-            return []
-        return sorted(self.row_groups[0].chunks)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(g.nbytes for g in self.row_groups)
 
 
 def write_file(
@@ -113,7 +95,8 @@ def write_file(
 
     Mirrors a Parquet writer: rows are split into fixed-size row
     groups, every column chunk is compressed with the best codec and
-    annotated with min/max statistics.
+    annotated with min/max statistics.  Each column's decoded array is
+    sized here, once, and filled by the readers.
     """
     if rows_per_group < 1:
         raise ValueError("rows_per_group must be >= 1")
@@ -153,6 +136,16 @@ def write_file(
             )
         groups.append(RowGroup(index=index, num_rows=end - start, chunks=chunks))
 
-    return LakeFile(
-        file_id=file_id, row_groups=tuple(groups), first_ordinal=first_ordinal
-    )
+    encoded = {name: tuple(g.chunks[name].encoded for g in groups) for name in arrays}
+    width = min(rows_per_group, num_rows)
+    decoded = {name: _decoded(c, width) for name, c in encoded.items() if c}
+    return LakeFile(file_id, tuple(groups), first_ordinal, encoded, decoded)
+
+
+def _decoded(chunks: Tuple[EncodedBlock, ...], width: int) -> DecodedBlocks:
+    """An unwritten decoded array with one row per chunk, in the dtype
+    the chunks decode to: a chunk's first payload array has its own."""
+    dtype = np.result_type(*{chunk.payload[0].dtype for chunk in chunks})
+    decoded = DecodedBlocks(dtype, width)
+    decoded.grow(len(chunks))
+    return decoded

@@ -20,10 +20,11 @@ block reads and, under a :class:`~repro.faults.FaultInjector`, verified,
 retried and given up on by the same loop.  A read that loop gives up on
 raises out of :meth:`LakeScanner.scan` exactly as a native block read
 raises out of a native scan; the cached entry stays, because the
-storage failed, not the cached bits.  The storage only counts: the
-scanner decodes a row group's chunks itself, after the read, one
-codec call per group of chunks that share a codec, a length and a
-decoded dtype.
+storage failed, not the cached bits.  The storage only counts: values
+come from the file's :class:`~repro.storage.column.DecodedBlocks`, by
+the sequence a column reads with — fill the group's rows, read the
+chunks, take the rows — so a chunk decodes once per file, however often
+it is read (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -33,12 +34,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import invariants as _inv
 from ..core.cache import PredicateCache
 from ..core.config import PredicateCacheConfig
 from ..core.keys import ScanKey
 from ..faults import FaultInjector, RetryPolicy
 from ..predicates.ast import Predicate
-from ..storage.compression import decode_blocks
+from ..storage.compression import array_checksum
 from ..storage.rms import ManagedStorage, QueryStorageContext
 from .format import LakeFile, RowGroup
 from .table import LakeSnapshot, LakeTable
@@ -161,14 +163,10 @@ class LakeScanner:
             qualifying = np.array(run.qualifying, dtype=np.int64)
             self.cache.record_slice_scan(entry, 0, qualifying, committed)
 
-        out: Dict[str, np.ndarray] = {}
-        for name, parts in run.pieces.items():
-            if not parts:
-                out[name] = np.empty(0)
-            elif parts[0].dtype == object:
-                out[name] = np.concatenate([np.asarray(p, dtype=object) for p in parts])
-            else:
-                out[name] = np.concatenate(parts)
+        out = {
+            name: np.concatenate(parts) if parts else np.empty(0)
+            for name, parts in run.pieces.items()
+        }
         return out, stats
 
     def _scan_file(self, file: LakeFile, run: _ScanRun) -> None:
@@ -190,7 +188,7 @@ class LakeScanner:
         for group in groups:
             if self._stats_prune(group, run):
                 stats.row_groups_skipped_stats += 1
-            elif self._scan_group(group, first + group.index, run):
+            elif self._scan_group(file, group, run):
                 run.qualifying.append(first + group.index)
 
     def _stats_prune(self, group: RowGroup, run: _ScanRun) -> bool:
@@ -203,11 +201,11 @@ class LakeScanner:
                 return True
         return False
 
-    def _scan_group(self, group: RowGroup, ordinal: int, run: _ScanRun) -> bool:
+    def _scan_group(self, file: LakeFile, group: RowGroup, run: _ScanRun) -> bool:
         stats = run.stats
         stats.row_groups_read += 1
         stats.rows_scanned += group.num_rows
-        batch = self._read_columns(group, ordinal, run.predicate_columns, run)
+        batch = self._read_columns(file, group, run.predicate_columns, run)
         mask = run.predicate.evaluate(batch) if batch else np.ones(
             group.num_rows, dtype=bool
         )
@@ -217,29 +215,33 @@ class LakeScanner:
             return False
         # Output columns the predicate already decoded come from `batch`.
         payload = [name for name in run.pieces if name not in batch]
-        batch.update(self._read_columns(group, ordinal, payload, run))
+        batch.update(self._read_columns(file, group, payload, run))
         for name, parts in run.pieces.items():
             parts.append(batch[name][mask])
         return True
 
     def _read_columns(
-        self, group: RowGroup, ordinal: int, names: Sequence[str], run: _ScanRun
+        self, file: LakeFile, group: RowGroup, names: Sequence[str], run: _ScanRun
     ) -> Dict[str, np.ndarray]:
-        """Fetch column chunks of one row group through managed storage,
-        in one read round, then decode them in one :func:`decode_blocks`
-        call (capacity 0: none is ever resident, so every read counts a
-        remote fetch)."""
+        """One row group's values of columns ``names``: fill the group's
+        row of each column, fetch the chunks through managed storage in
+        one read round (capacity 0: every read counts a remote fetch),
+        then take the rows."""
         if not names:
             return {}
+        index, ordinal = [group.index], file.first_ordinal + group.index
+        keys = [(self.table.name, 0, name, ordinal) for name in names]
         blocks = [group.chunk(name).encoded for name in names]
-        run.reader.read_blocks(
-            [(self.table.name, 0, name, ordinal) for name in names], blocks
-        )
-        return {
-            names[position]: row
-            for positions, values in decode_blocks(blocks)
-            for position, row in zip(positions, values)
-        }
+        for name in names:
+            file.decoded[name].fill(index, file.encoded[name])
+        run.reader.read_blocks(keys, blocks)
+        if _inv.ACTIVE:
+            for name in names:
+                _inv.check_decoded_rows(
+                    file.decoded[name], file.encoded[name], index, array_checksum
+                )
+        size = group.num_rows  # a file's last group may be shorter than its row
+        return {name: file.decoded[name].row(group.index)[:size] for name in names}
 
     # -- observability --------------------------------------------------------------
 

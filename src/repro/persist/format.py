@@ -27,10 +27,11 @@ Forward compatibility: the header version is checked on read; files
 written by a *newer* format are refused wholesale (cold start) instead
 of being half-parsed.  Version 2 appended a provenance code (an index
 into :data:`_PROVENANCES`) and a list of source-entry digests to the
-entry metadata.  Like the entry's ``generation`` they are reserved: a
-live cache writes 0, ``"scan"`` and no digests, and a decode reads and
-range-checks them but nothing uses them.  Version-1 snapshots still
-decode, with every entry defaulting to ``"scan"``.
+entry metadata.  They are reserved: a live cache writes ``"scan"`` and
+no digests, and a decode reads and range-checks them but nothing uses
+them.  The entry's ``generation`` carries the writing process's
+incarnation (0 before incarnations; DESIGN.md §9).  Version-1 snapshots
+still decode, with every entry defaulting to ``"scan"``.
 Journal records carry no version of their own — they are paired with a
 snapshot from the same writer — so a journal from an older writer reads
 as a torn tail (replay stops, recovery degrades toward cold, exactly
@@ -463,7 +464,9 @@ def replay_journal(
         if event[0] == "state":
             _, meta, slice_id, state = event
             record = records.get(meta.digest)
-            if record is None:
+            # A record of another incarnation shares no stamps with
+            # this event: its states are replaced, not merged.
+            if record is None or record.generation != meta.generation:
                 meta.states = {slice_id: state}
                 records[meta.digest] = meta
             else:

@@ -26,6 +26,7 @@ from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from ..core.entry import CacheEntry, SliceState
 from ..core.keys import ScanKey, SemiJoinDescriptor
+from ..storage.table import INCARNATION
 
 __all__ = [
     "EntryRecord",
@@ -88,10 +89,13 @@ class EntryRecord:
     the build-side tables' ``data_version`` stamps with the same role
     for join-index entries (§4.4 invalidation across restarts).
 
-    ``generation``, ``provenance`` and ``source_digests`` are reserved
-    fields of the version-2 layout (:mod:`repro.persist.format`): a live
-    cache writes them as 0, ``"scan"`` and ``()``, and nothing reads
-    what a decode finds there.
+    ``generation`` is the :data:`~repro.storage.table.INCARNATION` of
+    the process whose stamps these are: a live record carries its own
+    process's, and a load drops a record of another (0, written before
+    incarnations, keeps the stamp rule alone).  ``provenance`` and
+    ``source_digests`` are reserved fields of the version-2 layout
+    (:mod:`repro.persist.format`): a live cache writes them as
+    ``"scan"`` and ``()``, and nothing reads what a decode finds there.
     """
 
     key: ScanKey
@@ -123,6 +127,7 @@ class EntryRecord:
             digest=key_digest(entry.key),
             table_layout=int(table_layout),
             num_slices=len(entry.slice_states),
+            generation=INCARNATION,
             build_versions=dict(entry.build_versions),
             hits=int(entry.hits),
             rows_qualifying=int(entry.rows_qualifying),

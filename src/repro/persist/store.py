@@ -66,6 +66,7 @@ from .. import invariants as _inv
 from ..core.entry import CacheEntry, SliceState
 from ..core.keys import ScanKey
 from ..obs import lockwitness
+from ..storage.table import INCARNATION
 from .format import (
     DecodeIssues,
     decode_snapshot,
@@ -457,18 +458,21 @@ class CacheStore:
     def _revalidate(self, records: Dict[int, EntryRecord]) -> int:
         """Drop records the current catalog says are stale; return count.
 
-        Validity rules (DESIGN.md §9): the scanned table must still
-        exist with the same slice count and the same layout stamp
-        (``layout_version``); every build-side table must still be at
-        the recorded ``data_version`` stamp; each state's watermark must not
-        exceed its slice's current row count.
+        Validity rules (DESIGN.md §9): a record stamped with an
+        incarnation must carry this process's (another process's stamps
+        name nothing here); the scanned table must still exist with the
+        same slice count and the same layout stamp (``layout_version``);
+        every build-side table must still be at the recorded
+        ``data_version`` stamp; each state's watermark must not exceed
+        its slice's current row count.
         """
         dropped = 0
         for digest in list(records):
             record = records[digest]
             table = self.catalog.tables.get(record.key.table)
             valid = (
-                table is not None
+                record.generation in (0, INCARNATION)
+                and table is not None
                 and record.table_layout == table.layout_version
                 and record.num_slices == table.num_slices
             )

@@ -88,7 +88,9 @@ class DecodedBlocks:
       copying only written rows, and is emptied by :meth:`reset` (from
       ``ColumnStore.rebuild``).  Both run under an exclusive writer —
       the statement lock runs every write alone; writers that run beside
-      readers must revisit this;
+      readers must revisit this.  A lake file's column is sized once, by
+      :func:`~repro.lake.format.write_file`: one row per row group, its
+      last group, if shorter, written into its row's prefix;
     * no view of the array escapes: :meth:`take` returns a copy.
     """
 
@@ -111,7 +113,7 @@ class DecodedBlocks:
             return
         for positions, values in decode_blocks([blocks[b] for b in fresh]):
             rows = [fresh[p] for p in positions]
-            self._rows[rows] = values
+            self._rows[rows, : values.shape[1]] = values
             for b in rows:
                 written[b] = 1
 
@@ -120,7 +122,8 @@ class DecodedBlocks:
         return bool(self._written[index])
 
     def row(self, index: int) -> np.ndarray:
-        """A copy of block ``index``'s row (validation)."""
+        """A copy of block ``index``'s row: a lake read takes one row
+        group's values this way, and validation checks them."""
         return self._rows[index].copy()
 
     def grow(self, num_blocks: int) -> None:

@@ -33,14 +33,14 @@ concatenated runs once, the dictionary takes the concatenated codes,
 offset per block, from the concatenated dictionaries, and plain
 concatenates (a plain batch of one is its payload, uncopied).
 :func:`decode_blocks` groups a batch by codec, length and decoded dtype
-(so an int chunk of a lake row group never upcasts beside a float one)
-and decodes each group in one codec call.  Its callers own the values
-they decode: a column filling the rows it is about to take
-(``DecodedBlocks.fill``), the lake scanner decoding a row group's
-chunks; managed storage decodes only to verify fetches under fault
-injection, and keeps nothing.  :func:`decode_block` is the batch of one.  Both give the bytes a
-block-at-a-time decode would, ``-0.0``, NaN payloads and object values
-included.
+(so an int block never upcasts beside a float one) and decodes each
+group in one codec call.  Its callers own the values they decode: a
+:class:`~repro.storage.column.DecodedBlocks` filling the rows a reader
+is about to take — a column's sealed blocks, or a lake file's row
+groups — and managed storage, only to verify fetches under fault
+injection, keeping nothing.  :func:`decode_block` is the batch of one.
+Both give the bytes a block-at-a-time decode would, ``-0.0``, NaN
+payloads and object values included.
 """
 
 from __future__ import annotations

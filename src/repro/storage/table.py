@@ -7,7 +7,10 @@ carries the two version stamps the caching layers key off, both drawn
 from one process-wide monotone counter: a new table takes a fresh
 stamp, and so does every write, so a stamp names one state of one
 table and is never reused — not by a later write, and not by a table
-re-created under the same name.
+re-created under the same name — within this process.  Stamps restart
+with every process, so the process draws a random :data:`INCARNATION`
+beside them, and a stamp persisted with it names one table state of one
+process (DESIGN.md §9).
 
 * ``data_version``   — moves on *any* DML; result-cache entries and
   join-index (semi-join) predicate-cache entries depend on it.
@@ -22,6 +25,7 @@ with the table's when a scan reads (DESIGN.md §5).
 from __future__ import annotations
 
 import itertools
+import secrets
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -38,6 +42,10 @@ __all__ = ["ColumnSpec", "TableSchema", "Table"]
 # The one source of version stamps: ``next`` on a C-level counter is
 # atomic, and stamps only grow, so no two table states share one.
 _stamps = itertools.count(1)
+#: This process's incarnation: random, nonzero, drawn once with the
+#: stamp counter.  A persisted stamp is only compared with a live one
+#: when both come from the same incarnation.
+INCARNATION = secrets.randbelow(2**64 - 1) + 1
 
 
 @dataclass(frozen=True, slots=True)

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from repro import invariants
 from repro.lake import LakeScanner, LakeTable, write_file
-from repro.lake import scan as lake_scan
 from repro.predicates import TruePredicate, parse_predicate
+from repro.storage.compression import decode_block
+
+from tests.test_storage import count_decodes
 
 
 def make_table(num_files=3, rows_per_file=1000, rows_per_group=100, seed=0):
@@ -22,6 +24,14 @@ def make_table(num_files=3, rows_per_file=1000, rows_per_group=100, seed=0):
             }
         )
     return table
+
+
+def stored(files, name):
+    """Column ``name`` of ``files``, decoded chunk by chunk: the reference
+    every scan result is checked against."""
+    return np.concatenate(
+        [decode_block(g.chunks[name].encoded) for f in files for g in f.row_groups]
+    )
 
 
 class TestFileFormat:
@@ -39,8 +49,8 @@ class TestFileFormat:
     def test_roundtrip(self):
         data = {"x": np.arange(120), "s": np.array(["a", "b"] * 60, dtype=object)}
         file = write_file(data, rows_per_group=50)
-        got = np.concatenate([g.read_columns(["x"])["x"] for g in file.row_groups])
-        assert got.tolist() == list(range(120))
+        assert stored([file], "x").tolist() == list(range(120))
+        assert stored([file], "s").tolist() == ["a", "b"] * 60
 
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
@@ -103,9 +113,7 @@ class TestLakeScanner:
         table = make_table(seed=1)
         scanner = LakeScanner(table)
         out, stats = scanner.scan(parse_predicate("k < 20"), ["k", "v"])
-        all_k = np.concatenate(
-            [g.read_columns(["k"])["k"] for f in table.files() for g in f.row_groups]
-        )
+        all_k = stored(table.files(), "k")
         assert len(out["k"]) == int((all_k < 20).sum())
         assert (out["k"] < 20).all()
 
@@ -150,9 +158,7 @@ class TestLakeScanner:
         assert scanner.cache.stats.invalidations == 0
         assert stats.row_groups_total == sum(f.num_row_groups for f in table.files())
         # Correctness after removal:
-        all_k = np.concatenate(
-            [g.read_columns(["k"])["k"] for f in table.files() for g in f.row_groups]
-        )
+        all_k = stored(table.files(), "k")
         assert len(out["k"]) == int((all_k < 50).sum())
 
     def test_compaction_relearns(self):
@@ -161,14 +167,7 @@ class TestLakeScanner:
         pred = parse_predicate("k = 7")
         first, _ = scanner.scan(pred, ["k"])
         old = list(table.current_snapshot.file_ids)
-        merged_data = {
-            "k": np.concatenate(
-                [g.read_columns(["k"])["k"] for f in table.files() for g in f.row_groups]
-            ),
-            "v": np.concatenate(
-                [g.read_columns(["v"])["v"] for f in table.files() for g in f.row_groups]
-            ),
-        }
+        merged_data = {name: stored(table.files(), name) for name in ("k", "v")}
         table.replace_files(old, merged_data)
         second, stats = scanner.scan(pred, ["k"])
         assert len(second["k"]) == len(first["k"])
@@ -205,26 +204,43 @@ class TestLakeScanner:
             fetched = scanner.storage.stats.delta(before).remote_fetches
             assert fetched == stats.row_groups_read * 2
 
-    def test_a_row_groups_chunks_decode_in_one_round(self, monkeypatch):
-        # Capacity 0 keeps nothing resident, so a row group's predicate
-        # chunks read in one round, and the scanner decodes them together;
-        # the int and the float chunk come back in their own dtypes.
+    def test_a_chunk_decodes_once_per_file(self, monkeypatch):
+        # A file's chunks never change, so its decoded rows outlive any
+        # scan: a cold scan decodes each chunk it reads once, a repeat
+        # and a time-travel scan over the same groups decode nothing,
+        # and every read is still billed as a remote fetch.
         table = make_table(seed=9)
+        before_last = table.snapshot(table.num_snapshots - 2)
         scanner = LakeScanner(table)
-        decode_blocks = lake_scan.decode_blocks
-        rounds = []
+        decoded = count_decodes(monkeypatch)
+        pred = parse_predicate("k < 40 and v < 0.5")
+        for step, snapshot in enumerate([None, None, before_last]):
+            fetched = scanner.storage.stats.snapshot()
+            out, stats = scanner.scan(pred, ["k", "v"], snapshot=snapshot)
+            assert ((out["k"] < 40) & (out["v"] < 0.5)).all()
+            assert len(out["k"]) == stats.rows_qualifying > 0
+            read = scanner.storage.stats.delta(fetched).remote_fetches
+            assert read == 2 * stats.row_groups_read > 0
+            assert sum(decoded.values()) == (read if step == 0 else 0)
+            decoded.clear()
 
-        def recording(blocks):
-            groups = decode_blocks(blocks)
-            rounds.append(sorted(values.dtype.str for _, values in groups))
-            return groups
-
-        monkeypatch.setattr(lake_scan, "decode_blocks", recording)
-        out, stats = scanner.scan(parse_predicate("k < 40 and v < 0.5"), ["k", "v"])
-        assert len(rounds) == stats.row_groups_read > 0
-        assert all(dtypes == ["<f8", "<i8"] for dtypes in rounds)
-        assert ((out["k"] < 40) & (out["v"] < 0.5)).all()
-        assert len(out["k"]) == stats.rows_qualifying > 0
+    def test_every_group_reads_as_its_chunk_decodes(self):
+        # 20 rows in groups of 7: the last group is shorter than its row.
+        data = {
+            "i": np.arange(20) * 3,
+            "f": np.linspace(0.0, 1.0, 20),
+            "s": np.array([f"s{n % 3}" for n in range(20)], dtype=object),
+        }
+        table = LakeTable("t", rows_per_group=7)
+        table.append_file(data)
+        scanner = LakeScanner(table)
+        for _ in range(2):  # a cold read fills the rows, a warm one takes them
+            out, stats = scanner.scan(TruePredicate(), list(data))
+            assert stats.row_groups_read == 3
+            for name in data:
+                chunks = [g.chunks[name].encoded for g in table.files()[0].row_groups]
+                assert {decode_block(c).dtype for c in chunks} == {out[name].dtype}
+                assert out[name].tolist() == stored(table.files(), name).tolist()
 
     def test_chunk_reads_are_billed_in_storage_stats(self):
         table = make_table(seed=10)

@@ -9,6 +9,10 @@ replacement, ``resize``), and the store's metrics surface.
 """
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,7 +34,10 @@ from repro.persist.format import (
     decode_journal_payload,
     decode_snapshot,
     encode_snapshot,
+    encode_state_event,
+    frame_record,
     iter_journal,
+    replay_journal,
 )
 from repro.storage import ColumnSpec, DataType, TableSchema
 
@@ -518,6 +525,48 @@ class TestRevalidation:
         assert result.stale_dropped > 0
         assert all(not r.build_versions for r in result.records.values())
 
+    def test_another_process_stamps_restore_nothing(self, tmp_path):
+        """Stamps restart with every process: B's table is at A's layout
+        stamp but holds other rows, so B must restore none of A's
+        entries and answer from its own data."""
+        outputs = [_run_process(tmp_path, order) for order in ("up", "down")]
+        assert outputs[0]["restored"] == 0  # an empty directory
+        assert outputs[0]["cached"] == outputs[0]["plain"] == [500, 124750]
+        assert outputs[1]["cached"] == outputs[1]["plain"] == [500, 124750]
+        assert outputs[1]["restored"] == 0 and outputs[1]["stale_dropped"] == 1
+
+    def test_an_in_process_restart_still_restores(self, tmp_path):
+        engine, caches, store = make_stored_engine(tmp_path)
+        populate(engine)
+        engine.execute(OR_SQL)
+        store.snapshot(caches)
+        result = CacheStore(tmp_path, catalog=engine.database).load()
+        assert result.records and result.stale_dropped == 0
+
+    def test_a_journal_event_replaces_another_incarnations_states(self):
+        """Replay merges an event into a record of its own incarnation
+        only: states of another process never join this one's."""
+        from repro.core.entry import RangeSliceState
+        from repro.core.keys import ScanKey
+        from repro.persist import EntryRecord
+
+        key = ScanKey("t", "x < 5")
+
+        def record(generation, slice_ids):
+            return EntryRecord(
+                key=key, digest=key_digest(key), table_layout=1, num_slices=2,
+                generation=generation,
+                states={s: RangeSliceState(rows((0, 5)), 10, 8) for s in slice_ids},
+            )
+
+        for generation, kept in ((7, {0, 1}), (8, {0})):
+            records = {key_digest(key): record(7, [0, 1])}
+            event = record(generation, [])
+            state = RangeSliceState(rows((0, 3)), 10, 8)
+            journal = frame_record(encode_state_event(event, 0, state))
+            assert replay_journal(records, journal, DecodeIssues()) == 1
+            assert set(records[key_digest(key)].states) == kept
+
     def test_watermark_beyond_slice_rows_is_dropped(self, tmp_path):
         engine, caches = make_engine()
         populate(engine)
@@ -530,6 +579,44 @@ class TestRevalidation:
         assert store.snapshot_records(records)
         result = CacheStore(tmp_path, catalog=engine.database).load()
         assert result.stale_dropped > 0
+
+
+_PROCESS = """
+import json, sys
+import numpy as np
+from repro import CacheStore, Database, PredicateCache, PredicateCacheConfig, QueryEngine
+from repro.storage import ColumnSpec, DataType, TableSchema
+
+db = Database(num_slices=1, rows_per_block=10)
+db.create_table(TableSchema("t", (ColumnSpec("x", DataType.INT64),)))
+x = np.arange(1000)
+QueryEngine(db).insert("t", {"x": x if sys.argv[2] == "up" else x[::-1]})
+store = CacheStore(sys.argv[1], catalog=db)
+cache = PredicateCache(PredicateCacheConfig(variant="range"))
+restored = store.attach(cache)
+sql = "select count(*) as c, sum(x) as s from t where x < 500"
+cached = QueryEngine(db, predicate_cache=cache).execute(sql).rows()[0]
+plain = QueryEngine(db).execute(sql).rows()[0]
+store.snapshot(cache)
+print(json.dumps({
+    "restored": restored, "stale_dropped": store.stale_dropped,
+    "cached": [int(v) for v in cached], "plain": [int(v) for v in plain],
+}))
+"""
+
+
+def _run_process(directory, order):
+    """Run ``_PROCESS`` in a fresh interpreter over the store in
+    ``directory``, its table holding 0..999 ascending (``"up"``) or
+    descending; returns what it printed."""
+    env = dict(os.environ)
+    src_dir = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src_dir)
+    result = subprocess.run(
+        [sys.executable, "-c", _PROCESS, str(directory), order],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return json.loads(result.stdout)
 
 
 class TestUnreadableStates:

@@ -39,6 +39,7 @@ from repro.predicates.parser import PredicateParseError
 from repro.reuse import decompose, find_subsuming
 from repro.reuse.decompose import MAX_CONJUNCTS
 from repro.storage import ColumnSpec, DataType, TableSchema
+from repro.storage.table import INCARNATION
 
 from tests.rowsets import rows
 from tests.twins import COLUMNS, assert_rows_equal, seeded_engine
@@ -910,10 +911,11 @@ def test_reuse_survives_snapshot_restart():
     assert issues.clean
     for digest, record in records.items():
         assert decoded[digest] == record
-    # A live cache writes the reserved fields as 0, "scan" and ().
+    # A live cache writes its process's incarnation, and the reserved
+    # fields as "scan" and ().
     assert {
         (r.generation, r.provenance, r.source_digests) for r in decoded.values()
-    } == {(0, "scan", ())}
+    } == {(INCARNATION, "scan", ())}
 
 
 # -- metrics ------------------------------------------------------------------
