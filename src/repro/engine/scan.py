@@ -104,7 +104,7 @@ from ..obs.trace import optional_span
 from ..predicates.ast import Bounds, Predicate, TruePredicate
 from ..reuse import Decomposition, ReusePlan, decompose, plan_reuse
 from ..sql.planner import bind_literals
-from ..storage.column import BlockCoverage
+from ..storage.column import BlockCoverage, read_columns
 from ..storage.rms import QueryStorageContext
 from ..storage.slice import DataSlice
 from ..storage.table import Table
@@ -823,16 +823,17 @@ def _scan_slice(
         result.conjunct_rejected.append(covered.row_ids[rejected])
     # Materialize the caller's output columns for the qualifying rows,
     # counted in this slice's span.  A column the batch holds for every
-    # candidate is taken from it by mask, not read again.
+    # candidate is taken from it by mask, not read again; the others are
+    # read in one round.
     if len(qualifying):
+        unread = [name for name in plan.gather_columns if name not in batch]
+        read = _read(data_slice, unread, qualifying, reader)
         for name in plan.gather_columns:
-            if name in batch:
+            if name in read:
+                result.materialized[name] = read[name]
+            else:
                 result.materialized[name] = (
                     batch[name] if full_mask is None else batch[name][full_mask]
-                )
-            else:
-                result.materialized[name] = data_slice.columns[name].read_ranges(
-                    qualifying, reader
                 )
     counters.rows_qualifying += len(qualifying)
     return result
@@ -844,8 +845,11 @@ def _read(
     rows: BlockCoverage,
     reader: QueryStorageContext,
 ) -> Dict[str, np.ndarray]:
-    """The named columns' values over ``rows``."""
-    return {name: data_slice.columns[name].read_ranges(rows, reader) for name in names}
+    """The named columns' values over ``rows``, in one storage round."""
+    if not names:
+        return {}
+    columns = [data_slice.columns[name] for name in names]
+    return dict(zip(names, read_columns(columns, rows, reader)))
 
 
 def _evaluate(

@@ -212,15 +212,15 @@ def check_slice_visibility(data_slice: Any) -> None:
 def check_decoded_rows(
     decoded: Any, encoded: Any, indices: Any, checksum: Any
 ) -> None:
-    """Every sealed block ``indices`` names has its row of the column's
-    decoded array (``decoded``, a ``DecodedBlocks``) written, and where
-    the encoded block (``encoded[index]``) carries a checksum, the row's
-    first ``num_values`` values match it under ``checksum``
-    (``array_checksum``, passed in because this module imports nothing
-    from the package): a lake file's short last row group fills only
-    its row's prefix.  A read takes its rows from these blocks right
+    """Every sealed block ``indices`` (``int64``) names has its row of
+    the column's decoded array (``decoded``, a ``DecodedBlocks``)
+    written, and where the encoded block (``encoded[index]``) carries a
+    checksum, the row's first ``num_values`` values match it under
+    ``checksum`` (``array_checksum``, passed in because this module
+    imports nothing from the package): a lake file's short last row
+    group fills only its row's prefix.  A read takes its rows from these blocks right
     after the call."""
-    for index in indices:
+    for index in np.asarray(indices).tolist():
         if not decoded.written(index):
             _fail(f"block {index} is read but its decoded row was never written")
         block = encoded[index]
@@ -237,13 +237,13 @@ def check_placement(kept: Any, fresh: Any) -> None:
     ``fresh``, the same rows placed again, field for field, and its
     arrays are still read-only: every statement and thread that takes
     it shares the one object."""
-    for name in ("row_ids", "tail_offsets"):
+    arrays = ("row_ids", "blocks", "tail_offsets")
+    for name in arrays:
         if getattr(kept, name).flags.writeable:
             _fail(f"a kept placement's {name} is writeable")
-    fields = ("sealed_rows", "blocks", "whole_blocks")
-    if any(getattr(kept, name) != getattr(fresh, name) for name in fields) or not (
-        np.array_equal(kept.row_ids, fresh.row_ids)
-        and np.array_equal(kept.tail_offsets, fresh.tail_offsets)
+    fields = ("sealed_rows", "whole_blocks")
+    if any(getattr(kept, name) != getattr(fresh, name) for name in fields) or not all(
+        np.array_equal(getattr(kept, name), getattr(fresh, name)) for name in arrays
     ):
         _fail(
             f"a kept placement of {len(kept.row_ids)} rows over "

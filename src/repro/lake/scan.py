@@ -229,12 +229,14 @@ class LakeScanner:
         then take the rows."""
         if not names:
             return {}
-        index, ordinal = [group.index], file.first_ordinal + group.index
-        keys = [(self.table.name, 0, name, ordinal) for name in names]
-        blocks = [group.chunk(name).encoded for name in names]
+        index, ordinal = np.array([group.index]), file.first_ordinal + group.index
         for name in names:
             file.decoded[name].fill(index, file.encoded[name])
-        run.reader.read_blocks(keys, blocks)
+        run.reader.read_columns(
+            [((self.table.name, 0, name), {ordinal: group.chunk(name).encoded})
+             for name in names],
+            np.array([ordinal]),
+        )
         if _inv.ACTIVE:
             for name in names:
                 _inv.check_decoded_rows(

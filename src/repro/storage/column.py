@@ -15,9 +15,10 @@ counted.
 Decoded values live in one place per column: :class:`DecodedBlocks`, a
 ``(blocks, rows_per_block)`` array whose row ``b`` is block ``b``'s
 values, decoded by the column the first time a read takes it.  A read
-fills its rows, then asks the storage, which only counts and tracks
-which blocks are resident, then takes its rows by row id — the bytes
-copied follow the rows reported, not the blocks touched.
+(:func:`read_columns`) fills its rows, then asks the storage, which only
+counts and tracks which blocks are resident, then takes its rows by row
+id — the bytes copied follow the rows reported, not the blocks touched.
+The columns a slice reads over one coverage make one storage round.
 """
 
 from __future__ import annotations
@@ -29,10 +30,16 @@ import numpy as np
 from .. import invariants as _inv
 from .compression import EncodedBlock, array_checksum, decode_blocks, seal_blocks
 from .dtypes import DataType
-from .rms import BlockKey, ManagedStorage
+from .rms import ManagedStorage, QueryStorageContext
 from .zonemap import ZoneMap
 
-__all__ = ["BlockCoverage", "ColumnStore", "DecodedBlocks", "GrowableArray"]
+# Whatever a read takes its ``rms`` from: the storage itself, or a
+# statement's reader of it.
+Reader = Union[ManagedStorage, QueryStorageContext]
+
+__all__ = [
+    "BlockCoverage", "ColumnStore", "DecodedBlocks", "GrowableArray", "read_columns",
+]
 
 
 class GrowableArray:
@@ -83,7 +90,7 @@ class DecodedBlocks:
       a row a reader is taking from never changes;
     * two readers filling one row at once decode the same block and
       write equal bytes, and a row is flagged written only after it is
-      assigned;
+      assigned; the column is flagged complete only after every row is;
     * the array grows only in :meth:`grow` (from ``ColumnStore._seal``),
       copying only written rows, and is emptied by :meth:`reset` (from
       ``ColumnStore.rebuild``).  Both run under an exclusive writer —
@@ -94,28 +101,33 @@ class DecodedBlocks:
     * no view of the array escapes: :meth:`take` returns a copy.
     """
 
-    __slots__ = ("_rows", "_written")
+    __slots__ = ("_rows", "_written", "_blocks", "_complete")
 
     def __init__(self, dtype: np.dtype, rows_per_block: int) -> None:
         self._rows = np.empty((0, rows_per_block), dtype=dtype)
-        # One byte per sealed block: 1 once its row is written.
-        self._written = bytearray()
+        # One flag per row of ``_rows``: True once the row is written.
+        self._written = np.zeros(0, dtype=bool)
+        self._blocks = 0
+        # Whether every block's row is written: a warm read's one check.
+        self._complete = True
 
-    def fill(self, index: Sequence[int], blocks: Sequence[EncodedBlock]) -> None:
-        """Write the rows of blocks ``index`` that are not written yet,
-        decoding ``blocks[b]`` for each in one :func:`decode_blocks`
-        call; one assignment per decoded group."""
+    def fill(self, index: np.ndarray, blocks: Sequence[EncodedBlock]) -> None:
+        """Write the rows of blocks ``index`` (``int64``) that are not
+        written yet, decoding ``blocks[b]`` for each in one
+        :func:`decode_blocks` call; one assignment per decoded group."""
+        if self._complete:  # a warm column: no look at ``index``
+            return
         written = self._written
-        if 0 not in written:  # a warm column: no per-block scan of ``index``
+        seen = written[index]
+        if np.count_nonzero(seen) == len(seen):
             return
-        fresh = [b for b in index if not written[b]]
-        if not fresh:
-            return
-        for positions, values in decode_blocks([blocks[b] for b in fresh]):
-            rows = [fresh[p] for p in positions]
+        fresh = index[~seen]
+        for positions, values in decode_blocks([blocks[b] for b in fresh.tolist()]):
+            rows = fresh[positions]
             self._rows[rows, : values.shape[1]] = values
-            for b in rows:
-                written[b] = 1
+            written[rows] = True
+        if np.count_nonzero(written[: self._blocks]) == self._blocks:
+            self._complete = True
 
     def written(self, index: int) -> bool:
         """Whether block ``index``'s row holds its values."""
@@ -130,21 +142,25 @@ class DecodedBlocks:
         """Room for ``num_blocks`` sealed blocks, the new ones unwritten.
         Capacity doubles; a move copies only the written rows, so rows
         never read take no memory."""
-        self._written.extend(bytes(num_blocks - len(self._written)))
+        if num_blocks > self._blocks:
+            self._complete = False
+        self._blocks = num_blocks
         if num_blocks <= len(self._rows):
             return
-        rows = np.empty(
-            (max(num_blocks, 2 * len(self._rows)), self._rows.shape[1]),
-            dtype=self._rows.dtype,
-        )
-        written = np.flatnonzero(np.frombuffer(self._written, dtype=np.uint8))
-        rows[written] = self._rows[written]
-        self._rows = rows
+        size = max(num_blocks, 2 * len(self._rows))
+        rows = np.empty((size, self._rows.shape[1]), dtype=self._rows.dtype)
+        written = np.zeros(size, dtype=bool)
+        kept = np.flatnonzero(self._written)
+        rows[kept] = self._rows[kept]
+        written[kept] = True
+        self._rows, self._written = rows, written
 
     def reset(self) -> None:
         """Forget every row: the column reseals all of its values."""
         self._rows = np.empty((0, self._rows.shape[1]), dtype=self._rows.dtype)
-        self._written = bytearray()
+        self._written = np.zeros(0, dtype=bool)
+        self._blocks = 0
+        self._complete = True
 
     def take(self, coverage: "BlockCoverage") -> np.ndarray:
         """The covered sealed rows' values, a new array: one row gather
@@ -168,7 +184,7 @@ class BlockCoverage:
     (:meth:`~repro.core.entry.RangeSliceState.placed`), which every
     statement and thread hitting it then shares.  So nothing writes to
     a coverage's arrays, and the constructor flags ``row_ids`` (the rows
-    it is handed) and ``tail_offsets`` read-only.
+    it is handed), ``blocks`` and ``tail_offsets`` read-only.
 
     ``dropped`` is an optional boolean mask over the sealed blocks (the
     zone-map verdict): rows of a dropped block are left out of the
@@ -222,7 +238,7 @@ class BlockCoverage:
         coverage._row_ids = None
         coverage.sealed_rows = num_rows // rows_per_block * rows_per_block
         coverage._rows_per_block = rows_per_block
-        coverage.blocks = kept.tolist()
+        coverage.blocks = kept
         coverage.whole_blocks = True
         coverage.tail_offsets = np.arange(num_rows - coverage.sealed_rows)
         return coverage
@@ -236,7 +252,7 @@ class BlockCoverage:
     def row_ids(self) -> np.ndarray:
         if self._row_ids is None:
             size = self._rows_per_block
-            starts = np.array(self.blocks, dtype=np.int64) * size
+            starts = self.blocks * size
             self._row_ids = np.concatenate((
                 (starts[:, None] + np.arange(size)).ravel(),
                 self.tail_offsets + self.sealed_rows,
@@ -275,9 +291,9 @@ class BlockCoverage:
         # rows ascend, so a block's rows are one run: mark each run's start.
         first = np.ones(split, dtype=bool)
         first[1:] = block_of[1:] != block_of[:-1]
-        touched = block_of[first]
-        self.blocks: List[int] = touched.tolist()
-        self.whole_blocks = split == len(touched) * size
+        self.blocks: np.ndarray = block_of[first]
+        self.blocks.setflags(write=False)
+        self.whole_blocks = split == len(self.blocks) * size
 
     def select(self, index: Union[np.ndarray, slice]) -> "BlockCoverage":
         """The coverage of the rows ``row_ids[index]`` of this one.
@@ -300,7 +316,7 @@ class BlockCoverage:
             # Position p sits in the p // size-th kept block (the tail
             # packs after the last); it is off by that block's distance
             # from where it packs.
-            slots = np.array(self.blocks + [self.sealed_rows // size], dtype=np.int64)
+            slots = np.concatenate((self.blocks, [self.sealed_rows // size]))
             shift = (slots - np.arange(len(slots))) * size
             rows = positions + shift[positions // size]
         selected = BlockCoverage.__new__(BlockCoverage)
@@ -316,8 +332,8 @@ class BlockCoverage:
             return values[self._row_ids]
         size, blocks, tail = self._rows_per_block, self.blocks, len(self.tail_offsets)
         end = self.sealed_rows + tail
-        lo = blocks[0] * size if blocks else self.sealed_rows
-        hi = end if tail or not blocks else (blocks[-1] + 1) * size
+        lo = int(blocks[0]) * size if len(blocks) else self.sealed_rows
+        hi = end if tail or not len(blocks) else (int(blocks[-1]) + 1) * size
         if hi - lo == len(self):
             return values[lo:hi]
         sealed = values[: self.sealed_rows].reshape(-1, size)[blocks].ravel()
@@ -341,9 +357,9 @@ class ColumnStore:
         self.dtype = dtype
         self.rows_per_block = rows_per_block
         self.blocks: List[EncodedBlock] = []
-        # _keys[b] is block b's BlockKey, built when an index is first
-        # sealed; a rebuild restarts indices at 0 and reuses them.
-        self._keys: List[BlockKey] = []
+        # Block b's key is this name plus b: a rebuild restarts indices
+        # at 0, so a key names whichever block holds the index.
+        self.key_prefix = (table_name, slice_id, column_name)
         self.zonemap = ZoneMap()
         # Fewer than rows_per_block values of the column's numpy dtype.
         self._tail = np.empty(0, dtype=dtype.numpy_dtype)
@@ -400,18 +416,14 @@ class ColumnStore:
         rows_per_block)`` array: one statistics pass sizes every codec
         and bounds every zone-map entry, then each block is encoded
         once.  The codecs copy what they keep, so ``blocks`` may be a
-        view.  The decoded array grows by the new blocks, unwritten,
-        and an index sealed for the first time gets its key.
-        Nothing is invalidated: a key becomes resident only by reading a
-        sealed block, and whoever restarts block indices (a rewrite,
+        view.  The decoded array grows by the new blocks, unwritten.
+        Nothing is invalidated: a block becomes resident only by reading
+        it, and whoever restarts block indices (a rewrite,
         ``drop_table``) invalidates the table first."""
         encoded, minima, maxima = seal_blocks(blocks)
         self.blocks.extend(encoded)
         self.zonemap.append_blocks(minima, maxima)
         self._decoded.grow(len(self.blocks))
-        prefix = (self.table_name, self.slice_id, self.column_name)
-        new = range(len(self._keys), len(self.blocks))
-        self._keys.extend(prefix + (b,) for b in new)
 
     def _to_array(self, values: Iterable[object]) -> np.ndarray:
         """The one conversion, where values enter the column."""
@@ -437,47 +449,56 @@ class ColumnStore:
         """The tail buffer itself (replaced, never written, by appends)."""
         return self._tail
 
-    def read_ranges(
-        self, coverage: BlockCoverage, rms: ManagedStorage
-    ) -> np.ndarray:
-        """Gather the column's values for the covered local rows.
+    def read_ranges(self, coverage: BlockCoverage, rms: Reader) -> np.ndarray:
+        """Gather the column's values for the covered local rows:
+        :func:`read_columns` of this one column."""
+        return read_columns((self,), coverage, rms)[0]
 
-        Sealed blocks are fetched through managed storage exactly once
-        per call (the per-access counting the cost model needs), in one
-        ``read_blocks`` round, and the covered rows taken from the
-        decoded array, filled first; tail rows are served from the
-        insert buffer without block accounting.  The coverage is the slice's
-        (:meth:`~repro.storage.slice.DataSlice.cover`): one serves every
-        column read over the same rows.
-        """
-        if coverage.sealed_rows != self.num_sealed_rows:
-            raise ValueError(
-                f"coverage over {coverage.sealed_rows} sealed rows, "
-                f"column {self.column_name} has {self.num_sealed_rows}"
-            )
-        tail = self.tail_values()[coverage.tail_offsets]
-        if not coverage.blocks:
-            return tail
-        sealed = self._gather_sealed(coverage, rms)
-        return np.concatenate((sealed, tail)) if len(tail) else sealed
-
-    def _gather_sealed(
-        self, coverage: BlockCoverage, rms: ManagedStorage
-    ) -> np.ndarray:
-        """Fill every touched sealed block's row, read the blocks, take
-        the covered rows in one gather."""
-        keys, blocks, index = self._keys, self.blocks, coverage.blocks
-        self._decoded.fill(index, blocks)
-        rms.read_blocks([keys[b] for b in index], [blocks[b] for b in index])
-        if _inv.ACTIVE:
-            _inv.check_decoded_rows(
-                self._decoded, blocks, coverage.blocks, array_checksum
-            )
-        return self._decoded.take(coverage)
-
-    def read_all(self, rms: ManagedStorage) -> np.ndarray:
+    def read_all(self, rms: Reader) -> np.ndarray:
         """Read the entire column (loads, joins on full tables)."""
         every = BlockCoverage.of_blocks(
             np.arange(len(self.blocks)), self.rows_per_block, self.num_rows
         )
         return self.read_ranges(every, rms)
+
+
+def read_columns(
+    columns: Sequence[ColumnStore], coverage: BlockCoverage, rms: Reader
+) -> List[np.ndarray]:
+    """Each column's values for the covered local rows of its slice.
+
+    Every column fills the rows of the touched sealed blocks, then one
+    storage round counts each block access (the per-access counting the
+    cost model needs), column after column, then each column takes its
+    covered rows from its decoded array; tail rows are served from the
+    insert buffer without block accounting.  The coverage is the
+    slice's (:meth:`~repro.storage.slice.DataSlice.cover`): one serves
+    every column read over the same rows.
+    """
+    for column in columns:
+        if coverage.sealed_rows != column.num_sealed_rows:
+            raise ValueError(
+                f"coverage over {coverage.sealed_rows} sealed rows, "
+                f"column {column.column_name} has {column.num_sealed_rows}"
+            )
+    index = coverage.blocks
+    if len(index) and columns:
+        for column in columns:
+            column._decoded.fill(index, column.blocks)
+        rms.read_columns(
+            [(column.key_prefix, column.blocks) for column in columns], index
+        )
+        if _inv.ACTIVE:
+            for column in columns:
+                _inv.check_decoded_rows(
+                    column._decoded, column.blocks, index, array_checksum
+                )
+    values = []
+    for column in columns:
+        tail = column.tail_values()[coverage.tail_offsets]
+        if not len(index):
+            values.append(tail)
+            continue
+        sealed = column._decoded.take(coverage)
+        values.append(np.concatenate((sealed, tail)) if len(tail) else sealed)
+    return values

@@ -2,84 +2,74 @@
 
 Redshift compute nodes download column blocks from Redshift Managed
 Storage (RMS, backed by S3) and cache them on local SSD (§4.2.1).  The
-reproduction models this as a *residency* LRU of block keys in front of
-the sealed blocks: the first access to a block is a *remote fetch*
-(slow, counted), later accesses are *local hits* (fast, counted) until
-the block is evicted (LRU by capacity) or invalidated (vacuum/reseal).
-The storage decides only whether a read is local or remote: it counts,
-and it hands no values to anyone.  The reader owns the values and
-decodes them itself: a column fills the rows of its ``(blocks,
-rows_per_block)`` decoded array
-(:meth:`~repro.storage.column.DecodedBlocks.fill`) before it reads, the
-lake scanner decodes its row group's chunks after the read.  The rules
-(DESIGN.md §11):
+reproduction models which blocks are local, their *residency*, with one
+``int64`` stamp per block: 0 for a block not resident, otherwise the
+storage clock at its last read.  The first access to a block is a
+*remote fetch* (slow, counted), later accesses are *local hits* (fast,
+counted) until the block is evicted (LRU by capacity: the smallest
+stamps go) or invalidated (vacuum/reseal).  The storage only counts; it
+hands no values to anyone.  A column, and a lake file's column, fills
+the rows of its decoded array
+(:meth:`~repro.storage.column.DecodedBlocks.fill`) before it reads, so
+rows never depend on residency, a block decodes once per build, and
+capacity bounds residency, not decoded memory (DESIGN.md §11).
 
-* **A reader fills before it reads.**  Rows never depend on residency:
-  a hit and a miss take the same row, written before the storage is
-  asked.
-* **A block decodes once per build.**  A re-fetch after eviction counts
-  a remote fetch and decodes nothing.
-* **Capacity bounds residency, not decoded memory.**  Evicting a key
-  makes its next read remote; the row stays where it was written.
+A block is named by an integer: ``_ids[(table, slice, column)][b]`` is
+block ``b``'s id, the array grown by doubling when a read reaches past
+its end.  The name keys the registry, not the column object, because
+one column is read through several storages and a lake table numbers
+its chunks across files: an id names one ``BlockKey`` for the storage's
+life, as the key itself did, and whoever restarts a table's block
+indices makes its blocks non-resident first (:meth:`invalidate_table
+<ManagedStorage.invalidate_table>`).  That rule also lets the storage
+keep each block's size by id from its first fetch, so a re-fetch counts
+its bytes without looking at the block.  The ``BlockKey`` tuple is
+built only for the fault injector, which draws by it, and for
+:meth:`ManagedStorage.resident_keys`.
 
-Under an attached :class:`~repro.faults.FaultInjector` a read round
-decodes its misses by the batch, one codec call per group of blocks
-that share a codec, a length and a decoded dtype
-(:func:`~repro.storage.compression.decode_blocks`), only to verify
-them, and each fetched block runs its attempt loop, in key order, over
-its decoded row: every attempt is decided by ``FaultInjector.decide``,
-keyed by the block, the injector's count of that block's fetches and
-the attempt, so which fetches fault depends on what was read, never on
-how concurrent statements interleaved.  An attempt that is not failed
-verifies the row's checksum, on a corrupted copy when the attempt
-corrupts; nothing keeps the rows afterwards.  A fetch that gives up
-leaves the blocks before it counted and resident.
-
-`StorageStats` is the ground truth behind the paper's "blocks accessed"
-columns: every experiment reads these counters rather than timing alone,
-so the reproduction's comparisons are exact even where wall-clock is not.
+Under an attached :class:`~repro.faults.FaultInjector` a read's misses
+decode by the batch (:func:`~repro.storage.compression.decode_blocks`)
+only to be verified, and each runs its attempt loop, in key order: every
+attempt is decided by ``FaultInjector.decide``, keyed by the block, its
+fetch count and the attempt, so which fetches fault never depends on
+how concurrent statements interleaved.  A fetch that gives up leaves
+the blocks before it counted and resident, and the columns after its
+column unread.  `StorageStats` is the ground truth behind the paper's
+"blocks accessed" columns.
 
 Concurrency model (DESIGN.md §12):
 
 * **Every read names its reader.**  A statement reads through its own
   :class:`QueryStorageContext` (:meth:`ManagedStorage.query_context`),
-  handed down the call like any other argument and into
-  ``ColumnStore.read_ranges`` in the ``rms`` slot; everything outside a
-  statement (vacuum, statistics, baselines, tools) passes the storage
-  itself.  The context carries a private ``StorageStats`` sink mirroring
-  every counter its reads touch (the engine reads a query's counters
-  there instead of diffing the global stats, which concurrent queries
-  would pollute) and the per-query retry budget.  Nothing is bound to a
-  thread, so one thread may drive several statements.
-* **A scan evicts once, at its barrier.**  Every read moves its keys to
-  the most-recent end of a bounded LRU.  While a reader is scanning
+  passed in the ``rms`` slot like any other argument; everything outside
+  a statement (vacuum, statistics, tools) passes the storage itself.
+  The context carries a private ``StorageStats`` sink mirroring every
+  counter its reads touch, and the per-query retry budget.  Nothing is
+  bound to a thread.
+* **A scan evicts once, at its barrier.**  Every read stamps its blocks
+  most recent, in the order it names them.  While a reader is scanning
   (:meth:`QueryStorageContext.begin_scan_phase` / ``end_scan_phase``)
-  capacity eviction waits for the end of the scan, so a scan larger
-  than the cache keeps its last ``capacity`` blocks instead of
-  flooding the cache as it reads: evict-as-you-go pushes out the
-  blocks a repeat of the scan reads first.  An unbounded cache keeps no
-  recency order at all — nothing would read it.
-* **One storage lock, held per call, not per block.**  A single
-  always-on ``threading.Lock`` guards the residency LRU, the stats,
-  the per-query sinks and the retry budgets; no value is written under
-  it.  :meth:`ManagedStorage.read_blocks` — the one read path, called
-  once per (slice, column) — takes it for one round that looks every
-  key up and counts the hits, and, only if something missed, for a
-  second round that counts and makes resident what was fetched.
-  Verification and fault retries run *between* the rounds, so remote
-  fetches overlap across concurrent statements.  Nothing marks a miss
-  as in flight: two threads missing the same block between each
-  other's rounds both fetch it and both count a remote fetch — the
-  duplicated round trip a real node cache exhibits.  Workloads that
-  need exact per-query counters keep their tables disjoint.
+  eviction waits for the end of the scan, so a scan larger than the
+  cache keeps its last ``capacity`` blocks.  The barrier drops the
+  ``resident - capacity`` smallest stamps in one partition; stamps are
+  unique, so that is exact LRU.  An unbounded cache stamps a block only
+  when it fetches it: nothing reads a recency order there.
+* **One storage lock, held per round, not per block.**  A single
+  ``threading.Lock`` guards the stamps, the id registry, the stats, the
+  sinks and the retry budgets.  With no armed injector a read is one
+  locked round.  Under one, each column's read takes it once to count
+  the hits and, if something missed, once more to count and make
+  resident what was fetched; verification and retries run between the
+  rounds, so remote fetches overlap across statements.  Nothing marks a
+  miss as in flight: two threads missing the same block between each
+  other's rounds both fetch it and both count a remote fetch, as a real
+  node cache would.
 """
-
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -92,10 +82,17 @@ from ..faults import (
 )
 from .compression import EncodedBlock, array_checksum, decode_blocks
 
-__all__ = ["BlockKey", "ManagedStorage", "QueryStorageContext", "StorageStats"]
+__all__ = [
+    "BlockKey", "ColumnBlocks", "ManagedStorage", "QueryStorageContext", "StorageStats",
+]
 
 # (table, slice, column, block index) uniquely names a block.
 BlockKey = Tuple[str, int, str, int]
+# A column as a read names it: (table, slice, column), a block's key less
+# its index, and its blocks by index (only a miss's is looked at).
+ColumnBlocks = Tuple[
+    Tuple[str, int, str], Union[Sequence[EncodedBlock], Mapping[int, EncodedBlock]]
+]
 
 
 @dataclass
@@ -151,13 +148,9 @@ class QueryStorageContext:
         self.retry_budget_left = retry_budget
         self.scanning = False
 
-    def read_blocks(
-        self,
-        keys: Sequence[BlockKey],
-        blocks: Sequence[EncodedBlock],
-    ) -> None:
-        """:meth:`ManagedStorage.read_blocks`, accounted to this statement."""
-        self.storage.read_blocks(keys, blocks, self)
+    def read_columns(self, columns: Sequence[ColumnBlocks], index: np.ndarray) -> None:
+        """:meth:`ManagedStorage.read_columns`, accounted to this statement."""
+        self.storage.read_columns(columns, index, self)
 
     def begin_scan_phase(self) -> None:
         """Hold capacity eviction back until :meth:`end_scan_phase`."""
@@ -166,11 +159,12 @@ class QueryStorageContext:
     def end_scan_phase(self) -> None:
         """The scan's barrier: evict down to capacity, coldest first."""
         self.scanning = False
-        self.storage._settle((), self)
+        with self.storage._lock:
+            self.storage._evict_locked()
 
 
 class ManagedStorage:
-    """Block residency LRU with remote-fetch accounting.
+    """Block residency, one stamp per block, with remote-fetch accounting.
 
     Args:
         cache_capacity: number of blocks resident locally (LRU).
@@ -181,8 +175,6 @@ class ManagedStorage:
     """
 
     def __init__(self, cache_capacity: Optional[int] = None) -> None:
-        # The resident keys, coldest first; the values are unused.
-        self._cache: "OrderedDict[BlockKey, None]" = OrderedDict()
         self.cache_capacity = cache_capacity
         self.stats = StorageStats()
         self.fault_injector: Optional[FaultInjector] = None
@@ -194,7 +186,16 @@ class ManagedStorage:
         # Resolved once at attach time so the per-fetch check is a
         # single attribute load ("no faults configured" costs nothing).
         self._faults_armed = False
-        # One always-on lock guards the residency LRU, the global stats,
+        # Residency (module doc): _ids[name][b] is block b's id,
+        # _stamp[id] its stamp, 0 when not resident, and _nbytes[id] its
+        # size once fetched.  _clock is the next stamp; _resident counts
+        # the nonzero stamps.
+        self._ids: Dict[Tuple[str, int, str], np.ndarray] = {}
+        self._stamp = np.zeros(0, dtype=np.int64)
+        self._nbytes = np.zeros(0, dtype=np.int64)
+        self._clock = 1
+        self._resident = 0
+        # One always-on lock guards the residency, the global stats,
         # per-query sinks and retry budgets.  Verification and fault
         # retries run outside it (see module doc).
         self._lock = threading.Lock()
@@ -225,106 +226,167 @@ class ManagedStorage:
         """The stats a count goes into (under ``_lock``): global + the reader's."""
         return (self.stats,) if reader is self._direct else (self.stats, reader.stats)
 
-    def read_blocks(
+    def read_columns(
         self,
-        keys: Sequence[BlockKey],
-        blocks: Sequence[EncodedBlock],
+        columns: Sequence[ColumnBlocks],
+        index: np.ndarray,
         reader: Optional[QueryStorageContext] = None,
     ) -> None:
-        """Read ``blocks``: count every access and make every key resident.
+        """Read blocks ``index`` (distinct, ``int64``) of each of
+        ``columns``: count every access and make every block resident.
 
-        ``keys`` name distinct blocks of one slice, read in one round
-        (:meth:`_read_round`).  Counters and residency end-state are
-        those of reading the keys one at a time.  No value leaves the
+        One round (:meth:`_round`) reads them in column-then-index order
+        (key order); counters and residency end state are those of
+        reading the blocks one at a time in that order.  Under an armed
+        injector each column is a round of its own, so a fetch that gives
+        up leaves the columns after it unread.  No value leaves the
         storage: the reader decodes what it takes (the module doc).
         ``reader`` is the statement the read belongs to: its sink is
         counted into, its budget pays for retries, and while it is
         scanning, eviction waits for its ``end_scan_phase``.
         """
-        if reader is None:
-            reader = self._direct
-        capacity = self.cache_capacity
-        # Capacity 0 (the lake scanner's) keeps nothing resident past a
-        # round, so every key misses in either order: one round.
-        if not reader.scanning and capacity and len(keys) > 1:
-            if len(self._cache) + len(keys) > capacity:
-                # A read outside a scan evicts as it inserts: a miss may
-                # push out a block a later key would have hit.  Keep that order.
-                for key, block in zip(keys, blocks):
-                    self._read_round((key,), (block,), reader)
-                return
-        self._read_round(keys, blocks, reader)
+        reader = reader or self._direct
+        for part in (columns,) if not self._faults_armed else [(c,) for c in columns]:
+            # Capacity 0 (the lake scanner's) keeps nothing resident past
+            # a round, so every block misses in either order: one round.
+            capacity, size = self.cache_capacity, len(part) * len(index)
+            if reader.scanning or not capacity or self._resident + size <= capacity:
+                self._round(part, index, reader)
+                continue
+            # A read outside a scan evicts as it inserts: a miss may push
+            # out a block a later one would have hit.  Keep that order.
+            for column in part:
+                for at in range(len(index)):
+                    self._round((column,), index[at : at + 1], reader)
 
-    def _read_round(
+    def _round(
         self,
-        keys: Sequence[BlockKey],
-        blocks: Sequence[EncodedBlock],
+        columns: Sequence[ColumnBlocks],
+        index: np.ndarray,
         reader: QueryStorageContext,
     ) -> None:
-        """One lock round looks every key up and counts the hits.  Under
-        an armed injector the misses then decode outside the lock, in
-        one call per codec group, and run their attempt loops in key
-        order over those rows, which nothing keeps.  A second round
-        counts what was fetched, makes it resident and moves every key
-        to the most-recent end."""
-        cache = self._cache
+        """One locked round gathers the blocks' stamps and counts the
+        hits.  With no armed injector it counts the misses too, by their
+        kept sizes, makes them resident and stamps every block: no key
+        and no block list is built.  Under one (one column) the misses
+        decode outside the lock, in one call per codec group, and run
+        their attempt loops in key order over those rows, which nothing
+        keeps; a second round counts what was fetched, makes it resident
+        and stamps every block still resident."""
         sinks = self._sinks(reader)
         with self._lock:
-            missing = [i for i, key in enumerate(keys) if key not in cache]
-            hits = len(keys) - len(missing)
+            ids = self._ids_of(columns, index)
+            held = self._stamp[ids]
+            hits = int(np.count_nonzero(held))
             for stats in sinks:
                 stats.local_hits += hits
-            if not missing:
-                self._settle_locked(keys, reader)
+            missing = (held == 0).nonzero()[0] if hits < len(ids) else None
+            if missing is None:
+                self._settle_locked(ids, None, 0, 0, reader)
                 return
-        fetched = [keys[i] for i in missing]
-        encoded = [blocks[i] for i in missing]
-        done = len(fetched)
+            if not self._faults_armed:
+                new = ids[missing]
+                nbytes = self._nbytes_locked(new, columns, index, missing)
+                self._settle_locked(ids, new, len(new), nbytes, reader)
+                return
+        ((name, _),) = columns
+        encoded = _missed(columns, index, missing)
+        done = 0
         try:
-            if self._faults_armed:
-                done = 0
-                rows = {
-                    position: row
-                    for positions, values in decode_blocks(encoded)
-                    for position, row in zip(positions, values)
-                }
-                for position, (key, block) in enumerate(zip(fetched, encoded)):
-                    self._attempts(key, block, rows[position], reader)
-                    done += 1
+            rows = {
+                position: row
+                for positions, values in decode_blocks(encoded)
+                for position, row in zip(positions, values)
+            }
+            for position, b in enumerate(index[missing].tolist()):
+                self._attempts(name + (b,), encoded[position], rows[position], reader)
+                done += 1
         finally:
-            # A fetch that raised leaves the ones before it counted and resident.
-            nbytes = sum([block.nbytes for block in encoded[:done]])
+            # A fetch that raised leaves the ones before it counted and
+            # resident; a block evicted between the rounds stays out, and
+            # one another reader fetched between them keeps its stamp.
             with self._lock:
-                for stats in sinks:
-                    stats.remote_fetches += done
-                    stats.bytes_fetched += nbytes
-                for key in fetched[:done]:
-                    cache[key] = None
-                self._settle_locked(keys, reader)
+                fetched, live = missing[:done], self._stamp[ids] > 0
+                new = ids[fetched[~live[fetched]]]
+                live[fetched] = True
+                nbytes = sum([block.nbytes for block in encoded[:done]])
+                self._settle_locked(ids[live], new, done, nbytes, reader)
 
-    def _settle(self, keys: Sequence[BlockKey], reader: QueryStorageContext) -> None:
-        with self._lock:
-            self._settle_locked(keys, reader)
+    def _ids_of(self, columns: Sequence[ColumnBlocks], index: np.ndarray) -> np.ndarray:
+        """The ids of blocks ``index`` of each column, in key order.
+        Caller holds ``_lock``."""
+        try:
+            if len(columns) == 1:
+                return self._ids[columns[0][0]][index]
+            return np.concatenate([self._ids[name][index] for name, _ in columns])
+        except (KeyError, IndexError):  # a first read, or one past the end
+            needed = int(index.max(initial=-1)) + 1
+            for name, _ in columns:
+                # Fresh ids, not resident, for twice the column's old count.
+                ids = self._ids.get(name, np.empty(0, dtype=np.int64))
+                if name not in self._ids or len(ids) < needed:
+                    grow = max(needed, 2 * len(ids)) - len(ids)
+                    fresh = np.arange(len(self._stamp), len(self._stamp) + grow)
+                    self._ids[name] = np.concatenate((ids, fresh))
+                    self._stamp = np.concatenate((self._stamp, np.zeros_like(fresh)))
+                    self._nbytes = np.concatenate((self._nbytes, np.full_like(fresh, -1)))
+            return self._ids_of(columns, index)
+
+    def _nbytes_locked(
+        self,
+        new: np.ndarray,
+        columns: Sequence[ColumnBlocks],
+        index: np.ndarray,
+        missing: np.ndarray,
+    ) -> int:
+        """The bytes of the fetched blocks ``new`` (the ids at positions
+        ``missing`` of a read).  A block's size is looked up on its
+        first fetch and kept by id, -1 until then: a table whose blocks
+        are rebuilt is invalidated first, which forgets its sizes.
+        Caller holds ``_lock``."""
+        sizes = self._nbytes[new]
+        unknown = (sizes < 0).nonzero()[0]
+        if len(unknown):
+            looked_up = _missed(columns, index, missing[unknown])
+            sizes[unknown] = [block.nbytes for block in looked_up]
+            self._nbytes[new[unknown]] = sizes[unknown]
+        return int(sizes.sum())
 
     def _settle_locked(
-        self, keys: Sequence[BlockKey], reader: QueryStorageContext
+        self,
+        live: np.ndarray,
+        new: Optional[np.ndarray],
+        fetches: int,
+        nbytes: int,
+        reader: QueryStorageContext,
     ) -> None:
-        """Make ``keys`` most recent, in order; unless ``reader`` is
-        scanning, evict the coldest keys down to capacity.  An unbounded
-        cache does neither.  Caller holds ``_lock``."""
-        capacity = self.cache_capacity
-        if capacity is None:
-            return
-        cache = self._cache
-        move_to_end = cache.move_to_end
-        for key in keys:
-            try:
-                move_to_end(key)
-            except KeyError:
-                pass  # a fetch that raised, or evicted between the rounds
+        """Count ``fetches`` remote fetches of ``nbytes`` bytes and make
+        the blocks ``new`` resident (``None``: the read fetched nothing),
+        then stamp the resident blocks ``live`` most recent, in order,
+        and unless ``reader`` is scanning, evict down to capacity.  An
+        unbounded cache stamps only ``new``, and evicts nothing.
+        Caller holds ``_lock``."""
+        if new is not None:
+            for stats in self._sinks(reader):
+                stats.remote_fetches += fetches
+                stats.bytes_fetched += nbytes
+            self._resident += len(new)
+        stamped = live if self.cache_capacity is not None else new
+        if stamped is not None:
+            self._stamp[stamped] = np.arange(self._clock, self._clock + len(stamped))
+            self._clock += len(stamped)
         if not reader.scanning:
-            while len(cache) > capacity:
-                cache.popitem(last=False)
+            self._evict_locked()
+
+    def _evict_locked(self) -> None:
+        """Drop the coldest blocks down to capacity: the smallest stamps,
+        in one partition.  Caller holds ``_lock``."""
+        capacity = self.cache_capacity
+        excess = 0 if capacity is None else self._resident - capacity
+        if excess > 0:
+            live = (self._stamp > 0).nonzero()[0]
+            self._stamp[live[self._stamp[live].argpartition(excess - 1)[:excess]]] = 0
+            self._resident -= excess
 
     def _attempts(
         self,
@@ -357,27 +419,19 @@ class ManagedStorage:
             decision, stream = injector.decide(key, ordinal, attempt)
             if decision.latency_seconds:
                 latency = quantize_model_seconds(decision.latency_seconds)
-                with self._lock:
-                    for stats in sinks:
-                        stats.backoff_model_seconds += latency
+                self._count(sinks, "backoff_model_seconds", latency)
             if decision.fail:
-                with self._lock:
-                    for stats in sinks:
-                        stats.transient_errors += 1
+                self._count(sinks, "transient_errors")
             else:
                 read = values
                 if decision.corrupt:
                     read = injector.corrupt_array(values, stream)
                 if block.checksum is None or array_checksum(read) == block.checksum:
                     return
-                with self._lock:
-                    for stats in sinks:
-                        stats.corrupt_blocks += 1
+                self._count(sinks, "corrupt_blocks")
             attempt += 1
             if attempt >= policy.max_attempts:
-                with self._lock:
-                    for stats in sinks:
-                        stats.retry_giveups += 1
+                self._count(sinks, "retry_giveups")
                 raise TransientStorageError(
                     f"block {key} unreadable after {attempt} attempts"
                 )
@@ -398,19 +452,54 @@ class ManagedStorage:
                     stats.retries += 1
                     stats.backoff_model_seconds += backoff
 
+    def _count(
+        self, sinks: Tuple[StorageStats, ...], name: str, amount: float = 1
+    ) -> None:
+        """Add ``amount`` to counter ``name`` of each of ``sinks``."""
+        with self._lock:
+            for stats in sinks:
+                setattr(stats, name, getattr(stats, name) + amount)
+
     def invalidate_table(self, table_name: str) -> None:
         """Make no block of one table resident (rewrite / drop)."""
         with self._lock:
-            stale = [k for k in self._cache if k[0] == table_name]
-            for key in stale:
-                del self._cache[key]
-            self.stats.blocks_invalidated += len(stale)
+            for name, ids in self._ids.items():
+                if name[0] == table_name:
+                    self._nbytes[ids] = -1
+                    stale = ids[self._stamp[ids] > 0]
+                    self._stamp[stale] = 0
+                    self._resident -= len(stale)
+                    self.stats.blocks_invalidated += len(stale)
 
     def clear(self) -> None:
         """Make no block resident (simulates a cold node)."""
         with self._lock:
-            self._cache.clear()
+            self._stamp[:] = 0
+            self._resident = 0
 
     @property
     def cached_blocks(self) -> int:
-        return len(self._cache)
+        return self._resident
+
+    def resident_keys(self) -> List[BlockKey]:
+        """The resident blocks' keys, coldest first: the LRU order when
+        bounded, the fetch order when not.  A view for tests and
+        debugging; no read builds it."""
+        with self._lock:
+            stamps = {
+                name + (b,): stamp
+                for name, ids in self._ids.items()
+                for b, stamp in enumerate(self._stamp[ids].tolist())
+                if stamp
+            }
+        return sorted(stamps, key=stamps.__getitem__)
+
+
+def _missed(
+    columns: Sequence[ColumnBlocks], index: np.ndarray, missing: np.ndarray
+) -> List[EncodedBlock]:
+    """The blocks at positions ``missing`` of a read, in key order."""
+    if len(columns) == 1:
+        return [columns[0][1][b] for b in index[missing].tolist()]
+    part, at = np.divmod(missing, len(index))
+    return [columns[c][1][b] for c, b in zip(part.tolist(), index[at].tolist())]

@@ -350,15 +350,15 @@ def test_an_extended_state_starts_unplaced():
 
 
 def read_keys(monkeypatch):
-    """Record every block key ``read_blocks`` is asked for."""
+    """Record every block key ``read_columns`` is asked for."""
     seen = []
-    original = ManagedStorage.read_blocks
+    original = ManagedStorage.read_columns
 
-    def spy(self, keys, blocks, reader=None):
-        seen.extend(keys)
-        return original(self, keys, blocks, reader)
+    def spy(self, columns, index, reader=None):
+        seen.extend(name + (b,) for name, _ in columns for b in index.tolist())
+        return original(self, columns, index, reader)
 
-    monkeypatch.setattr(ManagedStorage, "read_blocks", spy)
+    monkeypatch.setattr(ManagedStorage, "read_columns", spy)
     return seen
 
 

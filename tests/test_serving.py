@@ -66,13 +66,15 @@ def slow_fetches(monkeypatch, seconds):
     remotely — a key not resident when the round starts — before the
     blocks are resident, like a network round trip, so statements stay
     in flight long enough for queues to fill and deadlines to expire."""
-    read_round = rms_module.ManagedStorage._read_round
+    read_round = rms_module.ManagedStorage._round
 
-    def slow(self, keys, blocks, reader):
-        time.sleep(seconds * sum(key not in self._cache for key in keys))
-        return read_round(self, keys, blocks, reader)
+    def slow(self, columns, index, reader):
+        resident = set(self.resident_keys())
+        keys = [name + (b,) for name, _ in columns for b in index.tolist()]
+        time.sleep(seconds * sum(key not in resident for key in keys))
+        return read_round(self, columns, index, reader)
 
-    monkeypatch.setattr(rms_module.ManagedStorage, "_read_round", slow)
+    monkeypatch.setattr(rms_module.ManagedStorage, "_round", slow)
 
 
 # -- server semantics ---------------------------------------------------------

@@ -1,7 +1,7 @@
 """Storage engine: zone maps, column stores, managed storage."""
 
 import random
-from collections import Counter
+from collections import Counter, OrderedDict
 
 import numpy as np
 import pytest
@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from repro.core.entry import BitmapSliceState
 from repro.core.rowrange import RangeList
-from repro.faults import FaultInjector, RetryBudgetExceeded, RetryPolicy
+from repro.faults import (
+    FaultInjector,
+    RetryBudgetExceeded,
+    RetryPolicy,
+    TransientStorageError,
+)
 from repro.storage import ColumnSpec, Database, Table, TableSchema
 from repro.storage.compression import CODECS, choose_codec, decode_block, seal_blocks
 from repro.storage.column import BlockCoverage, ColumnStore, DecodedBlocks, GrowableArray
@@ -214,6 +219,17 @@ class TestColumnStore:
         assert column.compressed_nbytes > 0
 
 
+def read_keys(reader, keys, blocks):
+    """Read blocks of one column named by their keys, ``blocks[i]`` the
+    block of ``keys[i]``, through ``reader`` (a storage or a reader of
+    one)."""
+    (name,) = {key[:3] for key in keys}
+    reader.read_columns(
+        [(name, {key[3]: block for key, block in zip(keys, blocks)})],
+        np.array([key[3] for key in keys], dtype=np.int64),
+    )
+
+
 class TestManagedStorage:
     def _block(self, values):
         from repro.storage.compression import choose_codec
@@ -224,8 +240,8 @@ class TestManagedStorage:
         rms = ManagedStorage()
         block = self._block([1, 2, 3])
         key = ("t", 0, "c", 0)
-        rms.read_blocks((key,), (block,))
-        rms.read_blocks((key,), (block,))
+        read_keys(rms, (key,), (block,))
+        read_keys(rms, (key,), (block,))
         assert rms.stats.remote_fetches == 1
         assert rms.stats.local_hits == 1
         assert rms.stats.blocks_accessed == 2
@@ -234,12 +250,12 @@ class TestManagedStorage:
         rms = ManagedStorage(cache_capacity=2)
         blocks = {i: self._block([i]) for i in range(3)}
         for i in range(3):
-            rms.read_blocks((("t", 0, "c", i),), (blocks[i],))
-        assert list(rms._cache) == [("t", 0, "c", 1), ("t", 0, "c", 2)]
+            read_keys(rms, (("t", 0, "c", i),), (blocks[i],))
+        assert rms.resident_keys() == [("t", 0, "c", 1), ("t", 0, "c", 2)]
         # Block 0 evicted; re-reading is a remote fetch again.
-        rms.read_blocks((("t", 0, "c", 0),), (blocks[0],))
+        read_keys(rms, (("t", 0, "c", 0),), (blocks[0],))
         assert rms.stats.remote_fetches == 4
-        assert list(rms._cache) == [("t", 0, "c", 2), ("t", 0, "c", 0)]
+        assert rms.resident_keys() == [("t", 0, "c", 2), ("t", 0, "c", 0)]
 
     def test_a_scan_defers_eviction_to_its_barrier(self):
         """Inside a scan every read is most recent at once, but nothing
@@ -251,32 +267,32 @@ class TestManagedStorage:
         reader = rms.query_context()
         reader.begin_scan_phase()
         for i in (0, 1, 2, 0):  # the last read of block 0 is a hit
-            reader.read_blocks((keys[i],), (blocks[i],))
+            read_keys(reader, (keys[i],), (blocks[i],))
         assert rms.cached_blocks == 3  # over capacity, eviction deferred
         reader.end_scan_phase()
-        assert list(rms._cache) == [keys[2], keys[0]]  # block 1 was coldest
+        assert rms.resident_keys() == [keys[2], keys[0]]  # block 1 was coldest
         assert (rms.stats.remote_fetches, rms.stats.local_hits) == (3, 1)
 
     def test_invalidate_table(self):
         rms = ManagedStorage()
-        rms.read_blocks((("a", 0, "c", 0),), (self._block([1]),))
-        rms.read_blocks((("b", 0, "c", 0),), (self._block([2]),))
+        read_keys(rms, (("a", 0, "c", 0),), (self._block([1]),))
+        read_keys(rms, (("b", 0, "c", 0),), (self._block([2]),))
         rms.invalidate_table("a")
         assert rms.cached_blocks == 1
-        rms.read_blocks((("a", 0, "c", 0),), (self._block([1]),))
+        read_keys(rms, (("a", 0, "c", 0),), (self._block([1]),))
         assert rms.stats.remote_fetches == 3
 
     def test_bytes_fetched(self):
         rms = ManagedStorage()
         block = self._block(np.arange(100))
-        rms.read_blocks((("t", 0, "c", 0),), (block,))
+        read_keys(rms, (("t", 0, "c", 0),), (block,))
         assert rms.stats.bytes_fetched == block.nbytes
 
     def test_stats_delta(self):
         rms = ManagedStorage()
-        rms.read_blocks((("t", 0, "c", 0),), (self._block([1]),))
+        read_keys(rms, (("t", 0, "c", 0),), (self._block([1]),))
         before = rms.stats.snapshot()
-        rms.read_blocks((("t", 0, "c", 0),), (self._block([1]),))
+        read_keys(rms, (("t", 0, "c", 0),), (self._block([1]),))
         delta = rms.stats.delta(before)
         assert delta.local_hits == 1
         assert delta.remote_fetches == 0
@@ -286,7 +302,7 @@ class TestManagedStorage:
 
 
 def block_calls(seed, num_calls=40, num_slices=3, blocks_per_slice=8):
-    """A fixed sequence of ``read_blocks`` calls: each names 1-6 distinct
+    """A fixed sequence of keyed reads (``read_keys``): each names 1-6 distinct
     blocks of one slice, in no particular order, as (keys, blocks)."""
     rng = random.Random(seed)
     encoded = {
@@ -322,18 +338,18 @@ def drive(calls, batched, capacity, phased, injector=None, retry_budget=None):
             query.begin_scan_phase()
         try:
             if batched:
-                query.read_blocks(keys, blocks)
+                read_keys(query, keys, blocks)
             else:
                 for key, block in zip(keys, blocks):
-                    query.read_blocks((key,), (block,))
+                    read_keys(query, (key,), (block,))
         except RetryBudgetExceeded as error:
             seen["gave_up"] = (index, str(error))
             break
-        seen["resident"].append(list(rms._cache))
+        seen["resident"].append(rms.resident_keys())
         if phased and (index % 5 == 4 or index == len(calls) - 1):
             query.end_scan_phase()
-            seen["orders"].append(list(rms._cache))
-    seen["orders"].append(list(rms._cache))
+            seen["orders"].append(rms.resident_keys())
+    seen["orders"].append(rms.resident_keys())
     return rms.stats, query.stats, seen
 
 
@@ -402,24 +418,164 @@ class TestReadBlocks:
         keys, blocks = block_calls(0)[0]
         assert len(keys) >= 2
         with pytest.raises(Exception):
-            rms.read_blocks(keys, blocks)
+            read_keys(rms, keys, blocks)
         assert rms.stats.remote_fetches == 1
-        assert list(rms._cache) == keys[:1]
+        assert rms.resident_keys() == keys[:1]
+
+
+class OrderedDictResidency:
+    """The residency model stamps replaced, as a reference: an
+    ``OrderedDict`` of block keys, coldest first, touched key by key.
+    One :meth:`read` per column, as a scan used to read its columns; a
+    read outside a scan that would overflow goes one key at a time, and
+    ``give_up`` is the fetch attempt (counted from 0) that raises."""
+
+    def __init__(self, capacity, give_up=None):
+        self.capacity, self.give_up = capacity, give_up
+        self.cache = OrderedDict()
+        self.hits = self.fetches = self.attempts = self.invalidated = 0
+
+    def read(self, keys, scanning):
+        if not scanning and self.capacity and len(keys) > 1:
+            if len(self.cache) + len(keys) > self.capacity:
+                for key in keys:
+                    self.read([key], scanning)
+                return
+        missing = [key for key in keys if key not in self.cache]
+        self.hits += len(keys) - len(missing)
+        try:
+            for key in missing:
+                self.attempts += 1
+                if self.attempts - 1 == self.give_up:
+                    raise TransientStorageError(f"block {key}")
+                self.fetches += 1
+                self.cache[key] = None
+        finally:
+            self.settle(keys, scanning)
+
+    def settle(self, keys, scanning):
+        if self.capacity is None:
+            return
+        for key in keys:
+            if key in self.cache:
+                self.cache.move_to_end(key)
+        while not scanning and len(self.cache) > self.capacity:
+            self.cache.popitem(last=False)
+
+    def invalidate_table(self, table):
+        stale = [key for key in self.cache if key[0] == table]
+        for key in stale:
+            del self.cache[key]
+        self.invalidated += len(stale)
+
+
+RESIDENCY_COLUMNS = [(t, s, c) for t in "ab" for s in (0, 1) for c in "xy"]
+
+
+@st.composite
+def residency_cases(draw):
+    """(capacity, give_up, steps): rounds of distinct blocks of one to
+    three distinct columns, inside and outside a scan phase, table
+    invalidations and cold nodes, in any order."""
+    capacity = draw(st.one_of(st.none(), st.just(0), st.integers(1, 5)))
+    give_up = draw(st.none() | st.integers(0, 30))
+    read = st.tuples(
+        st.just("read"),
+        st.lists(
+            st.sampled_from(RESIDENCY_COLUMNS), min_size=1, max_size=3, unique=True
+        ),
+        st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True),
+    )
+    step = st.one_of(
+        read, read, read, read,
+        st.tuples(st.just("begin")), st.tuples(st.just("end")),
+        st.tuples(st.just("invalidate"), st.sampled_from("ab")),
+        st.tuples(st.just("clear")),
+    )
+    return capacity, give_up, draw(st.lists(step, min_size=1, max_size=30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(residency_cases())
+@example((2, None, [
+    ("read", [("a", 0, "x")], [0, 1]), ("begin",),
+    ("read", [("a", 0, "x"), ("b", 1, "y")], [2, 0]),
+    ("end",), ("read", [("a", 0, "y")], [3, 4, 5]), ("invalidate", "a"),
+]))
+@example((None, 3, [
+    ("read", [("a", 0, "x"), ("a", 1, "x")], [1, 0]),
+    ("read", [("a", 0, "x"), ("b", 0, "y")], [0, 2]),
+    ("read", [("b", 0, "y")], [2, 3]),
+]))
+def test_stamps_twin_the_ordered_dict_model(case):
+    """Stamp residency reads a slice's columns in one round; the
+    ``OrderedDict`` model read them one column at a time.  After every
+    step both hold the same blocks in the same coldest-first order and
+    have counted the same hits, fetches and invalidations; under an
+    armed injector a fetch that gives up leaves the same blocks counted
+    and resident."""
+    capacity, give_up, steps = case
+    rms = ManagedStorage(cache_capacity=capacity)
+    if give_up is not None:
+        rms.attach_faults(
+            FaultInjector(schedule={give_up: "error"}), RetryPolicy(max_attempts=1)
+        )
+    model = OrderedDictResidency(capacity, give_up)
+    reader = rms.query_context()
+    block = choose_codec(np.arange(4, dtype=np.int64))
+    for step in steps:
+        kind = step[0]
+        if kind == "read":
+            _, names, index = step
+            before = (reader.stats.local_hits, reader.stats.remote_fetches)
+            hits, fetches, raised = model.hits, model.fetches, None
+            try:
+                for name in names:
+                    model.read([name + (b,) for b in index], reader.scanning)
+            except TransientStorageError as error:
+                raised = str(error)
+            try:
+                reader.read_columns(
+                    [(name, [block] * 8) for name in names],
+                    np.array(index, dtype=np.int64),
+                )
+            except TransientStorageError as error:
+                assert raised is not None and raised in str(error)
+            else:
+                assert raised is None
+            assert reader.stats.local_hits - before[0] == model.hits - hits
+            assert reader.stats.remote_fetches - before[1] == model.fetches - fetches
+        elif kind == "begin":
+            reader.begin_scan_phase()
+        elif kind == "end":
+            reader.end_scan_phase()
+            model.settle((), False)
+        elif kind == "invalidate":
+            rms.invalidate_table(step[1])
+            model.invalidate_table(step[1])
+        else:
+            rms.clear()
+            model.cache.clear()
+        assert rms.resident_keys() == list(model.cache)
+        assert rms.cached_blocks == len(model.cache)
+        assert rms.stats.blocks_invalidated == model.invalidated
+        assert rms.stats.bytes_fetched == model.fetches * block.nbytes
 
 
 def fill_checked(rms, column):
-    """Record every ``read_blocks`` call of ``rms`` as its keys, and
+    """Record every ``read_columns`` call of ``rms`` as its keys, and
     assert that each key's row of ``column`` is written by then."""
     calls = []
-    read_blocks = rms.read_blocks
+    read_columns = rms.read_columns
 
-    def checked(keys, blocks, reader=None):
+    def checked(columns, index, reader=None):
+        keys = [name + (b,) for name, _ in columns for b in index.tolist()]
         for key in keys:
             assert column._decoded.written(key[3]), f"{key} read before its row"
-        calls.append(list(keys))
-        read_blocks(keys, blocks, reader)
+        calls.append(keys)
+        read_columns(columns, index, reader)
 
-    rms.read_blocks = checked
+    rms.read_columns = checked
     return calls
 
 
@@ -455,10 +611,10 @@ class TestRowsBeforeResidency:
         calls = fill_checked(rms, column)
         decoded = count_decodes(monkeypatch)
         assert self.read(rms, [0]).tolist() == list(range(20))  # a miss
-        assert list(rms._cache) == [column._keys[0]]
+        assert rms.resident_keys() == [column.key_prefix + (0,)]
         # 1 resident + 3 keys > capacity 2: one key at a time, evicting.
         assert self.read(rms, [1, 2, 3]).tolist() == list(range(20, 80))
-        assert list(rms._cache) == column._keys[2:]
+        assert rms.resident_keys() == [column.key_prefix + (b,) for b in (2, 3)]
         assert sum(decoded.values()) == 4
         # Key 0 was evicted: its re-fetch counts and decodes nothing.
         fetches = rms.stats.remote_fetches
@@ -521,15 +677,15 @@ def test_a_group_writes_only_its_unwritten_rows(monkeypatch):
     values = np.arange(12).reshape(4, 3)
     blocks = [choose_codec(row) for row in values]
     counts = count_decodes(monkeypatch)
-    decoded.fill([1, 3], blocks)
+    decoded.fill(np.array([1, 3]), blocks)
     assert sum(counts.values()) == 2
     assert [decoded.written(b) for b in range(4)] == [False, True, False, True]
-    decoded.fill([0, 1, 2, 3], [choose_codec(row + 100) for row in values])
+    decoded.fill(np.arange(4), [choose_codec(row + 100) for row in values])
     assert sum(counts.values()) == 4
     assert [decoded.row(b).tolist() for b in range(4)] == [
         [100, 101, 102], [3, 4, 5], [106, 107, 108], [9, 10, 11],
     ]
-    decoded.fill([0, 2], blocks)
+    decoded.fill(np.array([0, 2]), blocks)
     assert sum(counts.values()) == 4
 
 
@@ -647,8 +803,8 @@ class TestReadersAreExplicit:
         one, two = rms.query_context(), rms.query_context()
         one.begin_scan_phase()  # one is mid-scan, two reads unphased
         for index, (keys, blocks) in enumerate(block_calls(1)):
-            (one, two)[index % 2].read_blocks(keys, blocks)
-            assert all(key in rms._cache for key in keys)
+            read_keys((one, two)[index % 2], keys, blocks)
+            assert set(keys) <= set(rms.resident_keys())
         one.end_scan_phase()
         for name in self.FIELDS:
             total = getattr(one.stats, name) + getattr(two.stats, name)
@@ -664,11 +820,11 @@ class TestReadersAreExplicit:
         calls = block_calls(2)
         with pytest.raises(RetryBudgetExceeded):
             for keys, blocks in calls:
-                spent.read_blocks(keys, blocks)
+                read_keys(spent, keys, blocks)
         assert spent.retry_budget_left == 0 and spent.stats.retry_giveups == 1
         keys, blocks = calls[0]
         assert fresh.retry_budget_left == 2
-        fresh.read_blocks(keys[:1], blocks[:1])
+        read_keys(fresh, keys[:1], blocks[:1])
         assert fresh.stats.blocks_accessed == 1
         assert fresh.stats.retry_giveups == 0
 
@@ -680,7 +836,7 @@ class TestReadersAreExplicit:
         calls = block_calls(3)
         threads = [
             threading.Thread(
-                target=lambda mine: [reader.read_blocks(k, b) for k, b in mine],
+                target=lambda mine: [read_keys(reader, k, b) for k, b in mine],
                 args=(calls[half::2],),
             )
             for half in range(2)
@@ -772,7 +928,7 @@ def test_warm_scan_reads_each_column_of_each_slice_once(monkeypatch):
     def counting(owner, name, on_call=lambda *args: None):
         count_calls(monkeypatch, calls, owner, name, on_call)
 
-    counting(ManagedStorage, "read_blocks")
+    counting(ManagedStorage, "read_columns")
     zone_tests = []  # ndim of each zone-map test's minima
     counting(Bounds, "excludes", lambda bounds, lo, hi: zone_tests.append(np.ndim(lo)))
     counting(BitmapSliceState, "rows", lambda state, num_rows: states.append(state))
@@ -781,7 +937,7 @@ def test_warm_scan_reads_each_column_of_each_slice_once(monkeypatch):
     assert warm.counters.cache_hits == 1
     assert warm.column("c")[0] == cold.column("c")[0]
     assert warm.counters.blocks_accessed > 8
-    assert 0 < calls["read_blocks"] <= 4 * 2
+    assert 0 < calls["read_columns"] <= 4 * 2
     assert zone_tests and set(zone_tests) == {1}  # whole arrays, never per block
     # One materialisation of each slice's candidate rows, and no other:
     # a bitmap state expands its bits straight to row ids.
@@ -796,19 +952,19 @@ def test_cold_scan_expands_no_range_list_and_reads_each_column_of_each_slice_onc
     """A miss covers its kept blocks by the block: no candidate range list
     is expanded to row ids, not even for the visibility mask a DELETE
     makes every slice compute, and each column of each slice is read in
-    one ``read_blocks`` round."""
+    one ``read_columns`` round."""
     engine = two_column_engine()
     engine.execute("delete from t where b = 7")
     truth = engine.execute("select a, b from t")
     a, b = truth.column("a"), truth.column("b")
     calls = Counter()
-    count_calls(monkeypatch, calls, ManagedStorage, "read_blocks")
+    count_calls(monkeypatch, calls, ManagedStorage, "read_columns")
     count_calls(monkeypatch, calls, RangeList, "to_row_ids")
     cold = engine.execute("select count(*) as c from t where a < 20 and b < 50")
     assert cold.counters.cache_misses > 0 and cold.counters.cache_hits == 0
     assert cold.column("c")[0] == np.count_nonzero((a < 20) & (b < 50))
     assert cold.counters.blocks_accessed > 8
-    assert 0 < calls["read_blocks"] <= 4 * 2
+    assert 0 < calls["read_columns"] <= 4 * 2
     assert calls["to_row_ids"] == 0
 
 
@@ -1201,7 +1357,7 @@ def test_only_a_rewrite_invalidates_decoded_blocks():
     t, other = db.table("t"), db.table("other")
 
     def cached(name):
-        return [key for key in db.rms._cache if key[0] == name]
+        return [key for key in db.rms.resident_keys() if key[0] == name]
 
     for start in range(0, 60, 7):  # tails fill and seal between the reads
         for table in (t, other):
