@@ -73,8 +73,8 @@ import numpy as np
 
 from .. import invariants as _inv
 from ..obs import lockwitness
-from ..predicates.ast import Bounds
-from ..predicates.interval import exact_interval_of_key
+from ..predicates.ast import Bounds, Predicate
+from ..predicates.interval import exact_interval, exact_interval_of_key
 from .config import PredicateCacheConfig
 from .entry import BitmapSliceState, CacheEntry, RangeSliceState, SliceState
 from .keys import ScanKey
@@ -422,6 +422,7 @@ class PredicateCache:
         key: ScanKey,
         num_slices: int,
         build_versions: Optional[Mapping[str, int]] = None,
+        predicate: Optional[Predicate] = None,
     ) -> CacheEntry:
         """The entry for ``key``, creating an empty one if needed.
 
@@ -430,7 +431,9 @@ class PredicateCache:
         Its payload bytes count against ``max_bytes`` exactly once, on
         the entry itself: a scan served by composition or subsumption
         reads its source entries' states in place and stores nothing of
-        its own.
+        its own.  ``predicate`` is the one ``key`` renders (the scan
+        holds it): a new plain entry's range index reads its interval
+        off it instead of parsing the key.
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -440,16 +443,18 @@ class PredicateCache:
             if key.is_join_key and not self.config.cache_join_keys:
                 raise ValueError("join-index keys are disabled by configuration")
             entry = CacheEntry(key, num_slices, build_versions or {})
-            self._insert(entry)
+            self._insert(entry, predicate)
             self.stats.inserts += 1
         self._drain_journal()
         return entry
 
-    def _insert(self, entry: CacheEntry) -> None:
+    def _insert(self, entry: CacheEntry, predicate: Optional[Predicate] = None) -> None:
         """The one store into ``_entries``: store ``entry`` under its key
         and in the side index, and enforce the byte budget.  Storing
         over a live key (a restore) keeps its LRU position in
-        ``_entries`` and in its range bucket alike.  Caller holds
+        ``_entries`` and in its range bucket alike.  The side index
+        takes the interval of ``predicate``, the one the key renders,
+        or parses the key when there is none (a restore).  Caller holds
         ``_lock``."""
         key = entry.key
         replaced = self._entries.get(key)
@@ -458,7 +463,10 @@ class PredicateCache:
         self._nbytes += entry.nbytes
         self._entries[key] = entry
         if self.config.enable_reuse and not key.is_join_key:
-            interval = exact_interval_of_key(key.predicate_key)
+            interval = (
+                exact_interval_of_key(key.predicate_key) if predicate is None
+                else exact_interval(predicate)
+            )
             if interval is not None:
                 column, bounds = interval
                 self._range_columns[key] = column

@@ -10,6 +10,10 @@ absent, so a probe rejects them hash by hash: the first two hashes run
 one at a time over the keys still alive, and only the survivors (at
 most about a quarter of absent keys at the design load) pay the
 remaining ``k - 2`` as one gather.  Which keys pass is exactly "all k bits set" either way.
+A table scan probes all of its slices' keys in one call, most of them
+repeats of a few join-key values: when the keys span a range at most
+half as long as they are many, each value of that range is probed once
+and the keys look their verdict up.
 """
 
 from __future__ import annotations
@@ -38,6 +42,9 @@ _MULTIPLIERS = np.array(
 # Hashes a probe applies one at a time, compacting the live keys after
 # each; the rest are one gather over the survivors.
 _STAGED_HASHES = 2
+
+# Keys that make a range-table probe worth its min and max passes.
+_TABLE_MIN_KEYS = 64
 
 
 class BloomFilter:
@@ -80,7 +87,16 @@ class BloomFilter:
 
     def may_contain(self, keys: np.ndarray) -> np.ndarray:
         """Boolean membership mask (false positives possible)."""
-        keys = _as_uint64(keys)
+        keys = np.asarray(keys).astype(np.int64, copy=False)
+        if len(keys) >= _TABLE_MIN_KEYS:
+            low, high = int(keys.min()), int(keys.max())
+            if 2 * (high - low + 1) <= len(keys):
+                span = np.arange(low, high + 1, dtype=np.int64)
+                return self._probe(span.view(np.uint64))[keys - low]
+        return self._probe(keys.view(np.uint64))
+
+    def _probe(self, keys: np.ndarray) -> np.ndarray:
+        """:meth:`may_contain` of uint64 ``keys``."""
         found = np.zeros(len(keys), dtype=bool)
         # Indices into the caller's keys of those no hash has ruled out
         # yet; ``keys`` is compacted alongside after every staged hash.

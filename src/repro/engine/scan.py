@@ -1,91 +1,58 @@
 """The two-step table scan with predicate-cache integration (Fig. 11).
 
-Scan flow per data slice:
+The paper's scan runs once per data slice, the slices in parallel.  Here
+one kernel runs it over all of a table scan's slices at once: their rows
+lie end to end and every pass runs once.  What the paper keeps per slice
+stays per slice: the cache probe's source, zone-map pruning and the
+placement of the candidates, the MVCC summary, and the installs.
 
 1. **Cache probe** — the scan offers its join-extended key and its plain
    key to the predicate cache and takes the most selective live entry.
 2. **Range restriction** — the plan resolves one immutable
    :class:`SliceSource` per slice: its candidate rows and two verdict
-   watermarks.  A miss has no candidates, so the zone maps choose them:
-   the rows of the blocks whose min/max bounds can satisfy the
-   predicate, plus the tail.  A hit's candidates are the cached state's
-   rows (cached qualifying rows plus the uncached appended tail), a
-   composed or subsumed serve's the intersection of its parts' rows;
-   zone maps still drop blocks on top, and the block coverage leaves
-   their rows out as it places the candidates.  An exact hit (below) whose
-   watermark reaches the slice's row count consults no zone map: every
-   candidate qualifies, so no block holding one can be pruned.  Its
-   candidates' coverage is then a function of the state alone, so the
-   state keeps it (:meth:`~repro.core.entry.RangeSliceState.placed`):
-   the first such hit places the rows, every later one takes the
-   placement as is.
-3. **Vectorized scan** — rows at or past the source's ``verdict_below``
-   are evaluated (predicate, then any semi-join Bloom filters from
-   ``probe_verdict_below`` on); cached false positives are eliminated
-   here, as is MVCC visibility.  Both watermarks are 0 except on an
-   exact-match hit on an *exact* state (one that was never merged,
-   :mod:`repro.core.entry`): it has no false positives, so rows below
-   its watermark take the state's verdict and read only the columns
-   the answer needs, and a join-keyed state's rows there skip the
-   probes too.  Visibility applies to every row, unless the slice's
-   MVCC summary says every row is visible at the statement's snapshot
-   (:meth:`~repro.storage.slice.DataSlice.all_visible`) — then no
-   slice scan computes a per-row visibility mask.  When no row is
-   evaluated, none is invisible and the coverage dropped none, the
-   candidates' coverage is the answer without a mask.
-4. **Cache fill** — the qualifying row ids (which the scan produced
-   anyway) are inserted back into the cache: the join-extended entry
-   always, the plain entry whenever the scan's candidate set covers it.
+   watermarks.  A miss's candidates are the zone maps' (blocks whose
+   bounds can satisfy the predicate, plus the tail), a hit's the cached
+   state's rows plus the uncached tail, a composed or subsumed serve's
+   the intersection of its parts' rows, less the blocks zone maps drop.
+   An exact hit (below) whose watermark reaches the slice's row count
+   consults no zone map and takes the placement its state keeps
+   (:meth:`~repro.core.entry.RangeSliceState.placed`).
+3. **Vectorized scan** — one storage round per read phase reads every
+   slice's columns; one pass evaluates the rows at or past each source's
+   ``verdict_below``, one per semi-join filter probes its Bloom filter
+   from ``probe_verdict_below`` on, and MVCC visibility drops the rest.
+   Both watermarks are 0 except on an exact-match hit on an *exact*
+   state (never merged, :mod:`repro.core.entry`): it has no false
+   positives, so rows below its watermark take its verdict, read only
+   the columns the answer needs and, on a join-keyed state, skip the
+   probes.  A slice whose MVCC summary says every row is visible
+   (:meth:`~repro.storage.slice.DataSlice.all_visible`) builds no mask.
+4. **Cache fill** — each slice's qualifying row ids, cut back out of the
+   kernel's masks as a :class:`~repro.storage.column.BlockCoverage`
+   (``ScanResult.per_slice``, which DELETE and UPDATE read), go to the
+   join-extended entry always and to the plain entry whenever the
+   scan's candidates cover it: a scan restricted by a *join* entry's
+   candidates has not evaluated the bare predicate outside them, while
+   one restricted by the *plain* entry covers every join-qualifying row.
 
-One row set is in flight: ascending int64 row ids, placed by storage
-block in a :class:`~repro.storage.column.BlockCoverage`.  A state gives
-the plan its rows once, a composed serve intersects row ids, the
-candidates' coverage is what every column read, the visibility mask
-and the probes work on, the qualifying rows are a selection of it —
-``ScanResult.per_slice``, read as is by the gather, DELETE and UPDATE
-— and the barrier hands their ids to the cache, whose states convert
-them to a payload only when they change.
+With ``enable_reuse`` on (DESIGN.md §14), a full-key miss also consults
+the reuse lattice (:mod:`repro.reuse`) for live entries of its cached
+conjuncts, or of a wider range on the same column, as sources: their
+candidates' intersection is a superset of the truth that step 3
+re-evaluates.  A full-key miss derives per-conjunct sets on the way
+(every row but the scanned rows the conjunct rejected) and installs
+them at the same barrier; an exact-match hit derives none.
 
-Step 4's coverage rule keeps entries sound: a scan restricted by a
-*join* entry's candidates has not evaluated the bare predicate outside
-those candidates, so it must not write the plain entry.  A scan
-restricted by the *plain* entry covers every join-qualifying row (the
-join result is a subset of the predicate result), so it may write both.
+:func:`execute_scan` is three coordinator steps:
 
-A scan serves from cache entries only: each slice's candidates come
-from the states its *source entries* hold for that slice — one entry
-on an exact hit, none on a miss.  With ``enable_reuse`` on (DESIGN.md
-§14), a full-key miss additionally consults the reuse lattice
-(:mod:`repro.reuse`), which names the live entries of the predicate's
-cached conjuncts — or of a cached wider range on the same column — as
-the sources; the plan intersects their candidate sets, a superset of
-the truth, so step 3's re-evaluation keeps the result bit-identical to
-a cache-off scan.  A full-key miss, served or not, derives per-conjunct
-qualifying sets on the way (every row but the scanned rows the conjunct
-rejected, so they stay supersets under *any* serving basis) and hands
-the cache only those rejected ids, at the same coordinator barrier as
-every other entry.  An exact-match hit derives none (its statement did
-when it first ran), so an exact state keeps its verdict with reuse on.
-
-:func:`execute_scan` is three coordinator steps around the four above:
-
-* **plan** (:func:`_plan_scan`) — step 1, once per cache node, and
-  the resolution of step 2's sources.  The cache is always asked
-  through the router protocol ``cache.cache_for_slice(slice_id)``: a
-  :class:`ClusterCaches` answers the slice's owning node (§4.6), a bare
-  ``PredicateCache`` answers itself — it *is* the one-node router.  A
-  dead node's tombstone raises ``NodeDownError``, and its slices get
-  the default source (no context) — as does every slice when caching
-  is off.  A source state whose watermark outruns its slice drops every
-  source entry of that node, whose slices then scan as misses.  Only
-  then is each slice's state slot read, once, into its source.
-* **run** (:func:`_run_slices`) — steps 2–3, a loop calling
-  :func:`_scan_slice` once per slice on its source, in slice order,
-  counting into the statement's counters.
+* **plan** (:func:`_plan_scan`) — step 1, once per cache node through
+  the router protocol ``cache.cache_for_slice(slice_id)`` (§4.6), and
+  the resolution of step 2's sources.  A dead node's slices, and every
+  slice when caching is off, get the default source; a source state
+  whose watermark outruns its slice drops its node's source entries.
+* **run** (:func:`_run_scan`) — steps 2–3: the kernel.
 * **install** (:func:`_install`) — step 4 at the barrier, in slice
-  order: one cache call per entry install (its state and its counts),
-  reuse re-check accounting on the statement's counters, and one
-  admission-policy observation per node.
+  order, and one admission-policy observation per node.
 """
 
 from __future__ import annotations
@@ -104,7 +71,7 @@ from ..obs.trace import optional_span
 from ..predicates.ast import Bounds, Predicate, TruePredicate
 from ..reuse import Decomposition, ReusePlan, decompose, plan_reuse
 from ..sql.planner import bind_literals
-from ..storage.column import BlockCoverage, read_columns
+from ..storage.column import BlockCoverage, ColumnRead, read_columns
 from ..storage.rms import QueryStorageContext
 from ..storage.slice import DataSlice
 from ..storage.table import Table
@@ -129,15 +96,15 @@ class SemiJoinFilter:
 @dataclass
 class ScanResult:
     """Qualifying rows of one scan, per slice, and the output columns
-    its slice scans materialized for them."""
+    the scan materialized for them."""
 
     table: Table
     #: Each slice's qualifying rows, placed by block: the coverage the
-    #: slice scan built, which ``gather``, DELETE and UPDATE read as is.
+    #: scan built, which DELETE and UPDATE read as is.
     per_slice: List[BlockCoverage]
-    #: Per-slice output columns materialized by the slice scans (the
-    #: ``gather_columns`` of :func:`execute_scan`).
-    materialized: List[Dict[str, np.ndarray]]
+    #: The ``gather_columns`` of :func:`execute_scan`, each one array
+    #: over every qualifying row, slice after slice.
+    materialized: Dict[str, np.ndarray]
 
     @cached_property
     def num_rows(self) -> int:
@@ -146,31 +113,13 @@ class ScanResult:
     def gather(self, columns: Sequence[str]) -> Dict[str, np.ndarray]:
         """Assemble the given columns of all qualifying rows.
 
-        Each column must be one of the scan's ``gather_columns``: the
-        slice scans read them — step (6) of Fig. 11, loading and
-        decompressing only the required columns of qualifying rows —
-        and this only concatenates.  The virtual column ``"__rows__"``
-        yields a zero array of the right length (used by
-        ``count(*)``-only plans).
+        Each column must be one of the scan's ``gather_columns``, which
+        it read — step (6) of Fig. 11.  The virtual column ``"__rows__"``
+        yields a zero array of the right length (``count(*)`` plans).
         """
         if list(columns) == ["__rows__"]:
             return {"__rows__": np.zeros(self.num_rows, dtype=np.int8)}
-        result: Dict[str, np.ndarray] = {}
-        for name in columns:
-            pieces = [
-                ready[name]
-                for ready, qualifying in zip(self.materialized, self.per_slice)
-                if qualifying
-            ]
-            result[name] = (
-                np.concatenate(pieces) if pieces else s_empty(self.table, name)
-            )
-        return result
-
-
-def s_empty(table: Table, column: str) -> np.ndarray:
-    dtype = table.schema.dtype_of(column).numpy_dtype
-    return np.empty(0, dtype=dtype)
+        return {name: self.materialized[name] for name in columns}
 
 
 def execute_scan(
@@ -190,15 +139,13 @@ def execute_scan(
             the counters to accumulate into, the storage reader every
             block read goes through and the cache (None disables
             caching entirely).  A traced statement records
-            ``cache-lookup`` and per-slice ``scan[slice]`` spans with
-            counter and block-fetch deltas.
+            ``cache-lookup`` and per-slice ``scan[slice]`` spans.
         semijoins: Bloom filters pushed down from hash joins (§4.4).
         current_versions: data versions of semi-join build tables, for
             stale-entry rejection.
         gather_columns: output columns the caller will gather from the
-            result: ``ScanResult.gather`` takes no other column.
-            Each slice scan materializes them for its qualifying rows,
-            so the reads count in the slice's span and fall under its
+            result: ``ScanResult.gather`` takes no other column.  The
+            scan reads them for the qualifying rows, before its
             deferred block eviction.
 
     Returns:
@@ -218,19 +165,15 @@ def execute_scan(
     statement.counters.degraded_scans += (
         min(1, plan.degraded_slices) + plan.stale_drops
     )
-    results = _run_slices(table, plan, statement)
+    results, gathered = _run_scan(table, plan, statement)
     _install(table, plan, results, statement.counters)
-    return ScanResult(
-        table,
-        [result.qualifying for result in results],
-        [result.materialized for result in results],
-    )
+    return ScanResult(table, [result.qualifying for result in results], gathered)
 
 
 @dataclass
 class ScanPlan:
-    """What the coordinator decided before any slice runs: built once by
-    :func:`_plan_scan`, read by the slice runner and the install barrier."""
+    """What the coordinator decided before the kernel runs: built once
+    by :func:`_plan_scan`, read by the kernel and the install barrier."""
 
     plain_key: ScanKey
     #: The join-extended key, when every semi-join filter is describable.
@@ -239,10 +182,9 @@ class ScanPlan:
     semijoins: Sequence[SemiJoinFilter]
     #: Columns the vectorized scan reads (predicate + probe columns).
     scan_columns: List[str]
-    #: Output columns each slice scan materializes for its qualifying rows.
+    #: Output columns the kernel reads for the qualifying rows.
     gather_columns: List[str]
-    #: The predicate's zone-map bounds, per bounded column: derived
-    #: once here, read by every slice scan that prunes.
+    #: The predicate's zone-map bounds, per bounded column.
     zone_bounds: List[Tuple[str, Bounds]]
     #: What each slice scans from, in slice order.
     sources: List["SliceSource"] = field(default_factory=list)
@@ -264,22 +206,19 @@ class SliceSource(NamedTuple):
     below ``probe_verdict_below`` take it on the semi-join probes too.
     """
 
-    #: The slice's cache node; ``None`` scans the slice cache-off
-    #: (caching disabled, or the slice's node is down).
+    #: The slice's cache node; ``None`` scans the slice cache-off.
     context: Optional["_SliceCacheContext"] = None
-    #: ``None`` on a miss (the zone maps choose the candidates); the
-    #: state's rows on a hit; their intersection on a composed or
-    #: subsumed serve.  Ascending row ids.
+    #: Ascending row ids: ``None`` on a miss (the zone maps choose), the
+    #: state's rows on a hit, the parts' intersection on a reuse serve.
     candidates: Optional[np.ndarray] = None
-    #: The exact hit's watermark, else 0.
+    #: The exact hit's watermark, else 0; the same for the probes when
+    #: the exact hit is join-keyed, else 0.
     verdict_below: int = 0
-    #: The same watermark for a join-keyed exact hit, else 0.
     probe_verdict_below: int = 0
     #: Whether the source is an exact hit (the ``exact`` span attribute).
     exact: bool = False
-    #: An exact hit whose watermark reaches the slice's row count: the
-    #: candidates' coverage its state keeps (``candidates`` are its row
-    #: ids), taken as is, else ``None``.
+    #: The candidates' coverage an exact hit's state keeps, when its
+    #: watermark reaches the slice's row count, else ``None``.
     placed: Optional[BlockCoverage] = None
 
 
@@ -293,31 +232,27 @@ def _plan_scan(
 ) -> ScanPlan:
     """Derive the scan's keys and resolve one source per slice."""
     cache = statement.cache
-    predicate_key = predicate.cache_key()
+    # The predicate the plain key renders: the bound one, or its
+    # normalized form when keys are normalized.
+    keyed = predicate
     if cache is not None and cache.config.normalize_keys:
         from ..predicates.normalize import normalize
 
-        predicate_key = normalize(predicate).cache_key()
+        keyed = normalize(predicate)
+    predicate_key = keyed.cache_key()
     plain_key = ScanKey(table.name, predicate_key)
     join_key: Optional[ScanKey] = None
     build_versions: Dict[str, int] = {}
     # A join key must describe *every* filter the scan applies; filters
     # without a descriptor (undescribable build sides) disable it.
     if semijoins and all(sj.descriptor is not None for sj in semijoins):
-        join_key = ScanKey(
-            table.name,
-            predicate_key,
-            tuple(sj.descriptor for sj in semijoins),
-        )
+        descriptors = tuple(sj.descriptor for sj in semijoins)
+        join_key = ScanKey(table.name, predicate_key, descriptors)
         for sj in semijoins:
             build_versions.update(sj.build_versions)
+    scan_columns = sorted(predicate.columns() | {sj.probe_column for sj in semijoins})
     plan = ScanPlan(
-        plain_key,
-        join_key,
-        predicate,
-        semijoins,
-        sorted(predicate.columns() | {sj.probe_column for sj in semijoins}),
-        list(gather_columns),
+        plain_key, join_key, predicate, semijoins, scan_columns, list(gather_columns),
         _zone_bounds(predicate),
     )
     if cache is None:
@@ -339,7 +274,7 @@ def _plan_scan(
         else:
             try:
                 context = _prepare_cache_context(
-                    node_cache, table, predicate, plain_key, join_key,
+                    node_cache, table, predicate, keyed, plain_key, join_key,
                     build_versions, current_versions, statement,
                 )
             except NodeDownError:
@@ -382,13 +317,10 @@ def _resolve_source(
 
     An exact hit keeps the rows of the state it was judged exact from
     (:func:`_exact_state`), not of a second read of a slot an install
-    may swap.  When its watermark reaches the slice's row count its
-    verdict covers every row and no zone map drops one, so the state's
-    own placement is the candidates' coverage: placed by the first such
-    hit, kept on the state, taken as is by every later one.  A composed
-    or subsumed serve intersects its parts' rows, each a superset of its
-    conjunct's truth: it expands the part with the fewest and keeps
-    those the other parts' masks mark.
+    may swap; when its watermark reaches the slice's row count it takes
+    the placement the state keeps.  A composed or subsumed serve
+    expands the part with the fewest rows and keeps those the other
+    parts' masks mark.
     """
     if context is None:
         return SliceSource()
@@ -422,45 +354,53 @@ def _resolve_source(
     return SliceSource(context, candidates, watermark, probed, True, placed)
 
 
-def _run_slices(
+def _run_scan(
     table: Table, plan: ScanPlan, statement: StatementContext
-) -> List["_SliceResult"]:
-    """Scan the slices one after the other, in slice order.
-
-    Block-cache eviction waits for the end of the last slice, also when
-    a slice raised (the storage reader's scan phase).  A traced
-    statement gets one ``scan[slice N]`` span per slice carrying the
-    slice's counter deltas, the blocks it read and whether visibility
-    came from the slice's MVCC summary or from its rows.
-    """
+) -> Tuple[List["_SliceResult"], Dict[str, np.ndarray]]:
+    """Steps 2–3 over every slice at once: each slice is pruned and
+    covered on its own (:class:`_SlicePart`), then every pass runs once
+    over all of their rows.  Returns, in slice order, what the barrier
+    installs, and one array per gather column.  Block eviction waits for
+    the end of the scan, and stamps the blocks read slice by slice.  A
+    traced statement gets one ``scan[slice N]`` span per slice."""
     reader = statement.storage
-    counters = statement.counters
-    trace = statement.trace
-    results: List["_SliceResult"] = []
-    reader.begin_scan_phase()
+    parts: List[_SlicePart] = []
+    size = 0
+    for data_slice, source in zip(table.slices, plan.sources):
+        parts.append(_SlicePart(data_slice, source, plan, statement, size))
+        size += parts[-1].n
+    active = [part for part in parts if part.n]
+    reader.begin_scan_phase(by_slice=True)
     try:
-        for slice_id, data_slice in enumerate(table.slices):
-            source = plan.sources[slice_id]
-            with optional_span(
-                trace, f"scan[slice {slice_id}]", table=table.name, slice=slice_id
-            ) as span:
-                if span is not None:
-                    before = counters.snapshot()
-                    blocks_before = reader.stats.blocks_accessed
-                results.append(_scan_slice(data_slice, source, plan, statement))
-                if span is not None:
-                    context = source.context
-                    span.update(counters.delta(before))
-                    span.set(
-                        "blocks_fetched", reader.stats.blocks_accessed - blocks_before
-                    )
-                    span.set("cache_basis", context.basis if context is not None else "off")
-                    span.set("exact", source.exact)
-                    visible = data_slice.all_visible(statement.txid)
-                    span.set("visibility", "summary" if visible else "rows")
+        # The head columns over every candidate, then the tail columns
+        # over the rows from ``split`` on: one round each.
+        values: Dict[str, np.ndarray] = {}
+        heads = [p.read(p.head, p.covered, p.start) for p in active if p.head]
+        tails = [
+            p.read(p.tail, p.covered.select(slice(p.split, None)), p.start + p.split)
+            for p in active if p.tail
+        ]
+        for phase in (heads, tails):
+            if phase:
+                read_columns(phase, size, reader, values)
+        masks = _evaluate_all(plan, active, values, size, statement)
+        results = [_split(part, plan, values, masks) for part in parts]
+        gathered = _gather(table, plan, parts, results, values, masks.full, reader)
     finally:
         reader.end_scan_phase()
-    return results
+    statement.counters.rows_qualifying += sum(len(r.qualifying) for r in results)
+    trace = statement.trace
+    for slice_id, part in enumerate(parts if trace is not None else ()):
+        with optional_span(
+            trace, f"scan[slice {slice_id}]", table=table.name, slice=slice_id
+        ) as span:
+            span.update(part.counts(len(results[slice_id].qualifying), masks.probes))
+            span.set("blocks_fetched", part.fetched)
+            context = part.source.context
+            span.set("cache_basis", context.basis if context is not None else "off")
+            span.set("exact", part.source.exact)
+            span.set("visibility", "summary" if part.visible else "rows")
+    return results, gathered
 
 
 def _install(
@@ -469,12 +409,9 @@ def _install(
     results: List["_SliceResult"],
     counters: QueryCounters,
 ) -> None:
-    """The barrier: every cache write of the scan, in slice order.
-
-    Slice scans never write the cache; the installs run here, after the
-    last slice.  Derived conjunct entries ride the same barrier (RP009:
-    the reuse package itself never writes).
-    """
+    """The barrier: every cache write of the scan, in slice order, after
+    the kernel.  Derived conjunct entries ride it too (RP009: the reuse
+    package itself never writes)."""
     for slice_id, (source, result) in enumerate(zip(plan.sources, results)):
         context = source.context
         if context is None:
@@ -519,10 +456,10 @@ def _install(
 class _SliceCacheContext:
     """Resolved cache interaction of a scan with one cache node.
 
-    Built when the scan is planned and mutated only at the barrier;
-    slice scans read ``sources`` (their immutable slice states) and the
-    conjunct predicates, nothing else.  ``qualifying_rows``/``total_rows``
-    accumulate the per-node policy observation at the barrier.
+    Built when the scan is planned and mutated only at the barrier; the
+    kernel reads ``sources`` (immutable slice states) and the conjunct
+    predicates.  ``qualifying_rows``/``total_rows`` accumulate the
+    per-node policy observation at the barrier.
     """
 
     cache: PredicateCache
@@ -546,13 +483,15 @@ def _prepare_cache_context(
     cache: PredicateCache,
     table: Table,
     predicate: Predicate,
+    keyed: Predicate,
     plain_key: ScanKey,
     join_key: Optional[ScanKey],
     build_versions: Dict[str, int],
     current_versions: Optional[Mapping[str, int]],
     statement: StatementContext,
 ) -> _SliceCacheContext:
-    """Probe the cache and decide which entries this scan records."""
+    """Probe the cache and decide which entries this scan records.
+    ``keyed`` is the predicate ``plain_key`` renders."""
     counters = statement.counters
     # The layout rule: no entry of another layout of this table serves.
     cache.check_layout(table)
@@ -611,7 +550,9 @@ def _prepare_cache_context(
         if context.basis == "plain":
             context.plain_entry = entry
         elif cache.admits(plain_key):
-            context.plain_entry = cache.get_or_create(plain_key, table.num_slices)
+            context.plain_entry = cache.get_or_create(
+                plain_key, table.num_slices, predicate=keyed
+            )
     # Derived conjunct entries: supersets of each conjunct's truth under
     # any serving basis of a miss.
     if decomposition is not None:
@@ -619,7 +560,9 @@ def _prepare_cache_context(
             if conjunct.key == plain_key or not cache.admits(conjunct.key):
                 continue
             context.conjunct_entries.append(
-                cache.get_or_create(conjunct.key, table.num_slices)
+                cache.get_or_create(
+                    conjunct.key, table.num_slices, predicate=conjunct.predicate
+                )
             )
             context.conjunct_predicates += (conjunct.predicate,)
     return context
@@ -672,26 +615,174 @@ def _exact_state(
     return state if isinstance(state, RangeSliceState) and state.exact else None
 
 
+_Probe = Tuple[Optional[np.ndarray], np.ndarray]  # rows probed (None: all), hits
+
+
+class _SlicePart:
+    """One slice's share of a scan kernel: its candidates' coverage and
+    where its rows start in the kernel's arrays.  Built in slice order;
+    the slice's pruning and coverage counts go to the counters here."""
+
+    __slots__ = (
+        "slice", "source", "covered", "n", "start", "window", "split", "probe_from",
+        "head", "tail", "pruned", "visible", "skipped", "pruned_blocks", "fetched",
+    )
+
+    def __init__(
+        self,
+        data_slice: DataSlice,
+        source: SliceSource,
+        plan: ScanPlan,
+        statement: StatementContext,
+        start: int,
+    ) -> None:
+        counters = statement.counters
+        num_rows = data_slice.num_rows
+        self.slice, self.source, self.start, self.fetched = data_slice, source, start, 0
+        # Zone maps prune a hit too, so it never scans more than a miss
+        # (§1), unless its verdict covers every row.
+        dropped, self.pruned_blocks = None, 0
+        if source.verdict_below < num_rows:
+            dropped = data_slice.pruned_blocks(plan.zone_bounds)
+            if dropped is not None:
+                self.pruned_blocks = int(np.count_nonzero(dropped))
+                dropped = dropped if self.pruned_blocks else None
+        counters.blocks_pruned_zonemap += self.pruned_blocks
+        # One coverage of the candidates, less the dropped blocks' rows,
+        # serves every read, the visibility mask and the selections (a
+        # miss's covers whole blocks and places no row).
+        candidates = source.candidates
+        covered = source.placed
+        if covered is None:
+            covered = data_slice.cover(candidates, dropped)
+        n = len(covered)
+        self.covered, self.n, self.window = covered, n, slice(start, start + n)
+        self.skipped = num_rows - len(candidates) if candidates is not None else 0
+        counters.rows_skipped_cache += self.skipped
+        counters.rows_scanned += n
+        # Whether the coverage dropped a candidate (a miss's are its own).
+        self.pruned = candidates is not None and n < len(candidates)
+        self.visible = data_slice.all_visible(statement.txid)
+        # Rows below ``split`` take the state's verdict and read only the
+        # ``head``: the output columns the predicate reads too and, unless
+        # the probes' verdict is known there, the probe columns.  The rows
+        # from ``split`` on read the ``tail`` (the other scan columns) too.
+        self.split = self.probe_from = 0
+        self.head, self.tail = plan.scan_columns, []
+        if n and source.verdict_below:
+            # A kept placement lies all below the watermark.
+            self.split = split = n if source.placed is not None else int(
+                np.searchsorted(covered.row_ids, source.verdict_below)
+            )
+            self.probe_from = split if source.probe_verdict_below else 0
+            needed = set(plan.gather_columns)
+            if not self.probe_from:
+                needed.update(sj.probe_column for sj in plan.semijoins)
+            scan_columns = plan.scan_columns
+            self.head = [name for name in scan_columns if name in needed or not split]
+            if split < n:
+                self.tail = [name for name in scan_columns if name not in self.head]
+
+    def read(self, names: Sequence[str], rows: BlockCoverage, start: int) -> ColumnRead:
+        """This slice's part of a storage round: ``names`` over ``rows``."""
+        self.fetched += len(names) * len(rows.blocks)
+        return [self.slice.columns[name] for name in names], rows, start
+
+    def counts(self, qualifying: int, probes: List[_Probe]) -> Dict[str, int]:
+        """This slice's non-zero counts: its span's counter deltas."""
+        counts = dict(
+            rows_scanned=self.n, rows_qualifying=qualifying, bloom_probes=0,
+            bloom_positives=0, blocks_pruned_zonemap=self.pruned_blocks,
+            rows_skipped_cache=self.skipped,
+        )
+        for rows, hits in probes:
+            first, last = self.start, self.start + self.n
+            if rows is not None:
+                first, last = np.searchsorted(rows, (first, last))
+            counts["bloom_probes"] += int(last - first)
+            counts["bloom_positives"] += int(np.count_nonzero(hits[first:last]))
+        return {name: count for name, count in counts.items() if count}
+
+
+class _Masks(NamedTuple):
+    """A kernel's verdicts over all of its rows; ``None`` passes every row."""
+
+    plain: Optional[np.ndarray]  # predicate and visibility (the plain entry's)
+    full: Optional[np.ndarray]  # and every probe: the qualifying rows
+    visible: Optional[np.ndarray]
+    probes: List[_Probe]
+
+
+def _evaluate_all(
+    plan: ScanPlan,
+    active: List[_SlicePart],
+    values: Dict[str, np.ndarray],
+    size: int,
+    statement: StatementContext,
+) -> _Masks:
+    """Evaluate, check visibility and probe every slice's rows at once."""
+    counters, txid = statement.counters, statement.txid
+    # ``None`` stands for the predicate only where no coverage dropped a
+    # candidate: an exact hit whose tail the zone maps pruned builds one.
+    pred_mask: Optional[np.ndarray] = None
+    if not any(part.split for part in active):
+        if active:  # every row is evaluated
+            pred_mask = _evaluate(plan.predicate, values, size)
+    elif any(part.split < part.n or part.pruned for part in active):
+        pred_mask = np.ones(size, dtype=bool)
+        spans = [(p.start + p.split, p.start + p.n) for p in active]
+        rows = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
+        if len(rows):
+            batch = {name: values[name][rows] for name in plan.scan_columns}
+            pred_mask[rows] = _evaluate(plan.predicate, batch, len(rows))
+    vis_mask: Optional[np.ndarray] = None
+    for part in active:
+        if not part.visible:
+            if vis_mask is None:
+                vis_mask = np.ones(size, dtype=bool)
+            vis_mask[part.window] = part.slice.visibility_mask(part.covered, txid)
+    plain_mask = full_mask = _and(pred_mask, vis_mask)
+    probes: List[_Probe] = []
+    probing = [part for part in active if part.probe_from < part.n]
+    if plan.semijoins and probing:
+        # Each filter probes the previous one's survivors (``alive``,
+        # ``None`` for all): the all-rows AND, as a row's verdict is its
+        # key's.  ``plain_mask`` stays (``q_plain``); rows outside the
+        # ``region`` the probes apply to keep their plain verdict.
+        region: Optional[np.ndarray] = None
+        if len(probing) < len(active) or any(part.probe_from for part in probing):
+            region = np.zeros(size, dtype=bool)
+            for part in probing:
+                region[part.start + part.probe_from : part.start + part.n] = True
+        alive = None if region is None else np.flatnonzero(_and(plain_mask, region))
+        if region is None and plain_mask is not None:
+            alive = np.flatnonzero(plain_mask)
+        for sj in plan.semijoins:
+            column = values[sj.probe_column]
+            keys = stable_int_keys(column if alive is None else column[alive])
+            hits = sj.bloom.may_contain(keys)
+            counters.bloom_probes += len(keys)
+            counters.bloom_positives += int(np.count_nonzero(hits))
+            probes.append((alive, hits))
+            alive = np.flatnonzero(hits) if alive is None else alive[hits]
+        outside = None if region is None else _and(plain_mask, ~region)
+        full_mask = np.zeros(size, dtype=bool) if outside is None else outside
+        full_mask[alive] = True
+    return _Masks(plain_mask, full_mask, vis_mask, probes)
+
+
 @dataclass
 class _SliceResult:
-    """What one slice scan hands the barrier and the result."""
+    """What one slice hands the barrier and the result."""
 
-    #: The qualifying rows, placed by block.
     qualifying: BlockCoverage
-    #: The row ids passing the predicate and visibility, before the
-    #: probes (what the plain entry installs); ``None`` when they are
-    #: the qualifying rows.
+    #: The rows passing predicate and visibility before the probes (the
+    #: plain entry's), when they differ from the qualifying rows.
     q_plain: Optional[np.ndarray]
-    #: The caller's output columns over the qualifying rows.
-    materialized: Dict[str, np.ndarray]
-    #: Candidate rows this slice actually scanned (post zone-map); for a
-    #: reuse-served scan these are the re-checked rows.
+    #: Candidate rows scanned (post zone-map): a reuse serve's re-checks.
     candidate_rows: int
-    #: Per derived conjunct, in the order of the context's conjunct
-    #: entries: the scanned row ids it (or visibility) rejected.  Its
-    #: qualifying set is every other row of the slice, a superset of the
-    #: conjunct's truth under any serving basis; the barrier installs it
-    #: as these ids.  Empty when the slice derived none.
+    #: Per derived conjunct, in the context's order, the scanned row ids
+    #: it (or visibility) rejected: its set is every other row.
     conjunct_rejected: List[np.ndarray] = field(default_factory=list)
 
     def plain_rows(self) -> np.ndarray:
@@ -699,157 +790,90 @@ class _SliceResult:
         return self.qualifying.row_ids if self.q_plain is None else self.q_plain
 
 
-def _scan_slice(
-    data_slice: DataSlice,
-    source: SliceSource,
-    plan: ScanPlan,
-    statement: StatementContext,
+def _split(
+    part: _SlicePart, plan: ScanPlan, values: Dict[str, np.ndarray], masks: _Masks
 ) -> _SliceResult:
-    """Scan one slice from its source.
-
-    Counts into the statement's counters and reads through its storage
-    reader at its snapshot; entry installs wait for the barrier.
-    """
-    reader = statement.storage
-    counters = statement.counters
-    num_rows = data_slice.num_rows
-    # Zone-map pruning applies on top of a hit too — it is metadata-only
-    # and guarantees a hit never scans more than a miss would
-    # ("rigorously avoiding slowdowns", §1) — unless the verdict covers
-    # every row: no block holding a qualifying candidate can be pruned.
-    dropped: Optional[np.ndarray] = None
-    if source.verdict_below < num_rows:
-        dropped = _prune_with_zonemaps(data_slice, plan.zone_bounds, counters)
-    # One block coverage of the candidates serves every column read, the
-    # visibility mask, the row ids and (selected down to the qualifying
-    # rows) the gather and the result; it leaves the rows of dropped
-    # blocks out.  A miss's candidates are the kept blocks and the tail,
-    # covered by the block: only a reader expands row ids.  An exact hit
-    # whose verdict covers every row brings the coverage its state keeps.
-    candidates = source.candidates
-    covered = source.placed
-    if covered is None:
-        covered = data_slice.cover(candidates, dropped)
-    n = len(covered)
-    if candidates is not None:
-        counters.rows_skipped_cache += num_rows - len(candidates)
-    # Whether the coverage dropped a candidate (a miss's are its own).
-    pruned = candidates is not None and n < len(candidates)
-    counters.rows_scanned += n
+    """One slice's qualifying rows, plain rows and conjunct sets, cut
+    out of the kernel's masks."""
+    covered, n, window = part.covered, part.n, part.window
     if not n:
-        return _SliceResult(covered, None, {}, 0)
-
-    # Rows below ``split`` take the state's verdict: they read only what
-    # the answer needs — the output columns the predicate reads too (read
-    # once, not again for the gather) and, unless the probes' verdict is
-    # known there, the probe columns.  ``tail`` holds every scan column
-    # for the rows from ``split`` on, which are evaluated.
-    split = probe_from = 0
-    head = plan.scan_columns
-    if source.verdict_below:
-        split = int(np.searchsorted(covered.row_ids, source.verdict_below))
-        probe_from = split if source.probe_verdict_below else 0
-        needed = set(plan.gather_columns)
-        if not probe_from:
-            needed.update(sj.probe_column for sj in plan.semijoins)
-        head = [name for name in head if name in needed or not split]
-    batch = _read(data_slice, head, covered, reader)
-    tail = batch
-    if 0 < split < n:
-        tail = _read(
-            data_slice,
-            [name for name in plan.scan_columns if name not in batch],
-            covered.select(slice(split, None)), reader,
-        )
-        tail.update((name, values[split:]) for name, values in batch.items())
-    # A mask of ``None`` passes every row.  It may stand for the
-    # predicate only where the coverage dropped no candidate: an exact
-    # hit whose tail the zone maps pruned still builds one.
-    pred_mask: Optional[np.ndarray] = None
-    if split < n or pruned:
-        pred_mask = _evaluate(plan.predicate, tail, n - split)
-        if split:
-            pred_mask = np.concatenate((np.ones(split, dtype=bool), pred_mask))
-    vis_mask: Optional[np.ndarray] = None
-    if not data_slice.all_visible(statement.txid):
-        vis_mask = data_slice.visibility_mask(covered, statement.txid)
-    plain_mask = _and(pred_mask, vis_mask)
-    full_mask = plain_mask
-    probe_batch = tail if probe_from else batch
-    for sj in plan.semijoins if probe_from < n else ():
-        if full_mask is None:
-            full_mask = np.ones(n, dtype=bool)
-        # Probe only the rows still qualifying, each filter the previous
-        # one's survivors: a row's verdict is its key's, so the mask is
-        # the all-rows AND.  The hits go into a fresh mask —
-        # ``plain_mask`` stays as it is (``q_plain`` below).
-        probed = np.flatnonzero(full_mask[probe_from:])
-        keys = stable_int_keys(probe_batch[sj.probe_column][probed])
-        hits = sj.bloom.may_contain(keys)
-        counters.bloom_probes += len(keys)
-        counters.bloom_positives += int(np.count_nonzero(hits))
-        passed = np.zeros(n, dtype=bool)
-        passed[:probe_from] = full_mask[:probe_from]
-        passed[probed[hits] + probe_from] = True
-        full_mask = passed
-    if full_mask is None or (not pruned and full_mask.all()):
-        # The coverage dropped no candidate and every one qualifies (an
-        # exact hit with no row deleted since, most often): the coverage
-        # is the answer.  With no mask at all that is known without
-        # looking at a row.
-        qualifying = covered
-    else:
-        qualifying = covered.select(full_mask)
-    # The plain entry installs the qualifying rows when the masks are
-    # equal, or when the plain predicate was not evaluated below the
-    # watermark (a join basis fills no plain entry, so the barrier never
-    # installs those).  Otherwise the probes dropped rows it keeps: all
-    # of them when nothing was evaluated and every row is visible.
+        return _SliceResult(covered, None, 0)
+    full = None if masks.full is None else masks.full[window]
+    # No mask, or an all-true one where no candidate was dropped: the
+    # coverage is the answer (an exact hit, most often).
+    qualifying = covered
+    if full is not None and (part.pruned or not full.all()):
+        qualifying = covered.select(full)
+    # Where the probes dropped rows, the plain entry keeps them — unless
+    # the probes' verdict was not evaluated (a join basis fills no plain
+    # entry) or there is no plain entry to fill.
+    context = part.source.context
     q_plain: Optional[np.ndarray] = None
-    if full_mask is not plain_mask and not source.probe_verdict_below:
-        q_plain = covered.row_ids if plain_mask is None else covered.row_ids[plain_mask]
-    result = _SliceResult(qualifying, q_plain, {}, n)
-    conjuncts = source.context.conjunct_predicates if source.context else ()
-    for conjunct in conjuncts:
-        # Per-conjunct qualifying sets for the reuse lattice.  Rows
-        # outside the scanned set were not evaluated here, so each set
-        # keeps them — a false-positive-only superset of the conjunct's
-        # truth whatever basis restricted this scan (zone-map-pruned
-        # rows included; they re-prune): every row but the scanned rows
-        # the conjunct (or visibility) rejected.
+    if (
+        masks.full is not masks.plain and part.probe_from < n
+        and not part.source.probe_verdict_below
+        and context is not None and context.plain_entry is not None
+    ):
+        plain = masks.plain
+        q_plain = covered.row_ids if plain is None else covered.row_ids[plain[window]]
+    result = _SliceResult(qualifying, q_plain, n)
+    # Per-conjunct sets for the reuse lattice (a miss's: every scan
+    # column was read for every row).  A set keeps the rows not scanned —
+    # a superset of the conjunct's truth whatever basis restricted the
+    # scan: every row but the scanned rows the conjunct (or visibility)
+    # rejected.
+    for conjunct in context.conjunct_predicates if context is not None else ():
+        batch = {name: values[name][window] for name in plan.scan_columns}
         rejected = ~_evaluate(conjunct, batch, n)
-        if vis_mask is not None:
-            rejected |= ~vis_mask
+        if masks.visible is not None:
+            rejected |= ~masks.visible[window]
         result.conjunct_rejected.append(covered.row_ids[rejected])
-    # Materialize the caller's output columns for the qualifying rows,
-    # counted in this slice's span.  A column the batch holds for every
-    # candidate is taken from it by mask, not read again; the others are
-    # read in one round.
-    if len(qualifying):
-        unread = [name for name in plan.gather_columns if name not in batch]
-        read = _read(data_slice, unread, qualifying, reader)
-        for name in plan.gather_columns:
-            if name in read:
-                result.materialized[name] = read[name]
-            else:
-                result.materialized[name] = (
-                    batch[name] if full_mask is None else batch[name][full_mask]
-                )
-    counters.rows_qualifying += len(qualifying)
     return result
 
 
-def _read(
-    data_slice: DataSlice,
-    names: Sequence[str],
-    rows: BlockCoverage,
+def _gather(
+    table: Table,
+    plan: ScanPlan,
+    parts: List[_SlicePart],
+    results: List[_SliceResult],
+    values: Dict[str, np.ndarray],
+    full_mask: Optional[np.ndarray],
     reader: QueryStorageContext,
 ) -> Dict[str, np.ndarray]:
-    """The named columns' values over ``rows``, in one storage round."""
-    if not names:
+    """The caller's output columns over every qualifying row, slice after
+    slice: one array per column.  A column a slice's head read is taken
+    from it by mask, not read again; the others are read in one round,
+    each slice's over its qualifying rows."""
+    if not plan.gather_columns:
         return {}
-    columns = [data_slice.columns[name] for name in names]
-    return dict(zip(names, read_columns(columns, rows, reader)))
+    owned: List[Tuple[_SlicePart, BlockCoverage, int]] = []
+    size = 0
+    for part, result in zip(parts, results):
+        if len(result.qualifying):
+            owned.append((part, result.qualifying, size))
+            size += len(result.qualifying)
+    if not size:
+        return {
+            name: np.empty(0, table.schema.dtype_of(name).numpy_dtype)
+            for name in plan.gather_columns
+        }
+    reads = [
+        part.read([c for c in plan.gather_columns if c not in part.head], rows, at)
+        for part, rows, at in owned
+    ]
+    gathered = read_columns([read for read in reads if read[0]], size, reader)
+    for name in plan.gather_columns:
+        if name not in gathered:  # every qualifying row's slice read it
+            taken = values[name]
+            gathered[name] = taken if full_mask is None else taken[full_mask]
+            continue
+        for part, rows, at in owned:
+            if name in part.head:
+                taken = values[name][part.window]
+                if full_mask is not None:
+                    taken = taken[full_mask[part.window]]
+                gathered[name][at : at + len(rows)] = taken
+    return gathered
 
 
 def _evaluate(
@@ -883,28 +907,3 @@ def _zone_bounds(predicate: Predicate) -> List[Tuple[str, Bounds]]:
         if bounds is not None and not bounds.unbounded:
             zone_bounds.append((column_name, bounds))
     return zone_bounds
-
-
-def _prune_with_zonemaps(
-    data_slice: DataSlice,
-    zone_bounds: List[Tuple[str, Bounds]],
-    counters: QueryCounters,
-) -> Optional[np.ndarray]:
-    """Step 1 of the standard scan: drop blocks by min/max bounds.
-
-    Returns one mask over the slice's sealed blocks — True where some
-    predicate column's zone map rules the block out — or ``None`` when
-    no block can be skipped.
-    """
-    dropped: Optional[np.ndarray] = None
-    for column_name, bounds in zone_bounds:
-        column = data_slice.columns.get(column_name)
-        if column is None:
-            continue
-        pruned = column.zonemap.pruned_blocks(bounds)
-        dropped = pruned if dropped is None else dropped | pruned
-    if dropped is None:
-        return None
-    num_dropped = int(np.count_nonzero(dropped))
-    counters.blocks_pruned_zonemap += num_dropped
-    return dropped if num_dropped else None

@@ -33,7 +33,7 @@ from .ast import (
     conjunction_of,
     lit,
 )
-from .interval import exact_interval_of_key, single_column_range
+from .interval import exact_interval, exact_interval_of_key, single_column_range
 from .normalize import normalize, push_not_inward, to_cnf
 from .parser import parse_predicate
 
@@ -55,6 +55,7 @@ __all__ = [
     "TruePredicate",
     "col",
     "conjunction_of",
+    "exact_interval",
     "exact_interval_of_key",
     "lit",
     "normalize",

@@ -4,10 +4,12 @@ A one-column predicate with value bounds (:meth:`Predicate.bounds`)
 describes an interval of that column — *exactly* when it is a
 comparison other than ``<>``, a ``BETWEEN``, or an ``AND`` of those, and
 otherwise only as a zone-map hull with holes in it (``IN``, ``<>``,
-``LIKE``, ``OR``).  The predicate cache indexes its plain entries by the
-exact interval their key parses to (:func:`exact_interval_of_key`, once
-per install), and the reuse lattice's subsumption matcher reads the
-requested side straight off the decomposed conjunct
+``LIKE``, ``OR``).  The predicate cache indexes its plain entries by
+their exact interval (:func:`exact_interval`), read off the predicate
+the scan holds when it creates the entry, or parsed back from the key
+when a restore brings the entry without one
+(:func:`exact_interval_of_key`); the reuse lattice's subsumption matcher
+reads the requested side straight off the decomposed conjunct
 (:func:`single_column_range`) — DESIGN.md §14.
 """
 
@@ -18,7 +20,9 @@ from typing import Optional, Tuple
 from .ast import And, Between, Bounds, Comparison, Predicate
 from .parser import PredicateParseError, parse_predicate
 
-__all__ = ["exact_interval_of_key", "is_exact_interval", "single_column_range"]
+__all__ = [
+    "exact_interval", "exact_interval_of_key", "is_exact_interval", "single_column_range",
+]
 
 
 def is_exact_interval(predicate: Predicate) -> bool:
@@ -54,14 +58,19 @@ def single_column_range(predicate: Predicate) -> Optional[Tuple[str, Bounds, boo
     return column, bounds, is_exact_interval(predicate)
 
 
-def exact_interval_of_key(predicate_key: str) -> Optional[Tuple[str, Bounds]]:
-    """``(column, bounds)`` of a canonical predicate key that parses to
-    one exact single-column interval; ``None`` for any other key,
-    unparseable ones included."""
-    try:
-        parsed = single_column_range(parse_predicate(predicate_key))
-    except PredicateParseError:
-        return None
+def exact_interval(predicate: Predicate) -> Optional[Tuple[str, Bounds]]:
+    """``(column, bounds)`` of a predicate that is one exact
+    single-column interval; ``None`` for any other."""
+    parsed = single_column_range(predicate)
     if parsed is None or not parsed[2]:
         return None
     return parsed[0], parsed[1]
+
+
+def exact_interval_of_key(predicate_key: str) -> Optional[Tuple[str, Bounds]]:
+    """:func:`exact_interval` of the predicate a canonical key parses
+    to; ``None`` for an unparseable key."""
+    try:
+        return exact_interval(parse_predicate(predicate_key))
+    except PredicateParseError:
+        return None

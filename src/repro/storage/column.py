@@ -18,19 +18,21 @@ values, decoded by the column the first time a read takes it.  A read
 (:func:`read_columns`) fills its rows, then asks the storage, which only
 counts and tracks which blocks are resident, then takes its rows by row
 id — the bytes copied follow the rows reported, not the blocks touched.
-The columns a slice reads over one coverage make one storage round.
+One call makes one storage round however many slices it reads: a table
+scan reads every slice's columns of a read phase at once, each slice's
+values laid at its offset in one array per column name.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .. import invariants as _inv
 from .compression import EncodedBlock, array_checksum, decode_blocks, seal_blocks
 from .dtypes import DataType
-from .rms import ManagedStorage, QueryStorageContext
+from .rms import ColumnBlocks, ManagedStorage, QueryStorageContext
 from .zonemap import ZoneMap
 
 # Whatever a read takes its ``rms`` from: the storage itself, or a
@@ -38,7 +40,8 @@ from .zonemap import ZoneMap
 Reader = Union[ManagedStorage, QueryStorageContext]
 
 __all__ = [
-    "BlockCoverage", "ColumnStore", "DecodedBlocks", "GrowableArray", "read_columns",
+    "BlockCoverage", "ColumnRead", "ColumnStore", "DecodedBlocks", "GrowableArray",
+    "read_columns",
 ]
 
 
@@ -98,7 +101,8 @@ class DecodedBlocks:
       readers must revisit this.  A lake file's column is sized once, by
       :func:`~repro.lake.format.write_file`: one row per row group, its
       last group, if shorter, written into its row's prefix;
-    * no view of the array escapes: :meth:`take` returns a copy.
+    * no view of the array escapes: :meth:`take` copies into the
+      caller's array.
     """
 
     __slots__ = ("_rows", "_written", "_blocks", "_complete")
@@ -162,13 +166,17 @@ class DecodedBlocks:
         self._blocks = 0
         self._complete = True
 
-    def take(self, coverage: "BlockCoverage") -> np.ndarray:
-        """The covered sealed rows' values, a new array: one row gather
-        for whole blocks, one element gather by row id otherwise.
-        ``coverage`` touches at least one block."""
+    def take(self, coverage: "BlockCoverage", out: np.ndarray) -> None:
+        """Copy the covered sealed rows' values into ``out`` (one slot
+        per row): one row gather for whole blocks, one element gather by
+        row id otherwise.  ``coverage`` touches at least one block, and
+        its indices are in range (:func:`read_columns` checks it against
+        the column): ``clip`` only spares ``take`` its bounds buffer."""
         if coverage.whole_blocks:
-            return self._rows.take(coverage.blocks, axis=0).ravel()
-        return self._rows.reshape(-1).take(coverage.sealed_row_ids)
+            rows = out.reshape(-1, self._rows.shape[1])
+            self._rows.take(coverage.blocks, axis=0, out=rows, mode="clip")
+        else:
+            self._rows.reshape(-1).take(coverage.sealed_row_ids, out=out, mode="clip")
 
 
 class BlockCoverage:
@@ -452,7 +460,8 @@ class ColumnStore:
     def read_ranges(self, coverage: BlockCoverage, rms: Reader) -> np.ndarray:
         """Gather the column's values for the covered local rows:
         :func:`read_columns` of this one column."""
-        return read_columns((self,), coverage, rms)[0]
+        name = self.column_name
+        return read_columns([((self,), coverage, 0)], len(coverage), rms)[name]
 
     def read_all(self, rms: Reader) -> np.ndarray:
         """Read the entire column (loads, joins on full tables)."""
@@ -462,43 +471,65 @@ class ColumnStore:
         return self.read_ranges(every, rms)
 
 
-def read_columns(
-    columns: Sequence[ColumnStore], coverage: BlockCoverage, rms: Reader
-) -> List[np.ndarray]:
-    """Each column's values for the covered local rows of its slice.
+#: One slice's part of a read: its columns, the rows they are read
+#: over, and where those rows' values start in the output arrays.
+ColumnRead = Tuple[Sequence[ColumnStore], BlockCoverage, int]
 
-    Every column fills the rows of the touched sealed blocks, then one
+
+def read_columns(
+    reads: Sequence[ColumnRead],
+    size: int,
+    rms: Reader,
+    out: Optional[Dict[str, np.ndarray]] = None,
+) -> Dict[str, np.ndarray]:
+    """Each read's columns' values over its coverage, in one array of
+    ``size`` rows per column name: a read's rows sit at its ``start``.
+
+    Every column fills the rows of its touched sealed blocks, then one
     storage round counts each block access (the per-access counting the
-    cost model needs), column after column, then each column takes its
-    covered rows from its decoded array; tail rows are served from the
-    insert buffer without block accounting.  The coverage is the
-    slice's (:meth:`~repro.storage.slice.DataSlice.cover`): one serves
-    every column read over the same rows.
+    cost model needs), read after read and column after column, then
+    each column copies its covered rows out of its decoded array; tail
+    rows are served from the insert buffer without block accounting.  A
+    coverage is its slice's (:meth:`~repro.storage.slice.DataSlice.cover`):
+    one serves every column read over the same rows.  ``out`` holds
+    arrays an earlier round returned: a read of a name it holds writes
+    there, so two rounds can fill one array; positions no read covers
+    hold no value.
     """
-    for column in columns:
-        if coverage.sealed_rows != column.num_sealed_rows:
-            raise ValueError(
-                f"coverage over {coverage.sealed_rows} sealed rows, "
-                f"column {column.column_name} has {column.num_sealed_rows}"
-            )
-    index = coverage.blocks
-    if len(index) and columns:
+    out = {} if out is None else out
+    named: List[ColumnBlocks] = []
+    index: List[np.ndarray] = []
+    for columns, coverage, _ in reads:
+        blocks = coverage.blocks
         for column in columns:
-            column._decoded.fill(index, column.blocks)
-        rms.read_columns(
-            [(column.key_prefix, column.blocks) for column in columns], index
-        )
-        if _inv.ACTIVE:
-            for column in columns:
-                _inv.check_decoded_rows(
-                    column._decoded, column.blocks, index, array_checksum
+            if coverage.sealed_rows != len(column.blocks) * column.rows_per_block:
+                raise ValueError(
+                    f"coverage over {coverage.sealed_rows} sealed rows, "
+                    f"column {column.column_name} has {column.num_sealed_rows}"
                 )
-    values = []
-    for column in columns:
-        tail = column.tail_values()[coverage.tail_offsets]
-        if not len(index):
-            values.append(tail)
-            continue
-        sealed = column._decoded.take(coverage)
-        values.append(np.concatenate((sealed, tail)) if len(tail) else sealed)
-    return values
+            if len(blocks):
+                column._decoded.fill(blocks, column.blocks)
+                named.append((column.key_prefix, column.blocks))
+                index.append(blocks)
+    if named:
+        # One read's columns all read its coverage's blocks: one array.
+        rms.read_columns(named, index[0] if len(reads) == 1 else index)
+        if _inv.ACTIVE:
+            for columns, coverage, _ in reads:
+                for column in columns if len(coverage.blocks) else ():
+                    _inv.check_decoded_rows(
+                        column._decoded, column.blocks, coverage.blocks, array_checksum
+                    )
+    for columns, coverage, start in reads:
+        tail_offsets = coverage.tail_offsets
+        stop = start + len(coverage)
+        sealed = stop - len(tail_offsets)
+        for column in columns:
+            values = out.get(column.column_name)
+            if values is None:
+                values = out[column.column_name] = np.empty(size, column._tail.dtype)
+            if sealed > start:
+                column._decoded.take(coverage, values[start:sealed])
+            if sealed < stop:
+                values[sealed:stop] = column.tail_values()[tail_offsets]
+    return out

@@ -54,6 +54,12 @@ Concurrency model (DESIGN.md §12):
   ``resident - capacity`` smallest stamps in one partition; stamps are
   unique, so that is exact LRU.  An unbounded cache stamps a block only
   when it fetches it: nothing reads a recency order there.
+* **A table scan stamps slice by slice.**  The engine's scan reads all
+  of its slices in one round per read phase (head columns, tail
+  columns, gather columns), yet its LRU order is the one of reading
+  the slices one after the other.  A phase begun ``by_slice`` keeps
+  what its rounds stamped, and its barrier stamps those blocks again,
+  slice by slice, each slice's in the order read, before it evicts.
 * **One storage lock, held per round, not per block.**  A single
   ``threading.Lock`` guards the stamps, the id registry, the stats, the
   sinks and the retry budgets.  With no armed injector a read is one
@@ -83,7 +89,8 @@ from ..faults import (
 from .compression import EncodedBlock, array_checksum, decode_blocks
 
 __all__ = [
-    "BlockKey", "ColumnBlocks", "ManagedStorage", "QueryStorageContext", "StorageStats",
+    "BlockIndex", "BlockKey", "ColumnBlocks", "ManagedStorage", "QueryStorageContext",
+    "StorageStats",
 ]
 
 # (table, slice, column, block index) uniquely names a block.
@@ -93,6 +100,11 @@ BlockKey = Tuple[str, int, str, int]
 ColumnBlocks = Tuple[
     Tuple[str, int, str], Union[Sequence[EncodedBlock], Mapping[int, EncodedBlock]]
 ]
+# The blocks a read takes: one index array for every column it names,
+# or one array per column.
+BlockIndex = Union[np.ndarray, Sequence[np.ndarray]]
+# One column's part of a round: the column and the blocks it reads.
+_Part = Sequence[Tuple[ColumnBlocks, np.ndarray]]
 
 
 @dataclass
@@ -140,27 +152,33 @@ class QueryStorageContext:
     :meth:`end_scan_phase` (see the module doc).
     """
 
-    __slots__ = ("storage", "stats", "retry_budget_left", "scanning")
+    __slots__ = ("storage", "stats", "retry_budget_left", "scanning", "stamped")
 
     def __init__(self, storage: "ManagedStorage", retry_budget: Optional[int]) -> None:
         self.storage = storage
         self.stats = StorageStats()
         self.retry_budget_left = retry_budget
         self.scanning = False
+        #: The ids a ``by_slice`` phase stamped, round by round; else None.
+        self.stamped: Optional[List[np.ndarray]] = None
 
-    def read_columns(self, columns: Sequence[ColumnBlocks], index: np.ndarray) -> None:
+    def read_columns(self, columns: Sequence[ColumnBlocks], index: BlockIndex) -> None:
         """:meth:`ManagedStorage.read_columns`, accounted to this statement."""
         self.storage.read_columns(columns, index, self)
 
-    def begin_scan_phase(self) -> None:
-        """Hold capacity eviction back until :meth:`end_scan_phase`."""
+    def begin_scan_phase(self, by_slice: bool = False) -> None:
+        """Hold capacity eviction back until :meth:`end_scan_phase`;
+        ``by_slice``: that barrier also orders the phase's stamps by
+        slice (the module doc)."""
         self.scanning = True
+        self.stamped = [] if by_slice else None
 
     def end_scan_phase(self) -> None:
-        """The scan's barrier: evict down to capacity, coldest first."""
+        """The scan's barrier: restamp a ``by_slice`` phase's blocks
+        slice by slice, then evict down to capacity, coldest first."""
         self.scanning = False
-        with self.storage._lock:
-            self.storage._evict_locked()
+        stamped, self.stamped = self.stamped, None
+        self.storage._end_scan(stamped)
 
 
 class ManagedStorage:
@@ -187,12 +205,13 @@ class ManagedStorage:
         # single attribute load ("no faults configured" costs nothing).
         self._faults_armed = False
         # Residency (module doc): _ids[name][b] is block b's id,
-        # _stamp[id] its stamp, 0 when not resident, and _nbytes[id] its
-        # size once fetched.  _clock is the next stamp; _resident counts
-        # the nonzero stamps.
+        # _stamp[id] its stamp, 0 when not resident, _nbytes[id] its
+        # size once fetched and _slice[id] its name's slice.  _clock is
+        # the next stamp; _resident counts the nonzero stamps.
         self._ids: Dict[Tuple[str, int, str], np.ndarray] = {}
         self._stamp = np.zeros(0, dtype=np.int64)
         self._nbytes = np.zeros(0, dtype=np.int64)
+        self._slice = np.zeros(0, dtype=np.int64)
         self._clock = 1
         self._resident = 0
         # One always-on lock guards the residency, the global stats,
@@ -229,11 +248,13 @@ class ManagedStorage:
     def read_columns(
         self,
         columns: Sequence[ColumnBlocks],
-        index: np.ndarray,
+        index: BlockIndex,
         reader: Optional[QueryStorageContext] = None,
     ) -> None:
         """Read blocks ``index`` (distinct, ``int64``) of each of
-        ``columns``: count every access and make every block resident.
+        ``columns`` — one array for all of them, or ``index[i]`` of
+        ``columns[i]`` — count every access and make every block
+        resident.
 
         One round (:meth:`_round`) reads them in column-then-index order
         (key order); counters and residency end state are those of
@@ -246,25 +267,27 @@ class ManagedStorage:
         scanning, eviction waits for its ``end_scan_phase``.
         """
         reader = reader or self._direct
-        for part in (columns,) if not self._faults_armed else [(c,) for c in columns]:
+        if isinstance(index, np.ndarray):
+            reads = [(column, index) for column in columns]
+        else:
+            reads = list(zip(columns, index))
+        for part in [reads] if not self._faults_armed else [[read] for read in reads]:
             # Capacity 0 (the lake scanner's) keeps nothing resident past
             # a round, so every block misses in either order: one round.
-            capacity, size = self.cache_capacity, len(part) * len(index)
-            if reader.scanning or not capacity or self._resident + size <= capacity:
-                self._round(part, index, reader)
+            capacity = self.cache_capacity
+            if (
+                reader.scanning or not capacity
+                or self._resident + sum(len(blocks) for _, blocks in part) <= capacity
+            ):
+                self._round(part, reader)
                 continue
             # A read outside a scan evicts as it inserts: a miss may push
             # out a block a later one would have hit.  Keep that order.
-            for column in part:
-                for at in range(len(index)):
-                    self._round((column,), index[at : at + 1], reader)
+            for column, blocks in part:
+                for at in range(len(blocks)):
+                    self._round([(column, blocks[at : at + 1])], reader)
 
-    def _round(
-        self,
-        columns: Sequence[ColumnBlocks],
-        index: np.ndarray,
-        reader: QueryStorageContext,
-    ) -> None:
+    def _round(self, part: _Part, reader: QueryStorageContext) -> None:
         """One locked round gathers the blocks' stamps and counts the
         hits.  With no armed injector it counts the misses too, by their
         kept sizes, makes them resident and stamps every block: no key
@@ -275,7 +298,7 @@ class ManagedStorage:
         and stamps every block still resident."""
         sinks = self._sinks(reader)
         with self._lock:
-            ids = self._ids_of(columns, index)
+            ids = self._ids_of(part)
             held = self._stamp[ids]
             hits = int(np.count_nonzero(held))
             for stats in sinks:
@@ -286,11 +309,11 @@ class ManagedStorage:
                 return
             if not self._faults_armed:
                 new = ids[missing]
-                nbytes = self._nbytes_locked(new, columns, index, missing)
+                nbytes = self._nbytes_locked(new, part, missing)
                 self._settle_locked(ids, new, len(new), nbytes, reader)
                 return
-        ((name, _),) = columns
-        encoded = _missed(columns, index, missing)
+        (((name, _), index),) = part
+        encoded = _missed(part, missing)
         done = 0
         try:
             rows = {
@@ -312,17 +335,18 @@ class ManagedStorage:
                 nbytes = sum([block.nbytes for block in encoded[:done]])
                 self._settle_locked(ids[live], new, done, nbytes, reader)
 
-    def _ids_of(self, columns: Sequence[ColumnBlocks], index: np.ndarray) -> np.ndarray:
-        """The ids of blocks ``index`` of each column, in key order.
-        Caller holds ``_lock``."""
+    def _ids_of(self, part: _Part) -> np.ndarray:
+        """The ids of each column's blocks, in key order.  Caller holds
+        ``_lock``."""
         try:
-            if len(columns) == 1:
-                return self._ids[columns[0][0]][index]
-            return np.concatenate([self._ids[name][index] for name, _ in columns])
+            if len(part) == 1:
+                ((name, _), index), = part
+                return self._ids[name][index]
+            return np.concatenate([self._ids[name][index] for (name, _), index in part])
         except (KeyError, IndexError):  # a first read, or one past the end
-            needed = int(index.max(initial=-1)) + 1
-            for name, _ in columns:
+            for (name, _), index in part:
                 # Fresh ids, not resident, for twice the column's old count.
+                needed = int(index.max(initial=-1)) + 1
                 ids = self._ids.get(name, np.empty(0, dtype=np.int64))
                 if name not in self._ids or len(ids) < needed:
                     grow = max(needed, 2 * len(ids)) - len(ids)
@@ -330,15 +354,12 @@ class ManagedStorage:
                     self._ids[name] = np.concatenate((ids, fresh))
                     self._stamp = np.concatenate((self._stamp, np.zeros_like(fresh)))
                     self._nbytes = np.concatenate((self._nbytes, np.full_like(fresh, -1)))
-            return self._ids_of(columns, index)
+                    self._slice = np.concatenate(
+                        (self._slice, np.full_like(fresh, name[1]))
+                    )
+            return self._ids_of(part)
 
-    def _nbytes_locked(
-        self,
-        new: np.ndarray,
-        columns: Sequence[ColumnBlocks],
-        index: np.ndarray,
-        missing: np.ndarray,
-    ) -> int:
+    def _nbytes_locked(self, new: np.ndarray, part: _Part, missing: np.ndarray) -> int:
         """The bytes of the fetched blocks ``new`` (the ids at positions
         ``missing`` of a read).  A block's size is looked up on its
         first fetch and kept by id, -1 until then: a table whose blocks
@@ -347,7 +368,7 @@ class ManagedStorage:
         sizes = self._nbytes[new]
         unknown = (sizes < 0).nonzero()[0]
         if len(unknown):
-            looked_up = _missed(columns, index, missing[unknown])
+            looked_up = _missed(part, missing[unknown])
             sizes[unknown] = [block.nbytes for block in looked_up]
             self._nbytes[new[unknown]] = sizes[unknown]
         return int(sizes.sum())
@@ -375,8 +396,33 @@ class ManagedStorage:
         if stamped is not None:
             self._stamp[stamped] = np.arange(self._clock, self._clock + len(stamped))
             self._clock += len(stamped)
+            if reader.stamped is not None and len(stamped):
+                reader.stamped.append(stamped)
         if not reader.scanning:
             self._evict_locked()
+
+    def _end_scan(self, stamped: Optional[List[np.ndarray]]) -> None:
+        """A scan's barrier (:meth:`QueryStorageContext.end_scan_phase`):
+        restamp what a ``by_slice`` phase stamped, then evict."""
+        with self._lock:
+            if stamped:
+                self._restamp_locked(stamped)
+            self._evict_locked()
+
+    def _restamp_locked(self, stamped: List[np.ndarray]) -> None:
+        """Stamp again, most recent last, the blocks a ``by_slice`` scan
+        phase stamped (round by round): slice by slice, each slice's in
+        the order stamped, as reading the slices one after the other
+        would have.  A block evicted or invalidated since stays out.
+        Caller holds ``_lock``."""
+        ids = np.concatenate(stamped) if len(stamped) > 1 else stamped[0]
+        slices = self._slice[ids]
+        if not len(ids) or np.all(slices[1:] >= slices[:-1]):
+            return  # already in slice order: the rounds' stamps stand
+        ids = ids[np.argsort(slices, kind="stable")]
+        ids = ids[self._stamp[ids] > 0]
+        self._stamp[ids] = np.arange(self._clock, self._clock + len(ids))
+        self._clock += len(ids)
 
     def _evict_locked(self) -> None:
         """Drop the coldest blocks down to capacity: the smallest stamps,
@@ -495,11 +541,15 @@ class ManagedStorage:
         return sorted(stamps, key=stamps.__getitem__)
 
 
-def _missed(
-    columns: Sequence[ColumnBlocks], index: np.ndarray, missing: np.ndarray
-) -> List[EncodedBlock]:
-    """The blocks at positions ``missing`` of a read, in key order."""
-    if len(columns) == 1:
-        return [columns[0][1][b] for b in index[missing].tolist()]
-    part, at = np.divmod(missing, len(index))
-    return [columns[c][1][b] for c, b in zip(part.tolist(), index[at].tolist())]
+def _missed(part: _Part, missing: np.ndarray) -> List[EncodedBlock]:
+    """The blocks at positions ``missing`` of a round, in key order."""
+    if len(part) == 1:
+        ((_, blocks), index), = part
+        return [blocks[b] for b in index[missing].tolist()]
+    starts = np.cumsum([0] + [len(index) for _, index in part])
+    which = np.searchsorted(starts, missing, side="right") - 1
+    missed = []
+    for c, at in zip(which.tolist(), (missing - starts[which]).tolist()):
+        (_, blocks), index = part[c]
+        missed.append(blocks[int(index[at])])
+    return missed

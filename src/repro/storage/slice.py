@@ -17,10 +17,11 @@ rows with an old summary — and a rewrite recomputes it.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..predicates.ast import Bounds
 from .column import BlockCoverage, ColumnStore, GrowableArray
 from .dtypes import DataType
 from .rms import ManagedStorage
@@ -120,6 +121,20 @@ class DataSlice:
         )
         return BlockCoverage.of_blocks(kept, size, self.num_rows)
 
+    def pruned_blocks(
+        self, zone_bounds: Sequence[Tuple[str, Bounds]]
+    ) -> Optional[np.ndarray]:
+        """Step 1 of the standard scan: one mask over the sealed blocks,
+        True where some bounded column's zone map rules the block out,
+        or ``None`` when no column has bounds here."""
+        dropped: Optional[np.ndarray] = None
+        for name, bounds in zone_bounds:
+            column = self.columns.get(name)
+            if column is not None:
+                pruned = column.zonemap.pruned_blocks(bounds)
+                dropped = pruned if dropped is None else dropped | pruned
+        return dropped
+
     def all_visible(self, txid: int) -> bool:
         """Whether every row is visible to ``txid``: none was created
         after it or deleted at or before it (the MVCC summary)."""
@@ -129,8 +144,14 @@ class DataSlice:
         """Visibility of each covered row (ascending row order).
 
         A row is visible to ``txid`` when it was created by a
-        transaction ``<= txid`` and not deleted by one ``<= txid``.
+        transaction ``<= txid`` and not deleted by one ``<= txid``.  A
+        side the MVCC summary already answers for every row is not
+        looked at.
         """
+        if self.max_xmin <= txid:
+            return coverage.take(self._xmax.values) > txid
+        if txid < self.min_xmax:
+            return coverage.take(self._xmin.values) <= txid
         xmin = coverage.take(self._xmin.values)
         xmax = coverage.take(self._xmax.values)
         return (xmin <= txid) & (xmax > txid)

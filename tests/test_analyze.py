@@ -217,7 +217,7 @@ class Waiter:
 
 ESCAPE = {
     "repro/engine/scan.py": '''
-def _scan_slice(cache, part):
+def _run_scan(cache, part):
     cache.install(part)
 ''',
     "repro/core/cache.py": '''
@@ -261,7 +261,7 @@ class TestRP012:
 
     def test_init_mutations_exempt(self):
         result = check_sources({
-            "repro/engine/scan.py": "def _scan_slice(c):\n    c.lookup(1)\n",
+            "repro/engine/scan.py": "def _run_scan(c):\n    c.lookup(1)\n",
             "repro/core/cache.py": ESCAPE["repro/core/cache.py"],
         })
         assert not any("__init__" in k for k in keys(result, "RP012"))
@@ -269,7 +269,7 @@ class TestRP012:
     def test_contract_docstring_exempts_helper(self):
         result = check_sources({
             "repro/engine/scan.py": '''
-def _scan_slice(cache, part):
+def _run_scan(cache, part):
     cache.record(part)
 ''',
             "repro/core/cache.py": '''
@@ -294,7 +294,7 @@ class PredicateCache:
     def test_contract_violation_flagged(self):
         result = check_sources({
             "repro/engine/scan.py": '''
-def _scan_slice(cache, part):
+def _run_scan(cache, part):
     cache.record(part)
 ''',
             "repro/core/cache.py": '''
@@ -322,7 +322,7 @@ class PredicateCache:
         # PredicateCache.clear (which would fabricate reachability).
         result = check_sources({
             "repro/engine/scan.py": '''
-def _scan_slice(srv):
+def _run_scan(srv):
     srv.drain()
 ''',
             "repro/serve/server.py": '''
@@ -356,7 +356,7 @@ class PredicateCache:
         # receivers of *unknown* type, not of a known foreign one.
         result = check_sources({
             "repro/engine/scan.py": '''
-def _scan_slice(store):
+def _run_scan(store):
     store.release()
 ''',
             "repro/persist/store.py": '''
@@ -389,7 +389,7 @@ class PredicateCache:
         # on another stack; its reads/mutations are not the method's.
         result = check_sources({
             "repro/engine/scan.py": '''
-def _scan_slice(cache):
+def _run_scan(cache):
     cache.register()
 ''',
             "repro/core/cache.py": '''
@@ -466,7 +466,7 @@ class Tidy:
         with self._lock:
             self.count += 1
 ''',
-            "repro/engine/scan.py": "def _scan_slice(t):\n    t.bump()\n",
+            "repro/engine/scan.py": "def _run_scan(t):\n    t.bump()\n",
         })
         assert result.findings == []
 

@@ -173,3 +173,32 @@ def test_filter_is_bit_identical_to_the_packed_reference(
     assert verdict.dtype == bool
     assert np.array_equal(verdict, _reference_may_contain(bloom, packed, probe_keys))
     assert verdict[np.isin(probe_keys, build_keys)].all()
+
+
+@given(
+    fpr=st.sampled_from(_FPRS),
+    build_bulk=st.integers(1, 400),
+    low=st.sampled_from([-(2**63), -5_000, 0, 7, 2**62]) | _int64,
+    span=st.integers(1, 3_000),
+    repeats=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_a_dense_probe_takes_each_value_s_verdict_from_the_packed_reference(
+    fpr, build_bulk, low, span, repeats, seed
+):
+    """Keys that repeat a narrow range of join-key values — a table
+    scan probing all of its slices at once — are answered by probing
+    each value of the range once: every verdict still equals the packed
+    filter's, on every k and at the ends of the int64 range."""
+    low = min(low, 2**63 - span)
+    rng = np.random.default_rng(seed)
+    build_keys = rng.integers(low, low + span, build_bulk, endpoint=False)
+    bloom = BloomFilter(expected_items=build_bulk, fpr=fpr)
+    bloom.add_many(build_keys)
+    probe_keys = rng.integers(low, low + span, max(64, repeats * span), endpoint=False)
+    verdict = bloom.may_contain(probe_keys)
+    packed = _reference_packed(bloom, build_keys)
+    assert verdict.dtype == bool and len(verdict) == len(probe_keys)
+    assert np.array_equal(verdict, _reference_may_contain(bloom, packed, probe_keys))
+    assert verdict[np.isin(probe_keys, build_keys)].all()

@@ -355,7 +355,13 @@ def read_keys(monkeypatch):
     original = ManagedStorage.read_columns
 
     def spy(self, columns, index, reader=None):
-        seen.extend(name + (b,) for name, _ in columns for b in index.tolist())
+        # One index array for every column, or one per column.
+        per_column = [index] * len(columns) if isinstance(index, np.ndarray) else index
+        seen.extend(
+            name + (b,)
+            for (name, _), blocks in zip(columns, per_column)
+            for b in blocks.tolist()
+        )
         return original(self, columns, index, reader)
 
     monkeypatch.setattr(ManagedStorage, "read_columns", spy)

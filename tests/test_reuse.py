@@ -34,7 +34,8 @@ from repro.persist.format import (
     encode_state_event,
 )
 from repro.persist.records import EntryRecord, key_digest
-from repro.predicates import single_column_range
+from repro.predicates import exact_interval, exact_interval_of_key, single_column_range
+from repro.predicates.normalize import normalize
 from repro.predicates.parser import PredicateParseError
 from repro.reuse import decompose, find_subsuming
 from repro.reuse.decompose import MAX_CONJUNCTS
@@ -531,6 +532,26 @@ def test_requested_side_read_off_the_conjunct_equals_parsing_its_key(text):
         assert single_column_range(conjunct.predicate) == single_column_range(
             parse_predicate(conjunct.key.predicate_key)
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_predicate_text)
+def test_the_range_index_reads_the_interval_parsing_the_key_would(text):
+    """A new plain entry's range index takes the interval of the
+    predicate the scan holds — the parsed one, its normalized form, or a
+    decomposed conjunct — not of its key parsed back: the two agree,
+    exact or not."""
+    parsed = parse_predicate(text)
+    held = [parsed, normalize(parsed)]
+    decomposition = decompose("t", parsed)
+    if decomposition is not None:
+        held += [conjunct.predicate for conjunct in decomposition.conjuncts]
+    for predicate in held:
+        interval = exact_interval(predicate)
+        assert interval == exact_interval_of_key(predicate.cache_key())
+        whole = single_column_range(predicate)
+        if whole is not None and whole[2]:
+            assert interval == whole[:2]
 
 
 def test_derived_entries_do_not_double_count_budget():

@@ -68,11 +68,11 @@ def slow_fetches(monkeypatch, seconds):
     in flight long enough for queues to fill and deadlines to expire."""
     read_round = rms_module.ManagedStorage._round
 
-    def slow(self, columns, index, reader):
+    def slow(self, part, reader):
         resident = set(self.resident_keys())
-        keys = [name + (b,) for name, _ in columns for b in index.tolist()]
+        keys = [name + (b,) for (name, _), index in part for b in index.tolist()]
         time.sleep(seconds * sum(key not in resident for key in keys))
-        return read_round(self, columns, index, reader)
+        return read_round(self, part, reader)
 
     monkeypatch.setattr(rms_module.ManagedStorage, "_round", slow)
 

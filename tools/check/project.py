@@ -96,7 +96,7 @@ class FunctionInfo:
     """One function or method of the analyzed project."""
 
     qualid: str            # unique: "repro/serve/server.py::QueryServer.submit"
-    display: str           # short: "QueryServer.submit" / "scan._scan_slice"
+    display: str           # short: "QueryServer.submit" / "scan._run_scan"
     module: str            # normalized module path
     cls: Optional[str]     # enclosing class name, if a method
     name: str

@@ -50,7 +50,7 @@ per file), so :func:`run_rules` runs each distinct check once.
   instance attribute of a guarded class (``PredicateCache``,
   ``QueryServer``, ``AdmissionController``, ``CacheStore``,
   ``ClusterCaches``) on some path from a concurrent
-  entry point (``scan._scan_slice``, ``QueryServer._worker_loop``)
+  entry point (``scan._run_scan``, ``QueryServer._worker_loop``)
   without a dominating lock
   acquisition, docstring contract, or ``__init__`` context.  RP012
   also checks contracts interprocedurally: calling a
@@ -93,7 +93,7 @@ GUARDED_CLASSES = frozenset(
 #: Function displays that run on concurrent threads (every server
 #: worker scans slices).
 ENTRY_POINTS = (
-    "scan._scan_slice",
+    "scan._run_scan",
     "QueryServer._worker_loop",
 )
 
