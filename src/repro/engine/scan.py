@@ -370,7 +370,7 @@ def _run_scan(
         parts.append(_SlicePart(data_slice, source, plan, statement, size))
         size += parts[-1].n
     active = [part for part in parts if part.n]
-    reader.begin_scan_phase(by_slice=True)
+    reader.begin_scan_phase()
     try:
         # The head columns over every candidate, then the tail columns
         # over the rows from ``split`` on: one round each.

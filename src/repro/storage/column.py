@@ -170,8 +170,10 @@ class DecodedBlocks:
         """Copy the covered sealed rows' values into ``out`` (one slot
         per row): one row gather for whole blocks, one element gather by
         row id otherwise.  ``coverage`` touches at least one block, and
-        its indices are in range (:func:`read_columns` checks it against
-        the column): ``clip`` only spares ``take`` its bounds buffer."""
+        its indices are in range: :func:`read_columns` checks its sealed
+        row count and its last (largest) block against the column, so
+        ``clip`` only spares ``take`` the buffered copy that ``raise``
+        makes of ``out``."""
         if coverage.whole_blocks:
             rows = out.reshape(-1, self._rows.shape[1])
             self._rows.take(coverage.blocks, axis=0, out=rows, mode="clip")
@@ -506,6 +508,11 @@ def read_columns(
                 raise ValueError(
                     f"coverage over {coverage.sealed_rows} sealed rows, "
                     f"column {column.column_name} has {column.num_sealed_rows}"
+                )
+            if len(blocks) and blocks[-1] >= len(column.blocks):
+                raise ValueError(
+                    f"coverage reads block {blocks[-1]}, "
+                    f"column {column.column_name} has {len(column.blocks)}"
                 )
             if len(blocks):
                 column._decoded.fill(blocks, column.blocks)

@@ -54,12 +54,14 @@ Concurrency model (DESIGN.md §12):
   ``resident - capacity`` smallest stamps in one partition; stamps are
   unique, so that is exact LRU.  An unbounded cache stamps a block only
   when it fetches it: nothing reads a recency order there.
-* **A table scan stamps slice by slice.**  The engine's scan reads all
-  of its slices in one round per read phase (head columns, tail
-  columns, gather columns), yet its LRU order is the one of reading
-  the slices one after the other.  A phase begun ``by_slice`` keeps
-  what its rounds stamped, and its barrier stamps those blocks again,
-  slice by slice, each slice's in the order read, before it evicts.
+* **A scan stamps slice by slice.**  The engine's scan reads all of
+  its slices in one round per read phase (head columns, tail columns,
+  gather columns), yet its LRU order is the one of reading the slices
+  one after the other.  A scan phase keeps what its rounds stamped, and
+  its barrier stamps those blocks again, slice by slice, each slice's
+  in the order read, before it evicts; a phase that read in slice order
+  already keeps its stamps.  An unbounded cache keeps nothing to
+  restamp.
 * **One storage lock, held per round, not per block.**  A single
   ``threading.Lock`` guards the stamps, the id registry, the stats, the
   sinks and the retry budgets.  With no armed injector a read is one
@@ -159,25 +161,25 @@ class QueryStorageContext:
         self.stats = StorageStats()
         self.retry_budget_left = retry_budget
         self.scanning = False
-        #: The ids a ``by_slice`` phase stamped, round by round; else None.
-        self.stamped: Optional[List[np.ndarray]] = None
+        #: The ids the scan phase stamped, round by round (a bounded
+        #: cache's: the barrier restamps them).
+        self.stamped: List[np.ndarray] = []
 
     def read_columns(self, columns: Sequence[ColumnBlocks], index: BlockIndex) -> None:
         """:meth:`ManagedStorage.read_columns`, accounted to this statement."""
         self.storage.read_columns(columns, index, self)
 
-    def begin_scan_phase(self, by_slice: bool = False) -> None:
-        """Hold capacity eviction back until :meth:`end_scan_phase`;
-        ``by_slice``: that barrier also orders the phase's stamps by
-        slice (the module doc)."""
+    def begin_scan_phase(self) -> None:
+        """Hold capacity eviction back until :meth:`end_scan_phase`."""
         self.scanning = True
-        self.stamped = [] if by_slice else None
+        self.stamped = []
 
     def end_scan_phase(self) -> None:
-        """The scan's barrier: restamp a ``by_slice`` phase's blocks
-        slice by slice, then evict down to capacity, coldest first."""
+        """The scan's barrier: restamp the phase's blocks slice by
+        slice (the module doc), then evict down to capacity, coldest
+        first."""
         self.scanning = False
-        stamped, self.stamped = self.stamped, None
+        stamped, self.stamped = self.stamped, []
         self.storage._end_scan(stamped)
 
 
@@ -396,28 +398,28 @@ class ManagedStorage:
         if stamped is not None:
             self._stamp[stamped] = np.arange(self._clock, self._clock + len(stamped))
             self._clock += len(stamped)
-            if reader.stamped is not None and len(stamped):
+            if reader.scanning and self.cache_capacity is not None:
                 reader.stamped.append(stamped)
         if not reader.scanning:
             self._evict_locked()
 
-    def _end_scan(self, stamped: Optional[List[np.ndarray]]) -> None:
+    def _end_scan(self, stamped: List[np.ndarray]) -> None:
         """A scan's barrier (:meth:`QueryStorageContext.end_scan_phase`):
-        restamp what a ``by_slice`` phase stamped, then evict."""
+        restamp what the phase stamped, then evict."""
         with self._lock:
             if stamped:
                 self._restamp_locked(stamped)
             self._evict_locked()
 
     def _restamp_locked(self, stamped: List[np.ndarray]) -> None:
-        """Stamp again, most recent last, the blocks a ``by_slice`` scan
-        phase stamped (round by round): slice by slice, each slice's in
-        the order stamped, as reading the slices one after the other
-        would have.  A block evicted or invalidated since stays out.
-        Caller holds ``_lock``."""
+        """Stamp again, most recent last, the blocks a scan phase
+        stamped (round by round): slice by slice, each slice's in the
+        order stamped, as reading the slices one after the other would
+        have.  A block evicted or invalidated since stays out.  Caller
+        holds ``_lock``."""
         ids = np.concatenate(stamped) if len(stamped) > 1 else stamped[0]
         slices = self._slice[ids]
-        if not len(ids) or np.all(slices[1:] >= slices[:-1]):
+        if (slices[1:] >= slices[:-1]).all():
             return  # already in slice order: the rounds' stamps stand
         ids = ids[np.argsort(slices, kind="stable")]
         ids = ids[self._stamp[ids] > 0]

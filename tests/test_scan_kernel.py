@@ -2,7 +2,7 @@
 
 ``engine/scan.py`` runs one kernel per table scan: one storage round per
 read phase (head columns, tail columns, gather columns) covers every
-slice.  Two things must not move with it:
+slice.  These tests pin:
 
 * how many rounds a scan makes: one per phase, not one per slice;
 * the LRU order a bounded block cache keeps.  A scan's barrier stamps
@@ -11,20 +11,24 @@ slice.  Two things must not move with it:
   blocks a scan larger than the cache leaves resident is unchanged.  The
   twin database below reads each slice's columns that way, one
   ``read_columns`` call at a time, and must end with the same resident
-  blocks, in the same order, and the same counters.
+  blocks, in the same order, and the same counters;
+* where a fetch that gives up under an armed injector stops the scan:
+  phase by phase, not slice by slice.
 """
 
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from repro import Database, PredicateCache, PredicateCacheConfig, parse_predicate
 from repro.engine import scan as scan_module
 from repro.engine.scan import execute_scan
 from repro.engine.statement import StatementContext
+from repro.faults import FaultInjector, RetryPolicy, TransientStorageError
 from repro.storage import ColumnSpec, DataType, TableSchema
 from repro.storage.column import read_columns
-from repro.storage.rms import ManagedStorage
+from repro.storage.rms import ManagedStorage, StorageStats
 
 NUM_SLICES = 4
 ROWS = 4_000
@@ -129,3 +133,52 @@ def replay(twin, rounds):
                         read_columns([(mine, coverage, 0)], len(coverage), reader)
     finally:
         reader.end_scan_phase()
+
+
+def test_a_give_up_in_a_later_slice_leaves_every_later_phase_unread(monkeypatch):
+    """Under an armed injector each column of each slice is a round of
+    its own, in slice order within a read phase, and the phases follow
+    one another over every slice.  So a fetch that gives up in slice 2's
+    head read leaves slices 0 and 1's head blocks counted and resident,
+    and no slice's gather column read, slice 0's included (a scan that
+    ran its slices one after the other had read it).  The counters count
+    every slice the scan covered before its first read."""
+    clean, faulted = database(), database()
+    rounds = []
+
+    def recording(reads, size, rms, out=None):
+        rounds.append(list(reads))
+        return read_columns(reads, size, rms, out)
+
+    monkeypatch.setattr(scan_module, "read_columns", recording)
+    _, planned = scan(clean, None)
+    head = {
+        columns[0].slice_id: [(column.column_name, coverage.blocks) for column in columns]
+        for columns, coverage, _ in rounds[0]
+    }
+    assert [name for name, _ in head[0]] == ["k"] and len(rounds) == 2
+    first_of_slice_2 = sum(len(blocks) for s in (0, 1) for _, blocks in head[s])
+    faulted.rms.attach_faults(
+        FaultInjector(schedule={first_of_slice_2: "error"}),
+        RetryPolicy(max_attempts=1),
+    )
+    statement = StatementContext(faulted.begin(), faulted.rms, cache=None)
+    with pytest.raises(TransientStorageError):
+        execute_scan(
+            faulted.table("t"), parse_predicate("k < 300"), statement,
+            gather_columns=["v"],
+        )
+    assert faulted.rms.stats == StorageStats(
+        remote_fetches=first_of_slice_2,
+        bytes_fetched=faulted.rms.stats.bytes_fetched,
+        transient_errors=1,
+        retry_giveups=1,
+    )
+    assert faulted.rms.resident_keys() == [
+        ("t", s, name, b) for s in (0, 1) for name, blocks in head[s] for b in blocks
+    ]
+    counters, done = statement.counters, planned.counters
+    assert (
+        counters.rows_scanned, counters.rows_skipped_cache,
+        counters.blocks_pruned_zonemap, counters.rows_qualifying,
+    ) == (done.rows_scanned, 0, done.blocks_pruned_zonemap, 0)

@@ -260,7 +260,8 @@ class TestManagedStorage:
     def test_a_scan_defers_eviction_to_its_barrier(self):
         """Inside a scan every read is most recent at once, but nothing
         is evicted until ``end_scan_phase``, which keeps the most
-        recently read blocks."""
+        recently read blocks, ordered as if the scan had read its slices
+        one after the other."""
         rms = ManagedStorage(cache_capacity=2)
         keys = [("t", i % 2, "c", i) for i in range(3)]
         blocks = [self._block([i]) for i in range(3)]
@@ -270,8 +271,16 @@ class TestManagedStorage:
             read_keys(reader, (keys[i],), (blocks[i],))
         assert rms.cached_blocks == 3  # over capacity, eviction deferred
         reader.end_scan_phase()
-        assert rms.resident_keys() == [keys[2], keys[0]]  # block 1 was coldest
+        # Slice 0 read blocks 0, 2, 0, then slice 1 block 1: block 2 was
+        # coldest.
+        assert rms.resident_keys() == [keys[0], keys[1]]
         assert (rms.stats.remote_fetches, rms.stats.local_hits) == (3, 1)
+        # A phase read in slice order keeps its stamps.
+        reader.begin_scan_phase()
+        for i in (2, 1):
+            read_keys(reader, (keys[i],), (blocks[i],))
+        reader.end_scan_phase()
+        assert rms.resident_keys() == [keys[2], keys[1]]
 
     def test_invalidate_table(self):
         rms = ManagedStorage()
@@ -434,6 +443,19 @@ class OrderedDictResidency:
         self.capacity, self.give_up = capacity, give_up
         self.cache = OrderedDict()
         self.hits = self.fetches = self.attempts = self.invalidated = 0
+        self.touched = []  # the scan phase's keys, in the order touched
+
+    def begin(self):
+        self.touched = []
+
+    def end(self):
+        """The barrier: touch the phase's keys again, slice by slice,
+        each slice's in the order touched, then evict."""
+        for key in sorted(self.touched, key=lambda key: key[1]):
+            if key in self.cache:
+                self.cache.move_to_end(key)
+        self.touched = []
+        self.settle((), False)
 
     def read(self, keys, scanning):
         if not scanning and self.capacity and len(keys) > 1:
@@ -459,6 +481,8 @@ class OrderedDictResidency:
         for key in keys:
             if key in self.cache:
                 self.cache.move_to_end(key)
+                if scanning:
+                    self.touched.append(key)
         while not scanning and len(self.cache) > self.capacity:
             self.cache.popitem(last=False)
 
@@ -501,6 +525,9 @@ def residency_cases(draw):
     ("read", [("a", 0, "x")], [0, 1]), ("begin",),
     ("read", [("a", 0, "x"), ("b", 1, "y")], [2, 0]),
     ("end",), ("read", [("a", 0, "y")], [3, 4, 5]), ("invalidate", "a"),
+]))
+@example((2, None, [  # a scan phase reading slice 1 before slice 0
+    ("begin",), ("read", [("a", 1, "x"), ("a", 0, "x")], [0, 1]), ("end",),
 ]))
 @example((None, 3, [
     ("read", [("a", 0, "x"), ("a", 1, "x")], [1, 0]),
@@ -547,9 +574,10 @@ def test_stamps_twin_the_ordered_dict_model(case):
             assert reader.stats.remote_fetches - before[1] == model.fetches - fetches
         elif kind == "begin":
             reader.begin_scan_phase()
+            model.begin()
         elif kind == "end":
             reader.end_scan_phase()
-            model.settle((), False)
+            model.end()
         elif kind == "invalidate":
             rms.invalidate_table(step[1])
             model.invalidate_table(step[1])
@@ -888,6 +916,13 @@ class TestReadRanges:
         longer = make_column(range(35), rows_per_block=10)
         with pytest.raises(ValueError):
             column.read_ranges(cover(longer, rows((0, 5))), ManagedStorage())
+        # Same sealed rows, a block past them, every block decoded: a
+        # clipped take would read the last block's rows instead.
+        rms = ManagedStorage()
+        column.read_all(rms)
+        past = BlockCoverage.of_blocks(np.array([1, 2], dtype=np.int64), 10, 25)
+        with pytest.raises(ValueError, match="block 2"):
+            column.read_ranges(past, rms)
 
 
 def count_calls(monkeypatch, calls, owner, name, on_call=lambda *args: None):
