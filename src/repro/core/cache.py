@@ -77,6 +77,7 @@ from ..predicates.ast import Bounds, Predicate
 from ..predicates.interval import exact_interval, exact_interval_of_key
 from .config import PredicateCacheConfig
 from .entry import BitmapSliceState, CacheEntry, RangeSliceState, SliceState
+from .intervals import Candidates, IntervalBucket
 from .keys import ScanKey
 from .policy import AdmissionPolicy, AlwaysAdmit
 from .stats import CacheStats, ReuseStats
@@ -116,14 +117,15 @@ class PredicateCache:
         self._entries: "OrderedDict[ScanKey, CacheEntry]" = OrderedDict()
         # Side indexes over ``_entries`` (see the module docstring).
         # Plain keys whose predicate is one exact single-column
-        # interval, parsed once at install, bucketed by (table, column)
-        # with each bucket in ``_entries``' LRU order; kept only with
-        # reuse on, the matcher being their one reader.  ``_range_columns``
-        # names each indexed key's bucket column.
-        self._ranges: Dict[
-            Tuple[str, str], Dict[ScanKey, Tuple[CacheEntry, Bounds]]
-        ] = {}
+        # interval, read once at install, bucketed by (table, column)
+        # (:class:`IntervalBucket`), each slot stamped from
+        # ``_range_clock`` when its key is installed or touched, so the
+        # stamps order a bucket as ``_entries``' LRU order does; kept
+        # only with reuse on, the matcher being their one reader.
+        # ``_range_columns`` names each indexed key's bucket column.
+        self._ranges: Dict[Tuple[str, str], IntervalBucket] = {}
         self._range_columns: Dict[ScanKey, str] = {}
+        self._range_clock = 0
         # Payload bytes of every live entry, kept by the three stores
         # that change one: ``_insert``, ``_remove`` and the slot swap
         # publishing a new slice state (``record_slice_scan``).
@@ -385,17 +387,19 @@ class PredicateCache:
             self._drain_journal()
         return best
 
-    def range_entries(
-        self, table_name: str, column: str
-    ) -> List[Tuple[CacheEntry, Bounds]]:
-        """The live plain entries on ``table_name`` whose predicate is
-        one exact interval of ``column``, each with that interval, least
-        recently used first — the subsumption matcher's candidates.
-        Empty unless reuse is enabled.  A read: touches neither the LRU
-        order nor any count."""
+    def range_candidates(
+        self, table_name: str, column: str, wanted: Bounds
+    ) -> Optional[Candidates]:
+        """The live plain entries on ``table_name`` whose predicate is one
+        exact interval of ``column`` that may contain ``wanted`` — the
+        subsumption matcher's candidates, found by one vectorized
+        comparison of the bucket's ends (:meth:`IntervalBucket.containing`)
+        — in no order; None when the bucket is empty or
+        reuse is off.  A read: touches neither the LRU order nor any
+        count."""
         with self._lock:
             bucket = self._ranges.get((table_name, column))
-            return list(bucket.values()) if bucket else []
+            return None if bucket is None else bucket.containing(wanted)
 
     def record_reuse_serve(self, basis: str) -> None:
         """Count one scan answered from derived entries ("composed"/"subsumed")."""
@@ -470,20 +474,24 @@ class PredicateCache:
             if interval is not None:
                 column, bounds = interval
                 self._range_columns[key] = column
-                self._ranges.setdefault((key.table, column), {})[key] = (entry, bounds)
+                bucket = self._ranges.get((key.table, column))
+                if bucket is None:
+                    bucket = self._ranges[(key.table, column)] = IntervalBucket()
+                self._range_clock += 1
+                bucket.put(key, entry, bounds, self._range_clock)
         self._evict_if_needed()
 
     def _touch(self, key: ScanKey) -> None:
-        """Mark a live key most recently used, in ``_entries`` and in
-        its range bucket: a bucket walked front to back meets its keys
-        in the order a walk of ``_entries`` would, so the subsumption
-        matcher's ties still go to the least recently used entry.
-        Caller holds ``_lock``."""
+        """Mark a live key most recently used, in ``_entries`` and by a
+        fresh stamp in its range bucket: ordered by stamp, a bucket meets
+        its keys in the order a walk of ``_entries`` would, so the
+        subsumption matcher's ties still go to the least recently used
+        entry.  Caller holds ``_lock``."""
         self._entries.move_to_end(key)
         column = self._range_columns.get(key)
         if column is not None:
-            bucket = self._ranges[(key.table, column)]
-            bucket[key] = bucket.pop(key)
+            self._range_clock += 1
+            self._ranges[(key.table, column)].touch(key, self._range_clock)
 
     def record_slice_scan(
         self,
@@ -636,7 +644,7 @@ class PredicateCache:
         if column is not None:
             slot = (key.table, column)
             bucket = self._ranges[slot]
-            del bucket[key]
+            bucket.remove(key)
             if not bucket:
                 del self._ranges[slot]
         if self._store is not None:

@@ -31,6 +31,7 @@ from ..sql import (
     plan_select,
     statement_key,
 )
+from ..sql.template import Template, lift_literals
 from ..storage.database import Database
 from .cost import CostModel
 from .counters import QueryCounters
@@ -42,8 +43,8 @@ from .statement import StatementContext
 __all__ = ["QueryEngine", "QueryResult"]
 
 
-#: The statement cache holds at most this many SELECT texts; when it is
-#: full it is cleared, not trimmed.
+#: The statement cache holds at most this many SELECT texts, and as many
+#: templates; a level that is full is cleared, not trimmed.
 STATEMENT_CACHE_TEXTS = 1024
 
 
@@ -128,11 +129,14 @@ class QueryEngine:
         self.tracer = tracer
         self.metrics = metrics
         self._executor = Executor(database)
-        # SELECT text -> _Compiled.  A plain dict: each get, set and clear
-        # is atomic under the GIL, so two statements racing on one text
-        # at worst parse it twice (and racing misses may pass the bound
-        # by one each until the next miss clears it).
+        # SELECT text -> _Compiled, and template key -> Template (the
+        # second level, consulted on a text miss).  Plain dicts: each get,
+        # set and clear is atomic under the GIL, so two statements racing
+        # on one text or template at worst parse it twice (and racing
+        # misses may pass the bound by one each until the next miss
+        # clears it).  A Template is immutable once built.
         self._statements: Dict[str, _Compiled] = {}
+        self._templates: Dict[str, Template] = {}
         self._m_queries = None
         if metrics is not None:
             self._register_metrics(metrics)
@@ -220,10 +224,13 @@ class QueryEngine:
     def _compile(self, sql: str, trace: Optional[Tracer]) -> _Compiled:
         """``sql`` parsed, under the statement's ``parse`` span.
 
-        A SELECT text is parsed once and then served from the statement
-        cache (the span's ``cached`` attribute says which).  Only the
-        parse is kept: planning reads the catalog's row counts, which
-        every INSERT moves, so each execution plans afresh.
+        A SELECT text is compiled once and then served from the statement
+        cache (the span's ``cached`` attribute says which).  A text not
+        seen before has its literals lifted (:func:`lift_literals`); the
+        first text of each template is parsed, and every text of it is
+        bound from that template's tree.  Only the parse is kept:
+        planning reads the catalog's row counts, which every INSERT
+        moves, so each execution plans afresh.
         """
         with optional_span(trace, "parse") as span:
             compiled = self._statements.get(sql)
@@ -234,7 +241,19 @@ class QueryEngine:
                 span.set("cached", compiled is not None)
             if compiled is not None:
                 return compiled
-            statement = parse_statement(sql)
+            lifted = lift_literals(sql)
+            template = (
+                None if lifted.key is None else self._templates.get(lifted.key)
+            )
+            if template is None:
+                template = Template(
+                    parse_statement(sql, lifted.slots()), len(lifted.values)
+                )
+                if lifted.key is not None and template.complete:
+                    if len(self._templates) >= STATEMENT_CACHE_TEXTS:
+                        self._templates.clear()
+                    self._templates[lifted.key] = template
+            statement = template.bind(lifted.values)
             if not isinstance(statement, SelectStatement):
                 return _Compiled(statement)
             compiled = _Compiled(

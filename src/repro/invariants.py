@@ -291,7 +291,10 @@ def _check_cache_index(cache: Any, entries: Any) -> None:
     (in LRU order) derives: every plain key whose predicate parses to
     one exact single-column interval — with reuse on — in its (table,
     column) bucket, with its live entry and that interval, each bucket
-    in LRU order.  No bucket is empty."""
+    ordered by its distinct stamps as the LRU orders it.  A slot's arrays
+    hold its interval's ends and folded ends (the slot marked inexact
+    where a float cannot hold them) and its width.  No bucket is empty."""
+    from .core.intervals import end_keys
     from .predicates.interval import exact_interval_of_key
 
     ranges: dict = {}
@@ -303,10 +306,30 @@ def _check_cache_index(cache: Any, entries: Any) -> None:
                 ranges.setdefault((key.table, interval[0]), []).append(
                     (key, entry, interval[1])
                 )
-    indexed = {
-        slot: [(key, entry, bounds) for key, (entry, bounds) in bucket.items()]
-        for slot, bucket in cache._ranges.items()
-    }
+    indexed = {}
+    for slot_key, bucket in cache._ranges.items():
+        order = bucket.in_lru_order()
+        stamps = [int(bucket.stamps[slot]) for slot in order]
+        if len(set(stamps)) != len(stamps):
+            _fail(f"interval index bucket {slot_key} repeats an LRU stamp")
+        if bucket.slot_of != {key: slot for slot, key in enumerate(bucket.keys)}:
+            _fail(f"interval index bucket {slot_key} misplaces its keys")
+        for slot, bounds in enumerate(bucket.bounds[: len(bucket)]):
+            keys = end_keys(bounds)
+            held = tuple(
+                float(getattr(bucket, name)[slot])
+                for name in ("lo", "hi", "lo_key", "hi_key")
+            )
+            if (
+                bool(bucket.inexact[slot]) != (keys is None)
+                or (keys is not None and held != keys)
+                or float(bucket.widths[slot]) != bounds.width()
+            ):
+                _fail(f"interval index bucket {slot_key} misstates slot {slot}")
+        indexed[slot_key] = [
+            (bucket.keys[slot], bucket.entries[slot], bucket.bounds[slot])
+            for slot in order
+        ]
     if indexed != ranges:
         wrong = sorted(
             slot

@@ -113,13 +113,18 @@ class Bounds:
         return True
 
     def width(self) -> float:
-        """``hi - lo``; ``inf`` for a half-open or non-numeric interval."""
+        """``hi - lo``; ``inf`` for a half-open or non-numeric interval.
+        Never NaN, so widths rank in one order: a point at an infinity
+        (``inf - inf``) is 0, and a NaN end ranks as non-numeric."""
         if self.lo is None or self.hi is None:
             return float("inf")
         try:
-            return float(self.hi) - float(self.lo)
+            width = float(self.hi) - float(self.lo)
         except (TypeError, ValueError):
             return float("inf")
+        if width != width:
+            return 0.0 if self.lo == self.hi else float("inf")
+        return width
 
     def excludes(self, minimum, maximum):
         """True where a block whose values lie in ``[minimum, maximum]``

@@ -50,9 +50,23 @@ _NEGATED_OP = {"=": "<>", "<>": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 def normalize(predicate: Predicate) -> Predicate:
     """An equivalent predicate in canonical form: NOT pushed inward, then
     OR distributed over AND (guarded against blow-up), simplified after
-    each."""
+    each.  A first simplification that leaves no OR is the result: CNF
+    has nothing to distribute there, and simplifying again changes
+    nothing."""
     result = _simplify(push_not_inward(predicate))
+    if not _holds_or(result):
+        return result
     return _simplify(to_cnf(result))
+
+
+def _holds_or(predicate: Predicate) -> bool:
+    if isinstance(predicate, Or):
+        return True
+    if isinstance(predicate, And):
+        return any(_holds_or(operand) for operand in predicate.operands)
+    if isinstance(predicate, Not):
+        return _holds_or(predicate.operand)
+    return False
 
 
 # -- NOT push-down --------------------------------------------------------------

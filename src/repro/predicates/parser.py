@@ -19,7 +19,7 @@ and workload generators that build predicates from text.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, TypeVar, cast
 
 from .ast import (
     And,
@@ -38,7 +38,9 @@ from .ast import (
 )
 from .lexer import Token, TokenKind, number_value, tokenize
 
-__all__ = ["parse_predicate", "PredicateParseError", "PredicateParser"]
+__all__ = ["parse_predicate", "PredicateParseError", "PredicateParser", "Slot"]
+
+_V = TypeVar("_V")
 
 
 class PredicateParseError(ValueError):
@@ -59,12 +61,36 @@ def parse_predicate(text: str) -> Predicate:
     return predicate
 
 
+class Slot:
+    """A literal lifted out of a statement text (:mod:`repro.sql.template`):
+    the ``index``-th, a token of ``kind`` that the lexer reads as
+    ``text`` (a number's digits, a string's unescaped contents).
+
+    A parser handed slots by token position puts the slot in the tree
+    where it would put that token's value, so the tree marks every spot
+    a literal of the text lands in.
+    """
+
+    __slots__ = ("index", "kind", "text")
+
+    def __init__(self, index: int, kind: str, text: str) -> None:
+        self.index = index
+        self.kind = kind
+        self.text = text
+
+
 class PredicateParser:
     """Token-stream parser; also reused by the SQL parser for WHERE."""
 
-    def __init__(self, tokens: List[Token], start: int = 0) -> None:
+    def __init__(
+        self,
+        tokens: List[Token],
+        start: int = 0,
+        slots: Optional[Dict[int, Slot]] = None,
+    ) -> None:
         self._tokens = tokens
         self._pos = start
+        self._slots = slots
 
     # -- token helpers -------------------------------------------------------
 
@@ -196,7 +222,16 @@ class PredicateParser:
             raise PredicateParseError(
                 f"expected a string pattern after LIKE at position {token.pos}"
             )
-        return token.text
+        return self._literal(token, token.text)
+
+    def _literal(self, token: Token, value: _V) -> _V:
+        """``value``, read off the literal ``token``; or, when a slot was
+        lifted from exactly that token, the slot standing in for it (the
+        template binds the value in its place)."""
+        slot = self._slots.get(token.pos) if self._slots else None
+        if slot is None or slot.kind != token.kind or slot.text != token.text:
+            return value
+        return cast(_V, slot)
 
     def _parse_column(self) -> ColumnRef:
         token = self.peek()
@@ -221,10 +256,14 @@ class PredicateParser:
 
     def _parse_value(self) -> Value:
         token = self.advance()
-        if token.kind == TokenKind.NUMBER:
-            return number_value(token.text)
-        if token.kind == TokenKind.STRING:
-            return token.text
+        if token.kind in (TokenKind.NUMBER, TokenKind.STRING):
+            value: Value = (
+                number_value(token.text)
+                if token.kind == TokenKind.NUMBER
+                else token.text
+            )
+            # An INSERT's rows are read without slots: no call per value.
+            return self._literal(token, value) if self._slots else value
         if token.kind == TokenKind.KEYWORD:
             if token.lowered == "true":
                 return True

@@ -11,17 +11,21 @@ normal residual re-check (the predicate is always re-evaluated over
 candidates) filters the extra rows out.
 
 Read-only over the cache (RP009).  Candidates come from the cache's
-interval index (:meth:`PredicateCache.range_entries`): the live plain
-entries whose key parsed, once at install, to an exact interval of the
-requested column — one bucket, never a walk of every entry.  The
-requested side is read off the decomposed conjunct's predicate, so
-nothing is parsed here.  An entry less selective than the best so far
-is skipped on its rank alone, before any containment test.
+interval index (:meth:`PredicateCache.range_candidates`): of the live
+plain entries whose key reads, once at install, as an exact interval of
+the requested column — one bucket, never a walk of every entry — one
+vectorized comparison of the bucket's interval ends keeps those that
+contain the request.  Only those are ranked, on their live selectivity,
+their width and their LRU stamp.  The requested side is read off the
+decomposed conjunct's predicate, so nothing is parsed here.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from operator import attrgetter
+from typing import TYPE_CHECKING, Optional
+
+import numpy as np
 
 from ..predicates.interval import single_column_range
 
@@ -31,6 +35,8 @@ if TYPE_CHECKING:
     from .decompose import Conjunct
 
 __all__ = ["find_subsuming"]
+
+_SELECTIVITY = attrgetter("selectivity")
 
 
 def find_subsuming(
@@ -48,26 +54,25 @@ def find_subsuming(
     be a hull — containing the hull contains the truth inside it.  Ties
     are broken toward the most selective entry (fewest false positives
     to re-check), then the narrowest interval (:meth:`Bounds.width`,
-    ``inf`` when half-open), then the least recently
-    used (the bucket's order).
+    ``inf`` when half-open), then the least recently used (the smallest
+    LRU stamp).  The containing entries are put in that order at once and
+    the first that qualifies serves.
     """
     requested = single_column_range(conjunct.predicate)
     if requested is None:
         return None
     column, wanted, _ = requested
-    best: Optional["CacheEntry"] = None
-    best_rank: Tuple[float, float] = (float("inf"), float("inf"))
-    for entry, cached in cache.range_entries(conjunct.key.table, column):
-        selectivity = entry.selectivity  # cannot win if already worse
-        if selectivity > best_rank[0]:
-            continue
+    found = cache.range_candidates(conjunct.key.table, column, wanted)
+    count = 0 if found is None else len(found.entries)
+    if not count:
+        return None
+    selectivity = np.fromiter(map(_SELECTIVITY, found.entries), np.float64, count)
+    for at in np.lexsort((found.stamps, found.widths, selectivity)).tolist():
+        entry = found.entries[at]
         if entry.key.predicate_key == conjunct.key.predicate_key:
             continue
-        if not cached.contains(wanted):
+        if found.recheck[at] and not found.bounds[at].contains(wanted):
             continue
-        if not any(state is not None for state in entry.slice_states):
-            continue
-        rank = (selectivity, cached.width())
-        if rank < best_rank:
-            best, best_rank = entry, rank
-    return best
+        if any(state is not None for state in entry.slice_states):
+            return entry
+    return None

@@ -10,14 +10,13 @@ predicate parser, extended with:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
+from typing import Dict, List, Optional, Tuple
 
 from ..engine.expr import BinOp, Col, Const, Expr, Func
 from ..engine.expr import _SCALAR_FUNCS
 from ..predicates.ast import Predicate
 from ..predicates.lexer import TokenKind, number_value, tokenize
-from ..predicates.parser import PredicateParser
+from ..predicates.parser import PredicateParser, Slot
 from .ast import (
     DeleteStatement,
     InsertStatement,
@@ -38,12 +37,15 @@ class SQLParseError(ValueError):
     """Raised on statements outside the supported subset."""
 
 
-def parse_statement(text: str) -> Statement:
-    """Parse one SQL statement (a trailing ``;`` is allowed)."""
-    tokens = tokenize(text)
-    parser = _StatementParser(tokens)
-    statement = parser.parse()
-    return statement
+def parse_statement(text: str, slots: Optional[Dict[int, Slot]] = None) -> Statement:
+    """Parse one SQL statement (a trailing ``;`` is allowed).
+
+    ``slots`` maps token positions to the literals
+    :func:`repro.sql.template.lift_literals` lifted there: the tree holds
+    each such slot where it would hold that literal's value, ready for
+    :class:`~repro.sql.template.Template` to bind other values in.
+    """
+    return _StatementParser(tokenize(text), slots=slots).parse()
 
 
 def statement_key(text: str) -> str:
@@ -266,7 +268,7 @@ class _StatementParser(PredicateParser):
             return BinOp(Const(0), "-", self._parse_factor())
         if token.kind == TokenKind.NUMBER:
             self.advance()
-            return Const(number_value(token.text))
+            return Const(self._literal(token, number_value(token.text)))
         if token.kind == TokenKind.IDENT and token.lowered in _SCALAR_FUNCS:
             after = self._tokens[self._pos + 1]
             if after.kind == TokenKind.PUNCT and after.text == "(":

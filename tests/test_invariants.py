@@ -23,6 +23,7 @@ from repro.core import (
     SemiJoinDescriptor,
 )
 from repro.core.entry import BitmapSliceState, CacheEntry, RangeSliceState
+from repro.core.intervals import IntervalBucket
 from repro.invariants import InvariantViolation
 from repro.persist import CacheStore, collect_records
 from repro.persist.format import encode_snapshot
@@ -337,16 +338,22 @@ class TestCheckCache:
     def test_interval_bucket_out_of_lru_order(self):
         cache = self.indexed_cache()
         bucket = cache._ranges[("t", "x")]
-        first = next(iter(bucket))
-        bucket[first] = bucket.pop(first)  # reordered behind the LRU's back
+        # Reordered behind the LRU's back: the two stamps swapped.
+        bucket.stamps[[0, 1]] = bucket.stamps[[1, 0]]
         with pytest.raises(InvariantViolation, match="interval index"):
             invariants.check_cache(cache)
 
     def test_interval_index_missing_key(self):
         cache = self.indexed_cache()
         key = ScanKey("t", "x < 5")
-        del cache._ranges[("t", "x")][key]
+        cache._ranges[("t", "x")].remove(key)
         with pytest.raises(InvariantViolation, match="interval index"):
+            invariants.check_cache(cache)
+
+    def test_interval_slot_misstates_its_interval(self):
+        cache = self.indexed_cache()
+        cache._ranges[("t", "x")].hi[0] = 7.0
+        with pytest.raises(InvariantViolation, match="misstates slot"):
             invariants.check_cache(cache)
 
     def test_interval_index_column_map_drift(self):
@@ -357,7 +364,7 @@ class TestCheckCache:
 
     def test_empty_bucket_left_behind(self):
         cache = self.indexed_cache()
-        cache._ranges[("t", "y")] = {}
+        cache._ranges[("t", "y")] = IntervalBucket()
         with pytest.raises(InvariantViolation, match="interval index"):
             invariants.check_cache(cache)
 

@@ -34,8 +34,13 @@ from repro.persist.format import (
     encode_state_event,
 )
 from repro.persist.records import EntryRecord, key_digest
-from repro.predicates import exact_interval, exact_interval_of_key, single_column_range
-from repro.predicates.normalize import normalize
+from repro.predicates import (
+    Bounds,
+    exact_interval,
+    exact_interval_of_key,
+    single_column_range,
+)
+from repro.predicates.normalize import _simplify, normalize, push_not_inward, to_cnf
 from repro.predicates.parser import PredicateParseError
 from repro.reuse import decompose, find_subsuming
 from repro.reuse.decompose import MAX_CONJUNCTS
@@ -290,6 +295,39 @@ def test_entry_without_recorded_state_is_skipped():
     assert served(cache, "k = 26") is wide
 
 
+def test_bounds_a_float_cannot_hold_are_rechecked():
+    """2**53 + 1 is 2**53 as a float, and a string is no float at all: the
+    interval index keeps such an end as inexact and ``Bounds.contains``
+    decides, so no true container is dropped and no false one serves."""
+    cache = PredicateCache(reuse_config())
+    big = 2**53
+    huge = install_plain(cache, f"g < {big + 1}")
+    assert served(cache, f"g <= {big}") is huge
+    assert served(cache, f"g <= {big + 1}") is None
+    text = install_plain(cache, "s < 'c'")
+    assert served(cache, "s <= 'bb'") is text
+    assert served(cache, "s <= 'c'") is None
+
+
+def test_strict_and_non_strict_ends_tied_at_equal_values():
+    """An open end contains an equal end only if that end is open too;
+    a closed end contains both.  ``4`` and ``4.0`` are one value."""
+    for cached, tied, inside in (
+        ("k > 4", ("k >= 4", "k = 4", "k >= 4.0"), ("k > 4.0", "k between 5 and 6")),
+        ("k < 9", ("k <= 9", "k = 9", "k <= 9.0"), ("k < 9.0", "k between 5 and 8")),
+    ):
+        cache = PredicateCache(reuse_config())
+        entry = install_plain(cache, cached)
+        for request in tied:
+            assert served(cache, request) is None, request
+        for request in inside:
+            assert served(cache, request) is entry, request
+    cache = PredicateCache(reuse_config())
+    closed = install_plain(cache, "k between 4 and 9")
+    for request in ("k between 4 and 8", "k between 4.0 and 9.0", "k = 4", "k = 9.0"):
+        assert served(cache, request) is closed, request
+
+
 def test_half_open_tie_goes_to_the_least_recently_used_entry():
     """Two half-open entries at equal selectivity rank equal (width inf):
     the one used least recently serves — in the order a walk of the
@@ -371,7 +409,8 @@ def test_clear_leaves_both_indexes_empty():
 def test_reuse_off_keeps_no_interval_index():
     cache = PredicateCache(PredicateCacheConfig(variant="range"))
     install_plain(cache, "k < 5")
-    assert cache._ranges == {} and cache.range_entries("t", "k") == []
+    assert cache._ranges == {}
+    assert cache.range_candidates("t", "k", Bounds(hi=9)) is None
     invariants.check_cache(cache)
 
 
@@ -417,11 +456,38 @@ _join_key = st.builds(
     st.sampled_from(["d1", "d2"]),
     st.lists(st.sampled_from(["d2", "d3"]), max_size=2, unique=True),
 )
+#: Bounds a float array cannot hold exactly, which the matcher re-checks
+#: with ``Bounds.contains``: strings, and ints past 2**53 (2**53 + 1 reads
+#: as 2**53 as a float).  Their small value sets, with ``<`` beside
+#: ``<=`` and ``>`` beside ``>=``, tie strict and non-strict ends at
+#: equal values, as ``day 4.0`` beside ``day 4`` ties a float to an int.
+_huge = st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, 2**53 + 3])
+_inexact = _weighted(
+    (1, st.builds(
+        "s {} '{}'".format, st.sampled_from(["<", "<=", ">", ">=", "="]),
+        st.sampled_from(["a", "b", "bb", "c"]),
+    )),
+    (1, st.builds(
+        lambda lo, hi: f"s between '{min(lo, hi)}' and '{max(lo, hi)}'",
+        st.sampled_from(["a", "b", "c"]), st.sampled_from(["a", "b", "c"]),
+    )),
+    (3, st.builds(
+        "g {} {}".format, st.sampled_from(["<", "<=", ">", ">=", "="]), _huge,
+    )),
+    (1, st.builds(
+        lambda lo, hi: f"g between {min(lo, hi)} and {max(lo, hi)}", _huge, _huge,
+    )),
+    (1, st.builds(
+        "day {} {}".format, st.sampled_from(["<", "<=", ">", ">="]),
+        st.sampled_from(["4", "4.0", "4.5", "5"]),
+    )),
+)
 _install = st.tuples(
     st.just("install"),
     _weighted(
         (2, _drill.map(plain_key)),
         (2, _predicate_text.map(plain_key)),
+        (2, _inexact.map(plain_key)),
         (1, _join_key),
     ),
     st.sampled_from([{0}, {1}, {0, 1}, {0, 1}, set()]),
@@ -452,6 +518,8 @@ _operation = _weighted(
         st.one_of(
             _atom,
             st.builds("day {} {}".format, st.sampled_from(["<", "="]), st.integers(0, 4)),
+            _inexact,
+            _inexact,
         ),
         min_size=3,
         max_size=8,
@@ -552,6 +620,30 @@ def test_the_range_index_reads_the_interval_parsing_the_key_would(text):
         whole = single_column_range(predicate)
         if whole is not None and whole[2]:
             assert interval == whole[:2]
+
+
+def two_pass_normalize(predicate):
+    """``normalize`` as it was before it returned early: simplified, put
+    in CNF and simplified again, whatever the first pass left."""
+    return _simplify(to_cnf(_simplify(push_not_inward(predicate))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.one_of(
+        _predicate_text,
+        st.builds("not ({})".format, _predicate_text),
+        st.builds("({}) or ({})".format, _predicate_text, _predicate_text),
+        st.builds("not (({}) or ({}))".format, _predicate_text, _predicate_text),
+    )
+)
+def test_one_pass_normalize_equals_the_two_pass_form(text):
+    """A first simplification that leaves no OR is already canonical:
+    the same predicate, hence the same cache key."""
+    predicate = parse_predicate(text)
+    once, twice = normalize(predicate), two_pass_normalize(predicate)
+    assert once == twice
+    assert once.cache_key() == twice.cache_key()
 
 
 def test_derived_entries_do_not_double_count_budget():

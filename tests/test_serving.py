@@ -61,20 +61,34 @@ def make_loaded_engine(generator, rows_per_table=3000, **db_kwargs):
     return setup_load_tables(engine, generator, rows_per_table=rows_per_table)
 
 
+#: Blocks of this many rows seal the generator's 3,000-row tables into
+#: storage blocks, so a statement reading a column fetches some of them
+#: (at the default 1,000 rows a slice's 750 rows stay an unsealed tail,
+#: read without a storage round).
+SEALED_ROWS = 256
+
+
 def slow_fetches(monkeypatch, seconds):
     """Make every read round sleep ``seconds`` per block it fetches
     remotely — a key not resident when the round starts — before the
     blocks are resident, like a network round trip, so statements stay
-    in flight long enough for queues to fill and deadlines to expire."""
+    in flight long enough for queues to fill and deadlines to expire.
+    Returns the list of the sleeps taken, for the caller to check that
+    its statements did read a column (``count(*)`` reads none)."""
     read_round = rms_module.ManagedStorage._round
+    sleeps = []
 
     def slow(self, part, reader):
         resident = set(self.resident_keys())
         keys = [name + (b,) for (name, _), index in part for b in index.tolist()]
-        time.sleep(seconds * sum(key not in resident for key in keys))
+        fetched = sum(key not in resident for key in keys)
+        if fetched:
+            sleeps.append(seconds * fetched)
+        time.sleep(seconds * fetched)
         return read_round(self, part, reader)
 
     monkeypatch.setattr(rms_module.ManagedStorage, "_round", slow)
+    return sleeps
 
 
 # -- server semantics ---------------------------------------------------------
@@ -189,12 +203,12 @@ class TestServerBasics:
 
     def test_admission_rejects_past_tenant_limits(self, monkeypatch):
         gen = LoadGenerator(num_clients=1, statements_per_client=1, seed=2)
-        engine = make_loaded_engine(gen)
-        slow_fetches(monkeypatch, 0.02)
+        engine = make_loaded_engine(gen, rows_per_block=SEALED_ROWS)
+        sleeps = slow_fetches(monkeypatch, 0.02)
         admission = AdmissionController(max_in_flight=1, max_queued=0)
         server = QueryServer(engine, max_workers=2, admission=admission)
         try:
-            sql = f"select count(*) from {gen.table_for(0)}"
+            sql = f"select sum(v) from {gen.table_for(0)}"
             futures = [server.submit(Request(sql)) for _ in range(5)]
             responses = [f.result() for f in futures]
         finally:
@@ -207,15 +221,16 @@ class TestServerBasics:
         assert admission.total_rejected == 4
         rejected = next(r for r in responses if r.status is RequestStatus.REJECTED)
         assert "admission" in rejected.error
+        assert sleeps, "the statement fetched no block: it never slowed down"
 
     def test_deadline_expires_in_queue(self, monkeypatch):
         gen = LoadGenerator(num_clients=1, statements_per_client=1, seed=3)
-        engine = make_loaded_engine(gen, cache_capacity=2)
-        slow_fetches(monkeypatch, 0.01)
+        engine = make_loaded_engine(gen, cache_capacity=2, rows_per_block=SEALED_ROWS)
+        sleeps = slow_fetches(monkeypatch, 0.01)
         admission = AdmissionController(max_in_flight=1, max_queued=4)
         server = QueryServer(engine, max_workers=2, admission=admission)
         try:
-            sql = f"select count(*) from {gen.table_for(0)}"
+            sql = f"select sum(v) from {gen.table_for(0)}"
             slow = server.submit(Request(sql))
             # Queued behind the slow one (per-tenant in-flight cap is 1)
             # with a zero latency budget: must time out, never execute.
@@ -229,6 +244,7 @@ class TestServerBasics:
         assert response.result is None
         # The abandoned slot was returned: the tenant is empty again.
         assert admission.tenant_stats("default").outstanding == 0
+        assert sleeps, "the statement fetched no block: it never slowed down"
 
     def test_drain_waits_for_queued_work(self):
         gen = LoadGenerator(num_clients=1, statements_per_client=1, seed=4)
@@ -248,12 +264,16 @@ class TestServerBasics:
 
     def test_shutdown_without_drain_rejects_queued_work(self, monkeypatch):
         gen = LoadGenerator(num_clients=1, statements_per_client=1, seed=5)
-        engine = make_loaded_engine(gen, cache_capacity=2)
-        slow_fetches(monkeypatch, 0.005)
+        engine = make_loaded_engine(gen, cache_capacity=2, rows_per_block=SEALED_ROWS)
+        sleeps = slow_fetches(monkeypatch, 0.005)
         admission = AdmissionController(max_in_flight=1, max_queued=64)
         server = QueryServer(engine, max_workers=1, admission=admission)
-        sql = f"select count(*) from {gen.table_for(0)}"
-        futures = [server.submit(Request(sql)) for _ in range(20)]
+        sql = f"select sum(v) from {gen.table_for(0)}"
+        futures = [server.submit(Request(sql))]
+        waited = time.monotonic() + 10.0
+        while not sleeps and time.monotonic() < waited:
+            time.sleep(0.001)  # until the first statement is in its slow read
+        futures += [server.submit(Request(sql)) for _ in range(19)]
         server.shutdown(drain=False)
         responses = [f.result(timeout=30.0) for f in futures]
         assert all(r.status in (RequestStatus.OK, RequestStatus.REJECTED) for r in responses)
@@ -262,6 +282,7 @@ class TestServerBasics:
         assert admission.tenant_stats("default").outstanding == 0
         # Submissions after shutdown are rejected immediately.
         assert server.execute(sql).status is RequestStatus.REJECTED
+        assert sleeps, "the statements fetched no block: they never slowed down"
 
     def test_statement_classification(self):
         assert _is_write_statement("insert into t values (1)")
@@ -333,12 +354,12 @@ class TestAdmissionIdempotence:
 class TestOverloadShedding:
     def test_tenant_limit_rejections_carry_the_reason(self, monkeypatch):
         gen = LoadGenerator(num_clients=1, statements_per_client=1, seed=2)
-        engine = make_loaded_engine(gen)
-        slow_fetches(monkeypatch, 0.02)
+        engine = make_loaded_engine(gen, rows_per_block=SEALED_ROWS)
+        sleeps = slow_fetches(monkeypatch, 0.02)
         admission = AdmissionController(max_in_flight=1, max_queued=0)
         server = QueryServer(engine, max_workers=2, admission=admission)
         try:
-            sql = f"select count(*) from {gen.table_for(0)}"
+            sql = f"select sum(v) from {gen.table_for(0)}"
             futures = [server.submit(Request(sql)) for _ in range(5)]
             responses = [f.result(timeout=30.0) for f in futures]
         finally:
@@ -347,6 +368,7 @@ class TestOverloadShedding:
         assert len(rejected) == 4
         assert all(r.shed_reason == "tenant_limit" for r in rejected)
         assert admission.total_rejected == 4
+        assert sleeps, "the statement fetched no block: it never slowed down"
 
     def test_closed_server_rejections_carry_server_closed(self):
         with make_server() as server:
@@ -366,11 +388,11 @@ class TestDeadlineDrainRace:
         main thread drains: every admitted request must resolve to a
         terminal Response (OK or TIMED_OUT) — nothing may hang."""
         gen = LoadGenerator(num_clients=1, statements_per_client=1, seed=9)
-        engine = make_loaded_engine(gen)
-        slow_fetches(monkeypatch, 0.004)
+        engine = make_loaded_engine(gen, rows_per_block=SEALED_ROWS)
+        sleeps = slow_fetches(monkeypatch, 0.004)
         admission = AdmissionController(max_in_flight=2, max_queued=64)
         server = QueryServer(engine, max_workers=2, admission=admission)
-        sql = f"select count(*) from {gen.table_for(0)}"
+        sql = f"select sum(v) from {gen.table_for(0)}"
         futures = []
         futures_lock = threading.Lock()
         num_clients = 8
@@ -412,6 +434,7 @@ class TestDeadlineDrainRace:
         # slot was returned exactly once (no double releases).
         assert any(r.status is RequestStatus.TIMED_OUT for r in responses)
         assert admission.total_outstanding == 0
+        assert sleeps, "no statement fetched a block: none slowed down"
 
 
 # -- the concurrent differential oracle ---------------------------------------

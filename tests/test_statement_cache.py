@@ -1,4 +1,5 @@
-"""The statement cache: a repeated SELECT text is parsed once.
+"""The statement cache: a repeated SELECT text is parsed once, and so is
+each SELECT template (its text with the literals lifted out).
 
 ``QueryEngine`` keeps each SELECT text's frozen statement and plans it
 afresh on every execution.  The reference is a fresh engine per
@@ -10,8 +11,14 @@ The script repeats SELECT texts across INSERT / DELETE / UPDATE,
 VACUUM, a drop and re-create of a table under the same name
 with another schema, and growth of the dimension table past the fact
 table, which turns a fresh plan's join around.
+
+Templates have twins of their own: a text bound from the tree another
+text of its template parsed to equals the statement ``parse_statement``
+builds for it, over generated SELECTs and pinned texts, and texts of
+one template call the parser once.
 """
 
+import re
 import sys
 import threading
 
@@ -21,7 +28,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Database, PredicateCache, QueryEngine, QueryServer
+from repro.engine import engine as engine_module
 from repro.engine.engine import STATEMENT_CACHE_TEXTS
+from repro.sql import parse_statement
+from repro.sql.template import Template, lift_literals
 from repro.storage import ColumnSpec, DataType, TableSchema
 
 from tests.test_differential import assert_rows_equal
@@ -47,6 +57,12 @@ SELECTS = [
     "select k, v, g from t join d on k = dk where k < 60 and g < 3",
     "select count(*) as c from t, d where k = dk and v < 50",
     "select count(*) as c from t where nope = 1",
+    # Other texts of templates above: bound from the first one's tree.
+    "select k, v, w from t where k < 35",
+    "select * from d where dk < 55",
+    "select count(*) as c from d where g < 7",
+    "select k, v, g from t join d on k = dk where k < 30 and g < 4",
+    "select count(*) as c from t where nope = 2",
 ]
 
 step_strategy = st.one_of(
@@ -260,3 +276,192 @@ def test_only_selects_are_kept(sql):
     engine.execute(sql)
     engine.execute("select count(*) from t")
     assert list(engine._statements) == ["select count(*) from t"]
+
+
+# -- templates: a text's literals bound into its template's tree ----------------
+
+_columns = st.sampled_from(["k", "v", "w", "t.k"])
+_ints = st.integers(0, 10**6).map(str)
+_floats = st.builds("{}.{}".format, st.integers(0, 999), st.integers(0, 99))
+_strings = st.text(st.sampled_from("ab' 8%"), max_size=4).map(
+    lambda s: "'" + s.replace("'", "''") + "'"
+)
+_negatives = st.integers(1, 99).map("-{}".format)
+_literals = st.one_of(_ints, _floats, _strings, _negatives)
+_op = st.sampled_from(["=", "<>", "<", "<=", ">", ">="])
+
+
+def _filter(depth=2):
+    atom = st.one_of(
+        st.builds("{} {} {}".format, _columns, _op, _literals),
+        st.builds("{} between {} and {}".format, _columns, _literals, _literals),
+        st.builds(
+            lambda c, vs, neg: f"{c} {'not in' if neg else 'in'} ({', '.join(vs)})",
+            _columns, st.lists(_literals, min_size=1, max_size=4), st.booleans(),
+        ),
+        st.builds("{} like {}".format, _columns, _strings),
+    )
+    if depth == 0:
+        return atom
+    inner = _filter(depth - 1)
+    return st.one_of(
+        atom,
+        st.builds("not ({})".format, inner),
+        st.builds("({}) or ({})".format, inner, inner),
+        st.builds("{} and {}".format, inner, inner),
+    )
+
+
+_selects = st.builds(
+    lambda items, where, order, limit: (
+        f"select {items} from t where {where}"
+        + (f" order by {order}" if order else "")
+        + (f" limit {limit}" if limit is not None else "")
+    ),
+    st.sampled_from(["k, v", "count(*) as c", "k, v + 2 as x", "sum(v * 3)"]),
+    _filter(),
+    st.sampled_from(["", "1", "1 desc", "k"]),
+    st.one_of(st.none(), st.integers(0, 50)),
+)
+
+
+def bound(template_text, text):
+    """``text`` compiled through the template built from ``template_text``,
+    or None when the two texts do not share a template key."""
+    first, lifted = lift_literals(template_text), lift_literals(text)
+    template = Template(
+        parse_statement(template_text, first.slots()), len(first.values)
+    )
+    assert template.complete, template_text
+    if first.key != lifted.key:
+        return None
+    return template.bind(lifted.values)
+
+
+def _relit(text, draw):
+    """``text`` with every unsigned literal replaced by another of its
+    kind: a text of the same template."""
+    out = []
+    for piece in _LITERAL_PIECE.split(text):
+        if _LITERAL_PIECE.fullmatch(piece):
+            if piece.startswith("'"):
+                piece = draw(_strings)
+            elif "." in piece:
+                piece = draw(_floats)
+            else:
+                piece = draw(_ints)
+        out.append(piece)
+    return "".join(out)
+
+
+#: The literals the strategies above spell that a template lifts (a
+#: number after a minus sign is not one); the ORDER BY and LIMIT tail is
+#: kept out by splitting on it first.
+_LITERAL_PIECE = re.compile(r"('(?:[^']|'')*'|(?<![\w.\-])\d+(?:\.\d+)?)")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_selects, data=st.data())
+def test_a_bound_template_equals_the_parse_of_its_text(text, data):
+    """Any text of a template, bound from the tree another text of it
+    parsed to, is the statement ``parse_statement`` builds for it."""
+    assert bound(text, text) == parse_statement(text)
+    head, sep, tail = text.partition(" order by ")
+    if not sep:
+        head, sep, tail = text.partition(" limit ")
+    other = _relit(head, data.draw) + sep + tail
+    statement = bound(text, other)
+    assert statement is not None, (text, other)
+    assert statement == parse_statement(other)
+
+
+@pytest.mark.parametrize(
+    "text, other",
+    [
+        ("select k from t where s = 'it''s'", "select k from t where s = 'o''k'''"),
+        ("select k from t where k < 1e3", "select k from t where k < 2E-2"),
+        ("select k from t where k < .5", "select k from t where k < .25"),
+        ("select k from t1 where t1.c2 = 8", "select k from t1 where t1.c2 = 9"),
+        ("select k from t where k = ٣", "select k from t where k = 7"),
+        ("select k from t where k in (1, 2)", "select k from t where k in (3, 4)"),
+        ("select k, 7 from t where k > 1 order by 2 limit 3",
+         "select k, 8 from t where k > 2 order by 2 limit 3"),
+    ],
+)
+def test_pinned_texts_bind_as_they_parse(text, other):
+    assert bound(text, text) == parse_statement(text)
+    assert bound(text, other) == parse_statement(other)
+
+
+def test_a_literal_kind_is_part_of_the_key():
+    """``8``, ``8.0`` and ``'8'`` are three templates, and so are IN lists
+    of two lengths; a number after a minus sign, the ORDER BY position and
+    the LIMIT count stay in the key, so texts that differ there never
+    share a template."""
+    texts = [
+        "select k from t where k = 8",
+        "select k from t where k = 8.0",
+        "select k from t where k = '8'",
+        "select k from t where k in (1, 2)",
+        "select k from t where k in (1, 2, 3)",
+        "select k from t where k = -5",
+        "select k from t where k = -6",
+        "select k, v from t where k = 1 order by 1",
+        "select k, v from t where k = 1 order by 2",
+        "select k from t where k = 1 limit 5",
+        "select k from t where k = 1 limit 6",
+    ]
+    keys = [lift_literals(text).key for text in texts]
+    assert len(set(keys)) == len(texts)
+    for text in texts:
+        assert bound(text, text) == parse_statement(text)
+    assert lift_literals("select k from t where k = 8").values == (8,)
+    assert lift_literals("select k from t where k = 8.0").values == (8.0,)
+    assert lift_literals("select k from t where s = 'it''s'").values == ("it's",)
+    assert lift_literals("select k from t where k = ٣").values == (3,)
+    # Not a SELECT: nothing is lifted.
+    assert lift_literals("insert into t values (1, 2, 3)").key is None
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "select k from t where k < ²",
+        "select k from t where k = 'open",
+        "select k from t where k = 1e3e4",
+        "select k from t where 1order by 1",
+        "select k from t where k = 1 order by 9",
+        "select k from t where k = \x00s",
+    ],
+)
+def test_a_bad_text_raises_what_a_fresh_parse_raises(sql):
+    """The first text of a template is parsed itself, so a text the
+    parser rejects raises exactly the fresh engine's error, and it leaves
+    no template a later text could bind from."""
+    warm, fresh = Side(warm=True), Side(warm=False)
+    assert warm.run(sql)[0] == "error"
+    assert_same(warm.run(sql), fresh.run(sql), sql)
+    assert warm.warm._templates == {}
+
+
+def test_texts_of_one_template_parse_once(monkeypatch):
+    """Twenty never-seen texts of one template: one ``parse_statement``
+    call, and every answer the fresh engine's."""
+    calls = []
+    real = engine_module.parse_statement
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "parse_statement", counted)
+    warm, fresh = Side(warm=True), Side(warm=False)
+    texts = [f"select k, v from t where k < {i} and v >= {i // 2}" for i in range(20)]
+    parsed = []
+    for sql in texts:
+        before = len(calls)
+        answer = warm.run(sql)
+        parsed += calls[before:]
+        assert_same(answer, fresh.run(sql), sql)  # the fresh side parses each
+    assert parsed == texts[:1]
+    assert len(warm.warm._templates) == 1

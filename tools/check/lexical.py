@@ -70,7 +70,7 @@ CACHE_WRITERS = frozenset(
 
 #: Modules RP009 holds to the reuse read-only contract (DESIGN.md §14):
 #: conjunct decomposition, composition, and subsumption matching may
-#: *read* the cache (``lookup_part``, ``range_entries``) but
+#: *read* the cache (``lookup_part``, ``range_candidates``) but
 #: never write it — ad-hoc installs from planning code would bypass the
 #: coordinator-barrier install path that the differential oracle covers.
 REUSE_MODULES = ("repro/reuse/",)
