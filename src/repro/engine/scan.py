@@ -360,9 +360,10 @@ def _run_scan(
     """Steps 2–3 over every slice at once: each slice is pruned and
     covered on its own (:class:`_SlicePart`), then every pass runs once
     over all of their rows.  Returns, in slice order, what the barrier
-    installs, and one array per gather column.  Block eviction waits for
-    the end of the scan, and stamps the blocks read slice by slice.  A
-    traced statement gets one ``scan[slice N]`` span per slice."""
+    installs, and one array per gather column.  The scan is one read of
+    the block cache: its rounds stamp their blocks in the order read,
+    and eviction waits for its end.  A traced statement gets one
+    ``scan[slice N]`` span per slice."""
     reader = statement.storage
     parts: List[_SlicePart] = []
     size = 0

@@ -33,9 +33,9 @@ Hook points (all behind the ``ACTIVE`` guard):
   own bytes and compares records (round-trip self-check).
 * ``Table`` writes and rewrites — every slice's MVCC summary equals its
   recomputation from the per-row timestamps.
-* ``ColumnStore._gather_sealed`` — every block a read takes from has
-  its row of the column's decoded array written, and a block with a
-  checksum matches it.
+* ``column.read_columns`` and ``LakeScanner._read_columns`` — every
+  block a read takes from has its row of the column's decoded array
+  written, and a block with a checksum matches it.
 * ``RangeSliceState.placed`` — a block placement a state kept equals a
   fresh one of its rows each time a scan takes it, and its arrays are
   still read-only.

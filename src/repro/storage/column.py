@@ -85,9 +85,9 @@ class DecodedBlocks:
     The column decodes its own blocks; the storage never sees a value.
     The rules, DESIGN.md §11:
 
-    * a reader fills before it reads: ``ColumnStore._gather_sealed``
-      calls :meth:`fill` for every row it takes, then the storage, so
-      rows never depend on residency;
+    * a reader fills before it reads: :func:`read_columns` and
+      ``LakeScanner._read_columns`` call :meth:`fill` for every row they
+      take, then the storage, so rows never depend on residency;
     * a block decodes once per build: :meth:`fill` decodes only
       unwritten rows, so a re-fetch after eviction decodes nothing and
       a row a reader is taking from never changes;

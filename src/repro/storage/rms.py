@@ -46,32 +46,25 @@ Concurrency model (DESIGN.md §12):
   The context carries a private ``StorageStats`` sink mirroring every
   counter its reads touch, and the per-query retry budget.  Nothing is
   bound to a thread.
-* **A scan evicts once, at its barrier.**  Every read stamps its blocks
-  most recent, in the order it names them.  While a reader is scanning
+* **One eviction rule.**  Every read stamps its blocks most recent, in
+  the order it names them, and evicts down to capacity once, at its
+  end: nothing it fetched or hit leaves before then.  A scan
   (:meth:`QueryStorageContext.begin_scan_phase` / ``end_scan_phase``)
-  eviction waits for the end of the scan, so a scan larger than the
-  cache keeps its last ``capacity`` blocks.  The barrier drops the
+  is one read, however many rounds it makes, so a scan larger than the
+  cache keeps the blocks of its last rounds.  Eviction drops the
   ``resident - capacity`` smallest stamps in one partition; stamps are
   unique, so that is exact LRU.  An unbounded cache stamps a block only
   when it fetches it: nothing reads a recency order there.
-* **A scan stamps slice by slice.**  The engine's scan reads all of
-  its slices in one round per read phase (head columns, tail columns,
-  gather columns), yet its LRU order is the one of reading the slices
-  one after the other.  A scan phase keeps what its rounds stamped, and
-  its barrier stamps those blocks again, slice by slice, each slice's
-  in the order read, before it evicts; a phase that read in slice order
-  already keeps its stamps.  An unbounded cache keeps nothing to
-  restamp.
 * **One storage lock, held per round, not per block.**  A single
   ``threading.Lock`` guards the stamps, the id registry, the stats, the
   sinks and the retry budgets.  With no armed injector a read is one
-  locked round.  Under one, each column's read takes it once to count
-  the hits and, if something missed, once more to count and make
-  resident what was fetched; verification and retries run between the
-  rounds, so remote fetches overlap across statements.  Nothing marks a
-  miss as in flight: two threads missing the same block between each
-  other's rounds both fetch it and both count a remote fetch, as a real
-  node cache would.
+  locked round and, outside a scan, its eviction one more.  Under one,
+  each column's read takes it once to count the hits and, if something
+  missed, once more to count and make resident what was fetched;
+  verification and retries run between the rounds, so remote fetches
+  overlap across statements.  Nothing marks a miss as in flight: two
+  threads missing the same block between each other's rounds both
+  fetch it and both count a remote fetch, as a real node cache would.
 """
 from __future__ import annotations
 
@@ -154,33 +147,26 @@ class QueryStorageContext:
     :meth:`end_scan_phase` (see the module doc).
     """
 
-    __slots__ = ("storage", "stats", "retry_budget_left", "scanning", "stamped")
+    __slots__ = ("storage", "stats", "retry_budget_left", "scanning")
 
     def __init__(self, storage: "ManagedStorage", retry_budget: Optional[int]) -> None:
         self.storage = storage
         self.stats = StorageStats()
         self.retry_budget_left = retry_budget
         self.scanning = False
-        #: The ids the scan phase stamped, round by round (a bounded
-        #: cache's: the barrier restamps them).
-        self.stamped: List[np.ndarray] = []
 
     def read_columns(self, columns: Sequence[ColumnBlocks], index: BlockIndex) -> None:
         """:meth:`ManagedStorage.read_columns`, accounted to this statement."""
         self.storage.read_columns(columns, index, self)
 
     def begin_scan_phase(self) -> None:
-        """Hold capacity eviction back until :meth:`end_scan_phase`."""
+        """Make every read until :meth:`end_scan_phase` one read."""
         self.scanning = True
-        self.stamped = []
 
     def end_scan_phase(self) -> None:
-        """The scan's barrier: restamp the phase's blocks slice by
-        slice (the module doc), then evict down to capacity, coldest
-        first."""
+        """The scan's end: evict down to capacity, coldest first."""
         self.scanning = False
-        stamped, self.stamped = self.stamped, []
-        self.storage._end_scan(stamped)
+        self.storage._evict()
 
 
 class ManagedStorage:
@@ -208,12 +194,11 @@ class ManagedStorage:
         self._faults_armed = False
         # Residency (module doc): _ids[name][b] is block b's id,
         # _stamp[id] its stamp, 0 when not resident, _nbytes[id] its
-        # size once fetched and _slice[id] its name's slice.  _clock is
-        # the next stamp; _resident counts the nonzero stamps.
+        # size once fetched.  _clock is the next stamp; _resident counts
+        # the nonzero stamps.
         self._ids: Dict[Tuple[str, int, str], np.ndarray] = {}
         self._stamp = np.zeros(0, dtype=np.int64)
         self._nbytes = np.zeros(0, dtype=np.int64)
-        self._slice = np.zeros(0, dtype=np.int64)
         self._clock = 1
         self._resident = 0
         # One always-on lock guards the residency, the global stats,
@@ -259,11 +244,11 @@ class ManagedStorage:
         resident.
 
         One round (:meth:`_round`) reads them in column-then-index order
-        (key order); counters and residency end state are those of
-        reading the blocks one at a time in that order.  Under an armed
-        injector each column is a round of its own, so a fetch that gives
-        up leaves the columns after it unread.  No value leaves the
-        storage: the reader decodes what it takes (the module doc).
+        (key order), stamping them most recent in that order; under an
+        armed injector each column is a round of its own, so a fetch that
+        gives up leaves the columns after it unread.  The read then
+        evicts down to capacity, given up or not (the module doc).  No
+        value leaves the storage: the reader decodes what it takes.
         ``reader`` is the statement the read belongs to: its sink is
         counted into, its budget pays for retries, and while it is
         scanning, eviction waits for its ``end_scan_phase``.
@@ -273,21 +258,12 @@ class ManagedStorage:
             reads = [(column, index) for column in columns]
         else:
             reads = list(zip(columns, index))
-        for part in [reads] if not self._faults_armed else [[read] for read in reads]:
-            # Capacity 0 (the lake scanner's) keeps nothing resident past
-            # a round, so every block misses in either order: one round.
-            capacity = self.cache_capacity
-            if (
-                reader.scanning or not capacity
-                or self._resident + sum(len(blocks) for _, blocks in part) <= capacity
-            ):
+        try:
+            for part in [reads] if not self._faults_armed else [[read] for read in reads]:
                 self._round(part, reader)
-                continue
-            # A read outside a scan evicts as it inserts: a miss may push
-            # out a block a later one would have hit.  Keep that order.
-            for column, blocks in part:
-                for at in range(len(blocks)):
-                    self._round([(column, blocks[at : at + 1])], reader)
+        finally:
+            if not reader.scanning:
+                self._evict()
 
     def _round(self, part: _Part, reader: QueryStorageContext) -> None:
         """One locked round gathers the blocks' stamps and counts the
@@ -356,9 +332,6 @@ class ManagedStorage:
                     self._ids[name] = np.concatenate((ids, fresh))
                     self._stamp = np.concatenate((self._stamp, np.zeros_like(fresh)))
                     self._nbytes = np.concatenate((self._nbytes, np.full_like(fresh, -1)))
-                    self._slice = np.concatenate(
-                        (self._slice, np.full_like(fresh, name[1]))
-                    )
             return self._ids_of(part)
 
     def _nbytes_locked(self, new: np.ndarray, part: _Part, missing: np.ndarray) -> int:
@@ -385,10 +358,9 @@ class ManagedStorage:
     ) -> None:
         """Count ``fetches`` remote fetches of ``nbytes`` bytes and make
         the blocks ``new`` resident (``None``: the read fetched nothing),
-        then stamp the resident blocks ``live`` most recent, in order,
-        and unless ``reader`` is scanning, evict down to capacity.  An
-        unbounded cache stamps only ``new``, and evicts nothing.
-        Caller holds ``_lock``."""
+        then stamp the resident blocks ``live`` most recent, in order.
+        An unbounded cache stamps only ``new``.  Caller holds
+        ``_lock``."""
         if new is not None:
             for stats in self._sinks(reader):
                 stats.remote_fetches += fetches
@@ -398,43 +370,17 @@ class ManagedStorage:
         if stamped is not None:
             self._stamp[stamped] = np.arange(self._clock, self._clock + len(stamped))
             self._clock += len(stamped)
-            if reader.scanning and self.cache_capacity is not None:
-                reader.stamped.append(stamped)
-        if not reader.scanning:
-            self._evict_locked()
 
-    def _end_scan(self, stamped: List[np.ndarray]) -> None:
-        """A scan's barrier (:meth:`QueryStorageContext.end_scan_phase`):
-        restamp what the phase stamped, then evict."""
-        with self._lock:
-            if stamped:
-                self._restamp_locked(stamped)
-            self._evict_locked()
-
-    def _restamp_locked(self, stamped: List[np.ndarray]) -> None:
-        """Stamp again, most recent last, the blocks a scan phase
-        stamped (round by round): slice by slice, each slice's in the
-        order stamped, as reading the slices one after the other would
-        have.  A block evicted or invalidated since stays out.  Caller
-        holds ``_lock``."""
-        ids = np.concatenate(stamped) if len(stamped) > 1 else stamped[0]
-        slices = self._slice[ids]
-        if (slices[1:] >= slices[:-1]).all():
-            return  # already in slice order: the rounds' stamps stand
-        ids = ids[np.argsort(slices, kind="stable")]
-        ids = ids[self._stamp[ids] > 0]
-        self._stamp[ids] = np.arange(self._clock, self._clock + len(ids))
-        self._clock += len(ids)
-
-    def _evict_locked(self) -> None:
-        """Drop the coldest blocks down to capacity: the smallest stamps,
-        in one partition.  Caller holds ``_lock``."""
+    def _evict(self) -> None:
+        """The end of a read or a scan: drop the coldest blocks down to
+        capacity, the smallest stamps, in one partition."""
         capacity = self.cache_capacity
-        excess = 0 if capacity is None else self._resident - capacity
-        if excess > 0:
-            live = (self._stamp > 0).nonzero()[0]
-            self._stamp[live[self._stamp[live].argpartition(excess - 1)[:excess]]] = 0
-            self._resident -= excess
+        with self._lock:
+            excess = 0 if capacity is None else self._resident - capacity
+            if excess > 0:
+                live = (self._stamp > 0).nonzero()[0]
+                self._stamp[live[self._stamp[live].argpartition(excess - 1)[:excess]]] = 0
+                self._resident -= excess
 
     def _attempts(
         self,

@@ -1,11 +1,11 @@
 """Exact hits: a range state that was never merged is the answer.
 
 On an exact-match hit whose slice state is exact (``core/entry.py``),
-``_scan_slice`` takes the state's verdict for every row below the
-watermark: it reads no predicate-only column there, evaluates nothing
-there, and a join-keyed state also skips the Bloom probe there.  Only
-the tail appended since is read and evaluated, and visibility is still
-applied to every row.
+the scan kernel (``scan._run_scan`` / ``_evaluate_all``) takes the
+state's verdict for every row below the watermark: it reads no
+predicate-only column there, evaluates nothing there, and a join-keyed
+state also skips the Bloom probe there.  Only the tail appended since
+is read and evaluated, and visibility is still applied to every row.
 
 The reference is the same engine with the exact-hit test patched to
 "never", so every hit re-checks as the paper's scan does; a cache-off

@@ -2,11 +2,12 @@
 
 Three serving paths beyond exact-match lookup: conjunct decomposition,
 intersection composition, and subsumption matching.  All of them serve
-*supersets* of the true qualifying rows, and ``_scan_slice`` re-checks
-every candidate, so the correctness bar is the same differential oracle
-as the base cache: a reuse-enabled engine must be bit-identical to a
-cache-off twin — rows, ``rows_output``, and ``blocks_accessed`` never
-worse — under chaos and across persistence round trips.
+*supersets* of the true qualifying rows, and the scan kernel
+(``scan._run_scan`` / ``_evaluate_all``) re-checks every candidate, so
+the correctness bar is the same differential oracle as the base cache:
+a reuse-enabled engine must be bit-identical to a cache-off twin —
+rows, ``rows_output``, and ``blocks_accessed`` never worse — under
+chaos and across persistence round trips.
 """
 
 import numpy as np

@@ -5,13 +5,13 @@ read phase (head columns, tail columns, gather columns) covers every
 slice.  These tests pin:
 
 * how many rounds a scan makes: one per phase, not one per slice;
-* the LRU order a bounded block cache keeps.  A scan's barrier stamps
-  its blocks slice by slice — each slice's head, then tail, then gather
-  blocks — as reading the slices one after the other did, so which
-  blocks a scan larger than the cache leaves resident is unchanged.  The
-  twin database below reads each slice's columns that way, one
-  ``read_columns`` call at a time, and must end with the same resident
-  blocks, in the same order, and the same counters;
+* the LRU order a bounded block cache keeps.  A scan is one read of the
+  block cache: it stamps its blocks in the order its rounds name them,
+  and evicts once, at its end, so a scan larger than the cache leaves
+  resident the blocks of its last rounds.  The twin database below reads
+  the same parts, round after round, one ``read_columns`` call each, and
+  must end with the same resident blocks, in the same order, and the
+  same counters;
 * where a fetch that gives up under an armed injector stops the scan:
   phase by phase, not slice by slice.
 """
@@ -81,10 +81,10 @@ def test_a_scan_makes_one_storage_round_per_read_phase(monkeypatch):
     np.testing.assert_array_equal(warm.gather(["v"])["v"], cold.gather(["v"])["v"])
 
 
-def test_stamps_twin_slice_by_slice_reads(monkeypatch):
+def test_stamps_twin_reads_in_round_order(monkeypatch):
     """A miss, an append, then an exact hit whose tail is evaluated, on a
     block cache smaller than one scan's blocks: the kernel's database
-    and a twin that reads each slice's phases one slice at a time end
+    and a twin that reads each round's parts one call at a time end
     each scan with the same resident blocks in the same LRU order and
     equal storage counters."""
     capacity = 200
@@ -117,20 +117,19 @@ def test_stamps_twin_slice_by_slice_reads(monkeypatch):
 
 
 def replay(twin, rounds):
-    """Read what the kernel read, on ``twin``: slice after slice, each
-    slice's parts of the rounds in round order (head, tail, gather), one
-    ``read_columns`` call per part."""
+    """Read what the kernel read, on ``twin``, in one scan phase: the
+    rounds in order (head, tail, gather), each round's parts in order,
+    one ``read_columns`` call per part."""
     reader = twin.rms.query_context()
     slices = twin.table("t").slices
     reader.begin_scan_phase()
     try:
-        for slice_id in range(NUM_SLICES):
-            own = slices[slice_id].columns
-            for call in rounds:
-                for columns, coverage, _ in call:
-                    if columns and columns[0].slice_id == slice_id:
-                        mine = [own[column.column_name] for column in columns]
-                        read_columns([(mine, coverage, 0)], len(coverage), reader)
+        for call in rounds:
+            for columns, coverage, _ in call:
+                if columns:
+                    own = slices[columns[0].slice_id].columns
+                    mine = [own[column.column_name] for column in columns]
+                    read_columns([(mine, coverage, 0)], len(coverage), reader)
     finally:
         reader.end_scan_phase()
 

@@ -258,10 +258,9 @@ class TestManagedStorage:
         assert rms.resident_keys() == [("t", 0, "c", 2), ("t", 0, "c", 0)]
 
     def test_a_scan_defers_eviction_to_its_barrier(self):
-        """Inside a scan every read is most recent at once, but nothing
-        is evicted until ``end_scan_phase``, which keeps the most
-        recently read blocks, ordered as if the scan had read its slices
-        one after the other."""
+        """Inside a scan every read is most recent at once, in the order
+        read, but nothing is evicted until ``end_scan_phase``, which
+        keeps the most recently read blocks."""
         rms = ManagedStorage(cache_capacity=2)
         keys = [("t", i % 2, "c", i) for i in range(3)]
         blocks = [self._block([i]) for i in range(3)]
@@ -271,16 +270,29 @@ class TestManagedStorage:
             read_keys(reader, (keys[i],), (blocks[i],))
         assert rms.cached_blocks == 3  # over capacity, eviction deferred
         reader.end_scan_phase()
-        # Slice 0 read blocks 0, 2, 0, then slice 1 block 1: block 2 was
-        # coldest.
-        assert rms.resident_keys() == [keys[0], keys[1]]
+        # Read 0, 1, 2, 0: block 1 was coldest, whatever its slice.
+        assert rms.resident_keys() == [keys[2], keys[0]]
         assert (rms.stats.remote_fetches, rms.stats.local_hits) == (3, 1)
-        # A phase read in slice order keeps its stamps.
         reader.begin_scan_phase()
         for i in (2, 1):
             read_keys(reader, (keys[i],), (blocks[i],))
         reader.end_scan_phase()
         assert rms.resident_keys() == [keys[2], keys[1]]
+
+    def test_a_read_outside_a_scan_evicts_at_its_end(self):
+        """A read that overflows the cache hits every block resident as
+        it began and evicts once, when it is done: with A resident and
+        room for two, reading B, C, A hits A and fetches B and C, then
+        drops B."""
+        rms = ManagedStorage(cache_capacity=2)
+        a, b, c = (("t", 0, "c", i) for i in range(3))
+        blocks = [self._block([i]) for i in range(3)]
+        read_keys(rms, (a,), blocks[:1])
+        before = rms.stats.snapshot()
+        read_keys(rms, (b, c, a), (blocks[1], blocks[2], blocks[0]))
+        delta = rms.stats.delta(before)
+        assert (delta.local_hits, delta.remote_fetches) == (1, 2)
+        assert rms.resident_keys() == [c, a]
 
     def test_invalidate_table(self):
         rms = ManagedStorage()
@@ -331,10 +343,11 @@ def block_calls(seed, num_calls=40, num_slices=3, blocks_per_slice=8):
 
 def drive(calls, batched, capacity, phased, injector=None, retry_budget=None):
     """Run ``calls`` against a fresh storage, one query, a scan phase
-    around every five calls when ``phased``.  Returns what an observer
-    can tell: values read, stats, the query's sink, cache key order at
-    every barrier, the keys resident after every call that returned,
-    and where a fetch gave up."""
+    around every five calls when ``phased``; unbatched, a call outside
+    one reads its blocks one at a time inside a scan phase of its own.
+    Returns what an observer can tell: values read, stats, the query's
+    sink, cache key order at every barrier, the keys resident after
+    every call that returned, and where a fetch gave up."""
     rms = ManagedStorage(cache_capacity=capacity)
     if injector is not None:
         rms.attach_faults(
@@ -349,8 +362,17 @@ def drive(calls, batched, capacity, phased, injector=None, retry_budget=None):
             if batched:
                 read_keys(query, keys, blocks)
             else:
-                for key, block in zip(keys, blocks):
-                    read_keys(query, (key,), (block,))
+                # One read outside a scan evicts once, at its end: so
+                # does a scan phase around its blocks' reads.
+                own_phase = not query.scanning
+                if own_phase:
+                    query.begin_scan_phase()
+                try:
+                    for key, block in zip(keys, blocks):
+                        read_keys(query, (key,), (block,))
+                finally:
+                    if own_phase:
+                        query.end_scan_phase()
         except RetryBudgetExceeded as error:
             seen["gave_up"] = (index, str(error))
             break
@@ -435,34 +457,16 @@ class TestReadBlocks:
 class OrderedDictResidency:
     """The residency model stamps replaced, as a reference: an
     ``OrderedDict`` of block keys, coldest first, touched key by key.
-    One :meth:`read` per column, as a scan used to read its columns; a
-    read outside a scan that would overflow goes one key at a time, and
-    ``give_up`` is the fetch attempt (counted from 0) that raises."""
+    A :meth:`read` is one round and evicts nothing; :meth:`evict` ends
+    a read outside a scan, and a scan.  ``give_up`` is the fetch
+    attempt (counted from 0) that raises."""
 
     def __init__(self, capacity, give_up=None):
         self.capacity, self.give_up = capacity, give_up
         self.cache = OrderedDict()
         self.hits = self.fetches = self.attempts = self.invalidated = 0
-        self.touched = []  # the scan phase's keys, in the order touched
 
-    def begin(self):
-        self.touched = []
-
-    def end(self):
-        """The barrier: touch the phase's keys again, slice by slice,
-        each slice's in the order touched, then evict."""
-        for key in sorted(self.touched, key=lambda key: key[1]):
-            if key in self.cache:
-                self.cache.move_to_end(key)
-        self.touched = []
-        self.settle((), False)
-
-    def read(self, keys, scanning):
-        if not scanning and self.capacity and len(keys) > 1:
-            if len(self.cache) + len(keys) > self.capacity:
-                for key in keys:
-                    self.read([key], scanning)
-                return
+    def read(self, keys):
         missing = [key for key in keys if key not in self.cache]
         self.hits += len(keys) - len(missing)
         try:
@@ -473,17 +477,13 @@ class OrderedDictResidency:
                 self.fetches += 1
                 self.cache[key] = None
         finally:
-            self.settle(keys, scanning)
+            if self.capacity is not None:
+                for key in keys:
+                    if key in self.cache:
+                        self.cache.move_to_end(key)
 
-    def settle(self, keys, scanning):
-        if self.capacity is None:
-            return
-        for key in keys:
-            if key in self.cache:
-                self.cache.move_to_end(key)
-                if scanning:
-                    self.touched.append(key)
-        while not scanning and len(self.cache) > self.capacity:
+    def evict(self):
+        while self.capacity is not None and len(self.cache) > self.capacity:
             self.cache.popitem(last=False)
 
     def invalidate_table(self, table):
@@ -526,7 +526,7 @@ def residency_cases(draw):
     ("read", [("a", 0, "x"), ("b", 1, "y")], [2, 0]),
     ("end",), ("read", [("a", 0, "y")], [3, 4, 5]), ("invalidate", "a"),
 ]))
-@example((2, None, [  # a scan phase reading slice 1 before slice 0
+@example((2, None, [  # a scan phase keeps its read order, not slice order
     ("begin",), ("read", [("a", 1, "x"), ("a", 0, "x")], [0, 1]), ("end",),
 ]))
 @example((None, 3, [
@@ -535,12 +535,13 @@ def residency_cases(draw):
     ("read", [("b", 0, "y")], [2, 3]),
 ]))
 def test_stamps_twin_the_ordered_dict_model(case):
-    """Stamp residency reads a slice's columns in one round; the
-    ``OrderedDict`` model read them one column at a time.  After every
-    step both hold the same blocks in the same coldest-first order and
-    have counted the same hits, fetches and invalidations; under an
-    armed injector a fetch that gives up leaves the same blocks counted
-    and resident."""
+    """Stamp residency against the ``OrderedDict`` model, each step's
+    columns one model round, or one round per column under an armed
+    injector, and outside a scan one eviction at the step's end.  After
+    every step both hold the same blocks in the same coldest-first
+    order and have counted the same hits, fetches and invalidations;
+    under an armed injector a fetch that gives up leaves the same
+    blocks counted and resident."""
     capacity, give_up, steps = case
     rms = ManagedStorage(cache_capacity=capacity)
     if give_up is not None:
@@ -556,11 +557,15 @@ def test_stamps_twin_the_ordered_dict_model(case):
             _, names, index = step
             before = (reader.stats.local_hits, reader.stats.remote_fetches)
             hits, fetches, raised = model.hits, model.fetches, None
+            keys = [[name + (b,) for b in index] for name in names]
             try:
-                for name in names:
-                    model.read([name + (b,) for b in index], reader.scanning)
+                for round_keys in keys if give_up is not None else [sum(keys, [])]:
+                    model.read(round_keys)
             except TransientStorageError as error:
                 raised = str(error)
+            finally:
+                if not reader.scanning:
+                    model.evict()
             try:
                 reader.read_columns(
                     [(name, [block] * 8) for name in names],
@@ -574,10 +579,9 @@ def test_stamps_twin_the_ordered_dict_model(case):
             assert reader.stats.remote_fetches - before[1] == model.fetches - fetches
         elif kind == "begin":
             reader.begin_scan_phase()
-            model.begin()
         elif kind == "end":
             reader.end_scan_phase()
-            model.end()
+            model.evict()
         elif kind == "invalidate":
             rms.invalidate_table(step[1])
             model.invalidate_table(step[1])
@@ -633,14 +637,14 @@ class TestRowsBeforeResidency:
         )
         return column.read_ranges(coverage, rms)
 
-    def test_a_miss_a_refetch_and_the_one_key_at_a_time_path(self, monkeypatch):
+    def test_a_miss_an_overflowing_read_and_a_refetch(self, monkeypatch):
         column = self.column
         rms = ManagedStorage(cache_capacity=2)
         calls = fill_checked(rms, column)
         decoded = count_decodes(monkeypatch)
         assert self.read(rms, [0]).tolist() == list(range(20))  # a miss
         assert rms.resident_keys() == [column.key_prefix + (0,)]
-        # 1 resident + 3 keys > capacity 2: one key at a time, evicting.
+        # 1 resident + 3 keys > capacity 2: evicts at the read's end.
         assert self.read(rms, [1, 2, 3]).tolist() == list(range(20, 80))
         assert rms.resident_keys() == [column.key_prefix + (b,) for b in (2, 3)]
         assert sum(decoded.values()) == 4
